@@ -24,6 +24,10 @@ The robustness artifact for the real-network layer (ROADMAP item 1):
    all-n decision must equal the clean no-kill run's.
 7. **Impostor-storm gate** — a loop hammering forged HELLOs at every
    node never stalls honest agreement, and every forgery is counted.
+8. **SVSS coin on the wire** — frames, wire bytes and seconds for one
+   n=4 shunning-coin invocation over sockets (the paper's unit of cost),
+   gated at <= 12 000 DATA frames and 0 retransmits on a clean link: the
+   step window's aggregation must reach the sockets.
 
 The JSON artifact is committed at the repo root next to the other
 ``BENCH_*.json`` so the transport's trajectory stays diffable across PRs.
@@ -38,12 +42,19 @@ import tempfile
 import time
 from pathlib import Path
 
+import repro.net.transport as transport
 from bench_common import bench_payload, write_bench_json
 from repro.config import SystemConfig
 from repro.core.api import run_byzantine_agreement
 from repro.net.chaos import CHAOS_PROFILES, ChaosProxy
 from repro.net.cluster import NetCluster
-from repro.net.codec import FRAME_AUTH, FRAME_HELLO, encode_frame, encode_value
+from repro.net.codec import (
+    FRAME_AUTH,
+    FRAME_DATA,
+    FRAME_HELLO,
+    encode_frame,
+    encode_value,
+)
 from repro.net.launch import run_processes
 from repro.net.transport import PROTO_VERSION, NetworkNode, TransportConfig
 from repro.sim.monitor import InvariantMonitor
@@ -352,10 +363,63 @@ async def _sim_equivalence() -> dict:
     return {"inputs": inputs, "net": net[1], "sim": sim.decision}
 
 
+#: Frame budget of one clean n=4 SVSS coin (172.8 k before aggregation
+#: reached the sockets, ~7.4 k with one frame per (src, dst) step).
+COIN_FRAME_BUDGET = 12_000
+
+
+async def _svss_coin_on_the_wire() -> dict:
+    data_bytes = 0
+    real_encode_frame = transport.encode_frame
+
+    def counting_encode_frame(ftype: int, body: bytes) -> bytes:
+        nonlocal data_bytes
+        frame = real_encode_frame(ftype, body)
+        if ftype == FRAME_DATA:
+            data_bytes += len(frame)
+        return frame
+
+    cluster = NetCluster(SystemConfig(n=4, seed=9300), trace_level=TRACE_OFF)
+    await cluster.start()
+    transport.encode_frame = counting_encode_frame
+    try:
+        start = time.perf_counter()
+        outputs = await cluster.flip_coin(session=0, timeout=120)
+        wall = time.perf_counter() - start
+        stats = cluster.stats()
+    finally:
+        transport.encode_frame = real_encode_frame
+        await cluster.close()
+    assert set(outputs) == {1, 2, 3, 4}, f"coin outputs missing: {outputs}"
+    assert stats["frame_errors"] == 0 and stats["auth_rejected"] == 0
+    nodes = stats["nodes"].values()
+    peers = [peer for node in nodes for peer in node["peers"].values()]
+    frames = sum(peer["sent"] for peer in peers)
+    retransmits = sum(peer["retransmits"] for peer in peers)
+    assert frames <= COIN_FRAME_BUDGET, (
+        f"{frames} DATA frames for one n=4 coin; budget {COIN_FRAME_BUDGET}"
+    )
+    assert retransmits == 0, f"{retransmits} retransmits on a clean link"
+    logical = sum(node["delivered"] for node in nodes)
+    return {
+        "n": 4,
+        "data_frames": frames,
+        "wire_bytes": data_bytes,
+        "wall_seconds": round(wall, 3),
+        "retransmits": retransmits,
+        "logical_messages_delivered": logical,
+        "frames_per_logical_message": round(frames / logical, 4),
+        "svec_packed": sum(node["svec_packed"] for node in nodes),
+        "envelopes_pushed": sum(node["envelopes_pushed"] for node in nodes),
+        "frame_budget": COIN_FRAME_BUDGET,
+    }
+
+
 def test_bench_net(emit):
     async def main():
         chaos_rows = await _chaos_safety_matrix()  # gates run first
         equivalence = await _sim_equivalence()
+        coin = await _svss_coin_on_the_wire()
         restart_rows = await _restart_lifecycle_matrix()
         storm = await _impostor_storm()
         throughput = {
@@ -365,12 +429,12 @@ def test_bench_net(emit):
         journal = await _journal_overhead(BLAST)
         reconnect = await _measure_reconnect(RECONNECT_BACKLOG)
         return (
-            chaos_rows, equivalence, restart_rows, storm, throughput,
+            chaos_rows, equivalence, coin, restart_rows, storm, throughput,
             journal, reconnect,
         )
 
     (
-        chaos_rows, equivalence, restart_rows, storm, throughput,
+        chaos_rows, equivalence, coin, restart_rows, storm, throughput,
         journal, reconnect,
     ) = asyncio.run(main())
 
@@ -389,10 +453,13 @@ def test_bench_net(emit):
                 "journal-attached clean throughput within 10% of "
                 "journal-less",
                 "impostor HELLO storm never stalls honest agreement",
+                f"one clean n=4 SVSS coin over sockets sends <= "
+                f"{COIN_FRAME_BUDGET} DATA frames with 0 retransmits",
             ],
         },
         chaos_safety=chaos_rows,
         sim_equivalence=equivalence,
+        svss_coin=coin,
         restart_lifecycle=restart_rows,
         impostor_storm=storm,
         throughput=throughput,
@@ -414,6 +481,12 @@ def test_bench_net(emit):
         f"journal overhead: {journal['journal_on_msgs_per_second']:.1f} "
         f"msg/s journaled vs {journal['journal_off_msgs_per_second']:.1f} "
         f"clean (ratio {journal['ratio']:.3f}, gate >= 0.9)"
+    )
+    emit(
+        f"n=4 SVSS coin over sockets: {coin['data_frames']} DATA frames "
+        f"(budget {COIN_FRAME_BUDGET}), {coin['wire_bytes']} wire bytes, "
+        f"{coin['wall_seconds']:.2f}s, retx={coin['retransmits']}, "
+        f"{coin['frames_per_logical_message']:.3f} frames per logical message"
     )
     emit(
         f"reconnect recovery: {reconnect['backlog_frames']} queued frames "

@@ -312,7 +312,11 @@ class NetCluster:
                 on_decide=lambda v, pid=pid: decisions.setdefault(pid, v),
             )
         for pid in live:
-            processes[pid].start(inputs[pid])
+            # Driver-side sends are one step per node, like the
+            # simulator's driver loops: round-1 votes leave as one frame
+            # per destination.
+            with self.nodes[pid].runtime.coalescing_step():
+                processes[pid].start(inputs[pid])
         await self.wait_for(
             lambda: all(pid in decisions for pid in live), timeout=timeout
         )
@@ -338,9 +342,10 @@ class NetCluster:
         outputs: dict[int, int] = {}
         coins = {pid: self._coin_for(pid, "svss", DEFAULT_INSTANCE) for pid in live}
         for pid in live:
-            coins[pid].join(csid)
-            coins[pid].get(csid, lambda v, pid=pid: outputs.setdefault(pid, v))
-            coins[pid].release(csid)
+            with self.nodes[pid].runtime.coalescing_step():
+                coins[pid].join(csid)
+                coins[pid].get(csid, lambda v, pid=pid: outputs.setdefault(pid, v))
+                coins[pid].release(csid)
         await self.wait_for(
             lambda: all(pid in outputs for pid in live), timeout=timeout
         )

@@ -30,6 +30,7 @@ import struct
 import zlib
 
 from repro.errors import ReproError
+from repro.sim.process import ENVELOPE_TAG
 
 # -- frame constants ---------------------------------------------------------
 
@@ -204,6 +205,31 @@ def encode_value(value: object) -> bytes:
     """Serialize one wire value canonically (same value -> same bytes)."""
     out = bytearray()
     _encode_into(out, value, 0)
+    return bytes(out)
+
+
+#: ``encode_value((ENVELOPE_TAG, subs))`` up to, not including, the
+#: sub-payload count: outer 2-tuple header, the tag string, inner tuple tag.
+_ENVELOPE_HEAD = encode_value((ENVELOPE_TAG, ()))[:-1]
+
+#: Upper bound on what :func:`encode_envelope` adds around the spliced
+#: sub-payloads: the head plus the widest count varint (``MAX_ITEMS``).
+ENVELOPE_OVERHEAD = len(_ENVELOPE_HEAD) + 3
+
+
+def encode_envelope(encoded_subs: "list[bytes]") -> bytes:
+    """Splice already-encoded sub-payloads into one encoded envelope.
+
+    A tuple's encoding is the concatenation of its items' encodings, so
+    this is byte-identical to ``encode_value((ENVELOPE_TAG, subs))``
+    without encoding any sub-payload a second time — which is what lets a
+    fan-out payload be encoded once and ride n different envelopes.
+    """
+    if len(encoded_subs) > MAX_ITEMS:
+        raise CodecError(f"tuple longer than {MAX_ITEMS}")
+    out = bytearray(_ENVELOPE_HEAD)
+    _write_uvarint(out, len(encoded_subs))
+    out += b"".join(encoded_subs)
     return bytes(out)
 
 

@@ -232,7 +232,8 @@ async def _child_main(args: argparse.Namespace) -> int:
                 instance_id=DEFAULT_INSTANCE,
                 on_decide=on_decide,
             )
-            process.start(args.input)
+            with node.runtime.coalescing_step():
+                process.start(args.input)
     coin_outputs: dict[int, int] = {}
 
     def on_coin(k: int, v: object) -> None:
@@ -242,14 +243,15 @@ async def _child_main(args: argparse.Namespace) -> int:
         if journal is not None:
             journal.record_coin(("cc", "solo", k), v)
 
-    for k in range(args.coins):
-        csid = ("cc", "solo", k)
-        if journal is not None and csid in journal.state.coins:
-            coin_outputs[k] = journal.state.coins[csid]
-            continue
-        coin.join(csid)
-        coin.get(csid, lambda v, k=k: on_coin(k, v))
-        coin.release(csid)
+    with node.runtime.coalescing_step():
+        for k in range(args.coins):
+            csid = ("cc", "solo", k)
+            if journal is not None and csid in journal.state.coins:
+                coin_outputs[k] = journal.state.coins[csid]
+                continue
+            coin.join(csid)
+            coin.get(csid, lambda v, k=k: on_coin(k, v))
+            coin.release(csid)
 
     def done() -> bool:
         if args.input is not None and DEFAULT_INSTANCE not in decided:

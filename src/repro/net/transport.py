@@ -6,9 +6,12 @@ subclass, so every ``ProtocolModule`` attaches unmodified), an asyncio
 TCP server accepting inbound links, and one :class:`PeerConnection`
 supervisor per peer for outbound traffic.  The :class:`NetRuntime`
 facade implements exactly the runtime surface protocol modules consume
-(``transmit``, ``config``, ``trace``, ``monitor``, ``now``,
-``notify_state_change``, the svec/coalesce flags) — see
-:class:`~repro.sim.module.HostABC` for the contract.
+(:class:`~repro.sim.module.RuntimeABC`), and its outbound path is the
+simulator's own step window (:mod:`repro.sim.window`): one inbox
+delivery is one step, and everything the handlers send during it leaves
+as **one DATA frame per destination** — session vectors packed, the
+rest coalesced into an envelope (``docs/NETWORK.md``, "Aggregation on
+the wire").
 
 Reliability.  The simulation models reliable private channels; TCP alone
 is not one (a connection drop loses whatever was buffered in flight), so
@@ -79,7 +82,6 @@ import itertools
 import os
 import time
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from random import Random
@@ -87,6 +89,7 @@ from random import Random
 from repro.config import SystemConfig
 from repro.errors import SimulationError
 from repro.net.codec import (
+    ENVELOPE_OVERHEAD,
     FRAME_ACK,
     FRAME_AUTH,
     FRAME_CHALLENGE,
@@ -96,16 +99,19 @@ from repro.net.codec import (
     FRAME_PONG,
     FRAME_WELCOME,
     MAX_FRAME_BODY,
+    MAX_ITEMS,
     SEQ_PREFIX,
     CodecError,
     FrameParser,
     decode_value,
+    encode_envelope,
     encode_frame,
     encode_value,
 )
 from repro.net.journal import Journal
-from repro.sim.process import ProcessHost
+from repro.sim.process import ENVELOPE_TAG, ProcessHost
 from repro.sim.tracing import TRACE_FULL, Trace
+from repro.sim.window import StepWindow
 
 #: Wire protocol version, carried in HELLO; mismatches are refused.
 PROTO_VERSION = 1
@@ -208,17 +214,36 @@ class NetworkHost(ProcessHost):
         self.node = node
 
 
-class NetRuntime:
+def _envelope_subs(payload: object) -> "tuple | None":
+    """The sub-payloads of a well-formed envelope, else None (the shape
+    ``ProcessHost._deliver_envelope`` unpacks)."""
+    if (
+        type(payload) is tuple
+        and len(payload) == 2
+        and payload[0] == ENVELOPE_TAG
+        and type(payload[1]) is tuple
+    ):
+        return payload[1]
+    return None
+
+
+class NetRuntime(StepWindow):
     """Runtime facade backing one :class:`NetworkHost`.
 
-    Implements the surface protocol modules consume (see module
-    docstring); transmission hands encoded payloads to the node's peer
-    connections instead of a simulated event queue.  ``routing_frozen``
-    is always False — there is no flat-dispatch freeze over sockets, so
-    modules may register at any time.
+    Implements the surface protocol modules consume
+    (:class:`~repro.sim.module.RuntimeABC`).  The outbound path is the
+    shared :class:`~repro.sim.window.StepWindow`: sends made while a step
+    is open — one inbox delivery (:meth:`NetworkNode._pump`) or a driver's
+    :meth:`coalescing_step` block — are buffered, session-vector muxes
+    pack, and the step's flush hands this class's sink one wire payload
+    per destination, which becomes one DATA frame.  Sends outside any
+    step go out at once, one frame each.  ``routing_frozen`` is always
+    False — there is no flat-dispatch freeze over sockets, so modules may
+    register at any time.
     """
 
     def __init__(self, node: "NetworkNode", config: SystemConfig, trace_level: int = TRACE_FULL):
+        super().__init__(coalesce=True, svec=True, batch_ingest=True)
         self.node = node
         self.config = config
         self.field = config.field
@@ -228,29 +253,15 @@ class NetRuntime:
         #: send_all fan-outs take the batched transmit_all path, which
         #: encodes the shared payload once for all n links.
         self.batch_sends = True
-        #: Aggregation transports are simulation-side optimizations; over
-        #: sockets every logical message is one frame.  (Envelopes arriving
-        #: from byzantine peers still unpack — the host path is unchanged.)
-        self.coalesce = False
-        self.svec = False
-        self.svec_buffering = False
-        self.svec_packed = 0
-        self.svec_slots = 0
-        #: Batched vector ingestion never triggers over sockets (svec is
-        #: off, so no vectors form), but byzantine peers can still deliver
-        #: forged ("svec", ...) frames — keep the flag and counters so the
-        #: shared unpack/ingest path runs unchanged.
-        self.batch_ingest = True
-        self.svec_batch_ingested = 0
-        self.dmm_verdicts_batched = 0
-        self.dmm_verdict_fallbacks = 0
-        self.dmm_verdict_calls = 0
-        self.envelopes_pushed = 0
-        self.payloads_coalesced = 0
         self.events_dispatched = 0
         self.predicate_evals = 0
         self._monitor = None
         self._start = time.monotonic()
+        #: id(payload) -> (payload, encoding) for the flush in progress: a
+        #: fan-out buffers the *same* payload object for every destination,
+        #: so each is encoded once however many envelopes it rides.  The
+        #: entry pins the payload, so its id cannot be reused meanwhile.
+        self._encoded: dict[int, tuple[object, bytes]] = {}
 
     # -- clock / monitor ---------------------------------------------------
     @property
@@ -297,7 +308,10 @@ class NetRuntime:
         trace = self.trace
         if trace.level:
             trace.record_send(layer, payload)
-        self.node.dispatch_out(dst, payload)
+        if self._buffering:
+            self._buffer(src, dst, payload)
+        else:
+            self.node.dispatch_out(dst, payload)
 
     def transmit_all(self, src: int, payload: tuple, layer: str) -> None:
         """Fan out one payload to every process, encoding it exactly once
@@ -305,16 +319,73 @@ class NetRuntime:
         trace = self.trace
         if trace.level:
             trace.record_send_many(layer, payload, self.config.n)
+        if self._buffering:
+            buffer = self._buffer
+            for dst in self.config.pids:
+                buffer(src, dst, payload)
+            return
         enc = encode_value(payload)
         dispatch_out = self.node.dispatch_out
         for dst in self.config.pids:
             dispatch_out(dst, payload, enc)
 
-    @contextmanager
-    def coalescing_step(self):
-        """Driver-loop compatibility shim; the socket transport never
-        coalesces, so the step window is a no-op."""
-        yield
+    def _flush_outbox(self) -> None:
+        try:
+            super()._flush_outbox()
+        finally:
+            self._encoded.clear()
+
+    def _encode(self, payload: object) -> bytes:
+        """``encode_value`` through the per-flush cache."""
+        hit = self._encoded.get(id(payload))
+        if hit is None:
+            hit = self._encoded[id(payload)] = (payload, encode_value(payload))
+        return hit[1]
+
+    def _emit(self, src: int, dst: int, payload: tuple) -> None:
+        """The step window's sink: one wire payload -> one DATA frame.
+
+        An envelope is encoded by splicing its sub-payloads' cached
+        encodings, and split into several frames, in send order, when its
+        body would not fit one: the receiver treats every frame as its own
+        delivery, so the split is invisible above the link.
+        """
+        node = self.node
+        if dst == node.pid:
+            node.dispatch_out(dst, payload)  # loops back unencoded
+            return
+        encode = self._encode
+        subs = _envelope_subs(payload)
+        if subs is None or len(subs) < 2:
+            node.dispatch_out(dst, payload, encode(payload))
+            return
+        encoded = [encode(sub) for sub in subs]
+        # An encoded item is at least one byte, so capping the body at
+        # MAX_ITEMS bytes also keeps the receiver's per-decode item budget.
+        budget = (
+            min(node.tconfig.max_frame_body, MAX_ITEMS)
+            - SEQ_PREFIX.size
+            - ENVELOPE_OVERHEAD
+        )
+        count = len(subs)
+        first = 0
+        while first < count:
+            size = len(encoded[first])
+            last = first + 1
+            while last < count and size + len(encoded[last]) <= budget:
+                size += len(encoded[last])
+                last += 1
+            if last - first == 1:
+                # A lone sub-payload travels plain (also one too big for
+                # any frame: the receiver rejects it, as it always did).
+                node.dispatch_out(dst, subs[first], encoded[first])
+            else:
+                node.dispatch_out(
+                    dst,
+                    (ENVELOPE_TAG, subs[first:last]),
+                    encode_envelope(encoded[first:last]),
+                )
+            first = last
 
 
 class PeerConnection:
@@ -388,7 +459,9 @@ class PeerConnection:
                 break
 
     def send(self, payload: object, enc: bytes | None = None) -> None:
-        """Queue one logical message (called synchronously by handlers).
+        """Queue one wire payload — a logical message or an envelope of
+        them — as one DATA frame (called synchronously, by the step flush
+        or by an unbuffered send).
 
         Never blocks and never silently drops: while the peer is not
         DOWN the queue only grows and the *node-level* gate provides the
@@ -795,7 +868,11 @@ class NetworkNode:
         self.auth_rejected = 0
         self._rng = config.derive_rng("net", pid)
         self.port: int | None = None
+        #: Logical messages handed to the host (an envelope counts its
+        #: sub-payloads) / DATA frames they arrived in (self-sends loop
+        #: back without a frame).
         self.delivered = 0
+        self.frames_delivered = 0
         self.frame_errors: dict[str, int] = {}
         self._conn_counter = itertools.count(1)
         #: Live inbound connection handler tasks (cancelled on shutdown —
@@ -1204,12 +1281,19 @@ class NetworkNode:
         """
         inbox = self._inbox
         host = self.host
+        runtime = self.runtime
         while True:
             src, payload = await inbox.get()
             await self._gate.wait()
-            host.deliver(src, payload)
-            self.delivered += 1
-            self.runtime.events_dispatched += 1
+            # One delivery is one step: everything the handlers send in
+            # reply leaves as one frame per destination when it closes.
+            with runtime.coalescing_step():
+                host.deliver(src, payload)
+            if src != self.pid:
+                self.frames_delivered += 1
+            subs = _envelope_subs(payload)
+            self.delivered += 1 if subs is None else len(subs)
+            runtime.events_dispatched += 1
 
     # -- waits -------------------------------------------------------------
     def notify(self) -> None:
@@ -1243,9 +1327,15 @@ class NetworkNode:
         return {dst: peer.state for dst, peer in self.peers.items()}
 
     def stats(self) -> dict:
+        runtime = self.runtime
         return {
             "pid": self.pid,
             "delivered": self.delivered,
+            "frames_delivered": self.frames_delivered,
+            "envelopes_pushed": runtime.envelopes_pushed,
+            "payloads_coalesced": runtime.payloads_coalesced,
+            "svec_packed": runtime.svec_packed,
+            "svec_batch_ingested": runtime.svec_batch_ingested,
             "frame_errors": dict(self.frame_errors),
             "auth_rejected": self.auth_rejected,
             "journal": None if self.journal is None else self.journal.stats(),

@@ -53,11 +53,7 @@ class HostABC(Protocol):
     ``tests/test_net_transport.py`` pins both conformances so the
     contract is checked by type, not convention.
 
-    Beyond the members listed here, a host's ``runtime`` must expose the
-    driver surface modules reach through it: ``config``, ``field``,
-    ``trace``, ``monitor``, ``now``, ``notify_state_change()``,
-    ``routing_frozen``, ``batch_sends``, ``transmit``/``transmit_all``
-    and the aggregation flags (``coalesce``, ``svec`` and friends).
+    A host's ``runtime`` must in turn satisfy :class:`RuntimeABC`.
     Keeping that indirection in one place is what lets the same module
     code run over a simulated event queue and over real sockets.
     """
@@ -95,6 +91,65 @@ class HostABC(Protocol):
     def send_all(self, payload: tuple, layer: str) -> None: ...
 
     def deliver(self, src: int, payload: object) -> None: ...
+
+
+@runtime_checkable
+class RuntimeABC(Protocol):
+    """The runtime surface protocol modules reach through ``host.runtime``.
+
+    The simulator's :class:`~repro.sim.runtime.Runtime` and the socket
+    :class:`~repro.net.transport.NetRuntime` both satisfy it
+    (``tests/test_module.py`` pins both).  Three groups:
+
+    * the environment — ``config``, ``field``, ``trace``, ``monitor``,
+      ``now``, ``host(pid)``, ``notify_state_change()``,
+      ``routing_frozen``;
+    * the wire — ``transmit`` / ``transmit_all`` and ``batch_sends``
+      (whether ``send_all`` may take the batched path);
+    * the step window (:class:`~repro.sim.window.StepWindow`, inherited by
+      both runtimes, never re-implemented): ``svec`` says whether
+      session-vector muxes may pack at all and ``svec_buffering`` whether
+      a step is open right now; a mux that buffered registers through
+      ``svec_defer`` and is flushed when the step closes;
+      ``coalescing_step()`` opens a step around driver-side sends;
+      ``batch_ingest`` selects batched vector ingestion on the receive
+      side; and the counters modules bump (``svec_packed``,
+      ``svec_slots``, ``svec_batch_ingested``, ``dmm_verdicts_batched``,
+      ``dmm_verdict_fallbacks``, ``dmm_verdict_calls``) or the window
+      itself does (``envelopes_pushed``, ``payloads_coalesced``).
+    """
+
+    config: object
+    field: object
+    trace: object
+    monitor: object
+    now: float
+    routing_frozen: bool
+    batch_sends: bool
+    coalesce: bool
+    svec: bool
+    svec_buffering: bool
+    batch_ingest: bool
+    envelopes_pushed: int
+    payloads_coalesced: int
+    svec_packed: int
+    svec_slots: int
+    svec_batch_ingested: int
+    dmm_verdicts_batched: int
+    dmm_verdict_fallbacks: int
+    dmm_verdict_calls: int
+
+    def host(self, pid: int) -> object: ...
+
+    def notify_state_change(self) -> None: ...
+
+    def transmit(self, src: int, dst: int, payload: tuple, layer: str) -> None: ...
+
+    def transmit_all(self, src: int, payload: tuple, layer: str) -> None: ...
+
+    def svec_defer(self, mux: object) -> None: ...
+
+    def coalescing_step(self): ...
 
 
 class ProtocolModule:

@@ -66,6 +66,12 @@ message per (step, dealer-group) instead of n per-session messages (see
 envelope flush so vectors still coalesce onto envelopes.  A
 ``splits_slots`` scheduler vetoes the packing outright.  Counters:
 ``svec_packed`` / ``svec_slots``.
+
+The buffers, both flushes, ``coalescing_step`` and the counters live in
+:class:`repro.sim.window.StepWindow`, shared with the socket runtime
+(:class:`repro.net.transport.NetRuntime`); this module contributes the
+sink (:meth:`Runtime._emit`: schedule + push) and the hot loop's inlined
+open/close of the window around every dispatched event.
 """
 
 from __future__ import annotations
@@ -74,15 +80,15 @@ import gc
 import heapq
 import os
 from collections.abc import Callable
-from contextlib import contextmanager
 
 from repro.config import SystemConfig
 from repro.errors import DeadlockError, SimulationError
 from repro.field import backend as _algebra
 from repro.sim.events import BucketQueue, EventQueue
-from repro.sim.process import ENVELOPE_TAG, RECOVER_TAG, ProcessHost
+from repro.sim.process import RECOVER_TAG, ProcessHost
 from repro.sim.scheduler import Scheduler, default_scheduler
 from repro.sim.tracing import TRACE_FULL, Trace
+from repro.sim.window import StepWindow
 
 #: Safety valve: a run dispatching more events than this is assumed stuck in
 #: a livelock (no correct experiment in this repo comes close).
@@ -96,7 +102,7 @@ ENGINES = (ENGINE_FLAT, ENGINE_LEGACY)
 _INF = float("inf")
 
 
-class Runtime:
+class Runtime(StepWindow):
     """Owns the hosts, the event queue, the clock, and the trace."""
 
     def __init__(
@@ -144,49 +150,26 @@ class Runtime:
         self._hosts_seq: list[ProcessHost | None] = [None] * (config.n + 1)
         for pid, host in self.hosts.items():
             self._hosts_seq[pid] = host
-        #: Wire-level message coalescing (see the module docstring).  The
-        #: scheduler may veto envelope delivery per se by advertising
-        #: ``splits_envelopes`` — buffered messages are then flushed as
-        #: individually scheduled events, restoring the uncoalesced
-        #: adversarial surface while keeping the coalescing code path on.
-        self.coalesce = bool(coalesce)
-        self._split_envelopes = bool(
-            getattr(self.scheduler, "splits_envelopes", False)
-        )
-        #: (src, dst) -> [payload, ...] buffered during the current step.
-        self._outbox: dict[tuple[int, int], list] = {}
-        self._buffering = False
-        #: Envelope events pushed / logical messages that rode inside them.
-        self.envelopes_pushed = 0
-        self.payloads_coalesced = 0
-        #: Session-vector aggregation (see :mod:`repro.core.vectormux`):
-        #: when on, the VSS layer packs the coin's per-slot session
-        #: messages into one ``("svec", ...)`` logical message per
-        #: (step, dealer-group, kind).  A ``splits_slots`` scheduler
-        #: (:class:`repro.adversary.schedulers.SlotSplittingScheduler`)
-        #: vetoes the packing outright, replaying the per-session wire
-        #: stream bit for bit.
-        self.svec = bool(svec) and not bool(
-            getattr(self.scheduler, "splits_slots", False)
-        )
-        #: True while a dispatch step (or a driver-side
-        #: :meth:`coalescing_step`) is open and session-vector muxes may
-        #: buffer; outside a step, per-slot sends travel plain.
-        self.svec_buffering = False
-        #: Muxes holding buffered slot messages for the current step.
-        self._svec_pending: list = []
-        #: Slot-vector messages emitted / per-slot messages folded into them.
-        self.svec_packed = 0
-        self.svec_slots = 0
-        #: Batched slot-vector ingestion (see ``VSSManager.ingest_vector``):
-        #: when on, received vectors are consumed through one group-level
-        #: DMM verdict + structure-of-arrays lane transition instead of n
-        #: per-slot ``_ingest`` chains.  Slot-for-slot equivalent to the
-        #: per-slot path; ``REPRO_BATCH_INGEST=0`` forces it off (the CI
-        #: A/B lever), the keyword overrides the environment.
+        # The step window (see :mod:`repro.sim.window`).  The scheduler
+        # may veto envelope delivery by advertising ``splits_envelopes`` —
+        # buffered messages are then flushed as individually scheduled
+        # events — and slot packing by advertising ``splits_slots``
+        # (:class:`repro.adversary.schedulers.SlotSplittingScheduler`),
+        # which replays the per-session wire stream bit for bit.
+        # Batched ingestion is slot-for-slot equivalent to the per-slot
+        # path; ``REPRO_BATCH_INGEST=0`` forces it off (the CI A/B lever),
+        # the keyword overrides the environment.
         if batch_ingest is None:
             batch_ingest = os.environ.get("REPRO_BATCH_INGEST", "1") != "0"
-        self.batch_ingest = bool(batch_ingest)
+        super().__init__(
+            coalesce=bool(coalesce),
+            svec=bool(svec)
+            and not bool(getattr(self.scheduler, "splits_slots", False)),
+            batch_ingest=bool(batch_ingest),
+            split_envelopes=bool(
+                getattr(self.scheduler, "splits_envelopes", False)
+            ),
+        )
         #: Vectorized algebra backend (see :mod:`repro.field.backend` and
         #: ``docs/ALGEBRA.md``): ``None`` defers to ``REPRO_ALGEBRA_BACKEND``
         #: / auto-detect.  Selection is process-global (the fast paths carry
@@ -195,14 +178,6 @@ class Runtime:
         #: :attr:`backend_fallbacks` report per-run deltas.
         self.algebra_backend = _algebra.set_backend(algebra_backend).name
         self._algebra_baseline = _algebra.counters.snapshot()
-        #: Vectors consumed by the batched path / slots resolved by a
-        #: group-level verdict / slots that fell back to per-slot verdicts.
-        self.svec_batch_ingested = 0
-        self.dmm_verdicts_batched = 0
-        self.dmm_verdict_fallbacks = 0
-        #: DMM verdict computations, batched or not (the per-slot-handler
-        #: -work metric the coin bench gates on).
-        self.dmm_verdict_calls = 0
         #: Events dispatched over the runtime's lifetime (always counted,
         #: independent of the trace level).
         self.events_dispatched = 0
@@ -334,10 +309,11 @@ class Runtime:
         """Accept a message onto the (simulated) wire.
 
         While an event is being dispatched on a coalescing runtime the
-        message is only *buffered*; :meth:`_flush_outbox` turns each
-        (src, dst) buffer into one envelope event at end-of-step.  Trace
-        accounting stays per logical message either way, so
-        ``trace.total_messages`` is coalescing-invariant.
+        message is only *buffered* (``StepWindow._buffer``, inlined here
+        and in :meth:`transmit_all`: this is the hottest edge of a run);
+        the window's flush turns each (src, dst) buffer into one envelope
+        event at end-of-step.  Trace accounting stays per logical message
+        either way, so ``trace.total_messages`` is coalescing-invariant.
         """
         if dst not in self.hosts:
             raise SimulationError(f"send to unknown process {dst}")
@@ -412,101 +388,15 @@ class Runtime:
             )
         return delay
 
-    def _flush_outbox(self) -> None:
-        """Push the dispatch step's buffered messages onto the wire.
-
-        Each ``(src, dst)`` buffer with two or more logical messages
-        becomes one envelope event ``("env", (payload, ...))`` in send
-        order; singletons travel as plain events (no framing overhead).
-        Under a ``splits_envelopes`` scheduler every buffered message is
-        pushed — and scheduled — individually, which is the envelope-
-        splitting adversary path: per-message delay control is fully
-        restored at the uncoalesced event cost.  Buffers drain grouped by
-        first-touched pair; within a pair, order is send order, so every
-        destination still observes the uncoalesced per-party sequence.
-        """
-        outbox = self._outbox
-        now = self.now
-        fixed = self._fixed_delay
-        queue = self.queue
-        split = self._split_envelopes
-        try:
-            for (src, dst), payloads in outbox.items():
-                if len(payloads) == 1 or split:
-                    for payload in payloads:
-                        delay = fixed
-                        if delay is None:
-                            delay = self._checked_delay(src, dst, payload)
-                        queue.push(now + delay, dst, src, payload)
-                    continue
-                envelope = (ENVELOPE_TAG, tuple(payloads))
-                delay = fixed
-                if delay is None:
-                    delay = self._checked_delay(src, dst, envelope)
-                queue.push(now + delay, dst, src, envelope)
-                self.envelopes_pushed += 1
-                self.payloads_coalesced += len(payloads)
-        finally:
-            # Clear even when a scheduler produced an illegal delay
-            # mid-flush (fatal anyway): already-pushed pairs must not be
-            # re-pushed by a later flush if the caller swallows the error.
-            outbox.clear()
-
-    # -- session-vector flushing ----------------------------------------------
-    def svec_defer(self, mux) -> None:
-        """A mux buffered its first slot message of this step; flush it at
-        end-of-step (called by :class:`~repro.core.vectormux.SessionVectorMux`)."""
-        self._svec_pending.append(mux)
-
-    def _flush_svec(self) -> None:
-        """Drain every dirty mux, in defer order (driver loops run pids
-        ascending, so flushes stay source-major).  Mux flushes only push
-        onto the wire — they can buffer nothing new — and they run *before*
-        the envelope flush, so svec messages still coalesce onto envelopes
-        when both transports are on."""
-        pending = self._svec_pending
-        self._svec_pending = []
-        for mux in pending:
-            mux.flush()
-
-    @contextmanager
-    def coalescing_step(self):
-        """Treat enclosed *driver-side* sends as one dispatch step.
-
-        Driver code (protocol ``start`` loops, coin joins) runs outside the
-        event loop, so its sends never see the per-step coalescer.  Wrapping
-        the whole loop in this context buffers them like an ordinary step
-        and flushes once at exit — this is what seeds vote coalescing for a
-        batch: the K instances' round-1 votes per (src, dst) leave as one
-        envelope, every later step then delivers K votes as one event and
-        emits the K responses inside that single step, so the coalescing is
-        self-sustaining.  Callers must emit in source-major order (all of
-        one sender's messages before the next sender's) if they rely on the
-        bit-identical-sequence guarantee.  The same window opens the
-        session-vector muxes (``svec=True``), so a driver loop's per-slot
-        coin sends leave as slot-vectors too.  No-op when both transports
-        are off; do not use while the event loop is running.
-        """
-        if not self.coalesce and not self.svec:
-            yield
-            return
-        self._buffering = self.coalesce
-        self.svec_buffering = self.svec
-        try:
-            yield
-        finally:
-            # Flush inside the finally: if the driver loop raised partway,
-            # the messages it sent before the error still go out (exactly
-            # what the uncoalesced run would have pushed already) instead
-            # of leaking into a later dispatch step's flush.  Slot-vectors
-            # flush first, while wire buffering is still on, so they join
-            # the step's envelopes like any other send.
-            self.svec_buffering = False
-            if self._svec_pending:
-                self._flush_svec()
-            self._buffering = False
-            if self._outbox:
-                self._flush_outbox()
+    def _emit(self, src: int, dst: int, payload: tuple) -> None:
+        """The step window's sink: schedule one event (plain message or
+        envelope) and push it.  Under a ``splits_envelopes`` scheduler the
+        window emits every buffered message on its own, so per-message
+        delay control is fully restored at the uncoalesced event cost."""
+        delay = self._fixed_delay
+        if delay is None:
+            delay = self._checked_delay(src, dst, payload)
+        self.queue.push(self.now + delay, dst, src, payload)
 
     # -- event loop --------------------------------------------------------------
     def step(self) -> bool:

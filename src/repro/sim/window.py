@@ -1,0 +1,187 @@
+"""The outbound step window: one aggregation path for every runtime.
+
+A *step* is the unit in which protocol handlers run to completion: one
+dispatched event in the simulator, one inbox delivery on a socket node,
+or one driver-side :meth:`StepWindow.coalescing_step` block.  While a
+step is open
+
+* every transmitted logical message is only *buffered* per
+  ``(src, dst)``, and
+* session-vector muxes (:mod:`repro.core.vectormux`, the agreement vote
+  mux) buffer per-slot messages and register through :meth:`svec_defer`;
+
+when it closes, the muxes flush first — their vectors are ordinary sends,
+so they land in the same buffers — and then each ``(src, dst)`` buffer
+leaves through the runtime's :meth:`_emit` sink as one envelope
+``("env", (payload, ...))`` in send order (a lone message travels plain).
+The sink is the only transport-specific part: the simulator schedules an
+event, the socket runtime writes one DATA frame.
+
+:class:`StepWindow` is a base class rather than a member object so the
+flags and counters protocol modules consume (``runtime.svec``,
+``runtime.svec_buffering``, ``runtime.svec_packed += ...``) stay plain
+instance attributes of the runtime — no forwarding, nothing to mirror.
+It also carries the receive-side ingestion flag and counters, which are
+part of the same runtime surface (see
+:class:`~repro.sim.module.RuntimeABC`).
+"""
+
+from __future__ import annotations
+
+from contextlib import contextmanager
+
+from repro.sim.process import ENVELOPE_TAG
+
+
+class StepWindow:
+    """Per-step outbound buffers, their flush, and the aggregation counters.
+
+    Subclasses implement :meth:`_emit` and decide *when* steps open and
+    close; ``Runtime``'s hot loop inlines the open/close flag writes and
+    the buffer append (one Python call per logical message is the
+    simulator's hottest edge), everything else goes through here.
+    """
+
+    def __init__(
+        self,
+        coalesce: bool,
+        svec: bool,
+        batch_ingest: bool,
+        split_envelopes: bool = False,
+    ):
+        #: Wire-level coalescing: buffered messages leave as envelopes.
+        self.coalesce = coalesce
+        #: Envelope veto (a ``splits_envelopes`` scheduler): buffered
+        #: messages are emitted individually, restoring the uncoalesced
+        #: adversarial surface while keeping the coalescing code path on.
+        self._split_envelopes = split_envelopes
+        #: (src, dst) -> [payload, ...] buffered during the current step.
+        self._outbox: dict[tuple[int, int], list] = {}
+        self._buffering = False
+        #: Envelopes emitted / logical messages that rode inside them.
+        self.envelopes_pushed = 0
+        self.payloads_coalesced = 0
+        #: Session-vector aggregation: the VSS layer packs the coin's
+        #: per-slot session messages into one ``("svec", ...)`` logical
+        #: message per (step, dealer-group, kind).
+        self.svec = svec
+        #: True while a step is open and muxes may buffer; outside a
+        #: step, per-slot sends travel plain.
+        self.svec_buffering = False
+        #: Muxes holding buffered slot messages for the current step.
+        self._svec_pending: list = []
+        #: Slot-vector messages emitted / per-slot messages folded into them.
+        self.svec_packed = 0
+        self.svec_slots = 0
+        #: Batched slot-vector ingestion (``VSSManager.ingest_vector``):
+        #: received vectors are consumed through one group-level DMM
+        #: verdict + structure-of-arrays lane transition instead of n
+        #: per-slot ``_ingest`` chains.
+        self.batch_ingest = batch_ingest
+        #: Vectors consumed by the batched path / slots resolved by a
+        #: group-level verdict / slots that fell back to per-slot verdicts.
+        self.svec_batch_ingested = 0
+        self.dmm_verdicts_batched = 0
+        self.dmm_verdict_fallbacks = 0
+        #: DMM verdict computations, batched or not.
+        self.dmm_verdict_calls = 0
+
+    # -- the sink ------------------------------------------------------------
+    def _emit(self, src: int, dst: int, payload: tuple) -> None:
+        """Put one wire payload (plain message or envelope) on the
+        transport, now."""
+        raise NotImplementedError
+
+    # -- buffering -----------------------------------------------------------
+    def _buffer(self, src: int, dst: int, payload: tuple) -> None:
+        """Hold one logical message for the open step's flush."""
+        pending = self._outbox.get((src, dst))
+        if pending is None:
+            self._outbox[(src, dst)] = [payload]
+        else:
+            pending.append(payload)
+
+    def svec_defer(self, mux) -> None:
+        """A mux buffered its first slot message of this step; flush it at
+        end-of-step (called by :class:`~repro.core.vectormux.SessionVectorMux`)."""
+        self._svec_pending.append(mux)
+
+    # -- flushing ------------------------------------------------------------
+    def _flush_svec(self) -> None:
+        """Drain every dirty mux, in defer order (driver loops run pids
+        ascending, so flushes stay source-major).  Mux flushes only send —
+        they can buffer nothing new — and they run *before* the envelope
+        flush, so svec messages still coalesce onto envelopes."""
+        pending = self._svec_pending
+        self._svec_pending = []
+        for mux in pending:
+            mux.flush()
+
+    def _flush_outbox(self) -> None:
+        """Emit the step's buffered messages.
+
+        Each ``(src, dst)`` buffer with two or more logical messages
+        becomes one envelope ``("env", (payload, ...))`` in send order;
+        singletons travel plain (no framing overhead).  Under the envelope
+        veto every buffered message is emitted individually.  Buffers
+        drain grouped by first-touched pair; within a pair, order is send
+        order, so every destination still observes the uncoalesced
+        per-party sequence.
+        """
+        outbox = self._outbox
+        emit = self._emit
+        split = self._split_envelopes
+        try:
+            for (src, dst), payloads in outbox.items():
+                if len(payloads) == 1 or split:
+                    for payload in payloads:
+                        emit(src, dst, payload)
+                    continue
+                emit(src, dst, (ENVELOPE_TAG, tuple(payloads)))
+                self.envelopes_pushed += 1
+                self.payloads_coalesced += len(payloads)
+        finally:
+            # Clear even when the sink raised mid-flush: already-emitted
+            # pairs must not be emitted again by a later flush if the
+            # caller swallows the error.
+            outbox.clear()
+
+    @contextmanager
+    def coalescing_step(self):
+        """Treat the enclosed sends as one step.
+
+        Socket nodes wrap every inbox delivery in it.  In the simulator it
+        is for *driver-side* code (protocol ``start`` loops, coin joins),
+        which runs outside the event loop and would otherwise never see
+        the per-step coalescer: wrapping the whole loop buffers its sends
+        like an ordinary step and flushes once at exit — this is what
+        seeds vote coalescing for a batch: the K instances' round-1 votes
+        per (src, dst) leave as one envelope, every later step then
+        delivers K votes as one event and emits the K responses inside
+        that single step, so the coalescing is self-sustaining.  Callers
+        must emit in source-major order (all of one sender's messages
+        before the next sender's) if they rely on the
+        bit-identical-sequence guarantee.  No-op when both transports are
+        off; steps do not nest, so do not use it inside a handler or while
+        the simulator's event loop is running.
+        """
+        if not self.coalesce and not self.svec:
+            yield
+            return
+        self._buffering = self.coalesce
+        self.svec_buffering = self.svec
+        try:
+            yield
+        finally:
+            # Flush inside the finally: if the enclosed code raised
+            # partway, the messages it sent before the error still go out
+            # (exactly what the uncoalesced run would have pushed already)
+            # instead of leaking into a later step's flush.  Slot-vectors
+            # flush first, while wire buffering is still on, so they join
+            # the step's envelopes like any other send.
+            self.svec_buffering = False
+            if self._svec_pending:
+                self._flush_svec()
+            self._buffering = False
+            if self._outbox:
+                self._flush_outbox()

@@ -17,11 +17,14 @@ from repro.core.api import build_stack, _make_coins
 from repro.core.coin import CommonCoinModule, LocalCoin, SharedCoinGate
 from repro.core.manager import VSSManager
 from repro.errors import ProtocolError, SimulationError
+from repro.net.transport import NetworkNode
 from repro.protocols.benor import BenOrProcess
-from repro.sim.module import ProtocolModule
+from repro.sim.module import ProtocolModule, RuntimeABC
 from repro.sim.process import InstanceSlots
 from repro.sim.runtime import Runtime
 from repro.sim.scheduler import FifoScheduler
+from repro.sim.tracing import TRACE_OFF
+from repro.sim.window import StepWindow
 
 
 def make_rt(n=4, seed=0, **kw):
@@ -92,6 +95,90 @@ class TestModuleContract:
         aba.close()
         with pytest.raises(ProtocolError):
             aba.attach(host)
+
+
+RUNTIMES = {
+    "sim": lambda: Runtime(
+        SystemConfig(n=4, seed=0),
+        scheduler=FifoScheduler(),
+        coalesce=True,
+        svec=True,
+    ),
+    # Never started: no sockets, nothing to close.
+    "net": lambda: NetworkNode(
+        SystemConfig(n=4, seed=0), 1, trace_level=TRACE_OFF
+    ).runtime,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(RUNTIMES))
+class TestRuntimeContract:
+    """Both runtimes expose :class:`RuntimeABC`, and its step-window part
+    is the one :class:`StepWindow` implementation — observed here through
+    a captured sink, so the same assertions run on either transport."""
+
+    @staticmethod
+    def capture(runtime):
+        emitted = []
+        # An instance attribute shadows the sink method.
+        runtime._emit = lambda src, dst, payload: emitted.append((dst, payload))
+        return emitted
+
+    def test_satisfies_runtime_abc(self, kind):
+        runtime = RUNTIMES[kind]()
+        assert isinstance(runtime, RuntimeABC)
+        assert isinstance(runtime, StepWindow)
+        for shared in ("coalescing_step", "svec_defer", "_flush_svec", "_buffer"):
+            assert getattr(type(runtime), shared) is getattr(StepWindow, shared)
+        assert runtime.svec and runtime.coalesce and runtime.batch_ingest
+        assert not runtime.svec_buffering  # no step open
+
+    def test_step_flushes_muxes_then_one_envelope_per_destination(self, kind):
+        runtime = RUNTIMES[kind]()
+        emitted = self.capture(runtime)
+
+        class Mux:
+            def flush(self):
+                # A mux flush is an ordinary send inside the closing step.
+                runtime.transmit(1, 2, ("vec", 7), "test")
+
+        with runtime.coalescing_step():
+            assert runtime.svec_buffering
+            runtime.transmit(1, 2, ("a", 1), "test")
+            runtime.svec_defer(Mux())
+            runtime.transmit_all(1, ("b", 2), "test")
+            assert emitted == []  # buffered until the step closes
+        assert not runtime.svec_buffering
+        assert emitted == [
+            (2, ("env", (("a", 1), ("b", 2), ("vec", 7)))),
+            (1, ("b", 2)),
+            (3, ("b", 2)),
+            (4, ("b", 2)),
+        ]
+        assert runtime.envelopes_pushed == 1
+        assert runtime.payloads_coalesced == 3
+
+    def test_flush_that_raises_partway_leaves_nothing_behind(self, kind):
+        """The ``finally: outbox.clear()`` contract: a sink error on one
+        destination must not make the next step re-send what already went
+        out (or what was queued behind the failure)."""
+        runtime = RUNTIMES[kind]()
+        emitted = []
+
+        def sink(src, dst, payload):
+            if dst == 2:
+                raise OSError("link 2 is broken")
+            emitted.append((dst, payload))
+
+        runtime._emit = sink
+        with pytest.raises(OSError):
+            with runtime.coalescing_step():
+                for dst in (1, 2, 3):
+                    runtime.transmit(1, dst, ("m", dst), "test")
+        assert emitted == [(1, ("m", 1))]
+        with runtime.coalescing_step():
+            runtime.transmit(1, 3, ("m", "next"), "test")
+        assert emitted == [(1, ("m", 1)), (3, ("m", "next"))]
 
 
 class TestInstanceSlots:

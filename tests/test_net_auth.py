@@ -14,13 +14,18 @@ from __future__ import annotations
 import asyncio
 
 from repro.config import SystemConfig
+from repro.core.api import build_node_modules
+from repro.core.sessions import SVEC_MW, svec_sid
+from repro.core.vectormux import SVEC_TAG
 from repro.net.codec import (
     FRAME_AUTH,
     FRAME_CHALLENGE,
     FRAME_HELLO,
+    FRAME_WELCOME,
     FrameParser,
     decode_value,
     encode_frame,
+    encode_payload_frame,
     encode_value,
 )
 from repro.net.transport import (
@@ -171,6 +176,195 @@ def test_mac_binds_direction_and_epoch():
     assert mac != handshake_mac(key, b"n" * 16, 1, 2, 2, 1)  # epoch
     assert mac != handshake_mac(key, b"n" * 16, 1, 2, 1, 9)  # seq base
     assert mac != handshake_mac(derive_pair_key(SECRET, 1, 3), b"n" * 16, 1, 2, 1, 1)
+
+
+# ---------------------------------------------------------------------------
+# The aggregation contract over sockets (docs/ADVERSARY.md): envelopes and
+# slot-vectors are framing — a byzantine peer gains nothing by forging them,
+# and a byzantine *host* keeps acting on logical messages.
+# ---------------------------------------------------------------------------
+
+
+async def _authenticated_raw_link(target: NetworkNode, pid: int):
+    """A raw TCP client that *is* cluster member ``pid`` (it holds the
+    pair key) but speaks the wire protocol by hand — the byzantine peer."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", target.port)
+    epoch, base = 1, 1
+    writer.write(
+        encode_frame(
+            FRAME_HELLO, encode_value(("hello", pid, epoch, PROTO_VERSION, base))
+        )
+    )
+    await writer.drain()
+    parser = FrameParser(FAST.max_frame_body)
+    while True:
+        data = await asyncio.wait_for(reader.read(65536), timeout=5)
+        assert data, "server closed during the handshake"
+        for ftype, body in parser.feed(data):
+            if ftype == FRAME_CHALLENGE:
+                nonce = decode_value(body)[2]
+                key = derive_pair_key(SECRET, pid, target.pid)
+                mac = handshake_mac(key, nonce, pid, target.pid, epoch, base)
+                writer.write(
+                    encode_frame(FRAME_AUTH, encode_value(("auth", pid, mac)))
+                )
+                await writer.drain()
+            elif ftype == FRAME_WELCOME:
+                return writer
+
+
+def test_forged_envelopes_and_vectors_grant_nothing_over_sockets():
+    """An authenticated byzantine peer hand-crafts envelopes (nested,
+    non-tuple / empty / unknown-tag sub-payloads) and a slot-vector with
+    malformed slots: each bad piece is dropped on its own, its well-formed
+    siblings land exactly as if sent plainly, and the link stays up."""
+    config = SystemConfig(n=4, seed=7)
+    group = (SVEC_MW, ("cc", "solo", 0), 2, 2, 3, "md")
+
+    async def main():
+        nodes = await _wire(config, {1: FAST})()
+        node = nodes[1]
+        _, vss = build_node_modules(node.host, with_vss=True)
+        got = []
+        node.host.register_handler("a", lambda src, p: got.append(p))
+        handled = {}
+        for slot in (1, 3):
+            calls = handled[slot] = []
+            vss._ensure_mw(svec_sid(group, slot)).handle = (
+                lambda *a, calls=calls: calls.append(a)
+            )
+        forged = [
+            ("env", "not-a-tuple-body"),
+            ("env",),
+            (
+                "env",
+                (
+                    ("env", (("a", "nested"),)),  # nesting refused
+                    "garbage",  # non-tuple sub-payload
+                    (),  # empty sub-payload
+                    ("unknown", 1),  # unregistered tag
+                    ("a", 42),  # a valid one still lands
+                ),
+            ),
+            (
+                "env",
+                (
+                    (
+                        SVEC_TAG,
+                        "cnf",
+                        group,
+                        ((1, 5), "junk", (2,), ("x", 8), (3, 9)),
+                    ),
+                    ("a", 43),
+                ),
+            ),
+            ("a", 44),
+        ]
+        writer = await _authenticated_raw_link(node, 2)
+        for seq, payload in enumerate(forged, start=1):
+            writer.write(encode_payload_frame(payload, seq=seq))
+        await writer.drain()
+        await node.wait_for(lambda: len(got) >= 3, timeout=10)
+        assert got == [("a", 42), ("a", 43), ("a", 44)]
+        assert handled == {1: [(2, "cnf", 5)], 3: [(2, "cnf", 9)]}
+        assert set(vss.mw) == {svec_sid(group, 1), svec_sid(group, 3)}
+        assert node.frame_errors == {}
+        assert node.frames_delivered == len(forged)
+        # The wire's value language has no unhashable value (lists do not
+        # encode), so that forgery can only be tried in-process: same drop.
+        node.host.deliver(2, ("env", ((["unhashable"], 1), ("a", 45))))
+        assert got[-1] == ("a", 45)
+        writer.close()
+        await node.close()
+
+    asyncio.run(main())
+
+
+def test_outbound_filter_sees_logical_messages_before_buffering():
+    """A byzantine-hosted node: its filter rewrites/observes each logical
+    message (never an envelope), the survivors still share one frame, and
+    its session-vector mux refuses to pack."""
+    config = SystemConfig(n=4, seed=7)
+
+    async def main():
+        nodes = await _wire(config, {1: FAST, 2: FAST})()
+        a, b = nodes[1], nodes[2]
+        _, vss = build_node_modules(a.host, with_vss=True)
+        csid = ("cc", "solo", 0)
+        vss.mux.register_family(csid)
+        sid = svec_sid((SVEC_MW, csid, 1, 1, 3, "md"), 1)
+        got, seen, offers = [], [], []
+        b.host.register_handler("x", lambda src, p: got.append(p))
+        b.host.register_handler("y", lambda src, p: got.append(p))
+
+        def kick(src, payload):
+            offers.append(vss.mux.offer_private(2, sid, "cnf", 5))
+            a.host.send(2, ("x", 1), "test")
+            a.host.send(2, ("y", 2), "test")
+
+        a.host.register_handler("kick", kick)
+        a.dispatch_out(1, ("kick",))  # one pump delivery = one step
+        await a.wait_for(lambda: offers, timeout=5)
+        assert offers == [True]  # honest host, open step: the mux packs
+
+        def rewrite(dst, payload):
+            seen.append(payload)
+            return ("x", 99) if payload[0] == "x" else payload
+
+        a.host.outbound_filter = rewrite
+        a.dispatch_out(1, ("kick",))
+        await b.wait_for(lambda: len(got) >= 4, timeout=10)
+        assert offers == [True, False]
+        # Step 1 (honest): the packed slot travelled plain as a lone "v"
+        # message inside the envelope; step 2: the filter saw x and y only.
+        assert seen == [("x", 1), ("y", 2)]
+        assert got == [("x", 1), ("y", 2), ("x", 99), ("y", 2)]
+        assert a.runtime.envelopes_pushed == 2
+        assert a.peers[2].stats.sent == 2
+        await a.close()
+        await b.close()
+
+    asyncio.run(main())
+
+
+def test_crash_mid_envelope_drops_the_rest_on_a_network_host():
+    """``host.crash()`` raised by sub-payload j kills j+1.. of that
+    envelope — and a crash→recover inside the unpack loop still does
+    (the ``crash_epoch`` fence) — exactly as on a simulated host."""
+    config = SystemConfig(n=4, seed=7)
+
+    async def main():
+        nodes = await _wire(config, {1: FAST, 2: FAST})()
+        a, b = nodes[1], nodes[2]
+        got = []
+
+        def on_a(src, payload):
+            got.append(payload)
+            if payload[1] == "crash":
+                b.host.crash()
+            elif payload[1] == "bounce":
+                b.host.crash()
+                b.host.recover()  # epoch bump: the tail is still fenced
+
+        b.host.register_handler("a", on_a)
+        b.host.register_handler("b", lambda src, p: got.append(p))
+        with a.runtime.coalescing_step():
+            for payload in (("a", "bounce"), ("b", 1), ("b", 2)):
+                a.host.send(2, payload, "test")
+        await b.wait_for(lambda: b.frames_delivered >= 1, timeout=10)
+        assert got == [("a", "bounce")]
+        assert not b.host.crashed and b.host.crash_epoch == 1
+        with a.runtime.coalescing_step():
+            for payload in (("b", 3), ("a", "crash"), ("b", 4)):
+                a.host.send(2, payload, "test")
+        await b.wait_for(lambda: b.frames_delivered >= 2, timeout=10)
+        assert got == [("a", "bounce"), ("b", 3), ("a", "crash")]
+        assert b.host.crashed
+        assert a.peers[2].stats.sent == 2  # one frame per step
+        await a.close()
+        await b.close()
+
+    asyncio.run(main())
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ These runs push actual frames through a :class:`ChaosProxy` per
 destination; the :class:`InvariantMonitor` rides along and raises *at*
 any violating event, so a passing test certifies safety under that
 profile, not merely termination.  Local coins and ``with_vss=False``
-keep each run in test-scale wall clock — the full MW-SVSS stack over
-sockets is covered by the slow-marked test in ``test_net_transport.py``.
+keep most runs in test-scale wall clock; the slow-marked split-input
+agreements at the end run the full MW-SVSS coin — now that the step
+window packs it into a few thousand frames — under the same monitor.
 """
 
 from __future__ import annotations
@@ -191,5 +192,52 @@ def test_restart_node_rejoins_under_chaos(profile, tmp_path):
             assert len(second) == 4  # the rejoined node decided too
         finally:
             await cluster.close()
+
+    asyncio.run(main())
+
+
+# ---------------------------------------------------------------------------
+# The paper's protocol proper: split inputs, SVSS shunning coin, sockets
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("profile", [None, "drop", "reorder"])
+def test_split_input_svss_agreement_under_the_armed_monitor(profile):
+    """Unanimous inputs let validity alone fix the answer and the
+    ``local`` coin bypasses VSS; this is neither: a 0/1 split decided
+    through the SVSS common coin, every frame an envelope of session
+    vectors, clean and through lossy / reordering proxies.  The monitor
+    raises at the first agreement, validity or shun-budget violation."""
+
+    async def main():
+        monitor = InvariantMonitor()
+        cluster = NetCluster(
+            SystemConfig(n=4, seed=405),
+            tconfig=FAST,
+            chaos=profile,
+            trace_level=TRACE_OFF,
+            monitor=monitor,
+        )
+        await cluster.start()
+        try:
+            decisions = await cluster.run_agreement(
+                [0, 1, 0, 1], coin="svss", timeout=120
+            )
+            stats = cluster.stats()
+        finally:
+            await cluster.close()
+        assert set(decisions) == {1, 2, 3, 4}
+        assert len(set(decisions.values())) == 1  # agreement
+        assert set(decisions.values()) <= {0, 1}  # validity on a split
+        # A violation raises inside the handler that caused it, which
+        # kills that node's pump and times the run out: getting here with
+        # all four decisions recorded is the zero-violation verdict.
+        verdict = monitor.verdict()
+        assert len(verdict["decisions"]) == 4
+        assert verdict["shun_pairs"] == []  # nobody is byzantine
+        assert stats["frame_errors"] == 0
+        for node in stats["nodes"].values():
+            assert node["envelopes_pushed"] > 0 and node["svec_packed"] > 0
 
     asyncio.run(main())

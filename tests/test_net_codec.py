@@ -16,7 +16,11 @@ import struct
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.config import SystemConfig
+from repro.net import transport
 from repro.net.codec import (
     FRAME_ACK,
     FRAME_DATA,
@@ -28,10 +32,12 @@ from repro.net.codec import (
     CodecError,
     FrameParser,
     decode_value,
+    encode_envelope,
     encode_frame,
     encode_payload_frame,
     encode_value,
 )
+from repro.sim.tracing import TRACE_OFF
 
 # ---------------------------------------------------------------------------
 # Wire-tuple families: one representative per payload shape the protocol
@@ -255,3 +261,67 @@ def test_parser_survives_random_noise():
             pass
     # No assertion on errors beyond "it never raised": arbitrary noise may
     # even contain an accidental valid empty frame, but must never crash.
+
+
+# ---------------------------------------------------------------------------
+# Envelope splicing: what the socket flush puts on the wire
+# ---------------------------------------------------------------------------
+
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(1 << 70), max_value=1 << 70),
+    st.text(max_size=6),
+    st.binary(max_size=6),
+    st.floats(allow_nan=False),
+)
+_wire_tuples = st.recursive(
+    st.tuples(st.sampled_from(("v", "rb", "svec", "env")), _scalars),
+    lambda inner: st.lists(st.one_of(_scalars, inner), max_size=4).map(tuple),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    subs=st.one_of(
+        st.lists(_wire_tuples, max_size=5),
+        # k >= 128: the sub-payload count needs a two-byte varint.
+        st.lists(_wire_tuples, min_size=128, max_size=140),
+    ).map(tuple)
+)
+def test_spliced_envelope_is_byte_identical_to_encode_value(subs):
+    spliced = encode_envelope([encode_value(sub) for sub in subs])
+    assert spliced == encode_value(("env", subs))
+    assert decode_value(spliced) == ("env", subs)
+
+
+def test_fanout_payload_is_encoded_once_per_flush(monkeypatch):
+    """PR 7's encode-once property survives aggregation: one ``send_all``
+    payload riding n - 1 different envelopes is encoded once, and every
+    frame still decodes to exactly what ``encode_value`` would have sent."""
+    node = transport.NetworkNode(
+        SystemConfig(n=4, seed=0), 1, trace_level=TRACE_OFF
+    )
+    runtime = node.runtime
+    shared = ("rb", "echo", (1, 2, 3))
+    encoded = []
+    real = transport.encode_value
+    monkeypatch.setattr(
+        transport, "encode_value", lambda v: (encoded.append(v), real(v))[1]
+    )
+    out = []
+    node.dispatch_out = lambda dst, payload, enc=None: out.append(
+        (dst, payload, enc)
+    )
+    with runtime.coalescing_step():
+        runtime.transmit_all(1, shared, "test")
+        for dst in (2, 3, 4):
+            runtime.transmit(1, dst, ("v", "private", dst), "test")
+    assert encoded.count(shared) == 1
+    assert len(encoded) == 4  # + the three private payloads, nothing else
+    assert out[0] == (1, shared, None)  # the self-send loops back unencoded
+    for dst, payload, enc in out[1:]:
+        assert payload == ("env", (shared, ("v", "private", dst)))
+        assert enc == real(payload)
+    assert runtime._encoded == {}  # the cache dies with the flush
