@@ -31,6 +31,15 @@ past ``3n + t`` tracked values.  Every execution that stays under the
 admission threshold (in particular every one with only honest senders,
 who send at most one echo per bid) accepts and delivers exactly as the
 set-based bookkeeping did.
+
+*Lifetime.*  A bid's tallies exist to reach delivery.  Once the bid
+RB-delivers, later type-2 / type-3 echoes are dead work (acceptance and
+delivery are one-shot, and the type-3 amplification flag was set on the way
+to the ``n - t`` threshold), so its state is replaced by one of two shared
+terminal markers.  The single duty that outlives delivery is the crusader
+echo of a late type-1 message, and the marker remembers exactly whether
+that echo was already sent — the wire stream is the one the full tallies
+would have produced.
 """
 
 from __future__ import annotations
@@ -82,6 +91,11 @@ _EXTRA = 8  # None | set of (kind, sender, value): byzantine multi-value dedup
 
 _MISSING = object()
 
+# Terminal states of a delivered bid, shared by every bid: accepted,
+# amplified, delivered, no tallies.  Immutable, so a stray write raises.
+_DELIVERED_SENT2 = (True, None, None, True, True, None, None, True, None)
+_DELIVERED_UNSENT2 = (False, None, None, True, True, None, None, True, None)
+
 
 class BroadcastManager(ProtocolModule):
     """All WRB/RB instances of one process.
@@ -95,12 +109,11 @@ class BroadcastManager(ProtocolModule):
 
     def __init__(self, host: ProcessHost):
         super().__init__()
-        self._instances: dict[object, list] = {}
+        self._instances: dict[object, list | tuple] = {}
         self._weak_only: set[object] = set()
         self._topic_handlers: dict[str, DeliverHandler] = {}
         self._topic_slots_tables: dict[str, InstanceSlots] = {}
         self._wrb_handlers: dict[str, DeliverHandler] = {}
-        self.delivered_values: dict[object, tuple[int, tuple]] = {}
         self.attach(host)
 
     def _wire(self, host: ProcessHost) -> None:
@@ -180,6 +193,11 @@ class BroadcastManager(ProtocolModule):
         """
         self._route(self._topic_handlers, origin, value)
 
+    def delivered(self, bid: object) -> bool:
+        """Whether ``bid`` has RB-delivered at this process."""
+        inst = self._instances.get(bid)
+        return inst is not None and inst[_DELIVERED]
+
     def broadcast(self, bid: tuple, value: tuple) -> None:
         """Reliably broadcast ``value`` under id ``bid``.
 
@@ -251,7 +269,10 @@ class BroadcastManager(ProtocolModule):
         inst = self._instance(bid)
         if inst[_SENT2]:
             return  # send at most one type-2 per bid (crusader rule)
-        inst[_SENT2] = True
+        if inst[_DELIVERED]:
+            self._instances[bid] = _DELIVERED_SENT2
+        else:
+            inst[_SENT2] = True
         self.host.send_all(("b2", bid, value), _layer_for(bid))
 
     def _on_b2(self, src: int, payload: tuple) -> None:
@@ -291,7 +312,6 @@ class BroadcastManager(ProtocolModule):
     def _on_wrb_accept(self, bid: tuple, value: tuple) -> None:
         if bid in self._weak_only or self._is_weak_bid(bid):
             origin = bid[0]
-            self.delivered_values.setdefault(("weak", bid), (origin, value))
             self._runtime.notify_state_change()  # a WRB accept is observable
             self._route(self._wrb_handlers, origin, value)
             return
@@ -343,9 +363,10 @@ class BroadcastManager(ProtocolModule):
             inst[_SENT3] = True
             self.host.send_all(("b3", bid, value), _layer_for(bid))
         if count >= self.n - self.t:
-            inst[_DELIVERED] = True
+            self._instances[bid] = (
+                _DELIVERED_SENT2 if inst[_SENT2] else _DELIVERED_UNSENT2
+            )
             origin = bid[0]
-            self.delivered_values[bid] = (origin, value)
             self._runtime.notify_state_change()  # an RB delivery is observable
             self._route(self._topic_handlers, origin, value)
 

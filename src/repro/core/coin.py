@@ -23,14 +23,21 @@ With ``u = n`` a counting argument over the support sets yields a core of
 are fixed before any reconstruction begins, giving
 ``P[all output b] >= 1/4`` for each bit ``b`` — unless an SVSS invocation
 misbehaved, in which case a fresh (nonfaulty, faulty) shun pair was
-consumed (Definition 2's second disjunct).  DESIGN.md §4 records the
-derivation; experiment E3 measures it.
+consumed (Definition 2's second disjunct).  Experiment E3 measures it.
 
 *Release discipline.*  Reconstruction participation additionally waits for
 a local :meth:`~CommonCoinModule.release` call, which the agreement layer
 issues once the caller's round position is fixed — the value must not be
 revealed while the adversary can still steer the caller, and all nonfaulty
 processes are guaranteed to release every coin they join (§ agreement).
+
+*Unattached sharings.*  Only the slot-``j`` sharings of dealers in ``T_j``
+are ever reconstructed (step 5), and ``T_j`` is fixed by its reliable
+broadcast.  Once ``T_j`` is delivered, the slot-``j`` sharing of a dealer
+outside it is released (with all its MW-SVSS children) as soon as its share
+phase has completed *locally* — not before: other processes may still need
+that sharing to put the dealer in their own attach set, and local completion
+is the point from which RB totality carries them there without us.
 
 *Cost profile.*  One invocation runs ``n²`` SVSS sharings (each a fan-out
 of MW-SVSS sub-sessions), whose echo/ack/confirm traffic crosses the same
@@ -311,6 +318,7 @@ class CommonCoinModule(ProtocolModule, CoinSource):
     # ------------------------------------------------------------------
     def _on_share_complete(self, session: _CoinSession, dealer: int, slot: int) -> None:
         session.completed.add((dealer, slot))
+        self._release_if_unattached(session, dealer, slot)
         if all((dealer, s) in session.completed for s in range(1, self.n + 1)):
             session.batch_done.add(dealer)
             if (
@@ -321,6 +329,20 @@ class CommonCoinModule(ProtocolModule, CoinSource):
                 attach = tuple(sorted(session.batch_done))
                 self._rb(session, "att", attach)
         self._recheck_accepts(session)
+
+    def _release_if_unattached(
+        self, session: _CoinSession, dealer: int, slot: int
+    ) -> None:
+        """Release the slot's sharing of ``dealer`` once ``T_slot`` is known
+        to exclude it *and* its share phase completed locally (called when
+        either becomes true; see "Unattached sharings" above)."""
+        attach = session.t_hat.get(slot)
+        if (
+            attach is not None
+            and dealer not in attach
+            and (dealer, slot) in session.completed
+        ):
+            self.vss.svss_release(svss_session((session.csid, slot), dealer))
 
     def _on_rb(self, origin: int, value: tuple) -> None:
         if len(value) != 4:
@@ -347,6 +369,8 @@ class CommonCoinModule(ProtocolModule, CoinSource):
         if len(body) < self.n - self.t:
             return
         session.t_hat[origin] = tuple(body)
+        for dealer in range(1, self.n + 1):
+            self._release_if_unattached(session, dealer, origin)
         self._recheck_accepts(session)
 
     def _on_accepted_set(self, session: _CoinSession, origin: int, body: object) -> None:

@@ -26,13 +26,25 @@ pending, which silently delays every later-session message from that sender
 Implementation notes
 --------------------
 Reconstruct broadcasts are batched (one RB per process per session carrying
-the map ``{monitor: value}``; see DESIGN.md), so expectations are stored per
+the map ``{monitor: value}``), so expectations are stored per
 ``(sender, session)`` as per-monitor maps, and a batch missing an expected
 monitor entry leaves that expectation pending — identical semantics to a
 missing per-monitor broadcast.  Because a batch can arrive *before* the
 share-phase step that adds the matching expectation (the network is
 asynchronous), delivered batches are remembered and reconciled when an
 expectation is added.
+
+Session lifetime
+----------------
+Expectations are only ever added during a session's share phase, so a
+session *closes* for the DMM at one of two points: its reconstruct completes
+locally (:meth:`DMM.on_session_reconstructed` — still-pending expectations
+arm and stay, they are the shunning debt), or its owner learns that nobody
+will ever reconstruct it (:meth:`DMM.forget_session` — its expectations can
+never arm, gate nothing, and go).  The remembered batches of a closed session
+have no expectation left to be reconciled with and are dropped; what
+persists for the lifetime of the scheme is ``D``, the outstanding ACK/DEAL
+debts of reconstructed sessions, and the session clock they refer to.
 
 The delay rule only ever fires for sessions ``σ`` with ``σ →_i σ'``, and
 ``→_i`` requires ``σ``'s reconstruct to have *completed* locally — so the
@@ -104,9 +116,11 @@ class DMM:
         #: senders whose verdicts may have changed since the manager's
         #: delayed-message index last examined them.
         self.dirty: set[int] = set()
-        self._completed_sessions: set[tuple] = set()
-        # reconstruct batches already seen: (sender, session) -> {monitor: value}
-        self._seen_batches: dict[tuple[int, tuple], dict[int, int]] = {}
+        # sessions that take no new expectation (see "Session lifetime")
+        self._closed_sessions: set[tuple] = set()
+        # reconstruct batches seen while the session is open:
+        # session -> {sender: {monitor: value}}
+        self._seen_batches: dict[tuple, dict[int, dict[int, int]]] = {}
         self._on_shun = on_shun
 
     # -- expectations ------------------------------------------------------
@@ -115,7 +129,7 @@ class DMM:
         = value`` during the reconstruct of ``session``."""
         if sender in self.D or sender == self.pid:
             return
-        seen = self._seen_batches.get((sender, session))
+        seen = self._seen_batch(sender, session)
         if seen is not None and monitor in seen:
             if seen[monitor] != value:
                 self._detect(sender, session)
@@ -130,7 +144,7 @@ class DMM:
         value`` during the reconstruct of ``session``."""
         if sender in self.D or sender == self.pid:
             return
-        seen = self._seen_batches.get((sender, session))
+        seen = self._seen_batch(sender, session)
         if seen is not None and self.pid in seen:
             if seen[self.pid] != value:
                 self._detect(sender, session)
@@ -139,6 +153,10 @@ class DMM:
             self._deal[(sender, session)] = value
             self._deal_by_session[session].add(sender)
             self._inc_pending(sender, session)
+
+    def _seen_batch(self, sender: int, session: tuple) -> dict[int, int] | None:
+        per_sender = self._seen_batches.get(session)
+        return per_sender.get(sender) if per_sender is not None else None
 
     def drop_deal_expectations(self, session: tuple) -> None:
         """Share step 8: this process is not in M̂, so nobody will broadcast
@@ -151,7 +169,7 @@ class DMM:
         per = self._pending[sender]
         per[session] = per.get(session, 0) + 1
         self._session_senders[session].add(sender)
-        if session in self._completed_sessions:
+        if session in self._closed_sessions:
             self._arm(sender, session)
 
     def _arm(self, sender: int, session: tuple) -> None:
@@ -182,7 +200,7 @@ class DMM:
         per[session] -= by
         if per[session] <= 0:
             del per[session]
-            self._session_senders.get(session, set()).discard(sender)
+            self._discard(self._session_senders, session, sender)
             armed = self._armed.get(sender)
             if armed is not None and session in armed:
                 armed.discard(session)
@@ -207,10 +225,32 @@ class DMM:
     def on_session_reconstructed(self, session: tuple) -> None:
         """Arm still-pending expectations of a session that just completed
         its reconstruct locally (it can now precede newer sessions)."""
-        self._completed_sessions.add(session)
+        self._closed_sessions.add(session)
+        self._seen_batches.pop(session, None)
         for sender in self._session_senders.get(session, ()):
             if session in self._pending.get(sender, ()):
                 self._arm(sender, session)
+
+    def forget_session(self, session: tuple) -> None:
+        """Drop every expectation of a session nobody will reconstruct.
+
+        ``→_i`` needs a locally *completed* reconstruct, so these
+        expectations could never arm or delay anything; left in place they
+        only report honest peers as suspected.  No-op once the session's
+        reconstruct completed: those expectations are debts and stay.
+        """
+        if session in self._closed_sessions:
+            return
+        self._closed_sessions.add(session)
+        self._seen_batches.pop(session, None)
+        self._deal_by_session.pop(session, None)
+        for sender in self._session_senders.pop(session, ()):
+            self._ack.pop((sender, session), None)
+            self._deal.pop((sender, session), None)
+            per = self._pending[sender]
+            del per[session]
+            if not per:
+                del self._pending[sender]
 
     # -- reconstruct-broadcast checks ----------------------------------------
     def check_reconstruct_batch(
@@ -220,7 +260,8 @@ class DMM:
         expectations; matching entries clear, conflicting entries convict."""
         if sender == self.pid:
             return  # a process never suspects itself (cf. filter_verdict)
-        self._seen_batches[(sender, session)] = batch
+        if session not in self._closed_sessions:
+            self._seen_batches.setdefault(session, {})[sender] = batch
         ack_entries = self._ack.get((sender, session))
         if ack_entries is not None:
             cleared = 0
@@ -241,7 +282,7 @@ class DMM:
         if deal_key in self._deal and self.pid in batch:
             if batch[self.pid] == self._deal[deal_key]:
                 del self._deal[deal_key]
-                self._deal_by_session.get(session, set()).discard(sender)
+                self._discard(self._deal_by_session, session, sender)
                 self._dec_pending(sender, session)
             else:
                 self._detect(sender, session)
@@ -258,15 +299,26 @@ class DMM:
             del self._ack[key]
         for key in [k for k in self._deal if k[0] == sender]:
             del self._deal[key]
-            self._deal_by_session.get(key[1], set()).discard(sender)
+            self._discard(self._deal_by_session, key[1], sender)
         for stale in (self._pending.pop(sender, None) or {}):
-            self._session_senders.get(stale, set()).discard(sender)
+            self._discard(self._session_senders, stale, sender)
         self._armed.pop(sender, None)
         self._armed_min_done.pop(sender, None)
         self.version += 1
         self.dirty.add(sender)
         if self._on_shun is not None:
             self._on_shun(sender, session)
+
+    @staticmethod
+    def _discard(index: dict[tuple, set[int]], session: tuple, sender: int) -> None:
+        """Remove ``sender`` from a per-session sender index, and the
+        session's entry with its last sender (the indexes are per-session,
+        so an emptied entry would otherwise stay for every session ever run)."""
+        senders = index.get(session)
+        if senders is not None:
+            senders.discard(sender)
+            if not senders:
+                del index[session]
 
     # -- the filter ------------------------------------------------------------
     def filter_verdict(self, sender: int, session: tuple) -> str:

@@ -10,6 +10,13 @@ convicted processes are discarded.
 Completion and output events are routed to *watchers* keyed by the session
 parent, which is how SVSS instances hear about their MW-SVSS children and
 how the common coin hears about its SVSS sharings.
+
+Finished sessions stay in the ``mw`` / ``svss`` tables as released shells
+(flags and output only, see ``MWSVSSInstance.release``): the tables are what
+rejects a replay, and a late ``rv`` for a released session is still checked
+by the DMM — conviction and debt clearing are per (sender, session) and
+outlive the instance.  The lookup caches (slot lanes, the mux's split memo)
+drop a session the moment it is released.
 """
 
 from __future__ import annotations
@@ -19,7 +26,14 @@ from collections.abc import Callable
 from repro.broadcast.manager import BroadcastManager
 from repro.core.dmm import DELAY, DISCARD, DMM, FORWARD
 from repro.core.mwsvss import GroupLane, MWSVSSInstance
-from repro.core.sessions import SVEC_MW, SessionClock, is_mw, is_svss, svec_sid
+from repro.core.sessions import (
+    SVEC_MW,
+    SessionClock,
+    is_mw,
+    is_svss,
+    svec_sid,
+    svec_split,
+)
 from repro.core.svss import SVSSInstance
 from repro.core.vectormux import SVEC_TAG, SessionVectorMux
 from repro.errors import ProtocolError
@@ -32,7 +46,7 @@ from repro.sim.process import ProcessHost
 #: only ever require a shunned process' value contributions to be ignored,
 #: and filtering membership messages would let a faulty process that
 #: withholds one reconstruct broadcast permanently stall every later
-#: honest-dealer session it is admitted to (see DESIGN.md).
+#: honest-dealer session it is admitted to.
 VALUE_KINDS = frozenset({"shl", "mon", "mod", "cnf", "ms", "rv", "rows"})
 
 #: Transport enforcement: kinds whose consistency guarantees come from
@@ -146,6 +160,32 @@ class VSSManager(ProtocolModule):
 
     def svss_begin_reconstruct(self, sid: tuple) -> None:
         self._ensure_svss(sid).begin_reconstruct()
+
+    def svss_release(self, sid: tuple) -> None:
+        """The caller knows nobody will reconstruct ``sid``: release it and
+        its children (see ``SVSSInstance.release``)."""
+        inst = self.svss.get(sid)
+        if inst is not None:
+            inst.release()
+
+    def session_released(self, sid: tuple) -> None:
+        """An MW-SVSS or SVSS instance entered its terminal state.
+
+        The DMM forgets an MW-SVSS session whose reconstruct never
+        completed (a completed one keeps its debts), and the lookup caches
+        drop the session: both are pure indexes over ``mw`` / ``svss`` — a
+        released session sends nothing, and a late vector for it takes the
+        table lookup.
+        """
+        if is_mw(sid):
+            self.dmm.forget_session(sid)
+        split = self.mux.forget(sid) or svec_split(sid, self.mux.families)
+        if split is not None:
+            group, slot = split
+            lane = self._lanes.get(group)
+            if lane is not None and lane.columns.pop(slot, None) is not None:
+                if not lane.columns:
+                    del self._lanes[group]
 
     def send_value(self, dst: int, sid: tuple, kind: str, body: object) -> None:
         """Send one private per-session message (the instances' send seam).
@@ -306,7 +346,13 @@ class VSSManager(ProtocolModule):
             )
             version = dmm.version
         polys = None
-        if len(items) > 1 and group_verdict in (None, FORWARD):
+        if (
+            len(items) > 1
+            and group_verdict in (None, FORWARD)
+            # No lane: the group is new, or all of it is released and a
+            # replayed vector has nothing left to decode for.
+            and (columns or not self._all_released(instances, group, items))
+        ):
             if mw_group:
                 if kind == "mon" or kind == "mod":
                     polys = lane.monitor_polys(self, src, kind, items)
@@ -325,7 +371,8 @@ class VSSManager(ProtocolModule):
                 inst = instances.get(sid)
                 if inst is None:
                     inst = self._ensure_mw(sid) if mw_group else self._ensure_svss(sid)
-                columns[slot] = inst
+                if not inst.released:
+                    columns[slot] = inst
             if checked:
                 if group_verdict is not None and dmm.version == version:
                     verdict = group_verdict
@@ -351,10 +398,21 @@ class VSSManager(ProtocolModule):
                 inst.handle(src, kind, body, polys.get(slot))
             if delayed or dmm.dirty:
                 self._release_delayed()
+        if not columns:
+            # Every session of the group is released (or was, mid-vector).
+            self._lanes.pop(group, None)
         runtime.svec_batch_ingested += 1
         runtime.dmm_verdicts_batched += batched
         runtime.dmm_verdict_fallbacks += fallbacks
         runtime.dmm_verdict_calls += fallbacks
+
+    @staticmethod
+    def _all_released(instances: dict, group: tuple, items: list) -> bool:
+        for slot, _ in items:
+            inst = instances.get(svec_sid(group, slot))
+            if inst is None or not inst.released:
+                return False
+        return True
 
     def _ensure(self, sid: tuple) -> None:
         if is_mw(sid):

@@ -64,7 +64,62 @@ _MISSING = object()
 
 
 class MWSVSSInstance:
-    """One process' state machine for one MW-SVSS session."""
+    """One process' state machine for one MW-SVSS session.
+
+    *Lifetime.*  The instance ends in a terminal state that owns no working
+    set (:meth:`release`): at its own output (R' step 4), or when its parent
+    learns that nobody will ever reconstruct it.  Nothing is owed after
+    output — output ⇒ share completed ⇒ ``M̂``, every ``L̂_l`` (l ∈ M̂) and
+    the dealer's OK are public by RB totality, so no other process' S'
+    needs a further message from this one; ``rv`` went out at
+    :meth:`begin_reconstruct`, which precedes output; and DEAL / ACK
+    expectations are only added before ``L`` freezes / at step 7, both
+    before share completion.  A released instance ignores every message;
+    its flags, ``output`` and ``M_hat`` stay readable.  What must outlive
+    it — convicting or clearing a late ``rv`` against an outstanding debt —
+    lives in the DMM, which the manager consults before the instance.
+    """
+
+    # 35 attributes: without __slots__ they overflow CPython's shared-key
+    # dict limit and every instance (2n² per SVSS session) carries a
+    # private dict several times the size of the state it holds.
+    __slots__ = (
+        "manager",
+        "sid",
+        "pid",
+        "n",
+        "t",
+        "field",
+        "dealer",
+        "moderator",
+        "share_vector",
+        "monitor_poly",
+        "_step2_done",
+        "confirm_values",
+        "acks",
+        "L",
+        "L_frozen",
+        "_deal_suppressed",
+        "moderator_poly",
+        "moderator_expected",
+        "moderator_shares",
+        "M",
+        "M_frozen",
+        "L_hat",
+        "M_hat",
+        "ok_received",
+        "_deal_polys",
+        "_dealer_acked",
+        "share_completed",
+        "reconstruct_begun",
+        "_rv_sent",
+        "rv_batches",
+        "_rv_dirty",
+        "K",
+        "f_bar",
+        "output",
+        "released",
+    )
 
     def __init__(self, manager: "VSSManager", sid: tuple):
         self.manager = manager
@@ -91,11 +146,14 @@ class MWSVSSInstance:
         # expectation could never be discharged — see Lemma 1(b)).
         self._deal_suppressed = False
 
-        # moderator state
+        # moderator state (the two containers exist only at the moderator)
+        is_moderator = self.pid == self.moderator
         self.moderator_poly: Polynomial | None = None  # f̂ from the dealer
         self.moderator_expected: int | None = None  # s' (set via moderate())
-        self.moderator_shares: dict[int, int] = {}  # j -> f̂^j_0
-        self.M: set[int] = set()
+        self.moderator_shares: dict[int, int] | None = (
+            {} if is_moderator else None
+        )  # j -> f̂^j_0
+        self.M: set[int] | None = set() if is_moderator else None
         self.M_frozen = False
 
         # broadcast sets received
@@ -109,17 +167,19 @@ class MWSVSSInstance:
 
         self.share_completed = False
 
-        # reconstruct state
+        # reconstruct state; the four containers are allocated by
+        # _open_reconstruct (at begin_reconstruct or the first ``rv``)
         self.reconstruct_begun = False
         self._rv_sent = False
-        self.rv_batches: dict[int, dict[int, int]] = {}  # sender -> batch
+        self.rv_batches: dict[int, dict[int, int]] | None = None  # sender -> batch
         #: Senders whose batches may hold newly consumable points — fresh
         #: arrivals, or every sender after an ``L̂``/``M̂`` change widens
         #: eligibility.  ``_consume_rv_batches`` only re-scans these.
-        self._rv_dirty: set[int] = set()
-        self.K: dict[int, list[tuple[int, int]]] = {}  # monitor l -> points
-        self.f_bar: dict[int, int] = {}  # monitor l -> f̄_l(0) (free term)
+        self._rv_dirty: set[int] | None = None
+        self.K: dict[int, list[tuple[int, int]]] | None = None  # monitor l -> points
+        self.f_bar: dict[int, int] | None = None  # monitor l -> f̄_l(0) (free term)
         self.output: int | _Bottom | None = None
+        self.released = False
 
     # ------------------------------------------------------------------
     # local API
@@ -128,7 +188,7 @@ class MWSVSSInstance:
         """Dealer step 1: draw the polynomials and distribute the shares."""
         if self.pid != self.dealer:
             raise ProtocolError(f"{self.pid} is not the dealer of {self.sid}")
-        if self._deal_polys is not None:
+        if self._deal_polys is not None or self.released:
             raise ProtocolError(f"share already initiated for {self.sid}")
         field = self.field
         rng = self.manager.config.derive_rng("mw-deal", self.sid)
@@ -163,7 +223,7 @@ class MWSVSSInstance:
         """Install the moderator's input value ``s'`` (enables step 5)."""
         if self.pid != self.moderator:
             raise ProtocolError(f"{self.pid} is not the moderator of {self.sid}")
-        if self.moderator_expected is not None:
+        if self.moderator_expected is not None or self.released:
             return
         self.moderator_expected = expected % self.field.prime
         self._recheck_moderator()
@@ -172,18 +232,38 @@ class MWSVSSInstance:
         """Start protocol R' (requires a locally completed share)."""
         if not self.share_completed:
             raise ProtocolError(f"share of {self.sid} not complete at {self.pid}")
-        if self.reconstruct_begun:
+        if self.reconstruct_begun or self.released:
             return
         self.reconstruct_begun = True
+        self._open_reconstruct()
         self._send_reconstruct_values()
         if self._rv_dirty and self.M_hat is not None:
             self._consume_rv_batches()
         self._maybe_output()
 
+    def release(self) -> None:
+        """Enter the terminal state: drop the working set, keep the flags,
+        ``output`` and ``M_hat`` (see the class docstring).  The DMM forgets
+        the session unless its reconstruct completed here, in which case
+        its pending expectations are debts and stay."""
+        if self.released:
+            return
+        self.released = True
+        self.share_vector = self.monitor_poly = None
+        self.confirm_values = self.acks = self.L = None
+        self.moderator_poly = self.moderator_expected = None
+        self.moderator_shares = self.M = None
+        self.L_hat = None
+        self._deal_polys = None
+        self.rv_batches = self._rv_dirty = self.K = self.f_bar = None
+        self.manager.session_released(self.sid)
+
     # ------------------------------------------------------------------
     # message handling (post-DMM)
     # ------------------------------------------------------------------
     def handle(self, src: int, kind: str, body: object, poly: object = None) -> None:
+        if self.released:
+            return
         # ``poly`` is an optional pre-decoded form of the body supplied by
         # the batched ingestion path: a pre-interpolated polynomial for
         # ``mon``/``mod`` (GroupLane batch decode), the pre-parsed batch
@@ -277,7 +357,7 @@ class MWSVSSInstance:
 
         Additions stop once ``L_j`` is frozen by its broadcast (step 4) —
         the reconstruct duty map is derived from the broadcast sets, so
-        later additions could never be cleared (see DESIGN.md).
+        later additions could never be cleared.
         """
         if self.L_frozen or self.monitor_poly is None:
             return
@@ -439,6 +519,13 @@ class MWSVSSInstance:
     # ------------------------------------------------------------------
     # reconstruct protocol R'
     # ------------------------------------------------------------------
+    def _open_reconstruct(self) -> None:
+        if self.rv_batches is None:
+            self.rv_batches = {}
+            self._rv_dirty = set()
+            self.K = {}
+            self.f_bar = {}
+
     def _send_reconstruct_values(self) -> None:
         """R' step 1: broadcast our dealer-given share of ``f_l`` for every
         monitor ``l ∈ M̂`` whose broadcast confirmer set contains us."""
@@ -464,7 +551,10 @@ class MWSVSSInstance:
         # (it already parsed once for the DMM reconstruct check).
         if batch is None:
             batch = self._parse_rv(body)
-        if batch is None or src in self.rv_batches:
+        if batch is None:
+            return
+        self._open_reconstruct()
+        if src in self.rv_batches:
             return
         self.rv_batches[src] = batch
         self._rv_dirty.add(src)
@@ -548,6 +638,7 @@ class MWSVSSInstance:
         f_bar = interpolate_degree_t(self.field, points, self.t)
         self.output = f_bar(0) if f_bar is not None else BOTTOM
         self.manager.notify_mw_output(self.sid, self.output)
+        self.release()
 
     # ------------------------------------------------------------------
     # validation helpers

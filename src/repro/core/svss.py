@@ -43,7 +43,23 @@ def pair_sessions(parent: tuple, j: int, l: int) -> list[tuple]:
 
 
 class SVSSInstance:
-    """One process' state machine for one SVSS session."""
+    """One process' state machine for one SVSS session.
+
+    *Lifetime.*  :meth:`release` is the terminal state: it drops the
+    session's own working set and releases every child that R will never
+    reconstruct.  It is entered at the session's output, and — from the
+    common coin — for a completed sharing that no attach set names.  Either
+    way ``Ĝ`` is fixed by reliable broadcast, so every honest process
+    reconstructs exactly the pair invocations ``Ĝ`` names (or none at all);
+    the other children will be reconstructed by nobody, their ACK / DEAL
+    expectations can never arm, and they go too.  The children ``Ĝ`` names
+    release themselves at their own output, which leaves the session clock
+    and the armed debts — the shunning mechanism — untouched.  They are
+    told apart by ``Ĝ`` membership, not by whether they began R' yet: the
+    output can arrive while ``begin_reconstruct`` is still walking ``Ĝ``
+    (a late process finds every needed ``rv`` already delivered), and the
+    pair invocations the walk has not reached must still broadcast theirs.
+    """
 
     def __init__(self, manager: "VSSManager", sid: tuple):
         self.manager = manager
@@ -80,6 +96,7 @@ class SVSSInstance:
         self.reconstruct_begun = False
         self.ignored: set[int] | None = None  # I_j, fixed at output time
         self.output: object | None = None
+        self.released = False
 
     # ------------------------------------------------------------------
     # local API
@@ -88,7 +105,7 @@ class SVSSInstance:
         """Dealer step 1: draw the bivariate polynomial, distribute rows."""
         if self.pid != self.dealer:
             raise ProtocolError(f"{self.pid} is not the dealer of {self.sid}")
-        if self._bivar is not None:
+        if self._bivar is not None or self.released:
             raise ProtocolError(f"share already initiated for {self.sid}")
         rng = self.manager.config.derive_rng("svss-deal", self.sid)
         self._bivar = BivariatePolynomial.random(self.field, self.t, rng, secret=secret)
@@ -127,14 +144,42 @@ class SVSSInstance:
         """Protocol R step 1: reconstruct all pair invocations in Ĝ."""
         if not self.share_completed:
             raise ProtocolError(f"share of {self.sid} not complete at {self.pid}")
-        if self.reconstruct_begun:
+        if self.reconstruct_begun or self.released:
             return
         self.reconstruct_begun = True
+        # The last needed child can output — which finishes and releases
+        # this session — before the walk is over: hold Ĝ's map locally.
+        g_hat_map = self.G_hat_map
         for k in self.G_hat or ():
-            for l in self.G_hat_map[k]:
+            for l in g_hat_map[k]:
                 for mw_sid in pair_sessions(self.sid, k, l):
                     self.manager.mw_begin_reconstruct(mw_sid)
         self._maybe_output()
+
+    def release(self) -> None:
+        """Enter the terminal state (see the class docstring); ``output``,
+        ``ignored``, ``G_hat`` and the flags stay readable."""
+        if self.released:
+            return
+        self.released = True
+        reconstructed: set[tuple] = set()
+        if self.reconstruct_begun:
+            for k in self.G_hat:
+                for l in self.G_hat_map[k]:
+                    reconstructed.update(pair_sessions(self.sid, k, l))
+        mw = self.manager.mw
+        for j in range(1, self.n + 1):
+            for l in range(1, self.n + 1):
+                for slot in _SLOTS:
+                    mw_sid = mw_session(self.sid, j, l, slot)
+                    child = mw.get(mw_sid)
+                    if child is not None and mw_sid not in reconstructed:
+                        child.release()
+        self.g = self.h = self._bivar = None
+        self._row_cache = self._pair_done = None
+        self.G_map = self.G = self.G_hat_map = None
+        self.mw_completed = self.mw_outputs = None
+        self.manager.session_released(self.sid)
 
     # ------------------------------------------------------------------
     # message handling (post-DMM)
@@ -142,6 +187,8 @@ class SVSSInstance:
     def handle(self, src: int, kind: str, body: object, polys: object = None) -> None:
         # ``polys`` is an optional pre-interpolated (g, h) pair from
         # GroupLane's batch decode of a whole slot-vector of rows.
+        if self.released:
+            return
         if kind == "rows":
             self._on_rows(src, body, polys)
         elif kind == "G":
@@ -181,7 +228,7 @@ class SVSSInstance:
         live partners), so Validity of Termination would fail in exactly
         the runs it must cover.  All the §4 proofs go through unchanged:
         ``G_k`` still provides ``>= n - t`` evaluation points per row with
-        ``>= t + 1`` of them honest.  See DESIGN.md.
+        ``>= t + 1`` of them honest.
         """
         j = self.pid
         mgr = self.manager
@@ -193,6 +240,8 @@ class SVSSInstance:
 
     # -- dealer bookkeeping (steps 3-5) --------------------------------------
     def on_mw_share_complete(self, mw_sid: tuple) -> None:
+        if self.released:
+            return
         self.mw_completed.add(mw_sid)
         if self.pid == self.dealer and not self.G_frozen:
             self._dealer_track_pair(mw_sid)
@@ -277,6 +326,10 @@ class SVSSInstance:
     # reconstruct (steps 2-3 of R)
     # ------------------------------------------------------------------
     def on_mw_output(self, mw_sid: tuple, value: object) -> None:
+        # A child that began R' without being needed for the output (the
+        # far half of a pair) may finish after its parent did.
+        if self.released:
+            return
         self.mw_outputs[mw_sid] = value
         self._maybe_output()
 
@@ -348,6 +401,7 @@ class SVSSInstance:
     def _finish(self, value: object) -> None:
         self.output = value
         self.manager.notify_svss_output(self.sid, value)
+        self.release()
 
     # ------------------------------------------------------------------
     # validation helpers

@@ -123,6 +123,11 @@ class SessionVectorMux:
         """Vectorize the per-slot sessions tagged ``(csid, slot)``."""
         self.families.add(csid)
 
+    def forget(self, sid: tuple) -> tuple | None:
+        """``sid`` was released and sends nothing more: drop (and return)
+        its memoized split."""
+        return self._splits.pop(sid, None)
+
     # -- send side ---------------------------------------------------------
     def _packing(self) -> bool:
         runtime = self.manager._runtime

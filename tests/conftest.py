@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.config import SystemConfig
+from repro.core.mwsvss import MWSVSSInstance
 from repro.field.gf import Field
 from repro.field.primes import SMALL_TEST_PRIME
 
@@ -31,6 +32,24 @@ def cfg4() -> SystemConfig:
 def cfg7() -> SystemConfig:
     """n=7, t=2 — the smallest system with two-fault corruption room."""
     return SystemConfig(n=7, seed=1234)
+
+
+@pytest.fixture
+def spy_handle(monkeypatch):
+    """``spy_handle(inst, fn)`` routes ``inst.handle(*a)`` to ``fn(*a)``.
+
+    The instances are slotted, so the method is replaced on the class and
+    dispatches by instance; every other instance keeps the real method.
+    """
+    real = MWSVSSInstance.handle
+    spies = {}
+
+    def handle(self, *args):
+        spy = spies.get(id(self))
+        return real(self, *args) if spy is None else spy(*args)
+
+    monkeypatch.setattr(MWSVSSInstance, "handle", handle)
+    return lambda inst, fn: spies.__setitem__(id(inst), fn)
 
 
 def pytest_configure(config):

@@ -124,7 +124,7 @@ class TestGroupVerdictFallback:
 
     GROUP = (SVEC_MW, ("cc", "solo", 0), 2, 2, 3, "md")
 
-    def drive(self, batch_ingest):
+    def drive(self, batch_ingest, spy_handle):
         """One vector whose slot-1 session began *before* and slot-2
         session *after* the sender's armed session completed: slot 1 must
         FORWARD while slot 2 must DELAY."""
@@ -133,23 +133,23 @@ class TestGroupVerdictFallback:
         sid2 = svec_sid(self.GROUP, 2)
         inst1 = mgr._ensure_mw(sid1)  # begun before the armed session
         handled = []
-        inst1.handle = lambda *a: handled.append(a)  # shadow the method
+        spy_handle(inst1, lambda *a: handled.append(a))
         arm_sender(mgr, 2, mw_session(("owed", 0), 2, 3, "dm"))
         mgr._ensure_mw(sid2)  # begun after => owed < begun => DELAY
         mgr.dmm.dirty.clear()
         mgr.mux.on_private(2, (SVEC_TAG, "cnf", self.GROUP, ((1, 11), (2, 22))))
         return stack, mgr, handled, sid1, sid2
 
-    def test_divergent_slots_fall_back_per_slot(self):
-        stack, mgr, handled, sid1, sid2 = self.drive(batch_ingest=True)
+    def test_divergent_slots_fall_back_per_slot(self, spy_handle):
+        stack, mgr, handled, sid1, sid2 = self.drive(True, spy_handle)
         assert handled == [(2, "cnf", 11)]
         assert set(mgr._delayed) == {(2, sid2)}
         assert stack.runtime.dmm_verdict_fallbacks == 2
         assert stack.runtime.dmm_verdicts_batched == 0
 
-    def test_outcomes_identical_to_unbatched(self):
-        _, mgr_on, handled_on, *_ = self.drive(batch_ingest=True)
-        _, mgr_off, handled_off, *_ = self.drive(batch_ingest=False)
+    def test_outcomes_identical_to_unbatched(self, spy_handle):
+        _, mgr_on, handled_on, *_ = self.drive(True, spy_handle)
+        _, mgr_off, handled_off, *_ = self.drive(False, spy_handle)
         assert handled_on == handled_off
         assert set(mgr_on._delayed) == set(mgr_off._delayed)
         assert mgr_on._delayed == mgr_off._delayed
@@ -167,12 +167,12 @@ class TestGroupVerdictFallback:
         assert stack.runtime.dmm_verdicts_batched == 2
         assert stack.runtime.dmm_verdict_fallbacks == 0
 
-    def test_convicted_sender_discarded_whole(self):
+    def test_convicted_sender_discarded_whole(self, spy_handle):
         stack, mgr = make_manager(batch_ingest=True)
         mgr.dmm.D.add(2)
         handled = []
         inst1 = mgr._ensure_mw(svec_sid(self.GROUP, 1))
-        inst1.handle = lambda *a: handled.append(a)
+        spy_handle(inst1, lambda *a: handled.append(a))
         mgr.mux.on_private(2, (SVEC_TAG, "cnf", self.GROUP, ((1, 11), (2, 22))))
         assert handled == []
         assert mgr._delayed == {}
@@ -184,17 +184,17 @@ class TestBatchedUnpackSemantics:
 
     GROUP = (SVEC_MW, ("cc", "solo", 0), 2, 2, 3, "md")
 
-    def spy(self, mgr, slots):
+    def spy(self, mgr, slots, spy_handle):
         handled = {}
         for slot in slots:
             inst = mgr._ensure_mw(svec_sid(self.GROUP, slot))
             calls = handled[slot] = []
-            inst.handle = lambda *a, calls=calls: calls.append(a)
+            spy_handle(inst, lambda *a, calls=calls: calls.append(a))
         return handled
 
-    def test_malformed_slots_degrade_independently(self):
+    def test_malformed_slots_degrade_independently(self, spy_handle):
         _, mgr = make_manager(batch_ingest=True)
-        handled = self.spy(mgr, (1, 3))
+        handled = self.spy(mgr, (1, 3), spy_handle)
         mgr.mux.on_private(
             2,
             (
@@ -207,25 +207,25 @@ class TestBatchedUnpackSemantics:
         assert handled[1] == [(2, "cnf", 5)]
         assert handled[3] == [(2, "cnf", 9)]
 
-    def test_crash_mid_vector_drops_remaining_slots(self):
+    def test_crash_mid_vector_drops_remaining_slots(self, spy_handle):
         _, mgr = make_manager(batch_ingest=True)
-        handled = self.spy(mgr, (1, 2, 3, 4))
+        handled = self.spy(mgr, (1, 2, 3, 4), spy_handle)
         crash_after = 2
 
-        def crashing(*a, inst=mgr.mw[svec_sid(self.GROUP, 2)]):
+        def crashing(*a):
             handled[2].append(a)
             mgr.host.crashed = True
 
-        mgr.mw[svec_sid(self.GROUP, 2)].handle = crashing
+        spy_handle(mgr.mw[svec_sid(self.GROUP, 2)], crashing)
         mgr.mux.on_private(
             2, (SVEC_TAG, "cnf", self.GROUP, ((1, 5), (2, 6), (3, 7), (4, 8)))
         )
         assert len(handled[1]) + len(handled[2]) == crash_after
         assert handled[3] == [] and handled[4] == []
 
-    def test_transport_enforcement_covers_vectors(self):
+    def test_transport_enforcement_covers_vectors(self, spy_handle):
         _, mgr = make_manager(batch_ingest=True)
-        handled = self.spy(mgr, (1,))
+        handled = self.spy(mgr, (1,), spy_handle)
         mgr.mux.on_private(2, (SVEC_TAG, "L", self.GROUP, ((1, (2, 3)),)))
         mgr.mux.on_rb(2, (SVEC_TAG, "cnf", self.GROUP, ((1, 5),)))
         assert handled[1] == []
@@ -266,7 +266,7 @@ class TestDelayedBacklogIndex:
         assert all(key[0] == 4 for key in mgr._delayed)
         assert len(mgr._delayed) == 25
 
-    def test_released_backlog_replays_in_park_order(self):
+    def test_released_backlog_replays_in_park_order(self, spy_handle):
         _, mgr = make_manager(batch_ingest=True)
         owed = mw_session(("owed", 2), 2, 3, "dm")
         arm_sender(mgr, 2, owed)
@@ -275,7 +275,7 @@ class TestDelayedBacklogIndex:
         sids = [mw_session(("replay", i), 2, 3, "dm") for i in range(10)]
         for sid in sids:
             mgr._ingest(2, sid, "cnf", 123)
-            mgr.mw[sid].handle = lambda *a, sid=sid: order.append(sid)
+            spy_handle(mgr.mw[sid], lambda *a, sid=sid: order.append(sid))
         mgr.dmm.check_reconstruct_batch(2, owed, {1: 7})
         mgr._release_delayed()
         assert order == sids
@@ -303,8 +303,10 @@ class TestVoteVectorMux:
         return {
             bid
             for pid in stack.config.pids
-            for bid in stack.broadcasts[pid].delivered_values
-            if len(bid) > 1 and bid[1] == "abav"
+            for bid in stack.broadcasts[pid]._instances
+            if len(bid) > 1
+            and bid[1] == "abav"
+            and stack.broadcasts[pid].delivered(bid)
         }
 
     def run_instances(self, k, adversary=None, seed=0):

@@ -241,6 +241,71 @@ class TestCounterTallies:
         assert got == [("demo", "real")]
 
 
+class TestDeliveredBidTerminalState:
+    """A delivered bid keeps no tallies — one shared marker that remembers
+    only whether the crusader echo went out — and still rejects replays."""
+
+    BID = (1, "demo", 0)
+    VALUE = ("demo", "real")
+
+    def deliver_without_b1(self):
+        """Process 2 delivers on three type-3 echoes, before any type-1."""
+        cfg, rt, managers = make_system(4)
+        target = managers[2]
+        got = []
+        target.subscribe("demo", lambda origin, value: got.append((origin, value)))
+        for src in (1, 3, 4):
+            target._on_b3(src, ("b3", self.BID, self.VALUE))
+        assert got == [(1, self.VALUE)] and target.delivered(self.BID)
+        return rt, target, got
+
+    def test_delivery_collapses_the_instance_to_a_shared_marker(self):
+        from repro.broadcast.manager import _DELIVERED_SENT2, _DELIVERED_UNSENT2
+
+        cfg, rt, managers = make_system(4)
+        subscribe_all(cfg, managers)
+        bids = [(1, "demo", i) for i in range(5)]
+        assert not managers[2].delivered(bids[0])
+        for bid in bids:
+            managers[1].broadcast(bid, ("demo", bid[2]))
+        rt.run_to_quiescence()
+        for manager in managers.values():
+            assert all(manager.delivered(bid) for bid in bids)
+            assert all(
+                manager._instances[bid] is _DELIVERED_SENT2 for bid in bids
+            )
+        _, target, _ = self.deliver_without_b1()
+        assert target._instances[self.BID] is _DELIVERED_UNSENT2
+
+    def test_late_b1_is_echoed_exactly_once(self):
+        """The one duty that outlives delivery."""
+        rt, target, got = self.deliver_without_b1()
+        pushed = rt.queue.pushed_total
+        target._on_b1(1, ("b1", self.BID, self.VALUE))
+        assert rt.queue.pushed_total == pushed + 4  # one b2 to everyone
+        target._on_b1(1, ("b1", self.BID, self.VALUE))
+        target._on_b1(1, ("b1", self.BID, ("demo", "other")))
+        assert rt.queue.pushed_total == pushed + 4
+        assert got == [(1, self.VALUE)]
+
+    def test_late_echoes_floods_and_garbage_allocate_nothing(self):
+        rt, target, got = self.deliver_without_b1()
+        marker = target._instances[self.BID]
+        pushed = rt.queue.pushed_total
+        for src in (1, 2, 3, 4):
+            target._on_b2(src, ("b2", self.BID, self.VALUE))
+            target._on_b3(src, ("b3", self.BID, self.VALUE))
+        for i in range(50):  # byzantine value flood on the delivered bid
+            target._on_b2(4, ("b2", self.BID, ("demo", "junk", i)))
+            target._on_b3(4, ("b3", self.BID, ("demo", "junk", i)))
+        target._on_b2(4, ("b2", self.BID, ["unhashable"]))
+        target._on_b3(4, ("b3", self.BID, {"un": "hashable"}))
+        assert target._instances[self.BID] is marker
+        assert len(target._instances) == 1
+        assert rt.queue.pushed_total == pushed  # no echo, no amplification
+        assert got == [(1, self.VALUE)]  # nothing re-delivered
+
+
 class TestWeakBroadcast:
     def test_weak_broadcast_accepts(self):
         cfg, rt, managers = make_system(4)

@@ -5,11 +5,16 @@ from __future__ import annotations
 
 import pytest
 
+from repro.adversary.controller import Adversary
 from repro.config import SystemConfig
 from repro.core.api import build_stack
 from repro.core.manager import VALUE_KINDS, CallbackWatcher
-from repro.core.sessions import mw_session, svss_session
+from repro.core.sessions import SVEC_MW, SVEC_SVSS, mw_session, svss_session
+from repro.core.vectormux import SVEC_TAG
 from repro.errors import ProtocolError
+
+from test_retirement import working_state
+from test_shunning import WithholdingReconstructor, quiescent_coin
 
 
 def make_stack(seed=0):
@@ -212,3 +217,112 @@ class TestValueKinds:
         assert 3 in mgr.dmm.D
         assert len(mgr._delayed) == 0
         assert 3 not in mgr.mw[sid_new].confirm_values
+
+
+class TestReleasedSessionsRejectReplays:
+    """A finished session is a shell that ignores every message; the only
+    thing a late ``rv`` still reaches is the DMM."""
+
+    CSID = ("cc", "solo", 0)
+
+    def snapshot(self, mgr):
+        return (
+            len(mgr.mw),
+            len(mgr.svss),
+            sum(bool(working_state(inst)) for inst in mgr.mw.values()),
+            sum(bool(working_state(inst)) for inst in mgr.svss.values()),
+            dict(mgr._delayed),
+            dict(mgr._lanes),
+            dict(mgr.dmm._seen_batches),
+            set(mgr.dmm.D),
+        )
+
+    def test_replays_and_forged_vectors_create_no_state(self):
+        stack = quiescent_coin(4, 0)
+        mgr = stack.vss[1]
+        before = self.snapshot(mgr)
+        assert before[2:] == (0, 0, {}, {}, {}, set())
+        svss_sid = svss_session((self.CSID, 1), 2)
+        mw_sid = mw_session(svss_sid, 2, 3, "dm")
+        assert mgr.mw[mw_sid].released and mgr.svss[svss_sid].released
+        row = (1, 2)
+        for src in (2, 3, 4):
+            mgr._on_private(src, ("v", mw_sid, "cnf", 5))
+            mgr._on_private(src, ("v", mw_sid, "shl", (1, 2, 3, 4)))
+            mgr._on_private(src, ("v", svss_sid, "rows", (row, row)))
+            mgr._on_rb(src, ("vss", mw_sid, "ack", None))
+            mgr._on_rb(src, ("vss", mw_sid, "L", (1, 2, 3)))
+            mgr._on_rb(src, ("vss", mw_sid, "rv", ((1, 7), (2, 8))))
+            mgr._on_rb(src, ("vss", svss_sid, "G", ((1, 2, 3), ())))
+            # forged slot-vectors for the released groups, all four slots
+            mw_group = (SVEC_MW, self.CSID, 2, 2, 3, "dm")
+            slots = tuple((slot, 5) for slot in (1, 2, 3, 4))
+            mgr.mux.on_private(src, (SVEC_TAG, "cnf", mw_group, slots))
+            mgr.mux.on_rb(
+                src,
+                (SVEC_TAG, "rv", mw_group, tuple((slot, ((1, 7),)) for slot in (1, 2, 3, 4))),
+            )
+            mgr.mux.on_private(
+                src,
+                (
+                    SVEC_TAG,
+                    "rows",
+                    (SVEC_SVSS, self.CSID, 2),
+                    tuple((slot, (row, row)) for slot in (1, 2, 3, 4)),
+                ),
+            )
+        stack.runtime.run_to_quiescence()  # and nothing was sent in reply
+        assert self.snapshot(mgr) == before
+
+    def test_replayed_value_vectors_for_a_released_group_decode_nothing(self, monkeypatch):
+        """The batch pre-decode of ``mon`` / ``mod`` / ``rows`` vectors is
+        for instances that will consume it: a dealer replaying them for a
+        finished group buys no interpolation."""
+        from repro.core import mwsvss
+
+        stack = quiescent_coin(4, 0)
+        calls = []
+        monkeypatch.setattr(
+            mwsvss, "interpolate_values_rows", lambda *args: calls.append(args)
+        )
+        row = (1, 2)
+        for moderator in (1, 3):
+            mgr = stack.vss[moderator]
+            group = (SVEC_MW, self.CSID, 2, 2, moderator, "dm")
+            assert group not in mgr._lanes
+            for kind in ("mon", "mod"):
+                slots = tuple((slot, row) for slot in (1, 2, 3, 4))
+                mgr.mux.on_private(2, (SVEC_TAG, kind, group, slots))
+            mgr.mux.on_private(
+                2,
+                (
+                    SVEC_TAG,
+                    "rows",
+                    (SVEC_SVSS, self.CSID, 2),
+                    tuple((slot, (row, row)) for slot in (1, 2, 3, 4)),
+                ),
+            )
+            assert not mgr._lanes
+        assert calls == []
+
+    def test_conflicting_late_rv_for_a_released_session_still_convicts(self):
+        culprit = 2
+        stack = quiescent_coin(
+            4, 0, adversary=Adversary({culprit: WithholdingReconstructor()})
+        )
+        mgr = stack.vss[1]
+        (sender, sid), owed = next(iter(mgr.dmm._ack.items()))
+        assert sender == culprit and mgr.mw[sid].released
+        monitor, value = next(iter(owed.items()))
+        # The matching value pays that part of the debt ...
+        mgr._on_rb(culprit, ("vss", sid, "rv", ((monitor, value),)))
+        assert culprit not in mgr.dmm.D
+        assert monitor not in mgr.dmm._ack.get((culprit, sid), {})
+        # ... a conflicting one for another released session convicts.
+        (sender, sid), owed = next(iter(mgr.dmm._ack.items()))
+        monitor, value = next(iter(owed.items()))
+        wrong = (value + 1) % stack.config.prime
+        mgr._on_rb(culprit, ("vss", sid, "rv", ((monitor, wrong),)))
+        assert culprit in mgr.dmm.D
+        assert not mgr.dmm.has_expectations(culprit)
+        assert not working_state(mgr.mw[sid])

@@ -213,7 +213,7 @@ async def _authenticated_raw_link(target: NetworkNode, pid: int):
                 return writer
 
 
-def test_forged_envelopes_and_vectors_grant_nothing_over_sockets():
+def test_forged_envelopes_and_vectors_grant_nothing_over_sockets(spy_handle):
     """An authenticated byzantine peer hand-crafts envelopes (nested,
     non-tuple / empty / unknown-tag sub-payloads) and a slot-vector with
     malformed slots: each bad piece is dropped on its own, its well-formed
@@ -230,8 +230,9 @@ def test_forged_envelopes_and_vectors_grant_nothing_over_sockets():
         handled = {}
         for slot in (1, 3):
             calls = handled[slot] = []
-            vss._ensure_mw(svec_sid(group, slot)).handle = (
-                lambda *a, calls=calls: calls.append(a)
+            spy_handle(
+                vss._ensure_mw(svec_sid(group, slot)),
+                lambda *a, calls=calls: calls.append(a),
             )
         forged = [
             ("env", "not-a-tuple-body"),

@@ -1,0 +1,272 @@
+"""Golden transcript for state retirement (``tests/golden/retire_equiv.json``).
+
+Finished sessions release their working state with no switch to A/B against,
+so the reference is a transcript written by the commit *before* retirement
+existed (the parent of that change): per scenario the protocol outputs and
+the same-seed counts that any change to the wire stream, to DMM filtering or
+to session bookkeeping would move.  The tree must reproduce it exactly.
+
+Scenarios (all on the default aggregated path, ``batch_ingest`` pinned so the
+``REPRO_BATCH_INGEST`` CI legs cannot move ``dmm_verdict_calls``):
+
+* 20 fault-free coin invocations (FIFO; 18 at n = 4, 2 at n = 7);
+* 40 SVSS-coin agreements at n = 4, one ``random_adversary`` process over the
+  whole behaviour catalogue, ``UniformDelayScheduler`` delays;
+* 10 crash→recover→crash agreements at n = 4;
+* 15 fault-free coins whose processes release at different times under
+  ``UniformDelayScheduler`` delays, as the rounds of a real agreement do: one
+  process only after the others ran to quiescence (it then finds every ``rv``
+  it needs already delivered, and its sharings output while
+  ``begin_reconstruct`` is still walking ``Ĝ``), or each process in turn.
+  Besides the counts these pin the armed debts and convictions every process
+  is left with.
+
+``python tests/test_retire_equiv.py`` rewrites the file from whatever tree
+``PYTHONPATH`` points at; only do that to re-anchor on purpose.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+from random import Random
+
+import pytest
+
+from repro import SystemConfig, flip_common_coin, random_adversary, run_byzantine_agreement
+from repro.adversary.controller import crash_recovery_adversary
+from repro.core.api import build_stack, make_coins
+from repro.sim.scheduler import FifoScheduler, UniformDelayScheduler
+from repro.sim.tracing import TRACE_COUNTS
+
+GOLDEN = Path(__file__).parent / "golden" / "retire_equiv.json"
+
+COIN_CASES = [(4, seed) for seed in range(18)] + [(7, seed) for seed in range(2)]
+# 36 consecutive seeds plus four whose byzantine process lies in reconstruct
+# (the behaviour that ends in explicit shun records).
+BYZANTINE_SEEDS = list(range(7000, 7036)) + [7040, 7086, 7102, 7114]
+RECOVERY_CASES = [
+    # (seed, victim, phases, downtime)
+    (11, 2, (30, 60), 25.0),
+    (12, 1, (20, 45), 10.0),
+    (13, 3, (40, 80), 30.0),
+    (14, 4, (25, 70), 15.0),
+    (15, 2, (60, 90), 40.0),
+    (16, 1, (35, 120), 20.0),
+    (17, 3, (50, 55), 12.5),
+    (18, 4, (45, 150), 35.0),
+    (19, 2, (70, 140), 50.0),
+    (20, 1, (30, 100), 60.0),
+]
+
+
+def _late(n: int, late: tuple) -> tuple:
+    """Everyone but ``late`` releases, quiescence, then ``late`` does."""
+    return (tuple(p for p in range(1, n + 1) if p not in late), None), (late, None)
+
+
+def _in_turn(order: tuple, steps: int) -> tuple:
+    return tuple(((pid,), steps) for pid in order)
+
+
+#: id -> (n, seed, waves, in_step): each wave is (pids that release, events to
+#: run afterwards or None for quiescence); ``in_step`` says whether a wave's
+#: releases share one coalescing step (as inside a delivery step) or are bare
+#: calls from outside the run loop.
+STAGGERED_CASES = {
+    **{
+        f"late{seed % 4 + 1}-seed{seed}": (4, seed, _late(4, (seed % 4 + 1,)), True)
+        for seed in range(8)
+    },
+    "late3-bare-seed2": (4, 2, _late(4, (3,)), False),
+    "late2-bare-seed5": (4, 5, _late(4, (2,)), False),
+    "turn-3142-seed20": (4, 20, _in_turn((3, 1, 4, 2), 2500), True),
+    "turn-1342-seed21": (4, 21, _in_turn((1, 3, 4, 2), 2500), True),
+    "turn-4312-seed22": (4, 22, _in_turn((4, 3, 1, 2), 600), True),
+    "turn-2413-bare-seed23": (4, 23, _in_turn((2, 4, 1, 3), 2500), False),
+    "n7-late25-seed3": (7, 3, _late(7, (2, 5)), True),
+}
+
+AGGREGATION = dict(coalesce=True, svec=True, batch_ingest=True)
+
+
+def coin_record(n: int, seed: int) -> dict:
+    result, _ = flip_common_coin(
+        SystemConfig(n=n, seed=seed),
+        scheduler=FifoScheduler(),
+        trace_level=TRACE_COUNTS,
+        **AGGREGATION,
+    )
+    return {
+        "outputs": result.outputs,
+        "events_dispatched": result.events_dispatched,
+        "logical_messages": result.logical_messages,
+        "dmm_verdict_calls": result.dmm_verdict_calls,
+        "shuns": shun_records(result),
+    }
+
+
+def agreement_record(result) -> dict:
+    return {
+        "decisions": result.decisions,
+        "rounds": result.rounds,
+        "terminated": result.terminated,
+        "events_dispatched": result.events_dispatched,
+        "logical_messages": result.logical_messages,
+        "dmm_verdict_calls": result.dmm_verdict_calls,
+        "shuns": shun_records(result),
+    }
+
+
+def shun_records(result) -> list:
+    return [
+        [rec.observer, rec.culprit, rec.session, rec.time]
+        for rec in result.trace.shun_records
+    ]
+
+
+def byzantine_record(seed: int) -> dict:
+    config = SystemConfig(n=4, seed=seed)
+    adversary = random_adversary(config, seed, count=config.t)
+    result = run_byzantine_agreement(
+        {pid: (pid - 1) % 2 for pid in config.pids},
+        config,
+        coin="svss",
+        adversary=adversary,
+        scheduler=UniformDelayScheduler(Random(seed)),
+        trace_level=TRACE_COUNTS,
+        **AGGREGATION,
+    )
+    record = agreement_record(result)
+    record["adversary"] = adversary.spec[2]
+    return record
+
+
+def recovery_record(seed: int, victim: int, phases: tuple, downtime: float) -> dict:
+    result = run_byzantine_agreement(
+        [0, 1, 1, 0],
+        SystemConfig(n=4, seed=seed),
+        coin="svss",
+        adversary=crash_recovery_adversary([victim], phases=phases, downtime=downtime),
+        trace_level=TRACE_COUNTS,
+        **AGGREGATION,
+    )
+    return agreement_record(result)
+
+
+def staggered_coin(n: int, seed: int, waves: tuple, in_step: bool = True):
+    """One fault-free coin under random delays whose processes release in
+    ``waves`` (see ``STAGGERED_CASES``), run to quiescence."""
+    stack = build_stack(
+        SystemConfig(n=n, seed=seed),
+        scheduler=UniformDelayScheduler(Random(seed)),
+        trace_level=TRACE_COUNTS,
+        **AGGREGATION,
+    )
+    coins = make_coins(stack, "svss")
+    runtime = stack.runtime
+    csid = ("cc", "staggered", seed)
+    outputs: dict[int, int] = {}
+    with runtime.coalescing_step():
+        for pid in stack.config.pids:
+            coins[pid].join(csid)
+            coins[pid].get(csid, lambda v, pid=pid: outputs.setdefault(pid, v))
+    for pids, steps in waves:
+        if in_step:
+            with runtime.coalescing_step():
+                for pid in pids:
+                    coins[pid].release(csid)
+        else:
+            for pid in pids:
+                coins[pid].release(csid)
+        if steps is None:
+            runtime.run_to_quiescence()
+        else:
+            runtime.run_steps(steps)
+    runtime.run_to_quiescence()
+    return stack, outputs
+
+
+def staggered_record(n: int, seed: int, waves: tuple, in_step: bool) -> dict:
+    stack, outputs = staggered_coin(n, seed, waves, in_step)
+    runtime = stack.runtime
+    dmms = {pid: stack.vss[pid].dmm for pid in stack.config.pids}
+    return {
+        "outputs": outputs,
+        "sim_time": runtime.now,
+        "events_dispatched": runtime.events_dispatched,
+        "logical_messages": runtime.queue.pushed_total
+        - runtime.envelopes_pushed
+        + runtime.payloads_coalesced,
+        "dmm_verdict_calls": runtime.dmm_verdict_calls,
+        "shuns": [
+            [rec.observer, rec.culprit, rec.session, rec.time]
+            for rec in stack.trace.shun_records
+        ],
+        # observer -> [[debtor, armed sessions], ...] and observer -> D_i
+        "armed": {
+            pid: sorted([s, len(owed)] for s, owed in dmm._armed.items() if owed)
+            for pid, dmm in dmms.items()
+        },
+        "convicted": {pid: sorted(dmm.D) for pid, dmm in dmms.items()},
+    }
+
+
+def as_json(record: dict) -> dict:
+    """Normalise through JSON (tuples → lists, int keys → strings)."""
+    return json.loads(json.dumps(record))
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    with open(GOLDEN) as handle:
+        return json.load(handle)
+
+
+@pytest.mark.parametrize("n,seed", COIN_CASES)
+def test_fault_free_coin_reproduces_the_golden_transcript(golden, n, seed):
+    assert as_json(coin_record(n, seed)) == golden["coin"][f"n{n}-seed{seed}"]
+
+
+@pytest.mark.parametrize("seed", BYZANTINE_SEEDS)
+def test_byzantine_agreement_reproduces_the_golden_transcript(golden, seed):
+    assert as_json(byzantine_record(seed)) == golden["byzantine"][str(seed)]
+
+
+@pytest.mark.parametrize("case", RECOVERY_CASES, ids=lambda case: f"seed{case[0]}")
+def test_crash_recovery_reproduces_the_golden_transcript(golden, case):
+    assert as_json(recovery_record(*case)) == golden["recovery"][str(case[0])]
+
+
+@pytest.mark.parametrize("case", STAGGERED_CASES)
+def test_staggered_release_reproduces_the_golden_transcript(golden, case):
+    assert as_json(staggered_record(*STAGGERED_CASES[case])) == golden["staggered"][case]
+
+
+def test_golden_covers_several_outcomes(golden):
+    """The transcript is not degenerate: both coin bits, several adversary
+    kinds, multi-round agreements, explicit shuns and recoveries all occur."""
+    bits = {bit for rec in golden["coin"].values() for bit in rec["outputs"].values()}
+    assert bits == {0, 1}
+    kinds = {kind for rec in golden["byzantine"].values() for _, kind in rec["adversary"]}
+    assert len(kinds) >= 6
+    assert any(max(rec["rounds"].values()) >= 3 for rec in golden["byzantine"].values())
+    assert any(rec["shuns"] for rec in golden["byzantine"].values())
+    assert all(rec["terminated"] for rec in golden["recovery"].values())
+
+
+if __name__ == "__main__":
+    document = {
+        "generated_by": "python tests/test_retire_equiv.py (at the parent of the state-retirement change)",
+        "coin": {f"n{n}-seed{seed}": coin_record(n, seed) for n, seed in COIN_CASES},
+        "byzantine": {str(seed): byzantine_record(seed) for seed in BYZANTINE_SEEDS},
+        "recovery": {str(case[0]): recovery_record(*case) for case in RECOVERY_CASES},
+        "staggered": {
+            case: staggered_record(*spec) for case, spec in STAGGERED_CASES.items()
+        },
+    }
+    GOLDEN.parent.mkdir(exist_ok=True)
+    with open(GOLDEN, "w") as handle:
+        json.dump(as_json(document), handle, indent=1, sort_keys=True)
+        handle.write("\n")
+    print(f"wrote {GOLDEN}")

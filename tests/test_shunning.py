@@ -12,12 +12,15 @@ import random
 
 import pytest
 
-from repro.adversary.behaviors import LyingReconstructorBehavior
+from repro.adversary.behaviors import ByzantineBehavior, LyingReconstructorBehavior
 from repro.adversary.controller import Adversary
 from repro.config import SystemConfig
-from repro.core.api import build_stack
+from repro.core.api import build_stack, flip_common_coin
+from repro.core.dmm import DELAY
 from repro.core.manager import CallbackWatcher
 from repro.core.sessions import mw_session
+from repro.sim.scheduler import FifoScheduler
+from repro.sim.tracing import TRACE_OFF
 
 
 def run_sequential_mw_sessions(stack, cfg, dealer, moderator, secrets):
@@ -140,3 +143,83 @@ class TestDelayedRelease:
             dmm = stack.vss[pid].dmm
             suspected = dmm.shunned_or_suspected()
             assert suspected == set(), f"pid {pid} still suspects {suspected}"
+
+
+class WithholdingReconstructor(ByzantineBehavior):
+    """Follows S' honestly, then reveals nothing in R': its ``rv`` broadcast
+    carries no value, so every expectation about it stays owed."""
+
+    def corrupt_mw_reconstruct_values(self, session, values, prime):
+        return {}
+
+
+def quiescent_coin(n, seed, adversary=None):
+    _, stack = flip_common_coin(
+        SystemConfig(n=n, seed=seed),
+        adversary=adversary,
+        scheduler=FifoScheduler(),
+        coalesce=True,
+        svec=True,
+        trace_level=TRACE_OFF,
+    )
+    stack.runtime.run_to_quiescence()
+    return stack
+
+
+class TestSuspicionAfterACoin:
+    """Expectations of sessions nobody will reconstruct (unattached dealers,
+    pairs outside Ĝ) used to stay pending forever and report honest peers
+    as suspected; the debts of reconstructed sessions must survive."""
+
+    @pytest.mark.parametrize("n,seed", [(4, 0), (4, 1), (7, 0)])
+    def test_fault_free_coin_leaves_nobody_suspected(self, n, seed):
+        stack = quiescent_coin(n, seed)
+        for pid in stack.config.pids:
+            vss = stack.vss[pid]
+            assert vss.dmm.shunned_or_suspected() == set()
+            assert not vss.dmm._pending
+            assert not vss.dmm._seen_batches
+            assert not vss._delayed
+
+    @pytest.mark.parametrize("seed,late", [(2, 3), (5, 2), (0, 1), (7, 4)])
+    def test_a_late_release_leaves_no_debt_anywhere(self, seed, late):
+        """One process releases only after the others reached quiescence
+        under random delays.  Every ``rv`` it needs is already there, so its
+        sharings output while ``begin_reconstruct`` is still walking ``Ĝ``;
+        the pair invocations the walk had not reached must still broadcast
+        their ``rv``, or the others' ACK / DEAL expectations on this honest
+        process arm and never clear."""
+        from test_retire_equiv import staggered_coin
+
+        others = tuple(p for p in (1, 2, 3, 4) if p != late)
+        stack, outputs = staggered_coin(4, seed, ((others, None), ((late,), None)))
+        assert set(outputs) == {1, 2, 3, 4} and len(set(outputs.values())) == 1
+        for pid in stack.config.pids:
+            vss = stack.vss[pid]
+            assert not vss.dmm._armed and not vss.dmm._pending
+            assert vss.dmm.shunned_or_suspected() == set()
+            assert not vss._delayed
+            begun = [inst for inst in vss.mw.values() if inst.reconstruct_begun]
+            assert begun and all(inst.released for inst in begun)
+
+    def test_withheld_reveal_leaves_only_the_culprit_suspected(self):
+        culprit = 2
+        stack = quiescent_coin(
+            4, 0, adversary=Adversary({culprit: WithholdingReconstructor()})
+        )
+        observers = []
+        for pid in stack.nonfaulty():
+            vss = stack.vss[pid]
+            dmm = vss.dmm
+            assert dmm.shunned_or_suspected() <= {culprit}
+            if not dmm.has_expectations(culprit):
+                continue  # never had the culprit among its confirmers
+            observers.append(pid)
+            # The debt is armed although every session it refers to has
+            # released its instance: a later session of the culprit waits.
+            owed = dmm.pending_sessions(culprit)
+            assert all(vss.mw[sid].released for sid in owed)
+            later = mw_session(("later", 0), culprit, pid, "dm")
+            vss._ensure_mw(later)
+            assert dmm.filter_verdict(culprit, later) == DELAY
+        assert len(observers) >= 2
