@@ -7,15 +7,16 @@ within the same protocol steps.  PR 4's wire coalescing collapsed the
 *event* bill (one envelope per pair per step); PR 5's session-vector
 aggregation collapses the *logical message* bill itself (one
 ``("svec", ...)`` message per (step, dealer-group) instead of n
-per-session messages, ~n⁴ → ~n³).  For ``n ∈ {4, 5, 7}`` this times one
+per-session messages, and one reliable broadcast per (step, origin)
+instead of one per vector, ~n⁴ → ~n³).  For ``n ∈ {4, 5, 7}`` this times one
 complete invocation (share + reveal, unit-delay FIFO network,
 ``TRACE_OFF``) across the full ``svec on/off × coalesce on/off`` matrix
 and records, per mode:
 
 1. **Logical messages** — via ``bench_common.logical_messages`` (envelope
    framing removed; a slot-vector counts as one).  Acceptance gate:
-   ≥4× fewer logical messages at ``n = 7`` with svec on (measured: ~n× =
-   7.0×).
+   ≥4× fewer logical messages at ``n = 7`` with svec on (measured 7.7×
+   without coalescing, where every event is its own step; 46× with it).
 2. **Events per invocation** — the PR-4 gate stays: ≥2× fewer dispatched
    events at ``n = 7`` with coalescing on (measured >60×).
 3. **Wall-clock per invocation** — single-shot seconds, recorded for the
@@ -38,8 +39,8 @@ and records, per mode:
 uncoalesced per-session baseline exceeds the runtime's 50M-event livelock
 guard (the problem this layer attacks), and even enveloped its ~105M
 logical messages are outside a CI budget — aggregated, the same
-invocation is ~10.5M logical messages on ~850k coalesced events and
-completes in minutes.
+invocation is ~1.6M logical messages on ~850k coalesced events and
+completes in about a minute.
 
 Every mode pins ``algebra_backend="pure"`` so the transport trajectory
 stays backend-stable; the ``svec_coalesce_numpy`` mode re-runs the full

@@ -7,10 +7,11 @@ per-session traffic is ~105M logical messages at n = 10 — past the
 simulator's 50M-event livelock guard, i.e. unrunnable before semantic
 aggregation.  With session-vector messages (``svec=True``, one
 ``("svec", ...)`` message per (step, dealer-group) instead of n
-per-session messages) plus wire coalescing (``coalesce=True``, one
-envelope per (src, dst) pair per step) the same invocation is ~10.5M
-logical messages on ~850k events and completes in minutes, with
-bit-identical coin outputs.
+per-session messages, one reliable broadcast per step instead of one per
+vector) plus wire coalescing (``coalesce=True``, one envelope per
+(src, dst) pair per step) the same invocation is ~1.6M logical messages
+on ~850k events and completes in about a minute, with bit-identical coin
+outputs.
 
 Batched ingestion (on by default, ``REPRO_BATCH_INGEST=0`` to compare)
 then attacks the receive side: each slot-vector is admitted through one

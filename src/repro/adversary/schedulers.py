@@ -30,7 +30,8 @@ full per-message adversarial surface at the uncoalesced event cost.
 
 Session-vector interplay: on a ``Runtime(svec=True)`` one logical message
 may be a ``("svec", ...)`` slot-vector carrying a whole coin batch's
-per-session messages (see :mod:`repro.core.vectormux`).
+per-session messages, and one reliable broadcast a fold of every vector its
+origin broadcast in that step (see :mod:`repro.core.vectormux`).
 :class:`SlotSplittingScheduler` vetoes that packing the same way —
 ``splits_slots`` makes the VSS layer send every slot message per session,
 restoring exact per-session adversarial power (and, under a fixed-delay
@@ -256,14 +257,17 @@ class CoinRevealEclipseScheduler(Scheduler):
 
     @staticmethod
     def _value_reveal(value: object) -> bool:
-        if not isinstance(value, tuple) or len(value) != 4:
+        if not isinstance(value, tuple) or not value:
             return False
         # RB value shapes: ("vss", sid, kind, body) per session, or the
-        # aggregated ("svec", kind, group, entries) slot-vector.
+        # step's fold ("svec", ((kind, group, entries), ...)).
         if value[0] == "vss":
-            return value[2] == "rv"
-        if value[0] == "svec":
-            return value[1] == "rv"
+            return len(value) == 4 and value[2] == "rv"
+        if value[0] == "svec" and len(value) == 2 and isinstance(value[1], tuple):
+            return any(
+                isinstance(item, tuple) and item and item[0] == "rv"
+                for item in value[1]
+            )
         return False
 
     def delay(self, src: int, dst: int, payload: object, now: float) -> float:

@@ -23,8 +23,12 @@ string-prefixed topic names — and slots can be added or removed mid-run.
 
 Echo tallies are *counter-based*: per bid the manager keeps each sender's
 first value plus a value→count map, not a per-value set of senders.  The
-value map is bounded: extra (non-first) values stop being admitted once
-``2n + t`` values are tracked, and since each of the ``n`` senders
+tally of the bid's *leading* value — the first one echoed, which in an
+honest run is the only one — sits in the instance itself and is bumped on
+identity, so the n echoes of a large value cost two hashes of it, not 2n
+(the map still holds the value, as a redirect, and stays the only judge of
+equality).  The value map is bounded: extra (non-first) values stop being
+admitted once ``2n + t`` values are tracked, and since each of the ``n`` senders
 contributes at most one first value — admitted unconditionally, so honest
 echoes are never capped — a byzantine value flood can never grow a bid
 past ``3n + t`` tracked values.  Every execution that stays under the
@@ -78,23 +82,32 @@ def _layer_for(bid: tuple) -> str:
 DeliverHandler = Callable[[int, tuple], None]
 
 # Per-instance state indices (plain lists beat attribute lookups at the
-# message rates the VSS stack generates).
+# message rates the VSS stack generates).  The four flags come first so the
+# terminal markers below need nothing else; each phase's tally is four
+# consecutive fields, addressed from its ``_FIRSTn`` index.
 _SENT2 = 0  # sent a type-2 message for this bid
-_FIRST2 = 1  # sender -> its first type-2 value
-_COUNTS2 = 2  # value -> tally of distinct (sender, value) echoes
-_ACCEPTED = 3  # WRB accepted (type-2 threshold reached)
-_SENT3 = 4  # sent a type-3 message
-_FIRST3 = 5  # sender -> its first type-3 value
-_COUNTS3 = 6  # value -> tally
-_DELIVERED = 7  # RB delivered
-_EXTRA = 8  # None | set of (kind, sender, value): byzantine multi-value dedup
+_ACCEPTED = 1  # WRB accepted (type-2 threshold reached)
+_SENT3 = 2  # sent a type-3 message
+_DELIVERED = 3  # RB delivered
+_EXTRA = 4  # None | set of (kind, sender, value): byzantine multi-value dedup
+_FIRST2 = 5  # sender -> its first type-2 value
+_COUNTS2 = 6  # value -> tally of distinct (sender, value) echoes, or _LEAD
+_LEAD2 = 7  # the first type-2 value tallied for this bid (the leading value)
+_N2 = 8  # ... and its tally
+_FIRST3 = 9  # the same four fields for type 3
+_COUNTS3 = 10
+_LEAD3 = 11
+_N3 = 12
 
 _MISSING = object()
 
+#: ``counts[value]`` of the leading value: its tally lives in the instance.
+_LEAD = -1
+
 # Terminal states of a delivered bid, shared by every bid: accepted,
 # amplified, delivered, no tallies.  Immutable, so a stray write raises.
-_DELIVERED_SENT2 = (True, None, None, True, True, None, None, True, None)
-_DELIVERED_UNSENT2 = (False, None, None, True, True, None, None, True, None)
+_DELIVERED_SENT2 = (True, True, True, True)
+_DELIVERED_UNSENT2 = (False, True, True, True)
 
 
 class BroadcastManager(ProtocolModule):
@@ -223,30 +236,43 @@ class BroadcastManager(ProtocolModule):
     def _instance(self, bid: object) -> list:
         inst = self._instances.get(bid)
         if inst is None:
-            inst = [False, {}, {}, False, False, {}, {}, False, None]
+            inst = [False, False, False, False, None, {}, {}, _MISSING, 0, {}, {}, _MISSING, 0]
             self._instances[bid] = inst
         return inst
 
-    def _tally(self, inst: list, first_idx: int, counts: dict, src: int, value: object) -> int:
-        """Count one ``(src, value)`` echo; returns the new tally for
-        ``value``, or 0 if the echo was a duplicate or over the value cap.
+    def _tally(self, inst: list, first_idx: int, src: int, value: object) -> int:
+        """Count one ``(src, value)`` echo whose value is not (by identity)
+        the leading one; returns the new tally for ``value``, or 0 if the
+        echo was a duplicate or over the value cap.
 
-        Raises ``TypeError`` on unhashable byzantine garbage (callers drop
-        the message), before any state is touched.
+        The value map decides what "the same value" means, with one hash
+        per call; only the leading value's *count* lives outside it, so an
+        equal-but-not-identical echo (every echo on the socket path) bumps
+        that count without a second hash.  Raises ``TypeError`` on
+        unhashable byzantine garbage (callers drop the message), before any
+        state is touched.
         """
         first = inst[first_idx]
+        counts = inst[first_idx + 1]
         prev = first.get(src, _MISSING)
+        if prev is not _MISSING and prev == value:
+            return 0  # duplicate echo
+        count = counts.get(value, 0)  # TypeError -> caller drops
+        leading = count == _LEAD
+        if leading:
+            count = inst[first_idx + 3]
         if prev is _MISSING:
             # A sender's first value is always tallied — honest echoes are
             # all first values, so honest accept/deliver behaviour is exact.
-            count = counts.get(value, 0)  # TypeError -> caller drops
             first[src] = value
-        elif prev == value:
-            return 0  # duplicate echo
+            if not counts:
+                # The bid's first echo of this type: its value leads.
+                inst[first_idx + 2] = value
+                counts[value] = _LEAD
+                leading = True
         else:
             # Byzantine multi-value sender: tally each (src, value) pair at
             # most once, and never track more than _value_cap extra values.
-            count = counts.get(value, 0)
             if count == 0 and len(counts) >= self._value_cap:
                 return 0  # bounded per-bid value map (value-flood hardening)
             extra = inst[_EXTRA]
@@ -256,7 +282,11 @@ class BroadcastManager(ProtocolModule):
             if key in extra:
                 return 0
             extra.add(key)
-        counts[value] = count = count + 1
+        count += 1
+        if leading:
+            inst[first_idx + 3] = count
+        else:
+            counts[value] = count
         return count
 
     # -- WRB ------------------------------------------------------------
@@ -289,22 +319,17 @@ class BroadcastManager(ProtocolModule):
             # tally again, so late echoes are dead work — drop them.
             return
         first = inst[_FIRST2]
-        if src not in first:
-            # Every honest echo is its sender's first value — inline that
-            # path (same semantics as _tally's first branch, one call and
-            # one probe fewer); multi-value senders take the slow path.
-            counts = inst[_COUNTS2]
-            try:
-                count = counts.get(value, 0) + 1
-            except TypeError:
-                return  # unhashable garbage from a byzantine sender
+        if value is inst[_LEAD2] and src not in first:
+            # Every honest echo is its sender's first value, and in the
+            # simulator it *is* the object the bid's first echo carried:
+            # bump the leading tally without hashing the value.
             first[src] = value
-            counts[value] = count
+            count = inst[_N2] = inst[_N2] + 1
         else:
             try:
-                count = self._tally(inst, _FIRST2, inst[_COUNTS2], src, value)
+                count = self._tally(inst, _FIRST2, src, value)
             except TypeError:
-                return
+                return  # unhashable garbage from a byzantine sender
         if count and count >= self.n - self.t:
             inst[_ACCEPTED] = True
             self._on_wrb_accept(bid, value)
@@ -343,18 +368,13 @@ class BroadcastManager(ProtocolModule):
             # post-delivery echoes are dead work — drop them.
             return
         first = inst[_FIRST3]
-        if src not in first:
-            # Inline first-echo fast path — see _on_b2.
-            counts = inst[_COUNTS3]
-            try:
-                count = counts.get(value, 0) + 1
-            except TypeError:
-                return
+        if value is inst[_LEAD3] and src not in first:
+            # Leading-value fast path — see _on_b2.
             first[src] = value
-            counts[value] = count
+            count = inst[_N3] = inst[_N3] + 1
         else:
             try:
-                count = self._tally(inst, _FIRST3, inst[_COUNTS3], src, value)
+                count = self._tally(inst, _FIRST3, src, value)
             except TypeError:
                 return
             if not count:

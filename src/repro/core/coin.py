@@ -49,7 +49,8 @@ message count, and hence the paper's complexity claims, are unchanged.
 On a session-vector runtime (``Runtime(svec=True)``) the *logical* bill
 collapses too: all ``n`` slots of one dealer batch march in lock-step, so
 each party's per-step messages into them fold into one ``("svec", ...)``
-slot-vector per (step, dealer-group) — ~n⁴ → ~n³ logical messages, with
+slot-vector per (step, dealer-group), and the vectors a party reliably
+broadcasts in one step into one RB — ~n⁴ → ~n³ logical messages, with
 coin outputs and per-session justifiers still bit-identical (the coin
 registers each invocation's session family with the VSS layer's
 :class:`~repro.core.vectormux.SessionVectorMux` at :meth:`join`, and
@@ -259,9 +260,10 @@ class CommonCoinModule(ProtocolModule, CoinSource):
         self.subscribe(self._broadcast, "coin", self._on_rb)
         # Session-vector wiring: slot families only exist for coin sessions,
         # so the coin claims the "svec" broadcast topic (the matching host
-        # tag is reserved by every VSSManager at its own _wire).  Vectors
-        # are unpacked by the VSS layer's mux regardless of whether this
-        # runtime packs (a forged vector must route identically either way).
+        # tag is reserved by every VSSManager at its own _wire).  A value
+        # on it is one step's fold of RB vectors, unpacked by the VSS
+        # layer's mux regardless of whether this runtime packs (a forged
+        # fold must route identically either way).
         self.subscribe(self._broadcast, SVEC_TAG, self.vss.mux.on_rb)
 
     # ------------------------------------------------------------------

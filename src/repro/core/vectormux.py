@@ -5,16 +5,35 @@ The common coin runs ``n²`` concurrent SVSS sessions — one per
 step schedule, so each party ends every dispatch step holding ``n``
 structurally identical messages for the same counterpart that differ only
 in the slot.  The :class:`SessionVectorMux` is the *semantic* aggregation
-layer that folds them: instead of ``n`` per-session messages it emits one
+layer that folds them.  A **vector** is the step's slots of one
+``(dealer-group, kind)``, where ``group`` is the session id with the slot
+stripped out (see :func:`repro.core.sessions.svec_split`).
 
-    ``("svec", kind, group, ((slot, body), ...))``
+Wire shapes
+-----------
+* **Private sends** — one logical message per ``(step, dst, group, kind)``::
 
-logical message per ``(step, dealer-group, kind)``, where ``group`` is the
-session id with the slot stripped out (see
-:func:`repro.core.sessions.svec_split`).  Both private VSS sends and the
-reliable broadcasts ride it — the RB case is where the ~n⁴ → ~n³ logical
-message drop comes from, since every folded broadcast saves its whole
-O(n²) echo cascade.
+      ("svec", kind, group, ((slot, body), ...))
+
+  and a vector of one slot travels as the plain ``("v", sid, kind, body)``.
+* **Reliable broadcasts** — one RB per ``(step, origin)``: every vector the
+  step broadcasts is an item of one *fold*, in first-touched order, under
+  the bid ``(origin, "svec", seq)``::
+
+      ("svec", ((kind, group, ((slot, body), ...)), ...))
+
+  A step that broadcasts a single slot message sends the plain
+  ``("vss", sid, kind, body)`` under its canonical bid; every other step
+  folds (a one-vector step is a one-item fold).  This is where the ~n⁴ →
+  ~n³ *RB instance* drop comes from: the step's vectors already rode the
+  same envelopes hop for hop, and now share one echo cascade, one tally
+  and one instance lookup per hop instead of one each.
+* **The fold is bounded**: at most :data:`FOLD_MAX_VECTORS` vectors
+  (``≤ 16·n`` slot entries) per bid; a larger step splits into consecutive
+  bids, in order.  An RB value is atomic on the socket path — it must fit
+  one DATA frame, envelopes split *between* payloads, never inside one
+  (``docs/NETWORK.md``) — so an unbounded fold could outgrow a small
+  ``max_frame_body`` and never be delivered.
 
 Tag reservation
 ---------------
@@ -24,7 +43,7 @@ Tag reservation
 * as a **host tag**, ``("svec", kind, group, entries)`` private messages
   are claimed by every :class:`~repro.core.manager.VSSManager` at wire
   time, so no other module can register it;
-* as a **broadcast topic**, ``("svec", ...)`` RB values are claimed by the
+* as a **broadcast topic**, ``("svec", items)`` RB folds are claimed by the
   :class:`~repro.core.coin.CommonCoinModule` through its
   ``ProtocolModule._wire`` hook (slot families only exist for coin
   sessions), under bids ``(origin, "svec", seq)``.
@@ -76,6 +95,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
 #: RB slot-vectors).  See the module docstring.
 SVEC_TAG = "svec"
 
+#: Most vectors one RB fold carries (see "Wire shapes"); a constant, not a
+#: knob: 16 keeps an n=4 fold inside a 4 KiB frame and costs 5 % more RBs
+#: than an unbounded fold at n=7.
+FOLD_MAX_VECTORS = 16
+
 
 class SessionVectorMux:
     """Per-process packer/unpacker of slot-vector messages.
@@ -83,11 +107,12 @@ class SessionVectorMux:
     One mux per :class:`~repro.core.manager.VSSManager`.  The send side
     buffers the current dispatch step's per-slot messages keyed by
     ``(dst, group, kind)`` (private) / ``(group, kind)`` (RB) and flushes
-    each buffer as one ``("svec", ...)`` message at end-of-step; the
-    receive side rebuilds per-slot session ids and re-enters the ordinary
-    ingestion path.  Buffers are only filled while the runtime says a step
-    is open (``Runtime.svec_buffering``), so driver code outside any step
-    falls through to plain per-session sends.
+    them at end-of-step — one ``("svec", ...)`` message per private key,
+    one RB fold for the whole RB buffer; the receive side rebuilds
+    per-slot session ids and re-enters the ordinary ingestion path.
+    Buffers are only filled while the runtime says a step is open
+    (``Runtime.svec_buffering``), so driver code outside any step falls
+    through to plain per-session sends.
     """
 
     __slots__ = (
@@ -114,9 +139,7 @@ class SessionVectorMux:
         #: member sid stays a member, while a cached miss could go stale.
         self._splits: dict = {}
         self._deferred = False
-        #: Disambiguates the bids of successive RB flushes of one (group,
-        #: kind) — slots that froze a step apart must not collide on a bid
-        #: the broadcast layer treats as already sent.
+        #: Numbers this origin's RB folds: every fold is a fresh bid.
         self._rb_seq = 0
 
     def register_family(self, csid: object) -> None:
@@ -129,15 +152,6 @@ class SessionVectorMux:
         return self._splits.pop(sid, None)
 
     # -- send side ---------------------------------------------------------
-    def _packing(self) -> bool:
-        runtime = self.manager._runtime
-        if not runtime.svec or not runtime.svec_buffering or not self.families:
-            return False
-        host = self.manager.host
-        # Corrupt senders keep the per-session adversarial surface: their
-        # outbound filters / crash budgets must see logical slot messages.
-        return host.behavior is None and host.outbound_filter is None
-
     def offer_private(self, dst: int, sid: tuple, kind: str, body: object) -> bool:
         """Buffer one private per-slot send; False = caller sends plain."""
         manager = self.manager
@@ -194,7 +208,9 @@ class SessionVectorMux:
             self.manager._runtime.svec_defer(self)
 
     def flush(self) -> None:
-        """Emit the step's buffers: one svec per key, plain for singletons.
+        """Emit the step's buffers: one private svec per key (plain for a
+        singleton), and the whole RB buffer as one fold per
+        :data:`FOLD_MAX_VECTORS` vectors (plain for a lone slot message).
 
         Buffers drain in first-touched order, so within one (src, dst,
         session) stream the kinds leave in exactly the per-session send
@@ -218,38 +234,57 @@ class SessionVectorMux:
                     slots += len(entries)
         if self._rb:
             rb, self._rb = self._rb, {}
-            broadcast = manager._broadcast
+            broadcast = manager._broadcast.broadcast
             pid = host.pid
-            for (group, kind), entries in rb.items():
-                if len(entries) == 1:
-                    slot, body = entries[0]
-                    sid = svec_sid(group, slot)
-                    broadcast.broadcast(
-                        (pid, "vss", sid, kind), ("vss", sid, kind, body)
-                    )
-                else:
+            items = [
+                (kind, group, tuple(entries)) for (group, kind), entries in rb.items()
+            ]
+            if len(items) == 1 and len(items[0][2]) == 1:
+                kind, group, ((slot, body),) = items[0]
+                sid = svec_sid(group, slot)
+                broadcast((pid, "vss", sid, kind), ("vss", sid, kind, body))
+            else:
+                for start in range(0, len(items), FOLD_MAX_VECTORS):
+                    fold = tuple(items[start : start + FOLD_MAX_VECTORS])
                     seq = self._rb_seq
                     self._rb_seq = seq + 1
-                    broadcast.broadcast(
-                        (pid, SVEC_TAG, seq),
-                        (SVEC_TAG, kind, group, tuple(entries)),
-                    )
-                    packed += 1
-                    slots += len(entries)
+                    broadcast((pid, SVEC_TAG, seq), (SVEC_TAG, fold))
+                packed += len(items)
+                slots += sum(map(len, rb.values()))
         if packed:
             runtime.svec_packed += packed
             runtime.svec_slots += slots
 
     # -- receive side ------------------------------------------------------
     def on_private(self, src: int, payload: tuple) -> None:
-        """Host handler for private ``("svec", ...)`` messages."""
-        self._unpack(src, payload, self.manager.PRIVATE_KINDS)
+        """Host handler for private ``("svec", kind, group, entries)``."""
+        if len(payload) == 4:
+            _, kind, group, entries = payload
+            self._unpack(src, kind, group, entries, self.manager.PRIVATE_KINDS)
 
     def on_rb(self, origin: int, value: tuple) -> None:
-        """Broadcast-topic handler for RB ``("svec", ...)`` values."""
-        self._unpack(origin, value, self.manager.RB_KINDS)
+        """Broadcast-topic handler for RB ``("svec", items)`` folds.
 
-    def _unpack(self, src: int, payload: tuple, allowed: frozenset) -> None:
+        Each ``(kind, group, entries)`` item is one vector, validated and
+        ingested on its own: a malformed item (wrong shape, private kind,
+        bad group, a nested fold) drops alone.  A receiver that crashes —
+        or crashes and recovers — inside one item drops the fold's tail,
+        as it would have dropped the later deliveries of the step.
+        """
+        if len(value) != 2 or type(value[1]) is not tuple:
+            return
+        host = self.manager.host
+        epoch = host.crash_epoch
+        allowed = self.manager.RB_KINDS
+        for item in value[1]:
+            if host.crashed or host.crash_epoch != epoch:
+                return
+            if type(item) is tuple and len(item) == 3:
+                self._unpack(origin, *item, allowed)
+
+    def _unpack(
+        self, src: int, kind: object, group: object, entries: object, allowed: frozenset
+    ) -> None:
         """Feed every slot of one vector through the per-session ingestion.
 
         Transport enforcement (``allowed``) applies to the whole vector —
@@ -257,9 +292,6 @@ class SessionVectorMux:
         like the per-session paths.  Everything else is validated per slot
         by ``_ingest``; malformed entries are dropped individually.
         """
-        if len(payload) != 4:
-            return
-        _, kind, group, entries = payload
         if not isinstance(kind, str) or kind not in allowed:
             return
         if type(entries) is not tuple or not svec_group_wellformed(group):

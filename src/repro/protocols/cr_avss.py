@@ -8,8 +8,8 @@ the adversary full control without any detection or shunning.
 
 Rebuilding the full ICP machinery would reproduce the *mechanism* of the
 failure; the experiments only need its *distribution*.  So this module
-models a CR-style coin faithfully at the failure level (see DESIGN.md,
-substitutions): every invocation independently fails with probability
+models a CR-style coin faithfully at the failure level (a deliberate
+substitution, the only one in the stack): every invocation independently fails with probability
 ``ε``; a failed invocation gives each process an adversarially chosen bit
 (split across processes — the worst case the missing binding allows) and,
 crucially, **no process ever shuns anyone**, so the failure probability

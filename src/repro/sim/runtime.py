@@ -313,7 +313,9 @@ class Runtime(StepWindow):
         and in :meth:`transmit_all`: this is the hottest edge of a run);
         the window's flush turns each (src, dst) buffer into one envelope
         event at end-of-step.  Trace accounting stays per logical message
-        either way, so ``trace.total_messages`` is coalescing-invariant.
+        either way.  (The *number* of logical messages is coalescing-
+        invariant only without session vectors: an envelope delivery is one
+        bigger step, and the mux folds a step's broadcasts into one RB.)
         """
         if dst not in self.hosts:
             raise SimulationError(f"send to unknown process {dst}")

@@ -400,7 +400,10 @@ class TestEclipseScheduler:
     def test_reveal_classifier(self):
         carries = CoinRevealEclipseScheduler._carries_reveal
         rv_vss = ("b1", ("bid",), ("vss", ("sid",), "rv", (1, 2)))
-        rv_svec = ("b2", ("bid",), ("svec", "rv", ("group",), ((1, (2,)),)))
+        sh_item, rv_item = ("ok", ("group",), ((1, None),)), ("rv", ("group",), ((1, (2,)),))
+        rv_svec = ("b2", ("bid",), ("svec", (sh_item, rv_item)))
+        assert not carries(("b2", ("bid",), ("svec", (sh_item, "junk", ()))))
+        assert not carries(("b2", ("bid",), ("svec", "rv", ("group",), ())))  # pre-fold shape
         share = ("b1", ("bid",), ("vss", ("sid",), "sh", (1, 2)))
         assert carries(rv_vss) and carries(rv_svec)
         assert not carries(share)
@@ -421,6 +424,30 @@ class TestEclipseScheduler:
         assert sched.delay(4, 2, plain, 20.0) == 41.0  # victim -> outside
         assert sched.delay(1, 2, plain, 20.0) == 1.0  # inside majority
         assert sched.delay(1, 4, plain, 45.0) == 1.0  # window expired
+
+    def test_eclipse_opens_its_window_on_a_session_vector_run(self):
+        """On an aggregated run every reveal travels inside an RB fold
+        (``("svec", items)`` with an ``rv`` item): the scheduler must still
+        sight it and hold the victim's boundary crossings."""
+        from repro.core.api import flip_common_coin
+        from repro.sim.scheduler import FifoScheduler
+
+        held = []
+
+        class Counting(CoinRevealEclipseScheduler):
+            def delay(self, src, dst, payload, now):
+                delay = super().delay(src, dst, payload, now)
+                if delay >= self._hold:
+                    held.append((src, dst))
+                return delay
+
+        sched = Counting(FifoScheduler(), victims={4}, hold=40.0, window=30.0)
+        result, _ = flip_common_coin(
+            SystemConfig(n=4, seed=1000), scheduler=sched, svec=True, coalesce=True
+        )
+        assert result.svec_packed > 0
+        assert len(set(result.outputs.values())) == 1 and len(result.outputs) == 4
+        assert held and all((src == 4) != (dst == 4) for src, dst in held)
 
     def test_inherits_base_split_flags(self):
         base = SlotSplittingScheduler(Scheduler())

@@ -227,7 +227,7 @@ class TestBatchedUnpackSemantics:
         _, mgr = make_manager(batch_ingest=True)
         handled = self.spy(mgr, (1,), spy_handle)
         mgr.mux.on_private(2, (SVEC_TAG, "L", self.GROUP, ((1, (2, 3)),)))
-        mgr.mux.on_rb(2, (SVEC_TAG, "cnf", self.GROUP, ((1, 5),)))
+        mgr.mux.on_rb(2, (SVEC_TAG, (("cnf", self.GROUP, ((1, 5),)),)))
         assert handled[1] == []
 
     def test_forged_group_dropped_whole(self):

@@ -5,9 +5,18 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.adversary.behaviors import MutatingBehavior, SilentBehavior
-from repro.broadcast.manager import BroadcastManager
+from repro.broadcast.manager import (
+    _ACCEPTED,
+    _COUNTS3,
+    _FIRST3,
+    _LEAD,
+    _N3,
+    BroadcastManager,
+)
 from repro.config import SystemConfig
 from repro.errors import ProtocolError
 from repro.sim.runtime import Runtime
@@ -215,7 +224,7 @@ class TestCounterTallies:
         """Old set-based semantics: a (sender, value) pair tallies once,
         even when the sender echoes several values."""
         cfg, rt, managers = make_system(4)
-        from repro.broadcast.manager import _COUNTS2
+        from repro.broadcast.manager import _COUNTS2, _LEAD, _LEAD2, _N2
 
         bid = (1, "demo", 0)
         target = managers[1]
@@ -223,7 +232,9 @@ class TestCounterTallies:
             target._on_b2(2, ("b2", bid, ("demo", "A")))
             target._on_b2(2, ("b2", bid, ("demo", "B")))
         inst = target._instances[bid]
-        assert inst[_COUNTS2] == {("demo", "A"): 1, ("demo", "B"): 1}
+        # The first value echoed leads: the map redirects to its tally.
+        assert inst[_COUNTS2] == {("demo", "A"): _LEAD, ("demo", "B"): 1}
+        assert (inst[_LEAD2], inst[_N2]) == (("demo", "A"), 1)
 
     def test_flood_then_honest_echoes_accept(self):
         """First values are never capped: honest echoes arriving after a
@@ -239,6 +250,126 @@ class TestCounterTallies:
         for src in (1, 2, 3):
             target._on_b3(src, ("b3", bid, ("demo", "real")))
         assert got == [("demo", "real")]
+
+
+class ReferenceTally:
+    """Dict-only model of one bid's echo bookkeeping at one process: every
+    value is hashed into a plain value -> count map, no leading value."""
+
+    def __init__(self, n: int, t: int):
+        self.n, self.t, self.cap = n, t, 2 * n + t
+        self.first = {2: {}, 3: {}}
+        self.counts = {2: {}, 3: {}}
+        self.extra: set = set()
+        self.accepted = self.sent3 = self.delivered = False
+        self.emitted: list = []  # values of the b3s this process sent
+        self.deliveries: list = []
+
+    def echo(self, phase: int, src: int, value: object) -> None:
+        if self.delivered or (phase == 2 and self.accepted):
+            return
+        first, counts = self.first[phase], self.counts[phase]
+        try:
+            known = value in counts
+        except TypeError:
+            return  # unhashable: dropped before any state
+        if src not in first:
+            first[src] = value
+        elif first[src] == value or (phase, src, value) in self.extra:
+            return
+        elif not known and len(counts) >= self.cap:
+            return
+        else:
+            self.extra.add((phase, src, value))
+        count = counts[value] = counts.get(value, 0) + 1
+        if phase == 2 and count >= self.n - self.t:
+            self.accepted = True
+        if (self.accepted if phase == 2 else count >= self.t + 1) and not self.sent3:
+            self.sent3 = True
+            self.emitted.append(value)
+        if phase == 3 and count >= self.n - self.t:
+            self.delivered = True
+            self.deliveries.append(value)
+
+
+class RecordingHost:
+    """Stands in for the manager's host: records what it would send."""
+
+    def __init__(self, host):
+        self.pid = host.pid
+        self.sent: list = []
+
+    def send_all(self, payload, layer):
+        self.sent.append(payload)
+
+
+#: Echoed values: a small pool (so tallies actually reach thresholds) of
+#: large tuples, the way a folded RB value is large.
+VALUE_POOL = tuple(("demo", k, tuple(range(40))) for k in range(4))
+
+
+def echoed_value(k: int, form: str) -> object:
+    if k >= len(VALUE_POOL):
+        return ("demo", "junk", k)  # flood material: many distinct values
+    value = VALUE_POOL[k]
+    if form == "same":
+        return value  # the simulator hands every receiver the same object
+    if form == "copy":
+        return (value[0], value[1], tuple(list(value[2])))  # the socket path
+    return (value[0], value[1], list(value[2]))  # unhashable, compares unequal
+
+
+ECHOES = st.lists(
+    st.tuples(
+        st.sampled_from((2, 3)),
+        st.integers(1, 7),
+        st.one_of(st.integers(0, 3), st.integers(0, 40)),
+        st.sampled_from(("same", "same", "copy", "unhashable")),
+    ),
+    max_size=80,
+)
+
+
+class TestLeadingValueTally:
+    """The leading value's tally lives outside the value map and is bumped
+    on identity; nothing observable may differ from the dict-only tally."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.sampled_from((4, 7)), flood=st.integers(0, 24), echoes=ECHOES)
+    def test_same_accepts_deliveries_and_b3s_as_the_reference(self, n, flood, echoes):
+        cfg, rt, managers = make_system(n)
+        target = managers[1]
+        target.host = host = RecordingHost(target.host)
+        deliveries = []
+        target.subscribe("demo", lambda origin, value: deliveries.append(value))
+        reference = ReferenceTally(n, cfg.t)
+        bid = (2, "demo", 0)
+        # A flood past the 2n+t cap from one multi-value sender, then noise.
+        script = [(2 + i % 2, n, 4 + i, "same") for i in range(flood)] + echoes
+        for phase, src, k, form in script:
+            src = (src - 1) % n + 1
+            handler = target._on_b2 if phase == 2 else target._on_b3
+            handler(src, (f"b{phase}", bid, echoed_value(k, form)))
+            reference.echo(phase, src, echoed_value(k, form))
+            assert [p[2] for p in host.sent] == reference.emitted
+            assert all(p[:2] == ("b3", bid) for p in host.sent)
+            assert deliveries == reference.deliveries
+            assert target.delivered(bid) == reference.delivered
+            if not reference.delivered and bid in target._instances:
+                assert target._instances[bid][_ACCEPTED] == reference.accepted
+
+    def test_equal_but_not_identical_echoes_share_the_leading_tally(self):
+        cfg, rt, managers = make_system(4)
+        target = managers[1]
+        bid = (2, "demo", 0)
+        for src in (1, 2):
+            target._on_b3(src, ("b3", bid, echoed_value(0, "copy")))
+        inst = target._instances[bid]
+        assert inst[_N3] == 2 and inst[_COUNTS3] == {VALUE_POOL[0]: _LEAD}
+        target._on_b3(3, ("b3", bid, echoed_value(0, "unhashable")))
+        assert inst[_N3] == 2 and 3 not in inst[_FIRST3]
+        target._on_b3(3, ("b3", bid, echoed_value(0, "same")))
+        assert target.delivered(bid)
 
 
 class TestDeliveredBidTerminalState:

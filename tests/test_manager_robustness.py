@@ -161,7 +161,7 @@ class TestValueKinds:
 
     def test_membership_flows_from_suspected_sender(self):
         """ack/L/M broadcasts flow even when a sender's value messages are
-        delayed — the liveness correction documented in DESIGN.md."""
+        delayed — the liveness correction documented at ``VALUE_KINDS``."""
         from repro.core.dmm import DELAY, FORWARD
 
         stack = make_stack()
@@ -258,10 +258,9 @@ class TestReleasedSessionsRejectReplays:
             mw_group = (SVEC_MW, self.CSID, 2, 2, 3, "dm")
             slots = tuple((slot, 5) for slot in (1, 2, 3, 4))
             mgr.mux.on_private(src, (SVEC_TAG, "cnf", mw_group, slots))
-            mgr.mux.on_rb(
-                src,
-                (SVEC_TAG, "rv", mw_group, tuple((slot, ((1, 7),)) for slot in (1, 2, 3, 4))),
-            )
+            rv = tuple((slot, ((1, 7),)) for slot in (1, 2, 3, 4))
+            acks = tuple((slot, None) for slot in (1, 2, 3, 4))
+            mgr.mux.on_rb(src, (SVEC_TAG, (("rv", mw_group, rv), ("ack", mw_group, acks))))
             mgr.mux.on_private(
                 src,
                 (

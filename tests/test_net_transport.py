@@ -421,8 +421,11 @@ def test_full_svss_coin_flip_over_sockets(cfg4):
             assert node["envelopes_pushed"] > 0
             assert node["svec_packed"] > 0
             assert node["svec_batch_ingested"] > 0
-            # ``delivered`` counts logical messages, not frames.
-            assert node["delivered"] > 4 * node["frames_delivered"]
+            # ``delivered`` counts logical messages, not frames — and a
+            # step's reliable broadcasts are one logical message since the
+            # RB fold (about 3 400 payloads on 1 850 frames per node; it
+            # was 4x and more with one RB per vector).
+            assert node["delivered"] > 1.5 * node["frames_delivered"]
 
     asyncio.run(main())
 

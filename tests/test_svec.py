@@ -25,8 +25,8 @@ from repro.adversary.schedulers import (
 )
 from repro.config import SystemConfig
 from repro.core.api import flip_common_coin, run_byzantine_agreement
-from repro.core.sessions import svec_sid, svec_split
-from repro.core.vectormux import SVEC_TAG
+from repro.core.sessions import SVEC_MW, SVEC_SVSS, svec_sid, svec_split
+from repro.core.vectormux import FOLD_MAX_VECTORS, SVEC_TAG
 from repro.errors import SimulationError
 from repro.sim.scheduler import FifoScheduler
 from repro.sim.tracing import TRACE_COUNTS
@@ -91,7 +91,9 @@ class TestBitIdenticalCoin:
         svec_only, _ = flip(4, 7, svec=True)
         both, stack = flip(4, 7, svec=True, coalesce=True)
         assert both.outputs == base.outputs == svec_only.outputs
-        assert both.logical_messages == svec_only.logical_messages
+        # Not coalescing-invariant: an envelope delivery is one bigger
+        # step, and a step's reliable broadcasts fold into one RB.
+        assert 3 * both.logical_messages < svec_only.logical_messages
         assert both.envelopes_pushed > 0
         assert both.events_dispatched < svec_only.events_dispatched
         assert both.svec_packed == svec_only.svec_packed
@@ -267,7 +269,7 @@ class TestSlotVectorUnpack:
         calls = self.spy_ingest(mgr)
         group = self.group_for()
         mgr.mux.on_private(2, (SVEC_TAG, "L", group, ((1, (2, 3)),)))
-        mgr.mux.on_rb(2, (SVEC_TAG, "cnf", group, ((1, 5),)))
+        mgr.mux.on_rb(2, (SVEC_TAG, (("cnf", group, ((1, 5),)),)))
         assert calls == []
 
     def test_forged_garbage_dropped_whole(self):
@@ -298,6 +300,245 @@ class TestSlotVectorUnpack:
         # Non-family tags are never mistaken for slots.
         assert svec_split(("svss", ("solo-svss", 0), 1), families) is None
         assert svec_split(("mw", ("solo", 0), 1, 2, "dm"), families) is None
+
+
+CSID = ("cc", "solo", 0)
+
+
+def mw_group(dealer, j, l, role="md", csid=CSID):
+    return (SVEC_MW, csid, dealer, j, l, role)
+
+
+def spy_broadcasts(stack, pid):
+    """Record ``(bid, value)`` of every RB ``pid`` originates."""
+    sent = []
+    manager = stack.broadcasts[pid]
+    original = manager.broadcast
+
+    def spy(bid, value):
+        sent.append((bid, value))
+        original(bid, value)
+
+    manager.broadcast = spy  # instance attribute shadows the method
+    return sent
+
+
+class TestRbFold:
+    """One reliable broadcast per (step, origin): the send side folds the
+    step's RB vectors under one bid, bounded; the receive side validates
+    and ingests item by item (pinned to batched ingestion; the per-slot
+    loop underneath is ``TestSlotVectorUnpack``'s)."""
+
+    def make(self):
+        from repro.core.api import build_stack
+
+        stack = build_stack(
+            SystemConfig(n=4, seed=0),
+            scheduler=FifoScheduler(),
+            svec=True,
+            batch_ingest=True,  # the spy below watches ingest_vector
+        )
+        return stack, stack.vss[1]
+
+    def spy_vectors(self, mgr, after=None):
+        calls = []
+
+        def spy(src, group, kind, entries):
+            calls.append((src, group, kind, entries))
+            if after is not None and len(calls) == after[0]:
+                after[1](mgr.host)
+
+        mgr.ingest_vector = spy  # instance attribute shadows the method
+        return calls
+
+    # -- send side -----------------------------------------------------
+    def test_step_folds_into_one_rb_in_first_touched_order(self):
+        stack, mgr = self.make()
+        mgr.mux.register_family(CSID)
+        sent = spy_broadcasts(stack, 1)
+        a, b = mw_group(1, 1, 2), mw_group(1, 1, 3)
+        with stack.runtime.coalescing_step():
+            mgr.rb_broadcast(svec_sid(a, 1), "ack", None)
+            mgr.rb_broadcast(svec_sid(b, 2), "L", (1, 2, 3))
+            mgr.rb_broadcast(svec_sid(a, 2), "ack", None)
+            mgr.rb_broadcast(svec_sid(a, 1), "ok", None)
+        assert sent == [
+            (
+                (1, SVEC_TAG, 0),
+                (
+                    SVEC_TAG,
+                    (
+                        ("ack", a, ((1, None), (2, None))),
+                        ("L", b, ((2, (1, 2, 3)),)),  # one-slot vector: an item
+                        ("ok", a, ((1, None),)),
+                    ),
+                ),
+            )
+        ]
+        assert (stack.runtime.svec_packed, stack.runtime.svec_slots) == (3, 4)
+
+    def test_what_never_packed_still_does_not(self):
+        stack, mgr = self.make()
+        sent = spy_broadcasts(stack, 1)
+        a = mw_group(1, 1, 2)
+        sid = svec_sid(a, 3)
+        plain = ((1, "vss", sid, "ack"), ("vss", sid, "ack", None))
+        mgr.rb_broadcast(sid, "ack", None)  # no family registered yet
+        mgr.mux.register_family(CSID)
+        mgr.rb_broadcast(sid, "ack", None)  # outside any step
+        with stack.runtime.coalescing_step():
+            mgr.rb_broadcast(sid, "ack", None)  # a lone single-slot message
+        mgr.host.outbound_filter = lambda dst, payload: payload
+        with stack.runtime.coalescing_step():
+            mgr.rb_broadcast(sid, "ack", None)  # filtered (corrupt) host
+            mgr.rb_broadcast(svec_sid(a, 4), "ack", None)
+        assert sent[:4] == [plain] * 4 and len(sent) == 5
+        assert stack.runtime.svec_packed == 0
+
+    def test_step_over_the_bound_splits_in_send_order(self):
+        stack, mgr = self.make()
+        mgr.mux.register_family(CSID)
+        sent = spy_broadcasts(stack, 1)
+        groups = [mw_group(1, j, l) for j in range(1, 5) for l in range(1, 5)]
+        want = []
+        with stack.runtime.coalescing_step():
+            for kind in ("ack", "ok", "rv"):
+                for group in groups[: 14 if kind == "rv" else 16]:
+                    body = ((1, 7),) if kind == "rv" else None
+                    for slot in (1, 2, 3):
+                        mgr.rb_broadcast(svec_sid(group, slot), kind, body)
+                    want.append((kind, group, tuple((s, body) for s in (1, 2, 3))))
+        assert len(want) == 46 == 2 * FOLD_MAX_VECTORS + 14
+        assert [bid for bid, _ in sent] == [(1, SVEC_TAG, seq) for seq in (0, 1, 2)]
+        assert [len(value[1]) for _, value in sent] == [16, 16, 14]
+        assert [item for _, value in sent for item in value[1]] == want
+
+    # -- receive side --------------------------------------------------
+    def test_forged_fold_drops_only_the_bad_piece(self):
+        _, mgr = self.make()
+        calls = self.spy_vectors(mgr)
+        a, b = mw_group(2, 2, 3), (SVEC_SVSS, CSID, 2)
+        good_a = ("ack", a, ((1, None), (2, None)))
+        good_b = ("G", b, ((1, ((1, 2, 3), ())),))
+        fold = (
+            good_a,
+            "junk",  # malformed items
+            ("ack", a),
+            ("ack", a, ((1, None),), "extra"),
+            ("ack", a, [(1, None)]),
+            ("cnf", a, ((1, 5),)),  # private kind in an RB fold
+            (SVEC_TAG, (good_a,)),  # nested fold
+            (SVEC_TAG, a, (good_a,)),
+            ("ack", (SVEC_MW, [CSID], 2, 2, 3, "md"), ((1, None),)),  # unhashable
+            ("ack", "nope", ((1, None),)),
+            good_b,
+        )
+        mgr.mux.on_rb(2, (SVEC_TAG, fold))
+        assert calls == [(2, a, "ack", good_a[2]), (2, b, "G", good_b[2])]
+        # Bad envelopes of the fold itself, and the pre-fold 4-tuple shape.
+        del calls[:]
+        mgr.mux.on_rb(2, (SVEC_TAG,))
+        mgr.mux.on_rb(2, (SVEC_TAG, [good_a]))
+        mgr.mux.on_rb(2, (SVEC_TAG, (good_a,), "extra"))
+        mgr.mux.on_rb(2, (SVEC_TAG, "ack", a, good_a[2]))
+        assert calls == []
+
+    def test_forged_fold_grants_nothing_through_real_ingestion(self):
+        """No spy: bad slots inside a good item still degrade alone."""
+        _, mgr = self.make()
+        a = mw_group(2, 2, 3)
+        entries = ((1, None), "junk", ([1], None), (3, None))
+        mgr.mux.on_rb(2, (SVEC_TAG, (("ack", a, entries), ("cnf", a, ((2, 5),)))))
+        assert set(mgr.mw) == {svec_sid(a, 1), svec_sid(a, 3)}
+
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            lambda host: setattr(host, "crashed", True),
+            # crash -> recover inside the item: alive again, other epoch
+            lambda host: setattr(host, "crash_epoch", host.crash_epoch + 1),
+        ],
+        ids=["crash", "crash-recover"],
+    )
+    def test_crash_mid_fold_drops_the_tail(self, fault):
+        _, mgr = self.make()
+        calls = self.spy_vectors(mgr, after=(2, fault))
+        items = tuple(
+            ("ack", mw_group(2, 2, l), ((1, None), (2, None))) for l in (1, 2, 3, 4)
+        )
+        mgr.mux.on_rb(2, (SVEC_TAG, items))
+        assert [call[1] for call in calls] == [items[0][1], items[1][1]]
+
+
+class TestFoldEndToEnd:
+    """The fold against the packing-vetoed run, and what it leaves behind."""
+
+    #: (n, seed) -> events_dispatched of the parent (per-vector RB) commit.
+    PARENT_EVENTS = {(4, 1000): 9_816, (5, 1000): 28_640}
+
+    @pytest.mark.parametrize("n,seed", sorted(PARENT_EVENTS))
+    def test_fold_matches_the_slot_split_run(self, n, seed):
+        fold, stack_fold = flip(n, seed, svec=True, coalesce=True)
+        split, stack_split = flip(
+            n,
+            seed,
+            svec=True,
+            coalesce=True,
+            scheduler=SlotSplittingScheduler(FifoScheduler()),
+        )
+        assert split.svec_packed == 0 and fold.svec_packed > 0
+        assert fold.outputs == split.outputs
+        assert coin_justifiers(stack_fold) == coin_justifiers(stack_split)
+        # The step's vectors already shared their envelopes hop for hop.
+        assert fold.events_dispatched == self.PARENT_EVENTS[n, seed]
+        assert 10 * fold.logical_messages < split.logical_messages
+
+    def test_one_process_holds_few_bids_after_a_coin(self):
+        _, stack = flip(4, 1000, svec=True, coalesce=True)
+        for pid in stack.config.pids:
+            assert len(stack.broadcasts[pid]._instances) <= 300  # parent: 1454
+
+    def test_every_fold_stays_far_under_the_frame_body(self, monkeypatch):
+        """An RB value is atomic on the wire (one DATA frame): bound the
+        encoded size of a full fold of worst-case bodies up to n = 13, and
+        check real coins stay under that bound."""
+        from repro.net.codec import MAX_FRAME_BODY, encode_value
+
+        def worst_fold(n):
+            pids = tuple(range(1, n + 1))
+            prime = SystemConfig(n=n).prime
+            bodies = {
+                "G": (pids, tuple((j, pids) for j in pids)),
+                "rv": tuple((j, prime - 1) for j in pids),
+            }
+            kind = max(bodies, key=lambda k: len(encode_value(bodies[k])))
+            csid = ("cc", ("aba", "instance-name", 10**6), 10**6)
+            vector = (kind, mw_group(n, n, n, csid=csid), tuple((s, bodies[kind]) for s in pids))
+            return (SVEC_TAG, (vector,) * FOLD_MAX_VECTORS)
+
+        for n in (4, 5, 7, 10, 13):
+            wire = ("b3", (n, SVEC_TAG, 10**9), worst_fold(n))
+            assert 32 * len(encode_value(wire)) < MAX_FRAME_BODY, n
+
+        from repro.broadcast.manager import BroadcastManager
+
+        folds = []
+        original = BroadcastManager.broadcast
+
+        def spy(self, bid, value):
+            if value[0] == SVEC_TAG:
+                folds.append(value)
+            original(self, bid, value)
+
+        monkeypatch.setattr(BroadcastManager, "broadcast", spy)
+        for n in (4, 5):
+            del folds[:]
+            flip(n, 3, svec=True, coalesce=True, quiesce=False)
+            assert max(len(value[1]) for value in folds) == FOLD_MAX_VECTORS
+            largest = max(len(encode_value(value)) for value in folds)
+            assert largest <= len(encode_value(worst_fold(n)))
+            if n == 4:  # what the 4 KiB-frame socket test relies on
+                assert largest < 3072
 
 
 class SlotTargetedDealer(ByzantineBehavior):
