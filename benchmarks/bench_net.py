@@ -27,7 +27,11 @@ The robustness artifact for the real-network layer (ROADMAP item 1):
 8. **SVSS coin on the wire** — frames, wire bytes and seconds for one
    n=4 shunning-coin invocation over sockets (the paper's unit of cost),
    gated at <= 12 000 DATA frames and 0 retransmits on a clean link: the
-   step window's aggregation must reach the sockets.
+   step window's aggregation must reach the sockets.  Two more count
+   gates hold the value memo to its contract: at least 60 % of the RB
+   values a node is handed are answered from its memo, and the bytes on
+   the wire are what they were without it (the memo changes what a node
+   decodes, never what it sends).
 
 The JSON artifact is committed at the repo root next to the other
 ``BENCH_*.json`` so the transport's trajectory stays diffable across PRs.
@@ -366,6 +370,13 @@ async def _sim_equivalence() -> dict:
 #: Frame budget of one clean n=4 SVSS coin (172.8 k before aggregation
 #: reached the sockets, ~7.4 k with one frame per (src, dst) step).
 COIN_FRAME_BUDGET = 12_000
+#: DATA-frame bytes of that coin.  Which payloads share a frame depends on
+#: arrival order, so runs of one commit spread 3.91 - 4.00 MB; the memo
+#: must leave the figure where it was.
+COIN_WIRE_BYTES = (3_800_000, 4_200_000)
+#: Least share of RB-value lookups the decode memo must answer: a value
+#: arrives 2n + 1 = 9 times and is walked once.
+COIN_MEMO_HIT_SHARE = 0.6
 
 
 async def _svss_coin_on_the_wire() -> dict:
@@ -400,6 +411,16 @@ async def _svss_coin_on_the_wire() -> dict:
         f"{frames} DATA frames for one n=4 coin; budget {COIN_FRAME_BUDGET}"
     )
     assert retransmits == 0, f"{retransmits} retransmits on a clean link"
+    low, high = COIN_WIRE_BYTES
+    assert low <= data_bytes <= high, (
+        f"{data_bytes} wire bytes for one n=4 coin; expected {low}..{high}"
+    )
+    memo = stats["decode_memo"]
+    hit_share = memo["hits"] / (memo["hits"] + memo["misses"])
+    assert hit_share >= COIN_MEMO_HIT_SHARE, (
+        f"decode memo answered {hit_share:.3f} of RB-value lookups; "
+        f"gate {COIN_MEMO_HIT_SHARE}"
+    )
     logical = sum(node["delivered"] for node in nodes)
     return {
         "n": 4,
@@ -412,6 +433,7 @@ async def _svss_coin_on_the_wire() -> dict:
         "svec_packed": sum(node["svec_packed"] for node in nodes),
         "envelopes_pushed": sum(node["envelopes_pushed"] for node in nodes),
         "frame_budget": COIN_FRAME_BUDGET,
+        "decode_memo": {**memo, "hit_share": round(hit_share, 4)},
     }
 
 
@@ -455,6 +477,9 @@ def test_bench_net(emit):
                 "impostor HELLO storm never stalls honest agreement",
                 f"one clean n=4 SVSS coin over sockets sends <= "
                 f"{COIN_FRAME_BUDGET} DATA frames with 0 retransmits",
+                f"that coin's decode memo answers >= {COIN_MEMO_HIT_SHARE} "
+                f"of RB-value lookups and leaves the wire at "
+                f"{COIN_WIRE_BYTES[0]}..{COIN_WIRE_BYTES[1]} bytes",
             ],
         },
         chaos_safety=chaos_rows,
@@ -486,7 +511,12 @@ def test_bench_net(emit):
         f"n=4 SVSS coin over sockets: {coin['data_frames']} DATA frames "
         f"(budget {COIN_FRAME_BUDGET}), {coin['wire_bytes']} wire bytes, "
         f"{coin['wall_seconds']:.2f}s, retx={coin['retransmits']}, "
-        f"{coin['frames_per_logical_message']:.3f} frames per logical message"
+        f"{coin['frames_per_logical_message']:.3f} frames per logical message; "
+        f"decode memo {coin['decode_memo']['hits']} hits / "
+        f"{coin['decode_memo']['misses']} misses "
+        f"(share {coin['decode_memo']['hit_share']:.3f}, gate >= "
+        f"{COIN_MEMO_HIT_SHARE}), {coin['decode_memo']['entries']} entries / "
+        f"{coin['decode_memo']['bytes']} bytes"
     )
     emit(
         f"reconnect recovery: {reconnect['backlog_frames']} queued frames "

@@ -247,8 +247,9 @@ class BroadcastManager(ProtocolModule):
 
         The value map decides what "the same value" means, with one hash
         per call; only the leading value's *count* lives outside it, so an
-        equal-but-not-identical echo (every echo on the socket path) bumps
-        that count without a second hash.  Raises ``TypeError`` on
+        equal-but-not-identical echo (on the socket path: one decoded after
+        the node's value memo lost or replaced the entry) bumps that count
+        without a second hash.  Raises ``TypeError`` on
         unhashable byzantine garbage (callers drop the message), before any
         state is touched.
         """
@@ -320,9 +321,11 @@ class BroadcastManager(ProtocolModule):
             return
         first = inst[_FIRST2]
         if value is inst[_LEAD2] and src not in first:
-            # Every honest echo is its sender's first value, and in the
-            # simulator it *is* the object the bid's first echo carried:
-            # bump the leading tally without hashing the value.
+            # Every honest echo is its sender's first value, and it *is*
+            # the object the bid's first echo carried — in the simulator
+            # by construction, over sockets because the node's value memo
+            # decodes equal bytes to one object: bump the leading tally
+            # without hashing the value.
             first[src] = value
             count = inst[_N2] = inst[_N2] + 1
         else:

@@ -353,6 +353,7 @@ class NetCluster:
 
     # -- stats -------------------------------------------------------------
     def stats(self) -> dict:
+        memos = [node.memo.stats() for node in self.nodes.values()]
         return {
             "auth_rejected": sum(
                 node.auth_rejected for node in self.nodes.values()
@@ -366,6 +367,10 @@ class NetCluster:
                 sum(node.frame_errors.values())
                 for node in self.nodes.values()
             ),
+            "decode_memo": {
+                key: sum(memo[key] for memo in memos)
+                for key in ("hits", "misses", "entries", "bytes")
+            },
             "nodes": {pid: node.stats() for pid, node in self.nodes.items()},
             "chaos": {
                 pid: {

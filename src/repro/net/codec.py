@@ -120,7 +120,11 @@ def _read_uvarint(data: bytes, pos: int) -> tuple[int, int]:
         pos += 1
         result |= (byte & 0x7F) << shift
         if not byte & 0x80:
-            return result, pos
+            if byte or not shift:
+                return result, pos
+            # A zero final byte after a continuation byte: the same number
+            # has a shorter spelling, and one value has one byte string.
+            raise CodecError("overlong varint")
         shift += 7
         if shift > 448:  # > 64 bytes of varint: nothing honest is this big
             raise CodecError("varint too long")
@@ -195,17 +199,131 @@ def _encode_into(out: bytearray, value: object, depth: int) -> None:
         )
 
 
-def _zigzag_big(value: int) -> int:
-    """Zigzag mapping for arbitrary-precision ints: negatives interleave
-    with positives so small magnitudes stay small on the wire."""
-    return (value << 1) if value >= 0 else ((-value << 1) - 1)
+def _measure(value: object) -> tuple[int, int]:
+    """What decoding ``value``'s encoding costs a :class:`_Decoder`:
+    ``(items, depth)`` — what it adds to the item count, and how far below
+    the value's own depth its deepest ``read`` goes.  Mirrors ``read``:
+    every value read counts one, every tuple its length again, and
+    ints / strings / None / bools inside a tuple are read inline."""
+    items, depth = 1, 0
+    if type(value) is tuple:
+        items += len(value)
+        for item in value:
+            kind = type(item)
+            if kind is tuple or kind is bytes or kind is float:
+                sub_items, sub_depth = _measure(item)
+                items += sub_items
+                if sub_depth >= depth:
+                    depth = sub_depth + 1
+    return items, depth
 
 
-def encode_value(value: object) -> bytes:
-    """Serialize one wire value canonically (same value -> same bytes)."""
+#: Byte bound of one :class:`ValueMemo` (encoded bids + encoded values).
+#: One coin leaves 282 entries / 0.13 MB per node at n=4, 1 505 / 1.9 MB
+#: at n=7; the decoded objects weigh about 12 bytes per encoded byte.
+MEMO_MAX_BYTES = 4 * 1024 * 1024
+
+
+class ValueMemo:
+    """One node's bounded memory of the reliable-broadcast values it has
+    seen, so that a value crosses the codec once per node.
+
+    RB makes every process echo the *full* value twice, so a receiver is
+    handed the same bytes ``2n + 1`` times under one bid.  The memo maps
+    the encoded bid to the last value seen under it — its encoding, the
+    decoded object and what decoding it costs the decoder's limits
+    (:func:`_measure`) — and both directions consult it:
+
+    * ``decode_value(data, memo)``: where the value of a ``b1`` / ``b2`` /
+      ``b3`` message starts with the stored encoding, the stored object
+      is the result.  The encoding is self-delimiting (prefix-free), so
+      equal bytes decode to exactly that value and consume exactly that
+      many bytes, whoever sent them; anything else is decoded as always
+      and *replaces* the entry, so a forged echo costs its own decode and
+      at most one more, never one per honest echo.
+    * ``encode_value(payload, memo)``: an echo of the stored *object*
+      splices the stored bytes; any other echo is encoded as always and
+      stored, which is how a node's own broadcast enters its memo.
+
+    Entries leave oldest-first once the stored bytes pass
+    :data:`MEMO_MAX_BYTES`; an evicted value costs one more decode.
+    """
+
+    __slots__ = ("entries", "bytes", "hits", "misses")
+
+    def __init__(self) -> None:
+        #: encoded bid -> (encoded value, value, items, depth), oldest first.
+        self.entries: dict[bytes, tuple[bytes, object, int, int]] = {}
+        self.bytes = 0
+        #: Decoder lookups answered from / not answered from the memo.
+        self.hits = 0
+        self.misses = 0
+
+    def store(self, key: bytes, encoded: bytes, value: object) -> None:
+        entries = self.entries
+        old = entries.pop(key, None)
+        if old is not None:
+            self.bytes -= len(key) + len(old[0])
+        size = len(key) + len(encoded)
+        if size > MEMO_MAX_BYTES:
+            return
+        self.bytes += size
+        while self.bytes > MEMO_MAX_BYTES:
+            oldest = next(iter(entries))
+            self.bytes -= len(oldest) + len(entries.pop(oldest)[0])
+        entries[key] = (encoded, value, *_measure(value))
+
+    def clear(self) -> None:
+        self.entries.clear()
+        self.bytes = 0
+
+    def stats(self) -> dict[str, int]:
+        return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "entries": len(self.entries),
+            "bytes": self.bytes,
+        }
+
+
+def encode_value(value: object, memo: "ValueMemo | None" = None) -> bytes:
+    """Serialize one wire value canonically (same value -> same bytes).
+
+    With a ``memo``, the value of an RB message is spliced from, or
+    stored into, it (:class:`ValueMemo`) — the bytes are the same."""
     out = bytearray()
-    _encode_into(out, value, 0)
+    if (
+        memo is not None
+        and type(value) is tuple
+        and len(value) == 3
+        and type(value[0]) is str
+        and value[0] in _ECHO_HEADS
+        and type(value[1]) is tuple
+        and type(value[2]) is tuple
+    ):
+        tag, bid, body = value
+        out += _ECHO_HEADS[tag]
+        start = len(out)
+        _encode_into(out, bid, 1)
+        key = bytes(out[start:])
+        entry = memo.entries.get(key)
+        if entry is not None and entry[1] is body:
+            out += entry[0]
+        else:
+            start = len(out)
+            _encode_into(out, body, 1)
+            memo.store(key, bytes(out[start:]), body)
+    else:
+        _encode_into(out, value, 0)
     return bytes(out)
+
+
+#: RB message tag -> ``encode_value((tag, bid, value))`` up to, not
+#: including, the bid: the 3-tuple header and the tag string.  These are
+#: the messages whose third item goes through a :class:`ValueMemo`.
+_ECHO_HEADS = {
+    tag: encode_value((tag, (), ()))[:-4] for tag in ("b1", "b2", "b3")
+}
 
 
 #: ``encode_value((ENVELOPE_TAG, subs))`` up to, not including, the
@@ -237,14 +355,17 @@ class _Decoder:
     """Decoder state.  ``read`` is the transport's hottest function (a
     coin flip decodes hundreds of thousands of nested tuples), so the
     common tags — small ints and tuples — are handled with inlined
-    varint reads and an append loop instead of helper calls."""
+    varint reads and an append loop instead of helper calls.  With a
+    ``memo`` the value of an RB message is looked up before it is walked
+    (:meth:`_read_memoised`)."""
 
-    __slots__ = ("data", "pos", "items")
+    __slots__ = ("data", "pos", "items", "memo")
 
-    def __init__(self, data: bytes):
+    def __init__(self, data: bytes, memo: "ValueMemo | None" = None):
         self.data = data
         self.pos = 0
         self.items = 0
+        self.memo = memo
 
     def read(self, depth: int) -> object:
         if depth > MAX_DEPTH:
@@ -280,15 +401,18 @@ class _Decoder:
             self.items += count
             if self.items > MAX_ITEMS:
                 raise CodecError(f"more than {MAX_ITEMS} items in one value")
-            # Wire tuples are overwhelmingly flat runs of small ints and
-            # short strings; decode those leaves inline and only recurse
-            # for nested structure.  This loop is the transport's single
-            # hottest path — a coin flip runs it hundreds of thousands of
-            # times.
+            # One n=4 coin puts 1.5 M items on the wire: 41 % single-byte
+            # ints, 34 % tuple headers, 16 % short strings, 5 % None /
+            # bools, 5 % multi-byte ints.  The leaves are decoded inline
+            # and only nested structure recurses.  This loop is the
+            # transport's single hottest path — a coin flip runs it
+            # hundreds of thousands of times.
             items: list = []
             append = items.append
             size = len(data)
             depth += 1
+            memo = self.memo
+            bid_at = 0
             for _ in range(count):
                 if pos >= size:
                     raise CodecError("truncated value")
@@ -329,6 +453,22 @@ class _Decoder:
                     pos += 1
                     continue
                 self.pos = pos
+                if memo is not None and count == 3 and t == _T_TUPLE:
+                    # Maybe ``(tag, bid, value)``: note where a nested
+                    # second item starts, and take a nested third one
+                    # through the memo if the first two are an RB tag and
+                    # a bid (a tuple, so it came through here).
+                    filled = len(items)
+                    if filled == 1:
+                        bid_at = pos
+                    elif (
+                        filled == 2
+                        and type(items[1]) is tuple
+                        and items[0] in _ECHO_HEADS
+                    ):
+                        append(self._read_memoised(data[bid_at:pos], depth))
+                        pos = self.pos
+                        continue
                 append(self.read(depth))
                 pos = self.pos
             self.pos = pos
@@ -362,11 +502,40 @@ class _Decoder:
             return struct.unpack("!d", data[pos : pos + 8])[0]
         raise CodecError(f"unknown value tag 0x{tag:02x}")
 
+    def _read_memoised(self, key: bytes, depth: int) -> object:
+        """The value of an RB message, at ``self.pos``, whose encoded bid
+        is ``key``: the memo's object when the bytes here are the bytes it
+        was decoded from and its cost fits what is left of both limits,
+        else a plain ``read`` that replaces the entry.  (A hit that would
+        cross a limit is re-read so that the reference raises.)"""
+        memo = self.memo
+        data = self.data
+        pos = self.pos
+        entry = memo.entries.get(key)
+        if entry is not None:
+            encoded, value, items, nesting = entry
+            if (
+                data.startswith(encoded, pos)
+                and depth + nesting <= MAX_DEPTH
+                and self.items + items <= MAX_ITEMS
+            ):
+                self.pos = pos + len(encoded)
+                self.items += items
+                memo.hits += 1
+                return value
+        value = self.read(depth)
+        memo.misses += 1
+        memo.store(key, data[pos : self.pos], value)
+        return value
 
-def decode_value(data: bytes) -> object:
+
+def decode_value(data: bytes, memo: "ValueMemo | None" = None) -> object:
     """Inverse of :func:`encode_value`; raises :class:`CodecError` on any
-    malformed body, including trailing garbage after a valid value."""
-    decoder = _Decoder(data)
+    malformed body, including trailing garbage after a valid value.
+
+    With a ``memo`` the result and the errors are the same; RB values it
+    holds are not walked again (:class:`ValueMemo`)."""
+    decoder = _Decoder(data, memo)
     value = decoder.read(0)
     if decoder.pos != len(data):
         raise CodecError(

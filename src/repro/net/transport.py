@@ -103,6 +103,7 @@ from repro.net.codec import (
     SEQ_PREFIX,
     CodecError,
     FrameParser,
+    ValueMemo,
     decode_value,
     encode_envelope,
     encode_frame,
@@ -324,7 +325,7 @@ class NetRuntime(StepWindow):
             for dst in self.config.pids:
                 buffer(src, dst, payload)
             return
-        enc = encode_value(payload)
+        enc = encode_value(payload, self.node.memo)
         dispatch_out = self.node.dispatch_out
         for dst in self.config.pids:
             dispatch_out(dst, payload, enc)
@@ -336,10 +337,13 @@ class NetRuntime(StepWindow):
             self._encoded.clear()
 
     def _encode(self, payload: object) -> bytes:
-        """``encode_value`` through the per-flush cache."""
+        """``encode_value`` through the per-flush cache (and, for an RB
+        message, the node's value memo)."""
         hit = self._encoded.get(id(payload))
         if hit is None:
-            hit = self._encoded[id(payload)] = (payload, encode_value(payload))
+            hit = self._encoded[id(payload)] = (
+                payload, encode_value(payload, self.node.memo)
+            )
         return hit[1]
 
     def _emit(self, src: int, dst: int, payload: tuple) -> None:
@@ -850,6 +854,9 @@ class NetworkNode:
         self._addresses: dict[int, tuple[str, int]] = {}
         self._server: asyncio.AbstractServer | None = None
         self._inbox: asyncio.Queue = asyncio.Queue()
+        #: RB values this incarnation has decoded or sent: each of the
+        #: 2n + 1 copies of one value crosses the codec once.
+        self.memo = ValueMemo()
         self._pump_task: asyncio.Task | None = None
         self._gate = asyncio.Event()
         self._gate.set()
@@ -962,9 +969,11 @@ class NetworkNode:
         else:
             self._recv_links.clear()
         # Anything already pumped into the inbox belongs to the crashed
-        # incarnation's socket buffers: purge, like Runtime's recover().
+        # incarnation's socket buffers: purge, like Runtime's recover() —
+        # and the value memo, a cache of that traffic, goes with it.
         while not self._inbox.empty():
             self._inbox.get_nowait()
+        self.memo.clear()
         self.update_gate()
 
     async def restart_transport(self) -> int:
@@ -1253,7 +1262,7 @@ class NetworkNode:
         retransmits.
         """
         try:
-            payload = decode_value(raw)
+            payload = decode_value(raw, self.memo)
         except CodecError:
             self.frame_errors["bad-value"] = (
                 self.frame_errors.get("bad-value", 0) + 1
@@ -1337,6 +1346,7 @@ class NetworkNode:
             "svec_packed": runtime.svec_packed,
             "svec_batch_ingested": runtime.svec_batch_ingested,
             "frame_errors": dict(self.frame_errors),
+            "decode_memo": self.memo.stats(),
             "auth_rejected": self.auth_rejected,
             "journal": None if self.journal is None else self.journal.stats(),
             "peers": {

@@ -13,15 +13,22 @@ from __future__ import annotations
 
 import asyncio
 
+import pytest
+
 from repro.config import SystemConfig
 from repro.core.api import build_node_modules
 from repro.core.sessions import SVEC_MW, svec_sid
 from repro.core.vectormux import SVEC_TAG
+from repro.net.cluster import NetCluster
 from repro.net.codec import (
     FRAME_AUTH,
     FRAME_CHALLENGE,
+    FRAME_DATA,
     FRAME_HELLO,
     FRAME_WELCOME,
+    MEMO_MAX_BYTES,
+    SEQ_PREFIX,
+    CodecError,
     FrameParser,
     decode_value,
     encode_frame,
@@ -185,11 +192,13 @@ def test_mac_binds_direction_and_epoch():
 # ---------------------------------------------------------------------------
 
 
-async def _authenticated_raw_link(target: NetworkNode, pid: int):
+async def _authenticated_raw_link(
+    target: NetworkNode, pid: int, secret: bytes = SECRET, epoch: int = 1
+):
     """A raw TCP client that *is* cluster member ``pid`` (it holds the
     pair key) but speaks the wire protocol by hand — the byzantine peer."""
     reader, writer = await asyncio.open_connection("127.0.0.1", target.port)
-    epoch, base = 1, 1
+    base = 1
     writer.write(
         encode_frame(
             FRAME_HELLO, encode_value(("hello", pid, epoch, PROTO_VERSION, base))
@@ -203,7 +212,7 @@ async def _authenticated_raw_link(target: NetworkNode, pid: int):
         for ftype, body in parser.feed(data):
             if ftype == FRAME_CHALLENGE:
                 nonce = decode_value(body)[2]
-                key = derive_pair_key(SECRET, pid, target.pid)
+                key = derive_pair_key(secret, pid, target.pid)
                 mac = handshake_mac(key, nonce, pid, target.pid, epoch, base)
                 writer.write(
                     encode_frame(FRAME_AUTH, encode_value(("auth", pid, mac)))
@@ -279,6 +288,133 @@ def test_forged_envelopes_and_vectors_grant_nothing_over_sockets(spy_handle):
         await node.close()
 
     asyncio.run(main())
+
+
+@pytest.mark.slow
+def test_memo_poisoning_by_an_authenticated_peer_changes_nothing():
+    """Byzantine pid 4 (node 4 is dark; a raw socket holds its keys) works
+    on the honest nodes' value memos while pids 1-3 flip a coin: forged
+    ``b2`` / ``b3`` for honest bids *before* the honest values exist,
+    forgeries one byte off the honest value, a deeply nested bid of odd
+    scalars, 50 values on one bid.  A memo only ever answers with a value
+    whose bytes are on the wire in front of it, so the outputs are the
+    clean run's (with three live processes every n - t set is forced, so
+    the coin is a function of the seed), nothing is counted as a frame
+    error, and every memo stays under its bound."""
+    config = SystemConfig(n=4, seed=77)
+    honest = (1, 2, 3)
+    early = [(origin, "svec", k) for origin in honest for k in range(3)]
+    odd_bid = (4, float("nan"), b"\x00\xff", -0.0, None)
+    for _ in range(40):
+        odd_bid = (odd_bid,)
+
+    async def coin(attacked: bool):
+        cluster = NetCluster(config, trace_level=TRACE_OFF)
+        await cluster.start()
+        forged_near = 0
+        try:
+            await cluster.kill_node(4)
+            if attacked:
+                links = {
+                    pid: await _authenticated_raw_link(
+                        cluster.nodes[pid], 4,
+                        secret=cluster.tconfig.auth_secret, epoch=99,
+                    )
+                    for pid in honest
+                }
+                seqs = dict.fromkeys(honest, 0)
+
+                def send_all(body: bytes) -> None:
+                    for pid, writer in links.items():
+                        seqs[pid] += 1
+                        writer.write(
+                            encode_frame(
+                                FRAME_DATA, SEQ_PREFIX.pack(seqs[pid]) + body
+                            )
+                        )
+
+                for bid in early:
+                    for tag in ("b2", "b3"):
+                        send_all(encode_value((tag, bid, ("svec", ("forged", tag)))))
+                send_all(encode_value(("b2", odd_bid, ("svec", ("odd",)))))
+                send_all(encode_value(("b3", odd_bid, ("svec", ("odd",)))))
+                for k in range(50):
+                    send_all(encode_value(("b3", (4, "svec", 0), ("svec", ("flood", k)))))
+                for writer in links.values():
+                    await writer.drain()
+                await cluster.wait_for(
+                    lambda: all(
+                        cluster.nodes[pid].memo.entries.get(
+                            encode_value((4, "svec", 0)), (None, None)
+                        )[1] == ("svec", ("flood", 49))
+                        for pid in honest
+                    ),
+                    timeout=10,
+                )
+                for pid in honest:  # the poison is in before the coin starts
+                    memo = cluster.nodes[pid].memo
+                    assert len(memo.entries) == len(early) + 2
+                    # Only the odd bid's b3 repeated a value.
+                    assert (memo.hits, memo.misses) == (1, 2 * len(early) + 51)
+                    for bid in early:
+                        entry = memo.entries[encode_value(bid)]
+                        assert entry[1] == ("svec", ("forged", "b3"))
+
+            async def forge_near_values():
+                # Watch node 1 learn honest values; answer each with a value
+                # whose encoding differs from the honest one in its last byte.
+                nonlocal forged_near
+                seen = set()
+                while forged_near < 40:
+                    for key, entry in list(cluster.nodes[1].memo.entries.items()):
+                        if key in seen or decode_value(key)[0] == 4:
+                            continue
+                        seen.add(key)
+                        near = entry[0][:-1] + bytes([entry[0][-1] ^ 1])
+                        body = b"\x06\x03" + encode_value("b2") + key + near
+                        try:
+                            assert decode_value(body)[2] != entry[1]
+                        except CodecError:
+                            continue
+                        send_all(body)
+                        forged_near += 1
+                    await asyncio.sleep(0.002)
+
+            task = (
+                asyncio.ensure_future(forge_near_values()) if attacked else None
+            )
+            try:
+                outputs = await cluster.flip_coin(
+                    session=0, timeout=60, faulty={4}
+                )
+            finally:
+                if task is not None:
+                    task.cancel()
+            await asyncio.sleep(0.1)  # let the last forgeries land
+            stats = cluster.stats()
+        finally:
+            await cluster.close()
+        return outputs, stats, forged_near
+
+    clean_outputs, clean_stats, _ = asyncio.run(coin(False))
+    outputs, stats, forged_near = asyncio.run(coin(True))
+    assert set(clean_outputs) == set(honest)
+    assert outputs == clean_outputs
+    assert forged_near >= 20
+    assert stats["frame_errors"] == clean_stats["frame_errors"] == 0
+    for pid in honest:
+        for run in (clean_stats, stats):
+            memo = run["nodes"][pid]["decode_memo"]
+            assert 0 < memo["bytes"] <= MEMO_MAX_BYTES
+            assert memo["hits"] > memo["misses"]
+        # Every forgery cost its own decode, and re-decodes of the honest
+        # values it displaced — a bounded number, not one per echo.
+        extra = (
+            stats["nodes"][pid]["decode_memo"]["misses"]
+            - clean_stats["nodes"][pid]["decode_memo"]["misses"]
+        )
+        forged = 2 * len(early) + 2 + 50 + forged_near
+        assert 0 < extra <= 2 * forged + len(early)
 
 
 def test_outbound_filter_sees_logical_messages_before_buffering():

@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import struct
 from random import Random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import SystemConfig
-from repro.net import transport
+from repro.net import codec, transport
 from repro.net.codec import (
     FRAME_ACK,
     FRAME_DATA,
@@ -31,6 +32,7 @@ from repro.net.codec import (
     SEQ_PREFIX,
     CodecError,
     FrameParser,
+    ValueMemo,
     decode_value,
     encode_envelope,
     encode_frame,
@@ -131,6 +133,23 @@ def test_decode_rejects_truncation_everywhere():
     for cut in range(len(blob)):
         with pytest.raises(CodecError):
             decode_value(blob[:cut])
+
+
+def test_decode_rejects_overlong_varints():
+    """One value, one byte string — in the decoding direction too: a
+    varint padded with a zero final byte is a second spelling of a number
+    that has a shorter one, wherever the codec reads a varint."""
+    assert decode_value(b"\x03\x80\x01") == 64  # two bytes because it must
+    for blob in (
+        b"\x03\x80\x00",  # int 0 spelled in two bytes
+        b"\x03\x81\x80\x00",  # int -1 spelled in three
+        b"\x06\x80\x00",  # empty tuple, padded count
+        b"\x06\x81\x00\x00",  # 1-tuple (None,), padded count
+        b"\x04\x81\x00a",  # string length
+        b"\x05\x81\x00a",  # bytes length
+    ):
+        with pytest.raises(CodecError, match="overlong varint"):
+            decode_value(blob)
 
 
 def test_encode_rejects_unsupported_types():
@@ -308,7 +327,9 @@ def test_fanout_payload_is_encoded_once_per_flush(monkeypatch):
     encoded = []
     real = transport.encode_value
     monkeypatch.setattr(
-        transport, "encode_value", lambda v: (encoded.append(v), real(v))[1]
+        transport,
+        "encode_value",
+        lambda v, *memo: (encoded.append(v), real(v, *memo))[1],
     )
     out = []
     node.dispatch_out = lambda dst, payload, enc=None: out.append(
@@ -325,3 +346,218 @@ def test_fanout_payload_is_encoded_once_per_flush(monkeypatch):
         assert payload == ("env", (shared, ("v", "private", dst)))
         assert enc == real(payload)
     assert runtime._encoded == {}  # the cache dies with the flush
+
+
+# ---------------------------------------------------------------------------
+# The value memo: a reliable-broadcast value crosses the codec once per node
+# ---------------------------------------------------------------------------
+
+_bids = st.sampled_from(((1, "svec", 0), (2, "svec", 5)))
+# Few distinct values on few bids: echoes hit, and bids change hands.
+_rb_values = st.sampled_from(
+    (
+        ("svec", (("ack", ("m", ("cc", "solo", 0), 2, 1, 3, "md"), ((1, None), (2, 7))),)),
+        ("svec", (("ack", ("m", ("cc", "solo", 0), 2, 1, 3, "md"), ((1, None), (2, 8))),)),
+        ("coin", ("cc", "solo", 0), "attach", (1 << 40, -2, 3), 2.5, b"\x00\xff", "é"),
+    )
+)
+_echoes = st.tuples(st.sampled_from(("b1", "b2", "b3")), _bids, _rb_values)
+_payloads = st.one_of(
+    _echoes,
+    _wire_tuples,
+    st.lists(st.one_of(_echoes, _wire_tuples), max_size=4).map(
+        lambda subs: ("env", tuple(subs))
+    ),
+)
+
+
+@st.composite
+def _bodies(draw):
+    """An encoded payload — or a mutated, truncated or arbitrary one."""
+    blob = encode_value(draw(_payloads))
+    kind = draw(st.sampled_from(("ok",) * 6 + ("flip", "cut", "pad", "noise")))
+    if kind == "flip" and blob:
+        at = draw(st.integers(0, len(blob) - 1))
+        blob = blob[:at] + bytes([blob[at] ^ draw(st.integers(1, 255))]) + blob[at + 1:]
+    elif kind == "cut":
+        blob = blob[: draw(st.integers(0, len(blob)))]
+    elif kind == "pad":
+        blob += draw(st.binary(min_size=1, max_size=3))
+    elif kind == "noise":
+        blob = draw(st.binary(max_size=40))
+    return blob
+
+
+def _outcome(blob: bytes, *memo):
+    try:
+        return "value", decode_value(blob, *memo)
+    except CodecError as exc:
+        return "error", str(exc)
+
+
+def _same(a, b) -> bool:
+    """Equal, counting a NaN in the same place as equal."""
+    if type(a) is tuple and type(b) is tuple:
+        return len(a) == len(b) and all(map(_same, a, b))
+    return type(a) is type(b) and (a == b or (a != a and b != b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(blobs=st.lists(_bodies(), min_size=1, max_size=30))
+def test_memo_decoding_equals_the_reference_on_any_byte_sequence(blobs):
+    """Whatever one memo has been fed — honest echoes, forged ones, flipped
+    bytes, truncations, noise — the next ``decode_value(b, memo)`` returns
+    the value, or raises the ``CodecError``, that ``decode_value(b)`` does;
+    and a body that decodes re-encodes to itself (one value, one byte
+    string), with or without the memo on the encoding side."""
+    memo = ValueMemo()
+    for blob in blobs:
+        kind, expected = _outcome(blob)
+        got_kind, got = _outcome(blob, memo)
+        assert got_kind == kind
+        if kind == "error":
+            assert got == expected
+            continue
+        assert _same(got, expected)
+        assert encode_value(got) == blob
+        assert encode_value(got, memo) == blob
+        assert memo.bytes == sum(
+            len(key) + len(entry[0]) for key, entry in memo.entries.items()
+        )
+
+
+@settings(max_examples=100, deadline=None)
+@given(value=st.one_of(_wire_tuples, _rb_values))
+def test_measure_is_the_decoders_own_accounting(value):
+    """``_measure`` predicts exactly what the decoder charges a value: the
+    item count it adds, and the smallest ``MAX_DEPTH`` it decodes under."""
+    blob = encode_value(value)
+    decoder = codec._Decoder(blob)
+    decoder.read(0)
+    items, depth = codec._measure(value)
+    assert decoder.items == items
+    with mock.patch.object(codec, "MAX_DEPTH", depth):
+        assert decode_value(blob) == value
+    if depth:
+        with mock.patch.object(codec, "MAX_DEPTH", depth - 1):
+            with pytest.raises(CodecError, match="nests deeper"):
+                decode_value(blob)
+
+
+def _nested(payload, levels: int):
+    for _ in range(levels):
+        payload = (payload,)
+    return payload
+
+
+def test_a_hit_too_deep_or_too_big_still_raises():
+    """A memo hit is charged what the walk it replaces would have been
+    charged: the same echo that decodes near the surface still raises
+    when it sits too deep, or in a body with too many items."""
+    value = _nested((1, 2, 3), 10)  # its deepest read is 10 below its own
+    echo = ("b2", (1, "svec", 0), value)
+    memo = ValueMemo()
+    assert decode_value(encode_value(echo), memo) == echo
+    deepest_ok = codec.MAX_DEPTH - 11  # the echo's depth; its value is +1
+    blob = encode_value(_nested(echo, deepest_ok))
+    assert decode_value(blob, memo) == decode_value(blob) and memo.hits == 1
+    blob = b"\x06\x01" + blob  # one level more than encode_value accepts
+    assert _outcome(blob, memo) == _outcome(blob)
+    assert _outcome(blob) == (
+        "error", f"value nests deeper than {codec.MAX_DEPTH}"
+    )
+    assert memo.hits == 1
+
+    many = ("env", (echo,) * 8)
+    blob = encode_value(many)
+    walk = codec._Decoder(blob)
+    walk.read(0)
+    # One item short: the reference runs out inside the last echo's value.
+    with mock.patch.object(codec, "MAX_ITEMS", walk.items - 1):
+        assert _outcome(blob, memo) == _outcome(blob)
+        assert _outcome(blob) == (
+            "error", f"more than {walk.items - 1} items in one value"
+        )
+    hits = memo.hits
+    with mock.patch.object(codec, "MAX_ITEMS", walk.items):
+        assert decode_value(blob, memo) == many
+    assert memo.hits == hits + 8
+
+
+@mock.patch.object(codec, "MEMO_MAX_BYTES", 200)
+def test_eviction_at_the_byte_bound_only_costs_a_redecode():
+    memo = ValueMemo()
+    echoes = [("b2", (1, "svec", k), ("svec", "x" * 40, k)) for k in range(20)]
+    for echo in echoes:
+        assert decode_value(encode_value(echo), memo) == echo
+        assert 0 < memo.bytes <= 200
+    assert memo.misses == 20 and 0 < len(memo.entries) < 20
+    assert decode_value(encode_value(echoes[-1]), memo) == echoes[-1]
+    assert memo.hits == 1  # the newest is still there ...
+    assert decode_value(encode_value(echoes[0]), memo) == echoes[0]
+    assert memo.misses == 21  # ... the oldest was decoded again
+    # A value bigger than the whole bound is never stored, and evicts nothing.
+    entries = dict(memo.entries)
+    huge = ("b3", (2, "svec", 0), ("svec", "y" * 400))
+    assert decode_value(encode_value(huge), memo) == huge
+    assert memo.entries == entries
+    memo.clear()
+    assert memo.stats() == {"hits": 1, "misses": 22, "entries": 0, "bytes": 0}
+
+
+def test_echoes_of_one_value_decode_to_the_same_object():
+    """b1 from the origin, b2 / b3 from anyone, plain or inside an
+    envelope: one object, so the RB tally's identity test hits."""
+    bid, value = (3, "svec", 7), ("svec", (("ack", ("m", 1), ((1, None),)),))
+    memo = ValueMemo()
+    first = decode_value(encode_value(("b1", bid, value)), memo)[2]
+    assert first == value and first is not value
+    second = decode_value(encode_value(("b2", bid, value)), memo)[2]
+    env = decode_value(
+        encode_value(("env", (("x", 1), ("b3", bid, value), ("b2", bid, value)))),
+        memo,
+    )
+    assert second is first
+    assert env[1][1][2] is first and env[1][2][2] is first
+    assert memo.stats() == {
+        "hits": 3, "misses": 1, "entries": 1,
+        "bytes": len(encode_value(bid)) + len(encode_value(value)),
+    }
+    # A different value on the bid replaces the entry (the poisoning rule):
+    # the forgery costs its own decode and one re-decode of the honest value.
+    forged = decode_value(encode_value(("b3", bid, value + ("x",))), memo)[2]
+    assert forged == value + ("x",)
+    again = decode_value(encode_value(("b2", bid, value)), memo)[2]
+    assert again == first and again is not first
+    assert decode_value(encode_value(("b3", bid, value)), memo)[2] is again
+    assert memo.stats()["misses"] == 3 and len(memo.entries) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(echo=_echoes, other=_rb_values)
+def test_spliced_echo_is_byte_identical_to_encode_value(echo, other):
+    """The sending side: an echo of the memoised object splices the stored
+    bytes, anything else is encoded and stored — the bytes never differ
+    from ``encode_value(payload)``."""
+    tag, bid, value = echo
+    plain = encode_value(echo)
+    memo = ValueMemo()
+    assert encode_value(echo, memo) == plain  # stored (a node's own b1)
+    assert memo.entries[encode_value(bid)][1] is value
+    assert encode_value(("b3", bid, value), memo) == encode_value(("b3", bid, value))
+    # ... and the peers' echoes of it come back as the object it sent.
+    assert decode_value(plain, memo)[2] is value and memo.hits == 1
+    # An equal value that is another object, and a different value, are
+    # encoded afresh and take the entry over.
+    for body in (decode_value(encode_value(value)), other):
+        payload = (tag, bid, body)
+        assert encode_value(payload, memo) == encode_value(payload)
+        if type(body) is tuple:
+            assert memo.entries[encode_value(bid)][1] is body
+    # Spliced from a *decoded* entry: the wire bytes are the canonical ones.
+    memo = ValueMemo()
+    received = decode_value(plain, memo)[2]
+    with mock.patch.object(ValueMemo, "store") as store:
+        echoed = encode_value(("b2", bid, received), memo)
+    assert echoed == encode_value(("b2", bid, value))
+    store.assert_not_called()  # spliced, not encoded again

@@ -551,10 +551,15 @@ def test_transport_restart_in_the_middle_of_a_coin(cfg4, tmp_path):
             node = cluster.nodes[2]
             await cluster.wait_for(lambda: node.delivered > 2000, timeout=30)
             assert not flip.done()
+            assert node.memo.bytes > 0
             await cluster.kill_node(2)
+            # The value memo is a cache of the dead incarnation's traffic:
+            # the new one starts empty and fills from what it is re-sent.
+            assert node.memo.stats()["entries"] == node.memo.bytes == 0
             await asyncio.sleep(0.2)
             await cluster.revive_node(2)
             outputs = await flip
+            assert node.memo.bytes > 0
             stats = cluster.stats()
         finally:
             await cluster.close()
