@@ -23,7 +23,7 @@ shared round coin) against ``K`` sequential solo stacks.
    coin-amortization win.
 
 The JSON artifact is committed at the repo root so the perf trajectory is
-diffable across PRs, next to ``BENCH_algebra.json`` / ``BENCH_engine.json``.
+diffable across PRs, next to ``BENCH_algebra.json``.
 """
 
 from __future__ import annotations

@@ -23,17 +23,16 @@ and records, per mode:
    trajectory.  Acceptance gate: the n=7 svec+coalesce invocation
    finishes in under 10s (was ~17s before batched ingestion).
 4. **DMM verdict calls per invocation** — the per-slot-handler-work
-   metric of batched ingestion: grouping a slot-vector's sibling
+   metric of vector ingestion: grouping a slot-vector's sibling
    sessions behind one group-level ``filter_verdict`` probe replaces n
    per-slot calls with one (plus per-slot fallbacks only on
-   divergence).  The ``svec_coalesce_unbatched`` mode re-runs the
-   aggregated transport with ``batch_ingest=False`` so the A/B is
-   measured inside one artifact.  Acceptance gate: ≥3× fewer verdict
-   calls at ``n = 7`` with batching on.
+   divergence).  The denominator is the ``coalesce`` mode, where every
+   value message takes the per-slot ``VSSManager._ingest`` path on the
+   same enveloped wire.  Acceptance gate: ≥3× fewer verdict calls at
+   ``n = 7`` with vectors on.
 5. **Equivalence** — the coin outputs of every process must be identical
-   across all modes, including batched vs unbatched ingestion (both
-   transports and both ingestion paths are output-pure under
-   fixed-delay schedulers).
+   across all modes (both transports are output-pure under fixed-delay
+   schedulers).
 
 ``n = 10`` runs the svec modes only and is gated on *finishing*: its
 uncoalesced per-session baseline exceeds the runtime's 50M-event livelock
@@ -47,7 +46,7 @@ stays backend-stable; the ``svec_coalesce_numpy`` mode re-runs the full
 aggregation stack on the vectorized algebra backend
 (``repro.field.backend``) and is asserted bit-identical.  ``n = 16`` is
 the backend PR's headline: the first finite invocation at that size —
-``svec+coalesce+batch_ingest`` under both backends, gated on finishing
+``svec+coalesce`` under both backends, gated on finishing
 under the event guard with identical outputs (skipped, like the numpy
 mode, when numpy is not importable).
 
@@ -81,33 +80,15 @@ GATE_VERDICT_REDUCTION = 3.0  # batched-ingestion gate (PR 8)
 GATE_SECONDS = 10.0  # n=7 svec+coalesce wall-clock gate (PR 8)
 
 #: mode name -> fast_coin_flip kwargs; the svec on/off × coalesce on/off
-#: matrix, plus the batched-ingestion A/B on the aggregated transport
-#: (svec modes default to batched; ``_unbatched`` pins the per-slot
-#: path).  At N_LARGE only the aggregated modes are feasible.
+#: matrix.  At N_LARGE only the aggregated modes are feasible.
 #: Declaration order is measurement order: the aggregated modes run
 #: FIRST at each n so the wall-clock gate isn't poisoned by the heap a
 #: preceding per-session n=7 run leaves behind (allocator fragmentation
 #: after a ~9M-logical-message run costs the next run ~2×).
 MODES = {
-    "svec_coalesce": {
-        "svec": True,
-        "coalesce": True,
-        "batch_ingest": True,
-        "algebra_backend": "pure",
-    },
-    "svec_coalesce_numpy": {
-        "svec": True,
-        "coalesce": True,
-        "batch_ingest": True,
-        "algebra_backend": "numpy",
-    },
-    "svec_coalesce_unbatched": {
-        "svec": True,
-        "coalesce": True,
-        "batch_ingest": False,
-        "algebra_backend": "pure",
-    },
-    "svec": {"svec": True, "batch_ingest": True, "algebra_backend": "pure"},
+    "svec_coalesce": {"svec": True, "coalesce": True, "algebra_backend": "pure"},
+    "svec_coalesce_numpy": {"svec": True, "coalesce": True, "algebra_backend": "numpy"},
+    "svec": {"svec": True, "algebra_backend": "pure"},
     "coalesce": {"coalesce": True, "algebra_backend": "pure"},
     "plain": {"algebra_backend": "pure"},
 }
@@ -171,7 +152,7 @@ def _series() -> list[dict]:
             row["plain"]["seconds"] / row["svec_coalesce"]["seconds"]
         )
         row["verdict_calls_reduction"] = (
-            row["svec_coalesce_unbatched"]["dmm_verdict_calls"]
+            row["coalesce"]["dmm_verdict_calls"]
             / row["svec_coalesce"]["dmm_verdict_calls"]
         )
         rows.append(row)
@@ -239,14 +220,14 @@ def test_bench_coin(emit):
                 f">= {GATE_EVENTS_REDUCTION}x fewer events at n={GATE_N} "
                 "with coalescing on",
                 f">= {GATE_VERDICT_REDUCTION}x fewer DMM verdict calls at "
-                f"n={GATE_N} with batched ingestion on",
+                f"n={GATE_N} with svec on (vs coalesce alone)",
                 f"n={GATE_N} svec+coalesce invocation under "
                 f"{GATE_SECONDS:.0f}s wall-clock",
                 f"n={N_LARGE} aggregated run finishes under the "
                 f"{DEFAULT_MAX_EVENTS // 10**6}M-event guard",
                 "coin outputs bit-identical pure vs numpy at every "
                 "benched n (numpy present)",
-                f"n={N_XL} svec+coalesce+batch_ingest invocation finite "
+                f"n={N_XL} svec+coalesce invocation finite "
                 "on both backends (numpy present)",
             ],
         },
@@ -261,7 +242,7 @@ def test_bench_coin(emit):
             f"{row['svec']['logical_messages']:,}",
             f"{row['logical_reduction']:.1f}x",
             f"{row['svec_coalesce']['events_dispatched']:,}",
-            f"{row['svec_coalesce_unbatched']['dmm_verdict_calls']:,}",
+            f"{row['coalesce']['dmm_verdict_calls']:,}",
             f"{row['svec_coalesce']['dmm_verdict_calls']:,}",
             f"{row['verdict_calls_reduction']:.1f}x",
             f"{row['plain']['seconds']:.2f}",
@@ -303,9 +284,9 @@ def test_bench_coin(emit):
         )
     emit(
         render_table(
-            "SVSS common coin: svec/coalesce/batch-ingest matrix",
+            "SVSS common coin: svec/coalesce matrix",
             ["n", "logical plain", "logical svec", "reduction",
-             "events svec+coal", "verdicts unbatched", "verdicts batched",
+             "events svec+coal", "verdicts per-slot", "verdicts svec",
              "verdict redux", "s plain", "s svec+coal", "speedup"],
             table_rows,
             note=(
@@ -335,11 +316,11 @@ def test_bench_coin(emit):
             > row["coalesce"]["envelopes_pushed"]
             > 0
         )
-        # The batched path must actually engage — and the pinned-off mode
-        # must stay on the per-slot path (the A/B is real).
+        # Vector ingestion must actually engage — and without vectors
+        # every message stays on the per-slot path (the ratio is real).
         assert row["svec_coalesce"]["svec_batch_ingested"] > 0
         assert row["svec_coalesce"]["dmm_verdicts_batched"] > 0
-        assert row["svec_coalesce_unbatched"]["svec_batch_ingested"] == 0
+        assert row["coalesce"]["svec_batch_ingested"] == 0
         # The vectorized backend must actually engage where present (the
         # outputs_identical assertion above already proved it harmless).
         if "svec_coalesce_numpy" in row:

@@ -1,8 +1,7 @@
 """Shared measurement helpers for the experiment benchmarks.
 
 Besides the JSON/timing utilities this hosts the stack/run setup shared by
-the perf-trajectory benchmarks (``bench_engine.py`` / ``bench_batch.py`` /
-``bench_coin.py``): one place defines the canonical "fast run" scenario
+the perf-trajectory benchmarks (``bench_batch.py`` / ``bench_coin.py``): one place defines the canonical "fast run" scenario
 (unit-delay FIFO network, ``TRACE_OFF``) so every artifact measures the
 same workload shape.
 """
@@ -72,9 +71,7 @@ def rotated_split_inputs(n: int, k: int) -> list[list[int]]:
     return [[(i + shift) % 2 for i in range(n)] for shift in range(k)]
 
 
-def fast_agreement(
-    n: int, seed: int, coin, engine: str = "flat", coalesce: bool = False, **kw
-):
+def fast_agreement(n: int, seed: int, coin, coalesce: bool = False, **kw):
     """One canonical benchmark agreement run: split inputs, unit-delay FIFO
     network, ``TRACE_OFF``.  Asserts agreement and returns the result."""
     result = run_byzantine_agreement(
@@ -83,11 +80,10 @@ def fast_agreement(
         coin=coin,
         scheduler=FifoScheduler(),
         trace_level=TRACE_OFF,
-        engine=engine,
         coalesce=coalesce,
         **kw,
     )
-    assert result.agreed, f"n={n} coin={coin!r} engine={engine} failed to agree"
+    assert result.agreed, f"n={n} coin={coin!r} failed to agree"
     return result
 
 
@@ -112,7 +108,6 @@ def fast_coin_flip(
     seed: int,
     coalesce: bool = False,
     svec: bool = False,
-    batch_ingest: bool | None = None,
     algebra_backend: str | None = None,
 ):
     """One canonical SVSS common-coin invocation (unit-delay FIFO,
@@ -123,7 +118,6 @@ def fast_coin_flip(
         trace_level=TRACE_OFF,
         coalesce=coalesce,
         svec=svec,
-        batch_ingest=batch_ingest,
         algebra_backend=algebra_backend,
     )
     assert set(result.outputs) == set(stack.config.pids), (

@@ -13,8 +13,7 @@ vector) plus wire coalescing (``coalesce=True``, one envelope per
 on ~850k events and completes in about a minute, with bit-identical coin
 outputs.
 
-Batched ingestion (on by default, ``REPRO_BATCH_INGEST=0`` to compare)
-then attacks the receive side: each slot-vector is admitted through one
+On the receive side each slot-vector is admitted through one
 group-level DMM verdict probe instead of n per-slot calls, and its
 sibling-session transitions run as structure-of-arrays rows — same
 outputs, a fraction of the per-slot handler work.

@@ -7,27 +7,17 @@ protocol many times under many adversarial conditions.  The harness in
 matrix across worker processes and aggregates the results into the
 statistics tables the analysis layer provides.
 
-Engine knobs demonstrated here (see also ROADMAP.md "Performance"):
-
-* ``engine="flat"`` (the default) — frozen flat routing table, bucketed
-  calendar queue under fixed-delay schedulers, batched ``send_all``
-  fan-outs, and notification-driven ``run_until`` waits.  2-4x the
-  events/sec of the seed engine.
-* ``engine="legacy"`` — the seed dispatch core (heap + per-event
-  ``deliver`` + per-event predicate polling), kept for A/B determinism
-  regressions: same seed => identical decisions and event counts.
-* ``trace_level`` — ``TRACE_COUNTS`` (sweep default) keeps message
-  counters; ``TRACE_OFF`` strips all per-message accounting for pure
-  wall-clock work.
+Sweeps run at ``trace_level=TRACE_COUNTS`` (the :class:`Scenario`
+default), which keeps message counters; ``TRACE_OFF`` strips all
+per-message accounting for pure wall-clock work.
 
 Run:  python examples/experiment_sweep.py [workers]
 """
 
 import sys
-from dataclasses import replace
 
 from repro.analysis.complexity import fit_power_law
-from repro.sim.experiments import run_matrix, run_scenario, scenario_matrix
+from repro.sim.experiments import run_matrix, scenario_matrix
 
 
 def main() -> None:
@@ -51,21 +41,6 @@ def main() -> None:
     print(f"agreement rate : {sweep.agreement_rate:.4f}  CI95 [{low:.3f}, {high:.3f}]")
     fit = fit_power_law(sweep.complexity_points("total_messages"))
     print(f"message growth : ~ n^{fit.exponent:.2f} (R^2 {fit.r_squared:.3f})")
-
-    # A/B the dispatch engines on one scenario: identical outcomes,
-    # different cost model (the bench measures the speedup itself).
-    base = matrix[0]
-    flat = run_scenario(base)
-    legacy = run_scenario(replace(base, engine="legacy"))
-    assert (flat.decision, flat.events_dispatched) == (
-        legacy.decision,
-        legacy.events_dispatched,
-    )
-    print(
-        f"engine A/B     : flat re-evaluated its wait predicate "
-        f"{flat.predicate_evals}x vs legacy {legacy.predicate_evals}x "
-        f"over {flat.events_dispatched} events"
-    )
 
 
 if __name__ == "__main__":

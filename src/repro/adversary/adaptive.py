@@ -22,8 +22,8 @@ Corruption happens mid-run, after routing froze.  That is sound by
 construction: inbound routing tables of corrupt hosts are only an
 optimization detail (behaviours act through outbound filters and
 deviation hooks, both consulted live), crash state is re-checked per
-event by every engine, and the runners keep their nonfaulty-set
-bookkeeping dynamic for adversaries with ``adaptive = True``.
+event by ``step()`` and the hot loop alike, and the runners keep their
+nonfaulty-set bookkeeping dynamic for adversaries with ``adaptive = True``.
 
 Determinism: the tap observes the deterministic delivery stream and all
 randomness comes from one seeded stream, so the chosen victims — and the

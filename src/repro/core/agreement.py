@@ -352,7 +352,7 @@ class ABAProcess(ProtocolModule):
             # chronological acceptance order (a parked vote accepted late
             # sits early in its pool), so == compares per-phase dicts
             # order-insensitively.  Acceptance *order* is guarded end to
-            # end by the flat-vs-legacy golden determinism tests.
+            # end by the golden transcripts (``tests/test_dispatch_equiv.py``).
             assert state.accepted == self._fixpoint_accepted(state), (
                 "incremental vote validation diverged from the fixpoint "
                 f"(pid={self.pid}, instance={self.instance_id!r}, round={r})"

@@ -18,7 +18,7 @@ rates to emulate the full stack at large ``n``).
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from random import Random
 
 from repro.adversary.controller import Adversary, no_adversary
@@ -39,7 +39,7 @@ from repro.core.sessions import mw_session, svss_session
 from repro.errors import ConfigurationError, DeadlockError, ProtocolError
 from repro.sim.monitor import InvariantMonitor
 from repro.sim.process import MAX_INSTANCE_SLOTS
-from repro.sim.runtime import DEFAULT_MAX_EVENTS, ENGINE_FLAT, Runtime
+from repro.sim.runtime import DEFAULT_MAX_EVENTS, Runtime
 from repro.sim.scheduler import Scheduler
 from repro.sim.tracing import TRACE_COUNTS, TRACE_FULL, Trace
 
@@ -133,11 +133,9 @@ def build_stack(
     with_vss: bool = True,
     measure_bytes: bool = False,
     trace_level: int = TRACE_FULL,
-    engine: str = ENGINE_FLAT,
     instances: int | Sequence[object] = 1,
     coalesce: bool = False,
     svec: bool = False,
-    batch_ingest: bool | None = None,
     algebra_backend: str | None = None,
 ) -> Stack:
     """Assemble runtime, broadcast and (optionally) VSS for every process.
@@ -145,11 +143,6 @@ def build_stack(
     ``trace_level`` (:data:`~repro.sim.tracing.TRACE_FULL` by default) can
     be lowered to :data:`~repro.sim.tracing.TRACE_OFF` for wall-clock
     benchmarks: the runtime then skips all per-message accounting.
-
-    ``engine`` selects the dispatch core: ``"flat"`` (default, frozen
-    routing table + calendar queue + batched fan-outs) or ``"legacy"``
-    (the seed's per-event heap + ``deliver`` chain, kept for determinism
-    regressions and as the benchmark baseline).
 
     ``instances`` declares how many concurrent agreement instances the
     stack will host — a count or an explicit sequence of instance ids.
@@ -169,14 +162,10 @@ def build_stack(
     (step, dealer-group) instead of n per-session messages, cutting the
     coin's logical message bill ~n× while keeping coin outputs and every
     per-session justifier bit-identical under fixed-delay schedulers.
-    Composes with ``coalesce`` (vectors still ride envelopes).
-
-    ``batch_ingest`` controls the receive side of ``svec``: on (the
-    default; ``None`` reads ``REPRO_BATCH_INGEST``), each received vector
-    is consumed through one group-level DMM verdict and one
-    structure-of-arrays lane transition (``VSSManager.ingest_vector``)
-    instead of n per-slot ingestion chains — slot-for-slot equivalent,
-    A/B-gated in CI.
+    Composes with ``coalesce`` (vectors still ride envelopes).  On the
+    receive side each vector is consumed through one group-level DMM
+    verdict and one structure-of-arrays lane transition
+    (``VSSManager.ingest_vector``).
 
     ``algebra_backend`` selects the vectorized algebra backend behind the
     row-shaped polynomial fast paths: ``"pure"``, ``"numpy"``, ``"auto"``
@@ -197,10 +186,8 @@ def build_stack(
         config,
         scheduler=scheduler,
         trace_level=trace_level,
-        engine=engine,
         coalesce=coalesce,
         svec=svec,
-        batch_ingest=batch_ingest,
         algebra_backend=algebra_backend,
     )
     runtime.trace.measure_bytes = measure_bytes
@@ -341,22 +328,18 @@ _make_coins = make_coins
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class AgreementResult:
-    """Outcome of one agreement run."""
+@dataclass(kw_only=True)
+class RunCounters:
+    """Runtime counters of one run, declared once for every result class.
 
-    config: SystemConfig
-    decisions: dict[int, int]
-    rounds: dict[int, int]
-    nonfaulty: list[int]
-    sim_time: float
-    trace: Trace
-    terminated: bool
-    adversary_description: str = "none"
-    #: Runtime counters (always recorded, even at TRACE_OFF): events
-    #: delivered, messages pushed onto the wire, and how often the
-    #: completion predicate was evaluated (O(state changes) on the flat
-    #: engine vs O(events) on the legacy engine).  With coalescing on,
+    Always recorded, even at ``TRACE_OFF``; results take them as one
+    :func:`run_counters` snapshot when the run ends, and sweeps read them
+    from the result (:meth:`counters`), never from the ``Runtime``.
+    """
+
+    #: Events delivered, messages pushed onto the wire, and how often the
+    #: completion predicate was evaluated (O(state changes): the runners
+    #: wait with ``on_change=True``).  With coalescing on,
     #: ``messages_pushed`` counts *wire events* (an envelope is one);
     #: ``envelopes_pushed``/``payloads_coalesced`` size the saving and
     #: ``trace.total_messages`` keeps the logical count.
@@ -365,14 +348,13 @@ class AgreementResult:
     predicate_evals: int = 0
     envelopes_pushed: int = 0
     payloads_coalesced: int = 0
-    #: Session-vector aggregation counters: ``("svec", ...)`` messages
-    #: emitted and the per-slot messages folded into them (sweeps report
-    #: aggregation ratios from here, never from the ``Runtime``).
+    #: Session-vector aggregation: ``("svec", ...)`` messages emitted and
+    #: the per-slot messages folded into them.
     svec_packed: int = 0
     svec_slots: int = 0
-    #: Batched-ingestion counters: vectors consumed by the batched path,
-    #: slots resolved by a group-level DMM verdict, slots that fell back
-    #: to per-slot verdicts, and total DMM verdict computations.
+    #: Vector ingestion: vectors consumed, slots resolved by a group-level
+    #: DMM verdict, slots that fell back to per-slot verdicts, and total
+    #: DMM verdict computations.
     svec_batch_ingested: int = 0
     dmm_verdicts_batched: int = 0
     dmm_verdict_fallbacks: int = 0
@@ -391,6 +373,37 @@ class AgreementResult:
         counts as ONE logical message — semantic aggregation is exactly
         what shrinks this number)."""
         return self.messages_pushed - self.envelopes_pushed + self.payloads_coalesced
+
+    def counters(self) -> dict:
+        """Every counter by name, ``logical_messages`` included."""
+        counters = {f.name: getattr(self, f.name) for f in fields(RunCounters)}
+        counters["logical_messages"] = self.logical_messages
+        return counters
+
+
+def run_counters(runtime: Runtime) -> dict:
+    """Snapshot of ``runtime``'s counters, keyed like :class:`RunCounters`."""
+    counters = {
+        f.name: getattr(runtime, f.name)
+        for f in fields(RunCounters)
+        if f.name != "messages_pushed"
+    }
+    counters["messages_pushed"] = runtime.queue.pushed_total
+    return counters
+
+
+@dataclass
+class AgreementResult(RunCounters):
+    """Outcome of one agreement run."""
+
+    config: SystemConfig
+    decisions: dict[int, int]
+    rounds: dict[int, int]
+    nonfaulty: list[int]
+    sim_time: float
+    trace: Trace
+    terminated: bool
+    adversary_description: str = "none"
 
     @property
     def agreed(self) -> bool:
@@ -435,10 +448,8 @@ def run_byzantine_agreement(
     tag: str = "aba",
     measure_bytes: bool = False,
     trace_level: int = TRACE_FULL,
-    engine: str = ENGINE_FLAT,
     coalesce: bool = False,
     svec: bool = False,
-    batch_ingest: bool | None = None,
     algebra_backend: str | None = None,
     monitor: InvariantMonitor | None = None,
 ) -> AgreementResult:
@@ -467,11 +478,9 @@ def run_byzantine_agreement(
         with_vss=needs_vss,
         measure_bytes=measure_bytes,
         trace_level=trace_level,
-        engine=engine,
         instances=(tag,),
         coalesce=coalesce,
         svec=svec,
-        batch_ingest=batch_ingest,
         algebra_backend=algebra_backend,
     )
     coins = make_coins(stack, coin, instance=tag)
@@ -529,20 +538,7 @@ def run_byzantine_agreement(
         trace=stack.trace,
         terminated=terminated,
         adversary_description=stack.adversary.describe(),
-        events_dispatched=stack.runtime.events_dispatched,
-        messages_pushed=stack.runtime.queue.pushed_total,
-        predicate_evals=stack.runtime.predicate_evals,
-        envelopes_pushed=stack.runtime.envelopes_pushed,
-        payloads_coalesced=stack.runtime.payloads_coalesced,
-        svec_packed=stack.runtime.svec_packed,
-        svec_slots=stack.runtime.svec_slots,
-        svec_batch_ingested=stack.runtime.svec_batch_ingested,
-        dmm_verdicts_batched=stack.runtime.dmm_verdicts_batched,
-        dmm_verdict_fallbacks=stack.runtime.dmm_verdict_fallbacks,
-        dmm_verdict_calls=stack.runtime.dmm_verdict_calls,
-        algebra_backend=stack.runtime.algebra_backend,
-        rows_vectorized=stack.runtime.rows_vectorized,
-        backend_fallbacks=stack.runtime.backend_fallbacks,
+        **run_counters(stack.runtime),
     )
 
 
@@ -552,7 +548,7 @@ def run_byzantine_agreement(
 
 
 @dataclass
-class BatchAgreementResult:
+class BatchAgreementResult(RunCounters):
     """Outcome of ``K`` concurrent agreement instances on one runtime.
 
     Per-instance outcomes live in ``results`` (ordinary
@@ -569,25 +565,6 @@ class BatchAgreementResult:
     terminated: bool
     shared_coin: bool
     adversary_description: str = "none"
-    events_dispatched: int = 0
-    messages_pushed: int = 0
-    predicate_evals: int = 0
-    envelopes_pushed: int = 0
-    payloads_coalesced: int = 0
-    svec_packed: int = 0
-    svec_slots: int = 0
-    svec_batch_ingested: int = 0
-    dmm_verdicts_batched: int = 0
-    dmm_verdict_fallbacks: int = 0
-    dmm_verdict_calls: int = 0
-    algebra_backend: str = "pure"
-    rows_vectorized: int = 0
-    backend_fallbacks: int = 0
-
-    @property
-    def logical_messages(self) -> int:
-        """See :attr:`AgreementResult.logical_messages`."""
-        return self.messages_pushed - self.envelopes_pushed + self.payloads_coalesced
 
     def __len__(self) -> int:
         return len(self.instance_ids)
@@ -625,11 +602,9 @@ def run_byzantine_agreement_batch(
     share_coin: bool = True,
     coalesce_votes: bool = False,
     svec: bool = False,
-    batch_ingest: bool | None = None,
     algebra_backend: str | None = None,
     measure_bytes: bool = False,
     trace_level: int = TRACE_FULL,
-    engine: str = ENGINE_FLAT,
     monitor: InvariantMonitor | None = None,
 ) -> BatchAgreementResult:
     """Run ``K = len(inputs_matrix)`` concurrent agreements on one runtime.
@@ -648,7 +623,7 @@ def run_byzantine_agreement_batch(
     the shared coin sessions carry the same ids a default-tag solo run
     uses — so instance ``k`` decides exactly what
     ``run_byzantine_agreement(inputs_matrix[k], config, ...)`` decides
-    (the multi-instance A/B test asserts this per seed, flat and legacy).
+    (the multi-instance A/B test asserts this per seed).
 
     With ``share_coin=False`` every instance gets its own coin sessions
     (ids derived from its instance id), restoring the strict per-instance
@@ -676,11 +651,9 @@ def run_byzantine_agreement_batch(
         with_vss=needs_vss,
         measure_bytes=measure_bytes,
         trace_level=trace_level,
-        engine=engine,
         instances=instance_ids,
         coalesce=coalesce_votes,
         svec=svec,
-        batch_ingest=batch_ingest,
         algebra_backend=algebra_backend,
     )
     input_maps = {
@@ -788,20 +761,7 @@ def run_byzantine_agreement_batch(
         terminated=all(r.terminated for r in results.values()),
         shared_coin=share_coin,
         adversary_description=stack.adversary.describe(),
-        events_dispatched=stack.runtime.events_dispatched,
-        messages_pushed=stack.runtime.queue.pushed_total,
-        predicate_evals=stack.runtime.predicate_evals,
-        envelopes_pushed=stack.runtime.envelopes_pushed,
-        payloads_coalesced=stack.runtime.payloads_coalesced,
-        svec_packed=stack.runtime.svec_packed,
-        svec_slots=stack.runtime.svec_slots,
-        svec_batch_ingested=stack.runtime.svec_batch_ingested,
-        dmm_verdicts_batched=stack.runtime.dmm_verdicts_batched,
-        dmm_verdict_fallbacks=stack.runtime.dmm_verdict_fallbacks,
-        dmm_verdict_calls=stack.runtime.dmm_verdict_calls,
-        algebra_backend=stack.runtime.algebra_backend,
-        rows_vectorized=stack.runtime.rows_vectorized,
-        backend_fallbacks=stack.runtime.backend_fallbacks,
+        **run_counters(stack.runtime),
     )
 
 
@@ -838,7 +798,6 @@ def run_mwsvss(
     max_events: int = DEFAULT_MAX_EVENTS,
     counter: int = 0,
     trace_level: int = TRACE_FULL,
-    engine: str = ENGINE_FLAT,
 ) -> tuple[VSSResult, Stack]:
     """Run one standalone MW-SVSS session (share, then optionally R')."""
     stack = build_stack(
@@ -846,7 +805,6 @@ def run_mwsvss(
         scheduler=scheduler,
         adversary=adversary,
         trace_level=trace_level,
-        engine=engine,
     )
     sid = mw_session(("solo", counter), dealer, moderator, "dm")
     completed: set[int] = set()
@@ -903,7 +861,6 @@ def run_svss(
     max_events: int = DEFAULT_MAX_EVENTS,
     counter: int = 0,
     trace_level: int = TRACE_FULL,
-    engine: str = ENGINE_FLAT,
 ) -> tuple[VSSResult, Stack]:
     """Run one standalone SVSS session (share, then optionally R)."""
     stack = build_stack(
@@ -911,7 +868,6 @@ def run_svss(
         scheduler=scheduler,
         adversary=adversary,
         trace_level=trace_level,
-        engine=engine,
     )
     tag = ("solo-svss", counter)
     sid = svss_session(tag, dealer)
@@ -956,33 +912,13 @@ def run_svss(
 
 
 @dataclass
-class CoinResult:
+class CoinResult(RunCounters):
     """Outcome of one common-coin invocation."""
 
     config: SystemConfig
     outputs: dict[int, int]
     sim_time: float
     trace: Trace
-    #: Runtime counters (see :class:`AgreementResult`); the coin benchmark
-    #: reads the event bill of one invocation from here.
-    events_dispatched: int = 0
-    messages_pushed: int = 0
-    envelopes_pushed: int = 0
-    payloads_coalesced: int = 0
-    svec_packed: int = 0
-    svec_slots: int = 0
-    svec_batch_ingested: int = 0
-    dmm_verdicts_batched: int = 0
-    dmm_verdict_fallbacks: int = 0
-    dmm_verdict_calls: int = 0
-    algebra_backend: str = "pure"
-    rows_vectorized: int = 0
-    backend_fallbacks: int = 0
-
-    @property
-    def logical_messages(self) -> int:
-        """See :attr:`AgreementResult.logical_messages`."""
-        return self.messages_pushed - self.envelopes_pushed + self.payloads_coalesced
 
     def unanimous(self, pids: list[int]) -> bool:
         return len({self.outputs[p] for p in pids if p in self.outputs}) == 1
@@ -995,10 +931,8 @@ def flip_common_coin(
     session: int = 0,
     max_events: int = DEFAULT_MAX_EVENTS,
     trace_level: int = TRACE_FULL,
-    engine: str = ENGINE_FLAT,
     coalesce: bool = False,
     svec: bool = False,
-    batch_ingest: bool | None = None,
     algebra_backend: str | None = None,
 ) -> tuple[CoinResult, Stack]:
     """Run one full SVSS-based shunning common coin invocation."""
@@ -1008,10 +942,8 @@ def flip_common_coin(
         scheduler=scheduler,
         adversary=adversary,
         trace_level=trace_level,
-        engine=engine,
         coalesce=coalesce,
         svec=svec,
-        batch_ingest=batch_ingest,
         algebra_backend=algebra_backend,
     )
     coins = make_coins(stack, "svss")
@@ -1038,19 +970,7 @@ def flip_common_coin(
         outputs=outputs,
         sim_time=stack.runtime.now,
         trace=stack.trace,
-        events_dispatched=stack.runtime.events_dispatched,
-        messages_pushed=stack.runtime.queue.pushed_total,
-        envelopes_pushed=stack.runtime.envelopes_pushed,
-        payloads_coalesced=stack.runtime.payloads_coalesced,
-        svec_packed=stack.runtime.svec_packed,
-        svec_slots=stack.runtime.svec_slots,
-        svec_batch_ingested=stack.runtime.svec_batch_ingested,
-        dmm_verdicts_batched=stack.runtime.dmm_verdicts_batched,
-        dmm_verdict_fallbacks=stack.runtime.dmm_verdict_fallbacks,
-        dmm_verdict_calls=stack.runtime.dmm_verdict_calls,
-        algebra_backend=stack.runtime.algebra_backend,
-        rows_vectorized=stack.runtime.rows_vectorized,
-        backend_fallbacks=stack.runtime.backend_fallbacks,
+        **run_counters(stack.runtime),
     )
     return result, stack
 
@@ -1061,6 +981,7 @@ __all__ = [
     "BatchAgreementResult",
     "CoinResult",
     "DEFAULT_INSTANCE",
+    "RunCounters",
     "Stack",
     "VSSResult",
     "build_node_modules",
@@ -1070,6 +991,7 @@ __all__ = [
     "make_node_coin",
     "run_byzantine_agreement",
     "run_byzantine_agreement_batch",
+    "run_counters",
     "run_mwsvss",
     "run_svss",
 ]

@@ -53,11 +53,12 @@ Per-session semantics
 Packing is pure framing — the per-session state machines underneath are
 untouched:
 
-* unpacking feeds every ``(slot, body)`` through the ordinary
-  ``VSSManager._ingest`` path, so each slot gets its own DMM verdict,
-  its own validation, and its own session instance; a missing, malformed,
-  delayed or discarded slot degrades *that session only*, never its
-  vector siblings;
+* unpacking (``VSSManager.ingest_vector``) is, slot for slot, the
+  ordinary ``VSSManager._ingest`` path a plain per-session message takes:
+  each slot gets its own DMM verdict (shared across the vector only while
+  it cannot differ), its own validation, and its own session instance; a
+  missing, malformed, delayed or discarded slot degrades *that session
+  only*, never its vector siblings;
 * a receiver that crashes while processing slot ``k`` (e.g. its crash
   budget ran out mid-reply) drops the remaining slots of the vector,
   exactly as it would drop the remaining per-session events;
@@ -74,8 +75,8 @@ untouched:
 Under fixed-delay schedulers the aggregation is output-pure: coin bits and
 every per-session justifier (attach sets, accepted sets, eval sets,
 party values) are bit-identical to the unaggregated run
-(``tests/test_svec.py`` asserts this per seed on both engines); only the
-logical message count shrinks (``Runtime.svec_packed`` /
+(``tests/test_svec.py`` asserts this per seed); only the logical
+message count shrinks (``Runtime.svec_packed`` /
 ``Runtime.svec_slots`` size the effect).  Vectors may regroup sibling
 sessions within one simultaneity bucket — the same framing-not-reordering
 latitude the envelope coalescer documents — while every
@@ -285,12 +286,12 @@ class SessionVectorMux:
     def _unpack(
         self, src: int, kind: object, group: object, entries: object, allowed: frozenset
     ) -> None:
-        """Feed every slot of one vector through the per-session ingestion.
+        """Validate one vector's frame and hand it to the manager.
 
         Transport enforcement (``allowed``) applies to the whole vector —
         a private svec can only carry private kinds and vice versa, exactly
         like the per-session paths.  Everything else is validated per slot
-        by ``_ingest``; malformed entries are dropped individually.
+        by ``ingest_vector``; malformed entries are dropped individually.
         """
         if not isinstance(kind, str) or kind not in allowed:
             return
@@ -305,24 +306,4 @@ class SessionVectorMux:
             # Receiving a vector for this family proves the conversation
             # speaks svec; the replies triggered below should pack too.
             self.families.add(group[1])
-        if manager._runtime.batch_ingest:
-            # Batched ingestion: one group-level DMM verdict + SoA lane
-            # transition for the whole vector (slot-for-slot equivalent to
-            # the per-slot loop below; see VSSManager.ingest_vector).
-            manager.ingest_vector(src, group, kind, entries)
-            return
-        host = manager.host
-        ingest = manager._ingest
-        epoch = host.crash_epoch
-        for item in entries:
-            if host.crashed or host.crash_epoch != epoch:
-                # Crash mid-vector: the remaining slots die too.  The epoch
-                # check extends this to crash→recover cycles inside the
-                # loop (the vector was addressed to the dead incarnation).
-                return
-            if type(item) is not tuple or len(item) != 2:
-                continue
-            slot, body = item
-            if type(slot) is not int:
-                continue
-            ingest(src, svec_sid(group, slot), kind, body)
+        manager.ingest_vector(src, group, kind, entries)

@@ -244,16 +244,12 @@ class NetRuntime(StepWindow):
     """
 
     def __init__(self, node: "NetworkNode", config: SystemConfig, trace_level: int = TRACE_FULL):
-        super().__init__(coalesce=True, svec=True, batch_ingest=True)
+        super().__init__(coalesce=True, svec=True)
         self.node = node
         self.config = config
         self.field = config.field
         self.trace = Trace.for_field(config.field, config.n, level=trace_level)
-        self.engine = "net"
         self.routing_frozen = False
-        #: send_all fan-outs take the batched transmit_all path, which
-        #: encodes the shared payload once for all n links.
-        self.batch_sends = True
         self.events_dispatched = 0
         self.predicate_evals = 0
         self._monitor = None

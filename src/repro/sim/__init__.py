@@ -8,13 +8,7 @@ from repro.sim.process import (
     InstanceSlots,
     ProcessHost,
 )
-from repro.sim.runtime import (
-    DEFAULT_MAX_EVENTS,
-    ENGINE_FLAT,
-    ENGINE_LEGACY,
-    ENGINES,
-    Runtime,
-)
+from repro.sim.runtime import DEFAULT_MAX_EVENTS, Runtime
 from repro.sim.scheduler import (
     ExponentialDelayScheduler,
     FifoScheduler,
@@ -36,9 +30,6 @@ from repro.sim.tracing import (
 __all__ = [
     "BucketQueue",
     "DEFAULT_MAX_EVENTS",
-    "ENGINES",
-    "ENGINE_FLAT",
-    "ENGINE_LEGACY",
     "ENVELOPE_TAG",
     "Event",
     "EventQueue",

@@ -174,7 +174,7 @@ def campaign_matrix(
 ) -> list[Scenario]:
     """All monitored scenarios of a campaign, in deterministic cell order.
 
-    ``overrides`` pass through to :class:`Scenario` (``coin``, ``engine``,
+    ``overrides`` pass through to :class:`Scenario` (``coin``, ``inputs``,
     ``batch``, ...) uniformly; ``monitor``/``coalesce``/``svec`` are owned
     by the campaign axes and cannot be overridden.
     """

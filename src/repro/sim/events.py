@@ -71,15 +71,15 @@ class EventQueue:
         The crash-recovery path: messages queued while a process was down
         must not surface after it recovers (they were sent to, and in the
         model accepted by, a dead process).  Relative order of every
-        surviving event is untouched, so both engines replay identically.
-        ``pushed_total`` keeps counting the purged events — they *were*
-        sent; recovery only decides they are never delivered.
+        surviving event is untouched, so ``pop()`` and the hot loop replay
+        identically.  ``pushed_total`` keeps counting the purged events —
+        they *were* sent; recovery only decides they are never delivered.
         """
         heap = self._heap
         kept = [e for e in heap if e[2] != dst or e[3] == 0]
         dropped = len(heap) - len(kept)
         if dropped:
-            # In-place so the flat engine's hot loop, which binds the heap
+            # In-place so the runtime's hot loop, which binds the heap
             # list to a local, keeps draining the same object.
             heap[:] = kept
             heapq.heapify(heap)
@@ -172,7 +172,7 @@ class BucketQueue:
         control events (``src == 0``); returns how many were dropped.
 
         The deques are rebuilt *in place* and no bucket or timestamp entry
-        is removed, even when a bucket empties: the flat engine's hot loop
+        is removed, even when a bucket empties: the runtime's hot loop
         holds direct references to the deque it is draining and reclaims
         empty buckets itself (``pop()`` also tolerates them), so purge must
         never invalidate those references.

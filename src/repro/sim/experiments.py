@@ -64,7 +64,7 @@ from repro.config import SystemConfig
 from repro.core.api import run_byzantine_agreement, run_byzantine_agreement_batch
 from repro.errors import ConfigurationError
 from repro.sim.monitor import InvariantMonitor, InvariantViolation
-from repro.sim.runtime import DEFAULT_MAX_EVENTS, ENGINE_FLAT, ENGINES
+from repro.sim.runtime import DEFAULT_MAX_EVENTS
 from repro.sim.scheduler import (
     ExponentialDelayScheduler,
     FifoScheduler,
@@ -181,7 +181,6 @@ class Scenario:
     inputs: str = "split"
     max_rounds: int = 200
     max_events: int = DEFAULT_MAX_EVENTS
-    engine: str = ENGINE_FLAT
     trace_level: int = TRACE_COUNTS
     batch: int = 1
     share_coin: bool = True
@@ -193,11 +192,6 @@ class Scenario:
     #: monitor's liveness watchdog.
     monitor: bool = False
     round_bound: int | None = None
-    #: Batched slot-vector ingestion axis (group-level DMM verdicts + SoA
-    #: lane transitions on the receive side).  ``None`` inherits the
-    #: runtime default (``REPRO_BATCH_INGEST``, on unless set to ``0``);
-    #: sweeps pin ``True``/``False`` to A/B the ingestion paths.
-    batch_ingest: bool | None = None
     #: Vectorized algebra backend axis (``"pure"`` | ``"numpy"`` |
     #: ``"auto"``); ``None`` inherits the process default
     #: (``REPRO_ALGEBRA_BACKEND`` / auto-detect).  Results are
@@ -224,10 +218,6 @@ class Scenario:
             raise ConfigurationError(
                 f"unknown input pattern {self.inputs!r}; "
                 f"known: {sorted(INPUT_PATTERNS)}"
-            )
-        if self.engine not in ENGINES:
-            raise ConfigurationError(
-                f"unknown engine {self.engine!r}; known: {ENGINES}"
             )
         if self.algebra_backend not in (None, "pure", "numpy", "auto"):
             raise ConfigurationError(
@@ -260,25 +250,18 @@ class RunRecord:
     shun_pairs: int
     wall_seconds: float
     decided_instances: int = 1
-    #: Transport-aggregation counters, surfaced straight off the result
-    #: dataclasses so sweeps report envelope/slot-vector ratios without
-    #: reaching into the ``Runtime``.
+    #: The run counters, copied off the result
+    #: (:meth:`repro.core.api.RunCounters.counters`, documented there) so
+    #: sweeps report ratios without reaching into the ``Runtime``.
     envelopes_pushed: int = 0
     payloads_coalesced: int = 0
     svec_packed: int = 0
     svec_slots: int = 0
     logical_messages: int = 0
-    #: Batched-ingestion counters (see the same fields on the result
-    #: dataclasses): vectors consumed whole, group verdicts that covered a
-    #: whole vector, per-slot fallbacks, and total DMM verdict
-    #: computations (the per-slot-handler-work metric).
     svec_batch_ingested: int = 0
     dmm_verdicts_batched: int = 0
     dmm_verdict_fallbacks: int = 0
     dmm_verdict_calls: int = 0
-    #: Resolved algebra backend and its per-run counters (see
-    #: ``docs/ALGEBRA.md``): rows served by vectorized kernels and
-    #: vector-backend declines to the pure path.
     algebra_backend: str = "pure"
     rows_vectorized: int = 0
     backend_fallbacks: int = 0
@@ -328,7 +311,7 @@ def scenario_matrix(
     """The full cross product ``n x scheduler x adversary x seed``.
 
     ``overrides`` set the remaining :class:`Scenario` fields (``coin``,
-    ``inputs``, ``engine``, ...) uniformly across the matrix.
+    ``inputs``, ``max_rounds``, ...) uniformly across the matrix.
     """
     matrix = [
         Scenario(n=n, seed=seed, scheduler=s, adversary=a, **overrides)
@@ -404,10 +387,8 @@ def run_scenario(scenario: Scenario) -> RunRecord:
                 share_coin=scenario.share_coin,
                 coalesce_votes=scenario.coalesce,
                 svec=scenario.svec,
-                batch_ingest=scenario.batch_ingest,
                 algebra_backend=scenario.algebra_backend,
                 trace_level=scenario.trace_level,
-                engine=scenario.engine,
                 monitor=monitor,
             )
             wall = time.perf_counter() - start
@@ -421,25 +402,11 @@ def run_scenario(scenario: Scenario) -> RunRecord:
                 ),
                 rounds=batch.max_rounds,
                 sim_time=batch.sim_time,
-                events_dispatched=batch.events_dispatched,
-                messages_pushed=batch.messages_pushed,
                 total_messages=batch.trace.total_messages,
-                predicate_evals=batch.predicate_evals,
                 shun_pairs=len(batch.trace.shun_pairs()),
                 wall_seconds=wall,
                 decided_instances=batch.decided_instances,
-                envelopes_pushed=batch.envelopes_pushed,
-                payloads_coalesced=batch.payloads_coalesced,
-                svec_packed=batch.svec_packed,
-                svec_slots=batch.svec_slots,
-                logical_messages=batch.logical_messages,
-                svec_batch_ingested=batch.svec_batch_ingested,
-                dmm_verdicts_batched=batch.dmm_verdicts_batched,
-                dmm_verdict_fallbacks=batch.dmm_verdict_fallbacks,
-                dmm_verdict_calls=batch.dmm_verdict_calls,
-                algebra_backend=batch.algebra_backend,
-                rows_vectorized=batch.rows_vectorized,
-                backend_fallbacks=batch.backend_fallbacks,
+                **batch.counters(),
                 **_monitor_fields(adversary, monitor),
             )
         result = run_byzantine_agreement(
@@ -451,10 +418,8 @@ def run_scenario(scenario: Scenario) -> RunRecord:
             max_rounds=scenario.max_rounds,
             max_events=scenario.max_events,
             trace_level=scenario.trace_level,
-            engine=scenario.engine,
             coalesce=scenario.coalesce,
             svec=scenario.svec,
-            batch_ingest=scenario.batch_ingest,
             algebra_backend=scenario.algebra_backend,
             monitor=monitor,
         )
@@ -466,25 +431,11 @@ def run_scenario(scenario: Scenario) -> RunRecord:
             decision=result.decision,
             rounds=result.max_rounds,
             sim_time=result.sim_time,
-            events_dispatched=result.events_dispatched,
-            messages_pushed=result.messages_pushed,
             total_messages=result.trace.total_messages,
-            predicate_evals=result.predicate_evals,
             shun_pairs=len(result.trace.shun_pairs()),
             wall_seconds=wall,
             decided_instances=1 if result.agreed else 0,
-            envelopes_pushed=result.envelopes_pushed,
-            payloads_coalesced=result.payloads_coalesced,
-            svec_packed=result.svec_packed,
-            svec_slots=result.svec_slots,
-            logical_messages=result.logical_messages,
-            svec_batch_ingested=result.svec_batch_ingested,
-            dmm_verdicts_batched=result.dmm_verdicts_batched,
-            dmm_verdict_fallbacks=result.dmm_verdict_fallbacks,
-            dmm_verdict_calls=result.dmm_verdict_calls,
-            algebra_backend=result.algebra_backend,
-            rows_vectorized=result.rows_vectorized,
-            backend_fallbacks=result.backend_fallbacks,
+            **result.counters(),
             **_monitor_fields(adversary, monitor),
         )
     except InvariantViolation as violation:

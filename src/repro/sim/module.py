@@ -9,9 +9,9 @@ raw tags, inventing string-prefixed topics per instance); the module
 contract makes the wiring uniform and — crucially — *instance-aware*:
 
 * ``attach(host, instance_id)`` is the **only** place handler registration
-  may happen (the ``_wire`` hook runs inside it).  The flat dispatch engine
-  freezes the ``(dst, tag)`` routing table at the first event, so plain
-  handlers must exist by then.
+  may happen (the ``_wire`` hook runs inside it).  The runtime freezes
+  the ``(dst, tag)`` routing table at the first event, so plain handlers
+  must exist by then.
 * Modules that multiplex — many live instances of the same class sharing
   one runtime — register through *instance slots*
   (:meth:`ProtocolModule.register_slot` /
@@ -104,16 +104,14 @@ class RuntimeABC(Protocol):
     * the environment — ``config``, ``field``, ``trace``, ``monitor``,
       ``now``, ``host(pid)``, ``notify_state_change()``,
       ``routing_frozen``;
-    * the wire — ``transmit`` / ``transmit_all`` and ``batch_sends``
-      (whether ``send_all`` may take the batched path);
+    * the wire — ``transmit`` / ``transmit_all``;
     * the step window (:class:`~repro.sim.window.StepWindow`, inherited by
       both runtimes, never re-implemented): ``svec`` says whether
       session-vector muxes may pack at all and ``svec_buffering`` whether
       a step is open right now; a mux that buffered registers through
       ``svec_defer`` and is flushed when the step closes;
-      ``coalescing_step()`` opens a step around driver-side sends;
-      ``batch_ingest`` selects batched vector ingestion on the receive
-      side; and the counters modules bump (``svec_packed``,
+      ``coalescing_step()`` opens a step around driver-side sends; and
+      the counters modules bump (``svec_packed``,
       ``svec_slots``, ``svec_batch_ingested``, ``dmm_verdicts_batched``,
       ``dmm_verdict_fallbacks``, ``dmm_verdict_calls``) or the window
       itself does (``envelopes_pushed``, ``payloads_coalesced``).
@@ -125,11 +123,9 @@ class RuntimeABC(Protocol):
     monitor: object
     now: float
     routing_frozen: bool
-    batch_sends: bool
     coalesce: bool
     svec: bool
     svec_buffering: bool
-    batch_ingest: bool
     envelopes_pushed: int
     payloads_coalesced: int
     svec_packed: int

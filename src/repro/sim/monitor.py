@@ -69,8 +69,7 @@ class InvariantMonitor:
     Construct, :meth:`install` onto the runtime (before the run starts),
     optionally :meth:`expect_inputs`, then read :meth:`verdict` after the
     run.  All verdict fields are built from sorted containers so two
-    engines replaying the same event stream produce bit-identical
-    verdicts.
+    replays of the same event stream produce bit-identical verdicts.
     """
 
     def __init__(self, round_bound: int | None = None, trail_limit: int = 64):

@@ -46,7 +46,7 @@ MAX_INSTANCE_SLOTS = 1024
 class InstanceSlots:
     """Bounded instance demux behind one shared tag.
 
-    The flat engine freezes ``(dst, tag) -> handler`` once; multiplexed
+    The runtime freezes ``(dst, tag) -> handler`` once; multiplexed
     tags freeze to :meth:`dispatch`, whose slot dict stays mutable, so
     instances of a module class can register and tear down *after* the
     freeze without re-freezing.  Payloads carry the instance id in
@@ -315,14 +315,15 @@ class ProcessHost:
         Honest uncrashed processes take the batched fast path: crash state
         and the (absent) outbound filter are checked once here instead of
         once per destination, and the runtime pushes the whole fan-out in
-        one call.  Byzantine senders fall back to ``n`` individual sends so
-        their filter sees every message, and the legacy engine always does
-        — matching the seed's per-destination cost model.
+        one call — observably ``n`` individual :meth:`send` calls in
+        destination order (``tests/test_sim.py`` compares the two).
+        Byzantine senders fall back to exactly those, so their filter sees
+        every message.
         """
         if self.crashed:
             return
         runtime = self.runtime
-        if self.outbound_filter is None and runtime.batch_sends:
+        if self.outbound_filter is None:
             runtime.transmit_all(self.pid, payload, layer)
             return
         for dst in runtime.config.pids:

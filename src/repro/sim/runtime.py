@@ -5,20 +5,19 @@ channels with unbounded but finite delay, delivery order chosen by the
 scheduler (i.e. by the adversary).  Everything is deterministic given the
 config seed, the scheduler, and the adversary.
 
-Two engines dispatch the same event stream in the same order:
-
-* ``"flat"`` (default) — at the first dispatched event the runtime
-  *freezes routing*: every honest, uncrashed host's ``tag -> handler``
-  table is snapshotted into an array indexed by pid, so the hot loop goes
-  straight from popped event to bound handler with no
-  ``ProcessHost.deliver`` indirection.  Crashed or byzantine hosts keep
-  the slow ``deliver`` path.  With a fixed-delay scheduler the engine also
-  swaps the binary heap for a bucketed calendar queue and lets ``send_all``
-  push a whole fan-out in one batch.
-* ``"legacy"`` — the seed engine (binary heap, per-event ``deliver``
-  routing, per-event predicate polling), kept so determinism and speedups
-  can be asserted against it by the regression tests and
-  ``benchmarks/bench_engine.py``.
+Dispatch is *flat*: at the first dispatched event the runtime *freezes
+routing* — every honest, uncrashed host's ``tag -> handler`` table is
+snapshotted into an array indexed by pid, so the hot loop
+(:meth:`Runtime._flat_run`) goes straight from popped event to bound handler
+with no ``ProcessHost.deliver`` indirection.  Crashed or byzantine hosts
+keep the slow ``deliver`` path.  With a fixed-delay scheduler the runtime
+also swaps the binary heap for a bucketed calendar queue and lets
+``send_all`` push a whole fan-out in one batch.  :meth:`Runtime.step`
+dispatches one event through the queue's own ``pop()`` and
+``ProcessHost.deliver`` and is the reference the hot loop inlines:
+``tests/test_dispatch_equiv.py`` drives full runs through both and
+requires the same run, and replays a committed transcript
+(``tests/golden/dispatch_equiv.json``).
 
 Waiting is notification-driven: protocol modules call
 :meth:`Runtime.notify_state_change` whenever observable state changes
@@ -47,7 +46,7 @@ scheduled deliveries, losing no power.  With a fixed-delay scheduler the
 optimization is *pure*: every conversation — one (src, dst, session)
 stream — delivers the bit-identical sequence of logical messages, every
 party handles the identical message multiset, and decisions/rounds are
-bit-identical to the uncoalesced run on both engines
+bit-identical to the uncoalesced run
 (``tests/test_coalesce.py`` asserts all of this per seed); only the event
 count shrinks (``envelopes_pushed`` / ``payloads_coalesced`` size the
 effect).  Distinct conversations may regroup *within one simultaneity
@@ -78,7 +77,6 @@ from __future__ import annotations
 
 import gc
 import heapq
-import os
 from collections.abc import Callable
 
 from repro.config import SystemConfig
@@ -94,11 +92,6 @@ from repro.sim.window import StepWindow
 #: a livelock (no correct experiment in this repo comes close).
 DEFAULT_MAX_EVENTS = 50_000_000
 
-#: Engine names accepted by :class:`Runtime` and ``build_stack``.
-ENGINE_FLAT = "flat"
-ENGINE_LEGACY = "legacy"
-ENGINES = (ENGINE_FLAT, ENGINE_LEGACY)
-
 _INF = float("inf")
 
 
@@ -110,27 +103,19 @@ class Runtime(StepWindow):
         config: SystemConfig,
         scheduler: Scheduler | None = None,
         trace_level: int = TRACE_FULL,
-        engine: str = ENGINE_FLAT,
         coalesce: bool = False,
         svec: bool = False,
-        batch_ingest: bool | None = None,
         algebra_backend: str | None = None,
     ):
-        if engine not in ENGINES:
-            raise SimulationError(
-                f"unknown engine {engine!r}; expected one of {ENGINES}"
-            )
         self.config = config
         self.field = config.field
-        self.engine = engine
         self.now = 0.0
         self.trace = Trace.for_field(config.field, config.n, level=trace_level)
         self.scheduler = scheduler or default_scheduler(config.derive_rng("scheduler"))
-        #: Constant per-message delay, when the scheduler guarantees one and
-        #: the flat engine may exploit it (skips the per-send scheduler call
-        #: and enables the calendar queue + batched fan-outs).  The legacy
-        #: engine never uses it, preserving the seed cost model.
-        fixed = self.scheduler.fixed_delay() if engine == ENGINE_FLAT else None
+        #: Constant per-message delay, when the scheduler guarantees one
+        #: (skips the per-send scheduler call and enables the calendar
+        #: queue + one-push fan-outs).
+        fixed = self.scheduler.fixed_delay()
         if fixed is not None and (not (fixed > 0.0) or fixed == _INF):
             raise SimulationError(
                 f"scheduler advertises illegal fixed delay {fixed!r}; the "
@@ -138,8 +123,6 @@ class Runtime(StepWindow):
             )
         self._fixed_delay = fixed
         self.queue = BucketQueue() if fixed is not None else EventQueue()
-        #: True when honest ``send_all`` may batch-push its fan-out.
-        self.batch_sends = engine == ENGINE_FLAT
         self.hosts: dict[int, ProcessHost] = {
             pid: ProcessHost(self, pid) for pid in config.pids
         }
@@ -156,16 +139,10 @@ class Runtime(StepWindow):
         # events — and slot packing by advertising ``splits_slots``
         # (:class:`repro.adversary.schedulers.SlotSplittingScheduler`),
         # which replays the per-session wire stream bit for bit.
-        # Batched ingestion is slot-for-slot equivalent to the per-slot
-        # path; ``REPRO_BATCH_INGEST=0`` forces it off (the CI A/B lever),
-        # the keyword overrides the environment.
-        if batch_ingest is None:
-            batch_ingest = os.environ.get("REPRO_BATCH_INGEST", "1") != "0"
         super().__init__(
             coalesce=bool(coalesce),
             svec=bool(svec)
             and not bool(getattr(self.scheduler, "splits_slots", False)),
-            batch_ingest=bool(batch_ingest),
             split_envelopes=bool(
                 getattr(self.scheduler, "splits_envelopes", False)
             ),
@@ -181,8 +158,8 @@ class Runtime(StepWindow):
         #: Events dispatched over the runtime's lifetime (always counted,
         #: independent of the trace level).
         self.events_dispatched = 0
-        #: ``run_until`` predicate evaluations (the O(events) vs
-        #: O(state changes) comparison the engine benchmark reports).
+        #: ``run_until`` predicate evaluations: O(state changes) with
+        #: ``on_change=True``, O(events) without.
         self.predicate_evals = 0
         self._state_version = 0
         #: Runtime invariant monitor (:class:`repro.sim.monitor.InvariantMonitor`)
@@ -234,14 +211,14 @@ class Runtime(StepWindow):
     def freeze_routing(self) -> None:
         """Snapshot per-host handler tables into the flat dispatch array.
 
-        Called automatically at the first dispatched event of a flat-engine
-        run; registering further handlers afterwards raises (see
+        Called automatically at the first dispatched event of a run;
+        registering further handlers afterwards raises (see
         :meth:`ProcessHost.register_handler`).  Hosts that are crashed or
         byzantine at freeze time — and any host that crashes later, which
         the hot loop re-checks per event — stay on the slow
-        ``ProcessHost.deliver`` path.  A no-op on the legacy engine.
+        ``ProcessHost.deliver`` path.
         """
-        if self._frozen or self.engine != ENGINE_FLAT:
+        if self._frozen:
             return
         self._frozen = True
         tables = self._tables
@@ -333,12 +310,7 @@ class Runtime(StepWindow):
             return
         delay = self._fixed_delay
         if delay is None:
-            delay = self.scheduler.delay(src, dst, payload, self.now)
-            if not (delay > 0.0) or delay == _INF:
-                raise SimulationError(
-                    f"scheduler produced illegal delay {delay!r}; the model "
-                    "requires positive finite delays (eventual delivery)"
-                )
+            delay = self._checked_delay(src, dst, payload)
         self.queue.push(self.now + delay, dst, src, payload)
 
     def transmit_all(self, src: int, payload: tuple, layer: str) -> None:
@@ -370,16 +342,10 @@ class Runtime(StepWindow):
             self.queue.push_fanout(self.now + fixed, src, payload, n)
             return
         now = self.now
-        delay_of = self.scheduler.delay
+        delay_of = self._checked_delay
         push = self.queue.push
         for dst in range(1, n + 1):
-            delay = delay_of(src, dst, payload, now)
-            if not (delay > 0.0) or delay == _INF:
-                raise SimulationError(
-                    f"scheduler produced illegal delay {delay!r}; the model "
-                    "requires positive finite delays (eventual delivery)"
-                )
-            push(now + delay, dst, src, payload)
+            push(now + delay_of(src, dst, payload), dst, src, payload)
 
     def _checked_delay(self, src: int, dst: int, payload: object) -> float:
         delay = self.scheduler.delay(src, dst, payload, self.now)
@@ -402,54 +368,27 @@ class Runtime(StepWindow):
 
     # -- event loop --------------------------------------------------------------
     def step(self) -> bool:
-        """Dispatch the next delivery; False when the queue is empty."""
+        """Dispatch the next delivery; False when the queue is empty.
+
+        The per-event reference for :meth:`_flat_run`: the queue's own
+        ``pop()``, routing through ``ProcessHost.deliver`` (the live
+        handler table the frozen one snapshots), and one
+        :meth:`~repro.sim.window.StepWindow.coalescing_step` around the
+        delivery — the step a socket node runs — with no locals carried
+        between events.  Drivers that interleave their own actions with
+        deliveries (:meth:`run_steps`) use it;
+        ``tests/test_dispatch_equiv.py`` holds the hot loop to it.
+        """
         if not self.queue:
             return False
-        if not self._frozen and self.engine == ENGINE_FLAT:
-            self.freeze_routing()
+        self.freeze_routing()
         time, _, dst, src, payload = self.queue.pop()
         self.now = time
-        coalescing = self.coalesce
-        svec = self.svec
-        if coalescing:
-            self._buffering = True
-        if svec:
-            self.svec_buffering = True
-        try:
+        with self.coalescing_step():
             tap = self.delivery_tap
             if tap is not None:
                 tap(src, dst, payload)
-            table = self._tables[dst]
-            if table is None:
-                self.hosts[dst].deliver(src, payload)
-            else:
-                host = self._hosts_seq[dst]
-                if not host.crashed and isinstance(payload, tuple) and payload:
-                    handler = table.get(payload[0])
-                    if handler is not None:
-                        handler(src, payload)
-                elif host.crashed and src == 0:
-                    # Recovery wakes are the one thing a crashed host on the
-                    # fast path still reacts to (the slow path handles this
-                    # inside ProcessHost.deliver).
-                    if (
-                        isinstance(payload, tuple)
-                        and payload
-                        and payload[0] == RECOVER_TAG
-                    ):
-                        self._apply_recovery(host)
-        finally:
-            # Slot-vectors flush before wire buffering is cleared, so they
-            # join the step's envelopes (keeping the legacy engine's
-            # composition identical to the flat loop's).
-            if svec:
-                self.svec_buffering = False
-                if self._svec_pending:
-                    self._flush_svec()
-            if coalescing:
-                self._buffering = False
-        if coalescing and self._outbox:
-            self._flush_outbox()
+            self.hosts[dst].deliver(src, payload)
         self.events_dispatched += 1
         trace = self.trace
         if trace.level:
@@ -463,8 +402,6 @@ class Runtime(StepWindow):
         quiescence (there is no "later" once nothing is in flight), so this
         is the canonical way tests drive a run to completion.
         """
-        if self.engine == ENGINE_LEGACY:
-            return self._legacy_run(None, max_events)
         return self._flat_run(None, max_events, False)
 
     def run_until(
@@ -479,15 +416,11 @@ class Runtime(StepWindow):
         some module reported a state change via
         :meth:`notify_state_change` (plus once at queue drain as a safety
         net) — use it for predicates over protocol-observable state.  The
-        default re-evaluates after every event, which is always safe.  The
-        legacy engine ignores ``on_change`` and polls per event, exactly
-        like the seed.
+        default re-evaluates after every event, which is always safe.
         """
         self.predicate_evals += 1
         if predicate():
             return 0
-        if self.engine == ENGINE_LEGACY:
-            return self._legacy_run(predicate, max_events)
         return self._flat_run(predicate, max_events, on_change)
 
     def run_steps(self, count: int) -> int:
@@ -497,36 +430,7 @@ class Runtime(StepWindow):
             dispatched += 1
         return dispatched
 
-    # -- engine internals --------------------------------------------------------
-    def _legacy_run(self, predicate, max_events: int) -> int:
-        """The seed event loop: one ``step()`` (heap pop + ``deliver``) and
-        one predicate poll per event."""
-        dispatched = 0
-        # Same cyclic-collector pause as ``_flat_run`` — the garbage
-        # profile is identical, only the dispatch overhead differs.
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
-            while self.step():
-                dispatched += 1
-                if dispatched > max_events:
-                    raise SimulationError(
-                        f"exceeded {max_events} events; likely livelock"
-                    )
-                if predicate is not None:
-                    self.predicate_evals += 1
-                    if predicate():
-                        return dispatched
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-        if predicate is not None:
-            raise DeadlockError(
-                "event queue drained before the awaited condition became true"
-            )
-        return dispatched
-
+    # -- the hot loop ----------------------------------------------------------
     def _flat_run(self, predicate, max_events: int, on_change: bool) -> int:
         """The flat-dispatch hot loop.
 
@@ -602,6 +506,8 @@ class Runtime(StepWindow):
                                 if handler is not None:
                                     handler(src, payload)
                             elif host.crashed and src == 0:
+                                # Recovery wakes are the one thing a crashed
+                                # host still reacts to (as in ``deliver``).
                                 if (
                                     isinstance(payload, tuple)
                                     and payload

@@ -21,9 +21,8 @@ event, the socket runtime writes one DATA frame.
 flags and counters protocol modules consume (``runtime.svec``,
 ``runtime.svec_buffering``, ``runtime.svec_packed += ...``) stay plain
 instance attributes of the runtime — no forwarding, nothing to mirror.
-It also carries the receive-side ingestion flag and counters, which are
-part of the same runtime surface (see
-:class:`~repro.sim.module.RuntimeABC`).
+It also carries the receive-side ingestion counters, which are part of
+the same runtime surface (see :class:`~repro.sim.module.RuntimeABC`).
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ class StepWindow:
         self,
         coalesce: bool,
         svec: bool,
-        batch_ingest: bool,
         split_envelopes: bool = False,
     ):
         #: Wire-level coalescing: buffered messages leave as envelopes.
@@ -73,13 +71,10 @@ class StepWindow:
         #: Slot-vector messages emitted / per-slot messages folded into them.
         self.svec_packed = 0
         self.svec_slots = 0
-        #: Batched slot-vector ingestion (``VSSManager.ingest_vector``):
-        #: received vectors are consumed through one group-level DMM
-        #: verdict + structure-of-arrays lane transition instead of n
-        #: per-slot ``_ingest`` chains.
-        self.batch_ingest = batch_ingest
-        #: Vectors consumed by the batched path / slots resolved by a
-        #: group-level verdict / slots that fell back to per-slot verdicts.
+        #: Received vectors are consumed whole (``VSSManager.ingest_vector``:
+        #: one group-level DMM verdict + structure-of-arrays lane
+        #: transition).  Vectors consumed / slots resolved by a group-level
+        #: verdict / slots that fell back to per-slot verdicts.
         self.svec_batch_ingested = 0
         self.dmm_verdicts_batched = 0
         self.dmm_verdict_fallbacks = 0

@@ -369,20 +369,6 @@ class TestAdaptiveAdversary:
             adv.victims
         )
 
-    def test_victims_deterministic_across_engines(self):
-        # Both engines replay the identical delivery stream, so the
-        # adaptive strike lands on the same victims at the same time.
-        outcomes = {}
-        for engine in ("flat", "legacy"):
-            cfg = SystemConfig(n=4, seed=5)
-            adv = AdaptiveAdversary(cfg, 7, warmup=40)
-            result = run_byzantine_agreement(
-                [1, 0, 1, 0], cfg, adversary=adv, engine=engine
-            )
-            assert result.agreed and adv.victims
-            outcomes[engine] = (adv.victims, adv.struck_at, adv.spec)
-        assert outcomes["flat"] == outcomes["legacy"]
-
     def test_zero_budget_never_taps(self):
         cfg = SystemConfig(n=3, t=0, seed=0)
         rt = Runtime(cfg)
@@ -457,11 +443,10 @@ class TestEclipseScheduler:
 
 class TestSlotPoisonCompositions:
     """Satellite: the poisoned slot never invalidates its vector siblings,
-    with and without the packing vetoed, on both engines."""
+    with and without the packing vetoed."""
 
-    @pytest.mark.parametrize("engine", ["flat", "legacy"])
     @pytest.mark.parametrize("veto_packing", [False, True])
-    def test_poisoned_slot_costs_only_itself(self, engine, veto_packing):
+    def test_poisoned_slot_costs_only_itself(self, veto_packing):
         cfg = SystemConfig(n=4, seed=13)
         scheduler = UniformDelayScheduler(cfg.derive_rng("scheduler"))
         if veto_packing:
@@ -479,7 +464,6 @@ class TestSlotPoisonCompositions:
             svec=True,
             coalesce=True,
             max_rounds=300,
-            engine=engine,
             monitor=mon,
         )
         # Sibling slots stayed valid: the run still decides, and no honest

@@ -9,7 +9,7 @@ decline cases (empty, undersized, ragged, non-canonical values), the
 selection order (explicit > ``REPRO_ALGEBRA_BACKEND`` > auto-detect), the
 unsafe-prime :class:`FieldError`, and the house A/B discipline: one SVSS
 coin invocation per seed with the backend on vs off, bit-identical
-outputs and per-session justifiers on both engines.
+outputs and per-session justifiers.
 """
 
 from __future__ import annotations
@@ -327,20 +327,18 @@ class TestCounters:
 
 
 # ---------------------------------------------------------------------------
-# The house A/B discipline: backend on/off, both engines
+# The house A/B discipline: backend on/off
 # ---------------------------------------------------------------------------
 
 
 @needs_numpy
 class TestBitIdenticalAB:
-    @pytest.mark.parametrize("engine", ["flat", "legacy"])
     @pytest.mark.parametrize("seed", range(3))
-    def test_coin_justifiers_identical(self, engine, seed):
+    def test_coin_justifiers_identical(self, seed):
         def flip(algebra_backend):
             result, stack = flip_common_coin(
                 SystemConfig(n=4, seed=seed),
                 scheduler=FifoScheduler(),
-                engine=engine,
                 svec=True,
                 coalesce=True,
                 algebra_backend=algebra_backend,
@@ -357,14 +355,12 @@ class TestBitIdenticalAB:
         assert on.events_dispatched == off.events_dispatched
         assert on.logical_messages == off.logical_messages
 
-    @pytest.mark.parametrize("engine", ["flat", "legacy"])
-    def test_agreement_decisions_identical(self, engine):
+    def test_agreement_decisions_identical(self):
         def run(algebra_backend):
             return run_byzantine_agreement(
                 [0, 1, 1, 0],
                 SystemConfig(n=4, seed=5),
                 coin="svss",
-                engine=engine,
                 algebra_backend=algebra_backend,
             )
 

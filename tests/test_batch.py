@@ -4,7 +4,7 @@ The load-bearing property is *determinism*: under a fixed-delay scheduler a
 failure-free batch is an order-preserving interleaving of its instances'
 solo event streams, and the shared round coin replays the same sessions a
 default-tag solo run uses — so every instance must decide exactly what its
-sequential solo stack decides, per seed, on both dispatch engines.  The
+sequential solo stack decides, per seed.  The
 adversarial tests then cross instances with crash/byzantine behaviours and
 assert the per-instance agreement properties survive the interleaving.
 """
@@ -38,40 +38,37 @@ def split_matrix(n: int, k: int) -> list[list[int]]:
     return [[(i + shift) % 2 for i in range(n)] for shift in range(k)]
 
 
-def run_batch(inputs, seed, coin, engine="flat", share_coin=True, **kw):
+def run_batch(inputs, seed, coin, share_coin=True, **kw):
     return run_byzantine_agreement_batch(
         inputs,
         SystemConfig(n=len(inputs[0]), seed=seed),
         coin=coin,
         scheduler=FifoScheduler(),
-        engine=engine,
         share_coin=share_coin,
         **kw,
     )
 
 
-def run_solo(inputs, seed, coin, engine="flat", tag="aba"):
+def run_solo(inputs, seed, coin, tag="aba"):
     return run_byzantine_agreement(
         inputs,
         SystemConfig(n=len(inputs), seed=seed),
         coin=coin,
         scheduler=FifoScheduler(),
-        engine=engine,
         tag=tag,
     )
 
 
 class TestBatchMatchesSolo:
     """The acceptance property: K batched instances decide identically to
-    K sequential solo stacks, per seed, flat and legacy."""
+    K sequential solo stacks, per seed."""
 
-    @pytest.mark.parametrize("engine", ["flat", "legacy"])
-    def test_k16_n7_ideal(self, engine):
+    def test_k16_n7_ideal(self):
         inputs = split_matrix(7, 16)
-        batch = run_batch(inputs, seed=11, coin=IDEAL, engine=engine)
+        batch = run_batch(inputs, seed=11, coin=IDEAL)
         assert batch.agreed and batch.terminated
         for k in range(16):
-            solo = run_solo(inputs[k], seed=11, coin=IDEAL, engine=engine)
+            solo = run_solo(inputs[k], seed=11, coin=IDEAL)
             assert batch.results[("aba", k)].decisions == solo.decisions, k
             assert batch.results[("aba", k)].rounds == solo.rounds, k
 
@@ -103,20 +100,6 @@ class TestBatchMatchesSolo:
         for k in range(3):
             solo = run_solo(inputs[k], seed=9, coin=("ideal", 0.6), tag=("aba", k))
             assert batch.results[("aba", k)].decisions == solo.decisions, k
-
-    def test_flat_matches_legacy_golden(self):
-        """The two engines dispatch the identical batched event stream."""
-        inputs = split_matrix(7, 5)
-
-        def golden(engine):
-            batch = run_batch(inputs, seed=23, coin=IDEAL, engine=engine)
-            return (
-                {iid: r.decisions for iid, r in batch.results.items()},
-                batch.events_dispatched,
-                batch.messages_pushed,
-            )
-
-        assert golden("flat") == golden("legacy")
 
     def test_batch_replay_deterministic(self):
         inputs = split_matrix(7, 4)

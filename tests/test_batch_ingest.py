@@ -1,110 +1,57 @@
 """Batched slot-vector ingestion: group verdicts, SoA lanes, vote vectors.
 
-The acceptance property mirrors the svec contract one layer down: with
-``batch_ingest=True`` one received slot-vector costs one group-level DMM
-verdict and one structure-of-arrays lane transition instead of ``n``
-per-slot handler chains, while staying equivalent *slot for slot* — coin
-outputs, per-session justifiers, parked-message sets, and per-slot
-degradation identical to the per-slot loop, on both engines, under the
-adversary matrix.  The vote-vector tests pin the same discipline one
-layer up (``K`` concurrent agreements packing their per-step votes).
+The acceptance property mirrors the svec contract one layer down: one
+received slot-vector costs one group-level DMM verdict and one
+structure-of-arrays lane transition instead of ``n`` per-slot handler
+chains, while staying equivalent *slot for slot* to ``VSSManager._ingest``
+— the path a plain ``("v", sid, kind, body)`` message takes.  The unit
+cases here take that path as their living reference (the same entries, one
+message at a time); whole-run equivalence with the deleted per-slot unpack
+loop is replayed from ``tests/golden/dispatch_equiv.json``
+(``tests/test_dispatch_equiv.py``).  The vote-vector tests pin the same
+discipline one layer up (``K`` concurrent agreements packing their
+per-step votes).
 """
 
 from __future__ import annotations
 
 import random
 
-import pytest
-
-from repro.adversary.behaviors import ABALiarBehavior, SlotPoisonerBehavior
+from repro.adversary.behaviors import ABALiarBehavior
 from repro.adversary.controller import Adversary
 from repro.config import SystemConfig
-from repro.core.api import build_stack, flip_common_coin, run_byzantine_agreement
+from repro.core.api import build_stack, flip_common_coin
 from repro.core.agreement import ABAProcess
 from repro.core.sessions import SVEC_MW, mw_session, svec_sid
 from repro.core.vectormux import SVEC_TAG
 from repro.sim.scheduler import FifoScheduler
 
-from test_svec import coin_justifiers
-
-pytestmark = pytest.mark.batch_ingest
-
-
-def flip(n, seed, engine="flat", **kw):
-    result, stack = flip_common_coin(
-        SystemConfig(n=n, seed=seed),
-        scheduler=kw.pop("scheduler", FifoScheduler()),
-        engine=engine,
-        svec=True,
-        **kw,
-    )
-    stack.runtime.run_to_quiescence()
-    return result, stack
-
 
 class TestBitIdenticalCoin:
-    """Coin invocations are bit-identical batch ingestion on and off."""
-
-    @pytest.mark.parametrize("engine", ["flat", "legacy"])
-    @pytest.mark.parametrize("seed", range(3))
-    def test_outputs_events_and_justifiers_identical(self, engine, seed):
-        off, stack_off = flip(4, seed, engine=engine, batch_ingest=False)
-        on, stack_on = flip(4, seed, engine=engine, batch_ingest=True)
-        assert on.outputs == off.outputs
-        assert on.events_dispatched == off.events_dispatched
-        assert coin_justifiers(stack_on) == coin_justifiers(stack_off)
-
     def test_batched_path_actually_engages(self):
-        on, _ = flip(4, 1, batch_ingest=True)
-        off, _ = flip(4, 1, batch_ingest=False)
+        """The headline metric: group verdicts shrink per-slot handler
+        work.  Without vectors every value message takes ``_ingest`` and
+        pays its own verdict — the count the deleted per-slot unpack loop
+        paid too (``BENCH_coin.json``: 378 035 both ways at n=7)."""
+
+        def flip(svec):
+            result, _ = flip_common_coin(
+                SystemConfig(n=4, seed=1), scheduler=FifoScheduler(), svec=svec
+            )
+            return result
+
+        on, off = flip(True), flip(False)
+        assert on.outputs == off.outputs
         assert on.svec_batch_ingested > 0
         assert on.dmm_verdicts_batched > 0
-        # The headline metric: group verdicts shrink per-slot handler work.
         assert on.dmm_verdict_calls * 3 <= off.dmm_verdict_calls
         assert off.svec_batch_ingested == 0
         assert off.dmm_verdicts_batched == 0
 
-    @pytest.mark.parametrize("engine", ["flat", "legacy"])
-    def test_slot_poisoner_identical(self, engine):
-        """The aggregation-aware fault injector: a poisoned slot costs only
-        its own session on both ingestion paths."""
-        adversary = lambda: Adversary(  # noqa: E731
-            {4: SlotPoisonerBehavior(random.Random(1), fixed_slot=2)}
-        )
-        off, stack_off = flip(
-            4, 1, engine=engine, adversary=adversary(), batch_ingest=False
-        )
-        on, stack_on = flip(
-            4, 1, engine=engine, adversary=adversary(), batch_ingest=True
-        )
-        assert on.outputs == off.outputs
-        assert coin_justifiers(stack_on) == coin_justifiers(stack_off)
 
-    def test_agreement_decisions_identical(self):
-        def run(batch_ingest):
-            return run_byzantine_agreement(
-                [i % 2 for i in range(4)],
-                SystemConfig(n=4, seed=7),
-                coin="svss",
-                scheduler=FifoScheduler(),
-                svec=True,
-                batch_ingest=batch_ingest,
-            )
-
-        off, on = run(False), run(True)
-        assert off.agreed and on.agreed
-        assert on.decisions == off.decisions
-        assert on.rounds == off.rounds
-        assert on.events_dispatched == off.events_dispatched
-        assert on.svec_batch_ingested > 0
-
-
-def make_manager(batch_ingest):
+def make_manager():
     stack = build_stack(
-        SystemConfig(n=4, seed=0),
-        scheduler=FifoScheduler(),
-        svec=True,
-        batch_ingest=batch_ingest,
+        SystemConfig(n=4, seed=0), scheduler=FifoScheduler(), svec=True
     )
     return stack, stack.vss[1]
 
@@ -118,17 +65,28 @@ def arm_sender(mgr, sender, session, value=7):
     mgr.dmm.on_session_reconstructed(session)
 
 
+def deliver_entries(mgr, src, group, kind, entries, as_vector):
+    """One slot-vector, or — the living per-slot reference — the same
+    entries as the plain ``("v", sid, kind, body)`` messages an unpacked
+    sender emits, one ``_ingest`` chain each."""
+    if as_vector:
+        mgr.mux.on_private(src, (SVEC_TAG, kind, group, entries))
+    else:
+        for slot, body in entries:
+            mgr._on_private(src, ("v", svec_sid(group, slot), kind, body))
+
+
 class TestGroupVerdictFallback:
     """Satellite: verdict divergence across a vector's slots falls back to
-    per-slot filtering with outcomes identical to the unbatched path."""
+    per-slot filtering with outcomes identical to per-slot delivery."""
 
     GROUP = (SVEC_MW, ("cc", "solo", 0), 2, 2, 3, "md")
 
-    def drive(self, batch_ingest, spy_handle):
+    def drive(self, as_vector, spy_handle):
         """One vector whose slot-1 session began *before* and slot-2
         session *after* the sender's armed session completed: slot 1 must
         FORWARD while slot 2 must DELAY."""
-        stack, mgr = make_manager(batch_ingest)
+        stack, mgr = make_manager()
         sid1 = svec_sid(self.GROUP, 1)
         sid2 = svec_sid(self.GROUP, 2)
         inst1 = mgr._ensure_mw(sid1)  # begun before the armed session
@@ -137,7 +95,7 @@ class TestGroupVerdictFallback:
         arm_sender(mgr, 2, mw_session(("owed", 0), 2, 3, "dm"))
         mgr._ensure_mw(sid2)  # begun after => owed < begun => DELAY
         mgr.dmm.dirty.clear()
-        mgr.mux.on_private(2, (SVEC_TAG, "cnf", self.GROUP, ((1, 11), (2, 22))))
+        deliver_entries(mgr, 2, self.GROUP, "cnf", ((1, 11), (2, 22)), as_vector)
         return stack, mgr, handled, sid1, sid2
 
     def test_divergent_slots_fall_back_per_slot(self, spy_handle):
@@ -148,39 +106,54 @@ class TestGroupVerdictFallback:
         assert stack.runtime.dmm_verdicts_batched == 0
 
     def test_outcomes_identical_to_unbatched(self, spy_handle):
-        _, mgr_on, handled_on, *_ = self.drive(True, spy_handle)
-        _, mgr_off, handled_off, *_ = self.drive(False, spy_handle)
+        stack_on, mgr_on, handled_on, *_ = self.drive(True, spy_handle)
+        stack_off, mgr_off, handled_off, *_ = self.drive(False, spy_handle)
         assert handled_on == handled_off
-        assert set(mgr_on._delayed) == set(mgr_off._delayed)
         assert mgr_on._delayed == mgr_off._delayed
+        # Two divergent slots: as many verdicts either way, plus the one
+        # group-level attempt that could not cover them.
+        assert stack_off.runtime.dmm_verdict_calls == 2
+        assert stack_on.runtime.dmm_verdict_calls == 3
 
     def test_uniform_delay_takes_group_verdict(self):
-        """Both slots begun after arming: one group verdict parks both."""
-        stack, mgr = make_manager(batch_ingest=True)
-        arm_sender(mgr, 2, mw_session(("owed", 0), 2, 3, "dm"))
-        sid1, sid2 = svec_sid(self.GROUP, 1), svec_sid(self.GROUP, 2)
-        mgr._ensure_mw(sid1)
-        mgr._ensure_mw(sid2)
-        mgr.dmm.dirty.clear()
-        mgr.mux.on_private(2, (SVEC_TAG, "cnf", self.GROUP, ((1, 11), (2, 22))))
-        assert set(mgr._delayed) == {(2, sid1), (2, sid2)}
-        assert stack.runtime.dmm_verdicts_batched == 2
-        assert stack.runtime.dmm_verdict_fallbacks == 0
+        """Both slots begun after arming: one group verdict parks both,
+        exactly as two per-slot verdicts do."""
+
+        def drive(as_vector):
+            stack, mgr = make_manager()
+            arm_sender(mgr, 2, mw_session(("owed", 0), 2, 3, "dm"))
+            mgr._ensure_mw(svec_sid(self.GROUP, 1))
+            mgr._ensure_mw(svec_sid(self.GROUP, 2))
+            mgr.dmm.dirty.clear()
+            deliver_entries(mgr, 2, self.GROUP, "cnf", ((1, 11), (2, 22)), as_vector)
+            return stack.runtime, mgr
+
+        runtime, mgr = drive(as_vector=True)
+        reference_runtime, reference = drive(as_vector=False)
+        assert set(mgr._delayed) == {
+            (2, svec_sid(self.GROUP, 1)),
+            (2, svec_sid(self.GROUP, 2)),
+        }
+        assert mgr._delayed == reference._delayed
+        assert runtime.dmm_verdicts_batched == 2
+        assert runtime.dmm_verdict_fallbacks == 0
+        assert (runtime.dmm_verdict_calls, reference_runtime.dmm_verdict_calls) == (1, 2)
 
     def test_convicted_sender_discarded_whole(self, spy_handle):
-        stack, mgr = make_manager(batch_ingest=True)
-        mgr.dmm.D.add(2)
-        handled = []
-        inst1 = mgr._ensure_mw(svec_sid(self.GROUP, 1))
-        spy_handle(inst1, lambda *a: handled.append(a))
-        mgr.mux.on_private(2, (SVEC_TAG, "cnf", self.GROUP, ((1, 11), (2, 22))))
-        assert handled == []
-        assert mgr._delayed == {}
+        for as_vector in (True, False):
+            stack, mgr = make_manager()
+            mgr.dmm.D.add(2)
+            handled = []
+            inst1 = mgr._ensure_mw(svec_sid(self.GROUP, 1))
+            spy_handle(inst1, lambda *a: handled.append(a))
+            deliver_entries(mgr, 2, self.GROUP, "cnf", ((1, 11), (2, 22)), as_vector)
+            assert handled == []
+            assert mgr._delayed == {}
 
 
 class TestBatchedUnpackSemantics:
-    """The per-slot degradation contract on the batched path (the
-    ``batch_ingest=False`` equivalents live in ``tests/test_svec.py``)."""
+    """The per-slot degradation contract on MW-SVSS groups (SVSS groups
+    and the mux's frame checks live in ``tests/test_svec.py``)."""
 
     GROUP = (SVEC_MW, ("cc", "solo", 0), 2, 2, 3, "md")
 
@@ -193,7 +166,7 @@ class TestBatchedUnpackSemantics:
         return handled
 
     def test_malformed_slots_degrade_independently(self, spy_handle):
-        _, mgr = make_manager(batch_ingest=True)
+        _, mgr = make_manager()
         handled = self.spy(mgr, (1, 3), spy_handle)
         mgr.mux.on_private(
             2,
@@ -208,7 +181,7 @@ class TestBatchedUnpackSemantics:
         assert handled[3] == [(2, "cnf", 9)]
 
     def test_crash_mid_vector_drops_remaining_slots(self, spy_handle):
-        _, mgr = make_manager(batch_ingest=True)
+        _, mgr = make_manager()
         handled = self.spy(mgr, (1, 2, 3, 4), spy_handle)
         crash_after = 2
 
@@ -224,14 +197,14 @@ class TestBatchedUnpackSemantics:
         assert handled[3] == [] and handled[4] == []
 
     def test_transport_enforcement_covers_vectors(self, spy_handle):
-        _, mgr = make_manager(batch_ingest=True)
+        _, mgr = make_manager()
         handled = self.spy(mgr, (1,), spy_handle)
         mgr.mux.on_private(2, (SVEC_TAG, "L", self.GROUP, ((1, (2, 3)),)))
         mgr.mux.on_rb(2, (SVEC_TAG, (("cnf", self.GROUP, ((1, 5),)),)))
         assert handled[1] == []
 
     def test_forged_group_dropped_whole(self):
-        stack, mgr = make_manager(batch_ingest=True)
+        stack, mgr = make_manager()
         bad_dealer = (SVEC_MW, ("cc", "solo", 0), 9, 9, 3, "md")
         mgr.mux.on_private(2, (SVEC_TAG, "cnf", bad_dealer, ((1, 5),)))
         assert mgr.mw == {}
@@ -251,7 +224,7 @@ class TestDelayedBacklogIndex:
         assert sum(1 for key in mgr._delayed if key[0] == sender) == count
 
     def test_release_rescans_only_dirty_senders_keys(self):
-        _, mgr = make_manager(batch_ingest=True)
+        _, mgr = make_manager()
         owed2 = mw_session(("owed", 2), 2, 3, "dm")
         owed4 = mw_session(("owed", 4), 4, 3, "dm")
         self.park(mgr, 2, owed2, count=25)
@@ -267,7 +240,7 @@ class TestDelayedBacklogIndex:
         assert len(mgr._delayed) == 25
 
     def test_released_backlog_replays_in_park_order(self, spy_handle):
-        _, mgr = make_manager(batch_ingest=True)
+        _, mgr = make_manager()
         owed = mw_session(("owed", 2), 2, 3, "dm")
         arm_sender(mgr, 2, owed)
         mgr._release_delayed()

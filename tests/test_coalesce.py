@@ -3,7 +3,7 @@
 The load-bearing property is that coalescing is a *pure event-count
 optimization*: under a fixed-delay scheduler, decisions AND per-party
 delivered logical-message sequences are bit-identical to the uncoalesced
-run, on both dispatch engines — only the number of queue events shrinks
+run — only the number of queue events shrinks
 (one envelope per (src, dst) pair per dispatch step instead of one event
 per logical message).  The adversarial tests then pin the per-logical-
 message contract: outbound filters see individual messages, crash points
@@ -50,54 +50,48 @@ def split_matrix(n: int, k: int) -> list[list[int]]:
     return [[(i + shift) % 2 for i in range(n)] for shift in range(k)]
 
 
-def run_solo(n, seed, coin, engine="flat", coalesce=False, scheduler=None, **kw):
+def run_solo(n, seed, coin, coalesce=False, scheduler=None, **kw):
     return run_byzantine_agreement(
         split_inputs(n),
         SystemConfig(n=n, seed=seed),
         coin=coin,
         scheduler=scheduler if scheduler is not None else FifoScheduler(),
-        engine=engine,
         coalesce=coalesce,
         **kw,
     )
 
 
-def run_batch(inputs, seed, coin, engine="flat", coalesce=False, scheduler=None, **kw):
+def run_batch(inputs, seed, coin, coalesce=False, scheduler=None, **kw):
     return run_byzantine_agreement_batch(
         inputs,
         SystemConfig(n=len(inputs[0]), seed=seed),
         coin=coin,
         scheduler=scheduler if scheduler is not None else FifoScheduler(),
-        engine=engine,
         coalesce_votes=coalesce,
         **kw,
     )
 
 
 class TestBitIdenticalDecisions:
-    """The acceptance property: coalescing on vs off, flat and legacy, per
-    seed, across the shipped fixed-delay schedulers."""
+    """The acceptance property: coalescing on vs off, per seed, across
+    the shipped fixed-delay schedulers."""
 
-    @pytest.mark.parametrize("engine", ["flat", "legacy"])
     @pytest.mark.parametrize("scheduler_cls", [Scheduler, FifoScheduler])
     @pytest.mark.parametrize("seed", range(3))
-    def test_solo_ideal(self, engine, scheduler_cls, seed):
-        off = run_solo(7, seed, IDEAL, engine=engine, scheduler=scheduler_cls())
-        on = run_solo(
-            7, seed, IDEAL, engine=engine, scheduler=scheduler_cls(), coalesce=True
-        )
+    def test_solo_ideal(self, scheduler_cls, seed):
+        off = run_solo(7, seed, IDEAL, scheduler=scheduler_cls())
+        on = run_solo(7, seed, IDEAL, scheduler=scheduler_cls(), coalesce=True)
         assert off.agreed and on.agreed
         assert on.decisions == off.decisions
         assert on.rounds == off.rounds
         # The logical message bill is coalescing-invariant by construction.
         assert on.trace.total_messages == off.trace.total_messages
 
-    @pytest.mark.parametrize("engine", ["flat", "legacy"])
-    def test_solo_svss_full_stack(self, engine):
+    def test_solo_svss_full_stack(self):
         """The full shunning stack (broadcast + VSS + DMM + coin) under
         envelopes: identical decisions, far fewer events."""
-        off = run_solo(4, 7, "svss", engine=engine)
-        on = run_solo(4, 7, "svss", engine=engine, coalesce=True)
+        off = run_solo(4, 7, "svss")
+        on = run_solo(4, 7, "svss", coalesce=True)
         assert off.agreed and on.agreed
         assert on.decisions == off.decisions
         assert on.rounds == off.rounds
@@ -108,21 +102,6 @@ class TestBitIdenticalDecisions:
         assert on.events_dispatched * 2 < off.events_dispatched
         assert on.envelopes_pushed > 0
         assert on.payloads_coalesced >= 2 * on.envelopes_pushed
-
-    def test_flat_matches_legacy_golden_coalesced(self):
-        """Both engines dispatch the identical coalesced event stream."""
-
-        def golden(engine):
-            result = run_solo(4, 7, "svss", engine=engine, coalesce=True)
-            return (
-                dict(result.decisions),
-                result.events_dispatched,
-                result.messages_pushed,
-                result.envelopes_pushed,
-                result.payloads_coalesced,
-            )
-
-        assert golden("flat") == golden("legacy")
 
     def test_coin_flip_identical_and_reduced(self):
         cfg = SystemConfig(n=7, seed=5)
@@ -435,11 +414,10 @@ class TestBatchVoteCoalescing:
     """coalesce_votes=True: all K instances' votes per (round, phase) ride
     one envelope — the ideal-coin batch becomes ~K×-shaped."""
 
-    @pytest.mark.parametrize("engine", ["flat", "legacy"])
-    def test_k16_ideal_decisions_identical_and_k_shaped(self, engine):
+    def test_k16_ideal_decisions_identical_and_k_shaped(self):
         inputs = split_matrix(7, 16)
-        off = run_batch(inputs, 11, IDEAL, engine=engine)
-        on = run_batch(inputs, 11, IDEAL, engine=engine, coalesce=True)
+        off = run_batch(inputs, 11, IDEAL)
+        on = run_batch(inputs, 11, IDEAL, coalesce=True)
         assert on.agreed and off.agreed
         for iid in off.instance_ids:
             assert on.results[iid].decisions == off.results[iid].decisions, iid
@@ -447,20 +425,6 @@ class TestBatchVoteCoalescing:
         # All 16 instances' traffic folds into (nearly) one instance's
         # worth of events: >= 8x fewer for K = 16.
         assert on.events_dispatched * 8 <= off.events_dispatched
-
-    def test_flat_matches_legacy_golden_coalesced_batch(self):
-        inputs = split_matrix(7, 5)
-
-        def golden(engine):
-            batch = run_batch(inputs, 23, IDEAL, engine=engine, coalesce=True)
-            return (
-                {iid: r.decisions for iid, r in batch.results.items()},
-                batch.events_dispatched,
-                batch.messages_pushed,
-                batch.envelopes_pushed,
-            )
-
-        assert golden("flat") == golden("legacy")
 
     def test_svss_batch_decisions_identical_on_off(self):
         inputs = split_matrix(4, 3)

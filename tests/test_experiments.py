@@ -45,8 +45,6 @@ class TestRegistries:
             Scenario(n=4, seed=0, adversary="gremlin").validate()
         with pytest.raises(ConfigurationError):
             Scenario(n=4, seed=0, inputs="fibonacci").validate()
-        with pytest.raises(ConfigurationError):
-            Scenario(n=4, seed=0, engine="warp").validate()
 
 
 class TestScenarioMatrix:

@@ -130,7 +130,7 @@ class TestRuntimeContract:
         assert isinstance(runtime, StepWindow)
         for shared in ("coalescing_step", "svec_defer", "_flush_svec", "_buffer"):
             assert getattr(type(runtime), shared) is getattr(StepWindow, shared)
-        assert runtime.svec and runtime.coalesce and runtime.batch_ingest
+        assert runtime.svec and runtime.coalesce
         assert not runtime.svec_buffering  # no step open
 
     def test_step_flushes_muxes_then_one_envelope_per_destination(self, kind):

@@ -76,7 +76,6 @@ def test_networkhost_satisfies_hostabc(cfg4):
         # The runtime surface modules consume must exist and be sane.
         rt = node.host.runtime
         assert rt.config is cfg4
-        assert rt.batch_sends is True
         assert rt.routing_frozen is False
         await node.close()
 

@@ -8,12 +8,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.adversary.controller import crash_recovery_adversary
 from repro.config import SystemConfig
-from repro.core.api import run_byzantine_agreement
 from repro.errors import SimulationError
 from repro.sim.events import BucketQueue, EventQueue
-from repro.sim.monitor import InvariantMonitor
 from repro.sim.process import RECOVER_TAG
 from repro.sim.runtime import Runtime
 
@@ -92,9 +89,8 @@ class TestRecovery:
         rt.run_to_quiescence()
         assert rec.got == [(1, ("ping", "post-recovery"))]
 
-    @pytest.mark.parametrize("engine", ["flat", "legacy"])
-    def test_scheduled_recovery_wake(self, engine):
-        rt = Runtime(SystemConfig(n=3, t=1, seed=0), engine=engine)
+    def test_scheduled_recovery_wake(self):
+        rt = Runtime(SystemConfig(n=3, t=1, seed=0))
         rec = _Recorder(rt.host(2))
         rt.host(2).crash()
         rt.host(1).send(2, ("ping", "while-down"), "test")
@@ -114,11 +110,10 @@ class TestRecovery:
         with pytest.raises(SimulationError):
             rt.schedule_recovery(2, float("inf"))
 
-    @pytest.mark.parametrize("engine", ["flat", "legacy"])
-    def test_peers_cannot_forge_a_wake(self, engine):
+    def test_peers_cannot_forge_a_wake(self):
         """A peer-sent ("recover",) payload must not resurrect anyone: only
         the runtime's own src == 0 origin is honoured."""
-        rt = Runtime(SystemConfig(n=3, t=1, seed=0), engine=engine)
+        rt = Runtime(SystemConfig(n=3, t=1, seed=0))
         rt.host(2).crash()
         rt.host(1).send(2, (RECOVER_TAG,), "test")
         rt.run_to_quiescence()
@@ -144,7 +139,7 @@ class TestRecovery:
             "slot", "a", lambda src, payload: got.append(payload)
         )
         rt.host(1).send(2, ("slot", "a", 1), "test")
-        rt.run_to_quiescence()  # freezes routing on the flat engine
+        rt.run_to_quiescence()  # freezes routing
         assert rt.routing_frozen
         rt.host(2).crash()
         rt.recover(2)
@@ -192,29 +187,3 @@ class TestEpochFence:
         host._deliver_envelope(1, ("env", (("a", 1), ("a", 2))))
         assert got == [("a", 1)]
 
-
-class TestCrashRecoveryRoundTrip:
-    """Acceptance: a host crashed mid-run recovers, rejoins, and the run
-    decides — with bit-identical monitor verdicts on both engines."""
-
-    def test_round_trip_identical_verdicts(self):
-        results = {}
-        for engine in ("flat", "legacy"):
-            cfg = SystemConfig(n=4, seed=11)
-            monitor = InvariantMonitor(round_bound=200)
-            result = run_byzantine_agreement(
-                [0, 1, 1, 0],
-                cfg,
-                coin="svss",
-                adversary=crash_recovery_adversary(
-                    [2], phases=(30, 60), downtime=25.0
-                ),
-                max_rounds=200,
-                engine=engine,
-                monitor=monitor,
-            )
-            assert result.agreed
-            verdict = monitor.verdict()
-            assert verdict["recoveries"], "host 2 never crashed and recovered"
-            results[engine] = verdict
-        assert results["flat"] == results["legacy"]

@@ -11,8 +11,7 @@ re-anchored once, on purpose, when a step's reliable broadcasts became one RB
 the 85 nothing else moved; the other 15 are the ``REANCHORED_*`` cases below,
 whose corrupt process counts or randomises per message it *sends*.
 
-Scenarios (all on the default aggregated path, ``batch_ingest`` pinned so the
-``REPRO_BATCH_INGEST`` CI legs cannot move ``dmm_verdict_calls``):
+Scenarios (all on the default aggregated path):
 
 * 20 fault-free coin invocations (FIFO; 18 at n = 4, 2 at n = 7);
 * 40 SVSS-coin agreements at n = 4, one ``random_adversary`` process over the
@@ -93,7 +92,7 @@ STAGGERED_CASES = {
     "n7-late25-seed3": (7, 3, _late(7, (2, 5)), True),
 }
 
-AGGREGATION = dict(coalesce=True, svec=True, batch_ingest=True)
+AGGREGATION = dict(coalesce=True, svec=True)
 
 
 def coin_record(n: int, seed: int) -> dict:

@@ -317,14 +317,6 @@ class TestFlatDispatch:
         cfg = SystemConfig(n=3, t=0, seed=0)
         assert isinstance(Runtime(cfg, scheduler=FifoScheduler()).queue, BucketQueue)
         assert isinstance(Runtime(cfg).queue, EventQueue)  # uniform delays
-        assert isinstance(
-            Runtime(cfg, scheduler=FifoScheduler(), engine="legacy").queue,
-            EventQueue,
-        )
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(SimulationError):
-            Runtime(SystemConfig(n=3, t=0, seed=0), engine="warp")
 
     def test_register_after_freeze_raises(self):
         cfg = SystemConfig(n=2, t=0, seed=0)
@@ -335,11 +327,6 @@ class TestFlatDispatch:
         assert rt.routing_frozen
         with pytest.raises(SimulationError, match="routing is frozen"):
             rt.host(2).register_handler("late", lambda s, p: None)
-        # Legacy engines never freeze, preserving the seed semantics.
-        legacy = Runtime(cfg, engine="legacy")
-        legacy.host(1).send(2, ("ping", 1), "test")
-        legacy.run_to_quiescence()
-        legacy.host(2).register_handler("late", lambda s, p: None)
 
     @pytest.mark.parametrize("scheduler", [None, FifoScheduler()])
     def test_malformed_payloads_dropped_on_fast_path(self, scheduler):
@@ -381,16 +368,24 @@ class TestFlatDispatch:
         assert [p for _, p in rec.got] == [("ping", 1)]
 
     def test_send_all_fast_path_counts_and_delivers_like_sends(self):
-        def run(engine):
+        """One ``send_all`` is n ``send`` calls in destination order, on the
+        one-push calendar fan-out and under seeded per-message delays."""
+
+        def run(make_scheduler, fan_out):
             cfg = SystemConfig(n=4, seed=2)
-            rt = Runtime(cfg, scheduler=FifoScheduler(), engine=engine)
+            rt = Runtime(cfg, scheduler=make_scheduler())
             recs = {pid: _Recorder(rt.host(pid)) for pid in cfg.pids}
-            rt.host(1).send_all(("ping", 7), "layer-a")
+            if fan_out:
+                rt.host(1).send_all(("ping", 7), "layer-a")
+            else:
+                for dst in cfg.pids:
+                    rt.host(1).send(dst, ("ping", 7), "layer-a")
             rt.run_to_quiescence()
             got = {pid: r.got for pid, r in recs.items()}
-            return got, dict(rt.trace.messages_by_layer), rt.queue.pushed_total
+            return got, dict(rt.trace.messages_by_layer), rt.queue.pushed_total, rt.now
 
-        assert run("flat") == run("legacy")
+        for make_scheduler in (FifoScheduler, lambda: None):
+            assert run(make_scheduler, True) == run(make_scheduler, False)
 
     def test_send_all_respects_outbound_filter(self):
         cfg = SystemConfig(n=3, t=1, seed=0)

@@ -4,9 +4,9 @@ The load-bearing property is that slot-vector aggregation is a pure
 *logical-message-count* optimization: under fixed-delay schedulers one
 SVSS-coin invocation with ``svec=True`` produces bit-identical coin
 outputs and per-session justifiers (attach sets, accepted sets, eval
-sets, party values) to the unaggregated run, per seed, on both engines —
-while dispatching ~n× fewer logical messages.  The adversarial tests pin
-the extended PR-4 contract: corrupt senders emit per-session messages
+sets, party values) to the unaggregated run, per seed — while dispatching
+~n× fewer logical messages.  The adversarial tests pin the extended PR-4
+contract: corrupt senders emit per-session messages
 (mutators and crash budgets act on logical *slot* messages), a slot-level
 fault never poisons its vector siblings, a receiver crash mid-vector
 drops the remaining slots, and a ``SlotSplittingScheduler`` replays the
@@ -44,11 +44,10 @@ JUSTIFIERS = (
 )
 
 
-def flip(n, seed, engine="flat", quiesce=True, **kw):
+def flip(n, seed, quiesce=True, **kw):
     result, stack = flip_common_coin(
         SystemConfig(n=n, seed=seed),
         scheduler=kw.pop("scheduler", FifoScheduler()),
-        engine=engine,
         **kw,
     )
     if quiesce:
@@ -70,13 +69,12 @@ def coin_justifiers(stack):
 
 
 class TestBitIdenticalCoin:
-    """The acceptance property: svec on vs off, flat and legacy, per seed."""
+    """The acceptance property: svec on vs off, per seed."""
 
-    @pytest.mark.parametrize("engine", ["flat", "legacy"])
     @pytest.mark.parametrize("seed", range(3))
-    def test_coin_outputs_and_justifiers_identical(self, engine, seed):
-        off, stack_off = flip(4, seed, engine=engine)
-        on, stack_on = flip(4, seed, engine=engine, svec=True)
+    def test_coin_outputs_and_justifiers_identical(self, seed):
+        off, stack_off = flip(4, seed)
+        on, stack_on = flip(4, seed, svec=True)
         assert on.outputs == off.outputs
         assert coin_justifiers(stack_on) == coin_justifiers(stack_off)
         # The aggregation must actually bite: ~n× fewer logical messages.
@@ -98,29 +96,6 @@ class TestBitIdenticalCoin:
         assert both.events_dispatched < svec_only.events_dispatched
         assert both.svec_packed == svec_only.svec_packed
 
-    def test_flat_matches_legacy_golden_svec_coalesced(self):
-        """Both engines form the identical aggregated+coalesced wire
-        stream — including the end-of-step ordering that lets slot-vectors
-        join their step's envelopes (step() vs the flat hot loop)."""
-
-        def golden(engine):
-            result, _ = flip(
-                4, 5, engine=engine, svec=True, coalesce=True, quiesce=False
-            )
-            return (
-                dict(result.outputs),
-                result.events_dispatched,
-                result.messages_pushed,
-                result.envelopes_pushed,
-                result.payloads_coalesced,
-                result.svec_packed,
-                result.svec_slots,
-            )
-
-        flat, legacy = golden("flat"), golden("legacy")
-        assert flat == legacy
-        assert flat[3] > 0  # vectors actually rode envelopes
-
     def test_replay_deterministic(self):
         a, _ = flip(4, 3, svec=True, quiesce=False)
         b, _ = flip(4, 3, svec=True, quiesce=False)
@@ -130,8 +105,7 @@ class TestBitIdenticalCoin:
         assert a.svec_slots == b.svec_slots
         assert a.sim_time == b.sim_time
 
-    @pytest.mark.parametrize("engine", ["flat", "legacy"])
-    def test_agreement_decisions_identical(self, engine):
+    def test_agreement_decisions_identical(self):
         """The full agreement stack over the SVSS coin: per-seed A/B."""
 
         def run(svec):
@@ -140,7 +114,6 @@ class TestBitIdenticalCoin:
                 SystemConfig(n=4, seed=7),
                 coin="svss",
                 scheduler=FifoScheduler(),
-                engine=engine,
                 svec=svec,
             )
 
@@ -194,21 +167,16 @@ class TestBitIdenticalCoin:
 
 
 class TestSlotVectorUnpack:
-    """Receiver-side slot-vector semantics, driven directly on the mux.
-
-    Pinned to ``batch_ingest=False``: these spy tests shadow ``_ingest``
-    to observe the per-slot loop; the batched path's equivalents live in
-    ``tests/test_batch_ingest.py``.
+    """Receiver-side slot-vector semantics, driven directly on the mux with
+    SVSS-group vectors (``tests/test_batch_ingest.py`` drives MW-SVSS
+    groups): the mux checks the frame, ``ingest_vector`` every slot.
     """
 
     def make_manager(self, svec=True):
         from repro.core.api import build_stack
 
         stack = build_stack(
-            SystemConfig(n=4, seed=0),
-            scheduler=FifoScheduler(),
-            svec=svec,
-            batch_ingest=False,
+            SystemConfig(n=4, seed=0), scheduler=FifoScheduler(), svec=svec
         )
         return stack, stack.vss[1]
 
@@ -216,57 +184,63 @@ class TestSlotVectorUnpack:
     def group_for(csid=("cc", "solo", 0), dealer=2):
         return ("s", csid, dealer)
 
-    def spy_ingest(self, manager, crash_after=None):
+    def spy_sessions(self, manager, group, slots, crash_after=None):
+        """Record ``(slot, src, kind, body)`` of every ``handle`` call the
+        per-slot sessions of ``group`` receive."""
         calls = []
 
-        def spy(src, sid, kind, body):
-            calls.append((src, sid, kind, body))
+        def spy(slot, src, kind, body, polys=None):
+            calls.append((slot, src, kind, body))
             if crash_after is not None and len(calls) == crash_after:
                 manager.host.crashed = True
 
-        manager._ingest = spy  # instance attribute shadows the method
+        for slot in slots:
+            inst = manager._ensure_svss(svec_sid(group, slot))
+            inst.handle = lambda *a, slot=slot: spy(slot, *a)
+        return calls
+
+    def spy_vectors(self, manager):
+        calls = []
+        manager.ingest_vector = lambda *a: calls.append(a)
         return calls
 
     def test_unpack_feeds_per_slot_sessions(self):
         _, mgr = self.make_manager()
-        calls = self.spy_ingest(mgr)
         group = self.group_for()
-        mgr.mux.on_private(2, (SVEC_TAG, "cnf", group, ((1, 5), (2, 6))))
-        assert calls == [
-            (2, svec_sid(group, 1), "cnf", 5),
-            (2, svec_sid(group, 2), "cnf", 6),
-        ]
+        calls = self.spy_sessions(mgr, group, (1, 2))
+        mgr.mux.on_private(2, (SVEC_TAG, "rows", group, ((1, 5), (2, 6))))
+        assert calls == [(1, 2, "rows", 5), (2, 2, "rows", 6)]
 
     def test_malformed_slots_degrade_independently(self):
         """A bad entry never poisons its vector siblings."""
         _, mgr = self.make_manager()
-        calls = self.spy_ingest(mgr)
         group = self.group_for()
+        calls = self.spy_sessions(mgr, group, (1, 2, 3))
         mgr.mux.on_private(
             2,
             (
                 SVEC_TAG,
-                "cnf",
+                "rows",
                 group,
                 ((1, 5), "junk", (2,), ([1], 7), ("x", 8), (3, 9)),
             ),
         )
-        assert [c[1] for c in calls] == [svec_sid(group, 1), svec_sid(group, 3)]
+        assert [c[0] for c in calls] == [1, 3]
 
     def test_crash_mid_vector_drops_remaining_slots(self):
         _, mgr = self.make_manager()
-        calls = self.spy_ingest(mgr, crash_after=2)
         group = self.group_for()
+        calls = self.spy_sessions(mgr, group, (1, 2, 3, 4), crash_after=2)
         mgr.mux.on_private(
-            2, (SVEC_TAG, "cnf", group, ((1, 5), (2, 6), (3, 7), (4, 8)))
+            2, (SVEC_TAG, "rows", group, ((1, 5), (2, 6), (3, 7), (4, 8)))
         )
-        assert len(calls) == 2  # slots 3 and 4 died with the crash
+        assert [c[0] for c in calls] == [1, 2]  # slots 3 and 4 died with the crash
 
     def test_transport_enforcement_covers_vectors(self):
         """A private vector cannot smuggle RB kinds, and vice versa —
         the same dealer-equivocation defence as the per-session paths."""
         _, mgr = self.make_manager()
-        calls = self.spy_ingest(mgr)
+        calls = self.spy_vectors(mgr)
         group = self.group_for()
         mgr.mux.on_private(2, (SVEC_TAG, "L", group, ((1, (2, 3)),)))
         mgr.mux.on_rb(2, (SVEC_TAG, (("cnf", group, ((1, 5),)),)))
@@ -274,7 +248,7 @@ class TestSlotVectorUnpack:
 
     def test_forged_garbage_dropped_whole(self):
         _, mgr = self.make_manager()
-        calls = self.spy_ingest(mgr)
+        calls = self.spy_vectors(mgr)
         mux = mgr.mux
         group = self.group_for()
         mux.on_private(2, (SVEC_TAG, "cnf", group))  # short
@@ -326,8 +300,8 @@ def spy_broadcasts(stack, pid):
 class TestRbFold:
     """One reliable broadcast per (step, origin): the send side folds the
     step's RB vectors under one bid, bounded; the receive side validates
-    and ingests item by item (pinned to batched ingestion; the per-slot
-    loop underneath is ``TestSlotVectorUnpack``'s)."""
+    and ingests item by item (what happens inside one item is
+    ``TestSlotVectorUnpack``'s)."""
 
     def make(self):
         from repro.core.api import build_stack
@@ -336,7 +310,6 @@ class TestRbFold:
             SystemConfig(n=4, seed=0),
             scheduler=FifoScheduler(),
             svec=True,
-            batch_ingest=True,  # the spy below watches ingest_vector
         )
         return stack, stack.vss[1]
 
@@ -586,15 +559,13 @@ class TestAdversarialContract:
         assert set(result.outputs) >= set(nonfaulty)
         assert result.svec_packed > 0
 
-    @pytest.mark.parametrize("engine", ["flat", "legacy"])
-    def test_slot_splitting_scheduler_replays_per_session_golden(self, engine):
+    def test_slot_splitting_scheduler_replays_per_session_golden(self):
         """splits_slots vetoes packing: the svec=True run IS the svec=False
         run, bit for bit (events, wire pushes, outputs, justifiers)."""
-        off, stack_off = flip(4, 5, engine=engine, trace_level=TRACE_COUNTS)
+        off, stack_off = flip(4, 5, trace_level=TRACE_COUNTS)
         split, stack_split = flip(
             4,
             5,
-            engine=engine,
             svec=True,
             scheduler=SlotSplittingScheduler(FifoScheduler()),
             trace_level=TRACE_COUNTS,
