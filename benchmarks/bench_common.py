@@ -19,8 +19,6 @@ from repro.core.api import (
     flip_common_coin,
     run_byzantine_agreement,
     run_byzantine_agreement_batch,
-    run_mwsvss,
-    run_svss,
 )
 from repro.sim.scheduler import FifoScheduler
 from repro.sim.tracing import TRACE_OFF
@@ -166,18 +164,3 @@ def measure_coin(n: int, seeds, adversary_factory=None):
         result, stack = flip_common_coin(cfg, adversary=adversary)
         runs.append((result, stack))
     return runs
-
-
-def mw_message_cost(n: int, seed: int = 0) -> tuple[int, int]:
-    """(messages, bytes) of one fault-free MW-SVSS share+reconstruct."""
-    cfg = SystemConfig(n=n, seed=seed)
-    from repro.core.api import build_stack  # local import to keep API slim
-
-    result, stack = run_mwsvss(cfg, dealer=1, moderator=2, secret=7)
-    return result.trace.total_messages, result.trace.total_bytes
-
-
-def svss_message_cost(n: int, seed: int = 0) -> int:
-    cfg = SystemConfig(n=n, seed=seed)
-    result, _ = run_svss(cfg, dealer=1, secret=7)
-    return result.trace.total_messages

@@ -1,8 +1,8 @@
 """E7 / Figure 3 — polynomial efficiency (paper abstract, §1).
 
-Measures messages (and estimated bytes) per protocol layer against n and
-fits log-log slopes.  The claim under test: every layer's cost is
-polynomial in n, with small exponents:
+Measures messages per protocol layer against n and fits log-log slopes.
+The claim under test: every layer's cost is polynomial in n, with small
+exponents:
 
 * RB: exactly 2n^2 + n messages (slope 2);
 * MW-SVSS share+reconstruct: Theta(n^3) (n broadcasts of RB cost);

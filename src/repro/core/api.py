@@ -17,9 +17,9 @@ rates to emulate the full stack at large ``n``).
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass, field, fields
-from random import Random
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass, field, fields, replace
+from functools import partial
 
 from repro.adversary.controller import Adversary, no_adversary
 from repro.broadcast.manager import BroadcastManager
@@ -38,10 +38,9 @@ from repro.core.mwsvss import BOTTOM
 from repro.core.sessions import mw_session, svss_session
 from repro.errors import ConfigurationError, DeadlockError, ProtocolError
 from repro.sim.monitor import InvariantMonitor
-from repro.sim.process import MAX_INSTANCE_SLOTS
 from repro.sim.runtime import DEFAULT_MAX_EVENTS, Runtime
 from repro.sim.scheduler import Scheduler
-from repro.sim.tracing import TRACE_COUNTS, TRACE_FULL, Trace
+from repro.sim.tracing import TRACE_FULL, Trace
 
 CoinSpec = object  # str | tuple | callable
 
@@ -69,9 +68,7 @@ class Stack:
     coins: dict[int, CoinSource] = field(default_factory=dict)
     aba: dict[int, ABAProcess] = field(default_factory=dict)
     adversary: Adversary = field(default_factory=no_adversary)
-    #: Declared agreement instances (``build_stack(instances=...)``).
-    instance_ids: tuple = (DEFAULT_INSTANCE,)
-    #: instance id -> pid -> ABAProcess, for every started instance.
+    #: instance id -> pid -> agreement process, for every started instance.
     agreements: dict[object, dict[int, ABAProcess]] = field(default_factory=dict)
     #: instance id -> pid -> CoinSource backing that instance.
     instance_coins: dict[object, dict[int, CoinSource]] = field(default_factory=dict)
@@ -94,46 +91,12 @@ class Stack:
             ) from None
 
 
-def _normalize_instances(instances: int | Sequence[object]) -> tuple:
-    if isinstance(instances, int):
-        if instances < 1:
-            raise ConfigurationError(
-                f"need at least one instance, got instances={instances}"
-            )
-        ids: tuple = (
-            (DEFAULT_INSTANCE,)
-            if instances == 1
-            else tuple((DEFAULT_INSTANCE, k) for k in range(instances))
-        )
-    else:
-        ids = tuple(instances)
-        if not ids:
-            raise ConfigurationError("instance id list must not be empty")
-        try:
-            unique = len(set(ids))
-        except TypeError:
-            raise ConfigurationError(
-                f"instance ids must be hashable (they key dispatch slots), "
-                f"got {ids!r}"
-            ) from None
-        if unique != len(ids):
-            raise ConfigurationError(f"duplicate instance ids in {ids!r}")
-    if len(ids) > MAX_INSTANCE_SLOTS:
-        raise ConfigurationError(
-            f"{len(ids)} instances exceed the slot-table bound "
-            f"{MAX_INSTANCE_SLOTS}"
-        )
-    return ids
-
-
 def build_stack(
     config: SystemConfig,
     scheduler: Scheduler | None = None,
     adversary: Adversary | None = None,
     with_vss: bool = True,
-    measure_bytes: bool = False,
     trace_level: int = TRACE_FULL,
-    instances: int | Sequence[object] = 1,
     coalesce: bool = False,
     svec: bool = False,
     algebra_backend: str | None = None,
@@ -143,12 +106,6 @@ def build_stack(
     ``trace_level`` (:data:`~repro.sim.tracing.TRACE_FULL` by default) can
     be lowered to :data:`~repro.sim.tracing.TRACE_OFF` for wall-clock
     benchmarks: the runtime then skips all per-message accounting.
-
-    ``instances`` declares how many concurrent agreement instances the
-    stack will host — a count or an explicit sequence of instance ids.
-    The broadcast/VSS substrate is shared either way; the declaration
-    sizes the per-instance maps and is what
-    :func:`run_byzantine_agreement_batch` builds on.
 
     ``coalesce`` enables wire-level message coalescing: all sends of one
     dispatch step sharing a (src, dst) pair travel as one envelope event
@@ -176,12 +133,6 @@ def build_stack(
     ``stack.runtime.algebra_backend`` and the per-run ``rows_vectorized``
     / ``backend_fallbacks`` counters ride every result dataclass.
     """
-    if measure_bytes and trace_level < TRACE_COUNTS:
-        raise ConfigurationError(
-            "measure_bytes=True needs trace_level >= TRACE_COUNTS; "
-            "a disabled trace would silently record zero bytes"
-        )
-    instance_ids = _normalize_instances(instances)
     runtime = Runtime(
         config,
         scheduler=scheduler,
@@ -190,7 +141,6 @@ def build_stack(
         svec=svec,
         algebra_backend=algebra_backend,
     )
-    runtime.trace.measure_bytes = measure_bytes
     broadcasts = {}
     vss = {}
     for pid in config.pids:
@@ -204,7 +154,6 @@ def build_stack(
         broadcasts=broadcasts,
         vss=vss,
         adversary=adversary or no_adversary(),
-        instance_ids=instance_ids,
     )
     stack.adversary.install(runtime)
     return stack
@@ -238,9 +187,9 @@ def make_node_coin(
     The per-host core of :func:`make_coins` for the coin kinds that need
     no cross-process oracle: ``"svss"`` (the paper's shunning common
     coin, served by one :class:`CommonCoinModule` per host) and
-    ``"local"`` (the private-coin baseline; the stream derivation matches
-    :func:`make_coins` exactly, so a network run and a simulated run on
-    the same config draw identical local-coin bits).
+    ``"local"`` (the private-coin baseline; :func:`make_coins` derives
+    its streams here, so a network run and a simulated run on the same
+    config draw identical local-coin bits).
     """
     config = host.runtime.config
     if coin == "svss":
@@ -279,26 +228,15 @@ def make_coins(
     """
     config = stack.config
     coins: dict[int, CoinSource] = {}
-    if coin == "svss":
-        if not stack.vss:
-            raise ConfigurationError("svss coin requires a stack with VSS")
-        config.require_optimal_resilience()
+    if coin in ("svss", "local"):
         for pid in config.pids:
-            host = stack.runtime.host(pid)
-            if host.has_module("coin"):
-                coins[pid] = host.module("coin")
-            else:
-                coins[pid] = CommonCoinModule(
-                    host, stack.vss[pid], stack.broadcasts[pid]
-                )
-    elif coin == "local":
-        for pid in config.pids:
-            tags = (
-                ("local-coin", pid)
-                if instance == DEFAULT_INSTANCE
-                else ("local-coin", instance, pid)
+            coins[pid] = make_node_coin(
+                stack.runtime.host(pid),
+                coin,
+                broadcast=stack.broadcasts[pid],
+                vss=stack.vss.get(pid),
+                instance=instance,
             )
-            coins[pid] = LocalCoin(config.derive_rng(*tags))
     elif isinstance(coin, tuple) and len(coin) == 2 and coin[0] == "ideal":
         tags = (
             ("ideal-coin",)
@@ -317,10 +255,6 @@ def make_coins(
     if instance == DEFAULT_INSTANCE or not stack.coins:
         stack.coins = coins
     return coins
-
-
-#: Backwards-compatible alias from before ``make_coins`` went public.
-_make_coins = make_coins
 
 
 # ---------------------------------------------------------------------------
@@ -375,10 +309,9 @@ class RunCounters:
         return self.messages_pushed - self.envelopes_pushed + self.payloads_coalesced
 
     def counters(self) -> dict:
-        """Every counter by name, ``logical_messages`` included."""
-        counters = {f.name: getattr(self, f.name) for f in fields(RunCounters)}
-        counters["logical_messages"] = self.logical_messages
-        return counters
+        """Every declared counter by name — what another ``RunCounters``
+        subclass takes as keywords (``logical_messages`` is derived)."""
+        return {f.name: getattr(self, f.name) for f in fields(RunCounters)}
 
 
 def run_counters(runtime: Runtime) -> dict:
@@ -423,18 +356,129 @@ class AgreementResult(RunCounters):
         return max(self.rounds.values(), default=0)
 
     @property
+    def decided_instances(self) -> int:
+        """1 if this agreement succeeded (a solo run is a batch of one)."""
+        return int(self.agreed)
+
+    @property
     def shun_pairs(self) -> set[tuple[int, int]]:
         return self.trace.shun_pairs()
 
 
-def _normalize_inputs(
+def _wait(stack: Stack, predicate: Callable[[], bool], max_events: int) -> bool:
+    """Run ``stack`` until ``predicate`` holds; False if it quiesced first.
+    Every runner's predicate is over state its modules announce via
+    ``notify()``, so it is re-evaluated on change only."""
+    try:
+        stack.runtime.run_until(predicate, max_events=max_events, on_change=True)
+        return True
+    except DeadlockError:
+        return False
+
+
+def normalize_inputs(
     inputs: list[int] | dict[int, int], config: SystemConfig
 ) -> dict[int, int]:
+    """``inputs`` as a pid-keyed map naming exactly ``config.pids``."""
     if isinstance(inputs, dict):
+        if set(inputs) != set(config.pids):
+            raise ConfigurationError(
+                f"inputs must name exactly pids 1..{config.n}, "
+                f"got {sorted(inputs, key=repr)}"
+            )
         return dict(inputs)
     if len(inputs) != config.n:
         raise ConfigurationError(f"need {config.n} inputs, got {len(inputs)}")
     return {pid: inputs[pid - 1] for pid in config.pids}
+
+
+def _drive_agreements(
+    stack: Stack,
+    inputs: dict[object, list[int] | dict[int, int]],
+    make_process: Callable[[Stack, object, int, Callable[[int], None]], object],
+    max_rounds: int,
+    max_events: int,
+    monitor: InvariantMonitor | None = None,
+) -> dict[object, AgreementResult]:
+    """Run one agreement per entry of ``inputs`` (instance id -> inputs) to
+    completion on ``stack``; the only driver loop of the agreement runners.
+
+    ``make_process(stack, instance_id, pid, on_decide)`` builds one
+    process' module for one instance — anything with ``start(value)``,
+    ``round`` and ``rounds_used`` that announces round entry and decisions
+    via ``notify()``.  The per-instance results share the stack's trace
+    and clock and carry zero run counters: one event loop served them all,
+    so the caller snapshots :func:`run_counters` once.
+    """
+    config = stack.config
+    runtime = stack.runtime
+    input_maps = {iid: normalize_inputs(row, config) for iid, row in inputs.items()}
+    decisions: dict[object, dict[int, int]] = {iid: {} for iid in input_maps}
+    # on_decide(v) is decided.setdefault(pid, v): the first decision stands.
+    agreements = {
+        iid: {
+            pid: make_process(stack, iid, pid, partial(decided.setdefault, pid))
+            for pid in config.pids
+        }
+        for iid, decided in decisions.items()
+    }
+    stack.agreements.update(agreements)
+    stack.aba = next(iter(agreements.values()))
+    if monitor is not None:
+        monitor.install(runtime)
+        for iid, input_map in input_maps.items():
+            monitor.expect_inputs(iid, input_map)
+    adaptive = bool(getattr(stack.adversary, "adaptive", False))
+    nonfaulty = stack.nonfaulty()
+    # Start source-major (all of one host's instances before the next
+    # host's) inside one coalescing step: each host's round-1 votes and
+    # coin-join traffic leave as one envelope per destination, which for a
+    # batch is what seeds the self-sustaining vote coalescing.  Every
+    # instance's per-party sub-sequence is unaffected by the start order,
+    # so the batch-matches-solo guarantee is order-independent here.
+    with runtime.coalescing_step():
+        for pid in config.pids:
+            for iid, input_map in input_maps.items():
+                agreements[iid][pid].start(input_map[pid])
+
+    def instance_done(iid: object, targets: list[int]) -> bool:
+        if all(pid in decisions[iid] for pid in targets):
+            return True
+        return any(agreements[iid][pid].round > max_rounds for pid in targets)
+
+    def finished() -> bool:
+        targets = stack.nonfaulty() if adaptive else nonfaulty
+        return all(instance_done(iid, targets) for iid in agreements)
+
+    # Adaptive adversaries announce their corruptions like modules announce
+    # rounds and decisions, so a shrunken nonfaulty set is re-checked promptly.
+    _wait(stack, finished, max_events)
+    nonfaulty = stack.nonfaulty()  # what an adaptive adversary left of it
+    return {
+        iid: AgreementResult(
+            config=config,
+            decisions=decisions[iid],
+            rounds={pid: processes[pid].rounds_used for pid in nonfaulty},
+            nonfaulty=nonfaulty,
+            sim_time=runtime.now,
+            trace=stack.trace,
+            terminated=all(pid in decisions[iid] for pid in nonfaulty),
+            adversary_description=stack.adversary.describe(),
+        )
+        for iid, processes in agreements.items()
+    }
+
+
+def _aba_process(stack: Stack, iid: object, pid: int, on_decide) -> ABAProcess:
+    """The paper's agreement as a ``make_process``: one process of one
+    instance, on the coin source :func:`make_coins` registered for it."""
+    return ABAProcess(
+        stack.runtime.host(pid),
+        stack.broadcasts[pid],
+        stack.instance_coins[iid][pid],
+        instance_id=iid,
+        on_decide=on_decide,
+    )
 
 
 def run_byzantine_agreement(
@@ -446,7 +490,6 @@ def run_byzantine_agreement(
     max_rounds: int = 200,
     max_events: int = DEFAULT_MAX_EVENTS,
     tag: str = "aba",
-    measure_bytes: bool = False,
     trace_level: int = TRACE_FULL,
     coalesce: bool = False,
     svec: bool = False,
@@ -470,76 +513,21 @@ def run_byzantine_agreement(
     the one the result reports — is recomputed per evaluation rather than
     captured at start.
     """
-    needs_vss = coin == "svss"
     stack = build_stack(
         config,
         scheduler=scheduler,
         adversary=adversary,
-        with_vss=needs_vss,
-        measure_bytes=measure_bytes,
+        with_vss=coin == "svss",
         trace_level=trace_level,
-        instances=(tag,),
         coalesce=coalesce,
         svec=svec,
         algebra_backend=algebra_backend,
     )
-    coins = make_coins(stack, coin, instance=tag)
-    input_map = _normalize_inputs(inputs, config)
-
-    decisions: dict[int, int] = {}
-    processes: dict[int, ABAProcess] = {}
-    for pid in config.pids:
-        processes[pid] = ABAProcess(
-            stack.runtime.host(pid),
-            stack.broadcasts[pid],
-            coins[pid],
-            instance_id=tag,
-            on_decide=lambda v, pid=pid: decisions.setdefault(pid, v),
-        )
-    stack.aba = processes
-    stack.agreements[tag] = processes
-    if monitor is not None:
-        monitor.install(stack.runtime)
-        monitor.expect_inputs(tag, input_map)
-    adaptive = bool(getattr(stack.adversary, "adaptive", False))
-    nonfaulty = stack.nonfaulty()
-    # Source-major driver sends in one coalescing step: each host's round-1
-    # vote and coin-join traffic leaves as one envelope per destination.
-    with stack.runtime.coalescing_step():
-        for pid in config.pids:
-            processes[pid].start(input_map[pid])
-
-    def finished() -> bool:
-        targets = stack.nonfaulty() if adaptive else nonfaulty
-        if all(pid in decisions for pid in targets):
-            return True
-        return any(processes[pid].round > max_rounds for pid in targets)
-
-    try:
-        # Every term of ``finished`` (decisions, round counters) is
-        # announced via notify_state_change, so the wait is re-evaluated
-        # on change only.  (Adaptive adversaries announce their own
-        # corruptions the same way, so a shrunken nonfaulty set is
-        # re-checked promptly.)
-        stack.runtime.run_until(finished, max_events=max_events, on_change=True)
-        if adaptive:
-            nonfaulty = stack.nonfaulty()
-        terminated = all(pid in decisions for pid in nonfaulty)
-    except DeadlockError:
-        if adaptive:
-            nonfaulty = stack.nonfaulty()
-        terminated = False
-    return AgreementResult(
-        config=config,
-        decisions=decisions,
-        rounds={pid: processes[pid].rounds_used for pid in nonfaulty},
-        nonfaulty=nonfaulty,
-        sim_time=stack.runtime.now,
-        trace=stack.trace,
-        terminated=terminated,
-        adversary_description=stack.adversary.describe(),
-        **run_counters(stack.runtime),
+    make_coins(stack, coin, instance=tag)
+    results = _drive_agreements(
+        stack, {tag: inputs}, _aba_process, max_rounds, max_events, monitor
     )
+    return replace(results[tag], **run_counters(stack.runtime))
 
 
 # ---------------------------------------------------------------------------
@@ -583,6 +571,12 @@ class BatchAgreementResult(RunCounters):
         return {iid: r.decision for iid, r in self.results.items()}
 
     @property
+    def decision(self) -> int | None:
+        """The value every instance decided, or None if they differ."""
+        values = set(self.decisions.values())
+        return next(iter(values)) if len(values) == 1 else None
+
+    @property
     def max_rounds(self) -> int:
         return max((r.max_rounds for r in self.results.values()), default=0)
 
@@ -603,7 +597,6 @@ def run_byzantine_agreement_batch(
     coalesce_votes: bool = False,
     svec: bool = False,
     algebra_backend: str | None = None,
-    measure_bytes: bool = False,
     trace_level: int = TRACE_FULL,
     monitor: InvariantMonitor | None = None,
 ) -> BatchAgreementResult:
@@ -643,24 +636,16 @@ def run_byzantine_agreement_batch(
     if not rows:
         raise ConfigurationError("inputs_matrix must contain at least one row")
     instance_ids = tuple((DEFAULT_INSTANCE, k) for k in range(len(rows)))
-    needs_vss = coin == "svss"
     stack = build_stack(
         config,
         scheduler=scheduler,
         adversary=adversary,
-        with_vss=needs_vss,
-        measure_bytes=measure_bytes,
+        with_vss=coin == "svss",
         trace_level=trace_level,
-        instances=instance_ids,
         coalesce=coalesce_votes,
         svec=svec,
         algebra_backend=algebra_backend,
     )
-    input_maps = {
-        iid: _normalize_inputs(rows[k], config)
-        for k, iid in enumerate(instance_ids)
-    }
-
     if share_coin:
         # One underlying coin per process, sessions keyed like a default-tag
         # solo run; one gate per process shared by its K instance frontends.
@@ -678,80 +663,12 @@ def run_byzantine_agreement_batch(
         for iid in instance_ids:
             stack.instance_coins[iid] = gates
         stack.coins = gates
-
-        def coin_for(iid: object, pid: int) -> CoinSource:
-            return gates[pid]
-
     else:
-        per_instance = {
-            iid: make_coins(stack, coin, instance=iid) for iid in instance_ids
-        }
-
-        def coin_for(iid: object, pid: int) -> CoinSource:
-            return per_instance[iid][pid]
-
-    decisions: dict[object, dict[int, int]] = {iid: {} for iid in instance_ids}
-    for iid in instance_ids:
-        processes: dict[int, ABAProcess] = {}
-        for pid in config.pids:
-            processes[pid] = ABAProcess(
-                stack.runtime.host(pid),
-                stack.broadcasts[pid],
-                coin_for(iid, pid),
-                instance_id=iid,
-                on_decide=lambda v, iid=iid, pid=pid: decisions[iid].setdefault(
-                    pid, v
-                ),
-            )
-        stack.agreements[iid] = processes
-    stack.aba = stack.agreements[instance_ids[0]]
-    if monitor is not None:
-        monitor.install(stack.runtime)
         for iid in instance_ids:
-            monitor.expect_inputs(iid, input_maps[iid])
-    adaptive = bool(getattr(stack.adversary, "adaptive", False))
-    nonfaulty = stack.nonfaulty()
-    # Start source-major (all of one host's instances before the next
-    # host's) inside one coalescing step: the K round-1 votes of each
-    # (src, dst) pair ride one envelope, which is what seeds the
-    # self-sustaining vote coalescing of ``coalesce_votes=True``.  Every
-    # instance's per-party sub-sequence is unaffected by the start order,
-    # so the batch-matches-solo guarantee is order-independent here.
-    with stack.runtime.coalescing_step():
-        for pid in config.pids:
-            for iid in instance_ids:
-                stack.agreements[iid][pid].start(input_maps[iid][pid])
-
-    def instance_done(iid: object, targets: list[int]) -> bool:
-        if all(pid in decisions[iid] for pid in targets):
-            return True
-        processes = stack.agreements[iid]
-        return any(processes[pid].round > max_rounds for pid in targets)
-
-    def finished() -> bool:
-        targets = stack.nonfaulty() if adaptive else nonfaulty
-        return all(instance_done(iid, targets) for iid in instance_ids)
-
-    try:
-        stack.runtime.run_until(finished, max_events=max_events, on_change=True)
-    except DeadlockError:
-        pass
-    if adaptive:
-        nonfaulty = stack.nonfaulty()
-    results: dict[object, AgreementResult] = {}
-    for iid in instance_ids:
-        processes = stack.agreements[iid]
-        terminated = all(pid in decisions[iid] for pid in nonfaulty)
-        results[iid] = AgreementResult(
-            config=config,
-            decisions=decisions[iid],
-            rounds={pid: processes[pid].rounds_used for pid in nonfaulty},
-            nonfaulty=nonfaulty,
-            sim_time=stack.runtime.now,
-            trace=stack.trace,
-            terminated=terminated,
-            adversary_description=stack.adversary.describe(),
-        )
+            make_coins(stack, coin, instance=iid)
+    results = _drive_agreements(
+        stack, dict(zip(instance_ids, rows)), _aba_process, max_rounds, max_events, monitor
+    )
     return BatchAgreementResult(
         config=config,
         instance_ids=instance_ids,
@@ -786,6 +703,64 @@ class VSSResult:
         return {self.outputs[p] for p in pids if p in self.outputs}
 
 
+def _run_sharing(
+    config: SystemConfig,
+    kind: str,
+    tag: object,
+    sid: tuple,
+    parties: tuple[int, ...],
+    deal: Callable[[Stack], None],
+    adversary: Adversary | None,
+    scheduler: Scheduler | None,
+    reconstruct: bool,
+    max_events: int,
+    trace_level: int,
+) -> tuple[VSSResult, Stack]:
+    """Share one standalone session, then optionally reconstruct it.
+
+    ``kind`` is ``"mw"`` or ``"svss"``: it names the watcher callbacks
+    (``on_<kind>_share_complete`` / ``on_<kind>_output``) and the
+    manager's ``<kind>_begin_reconstruct``.  ``parties`` are the pids
+    ``sid`` names (dealer, moderator); ``deal(stack)`` opens the session.
+    """
+    for pid in parties:
+        if pid not in config.pids:
+            raise ConfigurationError(
+                f"session {sid!r} names process {pid}, not one of 1..{config.n}"
+            )
+    stack = build_stack(
+        config, scheduler=scheduler, adversary=adversary, trace_level=trace_level
+    )
+    completed: set[int] = set()
+    outputs: dict[int, object] = {}
+    for pid in config.pids:
+        callbacks = {
+            f"on_{kind}_share_complete": lambda s, pid=pid: completed.add(pid),
+            f"on_{kind}_output": lambda s, v, pid=pid: outputs.setdefault(pid, v),
+        }
+        stack.vss[pid].register_watcher(tag, CallbackWatcher(**callbacks))
+    deal(stack)
+    nonfaulty = set(stack.nonfaulty())
+    if _wait(stack, lambda: nonfaulty <= completed, max_events) and reconstruct:
+        for pid in config.pids:
+            # Corrupt processes participate too (their behaviours lie
+            # through the protocol); skip any that cannot legally start.
+            try:
+                getattr(stack.vss[pid], f"{kind}_begin_reconstruct")(sid)
+            except ProtocolError:
+                continue
+        _wait(stack, lambda: nonfaulty <= set(outputs), max_events)
+    result = VSSResult(
+        config=config,
+        session=sid,
+        share_completed=completed,
+        outputs=outputs,
+        sim_time=stack.runtime.now,
+        trace=stack.trace,
+    )
+    return result, stack
+
+
 def run_mwsvss(
     config: SystemConfig,
     dealer: int,
@@ -800,55 +775,18 @@ def run_mwsvss(
     trace_level: int = TRACE_FULL,
 ) -> tuple[VSSResult, Stack]:
     """Run one standalone MW-SVSS session (share, then optionally R')."""
-    stack = build_stack(
-        config,
-        scheduler=scheduler,
-        adversary=adversary,
-        trace_level=trace_level,
-    )
-    sid = mw_session(("solo", counter), dealer, moderator, "dm")
-    completed: set[int] = set()
-    outputs: dict[int, object] = {}
-    for pid in config.pids:
-        stack.vss[pid].register_watcher(
-            ("solo", counter),
-            CallbackWatcher(
-                on_mw_share_complete=lambda s, pid=pid: completed.add(pid),
-                on_mw_output=lambda s, v, pid=pid: outputs.setdefault(pid, v),
-            ),
-        )
-    stack.vss[dealer].mw_share(sid, secret)
+    tag = ("solo", counter)
+    sid = mw_session(tag, dealer, moderator, "dm")
     expected = secret if moderator_value is None else moderator_value
-    stack.vss[moderator].mw_moderate(sid, expected)
-    nonfaulty = set(stack.nonfaulty())
-    try:
-        stack.runtime.run_until(
-            lambda: nonfaulty <= completed, max_events=max_events, on_change=True
-        )
-        if reconstruct:
-            for pid in config.pids:
-                # Corrupt processes participate too (their behaviours lie
-                # through the protocol); skip any that cannot legally start.
-                try:
-                    stack.vss[pid].mw_begin_reconstruct(sid)
-                except ProtocolError:
-                    continue
-            stack.runtime.run_until(
-                lambda: nonfaulty <= set(outputs),
-                max_events=max_events,
-                on_change=True,
-            )
-    except DeadlockError:
-        pass
-    result = VSSResult(
-        config=config,
-        session=sid,
-        share_completed=completed,
-        outputs=outputs,
-        sim_time=stack.runtime.now,
-        trace=stack.trace,
+
+    def deal(stack: Stack) -> None:
+        stack.vss[dealer].mw_share(sid, secret)
+        stack.vss[moderator].mw_moderate(sid, expected)
+
+    return _run_sharing(
+        config, "mw", tag, sid, (dealer, moderator), deal,
+        adversary, scheduler, reconstruct, max_events, trace_level,
     )
-    return result, stack
 
 
 def run_svss(
@@ -863,52 +801,13 @@ def run_svss(
     trace_level: int = TRACE_FULL,
 ) -> tuple[VSSResult, Stack]:
     """Run one standalone SVSS session (share, then optionally R)."""
-    stack = build_stack(
-        config,
-        scheduler=scheduler,
-        adversary=adversary,
-        trace_level=trace_level,
-    )
     tag = ("solo-svss", counter)
     sid = svss_session(tag, dealer)
-    completed: set[int] = set()
-    outputs: dict[int, object] = {}
-    for pid in config.pids:
-        stack.vss[pid].register_watcher(
-            tag,
-            CallbackWatcher(
-                on_svss_share_complete=lambda s, pid=pid: completed.add(pid),
-                on_svss_output=lambda s, v, pid=pid: outputs.setdefault(pid, v),
-            ),
-        )
-    stack.vss[dealer].svss_share(sid, secret)
-    nonfaulty = set(stack.nonfaulty())
-    try:
-        stack.runtime.run_until(
-            lambda: nonfaulty <= completed, max_events=max_events, on_change=True
-        )
-        if reconstruct:
-            for pid in config.pids:
-                try:
-                    stack.vss[pid].svss_begin_reconstruct(sid)
-                except ProtocolError:
-                    continue
-            stack.runtime.run_until(
-                lambda: nonfaulty <= set(outputs),
-                max_events=max_events,
-                on_change=True,
-            )
-    except DeadlockError:
-        pass
-    result = VSSResult(
-        config=config,
-        session=sid,
-        share_completed=completed,
-        outputs=outputs,
-        sim_time=stack.runtime.now,
-        trace=stack.trace,
+    return _run_sharing(
+        config, "svss", tag, sid, (dealer,),
+        lambda stack: stack.vss[dealer].svss_share(sid, secret),
+        adversary, scheduler, reconstruct, max_events, trace_level,
     )
-    return result, stack
 
 
 @dataclass
@@ -957,14 +856,7 @@ def flip_common_coin(
             coins[pid].get(csid, lambda v, pid=pid: outputs.setdefault(pid, v))
             coins[pid].release(csid)
     nonfaulty = set(stack.nonfaulty())
-    try:
-        stack.runtime.run_until(
-            lambda: nonfaulty <= set(outputs),
-            max_events=max_events,
-            on_change=True,
-        )
-    except DeadlockError:
-        pass
+    _wait(stack, lambda: nonfaulty <= set(outputs), max_events)
     result = CoinResult(
         config=config,
         outputs=outputs,
@@ -989,6 +881,7 @@ __all__ = [
     "flip_common_coin",
     "make_coins",
     "make_node_coin",
+    "normalize_inputs",
     "run_byzantine_agreement",
     "run_byzantine_agreement_batch",
     "run_counters",

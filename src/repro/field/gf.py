@@ -115,11 +115,6 @@ class Field:
         prime = self.prime
         return [rng.randrange(prime) for _ in range(count)]
 
-    # -- encoding ------------------------------------------------------------
-    def payload_bytes(self, element_count: int) -> int:
-        """Wire size, in bytes, of ``element_count`` field elements."""
-        return element_count * self.byte_size
-
 
 def dot(field: Field, left: Sequence[int], right: Sequence[int]) -> int:
     """Inner product of two equal-length vectors over ``field``."""

@@ -27,7 +27,12 @@ from pathlib import Path
 
 from repro.config import SystemConfig
 from repro.core.agreement import ABAProcess
-from repro.core.api import DEFAULT_INSTANCE, build_node_modules, make_node_coin
+from repro.core.api import (
+    DEFAULT_INSTANCE,
+    build_node_modules,
+    make_node_coin,
+    normalize_inputs,
+)
 from repro.errors import ConfigurationError, SimulationError
 from repro.net.chaos import CHAOS_PROFILES, ChaosProfile, ChaosProxy
 from repro.net.transport import NetworkNode, TransportConfig
@@ -290,16 +295,11 @@ class NetCluster:
         if not self._started:
             raise SimulationError("cluster not started")
         config = self.config
-        if not isinstance(inputs, dict):
-            if len(inputs) != config.n:
-                raise ConfigurationError(
-                    f"need {config.n} inputs, got {len(inputs)}"
-                )
-            inputs = {pid: inputs[pid - 1] for pid in config.pids}
+        inputs = normalize_inputs(inputs, config)
         faulty = faulty or set()
         live = [pid for pid in config.pids if pid not in faulty]
         if self.monitor is not None:
-            self.monitor.expect_inputs(instance, dict(inputs))
+            self.monitor.expect_inputs(instance, inputs)
         decisions: dict[int, int] = {}
         processes = {}
         for pid in live:

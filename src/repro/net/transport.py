@@ -248,7 +248,7 @@ class NetRuntime(StepWindow):
         self.node = node
         self.config = config
         self.field = config.field
-        self.trace = Trace.for_field(config.field, config.n, level=trace_level)
+        self.trace = Trace(level=trace_level)
         self.routing_frozen = False
         self.events_dispatched = 0
         self.predicate_evals = 0

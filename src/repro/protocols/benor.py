@@ -20,16 +20,21 @@ Deciders keep participating for one extra round so laggards can finish.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import replace
 
-from repro.adversary.controller import Adversary, no_adversary
+from repro.adversary.controller import Adversary
 from repro.config import SystemConfig
-from repro.errors import ConfigurationError, DeadlockError, ProtocolError
+from repro.core.api import (
+    AgreementResult,
+    _drive_agreements,
+    build_stack,
+    run_counters,
+)
+from repro.errors import ProtocolError
 from repro.sim.module import ProtocolModule
 from repro.sim.process import ProcessHost
-from repro.sim.runtime import DEFAULT_MAX_EVENTS, Runtime
+from repro.sim.runtime import DEFAULT_MAX_EVENTS
 from repro.sim.scheduler import Scheduler
-from repro.sim.tracing import Trace
 
 LAYER = "benor"
 
@@ -105,6 +110,7 @@ class BenOrProcess(ProtocolModule):
 
     def _enter_round(self, r: int) -> None:
         self.round = r
+        self.notify()
         self.host.runtime.trace.record_event("benor.round")
         self._send(r, 1, self.est)
         self.waiting_phase = 1
@@ -196,27 +202,7 @@ class BenOrProcess(ProtocolModule):
         self.host.runtime.trace.record_event("benor.decide")
         if self.on_decide is not None:
             self.on_decide(value)
-
-
-@dataclass
-class BenOrResult:
-    config: SystemConfig
-    decisions: dict[int, int]
-    rounds: dict[int, int]
-    nonfaulty: list[int]
-    sim_time: float
-    trace: Trace
-    terminated: bool
-
-    @property
-    def agreed(self) -> bool:
-        if not self.terminated:
-            return False
-        return len({self.decisions[p] for p in self.nonfaulty}) == 1
-
-    @property
-    def max_rounds(self) -> int:
-        return max(self.rounds.values(), default=0)
+        self.notify()
 
 
 def run_benor(
@@ -226,46 +212,19 @@ def run_benor(
     scheduler: Scheduler | None = None,
     max_rounds: int = 500,
     max_events: int = DEFAULT_MAX_EVENTS,
-) -> BenOrResult:
+) -> AgreementResult:
     """Run Ben-Or's protocol once (requires ``n > 5t``)."""
     config.require_resilience(5)
-    runtime = Runtime(config, scheduler=scheduler)
-    adversary = adversary or no_adversary()
-    adversary.install(runtime)
-    if isinstance(inputs, dict):
-        input_map = dict(inputs)
-    else:
-        if len(inputs) != config.n:
-            raise ConfigurationError(f"need {config.n} inputs, got {len(inputs)}")
-        input_map = {pid: inputs[pid - 1] for pid in config.pids}
-    decisions: dict[int, int] = {}
-    processes = {
-        pid: BenOrProcess(
-            runtime.host(pid),
-            on_decide=lambda v, pid=pid: decisions.setdefault(pid, v),
-        )
-        for pid in config.pids
-    }
-    nonfaulty = adversary.nonfaulty_pids(config)
-    for pid in config.pids:
-        processes[pid].start(input_map[pid])
-
-    def finished() -> bool:
-        if all(pid in decisions for pid in nonfaulty):
-            return True
-        return any(processes[pid].round > max_rounds for pid in nonfaulty)
-
-    try:
-        runtime.run_until(finished, max_events=max_events)
-        terminated = all(pid in decisions for pid in nonfaulty)
-    except DeadlockError:
-        terminated = False
-    return BenOrResult(
-        config=config,
-        decisions=decisions,
-        rounds={pid: processes[pid].rounds_used for pid in nonfaulty},
-        nonfaulty=nonfaulty,
-        sim_time=runtime.now,
-        trace=runtime.trace,
-        terminated=terminated,
+    stack = build_stack(
+        config, scheduler=scheduler, adversary=adversary, with_vss=False
     )
+    results = _drive_agreements(
+        stack,
+        {TAG: inputs},
+        lambda stack, iid, pid, on_decide: BenOrProcess(
+            stack.runtime.host(pid), instance_id=iid, on_decide=on_decide
+        ),
+        max_rounds,
+        max_events,
+    )
+    return replace(results[TAG], **run_counters(stack.runtime))

@@ -24,7 +24,6 @@ from repro.sim.tracing import (
     TRACE_OFF,
     ShunRecord,
     Trace,
-    estimate_size,
 )
 
 __all__ = [
@@ -50,5 +49,4 @@ __all__ = [
     "Trace",
     "UniformDelayScheduler",
     "default_scheduler",
-    "estimate_size",
 ]

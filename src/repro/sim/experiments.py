@@ -61,7 +61,11 @@ from repro.adversary.schedulers import (
 from repro.analysis.stats import Summary, proportion_ci95, summarize
 from repro.analysis.tables import render_table
 from repro.config import SystemConfig
-from repro.core.api import run_byzantine_agreement, run_byzantine_agreement_batch
+from repro.core.api import (
+    RunCounters,
+    run_byzantine_agreement,
+    run_byzantine_agreement_batch,
+)
 from repro.errors import ConfigurationError
 from repro.sim.monitor import InvariantMonitor, InvariantViolation
 from repro.sim.runtime import DEFAULT_MAX_EVENTS
@@ -226,15 +230,17 @@ class Scenario:
             )
 
 
-@dataclass(frozen=True)
-class RunRecord:
+@dataclass
+class RunRecord(RunCounters):
     """Measured outcome of one scenario.
 
     For batched scenarios the outcome aggregates across instances:
     ``agreed``/``terminated`` require every instance to succeed,
     ``decision`` is the value only if all instances decided it, ``rounds``
     is the maximum, and ``decided_instances``/``decisions_per_wall_second``
-    carry the batch throughput.
+    carry the batch throughput.  The run counters are the result's
+    (:class:`repro.core.api.RunCounters`, documented there), so sweeps
+    report ratios without reaching into the ``Runtime``.
     """
 
     scenario: Scenario
@@ -243,28 +249,10 @@ class RunRecord:
     decision: int | None
     rounds: int
     sim_time: float
-    events_dispatched: int
-    messages_pushed: int
     total_messages: int
-    predicate_evals: int
     shun_pairs: int
     wall_seconds: float
     decided_instances: int = 1
-    #: The run counters, copied off the result
-    #: (:meth:`repro.core.api.RunCounters.counters`, documented there) so
-    #: sweeps report ratios without reaching into the ``Runtime``.
-    envelopes_pushed: int = 0
-    payloads_coalesced: int = 0
-    svec_packed: int = 0
-    svec_slots: int = 0
-    logical_messages: int = 0
-    svec_batch_ingested: int = 0
-    dmm_verdicts_batched: int = 0
-    dmm_verdict_fallbacks: int = 0
-    dmm_verdict_calls: int = 0
-    algebra_backend: str = "pure"
-    rows_vectorized: int = 0
-    backend_fallbacks: int = 0
     #: What actually corrupted whom: the adversary's picklable ``spec``
     #: tuple, read *after* the run (adaptive adversaries only fix their
     #: victims at strike time).  None when the factory returned no
@@ -373,56 +361,34 @@ def run_scenario(scenario: Scenario) -> RunRecord:
         if scenario.monitor
         else None
     )
+    options = dict(
+        coin=scenario.coin,
+        scheduler=SCHEDULERS[scenario.scheduler](config),
+        adversary=adversary,
+        max_rounds=scenario.max_rounds,
+        max_events=scenario.max_events,
+        svec=scenario.svec,
+        algebra_backend=scenario.algebra_backend,
+        trace_level=scenario.trace_level,
+        monitor=monitor,
+    )
     start = time.perf_counter()
     try:
         if scenario.batch > 1:
-            batch = run_byzantine_agreement_batch(
+            result = run_byzantine_agreement_batch(
                 batch_inputs(scenario, config),
                 config,
-                coin=scenario.coin,
-                scheduler=SCHEDULERS[scenario.scheduler](config),
-                adversary=adversary,
-                max_rounds=scenario.max_rounds,
-                max_events=scenario.max_events,
                 share_coin=scenario.share_coin,
                 coalesce_votes=scenario.coalesce,
-                svec=scenario.svec,
-                algebra_backend=scenario.algebra_backend,
-                trace_level=scenario.trace_level,
-                monitor=monitor,
+                **options,
             )
-            wall = time.perf_counter() - start
-            decisions = set(batch.decisions.values())
-            return RunRecord(
-                scenario=scenario,
-                agreed=batch.agreed,
-                terminated=batch.terminated,
-                decision=(
-                    next(iter(decisions)) if len(decisions) == 1 else None
-                ),
-                rounds=batch.max_rounds,
-                sim_time=batch.sim_time,
-                total_messages=batch.trace.total_messages,
-                shun_pairs=len(batch.trace.shun_pairs()),
-                wall_seconds=wall,
-                decided_instances=batch.decided_instances,
-                **batch.counters(),
-                **_monitor_fields(adversary, monitor),
+        else:
+            result = run_byzantine_agreement(
+                INPUT_PATTERNS[scenario.inputs](config),
+                config,
+                coalesce=scenario.coalesce,
+                **options,
             )
-        result = run_byzantine_agreement(
-            INPUT_PATTERNS[scenario.inputs](config),
-            config,
-            coin=scenario.coin,
-            scheduler=SCHEDULERS[scenario.scheduler](config),
-            adversary=adversary,
-            max_rounds=scenario.max_rounds,
-            max_events=scenario.max_events,
-            trace_level=scenario.trace_level,
-            coalesce=scenario.coalesce,
-            svec=scenario.svec,
-            algebra_backend=scenario.algebra_backend,
-            monitor=monitor,
-        )
         wall = time.perf_counter() - start
         return RunRecord(
             scenario=scenario,
@@ -434,7 +400,7 @@ def run_scenario(scenario: Scenario) -> RunRecord:
             total_messages=result.trace.total_messages,
             shun_pairs=len(result.trace.shun_pairs()),
             wall_seconds=wall,
-            decided_instances=1 if result.agreed else 0,
+            decided_instances=result.decided_instances,
             **result.counters(),
             **_monitor_fields(adversary, monitor),
         )
@@ -450,10 +416,7 @@ def run_scenario(scenario: Scenario) -> RunRecord:
             decision=None,
             rounds=0,
             sim_time=0.0,
-            events_dispatched=0,
-            messages_pushed=0,
             total_messages=0,
-            predicate_evals=0,
             shun_pairs=0,
             wall_seconds=wall,
             decided_instances=0,

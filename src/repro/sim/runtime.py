@@ -110,7 +110,7 @@ class Runtime(StepWindow):
         self.config = config
         self.field = config.field
         self.now = 0.0
-        self.trace = Trace.for_field(config.field, config.n, level=trace_level)
+        self.trace = Trace(level=trace_level)
         self.scheduler = scheduler or default_scheduler(config.derive_rng("scheduler"))
         #: Constant per-message delay, when the scheduler guarantees one
         #: (skips the per-send scheduler call and enables the calendar

@@ -1,18 +1,15 @@
-"""Run accounting: message counts, byte estimates, protocol events.
+"""Run accounting: message counts per layer, shun records, protocol events.
 
-The paper's efficiency claims are about expected message/bit/round counts,
-so the simulator measures all of them.  Byte sizes are estimates computed
-from payload structure (field elements dominate); the estimator is
-deliberately simple and documented rather than exact, because the claims
-under test are asymptotic shapes, not wire formats.
+The paper's efficiency claims are about expected message/bit/round counts.
+The simulator counts messages and rounds; bits are not estimated here —
+a payload's exact size is ``len(repro.net.codec.encode_value(payload))``,
+the canonical wire encoding.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-
-from repro.field.gf import Field
 
 #: Tracing levels.  ``TRACE_FULL`` (default) records everything the
 #: experiments read; ``TRACE_COUNTS`` keeps message/shun counters but drops
@@ -21,32 +18,6 @@ from repro.field.gf import Field
 TRACE_OFF = 0
 TRACE_COUNTS = 1
 TRACE_FULL = 2
-
-
-def estimate_size(payload: object, field_bytes: int, n: int) -> int:
-    """Rough wire size of a payload, in bytes.
-
-    Ints that can only be ids/counters (< 2n) cost 2 bytes, other ints are
-    treated as field elements, strings/bytes cost their length, containers
-    cost the sum of their items plus one byte of framing per item.
-    """
-    if isinstance(payload, bool) or payload is None:
-        return 1
-    if isinstance(payload, int):
-        return 2 if -2 * n < payload < 2 * n else field_bytes
-    if isinstance(payload, str):
-        return len(payload)
-    if isinstance(payload, bytes):
-        return len(payload)
-    if isinstance(payload, (tuple, list, set, frozenset)):
-        return sum(estimate_size(item, field_bytes, n) for item in payload) + len(payload)
-    if isinstance(payload, dict):
-        total = len(payload)
-        for key, value in payload.items():
-            total += estimate_size(key, field_bytes, n)
-            total += estimate_size(value, field_bytes, n)
-        return total
-    return 8  # unknown object: flat estimate
 
 
 @dataclass
@@ -63,27 +34,17 @@ class ShunRecord:
 class Trace:
     """Counters for one simulation run.
 
-    Byte estimation walks every payload recursively, which costs more than
-    the rest of the event loop combined, so it is off by default; the
-    complexity benchmarks flip ``measure_bytes`` on.  ``level`` trades
-    observability for speed: benchmark runs pass ``TRACE_OFF`` so the hot
-    transmit path skips all per-message bookkeeping (the runtime checks the
-    level *before* calling in, making recording a true no-op).
+    ``level`` trades observability for speed: benchmark runs pass
+    ``TRACE_OFF`` so the hot transmit path skips all per-message
+    bookkeeping (the runtime checks the level *before* calling in, making
+    recording a true no-op).
     """
 
-    field_bytes: int = 4
-    n: int = 0
-    measure_bytes: bool = False
     level: int = TRACE_FULL
     messages_by_layer: Counter = field(default_factory=Counter)
-    bytes_by_layer: Counter = field(default_factory=Counter)
     events_dispatched: int = 0
     shun_records: list[ShunRecord] = field(default_factory=list)
     protocol_events: Counter = field(default_factory=Counter)
-
-    @classmethod
-    def for_field(cls, fld: Field, n: int, level: int = TRACE_FULL) -> "Trace":
-        return cls(field_bytes=fld.byte_size, n=n, level=level)
 
     @property
     def records_events(self) -> bool:
@@ -96,23 +57,14 @@ class Trace:
         if self.level < TRACE_COUNTS:
             return
         self.messages_by_layer[layer] += 1
-        if self.measure_bytes:
-            self.bytes_by_layer[layer] += estimate_size(
-                payload, self.field_bytes, self.n
-            )
 
     def record_send_many(self, layer: str, payload: object, count: int) -> None:
         """Record ``count`` identical sends at once (the ``send_all`` fast
-        path): one counter update and at most one payload size walk instead
-        of ``count`` of each.  Totals match ``count`` calls to
-        :meth:`record_send` exactly."""
+        path): one counter update instead of ``count``.  Totals match
+        ``count`` calls to :meth:`record_send` exactly."""
         if self.level < TRACE_COUNTS:
             return
         self.messages_by_layer[layer] += count
-        if self.measure_bytes:
-            self.bytes_by_layer[layer] += count * estimate_size(
-                payload, self.field_bytes, self.n
-            )
 
     def record_shun(self, observer: int, culprit: int, session: object, time: float) -> None:
         if self.level < TRACE_COUNTS:
@@ -129,10 +81,6 @@ class Trace:
     def total_messages(self) -> int:
         return sum(self.messages_by_layer.values())
 
-    @property
-    def total_bytes(self) -> int:
-        return sum(self.bytes_by_layer.values())
-
     def shun_pairs(self) -> set[tuple[int, int]]:
         """Distinct (observer, culprit) pairs — the budget the paper bounds
         by ``t * (n - t)``."""
@@ -141,9 +89,7 @@ class Trace:
     def summary(self) -> dict[str, object]:
         return {
             "messages": dict(self.messages_by_layer),
-            "bytes": dict(self.bytes_by_layer),
             "total_messages": self.total_messages,
-            "total_bytes": self.total_bytes,
             "shun_events": len(self.shun_records),
             "shun_pairs": len(self.shun_pairs()),
             "events_dispatched": self.events_dispatched,

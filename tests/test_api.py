@@ -7,13 +7,18 @@ import pytest
 import repro
 from repro.adversary.controller import Adversary, silent_adversary
 from repro.config import SystemConfig
+from repro.core.agreement import ABAProcess
 from repro.core.api import (
     build_stack,
     run_byzantine_agreement,
+    run_byzantine_agreement_batch,
     run_mwsvss,
     run_svss,
 )
 from repro.errors import ConfigurationError
+from repro.sim.monitor import InvariantMonitor
+
+IDEAL = ("ideal", 1.0)
 
 
 class TestPackageRoot:
@@ -47,9 +52,21 @@ class TestBuildStack:
         assert stack.runtime.host(2).outbound_filter is not None
         assert stack.nonfaulty() == [1, 3, 4]
 
-    def test_measure_bytes_flag(self, cfg4):
-        stack = build_stack(cfg4, measure_bytes=True)
-        assert stack.trace.measure_bytes
+    @pytest.mark.parametrize(
+        "keyword, value", [("measure_bytes", True), ("instances", 3)]
+    )
+    def test_removed_options_raise_type_error(self, cfg4, keyword, value):
+        """Nothing set either option; both are gone from every signature."""
+        calls = [
+            lambda **kw: build_stack(cfg4, **kw),
+            lambda **kw: run_byzantine_agreement([1] * 4, cfg4, coin=IDEAL, **kw),
+            lambda **kw: run_byzantine_agreement_batch(
+                [[1] * 4], cfg4, coin=IDEAL, **kw
+            ),
+        ]
+        for call in calls:
+            with pytest.raises(TypeError, match=keyword):
+                call(**{keyword: value})
 
     def test_oversized_adversary_rejected(self, cfg4):
         from repro.adversary.behaviors import SilentBehavior
@@ -57,6 +74,60 @@ class TestBuildStack:
         adversary = Adversary({1: SilentBehavior(), 2: SilentBehavior()})
         with pytest.raises(ConfigurationError):
             build_stack(cfg4, adversary=adversary)
+
+
+class TestWhoIsNamed:
+    """Entry points validate the pids they are given before anything runs:
+    an input map names exactly ``config.pids``, a dealer or moderator is
+    one of them."""
+
+    @pytest.fixture
+    def started(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            ABAProcess, "start", lambda self, value: calls.append(self.pid)
+        )
+        return calls
+
+    @pytest.mark.parametrize(
+        "inputs",
+        [{1: 0, 2: 1}, {1: 1, 2: 1, 3: 1, 4: 1, 5: 1}, {0: 1, 1: 1, 2: 1, 3: 1}],
+        ids=["incomplete", "oversized", "shifted"],
+    )
+    def test_input_map_must_name_exactly_the_pids(self, cfg4, inputs, started):
+        with pytest.raises(ConfigurationError):
+            run_byzantine_agreement(inputs, cfg4, coin=IDEAL)
+        with pytest.raises(ConfigurationError):
+            run_byzantine_agreement_batch([[1] * 4, inputs], cfg4, coin=IDEAL)
+        assert started == []
+
+    def test_oversized_map_cannot_disarm_validity(self, cfg4, monkeypatch):
+        """``expect_inputs`` arms validity only for an n-entry unanimous
+        map; an (n+1)-entry one used to reach it and switch the check off."""
+        seen = []
+        monkeypatch.setattr(
+            InvariantMonitor,
+            "expect_inputs",
+            lambda self, instance, inputs: seen.append(inputs),
+        )
+        with pytest.raises(ConfigurationError):
+            run_byzantine_agreement(
+                {pid: 1 for pid in range(1, 6)},
+                cfg4,
+                coin=IDEAL,
+                monitor=InvariantMonitor(),
+            )
+        assert seen == []
+
+    @pytest.mark.parametrize("dealer, moderator", [(9, 2), (1, 0), (1, 5)])
+    def test_mwsvss_parties_must_be_pids(self, cfg4, dealer, moderator):
+        with pytest.raises(ConfigurationError):
+            run_mwsvss(cfg4, dealer=dealer, moderator=moderator, secret=7)
+
+    @pytest.mark.parametrize("dealer", [0, 5])
+    def test_svss_dealer_must_be_a_pid(self, cfg4, dealer):
+        with pytest.raises(ConfigurationError):
+            run_svss(cfg4, dealer=dealer, secret=7)
 
 
 class TestResultObjects:

@@ -28,6 +28,7 @@ from repro.core.api import (
     run_byzantine_agreement_batch,
 )
 from repro.errors import ConfigurationError
+from repro.sim.monitor import InvariantMonitor
 from repro.sim.scheduler import FifoScheduler, Scheduler
 
 IDEAL = ("ideal", 1.0)
@@ -234,8 +235,7 @@ class TestBatchInterface:
     def test_stack_agreement_accessor(self):
         from repro.core.api import build_stack
 
-        stack = build_stack(SystemConfig(n=4, seed=0), instances=3)
-        assert len(stack.instance_ids) == 3
+        stack = build_stack(SystemConfig(n=4, seed=0))
         with pytest.raises(ConfigurationError):
             stack.agreement("missing")
 
@@ -247,3 +247,36 @@ class TestBatchInterface:
         assert batch.results[("aba", 0)].decisions == solo.decisions
         assert batch.events_dispatched == solo.events_dispatched
         assert batch.messages_pushed == solo.messages_pushed
+
+    def test_k1_batch_equals_solo_full_stack_under_the_monitor(self):
+        """Same on the paper's coin with every invariant armed: the K=1
+        batch rides the coin sessions of a default-tag solo run, so the
+        monitor sees the same run and every counter agrees."""
+        inputs = [0, 1, 1, 0]
+        config = SystemConfig(n=4, seed=3)
+        watch_batch, watch_solo = InvariantMonitor(), InvariantMonitor()
+        batch = run_byzantine_agreement_batch(
+            [inputs], config, scheduler=FifoScheduler(), monitor=watch_batch
+        )
+        solo = run_byzantine_agreement(
+            inputs, config, scheduler=FifoScheduler(), monitor=watch_solo
+        )
+        assert batch.agreed and solo.agreed
+        assert batch.results[("aba", 0)].decisions == solo.decisions
+        assert batch.results[("aba", 0)].rounds == solo.rounds
+
+        def without_instance_ids(verdict):
+            verdict = dict(verdict)
+            verdict["decisions"] = [d[1:] for d in verdict["decisions"]]
+            return verdict
+
+        assert without_instance_ids(watch_batch.verdict()) == without_instance_ids(
+            watch_solo.verdict()
+        )
+        # The process-global basis cache makes these two depend on what
+        # ran earlier in the interpreter, not on the run.
+        warm = ("rows_vectorized", "backend_fallbacks")
+        ours, theirs = batch.counters(), solo.counters()
+        assert {k: v for k, v in ours.items() if k not in warm} == {
+            k: v for k, v in theirs.items() if k not in warm
+        }

@@ -92,6 +92,60 @@ class TestDynamics:
         assert a.rounds == b.rounds
 
 
+#: ``(decisions, rounds, sim_time, trace.events_dispatched)`` of
+#: ``run_benor([0, 1, 0, 1, 0, 1], cfg6(seed))`` for seeds 0-9, written at
+#: ``a332de3`` by the stand-alone driver that polled its predicate after
+#: every event.  The run must stop at the same event now that the process
+#: announces its rounds and decisions and the shared driver waits on them.
+SPLIT_AT_A332DE3 = [
+    ({1: 1, 2: 1, 6: 1, 4: 1, 5: 1, 3: 1}, {1: 8, 2: 8, 3: 8, 4: 8, 5: 8, 6: 8}, 101.69216805342393, 509),
+    ({5: 1, 2: 1, 3: 1, 1: 1, 4: 1, 6: 1}, {1: 4, 2: 4, 3: 4, 4: 4, 5: 4, 6: 4}, 46.59065610726932, 225),
+    ({6: 1, 4: 1, 2: 1, 5: 1, 3: 1, 1: 1}, {1: 6, 2: 5, 3: 6, 4: 5, 5: 6, 6: 5}, 73.47331507304527, 351),
+    ({4: 1, 1: 1, 6: 1, 2: 1, 3: 1, 5: 1}, {1: 4, 2: 4, 3: 4, 4: 4, 5: 5, 6: 4}, 56.88512078540487, 271),
+    ({3: 0, 4: 0, 6: 0, 2: 0, 1: 0, 5: 0}, {1: 3, 2: 3, 3: 3, 4: 3, 5: 3, 6: 3}, 32.241604273086764, 147),
+    ({6: 1, 2: 1, 4: 1, 5: 1, 1: 1, 3: 1}, {1: 3, 2: 3, 3: 3, 4: 3, 5: 3, 6: 3}, 29.840751713283574, 148),
+    ({5: 1, 2: 1, 6: 1, 3: 1, 1: 1, 4: 1}, {1: 3, 2: 3, 3: 3, 4: 3, 5: 3, 6: 3}, 31.21169959302216, 148),
+    ({4: 1, 6: 1, 1: 1, 3: 1, 2: 1, 5: 1}, {1: 3, 2: 3, 3: 3, 4: 3, 5: 3, 6: 3}, 29.013324947009327, 147),
+    ({3: 0, 1: 0, 6: 0, 4: 0, 5: 0, 2: 0}, {1: 3, 2: 3, 3: 3, 4: 3, 5: 3, 6: 3}, 32.29189694897782, 147),
+    ({5: 1, 6: 1, 4: 1, 1: 1, 3: 1, 2: 1}, {1: 4, 2: 4, 3: 4, 4: 4, 5: 4, 6: 4}, 46.39067319395941, 217),
+]  # fmt: skip
+
+#: Same, seed 9 with process 6 silent: it had not decided when the five
+#: nonfaulty processes had, and is not waited on.
+SILENT_AT_A332DE3 = (
+    {1: 1, 4: 1, 5: 1, 2: 1, 3: 1}, {1: 4, 2: 4, 3: 4, 4: 4, 5: 4}, 51.28873575841287, 181,
+)  # fmt: skip
+
+
+def transcript(result):
+    return (
+        result.decisions,
+        result.rounds,
+        result.sim_time,
+        result.trace.events_dispatched,
+    )
+
+
+class TestFoldIntoTheSharedDriver:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_split_inputs_reproduce_the_stand_alone_driver(self, seed):
+        result = run_benor([0, 1, 0, 1, 0, 1], cfg6(seed))
+        assert transcript(result) == SPLIT_AT_A332DE3[seed]
+
+    def test_silent_fault_reproduces_the_stand_alone_driver(self):
+        adversary = Adversary({6: SilentBehavior()})
+        result = run_benor([0, 1, 0, 1, 0, 1], cfg6(9), adversary=adversary)
+        assert transcript(result) == SILENT_AT_A332DE3
+        assert result.nonfaulty == [1, 2, 3, 4, 5]
+
+    def test_waits_on_announced_changes_not_on_every_event(self):
+        """``notify()`` on round entry and on decide is what lets the
+        driver wait ``on_change=True``: the predicate runs once per
+        announced change, not once per event."""
+        result = run_benor([0, 1, 0, 1, 0, 1], cfg6(0))
+        assert result.predicate_evals < result.events_dispatched // 4
+
+
 class TestInterface:
     def test_bad_input_rejected(self):
         cfg = cfg6()

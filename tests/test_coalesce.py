@@ -28,9 +28,9 @@ from repro.adversary.schedulers import (
 from repro.config import SystemConfig
 from repro.core.agreement import ABAProcess
 from repro.core.api import (
-    _make_coins,
     build_stack,
     flip_common_coin,
+    make_coins,
     run_byzantine_agreement,
     run_byzantine_agreement_batch,
 )
@@ -144,7 +144,7 @@ class TestDeliveredSequences:
                     handler(src, payload)
 
                 host._handlers[tag] = wrapped
-        coins = _make_coins(stack, "svss")
+        coins = make_coins(stack, "svss")
         decisions: dict[int, int] = {}
         processes = {
             pid: ABAProcess(

@@ -7,16 +7,19 @@ agreement runs through ``run_matrix``, aggregated into
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
 from repro.analysis.complexity import fit_power_law
+from repro.core.api import RunCounters
 from repro.errors import ConfigurationError
+from repro.sim import experiments
 from repro.sim.experiments import (
     ADVERSARIES,
     INPUT_PATTERNS,
     SCHEDULERS,
+    RunRecord,
     Scenario,
     run_matrix,
     run_scenario,
@@ -82,6 +85,35 @@ class TestRunScenario:
             Scenario(n=7, seed=1, scheduler="targeted", adversary="silent-one")
         )
         assert record.agreed
+
+    @pytest.mark.parametrize("batch", [1, 4])
+    def test_record_counters_are_the_results(self, batch, monkeypatch):
+        """One record builder for both result kinds: every run counter on
+        the record is the result's, and the record declares none itself."""
+        results = []
+
+        def keeping(entry_point):
+            def run(*args, **kwargs):
+                results.append(entry_point(*args, **kwargs))
+                return results[-1]
+
+            return run
+
+        for name in ("run_byzantine_agreement", "run_byzantine_agreement_batch"):
+            monkeypatch.setattr(experiments, name, keeping(getattr(experiments, name)))
+        record = run_scenario(
+            Scenario(n=4, seed=5, scheduler="fifo", batch=batch, coalesce=True)
+        )
+        (result,) = results
+        assert record.counters() == result.counters()
+        assert record.events_dispatched > 0
+        assert (record.envelopes_pushed > 0) == (batch > 1)
+        assert record.logical_messages == result.logical_messages
+        assert record.decided_instances == batch
+        assert record.decision == result.decision
+        declared = {f.name for f in fields(RunCounters)}
+        assert len(declared) == 14
+        assert not declared & set(vars(RunRecord).get("__annotations__", {}))
 
 
 class TestBatchedScenarios:

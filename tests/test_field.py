@@ -187,7 +187,3 @@ class TestDot:
 
     def test_default_field_singleton(self):
         assert DEFAULT_FIELD.prime == DEFAULT_PRIME
-
-    def test_payload_bytes(self, small_field):
-        assert small_field.payload_bytes(10) == 10
-        assert DEFAULT_FIELD.payload_bytes(3) == 12

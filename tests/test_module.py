@@ -13,7 +13,7 @@ import pytest
 from repro.broadcast.manager import BroadcastManager
 from repro.config import SystemConfig
 from repro.core.agreement import ABAProcess
-from repro.core.api import build_stack, _make_coins
+from repro.core.api import build_stack, make_coins
 from repro.core.coin import CommonCoinModule, LocalCoin, SharedCoinGate
 from repro.core.manager import VSSManager
 from repro.errors import ProtocolError, SimulationError
@@ -36,7 +36,7 @@ class TestModuleContract:
 
     def test_all_stack_modules_are_protocol_modules(self):
         stack = build_stack(SystemConfig(n=4, seed=0))
-        coins = _make_coins(stack, "svss")
+        coins = make_coins(stack, "svss")
         aba = ABAProcess(
             stack.runtime.host(1), stack.broadcasts[1], coins[1]
         )
@@ -264,12 +264,10 @@ class TestAutoPrune:
         k, n = 16, 7
         config = SystemConfig(n=n, seed=11)
         instance_ids = tuple(("aba", i) for i in range(k))
-        stack = build_stack(
-            config, scheduler=FifoScheduler(), instances=instance_ids
-        )
+        stack = build_stack(config, scheduler=FifoScheduler())
         decisions = {iid: {} for iid in instance_ids}
         for iid in instance_ids:
-            coins = _make_coins(stack, ("ideal", 1.0), instance=iid)
+            coins = make_coins(stack, ("ideal", 1.0), instance=iid)
             stack.agreements[iid] = {
                 pid: ABAProcess(
                     stack.runtime.host(pid),

@@ -15,7 +15,9 @@ import time
 import pytest
 
 from repro.config import SystemConfig
+from repro.core.agreement import ABAProcess
 from repro.core.api import build_stack
+from repro.errors import ConfigurationError
 from repro.net.cluster import NetCluster
 from repro.net.transport import (
     PEER_DOWN,
@@ -271,6 +273,33 @@ def test_agreement_over_sockets_split_inputs_agrees(cfg4):
             )
             assert len(decisions) == 4
             assert len(set(decisions.values())) == 1  # agreement-safety
+        finally:
+            await cluster.close()
+
+    asyncio.run(main())
+
+
+@pytest.mark.parametrize(
+    "inputs", [{1: 0, 2: 1}, {pid: 1 for pid in range(1, 6)}, [1, 1]]
+)
+def test_cluster_agreement_rejects_inputs_not_naming_the_pids(
+    cfg4, inputs, monkeypatch
+):
+    """Same normaliser as the simulator's entry points: refused before any
+    node starts a process (it used to be a ``KeyError`` mid start loop, or
+    an oversized map disarming the monitor's validity check)."""
+    started = []
+    monkeypatch.setattr(
+        ABAProcess, "start", lambda self, value: started.append(self.pid)
+    )
+
+    async def main():
+        cluster = NetCluster(cfg4, tconfig=FAST, with_vss=False)
+        await cluster.start()
+        try:
+            with pytest.raises(ConfigurationError):
+                await cluster.run_agreement(inputs, coin="local", timeout=5)
+            assert started == []
         finally:
             await cluster.close()
 

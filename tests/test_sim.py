@@ -18,7 +18,7 @@ from repro.sim.scheduler import (
     TargetedDelayScheduler,
     UniformDelayScheduler,
 )
-from repro.sim.tracing import Trace, estimate_size
+from repro.sim.tracing import Trace
 
 
 class TestEventQueue:
@@ -463,26 +463,6 @@ class TestTracing:
         assert rt.trace.messages_by_layer == {"alpha": 2, "beta": 1}
         assert rt.trace.total_messages == 3
 
-    def test_bytes_only_when_enabled(self):
-        cfg = SystemConfig(n=2, t=0, seed=0)
-        rt = Runtime(cfg)
-        rt.host(1).send(2, ("x", 123456789), "alpha")
-        assert rt.trace.total_bytes == 0
-        rt.trace.measure_bytes = True
-        rt.host(1).send(2, ("x", 123456789), "alpha")
-        assert rt.trace.total_bytes > 0
-
-    def test_estimate_size_shapes(self):
-        # small ints are ids, big ints are field elements
-        assert estimate_size(3, 4, 10) == 2
-        assert estimate_size(123456, 4, 10) == 4
-        assert estimate_size("abc", 4, 10) == 3
-        assert estimate_size(None, 4, 10) == 1
-        flat = estimate_size((1, 2), 4, 10)
-        nested = estimate_size((1, (2, 3)), 4, 10)
-        assert nested > flat
-        assert estimate_size({1: 2}, 4, 10) >= 5
-
     def test_shun_recording(self):
         trace = Trace()
         trace.record_shun(1, 2, ("s",), 0.0)
@@ -497,3 +477,4 @@ class TestTracing:
         s = trace.summary()
         assert s["total_messages"] == 1
         assert "shun_pairs" in s and "events_dispatched" in s
+        assert "bytes" not in s and "total_bytes" not in s
