@@ -25,14 +25,17 @@ pending, which silently delays every later-session message from that sender
 
 Implementation notes
 --------------------
-Reconstruct broadcasts are batched (one RB per process per session carrying
-the map ``{monitor: value}``), so expectations are stored per
-``(sender, session)`` as per-monitor maps, and a batch missing an expected
-monitor entry leaves that expectation pending — identical semantics to a
-missing per-monitor broadcast.  Because a batch can arrive *before* the
-share-phase step that adds the matching expectation (the network is
-asynchronous), delivered batches are remembered and reconciled when an
-expectation is added.
+State is session-first, like the paper's ``ACK[σ]`` / ``DEAL[σ]`` arrays: one
+:class:`_Ledger` per session holds the DEAL row (sender → value), the ACK
+rows (sender → {monitor: value}) and the reconstruct batches seen so far, so
+an entry point costs one session-keyed probe; a per-sender count of unmet
+expectations answers :meth:`DMM.has_expectations`.  Reconstruct broadcasts
+are batched (one RB per process per session carrying ``{monitor: value}``),
+and a batch missing an expected monitor entry leaves that expectation
+pending — identical semantics to a missing per-monitor broadcast.  Because
+a batch can arrive *before* the share-phase step that adds the matching
+expectation (the network is asynchronous), delivered batches are remembered
+and reconciled when an expectation is added.
 
 Session lifetime
 ----------------
@@ -42,9 +45,10 @@ locally (:meth:`DMM.on_session_reconstructed` — still-pending expectations
 arm and stay, they are the shunning debt), or its owner learns that nobody
 will ever reconstruct it (:meth:`DMM.forget_session` — its expectations can
 never arm, gate nothing, and go).  The remembered batches of a closed session
-have no expectation left to be reconciled with and are dropped; what
-persists for the lifetime of the scheme is ``D``, the outstanding ACK/DEAL
-debts of reconstructed sessions, and the session clock they refer to.
+have no expectation left to be reconciled with and are dropped, and so is
+a ledger that holds nothing; what persists for the lifetime of the scheme is
+``D``, the ledgers of reconstructed sessions that still hold a debt, and the
+session clock they refer to.
 
 The delay rule only ever fires for sessions ``σ`` with ``σ →_i σ'``, and
 ``→_i`` requires ``σ``'s reconstruct to have *completed* locally — so the
@@ -78,6 +82,23 @@ DELAY = "delay"
 DISCARD = "discard"
 
 
+class _Ledger:
+    """What the DMM holds for one session: the paper's ``DEAL[σ]`` and
+    ``ACK[σ]`` rows and the reconstruct batches seen while ``σ`` is open,
+    each allocated with its first entry."""
+
+    __slots__ = ("deal", "ack", "seen", "closed")
+
+    def __init__(self, closed: bool):
+        self.deal: dict[int, int] | None = None  # sender -> expected value
+        self.ack: dict[int, dict[int, int]] | None = None  # sender -> {monitor: value}
+        self.seen: dict[int, dict[int, int]] | None = None  # sender -> batch
+        self.closed = closed  # takes no new batch (see "Session lifetime")
+
+    def owes(self, sender: int) -> bool:
+        return sender in (self.deal or ()) or sender in (self.ack or ())
+
+
 class DMM:
     """Detection and message management for one process."""
 
@@ -91,16 +112,11 @@ class DMM:
         self.clock = clock
         #: processes known faulty; all their VSS messages are discarded.
         self.D: set[int] = set()
-        # ACK_i: (sender, session) -> {monitor: expected value}
-        self._ack: dict[tuple[int, tuple], dict[int, int]] = {}
-        # DEAL_i: (sender, session) -> expected value for monitor == self.pid
-        self._deal: dict[tuple[int, tuple], int] = {}
-        # live expectation counts: sender -> {session: count}
-        self._pending: defaultdict[int, dict[tuple, int]] = defaultdict(dict)
-        # senders with pending expectations, per session (for arming)
-        self._session_senders: defaultdict[tuple, set[int]] = defaultdict(set)
-        # deal-expectation senders per session (for step-8 removal)
-        self._deal_by_session: defaultdict[tuple, set[int]] = defaultdict(set)
+        # session -> its ledger; a ledger holding nothing is dropped, and a
+        # session without one is open iff it is not in _closed_sessions.
+        self._ledgers: dict[tuple, _Ledger] = {}
+        # sender -> number of expectations it has not met, over all ledgers
+        self._owed: dict[int, int] = {}
         # pending sessions whose reconstruct completed locally, per sender —
         # the only ones the delay rule can fire on
         self._armed: defaultdict[int, set[tuple]] = defaultdict(set)
@@ -116,60 +132,66 @@ class DMM:
         #: senders whose verdicts may have changed since the manager's
         #: delayed-message index last examined them.
         self.dirty: set[int] = set()
-        # sessions that take no new expectation (see "Session lifetime")
+        # sessions that take no new batch (see "Session lifetime")
         self._closed_sessions: set[tuple] = set()
-        # reconstruct batches seen while the session is open:
-        # session -> {sender: {monitor: value}}
-        self._seen_batches: dict[tuple, dict[int, dict[int, int]]] = {}
         self._on_shun = on_shun
 
     # -- expectations ------------------------------------------------------
     def expect_ack(self, sender: int, session: tuple, monitor: int, value: int) -> None:
         """Dealer step 7: expect ``sender`` to broadcast ``f_monitor(sender)
         = value`` during the reconstruct of ``session``."""
-        if sender in self.D or sender == self.pid:
-            return
-        seen = self._seen_batch(sender, session)
-        if seen is not None and monitor in seen:
-            if seen[monitor] != value:
-                self._detect(sender, session)
-            return
-        entries = self._ack.setdefault((sender, session), {})
-        if monitor not in entries:
-            entries[monitor] = value
-            self._inc_pending(sender, session)
+        ledger = self._ledger_for(sender, session, monitor, value)
+        if ledger is not None:
+            if ledger.ack is None:
+                ledger.ack = {}
+            entries = ledger.ack.setdefault(sender, {})
+            if monitor not in entries:
+                entries[monitor] = value
+                self._owe(sender, session, ledger)
 
     def expect_deal(self, sender: int, session: tuple, value: int) -> None:
         """Monitor step 3: expect ``sender`` to broadcast ``f_i(sender) =
         value`` during the reconstruct of ``session``."""
-        if sender in self.D or sender == self.pid:
-            return
-        seen = self._seen_batch(sender, session)
-        if seen is not None and self.pid in seen:
-            if seen[self.pid] != value:
-                self._detect(sender, session)
-            return
-        if (sender, session) not in self._deal:
-            self._deal[(sender, session)] = value
-            self._deal_by_session[session].add(sender)
-            self._inc_pending(sender, session)
+        ledger = self._ledger_for(sender, session, self.pid, value)
+        if ledger is not None:
+            if ledger.deal is None:
+                ledger.deal = {}
+            if sender not in ledger.deal:
+                ledger.deal[sender] = value
+                self._owe(sender, session, ledger)
 
-    def _seen_batch(self, sender: int, session: tuple) -> dict[int, int] | None:
-        per_sender = self._seen_batches.get(session)
-        return per_sender.get(sender) if per_sender is not None else None
+    def _ledger_for(
+        self, sender: int, session: tuple, monitor: int, value: int
+    ) -> _Ledger | None:
+        """The ledger a new expectation of ``sender`` goes into — ``None``
+        when none is recorded: the sender is convicted or this process, or
+        its batch already answered for ``monitor`` (and is judged here)."""
+        if sender in self.D or sender == self.pid:
+            return None
+        ledger = self._ledgers.get(session)
+        if ledger is None:
+            ledger = self._ledgers[session] = _Ledger(session in self._closed_sessions)
+        elif ledger.seen is not None:
+            batch = ledger.seen.get(sender)
+            if batch is not None and monitor in batch:
+                if batch[monitor] != value:
+                    self._detect(sender, session)
+                return None
+        return ledger
 
     def drop_deal_expectations(self, session: tuple) -> None:
         """Share step 8: this process is not in M̂, so nobody will broadcast
         values of its monitored polynomial — forget those expectations."""
-        for sender in self._deal_by_session.pop(session, set()):
-            if self._deal.pop((sender, session), None) is not None:
-                self._dec_pending(sender, session)
+        ledger = self._ledgers.get(session)
+        if ledger is not None and ledger.deal:
+            dropped, ledger.deal = ledger.deal, None
+            for sender in dropped:
+                self._settle(sender, session, ledger)
+            self._drop_if_empty(session, ledger)
 
-    def _inc_pending(self, sender: int, session: tuple) -> None:
-        per = self._pending[sender]
-        per[session] = per.get(session, 0) + 1
-        self._session_senders[session].add(sender)
-        if session in self._closed_sessions:
+    def _owe(self, sender: int, session: tuple, ledger: _Ledger) -> None:
+        self._owed[sender] = self._owed.get(sender, 0) + 1
+        if ledger.closed:
             self._arm(sender, session)
 
     def _arm(self, sender: int, session: tuple) -> None:
@@ -193,43 +215,49 @@ class DMM:
             self.version += 1
             self.dirty.add(sender)
 
-    def _dec_pending(self, sender: int, session: tuple, by: int = 1) -> None:
-        per = self._pending.get(sender)
-        if per is None or session not in per:
+    def _pay(self, sender: int, by: int) -> None:
+        self._owed[sender] -= by
+        if not self._owed[sender]:
+            del self._owed[sender]
+
+    def _settle(self, sender: int, session: tuple, ledger: _Ledger, by: int = 1) -> None:
+        """``by`` expectations of ``sender`` just left ``ledger``; with the
+        last one the session stops gating the sender's messages."""
+        self._pay(sender, by)
+        if ledger.owes(sender):
             return
-        per[session] -= by
-        if per[session] <= 0:
-            del per[session]
-            self._discard(self._session_senders, session, sender)
-            armed = self._armed.get(sender)
-            if armed is not None and session in armed:
-                armed.discard(session)
-                if not armed:
-                    del self._armed[sender]
+        armed = self._armed.get(sender)
+        if armed is not None and session in armed:
+            armed.discard(session)
+            if not armed:
+                del self._armed[sender]
+                self._armed_min_done.pop(sender, None)
+            elif self._armed_min_done.get(sender) == self.clock.completed.get(session):
+                completed = self.clock.completed
+                ticks = [completed[s] for s in armed if s in completed]
+                if ticks:
+                    self._armed_min_done[sender] = min(ticks)
+                else:
                     self._armed_min_done.pop(sender, None)
-                elif self._armed_min_done.get(sender) == self.clock.completed.get(
-                    session
-                ):
-                    completed = self.clock.completed
-                    ticks = [completed[s] for s in armed if s in completed]
-                    if ticks:
-                        self._armed_min_done[sender] = min(ticks)
-                    else:
-                        self._armed_min_done.pop(sender, None)
-                self.version += 1
-                self.dirty.add(sender)
-            if not per:
-                del self._pending[sender]
+            self.version += 1
+            self.dirty.add(sender)
+
+    def _drop_if_empty(self, session: tuple, ledger: _Ledger) -> None:
+        if not (ledger.deal or ledger.ack or ledger.seen):
+            del self._ledgers[session]
 
     # -- session lifecycle ---------------------------------------------------
     def on_session_reconstructed(self, session: tuple) -> None:
         """Arm still-pending expectations of a session that just completed
         its reconstruct locally (it can now precede newer sessions)."""
         self._closed_sessions.add(session)
-        self._seen_batches.pop(session, None)
-        for sender in self._session_senders.get(session, ()):
-            if session in self._pending.get(sender, ()):
+        ledger = self._ledgers.get(session)
+        if ledger is not None:
+            ledger.closed = True
+            ledger.seen = None
+            for sender in set(ledger.deal or ()).union(ledger.ack or ()):
                 self._arm(sender, session)
+            self._drop_if_empty(session, ledger)
 
     def forget_session(self, session: tuple) -> None:
         """Drop every expectation of a session nobody will reconstruct.
@@ -242,15 +270,12 @@ class DMM:
         if session in self._closed_sessions:
             return
         self._closed_sessions.add(session)
-        self._seen_batches.pop(session, None)
-        self._deal_by_session.pop(session, None)
-        for sender in self._session_senders.pop(session, ()):
-            self._ack.pop((sender, session), None)
-            self._deal.pop((sender, session), None)
-            per = self._pending[sender]
-            del per[session]
-            if not per:
-                del self._pending[sender]
+        ledger = self._ledgers.pop(session, None)
+        if ledger is not None:
+            for sender in ledger.deal or ():
+                self._pay(sender, 1)
+            for sender, entries in (ledger.ack or {}).items():
+                self._pay(sender, len(entries))
 
     # -- reconstruct-broadcast checks ----------------------------------------
     def check_reconstruct_batch(
@@ -260,33 +285,39 @@ class DMM:
         expectations; matching entries clear, conflicting entries convict."""
         if sender == self.pid:
             return  # a process never suspects itself (cf. filter_verdict)
-        if session not in self._closed_sessions:
-            self._seen_batches.setdefault(session, {})[sender] = batch
-        ack_entries = self._ack.get((sender, session))
-        if ack_entries is not None:
+        ledger = self._ledgers.get(session)
+        if ledger is None:
+            if session in self._closed_sessions:
+                return  # closed with nothing owed: nothing to clear or keep
+            ledger = self._ledgers[session] = _Ledger(False)
+        if not ledger.closed:
+            if ledger.seen is None:
+                ledger.seen = {}
+            ledger.seen[sender] = batch
+        entries = ledger.ack.get(sender) if ledger.ack else None
+        if entries is not None:
             cleared = 0
-            for monitor in list(ack_entries):
+            for monitor in list(entries):
                 if monitor not in batch:
                     continue  # still owed; expectation stays pending
-                if batch[monitor] == ack_entries[monitor]:
-                    del ack_entries[monitor]
+                if batch[monitor] == entries[monitor]:
+                    del entries[monitor]
                     cleared += 1
                 else:
                     self._detect(sender, session)
                     return
-            if not ack_entries:
-                del self._ack[(sender, session)]
+            if not entries:
+                del ledger.ack[sender]
             if cleared:
-                self._dec_pending(sender, session, cleared)
-        deal_key = (sender, session)
-        if deal_key in self._deal and self.pid in batch:
-            if batch[self.pid] == self._deal[deal_key]:
-                del self._deal[deal_key]
-                self._discard(self._deal_by_session, session, sender)
-                self._dec_pending(sender, session)
-            else:
+                self._settle(sender, session, ledger, cleared)
+        deal = ledger.deal
+        if deal and sender in deal and self.pid in batch:
+            if batch[self.pid] != deal[sender]:
                 self._detect(sender, session)
                 return
+            del deal[sender]
+            self._settle(sender, session, ledger)
+        self._drop_if_empty(session, ledger)
 
     def _detect(self, sender: int, session: tuple) -> None:
         """Add ``sender`` to ``D_i`` (explicit detection)."""
@@ -295,30 +326,19 @@ class DMM:
         self.D.add(sender)
         # Everything from a detected process is discarded from now on, so
         # its expectations no longer gate anything.
-        for key in [k for k in self._ack if k[0] == sender]:
-            del self._ack[key]
-        for key in [k for k in self._deal if k[0] == sender]:
-            del self._deal[key]
-            self._discard(self._deal_by_session, key[1], sender)
-        for stale in (self._pending.pop(sender, None) or {}):
-            self._discard(self._session_senders, stale, sender)
+        if self._owed.pop(sender, None) is not None:
+            for stale, ledger in list(self._ledgers.items()):
+                if ledger.owes(sender):
+                    for owed in (ledger.deal, ledger.ack):
+                        if owed:
+                            owed.pop(sender, None)
+                    self._drop_if_empty(stale, ledger)
         self._armed.pop(sender, None)
         self._armed_min_done.pop(sender, None)
         self.version += 1
         self.dirty.add(sender)
         if self._on_shun is not None:
             self._on_shun(sender, session)
-
-    @staticmethod
-    def _discard(index: dict[tuple, set[int]], session: tuple, sender: int) -> None:
-        """Remove ``sender`` from a per-session sender index, and the
-        session's entry with its last sender (the indexes are per-session,
-        so an emptied entry would otherwise stay for every session ever run)."""
-        senders = index.get(session)
-        if senders is not None:
-            senders.discard(sender)
-            if not senders:
-                del index[session]
 
     # -- the filter ------------------------------------------------------------
     def filter_verdict(self, sender: int, session: tuple) -> str:
@@ -378,12 +398,12 @@ class DMM:
 
     # -- introspection -----------------------------------------------------------
     def pending_sessions(self, sender: int) -> frozenset[tuple]:
-        return frozenset(self._pending.get(sender, ()))
+        return frozenset(s for s, ledger in self._ledgers.items() if ledger.owes(sender))
 
     def has_expectations(self, sender: int) -> bool:
-        return bool(self._pending.get(sender))
+        return sender in self._owed
 
     def shunned_or_suspected(self) -> set[int]:
         """Processes in D plus processes with unmet expectations (the
         "silent shun" set)."""
-        return set(self.D) | {s for s, p in self._pending.items() if p}
+        return self.D | set(self._owed)

@@ -56,6 +56,10 @@ VALUE_KINDS = frozenset({"shl", "mon", "mod", "cnf", "ms", "rv", "rows"})
 PRIVATE_KINDS = frozenset({"shl", "mon", "mod", "cnf", "ms", "rows"})
 RB_KINDS = frozenset({"ack", "L", "M", "ok", "rv", "G"})
 
+#: Entries the pid-tuple memos keep; a miss past the bound just recomputes.
+PID_MEMO_MAX = 4096
+_PID_TYPES = frozenset({int, bool})
+
 
 class CallbackWatcher:
     """Adapter turning plain callables into a watcher object (for tests and
@@ -114,10 +118,10 @@ class VSSManager(ProtocolModule):
         # Structure-of-arrays lanes: one per svec dealer-group, arraying the
         # n sibling session instances by slot (see GroupLane).
         self._lanes: dict[tuple, GroupLane] = {}
-        # Manager-wide memo for pid-tuple validation (L/M/G sets): the
-        # same tuples recur across sibling sessions and senders; values
-        # are the validated frozenset, or None for invalid bodies.
-        self._pid_tuple_ok: dict[tuple, frozenset | None] = {}
+        # Manager-wide memos for pid sets (see pid_set / pids_of): the
+        # same L/M/G tuples recur across sibling sessions and senders.
+        self._pid_sets: dict[tuple, tuple] = {}  # body -> (frozenset, mask) | ()
+        self._mask_pids: dict[int, tuple[int, ...]] = {}
         self.attach(host)
 
     def _wire(self, host: ProcessHost) -> None:
@@ -187,6 +191,39 @@ class VSSManager(ProtocolModule):
                 if not lane.columns:
                     del self._lanes[group]
 
+    def is_value_tuple(self, body: object, length: int) -> bool:
+        """``body`` is a tuple of exactly ``length`` field elements."""
+        return (
+            isinstance(body, tuple)
+            and len(body) == length
+            and all(map(self.field.is_element, body))
+        )
+
+    def pid_set(self, body: object) -> tuple[frozenset[int], int] | None:
+        """Validate a broadcast pid tuple (an L / M / G set): its members as
+        ``(frozenset, bitmask)`` — bit p set iff pid p is in it — or ``None``
+        for anything but distinct pids in ``1..n``.  Memoized: the answer
+        depends on the body alone.  Element types are checked ahead of the
+        memo, because ``(1.0, 2)`` equals and hashes like ``(1, 2)``."""
+        if not isinstance(body, tuple) or not _PID_TYPES.issuperset(map(type, body)):
+            return None
+        pids = self._pid_sets.get(body)
+        if pids is None:
+            valid = len(set(body)) == len(body) and all(1 <= p <= self.n for p in body)
+            pids = (frozenset(body), sum(1 << p for p in body)) if valid else ()
+            if len(self._pid_sets) < PID_MEMO_MAX:
+                self._pid_sets[body] = pids
+        return pids or None
+
+    def pids_of(self, mask: int) -> tuple[int, ...]:
+        """The sorted pid tuple (wire form) of a bitmask, shared per mask."""
+        pids = self._mask_pids.get(mask)
+        if pids is None:
+            pids = tuple(p for p in range(1, self.n + 1) if mask >> p & 1)
+            if len(self._mask_pids) < PID_MEMO_MAX:
+                self._mask_pids[mask] = pids
+        return pids
+
     def send_value(self, dst: int, sid: tuple, kind: str, body: object) -> None:
         """Send one private per-session message (the instances' send seam).
 
@@ -218,6 +255,11 @@ class VSSManager(ProtocolModule):
         if inst is None:
             if not self._valid_mw_sid(sid):
                 raise ProtocolError(f"invalid MW-SVSS session id {sid!r}")
+            # The 2n² children of one SVSS session share its id object: a
+            # sid rebuilt from a slot-vector carries a private copy.
+            parent = self.svss.get(sid[1])
+            if parent is not None and parent.sid is not sid[1]:
+                sid = (sid[0], parent.sid, *sid[2:])
             inst = MWSVSSInstance(self, sid)
             self.mw[sid] = inst
             self.clock.note_begin(sid)
@@ -262,17 +304,18 @@ class VSSManager(ProtocolModule):
     def _ingest(self, src: int, sid: object, kind: object, body: object) -> None:
         if not isinstance(kind, str):
             return
+        # Creating the instance stamps the session's local begin, which is
+        # what makes →_i well-defined for the filter below.
         if is_mw(sid):
             if not self._valid_mw_sid(sid):
                 return
+            self._ensure_mw(sid)
         elif is_svss(sid):
             if not self._valid_svss_sid(sid):
                 return
+            self._ensure_svss(sid)
         else:
             return
-        # Creating the instance stamps the session's local begin, which is
-        # what makes →_i well-defined for the filter below.
-        self._ensure(sid)
         if kind in VALUE_KINDS:
             self._runtime.dmm_verdict_calls += 1
             verdict = self.dmm.filter_verdict(src, sid)
@@ -413,12 +456,6 @@ class VSSManager(ProtocolModule):
             if inst is None or not inst.released:
                 return False
         return True
-
-    def _ensure(self, sid: tuple) -> None:
-        if is_mw(sid):
-            self._ensure_mw(sid)
-        else:
-            self._ensure_svss(sid)
 
     def _dispatch(self, src: int, sid: tuple, kind: str, body: object) -> None:
         if is_mw(sid):

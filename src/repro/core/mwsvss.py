@@ -59,9 +59,6 @@ class _Bottom:
 
 BOTTOM = _Bottom()
 
-#: Cache-miss sentinel for the manager-wide pid-tuple memo.
-_MISSING = object()
-
 
 class MWSVSSInstance:
     """One process' state machine for one MW-SVSS session.
@@ -82,7 +79,9 @@ class MWSVSSInstance:
 
     # 35 attributes: without __slots__ they overflow CPython's shared-key
     # dict limit and every instance (2n² per SVSS session) carries a
-    # private dict several times the size of the state it holds.
+    # private dict several times the size of the state it holds.  Per-pid
+    # facts are words and rows for the same reason: a set of pids is an
+    # ``int`` bitmask (bit p ⇔ pid p), a pid → value map a list indexed by pid.
     __slots__ = (
         "manager",
         "sid",
@@ -96,6 +95,7 @@ class MWSVSSInstance:
         "monitor_poly",
         "_step2_done",
         "confirm_values",
+        "_early_confirms",
         "acks",
         "L",
         "L_frozen",
@@ -137,9 +137,11 @@ class MWSVSSInstance:
         self._step2_done = False
 
         # step 3-4 (monitor bookkeeping)
-        self.confirm_values: dict[int, int] = {}  # l -> f̂^l_j (first wins)
-        self.acks: set[int] = set()  # processes whose ack RB-delivered
-        self.L: set[int] = set()
+        self.confirm_values: list = [None] * (self.n + 1)  # [l] = f̂^l_j, first wins
+        #: confirmers heard before ``f̂_j``, in arrival order (step 3 replays them)
+        self._early_confirms: tuple[int, ...] = ()
+        self.acks = 0  # mask: processes whose ack RB-delivered
+        self.L = 0  # mask
         self.L_frozen = False
         # step 8 applies from the moment M̂ excludes us: no further DEAL
         # expectations may be recorded for this session (a late confirmer's
@@ -157,7 +159,7 @@ class MWSVSSInstance:
         self.M_frozen = False
 
         # broadcast sets received
-        self.L_hat: dict[int, frozenset[int]] = {}
+        self.L_hat: list[int] = [0] * (self.n + 1)  # [j] = mask of L̂_j, 0 until broadcast
         self.M_hat: frozenset[int] | None = None
         self.ok_received = False
 
@@ -250,11 +252,10 @@ class MWSVSSInstance:
             return
         self.released = True
         self.share_vector = self.monitor_poly = None
-        self.confirm_values = self.acks = self.L = None
+        self.confirm_values = self._early_confirms = None
         self.moderator_poly = self.moderator_expected = None
         self.moderator_shares = self.M = None
-        self.L_hat = None
-        self._deal_polys = None
+        self.L_hat = self._deal_polys = None
         self.rv_batches = self._rv_dirty = self.K = self.f_bar = None
         self.manager.session_released(self.sid)
 
@@ -296,7 +297,7 @@ class MWSVSSInstance:
     def _on_share_vector(self, src: int, body: object) -> None:
         if src != self.dealer or self.share_vector is not None:
             return
-        if not self._is_value_tuple(body, self.n):
+        if not self.manager.is_value_tuple(body, self.n):
             return
         self.share_vector = tuple(body)
         self._maybe_step2()
@@ -304,7 +305,7 @@ class MWSVSSInstance:
     def _on_monitor_poly(self, src: int, body: object, poly: object = None) -> None:
         if src != self.dealer or self.monitor_poly is not None:
             return
-        if not self._is_value_tuple(body, self.t + 1):
+        if not self.manager.is_value_tuple(body, self.t + 1):
             return
         self.monitor_poly = (
             poly
@@ -312,7 +313,7 @@ class MWSVSSInstance:
             else interpolate_values(self.field, range(1, self.t + 2), body)
         )
         self._maybe_step2()
-        for l in list(self.confirm_values):
+        for l in self._early_confirms:
             self._maybe_step3(l)
 
     def _maybe_step2(self) -> None:
@@ -330,19 +331,22 @@ class MWSVSSInstance:
         mgr.rb_broadcast(self.sid, "ack", None)
 
     def _on_confirm(self, src: int, body: object) -> None:
-        if not self.field.is_element(body) or src in self.confirm_values:
+        if not self.field.is_element(body) or self.confirm_values[src] is not None:
             return
         self.confirm_values[src] = body
-        if not self.L_frozen and self.monitor_poly is not None:
+        if self.monitor_poly is None:
+            self._early_confirms += (src,)
+        elif not self.L_frozen:
             self._maybe_step3(src)
 
     def _on_ack(self, src: int) -> None:
         # The hottest handler (one call per party per session per party):
         # each follow-up's cheap first guard is hoisted inline so settled
         # steps cost a comparison instead of a call.
-        if src in self.acks:
+        bit = 1 << src
+        if self.acks & bit:
             return
-        self.acks.add(src)
+        self.acks |= bit
         if not self.L_frozen and self.monitor_poly is not None:
             self._maybe_step3(src)
         if self.pid == self.moderator and not self.M_frozen:
@@ -361,30 +365,32 @@ class MWSVSSInstance:
         """
         if self.L_frozen or self.monitor_poly is None:
             return
-        if l in self.L or l not in self.confirm_values or l not in self.acks:
+        bit = 1 << l
+        confirmed = self.confirm_values[l]
+        if self.L & bit or confirmed is None or not self.acks & bit:
             return
         expected = self.monitor_poly(l)
-        if self.confirm_values[l] != expected:
+        if confirmed != expected:
             return
-        self.L.add(l)
+        self.L |= bit
         if not self._deal_suppressed:
             self.manager.dmm.expect_deal(l, self.sid, expected)
-        if len(self.L) >= self.n - self.t:
+        if self.L.bit_count() >= self.n - self.t:
             self._freeze_l()
 
     def _freeze_l(self) -> None:
         """Step 4: broadcast ``L_j`` and send ``f̂_j(0)`` to the moderator."""
         self.L_frozen = True
-        self.manager.rb_broadcast(self.sid, "L", tuple(sorted(self.L)))
-        self.manager.send_value(
-            self.moderator, self.sid, "ms", self.monitor_poly(0)
-        )
+        manager = self.manager
+        manager.rb_broadcast(self.sid, "L", manager.pids_of(self.L))
+        manager.send_value(self.moderator, self.sid, "ms", self.monitor_poly(0))
 
     # -- moderator ---------------------------------------------------------
     def _on_moderator_poly(self, src: int, body: object, poly: object = None) -> None:
         if src != self.dealer or self.pid != self.moderator:
             return
-        if self.moderator_poly is not None or not self._is_value_tuple(body, self.t + 1):
+        manager = self.manager
+        if self.moderator_poly is not None or not manager.is_value_tuple(body, self.t + 1):
             return
         self.moderator_poly = (
             poly
@@ -413,14 +419,12 @@ class MWSVSSInstance:
         for j in candidates:
             if j in self.M or j not in self.moderator_shares:
                 continue
-            l_hat = self.L_hat.get(j)
-            if l_hat is None or not l_hat <= self.acks:
+            l_hat = self.L_hat[j]
+            if not l_hat or l_hat & ~self.acks:
                 continue
             if self.moderator_shares[j] != self.moderator_poly(j):
                 continue
             self.M.add(j)
-            if self.M_frozen:
-                break
             if len(self.M) >= self.n - self.t:
                 self._freeze_m()
                 break
@@ -436,12 +440,12 @@ class MWSVSSInstance:
 
     # -- broadcast sets ------------------------------------------------------
     def _on_l_set(self, src: int, body: object) -> None:
-        if src in self.L_hat:
+        if self.L_hat[src]:
             return
-        fs = self._pid_fs(body)
-        if fs is None or len(fs) < self.n - self.t:
+        pids = self.manager.pid_set(body)
+        if pids is None or len(pids[0]) < self.n - self.t:
             return
-        self.L_hat[src] = fs
+        self.L_hat[src] = pids[1]
         if self.rv_batches:
             self._rv_dirty.update(self.rv_batches)
         if self.pid == self.moderator and not self.M_frozen:
@@ -457,10 +461,10 @@ class MWSVSSInstance:
     def _on_m_set(self, src: int, body: object) -> None:
         if src != self.moderator or self.M_hat is not None:
             return
-        fs = self._pid_fs(body)
-        if fs is None or len(fs) < self.n - self.t:
+        pids = self.manager.pid_set(body)
+        if pids is None or len(pids[0]) < self.n - self.t:
             return
-        self.M_hat = fs
+        self.M_hat = pids[0]
         if self.rv_batches:
             self._rv_dirty.update(self.rv_batches)
         # Step 8: not being in M̂ means nobody will reconstruct our
@@ -490,15 +494,15 @@ class MWSVSSInstance:
             return
         if self._deal_polys is None or self.M_hat is None:
             return
+        unacked = ~self.acks
         for j in self.M_hat:
-            l_hat = self.L_hat.get(j)
-            if l_hat is None or not l_hat <= self.acks:
+            if not self.L_hat[j] or self.L_hat[j] & unacked:
                 return
         self._dealer_acked = True
         dmm = self.manager.dmm
         for j in self.M_hat:
             f_j = self._deal_polys[j]
-            members = sorted(self.L_hat[j])
+            members = self.manager.pids_of(self.L_hat[j])
             for l, value in zip(members, f_j.evaluate_many(members)):
                 dmm.expect_ack(l, self.sid, j, value)
         if self.manager.host.deviation("skip_mw_ok") is not None:
@@ -509,9 +513,9 @@ class MWSVSSInstance:
     def _maybe_complete_share(self) -> None:
         if self.share_completed or not self.ok_received or self.M_hat is None:
             return
+        unacked = ~self.acks
         for l in self.M_hat:
-            l_hat = self.L_hat.get(l)
-            if l_hat is None or not l_hat <= self.acks:
+            if not self.L_hat[l] or self.L_hat[l] & unacked:
                 return
         self.share_completed = True
         self.manager.notify_mw_share_complete(self.sid)
@@ -531,11 +535,9 @@ class MWSVSSInstance:
         monitor ``l ∈ M̂`` whose broadcast confirmer set contains us."""
         if self._rv_sent or self.share_vector is None:
             return
-        batch = {}
-        for l in self.M_hat or ():
-            members = self.L_hat.get(l)
-            if members is not None and self.pid in members:
-                batch[l] = self.share_vector[l - 1]
+        me = 1 << self.pid
+        shares = self.share_vector
+        batch = {l: shares[l - 1] for l in self.M_hat or () if self.L_hat[l] & me}
         if not batch:
             return
         self._rv_sent = True
@@ -601,8 +603,7 @@ class MWSVSSInstance:
             for l, value in batch.items():
                 if l not in m_hat:
                     continue
-                members = l_hat.get(l)
-                if members is None or sender not in members:
+                if not l_hat[l] >> sender & 1:
                     continue
                 points = K.get(l)
                 if points is None:
@@ -639,40 +640,6 @@ class MWSVSSInstance:
         self.output = f_bar(0) if f_bar is not None else BOTTOM
         self.manager.notify_mw_output(self.sid, self.output)
         self.release()
-
-    # ------------------------------------------------------------------
-    # validation helpers
-    # ------------------------------------------------------------------
-    def _is_value_tuple(self, body: object, length: int) -> bool:
-        return (
-            isinstance(body, tuple)
-            and len(body) == length
-            and all(self.field.is_element(v) for v in body)
-        )
-
-    def _is_pid_tuple(self, body: object) -> bool:
-        return self._pid_fs(body) is not None
-
-    def _pid_fs(self, body: object) -> frozenset | None:
-        """Validate a pid tuple and return its frozenset, ``None`` if bad.
-
-        Validity depends only on (body, n), and the same L/M tuples recur
-        across every sibling session and every delivery, so both the
-        answer and the frozenset are memoized manager-wide (bounded;
-        misses just recompute).
-        """
-        if not isinstance(body, tuple):
-            return None
-        cache = self.manager._pid_tuple_ok
-        fs = cache.get(body, _MISSING)
-        if fs is _MISSING:
-            valid = len(set(body)) == len(body) and all(
-                isinstance(p, int) and 1 <= p <= self.n for p in body
-            )
-            fs = frozenset(body) if valid else None
-            if len(cache) < 4096:
-                cache[body] = fs
-        return fs
 
 
 class GroupLane:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.mwsvss import BOTTOM, _MISSING
+from repro.core.mwsvss import BOTTOM
 from repro.core.sessions import mw_session, svss_dealer
 from repro.errors import ProtocolError
 from repro.poly.bivariate import BivariatePolynomial
@@ -200,7 +200,7 @@ class SVSSInstance:
         if (
             not isinstance(body, tuple)
             or len(body) != 2
-            or not all(self._is_value_tuple(part) for part in body)
+            or not all(self.manager.is_value_tuple(part, self.t + 1) for part in body)
         ):
             return
         if polys is not None:
@@ -293,7 +293,8 @@ class SVSSInstance:
         if not isinstance(body, tuple) or len(body) != 2:
             return None
         g_set, per_member = body
-        if not self._is_pid_tuple(g_set) or len(g_set) < self.n - self.t:
+        pid_set = self.manager.pid_set
+        if pid_set(g_set) is None or len(g_set) < self.n - self.t:
             return None
         if not isinstance(per_member, tuple) or len(per_member) != len(g_set):
             return None
@@ -302,7 +303,7 @@ class SVSSInstance:
             if not isinstance(item, tuple) or len(item) != 2:
                 return None
             j, members = item
-            if j not in g_set or not self._is_pid_tuple(members):
+            if j not in g_set or pid_set(members) is None:
                 return None
             if len(members) < self.n - self.t:
                 return None
@@ -402,28 +403,3 @@ class SVSSInstance:
         self.output = value
         self.manager.notify_svss_output(self.sid, value)
         self.release()
-
-    # ------------------------------------------------------------------
-    # validation helpers
-    # ------------------------------------------------------------------
-    def _is_value_tuple(self, body: object) -> bool:
-        return (
-            isinstance(body, tuple)
-            and len(body) == self.t + 1
-            and all(self.field.is_element(v) for v in body)
-        )
-
-    def _is_pid_tuple(self, body: object) -> bool:
-        # Shares the manager-wide memo (see MWSVSSInstance._pid_fs).
-        if not isinstance(body, tuple):
-            return False
-        cache = self.manager._pid_tuple_ok
-        fs = cache.get(body, _MISSING)
-        if fs is _MISSING:
-            valid = len(set(body)) == len(body) and all(
-                isinstance(p, int) and 1 <= p <= self.n for p in body
-            )
-            fs = frozenset(body) if valid else None
-            if len(cache) < 4096:
-                cache[body] = fs
-        return fs is not None

@@ -1,0 +1,119 @@
+"""Differential test: the ledger DMM against the paper's DMM as dictionaries.
+
+Random sequences of every DMM entry point — expectations with conflicting
+values, batches that arrive before their expectation, expectations after a
+session closed, double closes — drive ``repro.core.dmm.DMM`` and the scan-
+everything model of ``tests/reference/dmm_model.py`` over one shared clock;
+after every operation both must answer every question alike.
+"""
+
+from __future__ import annotations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference.dmm_model import Player
+
+from repro.core.dmm import DMM
+from repro.core.sessions import SessionClock, mw_session, svss_session
+
+ME = 1
+PLAYERS = (1, 2, 3, 4)
+TAGS = tuple(
+    mw_session(svss_session((("cc", 0), slot), 2), 2, 3, "dm") for slot in (1, 2, 3, 4)
+)
+
+players = st.sampled_from(PLAYERS)
+tags = st.sampled_from(TAGS)
+values = st.integers(0, 2)
+OPS = st.one_of(
+    st.tuples(st.just("begin"), tags),
+    st.tuples(st.just("expect_ack"), players, tags, players, values),
+    st.tuples(st.just("expect_deal"), players, tags, values),
+    st.tuples(
+        st.just("check_reconstruct_batch"),
+        players,
+        tags,
+        st.dictionaries(players, values, max_size=4),
+    ),
+    st.tuples(st.just("drop_deal_expectations"), tags),
+    st.tuples(st.just("reconstructed"), tags),
+    st.tuples(st.just("forget_session"), tags),
+)
+
+
+def verdicts(dmm) -> dict:
+    return {(j, tag): dmm.filter_verdict(j, tag) for j in PLAYERS for tag in TAGS}
+
+
+def apply(op: tuple, clock: SessionClock, *dmms) -> None:
+    name, *args = op
+    if name == "begin":
+        clock.note_begin(*args)
+        return
+    if name == "reconstructed":
+        clock.note_complete(*args)
+        name = "on_session_reconstructed"
+    for dmm in dmms:
+        getattr(dmm, name)(*args)
+
+
+def assert_ledgers_are_minimal(dmm: DMM) -> None:
+    owed: dict[int, int] = {}
+    for tag, ledger in dmm._ledgers.items():
+        assert ledger.deal or ledger.ack or ledger.seen, "an empty ledger stayed"
+        assert ledger.closed == (tag in dmm._closed_sessions)
+        assert not (ledger.closed and ledger.seen)
+        for sender in ledger.deal or ():
+            owed[sender] = owed.get(sender, 0) + 1
+        for sender, entries in (ledger.ack or {}).items():
+            assert entries
+            owed[sender] = owed.get(sender, 0) + len(entries)
+    assert owed == dmm._owed
+    assert not dmm.D & set(owed)
+    for sender, armed in dmm._armed.items():
+        assert armed and armed <= dmm.pending_sessions(sender) & dmm._closed_sessions
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.lists(OPS, max_size=40))
+def test_ledger_dmm_answers_like_the_dictionary_dmm(ops):
+    clock = SessionClock()
+    shuns = []
+    dmm = DMM(ME, clock, on_shun=lambda culprit, tag: shuns.append((culprit, tag)))
+    model = Player(ME, clock)
+    before = verdicts(dmm)
+    for op in ops:
+        version = dmm.version
+        apply(op, clock, dmm, model)
+        after = verdicts(dmm)
+        assert after == verdicts(model), op
+        assert dmm.D == model.D
+        assert shuns == model.shuns
+        for j in PLAYERS:
+            assert dmm.pending_sessions(j) == model.pending_sessions(j), (op, j)
+            assert dmm.has_expectations(j) == bool(model.pending_sessions(j))
+        assert dmm.shunned_or_suspected() == model.shunned_or_suspected(PLAYERS)
+        # A cached group verdict is only as good as the version it was
+        # taken at: no verdict may move without a tick (a session's begin
+        # stamp is the caller's event, not the DMM's) ...
+        if after != before and op[0] != "begin":
+            assert dmm.version > version, op
+            moved = {j for (j, _), v in after.items() if before[j, _] != v}
+            assert moved <= dmm.dirty
+        before = after
+        assert_ledgers_are_minimal(dmm)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(OPS, max_size=30))
+def test_closing_every_session_leaves_only_debts(ops):
+    clock = SessionClock()
+    dmm = DMM(ME, clock)
+    for op in ops:
+        apply(op, clock, dmm)
+    for tag in TAGS:
+        dmm.forget_session(tag)
+    assert_ledgers_are_minimal(dmm)
+    for ledger in dmm._ledgers.values():
+        assert ledger.closed and ledger.seen is None and (ledger.deal or ledger.ack)
+    assert set(dmm._owed) == {j for j in PLAYERS if dmm.pending_sessions(j)}

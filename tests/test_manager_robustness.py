@@ -178,10 +178,10 @@ class TestValueKinds:
         # but the ingestion path only applies that verdict to VALUE_KINDS;
         # feed an ack through _ingest and verify it reaches the instance
         mgr._ingest(3, sid_new, "ack", None)
-        assert 3 in mgr.mw[sid_new].acks
+        assert mgr.mw[sid_new].acks == 1 << 3
         # while a cnf from 3 is parked, not processed
         mgr._ingest(3, sid_new, "cnf", 5)
-        assert 3 not in mgr.mw[sid_new].confirm_values
+        assert mgr.mw[sid_new].confirm_values[3] is None
         assert len(mgr._delayed) == 1
 
     def test_parked_message_released_after_debt_paid(self):
@@ -199,7 +199,7 @@ class TestValueKinds:
         # the owed reconstruct broadcast arrives and matches
         mgr._ingest(3, sid_old, "rv", ((2, 9),))
         assert len(mgr._delayed) == 0
-        assert mgr.mw[sid_new].confirm_values.get(3) == 5
+        assert mgr.mw[sid_new].confirm_values[3] == 5
 
     def test_parked_message_discarded_after_conviction(self):
         stack = make_stack()
@@ -216,7 +216,7 @@ class TestValueKinds:
         mgr._ingest(3, sid_old, "rv", ((2, 8),))
         assert 3 in mgr.dmm.D
         assert len(mgr._delayed) == 0
-        assert 3 not in mgr.mw[sid_new].confirm_values
+        assert mgr.mw[sid_new].confirm_values[3] is None
 
 
 class TestReleasedSessionsRejectReplays:
@@ -233,7 +233,7 @@ class TestReleasedSessionsRejectReplays:
             sum(bool(working_state(inst)) for inst in mgr.svss.values()),
             dict(mgr._delayed),
             dict(mgr._lanes),
-            dict(mgr.dmm._seen_batches),
+            dict(mgr.dmm._ledgers),
             set(mgr.dmm.D),
         )
 
@@ -310,16 +310,16 @@ class TestReleasedSessionsRejectReplays:
             4, 0, adversary=Adversary({culprit: WithholdingReconstructor()})
         )
         mgr = stack.vss[1]
-        (sender, sid), owed = next(iter(mgr.dmm._ack.items()))
-        assert sender == culprit and mgr.mw[sid].released
-        monitor, value = next(iter(owed.items()))
+        sid, ledger = next(iter(mgr.dmm._ledgers.items()))
+        assert set(ledger.ack) == {culprit} and ledger.closed and mgr.mw[sid].released
+        monitor, value = next(iter(ledger.ack[culprit].items()))
         # The matching value pays that part of the debt ...
         mgr._on_rb(culprit, ("vss", sid, "rv", ((monitor, value),)))
         assert culprit not in mgr.dmm.D
-        assert monitor not in mgr.dmm._ack.get((culprit, sid), {})
+        assert monitor not in ledger.ack.get(culprit, {})
         # ... a conflicting one for another released session convicts.
-        (sender, sid), owed = next(iter(mgr.dmm._ack.items()))
-        monitor, value = next(iter(owed.items()))
+        sid, ledger = next(s for s in mgr.dmm._ledgers.items() if s[1].ack)
+        monitor, value = next(iter(ledger.ack[culprit].items()))
         wrong = (value + 1) % stack.config.prime
         mgr._on_rb(culprit, ("vss", sid, "rv", ((monitor, wrong),)))
         assert culprit in mgr.dmm.D

@@ -177,8 +177,8 @@ class TestSuspicionAfterACoin:
         for pid in stack.config.pids:
             vss = stack.vss[pid]
             assert vss.dmm.shunned_or_suspected() == set()
-            assert not vss.dmm._pending
-            assert not vss.dmm._seen_batches
+            assert not vss.dmm._owed
+            assert not vss.dmm._ledgers
             assert not vss._delayed
 
     @pytest.mark.parametrize("seed,late", [(2, 3), (5, 2), (0, 1), (7, 4)])
@@ -196,7 +196,7 @@ class TestSuspicionAfterACoin:
         assert set(outputs) == {1, 2, 3, 4} and len(set(outputs.values())) == 1
         for pid in stack.config.pids:
             vss = stack.vss[pid]
-            assert not vss.dmm._armed and not vss.dmm._pending
+            assert not vss.dmm._armed and not vss.dmm._owed and not vss.dmm._ledgers
             assert vss.dmm.shunned_or_suspected() == set()
             assert not vss._delayed
             begun = [inst for inst in vss.mw.values() if inst.reconstruct_begun]
