@@ -7,20 +7,20 @@ count, on every host.  Wall-clock for batches is the end-to-end
 benchmark's job (``benchmarks/e2e``, workload ``aba_ideal_k16``).
 
 1. **SVSS shared coin** (the acceptance gate): ``n = 7``,
-   ``K ∈ {1, 4, 16}``, full shunning-coin stack on the transport every
-   other artifact runs (``coalesce`` + ``svec``).  The coin is ~all of a
-   solo run's events and the batch pays it once per round, and the
-   ``K`` instances' votes ride the envelopes the coin traffic already
-   opens.  Gate: the ``K = 16`` batch dispatches ≤ 1.1x one solo run's
-   events (sequential stacks would dispatch 16x).
-2. **Ideal coin, multiplexing overhead**: a free coin, nothing to
-   amortize and no coalescing, so the batch is ``K`` interleaved solo
-   streams.  Gate: ``K = 1`` dispatches exactly the solo run's events —
-   the demux layer adds none.
-3. **Ideal coin + vote coalescing**: ``coalesce_votes=True`` — all ``K``
-   instances' votes per (round, phase) ride one envelope per (src, dst)
-   pair.  Gate: the ``K = 16`` coalesced batch dispatches ≤ 1/8 of the
-   uncoalesced one.
+   ``K ∈ {1, 4, 16}``, full shunning-coin stack on the default transport.
+   The coin is ~all of a solo run's events and the batch pays it once per
+   round, and the ``K`` instances' votes ride one vector per origin and
+   the envelopes the coin traffic already opens.  Gate: the ``K = 16``
+   batch dispatches ≤ 1.1x one solo run's events (sequential stacks would
+   dispatch 16x).
+2. **Ideal coin, per message** (both packings split): a free coin,
+   nothing to amortize and nothing packed, so the batch is ``K``
+   interleaved solo streams.  Gate: ``K = 1`` dispatches exactly the solo
+   run's events — the demux layer adds none.
+3. **Ideal coin, default transport**: all ``K`` instances' votes per
+   (round, phase) ride one ``("abav", ...)`` vector per origin, and what
+   still shares a (src, dst) pair one envelope.  Gate: the ``K = 16``
+   batch dispatches ≤ 1/8 of the per-message one.
 
 The JSON artifact is committed at the repo root so the trajectory is
 diffable across PRs, next to ``BENCH_algebra.json``.
@@ -28,7 +28,14 @@ diffable across PRs, next to ``BENCH_algebra.json``.
 
 from __future__ import annotations
 
-from bench_common import bench_payload, fast_agreement, fast_batch, write_bench_json
+from bench_common import (
+    bench_payload,
+    fast_agreement,
+    fast_batch,
+    fifo,
+    write_bench_json,
+)
+from repro.adversary.schedulers import per_message
 from repro.analysis.tables import render_table
 
 N = 7
@@ -36,11 +43,11 @@ KS = (1, 4, 16)
 SEED = 3
 
 
-def _series(coin, coalesce: bool = False, svec: bool = False) -> dict:
-    solo = fast_agreement(N, SEED, coin, coalesce=coalesce, svec=svec)
+def _series(coin, split=None) -> dict:
+    solo = fast_agreement(N, SEED, coin, split=split)
     rows = []
     for k in KS:
-        batch = fast_batch(k, N, SEED, coin, coalesce_votes=coalesce, svec=svec)
+        batch = fast_batch(k, N, SEED, coin, split=split)
         rows.append(
             {
                 "k": k,
@@ -51,8 +58,7 @@ def _series(coin, coalesce: bool = False, svec: bool = False) -> dict:
         )
     return {
         "solo_events_dispatched": solo.events_dispatched,
-        "coalesce_votes": coalesce,
-        "svec": svec,
+        "scheduler": fifo(split).describe(),
         "batches": rows,
     }
 
@@ -62,21 +68,20 @@ def _row(series: dict, k: int) -> dict:
 
 
 def test_bench_batch(emit):
-    svss = _series("svss", coalesce=True, svec=True)
+    svss = _series("svss")
+    ideal_per_message = _series(("ideal", 1.0), split=per_message)
     ideal = _series(("ideal", 1.0))
-    ideal_coalesced = _series(("ideal", 1.0), coalesce=True)
     payload = bench_payload(
         {
             "n": N,
             "ks": list(KS),
-            "scheduler": "FifoScheduler",
             "trace_level": "TRACE_OFF",
             "seed": SEED,
             "share_coin": True,
         },
         svss=svss,
+        ideal_per_message=ideal_per_message,
         ideal=ideal,
-        ideal_coalesced=ideal_coalesced,
     )
     path = write_bench_json("batch", payload)
 
@@ -99,26 +104,26 @@ def test_bench_batch(emit):
             ),
         )
 
-    emit(table(f"Batched agreement, SVSS shared round coin, coalesce + svec (n={N})", svss))
-    emit(table(f"Batched agreement, ideal coin (multiplexing overhead, n={N})", ideal))
+    emit(table(f"Batched agreement, SVSS shared round coin (n={N})", svss))
     emit(
         table(
-            f"Batched agreement, ideal coin + coalesce_votes (n={N})",
-            ideal_coalesced,
+            f"Batched agreement, ideal coin, per message (multiplexing overhead, n={N})",
+            ideal_per_message,
         )
     )
+    emit(table(f"Batched agreement, ideal coin, default transport (n={N})", ideal))
 
     # Acceptance gate of PR 3, in counts: 16 instances on the shared coin
     # cost about one solo run, not sixteen.
     k16 = _row(svss, 16)
     assert k16["events_dispatched"] <= 1.1 * svss["solo_events_dispatched"], k16
     # The multiplexing layer itself adds no event to the free-coin path.
-    k1 = _row(ideal, 1)
-    assert k1["events_dispatched"] == ideal["solo_events_dispatched"], k1
-    # Vote coalescing converts the free-coin series from flat to K-shaped:
-    # the K=16 coalesced batch must dispatch close to one instance's worth
-    # of events (<= 1/8 of the uncoalesced batch's bill).
-    k16_off, k16_on = _row(ideal, 16), _row(ideal_coalesced, 16)
+    k1 = _row(ideal_per_message, 1)
+    assert k1["events_dispatched"] == ideal_per_message["solo_events_dispatched"], k1
+    # Vote packing converts the free-coin series from flat to K-shaped:
+    # the default K=16 batch must dispatch close to one instance's worth
+    # of events (<= 1/8 of the per-message batch's bill).
+    k16_off, k16_on = _row(ideal_per_message, 16), _row(ideal, 16)
     assert k16_on["events_dispatched"] * 8 <= k16_off["events_dispatched"], (
         k16_off,
         k16_on,

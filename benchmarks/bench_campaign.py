@@ -8,9 +8,12 @@ Two matrices are driven:
    engine — static random, adaptive traffic-observing, slot-targeted
    vector poisoning, crash→recover→crash — against the protocol-aware
    schedules (vote balancing, coin-reveal eclipse, intermittent
-   partition) across all four aggregation modes, 20 seeds per cell.
+   partition) and the packing-vetoing ones (``env-split``,
+   ``slot-split``, and ``per-message``: both vetoes, the paper's literal
+   wire), 20 seeds per cell.  How much the transport packs is a property
+   of the schedule; there is no aggregation axis beside it.
 2. **SVSS sub-block** (real coin, n = 4): the aggregation-sensitive
-   adversaries against the packing-vetoing ``slot-split`` schedule, a few
+   adversaries under ``uniform`` and the same three split cells, a few
    seeds per cell — the slow cells that make the coin's transport claims
    checkable end to end.
 
@@ -51,8 +54,15 @@ MAIN_MATRIX = dict(
         "slot-poison",
         "crash-recover",
     ),
-    schedulers=("uniform", "vote-balancing", "eclipse", "partition"),
-    modes=("plain", "coalesce", "svec", "coalesce+svec"),
+    schedulers=(
+        "uniform",
+        "vote-balancing",
+        "eclipse",
+        "partition",
+        "env-split",
+        "slot-split",
+        "per-message",
+    ),
     seeds=range(SEED_COUNT),
     coin=("ideal", 1.0),
     round_bound=80,
@@ -61,8 +71,7 @@ MAIN_MATRIX = dict(
 SVSS_MATRIX = dict(
     n=4,
     adversaries=("none", "random", "slot-poison", "crash-recover"),
-    schedulers=("uniform", "slot-split"),
-    modes=("plain", "coalesce+svec"),
+    schedulers=("uniform", "env-split", "slot-split", "per-message"),
     seeds=range(SVSS_SEED_COUNT),
     coin="svss",
     round_bound=250,
@@ -82,7 +91,6 @@ def _cell_rows(result: CampaignResult) -> list[dict]:
             {
                 "adversary": cell.adversary,
                 "scheduler": cell.scheduler,
-                "aggregation": cell.aggregation,
                 "runs": len(sweep),
                 "agreement_rate": sweep.agreement_rate,
                 "mean_rounds": sweep.summary("rounds").mean,

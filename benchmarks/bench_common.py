@@ -69,58 +69,53 @@ def rotated_split_inputs(n: int, k: int) -> list[list[int]]:
     return [[(i + shift) % 2 for i in range(n)] for shift in range(k)]
 
 
-def fast_agreement(n: int, seed: int, coin, coalesce: bool = False, **kw):
+def fifo(split=None):
+    """The canonical unit-delay FIFO network, under ``split`` if given."""
+    return split(FifoScheduler()) if split else FifoScheduler()
+
+
+def fast_agreement(n: int, seed: int, coin, split=None, **kw):
     """One canonical benchmark agreement run: split inputs, unit-delay FIFO
     network, ``TRACE_OFF``.  Asserts agreement and returns the result."""
     result = run_byzantine_agreement(
         [i % 2 for i in range(n)],
         SystemConfig(n=n, seed=seed),
         coin=coin,
-        scheduler=FifoScheduler(),
+        scheduler=fifo(split),
         trace_level=TRACE_OFF,
-        coalesce=coalesce,
         **kw,
     )
     assert result.agreed, f"n={n} coin={coin!r} failed to agree"
     return result
 
 
-def fast_batch(k: int, n: int, seed: int, coin, coalesce_votes: bool = False, **kw):
+def fast_batch(k: int, n: int, seed: int, coin, split=None, **kw):
     """One canonical benchmark batch run (same scenario as
     :func:`fast_agreement`, ``k`` rotated-input instances)."""
     result = run_byzantine_agreement_batch(
         rotated_split_inputs(n, k),
         SystemConfig(n=n, seed=seed),
         coin=coin,
-        scheduler=FifoScheduler(),
+        scheduler=fifo(split),
         trace_level=TRACE_OFF,
-        coalesce_votes=coalesce_votes,
         **kw,
     )
     assert result.agreed, f"batch K={k} n={n} coin={coin!r} failed to agree"
     return result
 
 
-def fast_coin_flip(
-    n: int,
-    seed: int,
-    coalesce: bool = False,
-    svec: bool = False,
-    algebra_backend: str | None = None,
-):
+def fast_coin_flip(n: int, seed: int, split=None, algebra_backend: str | None = None):
     """One canonical SVSS common-coin invocation (unit-delay FIFO,
     ``TRACE_OFF``); asserts every process output a bit."""
+    scheduler = fifo(split)
     result, stack = flip_common_coin(
         SystemConfig(n=n, seed=seed),
-        scheduler=FifoScheduler(),
+        scheduler=scheduler,
         trace_level=TRACE_OFF,
-        coalesce=coalesce,
-        svec=svec,
         algebra_backend=algebra_backend,
     )
     assert set(result.outputs) == set(stack.config.pids), (
-        f"n={n} coalesce={coalesce} svec={svec}: "
-        "not every process output a coin bit"
+        f"n={n} under {scheduler.describe()}: not every process output a coin bit"
     )
     return result
 

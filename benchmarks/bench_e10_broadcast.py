@@ -1,7 +1,8 @@
 """E10 / Table 6 — Reliable Broadcast substrate (paper Appendix A).
 
 Checks the measured message cost against the analytic ``2n^2 + n`` and the
-agreement property under an equivocating origin, across n.
+agreement property under an equivocating origin, across n, scheduled per
+message (``SCHEDULERS["per-message"]``: the default scheduler's seeded delays).
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 from repro.analysis.tables import render_table
 from repro.broadcast.manager import BroadcastManager
 from repro.config import SystemConfig
+from repro.sim.experiments import SCHEDULERS
 from repro.sim.runtime import Runtime
 
 NS = (4, 7, 10, 13, 16)
@@ -16,7 +18,7 @@ NS = (4, 7, 10, 13, 16)
 
 def _measure(n: int):
     cfg = SystemConfig(n=n, seed=0)
-    rt = Runtime(cfg)
+    rt = Runtime(cfg, scheduler=SCHEDULERS["per-message"](cfg))
     managers = {pid: BroadcastManager(rt.host(pid)) for pid in cfg.pids}
     delivered = {pid: [] for pid in cfg.pids}
     for pid in cfg.pids:
@@ -29,7 +31,8 @@ def _measure(n: int):
     ok = all(delivered[pid] == [("x", "payload")] for pid in cfg.pids)
 
     # equivocation trial: raw type-1 split
-    rt2 = Runtime(SystemConfig(n=n, seed=1))
+    cfg2 = SystemConfig(n=n, seed=1)
+    rt2 = Runtime(cfg2, scheduler=SCHEDULERS["per-message"](cfg2))
     managers2 = {pid: BroadcastManager(rt2.host(pid)) for pid in cfg.pids}
     delivered2 = {pid: [] for pid in cfg.pids}
     for pid in cfg.pids:

@@ -10,6 +10,11 @@ exponents:
 * the coin multiplies SVSS by n^2 — measured at n=4 and cross-checked
   against the SVSS fit rather than swept (a single n=10 coin flip is ~50M
   simulated messages; the fit-based extrapolation is the point).
+
+Every run is scheduled per message (``SCHEDULERS["per-message"]``: the
+default scheduler's seeded delays, envelopes and session vectors both
+vetoed), so the counts are the paper's literal bill — one message per
+session per recipient — not the packed transport's.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from __future__ import annotations
 from repro.analysis.complexity import fit_power_law
 from repro.analysis.tables import render_table
 from repro.config import SystemConfig
+from repro.sim.experiments import SCHEDULERS
 from repro.core.api import build_stack, flip_common_coin, run_mwsvss, run_svss
 
 RB_NS = (4, 7, 10, 13, 16, 20)
@@ -30,7 +36,7 @@ def _rb_points():
     points = []
     for n in RB_NS:
         cfg = SystemConfig(n=n, seed=0)
-        stack = build_stack(cfg, with_vss=False)
+        stack = build_stack(cfg, scheduler=SCHEDULERS["per-message"](cfg), with_vss=False)
         stack.broadcasts[1].subscribe("x", lambda o, v: None)
         stack.broadcasts[1].broadcast((1, "x", 0), ("x", "payload"))
         stack.runtime.run_to_quiescence()
@@ -42,7 +48,9 @@ def _mw_points():
     points = []
     for n in MW_NS:
         cfg = SystemConfig(n=n, seed=0)
-        result, _ = run_mwsvss(cfg, dealer=1, moderator=2, secret=7)
+        result, _ = run_mwsvss(
+            cfg, dealer=1, moderator=2, secret=7, scheduler=SCHEDULERS["per-message"](cfg)
+        )
         points.append((n, result.trace.total_messages))
     return points
 
@@ -51,14 +59,14 @@ def _svss_points():
     points = []
     for n in SVSS_NS:
         cfg = SystemConfig(n=n, seed=0)
-        result, _ = run_svss(cfg, dealer=1, secret=7)
+        result, _ = run_svss(cfg, dealer=1, secret=7, scheduler=SCHEDULERS["per-message"](cfg))
         points.append((n, result.trace.total_messages))
     return points
 
 
 def _coin_point():
     cfg = SystemConfig(n=4, seed=0)
-    result, _ = flip_common_coin(cfg)
+    result, _ = flip_common_coin(cfg, scheduler=SCHEDULERS["per-message"](cfg))
     return (4, result.trace.total_messages)
 
 

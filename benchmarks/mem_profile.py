@@ -1,7 +1,7 @@
 """Where one coin's memory is: a ``tracemalloc`` table at the traced peak.
 
 Runs the inputs of the end-to-end benchmark's ``coin_n7`` operation — one
-fault-free ``flip_common_coin`` shape (FIFO, svec + coalesce, ``TRACE_OFF``,
+fault-free ``flip_common_coin`` shape (FIFO, default transport, ``TRACE_OFF``,
 seed ``1000 * seed``) — twice per n.  The run is deterministic per seed, so
 pass 1 reads the traced heap at every delivered event and names the event
 at which it peaks, and pass 2 takes one snapshot at exactly that event.  The
@@ -40,9 +40,7 @@ def start_coin(n: int, seed: int):
     from repro.sim.tracing import TRACE_OFF
 
     config = SystemConfig(n=n, seed=1000 * seed)
-    stack = build_stack(
-        config, scheduler=FifoScheduler(), coalesce=True, svec=True, trace_level=TRACE_OFF
-    )
+    stack = build_stack(config, scheduler=FifoScheduler(), trace_level=TRACE_OFF)
     coins = make_coins(stack, "svss")
     csid = ("cc", "solo", 0)
     outputs: dict[int, int] = {}

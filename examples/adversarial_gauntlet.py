@@ -100,8 +100,7 @@ def main() -> None:
     campaign = run_campaign(
         n=4,
         adversaries=("none", "adaptive-crash", "slot-poison", "crash-recover"),
-        schedulers=("uniform", "vote-balancing", "eclipse"),
-        modes=("plain", "coalesce+svec"),
+        schedulers=("uniform", "vote-balancing", "eclipse", "per-message"),
         seeds=range(4),
         round_bound=80,
     )

@@ -2,16 +2,18 @@
 """Coin at scale: flip the SVSS shunning common coin at n = 10.
 
 One common-coin invocation runs n² = 100 concurrent per-slot SVSS
-sharings (each fanning out MW-SVSS sub-sessions), whose uncoalesced
-per-session traffic is ~105M logical messages at n = 10 — past the
-simulator's 50M-event livelock guard, i.e. unrunnable before semantic
-aggregation.  With session-vector messages (``svec=True``, one
+sharings (each fanning out MW-SVSS sub-sessions), whose per-message
+traffic is ~105M logical messages at n = 10 — past the simulator's
+50M-event livelock guard, i.e. unrunnable before semantic aggregation.
+The transport packs by default — session-vector messages (one
 ``("svec", ...)`` message per (step, dealer-group) instead of n
 per-session messages, one reliable broadcast per step instead of one per
-vector) plus wire coalescing (``coalesce=True``, one envelope per
-(src, dst) pair per step) the same invocation is ~1.6M logical messages
-on ~850k events and completes in about a minute, with bit-identical coin
-outputs.
+vector) plus wire coalescing (one envelope per (src, dst) pair per step)
+— and the same invocation is ~1.6M logical messages on ~850k events and
+completes in about a minute, with the same coin outputs.  (The
+per-message run is a scheduler away:
+``SlotSplittingScheduler(EnvelopeSplittingScheduler(FifoScheduler()))``;
+try it at n = 4.)
 
 On the receive side each slot-vector is admitted through one
 group-level DMM verdict probe instead of n per-slot calls, and its
@@ -41,18 +43,15 @@ def main() -> None:
     n = int(sys.argv[1]) if len(sys.argv) > 1 else 10
     backend = sys.argv[2] if len(sys.argv) > 2 else None
     config = SystemConfig(n=n, seed=7)
-    print(f"flipping the SVSS common coin: n={n}, t={config.t}, "
-          "svec+coalesce on")
-    print("(uncoalesced per-session baseline at n=10: ~105M logical "
-          "messages, > the 50M-event guard)")
+    print(f"flipping the SVSS common coin: n={n}, t={config.t}")
+    print("(per-message baseline at n=10: ~105M logical messages, "
+          "> the 50M-event guard)")
 
     start = time.perf_counter()
     result, stack = flip_common_coin(
         config,
         scheduler=FifoScheduler(),
         trace_level=TRACE_OFF,
-        svec=True,
-        coalesce=True,
         algebra_backend=backend,
     )
     wall = time.perf_counter() - start
@@ -69,14 +68,10 @@ def main() -> None:
           f"~{result.svec_slots / max(1, result.svec_packed):.1f} slots each)")
     print(f"  envelopes        : {result.envelopes_pushed:,} "
           f"(carrying {result.payloads_coalesced:,} logical messages)")
-    if result.svec_batch_ingested:
-        print(f"batched ingestion  : {result.svec_batch_ingested:,} vectors "
-              f"group-admitted ({result.dmm_verdicts_batched:,} slot verdicts "
-              f"batched, {result.dmm_verdict_fallbacks:,} per-slot fallbacks)")
-        print(f"DMM verdict calls  : {result.dmm_verdict_calls:,}")
-    else:
-        print(f"batched ingestion  : off (per-slot path; "
-              f"{result.dmm_verdict_calls:,} DMM verdict calls)")
+    print(f"batched ingestion  : {result.svec_batch_ingested:,} vectors "
+          f"group-admitted ({result.dmm_verdicts_batched:,} slot verdicts "
+          f"batched, {result.dmm_verdict_fallbacks:,} per-slot fallbacks)")
+    print(f"DMM verdict calls  : {result.dmm_verdict_calls:,}")
     print(f"algebra backend    : {result.algebra_backend} "
           f"({result.rows_vectorized:,} rows vectorized, "
           f"{result.backend_fallbacks:,} pure-path fallbacks)")

@@ -20,7 +20,7 @@ filter sees, rewrites, drops, or multiplies individual **logical**
 messages, never envelopes.  A mutator corrupting one message therefore
 never touches the siblings that end up sharing its envelope, and a
 crash-after-N-sends behaviour crashes at the same logical message whether
-or not coalescing is on.  (A byzantine process may of course *forge* an
+or not the scheduler splits envelopes.  (A byzantine process may of course *forge* an
 ``("env", ...)`` payload through its filter; receivers unpack it with the
 same per-sub-payload validation as real envelopes, which grants no power
 beyond sending the sub-payloads individually.)

@@ -20,22 +20,26 @@ the coin:
 
 Eventual delivery still holds: held messages arrive after a finite delay.
 
-Coalescing interplay: on a ``Runtime(coalesce=True)`` a scheduler may be
-handed *envelope* payloads carrying several logical messages (see
-:mod:`repro.sim.runtime`).  :class:`VoteBalancingScheduler` classifies an
-envelope by its dominant vote sub-payload and delays it as a unit;
-:class:`EnvelopeSplittingScheduler` instead refuses shared delivery
-outright — every buffered message is scheduled individually, restoring the
-full per-message adversarial surface at the uncoalesced event cost.
+Coalescing interplay: a scheduler may be handed *envelope* payloads
+carrying several logical messages (see :mod:`repro.sim.runtime`).
+:class:`VoteBalancingScheduler` classifies an envelope by its dominant vote
+sub-payload and delays it as a unit; :class:`EnvelopeSplittingScheduler`
+instead refuses shared delivery outright — a vetoing scheduler means the
+window never buffers, so every message is scheduled the moment it is sent:
+the full per-message adversarial surface at the per-message event cost.
 
-Session-vector interplay: on a ``Runtime(svec=True)`` one logical message
-may be a ``("svec", ...)`` slot-vector carrying a whole coin batch's
-per-session messages, and one reliable broadcast a fold of every vector its
-origin broadcast in that step (see :mod:`repro.core.vectormux`).
-:class:`SlotSplittingScheduler` vetoes that packing the same way —
-``splits_slots`` makes the VSS layer send every slot message per session,
-restoring exact per-session adversarial power (and, under a fixed-delay
-base, the bit-identical ``svec=False`` run).
+Session-vector interplay: one logical message may be a ``("svec", ...)``
+slot-vector carrying a whole coin batch's per-session messages, one
+reliable broadcast a fold of every vector its origin broadcast in that step
+(see :mod:`repro.core.vectormux`), or a ``("abav", ...)`` vector of a
+batch's votes.  :class:`SlotSplittingScheduler` vetoes that packing the
+same way — under ``splits_slots`` no mux packs, which is exact per-session
+adversarial power.
+
+The two wrappers are the transport's only off-switch, over *any* base
+policy, random draws included: ``SlotSplit(EnvSplit(base))`` is the
+per-message run, ``SlotSplit(base)`` envelopes only, ``EnvSplit(base)``
+vectors only, ``base`` both (``tests/golden/aggregation_equiv.json``).
 """
 
 from __future__ import annotations
@@ -63,13 +67,14 @@ class VoteBalancingScheduler(Scheduler):
 
     @classmethod
     def _vote_value(cls, payload: object) -> int | None:
-        """The binary value a (possibly coalesced) message argues for.
+        """The binary value a (possibly packed) message argues for.
 
-        Envelope events are classified by their *dominant* sub-payload:
-        the vote value the most sub-messages argue for (ties break to the
-        first classifiable sub-payload).  Without this, every coalesced
-        vote would fall through to the base delay and the balancing attack
-        would silently vanish as soon as ``coalesce`` is on.
+        An envelope is classified by its *dominant* sub-payload and a vote
+        vector ``("abav", seq, entries)`` by its dominant entry: the value
+        most of them argue for (ties break to the first classifiable one).
+        Without this every packed vote would fall through to the base
+        delay, and since packing is the default transport the balancing
+        attack would silently vanish from every batched run.
         """
         if (
             isinstance(payload, tuple)
@@ -77,45 +82,59 @@ class VoteBalancingScheduler(Scheduler):
             and payload[0] == ENVELOPE_TAG
             and isinstance(payload[1], tuple)
         ):
-            counts = [0, 0]
-            first: int | None = None
-            for sub in payload[1]:
-                value = cls._single_vote_value(sub)
-                if value is None:
-                    continue
-                if first is None:
-                    first = value
-                counts[value] += 1
-            if counts[0] == counts[1]:
-                return first  # None when the envelope carries no votes
-            return 0 if counts[0] > counts[1] else 1
+            return cls._dominant(cls._single_vote_value(sub) for sub in payload[1])
         return cls._single_vote_value(payload)
 
     @staticmethod
-    def _single_vote_value(payload: object) -> int | None:
-        """The binary value one logical vote message argues for, if any."""
-        vote = None
-        # ABA votes travel as RB values ("aba", instance_id, r, phase, vote);
-        # Ben-Or votes as plain sends ("benor", instance_id, r, phase, vote).
-        if (
-            isinstance(payload, tuple)
-            and len(payload) == 3
-            and payload[0] in ("b1", "b2", "b3")
-            and isinstance(payload[2], tuple)
-            and len(payload[2]) == 5
-            and payload[2][0] == "aba"
-        ):
-            vote = payload[2][4]
-        elif (
-            isinstance(payload, tuple)
-            and len(payload) == 5
-            and payload[0] == "benor"
-        ):
-            vote = payload[4]
+    def _dominant(values) -> int | None:
+        """The bit most of ``values`` are (``None`` entries do not count),
+        the first bit on a tie, ``None`` when there is no bit at all."""
+        counts = [0, 0]
+        first: int | None = None
+        for value in values:
+            if value is None:
+                continue
+            if first is None:
+                first = value
+            counts[value] += 1
+        if counts[0] == counts[1]:
+            return first
+        return 0 if counts[0] > counts[1] else 1
+
+    @staticmethod
+    def _vote_bit(vote: object) -> int | None:
         if vote in (0, 1):
             return vote
         if isinstance(vote, tuple) and len(vote) == 2 and vote[0] in (0, 1):
             return vote[0]  # flagged phase-3 vote (w, D)
+        return None
+
+    @classmethod
+    def _single_vote_value(cls, payload: object) -> int | None:
+        """The binary value one logical message argues for, if any."""
+        if not isinstance(payload, tuple):
+            return None
+        # Ben-Or votes are plain sends ("benor", instance_id, r, phase, vote).
+        if len(payload) == 5 and payload[0] == "benor":
+            return cls._vote_bit(payload[4])
+        # ABA votes travel as RB values: ("aba", instance_id, r, phase, vote),
+        # or K instances' votes of one step packed by the VoteVectorMux into
+        # ("abav", seq, ((instance_id, r, phase, vote), ...)).
+        if (
+            len(payload) != 3
+            or payload[0] not in ("b1", "b2", "b3")
+            or not isinstance(payload[2], tuple)
+        ):
+            return None
+        value = payload[2]
+        if len(value) == 5 and value[0] == "aba":
+            return cls._vote_bit(value[4])
+        if len(value) == 3 and value[0] == "abav" and isinstance(value[2], tuple):
+            return cls._dominant(
+                cls._vote_bit(entry[3])
+                for entry in value[2]
+                if isinstance(entry, tuple) and len(entry) == 4
+            )
         return None
 
     def delay(self, src: int, dst: int, payload: object, now: float) -> float:
@@ -137,11 +156,11 @@ class EnvelopeSplittingScheduler(Scheduler):
 
     The coalescing contract defines delay/drop/mutate semantics per
     *logical* message; this scheduler is the path that makes the claim
-    checkable — with ``splits_envelopes`` set, the runtime schedules every
-    buffered message through :meth:`delay` individually and never forms an
-    envelope, so an adversary wrapping any base policy keeps exactly the
-    per-message power it had before coalescing existed.  (Under a
-    fixed-delay base this reproduces the uncoalesced run bit-for-bit.)
+    checkable — a vetoing scheduler means the window never buffers: with
+    ``splits_envelopes`` set every send goes through :meth:`delay` and onto
+    the queue the moment it is made and no envelope is ever formed, so an
+    adversary wrapping any base policy keeps exactly the per-message power
+    (and the base exactly the call order) it had before coalescing existed.
     """
 
     splits_envelopes = True
@@ -167,13 +186,13 @@ class SlotSplittingScheduler(Scheduler):
 
     The slot-vector analogue of :class:`EnvelopeSplittingScheduler`, one
     layer up: with ``splits_slots`` set the VSS layer never folds a coin's
-    per-slot session messages into ``("svec", ...)`` vectors — every slot
-    message is sent, scheduled and delivered per session, so an adversary
-    wrapping any base policy keeps exactly the per-session power it had
-    before aggregation existed.  Under a fixed-delay base this replays the
-    ``svec=False`` run bit for bit (``tests/test_svec.py`` pins the golden
-    equality).  Compose with :class:`EnvelopeSplittingScheduler` to strip
-    both transports at once.
+    per-slot session messages into ``("svec", ...)`` vectors (nor a batch
+    its votes into ``("abav", ...)``) — every slot message is sent,
+    scheduled and delivered per session, so an adversary wrapping any base
+    policy keeps exactly the per-session power it had before aggregation
+    existed.  Compose with :class:`EnvelopeSplittingScheduler` to strip
+    both transports at once: that run is the paper's literal per-message
+    wire.
     """
 
     splits_slots = True
@@ -192,6 +211,12 @@ class SlotSplittingScheduler(Scheduler):
 
     def describe(self) -> str:
         return f"SlotSplit({self._base.describe()})"
+
+
+def per_message(base: Scheduler) -> Scheduler:
+    """``base`` under both vetoes: one scheduled event per logical message,
+    one message per session — the paper's literal wire."""
+    return SlotSplittingScheduler(EnvelopeSplittingScheduler(base))
 
 
 class CoinRevealEclipseScheduler(Scheduler):

@@ -97,8 +97,6 @@ def build_stack(
     adversary: Adversary | None = None,
     with_vss: bool = True,
     trace_level: int = TRACE_FULL,
-    coalesce: bool = False,
-    svec: bool = False,
     algebra_backend: str | None = None,
 ) -> Stack:
     """Assemble runtime, broadcast and (optionally) VSS for every process.
@@ -107,22 +105,19 @@ def build_stack(
     be lowered to :data:`~repro.sim.tracing.TRACE_OFF` for wall-clock
     benchmarks: the runtime then skips all per-message accounting.
 
-    ``coalesce`` enables wire-level message coalescing: all sends of one
+    The transport aggregates, with no option beside it: all sends of one
     dispatch step sharing a (src, dst) pair travel as one envelope event
-    (see :mod:`repro.sim.runtime`).  A pure event-count optimization —
-    decisions and per-channel delivered logical-message sequences are
-    unchanged under fixed-delay schedulers.
-
-    ``svec`` enables session-vector aggregation (see
-    :mod:`repro.core.vectormux`): the common coin's n² per-slot MW-SVSS
-    sessions send one ``("svec", ...)`` logical message per
-    (step, dealer-group) instead of n per-session messages, cutting the
-    coin's logical message bill ~n× while keeping coin outputs and every
-    per-session justifier bit-identical under fixed-delay schedulers.
-    Composes with ``coalesce`` (vectors still ride envelopes).  On the
-    receive side each vector is consumed through one group-level DMM
+    (see :mod:`repro.sim.runtime`), and the common coin's n² per-slot
+    MW-SVSS sessions send one ``("svec", ...)`` logical message per
+    (step, dealer-group) instead of n per-session messages (see
+    :mod:`repro.core.vectormux`), each consumed through one group-level DMM
     verdict and one structure-of-arrays lane transition
-    (``VSSManager.ingest_vector``).
+    (``VSSManager.ingest_vector``).  Per-message scheduling is the
+    adversary's to ask for: wrap ``scheduler`` in
+    :class:`~repro.adversary.schedulers.EnvelopeSplittingScheduler` and the
+    step window never buffers, in
+    :class:`~repro.adversary.schedulers.SlotSplittingScheduler` and nothing
+    packs a vector; both together are the paper's literal per-message wire.
 
     ``algebra_backend`` selects the vectorized algebra backend behind the
     row-shaped polynomial fast paths: ``"pure"``, ``"numpy"``, ``"auto"``
@@ -137,8 +132,6 @@ def build_stack(
         config,
         scheduler=scheduler,
         trace_level=trace_level,
-        coalesce=coalesce,
-        svec=svec,
         algebra_backend=algebra_backend,
     )
     broadcasts = {}
@@ -273,8 +266,8 @@ class RunCounters:
 
     #: Events delivered, messages pushed onto the wire, and how often the
     #: completion predicate was evaluated (O(state changes): the runners
-    #: wait with ``on_change=True``).  With coalescing on,
-    #: ``messages_pushed`` counts *wire events* (an envelope is one);
+    #: wait with ``on_change=True``).  ``messages_pushed`` counts *wire
+    #: events* (an envelope is one);
     #: ``envelopes_pushed``/``payloads_coalesced`` size the saving and
     #: ``trace.total_messages`` keeps the logical count.
     events_dispatched: int = 0
@@ -491,8 +484,6 @@ def run_byzantine_agreement(
     max_events: int = DEFAULT_MAX_EVENTS,
     tag: str = "aba",
     trace_level: int = TRACE_FULL,
-    coalesce: bool = False,
-    svec: bool = False,
     algebra_backend: str | None = None,
     monitor: InvariantMonitor | None = None,
 ) -> AgreementResult:
@@ -519,8 +510,6 @@ def run_byzantine_agreement(
         adversary=adversary,
         with_vss=coin == "svss",
         trace_level=trace_level,
-        coalesce=coalesce,
-        svec=svec,
         algebra_backend=algebra_backend,
     )
     make_coins(stack, coin, instance=tag)
@@ -594,8 +583,6 @@ def run_byzantine_agreement_batch(
     max_rounds: int = 200,
     max_events: int = DEFAULT_MAX_EVENTS,
     share_coin: bool = True,
-    coalesce_votes: bool = False,
-    svec: bool = False,
     algebra_backend: str | None = None,
     trace_level: int = TRACE_FULL,
     monitor: InvariantMonitor | None = None,
@@ -622,15 +609,14 @@ def run_byzantine_agreement_batch(
     (ids derived from its instance id), restoring the strict per-instance
     release discipline at ``K`` times the coin cost.
 
-    ``coalesce_votes=True`` turns on the runtime's wire-level coalescing
-    for the whole batch: all ``K`` instances advance in lock-step under a
-    fixed-delay scheduler, so their votes for one (round, phase) — and the
-    broadcast echo traffic amplifying them — ride one envelope per
-    (src, dst) pair instead of ``K`` separate events.  Per-instance
-    decisions are unchanged (the coalescer preserves per-party delivered
-    logical-message sequences); only the event bill shrinks, which is what
-    converts the free-coin batch series from flat to ~K×-shaped (see
-    ``benchmarks/bench_batch.py``).
+    All ``K`` instances advance in lock-step under a fixed-delay scheduler,
+    so their votes for one (round, phase) ride one ``("abav", ...)`` vote
+    vector per origin (:class:`~repro.core.agreement.VoteVectorMux`), and
+    what still shares a (src, dst) pair in a step rides one envelope —
+    instead of ``K`` separate broadcasts and events.  Per-instance decisions
+    are unchanged (packing preserves per-party delivered logical-message
+    sequences); only the event bill shrinks, which is what makes the
+    free-coin batch series ~K×-shaped (see ``benchmarks/bench_batch.py``).
     """
     rows = list(inputs_matrix)
     if not rows:
@@ -642,8 +628,6 @@ def run_byzantine_agreement_batch(
         adversary=adversary,
         with_vss=coin == "svss",
         trace_level=trace_level,
-        coalesce=coalesce_votes,
-        svec=svec,
         algebra_backend=algebra_backend,
     )
     if share_coin:
@@ -830,8 +814,6 @@ def flip_common_coin(
     session: int = 0,
     max_events: int = DEFAULT_MAX_EVENTS,
     trace_level: int = TRACE_FULL,
-    coalesce: bool = False,
-    svec: bool = False,
     algebra_backend: str | None = None,
 ) -> tuple[CoinResult, Stack]:
     """Run one full SVSS-based shunning common coin invocation."""
@@ -841,8 +823,6 @@ def flip_common_coin(
         scheduler=scheduler,
         adversary=adversary,
         trace_level=trace_level,
-        coalesce=coalesce,
-        svec=svec,
         algebra_backend=algebra_backend,
     )
     coins = make_coins(stack, "svss")

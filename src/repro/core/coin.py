@@ -41,13 +41,14 @@ is the point from which RB totality carries them there without us.
 
 *Cost profile.*  One invocation runs ``n²`` SVSS sharings (each a fan-out
 of MW-SVSS sub-sessions), whose echo/ack/confirm traffic crosses the same
-(src, dst) pairs within the same protocol steps — on a coalescing runtime
-(``Runtime(coalesce=True)``) that whole per-step bundle rides one envelope
-per pair, collapsing the invocation's event bill by 20–60× at small ``n``
-(``benchmarks/bench_coin.py``) with bit-identical outputs; the logical
-message count, and hence the paper's complexity claims, are unchanged.
-On a session-vector runtime (``Runtime(svec=True)``) the *logical* bill
-collapses too: all ``n`` slots of one dealer batch march in lock-step, so
+(src, dst) pairs within the same protocol steps — the step window sends
+that whole per-step bundle as one envelope per pair, collapsing the
+invocation's event bill by 20–60× at small ``n``
+(``benchmarks/bench_coin.py``) against the per-message run an
+envelope-splitting scheduler restores, with the same outputs.  The
+*logical* bill collapses too unless the scheduler splits slots (the run
+that pays the paper's literal message bill): all ``n`` slots of one
+dealer batch march in lock-step, so
 each party's per-step messages into them fold into one ``("svec", ...)``
 slot-vector per (step, dealer-group), and the vectors a party reliably
 broadcasts in one step into one RB — ~n⁴ → ~n³ logical messages, with

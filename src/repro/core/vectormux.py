@@ -68,13 +68,13 @@ untouched:
   ``("svec", ...)`` payload is unpacked with full per-slot validation and
   grants nothing beyond sending the slots individually);
 * a scheduler may advertise ``splits_slots``
-  (:class:`repro.adversary.schedulers.SlotSplittingScheduler`) to veto
-  packing entirely — the run then replays the per-session wire stream bit
-  for bit, restoring exact per-session adversarial power.
+  (:class:`repro.adversary.schedulers.SlotSplittingScheduler`) and no mux
+  ever packs — the run is the per-session wire stream bit for bit, with
+  exact per-session adversarial power.
 
 Under fixed-delay schedulers the aggregation is output-pure: coin bits and
 every per-session justifier (attach sets, accepted sets, eval sets,
-party values) are bit-identical to the unaggregated run
+party values) are bit-identical to the slot-split run
 (``tests/test_svec.py`` asserts this per seed); only the logical
 message count shrinks (``Runtime.svec_packed`` /
 ``Runtime.svec_slots`` size the effect).  Vectors may regroup sibling

@@ -244,7 +244,7 @@ class NetRuntime(StepWindow):
     """
 
     def __init__(self, node: "NetworkNode", config: SystemConfig, trace_level: int = TRACE_FULL):
-        super().__init__(coalesce=True, svec=True)
+        super().__init__()  # no scheduler over sockets: the window packs
         self.node = node
         self.config = config
         self.field = config.field
@@ -304,7 +304,7 @@ class NetRuntime(StepWindow):
             raise SimulationError(f"send to unknown process {dst}")
         trace = self.trace
         if trace.level:
-            trace.record_send(layer, payload)
+            trace.record_send(layer)
         if self._buffering:
             self._buffer(src, dst, payload)
         else:
@@ -315,7 +315,7 @@ class NetRuntime(StepWindow):
         (the seq prefix keeps per-link frames distinct, see codec)."""
         trace = self.trace
         if trace.level:
-            trace.record_send_many(layer, payload, self.config.n)
+            trace.record_send_many(layer, self.config.n)
         if self._buffering:
             buffer = self._buffer
             for dst in self.config.pids:

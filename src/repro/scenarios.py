@@ -74,7 +74,11 @@ class CraftingDealer(ByzantineBehavior):
 
 class Example1Scheduler(Scheduler):
     """The example's schedule: process 4 slow; reconstruct-value broadcasts
-    ordered so 3 hears {2, 3} first and 1 hears {1, 3} first."""
+    ordered so 3 hears {2, 3} first and 1 hears {1, 3} first.  It orders
+    single messages by what they carry, so it splits both packings."""
+
+    splits_envelopes = True
+    splits_slots = True
 
     def _rv_origin(self, payload) -> int | None:
         if (

@@ -1,14 +1,16 @@
-"""Adversary campaign engine: adversary x scheduler x aggregation matrices.
+"""Adversary campaign engine: adversary x scheduler matrices.
 
 A *campaign* is the robustness analogue of an experiment sweep: instead of
-measuring round counts, it drives every combination of an adversary, a
-scheduler, and an aggregation mode (coalescing / session vectors on or
-off) through monitored runs and asks one question per cell — did any
+measuring round counts, it drives every combination of an adversary and a
+scheduler through monitored runs and asks one question per cell — did any
 seeded run violate a protocol invariant?  The paper's safety claims are
 unconditional (agreement and validity hold under *every* legal adversary
 and schedule), so the expected verdict on every honest-majority cell is
 zero violations; a single red cell localizes a bug to an (adversary,
-schedule, transport) triple before anyone reads a trace.
+schedule) pair before anyone reads a trace.  How much the transport packs
+is part of the schedule: the ``env-split`` / ``slot-split`` /
+``per-message`` cells run ``uniform`` with envelopes, session vectors or
+both vetoed.
 
 The engine reuses the experiment harness wholesale: each cell's seeds are
 :class:`~repro.sim.experiments.Scenario` rows with ``monitor=True``, the
@@ -22,7 +24,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from types import MappingProxyType
 
 from repro.analysis.tables import render_table
 from repro.errors import ConfigurationError
@@ -34,20 +35,10 @@ from repro.sim.experiments import (
     scenario_matrix,
 )
 
-#: Aggregation-mode axis: name -> (coalesce, svec).  Read-only so cells
-#: keyed by mode name stay canonical.
-AGGREGATION_MODES: MappingProxyType = MappingProxyType(
-    {
-        "plain": (False, False),
-        "coalesce": (True, False),
-        "svec": (False, True),
-        "coalesce+svec": (True, True),
-    }
-)
-
 #: Default campaign axes — every adversary family of the engine (static
 #: random, adaptive, slot-targeted, crash-recovery) against the
-#: protocol-aware schedules (vote balancing, reveal eclipse, partition).
+#: protocol-aware schedules (vote balancing, reveal eclipse, partition)
+#: and the packing-vetoing ones (envelopes, slots, both).
 DEFAULT_ADVERSARIES = (
     "none",
     "random",
@@ -55,37 +46,31 @@ DEFAULT_ADVERSARIES = (
     "slot-poison",
     "crash-recover",
 )
-DEFAULT_SCHEDULERS = ("uniform", "vote-balancing", "eclipse", "partition")
+DEFAULT_SCHEDULERS = (
+    "uniform",
+    "vote-balancing",
+    "eclipse",
+    "partition",
+    "env-split",
+    "slot-split",
+    "per-message",
+)
 
 
 @dataclass(frozen=True)
 class CampaignCell:
-    """One (adversary, scheduler, aggregation) point of the matrix."""
+    """One (adversary, scheduler) point of the matrix."""
 
     adversary: str
     scheduler: str
-    coalesce: bool
-    svec: bool
-
-    @property
-    def aggregation(self) -> str:
-        for name, (coalesce, svec) in AGGREGATION_MODES.items():
-            if (coalesce, svec) == (self.coalesce, self.svec):
-                return name
-        return f"coalesce={self.coalesce},svec={self.svec}"
 
     def describe(self) -> str:
-        return f"{self.adversary} x {self.scheduler} x {self.aggregation}"
+        return f"{self.adversary} x {self.scheduler}"
 
 
 def _cell_of(record: RunRecord) -> CampaignCell:
     scenario = record.scenario
-    return CampaignCell(
-        adversary=scenario.adversary,
-        scheduler=scenario.scheduler,
-        coalesce=scenario.coalesce,
-        svec=scenario.svec,
-    )
+    return CampaignCell(adversary=scenario.adversary, scheduler=scenario.scheduler)
 
 
 @dataclass
@@ -136,7 +121,6 @@ class CampaignResult:
                 [
                     cell.adversary,
                     cell.scheduler,
-                    cell.aggregation,
                     len(sweep),
                     f"{sweep.agreement_rate:.3f}",
                     f"{sweep.summary('rounds').mean:.2f}",
@@ -148,7 +132,6 @@ class CampaignResult:
             [
                 "adversary",
                 "scheduler",
-                "aggregation",
                 "runs",
                 "agree",
                 "rounds",
@@ -167,7 +150,6 @@ def campaign_matrix(
     n: int = 4,
     adversaries: Sequence[str] = DEFAULT_ADVERSARIES,
     schedulers: Sequence[str] = DEFAULT_SCHEDULERS,
-    modes: Sequence[str] = tuple(AGGREGATION_MODES),
     seeds: Iterable[int] = range(20),
     round_bound: int | None = 60,
     **overrides: object,
@@ -175,45 +157,26 @@ def campaign_matrix(
     """All monitored scenarios of a campaign, in deterministic cell order.
 
     ``overrides`` pass through to :class:`Scenario` (``coin``, ``inputs``,
-    ``batch``, ...) uniformly; ``monitor``/``coalesce``/``svec`` are owned
-    by the campaign axes and cannot be overridden.
+    ``batch``, ...) uniformly; ``monitor`` is owned by the campaign and
+    cannot be overridden.
     """
-    for owned in ("monitor", "coalesce", "svec"):
-        if owned in overrides:
-            raise ConfigurationError(
-                f"{owned!r} is a campaign axis, not an override"
-            )
-    unknown = [m for m in modes if m not in AGGREGATION_MODES]
-    if unknown:
-        raise ConfigurationError(
-            f"unknown aggregation modes {unknown}; "
-            f"known: {list(AGGREGATION_MODES)}"
-        )
-    seeds = list(seeds)
-    matrix: list[Scenario] = []
-    for mode in modes:
-        coalesce, svec = AGGREGATION_MODES[mode]
-        matrix.extend(
-            scenario_matrix(
-                ns=(n,),
-                schedulers=schedulers,
-                adversaries=adversaries,
-                seeds=seeds,
-                monitor=True,
-                round_bound=round_bound,
-                coalesce=coalesce,
-                svec=svec,
-                **overrides,
-            )
-        )
-    return matrix
+    if "monitor" in overrides:
+        raise ConfigurationError("'monitor' is owned by the campaign, not an override")
+    return scenario_matrix(
+        ns=(n,),
+        schedulers=schedulers,
+        adversaries=adversaries,
+        seeds=seeds,
+        monitor=True,
+        round_bound=round_bound,
+        **overrides,
+    )
 
 
 def run_campaign(
     n: int = 4,
     adversaries: Sequence[str] = DEFAULT_ADVERSARIES,
     schedulers: Sequence[str] = DEFAULT_SCHEDULERS,
-    modes: Sequence[str] = tuple(AGGREGATION_MODES),
     seeds: Iterable[int] = range(20),
     round_bound: int | None = 60,
     workers: int | None = None,
@@ -229,7 +192,6 @@ def run_campaign(
         n=n,
         adversaries=adversaries,
         schedulers=schedulers,
-        modes=modes,
         seeds=seeds,
         round_bound=round_bound,
         **overrides,
@@ -249,7 +211,6 @@ def run_campaign(
 
 
 __all__ = [
-    "AGGREGATION_MODES",
     "CampaignCell",
     "CampaignResult",
     "DEFAULT_ADVERSARIES",

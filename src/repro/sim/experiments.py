@@ -57,6 +57,7 @@ from repro.adversary.schedulers import (
     EnvelopeSplittingScheduler,
     SlotSplittingScheduler,
     VoteBalancingScheduler,
+    per_message,
 )
 from repro.analysis.stats import Summary, proportion_ci95, summarize
 from repro.analysis.tables import render_table
@@ -101,6 +102,11 @@ SCHEDULERS: dict[str, Callable[[SystemConfig], Scheduler]] = {
         UniformDelayScheduler(cfg.derive_rng("scheduler"))
     ),
     "slot-split": lambda cfg: SlotSplittingScheduler(
+        UniformDelayScheduler(cfg.derive_rng("scheduler"))
+    ),
+    # Both vetoes over ``uniform``: one scheduled event per logical message
+    # and one message per session — the paper's literal wire.
+    "per-message": lambda cfg: per_message(
         UniformDelayScheduler(cfg.derive_rng("scheduler"))
     ),
     # Eclipse the top-t pids (a legal minority; at t=0 an empty victim set,
@@ -168,13 +174,10 @@ class Scenario:
     ``"random"``) on one runtime with a shared round coin, and the record
     aggregates across instances.
 
-    ``coalesce`` enables wire-level message coalescing (one envelope event
-    per (src, dst) pair per dispatch step; for batched scenarios this is
-    the ``coalesce_votes`` axis — all instances' votes per (round, phase)
-    share envelopes).  ``svec`` enables session-vector aggregation (the
-    SVSS coin's per-slot sessions send one slot-vector message per
-    (step, dealer-group) — see :mod:`repro.core.vectormux`); records carry
-    the aggregation counters either way.
+    The transport always aggregates (envelopes, session vectors, vote
+    vectors — records carry the packing counters); the ``scheduler`` axis
+    is how a scenario asks for less: ``"env-split"``, ``"slot-split"`` and
+    ``"per-message"`` wrap ``"uniform"`` in the splitting schedulers.
     """
 
     n: int
@@ -188,8 +191,6 @@ class Scenario:
     trace_level: int = TRACE_COUNTS
     batch: int = 1
     share_coin: bool = True
-    coalesce: bool = False
-    svec: bool = False
     #: Install an :class:`~repro.sim.monitor.InvariantMonitor` on the run;
     #: any violation is caught and recorded on the RunRecord (a worker
     #: never tears down its pool on a violation).  ``round_bound`` arms the
@@ -367,7 +368,6 @@ def run_scenario(scenario: Scenario) -> RunRecord:
         adversary=adversary,
         max_rounds=scenario.max_rounds,
         max_events=scenario.max_events,
-        svec=scenario.svec,
         algebra_backend=scenario.algebra_backend,
         trace_level=scenario.trace_level,
         monitor=monitor,
@@ -379,14 +379,12 @@ def run_scenario(scenario: Scenario) -> RunRecord:
                 batch_inputs(scenario, config),
                 config,
                 share_coin=scenario.share_coin,
-                coalesce_votes=scenario.coalesce,
                 **options,
             )
         else:
             result = run_byzantine_agreement(
                 INPUT_PATTERNS[scenario.inputs](config),
                 config,
-                coalesce=scenario.coalesce,
                 **options,
             )
         wall = time.perf_counter() - start

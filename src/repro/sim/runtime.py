@@ -26,27 +26,28 @@ round advances or decides), and :meth:`Runtime.run_until` with
 ``on_change=True`` re-evaluates its predicate only when the change counter
 moved — O(state changes) predicate evaluations instead of O(events).
 
-Transport coalescing (``coalesce=True``): all :meth:`Runtime.transmit`
-calls made while one event is being dispatched are buffered per
-``(src, dst)`` and flushed at end-of-step as a single *envelope* event
-``("env", (sub_payload, ...))`` whenever two or more logical messages
-share the pair; the receiving host unpacks sub-payloads in order through
-its ordinary handler table (:meth:`ProcessHost._deliver_envelope`).  The
-n² concurrent MW-SVSS sessions of one common-coin invocation emit their
-echo/ack/confirm traffic between the same pairs within the same step, so
-their per-step event bill collapses from O(n²) per pair to O(1) — queue
-pushes, scheduler consultations and the hot loop's crash/dispatch checks
-are paid once per envelope, while every *logical* message still traverses
-its handler, the trace counters, byzantine outbound filters (applied
-before buffering) and the DMM.  Adversarial semantics stay per logical
-message: a scheduler classifies the whole envelope (see
-:meth:`~repro.sim.scheduler.Scheduler.splits_envelopes` and
-``repro.adversary.schedulers``) or opts to split it back into individually
-scheduled deliveries, losing no power.  With a fixed-delay scheduler the
-optimization is *pure*: every conversation — one (src, dst, session)
-stream — delivers the bit-identical sequence of logical messages, every
-party handles the identical message multiset, and decisions/rounds are
-bit-identical to the uncoalesced run
+Transport coalescing: all :meth:`Runtime.transmit` calls made while one
+event is being dispatched are buffered per ``(src, dst)`` and flushed at
+end-of-step as a single *envelope* event ``("env", (sub_payload, ...))``
+whenever two or more logical messages share the pair; the receiving host
+unpacks sub-payloads in order through its ordinary handler table
+(:meth:`ProcessHost._deliver_envelope`).  The n² concurrent MW-SVSS
+sessions of one common-coin invocation emit their echo/ack/confirm traffic
+between the same pairs within the same step, so their per-step event bill
+collapses from O(n²) per pair to O(1) — queue pushes, scheduler
+consultations and the hot loop's crash/dispatch checks are paid once per
+envelope, while every *logical* message still traverses its handler, the
+trace counters, byzantine outbound filters (applied before buffering) and
+the DMM.  Adversarial semantics stay per logical message: a scheduler
+classifies the whole envelope, or advertises
+:attr:`~repro.sim.scheduler.Scheduler.splits_envelopes` — a vetoing
+scheduler means the window never buffers: every send is scheduled and
+pushed the moment it is made, one event per logical message, delays drawn
+in send order (``repro.adversary.schedulers.EnvelopeSplittingScheduler``
+wraps any base policy that way).  Under a fixed-delay scheduler every
+conversation — one (src, dst, session) stream — delivers the bit-identical
+sequence of logical messages as the split run, every party handles the
+identical message multiset, and decisions/rounds are the same
 (``tests/test_coalesce.py`` asserts all of this per seed); only the event
 count shrinks (``envelopes_pushed`` / ``payloads_coalesced`` size the
 effect).  Distinct conversations may regroup *within one simultaneity
@@ -54,16 +55,16 @@ bucket* (envelopes merge events that delivered back-to-back at the same
 timestamp) — the protocol's state machines are per-session, so this is
 framing, not reordering.
 
-Session-vector aggregation (``svec=True``): one layer up from the
-envelope transport, the VSS layer packs the common coin's per-slot
-session messages into ``("svec", ...)`` slot-vectors — one *logical*
-message per (step, dealer-group) instead of n per-session messages (see
+Session-vector aggregation: one layer up from the envelope transport, the
+VSS layer packs the common coin's per-slot session messages into
+``("svec", ...)`` slot-vectors — one *logical* message per
+(step, dealer-group) instead of n per-session messages (see
 :mod:`repro.core.vectormux`).  The runtime's part is the step window:
 ``svec_buffering`` is open while an event is dispatched (or a driver-side
 :meth:`coalescing_step` is active), dirty muxes register via
 :meth:`svec_defer`, and the end-of-step flush runs them *before* the
 envelope flush so vectors still coalesce onto envelopes.  A
-``splits_slots`` scheduler vetoes the packing outright.  Counters:
+``splits_slots`` scheduler means no mux ever packs.  Counters:
 ``svec_packed`` / ``svec_slots``.
 
 The buffers, both flushes, ``coalescing_step`` and the counters live in
@@ -103,8 +104,6 @@ class Runtime(StepWindow):
         config: SystemConfig,
         scheduler: Scheduler | None = None,
         trace_level: int = TRACE_FULL,
-        coalesce: bool = False,
-        svec: bool = False,
         algebra_backend: str | None = None,
     ):
         self.config = config
@@ -133,20 +132,10 @@ class Runtime(StepWindow):
         self._hosts_seq: list[ProcessHost | None] = [None] * (config.n + 1)
         for pid, host in self.hosts.items():
             self._hosts_seq[pid] = host
-        # The step window (see :mod:`repro.sim.window`).  The scheduler
-        # may veto envelope delivery by advertising ``splits_envelopes`` —
-        # buffered messages are then flushed as individually scheduled
-        # events — and slot packing by advertising ``splits_slots``
-        # (:class:`repro.adversary.schedulers.SlotSplittingScheduler`),
-        # which replays the per-session wire stream bit for bit.
-        super().__init__(
-            coalesce=bool(coalesce),
-            svec=bool(svec)
-            and not bool(getattr(self.scheduler, "splits_slots", False)),
-            split_envelopes=bool(
-                getattr(self.scheduler, "splits_envelopes", False)
-            ),
-        )
+        # The step window (see :mod:`repro.sim.window`) packs unless the
+        # scheduler says otherwise: ``splits_envelopes`` means it never
+        # buffers, ``splits_slots`` that the muxes never pack.
+        super().__init__(self.scheduler)
         #: Vectorized algebra backend (see :mod:`repro.field.backend` and
         #: ``docs/ALGEBRA.md``): ``None`` defers to ``REPRO_ALGEBRA_BACKEND``
         #: / auto-detect.  Selection is process-global (the fast paths carry
@@ -285,20 +274,17 @@ class Runtime(StepWindow):
     def transmit(self, src: int, dst: int, payload: tuple, layer: str) -> None:
         """Accept a message onto the (simulated) wire.
 
-        While an event is being dispatched on a coalescing runtime the
-        message is only *buffered* (``StepWindow._buffer``, inlined here
-        and in :meth:`transmit_all`: this is the hottest edge of a run);
-        the window's flush turns each (src, dst) buffer into one envelope
-        event at end-of-step.  Trace accounting stays per logical message
-        either way.  (The *number* of logical messages is coalescing-
-        invariant only without session vectors: an envelope delivery is one
-        bigger step, and the mux folds a step's broadcasts into one RB.)
+        While a step is open (and the scheduler does not split envelopes)
+        the message is only *buffered* (``StepWindow._buffer``, inlined here
+        and in :meth:`transmit_all`: this is the hottest edge of a run); the
+        window's flush turns each (src, dst) buffer into one envelope event
+        at end-of-step.  Trace accounting stays per logical message.
         """
         if dst not in self.hosts:
             raise SimulationError(f"send to unknown process {dst}")
         trace = self.trace
         if trace.level:  # TRACE_OFF == 0: skip the call + Counter work
-            trace.record_send(layer, payload)
+            trace.record_send(layer)
         if self._buffering:
             outbox = self._outbox
             key = (src, dst)
@@ -326,7 +312,7 @@ class Runtime(StepWindow):
         n = self.config.n
         trace = self.trace
         if trace.level:
-            trace.record_send_many(layer, payload, n)
+            trace.record_send_many(layer, n)
         if self._buffering:
             outbox = self._outbox
             for dst in range(1, n + 1):
@@ -358,9 +344,7 @@ class Runtime(StepWindow):
 
     def _emit(self, src: int, dst: int, payload: tuple) -> None:
         """The step window's sink: schedule one event (plain message or
-        envelope) and push it.  Under a ``splits_envelopes`` scheduler the
-        window emits every buffered message on its own, so per-message
-        delay control is fully restored at the uncoalesced event cost."""
+        envelope) and push it."""
         delay = self._fixed_delay
         if delay is None:
             delay = self._checked_delay(src, dst, payload)

@@ -20,27 +20,26 @@ class Scheduler:
     returning an unbounded delay would violate the paper's eventual-delivery
     assumption and is the one thing the adversary is *not* allowed to do.
 
-    On a coalescing runtime (``Runtime(coalesce=True)``) :meth:`delay` may
-    receive an *envelope* payload ``("env", (sub_payload, ...))`` carrying
-    several logical messages for the same destination.  A payload-sensitive
-    scheduler must either classify the envelope as a whole (see
+    The transport packs, so :meth:`delay` may receive an *envelope*
+    payload ``("env", (sub_payload, ...))`` carrying several logical
+    messages for the same destination, and one logical message may be a
+    session vector or a vote vector.  A payload-sensitive scheduler must
+    either classify the aggregate as a whole (see
     ``repro.adversary.schedulers.VoteBalancingScheduler``) or set
-    :attr:`splits_envelopes` to opt out of shared delivery entirely: the
-    runtime then schedules every buffered message individually, so the
-    adversary's per-message delay control is exactly the uncoalesced one.
+    :attr:`splits_envelopes` / :attr:`splits_slots` to opt out: these two
+    attributes are the only thing that switches packing off.
     Address-only schedulers need neither — one shared delay per (src, dst)
     step is within the powers the model already grants the adversary.
     """
 
-    #: When True the runtime never delivers envelopes under this scheduler:
-    #: each buffered logical message gets its own :meth:`delay` call and its
-    #: own queue event (the envelope-splitting adversary path).
+    #: When True the step window never buffers under this scheduler: each
+    #: logical message gets its own :meth:`delay` call and its own queue
+    #: event the moment it is sent, and no envelope is ever formed.
     splits_envelopes: bool = False
 
-    #: When True the VSS layer never packs session-vector (``"svec"``)
-    #: messages under this scheduler: every per-slot coin session message
-    #: travels — and is scheduled — per session, restoring the exact
-    #: pre-aggregation adversarial surface (see
+    #: When True no mux packs under this scheduler: every per-slot coin
+    #: session message and every agreement vote travels — and is scheduled
+    #: — on its own, the exact pre-aggregation adversarial surface (see
     #: ``repro.adversary.schedulers.SlotSplittingScheduler`` and
     #: :mod:`repro.core.vectormux`).
     splits_slots: bool = False

@@ -53,12 +53,12 @@ class Trace:
         return self.level >= TRACE_FULL
 
     # -- recording -----------------------------------------------------------
-    def record_send(self, layer: str, payload: object) -> None:
+    def record_send(self, layer: str) -> None:
         if self.level < TRACE_COUNTS:
             return
         self.messages_by_layer[layer] += 1
 
-    def record_send_many(self, layer: str, payload: object, count: int) -> None:
+    def record_send_many(self, layer: str, count: int) -> None:
         """Record ``count`` identical sends at once (the ``send_all`` fast
         path): one counter update instead of ``count``.  Totals match
         ``count`` calls to :meth:`record_send` exactly."""

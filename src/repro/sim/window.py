@@ -17,6 +17,13 @@ leaves through the runtime's :meth:`_emit` sink as one envelope
 The sink is the only transport-specific part: the simulator schedules an
 event, the socket runtime writes one DATA frame.
 
+Packing is the transport, not an option, and its one off-switch is the
+adversary's: a scheduler that advertises ``splits_envelopes`` means the
+window never buffers (every send is scheduled and pushed the moment it is
+made, exactly as before envelopes existed), one that advertises
+``splits_slots`` means the muxes never pack.  :attr:`StepWindow.coalesce`
+and :attr:`StepWindow.svec` are those two facts, read once at construction.
+
 :class:`StepWindow` is a base class rather than a member object so the
 flags and counters protocol modules consume (``runtime.svec``,
 ``runtime.svec_buffering``, ``runtime.svec_packed += ...``) stay plain
@@ -41,18 +48,12 @@ class StepWindow:
     simulator's hottest edge), everything else goes through here.
     """
 
-    def __init__(
-        self,
-        coalesce: bool,
-        svec: bool,
-        split_envelopes: bool = False,
-    ):
-        #: Wire-level coalescing: buffered messages leave as envelopes.
-        self.coalesce = coalesce
-        #: Envelope veto (a ``splits_envelopes`` scheduler): buffered
-        #: messages are emitted individually, restoring the uncoalesced
-        #: adversarial surface while keeping the coalescing code path on.
-        self._split_envelopes = split_envelopes
+    def __init__(self, scheduler=None):
+        #: Wire-level coalescing: a step's sends are buffered and leave as
+        #: envelopes — unless the scheduler splits envelopes, in which case
+        #: nothing is ever buffered.  A runtime without a scheduler (the
+        #: socket transport) packs.
+        self.coalesce = not getattr(scheduler, "splits_envelopes", False)
         #: (src, dst) -> [payload, ...] buffered during the current step.
         self._outbox: dict[tuple[int, int], list] = {}
         self._buffering = False
@@ -61,8 +62,9 @@ class StepWindow:
         self.payloads_coalesced = 0
         #: Session-vector aggregation: the VSS layer packs the coin's
         #: per-slot session messages into one ``("svec", ...)`` logical
-        #: message per (step, dealer-group, kind).
-        self.svec = svec
+        #: message per (step, dealer-group, kind) — unless the scheduler
+        #: splits slots.
+        self.svec = not getattr(scheduler, "splits_slots", False)
         #: True while a step is open and muxes may buffer; outside a
         #: step, per-slot sends travel plain.
         self.svec_buffering = False
@@ -117,20 +119,17 @@ class StepWindow:
 
         Each ``(src, dst)`` buffer with two or more logical messages
         becomes one envelope ``("env", (payload, ...))`` in send order;
-        singletons travel plain (no framing overhead).  Under the envelope
-        veto every buffered message is emitted individually.  Buffers
-        drain grouped by first-touched pair; within a pair, order is send
-        order, so every destination still observes the uncoalesced
-        per-party sequence.
+        singletons travel plain (no framing overhead).  Buffers drain
+        grouped by first-touched pair; within a pair, order is send order,
+        so every destination still observes the uncoalesced per-party
+        sequence.
         """
         outbox = self._outbox
         emit = self._emit
-        split = self._split_envelopes
         try:
             for (src, dst), payloads in outbox.items():
-                if len(payloads) == 1 or split:
-                    for payload in payloads:
-                        emit(src, dst, payload)
+                if len(payloads) == 1:
+                    emit(src, dst, payloads[0])
                     continue
                 emit(src, dst, (ENVELOPE_TAG, tuple(payloads)))
                 self.envelopes_pushed += 1
@@ -156,9 +155,9 @@ class StepWindow:
         that single step, so the coalescing is self-sustaining.  Callers
         must emit in source-major order (all of one sender's messages
         before the next sender's) if they rely on the
-        bit-identical-sequence guarantee.  No-op when both transports are
-        off; steps do not nest, so do not use it inside a handler or while
-        the simulator's event loop is running.
+        bit-identical-sequence guarantee.  No-op under a scheduler that
+        splits both envelopes and slots; steps do not nest, so do not use
+        it inside a handler or while the simulator's event loop is running.
         """
         if not self.coalesce and not self.svec:
             yield

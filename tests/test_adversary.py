@@ -429,7 +429,7 @@ class TestEclipseScheduler:
 
         sched = Counting(FifoScheduler(), victims={4}, hold=40.0, window=30.0)
         result, _ = flip_common_coin(
-            SystemConfig(n=4, seed=1000), scheduler=sched, svec=True, coalesce=True
+            SystemConfig(n=4, seed=1000), scheduler=sched
         )
         assert result.svec_packed > 0
         assert len(set(result.outputs.values())) == 1 and len(result.outputs) == 4
@@ -461,8 +461,6 @@ class TestSlotPoisonCompositions:
             coin="svss",
             scheduler=scheduler,
             adversary=adv,
-            svec=True,
-            coalesce=True,
             max_rounds=300,
             monitor=mon,
         )

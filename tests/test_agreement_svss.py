@@ -66,11 +66,10 @@ class TestFullStack:
         assert len(result.shun_pairs) <= cfg.t * (cfg.n - cfg.t)
 
     def test_split_inputs_n7(self):
-        """On the aggregated transport, as every benchmark and the socket
-        runtime run it (the unaggregated n=7 stack is
+        """On the default transport (the n=7 coin without envelopes is
         ``test_coalesce.py::test_coin_flip_identical_and_reduced``)."""
         cfg = SystemConfig(n=7, seed=14)
         result = run_byzantine_agreement(
-            [0, 1, 0, 1, 0, 1, 0], cfg, coin="svss", coalesce=True, svec=True
+            [0, 1, 0, 1, 0, 1, 0], cfg, coin="svss"
         )
         assert result.terminated and result.agreed

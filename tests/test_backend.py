@@ -339,8 +339,6 @@ class TestBitIdenticalAB:
             result, stack = flip_common_coin(
                 SystemConfig(n=4, seed=seed),
                 scheduler=FifoScheduler(),
-                svec=True,
-                coalesce=True,
                 algebra_backend=algebra_backend,
             )
             stack.runtime.run_to_quiescence()

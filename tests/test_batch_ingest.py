@@ -19,6 +19,7 @@ import random
 
 from repro.adversary.behaviors import ABALiarBehavior
 from repro.adversary.controller import Adversary
+from repro.adversary.schedulers import SlotSplittingScheduler
 from repro.config import SystemConfig
 from repro.core.api import build_stack, flip_common_coin
 from repro.core.agreement import ABAProcess
@@ -30,17 +31,15 @@ from repro.sim.scheduler import FifoScheduler
 class TestBitIdenticalCoin:
     def test_batched_path_actually_engages(self):
         """The headline metric: group verdicts shrink per-slot handler
-        work.  Without vectors every value message takes ``_ingest`` and
+        work.  With slots split every value message takes ``_ingest`` and
         pays its own verdict — the count the deleted per-slot unpack loop
         paid too (``BENCH_coin.json``: 378 035 both ways at n=7)."""
 
-        def flip(svec):
-            result, _ = flip_common_coin(
-                SystemConfig(n=4, seed=1), scheduler=FifoScheduler(), svec=svec
-            )
+        def flip(scheduler):
+            result, _ = flip_common_coin(SystemConfig(n=4, seed=1), scheduler=scheduler)
             return result
 
-        on, off = flip(True), flip(False)
+        on, off = flip(FifoScheduler()), flip(SlotSplittingScheduler(FifoScheduler()))
         assert on.outputs == off.outputs
         assert on.svec_batch_ingested > 0
         assert on.dmm_verdicts_batched > 0
@@ -50,9 +49,7 @@ class TestBitIdenticalCoin:
 
 
 def make_manager():
-    stack = build_stack(
-        SystemConfig(n=4, seed=0), scheduler=FifoScheduler(), svec=True
-    )
+    stack = build_stack(SystemConfig(n=4, seed=0), scheduler=FifoScheduler())
     return stack, stack.vss[1]
 
 
@@ -285,10 +282,7 @@ class TestVoteVectorMux:
     def run_instances(self, k, adversary=None, seed=0):
         """K concurrent ideal-coin agreements driven directly on a stack."""
         stack = build_stack(
-            SystemConfig(n=4, seed=seed),
-            scheduler=FifoScheduler(),
-            adversary=adversary,
-            svec=True,
+            SystemConfig(n=4, seed=seed), scheduler=FifoScheduler(), adversary=adversary
         )
         procs = {
             (pid, i): ABAProcess(
@@ -319,10 +313,8 @@ class TestVoteVectorMux:
         """The A/B discipline one layer up: packed vote vectors leave every
         instance's decisions exactly where plain per-vote broadcasts do."""
 
-        def decisions(svec):
-            stack = build_stack(
-                SystemConfig(n=4, seed=0), scheduler=FifoScheduler(), svec=svec
-            )
+        def decisions(scheduler):
+            stack = build_stack(SystemConfig(n=4, seed=0), scheduler=scheduler)
             procs = {
                 (pid, i): ABAProcess(
                     stack.runtime.host(pid),
@@ -340,7 +332,7 @@ class TestVoteVectorMux:
             stack.runtime.run_to_quiescence()
             return {key: proc.decided for key, proc in procs.items()}
 
-        assert decisions(svec=True) == decisions(svec=False)
+        assert decisions(FifoScheduler()) == decisions(SlotSplittingScheduler(FifoScheduler()))
 
     def test_solo_agreement_never_packs(self):
         """A single live instance replays the per-vote wire stream."""
@@ -360,9 +352,7 @@ class TestVoteVectorMux:
     def test_forged_vote_vector_validated_per_entry(self):
         """A forged ("abav", ...) vector grants nothing beyond broadcasting
         the votes individually: per-entry shape + per-instance validation."""
-        stack = build_stack(
-            SystemConfig(n=4, seed=0), scheduler=FifoScheduler(), svec=True
-        )
+        stack = build_stack(SystemConfig(n=4, seed=0), scheduler=FifoScheduler())
         host = stack.runtime.host(1)
         procs = [
             ABAProcess(
@@ -391,9 +381,7 @@ class TestVoteVectorMux:
         assert procs[1]._round_state(1).received[1] == {3: 0}
 
     def test_closed_instances_stop_counting(self):
-        stack = build_stack(
-            SystemConfig(n=4, seed=0), scheduler=FifoScheduler(), svec=True
-        )
+        stack = build_stack(SystemConfig(n=4, seed=0), scheduler=FifoScheduler())
         host = stack.runtime.host(1)
         procs = [
             ABAProcess(

@@ -8,13 +8,19 @@ from repro.adversary.controller import random_adversary
 from repro.config import SystemConfig
 from repro.errors import ConfigurationError
 from repro.sim.campaign import (
-    AGGREGATION_MODES,
+    DEFAULT_SCHEDULERS,
     CampaignCell,
     CampaignResult,
     campaign_matrix,
     run_campaign,
 )
-from repro.sim.experiments import RunRecord, Scenario, SweepResult, run_scenario
+from repro.sim.experiments import (
+    SCHEDULERS,
+    RunRecord,
+    Scenario,
+    SweepResult,
+    run_scenario,
+)
 
 
 class TestMatrix:
@@ -22,41 +28,47 @@ class TestMatrix:
         matrix = campaign_matrix(
             n=4,
             adversaries=("none", "random"),
-            schedulers=("uniform", "fifo"),
-            modes=("plain", "coalesce"),
+            schedulers=("uniform", "fifo", "per-message"),
             seeds=range(3),
         )
-        assert len(matrix) == 2 * 2 * 2 * 3
+        assert len(matrix) == 2 * 3 * 3
         assert all(s.monitor for s in matrix)
-        assert {(s.coalesce, s.svec) for s in matrix} == {
-            (False, False),
-            (True, False),
+        assert {(s.adversary, s.scheduler) for s in matrix} == {
+            (a, s) for a in ("none", "random") for s in ("uniform", "fifo", "per-message")
         }
 
     def test_owned_axes_cannot_be_overridden(self):
-        for owned in ("monitor", "coalesce", "svec"):
-            with pytest.raises(ConfigurationError):
-                campaign_matrix(seeds=range(1), **{owned: True})
-
-    def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigurationError):
-            campaign_matrix(modes=("plain", "warp"), seeds=range(1))
+            campaign_matrix(seeds=range(1), monitor=True)
+        with pytest.raises(ConfigurationError):
+            campaign_matrix(seeds=range(1), schedulers=("uniform", "warp"))
 
-    def test_modes_cover_both_transports(self):
-        assert AGGREGATION_MODES["plain"] == (False, False)
-        assert AGGREGATION_MODES["coalesce+svec"] == (True, True)
-        assert len(AGGREGATION_MODES) == 4
+    def test_split_cells_cover_both_transports(self):
+        """What the ``modes`` axis crossed every cell with is three cells of
+        the scheduler axis: ``uniform`` with either packing, or both, vetoed."""
+        config = SystemConfig(n=4, seed=0)
+
+        def stance(name):
+            scheduler = SCHEDULERS[name](config)
+            return scheduler.splits_envelopes, scheduler.splits_slots
+
+        def draws(name):
+            scheduler = SCHEDULERS[name](config)
+            return [scheduler.delay(1, 2, ("x",), 0.0) for _ in range(5)]
+
+        assert stance("uniform") == (False, False)
+        assert stance("env-split") == (True, False)
+        assert stance("slot-split") == (False, True)
+        assert stance("per-message") == (True, True)
+        for name in ("env-split", "slot-split", "per-message"):
+            assert name in DEFAULT_SCHEDULERS
+            assert draws(name) == draws("uniform")  # same seeded delays
 
 
 class TestCell:
-    def test_aggregation_name_round_trips(self):
-        for name, (coalesce, svec) in AGGREGATION_MODES.items():
-            cell = CampaignCell("none", "uniform", coalesce, svec)
-            assert cell.aggregation == name
-
     def test_describe(self):
-        cell = CampaignCell("random", "eclipse", True, True)
-        assert cell.describe() == "random x eclipse x coalesce+svec"
+        cell = CampaignCell("random", "eclipse")
+        assert cell.describe() == "random x eclipse"
 
 
 class TestRunCampaign:
@@ -64,14 +76,13 @@ class TestRunCampaign:
         res = run_campaign(
             n=4,
             adversaries=("none", "random", "adaptive-crash"),
-            schedulers=("uniform", "vote-balancing"),
-            modes=("plain", "coalesce+svec"),
+            schedulers=("uniform", "vote-balancing", "per-message"),
             seeds=range(3),
             workers=1,
         )
         assert res.ok and not res.violations
-        assert len(res.cells) == 3 * 2 * 2
-        assert len(res) == 3 * 2 * 2 * 3
+        assert len(res.cells) == 3 * 3
+        assert len(res) == 3 * 3 * 3
         assert all(r.monitored for r in res.records)
         assert res.cell_violations() == {}
         assert "all invariants held" in res.table()
@@ -81,7 +92,6 @@ class TestRunCampaign:
             n=4,
             adversaries=("random",),
             schedulers=("uniform",),
-            modes=("plain",),
             seeds=range(2),
             workers=1,
         )
@@ -113,7 +123,7 @@ class TestRunCampaign:
         assert record.invariant_violation is not None
         assert record.invariant_violation.startswith("[liveness]")
         assert not record.agreed
-        cell = CampaignCell("none", "uniform", False, False)
+        cell = CampaignCell("none", "uniform")
         res = CampaignResult(cells={cell: SweepResult(records=[record])})
         assert not res.ok
         assert res.violations == [record]
@@ -124,8 +134,7 @@ class TestRunCampaign:
         kwargs = dict(
             n=4,
             adversaries=("none", "random"),
-            schedulers=("uniform",),
-            modes=("plain", "coalesce"),
+            schedulers=("uniform", "slot-split"),
             seeds=range(2),
         )
         inline = run_campaign(workers=1, **kwargs)

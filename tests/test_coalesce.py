@@ -9,8 +9,13 @@ per logical message).  The adversarial tests then pin the per-logical-
 message contract: outbound filters see individual messages, crash points
 are unchanged, a crash mid-envelope drops the rest of the envelope, a
 vote-balancing scheduler classifies envelopes by their dominant
-sub-payload, and an envelope-splitting scheduler reproduces the
-uncoalesced run exactly.
+sub-payload, and an envelope-splitting scheduler never forms one.
+
+Envelopes are always on; the uncoalesced run is the same run under a
+scheduler that splits them (``split=`` below).  Most comparisons are the
+default transport against :func:`per_message`; the two that are exact only
+with the slot layer held still (delivered sequences, a crash budget counted
+in sends) compare ``SlotSplit(base)`` with ``SlotSplit(EnvSplit(base))``.
 """
 
 from __future__ import annotations
@@ -23,7 +28,9 @@ from repro.adversary.behaviors import CrashBehavior, MutatingBehavior
 from repro.adversary.controller import Adversary
 from repro.adversary.schedulers import (
     EnvelopeSplittingScheduler,
+    SlotSplittingScheduler,
     VoteBalancingScheduler,
+    per_message,
 )
 from repro.config import SystemConfig
 from repro.core.agreement import ABAProcess
@@ -50,48 +57,49 @@ def split_matrix(n: int, k: int) -> list[list[int]]:
     return [[(i + shift) % 2 for i in range(n)] for shift in range(k)]
 
 
-def run_solo(n, seed, coin, coalesce=False, scheduler=None, **kw):
+def run_solo(n, seed, coin, split=None, scheduler=None, **kw):
+    scheduler = scheduler if scheduler is not None else FifoScheduler()
     return run_byzantine_agreement(
         split_inputs(n),
         SystemConfig(n=n, seed=seed),
         coin=coin,
-        scheduler=scheduler if scheduler is not None else FifoScheduler(),
-        coalesce=coalesce,
+        scheduler=split(scheduler) if split else scheduler,
         **kw,
     )
 
 
-def run_batch(inputs, seed, coin, coalesce=False, scheduler=None, **kw):
+def run_batch(inputs, seed, coin, split=None, scheduler=None, **kw):
+    scheduler = scheduler if scheduler is not None else FifoScheduler()
     return run_byzantine_agreement_batch(
         inputs,
         SystemConfig(n=len(inputs[0]), seed=seed),
         coin=coin,
-        scheduler=scheduler if scheduler is not None else FifoScheduler(),
-        coalesce_votes=coalesce,
+        scheduler=split(scheduler) if split else scheduler,
         **kw,
     )
 
 
 class TestBitIdenticalDecisions:
-    """The acceptance property: coalescing on vs off, per seed, across
-    the shipped fixed-delay schedulers."""
+    """The acceptance property: the default transport vs the per-message
+    run, per seed, across the shipped fixed-delay schedulers."""
 
     @pytest.mark.parametrize("scheduler_cls", [Scheduler, FifoScheduler])
     @pytest.mark.parametrize("seed", range(3))
     def test_solo_ideal(self, scheduler_cls, seed):
-        off = run_solo(7, seed, IDEAL, scheduler=scheduler_cls())
-        on = run_solo(7, seed, IDEAL, scheduler=scheduler_cls(), coalesce=True)
+        off = run_solo(7, seed, IDEAL, scheduler=scheduler_cls(), split=per_message)
+        on = run_solo(7, seed, IDEAL, scheduler=scheduler_cls())
         assert off.agreed and on.agreed
         assert on.decisions == off.decisions
         assert on.rounds == off.rounds
-        # The logical message bill is coalescing-invariant by construction.
+        # The logical message bill is coalescing-invariant by construction
+        # (a solo ideal-coin run has nothing a mux could pack).
         assert on.trace.total_messages == off.trace.total_messages
 
     def test_solo_svss_full_stack(self):
         """The full shunning stack (broadcast + VSS + DMM + coin) under
         envelopes: identical decisions, far fewer events."""
-        off = run_solo(4, 7, "svss")
-        on = run_solo(4, 7, "svss", coalesce=True)
+        off = run_solo(4, 7, "svss", split=per_message)
+        on = run_solo(4, 7, "svss")
         assert off.agreed and on.agreed
         assert on.decisions == off.decisions
         assert on.rounds == off.rounds
@@ -105,16 +113,17 @@ class TestBitIdenticalDecisions:
 
     def test_coin_flip_identical_and_reduced(self):
         cfg = SystemConfig(n=7, seed=5)
-        off, _ = flip_common_coin(cfg, scheduler=FifoScheduler())
-        on, _ = flip_common_coin(cfg, scheduler=FifoScheduler(), coalesce=True)
+        off, _ = flip_common_coin(cfg, scheduler=EnvelopeSplittingScheduler(FifoScheduler()))
+        on, _ = flip_common_coin(cfg, scheduler=FifoScheduler())
         assert on.outputs == off.outputs
+        assert off.envelopes_pushed == 0 and off.svec_packed == on.svec_packed > 0
         # The n² MW-SVSS sessions share (src, dst) pairs per step, so the
         # event bill collapses by far more than the gate's 2x.
         assert on.events_dispatched * 2 < off.events_dispatched
 
     def test_replay_deterministic(self):
-        a = run_solo(4, 3, "svss", coalesce=True)
-        b = run_solo(4, 3, "svss", coalesce=True)
+        a = run_solo(4, 3, "svss")
+        b = run_solo(4, 3, "svss")
         assert a.decisions == b.decisions
         assert a.events_dispatched == b.events_dispatched
         assert a.envelopes_pushed == b.envelopes_pushed
@@ -131,8 +140,11 @@ class TestDeliveredSequences:
     the decision A/B tests pin the regrouping as decision-invariant.)"""
 
     def _logged_run(self, coalesce: bool):
+        # Slots split on both sides: a vector's contents depend on how big
+        # a step is, so only the per-session stream has sequences to compare.
         config = SystemConfig(n=4, seed=9)
-        stack = build_stack(config, scheduler=FifoScheduler(), coalesce=coalesce)
+        scheduler = FifoScheduler() if coalesce else EnvelopeSplittingScheduler(FifoScheduler())
+        stack = build_stack(config, scheduler=SlotSplittingScheduler(scheduler))
         log: dict[int, list] = {pid: [] for pid in config.pids}
         for pid, host in stack.runtime.hosts.items():
             for tag, handler in list(host._handlers.items()):
@@ -194,9 +206,10 @@ class TestEnvelopeUnpack:
     """Receiver-side envelope semantics, driven directly."""
 
     def make_runtime(self, coalesce=True):
-        return Runtime(
-            SystemConfig(n=2, seed=0), scheduler=FifoScheduler(), coalesce=coalesce
-        )
+        scheduler = FifoScheduler()
+        if not coalesce:
+            scheduler = EnvelopeSplittingScheduler(scheduler)
+        return Runtime(SystemConfig(n=2, seed=0), scheduler=scheduler)
 
     def test_crash_mid_envelope_drops_remaining_subpayloads(self):
         rt = self.make_runtime()
@@ -260,9 +273,7 @@ class TestAdversarialSemantics:
     power is lost when coalescing is on."""
 
     def test_outbound_filter_sees_logical_messages_not_envelopes(self):
-        rt = Runtime(
-            SystemConfig(n=2, seed=0), scheduler=FifoScheduler(), coalesce=True
-        )
+        rt = Runtime(SystemConfig(n=2, seed=0), scheduler=FifoScheduler())
         sender, receiver = rt.host(2), rt.host(1)
         got, seen = [], []
         receiver.register_handler("x", lambda s, p: got.append(p))
@@ -292,23 +303,27 @@ class TestAdversarialSemantics:
     @pytest.mark.parametrize("seed", range(3))
     def test_crash_spanning_instances_identical_on_off(self, seed):
         """CrashBehavior counts *logical* sends, so the crash point — and
-        every decision — is identical with coalescing on."""
+        every decision — is identical with envelopes on.  (Vote vectors are
+        split on both sides: folded RBs mean fewer echoes to send, so a
+        budget counted in sends runs out elsewhere.)"""
         inputs = split_matrix(7, 4)
 
-        def run(coalesce):
+        def run(split):
             return run_batch(
                 inputs,
                 seed,
                 IDEAL,
-                coalesce=coalesce,
+                split=split,
                 adversary=Adversary({7: CrashBehavior(after_messages=40)}),
             )
 
-        off, on = run(False), run(True)
+        off, on = run(per_message), run(SlotSplittingScheduler)
         assert off.terminated and off.agreed
-        assert on.terminated and on.agreed
+        assert on.terminated and on.agreed and on.envelopes_pushed > 0
         for iid in off.instance_ids:
             assert on.results[iid].decisions == off.results[iid].decisions, iid
+        packed = run(None)
+        assert packed.terminated and packed.agreed and packed.svec_packed > 0
 
     @pytest.mark.parametrize("seed", range(3))
     def test_mutator_spanning_instances_coalesced(self, seed):
@@ -319,35 +334,40 @@ class TestAdversarialSemantics:
             inputs,
             seed,
             IDEAL,
-            coalesce=True,
             adversary=Adversary({4: MutatingBehavior(random.Random(seed), rate=0.4)}),
         )
         assert batch.terminated and batch.agreed
 
     def test_splitting_scheduler_reproduces_uncoalesced_run(self):
         """The envelope-splitting adversary path: per-message scheduling is
-        fully restored — the run is the uncoalesced one, bit for bit."""
+        fully restored — the run is the uncoalesced one, bit for bit.  Its
+        record was written by ``coalesce_votes=False`` when that existed
+        (``batch-k5`` in ``tests/golden/dispatch_equiv.json``); live, the
+        veto means one event per logical message, whichever wrapper is
+        outermost."""
         inputs = split_matrix(7, 4)
-        off = run_batch(inputs, 3, IDEAL, coalesce=False)
-        split = run_batch(
+        split = run_batch(inputs, 3, IDEAL, split=per_message)
+        assert split.envelopes_pushed == 0 == split.svec_packed
+        assert split.messages_pushed == split.logical_messages == split.trace.total_messages
+        packed = run_batch(inputs, 3, IDEAL)
+        assert packed.events_dispatched * 4 < split.events_dispatched
+        other = run_batch(
             inputs,
             3,
             IDEAL,
-            coalesce=True,
-            scheduler=EnvelopeSplittingScheduler(FifoScheduler()),
+            scheduler=EnvelopeSplittingScheduler(SlotSplittingScheduler(FifoScheduler())),
         )
-        assert split.envelopes_pushed == 0
-        assert split.events_dispatched == off.events_dispatched
-        assert split.messages_pushed == off.messages_pushed
-        for iid in off.instance_ids:
-            assert split.results[iid].decisions == off.results[iid].decisions
-            assert split.results[iid].rounds == off.results[iid].rounds
+        assert other.counters() == split.counters()
+        for iid in split.instance_ids:
+            for run in (other, packed):
+                assert run.results[iid].decisions == split.results[iid].decisions
+                assert run.results[iid].rounds == split.results[iid].rounds
 
 
 class TestVoteBalancingOverEnvelopes:
-    """The satellite fix: the balancing scheduler classifies envelopes by
-    their dominant vote sub-payload instead of falling through to the
-    default delay."""
+    """The balancing scheduler classifies envelopes by their dominant vote
+    sub-payload, and vote vectors by their dominant entry, instead of
+    falling through to the default delay."""
 
     @staticmethod
     def aba_vote(value, phase=1, instance=("aba", 0), r=1, origin=1):
@@ -367,6 +387,27 @@ class TestVoteBalancingOverEnvelopes:
         assert VoteBalancingScheduler._vote_value(vote(1)) == 1
         assert VoteBalancingScheduler._vote_value(("v", 1)) is None
 
+    def test_vote_vector_classified_by_dominant_entry(self):
+        """``("abav", seq, entries)`` RB values — what a packed batch's
+        votes travel as — are read like envelopes are."""
+
+        def vector(*votes, phase="b2"):
+            entries = tuple((("aba", k), 1, 1, vote) for k, vote in enumerate(votes))
+            return (phase, (1, "abav", 0), ("abav", 0, entries))
+
+        value = VoteBalancingScheduler._vote_value
+        assert value(vector(1, 0, 1)) == 1
+        assert value(vector(0, 0, 1)) == 0
+        assert value(vector(1, 0)) == 1 and value(vector(0, 1)) == 0  # tie: first
+        assert value(vector((0, (3,)), (0, ()), 1)) == 0  # flagged phase-3 votes
+        assert value(vector("x", None)) is None and value(vector()) is None
+        assert value(("b1", (1, "abav", 0), ("abav", 0, ("junk", (1, 2), 7)))) is None
+        assert value(("b1", (1, "abav", 0), ("abav", 0, [(("aba", 0), 1, 1, 1)]))) is None
+        assert value(("env", (vector(1, 1), vector(0, 0), vector(1, 0)))) == 1
+        sched = VoteBalancingScheduler(SystemConfig(n=4, seed=0), base_delay=1.0, hold=50.0)
+        assert sched.delay(3, 1, vector(1, 1), 0.0) == 50.0
+        assert sched.delay(3, 4, vector(1, 1), 0.0) == 1.0
+
     def test_envelope_delay_biases_by_dominant_value(self):
         cfg = SystemConfig(n=4, seed=0)
         sched = VoteBalancingScheduler(cfg, base_delay=1.0, hold=50.0)
@@ -381,43 +422,38 @@ class TestVoteBalancingOverEnvelopes:
     @pytest.mark.parametrize("seed", range(3))
     def test_balancing_still_bites_under_coalesce_votes(self, seed):
         """Against an always-failing coin the balancing schedule must keep
-        a coalesced batch split past any round cap — if envelope events
-        fell through to the base delay, the run would terminate in ~2
-        rounds (the FIFO control shows exactly that)."""
+        a packed batch split past any round cap — if vote vectors (the
+        default transport) or envelopes (slots split) fell through to the
+        base delay, the run would terminate in ~2 rounds (the FIFO control
+        shows exactly that)."""
         n, k = 4, 4
-        rows = [[i % 2 for i in range(n)]] * k  # aligned: envelopes carry
-        # same-valued votes, so classification is exact
-        cfg = SystemConfig(n=n, seed=seed)
-        balanced = run_byzantine_agreement_batch(
-            rows,
-            cfg,
-            coin=cr_coin(cfg, 1.0),
-            scheduler=VoteBalancingScheduler(cfg),
-            coalesce_votes=True,
-            max_rounds=15,
-        )
-        assert balanced.envelopes_pushed > 0  # coalescing really was on
+        rows = [[i % 2 for i in range(n)]] * k  # aligned: vectors and
+        # envelopes carry same-valued votes, so classification is exact
+
+        def run(make_scheduler):
+            cfg = SystemConfig(n=n, seed=seed)
+            return run_byzantine_agreement_batch(
+                rows, cfg, coin=cr_coin(cfg, 1.0), scheduler=make_scheduler(cfg), max_rounds=15
+            )
+
+        balanced = run(VoteBalancingScheduler)
+        assert balanced.svec_packed > 0  # the votes really rode vectors
         assert not balanced.terminated
-        cfg2 = SystemConfig(n=n, seed=seed)
-        control = run_byzantine_agreement_batch(
-            rows,
-            cfg2,
-            coin=cr_coin(cfg2, 1.0),
-            scheduler=FifoScheduler(),
-            coalesce_votes=True,
-            max_rounds=15,
-        )
+        enveloped = run(lambda cfg: SlotSplittingScheduler(VoteBalancingScheduler(cfg)))
+        assert enveloped.envelopes_pushed > 0 == enveloped.svec_packed
+        assert not enveloped.terminated
+        control = run(lambda cfg: FifoScheduler())
         assert control.terminated and control.max_rounds <= 4
 
 
 class TestBatchVoteCoalescing:
-    """coalesce_votes=True: all K instances' votes per (round, phase) ride
-    one envelope — the ideal-coin batch becomes ~K×-shaped."""
+    """All K instances' votes per (round, phase) ride one vector, what is
+    left one envelope — the ideal-coin batch becomes ~K×-shaped."""
 
     def test_k16_ideal_decisions_identical_and_k_shaped(self):
         inputs = split_matrix(7, 16)
-        off = run_batch(inputs, 11, IDEAL)
-        on = run_batch(inputs, 11, IDEAL, coalesce=True)
+        off = run_batch(inputs, 11, IDEAL, split=per_message)
+        on = run_batch(inputs, 11, IDEAL)
         assert on.agreed and off.agreed
         for iid in off.instance_ids:
             assert on.results[iid].decisions == off.results[iid].decisions, iid
@@ -428,8 +464,8 @@ class TestBatchVoteCoalescing:
 
     def test_svss_batch_decisions_identical_on_off(self):
         inputs = split_matrix(4, 3)
-        off = run_batch(inputs, 3, "svss")
-        on = run_batch(inputs, 3, "svss", coalesce=True)
+        off = run_batch(inputs, 3, "svss", split=per_message)
+        on = run_batch(inputs, 3, "svss")
         assert on.agreed and off.agreed
         for iid in off.instance_ids:
             assert on.results[iid].decisions == off.results[iid].decisions, iid
@@ -438,17 +474,15 @@ class TestBatchVoteCoalescing:
     def test_scenario_coalesce_axis(self):
         from repro.sim.experiments import Scenario, run_scenario
 
-        off = run_scenario(
+        packed = run_scenario(
             Scenario(n=7, seed=1, scheduler="fifo", coin=IDEAL, batch=4)
         )
-        on = run_scenario(
-            Scenario(n=7, seed=1, scheduler="fifo", coin=IDEAL, batch=4, coalesce=True)
-        )
+        assert packed.agreed and packed.svec_packed > 0  # K votes, one vector
+        # Packing is the scheduler axis: same seed, same uniform delays,
+        # with and without the envelope veto.
+        on = run_scenario(Scenario(n=4, seed=1, scheduler="uniform", coin="svss"))
+        off = run_scenario(Scenario(n=4, seed=1, scheduler="env-split", coin="svss"))
         assert off.agreed and on.agreed
-        assert on.decision == off.decision
+        assert on.envelopes_pushed > 0 == off.envelopes_pushed
+        assert on.coalesce_ratio > off.coalesce_ratio
         assert on.events_dispatched < off.events_dispatched
-        # Solo scenarios accept the axis too.
-        solo = run_scenario(
-            Scenario(n=4, seed=1, scheduler="fifo", coin="svss", coalesce=True)
-        )
-        assert solo.agreed

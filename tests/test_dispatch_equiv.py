@@ -23,6 +23,16 @@ has a switch to A/B against.  Two references pin them instead:
   from this tree (those keywords raise ``TypeError`` now, which the last
   test asserts), so a record that stops reproducing is a finding, not a
   re-anchor.
+
+The records were also written under ``coalesce=`` / ``svec=`` /
+``coalesce_votes=`` — mostly their ``False`` defaults — which are gone too:
+packing is switched off by the scheduler and by nothing else.  Each case
+names the wrapping of its scheduler that *is* the mode it was written in
+(``per_message`` for the default-argument runs, random delays included;
+``SlotSplittingScheduler`` alone for ``coalesce=True``,
+``EnvelopeSplittingScheduler`` alone for ``svec=True``, the bare scheduler
+for both; ``tests/test_aggregation_equiv.py`` holds the proof of the
+mapping), and the file is byte-identical to what ``b4364b3`` wrote.
 """
 
 from __future__ import annotations
@@ -38,6 +48,11 @@ import pytest
 from repro.adversary.adaptive import AdaptiveAdversary
 from repro.adversary.behaviors import SlotPoisonerBehavior
 from repro.adversary.controller import Adversary, crash_recovery_adversary
+from repro.adversary.schedulers import (
+    EnvelopeSplittingScheduler,
+    SlotSplittingScheduler,
+    per_message,
+)
 from repro.config import SystemConfig
 from repro.core.agreement import ABAProcess
 from repro.core.api import (
@@ -131,11 +146,8 @@ def wire_counts(runtime: Runtime) -> dict:
 
 
 def driven_coin(drive, make_scheduler, queue_type) -> dict:
-    """One fault-free n=4 SVSS coin on the aggregated transport, to
-    quiescence."""
-    stack = build_stack(
-        SystemConfig(n=4, seed=5), scheduler=make_scheduler(5), coalesce=True, svec=True
-    )
+    """One fault-free n=4 SVSS coin, to quiescence."""
+    stack = build_stack(SystemConfig(n=4, seed=5), scheduler=make_scheduler(5))
     runtime = stack.runtime
     assert type(runtime.queue) is queue_type
     coins = make_coins(stack, "svss")
@@ -159,9 +171,7 @@ def driven_agreement(drive, make_scheduler, queue_type) -> list[dict]:
     """One n=7 ideal-coin agreement: observed when the last process decides
     (the predicate-polling exit) and again at quiescence."""
     config = SystemConfig(n=7, seed=11)
-    stack = build_stack(
-        config, scheduler=make_scheduler(11), with_vss=False, coalesce=True, svec=True
-    )
+    stack = build_stack(config, scheduler=make_scheduler(11), with_vss=False)
     runtime = stack.runtime
     assert type(runtime.queue) is queue_type
     coins = make_coins(stack, IDEAL)
@@ -225,10 +235,10 @@ def agreement_triple(result) -> dict:
     }
 
 
-def solo_agreement(n, seed, coin, scheduler="fifo", **kw) -> dict:
+def solo_agreement(n, seed, coin, scheduler="fifo", wrap=per_message, **kw) -> dict:
     config = SystemConfig(n=n, seed=seed)
     result = run_byzantine_agreement(
-        split_inputs(n), config, coin=coin, scheduler=SCHEDULERS[scheduler](config), **kw
+        split_inputs(n), config, coin=coin, scheduler=wrap(SCHEDULERS[scheduler](config)), **kw
     )
     assert result.terminated and result.agreed
     return {
@@ -239,12 +249,12 @@ def solo_agreement(n, seed, coin, scheduler="fifo", **kw) -> dict:
     }
 
 
-def batch_agreement(seed, **kw) -> dict:
+def batch_agreement(seed, wrap=per_message, **kw) -> dict:
     batch = run_byzantine_agreement_batch(
         split_matrix(7, 5),
         SystemConfig(n=7, seed=seed),
         coin=IDEAL,
-        scheduler=FifoScheduler(),
+        scheduler=wrap(FifoScheduler()),
         **kw,
     )
     assert batch.agreed
@@ -256,12 +266,11 @@ def batch_agreement(seed, **kw) -> dict:
     }
 
 
-def coin_flip(seed, quiesce=True, adversary=None, **kw) -> dict:
+def coin_flip(seed, quiesce=True, adversary=None, wrap=EnvelopeSplittingScheduler, **kw) -> dict:
     result, stack = flip_common_coin(
         SystemConfig(n=4, seed=seed),
-        scheduler=FifoScheduler(),
+        scheduler=wrap(FifoScheduler()),
         adversary=adversary() if adversary else None,
-        svec=True,
         **kw,
     )
     if quiesce:
@@ -285,11 +294,13 @@ def slot_poisoner() -> Adversary:
 
 def crash_recovery_verdict(**kw) -> dict:
     monitor = InvariantMonitor(round_bound=200)
+    config = SystemConfig(n=4, seed=11)
     result = run_byzantine_agreement(
         [0, 1, 1, 0],
-        SystemConfig(n=4, seed=11),
+        config,
         coin="svss",
         adversary=crash_recovery_adversary([2], phases=(30, 60), downtime=25.0),
+        scheduler=SCHEDULERS["per-message"](config),  # the default's delays, per message
         max_rounds=200,
         monitor=monitor,
         **kw,
@@ -303,7 +314,9 @@ def crash_recovery_verdict(**kw) -> dict:
 def adaptive_strike(**kw) -> dict:
     config = SystemConfig(n=4, seed=5)
     adversary = AdaptiveAdversary(config, 7, warmup=40)
-    result = run_byzantine_agreement([1, 0, 1, 0], config, adversary=adversary, **kw)
+    result = run_byzantine_agreement(
+        [1, 0, 1, 0], config, adversary=adversary, scheduler=SCHEDULERS["per-message"](config), **kw
+    )
     assert result.agreed and adversary.victims
     return {
         "victims": adversary.victims,
@@ -312,22 +325,36 @@ def adaptive_strike(**kw) -> dict:
     }
 
 
+#: The scheduler registry as it stood at WRITTEN_AT (it has grown since).
+WRITTEN_SCHEDULERS = (
+    "eclipse",
+    "env-split",
+    "exponential",
+    "fifo",
+    "partition",
+    "slot-split",
+    "targeted",
+    "uniform",
+    "unit",
+    "vote-balancing",
+)
+
 #: case -> the run whose record is committed; each takes the path keywords.
 CASES = {
     **{
         f"ideal-n7-{scheduler}": partial(solo_agreement, 7, 11, IDEAL, scheduler)
-        for scheduler in sorted(SCHEDULERS)
+        for scheduler in WRITTEN_SCHEDULERS
     },
     "svss-n4": partial(solo_agreement, 4, 11, "svss"),
-    "svss-n4-coalesced": partial(solo_agreement, 4, 7, "svss", coalesce=True),
+    "svss-n4-coalesced": partial(solo_agreement, 4, 7, "svss", wrap=SlotSplittingScheduler),
     "batch-k5": partial(batch_agreement, 23),
-    "batch-k5-coalesced": partial(batch_agreement, 23, coalesce_votes=True),
-    "coin-svec-coalesced": partial(coin_flip, 5, quiesce=False, coalesce=True),
+    "batch-k5-coalesced": partial(batch_agreement, 23, wrap=SlotSplittingScheduler),
+    "coin-svec-coalesced": partial(coin_flip, 5, quiesce=False, wrap=lambda base: base),
     "crash-recovery-verdict": crash_recovery_verdict,
     "adaptive-strike": adaptive_strike,
     **{f"coin-seed{seed}": partial(coin_flip, seed) for seed in range(3)},
     "coin-slot-poisoner": partial(coin_flip, 1, adversary=slot_poisoner),
-    "svss-n4-svec": partial(solo_agreement, 4, 7, "svss", svec=True),
+    "svss-n4-svec": partial(solo_agreement, 4, 7, "svss", wrap=EnvelopeSplittingScheduler),
 }
 
 INGEST_CASES = [f"coin-seed{seed}" for seed in range(3)] + ["coin-slot-poisoner"]

@@ -102,12 +102,12 @@ class TestRunScenario:
         for name in ("run_byzantine_agreement", "run_byzantine_agreement_batch"):
             monkeypatch.setattr(experiments, name, keeping(getattr(experiments, name)))
         record = run_scenario(
-            Scenario(n=4, seed=5, scheduler="fifo", batch=batch, coalesce=True)
+            Scenario(n=4, seed=5, scheduler="fifo", batch=batch)
         )
         (result,) = results
         assert record.counters() == result.counters()
         assert record.events_dispatched > 0
-        assert (record.envelopes_pushed > 0) == (batch > 1)
+        assert (record.svec_packed > 0) == (batch > 1)  # a batch packs its votes
         assert record.logical_messages == result.logical_messages
         assert record.decided_instances == batch
         assert record.decision == result.decision

@@ -27,8 +27,6 @@ def coin(seed: int):
     return flip_common_coin(
         SystemConfig(n=4, seed=seed),
         scheduler=FifoScheduler(),
-        coalesce=True,
-        svec=True,
         trace_level=TRACE_OFF,
     )
 

@@ -98,12 +98,7 @@ class TestModuleContract:
 
 
 RUNTIMES = {
-    "sim": lambda: Runtime(
-        SystemConfig(n=4, seed=0),
-        scheduler=FifoScheduler(),
-        coalesce=True,
-        svec=True,
-    ),
+    "sim": lambda: Runtime(SystemConfig(n=4, seed=0), scheduler=FifoScheduler()),
     # Never started: no sockets, nothing to close.
     "net": lambda: NetworkNode(
         SystemConfig(n=4, seed=0), 1, trace_level=TRACE_OFF

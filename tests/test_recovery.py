@@ -157,7 +157,7 @@ class TestEpochFence:
     """crash→recover *within* an unpack loop must still kill the tail."""
 
     def test_envelope_tail_dies_across_recovery(self):
-        rt = Runtime(SystemConfig(n=3, t=1, seed=0), coalesce=True)
+        rt = Runtime(SystemConfig(n=3, t=1, seed=0))
         host = rt.host(2)
         got = []
 
@@ -175,7 +175,7 @@ class TestEpochFence:
         assert host.crash_epoch == 1
 
     def test_envelope_tail_dies_on_plain_crash(self):
-        rt = Runtime(SystemConfig(n=3, t=1, seed=0), coalesce=True)
+        rt = Runtime(SystemConfig(n=3, t=1, seed=0))
         host = rt.host(2)
         got = []
 

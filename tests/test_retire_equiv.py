@@ -92,15 +92,11 @@ STAGGERED_CASES = {
     "n7-late25-seed3": (7, 3, _late(7, (2, 5)), True),
 }
 
-AGGREGATION = dict(coalesce=True, svec=True)
-
-
 def coin_record(n: int, seed: int) -> dict:
     result, _ = flip_common_coin(
         SystemConfig(n=n, seed=seed),
         scheduler=FifoScheduler(),
         trace_level=TRACE_COUNTS,
-        **AGGREGATION,
     )
     return {
         "outputs": result.outputs,
@@ -141,7 +137,6 @@ def byzantine_record(seed: int, monitor=None) -> dict:
         scheduler=UniformDelayScheduler(Random(seed)),
         trace_level=TRACE_COUNTS,
         monitor=monitor,
-        **AGGREGATION,
     )
     record = agreement_record(result)
     record["adversary"] = adversary.spec[2]
@@ -158,7 +153,6 @@ def recovery_record(
         adversary=crash_recovery_adversary([victim], phases=phases, downtime=downtime),
         trace_level=TRACE_COUNTS,
         monitor=monitor,
-        **AGGREGATION,
     )
     return agreement_record(result)
 
@@ -170,7 +164,6 @@ def staggered_coin(n: int, seed: int, waves: tuple, in_step: bool = True):
         SystemConfig(n=n, seed=seed),
         scheduler=UniformDelayScheduler(Random(seed)),
         trace_level=TRACE_COUNTS,
-        **AGGREGATION,
     )
     coins = make_coins(stack, "svss")
     runtime = stack.runtime

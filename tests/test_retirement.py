@@ -46,8 +46,6 @@ def beacon_stack(seed: int = 5):
     stack = build_stack(
         SystemConfig(n=4, seed=seed),
         scheduler=FifoScheduler(),
-        coalesce=True,
-        svec=True,
         trace_level=TRACE_OFF,
     )
     return stack, make_coins(stack, "svss")
@@ -211,8 +209,6 @@ def test_slow_dealer_is_released_and_its_late_children_are_the_known_gap():
     result, stack = flip_common_coin(
         SystemConfig(n=4, seed=1),
         scheduler=TargetedDelayScheduler(FifoScheduler(), {4}, 50.0),
-        coalesce=True,
-        svec=True,
         trace_level=TRACE_OFF,
     )
     assert set(result.outputs) == {1, 2, 3, 4} and len(set(result.outputs.values())) == 1

@@ -158,8 +158,6 @@ def quiescent_coin(n, seed, adversary=None):
         SystemConfig(n=n, seed=seed),
         adversary=adversary,
         scheduler=FifoScheduler(),
-        coalesce=True,
-        svec=True,
         trace_level=TRACE_OFF,
     )
     stack.runtime.run_to_quiescence()

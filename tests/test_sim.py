@@ -473,7 +473,7 @@ class TestTracing:
 
     def test_summary_keys(self):
         trace = Trace()
-        trace.record_send("x", ("p",))
+        trace.record_send("x")
         s = trace.summary()
         assert s["total_messages"] == 1
         assert "shun_pairs" in s and "events_dispatched" in s

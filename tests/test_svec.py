@@ -2,18 +2,20 @@
 
 The load-bearing property is that slot-vector aggregation is a pure
 *logical-message-count* optimization: under fixed-delay schedulers one
-SVSS-coin invocation with ``svec=True`` produces bit-identical coin
-outputs and per-session justifiers (attach sets, accepted sets, eval
-sets, party values) to the unaggregated run, per seed — while dispatching
-~n× fewer logical messages.  The adversarial tests pin the extended PR-4
-contract: corrupt senders emit per-session messages
+SVSS-coin invocation produces bit-identical coin outputs and per-session
+justifiers (attach sets, accepted sets, eval sets, party values) to the
+same run under a ``SlotSplittingScheduler`` — which packs nothing — per
+seed, while dispatching ~n× fewer logical messages.  The adversarial tests
+pin the extended PR-4 contract: corrupt senders emit per-session messages
 (mutators and crash budgets act on logical *slot* messages), a slot-level
 fault never poisons its vector siblings, a receiver crash mid-vector
-drops the remaining slots, and a ``SlotSplittingScheduler`` replays the
-uncoalesced per-session run bit for bit.
+drops the remaining slots, and the slot-split run is the per-session wire
+the deleted ``svec=False`` keyword ran, count for count.
 """
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
@@ -22,6 +24,7 @@ from repro.adversary.controller import Adversary
 from repro.adversary.schedulers import (
     EnvelopeSplittingScheduler,
     SlotSplittingScheduler,
+    per_message,
 )
 from repro.config import SystemConfig
 from repro.core.api import flip_common_coin, run_byzantine_agreement
@@ -29,7 +32,6 @@ from repro.core.sessions import SVEC_MW, SVEC_SVSS, svec_sid, svec_split
 from repro.core.vectormux import FOLD_MAX_VECTORS, SVEC_TAG
 from repro.errors import SimulationError
 from repro.sim.scheduler import FifoScheduler
-from repro.sim.tracing import TRACE_COUNTS
 
 #: Coin-session justifier state compared across transport modes.
 JUSTIFIERS = (
@@ -44,10 +46,13 @@ JUSTIFIERS = (
 )
 
 
-def flip(n, seed, quiesce=True, **kw):
+def flip(n, seed, quiesce=True, split=None, **kw):
+    """One FIFO coin; ``split`` wraps the scheduler (``SlotSplittingScheduler``
+    / ``EnvelopeSplittingScheduler`` / :func:`per_message`)."""
+    scheduler = kw.pop("scheduler", None) or FifoScheduler()
     result, stack = flip_common_coin(
         SystemConfig(n=n, seed=seed),
-        scheduler=kw.pop("scheduler", FifoScheduler()),
+        scheduler=split(scheduler) if split else scheduler,
         **kw,
     )
     if quiesce:
@@ -69,25 +74,29 @@ def coin_justifiers(stack):
 
 
 class TestBitIdenticalCoin:
-    """The acceptance property: svec on vs off, per seed."""
+    """The acceptance property: vectors packed vs slots split, per seed."""
 
     @pytest.mark.parametrize("seed", range(3))
     def test_coin_outputs_and_justifiers_identical(self, seed):
-        off, stack_off = flip(4, seed)
-        on, stack_on = flip(4, seed, svec=True)
-        assert on.outputs == off.outputs
+        """With envelopes split on both sides, so the only difference is the
+        vectors; the default against the per-message run rides along."""
+        off, stack_off = flip(4, seed, split=per_message)
+        on, stack_on = flip(4, seed, split=EnvelopeSplittingScheduler)
+        both, stack_both = flip(4, seed)
+        assert both.outputs == on.outputs == off.outputs
         assert coin_justifiers(stack_on) == coin_justifiers(stack_off)
+        assert coin_justifiers(stack_both) == coin_justifiers(stack_off)
         # The aggregation must actually bite: ~n× fewer logical messages.
-        assert on.svec_packed > 0
+        assert on.svec_packed > 0 == off.svec_packed
         assert on.svec_slots >= 2 * on.svec_packed
         assert off.logical_messages >= 3 * on.logical_messages
 
     def test_composes_with_coalescing(self):
         """svec packs logical messages, coalesce packs wire events; together
         the vectors still ride envelopes."""
-        base, _ = flip(4, 7)
-        svec_only, _ = flip(4, 7, svec=True)
-        both, stack = flip(4, 7, svec=True, coalesce=True)
+        base, _ = flip(4, 7, split=per_message)
+        svec_only, _ = flip(4, 7, split=EnvelopeSplittingScheduler)
+        both, stack = flip(4, 7)
         assert both.outputs == base.outputs == svec_only.outputs
         # Not coalescing-invariant: an envelope delivery is one bigger
         # step, and a step's reliable broadcasts fold into one RB.
@@ -97,8 +106,8 @@ class TestBitIdenticalCoin:
         assert both.svec_packed == svec_only.svec_packed
 
     def test_replay_deterministic(self):
-        a, _ = flip(4, 3, svec=True, quiesce=False)
-        b, _ = flip(4, 3, svec=True, quiesce=False)
+        a, _ = flip(4, 3, quiesce=False)
+        b, _ = flip(4, 3, quiesce=False)
         assert a.outputs == b.outputs
         assert a.events_dispatched == b.events_dispatched
         assert a.svec_packed == b.svec_packed
@@ -108,16 +117,15 @@ class TestBitIdenticalCoin:
     def test_agreement_decisions_identical(self):
         """The full agreement stack over the SVSS coin: per-seed A/B."""
 
-        def run(svec):
+        def run(scheduler):
             return run_byzantine_agreement(
                 [i % 2 for i in range(4)],
                 SystemConfig(n=4, seed=7),
                 coin="svss",
-                scheduler=FifoScheduler(),
-                svec=svec,
+                scheduler=scheduler,
             )
 
-        off, on = run(False), run(True)
+        off, on = run(SlotSplittingScheduler(FifoScheduler())), run(FifoScheduler())
         assert off.agreed and on.agreed
         assert on.decisions == off.decisions
         assert on.rounds == off.rounds
@@ -131,16 +139,12 @@ class TestBitIdenticalCoin:
 
         rows = [[(i + s) % 2 for i in range(4)] for s in range(3)]
 
-        def run(**kw):
+        def run(scheduler):
             return run_byzantine_agreement_batch(
-                rows,
-                SystemConfig(n=4, seed=3),
-                coin="svss",
-                scheduler=FifoScheduler(),
-                **kw,
+                rows, SystemConfig(n=4, seed=3), coin="svss", scheduler=scheduler
             )
 
-        off, on = run(), run(svec=True, coalesce_votes=True)
+        off, on = run(per_message(FifoScheduler())), run(FifoScheduler())
         assert off.agreed and on.agreed
         for iid in off.instance_ids:
             assert on.results[iid].decisions == off.results[iid].decisions, iid
@@ -150,14 +154,15 @@ class TestBitIdenticalCoin:
     def test_scenario_svec_axis(self):
         from repro.sim.experiments import Scenario, run_scenario
 
-        off = run_scenario(
-            Scenario(n=4, seed=1, scheduler="fifo", coin="svss")
-        )
+        """Packing is the scheduler axis: same seed, same uniform delays,
+        with and without the slot veto."""
         on = run_scenario(
-            Scenario(n=4, seed=1, scheduler="fifo", coin="svss", svec=True)
+            Scenario(n=4, seed=1, scheduler="uniform", coin="svss")
+        )
+        off = run_scenario(
+            Scenario(n=4, seed=1, scheduler="slot-split", coin="svss")
         )
         assert off.agreed and on.agreed
-        assert on.decision == off.decision
         # The satellite: aggregation counters surfaced on the record, so
         # sweeps report ratios without reaching into the Runtime.
         assert on.svec_packed > 0
@@ -175,9 +180,10 @@ class TestSlotVectorUnpack:
     def make_manager(self, svec=True):
         from repro.core.api import build_stack
 
-        stack = build_stack(
-            SystemConfig(n=4, seed=0), scheduler=FifoScheduler(), svec=svec
-        )
+        scheduler = FifoScheduler()
+        if not svec:
+            scheduler = SlotSplittingScheduler(scheduler)
+        stack = build_stack(SystemConfig(n=4, seed=0), scheduler=scheduler)
         return stack, stack.vss[1]
 
     @staticmethod
@@ -306,11 +312,7 @@ class TestRbFold:
     def make(self):
         from repro.core.api import build_stack
 
-        stack = build_stack(
-            SystemConfig(n=4, seed=0),
-            scheduler=FifoScheduler(),
-            svec=True,
-        )
+        stack = build_stack(SystemConfig(n=4, seed=0), scheduler=FifoScheduler())
         return stack, stack.vss[1]
 
     def spy_vectors(self, mgr, after=None):
@@ -451,14 +453,8 @@ class TestFoldEndToEnd:
 
     @pytest.mark.parametrize("n,seed", sorted(PARENT_EVENTS))
     def test_fold_matches_the_slot_split_run(self, n, seed):
-        fold, stack_fold = flip(n, seed, svec=True, coalesce=True)
-        split, stack_split = flip(
-            n,
-            seed,
-            svec=True,
-            coalesce=True,
-            scheduler=SlotSplittingScheduler(FifoScheduler()),
-        )
+        fold, stack_fold = flip(n, seed)
+        split, stack_split = flip(n, seed, split=SlotSplittingScheduler)
         assert split.svec_packed == 0 and fold.svec_packed > 0
         assert fold.outputs == split.outputs
         assert coin_justifiers(stack_fold) == coin_justifiers(stack_split)
@@ -467,7 +463,7 @@ class TestFoldEndToEnd:
         assert 10 * fold.logical_messages < split.logical_messages
 
     def test_one_process_holds_few_bids_after_a_coin(self):
-        _, stack = flip(4, 1000, svec=True, coalesce=True)
+        _, stack = flip(4, 1000)
         for pid in stack.config.pids:
             assert len(stack.broadcasts[pid]._instances) <= 300  # parent: 1454
 
@@ -506,7 +502,7 @@ class TestFoldEndToEnd:
         monkeypatch.setattr(BroadcastManager, "broadcast", spy)
         for n in (4, 5):
             del folds[:]
-            flip(n, 3, svec=True, coalesce=True, quiesce=False)
+            flip(n, 3, quiesce=False)
             assert max(len(value[1]) for value in folds) == FOLD_MAX_VECTORS
             largest = max(len(encode_value(value)) for value in folds)
             assert largest <= len(encode_value(worst_fold(n)))
@@ -536,11 +532,11 @@ class TestAdversarialContract:
     def test_slot_mutator_corrupts_one_session_only(self, seed):
         """A dealer corrupting exactly one slot inside its batch: the
         sibling slots (and the whole coin) are untouched, and the run is
-        bit-identical svec on/off — the corrupt sender's messages travel
-        per session in both."""
+        bit-identical vectors packed / slots split — the corrupt sender's
+        messages travel per session in both."""
         adversary = lambda: Adversary({4: SlotTargetedDealer(2)})  # noqa: E731
-        off, stack_off = flip(4, seed, adversary=adversary())
-        on, stack_on = flip(4, seed, adversary=adversary(), svec=True)
+        off, stack_off = flip(4, seed, adversary=adversary(), split=per_message)
+        on, stack_on = flip(4, seed, adversary=adversary(), split=EnvelopeSplittingScheduler)
         nonfaulty = stack_off.nonfaulty()
         assert set(off.outputs) >= set(nonfaulty)
         assert on.outputs == off.outputs
@@ -554,28 +550,25 @@ class TestAdversarialContract:
         import random
 
         adversary = Adversary({4: MutatingBehavior(random.Random(3), rate=0.3)})
-        result, stack = flip(4, 3, adversary=adversary, svec=True)
+        result, stack = flip(4, 3, adversary=adversary)
         nonfaulty = stack.nonfaulty()
         assert set(result.outputs) >= set(nonfaulty)
         assert result.svec_packed > 0
 
     def test_slot_splitting_scheduler_replays_per_session_golden(self):
-        """splits_slots vetoes packing: the svec=True run IS the svec=False
-        run, bit for bit (events, wire pushes, outputs, justifiers)."""
-        off, stack_off = flip(4, 5, trace_level=TRACE_COUNTS)
-        split, stack_split = flip(
-            4,
-            5,
-            svec=True,
-            scheduler=SlotSplittingScheduler(FifoScheduler()),
-            trace_level=TRACE_COUNTS,
-        )
-        assert split.svec_packed == 0 and split.svec_slots == 0
-        assert split.outputs == off.outputs
-        assert split.events_dispatched == off.events_dispatched
-        assert split.messages_pushed == off.messages_pushed
-        assert split.logical_messages == off.logical_messages
-        assert coin_justifiers(stack_split) == coin_justifiers(stack_off)
+        """splits_slots vetoes packing: the run IS the one ``svec=False``
+        ran when the keyword existed, bit for bit (events, wire pushes,
+        outputs, justifiers) — the seed-5 FIFO coin of the transcript that
+        keyword wrote (``tests/test_aggregation_equiv.py`` replays all of it)."""
+        from test_aggregation_equiv import GOLDEN, surviving
+
+        with open(GOLDEN) as handle:
+            golden = json.load(handle)
+        for mode in ("plain", "coalesce"):
+            assert golden[mode]["generated_by"]["svec"] is False
+            record = surviving(mode, "fifo", "coin-n4")
+            assert record["svec_packed"] == 0 and record["svec_slots"] == 0
+            assert record == golden[mode]["records"]["fifo"]["coin-n4"]
 
     def test_splitting_wrappers_compose_either_way(self):
         inner = SlotSplittingScheduler(EnvelopeSplittingScheduler(FifoScheduler()))
