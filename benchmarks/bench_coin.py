@@ -23,8 +23,9 @@ records, per mode:
    events at ``n = 7`` with envelopes alone than per message (measured
    >60×).
 3. **Wall-clock per invocation** — single-shot seconds, recorded for the
-   trajectory.  Acceptance gate: the default n=7 invocation finishes in
-   under 10s (was ~17s before batched ingestion).
+   trajectory and gated on nothing: one sample of wall-clock on a shared
+   box decides nothing (``benchmarks/e2e`` is where seconds are judged,
+   on repeated fresh-process samples).
 4. **DMM verdict calls per invocation** — the per-slot-handler-work
    metric of vector ingestion: grouping a slot-vector's sibling
    sessions behind one group-level ``filter_verdict`` probe replaces n
@@ -36,13 +37,15 @@ records, per mode:
 5. **Equivalence** — the coin outputs of every process must be identical
    across all modes (both transports are output-pure under fixed-delay
    schedulers).
-6. **The per-message bill does not move** — the ``per_message`` rows must
-   repeat the committed artifact's ``events_dispatched`` /
+6. **The bills do not move** — the ``per_message`` and ``default`` rows
+   must repeat the committed artifact's ``events_dispatched`` /
    ``logical_messages`` / ``dmm_verdict_calls`` exactly, before the file
-   is rewritten.  Those rows were first written by ``coalesce=False,
-   svec=False`` (as ``plain``) when the keywords existed; they are the
-   paper's literal message count and the one thing here no optimisation
-   may change.
+   is rewritten.  The ``per_message`` rows were first written by
+   ``coalesce=False, svec=False`` (as ``plain``) when the keywords
+   existed; they are the paper's literal message count and the one thing
+   here no optimisation may change.  The ``default`` rows are the wire
+   every entry point runs: a change that means to move them says so by
+   committing the new rows.
 
 ``n = 10`` runs the default only and is gated on *finishing*: per message
 it exceeds the runtime's 50M-event livelock guard (the problem this layer
@@ -89,12 +92,11 @@ GATE_N = 7
 GATE_EVENTS_REDUCTION = 2.0  # coalesce gate (PR 4)
 GATE_LOGICAL_REDUCTION = 4.0  # svec gate (PR 5)
 GATE_VERDICT_REDUCTION = 3.0  # batched-ingestion gate (PR 8)
-GATE_SECONDS = 10.0  # default n=7 wall-clock gate (PR 8)
 
 #: mode name -> fast_coin_flip kwargs (``split`` wraps the FIFO scheduler).
 #: At N_LARGE and beyond only the default is feasible.
 #: Declaration order is measurement order: the default runs FIRST at each
-#: n so the wall-clock gate isn't poisoned by the heap a preceding
+#: n so its recorded seconds aren't poisoned by the heap a preceding
 #: per-session n=7 run leaves behind (allocator fragmentation after a
 #: ~9M-logical-message run costs the next run ~2×).
 MODES = {
@@ -105,8 +107,9 @@ MODES = {
 }
 #: n = 10 and n = 16: the aggregated frontier, both backends A/B'd.
 LARGE_MODES = ("default", "default_numpy")
-#: The counts of a ``per_message`` row that must repeat the committed file's.
-PER_MESSAGE_BILL = ("events_dispatched", "logical_messages", "dmm_verdict_calls")
+#: The modes whose counts must repeat the committed file's, and the counts.
+BILLED_MODES = ("per_message", "default")
+BILL = ("events_dispatched", "logical_messages", "dmm_verdict_calls")
 
 
 def _active_modes() -> dict[str, dict]:
@@ -116,12 +119,17 @@ def _active_modes() -> dict[str, dict]:
     return {k: v for k, v in MODES.items() if v.get("algebra_backend") != "numpy"}
 
 
-def _committed_per_message_bill() -> dict[int, dict]:
-    """n -> the per-message counts of the committed artifact."""
+def _bill(row: dict) -> dict:
+    """mode -> the gated counts of one n's row."""
+    return {mode: {name: row[mode][name] for name in BILL} for mode in BILLED_MODES}
+
+
+def _committed_bills() -> dict[int, dict]:
+    """n -> the billed modes' counts in the committed artifact."""
     with open(REPO_ROOT / "BENCH_coin.json") as handle:
         committed = json.load(handle)
     return {
-        row["n"]: {name: row["per_message"][name] for name in PER_MESSAGE_BILL}
+        row["n"]: _bill(row)
         for row in committed["invocations"]
         if isinstance(row["per_message"], dict)
     }
@@ -204,12 +212,12 @@ def _frontier_row(n: int) -> dict:
 
 
 def test_bench_coin(emit):
-    committed_bill = _committed_per_message_bill()
+    committed_bills = _committed_bills()
     series = _series()
-    # Gate 6, before anything is written: the paper's literal bill.
+    # Gate 6, before anything is written: the paper's literal bill and
+    # the default wire's.
     for row in series:
-        measured = {name: row["per_message"][name] for name in PER_MESSAGE_BILL}
-        assert measured == committed_bill[row["n"]], (row["n"], measured)
+        assert _bill(row) == committed_bills[row["n"]], (row["n"], _bill(row))
     large = _frontier_row(N_LARGE)
     # n = 16 is the backends' A/B; without numpy there is nothing to A/B
     # (and no wall-clock budget for it).
@@ -233,16 +241,14 @@ def test_bench_coin(emit):
                 "with envelopes alone than per message",
                 f">= {GATE_VERDICT_REDUCTION}x fewer DMM verdict calls at "
                 f"n={GATE_N} by default (vs slots split)",
-                f"n={GATE_N} default invocation under "
-                f"{GATE_SECONDS:.0f}s wall-clock",
                 f"n={N_LARGE} default run finishes under the "
                 f"{DEFAULT_MAX_EVENTS // 10**6}M-event guard",
                 "coin outputs bit-identical pure vs numpy at every "
                 "benched n (numpy present)",
                 f"n={N_XL} default invocation finite "
                 "on both backends (numpy present)",
-                "per_message events / logical messages / verdict calls "
-                f"equal the committed rows at n in {list(NS)}",
+                "per_message and default events / logical messages / "
+                f"verdict calls equal the committed rows at n in {list(NS)}",
             ],
         },
         invocations=[*series, large] + ([xl] if xl else []),
@@ -305,7 +311,6 @@ def test_bench_coin(emit):
     assert gate_row["verdict_calls_reduction"] >= GATE_VERDICT_REDUCTION, (
         gate_row
     )
-    assert gate_row["default"]["seconds"] < GATE_SECONDS, gate_row
     for row in series:
         assert row["outputs_identical"], row
         # Both layers must actually carry traffic (not degenerate wins) ...

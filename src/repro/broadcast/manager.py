@@ -178,8 +178,8 @@ class BroadcastManager(ProtocolModule):
             raise ProtocolError(f"topic {topic!r} has no instance slots")
         slots.remove(instance_id)
         if not slots.slots:
-            # Topic routing is not frozen, so an emptied table can release
-            # its claim (a later subscribe/subscribe_slot re-creates it).
+            # An emptied table releases its claim (a later
+            # subscribe/subscribe_slot re-creates it).
             del self._topic_slots_tables[topic]
             del self._topic_handlers[topic]
 

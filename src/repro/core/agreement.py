@@ -71,6 +71,7 @@ from repro.core.coin import CoinSource
 from repro.errors import ProtocolError
 from repro.sim.module import ProtocolModule
 from repro.sim.process import ProcessHost
+from repro.sim.tracing import TRACE_FULL
 
 DecideCallback = Callable[[int], None]
 
@@ -258,7 +259,7 @@ class ABAProcess(ProtocolModule):
         self.t = self.config.t
         #: TRACE_FULL runs cross-check the incremental validation against
         #: the original O(n²) fixpoint on every delivery.
-        self._debug_fixpoint = host.runtime.trace.records_events
+        self._debug_fixpoint = host.runtime.trace.level >= TRACE_FULL
         self.subscribe_slot(self._broadcast, TOPIC, self._on_rb)
         # The host's shared vote-vector packer (created by whichever
         # instance wires first); live-instance accounting gates packing.
@@ -309,7 +310,6 @@ class ABAProcess(ProtocolModule):
         self.round = r
         # Round counters are wait-predicate-observable (max_rounds guards).
         self.notify()
-        self.host.runtime.trace.record_event("aba.round")
         monitor = self.host.runtime.monitor
         if monitor is not None:
             monitor.on_round(self.instance_id, self.pid, r)
@@ -581,7 +581,6 @@ class ABAProcess(ProtocolModule):
             return
         self.decided = value
         self.decide_round = r
-        self.host.runtime.trace.record_event("aba.decide")
         monitor = self.host.runtime.monitor
         if monitor is not None:
             monitor.on_decision(self.instance_id, self.pid, value, r)

@@ -290,9 +290,6 @@ class CommonCoinModule(ProtocolModule, CoinSource):
             if deviation is not None:
                 secret = deviation(csid, slot, secret, session.u) % session.u
             self.vss.svss_share(svss_session((csid, slot), self.pid), secret)
-        trace = self.host.runtime.trace
-        if trace.records_events:
-            trace.record_event("coin.join")
 
     def release(self, csid: tuple) -> None:
         """Unblock the reveal stage (caller's round position is fixed)."""
@@ -367,7 +364,7 @@ class CommonCoinModule(ProtocolModule, CoinSource):
             self._on_accepted_set(session, origin, body)
 
     def _on_attach(self, session: _CoinSession, origin: int, body: object) -> None:
-        if origin in session.t_hat or not self._valid_pid_tuple(body):
+        if origin in session.t_hat or self.vss.pid_set(body) is None:
             return
         if len(body) < self.n - self.t:
             return
@@ -377,7 +374,7 @@ class CommonCoinModule(ProtocolModule, CoinSource):
         self._recheck_accepts(session)
 
     def _on_accepted_set(self, session: _CoinSession, origin: int, body: object) -> None:
-        if origin in session.acc_sets or not self._valid_pid_tuple(body):
+        if origin in session.acc_sets or self.vss.pid_set(body) is None:
             return
         if len(body) < self.n - self.t:
             return
@@ -461,10 +458,6 @@ class CommonCoinModule(ProtocolModule, CoinSource):
         monitor = self.host.runtime.monitor
         if monitor is not None:
             monitor.on_coin_output(session.csid, self.pid, session.output)
-        trace = self.host.runtime.trace
-        if trace.records_events:
-            # Guarded so no-trace benchmark runs skip the f-string build too.
-            trace.record_event(f"coin.output.{session.output}")
         callbacks = session.callbacks
         session.callbacks = []
         for callback in callbacks:
@@ -474,13 +467,6 @@ class CommonCoinModule(ProtocolModule, CoinSource):
     def _rb(self, session: _CoinSession, kind: str, body: object) -> None:
         bid = (self.pid, "coin", session.csid, kind)
         self._broadcast.broadcast(bid, ("coin", session.csid, kind, body))
-
-    def _valid_pid_tuple(self, body: object) -> bool:
-        return (
-            isinstance(body, tuple)
-            and len(set(body)) == len(body)
-            and all(isinstance(p, int) and 1 <= p <= self.n for p in body)
-        )
 
     def describe(self) -> str:
         return "SVSSCommonCoin"

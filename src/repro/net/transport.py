@@ -238,9 +238,7 @@ class NetRuntime(StepWindow):
     :meth:`coalescing_step` block — are buffered, session-vector muxes
     pack, and the step's flush hands this class's sink one wire payload
     per destination, which becomes one DATA frame.  Sends outside any
-    step go out at once, one frame each.  ``routing_frozen`` is always
-    False — there is no flat-dispatch freeze over sockets, so modules may
-    register at any time.
+    step go out at once, one frame each.
     """
 
     def __init__(self, node: "NetworkNode", config: SystemConfig, trace_level: int = TRACE_FULL):
@@ -249,7 +247,6 @@ class NetRuntime(StepWindow):
         self.config = config
         self.field = config.field
         self.trace = Trace(level=trace_level)
-        self.routing_frozen = False
         self.events_dispatched = 0
         self.predicate_evals = 0
         self._monitor = None

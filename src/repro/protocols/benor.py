@@ -111,7 +111,6 @@ class BenOrProcess(ProtocolModule):
     def _enter_round(self, r: int) -> None:
         self.round = r
         self.notify()
-        self.host.runtime.trace.record_event("benor.round")
         self._send(r, 1, self.est)
         self.waiting_phase = 1
         self._maybe_advance()
@@ -199,7 +198,6 @@ class BenOrProcess(ProtocolModule):
             return
         self.decided = value
         self.decide_round = r
-        self.host.runtime.trace.record_event("benor.decide")
         if self.on_decide is not None:
             self.on_decide(value)
         self.notify()

@@ -9,22 +9,18 @@ raw tags, inventing string-prefixed topics per instance); the module
 contract makes the wiring uniform and — crucially — *instance-aware*:
 
 * ``attach(host, instance_id)`` is the **only** place handler registration
-  may happen (the ``_wire`` hook runs inside it).  The runtime freezes
-  the ``(dst, tag)`` routing table at the first event, so plain handlers
-  must exist by then.
+  may happen (the ``_wire`` hook runs inside it).  A module may attach at
+  any time, before the run or in the middle of it, on either runtime:
+  every router reads the host's live handler table.
 * Modules that multiplex — many live instances of the same class sharing
   one runtime — register through *instance slots*
   (:meth:`ProtocolModule.register_slot` /
-  :meth:`ProtocolModule.subscribe_slot`): the frozen table routes the tag
-  to a bounded per-instance demux whose entries may be added and removed
-  *after* the freeze, so instances can be spun up and torn down mid-run
-  without re-freezing.
+  :meth:`ProtocolModule.subscribe_slot`): the shared tag routes to a
+  bounded per-instance demux.
 * ``notify()`` announces an observable state change to the runtime's
   notification-driven waits.
-* ``close()`` unregisters every instance slot the module claimed and
-  detaches it from its host.  Plain (whole-tag) registrations can only be
-  released before routing freezes; instance slots can be released at any
-  time.
+* ``close()`` releases every registration the module claimed — instance
+  slots and whole tags alike — and detaches it from its host, at any time.
 
 Subclasses set :attr:`ProtocolModule.MODULE_KIND` and implement ``_wire``;
 constructors that take a host may simply call ``self.attach(host, ...)``.
@@ -102,8 +98,7 @@ class RuntimeABC(Protocol):
     (``tests/test_module.py`` pins both).  Three groups:
 
     * the environment — ``config``, ``field``, ``trace``, ``monitor``,
-      ``now``, ``host(pid)``, ``notify_state_change()``,
-      ``routing_frozen``;
+      ``now``, ``host(pid)``, ``notify_state_change()``;
     * the wire — ``transmit`` / ``transmit_all``;
     * the step window (:class:`~repro.sim.window.StepWindow`, inherited by
       both runtimes, never re-implemented): ``svec`` says whether
@@ -122,7 +117,6 @@ class RuntimeABC(Protocol):
     trace: object
     monitor: object
     now: float
-    routing_frozen: bool
     coalesce: bool
     svec: bool
     svec_buffering: bool
@@ -171,7 +165,7 @@ class ProtocolModule:
         self._slot_tags: list[object] = []
         #: (broadcast manager, topic) pairs claimed through topic slots.
         self._topic_slots: list[tuple[object, str]] = []
-        #: whole host tags claimed via register() (releasable pre-freeze only).
+        #: whole host tags claimed via register().
         self._plain_tags: list[object] = []
         #: (broadcast manager, topic) pairs claimed whole via subscribe().
         self._plain_topics: list[tuple[object, str]] = []
@@ -214,21 +208,13 @@ class ProtocolModule:
     def close(self) -> None:
         """Tear down: release every registration and detach from the host.
 
-        Slot registrations work after the routing freeze (the demux tables
-        are mutable); plain whole-tag handlers do not — closing a module
-        that holds them after the freeze raises, so substrate modules can
-        only close (and be replaced) before the run starts.
+        Works mid-run for instance-scoped and substrate modules alike; a
+        replacement may attach afterwards and receives the later traffic.
         """
         if self._closed:
             return
         if not self._attached:
             raise ProtocolError(f"cannot close unattached {type(self).__name__}")
-        if self._plain_tags and self.host.runtime.routing_frozen:
-            raise ProtocolError(
-                f"cannot close {type(self).__name__}: it holds whole-tag "
-                f"handlers {self._plain_tags!r} and routing is frozen; only "
-                "instance-scoped modules can be torn down mid-run"
-            )
         for tag in self._slot_tags:
             self.host.unregister_instance_handler(tag, self.instance_id)
         self._slot_tags.clear()
@@ -263,7 +249,7 @@ class ProtocolModule:
         """Claim this module's instance slot under a shared host tag.
 
         Payloads on the tag carry the instance id in position 1; the host's
-        demux routes each to the matching slot.  Works after freeze."""
+        demux routes each to the matching slot."""
         if self.instance_id is None:
             raise ProtocolError(
                 f"{type(self).__name__} has no instance_id; instance slots "

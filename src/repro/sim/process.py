@@ -38,21 +38,19 @@ RECOVER_TAG = "recover"
 
 #: Cap on live instances sharing one ``(host, tag)`` slot table.  Slots are
 #: registered by *local* protocol code (never by network input), so the cap
-#: is a misuse guard, not a byzantine defence: it keeps the post-freeze
-#: mutability of slot tables from becoming an unbounded memory channel.
+#: is a misuse guard, not a byzantine defence: it keeps a driver that
+#: forgets to close finished instances from growing a table without bound.
 MAX_INSTANCE_SLOTS = 1024
 
 
 class InstanceSlots:
     """Bounded instance demux behind one shared tag.
 
-    The runtime freezes ``(dst, tag) -> handler`` once; multiplexed
-    tags freeze to :meth:`dispatch`, whose slot dict stays mutable, so
-    instances of a module class can register and tear down *after* the
-    freeze without re-freezing.  Payloads carry the instance id in
-    position 1 (``(tag, instance_id, ...)``); unknown or unhashable ids
-    are dropped exactly like unknown tags (byzantine peers may send
-    arbitrary ids).
+    Many live instances of one module class share a tag: the host's
+    handler table routes the tag to :meth:`dispatch`, which routes on the
+    instance id in payload position 1 (``(tag, instance_id, ...)``).
+    Unknown or unhashable ids are dropped exactly like unknown tags
+    (byzantine peers may send arbitrary ids).
     """
 
     __slots__ = ("tag", "slots", "limit")
@@ -126,8 +124,7 @@ class ProcessHost:
         self.outbound_filter: OutboundFilter | None = None
         #: Byzantine behaviour object for corrupt processes; None = nonfaulty.
         self.behavior: object | None = None
-        # The envelope tag is wired at birth so the routing freeze always
-        # snapshots it and no module can claim it for itself.
+        # The envelope tag is wired at birth so no module can claim it.
         self._handlers: dict[object, Handler] = {
             ENVELOPE_TAG: self._deliver_envelope
         }
@@ -167,27 +164,14 @@ class ProcessHost:
         return name in self._modules
 
     def register_handler(self, tag: object, handler: Handler) -> None:
-        if self.runtime.routing_frozen:
-            raise SimulationError(
-                f"cannot register handler for {tag!r} on process {self.pid}: "
-                "routing is frozen (the flat dispatch table is built at the "
-                "first dispatched event; attach modules and register every "
-                "handler before running the simulation — per-instance "
-                "registration stays possible via register_instance_handler "
-                "on tags whose slot table existed at freeze time)"
-            )
+        """Claim ``tag``; the next message carrying it reaches ``handler``
+        (every router reads this table live, so mid-run is fine)."""
         if tag in self._handlers:
             raise SimulationError(f"handler for {tag!r} already registered on {self.pid}")
         self._handlers[tag] = handler
 
     def unregister_handler(self, tag: object) -> None:
-        """Release a whole tag (pre-freeze only: the frozen dispatch array
-        holds a snapshot, so a post-freeze removal would not take effect)."""
-        if self.runtime.routing_frozen:
-            raise SimulationError(
-                f"cannot unregister handler for {tag!r} on process {self.pid}: "
-                "routing is frozen"
-            )
+        """Release a whole tag (and its slot table, if it had one)."""
         if tag not in self._handlers:
             raise SimulationError(f"no handler for {tag!r} on process {self.pid}")
         del self._handlers[tag]
@@ -199,22 +183,18 @@ class ProcessHost:
         """Register ``handler`` for payloads ``(tag, instance_id, ...)``.
 
         The first registration under ``tag`` creates the (bounded) slot
-        table and claims the tag — that must happen before routing freezes.
-        Later instances only mutate the table, which the frozen dispatch
-        array routes through, so instances can come and go mid-run.
+        table and claims the tag; later instances only mutate the table.
         """
         slots = self._slot_tables.get(tag)
         if slots is None:
             slots = InstanceSlots(tag)
-            # Claims the tag (and enforces the pre-freeze rule for the
-            # *first* instance) through the ordinary registration path.
+            # Claims the tag through the ordinary registration path.
             self.register_handler(tag, slots.dispatch)
             self._slot_tables[tag] = slots
         slots.add(instance_id, handler)
 
     def unregister_instance_handler(self, tag: object, instance_id: object) -> None:
-        """Release one instance slot (allowed after freeze; the shared tag
-        itself stays claimed)."""
+        """Release one instance slot (the shared tag itself stays claimed)."""
         slots = self._slot_tables.get(tag)
         if slots is None:
             raise SimulationError(
@@ -229,11 +209,14 @@ class ProcessHost:
 
     # -- receiving -------------------------------------------------------------
     def deliver(self, src: int, payload: object) -> None:
-        """Route one delivered message.
+        """Route one delivered message — the one routing rule.
 
-        Unknown tags and malformed payloads are dropped silently: byzantine
+        ``Runtime.step()`` and ``NetworkNode._pump`` call it, the hot loop
+        inlines it, :meth:`_deliver_envelope` applies it per sub-payload;
+        all read the same live handler table.  Unknown tags and malformed
+        payloads (unhashable tags included) are dropped silently: byzantine
         peers may send arbitrary bytes and a nonfaulty process must survive
-        them.  (Handler *bugs* still raise — only routing is lenient.)
+        them.  (Handler *bugs* still raise — only the lookup is lenient.)
         """
         if self.crashed:
             # A crashed host ignores everything except the runtime's own
@@ -248,7 +231,10 @@ class ProcessHost:
             return
         if not isinstance(payload, tuple) or not payload:
             return
-        handler = self._handlers.get(payload[0])
+        try:
+            handler = self._handlers.get(payload[0])
+        except TypeError:
+            return  # unhashable tag from a byzantine sender
         if handler is not None:
             handler(src, payload)
 

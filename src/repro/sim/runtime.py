@@ -5,18 +5,17 @@ channels with unbounded but finite delay, delivery order chosen by the
 scheduler (i.e. by the adversary).  Everything is deterministic given the
 config seed, the scheduler, and the adversary.
 
-Dispatch is *flat*: at the first dispatched event the runtime *freezes
-routing* — every honest, uncrashed host's ``tag -> handler`` table is
-snapshotted into an array indexed by pid, so the hot loop
-(:meth:`Runtime._flat_run`) goes straight from popped event to bound handler
-with no ``ProcessHost.deliver`` indirection.  Crashed or byzantine hosts
-keep the slow ``deliver`` path.  With a fixed-delay scheduler the runtime
-also swaps the binary heap for a bucketed calendar queue and lets
-``send_all`` push a whole fan-out in one batch.  :meth:`Runtime.step`
-dispatches one event through the queue's own ``pop()`` and
-``ProcessHost.deliver`` and is the reference the hot loop inlines:
-``tests/test_dispatch_equiv.py`` drives full runs through both and
-requires the same run, and replays a committed transcript
+Dispatch is *flat*: the hot loop (:meth:`Runtime._flat_run`) holds every
+host's live ``tag -> handler`` dict in an array indexed by pid and inlines
+``ProcessHost.deliver`` — the one routing rule — so it goes straight from
+popped event to bound handler.  The dicts are the hosts' own, so handlers
+may be registered and released while events flow (``docs/ARCHITECTURE.md``).
+With a fixed-delay scheduler the runtime also swaps the binary heap for a
+bucketed calendar queue and lets ``send_all`` push a whole fan-out in one
+batch.  :meth:`Runtime.step` dispatches one event through the queue's own
+``pop()`` and ``ProcessHost.deliver`` and is the reference the hot loop
+inlines: ``tests/test_dispatch_equiv.py`` drives full runs through both
+and requires the same run, and replays a committed transcript
 (``tests/golden/dispatch_equiv.json``).
 
 Waiting is notification-driven: protocol modules call
@@ -125,13 +124,11 @@ class Runtime(StepWindow):
         self.hosts: dict[int, ProcessHost] = {
             pid: ProcessHost(self, pid) for pid in config.pids
         }
-        # Flat-dispatch state; built by freeze_routing().  Index 0 unused
-        # (pids are 1..n), so event destinations index directly.
-        self._frozen = False
-        self._tables: list[dict | None] = [None] * (config.n + 1)
-        self._hosts_seq: list[ProcessHost | None] = [None] * (config.n + 1)
-        for pid, host in self.hosts.items():
-            self._hosts_seq[pid] = host
+        # Flat-dispatch state.  Index 0 unused (pids are 1..n), so event
+        # destinations index directly.  ``_tables[pid]`` *is* the host's
+        # live handler dict (never reassigned), not a copy of it.
+        self._hosts_seq = [None, *self.hosts.values()]
+        self._tables = [None, *(host._handlers for host in self.hosts.values())]
         # The step window (see :mod:`repro.sim.window`) packs unless the
         # scheduler says otherwise: ``splits_envelopes`` means it never
         # buffers, ``splits_slots`` that the muxes never pack.
@@ -191,29 +188,6 @@ class Runtime(StepWindow):
         module that changed it.
         """
         self._state_version += 1
-
-    # -- routing freeze ------------------------------------------------------
-    @property
-    def routing_frozen(self) -> bool:
-        return self._frozen
-
-    def freeze_routing(self) -> None:
-        """Snapshot per-host handler tables into the flat dispatch array.
-
-        Called automatically at the first dispatched event of a run;
-        registering further handlers afterwards raises (see
-        :meth:`ProcessHost.register_handler`).  Hosts that are crashed or
-        byzantine at freeze time — and any host that crashes later, which
-        the hot loop re-checks per event — stay on the slow
-        ``ProcessHost.deliver`` path.
-        """
-        if self._frozen:
-            return
-        self._frozen = True
-        tables = self._tables
-        for pid, host in self.hosts.items():
-            if host.behavior is None and not host.crashed:
-                tables[pid] = dict(host._handlers)
 
     # -- crash recovery ------------------------------------------------------
     def recover(self, pid: int, at: float | None = None) -> None:
@@ -275,8 +249,7 @@ class Runtime(StepWindow):
         """Accept a message onto the (simulated) wire.
 
         While a step is open (and the scheduler does not split envelopes)
-        the message is only *buffered* (``StepWindow._buffer``, inlined here
-        and in :meth:`transmit_all`: this is the hottest edge of a run); the
+        the message is only *buffered* (``StepWindow._buffer``); the
         window's flush turns each (src, dst) buffer into one envelope event
         at end-of-step.  Trace accounting stays per logical message.
         """
@@ -286,13 +259,7 @@ class Runtime(StepWindow):
         if trace.level:  # TRACE_OFF == 0: skip the call + Counter work
             trace.record_send(layer)
         if self._buffering:
-            outbox = self._outbox
-            key = (src, dst)
-            pending = outbox.get(key)
-            if pending is None:
-                outbox[key] = [payload]
-            else:
-                pending.append(payload)
+            self._buffer(src, dst, payload)
             return
         delay = self._fixed_delay
         if delay is None:
@@ -314,14 +281,9 @@ class Runtime(StepWindow):
         if trace.level:
             trace.record_send_many(layer, n)
         if self._buffering:
-            outbox = self._outbox
+            buffer = self._buffer
             for dst in range(1, n + 1):
-                key = (src, dst)
-                pending = outbox.get(key)
-                if pending is None:
-                    outbox[key] = [payload]
-                else:
-                    pending.append(payload)
+                buffer(src, dst, payload)
             return
         fixed = self._fixed_delay
         if fixed is not None:
@@ -355,8 +317,7 @@ class Runtime(StepWindow):
         """Dispatch the next delivery; False when the queue is empty.
 
         The per-event reference for :meth:`_flat_run`: the queue's own
-        ``pop()``, routing through ``ProcessHost.deliver`` (the live
-        handler table the frozen one snapshots), and one
+        ``pop()``, routing through ``ProcessHost.deliver``, and one
         :meth:`~repro.sim.window.StepWindow.coalescing_step` around the
         delivery — the step a socket node runs — with no locals carried
         between events.  Drivers that interleave their own actions with
@@ -365,7 +326,6 @@ class Runtime(StepWindow):
         """
         if not self.queue:
             return False
-        self.freeze_routing()
         time, _, dst, src, payload = self.queue.pop()
         self.now = time
         with self.coalescing_step():
@@ -426,7 +386,6 @@ class Runtime(StepWindow):
         same reason; the queue's own ``pop()`` stays the reference
         semantics (``step()`` uses it).
         """
-        self.freeze_routing()
         queue = self.queue
         tables = self._tables
         hosts_seq = self._hosts_seq
@@ -478,28 +437,28 @@ class Runtime(StepWindow):
                             )
                         if tap is not None:
                             tap(src, dst, payload)
-                        table = tables[dst]
-                        if table is not None:
-                            host = hosts_seq[dst]
+                        # ``ProcessHost.deliver``, inlined.
+                        host = hosts_seq[dst]
+                        if (
+                            not host.crashed
+                            and isinstance(payload, tuple)
+                            and payload
+                        ):
+                            try:
+                                handler = tables[dst].get(payload[0])
+                            except TypeError:
+                                handler = None  # unhashable tag
+                            if handler is not None:
+                                handler(src, payload)
+                        elif host.crashed and src == 0:
+                            # Recovery wakes are the one thing a crashed
+                            # host still reacts to.
                             if (
-                                not host.crashed
-                                and isinstance(payload, tuple)
+                                isinstance(payload, tuple)
                                 and payload
+                                and payload[0] == RECOVER_TAG
                             ):
-                                handler = table.get(payload[0])
-                                if handler is not None:
-                                    handler(src, payload)
-                            elif host.crashed and src == 0:
-                                # Recovery wakes are the one thing a crashed
-                                # host still reacts to (as in ``deliver``).
-                                if (
-                                    isinstance(payload, tuple)
-                                    and payload
-                                    and payload[0] == RECOVER_TAG
-                                ):
-                                    self._apply_recovery(host)
-                        else:
-                            hosts_seq[dst].deliver(src, payload)
+                                self._apply_recovery(host)
                         if svec and self._svec_pending:
                             self._flush_svec()
                         if coalescing and self._outbox:
@@ -534,26 +493,25 @@ class Runtime(StepWindow):
                         )
                     if tap is not None:
                         tap(src, dst, payload)
-                    table = tables[dst]
-                    if table is not None:
-                        host = hosts_seq[dst]
+                    host = hosts_seq[dst]
+                    if (
+                        not host.crashed
+                        and isinstance(payload, tuple)
+                        and payload
+                    ):
+                        try:
+                            handler = tables[dst].get(payload[0])
+                        except TypeError:
+                            handler = None  # unhashable tag
+                        if handler is not None:
+                            handler(src, payload)
+                    elif host.crashed and src == 0:
                         if (
-                            not host.crashed
-                            and isinstance(payload, tuple)
+                            isinstance(payload, tuple)
                             and payload
+                            and payload[0] == RECOVER_TAG
                         ):
-                            handler = table.get(payload[0])
-                            if handler is not None:
-                                handler(src, payload)
-                        elif host.crashed and src == 0:
-                            if (
-                                isinstance(payload, tuple)
-                                and payload
-                                and payload[0] == RECOVER_TAG
-                            ):
-                                self._apply_recovery(host)
-                    else:
-                        hosts_seq[dst].deliver(src, payload)
+                            self._apply_recovery(host)
                     if svec and self._svec_pending:
                         self._flush_svec()
                     if coalescing and self._outbox:

@@ -1,4 +1,4 @@
-"""Run accounting: message counts per layer, shun records, protocol events.
+"""Run accounting: message counts per layer, shun records.
 
 The paper's efficiency claims are about expected message/bit/round counts.
 The simulator counts messages and rounds; bits are not estimated here —
@@ -11,10 +11,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-#: Tracing levels.  ``TRACE_FULL`` (default) records everything the
-#: experiments read; ``TRACE_COUNTS`` keeps message/shun counters but drops
-#: per-event protocol bookkeeping; ``TRACE_OFF`` turns :class:`Trace` into a
-#: pure no-op so benchmark runs pay nothing per message.
+#: Tracing levels.  ``TRACE_FULL`` (default) keeps the message/shun
+#: counters and arms ``ABAProcess``'s per-delivery fixpoint cross-check;
+#: ``TRACE_COUNTS`` keeps the counters only; ``TRACE_OFF`` turns
+#: :class:`Trace` into a pure no-op so benchmark runs pay nothing per
+#: message.
 TRACE_OFF = 0
 TRACE_COUNTS = 1
 TRACE_FULL = 2
@@ -44,13 +45,6 @@ class Trace:
     messages_by_layer: Counter = field(default_factory=Counter)
     events_dispatched: int = 0
     shun_records: list[ShunRecord] = field(default_factory=list)
-    protocol_events: Counter = field(default_factory=Counter)
-
-    @property
-    def records_events(self) -> bool:
-        """True when per-event protocol bookkeeping is recorded — hot-path
-        callers check this before building event-name strings."""
-        return self.level >= TRACE_FULL
 
     # -- recording -----------------------------------------------------------
     def record_send(self, layer: str) -> None:
@@ -70,11 +64,6 @@ class Trace:
         if self.level < TRACE_COUNTS:
             return
         self.shun_records.append(ShunRecord(observer, culprit, session, time))
-
-    def record_event(self, name: str) -> None:
-        if self.level < TRACE_FULL:
-            return
-        self.protocol_events[name] += 1
 
     # -- reading ----------------------------------------------------------------
     @property

@@ -43,9 +43,8 @@ class StepWindow:
     """Per-step outbound buffers, their flush, and the aggregation counters.
 
     Subclasses implement :meth:`_emit` and decide *when* steps open and
-    close; ``Runtime``'s hot loop inlines the open/close flag writes and
-    the buffer append (one Python call per logical message is the
-    simulator's hottest edge), everything else goes through here.
+    close; ``Runtime``'s hot loop inlines the open/close flag writes,
+    everything else goes through here.
     """
 
     def __init__(self, scheduler=None):

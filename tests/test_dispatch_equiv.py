@@ -6,10 +6,11 @@ has a switch to A/B against.  Two references pin them instead:
 * **Living** — ``Runtime.step()`` pops through the queue's own ``pop()``,
   routes through ``ProcessHost.deliver`` and opens and closes the step
   window per event; the hot loop behind ``run_until`` /
-  ``run_to_quiescence`` inlines all of that over frozen handler tables.  The first
-  half of this module drives a full SVSS coin and an ideal-coin agreement
-  event by event through ``step()`` and through the hot loop, on the
-  calendar queue and on the heap, and requires the same run.
+  ``run_to_quiescence`` inlines all of that over the same live handler
+  tables.  The first half of this module drives a full SVSS coin and an
+  ideal-coin agreement event by event through ``step()`` and through the
+  hot loop, on the calendar queue and on the heap, and requires the same
+  run.
 * **Committed** — ``tests/golden/dispatch_equiv.json`` was written at
   commit ``b4364b3`` *by the paths that commit was the last to have*: the
   seed dispatch core (``engine="legacy"``: heap pop, ``ProcessHost.deliver``

@@ -78,7 +78,6 @@ def test_networkhost_satisfies_hostabc(cfg4):
         # The runtime surface modules consume must exist and be sane.
         rt = node.host.runtime
         assert rt.config is cfg4
-        assert rt.routing_frozen is False
         await node.close()
 
     asyncio.run(main())

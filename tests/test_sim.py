@@ -310,40 +310,73 @@ class TestRuntime:
         assert rt.now > 0
 
 
+def _drain_by_step(rt):
+    while rt.step():
+        pass
+
+
 class TestFlatDispatch:
-    """The frozen routing table must keep ``deliver``'s lenient semantics."""
+    """The hot loop must keep ``deliver``'s lenient semantics."""
 
     def test_queue_selection(self):
         cfg = SystemConfig(n=3, t=0, seed=0)
         assert isinstance(Runtime(cfg, scheduler=FifoScheduler()).queue, BucketQueue)
         assert isinstance(Runtime(cfg).queue, EventQueue)  # uniform delays
 
-    def test_register_after_freeze_raises(self):
-        cfg = SystemConfig(n=2, t=0, seed=0)
-        rt = Runtime(cfg)
-        _Recorder(rt.host(2))
-        rt.host(1).send(2, ("ping", 1), "test")
-        rt.run_to_quiescence()
-        assert rt.routing_frozen
-        with pytest.raises(SimulationError, match="routing is frozen"):
-            rt.host(2).register_handler("late", lambda s, p: None)
-
     @pytest.mark.parametrize("scheduler", [None, FifoScheduler()])
     def test_malformed_payloads_dropped_on_fast_path(self, scheduler):
-        """Byzantine peers can put arbitrary bytes on the wire; the frozen
-        table must drop unknown tags and non-tuple garbage as silently as
-        ``deliver`` does, on both queue flavours."""
+        """Byzantine peers can put arbitrary bytes on the wire; the hot
+        loop must drop unknown tags, unhashable tags and non-tuple garbage
+        as silently as ``deliver`` does, on both queue flavours."""
+        self._malformed_payloads_dropped(scheduler, Runtime.run_to_quiescence)
+
+    @pytest.mark.parametrize("scheduler", [None, FifoScheduler()])
+    def test_malformed_payloads_dropped_by_step(self, scheduler):
+        self._malformed_payloads_dropped(scheduler, _drain_by_step)
+
+    @staticmethod
+    def _malformed_payloads_dropped(scheduler, drain):
         cfg = SystemConfig(n=2, t=1, seed=0)
+        garbage = [
+            ("unknown-tag", 1), (), None, 42, "ping", [1, 2], {"a": 1},
+            ([1, 2], "x"), ({"a": 1},),
+        ]
         rt = Runtime(cfg, scheduler=scheduler)
         rec = _Recorder(rt.host(2))
         evil = rt.host(1)
-        garbage = [("unknown-tag", 1), (), None, 42, "ping", [1, 2], {"a": 1}]
         evil.outbound_filter = lambda dst, payload: garbage
         evil.send(2, ("x",), "test")
         evil.outbound_filter = None
         evil.send(2, ("ping", "ok"), "test")
-        rt.run_to_quiescence()
+        drain(rt)
         assert [p for _, p in rec.got] == [("ping", "ok")]
+
+    def test_deliver_drops_malformed_payloads(self):
+        rt = Runtime(SystemConfig(n=2, t=1, seed=0))
+        rec = _Recorder(rt.host(2))
+        for payload in [(), None, 42, [1, 2], ([1, 2], "x"), ({"a": 1},)]:
+            rt.host(2).deliver(1, payload)
+        assert rec.got == []
+
+    @pytest.mark.parametrize(
+        "drain", [Runtime.run_to_quiescence, _drain_by_step], ids=["hot-loop", "step"]
+    )
+    @pytest.mark.parametrize("scheduler", [None, FifoScheduler()])
+    def test_handler_type_error_still_surfaces(self, scheduler, drain):
+        """Only the lookup is lenient: a handler's own ``TypeError`` is a
+        bug and must not be mistaken for an unhashable tag."""
+        cfg = SystemConfig(n=2, t=0, seed=0)
+
+        def broken(src, payload):
+            raise TypeError("handler bug")
+
+        rt = Runtime(cfg, scheduler=scheduler)
+        rt.host(2).register_handler("ping", broken)
+        rt.host(1).send(2, ("ping", 1), "test")
+        with pytest.raises(TypeError, match="handler bug"):
+            drain(rt)
+        with pytest.raises(TypeError, match="handler bug"):
+            rt.host(2).deliver(1, ("ping", 2))
 
     def test_crash_after_freeze_stops_fast_path_delivery(self):
         cfg = SystemConfig(n=2, t=1, seed=0)
@@ -352,19 +385,18 @@ class TestFlatDispatch:
         rt.host(1).send(2, ("ping", 1), "test")
         rt.run_to_quiescence()
         assert len(rec.got) == 1
-        rt.host(2).crash()  # after the routing table was frozen
+        rt.host(2).crash()  # after events were dispatched
         rt.host(1).send(2, ("ping", 2), "test")
         rt.run_to_quiescence()
         assert len(rec.got) == 1
 
-    def test_byzantine_host_keeps_slow_path_and_still_receives(self):
+    def test_byzantine_host_still_receives(self):
         cfg = SystemConfig(n=2, t=1, seed=0)
         rt = Runtime(cfg)
         rec = _Recorder(rt.host(2))
-        rt.host(2).behavior = object()  # marked byzantine before the freeze
+        rt.host(2).behavior = object()  # marked byzantine before the run
         rt.host(1).send(2, ("ping", 1), "test")
         rt.run_to_quiescence()
-        assert rt._tables[2] is None  # routed through deliver, not the table
         assert [p for _, p in rec.got] == [("ping", 1)]
 
     def test_send_all_fast_path_counts_and_delivers_like_sends(self):
