@@ -42,7 +42,6 @@ from repro.poly.fastpath import (
     lagrange_basis,
 )
 from repro.poly.univariate import Polynomial
-from repro.sim.tracing import TRACE_OFF
 
 NS = (4, 7, 10, 13)
 FIELD = Field()
@@ -204,7 +203,6 @@ def _end_to_end() -> list[dict]:
         start = time.perf_counter()
         result, _ = run_mwsvss(
             SystemConfig(n=n, seed=5), dealer=1, moderator=2, secret=7,
-            trace_level=TRACE_OFF,
         )
         mw_s = time.perf_counter() - start
         assert result.outputs, f"MW-SVSS at n={n} produced no outputs"
@@ -213,7 +211,6 @@ def _end_to_end() -> list[dict]:
         start = time.perf_counter()
         aba = run_byzantine_agreement(
             inputs, SystemConfig(n=n, seed=5), coin=("ideal", 1.0),
-            trace_level=TRACE_OFF,
         )
         aba_s = time.perf_counter() - start
         assert aba.agreed

@@ -75,7 +75,6 @@ def test_bench_batch(emit):
         {
             "n": N,
             "ks": list(KS),
-            "trace_level": "TRACE_OFF",
             "seed": SEED,
             "share_coin": True,
         },

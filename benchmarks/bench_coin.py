@@ -11,7 +11,7 @@ per-session messages, and one reliable broadcast per (step, origin)
 instead of one per vector, ~n⁴ → ~n³).  Both are the transport now, with
 no keyword beside them; what switches them off is the scheduler.  For
 ``n ∈ {4, 5, 7}`` this times one complete invocation (share + reveal,
-unit-delay FIFO network, ``TRACE_OFF``) as it runs by default, with slots
+unit-delay FIFO network) as it runs by default, with slots
 split (``SlotSplit(fifo)``: envelopes only) and with both packings split
 (``SlotSplit(EnvSplit(fifo))``: the paper's literal per-message wire), and
 records, per mode:
@@ -225,7 +225,6 @@ def test_bench_coin(emit):
     payload = bench_payload(
         {
             "ns": [*NS, N_LARGE] + ([N_XL] if xl else []),
-            "trace_level": "TRACE_OFF",
             "seed": SEED,
             "modes": {
                 name: {
@@ -296,7 +295,7 @@ def test_bench_coin(emit):
              "verdict redux", "s per-msg", "s default", "speedup"],
             table_rows,
             note=(
-                "full share+reveal, unit-delay FIFO, TRACE_OFF; outputs "
+                "full share+reveal, unit-delay FIFO; outputs "
                 "identical across modes (incl. pure vs numpy algebra) at "
                 f"every n; artifact: {path.name}"
             ),

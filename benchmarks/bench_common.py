@@ -2,8 +2,8 @@
 
 Besides the JSON/timing utilities this hosts the stack/run setup shared by
 the perf-trajectory benchmarks (``bench_batch.py`` / ``bench_coin.py``): one place defines the canonical "fast run" scenario
-(unit-delay FIFO network, ``TRACE_OFF``) so every artifact measures the
-same workload shape.
+(unit-delay FIFO network) so every artifact measures the same workload
+shape.  Accounting is not part of the scenario: every run counts.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from repro.core.api import (
     run_byzantine_agreement_batch,
 )
 from repro.sim.scheduler import FifoScheduler
-from repro.sim.tracing import TRACE_OFF
 
 #: Repo root — ``BENCH_*.json`` perf artifacts live here so the trajectory
 #: of every optimisation PR is a committed, diffable file.
@@ -41,9 +40,8 @@ def logical_messages(result) -> int:
     The one metric every gate compares across transport modes: envelope
     framing is removed (an envelope counts as its payloads), while a
     ``("svec", ...)`` slot-vector counts as ONE logical message — semantic
-    aggregation is exactly what shrinks this number.  Works at
-    ``TRACE_OFF`` (computed from the always-on runtime counters) and on
-    every result dataclass that carries them.
+    aggregation is exactly what shrinks this number.  Computed from the
+    run counters every result dataclass carries.
     """
     return result.logical_messages
 
@@ -76,13 +74,12 @@ def fifo(split=None):
 
 def fast_agreement(n: int, seed: int, coin, split=None, **kw):
     """One canonical benchmark agreement run: split inputs, unit-delay FIFO
-    network, ``TRACE_OFF``.  Asserts agreement and returns the result."""
+    network.  Asserts agreement and returns the result."""
     result = run_byzantine_agreement(
         [i % 2 for i in range(n)],
         SystemConfig(n=n, seed=seed),
         coin=coin,
         scheduler=fifo(split),
-        trace_level=TRACE_OFF,
         **kw,
     )
     assert result.agreed, f"n={n} coin={coin!r} failed to agree"
@@ -97,7 +94,6 @@ def fast_batch(k: int, n: int, seed: int, coin, split=None, **kw):
         SystemConfig(n=n, seed=seed),
         coin=coin,
         scheduler=fifo(split),
-        trace_level=TRACE_OFF,
         **kw,
     )
     assert result.agreed, f"batch K={k} n={n} coin={coin!r} failed to agree"
@@ -105,13 +101,12 @@ def fast_batch(k: int, n: int, seed: int, coin, split=None, **kw):
 
 
 def fast_coin_flip(n: int, seed: int, split=None, algebra_backend: str | None = None):
-    """One canonical SVSS common-coin invocation (unit-delay FIFO,
-    ``TRACE_OFF``); asserts every process output a bit."""
+    """One canonical SVSS common-coin invocation (unit-delay FIFO);
+    asserts every process output a bit."""
     scheduler = fifo(split)
     result, stack = flip_common_coin(
         SystemConfig(n=n, seed=seed),
         scheduler=scheduler,
-        trace_level=TRACE_OFF,
         algebra_backend=algebra_backend,
     )
     assert set(result.outputs) == set(stack.config.pids), (

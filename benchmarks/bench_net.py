@@ -62,7 +62,6 @@ from repro.net.codec import (
 from repro.net.launch import run_processes
 from repro.net.transport import PROTO_VERSION, NetworkNode, TransportConfig
 from repro.sim.monitor import InvariantMonitor
-from repro.sim.tracing import TRACE_OFF
 
 #: CI's net job sets this to shrink the blast size; gates are identical.
 SMOKE = os.environ.get("REPRO_NET_SMOKE") == "1"
@@ -88,10 +87,8 @@ async def _wired_pair(profile_name: "str | None", journal_path=None):
     """Two nodes; the 1 -> 2 direction optionally crosses a chaos proxy.
     ``journal_path`` attaches a write-ahead journal to the sender."""
     config = SystemConfig(n=2, t=0, seed=9000)
-    a = NetworkNode(
-        config, 1, tconfig=FAST, trace_level=TRACE_OFF, journal=journal_path
-    )
-    b = NetworkNode(config, 2, tconfig=FAST, trace_level=TRACE_OFF)
+    a = NetworkNode(config, 1, tconfig=FAST, journal=journal_path)
+    b = NetworkNode(config, 2, tconfig=FAST)
     await a.start_server()
     await b.start_server()
     proxy = None
@@ -187,7 +184,6 @@ async def _chaos_safety_matrix() -> dict:
             tconfig=FAST,
             chaos=name,
             with_vss=False,
-            trace_level=TRACE_OFF,
             monitor=monitor,
         )
         await cluster.start()
@@ -289,7 +285,6 @@ async def _impostor_storm() -> dict:
         SystemConfig(n=4, seed=9300),
         tconfig=FAST,
         with_vss=False,
-        trace_level=TRACE_OFF,
     )
     await cluster.start()
     stop = asyncio.Event()
@@ -349,17 +344,13 @@ async def _sim_equivalence() -> dict:
         SystemConfig(n=4, seed=seed),
         tconfig=FAST,
         with_vss=False,
-        trace_level=TRACE_OFF,
     )
     await cluster.start()
     try:
         net = await cluster.run_agreement(inputs, coin="local", timeout=90)
     finally:
         await cluster.close()
-    sim = run_byzantine_agreement(
-        inputs, SystemConfig(n=4, seed=seed), coin="local",
-        trace_level=TRACE_OFF,
-    )
+    sim = run_byzantine_agreement(inputs, SystemConfig(n=4, seed=seed), coin="local")
     assert sim.agreed
     assert net == {pid: sim.decision for pid in (1, 2, 3, 4)}, (
         f"socket decisions {net} != sim decision {sim.decision}"
@@ -390,7 +381,7 @@ async def _svss_coin_on_the_wire() -> dict:
             data_bytes += len(frame)
         return frame
 
-    cluster = NetCluster(SystemConfig(n=4, seed=9300), trace_level=TRACE_OFF)
+    cluster = NetCluster(SystemConfig(n=4, seed=9300))
     await cluster.start()
     transport.encode_frame = counting_encode_frame
     try:

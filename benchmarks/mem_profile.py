@@ -1,8 +1,8 @@
 """Where one coin's memory is: a ``tracemalloc`` table at the traced peak.
 
 Runs the inputs of the end-to-end benchmark's ``coin_n7`` operation — one
-fault-free ``flip_common_coin`` shape (FIFO, default transport, ``TRACE_OFF``,
-seed ``1000 * seed``) — twice per n.  The run is deterministic per seed, so
+fault-free ``flip_common_coin`` shape (FIFO, default transport, seed
+``1000 * seed``) — twice per n.  The run is deterministic per seed, so
 pass 1 reads the traced heap at every delivered event and names the event
 at which it peaks, and pass 2 takes one snapshot at exactly that event.  The
 snapshot is grouped by module and by ``file:line``; both groupings must sum
@@ -37,10 +37,9 @@ def start_coin(n: int, seed: int):
     from repro.config import SystemConfig
     from repro.core.api import build_stack, make_coins
     from repro.sim.scheduler import FifoScheduler
-    from repro.sim.tracing import TRACE_OFF
 
     config = SystemConfig(n=n, seed=1000 * seed)
-    stack = build_stack(config, scheduler=FifoScheduler(), trace_level=TRACE_OFF)
+    stack = build_stack(config, scheduler=FifoScheduler())
     coins = make_coins(stack, "svss")
     csid = ("cc", "solo", 0)
     outputs: dict[int, int] = {}

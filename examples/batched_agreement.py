@@ -28,7 +28,6 @@ from repro.config import SystemConfig
 from repro.core.api import run_byzantine_agreement, run_byzantine_agreement_batch
 from repro.sim.experiments import Scenario, run_scenario
 from repro.sim.scheduler import FifoScheduler
-from repro.sim.tracing import TRACE_COUNTS
 
 
 def main() -> None:
@@ -42,7 +41,6 @@ def main() -> None:
         SystemConfig(n=n, seed=seed),
         coin="svss",
         scheduler=FifoScheduler(),
-        trace_level=TRACE_COUNTS,
     )
     batch_wall = time.perf_counter() - start
     assert batch.agreed and batch.terminated
@@ -56,7 +54,6 @@ def main() -> None:
             SystemConfig(n=n, seed=seed),
             coin="svss",
             scheduler=FifoScheduler(),
-            trace_level=TRACE_COUNTS,
         )
         solo_events += solo.events_dispatched
         # Fixed delays + shared round coin => bit-identical decisions.

@@ -36,7 +36,6 @@ import time
 from repro import SystemConfig
 from repro.core.api import flip_common_coin
 from repro.sim.scheduler import FifoScheduler
-from repro.sim.tracing import TRACE_OFF
 
 
 def main() -> None:
@@ -51,7 +50,6 @@ def main() -> None:
     result, stack = flip_common_coin(
         config,
         scheduler=FifoScheduler(),
-        trace_level=TRACE_OFF,
         algebra_backend=backend,
     )
     wall = time.perf_counter() - start

@@ -7,9 +7,8 @@ protocol many times under many adversarial conditions.  The harness in
 matrix across worker processes and aggregates the results into the
 statistics tables the analysis layer provides.
 
-Sweeps run at ``trace_level=TRACE_COUNTS`` (the :class:`Scenario`
-default), which keeps message counters; ``TRACE_OFF`` strips all
-per-message accounting for pure wall-clock work.
+Every run counts its logical messages and shun pairs (there is no
+accounting switch), so each record carries them next to its run counters.
 
 Run:  python examples/experiment_sweep.py [workers]
 """

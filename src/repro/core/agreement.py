@@ -42,8 +42,9 @@ whose claims are not yet possible in pending lists; acceptance conditions
 are monotone in the tallies, so a parked vote is flushed exactly when the
 tally it waits on crosses its threshold (a phase-1 acceptance can flush
 phase-2 votes, which can flush phase-3 votes — the same cascade the
-fixpoint computed, in the same order).  Under ``TRACE_FULL`` a debug
-assertion cross-checks every delivery against the original fixpoint.
+fixpoint computed, in the same order).  The fixpoint itself is the test
+suite's executable reference (``tests/reference/aba_fixpoint.py``), armed
+around every ``_ingest_vote`` call of every tier-1 run.
 
 Coin discipline: a process *joins* the round-``r`` coin on entering round
 ``r`` (so the interactive share stage overlaps the voting) and *releases*
@@ -71,7 +72,6 @@ from repro.core.coin import CoinSource
 from repro.errors import ProtocolError
 from repro.sim.module import ProtocolModule
 from repro.sim.process import ProcessHost
-from repro.sim.tracing import TRACE_FULL
 
 DecideCallback = Callable[[int], None]
 
@@ -257,9 +257,6 @@ class ABAProcess(ProtocolModule):
         self.config = host.runtime.config
         self.n = self.config.n
         self.t = self.config.t
-        #: TRACE_FULL runs cross-check the incremental validation against
-        #: the original O(n²) fixpoint on every delivery.
-        self._debug_fixpoint = host.runtime.trace.level >= TRACE_FULL
         self.subscribe_slot(self._broadcast, TOPIC, self._on_rb)
         # The host's shared vote-vector packer (created by whichever
         # instance wires first); live-instance accounting gates packing.
@@ -347,16 +344,6 @@ class ABAProcess(ProtocolModule):
             return
         state.received[phase][origin] = vote
         self._ingest_vote(state, phase, origin, vote)
-        if self._debug_fixpoint:
-            # Membership check only: the from-scratch oracle cannot replay
-            # chronological acceptance order (a parked vote accepted late
-            # sits early in its pool), so == compares per-phase dicts
-            # order-insensitively.  Acceptance *order* is guarded end to
-            # end by the golden transcripts (``tests/test_dispatch_equiv.py``).
-            assert state.accepted == self._fixpoint_accepted(state), (
-                "incremental vote validation diverged from the fixpoint "
-                f"(pid={self.pid}, instance={self.instance_id!r}, round={r})"
-            )
         self._maybe_advance()
 
     @staticmethod
@@ -445,46 +432,6 @@ class ABAProcess(ProtocolModule):
             else:
                 still.append((origin, vote))
         state.pending3 = still
-
-    def _fixpoint_accepted(self, state: _Round) -> dict[int, dict[int, object]]:
-        """The seed's O(n²) fixpoint, recomputed from scratch — the debug
-        oracle the incremental path is asserted against under TRACE_FULL."""
-        accepted: dict[int, dict[int, object]] = {1: {}, 2: {}, 3: {}}
-
-        def valid(phase: int, vote: object) -> bool:
-            if phase == 1:
-                return True  # see module docstring: any bit is acceptable
-            if phase == 2:
-                backing = sum(1 for v in accepted[1].values() if v == vote)
-                wait = self.n - self.t
-                needed = wait // 2 + 1 if vote == 1 else (wait + 1) // 2
-                return backing >= needed
-            w, flagged = vote
-            counts = [0, 0]
-            for v in accepted[2].values():
-                counts[v] += 1
-            if flagged:
-                return counts[w] >= self.n // 2 + 1
-            need = self.n - self.t
-            floor_half = self.n // 2
-            return (
-                counts[0] + counts[1] >= need
-                and counts[0] >= need - floor_half
-                and counts[1] >= need - floor_half
-            )
-
-        progressed = True
-        while progressed:
-            progressed = False
-            for phase in (1, 2, 3):
-                pool = state.received[phase]
-                for sender, vote in pool.items():
-                    if sender in accepted[phase]:
-                        continue
-                    if valid(phase, vote):
-                        accepted[phase][sender] = vote
-                        progressed = True
-        return accepted
 
     # ------------------------------------------------------------------
     # the process' own phase progression

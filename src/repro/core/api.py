@@ -40,7 +40,7 @@ from repro.errors import ConfigurationError, DeadlockError, ProtocolError
 from repro.sim.monitor import InvariantMonitor
 from repro.sim.runtime import DEFAULT_MAX_EVENTS, Runtime
 from repro.sim.scheduler import Scheduler
-from repro.sim.tracing import TRACE_FULL, Trace
+from repro.sim.tracing import Trace
 
 CoinSpec = object  # str | tuple | callable
 
@@ -96,14 +96,9 @@ def build_stack(
     scheduler: Scheduler | None = None,
     adversary: Adversary | None = None,
     with_vss: bool = True,
-    trace_level: int = TRACE_FULL,
     algebra_backend: str | None = None,
 ) -> Stack:
     """Assemble runtime, broadcast and (optionally) VSS for every process.
-
-    ``trace_level`` (:data:`~repro.sim.tracing.TRACE_FULL` by default) can
-    be lowered to :data:`~repro.sim.tracing.TRACE_OFF` for wall-clock
-    benchmarks: the runtime then skips all per-message accounting.
 
     The transport aggregates, with no option beside it: all sends of one
     dispatch step sharing a (src, dst) pair travel as one envelope event
@@ -128,12 +123,7 @@ def build_stack(
     ``stack.runtime.algebra_backend`` and the per-run ``rows_vectorized``
     / ``backend_fallbacks`` counters ride every result dataclass.
     """
-    runtime = Runtime(
-        config,
-        scheduler=scheduler,
-        trace_level=trace_level,
-        algebra_backend=algebra_backend,
-    )
+    runtime = Runtime(config, scheduler=scheduler, algebra_backend=algebra_backend)
     broadcasts = {}
     vss = {}
     for pid in config.pids:
@@ -259,9 +249,10 @@ def make_coins(
 class RunCounters:
     """Runtime counters of one run, declared once for every result class.
 
-    Always recorded, even at ``TRACE_OFF``; results take them as one
-    :func:`run_counters` snapshot when the run ends, and sweeps read them
-    from the result (:meth:`counters`), never from the ``Runtime``.
+    Always recorded, like the :class:`~repro.sim.tracing.Trace` beside
+    them; results take them as one :func:`run_counters` snapshot when the
+    run ends, and sweeps read them from the result (:meth:`counters`),
+    never from the ``Runtime``.
     """
 
     #: Events delivered, messages pushed onto the wire, and how often the
@@ -483,7 +474,6 @@ def run_byzantine_agreement(
     max_rounds: int = 200,
     max_events: int = DEFAULT_MAX_EVENTS,
     tag: str = "aba",
-    trace_level: int = TRACE_FULL,
     algebra_backend: str | None = None,
     monitor: InvariantMonitor | None = None,
 ) -> AgreementResult:
@@ -509,7 +499,6 @@ def run_byzantine_agreement(
         scheduler=scheduler,
         adversary=adversary,
         with_vss=coin == "svss",
-        trace_level=trace_level,
         algebra_backend=algebra_backend,
     )
     make_coins(stack, coin, instance=tag)
@@ -584,7 +573,6 @@ def run_byzantine_agreement_batch(
     max_events: int = DEFAULT_MAX_EVENTS,
     share_coin: bool = True,
     algebra_backend: str | None = None,
-    trace_level: int = TRACE_FULL,
     monitor: InvariantMonitor | None = None,
 ) -> BatchAgreementResult:
     """Run ``K = len(inputs_matrix)`` concurrent agreements on one runtime.
@@ -627,7 +615,6 @@ def run_byzantine_agreement_batch(
         scheduler=scheduler,
         adversary=adversary,
         with_vss=coin == "svss",
-        trace_level=trace_level,
         algebra_backend=algebra_backend,
     )
     if share_coin:
@@ -698,7 +685,6 @@ def _run_sharing(
     scheduler: Scheduler | None,
     reconstruct: bool,
     max_events: int,
-    trace_level: int,
 ) -> tuple[VSSResult, Stack]:
     """Share one standalone session, then optionally reconstruct it.
 
@@ -712,9 +698,7 @@ def _run_sharing(
             raise ConfigurationError(
                 f"session {sid!r} names process {pid}, not one of 1..{config.n}"
             )
-    stack = build_stack(
-        config, scheduler=scheduler, adversary=adversary, trace_level=trace_level
-    )
+    stack = build_stack(config, scheduler=scheduler, adversary=adversary)
     completed: set[int] = set()
     outputs: dict[int, object] = {}
     for pid in config.pids:
@@ -756,7 +740,6 @@ def run_mwsvss(
     reconstruct: bool = True,
     max_events: int = DEFAULT_MAX_EVENTS,
     counter: int = 0,
-    trace_level: int = TRACE_FULL,
 ) -> tuple[VSSResult, Stack]:
     """Run one standalone MW-SVSS session (share, then optionally R')."""
     tag = ("solo", counter)
@@ -769,7 +752,7 @@ def run_mwsvss(
 
     return _run_sharing(
         config, "mw", tag, sid, (dealer, moderator), deal,
-        adversary, scheduler, reconstruct, max_events, trace_level,
+        adversary, scheduler, reconstruct, max_events,
     )
 
 
@@ -782,7 +765,6 @@ def run_svss(
     reconstruct: bool = True,
     max_events: int = DEFAULT_MAX_EVENTS,
     counter: int = 0,
-    trace_level: int = TRACE_FULL,
 ) -> tuple[VSSResult, Stack]:
     """Run one standalone SVSS session (share, then optionally R)."""
     tag = ("solo-svss", counter)
@@ -790,7 +772,7 @@ def run_svss(
     return _run_sharing(
         config, "svss", tag, sid, (dealer,),
         lambda stack: stack.vss[dealer].svss_share(sid, secret),
-        adversary, scheduler, reconstruct, max_events, trace_level,
+        adversary, scheduler, reconstruct, max_events,
     )
 
 
@@ -813,7 +795,6 @@ def flip_common_coin(
     scheduler: Scheduler | None = None,
     session: int = 0,
     max_events: int = DEFAULT_MAX_EVENTS,
-    trace_level: int = TRACE_FULL,
     algebra_backend: str | None = None,
 ) -> tuple[CoinResult, Stack]:
     """Run one full SVSS-based shunning common coin invocation."""
@@ -822,7 +803,6 @@ def flip_common_coin(
         config,
         scheduler=scheduler,
         adversary=adversary,
-        trace_level=trace_level,
         algebra_backend=algebra_backend,
     )
     coins = make_coins(stack, "svss")

@@ -36,7 +36,6 @@ from repro.core.api import (
 from repro.errors import ConfigurationError, SimulationError
 from repro.net.chaos import CHAOS_PROFILES, ChaosProfile, ChaosProxy
 from repro.net.transport import NetworkNode, TransportConfig
-from repro.sim.tracing import TRACE_FULL
 
 
 class NetContext:
@@ -112,7 +111,6 @@ class NetCluster:
         tconfig: TransportConfig | None = None,
         chaos: "str | ChaosProfile | None" = None,
         with_vss: bool = True,
-        trace_level: int = TRACE_FULL,
         monitor=None,
         auth: bool = True,
         journal_dir: "str | Path | None" = None,
@@ -133,7 +131,6 @@ class NetCluster:
         self.broadcasts: dict[int, object] = {}
         self.vss: dict[int, object] = {}
         self.coins: dict[int, object] = {}
-        self._trace_level = trace_level
         self._started = False
         if monitor is not None:
             monitor.install(self.context)
@@ -149,7 +146,6 @@ class NetCluster:
                 config,
                 pid,
                 tconfig=self.tconfig,
-                trace_level=self._trace_level,
                 journal=self._journal_path(pid),
             )
             self.context.register(node)
@@ -227,7 +223,6 @@ class NetCluster:
             self.config,
             pid,
             tconfig=self.tconfig,
-            trace_level=self._trace_level,
             journal=self._journal_path(pid),
         )
         # The TIME_WAIT window can hold the port briefly after the old

@@ -54,7 +54,6 @@ from repro.net.cluster import derive_cluster_secret, resolve_profile
 from repro.net.journal import Journal
 from repro.net.transport import NetworkNode, TransportConfig
 from repro.net.verdict import NetVerdict
-from repro.sim.tracing import TRACE_OFF
 
 #: Marker prefixing the one JSON line a child prints on stdout.
 REPORT_PREFIX = "REPORT "
@@ -118,10 +117,7 @@ async def _child_main(args: argparse.Namespace) -> int:
     )
     #: A non-empty journal means this process is a relaunched incarnation.
     rejoined = journal is not None and journal.state.replayed > 0
-    node = NetworkNode(
-        config, args.pid, tconfig=tconfig, trace_level=TRACE_OFF,
-        journal=journal,
-    )
+    node = NetworkNode(config, args.pid, tconfig=tconfig, journal=journal)
     # The parent reserved-then-released this port; another process (or
     # our own killed predecessor's TIME_WAIT) can hold it briefly.
     for attempt in range(6):

@@ -111,7 +111,6 @@ from repro.net.codec import (
 )
 from repro.net.journal import Journal
 from repro.sim.process import ENVELOPE_TAG, ProcessHost
-from repro.sim.tracing import TRACE_FULL, Trace
 from repro.sim.window import StepWindow
 
 #: Wire protocol version, carried in HELLO; mismatches are refused.
@@ -241,12 +240,11 @@ class NetRuntime(StepWindow):
     step go out at once, one frame each.
     """
 
-    def __init__(self, node: "NetworkNode", config: SystemConfig, trace_level: int = TRACE_FULL):
+    def __init__(self, node: "NetworkNode", config: SystemConfig):
         super().__init__()  # no scheduler over sockets: the window packs
         self.node = node
         self.config = config
         self.field = config.field
-        self.trace = Trace(level=trace_level)
         self.events_dispatched = 0
         self.predicate_evals = 0
         self._monitor = None
@@ -299,9 +297,7 @@ class NetRuntime(StepWindow):
     def transmit(self, src: int, dst: int, payload: tuple, layer: str) -> None:
         if dst not in self.config.pids:
             raise SimulationError(f"send to unknown process {dst}")
-        trace = self.trace
-        if trace.level:
-            trace.record_send(layer)
+        self.trace.record_send(layer)
         if self._buffering:
             self._buffer(src, dst, payload)
         else:
@@ -310,9 +306,7 @@ class NetRuntime(StepWindow):
     def transmit_all(self, src: int, payload: tuple, layer: str) -> None:
         """Fan out one payload to every process, encoding it exactly once
         (the seq prefix keeps per-link frames distinct, see codec)."""
-        trace = self.trace
-        if trace.level:
-            trace.record_send_many(layer, self.config.n)
+        self.trace.record_send_many(layer, self.config.n)
         if self._buffering:
             buffer = self._buffer
             for dst in self.config.pids:
@@ -824,7 +818,6 @@ class NetworkNode:
         config: SystemConfig,
         pid: int,
         tconfig: TransportConfig | None = None,
-        trace_level: int = TRACE_FULL,
         context: "object | None" = None,
         journal: "Journal | str | Path | None" = None,
     ):
@@ -841,7 +834,7 @@ class NetworkNode:
         #: one, fsynced before any link opens: receivers key their links
         #: by (src, epoch), so a crashed incarnation's state never leaks.
         self.epoch = 1 if journal is None else journal.state.epoch + 1
-        self.runtime = NetRuntime(self, config, trace_level=trace_level)
+        self.runtime = NetRuntime(self, config)
         self.host = NetworkHost(self.runtime, pid, self)
         self.peers: dict[int, PeerConnection] = {}
         self._addresses: dict[int, tuple[str, int]] = {}

@@ -18,13 +18,7 @@ from repro.sim.scheduler import (
     UniformDelayScheduler,
     default_scheduler,
 )
-from repro.sim.tracing import (
-    TRACE_COUNTS,
-    TRACE_FULL,
-    TRACE_OFF,
-    ShunRecord,
-    Trace,
-)
+from repro.sim.tracing import ShunRecord, Trace
 
 __all__ = [
     "BucketQueue",
@@ -42,9 +36,6 @@ __all__ = [
     "Runtime",
     "Scheduler",
     "ShunRecord",
-    "TRACE_COUNTS",
-    "TRACE_FULL",
-    "TRACE_OFF",
     "TargetedDelayScheduler",
     "Trace",
     "UniformDelayScheduler",

@@ -51,16 +51,6 @@ class EventQueue:
         self._heappush(self._heap, event)
         return event
 
-    def push_fanout(self, time: float, src: int, payload: object, n: int) -> None:
-        """Push one delivery of ``payload`` to every pid ``1..n`` at ``time``."""
-        heap = self._heap
-        push = self._heappush
-        seq = self._seq
-        for dst in range(1, n + 1):
-            push(heap, (time, seq, dst, src, payload))
-            seq += 1
-        self._seq = seq
-
     def pop(self) -> Event:
         return self._heappop(self._heap)
 

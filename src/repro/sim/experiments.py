@@ -78,7 +78,6 @@ from repro.sim.scheduler import (
     TargetedDelayScheduler,
     UniformDelayScheduler,
 )
-from repro.sim.tracing import TRACE_COUNTS
 
 #: Scheduler registry: name -> factory(config).  Randomized schedulers use
 #: the same ``derive_rng("scheduler")`` stream as ``default_scheduler``, so
@@ -188,7 +187,6 @@ class Scenario:
     inputs: str = "split"
     max_rounds: int = 200
     max_events: int = DEFAULT_MAX_EVENTS
-    trace_level: int = TRACE_COUNTS
     batch: int = 1
     share_coin: bool = True
     #: Install an :class:`~repro.sim.monitor.InvariantMonitor` on the run;
@@ -369,7 +367,6 @@ def run_scenario(scenario: Scenario) -> RunRecord:
         max_rounds=scenario.max_rounds,
         max_events=scenario.max_events,
         algebra_backend=scenario.algebra_backend,
-        trace_level=scenario.trace_level,
         monitor=monitor,
     )
     start = time.perf_counter()

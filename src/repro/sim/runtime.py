@@ -85,7 +85,6 @@ from repro.field import backend as _algebra
 from repro.sim.events import BucketQueue, EventQueue
 from repro.sim.process import RECOVER_TAG, ProcessHost
 from repro.sim.scheduler import Scheduler, default_scheduler
-from repro.sim.tracing import TRACE_FULL, Trace
 from repro.sim.window import StepWindow
 
 #: Safety valve: a run dispatching more events than this is assumed stuck in
@@ -102,13 +101,11 @@ class Runtime(StepWindow):
         self,
         config: SystemConfig,
         scheduler: Scheduler | None = None,
-        trace_level: int = TRACE_FULL,
         algebra_backend: str | None = None,
     ):
         self.config = config
         self.field = config.field
         self.now = 0.0
-        self.trace = Trace(level=trace_level)
         self.scheduler = scheduler or default_scheduler(config.derive_rng("scheduler"))
         #: Constant per-message delay, when the scheduler guarantees one
         #: (skips the per-send scheduler call and enables the calendar
@@ -141,8 +138,7 @@ class Runtime(StepWindow):
         #: :attr:`backend_fallbacks` report per-run deltas.
         self.algebra_backend = _algebra.set_backend(algebra_backend).name
         self._algebra_baseline = _algebra.counters.snapshot()
-        #: Events dispatched over the runtime's lifetime (always counted,
-        #: independent of the trace level).
+        #: Events dispatched over the runtime's lifetime.
         self.events_dispatched = 0
         #: ``run_until`` predicate evaluations: O(state changes) with
         #: ``on_change=True``, O(events) without.
@@ -255,9 +251,7 @@ class Runtime(StepWindow):
         """
         if dst not in self.hosts:
             raise SimulationError(f"send to unknown process {dst}")
-        trace = self.trace
-        if trace.level:  # TRACE_OFF == 0: skip the call + Counter work
-            trace.record_send(layer)
+        self.trace.record_send(layer)
         if self._buffering:
             self._buffer(src, dst, payload)
             return
@@ -277,9 +271,7 @@ class Runtime(StepWindow):
         seeded schedulers draw identical randomness either way.
         """
         n = self.config.n
-        trace = self.trace
-        if trace.level:
-            trace.record_send_many(layer, n)
+        self.trace.record_send_many(layer, n)
         if self._buffering:
             buffer = self._buffer
             for dst in range(1, n + 1):
@@ -334,9 +326,6 @@ class Runtime(StepWindow):
                 tap(src, dst, payload)
             self.hosts[dst].deliver(src, payload)
         self.events_dispatched += 1
-        trace = self.trace
-        if trace.level:
-            trace.events_dispatched = self.events_dispatched
         return True
 
     def run_to_quiescence(self, max_events: int = DEFAULT_MAX_EVENTS) -> int:
@@ -389,7 +378,6 @@ class Runtime(StepWindow):
         queue = self.queue
         tables = self._tables
         hosts_seq = self._hosts_seq
-        trace = self.trace
         check = predicate is not None
         # Coalescing buffers sends for the whole loop (driver code cannot
         # run between events) and flushes after every dispatch, which is
@@ -531,8 +519,6 @@ class Runtime(StepWindow):
             if svec:
                 self.svec_buffering = False
             self.events_dispatched += dispatched
-            if trace.level:
-                trace.events_dispatched = self.events_dispatched
         if check:
             # Drained.  Re-check once before declaring deadlock: a predicate
             # over state whose module forgot to notify still resolves here.

@@ -11,14 +11,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-#: Tracing levels.  ``TRACE_FULL`` (default) keeps the message/shun
-#: counters and arms ``ABAProcess``'s per-delivery fixpoint cross-check;
-#: ``TRACE_COUNTS`` keeps the counters only; ``TRACE_OFF`` turns
-#: :class:`Trace` into a pure no-op so benchmark runs pay nothing per
-#: message.
+#: Not an option: nothing in ``src/`` reads it.  The frozen e2e harness
+#: (``benchmarks/e2e/worker.py``) still imports the name; ROADMAP 1a drops
+#: those imports, then this line goes.
 TRACE_OFF = 0
-TRACE_COUNTS = 1
-TRACE_FULL = 2
 
 
 @dataclass
@@ -33,36 +29,23 @@ class ShunRecord:
 
 @dataclass
 class Trace:
-    """Counters for one simulation run.
+    """Counters for one run, always on: logical messages per layer and
+    the DMM's shun records (``docs/ARCHITECTURE.md``, "Accounting")."""
 
-    ``level`` trades observability for speed: benchmark runs pass
-    ``TRACE_OFF`` so the hot transmit path skips all per-message
-    bookkeeping (the runtime checks the level *before* calling in, making
-    recording a true no-op).
-    """
-
-    level: int = TRACE_FULL
     messages_by_layer: Counter = field(default_factory=Counter)
-    events_dispatched: int = 0
     shun_records: list[ShunRecord] = field(default_factory=list)
 
     # -- recording -----------------------------------------------------------
     def record_send(self, layer: str) -> None:
-        if self.level < TRACE_COUNTS:
-            return
         self.messages_by_layer[layer] += 1
 
     def record_send_many(self, layer: str, count: int) -> None:
         """Record ``count`` identical sends at once (the ``send_all`` fast
         path): one counter update instead of ``count``.  Totals match
         ``count`` calls to :meth:`record_send` exactly."""
-        if self.level < TRACE_COUNTS:
-            return
         self.messages_by_layer[layer] += count
 
     def record_shun(self, observer: int, culprit: int, session: object, time: float) -> None:
-        if self.level < TRACE_COUNTS:
-            return
         self.shun_records.append(ShunRecord(observer, culprit, session, time))
 
     # -- reading ----------------------------------------------------------------
@@ -81,5 +64,4 @@ class Trace:
             "total_messages": self.total_messages,
             "shun_events": len(self.shun_records),
             "shun_pairs": len(self.shun_pairs()),
-            "events_dispatched": self.events_dispatched,
         }

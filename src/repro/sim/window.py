@@ -37,6 +37,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 from repro.sim.process import ENVELOPE_TAG
+from repro.sim.tracing import Trace
 
 
 class StepWindow:
@@ -48,6 +49,9 @@ class StepWindow:
     """
 
     def __init__(self, scheduler=None):
+        #: The run's accounting (logical messages per layer, shun records);
+        #: counting is not an option on either runtime.
+        self.trace = Trace()
         #: Wire-level coalescing: a step's sends are buffered and leave as
         #: envelopes — unless the scheduler splits envelopes, in which case
         #: nothing is ever buffered.  A runtime without a scheduler (the

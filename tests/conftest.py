@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import pytest
+from reference.aba_fixpoint import armed
 
 from repro.config import SystemConfig
+from repro.core.agreement import ABAProcess
 from repro.core.mwsvss import MWSVSSInstance
 from repro.field.gf import Field
 from repro.field.primes import SMALL_TEST_PRIME
@@ -32,6 +34,14 @@ def cfg4() -> SystemConfig:
 def cfg7() -> SystemConfig:
     """n=7, t=2 — the smallest system with two-fault corruption room."""
     return SystemConfig(n=7, seed=1234)
+
+
+@pytest.fixture(autouse=True)
+def aba_fixpoint_armed(monkeypatch):
+    """Every agreement run of the suite is cross-checked: after each
+    ``ABAProcess._ingest_vote`` the accepted votes must equal the
+    from-scratch fixpoint of ``tests/reference/aba_fixpoint.py``."""
+    monkeypatch.setattr(ABAProcess, "_ingest_vote", armed(ABAProcess._ingest_vote))
 
 
 @pytest.fixture

@@ -92,7 +92,7 @@ class TestDynamics:
         assert a.rounds == b.rounds
 
 
-#: ``(decisions, rounds, sim_time, trace.events_dispatched)`` of
+#: ``(decisions, rounds, sim_time, events_dispatched)`` of
 #: ``run_benor([0, 1, 0, 1, 0, 1], cfg6(seed))`` for seeds 0-9, written at
 #: ``a332de3`` by the stand-alone driver that polled its predicate after
 #: every event.  The run must stop at the same event now that the process
@@ -122,7 +122,7 @@ def transcript(result):
         result.decisions,
         result.rounds,
         result.sim_time,
-        result.trace.events_dispatched,
+        result.events_dispatched,
     )
 
 

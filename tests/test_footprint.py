@@ -16,7 +16,6 @@ import tracemalloc
 from repro.config import SystemConfig
 from repro.core.api import flip_common_coin
 from repro.sim.scheduler import FifoScheduler
-from repro.sim.tracing import TRACE_OFF
 
 #: Measured 2 948 B per instance (3 948 B with ``acks`` / ``L`` /
 #: ``confirm_values`` / ``L_hat`` as containers and six global DMM tables).
@@ -24,11 +23,7 @@ BYTES_PER_INSTANCE = 3300
 
 
 def coin(seed: int):
-    return flip_common_coin(
-        SystemConfig(n=4, seed=seed),
-        scheduler=FifoScheduler(),
-        trace_level=TRACE_OFF,
-    )
+    return flip_common_coin(SystemConfig(n=4, seed=seed), scheduler=FifoScheduler())
 
 
 def test_traced_peak_of_a_coin_per_mw_instance():

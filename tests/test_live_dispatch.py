@@ -21,7 +21,6 @@ from repro.config import SystemConfig
 from repro.net.transport import NetworkNode
 from repro.sim.runtime import Runtime
 from repro.sim.scheduler import FifoScheduler
-from repro.sim.tracing import TRACE_OFF
 
 CONFIG = SystemConfig(n=4, seed=0)
 
@@ -30,7 +29,7 @@ class _SimLeg:
     """Process 1 of a simulated system; ``inject`` is a self-send."""
 
     def __init__(self, scheduler, by_step):
-        self.runtime = Runtime(CONFIG, scheduler=scheduler, trace_level=TRACE_OFF)
+        self.runtime = Runtime(CONFIG, scheduler=scheduler)
         self.host = self.runtime.host(1)
         self.by_step = by_step
 
@@ -54,7 +53,7 @@ class _NetLeg:
 
     def __init__(self):
         self.loop = asyncio.new_event_loop()
-        self.node = NetworkNode(CONFIG, 1, trace_level=TRACE_OFF)
+        self.node = NetworkNode(CONFIG, 1)
         self.loop.run_until_complete(self.node.start_server())
         self.runtime = self.node.runtime
         self.host = self.node.host
@@ -210,7 +209,6 @@ def test_routing_never_raises_and_only_registered_tags_reach_handlers(payloads, 
         rt = Runtime(
             SystemConfig(n=2, t=1, seed=0),
             scheduler=None if heap else FifoScheduler(),
-            trace_level=TRACE_OFF,
         )
         got = []
         for tag in ("ping", "pong"):

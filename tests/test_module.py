@@ -9,6 +9,7 @@ incremental ABA vote validation against the fixpoint.
 from __future__ import annotations
 
 import pytest
+from reference.aba_fixpoint import fixpoint_accepted
 
 from repro.broadcast.manager import BroadcastManager
 from repro.config import SystemConfig
@@ -23,7 +24,6 @@ from repro.sim.module import ProtocolModule, RuntimeABC
 from repro.sim.process import InstanceSlots
 from repro.sim.runtime import Runtime
 from repro.sim.scheduler import FifoScheduler
-from repro.sim.tracing import TRACE_OFF
 from repro.sim.window import StepWindow
 
 
@@ -91,9 +91,7 @@ class TestModuleContract:
 RUNTIMES = {
     "sim": lambda: Runtime(SystemConfig(n=4, seed=0), scheduler=FifoScheduler()),
     # Never started: no sockets, nothing to close.
-    "net": lambda: NetworkNode(
-        SystemConfig(n=4, seed=0), 1, trace_level=TRACE_OFF
-    ).runtime,
+    "net": lambda: NetworkNode(SystemConfig(n=4, seed=0), 1).runtime,
 }
 
 
@@ -343,8 +341,9 @@ class TestSharedCoinGate:
 
 class TestIncrementalRevalidation:
     """The O(n²)-fixpoint replacement accepts the same votes in the same
-    order (TRACE_FULL cross-checks every delivery in the whole suite; this
-    drives the cascade paths directly, votes arriving phases-reversed)."""
+    order (``conftest.aba_fixpoint_armed`` cross-checks every delivery in the
+    whole suite; this drives the cascade paths directly, votes arriving
+    phases-reversed)."""
 
     def make_aba(self, n=4):
         stack = build_stack(SystemConfig(n=n, seed=0), with_vss=False)
@@ -395,7 +394,7 @@ class TestIncrementalRevalidation:
         for origin in (1, 2, 4):
             self.vote(aba, origin, 1, 1, 0)
         state = aba.rounds[1]
-        assert state.accepted == aba._fixpoint_accepted(state)
+        assert state.accepted == fixpoint_accepted(aba.n, aba.t, state.received)
 
 
 class TestSVSSRowMemoization:

@@ -42,7 +42,6 @@ from repro.net.transport import (
     derive_pair_key,
     handshake_mac,
 )
-from repro.sim.tracing import TRACE_OFF
 
 
 SECRET = b"cluster-secret-for-tests"
@@ -67,10 +66,7 @@ def _wire(config, tconfigs, journals=None):
         nodes = {}
         for pid, tconfig in tconfigs.items():
             journal = (journals or {}).get(pid)
-            nodes[pid] = NetworkNode(
-                config, pid, tconfig=tconfig, trace_level=TRACE_OFF,
-                journal=journal,
-            )
+            nodes[pid] = NetworkNode(config, pid, tconfig=tconfig, journal=journal)
             await nodes[pid].start_server()
         book = {pid: ("127.0.0.1", n.port) for pid, n in nodes.items()}
         for node in nodes.values():
@@ -309,7 +305,7 @@ def test_memo_poisoning_by_an_authenticated_peer_changes_nothing():
         odd_bid = (odd_bid,)
 
     async def coin(attacked: bool):
-        cluster = NetCluster(config, trace_level=TRACE_OFF)
+        cluster = NetCluster(config)
         await cluster.start()
         forged_near = 0
         try:
@@ -569,9 +565,7 @@ def test_cold_restart_resumes_seqs_from_journal(tmp_path):
         sent_high = a.peers[2]._next_seq - 1
         await a.close()
 
-        a2 = NetworkNode(
-            config, 1, tconfig=FAST, trace_level=TRACE_OFF, journal=path
-        )
+        a2 = NetworkNode(config, 1, tconfig=FAST, journal=path)
         assert a2.epoch == old_epoch + 1
         await a2.start_server(port)
         a2.set_peers({1: ("127.0.0.1", port), 2: ("127.0.0.1", b.port)})

@@ -22,7 +22,6 @@ from repro.net.cluster import NetCluster, resolve_profile
 from repro.net.transport import TransportConfig
 from repro.errors import ConfigurationError
 from repro.sim.monitor import InvariantMonitor
-from repro.sim.tracing import TRACE_OFF
 
 
 FAST = TransportConfig(
@@ -43,7 +42,6 @@ async def _run_profile(profile: str, inputs, seed: int):
         tconfig=FAST,
         chaos=profile,
         with_vss=False,
-        trace_level=TRACE_OFF,
         monitor=monitor,
     )
     await cluster.start()
@@ -110,7 +108,6 @@ def test_scripted_partition_blocks_quorum_then_heals():
             tconfig=FAST,
             chaos="none",  # clean policies, but proxies exist to script
             with_vss=False,
-            trace_level=TRACE_OFF,
         )
         await cluster.start()
         try:
@@ -172,7 +169,6 @@ def test_restart_node_rejoins_under_chaos(profile, tmp_path):
             tconfig=FAST,
             chaos=profile,
             with_vss=False,
-            trace_level=TRACE_OFF,
             journal_dir=tmp_path,
         )
         await cluster.start()
@@ -216,7 +212,6 @@ def test_split_input_svss_agreement_under_the_armed_monitor(profile):
             SystemConfig(n=4, seed=405),
             tconfig=FAST,
             chaos=profile,
-            trace_level=TRACE_OFF,
             monitor=monitor,
         )
         await cluster.start()

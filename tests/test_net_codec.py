@@ -39,7 +39,6 @@ from repro.net.codec import (
     encode_payload_frame,
     encode_value,
 )
-from repro.sim.tracing import TRACE_OFF
 
 # ---------------------------------------------------------------------------
 # Wire-tuple families: one representative per payload shape the protocol
@@ -319,9 +318,7 @@ def test_fanout_payload_is_encoded_once_per_flush(monkeypatch):
     """PR 7's encode-once property survives aggregation: one ``send_all``
     payload riding n - 1 different envelopes is encoded once, and every
     frame still decodes to exactly what ``encode_value`` would have sent."""
-    node = transport.NetworkNode(
-        SystemConfig(n=4, seed=0), 1, trace_level=TRACE_OFF
-    )
+    node = transport.NetworkNode(SystemConfig(n=4, seed=0), 1)
     runtime = node.runtime
     shared = ("rb", "echo", (1, 2, 3))
     encoded = []

@@ -17,7 +17,6 @@ import pytest
 from repro.config import SystemConfig
 from repro.net.journal import Journal, JournalError, replay_journal
 from repro.net.transport import NetworkNode, TransportConfig
-from repro.sim.tracing import TRACE_OFF
 
 
 FAST = TransportConfig(
@@ -201,9 +200,8 @@ def test_node_rejoins_safely_from_corrupt_journal(tmp_path):
     path = tmp_path / "node-1.journal"
 
     async def main():
-        a = NetworkNode(config, 1, tconfig=FAST, trace_level=TRACE_OFF,
-                        journal=path)
-        b = NetworkNode(config, 2, tconfig=FAST, trace_level=TRACE_OFF)
+        a = NetworkNode(config, 1, tconfig=FAST, journal=path)
+        b = NetworkNode(config, 2, tconfig=FAST)
         got = []
         b.host.register_handler("msg", lambda src, p: got.append(p[1]))
         await a.start_server()
@@ -220,8 +218,7 @@ def test_node_rejoins_safely_from_corrupt_journal(tmp_path):
         data = path.read_bytes()
         path.write_bytes(data[:-3])  # tear the tail
 
-        a2 = NetworkNode(config, 1, tconfig=FAST, trace_level=TRACE_OFF,
-                         journal=path)
+        a2 = NetworkNode(config, 1, tconfig=FAST, journal=path)
         assert a2.epoch > old_epoch
         assert a2.journal.state.replayed > 0
         await a2.start_server(a.port)

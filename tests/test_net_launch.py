@@ -20,7 +20,6 @@ from repro.core.api import DEFAULT_INSTANCE, run_byzantine_agreement
 from repro.net.journal import Journal
 from repro.net.launch import run_processes
 from repro.net.verdict import NetVerdict
-from repro.sim.tracing import TRACE_OFF
 
 
 def _report(pid, decisions=None, coins=None):
@@ -150,9 +149,7 @@ def test_launch_four_processes_agrees_and_matches_sim():
         pid: value for _, pid, value, _ in verdict["decisions"]
     }
 
-    sim = run_byzantine_agreement(
-        inputs, SystemConfig(n=4, seed=seed), trace_level=TRACE_OFF
-    )
+    sim = run_byzantine_agreement(inputs, SystemConfig(n=4, seed=seed))
     assert sim.agreed
     assert net_decisions == {pid: sim.decision for pid in (1, 2, 3, 4)}
 

@@ -27,7 +27,6 @@ from repro.net.transport import (
 )
 from repro.sim.module import HostABC
 from repro.sim.monitor import InvariantMonitor
-from repro.sim.tracing import TRACE_OFF
 
 
 FAST = TransportConfig(
@@ -45,8 +44,8 @@ def _pair(config, tconfig=FAST):
     """Two started nodes wired to each other directly (no chaos)."""
 
     async def build():
-        a = NetworkNode(config, 1, tconfig=tconfig, trace_level=TRACE_OFF)
-        b = NetworkNode(config, 2, tconfig=tconfig, trace_level=TRACE_OFF)
+        a = NetworkNode(config, 1, tconfig=tconfig)
+        b = NetworkNode(config, 2, tconfig=tconfig)
         await a.start_server()
         await b.start_server()
         book = {1: ("127.0.0.1", a.port), 2: ("127.0.0.1", b.port)}
@@ -72,7 +71,7 @@ def test_processhost_satisfies_hostabc(cfg4):
 
 def test_networkhost_satisfies_hostabc(cfg4):
     async def main():
-        node = NetworkNode(cfg4, 1, trace_level=TRACE_OFF)
+        node = NetworkNode(cfg4, 1)
         assert isinstance(node.host, HostABC)
         assert isinstance(node.host, NetworkHost)
         # The runtime surface modules consume must exist and be sane.
@@ -110,7 +109,7 @@ def test_self_sends_loop_back_without_a_socket():
     config = SystemConfig(n=2, t=0, seed=1)
 
     async def main():
-        a = NetworkNode(config, 1, tconfig=FAST, trace_level=TRACE_OFF)
+        a = NetworkNode(config, 1, tconfig=FAST)
         await a.start_server()
         got = []
         a.host.register_handler("m", lambda src, msg: got.append((src, msg)))
@@ -166,7 +165,7 @@ def test_unreachable_peer_goes_down_with_counted_ring_drops():
     )
 
     async def main():
-        a = NetworkNode(config, 1, tconfig=tconfig, trace_level=TRACE_OFF)
+        a = NetworkNode(config, 1, tconfig=tconfig)
         await a.start_server()
         # Peer 2's address is a port nothing listens on.
         dead = ("127.0.0.1", 1)
@@ -216,7 +215,7 @@ def test_backpressure_gate_blocks_pump_until_peer_goes_down():
         sink = await asyncio.start_server(swallow, "127.0.0.1", 0)
         sink_port = sink.sockets[0].getsockname()[1]
 
-        a = NetworkNode(config, 1, tconfig=tconfig, trace_level=TRACE_OFF)
+        a = NetworkNode(config, 1, tconfig=tconfig)
         await a.start_server()
         a.set_peers({1: ("127.0.0.1", a.port), 2: ("127.0.0.1", sink_port)})
         a.start_peers()
@@ -431,7 +430,7 @@ def test_full_svss_coin_flip_over_sockets(cfg4):
     message (172.8 k before aggregation reached this transport)."""
 
     async def main():
-        cluster = NetCluster(cfg4, trace_level=TRACE_OFF)
+        cluster = NetCluster(cfg4)
         await cluster.start()
         try:
             outputs = await cluster.flip_coin(session=0, timeout=120)
@@ -465,7 +464,7 @@ def test_flush_chunks_envelopes_to_the_frame_limit(cfg4):
 
     async def main():
         tconfig = TransportConfig(max_frame_body=4096)
-        cluster = NetCluster(cfg4, tconfig=tconfig, trace_level=TRACE_OFF)
+        cluster = NetCluster(cfg4, tconfig=tconfig)
         await cluster.start()
         emitted = []  # wire payloads the flushes handed to remote links
         for node in cluster.nodes.values():
@@ -528,11 +527,8 @@ def test_envelopes_are_exactly_once_across_a_transport_restart(tmp_path):
     config = SystemConfig(n=2, t=0, seed=9)
 
     async def main():
-        a = NetworkNode(config, 1, tconfig=FAST, trace_level=TRACE_OFF)
-        b = NetworkNode(
-            config, 2, tconfig=FAST, trace_level=TRACE_OFF,
-            journal=tmp_path / "b.journal",
-        )
+        a = NetworkNode(config, 1, tconfig=FAST)
+        b = NetworkNode(config, 2, tconfig=FAST, journal=tmp_path / "b.journal")
         await a.start_server()
         await b.start_server()
         book = {1: ("127.0.0.1", a.port), 2: ("127.0.0.1", b.port)}
@@ -571,7 +567,7 @@ def test_transport_restart_in_the_middle_of_a_coin(cfg4, tmp_path):
     are retransmitted whole, and all n processes still output."""
 
     async def main():
-        cluster = NetCluster(cfg4, trace_level=TRACE_OFF, journal_dir=tmp_path)
+        cluster = NetCluster(cfg4, journal_dir=tmp_path)
         await cluster.start()
         try:
             flip = asyncio.ensure_future(cluster.flip_coin(session=0, timeout=90))

@@ -42,7 +42,6 @@ from repro.adversary.controller import crash_recovery_adversary
 from repro.core.api import build_stack, make_coins
 from repro.sim.monitor import InvariantMonitor
 from repro.sim.scheduler import FifoScheduler, UniformDelayScheduler
-from repro.sim.tracing import TRACE_COUNTS
 
 GOLDEN = Path(__file__).parent / "golden" / "retire_equiv.json"
 
@@ -93,11 +92,7 @@ STAGGERED_CASES = {
 }
 
 def coin_record(n: int, seed: int) -> dict:
-    result, _ = flip_common_coin(
-        SystemConfig(n=n, seed=seed),
-        scheduler=FifoScheduler(),
-        trace_level=TRACE_COUNTS,
-    )
+    result, _ = flip_common_coin(SystemConfig(n=n, seed=seed), scheduler=FifoScheduler())
     return {
         "outputs": result.outputs,
         "events_dispatched": result.events_dispatched,
@@ -135,7 +130,6 @@ def byzantine_record(seed: int, monitor=None) -> dict:
         coin="svss",
         adversary=adversary,
         scheduler=UniformDelayScheduler(Random(seed)),
-        trace_level=TRACE_COUNTS,
         monitor=monitor,
     )
     record = agreement_record(result)
@@ -151,7 +145,6 @@ def recovery_record(
         SystemConfig(n=4, seed=seed),
         coin="svss",
         adversary=crash_recovery_adversary([victim], phases=phases, downtime=downtime),
-        trace_level=TRACE_COUNTS,
         monitor=monitor,
     )
     return agreement_record(result)
@@ -163,7 +156,6 @@ def staggered_coin(n: int, seed: int, waves: tuple, in_step: bool = True):
     stack = build_stack(
         SystemConfig(n=n, seed=seed),
         scheduler=UniformDelayScheduler(Random(seed)),
-        trace_level=TRACE_COUNTS,
     )
     coins = make_coins(stack, "svss")
     runtime = stack.runtime

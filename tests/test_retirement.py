@@ -19,7 +19,6 @@ from repro.core.api import build_stack, make_coins
 from repro.poly.bivariate import BivariatePolynomial
 from repro.poly.univariate import Polynomial
 from repro.sim.scheduler import FifoScheduler
-from repro.sim.tracing import TRACE_OFF
 
 #: Retained bytes per height the test tolerates: what is measured (1.68 MB;
 #: 1.91 before the DMM's per-session ledgers, 20.4 before retirement — see
@@ -43,11 +42,7 @@ def working_state(inst) -> dict:
 
 
 def beacon_stack(seed: int = 5):
-    stack = build_stack(
-        SystemConfig(n=4, seed=seed),
-        scheduler=FifoScheduler(),
-        trace_level=TRACE_OFF,
-    )
+    stack = build_stack(SystemConfig(n=4, seed=seed), scheduler=FifoScheduler())
     return stack, make_coins(stack, "svss")
 
 
@@ -209,7 +204,6 @@ def test_slow_dealer_is_released_and_its_late_children_are_the_known_gap():
     result, stack = flip_common_coin(
         SystemConfig(n=4, seed=1),
         scheduler=TargetedDelayScheduler(FifoScheduler(), {4}, 50.0),
-        trace_level=TRACE_OFF,
     )
     assert set(result.outputs) == {1, 2, 3, 4} and len(set(result.outputs.values())) == 1
     stack.runtime.run_to_quiescence()

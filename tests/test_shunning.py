@@ -20,7 +20,6 @@ from repro.core.dmm import DELAY
 from repro.core.manager import CallbackWatcher
 from repro.core.sessions import mw_session
 from repro.sim.scheduler import FifoScheduler
-from repro.sim.tracing import TRACE_OFF
 
 
 def run_sequential_mw_sessions(stack, cfg, dealer, moderator, secrets):
@@ -158,7 +157,6 @@ def quiescent_coin(n, seed, adversary=None):
         SystemConfig(n=n, seed=seed),
         adversary=adversary,
         scheduler=FifoScheduler(),
-        trace_level=TRACE_OFF,
     )
     stack.runtime.run_to_quiescence()
     return stack

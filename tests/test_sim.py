@@ -508,5 +508,6 @@ class TestTracing:
         trace.record_send("x")
         s = trace.summary()
         assert s["total_messages"] == 1
-        assert "shun_pairs" in s and "events_dispatched" in s
-        assert "bytes" not in s and "total_bytes" not in s
+        # Messages and shuns only: events are a run counter (``RunCounters``),
+        # bytes are the codec's.
+        assert set(s) == {"messages", "total_messages", "shun_events", "shun_pairs"}
