@@ -348,8 +348,8 @@ class VSSManager(ProtocolModule):
         * **instance lookup** — the group's :class:`GroupLane` columns
           give O(1) slot access without rebuilding per-slot sid tuples;
         * **value decoding** — ``mon``/``mod``/``rows`` bodies are batch
-          interpolated through the lane's row fast path (bit-identical to
-          the per-slot interpolation; see GroupLane).
+          decoded over one cached basis (bit-identical to the per-slot
+          decode; see GroupLane).
 
         Per-slot degradation is preserved: malformed entries, delayed and
         discarded slots, and crash/recovery mid-vector affect only the

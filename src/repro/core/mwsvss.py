@@ -23,6 +23,11 @@ reliable broadcast (``("vss", sid, kind, body)``):
 * ``"M"``   — step 6, the moderator's frozen monitor set ``M``.
 * ``"ok"``  — step 7, the dealer's go-ahead.
 * ``"rv"``  — reconstruct step 1, batched values ``((monitor, value), ...)``.
+
+A received polynomial is only ever evaluated, and only at points of
+``{0..n}``: the monitor's ``f̂_j`` and the moderator's ``f̂`` are kept as
+value rows ``f(0..n)`` (:func:`value_rows`), computed once at receipt and
+indexed by steps 3-5; R' step 4 reads ``f̄(0)`` off the verified points.
 """
 
 from __future__ import annotations
@@ -31,13 +36,9 @@ from typing import TYPE_CHECKING
 
 from repro.core.sessions import mw_dealer, mw_moderator
 from repro.errors import ProtocolError
-from repro.poly.fastpath import (
-    evaluate_rows,
-    interpolate_values,
-    interpolate_values_rows,
-    lagrange_basis,
-)
-from repro.poly.univariate import Polynomial, interpolate_degree_t
+from repro.field.gf import Field
+from repro.poly.fastpath import evaluate_rows, interpolate_values_rows, lagrange_basis
+from repro.poly.univariate import Polynomial, interpolate_degree_t_at_zero
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.manager import VSSManager
@@ -58,6 +59,17 @@ class _Bottom:
 
 
 BOTTOM = _Bottom()
+
+
+def value_rows(field: Field, n: int, t: int, bodies: list) -> list[tuple[int, ...]]:
+    """``f(0..n)`` of every degree-``t`` polynomial given by its values
+    ``f(1..t+1)`` (a ``"mon"``/``"mod"`` body): one cached evaluation-row
+    dot product per point, no coefficient vector.  Tuples, not lists: one
+    allocation per row, and a coin holds one row per MW-SVSS instance
+    through its share phase."""
+    evaluate = lagrange_basis(field, range(1, t + 2)).evaluate_many_at
+    points = range(n + 1)
+    return [tuple(evaluate(body, points)) for body in bodies]
 
 
 class MWSVSSInstance:
@@ -92,7 +104,7 @@ class MWSVSSInstance:
         "dealer",
         "moderator",
         "share_vector",
-        "monitor_poly",
+        "monitor_row",
         "_step2_done",
         "confirm_values",
         "_early_confirms",
@@ -100,7 +112,7 @@ class MWSVSSInstance:
         "L",
         "L_frozen",
         "_deal_suppressed",
-        "moderator_poly",
+        "moderator_row",
         "moderator_expected",
         "moderator_shares",
         "M",
@@ -133,7 +145,8 @@ class MWSVSSInstance:
 
         # step 1-2 inputs
         self.share_vector: tuple[int, ...] | None = None  # (f̂^j_1 .. f̂^j_n)
-        self.monitor_poly: Polynomial | None = None  # f̂_j
+        #: f̂_j(0..n) from receipt until L_j freezes (step 4 drops it)
+        self.monitor_row: tuple[int, ...] | None = None
         self._step2_done = False
 
         # step 3-4 (monitor bookkeeping)
@@ -150,7 +163,8 @@ class MWSVSSInstance:
 
         # moderator state (the two containers exist only at the moderator)
         is_moderator = self.pid == self.moderator
-        self.moderator_poly: Polynomial | None = None  # f̂ from the dealer
+        #: f̂(0..n) from the dealer, until M freezes (step 6 drops it)
+        self.moderator_row: tuple[int, ...] | None = None
         self.moderator_expected: int | None = None  # s' (set via moderate())
         self.moderator_shares: dict[int, int] | None = (
             {} if is_moderator else None
@@ -195,16 +209,16 @@ class MWSVSSInstance:
         field = self.field
         rng = self.manager.config.derive_rng("mw-deal", self.sid)
         f = Polynomial.random(field, self.t, rng, constant_term=secret)
+        pids = list(range(1, self.n + 1))
         sub = [
-            Polynomial.random(field, self.t, rng, constant_term=f(l))
-            for l in range(1, self.n + 1)
+            Polynomial.random(field, self.t, rng, constant_term=f_l)
+            for f_l in f.evaluate_many(pids)
         ]
         self._deal_polys = [f] + sub
 
         mgr = self.manager
         corrupt_values = mgr.host.deviation("corrupt_mw_share_values")
         eval_points = list(range(1, self.t + 2))
-        pids = list(range(1, self.n + 1))
         # One batched multi-point pass over all n sub-polynomials (shared
         # power tables, one deferred reduction per cell);
         # rows[l-1][j-1] == f_l(j).
@@ -251,9 +265,9 @@ class MWSVSSInstance:
         if self.released:
             return
         self.released = True
-        self.share_vector = self.monitor_poly = None
+        self.share_vector = self.monitor_row = None
         self.confirm_values = self._early_confirms = None
-        self.moderator_poly = self.moderator_expected = None
+        self.moderator_row = self.moderator_expected = None
         self.moderator_shares = self.M = None
         self.L_hat = self._deal_polys = None
         self.rv_batches = self._rv_dirty = self.K = self.f_bar = None
@@ -262,11 +276,11 @@ class MWSVSSInstance:
     # ------------------------------------------------------------------
     # message handling (post-DMM)
     # ------------------------------------------------------------------
-    def handle(self, src: int, kind: str, body: object, poly: object = None) -> None:
+    def handle(self, src: int, kind: str, body: object, decoded: object = None) -> None:
         if self.released:
             return
-        # ``poly`` is an optional pre-decoded form of the body supplied by
-        # the batched ingestion path: a pre-interpolated polynomial for
+        # ``decoded`` is an optional pre-decoded form of the body supplied
+        # by the batched ingestion path: the value row ``f(0..n)`` for
         # ``mon``/``mod`` (GroupLane batch decode), the pre-parsed batch
         # dict for ``rv``.  Handlers fall back to per-message decoding
         # when it is absent.
@@ -279,15 +293,15 @@ class MWSVSSInstance:
         elif kind == "L":
             self._on_l_set(src, body)
         elif kind == "rv":
-            self._on_reconstruct_values(src, body, poly)
+            self._on_reconstruct_values(src, body, decoded)
         elif kind == "ms":
             self._on_moderator_share(src, body)
         elif kind == "shl":
             self._on_share_vector(src, body)
         elif kind == "mon":
-            self._on_monitor_poly(src, body, poly)
+            self._on_monitor_poly(src, body, decoded)
         elif kind == "mod":
-            self._on_moderator_poly(src, body, poly)
+            self._on_moderator_poly(src, body, decoded)
         elif kind == "M":
             self._on_m_set(src, body)
         elif kind == "ok":
@@ -302,15 +316,14 @@ class MWSVSSInstance:
         self.share_vector = tuple(body)
         self._maybe_step2()
 
-    def _on_monitor_poly(self, src: int, body: object, poly: object = None) -> None:
-        if src != self.dealer or self.monitor_poly is not None:
+    def _on_monitor_poly(self, src: int, body: object, row: tuple | None = None) -> None:
+        # A frozen L_j means f̂_j arrived and was dropped: still a duplicate.
+        if src != self.dealer or self.monitor_row is not None or self.L_frozen:
             return
         if not self.manager.is_value_tuple(body, self.t + 1):
             return
-        self.monitor_poly = (
-            poly
-            if poly is not None
-            else interpolate_values(self.field, range(1, self.t + 2), body)
+        self.monitor_row = (
+            row if row is not None else value_rows(self.field, self.n, self.t, [body])[0]
         )
         self._maybe_step2()
         for l in self._early_confirms:
@@ -318,8 +331,10 @@ class MWSVSSInstance:
 
     def _maybe_step2(self) -> None:
         """Step 2: confirm privately to every monitor and ack publicly."""
-        if self._step2_done or self.share_vector is None or self.monitor_poly is None:
+        if self._step2_done or self.share_vector is None:
             return
+        if self.monitor_row is None and not self.L_frozen:
+            return  # f̂_j not received yet
         self._step2_done = True
         mgr = self.manager
         corrupt = mgr.host.deviation("corrupt_mw_confirm_value")
@@ -334,10 +349,10 @@ class MWSVSSInstance:
         if not self.field.is_element(body) or self.confirm_values[src] is not None:
             return
         self.confirm_values[src] = body
-        if self.monitor_poly is None:
-            self._early_confirms += (src,)
-        elif not self.L_frozen:
+        if self.monitor_row is not None:
             self._maybe_step3(src)
+        elif not self.L_frozen:
+            self._early_confirms += (src,)
 
     def _on_ack(self, src: int) -> None:
         # The hottest handler (one call per party per session per party):
@@ -347,7 +362,7 @@ class MWSVSSInstance:
         if self.acks & bit:
             return
         self.acks |= bit
-        if not self.L_frozen and self.monitor_poly is not None:
+        if self.monitor_row is not None:
             self._maybe_step3(src)
         if self.pid == self.moderator and not self.M_frozen:
             self._recheck_moderator()
@@ -361,15 +376,17 @@ class MWSVSSInstance:
 
         Additions stop once ``L_j`` is frozen by its broadcast (step 4) —
         the reconstruct duty map is derived from the broadcast sets, so
-        later additions could never be cleared.
+        later additions could never be cleared.  The freeze drops
+        ``monitor_row``, so one ``None`` test covers both.
         """
-        if self.L_frozen or self.monitor_poly is None:
+        row = self.monitor_row
+        if row is None:
             return
         bit = 1 << l
         confirmed = self.confirm_values[l]
         if self.L & bit or confirmed is None or not self.acks & bit:
             return
-        expected = self.monitor_poly(l)
+        expected = row[l]
         if confirmed != expected:
             return
         self.L |= bit
@@ -379,23 +396,26 @@ class MWSVSSInstance:
             self._freeze_l()
 
     def _freeze_l(self) -> None:
-        """Step 4: broadcast ``L_j`` and send ``f̂_j(0)`` to the moderator."""
+        """Step 4: broadcast ``L_j`` and send ``f̂_j(0)`` to the moderator;
+        step 3 is over, so ``f̂_j`` is dropped."""
         self.L_frozen = True
+        free_term = self.monitor_row[0]
+        self.monitor_row = None
         manager = self.manager
         manager.rb_broadcast(self.sid, "L", manager.pids_of(self.L))
-        manager.send_value(self.moderator, self.sid, "ms", self.monitor_poly(0))
+        manager.send_value(self.moderator, self.sid, "ms", free_term)
 
     # -- moderator ---------------------------------------------------------
-    def _on_moderator_poly(self, src: int, body: object, poly: object = None) -> None:
+    def _on_moderator_poly(self, src: int, body: object, row: tuple | None = None) -> None:
         if src != self.dealer or self.pid != self.moderator:
             return
-        manager = self.manager
-        if self.moderator_poly is not None or not manager.is_value_tuple(body, self.t + 1):
+        # A frozen M means f̂ arrived and was dropped: still a duplicate.
+        if self.moderator_row is not None or self.M_frozen:
             return
-        self.moderator_poly = (
-            poly
-            if poly is not None
-            else interpolate_values(self.field, range(1, self.t + 2), body)
+        if not self.manager.is_value_tuple(body, self.t + 1):
+            return
+        self.moderator_row = (
+            row if row is not None else value_rows(self.field, self.n, self.t, [body])[0]
         )
         self._recheck_moderator()
 
@@ -411,9 +431,10 @@ class MWSVSSInstance:
         """Step 5: admit monitors whose data matches ``f̂`` and ``s'``."""
         if self.pid != self.moderator or self.M_frozen:
             return
-        if self.moderator_poly is None or self.moderator_expected is None:
+        row = self.moderator_row
+        if row is None or self.moderator_expected is None:
             return
-        if self.moderator_poly(0) != self.moderator_expected:
+        if row[0] != self.moderator_expected:
             return  # dealer's f disagrees with s' — never admit anyone
         candidates = [only] if only is not None else list(self.moderator_shares)
         for j in candidates:
@@ -422,7 +443,7 @@ class MWSVSSInstance:
             l_hat = self.L_hat[j]
             if not l_hat or l_hat & ~self.acks:
                 continue
-            if self.moderator_shares[j] != self.moderator_poly(j):
+            if self.moderator_shares[j] != row[j]:
                 continue
             self.M.add(j)
             if len(self.M) >= self.n - self.t:
@@ -430,8 +451,10 @@ class MWSVSSInstance:
                 break
 
     def _freeze_m(self) -> None:
-        """Step 6: broadcast the frozen monitor set ``M``."""
+        """Step 6: broadcast the frozen monitor set ``M``; step 5 is over,
+        so ``f̂`` is dropped."""
         self.M_frozen = True
+        self.moderator_row = None
         m_set = tuple(sorted(self.M))
         corrupt = self.manager.host.deviation("corrupt_mw_M")
         if corrupt is not None:
@@ -636,8 +659,8 @@ class MWSVSSInstance:
         if self.M_hat is None or any(l not in self.f_bar for l in self.M_hat):
             return
         points = [(l, self.f_bar[l]) for l in sorted(self.M_hat)]
-        f_bar = interpolate_degree_t(self.field, points, self.t)
-        self.output = f_bar(0) if f_bar is not None else BOTTOM
+        value = interpolate_degree_t_at_zero(self.field, points, self.t)
+        self.output = value if value is not None else BOTTOM
         self.manager.notify_mw_output(self.sid, self.output)
         self.release()
 
@@ -655,15 +678,16 @@ class GroupLane:
     share path and by vector ingestion land in the same lane).
 
     The lane also hosts the *batch decode* pre-passes: for vectors whose
-    bodies are polynomial value rows (``mon``/``mod``/``rows``), all
-    well-shaped bodies are interpolated in one ``interpolate_values_rows``
-    call — bit-identical per row to the per-slot ``interpolate_values``
-    (same node set, same cached basis) — and the per-slot handlers receive
-    the precomputed polynomial.  The pre-passes are *pure*: they validate
+    bodies are polynomial values on ``1..t+1`` (``mon``/``mod``/``rows``),
+    all well-shaped bodies are decoded in one call over one cached basis —
+    ``mon``/``mod`` into the value rows ``f(0..n)`` of :func:`value_rows`,
+    SVSS ``rows`` into polynomials by ``interpolate_values_rows`` — each
+    bit-identical to the per-slot decode, and the per-slot handlers
+    receive the precomputed form.  The pre-passes are *pure*: they validate
     with exactly the handlers' shape checks, never mutate instance state,
     and return ``None`` (per-slot decode) for senders that cannot pass the
     handlers' origin guards or for vectors with duplicate slots, so a
-    handler that rejects a body never sees a poly it would not have
+    handler that rejects a body never sees a decode it would not have
     computed itself.
     """
 
@@ -675,7 +699,8 @@ class GroupLane:
         self.columns: dict[int, object] = {}
 
     def monitor_polys(self, manager, src: int, kind: str, items: list) -> dict | None:
-        """Batch-interpolate ``mon``/``mod`` bodies (values on 1..t+1)."""
+        """Batch-decode ``mon``/``mod`` bodies (values on 1..t+1) into value
+        rows ``f(0..n)``."""
         group = self.group
         if src != group[3]:
             return None  # handlers only accept these from the dealer
@@ -696,8 +721,7 @@ class GroupLane:
                 rows.append(body)
         if len(rows) < 2 or len(set(slots)) != len(slots):
             return None
-        polys = interpolate_values_rows(field, range(1, length + 1), rows)
-        return dict(zip(slots, polys))
+        return dict(zip(slots, value_rows(field, manager.n, manager.t, rows)))
 
     def row_polys(self, manager, src: int, items: list) -> dict | None:
         """Batch-interpolate SVSS ``rows`` bodies (g-row and h-row pairs)."""

@@ -1,9 +1,9 @@
 """Polynomial substrate: univariate + bivariate polynomials over GF(p).
 
 :mod:`repro.poly.fastpath` supplies the shared algebra fast path — cached
-barycentric Lagrange bases, Montgomery batch inversion, and power-table
-multi-point evaluation.  Protocol code interpolates exclusively through
-this package so no Lagrange basis is ever constructed ad hoc.
+Lagrange bases with their evaluation rows, Montgomery batch inversion, and
+power-table multi-point evaluation.  Protocol code interpolates exclusively
+through this package so no Lagrange basis is ever constructed ad hoc.
 """
 
 from repro.poly.bivariate import BivariatePolynomial, masking_polynomial
@@ -17,6 +17,7 @@ from repro.poly.univariate import (
     Polynomial,
     interpolate_at_zero,
     interpolate_degree_t,
+    interpolate_degree_t_at_zero,
     lagrange_interpolate,
 )
 
@@ -27,6 +28,7 @@ __all__ = [
     "batch_inverse",
     "interpolate_at_zero",
     "interpolate_degree_t",
+    "interpolate_degree_t_at_zero",
     "interpolate_values",
     "lagrange_basis",
     "lagrange_interpolate",

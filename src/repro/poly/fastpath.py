@@ -1,27 +1,34 @@
-"""Algebra fast path: cached barycentric interpolation and batch inversion.
+"""Algebra fast path: cached Lagrange bases, evaluation rows, batch inversion.
 
 Every share/reconstruct step of the protocol stack interpolates univariate
 polynomials over the *same few node sets* — the dealer grid ``{1..t+1}``
-and subsets of the process ids ``{1..n}``.  The seed implementation rebuilt
-a full Lagrange basis (with one Fermat inversion per node) on every call;
+and subsets of the process ids ``{1..n}`` — and evaluates the interpolants
+at the *same few points*, ``{0..n}``.  The seed implementation rebuilt a
+full Lagrange basis (with one Fermat inversion per node) on every call;
 this module makes the basis a cached object so the per-call cost drops to a
-plain matrix–vector product with no modular exponentiations at all.
+plain matrix–vector or dot product with no modular exponentiations at all.
 
-Barycentric form
-----------------
-For distinct nodes ``x_1 .. x_m`` define the *barycentric weights*
+Basis rows and evaluation rows
+------------------------------
+For distinct nodes ``x_1 .. x_m`` define the weights
 
-    w_i = 1 / prod_{j != i} (x_i - x_j).
+    w_i = 1 / prod_{j != i} (x_i - x_j)
 
-The unique polynomial of degree ``< m`` through ``(x_i, y_i)`` evaluates at
-any non-node ``x`` as the second barycentric formula
+and the basis polynomials ``lambda_i(x) = w_i * N(x) / (x - x_i)`` with
+``N(x) = prod_j (x - x_j)``; ``lambda_i`` is 1 at ``x_i`` and 0 at every
+other node.  The interpolant through ``(x_i, y_i)`` is
+``sum_i y_i * lambda_i``, so
 
-    f(x) = [ sum_i  w_i / (x - x_i) * y_i ]  /  [ sum_i  w_i / (x - x_i) ],
+* its coefficient vector is the values times the *basis rows* (the
+  coefficients of every ``lambda_i``), and
+* its value at a point ``x`` is the values' dot product with the
+  *evaluation row* ``(lambda_1(x), ..., lambda_m(x))``.
 
-and its coefficient vector is ``sum_i y_i * lambda_i`` where
-``lambda_i(x) = w_i * N(x) / (x - x_i)`` with ``N(x) = prod_j (x - x_j)``.
-Both the weights and the ``lambda_i`` coefficient rows depend only on the
-node set, never on the values — they are the cached objects.
+Both depend only on the node set (and the point), never on the values —
+they are the cached objects.  The weights cost the basis its one batch
+inversion at construction; an evaluation row is read off the basis rows
+through ``x``'s power chain, so evaluating, verifying points and reading
+``f(0)`` never invert.
 
 Cache-key design
 ----------------
@@ -31,10 +38,13 @@ prime alone, so two distinct ``Field`` instances with the same modulus share
 cache entries (the protocol stack builds one ``Field`` per config, but they
 all wrap the same prime).  Node sets in this stack are always subsets of
 ``{0..n}``, so the working set is tiny and an LRU bound is a formality.
+Evaluation rows are memoised on their basis, keyed by the canonical point,
+up to :data:`EVAL_ROW_CACHE` per basis.
 
-All inversions go through :func:`batch_inverse` (Montgomery's trick): a
-batch of ``k`` elements costs ``3(k-1)`` multiplications plus a *single*
-modular exponentiation, instead of ``k`` exponentiations.
+The one inversion of a basis goes through :func:`batch_inverse`
+(Montgomery's trick): a batch of ``k`` elements costs ``3(k-1)``
+multiplications plus a *single* modular exponentiation, instead of ``k``
+exponentiations.
 
 Backend dispatch
 ----------------
@@ -53,6 +63,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
+from operator import mul
 
 from repro.errors import FieldError, PolynomialError
 from repro.field import backend as _backend
@@ -202,17 +213,23 @@ def evaluate_rows(
     return out
 
 
+#: Evaluation rows one basis keeps.  The protocol evaluates only at points
+#: of ``{0..n}``; a row past the bound is computed and not kept.
+EVAL_ROW_CACHE = 64
+
+
 class LagrangeBasis:
     """Precomputed interpolation data for one node set.
 
     Construct via :func:`lagrange_basis` (which canonicalises, validates,
     and caches); direct construction assumes ``xs`` are distinct canonical
-    elements.  The weights are computed eagerly (one batch inversion); the
-    coefficient rows of the basis polynomials are computed lazily on first
-    use and memoised on the instance.
+    elements.  The weights are computed eagerly (one batch inversion, the
+    only one the basis ever makes); the coefficient rows of the basis
+    polynomials and the evaluation rows are computed lazily on first use
+    and memoised on the instance.
     """
 
-    __slots__ = ("field", "xs", "weights", "_index", "_rows", "_zero_row")
+    __slots__ = ("field", "xs", "weights", "_rows", "_eval_rows")
 
     def __init__(self, field: Field, xs: tuple[int, ...]):
         self.field = field
@@ -226,9 +243,8 @@ class LagrangeBasis:
                     d = d * (x_i - x_j) % prime
             denoms.append(d)
         self.weights = tuple(batch_inverse(field, denoms))
-        self._index = {x: i for i, x in enumerate(xs)}
         self._rows: tuple[tuple[int, ...], ...] | None = None
-        self._zero_row: tuple[int, ...] | None = None
+        self._eval_rows: dict[int, tuple[int, ...]] = {}
 
     def __len__(self) -> int:
         return len(self.xs)
@@ -269,14 +285,30 @@ class LagrangeBasis:
             rows = self._rows = tuple(built)
         return rows
 
-    @property
-    def zero_row(self) -> tuple[int, ...]:
-        """``(lambda_0(0), ..., lambda_{m-1}(0))`` — reconstruction at 0 is
-        the dot product of this row with the values."""
-        row = self._zero_row
+    def evaluation_row(self, x: int) -> tuple[int, ...]:
+        """``(lambda_0(x), ..., lambda_{m-1}(x))`` for a canonical ``x``: the
+        interpolant's value at ``x`` is this row's dot product with the
+        values (a unit row when ``x`` is a node).
+
+        Read off :attr:`basis_rows` through ``x``'s cached power chain — no
+        inversion — and memoised for up to :data:`EVAL_ROW_CACHE` points.
+        """
+        row = self._eval_rows.get(x)
         if row is None:
-            row = self._zero_row = tuple(r[0] for r in self.basis_rows)
+            prime = self.field.prime
+            powers = power_table(self.field, x).up_to(len(self.xs))
+            row = tuple(
+                sum(map(mul, coeffs, powers)) % prime for coeffs in self.basis_rows
+            )
+            if len(self._eval_rows) < EVAL_ROW_CACHE:
+                self._eval_rows[x] = row
         return row
+
+    def _check_values(self, ys: Sequence[int]) -> None:
+        if len(ys) != len(self.xs):
+            raise PolynomialError(
+                f"expected {len(self.xs)} values, got {len(ys)}"
+            )
 
     # -- operations ---------------------------------------------------------
     def interpolate_coeffs(self, ys: Sequence[int]) -> list[int]:
@@ -285,10 +317,7 @@ class LagrangeBasis:
         A pure matrix–vector product over the cached rows: no inversions,
         one deferred reduction per output coefficient.
         """
-        if len(ys) != len(self.xs):
-            raise PolynomialError(
-                f"expected {len(self.xs)} values, got {len(ys)}"
-            )
+        self._check_values(ys)
         prime = self.field.prime
         m = len(self.xs)
         out = [0] * m
@@ -328,83 +357,31 @@ class LagrangeBasis:
         return [self.interpolate_coeffs(ys) for ys in ys_rows]
 
     def evaluate(self, ys: Sequence[int], x: int) -> int:
-        """Evaluate the interpolant at ``x`` via the barycentric form,
-        without materialising coefficients."""
-        return self.evaluate_many_at(ys, (x,))[0]
+        """Evaluate the interpolant at ``x`` without materialising
+        coefficients: one dot product with the evaluation row."""
+        self._check_values(ys)
+        prime = self.field.prime
+        return sum(map(mul, ys, self.evaluation_row(x % prime))) % prime
 
     def evaluate_at_zero(self, ys: Sequence[int]) -> int:
         """The interpolant's value at 0 as a single dot product."""
-        if len(ys) != len(self.xs):
-            raise PolynomialError(
-                f"expected {len(self.xs)} values, got {len(ys)}"
-            )
-        prime = self.field.prime
-        total = 0
-        for y, c in zip(ys, self.zero_row):
-            total += y * c
-        return total % prime
+        return self.evaluate(ys, 0)
 
     def evaluate_many_at(self, ys: Sequence[int], points: Sequence[int]) -> list[int]:
-        """Barycentric evaluation at every point, batching all inversions.
-
-        All ``(x - x_i)`` differences across all points go through one
-        batch inversion, and the per-point denominators through a second —
-        two modular exponentiations total regardless of ``len(points)``.
-        """
-        if len(ys) != len(self.xs):
-            raise PolynomialError(
-                f"expected {len(self.xs)} values, got {len(ys)}"
-            )
+        """The interpolant's value at every point: one dot product with the
+        cached evaluation row per point, no inversion."""
+        self._check_values(ys)
         prime = self.field.prime
-        index = self._index
-        off_node: list[int] = []  # flat (x - x_i) diffs for off-node points
-        plan: list[tuple[int, int]] = []  # (kind, payload) per point
-        for x in points:
-            x %= prime
-            i = index.get(x)
-            if i is not None:
-                plan.append((0, i))
-            else:
-                plan.append((1, x))
-                for x_i in self.xs:
-                    off_node.append(x - x_i)
-        invs = batch_inverse(self.field, off_node)
-        weights = self.weights
-        numerators: list[int] = []
-        denominators: list[int] = []
-        pos = 0
-        m = len(self.xs)
-        for kind, _ in plan:
-            if kind == 0:
-                continue
-            num = 0
-            den = 0
-            for w, y, inv in zip(weights, ys, invs[pos : pos + m]):
-                coeff = w * inv % prime
-                num += coeff * y
-                den += coeff
-            pos += m
-            numerators.append(num % prime)
-            denominators.append(den % prime)
-        den_invs = batch_inverse(self.field, denominators)
-        out: list[int] = []
-        k = 0
-        for kind, payload in plan:
-            if kind == 0:
-                out.append(ys[payload] % prime)
-            else:
-                out.append(numerators[k] * den_invs[k] % prime)
-                k += 1
-        return out
+        row = self.evaluation_row
+        return [sum(map(mul, ys, row(x % prime))) % prime for x in points]
 
     def verify_points(
         self, ys: Sequence[int], points: Sequence[tuple[int, int]]
     ) -> bool:
         """True iff every ``(x, y)`` of ``points`` lies on the interpolant.
 
-        The check runs in the barycentric form — no coefficient vector is
-        ever materialised, so a failed verification costs two ``pow`` calls
-        for the whole batch instead of a full interpolation.
+        One evaluation-row dot product per point — no coefficient vector
+        is materialised and nothing is inverted.
         """
         if not points:
             return True

@@ -152,7 +152,7 @@ def lagrange_interpolate(
     """The unique polynomial of degree < ``len(points)`` through ``points``.
 
     Raises :class:`PolynomialError` on duplicate x-coordinates.  Delegates
-    to the cached barycentric basis of :mod:`repro.poly.fastpath`, so
+    to the cached Lagrange basis of :mod:`repro.poly.fastpath`, so
     repeated interpolation over the same node set (the protocol's common
     case) costs one matrix–vector product and no modular inversions.
     """
@@ -175,6 +175,19 @@ def interpolate_at_zero(field: Field, points: Sequence[tuple[int, int]]) -> int:
     return basis.evaluate_at_zero([y for _, y in points])
 
 
+def _verified_head(field: Field, points: Sequence[tuple[int, int]], t: int):
+    """``(basis, values)`` of the first ``t + 1`` points when every point
+    lies on their interpolant, else None."""
+    if len(points) < t + 1:
+        return None
+    head = points[: t + 1]
+    basis = lagrange_basis(field, [x for x, _ in head])
+    ys = [y for _, y in head]
+    if not basis.verify_points(ys, points[t + 1 :]):
+        return None
+    return basis, ys
+
+
 def interpolate_degree_t(
     field: Field, points: Sequence[tuple[int, int]], t: int
 ) -> Polynomial | None:
@@ -183,15 +196,26 @@ def interpolate_degree_t(
     Interpolates through the first ``t + 1`` points and verifies the rest,
     which is exactly the check steps R'4 and R3 of the paper perform: the
     reconstructed values either lie on one degree-t polynomial or the
-    protocol outputs ⊥.  The tail check runs in the barycentric form, so a
-    failed verification never materialises a coefficient vector; duplicate
-    x-coordinates raise the same :class:`PolynomialError` as before.
+    protocol outputs ⊥.  The tail check is one cached evaluation-row dot
+    product per point, so a failed verification never materialises a
+    coefficient vector; duplicate x-coordinates in the head raise
+    :class:`PolynomialError`.
     """
-    if len(points) < t + 1:
+    verified = _verified_head(field, points, t)
+    if verified is None:
         return None
-    head = points[: t + 1]
-    basis = lagrange_basis(field, [x for x, _ in head])
-    ys = [y for _, y in head]
-    if not basis.verify_points(ys, points[t + 1 :]):
-        return None
+    basis, ys = verified
     return Polynomial(field, basis.interpolate_coeffs(ys))
+
+
+def interpolate_degree_t_at_zero(
+    field: Field, points: Sequence[tuple[int, int]], t: int
+) -> int | None:
+    """``interpolate_degree_t(field, points, t)(0)``, and None exactly when
+    that is None — the same check, with no coefficient vector and no
+    :class:`Polynomial` (R' step 4 only ever reads ``f̄(0)``)."""
+    verified = _verified_head(field, points, t)
+    if verified is None:
+        return None
+    basis, ys = verified
+    return basis.evaluate_at_zero(ys)

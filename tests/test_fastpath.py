@@ -2,21 +2,29 @@
 
 The fast path must be *observationally identical* to textbook Lagrange
 interpolation — the protocol's correctness proofs assume exact field
-arithmetic, so every cached/barycentric shortcut is checked here against a
-naive reference implementation kept local to this file.
+arithmetic, so every cached shortcut is checked here against a naive
+reference implementation kept local to this file, and evaluation against
+the barycentric form of ``tests/reference/barycentric.py``.
 """
 
 from __future__ import annotations
 
+import sys
 import time
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference import barycentric
 
-from repro.config import max_faults
+import repro.poly.fastpath as fastpath
+from repro.config import SystemConfig, max_faults
+from repro.core.api import flip_common_coin
 from repro.errors import FieldError, PolynomialError
 from repro.field.gf import Field
 from repro.poly.fastpath import (
+    EVAL_ROW_CACHE,
     batch_inverse,
     evaluate_many,
     interpolate_values,
@@ -27,8 +35,10 @@ from repro.poly.univariate import (
     Polynomial,
     interpolate_at_zero,
     interpolate_degree_t,
+    interpolate_degree_t_at_zero,
     lagrange_interpolate,
 )
+from repro.sim.scheduler import FifoScheduler
 
 F = Field()  # default prime
 F13 = Field(13)
@@ -123,6 +133,122 @@ class TestBarycentricVsNaive:
         assert not basis.verify_points(ys, bad)
         # on-node mismatch is also caught
         assert not basis.verify_points(ys, [(2, ys[1] + 1)])
+
+
+#: A small prime (node sets ⊆ {1..12} stay distinct) and the default one.
+PROPERTY_PRIMES = (13, 2**31 - 1)
+
+
+@st.composite
+def node_sets(draw):
+    """``(field, n, nodes)``: nodes a non-empty subset of ``{1..n}``."""
+    prime = draw(st.sampled_from(PROPERTY_PRIMES))
+    n = draw(st.integers(1, min(16, prime - 1)))
+    nodes = draw(st.lists(st.integers(1, n), min_size=1, max_size=n, unique=True))
+    return Field(prime), n, nodes
+
+
+@st.composite
+def evaluation_cases(draw):
+    """Values on a node set and points in ``{0..n}``, on the nodes, or
+    anywhere in the field."""
+    field, n, nodes = draw(node_sets())
+    element = st.integers(0, field.prime - 1)
+    ys = draw(st.lists(element, min_size=len(nodes), max_size=len(nodes)))
+    point = st.one_of(st.integers(0, n), st.sampled_from(nodes), element)
+    points = draw(st.lists(point, max_size=2 * n + 2))
+    return field, nodes, ys, points
+
+
+class TestEvaluationRows:
+    @settings(max_examples=300, deadline=None)
+    @given(evaluation_cases(), st.data())
+    def test_matches_barycentric_reference(self, case, data):
+        field, nodes, ys, points = case
+        prime = field.prime
+        basis = lagrange_basis(field, nodes)
+        expected = barycentric.evaluate_many_at(prime, nodes, ys, points)
+        assert basis.evaluate_many_at(ys, points) == expected
+        for x, value in zip(points, expected):
+            assert basis.evaluate(ys, x) == value
+        # verify_points over claims that are right, wrong, or off by p
+        claims = [
+            (x, data.draw(st.sampled_from([v, v + prime, (v + 1) % prime])))
+            for x, v in zip(points, expected)
+        ]
+        assert basis.verify_points(ys, claims) == barycentric.verify_points(
+            prime, nodes, ys, claims
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(node_sets(), st.data())
+    def test_step4_value_is_interpolate_degree_t_at_zero(self, case, data):
+        """R' step 4 reads ``f̄(0)`` off the verified points: the value of
+        ``interpolate_degree_t(...)(0)``, and ⊥ exactly when it is None."""
+        field, n, monitors = case
+        prime = field.prime
+        t = data.draw(st.integers(0, n))
+        coeffs = data.draw(st.lists(st.integers(0, prime - 1), max_size=t + 2))
+        values = Polynomial(field, coeffs).evaluate_many(monitors)
+        bent = data.draw(st.sets(st.sampled_from(range(len(monitors)))))
+        for i in bent:
+            values[i] = (values[i] + data.draw(st.integers(1, prime - 1))) % prime
+        points = list(zip(monitors, values))
+        fitted = interpolate_degree_t(field, points, t)
+        got = interpolate_degree_t_at_zero(field, points, t)
+        assert (got is None) == (fitted is None)
+        if fitted is not None:
+            assert got == fitted(0)
+
+    def test_cached_rows_are_bounded(self):
+        field = Field(SMALL_PRIME)
+        basis = lagrange_basis(field, (1, 2, 3))
+        ys = [4, 9, 1]
+        points = range(SMALL_PRIME - 2 * EVAL_ROW_CACHE, SMALL_PRIME)
+        assert basis.evaluate_many_at(ys, points) == barycentric.evaluate_many_at(
+            SMALL_PRIME, (1, 2, 3), ys, points
+        )
+        assert len(basis._eval_rows) <= EVAL_ROW_CACHE
+
+    def test_wrong_value_count_rejected(self):
+        basis = lagrange_basis(F13, (1, 2, 3))
+        for call in (
+            lambda: basis.evaluate_many_at([1, 2], [0]),
+            lambda: basis.evaluate([1, 2, 3, 4], 0),
+            lambda: basis.verify_points([1], [(0, 1)]),
+        ):
+            with pytest.raises(PolynomialError):
+                call()
+
+
+class TestNoInversionOnTheCoinPath:
+    def test_warm_coin_never_inverts_and_mwsvss_never_runs_horner(self, monkeypatch):
+        """Once a first coin has built the bases, a second same-seed coin
+        makes no ``batch_inverse`` call (hence no ``pow()``), and MW-SVSS
+        evaluates no ``Polynomial`` by Horner's rule: its received
+        polynomials are value rows and R' step 4 a dot product."""
+        cfg = SystemConfig(n=4, seed=1000)
+        first, _ = flip_common_coin(cfg, scheduler=FifoScheduler())
+        inversions = []
+        real_inverse = fastpath.batch_inverse
+
+        def counted_inverse(field, values):
+            inversions.append(len(values))
+            return real_inverse(field, values)
+
+        horner_callers = []
+        real_call = Polynomial.__call__
+
+        def traced_call(self, x):
+            horner_callers.append(sys._getframe(1).f_globals["__name__"])
+            return real_call(self, x)
+
+        monkeypatch.setattr(fastpath, "batch_inverse", counted_inverse)
+        monkeypatch.setattr(Polynomial, "__call__", traced_call)
+        second, _ = flip_common_coin(cfg, scheduler=FifoScheduler())
+        assert second.outputs == first.outputs
+        assert inversions == []
+        assert "repro.core.mwsvss" not in horner_callers
 
 
 class TestBatchInverse:

@@ -16,10 +16,11 @@ from repro.adversary.behaviors import (
 )
 from repro.adversary.controller import Adversary
 from repro.config import SystemConfig
-from repro.core.api import run_mwsvss
+from repro.core.api import build_stack, run_mwsvss
 from repro.core.mwsvss import BOTTOM
 from repro.core.sessions import mw_session
-from repro.poly.univariate import Polynomial
+from repro.poly.univariate import Polynomial, interpolate_at_zero
+from repro.sim.process import ENVELOPE_TAG
 from repro.sim.scheduler import ExponentialDelayScheduler, TargetedDelayScheduler
 
 
@@ -155,27 +156,46 @@ class TestTermination:
         assert result.outputs == {pid: 5 for pid in cfg.pids}
 
 
+def share_and_tap(cfg: SystemConfig, pid: int, secret: int):
+    """Share one MW-SVSS session (dealer 1, moderator 2, no reconstruct) to
+    quiescence.  Returns what process ``pid`` received from the dealer, by
+    kind, as the runtime delivered it, and the dealer's instance."""
+    stack = build_stack(cfg)
+    sid = mw_session(("solo", 0), 1, 2, "dm")
+    view: dict[str, object] = {}
+
+    def tap(src, dst, payload):
+        if src != 1 or dst != pid:
+            return
+        messages = payload[1] if payload[0] == ENVELOPE_TAG else (payload,)
+        for message in messages:
+            if message[0] == "v" and message[1] == sid:
+                view.setdefault(message[2], message[3])
+
+    stack.runtime.delivery_tap = tap
+    stack.vss[1].mw_share(sid, secret)
+    stack.vss[2].mw_moderate(sid, secret)
+    stack.runtime.run_to_quiescence()
+    return view, stack.vss[1].mw[sid]
+
+
 class TestHiding:
     """Property 5': before reconstruct, any t processes' view is consistent
-    with every candidate secret — shown constructively."""
+    with every candidate secret — shown constructively on the messages the
+    corrupt process received."""
 
     def test_corrupt_view_consistent_with_every_secret(self):
         cfg = SystemConfig(n=4, seed=3, prime=13)
         secret = 4
-        result, stack = run_mwsvss(
-            cfg, dealer=1, moderator=2, secret=secret, reconstruct=False
-        )
-        sid = result.session
         field = cfg.field
-        t = cfg.t
         corrupt = 3  # neither dealer nor moderator
-        inst = stack.vss[corrupt].mw.get(sid)
-        view_shares = inst.share_vector  # (f_1(3), ..., f_4(3))
-        view_monitor = inst.monitor_poly  # f_3
-        dealer_inst = stack.vss[1].mw[sid]
+        view, dealer_inst = share_and_tap(cfg, corrupt, secret)
+        view_shares = view["shl"]  # (f_1(3), ..., f_4(3))
+        view_monitor = view["mon"]  # f_3(1..t+1)
+        grid = range(1, cfg.t + 2)
         f = dealer_inst._deal_polys[0]
         subs = dealer_inst._deal_polys[1:]
-        assert view_monitor == subs[corrupt - 1]
+        assert view_monitor == tuple(subs[corrupt - 1].evaluate_many(grid))
 
         # Masking polynomial q with q(0)=1, q(corrupt)=0.
         prime = field.prime
@@ -195,7 +215,7 @@ class TestHiding:
             # The corrupt view is unchanged under the alternative dealing:
             for l in range(1, cfg.n + 1):
                 assert subs_alt[l - 1](corrupt) == view_shares[l - 1]
-            assert subs_alt[corrupt - 1] == view_monitor
+            assert tuple(subs_alt[corrupt - 1].evaluate_many(grid)) == view_monitor
             # and it is a valid dealing of s_prime:
             for l in range(1, cfg.n + 1):
                 assert subs_alt[l - 1](0) == f_alt(l)
@@ -206,13 +226,37 @@ class TestHiding:
         counts = {}
         for seed in range(120):
             cfg = SystemConfig(n=4, seed=seed, prime=13)
-            result, stack = run_mwsvss(
-                cfg, dealer=1, moderator=2, secret=5, reconstruct=False
+            view, _ = share_and_tap(cfg, 3, secret=5)
+            f_3_at_0 = interpolate_at_zero(
+                cfg.field, list(zip(range(1, cfg.t + 2), view["mon"]))
             )
-            inst = stack.vss[3].mw[result.session]
-            counts[inst.monitor_poly(0)] = counts.get(inst.monitor_poly(0), 0) + 1
+            counts[f_3_at_0] = counts.get(f_3_at_0, 0) + 1
         # f_3(0) = f(3) is uniform over GF(13): no value should dominate.
         assert max(counts.values()) < 30
+
+
+class TestValueRows:
+    """f̂_j and f̂ are value rows f(0..n), held only while steps 3 and 5
+    read them."""
+
+    def test_rows_dropped_at_freeze_and_duplicates_still_ignored(self):
+        cfg = SystemConfig(n=4, seed=0)
+        result, stack = run_mwsvss(cfg, dealer=1, moderator=2, secret=9, reconstruct=False)
+        stack.runtime.run_to_quiescence()
+        instances = [stack.vss[pid].mw[result.session] for pid in cfg.pids]
+        moderator = instances[1]
+        assert all(inst.L_frozen and inst.monitor_row is None for inst in instances)
+        assert moderator.M_frozen and moderator.moderator_row is None
+        sent = stack.trace.total_messages
+        L = [inst.L for inst in instances]
+        for inst in instances:
+            inst.handle(1, "mon", (1, 2))  # a second, different f̂_j
+        moderator.handle(1, "mod", (3, 4))  # a second, different f̂
+        assert all(inst.monitor_row is None for inst in instances)
+        assert moderator.moderator_row is None
+        assert [inst.L for inst in instances] == L
+        assert stack.runtime.run_to_quiescence() == 0
+        assert stack.trace.total_messages == sent
 
 
 class TestProtocolErrors:
