@@ -21,7 +21,8 @@ drop a session the moment it is released.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
+from operator import mul
 
 from repro.broadcast.manager import BroadcastManager
 from repro.core.dmm import DELAY, DISCARD, DMM, FORWARD
@@ -37,6 +38,7 @@ from repro.core.sessions import (
 from repro.core.svss import SVSSInstance
 from repro.core.vectormux import SVEC_TAG, SessionVectorMux
 from repro.errors import ProtocolError
+from repro.poly.fastpath import LagrangeBasis, lagrange_basis
 from repro.sim.module import ProtocolModule
 from repro.sim.process import ProcessHost
 
@@ -56,7 +58,8 @@ VALUE_KINDS = frozenset({"shl", "mon", "mod", "cnf", "ms", "rv", "rows"})
 PRIVATE_KINDS = frozenset({"shl", "mon", "mod", "cnf", "ms", "rows"})
 RB_KINDS = frozenset({"ack", "L", "M", "ok", "rv", "G"})
 
-#: Entries the pid-tuple memos keep; a miss past the bound just recomputes.
+#: Entries the pid-tuple and basis memos keep; a miss past the bound just
+#: recomputes.
 PID_MEMO_MAX = 4096
 _PID_TYPES = frozenset({int, bool})
 
@@ -122,6 +125,7 @@ class VSSManager(ProtocolModule):
         # same L/M/G tuples recur across sibling sessions and senders.
         self._pid_sets: dict[tuple, tuple] = {}  # body -> (frozenset, mask) | ()
         self._mask_pids: dict[int, tuple[int, ...]] = {}
+        self._mask_bases: dict[int, LagrangeBasis] = {}
         self.attach(host)
 
     def _wire(self, host: ProcessHost) -> None:
@@ -223,6 +227,45 @@ class VSSManager(ProtocolModule):
             if len(self._mask_pids) < PID_MEMO_MAX:
                 self._mask_pids[mask] = pids
         return pids
+
+    def basis(self, mask: int) -> LagrangeBasis:
+        """The Lagrange basis over the pids of a bitmask, ascending, shared
+        per mask: the reconstruct fits run over a handful of pid sets, and
+        an ``int`` key skips ``lagrange_basis``'s canonicalising and
+        duplicate check."""
+        basis = self._mask_bases.get(mask)
+        if basis is None:
+            basis = lagrange_basis(self.field, self.pids_of(mask))
+            if len(self._mask_bases) < PID_MEMO_MAX:
+                self._mask_bases[mask] = basis
+        return basis
+
+    def fit(
+        self, pids: Sequence[int], ys: Sequence[int], points: Sequence[int]
+    ) -> list[int] | None:
+        """The values at ``points`` of the polynomial of degree ``<= t``
+        through every ``(pids[i], ys[i])``, or ``None`` when there are fewer
+        than ``t + 1`` points or they lie on no such polynomial — the ⊥ of
+        R' step 4 and of R step 2.
+
+        ``pids`` ascending, ``ys`` canonical.  The lowest ``t + 1`` points
+        are the head (the verdict does not depend on which ``t + 1`` are);
+        every other point is checked against the head basis' evaluation
+        rows.  No coefficient vector is built.
+        """
+        t = self.t
+        if len(pids) <= t:
+            return None
+        mask = 0
+        for p in pids[: t + 1]:
+            mask |= 1 << p
+        head = ys[: t + 1]
+        row = self.basis(mask).evaluation_row
+        prime = self.field.prime
+        for p, y in zip(pids[t + 1 :], ys[t + 1 :]):
+            if sum(map(mul, head, row(p))) % prime != y:
+                return None
+        return [sum(map(mul, head, row(x))) % prime for x in points]
 
     def send_value(self, dst: int, sid: tuple, kind: str, body: object) -> None:
         """Send one private per-session message (the instances' send seam).
@@ -348,8 +391,8 @@ class VSSManager(ProtocolModule):
         * **instance lookup** — the group's :class:`GroupLane` columns
           give O(1) slot access without rebuilding per-slot sid tuples;
         * **value decoding** — ``mon``/``mod``/``rows`` bodies are batch
-          decoded over one cached basis (bit-identical to the per-slot
-          decode; see GroupLane).
+          decoded into value rows over one cached basis (bit-identical to
+          the per-slot decode; see GroupLane).
 
         Per-slot degradation is preserved: malformed entries, delayed and
         discarded slots, and crash/recovery mid-vector affect only the
@@ -388,7 +431,7 @@ class VSSManager(ProtocolModule):
                 src, group, [slot for slot, _ in items]
             )
             version = dmm.version
-        polys = None
+        decoded = None
         if (
             len(items) > 1
             and group_verdict in (None, FORWARD)
@@ -398,9 +441,9 @@ class VSSManager(ProtocolModule):
         ):
             if mw_group:
                 if kind == "mon" or kind == "mod":
-                    polys = lane.monitor_polys(self, src, kind, items)
+                    decoded = lane.monitor_polys(self, src, kind, items)
             elif kind == "rows":
-                polys = lane.row_polys(self, src, items)
+                decoded = lane.row_polys(self, src, items)
         batched = 0
         fallbacks = 0
         is_rv = mw_group and kind == "rv"
@@ -435,10 +478,10 @@ class VSSManager(ProtocolModule):
                     if src in dmm.D:
                         continue  # convicted by this very slot
                 inst.handle(src, kind, body, batch)
-            elif polys is None:
+            elif decoded is None:
                 inst.handle(src, kind, body)
             else:
-                inst.handle(src, kind, body, polys.get(slot))
+                inst.handle(src, kind, body, decoded.get(slot))
             if delayed or dmm.dirty:
                 self._release_delayed()
         if not columns:

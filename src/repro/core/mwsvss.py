@@ -24,21 +24,23 @@ reliable broadcast (``("vss", sid, kind, body)``):
 * ``"ok"``  — step 7, the dealer's go-ahead.
 * ``"rv"``  — reconstruct step 1, batched values ``((monitor, value), ...)``.
 
-A received polynomial is only ever evaluated, and only at points of
-``{0..n}``: the monitor's ``f̂_j`` and the moderator's ``f̂`` are kept as
-value rows ``f(0..n)`` (:func:`value_rows`), computed once at receipt and
-indexed by steps 3-5; R' step 4 reads ``f̄(0)`` off the verified points.
+Every polynomial is only ever evaluated, and only at points of ``{0..n}``:
+the dealer keeps ``f, f_1..f_n`` as the value matrix ``f_l(0..n)``, the
+monitor's ``f̂_j`` and the moderator's ``f̂`` are value rows ``f(0..n)``
+(:func:`value_rows`), computed once at receipt and indexed by steps 3-5,
+and R' reads ``f̄_l(0)`` and ``f̄(0)`` off bases looked up by pid mask
+(``VSSManager.basis`` / ``VSSManager.fit``).
 """
 
 from __future__ import annotations
 
+from operator import mul
 from typing import TYPE_CHECKING
 
 from repro.core.sessions import mw_dealer, mw_moderator
 from repro.errors import ProtocolError
 from repro.field.gf import Field
-from repro.poly.fastpath import evaluate_rows, interpolate_values_rows, lagrange_basis
-from repro.poly.univariate import Polynomial, interpolate_degree_t_at_zero
+from repro.poly.fastpath import evaluate_many, evaluate_rows, lagrange_basis
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.manager import VSSManager
@@ -63,13 +65,23 @@ BOTTOM = _Bottom()
 
 def value_rows(field: Field, n: int, t: int, bodies: list) -> list[tuple[int, ...]]:
     """``f(0..n)`` of every degree-``t`` polynomial given by its values
-    ``f(1..t+1)`` (a ``"mon"``/``"mod"`` body): one cached evaluation-row
-    dot product per point, no coefficient vector.  Tuples, not lists: one
-    allocation per row, and a coin holds one row per MW-SVSS instance
-    through its share phase."""
-    evaluate = lagrange_basis(field, range(1, t + 2)).evaluate_many_at
-    points = range(n + 1)
-    return [tuple(evaluate(body, points)) for body in bodies]
+    ``f(1..t+1)`` (a validated ``"mon"``/``"mod"`` body, or one half of an
+    SVSS ``"rows"`` body): the body itself at the nodes ``1..t+1``, one
+    cached evaluation-row dot product at ``0`` and at each of ``t+2..n``,
+    no coefficient vector.  Tuples, not lists: one allocation per row, and
+    a coin holds one row per MW-SVSS instance through its share phase."""
+    row = lagrange_basis(field, range(1, t + 2)).evaluation_row
+    prime = field.prime
+    zero = row(0)
+    tail = [row(x) for x in range(t + 2, n + 1)]
+    return [
+        (
+            sum(map(mul, body, zero)) % prime,
+            *body,
+            *[sum(map(mul, body, lam)) % prime for lam in tail],
+        )
+        for body in bodies
+    ]
 
 
 class MWSVSSInstance:
@@ -120,7 +132,7 @@ class MWSVSSInstance:
         "L_hat",
         "M_hat",
         "ok_received",
-        "_deal_polys",
+        "_deal_rows",
         "_dealer_acked",
         "share_completed",
         "reconstruct_begun",
@@ -178,7 +190,8 @@ class MWSVSSInstance:
         self.ok_received = False
 
         # dealer state
-        self._deal_polys: list[Polynomial] | None = None  # [f, f_1, ..., f_n]
+        #: [l][x] = f_l(x) for l, x in 0..n, with f_0 = f
+        self._deal_rows: list[tuple[int, ...]] | None = None
         self._dealer_acked = False  # step 7 done
 
         self.share_completed = False
@@ -201,39 +214,41 @@ class MWSVSSInstance:
     # local API
     # ------------------------------------------------------------------
     def share(self, secret: int) -> None:
-        """Dealer step 1: draw the polynomials and distribute the shares."""
+        """Dealer step 1: draw ``f`` and ``f_1..f_n`` (degree ``t``, ``f(0) =
+        s``, ``f_l(0) = f(l)``), keep their values at ``0..n``, and
+        distribute the shares."""
         if self.pid != self.dealer:
             raise ProtocolError(f"{self.pid} is not the dealer of {self.sid}")
-        if self._deal_polys is not None or self.released:
+        if self._deal_rows is not None or self.released:
             raise ProtocolError(f"share already initiated for {self.sid}")
         field = self.field
+        t = self.t
         rng = self.manager.config.derive_rng("mw-deal", self.sid)
-        f = Polynomial.random(field, self.t, rng, constant_term=secret)
-        pids = list(range(1, self.n + 1))
-        sub = [
-            Polynomial.random(field, self.t, rng, constant_term=f_l)
-            for f_l in f.evaluate_many(pids)
-        ]
-        self._deal_polys = [f] + sub
+        points = range(self.n + 1)
+        # Coefficients drawn low degree first, f's before f_1's before
+        # f_2's, each constant term then pinned: ``Polynomial.random``'s
+        # draws, so a seed deals what it always dealt.
+        draws = field.random_elements(rng, len(points) * (t + 1))
+        f_coeffs, *subs = [draws[i : i + t + 1] for i in range(0, len(draws), t + 1)]
+        f_coeffs[0] = field.element(secret)
+        f = evaluate_many(field, f_coeffs, points)
+        for sub, f_l in zip(subs, f[1:]):
+            sub[0] = f_l
+        # One batched multi-point pass over all n sub-polynomials.
+        rows = [tuple(f), *map(tuple, evaluate_rows(field, subs, points))]
+        self._deal_rows = rows
 
         mgr = self.manager
         corrupt_values = mgr.host.deviation("corrupt_mw_share_values")
-        eval_points = list(range(1, self.t + 2))
-        # One batched multi-point pass over all n sub-polynomials (shared
-        # power tables, one deferred reduction per cell);
-        # rows[l-1][j-1] == f_l(j).
-        rows = evaluate_rows(field, [p.coeffs for p in sub], pids)
-        for j in pids:
-            values = [rows[l - 1][j - 1] for l in pids]
+        shares = list(zip(*rows[1:]))  # shares[j] == (f_1(j), ..., f_n(j))
+        for j in points[1:]:
+            values = shares[j]
             if corrupt_values is not None:
-                values = corrupt_values(self.sid, j, values, field.prime)
-            mgr.send_value(j, self.sid, "shl", tuple(values))
-        for l in pids:
-            mon = tuple(rows[l - 1][: self.t + 1])
-            mgr.send_value(l, self.sid, "mon", mon)
-        mgr.send_value(
-            self.moderator, self.sid, "mod", tuple(f.evaluate_many(eval_points))
-        )
+                values = tuple(corrupt_values(self.sid, j, list(values), field.prime))
+            mgr.send_value(j, self.sid, "shl", values)
+        for l in points[1:]:
+            mgr.send_value(l, self.sid, "mon", rows[l][1 : t + 2])
+        mgr.send_value(self.moderator, self.sid, "mod", rows[0][1 : t + 2])
 
     def moderate(self, expected: int) -> None:
         """Install the moderator's input value ``s'`` (enables step 5)."""
@@ -269,7 +284,7 @@ class MWSVSSInstance:
         self.confirm_values = self._early_confirms = None
         self.moderator_row = self.moderator_expected = None
         self.moderator_shares = self.M = None
-        self.L_hat = self._deal_polys = None
+        self.L_hat = self._deal_rows = None
         self.rv_batches = self._rv_dirty = self.K = self.f_bar = None
         self.manager.session_released(self.sid)
 
@@ -515,7 +530,7 @@ class MWSVSSInstance:
     def _maybe_step7(self) -> None:
         if self.pid != self.dealer or self._dealer_acked:
             return
-        if self._deal_polys is None or self.M_hat is None:
+        if self._deal_rows is None or self.M_hat is None:
             return
         unacked = ~self.acks
         for j in self.M_hat:
@@ -524,10 +539,9 @@ class MWSVSSInstance:
         self._dealer_acked = True
         dmm = self.manager.dmm
         for j in self.M_hat:
-            f_j = self._deal_polys[j]
-            members = self.manager.pids_of(self.L_hat[j])
-            for l, value in zip(members, f_j.evaluate_many(members)):
-                dmm.expect_ack(l, self.sid, j, value)
+            f_j = self._deal_rows[j]
+            for l in self.manager.pids_of(self.L_hat[j]):
+                dmm.expect_ack(l, self.sid, j, f_j[l])
         if self.manager.host.deviation("skip_mw_ok") is not None:
             return
         self.manager.rb_broadcast(self.sid, "ok", None)
@@ -642,25 +656,28 @@ class MWSVSSInstance:
                         self._interpolate_f_bar(l, points)
 
     def _interpolate_f_bar(self, l: int, points: list[tuple[int, int]]) -> None:
-        # f̄_l is only ever evaluated at 0 (R' step 4), so a single
-        # cached-basis dot product replaces the full coefficient
-        # interpolation — same value mod p, a fraction of the work.
-        # Sorted so delivery order cannot fragment the basis cache:
-        # sender sets repeat across monitors and sessions, and the cache
-        # key is the ordered node tuple.
+        # f̄_l is only ever evaluated at 0 (R' step 4): one dot product with
+        # the λ(0) row of the senders' basis, which the manager keys by
+        # their pid mask (the basis orders its nodes ascending, hence the
+        # sort).  Sender sets repeat across monitors and sessions.
         pts = sorted(points)
-        basis = lagrange_basis(self.field, [k for k, _ in pts])
+        mask = 0
+        for k, _ in pts:
+            mask |= 1 << k
+        basis = self.manager.basis(mask)
         self.f_bar[l] = basis.evaluate_at_zero([v for _, v in pts])
 
     def _maybe_output(self) -> None:
-        """R' step 4: interpolate ``f̄`` through the monitors' free terms."""
+        """R' step 4: fit ``f̄`` through the monitors' free terms, read
+        ``f̄(0)``; ⊥ when they lie on no polynomial of degree ``t``."""
         if self.output is not None or not self.reconstruct_begun:
             return
-        if self.M_hat is None or any(l not in self.f_bar for l in self.M_hat):
+        f_bar = self.f_bar
+        if self.M_hat is None or any(l not in f_bar for l in self.M_hat):
             return
-        points = [(l, self.f_bar[l]) for l in sorted(self.M_hat)]
-        value = interpolate_degree_t_at_zero(self.field, points, self.t)
-        self.output = value if value is not None else BOTTOM
+        monitors = sorted(self.M_hat)
+        value = self.manager.fit(monitors, [f_bar[l] for l in monitors], (0,))
+        self.output = value[0] if value is not None else BOTTOM
         self.manager.notify_mw_output(self.sid, self.output)
         self.release()
 
@@ -679,11 +696,10 @@ class GroupLane:
 
     The lane also hosts the *batch decode* pre-passes: for vectors whose
     bodies are polynomial values on ``1..t+1`` (``mon``/``mod``/``rows``),
-    all well-shaped bodies are decoded in one call over one cached basis —
-    ``mon``/``mod`` into the value rows ``f(0..n)`` of :func:`value_rows`,
-    SVSS ``rows`` into polynomials by ``interpolate_values_rows`` — each
-    bit-identical to the per-slot decode, and the per-slot handlers
-    receive the precomputed form.  The pre-passes are *pure*: they validate
+    all well-shaped bodies are decoded in one :func:`value_rows` call over
+    one cached basis — into the value rows ``f(0..n)``, a (g, h) pair of
+    them per SVSS ``rows`` body — each bit-identical to the per-slot
+    decode, and the per-slot handlers receive the precomputed form.  The pre-passes are *pure*: they validate
     with exactly the handlers' shape checks, never mutate instance state,
     and return ``None`` (per-slot decode) for senders that cannot pass the
     handlers' origin guards or for vectors with duplicate slots, so a
@@ -715,7 +731,7 @@ class GroupLane:
             if (
                 isinstance(body, tuple)
                 and len(body) == length
-                and all(is_element(v) for v in body)
+                and all(map(is_element, body))
             ):
                 slots.append(slot)
                 rows.append(body)
@@ -724,7 +740,8 @@ class GroupLane:
         return dict(zip(slots, value_rows(field, manager.n, manager.t, rows)))
 
     def row_polys(self, manager, src: int, items: list) -> dict | None:
-        """Batch-interpolate SVSS ``rows`` bodies (g-row and h-row pairs)."""
+        """Batch-decode SVSS ``rows`` bodies into (g, h) value-row pairs
+        ``(g(0..n), h(0..n))``."""
         if src != self.group[2]:
             return None  # handlers only accept rows from the dealer
         field = manager.field
@@ -739,7 +756,7 @@ class GroupLane:
                 and all(
                     isinstance(part, tuple)
                     and len(part) == length
-                    and all(is_element(v) for v in part)
+                    and all(map(is_element, part))
                     for part in body
                 )
             ):
@@ -747,7 +764,5 @@ class GroupLane:
                 flat.extend(body)
         if len(slots) < 2 or len(set(slots)) != len(slots):
             return None
-        polys = interpolate_values_rows(field, range(1, length + 1), flat)
-        return {
-            slot: (polys[2 * i], polys[2 * i + 1]) for i, slot in enumerate(slots)
-        }
+        rows = value_rows(field, manager.n, manager.t, flat)
+        return {slot: (rows[2 * i], rows[2 * i + 1]) for i, slot in enumerate(slots)}

@@ -13,18 +13,22 @@ Wire messages:
   process ``j`` its row ``g_j = f(j, ·)`` and column ``h_j = f(·, j)`` as
   ``t+1`` evaluation points each.
 * RB ``("vss", sid, "G", (G, ((j, G_j), ...)))`` — share step 5.
+
+No polynomial object is built: the dealer draws ``f``'s coefficient matrix
+and keeps only the values it sends, a process keeps ``g_j`` / ``h_j`` as
+value rows over ``0..n``, and R works on the matrix of its children's
+outputs (:meth:`SVSSInstance._compute_output`).
 """
 
 from __future__ import annotations
 
+from operator import mul
 from typing import TYPE_CHECKING
 
-from repro.core.mwsvss import BOTTOM
+from repro.core.mwsvss import BOTTOM, value_rows
 from repro.core.sessions import mw_session, svss_dealer
 from repro.errors import ProtocolError
-from repro.poly.bivariate import BivariatePolynomial
-from repro.poly.fastpath import interpolate_values_rows
-from repro.poly.univariate import Polynomial, interpolate_degree_t
+from repro.poly.fastpath import evaluate_rows
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.manager import VSSManager
@@ -70,15 +74,13 @@ class SVSSInstance:
         self.field = manager.field
         self.dealer = svss_dealer(sid)
 
-        # step-2 inputs: our row g and column h
-        self.g: Polynomial | None = None
-        self.h: Polynomial | None = None
+        # step-2 inputs: our row g and column h as value rows over 0..n
+        self.g: tuple[int, ...] | None = None
+        self.h: tuple[int, ...] | None = None
 
         # dealer-only state
-        self._bivar: BivariatePolynomial | None = None
-        #: recipient -> (row evals, column evals); built lazily and reused
-        #: so repeated row requests never re-walk the share matrix.
-        self._row_cache: dict[int, tuple[tuple, tuple]] = {}
+        #: recipient -> (g_j(1..t+1), h_j(1..t+1)), filled by share()
+        self._row_cache: dict[int, tuple[tuple, tuple]] | None = None
         self._pair_done: dict[frozenset[int], set[tuple]] = {}
         self.G_map: dict[int, set[int]] = {}
         self.G: set[int] = set()
@@ -102,43 +104,41 @@ class SVSSInstance:
     # local API
     # ------------------------------------------------------------------
     def share(self, secret: int) -> None:
-        """Dealer step 1: draw the bivariate polynomial, distribute rows."""
+        """Dealer step 1: draw a degree-(t, t) ``f`` with ``f(0, 0) = s``
+        and hand each process its row and column values."""
         if self.pid != self.dealer:
             raise ProtocolError(f"{self.pid} is not the dealer of {self.sid}")
-        if self._bivar is not None or self.released:
+        if self._row_cache is not None or self.released:
             raise ProtocolError(f"share already initiated for {self.sid}")
+        field = self.field
+        t = self.t
         rng = self.manager.config.derive_rng("svss-deal", self.sid)
-        self._bivar = BivariatePolynomial.random(self.field, self.t, rng, secret=secret)
+        # coeffs[i][k] multiplies x^i y^k, drawn row by row with a_00 = s
+        # pinned after (paper §4 footnote 2): ``BivariatePolynomial.random``'s
+        # draws, so a seed deals what it always dealt.
+        coeffs = [field.random_elements(rng, t + 1) for _ in range(t + 1)]
+        coeffs[0][0] = field.element(secret)
+        pids = range(1, self.n + 1)
+        # Two batched passes: the x^i coefficient of f(·, y) at every y,
+        # then values[y-1][x-1] = f(x, y) for x, y in 1..n.
+        by_y = evaluate_rows(field, coeffs, pids)
+        values = evaluate_rows(field, list(zip(*by_y)), pids)
+        self._row_cache = {
+            j: (
+                tuple(values[y][j - 1] for y in range(t + 1)),  # f(j, 1..t+1)
+                tuple(values[j - 1][: t + 1]),  # f(1..t+1, j)
+            )
+            for j in pids
+        }
         corrupt = self.manager.host.deviation("corrupt_svss_rows")
         mgr = self.manager
-        for j in range(1, self.n + 1):
-            row_vals, col_vals = self._share_rows(j)
+        for j in pids:
+            row_vals, col_vals = self._row_cache[j]
             if corrupt is not None:
                 row_vals, col_vals = corrupt(
-                    self.sid, j, list(row_vals), list(col_vals), self.field.prime
+                    self.sid, j, list(row_vals), list(col_vals), field.prime
                 )
             mgr.send_value(j, self.sid, "rows", (tuple(row_vals), tuple(col_vals)))
-
-    def _share_rows(self, j: int) -> tuple[tuple, tuple]:
-        """Honest row/column evaluation points for recipient ``j``.
-
-        All ``n`` recipients' rows and columns are built on first request
-        in two batched multi-point passes over the share matrix
-        (:meth:`~repro.poly.bivariate.BivariatePolynomial.row_values`), so
-        the per-recipient cost of a full distribution is one cache lookup
-        and repeat requests (a resend, the dealer consuming its own rows)
-        never re-walk the matrix.
-        """
-        cached = self._row_cache.get(j)
-        if cached is None:
-            xs = range(1, self.t + 2)
-            pids = range(1, self.n + 1)
-            g_rows = self._bivar.row_values(pids, xs)
-            h_rows = self._bivar.column_values(pids, xs)
-            for pid, g_vals, h_vals in zip(pids, g_rows, h_rows):
-                self._row_cache.setdefault(pid, (tuple(g_vals), tuple(h_vals)))
-            cached = self._row_cache[j]
-        return cached
 
     def begin_reconstruct(self) -> None:
         """Protocol R step 1: reconstruct all pair invocations in Ĝ."""
@@ -175,7 +175,7 @@ class SVSSInstance:
                     child = mw.get(mw_sid)
                     if child is not None and mw_sid not in reconstructed:
                         child.release()
-        self.g = self.h = self._bivar = None
+        self.g = self.h = None
         self._row_cache = self._pair_done = None
         self.G_map = self.G = self.G_hat_map = None
         self.mw_completed = self.mw_outputs = None
@@ -184,17 +184,17 @@ class SVSSInstance:
     # ------------------------------------------------------------------
     # message handling (post-DMM)
     # ------------------------------------------------------------------
-    def handle(self, src: int, kind: str, body: object, polys: object = None) -> None:
-        # ``polys`` is an optional pre-interpolated (g, h) pair from
+    def handle(self, src: int, kind: str, body: object, decoded: object = None) -> None:
+        # ``decoded`` is an optional pre-decoded (g, h) value-row pair from
         # GroupLane's batch decode of a whole slot-vector of rows.
         if self.released:
             return
         if kind == "rows":
-            self._on_rows(src, body, polys)
+            self._on_rows(src, body, decoded)
         elif kind == "G":
             self._on_g_sets(src, body)
 
-    def _on_rows(self, src: int, body: object, polys: object = None) -> None:
+    def _on_rows(self, src: int, body: object, decoded: object = None) -> None:
         if src != self.dealer or self.g is not None:
             return
         if (
@@ -203,13 +203,9 @@ class SVSSInstance:
             or not all(self.manager.is_value_tuple(part, self.t + 1) for part in body)
         ):
             return
-        if polys is not None:
-            self.g, self.h = polys
-        else:
-            # One interpolation pass over the shared cached basis installs
-            # both halves of the received vector.
-            xs = range(1, self.t + 2)
-            self.g, self.h = interpolate_values_rows(self.field, xs, body)
+        if decoded is None:
+            decoded = value_rows(self.field, self.n, self.t, body)
+        self.g, self.h = decoded
         self._participate()
 
     def _participate(self) -> None:
@@ -231,12 +227,13 @@ class SVSSInstance:
         ``>= t + 1`` of them honest.
         """
         j = self.pid
+        g, h = self.g, self.h
         mgr = self.manager
         for l in range(1, self.n + 1):
-            mgr.mw_share(mw_session(self.sid, j, l, "md"), self.h(l))
-            mgr.mw_share(mw_session(self.sid, j, l, "dm"), self.g(l))
-            mgr.mw_moderate(mw_session(self.sid, l, j, "md"), self.g(l))
-            mgr.mw_moderate(mw_session(self.sid, l, j, "dm"), self.h(l))
+            mgr.mw_share(mw_session(self.sid, j, l, "md"), h[l])
+            mgr.mw_share(mw_session(self.sid, j, l, "dm"), g[l])
+            mgr.mw_moderate(mw_session(self.sid, l, j, "md"), g[l])
+            mgr.mw_moderate(mw_session(self.sid, l, j, "dm"), h[l])
 
     # -- dealer bookkeeping (steps 3-5) --------------------------------------
     def on_mw_share_complete(self, mw_sid: tuple) -> None:
@@ -349,27 +346,33 @@ class SVSSInstance:
         self._compute_output()
 
     def _compute_output(self) -> None:
+        """Steps 2-3 of R on the matrix of the children's outputs.
+
+        A fitted row ``g_k`` / column ``h_k`` is kept as its values at
+        ``0..n``, so every check is an index: ``h_k(l) = cols[k][l]``, and
+        ``f̄(k, l)`` is ``λ(k)`` of the head rows' basis dotted with their
+        values at ``l``.  Any ``t + 1`` survivors determine the same ``f̄``
+        whenever the checks pass (and the checks fail for every choice
+        otherwise), so the head is the lowest ``t + 1``, keyed by mask.
+        """
+        mgr = self.manager
+        t = self.t
+        points = range(self.n + 1)
+        outputs = self.mw_outputs
         # Step 2: the ignore set I_j.
         ignored: set[int] = set()
-        rows: dict[int, Polynomial] = {}
-        cols: dict[int, Polynomial] = {}
+        rows: dict[int, list[int]] = {}
+        cols: dict[int, list[int]] = {}
         for k in self.G_hat:
-            row_points = []  # (l, r_{k,k,l}) ~ g_k(l) = f(k, l)
-            col_points = []  # (l, r_{k,l,k}) ~ h_k(l) = f(l, k)
-            broken = False
-            for l in self.G_hat_map[k]:
-                r_kkl = self.mw_outputs[mw_session(self.sid, k, l, "dm")]
-                r_klk = self.mw_outputs[mw_session(self.sid, k, l, "md")]
-                if r_kkl is BOTTOM or r_klk is BOTTOM:
-                    broken = True
-                    break
-                row_points.append((l, r_kkl))
-                col_points.append((l, r_klk))
-            if broken:
+            members = sorted(self.G_hat_map[k])
+            # r_{k,k,l} ~ g_k(l) = f(k, l) and r_{k,l,k} ~ h_k(l) = f(l, k)
+            row_values = [outputs[mw_session(self.sid, k, l, "dm")] for l in members]
+            col_values = [outputs[mw_session(self.sid, k, l, "md")] for l in members]
+            if BOTTOM in row_values or BOTTOM in col_values:
                 ignored.add(k)
                 continue
-            g_k = interpolate_degree_t(self.field, row_points, self.t)
-            h_k = interpolate_degree_t(self.field, col_points, self.t)
+            g_k = mgr.fit(members, row_values, points)
+            h_k = mgr.fit(members, col_values, points)
             if g_k is None or h_k is None:
                 ignored.add(k)
                 continue
@@ -378,26 +381,35 @@ class SVSSInstance:
         self.ignored = ignored
         survivors = [k for k in self.G_hat if k not in ignored]
 
-        # Step 3: cross-consistency and bivariate interpolation.
+        # Step 3: cross-consistency, then f̄ through t + 1 rows.
         for k in survivors:
+            col = cols[k]
             for l in survivors:
-                if cols[k](l) != rows[l](k):
+                if col[l] != rows[l][k]:
                     self._finish(BOTTOM)
                     return
-        if len(survivors) < self.t + 1:
+        if len(survivors) < t + 1:
             self._finish(BOTTOM)
             return
-        head = survivors[: self.t + 1]
-        f_bar = BivariatePolynomial.from_rows(
-            self.field, self.t, [(k, rows[k]) for k in head]
-        )
+        head = sorted(survivors)[: t + 1]
+        mask = 0
+        for k in head:
+            mask |= 1 << k
+        lam = mgr.basis(mask).evaluation_row
+        head_at = list(zip(*(rows[k] for k in head)))  # [x] = head rows at x
+        prime = self.field.prime
+        # f̄(k, ·) is g_k itself on a head row; the cross-check above
+        # already made h_l(k) == g_k(l), so f̄(k, l) == g_k(l) is the check.
         for k in survivors:
+            if k in head:
+                continue
+            lam_k = lam(k)
+            row = rows[k]
             for l in survivors:
-                value = f_bar(k, l)
-                if value != rows[k](l) or value != cols[l](k):
+                if sum(map(mul, lam_k, head_at[l])) % prime != row[l]:
                     self._finish(BOTTOM)
                     return
-        self._finish(f_bar.secret)
+        self._finish(sum(map(mul, lam(0), head_at[0])) % prime)
 
     def _finish(self, value: object) -> None:
         self.output = value

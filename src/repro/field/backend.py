@@ -4,9 +4,8 @@ The protocol stack funnels its hot algebra through a handful of
 *row-shaped* entry points in :mod:`repro.poly.fastpath` —
 ``evaluate_rows`` (many polynomials × many points),
 ``LagrangeBasis.interpolate_rows`` (many value rows over one cached node
-set) and ``batch_inverse`` (Montgomery inversion) — plus the bivariate
-``row_values``/``column_values`` wrappers built on them.  This module
-makes the *implementation* of those entry points swappable:
+set) and ``batch_inverse`` (Montgomery inversion).  This module makes
+the *implementation* of those entry points swappable:
 
 * ``pure`` — the existing pure-python code in ``repro.poly.fastpath``,
   always available, the reference semantics.

@@ -16,8 +16,6 @@ from repro.poly.fastpath import (
 from repro.poly.univariate import (
     Polynomial,
     interpolate_at_zero,
-    interpolate_degree_t,
-    interpolate_degree_t_at_zero,
     lagrange_interpolate,
 )
 
@@ -27,8 +25,6 @@ __all__ = [
     "Polynomial",
     "batch_inverse",
     "interpolate_at_zero",
-    "interpolate_degree_t",
-    "interpolate_degree_t_at_zero",
     "interpolate_values",
     "lagrange_basis",
     "lagrange_interpolate",

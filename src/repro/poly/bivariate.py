@@ -2,7 +2,10 @@
 
 The SVSS dealer draws a random ``f(x, y)`` of degree at most ``t`` in each
 variable with ``f(0, 0) = s`` and hands process ``j`` its *row*
-``g_j(y) = f(j, y)`` and *column* ``h_j(x) = f(x, j)``.
+``g_j(y) = f(j, y)`` and *column* ``h_j(x) = f(x, j)``.  It draws the
+coefficients exactly as :meth:`BivariatePolynomial.random` does but keeps
+only values (``core/svss.py``); this class is the tests' and the hiding
+witness' view of the same ``f``.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from random import Random
 
 from repro.errors import PolynomialError
 from repro.field.gf import Field
-from repro.poly.fastpath import evaluate_rows, lagrange_basis, power_table
+from repro.poly.fastpath import power_table
 from repro.poly.univariate import Polynomial
 
 
@@ -98,30 +101,6 @@ class BivariatePolynomial:
             out[i] = total % prime
         return Polynomial(self.field, out)
 
-    def row_values(
-        self, js: Sequence[int], xs: Sequence[int]
-    ) -> list[list[int]]:
-        """``g_j(x) = f(j, x)`` for every ``j`` in ``js`` and ``x`` in
-        ``xs``, in two batched passes.
-
-        The SVSS dealer's whole share distribution — all ``n`` recipients'
-        rows over the ``t + 1`` evaluation grid — is one call: the row
-        coefficient vectors come from :meth:`row` (the single source of
-        the orientation convention), then one
-        :func:`~repro.poly.fastpath.evaluate_rows` matrix pass evaluates
-        them all.  Bit-identical to ``self.row(j).evaluate_many(xs)``.
-        """
-        coeff_rows = [self.row(j).coeffs for j in js]
-        return evaluate_rows(self.field, coeff_rows, xs)
-
-    def column_values(
-        self, js: Sequence[int], xs: Sequence[int]
-    ) -> list[list[int]]:
-        """``h_j(x) = f(x, j)`` for every ``j`` in ``js`` and ``x`` in
-        ``xs`` — the column counterpart of :meth:`row_values`."""
-        coeff_rows = [self.column(j).coeffs for j in js]
-        return evaluate_rows(self.field, coeff_rows, xs)
-
     # -- algebra ----------------------------------------------------------------
     def __add__(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
         if other.field != self.field or other.t != self.t:
@@ -158,39 +137,6 @@ class BivariatePolynomial:
         coeffs = [field.random_elements(rng, t + 1) for _ in range(t + 1)]
         if secret is not None:
             coeffs[0][0] = field.element(secret)
-        return cls(field, coeffs)
-
-    @classmethod
-    def from_rows(
-        cls, field: Field, t: int, rows: Sequence[tuple[int, Polynomial]]
-    ) -> "BivariatePolynomial":
-        """Reconstruct ``f`` from ``t + 1`` rows ``(k, g_k)``.
-
-        Used by SVSS reconstruct step R3: given consistent rows, the unique
-        degree-(t, t) polynomial through them is
-        ``f(x, y) = sum_k g_k(y) * λ_k(x)`` with ``λ_k`` the Lagrange basis
-        over the row indices.
-        """
-        if len(rows) != t + 1:
-            raise PolynomialError(f"need exactly t+1={t + 1} rows, got {len(rows)}")
-        xs = [k for k, _ in rows]
-        if len(set(xs)) != len(xs):
-            raise PolynomialError("duplicate row indices")
-        prime = field.prime
-        coeffs = [[0] * (t + 1) for _ in range(t + 1)]
-        # λ_k(x) coefficient rows over the node set, from the shared cache:
-        # one O(t^2) build per distinct row-index set, then pure reuse.
-        basis_rows = lagrange_basis(field, xs).basis_rows
-        for (k, g_k), basis_coeffs in zip(rows, basis_rows):
-            if g_k.degree > t:
-                raise PolynomialError(f"row {k} has degree {g_k.degree} > t={t}")
-            row_coeffs = list(g_k.coeffs) + [0] * (t + 1 - len(g_k.coeffs))
-            for i, b in enumerate(basis_coeffs):
-                if b == 0:
-                    continue
-                target = coeffs[i]
-                for j in range(t + 1):
-                    target[j] = (target[j] + b * row_coeffs[j]) % prime
         return cls(field, coeffs)
 
 

@@ -438,8 +438,9 @@ def interpolate_values_rows(
 ) -> list["Polynomial"]:
     """Batch variant of :func:`interpolate_values`: one basis lookup
     (validation and cache hit paid once) serves every value row over the
-    same node set — the received-vector check path of the SVSS/MW-SVSS
-    verifiers."""
+    same node set.  No protocol path builds polynomials any more (received
+    rows stay values: ``mwsvss.value_rows``); this stays for tests and as a
+    seam of ``benchmarks/e2e``'s layer probe."""
     global _polynomial_cls
     if _polynomial_cls is None:
         from repro.poly.univariate import Polynomial

@@ -1,10 +1,11 @@
 """Univariate polynomials over ``GF(p)``.
 
-These are the dealer's objects in MW-SVSS (paper §3.2): degree-``t``
-polynomials ``f, f_1, ..., f_n`` with ``f(0) = s`` and ``f_l(0) = f(l)``.
-The module provides construction, evaluation, and Lagrange interpolation —
-including the "interpolate from exactly t+1 points, then verify the rest"
-pattern both reconstruct protocols rely on.
+The textbook objects behind the protocol's value rows: the MW-SVSS
+dealer's degree-``t`` polynomials ``f, f_1, ..., f_n`` (paper §3.2) are
+drawn exactly as :meth:`Polynomial.random` draws them, but the protocol
+paths keep only their values at ``{0..n}`` (``docs/ALGEBRA.md``).  The
+module provides construction, evaluation and Lagrange interpolation for
+tests, benchmarks and the hiding witnesses.
 """
 
 from __future__ import annotations
@@ -173,49 +174,3 @@ def interpolate_at_zero(field: Field, points: Sequence[tuple[int, int]]) -> int:
         raise PolynomialError("cannot interpolate zero points")
     basis = lagrange_basis(field, [x for x, _ in points])
     return basis.evaluate_at_zero([y for _, y in points])
-
-
-def _verified_head(field: Field, points: Sequence[tuple[int, int]], t: int):
-    """``(basis, values)`` of the first ``t + 1`` points when every point
-    lies on their interpolant, else None."""
-    if len(points) < t + 1:
-        return None
-    head = points[: t + 1]
-    basis = lagrange_basis(field, [x for x, _ in head])
-    ys = [y for _, y in head]
-    if not basis.verify_points(ys, points[t + 1 :]):
-        return None
-    return basis, ys
-
-
-def interpolate_degree_t(
-    field: Field, points: Sequence[tuple[int, int]], t: int
-) -> Polynomial | None:
-    """Fit a degree-``<= t`` polynomial through *all* of ``points``, or None.
-
-    Interpolates through the first ``t + 1`` points and verifies the rest,
-    which is exactly the check steps R'4 and R3 of the paper perform: the
-    reconstructed values either lie on one degree-t polynomial or the
-    protocol outputs ⊥.  The tail check is one cached evaluation-row dot
-    product per point, so a failed verification never materialises a
-    coefficient vector; duplicate x-coordinates in the head raise
-    :class:`PolynomialError`.
-    """
-    verified = _verified_head(field, points, t)
-    if verified is None:
-        return None
-    basis, ys = verified
-    return Polynomial(field, basis.interpolate_coeffs(ys))
-
-
-def interpolate_degree_t_at_zero(
-    field: Field, points: Sequence[tuple[int, int]], t: int
-) -> int | None:
-    """``interpolate_degree_t(field, points, t)(0)``, and None exactly when
-    that is None — the same check, with no coefficient vector and no
-    :class:`Polynomial` (R' step 4 only ever reads ``f̄(0)``)."""
-    verified = _verified_head(field, points, t)
-    if verified is None:
-        return None
-    basis, ys = verified
-    return basis.evaluate_at_zero(ys)

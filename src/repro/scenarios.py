@@ -24,7 +24,6 @@ from repro.config import SystemConfig
 from repro.core.api import Stack, build_stack
 from repro.core.manager import CallbackWatcher
 from repro.core.sessions import mw_session
-from repro.poly.univariate import Polynomial
 from repro.sim.scheduler import Scheduler
 
 DEALER = 2
@@ -49,23 +48,17 @@ class CraftingDealer(ByzantineBehavior):
     def corrupt_mw_reconstruct_values(self, session, values, prime):
         inst = self.vss_manager.mw[session]
         field = inst.field
-        f = inst._deal_polys[0]
-        subs = inst._deal_polys[1:]
-        f_fake = Polynomial(
-            field,
-            [FAKE_SECRET, field.div(field.sub(f(3), FAKE_SECRET), 3)],
-        )
+        rows = inst._deal_rows  # rows[l][x] == f_l(x), rows[0] == f
+
+        def line(at_zero: int, at_3: int, x: int) -> int:
+            """The degree-1 polynomial through (0, at_zero) and (3, at_3), at x."""
+            slope = field.div(field.sub(at_3, at_zero), 3)
+            return field.add(at_zero, field.mul(slope, x))
+
         crafted = {}
         for monitor in values:
-            f_l = subs[monitor - 1]
-            g = Polynomial(
-                field,
-                [
-                    f_fake(monitor),
-                    field.div(field.sub(f_l(3), f_fake(monitor)), 3),
-                ],
-            )
-            crafted[monitor] = g(DEALER)
+            f_fake = line(FAKE_SECRET, rows[0][3], monitor)  # f'(monitor)
+            crafted[monitor] = line(f_fake, rows[monitor][3], DEALER)
         return crafted
 
     def describe(self) -> str:

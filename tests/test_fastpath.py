@@ -11,16 +11,17 @@ from __future__ import annotations
 
 import sys
 import time
+from functools import cache
 from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import barycentric
+from reference import barycentric, svss_output
 
 import repro.poly.fastpath as fastpath
 from repro.config import SystemConfig, max_faults
-from repro.core.api import flip_common_coin
+from repro.core.api import build_stack, flip_common_coin
 from repro.errors import FieldError, PolynomialError
 from repro.field.gf import Field
 from repro.poly.fastpath import (
@@ -31,11 +32,10 @@ from repro.poly.fastpath import (
     lagrange_basis,
     power_table,
 )
+from repro.poly.bivariate import BivariatePolynomial
 from repro.poly.univariate import (
     Polynomial,
     interpolate_at_zero,
-    interpolate_degree_t,
-    interpolate_degree_t_at_zero,
     lagrange_interpolate,
 )
 from repro.sim.scheduler import FifoScheduler
@@ -99,8 +99,6 @@ class TestBarycentricVsNaive:
         with pytest.raises(PolynomialError):
             # duplicates only after reduction into the field
             lagrange_basis(F13, (1, 14))
-        with pytest.raises(PolynomialError):
-            interpolate_degree_t(F13, [(2, 1), (2, 5), (3, 0)], t=1)
 
     def test_empty_rejected(self):
         with pytest.raises(PolynomialError):
@@ -137,6 +135,12 @@ class TestBarycentricVsNaive:
 
 #: A small prime (node sets ⊆ {1..12} stay distinct) and the default one.
 PROPERTY_PRIMES = (13, 2**31 - 1)
+
+
+@cache
+def manager(n: int, t: int, prime: int):
+    """Process 1's ``VSSManager`` of an ``(n, t)`` system over GF(prime)."""
+    return build_stack(SystemConfig(n=n, t=t, prime=prime)).vss[1]
 
 
 @st.composite
@@ -182,23 +186,24 @@ class TestEvaluationRows:
 
     @settings(max_examples=300, deadline=None)
     @given(node_sets(), st.data())
-    def test_step4_value_is_interpolate_degree_t_at_zero(self, case, data):
-        """R' step 4 reads ``f̄(0)`` off the verified points: the value of
-        ``interpolate_degree_t(...)(0)``, and ⊥ exactly when it is None."""
+    def test_step4_value_is_the_reference_fit_at_zero(self, case, data):
+        """R' step 4 (``VSSManager.fit`` over the sorted ``M̂``, head basis
+        looked up by pid mask) reads the reference's coefficient fit at 0,
+        and ⊥ exactly when the reference finds no degree-t fit."""
         field, n, monitors = case
         prime = field.prime
         t = data.draw(st.integers(0, n))
         coeffs = data.draw(st.lists(st.integers(0, prime - 1), max_size=t + 2))
+        monitors = sorted(monitors)
         values = Polynomial(field, coeffs).evaluate_many(monitors)
         bent = data.draw(st.sets(st.sampled_from(range(len(monitors)))))
         for i in bent:
             values[i] = (values[i] + data.draw(st.integers(1, prime - 1))) % prime
-        points = list(zip(monitors, values))
-        fitted = interpolate_degree_t(field, points, t)
-        got = interpolate_degree_t_at_zero(field, points, t)
+        fitted = svss_output.interpolate_degree_t(prime, list(zip(monitors, values)), t)
+        got = manager(n, t, prime).fit(monitors, values, (0,))
         assert (got is None) == (fitted is None)
         if fitted is not None:
-            assert got == fitted(0)
+            assert got == [fitted[0]]
 
     def test_cached_rows_are_bounded(self):
         field = Field(SMALL_PRIME)
@@ -249,6 +254,25 @@ class TestNoInversionOnTheCoinPath:
         assert second.outputs == first.outputs
         assert inversions == []
         assert "repro.core.mwsvss" not in horner_callers
+
+    def test_fault_free_coin_builds_no_polynomial(self, monkeypatch):
+        """Every polynomial of the stack — the dealers' ``f`` and ``f_l``,
+        SVSS's bivariate ``f``, a process' ``g_j`` / ``h_j``, the R and R'
+        fits — is only evaluated at points of ``{0..n}``, so a coin keeps
+        them all as values: it constructs no ``Polynomial`` and no
+        ``BivariatePolynomial``."""
+        built = []
+        for cls in (Polynomial, BivariatePolynomial):
+            real_init = cls.__init__
+
+            def counted_init(self, *args, _real=real_init, **kwargs):
+                built.append(type(self).__name__)
+                _real(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted_init)
+        result, _ = flip_common_coin(SystemConfig(n=4, seed=1000))
+        assert set(result.outputs) == {1, 2, 3, 4}
+        assert built == []
 
 
 class TestBatchInverse:
@@ -322,16 +346,20 @@ class TestEvaluateMany:
 
 
 class TestInterpolateDegreeT:
+    """``VSSManager.fit``: the degree-t check of R' step 4 and R step 2."""
+
     def test_tail_verification_passes_and_fails(self):
         rng = Random(23)
         p = Polynomial.random(F, 2, rng)
-        pts = [(x, p(x)) for x in range(1, 7)]
-        assert interpolate_degree_t(F, pts, t=2) == p
-        bad = pts[:5] + [(6, p(6) + 1)]
-        assert interpolate_degree_t(F, bad, t=2) is None
+        pids = range(1, 7)
+        ys = p.evaluate_many(pids)
+        fit = manager(6, 2, F.prime).fit
+        assert fit(pids, ys, range(7)) == p.evaluate_many(range(7))
+        bad = ys[:5] + [(ys[5] + 1) % F.prime]
+        assert fit(pids, bad, range(7)) is None
 
     def test_too_few_points(self):
-        assert interpolate_degree_t(F13, [(1, 1)], t=1) is None
+        assert manager(4, 1, 13).fit([1], [1], (0,)) is None
 
 
 class TestTimingGuard:

@@ -281,9 +281,7 @@ class TestReleasedSessionsRejectReplays:
 
         stack = quiescent_coin(4, 0)
         calls = []
-        monkeypatch.setattr(
-            mwsvss, "interpolate_values_rows", lambda *args: calls.append(args)
-        )
+        monkeypatch.setattr(mwsvss, "value_rows", lambda *args: calls.append(args))
         row = (1, 2)
         for moderator in (1, 3):
             mgr = stack.vss[moderator]

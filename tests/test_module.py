@@ -404,11 +404,12 @@ class TestSVSSRowMemoization:
         stack.vss[1].svss_share(sid, 17)
         dealer = stack.vss[1].svss[sid]
         assert set(dealer._row_cache) == {1, 2, 3, 4}
-        first = dealer._share_rows(2)
-        assert dealer._share_rows(2) is first  # no matrix re-walk
-        # The cache holds exactly what went on the wire.
+        row, col = dealer._row_cache[2]
+        # The cache holds exactly what went on the wire, and the recipient
+        # keeps it as the nodes 1..t+1 of its value rows over 0..n.
         stack.runtime.run_to_quiescence()
         recipient = stack.vss[2].svss[sid]
-        xs = list(range(1, stack.config.t + 2))
-        assert tuple(recipient.g.evaluate_many(xs)) == first[0]
-        assert tuple(recipient.h.evaluate_many(xs)) == first[1]
+        nodes = slice(1, stack.config.t + 2)
+        assert len(recipient.g) == len(recipient.h) == stack.config.n + 1
+        assert recipient.g[nodes] == row
+        assert recipient.h[nodes] == col

@@ -193,8 +193,16 @@ class TestHiding:
         view_shares = view["shl"]  # (f_1(3), ..., f_4(3))
         view_monitor = view["mon"]  # f_3(1..t+1)
         grid = range(1, cfg.t + 2)
-        f = dealer_inst._deal_polys[0]
-        subs = dealer_inst._deal_polys[1:]
+        # The dealer's polynomials, drawn again from its stream: the corrupt
+        # process received exactly their values (which also pins the
+        # dealer's draw order).
+        rng = cfg.derive_rng("mw-deal", dealer_inst.sid)
+        f = Polynomial.random(field, cfg.t, rng, constant_term=secret)
+        subs = [
+            Polynomial.random(field, cfg.t, rng, constant_term=f(l))
+            for l in range(1, cfg.n + 1)
+        ]
+        assert view_shares == tuple(sub(corrupt) for sub in subs)
         assert view_monitor == tuple(subs[corrupt - 1].evaluate_many(grid))
 
         # Masking polynomial q with q(0)=1, q(corrupt)=0.

@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import random
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference import svss_output
 
 from repro.adversary.behaviors import (
     CrashBehavior,
@@ -14,11 +18,14 @@ from repro.adversary.behaviors import (
     SilentBehavior,
 )
 from repro.adversary.controller import Adversary
-from repro.config import SystemConfig
+from repro.config import SystemConfig, max_faults
 from repro.core.api import build_stack, run_svss
 from repro.core.mwsvss import BOTTOM
-from repro.core.sessions import svss_session
-from repro.poly.bivariate import masking_polynomial
+from repro.core.sessions import mw_session, svss_session
+from repro.core.svss import SVSSInstance
+from repro.field.gf import Field
+from repro.poly.bivariate import BivariatePolynomial, masking_polynomial
+from repro.sim.process import ENVELOPE_TAG
 from repro.sim.scheduler import ExponentialDelayScheduler, TargetedDelayScheduler
 
 
@@ -122,6 +129,28 @@ class TestTermination:
         assert result.outputs == {pid: 6 for pid in cfg.pids}
 
 
+def share_and_tap(cfg: SystemConfig, pid: int, secret: int):
+    """Share one SVSS session (dealer 1, no reconstruct) to quiescence.
+    Returns the ``"rows"`` body process ``pid`` received from the dealer,
+    as the runtime delivered it, the session id and the stack."""
+    stack = build_stack(cfg)
+    sid = svss_session(("solo-svss", 0), 1)
+    view = []
+
+    def tap(src, dst, payload):
+        if src != 1 or dst != pid:
+            return
+        messages = payload[1] if payload[0] == ENVELOPE_TAG else (payload,)
+        for message in messages:
+            if message[:3] == ("v", sid, "rows"):
+                view.append(message[3])
+
+    stack.runtime.delivery_tap = tap
+    stack.vss[1].svss_share(sid, secret)
+    stack.runtime.run_to_quiescence()
+    return view[0], sid, stack
+
+
 class TestHiding:
     """Property 5: before reconstruct, any t processes' joint view is
     consistent with every candidate secret (constructive proof)."""
@@ -129,21 +158,28 @@ class TestHiding:
     def test_corrupt_rows_consistent_with_every_secret(self):
         cfg = SystemConfig(n=4, seed=5, prime=13)
         secret = 4
-        result, stack = run_svss(cfg, dealer=1, secret=secret, reconstruct=False)
-        sid = result.session
         corrupt = 3
+        (row, col), sid, stack = share_and_tap(cfg, corrupt, secret)
+        # The dealer's polynomial, drawn again from its stream: the corrupt
+        # process received exactly its row and column (which also pins the
+        # dealer's draw order).
+        f = BivariatePolynomial.random(
+            cfg.field, cfg.t, cfg.derive_rng("svss-deal", sid), secret=secret
+        )
+        grid = range(1, cfg.t + 2)
+        assert row == tuple(f.row(corrupt).evaluate_many(grid))
+        assert col == tuple(f.column(corrupt).evaluate_many(grid))
         inst = stack.vss[corrupt].svss[sid]
-        dealer_inst = stack.vss[1].svss[sid]
-        f = dealer_inst._bivar
-        assert inst.g == f.row(corrupt)
-        assert inst.h == f.column(corrupt)
+        everywhere = range(cfg.n + 1)
+        assert inst.g == tuple(f.row(corrupt).evaluate_many(everywhere))
+        assert inst.h == tuple(f.column(corrupt).evaluate_many(everywhere))
         q = masking_polynomial(cfg.field, cfg.t, [corrupt])
         for s_prime in range(cfg.prime):
             f_alt = f + q.scale((s_prime - secret) % cfg.prime)
             assert f_alt.secret == s_prime
             # the corrupt process' whole row/column view is unchanged
-            assert f_alt.row(corrupt) == inst.g
-            assert f_alt.column(corrupt) == inst.h
+            assert f_alt.row(corrupt) == f.row(corrupt)
+            assert f_alt.column(corrupt) == f.column(corrupt)
 
     def test_secret_values_uniform_across_seeds(self):
         counts = {}
@@ -151,9 +187,90 @@ class TestHiding:
             cfg = SystemConfig(n=4, seed=seed, prime=13)
             result, stack = run_svss(cfg, dealer=1, secret=5, reconstruct=False)
             inst = stack.vss[2].svss[result.session]
-            key = inst.g(0)  # f(2, 0): one point of the corrupt view
+            key = inst.g[0]  # f(2, 0): one point of the corrupt view
             counts[key] = counts.get(key, 0) + 1
         assert max(counts.values()) < 18
+
+
+@cache
+def manager(n: int, prime: int):
+    return build_stack(SystemConfig(n=n, prime=prime)).vss[1]
+
+
+@st.composite
+def output_matrices(draw):
+    """``(n, prime, Ĝ, Ĝ-map, child outputs)``: a dealer's ``f`` as the
+    children's outputs, or that matrix made inconsistent — ⊥ children, a
+    perturbed entry, rows or columns of degree t + 1, or of degree t but
+    taken from a second polynomial or from ``f`` transposed."""
+    n = draw(st.sampled_from((4, 7)))
+    prime = draw(st.sampled_from((13, 2**31 - 1)))
+    t = max_faults(n)
+    pids = range(1, n + 1)
+    element = st.integers(0, prime - 1)
+
+    def pid_set():
+        return tuple(draw(st.permutations(pids))[: draw(st.integers(n - t, n))])
+
+    def bivariate():
+        coeffs = draw(st.lists(element, min_size=(t + 1) ** 2, max_size=(t + 1) ** 2))
+        rows = [coeffs[i * (t + 1) : (i + 1) * (t + 1)] for i in range(t + 1)]
+        return BivariatePolynomial(Field(prime), rows)
+
+    g_hat = pid_set()
+    g_hat_map = {k: pid_set() for k in g_hat}
+    f, f2 = bivariate(), bivariate()
+    lift = draw(st.integers(1, prime - 1))
+    sources = {
+        "f": lambda a, b: f(a, b),
+        "transposed": lambda a, b: f(b, a),
+        "second": lambda a, b: f2(a, b),
+        "degree t+1": lambda a, b: (f(a, b) + lift * pow(b, t + 1, prime)) % prime,
+    }
+    # At most t + 1 rows deviate, so honest outcomes stay common at n = 7.
+    deviants = draw(st.sets(st.sampled_from(g_hat), max_size=t + 1))
+    kinds = st.sampled_from(sorted(sources))
+    outputs = {}
+    for k in g_hat:
+        row, col = sources["f"], sources["f"]
+        if k in deviants:
+            row, col = sources[draw(kinds)], sources[draw(kinds)]
+        for l in g_hat_map[k]:
+            outputs[k, l, "dm"] = row(k, l)  # g_k(l) = f(k, l)
+            outputs[k, l, "md"] = col(l, k)  # h_k(l) = f(l, k)
+    keys = sorted(outputs)
+    for key in draw(st.sets(st.sampled_from(keys), max_size=2)):
+        outputs[key] = BOTTOM
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(keys))
+        if outputs[key] is not BOTTOM:
+            outputs[key] = (outputs[key] + draw(st.integers(1, prime - 1))) % prime
+    return n, prime, g_hat, g_hat_map, outputs
+
+
+class TestOutputMatchesReference:
+    @settings(max_examples=400, deadline=None)
+    @given(output_matrices())
+    def test_value_matrix_output_equals_polynomial_reference(self, case):
+        """R on value rows with mask-keyed bases gives the output and ``I_j``
+        of the polynomial-object computation, and ⊥ exactly when it does."""
+        n, prime, g_hat, g_hat_map, outputs = case
+        mgr = manager(n, prime)
+        sid = svss_session(("reference", 0), 1)
+        inst = SVSSInstance(mgr, sid)
+        inst.G_hat, inst.G_hat_map = g_hat, g_hat_map
+        inst.mw_outputs = {
+            mw_session(sid, k, l, slot): value
+            for (k, l, slot), value in outputs.items()
+        }
+        finished = []
+        inst._finish = finished.append
+        inst._compute_output()
+        expected, ignored = svss_output.compute_output(
+            prime, mgr.t, g_hat, g_hat_map, outputs, BOTTOM
+        )
+        assert finished == [expected]
+        assert inst.ignored == ignored
 
 
 class TestStructure:
