@@ -1,17 +1,10 @@
 """Algebra fast-path benchmark — emits ``BENCH_algebra.json``.
 
-Measures the three layers the fast path touches, against the seed
-implementations kept verbatim in this file:
+Measures the two algebra kernels the protocol stack still uses:
 
-1. **Interpolation micro**: cached barycentric interpolation vs the seed
-   per-call Lagrange basis build, at the protocol's node sets
-   ``{1..t+1}`` for ``n ∈ {4, 7, 10, 13}``.  Acceptance gate: ≥3×.
-2. **Batch inversion micro**: Montgomery batch inversion vs one Fermat
-   ``pow`` per element.
-3. **End-to-end wall-clock**: one MW-SVSS share+reconstruct (algebra-heavy)
-   and one full Byzantine agreement with the ideal coin (dispatch-heavy,
-   exercises the no-op tracing level) at ``n ∈ {4, 7, 10, 13}``.
-4. **Backend × n matrix**: the row-shaped fast paths —
+1. **Batch inversion micro**: Montgomery batch inversion (under every
+   Lagrange basis build) vs one Fermat ``pow`` per element.
+2. **Backend × n matrix**: the row-shaped fast paths —
    ``LagrangeBasis.interpolate_rows`` and ``evaluate_rows`` — timed under
    the ``pure`` vs ``numpy`` algebra backends (``repro.field.backend``) at
    the coin's aggregate decode shape: ``2n²`` rows (one batch-ingested
@@ -19,96 +12,30 @@ implementations kept verbatim in this file:
    evaluated at ``n`` points.  Results are asserted bit-identical across
    backends.  Acceptance gate: numpy ≥3× pure on both kernels at n ≥ 10.
 
-The JSON artifact is committed at the repo root so the perf trajectory is
-diffable across PRs.
+End-to-end seconds are ``benchmarks/e2e``'s job (``BENCHMARK.json``), not
+this file's.  The JSON artifact is committed at the repo root so the perf
+trajectory is diffable across PRs.
 """
 
 from __future__ import annotations
 
 import platform
-import time
 from random import Random
 
 from bench_common import best_of, write_bench_json
 from repro.analysis.tables import render_table
-from repro.config import SystemConfig, max_faults
-from repro.core.api import run_byzantine_agreement, run_mwsvss
+from repro.config import max_faults
 from repro.field import available_backends, numpy_available, set_backend
 from repro.field.gf import Field
-from repro.poly.fastpath import (
-    batch_inverse,
-    evaluate_rows,
-    interpolate_values,
-    lagrange_basis,
-)
-from repro.poly.univariate import Polynomial
+from repro.poly.fastpath import batch_inverse, evaluate_rows, lagrange_basis
 
-NS = (4, 7, 10, 13)
 FIELD = Field()
-INTERP_REPS = 400
 INV_BATCH = 256
 #: Backend-matrix sizes; the gate applies from BACKEND_GATE_N up.
 BACKEND_NS = (4, 7, 10, 13, 16)
 BACKEND_GATE_N = 10
 BACKEND_GATE_SPEEDUP = 3.0
 BACKEND_REPS = 20
-
-
-def _seed_lagrange_interpolate(field, points):
-    """The seed implementation (pre-fast-path), kept as the baseline.
-
-    tests/test_fastpath.py carries the same reference as ``naive_lagrange``
-    for its equivalence properties; keep the two in sync if either changes.
-    """
-    prime = field.prime
-    result = Polynomial.zero(field)
-    for i, (x_i, y_i) in enumerate(points):
-        if y_i % prime == 0:
-            continue
-        basis = Polynomial.constant(field, 1)
-        denom = 1
-        for j, (x_j, _) in enumerate(points):
-            if j == i:
-                continue
-            basis = basis * Polynomial(field, [(-x_j) % prime, 1])
-            denom = (denom * (x_i - x_j)) % prime
-        result = result + basis.scale(field.div(y_i, denom))
-    return result
-
-
-def _interpolation_micro() -> list[dict]:
-    rng = Random(1)
-    series = []
-    for n in NS:
-        t = max_faults(n)
-        xs = list(range(1, t + 2))
-        batches = [
-            [rng.randrange(FIELD.prime) for _ in xs] for _ in range(INTERP_REPS)
-        ]
-        points = [list(zip(xs, ys)) for ys in batches]
-        lagrange_basis(FIELD, xs)  # warm the cache, as protocol runs do
-
-        def run_seed():
-            for pts in points:
-                _seed_lagrange_interpolate(FIELD, pts)
-
-        def run_fast():
-            for ys in batches:
-                interpolate_values(FIELD, xs, ys)
-
-        seed_s = best_of(run_seed, repeats=3)
-        fast_s = best_of(run_fast, repeats=3)
-        series.append(
-            {
-                "n": n,
-                "t": t,
-                "reps": INTERP_REPS,
-                "seed_seconds": seed_s,
-                "fastpath_seconds": fast_s,
-                "speedup": seed_s / fast_s,
-            }
-        )
-    return series
 
 
 def _batch_inverse_micro() -> dict:
@@ -197,42 +124,12 @@ def _backend_matrix() -> list[dict]:
     return series
 
 
-def _end_to_end() -> list[dict]:
-    series = []
-    for n in NS:
-        start = time.perf_counter()
-        result, _ = run_mwsvss(
-            SystemConfig(n=n, seed=5), dealer=1, moderator=2, secret=7,
-        )
-        mw_s = time.perf_counter() - start
-        assert result.outputs, f"MW-SVSS at n={n} produced no outputs"
-
-        inputs = [i % 2 for i in range(n)]
-        start = time.perf_counter()
-        aba = run_byzantine_agreement(
-            inputs, SystemConfig(n=n, seed=5), coin=("ideal", 1.0),
-        )
-        aba_s = time.perf_counter() - start
-        assert aba.agreed
-        series.append(
-            {
-                "n": n,
-                "mwsvss_seconds": mw_s,
-                "agreement_ideal_coin_seconds": aba_s,
-            }
-        )
-    return series
-
-
 def test_bench_algebra(emit):
-    interp = _interpolation_micro()
     inv = _batch_inverse_micro()
     backends = _backend_matrix()
-    e2e = _end_to_end()
     payload = {
         "python": platform.python_version(),
         "prime": FIELD.prime,
-        "interpolation": interp,
         "batch_inverse": inv,
         "backend_matrix": {
             "available": list(available_backends()),
@@ -242,45 +139,20 @@ def test_bench_algebra(emit):
             ),
             "series": backends,
         },
-        "end_to_end": e2e,
     }
     path = write_bench_json("algebra", payload)
 
     emit(
         render_table(
-            "Algebra fast path: cached interpolation vs seed Lagrange",
-            ["n", "t", "seed s", "fastpath s", "speedup"],
-            [
-                [
-                    row["n"],
-                    row["t"],
-                    f"{row['seed_seconds']:.4f}",
-                    f"{row['fastpath_seconds']:.4f}",
-                    f"{row['speedup']:.1f}x",
-                ]
-                for row in interp
-            ],
-            note=f"{INTERP_REPS} interpolations per measurement; artifact: {path.name}",
-        )
-    )
-    emit(
-        render_table(
-            "Batch inversion + end-to-end wall-clock",
+            "Batch inversion",
             ["quantity", "value"],
             [
                 [
                     f"batch inverse ({INV_BATCH} elems)",
                     f"{inv['speedup']:.1f}x vs per-element pow",
                 ],
-                *[
-                    [
-                        f"n={row['n']} mwsvss / aba(ideal)",
-                        f"{row['mwsvss_seconds']:.3f}s / "
-                        f"{row['agreement_ideal_coin_seconds']:.3f}s",
-                    ]
-                    for row in e2e
-                ],
             ],
+            note=f"artifact: {path.name}",
         )
     )
     if numpy_available():
@@ -309,8 +181,6 @@ def test_bench_algebra(emit):
             )
         )
 
-    # The acceptance gate of PR 1: cached interpolation ≥3× the seed.
-    assert all(row["speedup"] >= 3.0 for row in interp), interp
     # Backend equivalence always holds; the ≥3× numpy gate applies where
     # numpy is importable, at n ≥ BACKEND_GATE_N.
     assert all(row["results_identical"] for row in backends), backends

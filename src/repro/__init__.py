@@ -5,8 +5,9 @@ Byzantine Agreement with Optimal Resilience*.
 The package provides the full protocol stack from the paper, built from
 scratch on a deterministic asynchronous-network simulator:
 
-* ``repro.field`` / ``repro.poly`` — GF(p) and (bi)variate polynomials,
-  with a swappable vectorized algebra backend (``pure``/``numpy``,
+* ``repro.field`` / ``repro.poly`` — GF(p) and polynomials kept as values
+  (value rows and cached Lagrange bases, no polynomial class), with a
+  swappable vectorized algebra backend (``pure``/``numpy``,
   selected via ``REPRO_ALGEBRA_BACKEND`` or
   ``build_stack(algebra_backend=...)`` — see ``docs/ALGEBRA.md``);
 * ``repro.sim`` — the discrete-event network with adversarial schedulers;

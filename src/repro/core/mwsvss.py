@@ -226,8 +226,8 @@ class MWSVSSInstance:
         rng = self.manager.config.derive_rng("mw-deal", self.sid)
         points = range(self.n + 1)
         # Coefficients drawn low degree first, f's before f_1's before
-        # f_2's, each constant term then pinned: ``Polynomial.random``'s
-        # draws, so a seed deals what it always dealt.
+        # f_2's, each constant term then pinned after its draw: the order a
+        # seed has always dealt in (the hiding tests draw it again).
         draws = field.random_elements(rng, len(points) * (t + 1))
         f_coeffs, *subs = [draws[i : i + t + 1] for i in range(0, len(draws), t + 1)]
         f_coeffs[0] = field.element(secret)
@@ -664,8 +664,8 @@ class MWSVSSInstance:
         mask = 0
         for k, _ in pts:
             mask |= 1 << k
-        basis = self.manager.basis(mask)
-        self.f_bar[l] = basis.evaluate_at_zero([v for _, v in pts])
+        zero = self.manager.basis(mask).evaluation_row(0)
+        self.f_bar[l] = sum(map(mul, [v for _, v in pts], zero)) % self.field.prime
 
     def _maybe_output(self) -> None:
         """R' step 4: fit ``f̄`` through the monitors' free terms, read

@@ -114,8 +114,8 @@ class SVSSInstance:
         t = self.t
         rng = self.manager.config.derive_rng("svss-deal", self.sid)
         # coeffs[i][k] multiplies x^i y^k, drawn row by row with a_00 = s
-        # pinned after (paper §4 footnote 2): ``BivariatePolynomial.random``'s
-        # draws, so a seed deals what it always dealt.
+        # pinned after (paper §4 footnote 2): the order a seed has always
+        # dealt in (the hiding tests draw it again).
         coeffs = [field.random_elements(rng, t + 1) for _ in range(t + 1)]
         coeffs[0][0] = field.element(secret)
         pids = range(1, self.n + 1)

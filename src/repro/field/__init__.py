@@ -1,5 +1,7 @@
-"""Finite-field substrate: ``GF(p)`` arithmetic, prime utilities, and the
-swappable vectorized algebra backend (see ``docs/ALGEBRA.md``)."""
+"""Finite-field substrate: ``GF(p)`` arithmetic on plain ints, prime
+utilities, and the swappable vectorized algebra backend (see
+``docs/ALGEBRA.md``).  Polynomials over the field are values, not objects:
+:mod:`repro.poly`."""
 
 from repro.field.backend import (
     BACKEND_ENV_VAR,
@@ -10,7 +12,7 @@ from repro.field.backend import (
     resolve_backend,
     set_backend,
 )
-from repro.field.gf import DEFAULT_FIELD, Field, dot
+from repro.field.gf import DEFAULT_FIELD, Field
 from repro.field.primes import (
     DEFAULT_PRIME,
     INT64_SAFE_MAX_BITS,
@@ -34,7 +36,6 @@ __all__ = [
     "Field",
     "active_backend",
     "available_backends",
-    "dot",
     "is_int64_safe",
     "is_prime",
     "next_prime",

@@ -10,7 +10,7 @@ the test suite does not already provide.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from random import Random
 
 from repro.errors import FieldError
@@ -114,18 +114,6 @@ class Field:
     def random_elements(self, rng: Random, count: int) -> list[int]:
         prime = self.prime
         return [rng.randrange(prime) for _ in range(count)]
-
-
-def dot(field: Field, left: Sequence[int], right: Sequence[int]) -> int:
-    """Inner product of two equal-length vectors over ``field``."""
-    if len(left) != len(right):
-        raise FieldError(
-            f"dot product needs equal lengths, got {len(left)} and {len(right)}"
-        )
-    total = 0
-    for a, b in zip(left, right):
-        total += a * b
-    return total % field.prime
 
 
 #: Shared default field instance (GF(2^31 - 1)).

@@ -112,12 +112,11 @@ class NetCluster:
         chaos: "str | ChaosProfile | None" = None,
         with_vss: bool = True,
         monitor=None,
-        auth: bool = True,
         journal_dir: "str | Path | None" = None,
     ):
         self.config = config
         self.tconfig = tconfig or TransportConfig()
-        if auth and not self.tconfig.auth_secret:
+        if not self.tconfig.auth_secret:
             self.tconfig = dataclasses.replace(
                 self.tconfig, auth_secret=derive_cluster_secret(config.seed)
             )

@@ -1,32 +1,22 @@
-"""Polynomial substrate: univariate + bivariate polynomials over GF(p).
+"""Polynomial algebra over GF(p) without polynomial objects.
 
-:mod:`repro.poly.fastpath` supplies the shared algebra fast path — cached
-Lagrange bases with their evaluation rows, Montgomery batch inversion, and
-power-table multi-point evaluation.  Protocol code interpolates exclusively
-through this package so no Lagrange basis is ever constructed ad hoc.
+Every polynomial of the protocol stack is only evaluated at points of
+``{0..n}``, so the stack keeps values, never a polynomial class: value rows
+``f(0..n)``, and dot products with the evaluation rows ``λ(x)`` of a cached
+Lagrange basis (``docs/ALGEBRA.md``).  :mod:`repro.poly.fastpath` supplies
+those bases, Montgomery batch inversion, and power-table multi-point
+evaluation; textbook interpolation and Horner evaluation live test-side in
+``tests/reference/``.
 """
 
-from repro.poly.bivariate import BivariatePolynomial, masking_polynomial
 from repro.poly.fastpath import (
     LagrangeBasis,
     batch_inverse,
-    interpolate_values,
     lagrange_basis,
-)
-from repro.poly.univariate import (
-    Polynomial,
-    interpolate_at_zero,
-    lagrange_interpolate,
 )
 
 __all__ = [
-    "BivariatePolynomial",
     "LagrangeBasis",
-    "Polynomial",
     "batch_inverse",
-    "interpolate_at_zero",
-    "interpolate_values",
     "lagrange_basis",
-    "lagrange_interpolate",
-    "masking_polynomial",
 ]

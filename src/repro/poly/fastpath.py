@@ -27,8 +27,8 @@ other node.  The interpolant through ``(x_i, y_i)`` is
 Both depend only on the node set (and the point), never on the values —
 they are the cached objects.  The weights cost the basis its one batch
 inversion at construction; an evaluation row is read off the basis rows
-through ``x``'s power chain, so evaluating, verifying points and reading
-``f(0)`` never invert.
+through ``x``'s power chain, so evaluating an interpolant — ``f(0)``
+included — never inverts.
 
 Cache-key design
 ----------------
@@ -356,17 +356,6 @@ class LagrangeBasis:
             return vectorized
         return [self.interpolate_coeffs(ys) for ys in ys_rows]
 
-    def evaluate(self, ys: Sequence[int], x: int) -> int:
-        """Evaluate the interpolant at ``x`` without materialising
-        coefficients: one dot product with the evaluation row."""
-        self._check_values(ys)
-        prime = self.field.prime
-        return sum(map(mul, ys, self.evaluation_row(x % prime))) % prime
-
-    def evaluate_at_zero(self, ys: Sequence[int]) -> int:
-        """The interpolant's value at 0 as a single dot product."""
-        return self.evaluate(ys, 0)
-
     def evaluate_many_at(self, ys: Sequence[int], points: Sequence[int]) -> list[int]:
         """The interpolant's value at every point: one dot product with the
         cached evaluation row per point, no inversion."""
@@ -374,20 +363,6 @@ class LagrangeBasis:
         prime = self.field.prime
         row = self.evaluation_row
         return [sum(map(mul, ys, row(x % prime))) % prime for x in points]
-
-    def verify_points(
-        self, ys: Sequence[int], points: Sequence[tuple[int, int]]
-    ) -> bool:
-        """True iff every ``(x, y)`` of ``points`` lies on the interpolant.
-
-        One evaluation-row dot product per point — no coefficient vector
-        is materialised and nothing is inverted.
-        """
-        if not points:
-            return True
-        prime = self.field.prime
-        got = self.evaluate_many_at(ys, [x for x, _ in points])
-        return all(v == y % prime for v, (_, y) in zip(got, points))
 
 
 @lru_cache(maxsize=4096)
@@ -410,49 +385,17 @@ def lagrange_basis(field: Field, xs: Sequence[int]) -> LagrangeBasis:
     return _cached_basis(field, canonical)
 
 
-#: set on first use — univariate imports this module, so the class cannot be
-#: imported at module load time without a cycle.
-_polynomial_cls = None
-
-
+# Probe seam names only (benchmarks/e2e/layerprobe.py); ROADMAP item 6(a) deletes them.
 def interpolate_values(
     field: Field, xs: Sequence[int], ys: Sequence[int]
-) -> "Polynomial":
-    """The unique degree-``< len(xs)`` polynomial with ``f(xs[i]) = ys[i]``.
-
-    This is the fast-path replacement for point-list Lagrange
-    interpolation: the basis is cached per node set, so repeat calls cost
-    one matrix–vector product.
-    """
-    global _polynomial_cls
-    if _polynomial_cls is None:
-        from repro.poly.univariate import Polynomial
-
-        _polynomial_cls = Polynomial
-    basis = lagrange_basis(field, xs)
-    return _polynomial_cls(field, basis.interpolate_coeffs(ys))
+) -> list[int]:
+    """Coefficients of the degree-``< len(xs)`` polynomial through
+    ``(xs[i], ys[i])``, over the cached basis of ``xs``."""
+    return lagrange_basis(field, xs).interpolate_coeffs(ys)
 
 
 def interpolate_values_rows(
     field: Field, xs: Sequence[int], ys_rows: Sequence[Sequence[int]]
-) -> list["Polynomial"]:
-    """Batch variant of :func:`interpolate_values`: one basis lookup
-    (validation and cache hit paid once) serves every value row over the
-    same node set.  No protocol path builds polynomials any more (received
-    rows stay values: ``mwsvss.value_rows``); this stays for tests and as a
-    seam of ``benchmarks/e2e``'s layer probe."""
-    global _polynomial_cls
-    if _polynomial_cls is None:
-        from repro.poly.univariate import Polynomial
-
-        _polynomial_cls = Polynomial
-    basis = lagrange_basis(field, xs)
-    return [
-        _polynomial_cls(field, coeffs) for coeffs in basis.interpolate_rows(ys_rows)
-    ]
-
-
-def clear_caches() -> None:
-    """Drop all memoised bases and power tables (tests and benchmarks)."""
-    _cached_basis.cache_clear()
-    power_table.cache_clear()
+) -> list[list[int]]:
+    """:func:`interpolate_values` for many value rows over one node set."""
+    return lagrange_basis(field, xs).interpolate_rows(ys_rows)

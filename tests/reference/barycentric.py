@@ -9,7 +9,7 @@ through ``(x_i, y_i)`` evaluates at a non-node ``x`` as
 
 and at a node as its own value.  All ``(x - x_i)`` differences go through
 one Montgomery inversion and the per-point denominators through a second.
-``LagrangeBasis.evaluate_many_at`` / ``verify_points`` must equal it
+``LagrangeBasis.evaluate_many_at`` must equal it
 (``tests/test_fastpath.py``).  No import from ``repro``."""
 
 
@@ -72,11 +72,3 @@ def evaluate_many_at(prime, xs, ys, points):
         ys[i] % prime if i is not None else next(quotients) * next(den_invs) % prime
         for i in plan
     ]
-
-
-def verify_points(prime, xs, ys, points):
-    """True iff every ``(x, y)`` lies on the interpolant."""
-    if not points:
-        return True
-    got = evaluate_many_at(prime, xs, ys, [x for x, _ in points])
-    return all(v == y % prime for v, (_, y) in zip(got, points))

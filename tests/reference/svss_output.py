@@ -6,7 +6,11 @@ surviving rows, and evaluate every check by Horner's rule.
 ``SVSSInstance._compute_output`` now works on value rows over ``0..n`` with
 bases keyed by pid mask; it must return the same output and ignore set
 ``I_j`` as :func:`compute_output`, and ⊥ exactly when this does
-(``tests/test_svss.py``).  No import from ``repro``."""
+(``tests/test_svss.py``).  ``src/`` has no polynomial class, so
+:func:`interpolate`, :func:`horner` and :func:`evaluate` are also the
+tests' textbook algebra: the fast path is held to them, and the hiding
+tests redraw the dealers' polynomials and build their masking witnesses
+with them.  No import from ``repro``."""
 
 
 def interpolate(prime, points):

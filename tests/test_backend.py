@@ -107,12 +107,9 @@ class TestKernelEquivalence:
         )
         nodes = list(range(1, m + 1))
         set_backend("pure")
-        expected = [
-            p.coeffs for p in interpolate_values_rows(F, nodes, ys_rows)
-        ]
+        expected = interpolate_values_rows(F, nodes, ys_rows)
         set_backend("numpy")
-        got = [p.coeffs for p in interpolate_values_rows(F, nodes, ys_rows)]
-        assert got == expected
+        assert interpolate_values_rows(F, nodes, ys_rows) == expected
 
     @given(
         values=st.lists(

@@ -2,14 +2,13 @@
 
 The fast path must be *observationally identical* to textbook Lagrange
 interpolation — the protocol's correctness proofs assume exact field
-arithmetic, so every cached shortcut is checked here against a naive
-reference implementation kept local to this file, and evaluation against
-the barycentric form of ``tests/reference/barycentric.py``.
+arithmetic, so every cached shortcut is checked here against the textbook
+Lagrange and Horner of ``tests/reference/svss_output.py``, and evaluation
+against the barycentric form of ``tests/reference/barycentric.py``.
 """
 
 from __future__ import annotations
 
-import sys
 import time
 from functools import cache
 from random import Random
@@ -18,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import barycentric, svss_output
+from reference.svss_output import horner
 
 import repro.poly.fastpath as fastpath
 from repro.config import SystemConfig, max_faults
@@ -32,36 +32,12 @@ from repro.poly.fastpath import (
     lagrange_basis,
     power_table,
 )
-from repro.poly.bivariate import BivariatePolynomial
-from repro.poly.univariate import (
-    Polynomial,
-    interpolate_at_zero,
-    lagrange_interpolate,
-)
 from repro.sim.scheduler import FifoScheduler
 
 F = Field()  # default prime
 F13 = Field(13)
 SMALL_PRIME = 10_007
 FS = Field(SMALL_PRIME)
-
-
-def naive_lagrange(field: Field, points) -> Polynomial:
-    """The seed implementation: per-point basis build + Fermat inversions."""
-    prime = field.prime
-    result = Polynomial.zero(field)
-    for i, (x_i, y_i) in enumerate(points):
-        if y_i % prime == 0:
-            continue
-        basis = Polynomial.constant(field, 1)
-        denom = 1
-        for j, (x_j, _) in enumerate(points):
-            if j == i:
-                continue
-            basis = basis * Polynomial(field, [(-x_j) % prime, 1])
-            denom = (denom * (x_i - x_j)) % prime
-        result = result + basis.scale(field.div(y_i, denom))
-    return result
 
 
 def random_points(field: Field, count: int, rng: Random, include_zero=False):
@@ -81,56 +57,41 @@ class TestBarycentricVsNaive:
                 continue
             for _ in range(10):
                 points = random_points(field, count, rng, include_zero=True)
-                assert lagrange_interpolate(field, points) == naive_lagrange(
-                    field, points
-                )
+                xs = [x for x, _ in points]
+                ys = [y for _, y in points]
+                coeffs = lagrange_basis(field, xs).interpolate_coeffs(ys)
+                assert coeffs == svss_output.interpolate(field.prime, points)
+                assert [horner(field.prime, coeffs, x) for x in xs] == ys
 
     def test_interpolate_values_matches_point_form(self):
         rng = Random(11)
         xs = [3, 9, 1, 6]
         ys = [rng.randrange(F.prime) for _ in xs]
-        assert interpolate_values(F, xs, ys) == lagrange_interpolate(
-            F, list(zip(xs, ys))
+        assert interpolate_values(F, xs, ys) == svss_output.interpolate(
+            F.prime, list(zip(xs, ys))
         )
 
     def test_duplicate_x_rejected(self):
         with pytest.raises(PolynomialError):
-            lagrange_interpolate(F13, [(1, 2), (1, 3)])
+            lagrange_basis(F13, (1, 1))
         with pytest.raises(PolynomialError):
             # duplicates only after reduction into the field
             lagrange_basis(F13, (1, 14))
 
     def test_empty_rejected(self):
         with pytest.raises(PolynomialError):
-            lagrange_interpolate(F13, [])
-        with pytest.raises(PolynomialError):
             lagrange_basis(F13, ())
 
-    def test_barycentric_evaluation_matches_polynomial(self):
-        rng = Random(3)
-        p = Polynomial.random(F, 5, rng)
+    def test_evaluation_rows_match_horner(self):
+        coeffs = F.random_elements(Random(3), 6)
         xs = [1, 2, 4, 8, 16, 32]
-        ys = p.evaluate_many(xs)
+        ys = [horner(F.prime, coeffs, x) for x in xs]
         basis = lagrange_basis(F, xs)
         # off-node, on-node, and zero all agree with the coefficient form
-        for x in [0, 3, 5, 7, 2, 32, 100]:
-            assert basis.evaluate(ys, x) == p(x)
-        assert basis.evaluate_at_zero(ys) == p(0)
-        assert interpolate_at_zero(F, list(zip(xs, ys))) == p(0)
-
-    def test_verify_points(self):
-        rng = Random(5)
-        p = Polynomial.random(F, 3, rng)
-        xs = [1, 2, 3, 4]
-        ys = p.evaluate_many(xs)
-        basis = lagrange_basis(F, xs)
-        good = [(x, p(x)) for x in (5, 6, 0, 2)]
-        assert basis.verify_points(ys, good)
-        assert basis.verify_points(ys, [])
-        bad = good[:2] + [(7, p(7) + 1)]
-        assert not basis.verify_points(ys, bad)
-        # on-node mismatch is also caught
-        assert not basis.verify_points(ys, [(2, ys[1] + 1)])
+        points = [0, 3, 5, 7, 2, 32, 100]
+        assert basis.evaluate_many_at(ys, points) == [
+            horner(F.prime, coeffs, x) for x in points
+        ]
 
 
 #: A small prime (node sets ⊆ {1..12} stay distinct) and the default one.
@@ -166,23 +127,12 @@ def evaluation_cases(draw):
 
 class TestEvaluationRows:
     @settings(max_examples=300, deadline=None)
-    @given(evaluation_cases(), st.data())
-    def test_matches_barycentric_reference(self, case, data):
+    @given(evaluation_cases())
+    def test_matches_barycentric_reference(self, case):
         field, nodes, ys, points = case
-        prime = field.prime
         basis = lagrange_basis(field, nodes)
-        expected = barycentric.evaluate_many_at(prime, nodes, ys, points)
+        expected = barycentric.evaluate_many_at(field.prime, nodes, ys, points)
         assert basis.evaluate_many_at(ys, points) == expected
-        for x, value in zip(points, expected):
-            assert basis.evaluate(ys, x) == value
-        # verify_points over claims that are right, wrong, or off by p
-        claims = [
-            (x, data.draw(st.sampled_from([v, v + prime, (v + 1) % prime])))
-            for x, v in zip(points, expected)
-        ]
-        assert basis.verify_points(ys, claims) == barycentric.verify_points(
-            prime, nodes, ys, claims
-        )
 
     @settings(max_examples=300, deadline=None)
     @given(node_sets(), st.data())
@@ -195,7 +145,7 @@ class TestEvaluationRows:
         t = data.draw(st.integers(0, n))
         coeffs = data.draw(st.lists(st.integers(0, prime - 1), max_size=t + 2))
         monitors = sorted(monitors)
-        values = Polynomial(field, coeffs).evaluate_many(monitors)
+        values = [horner(prime, coeffs, x) for x in monitors]
         bent = data.draw(st.sets(st.sampled_from(range(len(monitors)))))
         for i in bent:
             values[i] = (values[i] + data.draw(st.integers(1, prime - 1))) % prime
@@ -219,19 +169,17 @@ class TestEvaluationRows:
         basis = lagrange_basis(F13, (1, 2, 3))
         for call in (
             lambda: basis.evaluate_many_at([1, 2], [0]),
-            lambda: basis.evaluate([1, 2, 3, 4], 0),
-            lambda: basis.verify_points([1], [(0, 1)]),
+            lambda: basis.interpolate_coeffs([1, 2, 3, 4]),
         ):
             with pytest.raises(PolynomialError):
                 call()
 
 
 class TestNoInversionOnTheCoinPath:
-    def test_warm_coin_never_inverts_and_mwsvss_never_runs_horner(self, monkeypatch):
+    def test_warm_coin_never_inverts(self, monkeypatch):
         """Once a first coin has built the bases, a second same-seed coin
-        makes no ``batch_inverse`` call (hence no ``pow()``), and MW-SVSS
-        evaluates no ``Polynomial`` by Horner's rule: its received
-        polynomials are value rows and R' step 4 a dot product."""
+        makes no ``batch_inverse`` call (hence no ``pow()``): every value
+        it reads is a dot product with a cached evaluation row."""
         cfg = SystemConfig(n=4, seed=1000)
         first, _ = flip_common_coin(cfg, scheduler=FifoScheduler())
         inversions = []
@@ -241,38 +189,10 @@ class TestNoInversionOnTheCoinPath:
             inversions.append(len(values))
             return real_inverse(field, values)
 
-        horner_callers = []
-        real_call = Polynomial.__call__
-
-        def traced_call(self, x):
-            horner_callers.append(sys._getframe(1).f_globals["__name__"])
-            return real_call(self, x)
-
         monkeypatch.setattr(fastpath, "batch_inverse", counted_inverse)
-        monkeypatch.setattr(Polynomial, "__call__", traced_call)
         second, _ = flip_common_coin(cfg, scheduler=FifoScheduler())
         assert second.outputs == first.outputs
         assert inversions == []
-        assert "repro.core.mwsvss" not in horner_callers
-
-    def test_fault_free_coin_builds_no_polynomial(self, monkeypatch):
-        """Every polynomial of the stack — the dealers' ``f`` and ``f_l``,
-        SVSS's bivariate ``f``, a process' ``g_j`` / ``h_j``, the R and R'
-        fits — is only evaluated at points of ``{0..n}``, so a coin keeps
-        them all as values: it constructs no ``Polynomial`` and no
-        ``BivariatePolynomial``."""
-        built = []
-        for cls in (Polynomial, BivariatePolynomial):
-            real_init = cls.__init__
-
-            def counted_init(self, *args, _real=real_init, **kwargs):
-                built.append(type(self).__name__)
-                _real(self, *args, **kwargs)
-
-            monkeypatch.setattr(cls, "__init__", counted_init)
-        result, _ = flip_common_coin(SystemConfig(n=4, seed=1000))
-        assert set(result.outputs) == {1, 2, 3, 4}
-        assert built == []
 
 
 class TestBatchInverse:
@@ -303,20 +223,17 @@ class TestCacheSemantics:
         xs = (1, 2, 3)
         assert lagrange_basis(a, xs) is lagrange_basis(b, xs)
         ys = [5, 9, 2]
-        assert (
-            interpolate_values(a, xs, ys).coeffs
-            == interpolate_values(b, xs, ys).coeffs
-        )
+        assert interpolate_values(a, xs, ys) == interpolate_values(b, xs, ys)
 
     def test_distinct_primes_do_not_collide(self):
         xs = (1, 2, 3)
         assert lagrange_basis(F13, xs) is not lagrange_basis(FS, xs)
         ys = [7, 7, 12]
-        got13 = interpolate_values(F13, xs, ys)
-        gotS = interpolate_values(FS, xs, ys)
-        assert got13.field.prime == 13 and gotS.field.prime == SMALL_PRIME
-        assert got13 == naive_lagrange(F13, list(zip(xs, ys)))
-        assert gotS == naive_lagrange(FS, list(zip(xs, ys)))
+        points = list(zip(xs, ys))
+        assert interpolate_values(F13, xs, ys) == svss_output.interpolate(13, points)
+        assert interpolate_values(FS, xs, ys) == svss_output.interpolate(
+            SMALL_PRIME, points
+        )
 
     def test_canonicalised_nodes_share_an_entry(self):
         assert lagrange_basis(F13, (1, 2)) is lagrange_basis(F13, (14, 15))
@@ -332,29 +249,29 @@ class TestEvaluateMany:
     def test_matches_horner(self):
         rng = Random(17)
         for degree in (0, 1, 4, 9):
-            p = Polynomial.random(F, degree, rng)
+            coeffs = F.random_elements(rng, degree + 1)
             xs = [rng.randrange(F.prime) for _ in range(12)] + [0, 1]
-            assert p.evaluate_many(xs) == [p(x) for x in xs]
+            assert evaluate_many(F, coeffs, xs) == [
+                horner(F.prime, coeffs, x) for x in xs
+            ]
 
     def test_zero_polynomial(self):
-        assert Polynomial.zero(F).evaluate_many([0, 1, 2]) == [0, 0, 0]
+        assert evaluate_many(F, [0], [0, 1, 2]) == [0, 0, 0]
         assert evaluate_many(F, (), [5, 6]) == [0, 0]
 
     def test_non_canonical_points(self):
-        p = Polynomial(F13, [1, 1])
-        assert p.evaluate_many([13, 14, -1]) == [1, 2, 0]
+        assert evaluate_many(F13, [1, 1], [13, 14, -1]) == [1, 2, 0]
 
 
 class TestInterpolateDegreeT:
     """``VSSManager.fit``: the degree-t check of R' step 4 and R step 2."""
 
     def test_tail_verification_passes_and_fails(self):
-        rng = Random(23)
-        p = Polynomial.random(F, 2, rng)
+        coeffs = F.random_elements(Random(23), 3)
         pids = range(1, 7)
-        ys = p.evaluate_many(pids)
+        ys = [horner(F.prime, coeffs, x) for x in pids]
         fit = manager(6, 2, F.prime).fit
-        assert fit(pids, ys, range(7)) == p.evaluate_many(range(7))
+        assert fit(pids, ys, range(7)) == [horner(F.prime, coeffs, x) for x in range(7)]
         bad = ys[:5] + [(ys[5] + 1) % F.prime]
         assert fit(pids, bad, range(7)) is None
 
@@ -374,10 +291,9 @@ class TestTimingGuard:
         lagrange_basis(F, xs)  # warm the cache, as protocol runs do
         start = time.perf_counter()
         for _ in range(50):
-            p = Polynomial.random(F, t, rng)
-            ys = p.evaluate_many(xs)
-            q = interpolate_values(F, xs, ys)
-            assert q == p
+            coeffs = F.random_elements(rng, t + 1)
+            ys = evaluate_many(F, coeffs, xs)
+            assert interpolate_values(F, xs, ys) == coeffs
         elapsed = time.perf_counter() - start
         assert elapsed < 0.25, (
             f"50 degree-{t} interpolations took {elapsed:.3f}s; the cached "

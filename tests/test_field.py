@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import FieldError
-from repro.field.gf import DEFAULT_FIELD, Field, dot
+from repro.field.gf import DEFAULT_FIELD, Field
 from repro.field.primes import DEFAULT_PRIME, SMALL_TEST_PRIME
 
 ELEMENTS = st.integers(min_value=0, max_value=SMALL_TEST_PRIME - 1)
@@ -17,6 +17,9 @@ F13 = Field(SMALL_TEST_PRIME)
 class TestConstruction:
     def test_default_prime(self):
         assert Field().prime == DEFAULT_PRIME
+
+    def test_default_field_singleton(self):
+        assert DEFAULT_FIELD.prime == DEFAULT_PRIME
 
     def test_rejects_composite(self):
         with pytest.raises(FieldError):
@@ -172,18 +175,3 @@ class TestRandomness:
 
         seen = set(small_field.random_elements(random.Random(3), 500))
         assert seen == set(range(13))
-
-
-class TestDot:
-    def test_dot_product(self, small_field):
-        assert dot(small_field, [1, 2], [3, 4]) == 11
-
-    def test_dot_wraps(self, small_field):
-        assert dot(small_field, [12, 12], [12, 12]) == (144 + 144) % 13
-
-    def test_dot_length_mismatch(self, small_field):
-        with pytest.raises(FieldError):
-            dot(small_field, [1], [1, 2])
-
-    def test_default_field_singleton(self):
-        assert DEFAULT_FIELD.prime == DEFAULT_PRIME

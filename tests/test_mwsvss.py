@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from reference.svss_output import horner, interpolate
 
 from repro.adversary.behaviors import (
     ByzantineBehavior,
@@ -19,7 +20,6 @@ from repro.config import SystemConfig
 from repro.core.api import build_stack, run_mwsvss
 from repro.core.mwsvss import BOTTOM
 from repro.core.sessions import mw_session
-from repro.poly.univariate import Polynomial, interpolate_at_zero
 from repro.sim.process import ENVELOPE_TAG
 from repro.sim.scheduler import ExponentialDelayScheduler, TargetedDelayScheduler
 
@@ -156,77 +156,87 @@ class TestTermination:
         assert result.outputs == {pid: 5 for pid in cfg.pids}
 
 
-def share_and_tap(cfg: SystemConfig, pid: int, secret: int):
+def share_and_tap(cfg: SystemConfig, pids, secret: int):
     """Share one MW-SVSS session (dealer 1, moderator 2, no reconstruct) to
-    quiescence.  Returns what process ``pid`` received from the dealer, by
-    kind, as the runtime delivered it, and the dealer's instance."""
+    quiescence.  Returns what each of ``pids`` received from the dealer, by
+    pid and kind, as the runtime delivered it, and the dealer's instance."""
     stack = build_stack(cfg)
     sid = mw_session(("solo", 0), 1, 2, "dm")
-    view: dict[str, object] = {}
+    views: dict[int, dict[str, object]] = {pid: {} for pid in pids}
 
     def tap(src, dst, payload):
-        if src != 1 or dst != pid:
+        if src != 1 or dst not in views:
             return
         messages = payload[1] if payload[0] == ENVELOPE_TAG else (payload,)
         for message in messages:
             if message[0] == "v" and message[1] == sid:
-                view.setdefault(message[2], message[3])
+                views[dst].setdefault(message[2], message[3])
 
     stack.runtime.delivery_tap = tap
     stack.vss[1].mw_share(sid, secret)
     stack.vss[2].mw_moderate(sid, secret)
     stack.runtime.run_to_quiescence()
-    return view, stack.vss[1].mw[sid]
+    return views, stack.vss[1].mw[sid]
+
+
+#: t corrupt processes, neither the dealer (1) nor the moderator (2).
+CORRUPT = {4: (3,), 7: (3, 5)}
 
 
 class TestHiding:
     """Property 5': before reconstruct, any t processes' view is consistent
     with every candidate secret — shown constructively on the messages the
-    corrupt process received."""
+    corrupt processes received."""
 
-    def test_corrupt_view_consistent_with_every_secret(self):
-        cfg = SystemConfig(n=4, seed=3, prime=13)
-        secret = 4
-        field = cfg.field
-        corrupt = 3  # neither dealer nor moderator
-        view, dealer_inst = share_and_tap(cfg, corrupt, secret)
-        view_shares = view["shl"]  # (f_1(3), ..., f_4(3))
-        view_monitor = view["mon"]  # f_3(1..t+1)
-        grid = range(1, cfg.t + 2)
-        # The dealer's polynomials, drawn again from its stream: the corrupt
-        # process received exactly their values (which also pins the
-        # dealer's draw order).
+    @pytest.mark.parametrize("n", [4, 7])
+    def test_corrupt_view_consistent_with_every_secret(self, n):
+        cfg = SystemConfig(n=n, seed=3, prime=13)
+        prime, t, secret = cfg.prime, cfg.t, 4
+        corrupt = CORRUPT[n]
+        views, dealer_inst = share_and_tap(cfg, corrupt, secret)
+        grid = range(1, t + 2)
+
+        def view_of(f, subs, j):
+            """What process j receives from a dealing (f, f_1..f_n)."""
+            shares = tuple(horner(prime, sub, j) for sub in subs)  # f_l(j)
+            return shares, tuple(horner(prime, subs[j - 1], x) for x in grid)
+
+        # The dealer's polynomials, drawn again from its stream: f, then
+        # f_1..f_n, low degree first, each f_l(0) = f(l) pinned after its
+        # draw.  The corrupt processes received exactly their values (which
+        # also pins the dealer's draw order).
         rng = cfg.derive_rng("mw-deal", dealer_inst.sid)
-        f = Polynomial.random(field, cfg.t, rng, constant_term=secret)
-        subs = [
-            Polynomial.random(field, cfg.t, rng, constant_term=f(l))
-            for l in range(1, cfg.n + 1)
-        ]
-        assert view_shares == tuple(sub(corrupt) for sub in subs)
-        assert view_monitor == tuple(subs[corrupt - 1].evaluate_many(grid))
+        f = cfg.field.random_elements(rng, t + 1)
+        f[0] = secret
+        subs = [cfg.field.random_elements(rng, t + 1) for _ in cfg.pids]
+        for l, sub in zip(cfg.pids, subs):
+            sub[0] = horner(prime, f, l)
+        for j in corrupt:
+            assert (views[j]["shl"], views[j]["mon"]) == view_of(f, subs, j)
 
-        # Masking polynomial q with q(0)=1, q(corrupt)=0.
-        prime = field.prime
-        q = Polynomial(field, [1]) * Polynomial(
-            field, [(-corrupt) % prime, 1]
-        ).scale(field.inv((-corrupt) % prime))
-        assert q(0) == 1 and q(corrupt) == 0
+        # The masking witness: q of degree <= t with q(0) = 1 and q(j) = 0
+        # for every corrupt j.
+        q = interpolate(prime, [(0, 1), *((j, 0) for j in corrupt)])
+        q += [0] * (t + 1 - len(q))
+        assert horner(prime, q, 0) == 1
+        assert all(horner(prime, q, j) == 0 for j in corrupt)
+
+        def shifted(coeffs, delta):
+            return [(c + delta * d) % prime for c, d in zip(coeffs, q)]
 
         for s_prime in range(prime):
-            delta = (s_prime - secret) % prime
-            f_alt = f + q.scale(delta)
-            assert f_alt(0) == s_prime
-            subs_alt = []
-            for l in range(1, cfg.n + 1):
-                shift = (f_alt(l) - f(l)) % prime
-                subs_alt.append(subs[l - 1] + q.scale(shift))
-            # The corrupt view is unchanged under the alternative dealing:
-            for l in range(1, cfg.n + 1):
-                assert subs_alt[l - 1](corrupt) == view_shares[l - 1]
-            assert tuple(subs_alt[corrupt - 1].evaluate_many(grid)) == view_monitor
-            # and it is a valid dealing of s_prime:
-            for l in range(1, cfg.n + 1):
-                assert subs_alt[l - 1](0) == f_alt(l)
+            f_alt = shifted(f, s_prime - secret)
+            subs_alt = [
+                shifted(sub, horner(prime, f_alt, l) - horner(prime, f, l))
+                for l, sub in zip(cfg.pids, subs)
+            ]
+            # a valid dealing of s_prime ...
+            assert horner(prime, f_alt, 0) == s_prime
+            for l, sub in zip(cfg.pids, subs_alt):
+                assert horner(prime, sub, 0) == horner(prime, f_alt, l)
+            # ... that gives every corrupt process the same view
+            for j in corrupt:
+                assert view_of(f_alt, subs_alt, j) == view_of(f, subs, j)
 
     def test_share_values_leak_nothing_statistically(self):
         """Distribution sanity: a non-dealer's share of the secret
@@ -234,10 +244,9 @@ class TestHiding:
         counts = {}
         for seed in range(120):
             cfg = SystemConfig(n=4, seed=seed, prime=13)
-            view, _ = share_and_tap(cfg, 3, secret=5)
-            f_3_at_0 = interpolate_at_zero(
-                cfg.field, list(zip(range(1, cfg.t + 2), view["mon"]))
-            )
+            views, _ = share_and_tap(cfg, (3,), secret=5)
+            grid = range(1, cfg.t + 2)
+            f_3_at_0 = interpolate(cfg.prime, list(zip(grid, views[3]["mon"])))[0]
             counts[f_3_at_0] = counts.get(f_3_at_0, 0) + 1
         # f_3(0) = f(3) is uniform over GF(13): no value should dominate.
         assert max(counts.values()) < 30

@@ -19,7 +19,7 @@ from repro.config import SystemConfig
 from repro.core.api import build_node_modules
 from repro.core.sessions import SVEC_MW, svec_sid
 from repro.core.vectormux import SVEC_TAG
-from repro.net.cluster import NetCluster
+from repro.net.cluster import NetCluster, derive_cluster_secret
 from repro.net.codec import (
     FRAME_AUTH,
     FRAME_CHALLENGE,
@@ -169,6 +169,17 @@ def test_wrong_secret_never_welcomed():
         await b.close()
 
     asyncio.run(main())
+
+
+def test_cluster_has_no_auth_switch():
+    """``NetCluster(auth=)`` is gone: a cluster without a configured secret
+    derives one from the run seed, and a configured secret is kept.  (The
+    launcher's ``--no-auth`` sets ``run_processes(auth=)``, which stays.)"""
+    config = SystemConfig(n=4, seed=7)
+    with pytest.raises(TypeError, match="auth"):
+        NetCluster(config, auth=False)
+    assert NetCluster(config).tconfig.auth_secret == derive_cluster_secret(7)
+    assert NetCluster(config, tconfig=FAST).tconfig.auth_secret == SECRET
 
 
 def test_mac_binds_direction_and_epoch():

@@ -16,8 +16,6 @@ import pytest
 from repro.broadcast.manager import _DELIVERED_SENT2, _DELIVERED_UNSENT2
 from repro.config import SystemConfig
 from repro.core.api import build_stack, make_coins
-from repro.poly.bivariate import BivariatePolynomial
-from repro.poly.univariate import Polynomial
 from repro.sim.scheduler import FifoScheduler
 
 #: Retained bytes per height the test tolerates: what is measured (1.68 MB;
@@ -26,17 +24,21 @@ from repro.sim.scheduler import FifoScheduler
 RETAINED_MB_PER_HEIGHT = 2.1
 
 
+#: The received polynomials, kept as value rows (tuples) while a session works.
+VALUE_ROWS = {"share_vector", "monitor_row", "moderator_row", "g", "h"}
+
+
 def working_state(inst) -> dict:
-    """The containers and polynomials ``inst`` holds — what a released
+    """The containers and value rows ``inst`` holds — what a released
     session must not own (its outcome is not working state: ``sid``,
     ``M_hat``, ``G_hat`` and SVSS's ignore set ``I_j`` stay readable)."""
     names = getattr(type(inst), "__slots__", None) or vars(inst)
     held = {}
     for name in names:
         value = getattr(inst, name)
-        if name != "ignored" and isinstance(
-            value, (dict, set, list, Polynomial, BivariatePolynomial)
-        ):
+        if name == "ignored" or value is None:
+            continue
+        if isinstance(value, (dict, set, list)) or name in VALUE_ROWS:
             held[name] = value
     return held
 

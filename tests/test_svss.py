@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import svss_output
+from reference.svss_output import evaluate, interpolate
 
 from repro.adversary.behaviors import (
     CrashBehavior,
@@ -23,8 +24,6 @@ from repro.core.api import build_stack, run_svss
 from repro.core.mwsvss import BOTTOM
 from repro.core.sessions import mw_session, svss_session
 from repro.core.svss import SVSSInstance
-from repro.field.gf import Field
-from repro.poly.bivariate import BivariatePolynomial, masking_polynomial
 from repro.sim.process import ENVELOPE_TAG
 from repro.sim.scheduler import ExponentialDelayScheduler, TargetedDelayScheduler
 
@@ -129,57 +128,79 @@ class TestTermination:
         assert result.outputs == {pid: 6 for pid in cfg.pids}
 
 
-def share_and_tap(cfg: SystemConfig, pid: int, secret: int):
+def share_and_tap(cfg: SystemConfig, pids, secret: int):
     """Share one SVSS session (dealer 1, no reconstruct) to quiescence.
-    Returns the ``"rows"`` body process ``pid`` received from the dealer,
+    Returns the ``"rows"`` body each of ``pids`` received from the dealer,
     as the runtime delivered it, the session id and the stack."""
     stack = build_stack(cfg)
     sid = svss_session(("solo-svss", 0), 1)
-    view = []
+    views: dict[int, list] = {pid: [] for pid in pids}
 
     def tap(src, dst, payload):
-        if src != 1 or dst != pid:
+        if src != 1 or dst not in views:
             return
         messages = payload[1] if payload[0] == ENVELOPE_TAG else (payload,)
         for message in messages:
             if message[:3] == ("v", sid, "rows"):
-                view.append(message[3])
+                views[dst].append(message[3])
 
     stack.runtime.delivery_tap = tap
     stack.vss[1].svss_share(sid, secret)
     stack.runtime.run_to_quiescence()
-    return view[0], sid, stack
+    return {pid: view[0] for pid, view in views.items()}, sid, stack
+
+
+#: t corrupt processes, none of them the dealer (1).
+CORRUPT = {4: (3,), 7: (3, 5)}
 
 
 class TestHiding:
     """Property 5: before reconstruct, any t processes' joint view is
     consistent with every candidate secret (constructive proof)."""
 
-    def test_corrupt_rows_consistent_with_every_secret(self):
-        cfg = SystemConfig(n=4, seed=5, prime=13)
-        secret = 4
-        corrupt = 3
-        (row, col), sid, stack = share_and_tap(cfg, corrupt, secret)
-        # The dealer's polynomial, drawn again from its stream: the corrupt
-        # process received exactly its row and column (which also pins the
-        # dealer's draw order).
-        f = BivariatePolynomial.random(
-            cfg.field, cfg.t, cfg.derive_rng("svss-deal", sid), secret=secret
-        )
-        grid = range(1, cfg.t + 2)
-        assert row == tuple(f.row(corrupt).evaluate_many(grid))
-        assert col == tuple(f.column(corrupt).evaluate_many(grid))
-        inst = stack.vss[corrupt].svss[sid]
+    @pytest.mark.parametrize("n", [4, 7])
+    def test_corrupt_rows_consistent_with_every_secret(self, n):
+        cfg = SystemConfig(n=n, seed=5, prime=13)
+        prime, t, secret = cfg.prime, cfg.t, 4
+        corrupt = CORRUPT[n]
+        views, sid, stack = share_and_tap(cfg, corrupt, secret)
+        # The dealer's f, drawn again from its stream: coeffs[i][k]
+        # multiplies x^i y^k, drawn row by row, a_00 = s pinned after.  The
+        # corrupt processes received exactly their rows and columns (which
+        # also pins the dealer's draw order).
+        rng = cfg.derive_rng("svss-deal", sid)
+        coeffs = [cfg.field.random_elements(rng, t + 1) for _ in range(t + 1)]
+        coeffs[0][0] = secret
+        grid = range(1, t + 2)
         everywhere = range(cfg.n + 1)
-        assert inst.g == tuple(f.row(corrupt).evaluate_many(everywhere))
-        assert inst.h == tuple(f.column(corrupt).evaluate_many(everywhere))
-        q = masking_polynomial(cfg.field, cfg.t, [corrupt])
-        for s_prime in range(cfg.prime):
-            f_alt = f + q.scale((s_prime - secret) % cfg.prime)
-            assert f_alt.secret == s_prime
-            # the corrupt process' whole row/column view is unchanged
-            assert f_alt.row(corrupt) == f.row(corrupt)
-            assert f_alt.column(corrupt) == f.column(corrupt)
+        for j in corrupt:
+            row, col = views[j]
+            assert row == tuple(evaluate(prime, coeffs, j, y) for y in grid)
+            assert col == tuple(evaluate(prime, coeffs, x, j) for x in grid)
+            inst = stack.vss[j].svss[sid]
+            assert inst.g == tuple(evaluate(prime, coeffs, j, y) for y in everywhere)
+            assert inst.h == tuple(evaluate(prime, coeffs, x, j) for x in everywhere)
+
+        # q(x, y) = u(x) u(y) with u(0) = 1 and u(j) = 0 for every corrupt
+        # j: q(0, 0) = 1, and q vanishes on every corrupt row and column.
+        u = interpolate(prime, [(0, 1), *((j, 0) for j in corrupt)])
+        u += [0] * (t + 1 - len(u))
+        q = [[a * b % prime for b in u] for a in u]
+
+        def view(f, j):
+            """Process j's row f(j, ·) and column f(·, j) over the field."""
+            points = range(prime)
+            return [(evaluate(prime, f, j, v), evaluate(prime, f, v, j)) for v in points]
+
+        for s_prime in range(prime):
+            delta = s_prime - secret
+            f_alt = [
+                [(c + delta * d) % prime for c, d in zip(row, q_row)]
+                for row, q_row in zip(coeffs, q)
+            ]
+            assert evaluate(prime, f_alt, 0, 0) == s_prime
+            for j in corrupt:
+                assert view(f_alt, j) == view(coeffs, j)
 
     def test_secret_values_uniform_across_seeds(self):
         counts = {}
@@ -213,18 +234,19 @@ def output_matrices(draw):
         return tuple(draw(st.permutations(pids))[: draw(st.integers(n - t, n))])
 
     def bivariate():
+        """A degree-(t, t) f(x, y) as a function; [i][k] multiplies x^i y^k."""
         coeffs = draw(st.lists(element, min_size=(t + 1) ** 2, max_size=(t + 1) ** 2))
         rows = [coeffs[i * (t + 1) : (i + 1) * (t + 1)] for i in range(t + 1)]
-        return BivariatePolynomial(Field(prime), rows)
+        return lambda x, y: svss_output.evaluate(prime, rows, x, y)
 
     g_hat = pid_set()
     g_hat_map = {k: pid_set() for k in g_hat}
     f, f2 = bivariate(), bivariate()
     lift = draw(st.integers(1, prime - 1))
     sources = {
-        "f": lambda a, b: f(a, b),
+        "f": f,
         "transposed": lambda a, b: f(b, a),
-        "second": lambda a, b: f2(a, b),
+        "second": f2,
         "degree t+1": lambda a, b: (f(a, b) + lift * pow(b, t + 1, prime)) % prime,
     }
     # At most t + 1 rows deviate, so honest outcomes stay common at n = 7.
