@@ -20,8 +20,6 @@ For runs whose processes genuinely do not share an address space, use
 from __future__ import annotations
 
 import asyncio
-import dataclasses
-import hashlib
 import time
 from pathlib import Path
 
@@ -81,15 +79,6 @@ def resolve_profile(chaos: "str | ChaosProfile | None") -> ChaosProfile | None:
         ) from None
 
 
-def derive_cluster_secret(seed: int) -> bytes:
-    """The cluster-wide auth secret all honest parties share.
-
-    Deterministic in the run seed so OS-process children (launch.py) and
-    in-process clusters derive the same keys without a key exchange —
-    the trusted-setup analogue of the paper's private channels."""
-    return hashlib.sha256(f"{seed}:net-auth".encode()).digest()
-
-
 class NetCluster:
     """n protocol processes over real localhost TCP, driven to completion.
 
@@ -116,12 +105,7 @@ class NetCluster:
     ):
         self.config = config
         self.tconfig = tconfig or TransportConfig()
-        if not self.tconfig.auth_secret:
-            self.tconfig = dataclasses.replace(
-                self.tconfig, auth_secret=derive_cluster_secret(config.seed)
-            )
         self.journal_dir = None if journal_dir is None else Path(journal_dir)
-        self._journal_paths: dict[int, Path] = {}
         self.profile = resolve_profile(chaos)
         self.with_vss = with_vss
         self.context = NetContext(config)
@@ -179,11 +163,7 @@ class NetCluster:
     def _journal_path(self, pid: int) -> "Path | None":
         if self.journal_dir is None:
             return None
-        path = self._journal_paths.get(pid)
-        if path is None:
-            path = self.journal_dir / f"node-{pid}.journal"
-            self._journal_paths[pid] = path
-        return path
+        return self.journal_dir / f"node-{pid}.journal"
 
     async def close(self) -> None:
         for node in self.nodes.values():

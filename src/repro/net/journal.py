@@ -46,18 +46,18 @@ Record kinds (tuples, first element the kind):
 * ``("shun", (pid, ...))`` — the DMM shun/suspect set snapshot.
 * unknown kinds are skipped (counted), so older journals stay readable.
 
-Durability policy.  The hot path (one record noted per DATA frame)
-must not fsync per record — that would cost the transport its ~62k
-msg/s clean-path figure.  Writes are buffered and the owning node
-flushes on a timer (``TransportConfig.journal_flush_interval``);
-``fsync`` mode ``"batch"`` (default) syncs on those flushes and on every
-durable append (epoch, input, decision, coin, shun — the records whose
-loss changes protocol behaviour), ``"always"`` syncs every append, and
-``"never"`` leaves syncing to the OS (tests).  Losing the tail of
-batched seq records costs at most a bounded window of duplicate
-deliveries after a crash — which the restarted protocol stack needs
-anyway — never a seq regression, because the epoch bump fences the new
-incarnation's links.
+Durability policy — there is one.  The hot path (one record noted per
+DATA frame) must not fsync per record — that would cost the transport
+its ~62k msg/s clean-path figure.  Seq notes are coalesced in memory and
+the owning node flushes them on a timer
+(``TransportConfig.journal_flush_interval``); each such flush is one
+fsync, and so is every durable append (epoch, input, decision, coin,
+shun — the records whose loss changes protocol behaviour).  Other
+appends reach the file (without an fsync) once ``FLUSH_EVERY_BYTES``
+are buffered.  Losing the tail of batched seq records costs at most a
+bounded window of duplicate deliveries after a crash — which the
+restarted protocol stack needs anyway — never a seq regression, because
+the epoch bump fences the new incarnation's links.
 """
 
 from __future__ import annotations
@@ -82,6 +82,9 @@ from repro.net.codec import (
 #: Hard cap on one journal record's body; honest records are tens of
 #: bytes (a shun snapshot is the largest at O(n)).
 MAX_JOURNAL_BODY = 1 << 20
+
+#: Buffered non-durable appends reach the file once they pass this size.
+FLUSH_EVERY_BYTES = 1 << 15
 
 
 class JournalError(ReproError):
@@ -210,19 +213,8 @@ class Journal:
     the owner can snapshot without re-reading disk.
     """
 
-    def __init__(
-        self,
-        path: "str | Path",
-        fsync: str = "batch",
-        flush_every_bytes: int = 1 << 15,
-    ):
-        if fsync not in ("always", "batch", "never"):
-            raise JournalError(
-                f"unknown fsync policy {fsync!r}: use always/batch/never"
-            )
+    def __init__(self, path: "str | Path"):
         self.path = Path(path)
-        self.fsync_mode = fsync
-        self.flush_every_bytes = flush_every_bytes
         self.state, valid = replay_journal(self.path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         try:
@@ -253,40 +245,35 @@ class Journal:
     # -- appends -----------------------------------------------------------
     def append(self, record: tuple, durable: bool = False) -> None:
         """Append one record.  ``durable`` records are the ones whose loss
-        would change protocol behaviour: they flush (and, policy allowing,
-        fsync) before returning."""
+        would change protocol behaviour: they flush and fsync before
+        returning."""
         if self._closed:
             return
         frame = encode_frame(FRAME_JOURNAL, encode_value(record))
         self._file.write(frame)
         self.appended += 1
         self._buffered += len(frame)
-        if durable or self.fsync_mode == "always":
-            self._flush(self.fsync_mode != "never")
-        elif self._buffered >= self.flush_every_bytes:
+        if durable:
+            self._flush(True)
+        elif self._buffered >= FLUSH_EVERY_BYTES:
             self._flush(False)
 
-    def flush_notes(self, fsync: "bool | None" = None) -> None:
-        """Write out the coalesced seq notes (the owner's timer calls this;
-        also called at transport stop so an in-process restart restores
-        exact link state)."""
+    def flush_notes(self) -> None:
+        """Write out the coalesced seq notes and fsync them (the owner's
+        timer calls this; so does transport stop, so the file holds exact
+        link state)."""
         if self._closed:
             return
-        wrote = False
-        if self._send_notes:
-            for dst, seq in sorted(self._send_notes.items()):
-                self.append(("sseq", dst, seq))
-            self._send_notes.clear()
-            wrote = True
-        if self._recv_notes:
-            for src, (epoch, nxt) in sorted(self._recv_notes.items()):
-                self.append(("recv", src, epoch, nxt))
-            self._recv_notes.clear()
-            wrote = True
-        if fsync is None:
-            fsync = self.fsync_mode == "batch"
-        if wrote or self._buffered:
-            self._flush(fsync and self.fsync_mode != "never")
+        notes = [("sseq", *note) for note in sorted(self._send_notes.items())]
+        notes += [
+            ("recv", src, *link) for src, link in sorted(self._recv_notes.items())
+        ]
+        self._send_notes.clear()
+        self._recv_notes.clear()
+        for record in notes:
+            self.append(record)
+        if notes or self._buffered:
+            self._flush(True)
 
     def _flush(self, fsync: bool) -> None:
         self._file.flush()

@@ -13,10 +13,12 @@ Children keep serving after reporting until the parent says ``exit`` —
 a decided process must stay online so slower peers can still drain
 retransmissions from it (the async model has no silent leavers).
 
-Durability: pass ``journal_dir`` (or ``--journal-dir``) and every child
-opens a :class:`~repro.net.journal.Journal`; ``restart`` then scripts
-full ``kill -9`` → relaunch cycles: the replacement process replays its
-journal, rejoins under a fresh epoch with HMAC-authenticated handshakes,
+Durability: every child keeps a :class:`~repro.net.journal.Journal` in
+``journal_dir`` (``--journal-dir``; a temporary directory, removed after
+the run, when none is given).  ``restart`` scripts full ``kill -9`` →
+relaunch cycles: the replacement process replays its journal, rejoins
+under a fresh epoch with HMAC-authenticated handshakes (every child
+derives the cluster secret from ``--seed``),
 re-announces a journaled decision — or adopts the cluster's decision via
 ``t + 1`` matching ``dcd`` announcements (Bracha-style termination: a
 decided process periodically tells everyone, so a rejoiner never needs
@@ -40,7 +42,6 @@ import argparse
 import asyncio
 import json
 import logging
-import shutil
 import socket
 import sys
 import tempfile
@@ -50,9 +51,8 @@ from repro.config import SystemConfig
 from repro.core.agreement import ABAProcess
 from repro.core.api import DEFAULT_INSTANCE, build_node_modules, make_node_coin
 from repro.net.chaos import ChaosProxy
-from repro.net.cluster import derive_cluster_secret, resolve_profile
-from repro.net.journal import Journal
-from repro.net.transport import NetworkNode, TransportConfig
+from repro.net.cluster import resolve_profile
+from repro.net.transport import NetworkNode
 from repro.net.verdict import NetVerdict
 
 #: Marker prefixing the one JSON line a child prints on stdout.
@@ -107,17 +107,11 @@ async def _child_main(args: argparse.Namespace) -> int:
         await asyncio.sleep(args.timeout * 10)
         return 1
     config = SystemConfig(n=args.n, t=args.t, seed=args.seed)
-    tconfig = TransportConfig(
-        auth_secret=bytes.fromhex(args.secret) if args.secret else b""
-    )
-    journal = (
-        Journal(args.journal, fsync=tconfig.journal_fsync)
-        if args.journal
-        else None
-    )
-    #: A non-empty journal means this process is a relaunched incarnation.
-    rejoined = journal is not None and journal.state.replayed > 0
-    node = NetworkNode(config, args.pid, tconfig=tconfig, journal=journal)
+    node = NetworkNode(config, args.pid, journal=args.journal)
+    journal = node.journal
+    #: A non-empty journal means this process is a relaunched incarnation
+    #: (the node's own epoch record is not counted as replayed).
+    rejoined = journal.state.replayed > 0
     # The parent reserved-then-released this port; another process (or
     # our own killed predecessor's TIME_WAIT) can hold it briefly.
     for attempt in range(6):
@@ -146,11 +140,10 @@ async def _child_main(args: argparse.Namespace) -> int:
         "rejoined": rejoined,
         "prior_decisions": {},
     }
-    decided: dict[object, object] = {}
-    rounds: dict[object, int] = {}
-    if journal is not None:
-        for instance, (value, rnd) in journal.state.decisions.items():
-            report["prior_decisions"][str(instance)] = [value, rnd]
+    #: instance -> (value, round); round 0 means adopted from dcd, not run.
+    decided: dict[object, tuple[object, int]] = {}
+    for instance, (value, rnd) in journal.state.decisions.items():
+        report["prior_decisions"][str(instance)] = [value, rnd]
 
     # -- dcd: decision announcements (Bracha-style termination) ------------
     # Every decided process periodically tells everyone; a process holding
@@ -173,10 +166,8 @@ async def _child_main(args: argparse.Namespace) -> int:
             tally[v] = tally.get(v, 0) + 1
         for v, count in tally.items():
             if count >= config.t + 1:
-                decided[instance] = v
-                rounds[instance] = 0  # adopted, not run
-                if journal is not None:
-                    journal.record_decision(instance, v, 0)
+                decided[instance] = (v, 0)
+                journal.record_decision(instance, v, 0)
                 node.notify()
                 return
 
@@ -184,7 +175,7 @@ async def _child_main(args: argparse.Namespace) -> int:
 
     async def announce_dcd() -> None:
         while True:
-            for instance, value in list(decided.items()):
+            for instance, (value, _) in list(decided.items()):
                 node.runtime.transmit_all(
                     args.pid, ("dcd", instance, value), layer="app"
                 )
@@ -194,12 +185,10 @@ async def _child_main(args: argparse.Namespace) -> int:
 
     process = None
     if args.input is not None:
-        if journal is not None and DEFAULT_INSTANCE in journal.state.decisions:
+        if DEFAULT_INSTANCE in journal.state.decisions:
             # Already decided in a prior life: re-announce, never re-run —
             # re-deciding could contradict what peers already acted on.
-            value, rnd = journal.state.decisions[DEFAULT_INSTANCE]
-            decided[DEFAULT_INSTANCE] = value
-            rounds[DEFAULT_INSTANCE] = rnd
+            decided[DEFAULT_INSTANCE] = journal.state.decisions[DEFAULT_INSTANCE]
         elif rejoined:
             # Crashed mid-agreement: the ABA messages this incarnation
             # missed were shed by peers' DOWN rings and cannot be
@@ -208,18 +197,13 @@ async def _child_main(args: argparse.Namespace) -> int:
             # still live (kills are bounded by t) and will decide.
             pass
         else:
-            if journal is not None:
-                journal.record_input(DEFAULT_INSTANCE, args.input)
+            journal.record_input(DEFAULT_INSTANCE, args.input)
 
             def on_decide(v: object) -> None:
                 if DEFAULT_INSTANCE in decided:
                     return
-                decided[DEFAULT_INSTANCE] = v
-                rounds[DEFAULT_INSTANCE] = process.rounds_used
-                if journal is not None:
-                    journal.record_decision(
-                        DEFAULT_INSTANCE, v, process.rounds_used
-                    )
+                decided[DEFAULT_INSTANCE] = (v, process.rounds_used)
+                journal.record_decision(DEFAULT_INSTANCE, v, process.rounds_used)
 
             process = ABAProcess(
                 node.host,
@@ -236,13 +220,12 @@ async def _child_main(args: argparse.Namespace) -> int:
         if k in coin_outputs:
             return
         coin_outputs[k] = v
-        if journal is not None:
-            journal.record_coin(("cc", "solo", k), v)
+        journal.record_coin(("cc", "solo", k), v)
 
     with node.runtime.coalescing_step():
         for k in range(args.coins):
             csid = ("cc", "solo", k)
-            if journal is not None and csid in journal.state.coins:
+            if csid in journal.state.coins:
                 coin_outputs[k] = journal.state.coins[csid]
                 continue
             coin.join(csid)
@@ -259,13 +242,9 @@ async def _child_main(args: argparse.Namespace) -> int:
     except TimeoutError:
         report["timeout"] = True
     if DEFAULT_INSTANCE in decided:
-        report["decisions"][DEFAULT_INSTANCE] = [
-            decided[DEFAULT_INSTANCE],
-            rounds.get(DEFAULT_INSTANCE, 0),
-        ]
+        report["decisions"][DEFAULT_INSTANCE] = list(decided[DEFAULT_INSTANCE])
     report["coins"] = {str(k): v for k, v in coin_outputs.items()}
-    if journal is not None and vss is not None:
-        journal.record_shun_set(vss.dmm.shunned_or_suspected())
+    journal.record_shun_set(vss.dmm.shunned_or_suspected())
     report["stats"] = node.stats()
     print(REPORT_PREFIX + json.dumps(report), flush=True)
 
@@ -317,7 +296,6 @@ async def run_processes(
     host: str = "127.0.0.1",
     restart: "dict[int, tuple[float, float]] | None" = None,
     journal_dir: "str | Path | None" = None,
-    auth: bool = True,
     hung_after: "float | None" = None,
     hang: "set[int] | None" = None,
 ) -> dict:
@@ -330,16 +308,16 @@ async def run_processes(
     ``restart`` maps pid -> (kill_at, restart_at) seconds: SIGKILL at
     ``kill_at``, relaunch the same child argv at ``restart_at`` — the
     replacement replays its journal and must still report (and agree,
-    with the cluster *and* with its own journaled past).  Needs a
-    ``journal_dir`` (a temporary one is created, and cleaned up, when
-    omitted).  Killed-or-restarted pids are capped at t together.
+    with the cluster *and* with its own journaled past).
+    Killed-or-restarted pids are capped at t together.
+
+    Every child journals to ``journal_dir``; when it is omitted a
+    temporary directory is created for the run and removed after it.
 
     ``hung_after`` arms the heartbeat deadline: a child with no stdout
     line for that long is killed and recorded as a ``hung`` violation.
     ``hang`` pids wedge deliberately (test hook for that path).
 
-    ``auth`` (default on) derives the cluster HMAC secret from ``seed``
-    and hands it to every child — impostor HELLOs are then dropped.
     Returns the :class:`NetVerdict` verdict dict with per-child
     ``reports`` attached.
     """
@@ -359,9 +337,10 @@ async def run_processes(
             "the liveness bar"
         )
     own_journal_dir = None
-    if restart and journal_dir is None:
-        journal_dir = own_journal_dir = tempfile.mkdtemp(prefix="repro-net-j-")
-    secret_hex = derive_cluster_secret(seed).hex() if auth else None
+    if journal_dir is None:
+        # Removed after the run, or when collected if the run raises.
+        own_journal_dir = tempfile.TemporaryDirectory(prefix="repro-net-j-")
+        journal_dir = own_journal_dir.name
     ports = _free_ports(n, host)
     port_of = {pid: ports[pid - 1] for pid in config.pids}
     profile = resolve_profile(chaos)
@@ -384,13 +363,10 @@ async def run_processes(
             "--seed", str(seed), "--host", host,
             "--port", str(port_of[pid]), "--peers", peers_arg,
             "--coins", str(coins), "--timeout", str(timeout),
+            "--journal", str(Path(journal_dir) / f"node-{pid}.journal"),
         ]
         if inputs is not None:
             argv += ["--input", str(inputs[pid - 1])]
-        if secret_hex is not None:
-            argv += ["--secret", secret_hex]
-        if journal_dir is not None:
-            argv += ["--journal", str(Path(journal_dir) / f"node-{pid}.journal")]
         if pid in hang:
             argv += ["--hang"]
         return await asyncio.create_subprocess_exec(
@@ -518,7 +494,7 @@ async def run_processes(
     for proxy in proxies.values():
         await proxy.close()
     if own_journal_dir is not None:
-        shutil.rmtree(own_journal_dir, ignore_errors=True)
+        own_journal_dir.cleanup()
     result = verdict.check(expect_all_decided=inputs is not None)
     result["reports"] = reports
     missing = [
@@ -553,22 +529,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--journal-dir", default=None,
-        help="directory for per-node write-ahead journals",
+        help="directory for per-node write-ahead journals "
+        "(default: a temporary one, removed after the run)",
     )
     parser.add_argument(
         "--hung-after", type=float, default=None,
         help="kill a child silent for this many seconds (hung verdict)",
-    )
-    parser.add_argument(
-        "--no-auth", action="store_true",
-        help="disable HMAC-authenticated handshakes",
     )
     # child-only:
     parser.add_argument("--pid", type=int, default=0, help=argparse.SUPPRESS)
     parser.add_argument("--port", type=int, default=0, help=argparse.SUPPRESS)
     parser.add_argument("--peers", default="", help=argparse.SUPPRESS)
     parser.add_argument("--input", type=int, default=None, help=argparse.SUPPRESS)
-    parser.add_argument("--secret", default=None, help=argparse.SUPPRESS)
     parser.add_argument("--journal", default=None, help=argparse.SUPPRESS)
     parser.add_argument("--hang", action="store_true", help=argparse.SUPPRESS)
     return parser
@@ -592,7 +564,6 @@ def main(argv: "list[str] | None" = None) -> int:
             chaos=args.chaos,
             timeout=args.timeout,
             journal_dir=args.journal_dir,
-            auth=not args.no_auth,
             hung_after=args.hung_after,
         )
     )

@@ -54,23 +54,23 @@ resync on its return keeps the surviving suffix consistent.
 
 Restarting a node's transport (:meth:`NetworkNode.stop_transport` /
 :meth:`NetworkNode.restart_transport`) models a process crash+reboot
-that keeps protocol state: handler tables and modules survive, socket
-buffers and queues do not, and the epoch bump makes every peer reset its
-per-link sequence expectations (amnesia-free, wire-lossy — the same
-contract as ``Runtime.recover``).
+that keeps protocol state: handler tables, modules and receive cursors
+survive, socket buffers and queues do not, and the epoch bump makes
+every peer reset its per-link sequence expectations (amnesia-free,
+wire-lossy — the same contract as ``Runtime.recover``).
 
-Durability and identity.  A node built with a
-:class:`~repro.net.journal.Journal` persists its link state: the
-transport epoch is fsynced at startup, per-link send/recv seqs are noted
-on the hot path and flushed on a timer (so the clean path stays within a
-few percent of the journal-less figure), and a node restarted from the
-same journal — a *new OS process* after ``kill -9`` — resumes its links
-where receivers expect them instead of starting amnesiac.  When
-``TransportConfig.auth_secret`` is set, every inbound HELLO must answer
-an HMAC challenge/response before WELCOME (per-pair keys derived from
-the cluster secret): an impostor claiming another pid is counted
-(``auth_rejected``) and ignored without ever stalling honest links — the
-stepping stone to TLS-bound identities.
+Durability and identity.  A node built with a journal path persists its
+link state: the transport epoch is fsynced at startup, per-link
+send/recv seqs are noted on the hot path and flushed on a timer (so the
+clean path stays within a few percent of the journal-less figure), and a
+node restarted from the same journal — a *new OS process* after
+``kill -9`` — resumes its links where receivers expect them instead of
+starting amnesiac.  Authentication is not optional: every inbound HELLO
+must answer an HMAC challenge/response before WELCOME, with per-pair
+keys derived from ``TransportConfig.auth_secret`` or, when that is
+empty, from :func:`derive_cluster_secret` of the run seed.  An impostor
+claiming another pid is counted (``auth_rejected``) and ignored without
+ever stalling honest links — the stepping stone to TLS-bound identities.
 """
 
 from __future__ import annotations
@@ -156,17 +156,23 @@ class TransportConfig:
     down_after: float = 6.0
     down_queue_cap: int = 8192
     max_frame_body: int = MAX_FRAME_BODY
-    #: Cluster shared secret for HMAC handshake authentication.  Empty
-    #: means auth is off (HELLO -> WELCOME, the pre-journal handshake);
-    #: non-empty requires every inbound HELLO to answer a challenge with
-    #: a MAC under the per-pair key before any WELCOME is issued.
+    #: Cluster shared secret for HMAC handshake authentication: every
+    #: inbound HELLO answers a challenge with a MAC under the per-pair key
+    #: before any WELCOME is issued.  Empty means the node derives it
+    #: from the run seed (:func:`derive_cluster_secret`).
     auth_secret: bytes = b""
-    #: Journal flush cadence: coalesced seq notes hit the file (and, on
-    #: the ``batch`` fsync policy, the disk) at most this often.
+    #: Journal flush cadence: coalesced seq notes hit the file and the
+    #: disk at most this often.
     journal_flush_interval: float = 0.05
-    #: Journal fsync policy when the node builds its own Journal from a
-    #: path: ``always`` / ``batch`` / ``never``.
-    journal_fsync: str = "batch"
+
+
+def derive_cluster_secret(seed: int) -> bytes:
+    """The cluster-wide auth secret all honest parties share.
+
+    Deterministic in the run seed so OS-process children (launch.py) and
+    in-process clusters derive the same keys without a key exchange —
+    the trusted-setup analogue of the paper's private channels."""
+    return hashlib.sha256(f"{seed}:net-auth".encode()).digest()
 
 
 def derive_pair_key(secret: bytes, a: int, b: int) -> bytes:
@@ -586,8 +592,8 @@ class PeerConnection:
     async def _await_welcome(
         self, reader, writer, parser: FrameParser, base: int
     ) -> int:
-        """Wait for WELCOME, answering the receiver's auth challenge if
-        one arrives first (the receiver issues it iff auth is on)."""
+        """Wait for WELCOME, answering the receiver's auth challenge
+        first (every receiver issues one)."""
         while True:
             data = await reader.read(65536)
             if not data:
@@ -606,10 +612,9 @@ class PeerConnection:
                         and isinstance(value[2], bytes)
                     ):
                         continue
-                    secret = self.tconfig.auth_secret
-                    if not secret:
-                        continue  # receiver wants auth we cannot provide
-                    key = derive_pair_key(secret, self.node.pid, self.dst)
+                    key = derive_pair_key(
+                        self.node.secret, self.node.pid, self.dst
+                    )
                     mac = handshake_mac(
                         key, value[2], self.node.pid, self.dst,
                         self.node.epoch, base,
@@ -819,17 +824,19 @@ class NetworkNode:
         pid: int,
         tconfig: TransportConfig | None = None,
         context: "object | None" = None,
-        journal: "Journal | str | Path | None" = None,
+        journal: "str | Path | None" = None,
     ):
         if pid not in config.pids:
             raise SimulationError(f"pid {pid} not in 1..{config.n}")
         self.config = config
         self.pid = pid
         self.tconfig = tconfig or TransportConfig()
+        #: The secret every handshake, in and out, is MACed under.
+        self.secret = self.tconfig.auth_secret or derive_cluster_secret(
+            config.seed
+        )
         self.context = context
-        if isinstance(journal, (str, Path)):
-            journal = Journal(journal, fsync=self.tconfig.journal_fsync)
-        self.journal = journal
+        self.journal = journal = None if journal is None else Journal(journal)
         #: The new incarnation's epoch strictly follows every journaled
         #: one, fsynced before any link opens: receivers key their links
         #: by (src, epoch), so a crashed incarnation's state never leaks.
@@ -914,9 +921,11 @@ class NetworkNode:
 
     async def stop_transport(self) -> None:
         """Crash the transport: close the server and every connection,
-        discard outbound queues and receive-side expectations.  Protocol
-        state (host, modules) survives — this is the wire-lossy half of a
-        node reboot; :meth:`restart_transport` is the reboot's return."""
+        discard outbound queues and out-of-order buffers.  Protocol state
+        (host, modules) and the receive cursors survive — frames already
+        delivered are never accepted a second time when the sender
+        retransmits into the new incarnation.  This is the wire-lossy
+        half of a node reboot; :meth:`restart_transport` is its return."""
         server, self._server = self._server, None
         if server is not None:
             server.close()
@@ -942,18 +951,13 @@ class NetworkNode:
             peer.queue.clear()
             peer.state = PEER_CONNECTING
             peer._task = None
+        for link in self._recv_links.values():
+            link.buffer.clear()
         if self.journal is not None:
-            # Persist exact link state, and *keep* the receive links: a
-            # journal-backed node is durable across the crash, so frames
-            # it already delivered must never be accepted a second time
-            # when the sender retransmits into the new incarnation.
+            # Exact link state on disk too: it outlives process death.
             for src, link in self._recv_links.items():
                 self.journal.note_recv(src, link.epoch, link.next_expected)
             self.journal.flush_notes()
-            for link in self._recv_links.values():
-                link.buffer.clear()
-        else:
-            self._recv_links.clear()
         # Anything already pumped into the inbox belongs to the crashed
         # incarnation's socket buffers: purge, like Runtime's recover() —
         # and the value memo, a cache of that traffic, goes with it.
@@ -1073,7 +1077,7 @@ class NetworkNode:
                         hello = self._validate_hello(body)
                         if hello is None:
                             continue
-                        if self.tconfig.auth_secret and hello[0] != authed_src:
+                        if hello[0] != authed_src:
                             nonce = os.urandom(16)
                             pending_auth = (*hello, nonce)
                             out += encode_frame(
@@ -1134,10 +1138,10 @@ class NetworkNode:
     def _validate_hello(self, body: bytes) -> "tuple[int, int, int] | None":
         """Shape-check one HELLO body; returns ``(src, epoch, base)``.
 
-        Validation is split from adoption because an authenticated node
-        must not touch link state until the challenge round trip proves
-        the claimed pid — an impostor's HELLO would otherwise reset an
-        honest sender's receive link just by naming its pid."""
+        Validation is split from adoption because the node must not touch
+        link state until the challenge round trip proves the claimed pid
+        — an impostor's HELLO would otherwise reset an honest sender's
+        receive link just by naming its pid."""
         try:
             value = decode_value(body)
         except CodecError:
@@ -1172,7 +1176,7 @@ class NetworkNode:
             and isinstance(value[2], bytes)
         ):
             return False
-        key = derive_pair_key(self.tconfig.auth_secret, src, self.pid)
+        key = derive_pair_key(self.secret, src, self.pid)
         expected = handshake_mac(key, nonce, src, self.pid, epoch, base)
         return hmac.compare_digest(expected, value[2])
 

@@ -1,8 +1,9 @@
 """Authenticated-handshake and journal-era restart tests.
 
-HMAC challenge/response gates every inbound HELLO when the cluster
-secret is set: an impostor claiming an honest pid is counted and
-ignored — without stalling the honest link it tried to steal.  The
+HMAC challenge/response gates every inbound HELLO, under the configured
+cluster secret or the one derived from the run seed: an impostor
+claiming an honest pid is counted and ignored — without stalling the
+honest link it tried to steal.  The
 restart tests are the journal-era twin of PR 7's handshake-vs-DOWN-ring
 race: a transport restarted (in-process) or a node rebuilt cold from its
 journal (the ``kill -9`` analogue) must never regress a seq and never
@@ -12,6 +13,7 @@ deliver a frame twice.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 
 import pytest
 
@@ -19,7 +21,7 @@ from repro.config import SystemConfig
 from repro.core.api import build_node_modules
 from repro.core.sessions import SVEC_MW, svec_sid
 from repro.core.vectormux import SVEC_TAG
-from repro.net.cluster import NetCluster, derive_cluster_secret
+from repro.net.cluster import NetCluster
 from repro.net.codec import (
     FRAME_AUTH,
     FRAME_CHALLENGE,
@@ -39,6 +41,7 @@ from repro.net.transport import (
     PROTO_VERSION,
     NetworkNode,
     TransportConfig,
+    derive_cluster_secret,
     derive_pair_key,
     handshake_mac,
 )
@@ -105,6 +108,63 @@ def test_authenticated_pair_delivers_both_ways():
     asyncio.run(main())
 
 
+def test_pair_without_a_configured_secret_authenticates_both_ways():
+    """No configured secret is not "no auth": both nodes derive the
+    cluster secret from the run seed and challenge each other."""
+    config = SystemConfig(n=4, seed=7)
+    plain = dataclasses.replace(FAST, auth_secret=b"")
+
+    async def main():
+        nodes = await _wire(config, {1: plain, 2: plain})()
+        a, b = nodes[1], nodes[2]
+        assert a.secret == b.secret == derive_cluster_secret(7)
+        got_a, got_b = [], []
+        a.host.register_handler("msg", lambda src, p: got_a.append(p[1]))
+        b.host.register_handler("msg", lambda src, p: got_b.append(p[1]))
+        for i in range(10):
+            a.dispatch_out(2, ("msg", i))
+            b.dispatch_out(1, ("msg", i))
+        await a.wait_for(lambda: len(got_a) == 10, timeout=10)
+        await b.wait_for(lambda: len(got_b) == 10, timeout=10)
+        assert got_a == got_b == list(range(10))
+        assert a.peers[2].stats.auth_challenges >= 1
+        assert b.peers[1].stats.auth_challenges >= 1
+        await a.close()
+        await b.close()
+
+    asyncio.run(main())
+
+
+def test_hello_to_a_default_node_is_challenged():
+    """A raw HELLO to a node built with ``TransportConfig()`` gets a
+    CHALLENGE and never a WELCOME, and touches no link state."""
+    config = SystemConfig(n=4, seed=7)
+
+    async def main():
+        node = NetworkNode(config, 2, tconfig=TransportConfig())
+        await node.start_server()
+        reader, writer = await asyncio.open_connection("127.0.0.1", node.port)
+        hello = ("hello", 1, 1, PROTO_VERSION, 1)
+        writer.write(encode_frame(FRAME_HELLO, encode_value(hello)))
+        await writer.drain()
+        parser = FrameParser(FAST.max_frame_body)
+        seen = []
+        try:
+            while True:  # until the node has been quiet for a second
+                data = await asyncio.wait_for(reader.read(65536), timeout=1)
+                if not data:
+                    break
+                seen += [ftype for ftype, _ in parser.feed(data)]
+        except asyncio.TimeoutError:
+            pass
+        assert seen == [FRAME_CHALLENGE]
+        assert node._recv_links == {}
+        writer.close()
+        await node.close()
+
+    asyncio.run(main())
+
+
 def test_impostor_hello_rejected_without_stalling_honest_link():
     """A raw TCP client claims pid 1 with a garbage MAC while the real
     pid 1 keeps sending: the impostor is counted and never welcomed, the
@@ -154,7 +214,6 @@ def test_impostor_hello_rejected_without_stalling_honest_link():
 
 def test_wrong_secret_never_welcomed():
     config = SystemConfig(n=4, seed=7)
-    import dataclasses
     wrong = dataclasses.replace(FAST, auth_secret=b"not-the-secret")
 
     async def main():
@@ -172,14 +231,15 @@ def test_wrong_secret_never_welcomed():
 
 
 def test_cluster_has_no_auth_switch():
-    """``NetCluster(auth=)`` is gone: a cluster without a configured secret
-    derives one from the run seed, and a configured secret is kept.  (The
-    launcher's ``--no-auth`` sets ``run_processes(auth=)``, which stays.)"""
+    """``NetCluster(auth=)`` is gone, and so are ``run_processes(auth=)``
+    and the launcher's ``--no-auth`` (``tests/test_net_journal.py`` pins
+    those): a node without a configured secret derives one from the run
+    seed, and a configured secret is kept."""
     config = SystemConfig(n=4, seed=7)
     with pytest.raises(TypeError, match="auth"):
         NetCluster(config, auth=False)
-    assert NetCluster(config).tconfig.auth_secret == derive_cluster_secret(7)
-    assert NetCluster(config, tconfig=FAST).tconfig.auth_secret == SECRET
+    assert NetworkNode(config, 1).secret == derive_cluster_secret(7)
+    assert NetworkNode(config, 1, tconfig=FAST).secret == SECRET
 
 
 def test_mac_binds_direction_and_epoch():
@@ -325,7 +385,7 @@ def test_memo_poisoning_by_an_authenticated_peer_changes_nothing():
                 links = {
                     pid: await _authenticated_raw_link(
                         cluster.nodes[pid], 4,
-                        secret=cluster.tconfig.auth_secret, epoch=99,
+                        secret=cluster.nodes[pid].secret, epoch=99,
                     )
                     for pid in honest
                 }

@@ -11,11 +11,14 @@ on the damaged file must still rejoin safely.
 from __future__ import annotations
 
 import asyncio
+import os
 
 import pytest
 
 from repro.config import SystemConfig
-from repro.net.journal import Journal, JournalError, replay_journal
+from repro.net import launch
+from repro.net.journal import Journal, replay_journal
+from repro.net.launch import run_processes
 from repro.net.transport import NetworkNode, TransportConfig
 
 
@@ -112,9 +115,68 @@ def test_unknown_records_are_counted_not_fatal(tmp_path):
     assert valid == path.stat().st_size
 
 
-def test_bad_fsync_policy_rejected(tmp_path):
-    with pytest.raises(JournalError):
-        Journal(tmp_path / "x.journal", fsync="sometimes")
+#: The socket layer's deleted modes: each spelling fails loudly.
+REMOVED = {
+    "run_processes-auth": (TypeError, lambda p: run_processes(4, auth=False)),
+    "Journal-fsync": (TypeError, lambda p: Journal(p, fsync="never")),
+    "Journal-flush_every_bytes": (
+        TypeError, lambda p: Journal(p, flush_every_bytes=1)
+    ),
+    "TransportConfig-journal_fsync": (
+        TypeError, lambda p: TransportConfig(journal_fsync="always")
+    ),
+    "launch-no-auth": (
+        SystemExit, lambda p: launch._build_parser().parse_args(["--no-auth"])
+    ),
+    "launch-secret": (
+        SystemExit,
+        lambda p: launch._build_parser().parse_args(["--secret", "00"]),
+    ),
+}
+
+
+@pytest.mark.parametrize("where", REMOVED)
+def test_removed_option_fails(where, tmp_path):
+    error, call = REMOVED[where]
+    with pytest.raises(error):
+        call(tmp_path / "x.journal")
+    assert not (tmp_path / "x.journal").exists()
+
+
+def test_one_durability_policy(tmp_path, monkeypatch):
+    """Each durable record is one fsync, hot-path notes are none, and the
+    next flush of the notes is one — counted at ``os.fsync`` itself."""
+    synced = []
+    real_fsync = os.fsync
+
+    def counting_fsync(fd):
+        synced.append(fd)
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", counting_fsync)
+    journal = Journal(tmp_path / "node.journal")
+    durable = (
+        lambda: journal.record_epoch(1),
+        lambda: journal.record_input("aba", 1),
+        lambda: journal.record_decision("aba", 1, 2),
+        lambda: journal.record_coin(("cc", "solo", 0), 1),
+        lambda: journal.record_shun_set({3, 2}),
+    )
+    for record in durable:
+        before = len(synced)
+        record()
+        assert len(synced) == before + 1
+    before = len(synced)
+    for seq in range(1, 2000):
+        journal.note_send(2, seq)
+        journal.note_recv(3, 1, seq)
+    assert len(synced) == before
+    journal.flush_notes()
+    assert len(synced) == before + 1
+    journal.flush_notes()  # nothing noted since: nothing to sync
+    assert len(synced) == before + 1
+    assert journal.fsyncs == len(synced)
+    journal.close()
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ with identical inputs.
 from __future__ import annotations
 
 import asyncio
+import tempfile
 
 import pytest
 
@@ -133,11 +134,13 @@ def test_verdict_coin_tallies_split_is_legal():
 
 
 @pytest.mark.slow
-def test_launch_four_processes_agrees_and_matches_sim():
+def test_launch_four_processes_agrees_and_matches_sim(tmp_path, monkeypatch):
     """Four OS subprocesses run full-stack agreement (MW-SVSS coin) over
     real sockets; every decision must be identical to the simulator run
     on the same unanimous inputs — the transport must not be able to
-    change what the protocol decides."""
+    change what the protocol decides.  Every child is journaled, in a
+    temporary directory the run removes."""
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     inputs = [1, 1, 1, 1]
     seed = 77
     verdict = asyncio.run(
@@ -145,6 +148,9 @@ def test_launch_four_processes_agrees_and_matches_sim():
     )
     assert verdict["violations"] == []
     assert verdict["processes_reporting"] == 4
+    for report in verdict["reports"].values():
+        assert report["stats"]["journal"]["appended"] > 0
+    assert list(tmp_path.iterdir()) == []
     net_decisions = {
         pid: value for _, pid, value, _ in verdict["decisions"]
     }

@@ -10,6 +10,7 @@ clock.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import time
 
 import pytest
@@ -143,6 +144,41 @@ def test_reconnect_resync_after_transport_restart():
         await b.wait_for(lambda: len(got) >= 300, timeout=15)
         assert got == [("m", i) for i in range(300)]
         assert a.peers[2].stats.reconnects >= 2
+        await a.close()
+        await b.close()
+
+    asyncio.run(main())
+
+
+def test_exactly_once_across_a_journal_less_transport_restart():
+    """The receive cursors survive ``stop_transport`` without a journal.
+    No ack ever leaves the receiver (acks only every 10**6 frames, no
+    heartbeat, no rto within the test), so all 20 frames are still queued
+    at the sender when the receiver restarts; the WELCOME's cursor must
+    retire them, not let them be delivered a second time."""
+    config = SystemConfig(n=2, t=0, seed=10)
+    tconfig = dataclasses.replace(
+        FAST, ack_every=10**6, heartbeat_interval=5.0, rto=5.0,
+        idle_timeout=10.0,
+    )
+
+    async def main():
+        a, b = await _pair(config, tconfig)()
+        assert b.journal is None
+        got = []
+        b.host.register_handler("m", lambda src, msg: got.append(msg[1]))
+        for i in range(20):
+            a.dispatch_out(2, ("m", i))
+        await b.wait_for(lambda: len(got) >= 20, timeout=10)
+        assert len(a.peers[2].queue) == 20  # nothing acked
+
+        await b.stop_transport()
+        await b.restart_transport()
+        a.dispatch_out(2, ("m", 20))
+        await b.wait_for(lambda: 20 in got, timeout=15)
+        await asyncio.sleep(0.1)
+        assert got == list(range(21))
+        assert b.delivered == 21
         await a.close()
         await b.close()
 
