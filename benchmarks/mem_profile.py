@@ -7,6 +7,9 @@ pass 1 reads the traced heap at every delivered event and names the event
 at which it peaks, and pass 2 takes one snapshot at exactly that event.  The
 snapshot is grouped by module and by ``file:line``; both groupings must sum
 to the traced heap at the snapshot, and that heap to the run's traced peak.
+The global peak can sit in the share phase, so pass 2 also reports the
+reconstruct phase: the largest heap at a delivered event after the first
+MW-SVSS share completed, with its event number.
 
     PYTHONPATH=src python benchmarks/mem_profile.py            # n = 4, 7
     PYTHONPATH=src python benchmarks/mem_profile.py --n 4      # CI smoke
@@ -53,13 +56,17 @@ def start_coin(n: int, seed: int):
 
 def run_coin(n: int, seed: int, snapshot_at: int | None):
     """One traced coin.  Returns ``(peak event, traced peak, MW instances,
-    (heap, snapshot))``; the snapshot is taken at event ``snapshot_at``
-    (``None``: no snapshot, just find the peak event)."""
+    reconstruct phase, (heap, snapshot))``; the reconstruct phase is
+    ``(first MW share completion, event, heap)`` of the largest heap at a
+    delivered event after the first MW share completed, and the snapshot is
+    taken at event ``snapshot_at`` (``None``: no snapshot, just find the
+    peak event)."""
     gc.collect()
     tracemalloc.start()
     try:
         stack, outputs = start_coin(n, seed)
         seen = [0, 0, 0]  # events, peak event, heap at the peak event
+        late = [None, 0, 0]  # first share completion, event, heap after it
         taken = []
 
         def tap(src, dst, payload):
@@ -67,9 +74,23 @@ def run_coin(n: int, seed: int, snapshot_at: int | None):
             current = tracemalloc.get_traced_memory()[0]
             if current > seen[2]:
                 seen[1], seen[2] = seen[0], current
+            if late[0] is not None and current > late[2]:
+                late[1], late[2] = seen[0], current
             if seen[0] == snapshot_at:
                 taken.append((current, tracemalloc.take_snapshot()))
 
+        def watch(vss):
+            complete = vss.notify_mw_share_complete
+
+            def first_completion(sid):
+                if late[0] is None:
+                    late[0] = seen[0]
+                complete(sid)
+
+            vss.notify_mw_share_complete = first_completion
+
+        for vss in stack.vss.values():
+            watch(vss)
         stack.runtime.delivery_tap = tap
         everyone = set(stack.config.pids)
         stack.runtime.run_until(
@@ -81,7 +102,7 @@ def run_coin(n: int, seed: int, snapshot_at: int | None):
         instances = sum(len(vss.mw) for vss in stack.vss.values())
     finally:
         tracemalloc.stop()
-    return seen[1], peak, instances, taken[0] if taken else None
+    return seen[1], peak, instances, tuple(late), taken[0] if taken else None
 
 
 def module_of(filename: str) -> str:
@@ -106,7 +127,12 @@ def table(rows: list[tuple[str, int]], total: int, instances: int, top: int) -> 
 
 def profile(n: int, seed: int, top: int) -> bool:
     event, *_ = run_coin(n, seed, snapshot_at=None)
-    _, peak, instances, (heap, snapshot) = run_coin(n, seed, snapshot_at=event)
+    _, peak, instances, late, (heap, snapshot) = run_coin(n, seed, snapshot_at=event)
+    shared_at, late_event, late_heap = late
+    if shared_at is not None and shared_at <= event:
+        # The peak is in the reconstruct phase, so it is that phase's peak
+        # too; the readings after it would count the snapshot's own objects.
+        late_event, late_heap = event, heap
     by_line = snapshot.statistics("lineno")
     line_rows = [
         (f"{module_of(s.traceback[0].filename)}:{s.traceback[0].lineno}", s.size)
@@ -128,6 +154,8 @@ def profile(n: int, seed: int, top: int) -> bool:
     print(
         f"traced peak {peak / 2**20:.1f} MB at event {event}; {instances} MW-SVSS "
         f"instances over {n} processes, **{peak / instances:.0f} B per instance**; "
+        f"reconstruct phase (after the first MW share completed, event {shared_at}) "
+        f"peaks at {late_heap / 2**20:.1f} MB at event {late_event}; "
         f"snapshot parts sum to {line_sum / 2**20:.1f} MB "
         f"({'ok' if ok else 'MISMATCH'})\n"
     )
@@ -141,7 +169,7 @@ def profile(n: int, seed: int, top: int) -> bool:
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--n", type=int, action="append", help="profile this n (repeatable)")
-    parser.add_argument("--n10", action="store_true", help="also n = 10 (minutes, > 3 GB)")
+    parser.add_argument("--n10", action="store_true", help="also n = 10 (~10 min, ~3 GB)")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--top", type=int, default=12)
     parser.add_argument("--src", default=str(REPO_ROOT / "src"))

@@ -135,6 +135,8 @@ class VSSManager(ProtocolModule):
         self.n = self.config.n
         self.t = self.config.t
         self.field = self.config.field
+        #: The immutable rows an MW-SVSS instance shares until it first writes
+        self.empty_values, self.empty_masks = (None,) * (self.n + 1), (0,) * (self.n + 1)
         self.clock = SessionClock()
         self.dmm = DMM(self.pid, self.clock, on_shun=self._record_shun)
         self.register("v", self._on_private)

@@ -87,9 +87,16 @@ def value_rows(field: Field, n: int, t: int, bodies: list) -> list[tuple[int, ..
 class MWSVSSInstance:
     """One process' state machine for one MW-SVSS session.
 
-    *Lifetime.*  The instance ends in a terminal state that owns no working
-    set (:meth:`release`): at its own output (R' step 4), or when its parent
-    learns that nobody will ever reconstruct it.  Nothing is owed after
+    *Lifetime.*  Each container lives as long as the step that reads it:
+    ``monitor_row`` (f̂_j) from ``mon`` and ``confirm_values`` from the first
+    ``cnf`` to the ``L_j`` freeze (step 4), ``L_hat`` from the first ``L̂``,
+    each the manager's shared empty row outside that span; at the moderator
+    ``moderator_row`` (f̂) and ``moderator_shares`` to the ``M`` freeze (step
+    6); ``rv_batches`` and the rows ``K`` (sender masks) and ``f_bar`` from
+    :meth:`begin_reconstruct` or the first ``rv`` to output; ``share_vector``,
+    ``L_hat`` and the dealer's ``_deal_rows`` to :meth:`release`, the
+    terminal state that owns no working set, entered at output (R' step 4)
+    or when the parent learns that nobody will reconstruct.  Nothing is owed after
     output — output ⇒ share completed ⇒ ``M̂``, every ``L̂_l`` (l ∈ M̂) and
     the dealer's OK are public by RB totality, so no other process' S'
     needs a further message from this one; ``rv`` went out at
@@ -161,8 +168,8 @@ class MWSVSSInstance:
         self.monitor_row: tuple[int, ...] | None = None
         self._step2_done = False
 
-        # step 3-4 (monitor bookkeeping)
-        self.confirm_values: list = [None] * (self.n + 1)  # [l] = f̂^l_j, first wins
+        # step 3-4 (monitor bookkeeping); shared until the first write
+        self.confirm_values = manager.empty_values  # [l] = f̂^l_j, first wins
         #: confirmers heard before ``f̂_j``, in arrival order (step 3 replays them)
         self._early_confirms: tuple[int, ...] = ()
         self.acks = 0  # mask: processes whose ack RB-delivered
@@ -173,19 +180,17 @@ class MWSVSSInstance:
         # expectation could never be discharged — see Lemma 1(b)).
         self._deal_suppressed = False
 
-        # moderator state (the two containers exist only at the moderator)
-        is_moderator = self.pid == self.moderator
+        # moderator state
         #: f̂(0..n) from the dealer, until M freezes (step 6 drops it)
         self.moderator_row: tuple[int, ...] | None = None
         self.moderator_expected: int | None = None  # s' (set via moderate())
-        self.moderator_shares: dict[int, int] | None = (
-            {} if is_moderator else None
-        )  # j -> f̂^j_0
-        self.M: set[int] | None = set() if is_moderator else None
+        #: j -> f̂^j_0 in arrival order, at the moderator until M freezes
+        self.moderator_shares = {} if self.pid == self.moderator else None
+        self.M = 0  # mask, moderator only
         self.M_frozen = False
 
-        # broadcast sets received
-        self.L_hat: list[int] = [0] * (self.n + 1)  # [j] = mask of L̂_j, 0 until broadcast
+        # broadcast sets received; shared until the first write
+        self.L_hat = manager.empty_masks  # [j] = mask of L̂_j, 0 until broadcast
         self.M_hat: frozenset[int] | None = None
         self.ok_received = False
 
@@ -196,17 +201,16 @@ class MWSVSSInstance:
 
         self.share_completed = False
 
-        # reconstruct state; the four containers are allocated by
+        # reconstruct state; the three containers are allocated by
         # _open_reconstruct (at begin_reconstruct or the first ``rv``)
         self.reconstruct_begun = False
         self._rv_sent = False
         self.rv_batches: dict[int, dict[int, int]] | None = None  # sender -> batch
-        #: Senders whose batches may hold newly consumable points — fresh
-        #: arrivals, or every sender after an ``L̂``/``M̂`` change widens
-        #: eligibility.  ``_consume_rv_batches`` only re-scans these.
-        self._rv_dirty: set[int] | None = None
-        self.K: dict[int, list[tuple[int, int]]] | None = None  # monitor l -> points
-        self.f_bar: dict[int, int] | None = None  # monitor l -> f̄_l(0) (free term)
+        #: Mask of the senders whose batches ``_consume_rv_batches`` re-scans:
+        #: fresh arrivals, or every sender (-1) after ``L̂``/``M̂`` widen eligibility
+        self._rv_dirty = 0
+        self.K: list[int] | None = None  # [l] = mask of the senders in K_l
+        self.f_bar: list | None = None  # [l] = f̄_l(0) (free term), None until K_l fills
         self.output: int | _Bottom | None = None
         self.released = False
 
@@ -268,8 +272,7 @@ class MWSVSSInstance:
         self.reconstruct_begun = True
         self._open_reconstruct()
         self._send_reconstruct_values()
-        if self._rv_dirty and self.M_hat is not None:
-            self._consume_rv_batches()
+        self._consume_rv_batches()
         self._maybe_output()
 
     def release(self) -> None:
@@ -283,9 +286,8 @@ class MWSVSSInstance:
         self.share_vector = self.monitor_row = None
         self.confirm_values = self._early_confirms = None
         self.moderator_row = self.moderator_expected = None
-        self.moderator_shares = self.M = None
-        self.L_hat = self._deal_rows = None
-        self.rv_batches = self._rv_dirty = self.K = self.f_bar = None
+        self.moderator_shares = self.L_hat = self._deal_rows = None
+        self.rv_batches = self.K = self.f_bar = None
         self.manager.session_released(self.sid)
 
     # ------------------------------------------------------------------
@@ -361,12 +363,16 @@ class MWSVSSInstance:
         mgr.rb_broadcast(self.sid, "ack", None)
 
     def _on_confirm(self, src: int, body: object) -> None:
-        if not self.field.is_element(body) or self.confirm_values[src] is not None:
+        # A frozen L_j ended step 3: a late value has nothing left to meet.
+        values = self.confirm_values
+        if self.L_frozen or not self.field.is_element(body) or values[src] is not None:
             return
-        self.confirm_values[src] = body
+        if values is self.manager.empty_values:
+            values = self.confirm_values = list(values)
+        values[src] = body
         if self.monitor_row is not None:
             self._maybe_step3(src)
-        elif not self.L_frozen:
+        else:
             self._early_confirms += (src,)
 
     def _on_ack(self, src: int) -> None:
@@ -412,11 +418,12 @@ class MWSVSSInstance:
 
     def _freeze_l(self) -> None:
         """Step 4: broadcast ``L_j`` and send ``f̂_j(0)`` to the moderator;
-        step 3 is over, so ``f̂_j`` is dropped."""
+        step 3 is over, so ``f̂_j`` and the confirm values are dropped."""
         self.L_frozen = True
         free_term = self.monitor_row[0]
-        self.monitor_row = None
         manager = self.manager
+        self.monitor_row, self._early_confirms = None, ()
+        self.confirm_values = manager.empty_values
         manager.rb_broadcast(self.sid, "L", manager.pids_of(self.L))
         manager.send_value(self.moderator, self.sid, "ms", free_term)
 
@@ -435,11 +442,10 @@ class MWSVSSInstance:
         self._recheck_moderator()
 
     def _on_moderator_share(self, src: int, body: object) -> None:
-        if self.pid != self.moderator or not self.field.is_element(body):
+        shares = self.moderator_shares  # None off the moderator and once M froze
+        if shares is None or src in shares or not self.field.is_element(body):
             return
-        if src in self.moderator_shares:
-            return
-        self.moderator_shares[src] = body
+        shares[src] = body
         self._recheck_moderator(only=src)
 
     def _recheck_moderator(self, only: int | None = None) -> None:
@@ -453,24 +459,24 @@ class MWSVSSInstance:
             return  # dealer's f disagrees with s' — never admit anyone
         candidates = [only] if only is not None else list(self.moderator_shares)
         for j in candidates:
-            if j in self.M or j not in self.moderator_shares:
+            if self.M >> j & 1 or j not in self.moderator_shares:
                 continue
             l_hat = self.L_hat[j]
             if not l_hat or l_hat & ~self.acks:
                 continue
             if self.moderator_shares[j] != row[j]:
                 continue
-            self.M.add(j)
-            if len(self.M) >= self.n - self.t:
+            self.M |= 1 << j
+            if self.M.bit_count() >= self.n - self.t:
                 self._freeze_m()
                 break
 
     def _freeze_m(self) -> None:
         """Step 6: broadcast the frozen monitor set ``M``; step 5 is over,
-        so ``f̂`` is dropped."""
+        so ``f̂`` and the monitors' shares are dropped."""
         self.M_frozen = True
-        self.moderator_row = None
-        m_set = tuple(sorted(self.M))
+        self.moderator_row = self.moderator_shares = None
+        m_set = self.manager.pids_of(self.M)
         corrupt = self.manager.host.deviation("corrupt_mw_M")
         if corrupt is not None:
             m_set = tuple(corrupt(self.sid, m_set))
@@ -478,14 +484,17 @@ class MWSVSSInstance:
 
     # -- broadcast sets ------------------------------------------------------
     def _on_l_set(self, src: int, body: object) -> None:
-        if self.L_hat[src]:
+        l_hat = self.L_hat
+        if l_hat[src]:
             return
         pids = self.manager.pid_set(body)
         if pids is None or len(pids[0]) < self.n - self.t:
             return
-        self.L_hat[src] = pids[1]
+        if l_hat is self.manager.empty_masks:
+            l_hat = self.L_hat = list(l_hat)
+        l_hat[src] = pids[1]
         if self.rv_batches:
-            self._rv_dirty.update(self.rv_batches)
+            self._rv_dirty = -1  # every sender whose batch has arrived
         if self.pid == self.moderator and not self.M_frozen:
             self._recheck_moderator(only=src)
         if self.pid == self.dealer and not self._dealer_acked:
@@ -504,7 +513,7 @@ class MWSVSSInstance:
             return
         self.M_hat = pids[0]
         if self.rv_batches:
-            self._rv_dirty.update(self.rv_batches)
+            self._rv_dirty = -1
         # Step 8: not being in M̂ means nobody will reconstruct our
         # monitored polynomial — drop the matching expectations and stop
         # recording new ones (reconstruct broadcasts only cover M̂ members,
@@ -563,9 +572,8 @@ class MWSVSSInstance:
     def _open_reconstruct(self) -> None:
         if self.rv_batches is None:
             self.rv_batches = {}
-            self._rv_dirty = set()
-            self.K = {}
-            self.f_bar = {}
+            self.K = [0] * (self.n + 1)
+            self.f_bar = [None] * (self.n + 1)
 
     def _send_reconstruct_values(self) -> None:
         """R' step 1: broadcast our dealer-given share of ``f_l`` for every
@@ -596,7 +604,7 @@ class MWSVSSInstance:
         if src in self.rv_batches:
             return
         self.rv_batches[src] = batch
-        self._rv_dirty.add(src)
+        self._rv_dirty |= 1 << src
         self._consume_rv_batches()
         self._maybe_output()
 
@@ -619,53 +627,44 @@ class MWSVSSInstance:
     def _consume_rv_batches(self) -> None:
         """R' steps 2-3: gather t+1 points per monitor, then interpolate.
 
-        Incremental: only dirty batches are scanned (iterated in batch
-        arrival order, so which ``t + 1`` points win stays exactly the
-        full-rescan order).  Point additions depend only on the ``L̂``/
-        ``M̂`` sets and the dedup guards below, and every mutation of
-        those sets re-dirties all batches, so the dirty set is a pure
-        work filter — the consumed point set is unchanged.
+        ``K[l]`` is a sender mask: bit k means sender k's point on ``f̄_l``
+        is in ``K_l``.  Incremental: only dirty senders' batches are
+        scanned (iterated in batch arrival order, so which ``t + 1`` points
+        win stays exactly the full-rescan order).  Point additions depend
+        only on the ``L̂``/``M̂`` sets and the bit tests below, and every
+        mutation of those sets re-dirties every sender, so the dirty mask is
+        a pure work filter — the consumed point set is unchanged.
         """
         if self.M_hat is None or not self._rv_dirty:
             return
         dirty = self._rv_dirty
-        self._rv_dirty = set()
+        self._rv_dirty = 0
         m_hat = self.M_hat
         l_hat = self.L_hat
         K = self.K
         t = self.t
         for sender, batch in self.rv_batches.items():
-            if sender not in dirty:
+            bit = 1 << sender
+            if not dirty & bit:
                 continue
-            for l, value in batch.items():
-                if l not in m_hat:
+            for l in batch:
+                points = K[l]
+                if points & bit or points.bit_count() > t or l not in m_hat:
                     continue
-                if not l_hat[l] >> sender & 1:
-                    continue
-                points = K.get(l)
-                if points is None:
-                    points = K[l] = []
-                elif len(points) > t:
-                    continue
-                for k, _ in points:
-                    if k == sender:
-                        break
-                else:
-                    points.append((sender, value))
-                    if len(points) == t + 1 and l not in self.f_bar:
+                if l_hat[l] & bit:
+                    K[l] = points = points | bit
+                    if points.bit_count() > t:
                         self._interpolate_f_bar(l, points)
 
-    def _interpolate_f_bar(self, l: int, points: list[tuple[int, int]]) -> None:
-        # f̄_l is only ever evaluated at 0 (R' step 4): one dot product with
-        # the λ(0) row of the senders' basis, which the manager keys by
-        # their pid mask (the basis orders its nodes ascending, hence the
-        # sort).  Sender sets repeat across monitors and sessions.
-        pts = sorted(points)
-        mask = 0
-        for k, _ in pts:
-            mask |= 1 << k
-        zero = self.manager.basis(mask).evaluation_row(0)
-        self.f_bar[l] = sum(map(mul, [v for _, v in pts], zero)) % self.field.prime
+    def _interpolate_f_bar(self, l: int, mask: int) -> None:
+        # f̄_l is only ever evaluated at 0 (R' step 4): one dot product of
+        # the senders' points, ascending by pid, with the λ(0) row of the
+        # basis the manager keys by the same mask.  Sender sets repeat
+        # across monitors and sessions.
+        manager = self.manager
+        values = [self.rv_batches[k][l] for k in manager.pids_of(mask)]
+        zero = manager.basis(mask).evaluation_row(0)
+        self.f_bar[l] = sum(map(mul, values, zero)) % self.field.prime
 
     def _maybe_output(self) -> None:
         """R' step 4: fit ``f̄`` through the monitors' free terms, read
@@ -673,7 +672,7 @@ class MWSVSSInstance:
         if self.output is not None or not self.reconstruct_begun:
             return
         f_bar = self.f_bar
-        if self.M_hat is None or any(l not in f_bar for l in self.M_hat):
+        if self.M_hat is None or any(f_bar[l] is None for l in self.M_hat):
             return
         monitors = sorted(self.M_hat)
         value = self.manager.fit(monitors, [f_bar[l] for l in monitors], (0,))

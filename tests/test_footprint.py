@@ -5,7 +5,9 @@ share phase, so what one instance and its DMM ledger hold *is* the coin's
 memory (``docs/MEMORY.md`` has the table by module and line).  The state is
 words and rows — pid sets as ``int`` bitmasks, pid → value maps as lists,
 one DMM ledger per session; a ``set()`` or a ``dict`` per fact costs
-200–700 bytes apiece and this bound is where it would show.
+200–700 bytes apiece and this bound is where it would show.  Each container
+lives only as long as the protocol step that reads it: the lifetime tests
+below pin when the rows are shared, copied and dropped.
 """
 
 from __future__ import annotations
@@ -14,12 +16,15 @@ import gc
 import tracemalloc
 
 from repro.config import SystemConfig
-from repro.core.api import flip_common_coin
+from repro.core.api import build_stack, flip_common_coin, run_mwsvss
+from repro.core.sessions import mw_session
 from repro.sim.scheduler import FifoScheduler
 
-#: Measured 2 948 B per instance (3 948 B with ``acks`` / ``L`` /
-#: ``confirm_values`` / ``L_hat`` as containers and six global DMM tables).
-BYTES_PER_INSTANCE = 3300
+#: Measured 2 265 B per instance (2 749 B with ``K`` as per-monitor lists of
+#: ``(sender, value)`` points and ``confirm_values`` / ``L_hat`` allocated
+#: per instance; 3 948 B with ``acks`` / ``L`` / ``confirm_values`` /
+#: ``L_hat`` as containers and six global DMM tables).
+BYTES_PER_INSTANCE = 2600
 
 
 def coin(seed: int):
@@ -40,3 +45,71 @@ def test_traced_peak_of_a_coin_per_mw_instance():
     assert instances == 4 * 16 * 32
     per_instance = peak / instances
     assert per_instance <= BYTES_PER_INSTANCE, f"{per_instance:.0f} B per MW instance"
+
+
+# -- container lifetimes -----------------------------------------------------------
+
+
+def fresh_instance():
+    """Process 1's view of a session it neither deals nor moderates."""
+    mgr = build_stack(SystemConfig(n=4, seed=0)).vss[1]
+    return mgr, mgr._ensure_mw(mw_session(("solo", 0), 2, 3, "dm"))
+
+
+def test_a_fresh_instance_shares_the_managers_empty_rows():
+    mgr, inst = fresh_instance()
+    assert inst.confirm_values is mgr.empty_values == (None,) * 5
+    assert inst.L_hat is mgr.empty_masks == (0,) * 5
+    assert inst.K is inst.f_bar is inst.rv_batches is None
+    assert inst.moderator_shares is None  # not the moderator
+
+
+def test_the_first_write_copies_the_row():
+    mgr, inst = fresh_instance()
+    inst.handle(4, "cnf", 5)
+    assert inst.confirm_values is not mgr.empty_values
+    assert inst.confirm_values == [None, None, None, None, 5]
+    inst.handle(4, "L", (1, 2, 3))
+    assert inst.L_hat is not mgr.empty_masks
+    assert inst.L_hat == [0, 0, 0, 0, 0b1110]
+    # The shared rows are immutable; every other instance still reads them.
+    assert mgr.empty_values == (None,) * 5 and mgr.empty_masks == (0,) * 5
+
+
+def test_after_the_l_freeze_confirm_values_is_shared_and_a_late_cnf_is_free():
+    result, stack = run_mwsvss(SystemConfig(n=4, seed=3), 1, 2, 7, reconstruct=False)
+    for pid in stack.config.pids:
+        mgr = stack.vss[pid]
+        inst = mgr.mw[result.session]
+        assert inst.L_frozen and inst.monitor_row is None
+        assert inst.confirm_values is mgr.empty_values
+        assert inst._early_confirms == ()
+        # Step 3 is over: a late confirm value stores and allocates nothing.
+        late = next(p for p in stack.config.pids if not inst.L >> p & 1)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            inst.handle(late, "cnf", 5)
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert inst.confirm_values is mgr.empty_values
+        assert after == before
+
+
+def test_the_moderator_drops_its_shares_at_the_m_freeze():
+    result, stack = run_mwsvss(SystemConfig(n=4, seed=3), 1, 2, 7, reconstruct=False)
+    inst = stack.vss[2].mw[result.session]
+    assert inst.M_frozen and inst.moderator_row is None and inst.moderator_shares is None
+    assert isinstance(inst.M, int) and inst.M.bit_count() >= 3
+    assert stack.vss[2].pids_of(inst.M) == tuple(sorted(inst.M_hat))
+
+
+def test_a_released_instance_holds_no_reconstruct_state():
+    result, stack = run_mwsvss(SystemConfig(n=4, seed=3), 1, 2, 7)
+    assert set(result.outputs.values()) == {7}
+    for pid in stack.config.pids:
+        inst = stack.vss[pid].mw[result.session]
+        assert inst.released
+        assert inst.K is None and inst.f_bar is None and inst.rv_batches is None
+        assert inst.confirm_values is None and inst.L_hat is None
