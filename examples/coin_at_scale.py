@@ -20,14 +20,13 @@ group-level DMM verdict probe instead of n per-slot calls, and its
 sibling-session transitions run as structure-of-arrays rows — same
 outputs, a fraction of the per-slot handler work.
 
-The algebra underneath all of it runs on the swappable vectorized
-backend (``REPRO_ALGEBRA_BACKEND`` ∈ pure/numpy/auto, or the second
-argument below): with numpy importable, the row-shaped interpolation /
-evaluation batches go through int64 modular kernels — bit-identical
+The algebra underneath all of it is pure Python.  The second argument
+below names the numpy backend instead: the row-shaped interpolation /
+evaluation batches then go through int64 modular kernels — bit-identical
 outputs, counted by ``rows_vectorized`` / ``backend_fallbacks``.
 
-Run:  python examples/coin_at_scale.py [n] [backend]   (default n = 10,
-      backend = auto)
+Run:  python examples/coin_at_scale.py [n] [pure|numpy]   (default n = 10,
+      backend = pure)
 """
 
 import sys

@@ -115,9 +115,8 @@ def build_stack(
     packs a vector; both together are the paper's literal per-message wire.
 
     ``algebra_backend`` selects the vectorized algebra backend behind the
-    row-shaped polynomial fast paths: ``"pure"``, ``"numpy"``, ``"auto"``
-    (numpy when importable, else pure), or ``None`` to defer to
-    ``REPRO_ALGEBRA_BACKEND`` / auto-detect.  Results are bit-identical
+    row-shaped polynomial fast paths: ``None`` or ``"pure"`` (the default)
+    or ``"numpy"``, which runs only when named.  Results are bit-identical
     either way — the numpy kernels compute exactly or decline to the pure
     path (see ``docs/ALGEBRA.md``); the resolved name is on
     ``stack.runtime.algebra_backend`` and the per-run ``rows_vectorized``

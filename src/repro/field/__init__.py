@@ -4,7 +4,6 @@ utilities, and the swappable vectorized algebra backend (see
 :mod:`repro.poly`."""
 
 from repro.field.backend import (
-    BACKEND_ENV_VAR,
     BACKENDS,
     active_backend,
     available_backends,
@@ -26,7 +25,6 @@ from repro.field.primes import (
 )
 
 __all__ = [
-    "BACKEND_ENV_VAR",
     "BACKENDS",
     "DEFAULT_FIELD",
     "DEFAULT_PRIME",

@@ -8,7 +8,7 @@ set) and ``batch_inverse`` (Montgomery inversion).  This module makes
 the *implementation* of those entry points swappable:
 
 * ``pure`` — the existing pure-python code in ``repro.poly.fastpath``,
-  always available, the reference semantics.
+  always available, the reference semantics, and the default.
 * ``numpy`` — int64 modular row arithmetic: over a 31-bit modulus a
   product of two canonical elements stays below ``2^62``, so vectorized
   Horner evaluation and basis-row matrix products reduce once per step
@@ -30,12 +30,11 @@ immediately rather than risking silent overflow.
 
 Selection
 ---------
-Highest priority first:
-
-1. Explicit: ``build_stack(algebra_backend="numpy")`` (and the ``run_*`` /
-   ``flip_common_coin`` passthroughs) or a direct :func:`set_backend`.
-2. Environment: ``REPRO_ALGEBRA_BACKEND`` ∈ ``{pure, numpy, auto}``.
-3. Auto-detect: ``numpy`` when importable, else ``pure``.
+Explicit, otherwise pure.  numpy runs only when a caller names it:
+``build_stack(algebra_backend="numpy")`` (and the ``run_*`` /
+``flip_common_coin`` passthroughs) or a direct :func:`set_backend`.  Which
+algebra runs never depends on what is installed or on the environment, so
+a default run never imports numpy.
 
 Selection is process-global (the fast-path functions are called from deep
 inside protocol handlers that carry no runtime handle); a
@@ -53,16 +52,15 @@ The pure backend increments neither: declining is its job, not a fallback.
 
 from __future__ import annotations
 
-import os
 from collections.abc import Sequence
 
 from repro.errors import FieldError
 from repro.field.primes import require_int64_safe
 
-# numpy is an optional extra and everything here degrades to pure, so the
-# import is deferred to first demand: ``import repro`` must not pay the
-# numpy startup cost (the socket-launch children are wall-clock sensitive
-# between exec and their first journal write).
+# numpy is an optional extra, imported only when the numpy backend is
+# named: ``import repro`` and every default run stay numpy-free (the
+# socket-launch children are wall-clock sensitive between exec and their
+# first journal write).
 _np = None
 _np_checked = False
 
@@ -82,8 +80,6 @@ def _load_numpy():
 __all__ = [
     "AlgebraBackend",
     "BACKENDS",
-    "BACKEND_AUTO",
-    "BACKEND_ENV_VAR",
     "BACKEND_NUMPY",
     "BACKEND_PURE",
     "BackendCounters",
@@ -99,10 +95,8 @@ __all__ = [
 
 BACKEND_PURE = "pure"
 BACKEND_NUMPY = "numpy"
-BACKEND_AUTO = "auto"
-#: Concrete backend names (``auto`` resolves to one of these).
+#: Every backend name :func:`resolve_backend` accepts (``None`` is pure).
 BACKENDS = (BACKEND_PURE, BACKEND_NUMPY)
-BACKEND_ENV_VAR = "REPRO_ALGEBRA_BACKEND"
 
 #: Below this many output cells (rows × columns) the fixed cost of array
 #: conversion beats the vectorized win and the kernels decline; the
@@ -194,8 +188,7 @@ class NumpyBackend(AlgebraBackend):
         if _load_numpy() is None:
             raise FieldError(
                 "the numpy algebra backend was requested but numpy is not "
-                "importable; install numpy or select the pure backend "
-                f"(e.g. {BACKEND_ENV_VAR}=pure)"
+                "importable; install numpy or use the default pure backend"
             )
 
     @staticmethod
@@ -311,25 +304,18 @@ def resolve_backend(spec: object = None) -> AlgebraBackend:
     """Resolve a backend spec without activating it.
 
     ``spec`` may be an :class:`AlgebraBackend` instance (returned as-is),
-    one of ``"pure"`` / ``"numpy"`` / ``"auto"``, or ``None`` — which
-    reads ``REPRO_ALGEBRA_BACKEND`` and defaults to ``auto``.  ``auto``
-    picks numpy when importable and falls back to pure otherwise;
-    requesting ``"numpy"`` explicitly without numpy installed raises
-    :class:`~repro.errors.FieldError`.
+    one of :data:`BACKENDS`, or ``None`` — the pure backend.  Any other
+    spelling raises :class:`~repro.errors.FieldError`, and so does
+    ``"numpy"`` without numpy installed.
     """
     if isinstance(spec, AlgebraBackend):
         return spec
-    if spec is None:
-        spec = os.environ.get(BACKEND_ENV_VAR) or BACKEND_AUTO
-    if spec == BACKEND_AUTO:
-        return _numpy_backend() if _load_numpy() is not None else _PURE
-    if spec == BACKEND_PURE:
+    if spec is None or spec == BACKEND_PURE:
         return _PURE
     if spec == BACKEND_NUMPY:
         return _numpy_backend()
     raise FieldError(
-        f"unknown algebra backend {spec!r}; expected one of "
-        f"{(BACKEND_PURE, BACKEND_NUMPY, BACKEND_AUTO)}"
+        f"unknown algebra backend {spec!r}; expected None or one of {BACKENDS}"
     )
 
 
@@ -342,9 +328,8 @@ def set_backend(spec: object = None) -> AlgebraBackend:
 
 
 def active_backend() -> AlgebraBackend:
-    """The currently active backend, resolving the environment default on
-    first use."""
+    """The currently active backend: pure until one is set."""
     global _active
     if _active is None:
-        _active = resolve_backend(None)
+        _active = _PURE
     return _active

@@ -52,7 +52,8 @@ The row-shaped entry points — :func:`evaluate_rows`,
 :meth:`LagrangeBasis.interpolate_rows` (and thus
 :func:`interpolate_values_rows`) and :func:`batch_inverse` — first offer
 the call to the process-global algebra backend
-(:mod:`repro.field.backend`).  The ``numpy`` backend answers with exact
+(:mod:`repro.field.backend`; ``pure`` unless a caller names ``numpy``).
+The ``numpy`` backend answers with exact
 int64 modular row arithmetic for well-shaped canonical batches and
 declines (``None``) otherwise; the code below is simultaneously the
 ``pure`` backend and the universal fallback, so results are bit-identical
@@ -149,27 +150,43 @@ def power_table(field: Field, x: int) -> _PowerTable:
     return _PowerTable(field.prime, x % field.prime)
 
 
+#: Point sets whose power rows :func:`_power_rows` keeps.  The dealers
+#: evaluate only at ``0..n`` and ``1..n``; a key past the bound is computed
+#: and not kept.
+POWER_ROWS_CACHE = 64
+_POWER_ROWS: dict[tuple, tuple[list[int], ...]] = {}
+
+
+def _power_rows(field: Field, xs: Iterable[int], width: int) -> tuple[list[int], ...]:
+    """The power chains ``x^0 .. x^(width-1)`` of every point of ``xs``
+    (a chain may be longer), memoised by ``(prime, tuple(xs), width)``."""
+    xs = tuple(xs)
+    key = (field.prime, xs, width)
+    rows = _POWER_ROWS.get(key)
+    if rows is None:
+        prime = field.prime
+        rows = tuple(power_table(field, x % prime).up_to(width) for x in xs)
+        if len(_POWER_ROWS) < POWER_ROWS_CACHE:
+            _POWER_ROWS[key] = rows
+    return rows
+
+
 def evaluate_many(
     field: Field, coeffs: Sequence[int], xs: Iterable[int]
 ) -> list[int]:
     """Evaluate ``sum_k coeffs[k] x^k`` at every point of ``xs``.
 
-    Uses the cached power tables and a single deferred reduction per point:
+    Uses the memoised power rows and a single deferred reduction per point:
     the dot product is accumulated as one big int and reduced once, which
     beats per-step Horner reductions for the degrees this stack uses.
     """
-    prime = field.prime
-    count = len(coeffs)
-    if count == 0:
+    if not coeffs:
         return [0 for _ in xs]
-    out = []
-    for x in xs:
-        powers = power_table(field, x % prime).up_to(count)
-        total = 0
-        for c, p in zip(coeffs, powers):
-            total += c * p
-        out.append(total % prime)
-    return out
+    prime = field.prime
+    return [
+        sum(map(mul, coeffs, powers)) % prime
+        for powers in _power_rows(field, xs, len(coeffs))
+    ]
 
 
 def evaluate_rows(
@@ -185,32 +202,23 @@ def evaluate_rows(
     ``out[i][j] == coeff_rows[i]`` evaluated at ``xs[j]``, bit-identical
     to ``evaluate_many`` row by row.
 
-    Rectangular canonical batches may be served by the vectorized algebra
-    backend (one Horner pass over the whole matrix); a decline falls
-    through to the power-table loop below, which is also the ``pure``
+    An explicitly selected vectorized backend may serve rectangular
+    canonical batches (one Horner pass over the whole matrix); a decline
+    falls through to the power-row loop below, which is also the ``pure``
     backend's implementation.
     """
     prime = field.prime
     vectorized = _backend.active_backend().evaluate_rows(prime, coeff_rows, xs)
     if vectorized is not None:
         return vectorized
-    count = 0
-    for row in coeff_rows:
-        if len(row) > count:
-            count = len(row)
-    if count == 0:
+    width = max(map(len, coeff_rows), default=0)
+    if not width:
         return [[0 for _ in xs] for _ in coeff_rows]
-    tables = [power_table(field, x % prime).up_to(count) for x in xs]
-    out = []
-    for coeffs in coeff_rows:
-        row_out = []
-        for powers in tables:
-            total = 0
-            for c, p in zip(coeffs, powers):
-                total += c * p
-            row_out.append(total % prime)
-        out.append(row_out)
-    return out
+    tables = _power_rows(field, xs, width)
+    return [
+        [sum(map(mul, coeffs, powers)) % prime for powers in tables]
+        for coeffs in coeff_rows
+    ]
 
 
 #: Evaluation rows one basis keeps.  The protocol evaluates only at points

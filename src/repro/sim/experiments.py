@@ -68,6 +68,7 @@ from repro.core.api import (
     run_byzantine_agreement_batch,
 )
 from repro.errors import ConfigurationError
+from repro.field.backend import BACKENDS
 from repro.sim.monitor import InvariantMonitor, InvariantViolation
 from repro.sim.runtime import DEFAULT_MAX_EVENTS
 from repro.sim.scheduler import (
@@ -195,9 +196,8 @@ class Scenario:
     #: monitor's liveness watchdog.
     monitor: bool = False
     round_bound: int | None = None
-    #: Vectorized algebra backend axis (``"pure"`` | ``"numpy"`` |
-    #: ``"auto"``); ``None`` inherits the process default
-    #: (``REPRO_ALGEBRA_BACKEND`` / auto-detect).  Results are
+    #: Vectorized algebra backend axis: ``None`` (pure) or one of
+    #: :data:`~repro.field.backend.BACKENDS`.  Results are
     #: backend-independent by contract; sweeps pin it to A/B wall-clock
     #: and the ``rows_vectorized`` counters.
     algebra_backend: str | None = None
@@ -222,10 +222,10 @@ class Scenario:
                 f"unknown input pattern {self.inputs!r}; "
                 f"known: {sorted(INPUT_PATTERNS)}"
             )
-        if self.algebra_backend not in (None, "pure", "numpy", "auto"):
+        if self.algebra_backend is not None and self.algebra_backend not in BACKENDS:
             raise ConfigurationError(
                 f"unknown algebra backend {self.algebra_backend!r}; "
-                f"expected one of (None, 'pure', 'numpy', 'auto')"
+                f"expected None or one of {BACKENDS}"
             )
 
 

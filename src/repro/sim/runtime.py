@@ -131,8 +131,8 @@ class Runtime(StepWindow):
         # buffers, ``splits_slots`` that the muxes never pack.
         super().__init__(self.scheduler)
         #: Vectorized algebra backend (see :mod:`repro.field.backend` and
-        #: ``docs/ALGEBRA.md``): ``None`` defers to ``REPRO_ALGEBRA_BACKEND``
-        #: / auto-detect.  Selection is process-global (the fast paths carry
+        #: ``docs/ALGEBRA.md``): ``None`` is pure; numpy runs only when
+        #: named.  Selection is process-global (the fast paths carry
         #: no runtime handle), so construction pins it and snapshots the
         #: shared counters; :attr:`rows_vectorized` /
         #: :attr:`backend_fallbacks` report per-run deltas.

@@ -6,25 +6,30 @@ computes or declines to it, so selecting ``numpy`` changes wall-clock and
 counters but never a result — including error behaviour.  The suite
 cross-checks the kernels over random row matrices (hypothesis), pins the
 decline cases (empty, undersized, ragged, non-canonical values), the
-selection order (explicit > ``REPRO_ALGEBRA_BACKEND`` > auto-detect), the
-unsafe-prime :class:`FieldError`, and the house A/B discipline: one SVSS
-coin invocation per seed with the backend on vs off, bit-identical
-outputs and per-session justifiers.
+selection rule (explicit, otherwise pure; a default run never imports
+numpy), the unsafe-prime :class:`FieldError`, and the house A/B
+discipline: one SVSS coin invocation per seed with the backend on vs off,
+bit-identical outputs and per-session justifiers.
 """
 
 from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.field as field_pkg
 from repro.config import SystemConfig
 from repro.core.api import flip_common_coin, run_byzantine_agreement
 from repro.errors import FieldError, PolynomialError
 from repro.field import DEFAULT_PRIME, Field
 from repro.field import backend as backend_mod
 from repro.field.backend import (
-    BACKEND_ENV_VAR,
     NumpyBackend,
     PureBackend,
     available_backends,
@@ -226,43 +231,63 @@ class TestPrimeSafety:
 
 
 class TestSelection:
+    """Explicit, otherwise pure: nothing installed and nothing in the
+    environment chooses the algebra."""
+
     def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "numpy")
+        monkeypatch.setenv("REPRO_ALGEBRA_BACKEND", "numpy")
         assert resolve_backend("pure").name == "pure"
 
-    def test_env_beats_auto(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "pure")
+    @needs_numpy
+    def test_default_is_pure_with_numpy_importable(self):
+        assert numpy_available()
         assert resolve_backend(None).name == "pure"
+        assert resolve_backend().name == "pure"
 
     @needs_numpy
     def test_env_numpy(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "numpy")
-        assert resolve_backend(None).name == "numpy"
+        """``REPRO_ALGEBRA_BACKEND=numpy`` changes nothing: the variable
+        is not read."""
+        monkeypatch.setenv("REPRO_ALGEBRA_BACKEND", "numpy")
+        assert resolve_backend(None).name == "pure"
+        monkeypatch.setattr(backend_mod, "_active", None)
+        assert backend_mod.active_backend().name == "pure"
+
+    def test_auto_is_rejected(self):
+        with pytest.raises(FieldError, match="unknown algebra backend"):
+            resolve_backend("auto")
+        with pytest.raises(FieldError, match="unknown algebra backend"):
+            set_backend("auto")
+
+    def test_removed_names_are_gone(self):
+        for name in ("BACKEND_AUTO", "BACKEND_ENV_VAR"):
+            assert not hasattr(backend_mod, name)
+            assert not hasattr(field_pkg, name)
+        assert field_pkg.BACKENDS == ("pure", "numpy")
 
     @needs_numpy
-    def test_auto_prefers_numpy(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        assert resolve_backend(None).name == "numpy"
-        assert resolve_backend("auto").name == "numpy"
+    def test_explicit_numpy_resolves(self):
+        assert resolve_backend("numpy").name == "numpy"
+        assert set_backend("numpy").name == "numpy"
+        assert backend_mod.active_backend().name == "numpy"
 
     def test_unknown_spec_rejected(self, monkeypatch):
         with pytest.raises(FieldError, match="unknown algebra backend"):
             resolve_backend("fortran")
-        monkeypatch.setenv(BACKEND_ENV_VAR, "bogus")
-        with pytest.raises(FieldError, match="unknown algebra backend"):
-            resolve_backend(None)
+        monkeypatch.setenv("REPRO_ALGEBRA_BACKEND", "bogus")
+        assert resolve_backend(None).name == "pure"
 
     def test_instance_passthrough(self):
         probe = PureBackend()
         assert resolve_backend(probe) is probe
 
-    def test_numpy_absent_auto_falls_back(self, monkeypatch):
+    def test_numpy_absent_default_is_pure(self, monkeypatch):
         monkeypatch.setattr(backend_mod, "_np", None)
         monkeypatch.setattr(backend_mod, "_np_checked", True)
         monkeypatch.setattr(backend_mod, "_NUMPY", None)
         assert available_backends() == ("pure",)
         assert not numpy_available()
-        assert resolve_backend("auto").name == "pure"
+        assert resolve_backend(None).name == "pure"
         with pytest.raises(FieldError, match="not importable"):
             resolve_backend("numpy")
         with pytest.raises(FieldError, match="not importable"):
@@ -271,6 +296,34 @@ class TestSelection:
     def test_set_backend_activates_globally(self):
         assert set_backend("pure").name == "pure"
         assert backend_mod.active_backend().name == "pure"
+
+
+#: A default coin and a default agreement, then whether numpy was imported.
+DEFAULT_RUNS = """
+import sys
+from repro.config import SystemConfig
+from repro.core.api import flip_common_coin, run_byzantine_agreement
+coin, _ = flip_common_coin(SystemConfig(n=4, seed=3))
+agreement = run_byzantine_agreement([0, 1, 1, 0], SystemConfig(n=4, seed=5), coin="svss")
+print(coin.algebra_backend, agreement.algebra_backend, "numpy" in sys.modules)
+"""
+
+
+def test_default_runs_never_import_numpy():
+    """A fresh process runs a default n = 4 coin and agreement on the pure
+    path and never imports numpy, with ``REPRO_ALGEBRA_BACKEND=numpy`` set
+    to show the environment chooses nothing."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "REPRO_ALGEBRA_BACKEND": "numpy"}
+    done = subprocess.run(
+        [sys.executable, "-c", DEFAULT_RUNS],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["pure", "pure", "False"]
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import pytest
 from repro.analysis.complexity import fit_power_law
 from repro.core.api import RunCounters
 from repro.errors import ConfigurationError
+from repro.field.backend import BACKENDS, numpy_available, resolve_backend
 from repro.sim import experiments
 from repro.sim.experiments import (
     ADVERSARIES,
@@ -48,6 +49,17 @@ class TestRegistries:
             Scenario(n=4, seed=0, adversary="gremlin").validate()
         with pytest.raises(ConfigurationError):
             Scenario(n=4, seed=0, inputs="fibonacci").validate()
+
+    def test_backend_names_are_the_resolvers(self):
+        """A scenario accepts exactly the names ``resolve_backend`` does, so
+        no spelling it accepts can raise mid-sweep."""
+        for name in (None, *BACKENDS):
+            Scenario(n=4, seed=0, algebra_backend=name).validate()
+            if name != "numpy" or numpy_available():
+                assert resolve_backend(name).name == (name or "pure")
+        for name in ("auto", "fortran"):
+            with pytest.raises(ConfigurationError, match="algebra backend"):
+                Scenario(n=4, seed=0, algebra_backend=name).validate()
 
 
 class TestScenarioMatrix:

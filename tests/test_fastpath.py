@@ -28,6 +28,7 @@ from repro.poly.fastpath import (
     EVAL_ROW_CACHE,
     batch_inverse,
     evaluate_many,
+    evaluate_rows,
     interpolate_values,
     lagrange_basis,
     power_table,
@@ -261,6 +262,50 @@ class TestEvaluateMany:
 
     def test_non_canonical_points(self):
         assert evaluate_many(F13, [1, 1], [13, 14, -1]) == [1, 2, 0]
+
+
+@st.composite
+def dealer_cases(draw):
+    """Coefficient rows (ragged and empty ones included) and points, both
+    inside and outside ``[0, p)``; the points are sometimes the dealers'
+    ``range(n + 1)`` / ``range(1, n + 1)``."""
+    prime = draw(st.sampled_from(PROPERTY_PRIMES))
+    value = st.one_of(st.integers(0, prime - 1), st.integers(-3 * prime, 3 * prime))
+    rows = draw(st.lists(st.lists(value, max_size=6), max_size=8))
+    n = draw(st.integers(0, 10))
+    xs = draw(
+        st.one_of(
+            st.sampled_from((range(n + 1), range(1, n + 1))),
+            st.lists(value, max_size=10),
+        )
+    )
+    return Field(prime), rows, xs
+
+
+class TestDealerKernel:
+    """``evaluate_rows`` and ``evaluate_many`` — the dealers' pure kernel on
+    memoised power rows — against Horner, cell for cell."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(dealer_cases())
+    def test_matches_horner(self, case):
+        field, rows, xs = case
+        prime = field.prime
+        expected = [[horner(prime, coeffs, x) for x in xs] for coeffs in rows]
+        # Twice: the second call reads the memoised power rows.
+        for _ in range(2):
+            assert evaluate_rows(field, rows, xs) == expected
+            for coeffs, row in zip(rows, expected):
+                assert evaluate_many(field, coeffs, xs) == row
+                assert evaluate_many(field, coeffs, iter(xs)) == row
+
+    def test_memo_is_bounded(self):
+        for offset in range(2 * fastpath.POWER_ROWS_CACHE):
+            xs = range(offset, offset + 3)
+            assert evaluate_rows(FS, [[1, 2, 3]], xs) == [
+                [horner(SMALL_PRIME, [1, 2, 3], x) for x in xs]
+            ]
+        assert len(fastpath._POWER_ROWS) <= fastpath.POWER_ROWS_CACHE
 
 
 class TestInterpolateDegreeT:
