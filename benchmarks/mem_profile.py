@@ -61,6 +61,17 @@ def run_coin(n: int, seed: int, snapshot_at: int | None):
     delivered event after the first MW share completed, and the snapshot is
     taken at event ``snapshot_at`` (``None``: no snapshot, just find the
     peak event)."""
+    from repro.core.mwsvss import MWSVSSInstance
+
+    # Finished sharings leave the manager's tables: count instances as made.
+    created = [0]
+    init = MWSVSSInstance.__init__
+
+    def counted(self, manager, sid):
+        created[0] += 1
+        init(self, manager, sid)
+
+    MWSVSSInstance.__init__ = counted
     gc.collect()
     tracemalloc.start()
     try:
@@ -99,9 +110,10 @@ def run_coin(n: int, seed: int, snapshot_at: int | None):
         if len(set(outputs.values())) != 1:
             raise RuntimeError(f"the coin did not output one bit: {outputs}")
         peak = tracemalloc.get_traced_memory()[1]
-        instances = sum(len(vss.mw) for vss in stack.vss.values())
+        instances = created[0]
     finally:
         tracemalloc.stop()
+        MWSVSSInstance.__init__ = init
     return seen[1], peak, instances, tuple(late), taken[0] if taken else None
 
 

@@ -47,8 +47,11 @@ will ever reconstruct it (:meth:`DMM.forget_session` — its expectations can
 never arm, gate nothing, and go).  The remembered batches of a closed session
 have no expectation left to be reconciled with and are dropped, and so is
 a ledger that holds nothing; what persists for the lifetime of the scheme is
-``D``, the ledgers of reconstructed sessions that still hold a debt, and the
-session clock they refer to.
+``D``, the ledgers of reconstructed sessions that still hold a debt, and
+their ``completed`` stamps.  When a sharing leaves the manager's tables,
+:meth:`DMM.retire` drops its sessions' closed marks and clock stamps (a
+debt's ``completed`` stamp goes with its ledger): a retired session reads
+as begun long ago, and a late batch for it is checked only while it owes.
 
 The delay rule only ever fires for sessions ``σ`` with ``σ →_i σ'``, and
 ``→_i`` requires ``σ``'s reconstruct to have *completed* locally — so the
@@ -113,7 +116,7 @@ class DMM:
         #: processes known faulty; all their VSS messages are discarded.
         self.D: set[int] = set()
         # session -> its ledger; a ledger holding nothing is dropped, and a
-        # session without one is open iff it is not in _closed_sessions.
+        # session without one is open iff not closed and not retired.
         self._ledgers: dict[tuple, _Ledger] = {}
         # sender -> number of expectations it has not met, over all ledgers
         self._owed: dict[int, int] = {}
@@ -132,7 +135,7 @@ class DMM:
         #: senders whose verdicts may have changed since the manager's
         #: delayed-message index last examined them.
         self.dirty: set[int] = set()
-        # sessions that take no new batch (see "Session lifetime")
+        # sessions that take no new batch, until ``retire`` forgets them
         self._closed_sessions: set[tuple] = set()
         self._on_shun = on_shun
 
@@ -245,6 +248,8 @@ class DMM:
     def _drop_if_empty(self, session: tuple, ledger: _Ledger) -> None:
         if not (ledger.deal or ledger.ack or ledger.seen):
             del self._ledgers[session]
+            if self.clock.finished(session):  # the last debt of a retired session
+                self.clock.completed.pop(session, None)
 
     # -- session lifecycle ---------------------------------------------------
     def on_session_reconstructed(self, session: tuple) -> None:
@@ -276,6 +281,15 @@ class DMM:
                 self._pay(sender, 1)
             for sender, entries in (ledger.ack or {}).items():
                 self._pay(sender, len(entries))
+
+    def retire(self, sessions: Iterable[tuple]) -> None:
+        """``sessions`` left the manager's tables: forget all but their debts."""
+        begun, completed = self.clock.begun, self.clock.completed
+        for session in sessions:
+            self._closed_sessions.discard(session)
+            begun.pop(session, None)
+            if session not in self._ledgers:
+                completed.pop(session, None)
 
     # -- reconstruct-broadcast checks ----------------------------------------
     def check_reconstruct_batch(
@@ -371,8 +385,9 @@ class DMM:
         armed senders the slots' begun ticks are compared against the
         cached minimum completed tick in one pass; a slot not begun yet
         will be stamped with a *fresh* tick at ensure time — strictly newer
-        than any completed tick — so it counts as DELAY.  Mixed outcomes
-        return ``None`` and the caller re-filters per slot.
+        than any completed tick — so it counts as DELAY, unless its sharing
+        retired (begun long ago: FORWARD).  Mixed outcomes return ``None``
+        and the caller re-filters per slot.
 
         The result is only valid while :attr:`version` is unchanged:
         dispatching one slot can convict, arm, or disarm, flipping the
@@ -385,11 +400,12 @@ class DMM:
         owed = self._armed_min_done.get(sender)
         if owed is None:
             return FORWARD
-        begun = self.clock.begun
+        begun, finished = self.clock.begun, self.clock.finished
         verdict: str | None = None
         for slot in slots:
-            b = begun.get(svec_sid(group, slot))
-            v = DELAY if (b is None or owed < b) else FORWARD
+            sid = svec_sid(group, slot)
+            b = begun.get(sid)
+            v = DELAY if (not finished(sid) if b is None else owed < b) else FORWARD
             if verdict is None:
                 verdict = v
             elif v != verdict:

@@ -11,12 +11,16 @@ Completion and output events are routed to *watchers* keyed by the session
 parent, which is how SVSS instances hear about their MW-SVSS children and
 how the common coin hears about its SVSS sharings.
 
-Finished sessions stay in the ``mw`` / ``svss`` tables as released shells
-(flags and output only, see ``MWSVSSInstance.release``): the tables are what
-rejects a replay, and a late ``rv`` for a released session is still checked
-by the DMM — conviction and debt clearing are per (sender, session) and
-outlive the instance.  The lookup caches (slot lanes, the mux's split memo)
-drop a session the moment it is released.
+Finished sharings leave the tables.  A sharing (``sessions.sharing_of``: an
+SVSS session with its 2n² MW-SVSS children, or a solo MW-SVSS session)
+joins the session clock's tombstone, ``clock.retired``, when its root is
+released, and nothing of it is created from then on.  Its live instances
+and SVSS walks over ``Ĝ`` *pin* it; at the last let-go its instances leave
+``mw`` / ``svss``.  A late message for a retired session takes its DMM
+verdict and is dropped, but a late ``rv`` is checked by the DMM while the
+session owes: conviction and debt clearing outlive the instance.  The
+lookup caches (slot lanes, the mux's split memo) drop a session the moment
+it is released.
 """
 
 from __future__ import annotations
@@ -32,10 +36,11 @@ from repro.core.sessions import (
     SessionClock,
     is_mw,
     is_svss,
+    sharing_of,
     svec_sid,
     svec_split,
 )
-from repro.core.svss import SVSSInstance
+from repro.core.svss import SVSSInstance, children
 from repro.core.vectormux import SVEC_TAG, SessionVectorMux
 from repro.errors import ProtocolError
 from repro.poly.fastpath import LagrangeBasis, lagrange_basis
@@ -64,9 +69,13 @@ PID_MEMO_MAX = 4096
 _PID_TYPES = frozenset({int, bool})
 
 
+def _ignore(*args: object) -> None:
+    pass
+
+
 class CallbackWatcher:
     """Adapter turning plain callables into a watcher object (for tests and
-    the solo-session API)."""
+    the solo-session API); an event given no callable is ignored."""
 
     def __init__(
         self,
@@ -75,26 +84,10 @@ class CallbackWatcher:
         on_svss_share_complete: Callable[[tuple], None] | None = None,
         on_svss_output: Callable[[tuple, object], None] | None = None,
     ):
-        self._mw_complete = on_mw_share_complete
-        self._mw_output = on_mw_output
-        self._svss_complete = on_svss_share_complete
-        self._svss_output = on_svss_output
-
-    def on_mw_share_complete(self, sid: tuple) -> None:
-        if self._mw_complete is not None:
-            self._mw_complete(sid)
-
-    def on_mw_output(self, sid: tuple, value: object) -> None:
-        if self._mw_output is not None:
-            self._mw_output(sid, value)
-
-    def on_svss_share_complete(self, sid: tuple) -> None:
-        if self._svss_complete is not None:
-            self._svss_complete(sid)
-
-    def on_svss_output(self, sid: tuple, value: object) -> None:
-        if self._svss_output is not None:
-            self._svss_output(sid, value)
+        self.on_mw_share_complete = on_mw_share_complete or _ignore
+        self.on_mw_output = on_mw_output or _ignore
+        self.on_svss_share_complete = on_svss_share_complete or _ignore
+        self.on_svss_output = on_svss_output or _ignore
 
 
 class VSSManager(ProtocolModule):
@@ -118,6 +111,8 @@ class VSSManager(ProtocolModule):
         # releases replay in park order.
         self._delayed: dict[tuple[int, tuple], list[tuple[int, str, object]]] = {}
         self._delayed_seq = 0
+        # sharing -> its pins (see the module docstring)
+        self._pins: dict[tuple, int] = {}
         # Structure-of-arrays lanes: one per svec dealer-group, arraying the
         # n sibling session instances by slot (see GroupLane).
         self._lanes: dict[tuple, GroupLane] = {}
@@ -157,19 +152,28 @@ class VSSManager(ProtocolModule):
         self._watchers[key] = watcher
 
     def mw_share(self, sid: tuple, secret: int) -> None:
-        self._ensure_mw(sid).share(secret)
+        self._live(self._ensure_mw(sid), sid).share(secret)
 
     def mw_moderate(self, sid: tuple, expected: int) -> None:
-        self._ensure_mw(sid).moderate(expected)
+        if inst := self._ensure_mw(sid):
+            inst.moderate(expected)
 
     def mw_begin_reconstruct(self, sid: tuple) -> None:
-        self._ensure_mw(sid).begin_reconstruct()
+        if inst := self._ensure_mw(sid):
+            inst.begin_reconstruct()
 
     def svss_share(self, sid: tuple, secret: int) -> None:
-        self._ensure_svss(sid).share(secret)
+        self._live(self._ensure_svss(sid), sid).share(secret)
 
     def svss_begin_reconstruct(self, sid: tuple) -> None:
-        self._ensure_svss(sid).begin_reconstruct()
+        if inst := self._ensure_svss(sid):
+            inst.begin_reconstruct()
+
+    @staticmethod
+    def _live(inst, sid: tuple):
+        if inst is None:  # retired: its share went out long ago
+            raise ProtocolError(f"share already initiated for {sid}")
+        return inst
 
     def svss_release(self, sid: tuple) -> None:
         """The caller knows nobody will reconstruct ``sid``: release it and
@@ -182,10 +186,9 @@ class VSSManager(ProtocolModule):
         """An MW-SVSS or SVSS instance entered its terminal state.
 
         The DMM forgets an MW-SVSS session whose reconstruct never
-        completed (a completed one keeps its debts), and the lookup caches
-        drop the session: both are pure indexes over ``mw`` / ``svss`` — a
-        released session sends nothing, and a late vector for it takes the
-        table lookup.
+        completed (a completed one keeps its debts), the lookup caches drop
+        the session — a released session sends nothing — a released root
+        retires its sharing, and the instance unpins it.
         """
         if is_mw(sid):
             self.dmm.forget_session(sid)
@@ -196,6 +199,43 @@ class VSSManager(ProtocolModule):
             if lane is not None and lane.columns.pop(slot, None) is not None:
                 if not lane.columns:
                     del self._lanes[group]
+        sharing = sharing_of(sid)
+        if sharing is sid:  # a root: an SVSS or a solo MW-SVSS session
+            self.clock.retired.add(sid)
+        self.pin(sharing, -1)
+
+    def pin(self, sharing: tuple, by: int = 1) -> None:
+        """Hold (``by=1``) or let go of (``-1``) ``sharing``'s instances:
+        the last let-go takes them out of the tables."""
+        left = self._pins.pop(sharing, 0) + by
+        if left:
+            self._pins[sharing] = left
+            return
+        sessions = [sharing]  # every instance released, no walk under way
+        if is_svss(sharing):
+            self.svss.pop(sharing, None)
+            sessions += children(sharing, self.n)
+        for sid in sessions:
+            self.mw.pop(sid, None)
+        self.dmm.retire(sessions)
+
+    def parse_rv(self, body: object) -> dict[int, int] | None:
+        """An ``rv`` body ``((monitor, value), ...)`` as a dict, or ``None``."""
+        if not isinstance(body, tuple):
+            return None
+        n, is_element = self.n, self.field.is_element
+        batch: dict[int, int] = {}
+        for item in body:
+            if (
+                not isinstance(item, tuple)
+                or len(item) != 2
+                or not isinstance(item[0], int)
+                or not (1 <= item[0] <= n)
+                or not is_element(item[1])
+            ):
+                return None
+            batch[item[0]] = item[1]
+        return batch
 
     def is_value_tuple(self, body: object, length: int) -> bool:
         """``body`` is a tuple of exactly ``length`` field elements."""
@@ -295,11 +335,16 @@ class VSSManager(ProtocolModule):
     # ------------------------------------------------------------------
     # instance management
     # ------------------------------------------------------------------
-    def _ensure_mw(self, sid: tuple) -> MWSVSSInstance:
+    def _ensure_mw(self, sid: tuple) -> MWSVSSInstance | None:
+        """The session's instance, created at first contact; ``None`` if
+        there is none and its sharing retired (nobody will reconstruct it)."""
         inst = self.mw.get(sid)
         if inst is None:
             if not self._valid_mw_sid(sid):
                 raise ProtocolError(f"invalid MW-SVSS session id {sid!r}")
+            sharing = sharing_of(sid)
+            if sharing in self.clock.retired:
+                return None
             # The 2n² children of one SVSS session share its id object: a
             # sid rebuilt from a slot-vector carries a private copy.
             parent = self.svss.get(sid[1])
@@ -308,16 +353,21 @@ class VSSManager(ProtocolModule):
             inst = MWSVSSInstance(self, sid)
             self.mw[sid] = inst
             self.clock.note_begin(sid)
+            self._pins[sharing] = self._pins.get(sharing, 0) + 1
         return inst
 
-    def _ensure_svss(self, sid: tuple) -> SVSSInstance:
+    def _ensure_svss(self, sid: tuple) -> SVSSInstance | None:
+        """The session's instance, created at first contact, or ``None``."""
         inst = self.svss.get(sid)
         if inst is None:
             if not self._valid_svss_sid(sid):
                 raise ProtocolError(f"invalid SVSS session id {sid!r}")
+            if sid in self.clock.retired:
+                return None
             inst = SVSSInstance(self, sid)
             self.svss[sid] = inst
             self.clock.note_begin(sid)
+            self._pins[sid] = self._pins.get(sid, 0) + 1
         return inst
 
     def _valid_mw_sid(self, sid: tuple) -> bool:
@@ -350,14 +400,11 @@ class VSSManager(ProtocolModule):
         if not isinstance(kind, str):
             return
         # Creating the instance stamps the session's local begin, which is
-        # what makes →_i well-defined for the filter below.
-        if is_mw(sid):
-            if not self._valid_mw_sid(sid):
-                return
+        # what makes →_i well-defined for the filter below; a retired
+        # session has no stamp and reads as begun long ago.
+        if self._valid_mw_sid(sid):
             self._ensure_mw(sid)
-        elif is_svss(sid):
-            if not self._valid_svss_sid(sid):
-                return
+        elif self._valid_svss_sid(sid):
             self._ensure_svss(sid)
         else:
             return
@@ -402,12 +449,8 @@ class VSSManager(ProtocolModule):
         """
         mw_group = group[0] == SVEC_MW
         probe = svec_sid(group, 0)
-        if mw_group:
-            if not self._valid_mw_sid(probe):
-                return
-        else:
-            if not self._valid_svss_sid(probe):
-                return
+        if not (self._valid_mw_sid(probe) if mw_group else self._valid_svss_sid(probe)):
+            return
         items = [
             item
             for item in entries
@@ -423,7 +466,8 @@ class VSSManager(ProtocolModule):
         if lane is None:
             lane = self._lanes[group] = GroupLane(group)
         columns = lane.columns
-        instances = self.mw if mw_group else self.svss
+        ensure = self._ensure_mw if mw_group else self._ensure_svss
+        finished = self.clock.finished
         checked = kind in VALUE_KINDS
         group_verdict: str | None = None
         version = -1
@@ -437,9 +481,9 @@ class VSSManager(ProtocolModule):
         if (
             len(items) > 1
             and group_verdict in (None, FORWARD)
-            # No lane: the group is new, or all of it is released and a
-            # replayed vector has nothing left to decode for.
-            and (columns or not self._all_released(instances, group, items))
+            # No lane: the group is new, or all of it retired and a replayed
+            # vector has nothing left to decode for.
+            and (columns or not all(finished(svec_sid(group, s)) for s, _ in items))
         ):
             if mw_group:
                 if kind == "mon" or kind == "mod":
@@ -455,31 +499,26 @@ class VSSManager(ProtocolModule):
                 break
             inst = columns.get(slot)
             if inst is None:
-                sid = svec_sid(group, slot)
-                inst = instances.get(sid)
-                if inst is None:
-                    inst = self._ensure_mw(sid) if mw_group else self._ensure_svss(sid)
-                if not inst.released:
+                inst = ensure(svec_sid(group, slot))  # None: retired
+                if inst is not None and not inst.released:
                     columns[slot] = inst
+            sid = svec_sid(group, slot) if inst is None else inst.sid
             if checked:
                 if group_verdict is not None and dmm.version == version:
                     verdict = group_verdict
                     batched += 1
                 else:
                     fallbacks += 1
-                    verdict = dmm.filter_verdict(src, inst.sid)
+                    verdict = dmm.filter_verdict(src, sid)
                 if verdict == DISCARD:
                     continue
                 if verdict == DELAY:
-                    self._park(src, inst.sid, kind, body)
+                    self._park(src, sid, kind, body)
                     continue
             if is_rv:
-                batch = inst._parse_rv(body)
-                if batch is not None:
-                    dmm.check_reconstruct_batch(src, inst.sid, batch)
-                    if src in dmm.D:
-                        continue  # convicted by this very slot
-                inst.handle(src, kind, body, batch)
+                self._on_rv(src, sid, inst, body)
+            elif inst is None:
+                pass  # retired: the verdict is all it takes
             elif decoded is None:
                 inst.handle(src, kind, body)
             else:
@@ -487,35 +526,35 @@ class VSSManager(ProtocolModule):
             if delayed or dmm.dirty:
                 self._release_delayed()
         if not columns:
-            # Every session of the group is released (or was, mid-vector).
+            # Every session of the group is finished (or was, mid-vector).
             self._lanes.pop(group, None)
         runtime.svec_batch_ingested += 1
         runtime.dmm_verdicts_batched += batched
         runtime.dmm_verdict_fallbacks += fallbacks
         runtime.dmm_verdict_calls += fallbacks
 
-    @staticmethod
-    def _all_released(instances: dict, group: tuple, items: list) -> bool:
-        for slot, _ in items:
-            inst = instances.get(svec_sid(group, slot))
-            if inst is None or not inst.released:
-                return False
-        return True
-
     def _dispatch(self, src: int, sid: tuple, kind: str, body: object) -> None:
-        if is_mw(sid):
-            inst = self._ensure_mw(sid)
-            if kind == "rv":
-                batch = inst._parse_rv(body)
-                if batch is not None:
-                    self.dmm.check_reconstruct_batch(src, sid, batch)
-                    if src in self.dmm.D:
-                        return  # convicted by this very message
-                inst.handle(src, kind, body, batch)
-                return
+        mw = is_mw(sid)
+        inst = self._ensure_mw(sid) if mw else self._ensure_svss(sid)
+        if mw and kind == "rv":
+            self._on_rv(src, sid, inst, body)
+        elif inst is not None:
             inst.handle(src, kind, body)
-        else:
-            self._ensure_svss(sid).handle(src, kind, body)
+
+    def _on_rv(self, src: int, sid: tuple, inst: MWSVSSInstance | None, body: object) -> None:
+        """A reconstruct batch meets the DMM before the session: conviction
+        and debt clearing outlive the instance, so a batch for a session
+        without one is still checked while the session owes."""
+        dmm = self.dmm
+        if inst is None and sid not in self.clock.completed:
+            return  # retired, and owes nothing (see SessionClock)
+        batch = self.parse_rv(body)
+        if batch is not None:
+            dmm.check_reconstruct_batch(src, sid, batch)
+            if src in dmm.D:
+                return  # convicted by this very batch
+        if inst is not None:
+            inst.handle(src, "rv", body, batch)
 
     def _park(self, src: int, sid: tuple, kind: str, body: object) -> None:
         seq = self._delayed_seq
@@ -572,8 +611,8 @@ class VSSManager(ProtocolModule):
     def notify_mw_share_complete(self, sid: tuple) -> None:
         self._runtime.notify_state_change()
         parent = sid[1]
-        if is_svss(parent):
-            self._ensure_svss(parent).on_mw_share_complete(sid)
+        if is_svss(parent) and (inst := self._ensure_svss(parent)) is not None:
+            inst.on_mw_share_complete(sid)
         watcher = self._watchers.get(parent)
         if watcher is not None:
             watcher.on_mw_share_complete(sid)
@@ -583,8 +622,8 @@ class VSSManager(ProtocolModule):
         self.clock.note_complete(sid)
         self.dmm.on_session_reconstructed(sid)
         parent = sid[1]
-        if is_svss(parent):
-            self._ensure_svss(parent).on_mw_output(sid, value)
+        if is_svss(parent) and (inst := self._ensure_svss(parent)) is not None:
+            inst.on_mw_output(sid, value)
         watcher = self._watchers.get(parent)
         if watcher is not None:
             watcher.on_mw_output(sid, value)

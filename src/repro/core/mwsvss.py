@@ -102,10 +102,11 @@ class MWSVSSInstance:
     needs a further message from this one; ``rv`` went out at
     :meth:`begin_reconstruct`, which precedes output; and DEAL / ACK
     expectations are only added before ``L`` freezes / at step 7, both
-    before share completion.  A released instance ignores every message;
-    its flags, ``output`` and ``M_hat`` stay readable.  What must outlive
-    it — convicting or clearing a late ``rv`` against an outstanding debt —
-    lives in the DMM, which the manager consults before the instance.
+    before share completion.  A released instance ignores every message
+    until its sharing leaves the manager's tables (see ``core.manager``):
+    read an outcome off the watcher, not the instance.
+    What must outlive it — convicting or clearing a late ``rv`` against an
+    outstanding debt — lives in the DMM, which the manager consults first.
     """
 
     # 35 attributes: without __slots__ they overflow CPython's shared-key
@@ -597,7 +598,7 @@ class MWSVSSInstance:
         # ``batch`` is the pre-parsed body from the batched ingestion path
         # (it already parsed once for the DMM reconstruct check).
         if batch is None:
-            batch = self._parse_rv(body)
+            batch = self.manager.parse_rv(body)
         if batch is None:
             return
         self._open_reconstruct()
@@ -607,22 +608,6 @@ class MWSVSSInstance:
         self._rv_dirty |= 1 << src
         self._consume_rv_batches()
         self._maybe_output()
-
-    def _parse_rv(self, body: object) -> dict[int, int] | None:
-        if not isinstance(body, tuple):
-            return None
-        batch: dict[int, int] = {}
-        for item in body:
-            if (
-                not isinstance(item, tuple)
-                or len(item) != 2
-                or not isinstance(item[0], int)
-                or not (1 <= item[0] <= self.n)
-                or not self.field.is_element(item[1])
-            ):
-                return None
-            batch[item[0]] = item[1]
-        return batch
 
     def _consume_rv_batches(self) -> None:
         """R' steps 2-3: gather t+1 points per monitor, then interpolate.

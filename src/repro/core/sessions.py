@@ -105,6 +105,15 @@ def svec_sid(group: tuple, slot: object) -> tuple:
     return (MW, (SVSS, (group[1], slot), group[2]), group[3], group[4], group[5])
 
 
+def sharing_of(sid: tuple) -> tuple:
+    """The sharing a session belongs to, the unit that retires: an SVSS
+    session and its 2n² MW-SVSS children go together under the SVSS id, and
+    an MW-SVSS session with any other parent is a sharing of its own."""
+    if sid[0] == MW and is_svss(sid[1]):
+        return sid[1]
+    return sid
+
+
 def svec_group_wellformed(group: object) -> bool:
     """Shape check for a *network-supplied* group id.
 
@@ -129,14 +138,24 @@ class SessionClock:
     share protocol (initiation or first delivered message); ``complete`` is
     stamped when the process completes the session's reconstruct.  These two
     stamps define ``→_i`` exactly as §2 does.
+
+    ``retired`` is the tombstone: the sharings (:func:`sharing_of`) whose
+    root this process released.  Once they leave the manager's tables their
+    sessions have no ``begun`` stamp and read as begun long ago (never
+    delayed), and a ``completed`` stamp only while the DMM holds a debt.
     """
 
-    __slots__ = ("_tick", "begun", "completed")
+    __slots__ = ("_tick", "begun", "completed", "retired")
 
     def __init__(self) -> None:
         self._tick = 0
         self.begun: dict[tuple, int] = {}
         self.completed: dict[tuple, int] = {}
+        self.retired: set[tuple] = set()
+
+    def finished(self, sid: tuple) -> bool:
+        """``sid``'s sharing has retired."""
+        return sharing_of(sid) in self.retired
 
     def _next(self) -> int:
         self._tick += 1

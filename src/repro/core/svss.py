@@ -33,7 +33,10 @@ from repro.poly.fastpath import evaluate_rows
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.manager import VSSManager
 
-_SLOTS = ("md", "dm")
+def children(parent: tuple, n: int) -> list[tuple]:
+    """The 2n² MW-SVSS session ids of SVSS session ``parent``."""
+    pids = range(1, n + 1)
+    return [mw_session(parent, j, l, slot) for j in pids for l in pids for slot in ("md", "dm")]
 
 
 def pair_sessions(parent: tuple, j: int, l: int) -> list[tuple]:
@@ -62,7 +65,8 @@ class SVSSInstance:
     told apart by ``Ĝ`` membership, not by whether they began R' yet: the
     output can arrive while ``begin_reconstruct`` is still walking ``Ĝ``
     (a late process finds every needed ``rv`` already delivered), and the
-    pair invocations the walk has not reached must still broadcast theirs.
+    pair invocations the walk has not reached must still broadcast theirs,
+    so the walk pins the sharing in the manager's tables until it ends.
     """
 
     def __init__(self, manager: "VSSManager", sid: tuple):
@@ -148,13 +152,17 @@ class SVSSInstance:
             return
         self.reconstruct_begun = True
         # The last needed child can output — which finishes and releases
-        # this session — before the walk is over: hold Ĝ's map locally.
+        # this session — before the walk is over: hold Ĝ's map locally, and
+        # keep the sharing from retiring until the walk ends.
+        mgr = self.manager
+        mgr.pin(self.sid)
         g_hat_map = self.G_hat_map
         for k in self.G_hat or ():
             for l in g_hat_map[k]:
                 for mw_sid in pair_sessions(self.sid, k, l):
-                    self.manager.mw_begin_reconstruct(mw_sid)
+                    mgr.mw_begin_reconstruct(mw_sid)
         self._maybe_output()
+        mgr.pin(self.sid, -1)
 
     def release(self) -> None:
         """Enter the terminal state (see the class docstring); ``output``,
@@ -168,13 +176,10 @@ class SVSSInstance:
                 for l in self.G_hat_map[k]:
                     reconstructed.update(pair_sessions(self.sid, k, l))
         mw = self.manager.mw
-        for j in range(1, self.n + 1):
-            for l in range(1, self.n + 1):
-                for slot in _SLOTS:
-                    mw_sid = mw_session(self.sid, j, l, slot)
-                    child = mw.get(mw_sid)
-                    if child is not None and mw_sid not in reconstructed:
-                        child.release()
+        for mw_sid in children(self.sid, self.n):
+            child = mw.get(mw_sid)
+            if child is not None and mw_sid not in reconstructed:
+                child.release()
         self.g = self.h = None
         self._row_cache = self._pair_done = None
         self.G_map = self.G = self.G_hat_map = None

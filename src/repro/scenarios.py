@@ -105,6 +105,8 @@ class Example1Outcome:
     session: tuple
     share_completed: set[int]
     outputs: dict[int, object]
+    #: pid -> the ``M̂`` it completed its share with
+    m_hat: dict[int, frozenset[int]]
 
     @property
     def disagreement(self) -> bool:
@@ -127,19 +129,21 @@ def run_example1(seed: int = 0) -> Example1Outcome:
     stack = build_stack(cfg, scheduler=Example1Scheduler(), adversary=adversary)
     behavior.vss_manager = stack.vss[DEALER]
     sid = mw_session(("example1", 0), DEALER, MODERATOR, "dm")
-    completed: set[int] = set()
+    m_hat: dict[int, frozenset[int]] = {}
     outputs: dict[int, object] = {}
     for pid in cfg.pids:
         stack.vss[pid].register_watcher(
             ("example1", 0),
             CallbackWatcher(
-                on_mw_share_complete=lambda s, pid=pid: completed.add(pid),
+                on_mw_share_complete=lambda s, pid=pid: m_hat.setdefault(
+                    pid, stack.vss[pid].mw[s].M_hat
+                ),
                 on_mw_output=lambda s, v, pid=pid: outputs.setdefault(pid, v),
             ),
         )
     stack.vss[DEALER].mw_share(sid, TRUE_SECRET)
     stack.vss[MODERATOR].mw_moderate(sid, TRUE_SECRET)
-    stack.runtime.run_until(lambda: {1, 2, 3} <= completed, max_events=2_000_000)
+    stack.runtime.run_until(lambda: {1, 2, 3} <= m_hat.keys(), max_events=2_000_000)
     for pid in cfg.pids:
         try:
             stack.vss[pid].mw_begin_reconstruct(sid)
@@ -149,6 +153,7 @@ def run_example1(seed: int = 0) -> Example1Outcome:
     return Example1Outcome(
         stack=stack,
         session=sid,
-        share_completed=completed,
+        share_completed=set(m_hat),
         outputs=outputs,
+        m_hat=m_hat,
     )

@@ -40,8 +40,7 @@ class TestExample1:
         assert {1, 2, 3} <= outcome.share_completed
 
     def test_m_set_is_123(self, outcome):
-        inst = outcome.stack.vss[3].mw[outcome.session]
-        assert inst.M_hat == frozenset({1, 2, 3})
+        assert outcome.m_hat[3] == frozenset({1, 2, 3})
 
     def test_two_nonfaulty_processes_disagree(self, outcome):
         """The heart of Example 1: weak binding breaks for real."""

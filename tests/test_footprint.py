@@ -17,6 +17,7 @@ import tracemalloc
 
 from repro.config import SystemConfig
 from repro.core.api import build_stack, flip_common_coin, run_mwsvss
+from repro.core.mwsvss import MWSVSSInstance
 from repro.core.sessions import mw_session
 from repro.sim.scheduler import FifoScheduler
 
@@ -31,8 +32,17 @@ def coin(seed: int):
     return flip_common_coin(SystemConfig(n=4, seed=seed), scheduler=FifoScheduler())
 
 
-def test_traced_peak_of_a_coin_per_mw_instance():
+def test_traced_peak_of_a_coin_per_mw_instance(monkeypatch):
     coin(1)  # warm-up: imports, cached bases and memos are not the coin's
+    # Finished sharings leave the tables, so instances are counted at creation.
+    created = [0]
+    init = MWSVSSInstance.__init__
+
+    def counted(self, manager, sid):
+        created[0] += 1
+        init(self, manager, sid)
+
+    monkeypatch.setattr(MWSVSSInstance, "__init__", counted)
     gc.collect()
     tracemalloc.start()
     try:
@@ -41,7 +51,7 @@ def test_traced_peak_of_a_coin_per_mw_instance():
     finally:
         tracemalloc.stop()
     assert len(set(result.outputs.values())) == 1
-    instances = sum(len(vss.mw) for vss in stack.vss.values())
+    instances = created[0]
     assert instances == 4 * 16 * 32
     per_instance = peak / instances
     assert per_instance <= BYTES_PER_INSTANCE, f"{per_instance:.0f} B per MW instance"
@@ -106,10 +116,16 @@ def test_the_moderator_drops_its_shares_at_the_m_freeze():
 
 
 def test_a_released_instance_holds_no_reconstruct_state():
-    result, stack = run_mwsvss(SystemConfig(n=4, seed=3), 1, 2, 7)
-    assert set(result.outputs.values()) == {7}
+    result, stack = run_mwsvss(SystemConfig(n=4, seed=3), 1, 2, 7, reconstruct=False)
+    instances = {pid: stack.vss[pid].mw[result.session] for pid in stack.config.pids}
     for pid in stack.config.pids:
-        inst = stack.vss[pid].mw[result.session]
+        stack.vss[pid].mw_begin_reconstruct(result.session)
+    stack.runtime.run_to_quiescence()
+    assert result.outputs == {pid: 7 for pid in stack.config.pids}
+    for pid, inst in instances.items():
         assert inst.released
         assert inst.K is None and inst.f_bar is None and inst.rv_batches is None
         assert inst.confirm_values is None and inst.L_hat is None
+        # ... and the finished solo sharing left the tables for the tombstone.
+        assert result.session not in stack.vss[pid].mw
+        assert stack.vss[pid].clock.finished(result.session)

@@ -13,7 +13,6 @@ from repro.core.sessions import SVEC_MW, SVEC_SVSS, mw_session, svss_session
 from repro.core.vectormux import SVEC_TAG
 from repro.errors import ProtocolError
 
-from test_retirement import working_state
 from test_shunning import WithholdingReconstructor, quiescent_coin
 
 
@@ -220,8 +219,9 @@ class TestValueKinds:
 
 
 class TestReleasedSessionsRejectReplays:
-    """A finished session is a shell that ignores every message; the only
-    thing a late ``rv`` still reaches is the DMM."""
+    """A finished sharing leaves the tables for the tombstone: a late message
+    for it takes its DMM verdict and is dropped, creating nothing; the only
+    thing a late ``rv`` still reaches is the DMM, while the session owes."""
 
     CSID = ("cc", "solo", 0)
 
@@ -229,8 +229,9 @@ class TestReleasedSessionsRejectReplays:
         return (
             len(mgr.mw),
             len(mgr.svss),
-            sum(bool(working_state(inst)) for inst in mgr.mw.values()),
-            sum(bool(working_state(inst)) for inst in mgr.svss.values()),
+            dict(mgr._pins),
+            dict(mgr.clock.begun),
+            set(mgr.dmm._closed_sessions),
             dict(mgr._delayed),
             dict(mgr._lanes),
             dict(mgr.dmm._ledgers),
@@ -241,10 +242,12 @@ class TestReleasedSessionsRejectReplays:
         stack = quiescent_coin(4, 0)
         mgr = stack.vss[1]
         before = self.snapshot(mgr)
-        assert before[2:] == (0, 0, {}, {}, {}, set())
+        assert before == (0, 0, {}, {}, set(), {}, {}, {}, set())
         svss_sid = svss_session((self.CSID, 1), 2)
         mw_sid = mw_session(svss_sid, 2, 3, "dm")
-        assert mgr.mw[mw_sid].released and mgr.svss[svss_sid].released
+        assert mgr.clock.finished(mw_sid) and mgr.clock.finished(svss_sid)
+        runtime = stack.runtime
+        verdicts = runtime.dmm_verdict_calls
         row = (1, 2)
         for src in (2, 3, 4):
             mgr._on_private(src, ("v", mw_sid, "cnf", 5))
@@ -254,7 +257,7 @@ class TestReleasedSessionsRejectReplays:
             mgr._on_rb(src, ("vss", mw_sid, "L", (1, 2, 3)))
             mgr._on_rb(src, ("vss", mw_sid, "rv", ((1, 7), (2, 8))))
             mgr._on_rb(src, ("vss", svss_sid, "G", ((1, 2, 3), ())))
-            # forged slot-vectors for the released groups, all four slots
+            # forged slot-vectors for the retired groups, all four slots
             mw_group = (SVEC_MW, self.CSID, 2, 2, 3, "dm")
             slots = tuple((slot, 5) for slot in (1, 2, 3, 4))
             mgr.mux.on_private(src, (SVEC_TAG, "cnf", mw_group, slots))
@@ -270,7 +273,32 @@ class TestReleasedSessionsRejectReplays:
                     tuple((slot, (row, row)) for slot in (1, 2, 3, 4)),
                 ),
             )
+        # Each value message took its one verdict (four per message, one
+        # per vector: cnf, rv, rows), all FORWARD — nothing parked.
+        assert runtime.dmm_verdict_calls - verdicts == 3 * (4 + 3)
         stack.runtime.run_to_quiescence()  # and nothing was sent in reply
+        assert self.snapshot(mgr) == before
+
+    def test_a_vector_for_retired_slots_from_an_armed_sender_is_forwarded(self):
+        """A retired session reads as begun long ago: no debt precedes it."""
+        from repro.core.dmm import DELAY, FORWARD
+
+        culprit = 2
+        stack = quiescent_coin(
+            4, 0, adversary=Adversary({culprit: WithholdingReconstructor()})
+        )
+        mgr = next(
+            stack.vss[pid]
+            for pid in stack.nonfaulty()
+            if stack.vss[pid].dmm._armed_min_done.get(culprit) is not None
+        )
+        dmm, slots = mgr.dmm, (1, 2, 3, 4)
+        retired = (SVEC_MW, self.CSID, 3, 3, 4, "dm")
+        assert dmm.filter_verdict_group(culprit, retired, slots) == FORWARD
+        fresh = (SVEC_MW, ("cc", "later", 0), 3, 3, 4, "dm")
+        assert dmm.filter_verdict_group(culprit, fresh, slots) == DELAY
+        before = self.snapshot(mgr)
+        mgr.mux.on_private(culprit, (SVEC_TAG, "cnf", retired, tuple((s, 5) for s in slots)))
         assert self.snapshot(mgr) == before
 
     def test_replayed_value_vectors_for_a_released_group_decode_nothing(self, monkeypatch):
@@ -308,18 +336,22 @@ class TestReleasedSessionsRejectReplays:
             4, 0, adversary=Adversary({culprit: WithholdingReconstructor()})
         )
         mgr = stack.vss[1]
+        assert mgr.mw == {} and mgr.svss == {}
         sid, ledger = next(iter(mgr.dmm._ledgers.items()))
-        assert set(ledger.ack) == {culprit} and ledger.closed and mgr.mw[sid].released
+        assert set(ledger.ack) == {culprit} and ledger.closed
+        # Retired, but its debt keeps the completed stamp the delay rule reads.
+        assert mgr.clock.finished(sid) and sid in mgr.clock.completed
         monitor, value = next(iter(ledger.ack[culprit].items()))
         # The matching value pays that part of the debt ...
         mgr._on_rb(culprit, ("vss", sid, "rv", ((monitor, value),)))
         assert culprit not in mgr.dmm.D
         assert monitor not in ledger.ack.get(culprit, {})
-        # ... a conflicting one for another released session convicts.
+        # ... a conflicting one for another retired session convicts.
         sid, ledger = next(s for s in mgr.dmm._ledgers.items() if s[1].ack)
         monitor, value = next(iter(ledger.ack[culprit].items()))
         wrong = (value + 1) % stack.config.prime
         mgr._on_rb(culprit, ("vss", sid, "rv", ((monitor, wrong),)))
         assert culprit in mgr.dmm.D
         assert not mgr.dmm.has_expectations(culprit)
-        assert not working_state(mgr.mw[sid])
+        # The conviction dropped the last debts, and their stamps with them.
+        assert mgr.mw == {} and not mgr.dmm._ledgers and not mgr.clock.completed

@@ -82,7 +82,7 @@ class TestValidity:
                 assert any(c == liar for _, c in result.trace.shun_pairs())
         # Whenever the liar actually owed (and corrupted) reconstruct values,
         # the conflict with a recorded expectation convicts it somewhere.
-        if stack.vss[liar].mw[result.session]._rv_sent:
+        if (liar, "vss", result.session, "rv") in stack.broadcasts[liar]._instances:
             assert any(c == liar for _, c in result.trace.shun_pairs())
 
     @pytest.mark.parametrize("seed", range(4))

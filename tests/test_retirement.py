@@ -9,7 +9,9 @@ what heights 4–6 left behind — no RSS.  See "Session lifetime" in
 
 from __future__ import annotations
 
+import gc
 import tracemalloc
+from random import Random
 
 import pytest
 
@@ -18,10 +20,12 @@ from repro.config import SystemConfig
 from repro.core.api import build_stack, make_coins
 from repro.sim.scheduler import FifoScheduler
 
-#: Retained bytes per height the test tolerates: what is measured (1.68 MB;
-#: 1.91 before the DMM's per-session ledgers, 20.4 before retirement — see
-#: the table in docs/ADVERSARY.md) plus 25 %.
-RETAINED_MB_PER_HEIGHT = 2.1
+#: Retained bytes per height the test tolerates: what is measured (0.25 MB;
+#: 1.57 while finished sessions stayed in the tables as released shells;
+#: without the collection below, 1.68, 1.91 before the DMM's per-session
+#: ledgers and 20.4 before retirement — see the table in docs/ADVERSARY.md)
+#: plus 25 %.
+RETAINED_MB_PER_HEIGHT = 0.32
 
 
 #: The received polynomials, kept as value rows (tuples) while a session works.
@@ -93,6 +97,7 @@ def six_heights():
     try:
         bits += [flip_height(stack, coins, h) for h in range(3, 6)]
         stack.runtime.run_to_quiescence()
+        gc.collect()  # empties the free lists, which keep freed tuples' blocks
         retained, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -119,18 +124,25 @@ def test_every_broadcast_instance_is_a_terminal_marker(six_heights):
 
 
 def test_every_session_is_released_and_owns_no_working_set(six_heights):
+    """Finished sharings leave the tables: what is left of six heights is
+    the tombstone of their 6 × 16 SVSS sharings, which answers "finished"
+    for every session of them (the outcomes went out through the watchers)."""
+    from repro.core.sessions import mw_session, svss_session
+
     stack, *_ = six_heights
+    sharings = {
+        svss_session((("beacon", h), slot), dealer)
+        for h in range(6)
+        for slot in stack.config.pids
+        for dealer in stack.config.pids
+    }
     for pid in stack.config.pids:
         vss = stack.vss[pid]
-        assert len(vss.svss) == 6 * 16 and len(vss.mw) == 6 * 16 * 32
-        for inst in list(vss.mw.values()) + list(vss.svss.values()):
-            assert inst.released, inst.sid
-            assert working_state(inst) == {}, inst.sid
-        # What a finished session still answers: its outcome.
-        assert any(inst.output is not None for inst in vss.mw.values())
-        assert all(
-            inst.M_hat is not None for inst in vss.mw.values() if inst.output is not None
-        )
+        assert vss.mw == {} and vss.svss == {} and vss._pins == {}
+        assert vss.clock.begun == {} and vss.clock.completed == {}
+        assert vss.dmm._closed_sessions == set()
+        assert vss.clock.retired == sharings
+        assert all(vss.clock.finished(mw_session(s, 1, 2, "dm")) for s in sharings)
 
 
 def test_tables_do_not_grow_with_the_height(six_heights):
@@ -194,12 +206,13 @@ class TestUnattachedSharings:
         assert not sharing[4, 1].released
 
 
-def test_slow_dealer_is_released_and_its_late_children_are_the_known_gap():
+def test_slow_dealer_is_released_and_opens_no_late_children():
     """An honest dealer whose every message is 50x late: its sharings
     complete after the attach sets went out, are released on completion,
-    and the coin still outputs.  The pair invocations it opens under parents
-    that already finished are created live and stay (ROADMAP item 4,
-    "what is left") — pinned here so the gap is closed on purpose."""
+    and the coin still outputs.  The pair invocations its late messages
+    would open under parents that already finished are never created: at
+    quiescence no process holds a live instance, and nobody suspects an
+    honest peer of owing a reveal for a session nobody reconstructs."""
     from repro.core.api import flip_common_coin
     from repro.sim.scheduler import TargetedDelayScheduler
 
@@ -209,13 +222,12 @@ def test_slow_dealer_is_released_and_its_late_children_are_the_known_gap():
     )
     assert set(result.outputs) == {1, 2, 3, 4} and len(set(result.outputs.values())) == 1
     stack.runtime.run_to_quiescence()
-    for pid in (1, 2, 3):
+    for pid in stack.config.pids:
         vss = stack.vss[pid]
-        assert all(inst.released for inst in vss.svss.values())
-        live = [inst for inst in vss.mw.values() if not inst.released]
-        assert live and all(inst.dealer == 4 for inst in live)
-        assert all(vss.svss[inst.sid[1]].released for inst in live)
-    assert all(inst.released for inst in stack.vss[4].mw.values())
+        live = [inst for inst in [*vss.mw.values(), *vss.svss.values()] if not inst.released]
+        assert live == [], pid
+    for pid in (1, 2, 3):
+        assert stack.vss[pid].dmm.shunned_or_suspected() == set(), pid
 
 
 def test_output_inside_begin_reconstruct_before_the_walk_over_g_hat_ends(monkeypatch):
@@ -248,8 +260,50 @@ def test_output_inside_begin_reconstruct_before_the_walk_over_g_hat_ends(monkeyp
     stack.vss[4].svss_begin_reconstruct(sid)
     assert late.output == 11 and late.released  # before anything was delivered
     stack.runtime.run_to_quiescence()
+    assert result.outputs == {pid: 11 for pid in stack.config.pids}
     for pid in stack.config.pids:
         vss = stack.vss[pid]
-        assert vss.svss[sid].output == 11
         assert not vss.dmm._armed and not vss.dmm._owed and not vss.dmm._ledgers
-        assert all(inst.released for inst in vss.mw.values())
+        # The walk ended before the sharing retired and left the tables.
+        assert vss.mw == {} and vss.svss == {} and vss.clock.retired == {sid}
+
+
+def random_waves(seed: int, pids=(1, 2, 3, 4)) -> tuple:
+    """``staggered_coin`` waves in which each process releases at a random
+    step (one of the first 4 000 events) or only after quiescence."""
+    rng = Random(seed)
+    at = {pid: rng.choice((None, rng.randrange(4000))) for pid in pids}
+    waves, now, due = [], 0, ()
+    for step in sorted({s for s in at.values() if s is not None}):
+        waves.append((due, step - now))
+        due, now = tuple(p for p in pids if at[p] == step), step
+    waves.append((due, None))
+    late = tuple(p for p in pids if at[p] is None)
+    if late:
+        waves.append((late, None))
+    return tuple(waves)
+
+
+#: Sweep seeds whose coin splits: legal (the coin is unanimous only with
+#: probability ε), and the same split, events and verdicts as before
+#: finished sharings left the tables.
+SPLIT_SEEDS = {45}
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_staggered_release_sweep_leaves_nothing_behind(seed):
+    """Random delays, every process releasing the coin at its own random
+    point: the bit is unanimous (but for the legal splits of ``SPLIT_SEEDS``),
+    and at quiescence no instance, parked message or ledger is left, and
+    nobody suspects anybody."""
+    from test_retire_equiv import staggered_coin
+
+    stack, outputs = staggered_coin(4, seed, random_waves(seed), in_step=seed % 2 == 0)
+    assert set(outputs) == {1, 2, 3, 4} and set(outputs.values()) <= {0, 1}
+    assert (len(set(outputs.values())) == 1) == (seed not in SPLIT_SEEDS)
+    for pid in stack.config.pids:
+        vss = stack.vss[pid]
+        assert vss.mw == {} and vss.svss == {} and vss._pins == {}, pid
+        assert len(vss.clock.retired) == 16 and vss.clock.begun == {}, pid
+        assert not vss._delayed and not vss.dmm._ledgers, pid
+        assert vss.dmm.shunned_or_suspected() == set(), pid

@@ -92,7 +92,7 @@ def chosen(inst: MWSVSSInstance, ref: RvPoints, n: int):
 
 def fresh_instance(n: int, prime: int) -> MWSVSSInstance:
     sid = mw_session(("rv-points", next(_sessions)), DEALER, MODERATOR, "dm")
-    inst = MWSVSSInstance(manager(n, prime), sid)
+    inst = manager(n, prime)._ensure_mw(sid)  # tabled: its output retires it
     inst.share_completed = True  # begin_reconstruct's precondition; no share runs
     return inst
 

@@ -195,8 +195,8 @@ class TestSuspicionAfterACoin:
             assert not vss.dmm._armed and not vss.dmm._owed and not vss.dmm._ledgers
             assert vss.dmm.shunned_or_suspected() == set()
             assert not vss._delayed
-            begun = [inst for inst in vss.mw.values() if inst.reconstruct_begun]
-            assert begun and all(inst.released for inst in begun)
+            # Every sharing finished and left the tables for the tombstone.
+            assert not vss.mw and not vss.svss and len(vss.clock.retired) == 16
 
     def test_withheld_reveal_leaves_only_the_culprit_suspected(self):
         culprit = 2
@@ -212,9 +212,9 @@ class TestSuspicionAfterACoin:
                 continue  # never had the culprit among its confirmers
             observers.append(pid)
             # The debt is armed although every session it refers to has
-            # released its instance: a later session of the culprit waits.
+            # retired and left the tables: a later session of the culprit waits.
             owed = dmm.pending_sessions(culprit)
-            assert all(vss.mw[sid].released for sid in owed)
+            assert owed and not vss.mw and all(vss.clock.finished(sid) for sid in owed)
             later = mw_session(("later", 0), culprit, pid, "dm")
             vss._ensure_mw(later)
             assert dmm.filter_verdict(culprit, later) == DELAY
