@@ -23,7 +23,7 @@ benchmark's job (``benchmarks/e2e``, workload ``aba_ideal_k16``).
    batch dispatches ≤ 1/8 of the per-message one.
 
 The JSON artifact is committed at the repo root so the trajectory is
-diffable across PRs, next to ``BENCH_algebra.json``.
+diffable across PRs, next to the other ``BENCH_*.json`` files.
 """
 
 from __future__ import annotations

@@ -53,14 +53,6 @@ attacks), and even enveloped its ~105M logical messages are outside a CI
 budget — aggregated, the same invocation is ~1.6M logical messages on
 ~850k coalesced events and completes in about a minute.
 
-Every mode pins ``algebra_backend="pure"`` so the transport trajectory
-stays backend-stable; the ``default_numpy`` mode re-runs the default on
-the vectorized algebra backend (``repro.field.backend``) and is asserted
-bit-identical.  ``n = 16`` is the backend PR's headline: the first finite
-invocation at that size — under both backends, gated on finishing under
-the event guard with identical outputs (skipped, like the numpy mode, when
-numpy is not importable).
-
 The JSON artifact is committed at the repo root so the perf trajectory is
 diffable across PRs, next to the other ``BENCH_*.json`` files.
 """
@@ -81,12 +73,10 @@ from bench_common import (
 )
 from repro.adversary.schedulers import SlotSplittingScheduler, per_message
 from repro.analysis.tables import render_table
-from repro.field import numpy_available
 from repro.sim.runtime import DEFAULT_MAX_EVENTS
 
 NS = (4, 5, 7)
 N_LARGE = 10
-N_XL = 16
 SEED = 5
 GATE_N = 7
 GATE_EVENTS_REDUCTION = 2.0  # coalesce gate (PR 4)
@@ -100,23 +90,13 @@ GATE_VERDICT_REDUCTION = 3.0  # batched-ingestion gate (PR 8)
 #: per-session n=7 run leaves behind (allocator fragmentation after a
 #: ~9M-logical-message run costs the next run ~2×).
 MODES = {
-    "default": {"algebra_backend": "pure"},
-    "default_numpy": {"algebra_backend": "numpy"},
-    "slot_split": {"split": SlotSplittingScheduler, "algebra_backend": "pure"},
-    "per_message": {"split": per_message, "algebra_backend": "pure"},
+    "default": {},
+    "slot_split": {"split": SlotSplittingScheduler},
+    "per_message": {"split": per_message},
 }
-#: n = 10 and n = 16: the aggregated frontier, both backends A/B'd.
-LARGE_MODES = ("default", "default_numpy")
 #: The modes whose counts must repeat the committed file's, and the counts.
 BILLED_MODES = ("per_message", "default")
 BILL = ("events_dispatched", "logical_messages", "dmm_verdict_calls")
-
-
-def _active_modes() -> dict[str, dict]:
-    """The mode matrix, minus numpy modes when numpy is absent."""
-    if numpy_available():
-        return MODES
-    return {k: v for k, v in MODES.items() if v.get("algebra_backend") != "numpy"}
 
 
 def _bill(row: dict) -> dict:
@@ -155,9 +135,6 @@ def _measure(n: int, mode: str) -> tuple[dict, dict]:
         "dmm_verdicts_batched": result.dmm_verdicts_batched,
         "dmm_verdict_fallbacks": result.dmm_verdict_fallbacks,
         "dmm_verdict_calls": result.dmm_verdict_calls,
-        "algebra_backend": result.algebra_backend,
-        "rows_vectorized": result.rows_vectorized,
-        "backend_fallbacks": result.backend_fallbacks,
     }
     return record, dict(result.outputs)
 
@@ -167,7 +144,7 @@ def _series() -> list[dict]:
     for n in NS:
         row: dict = {"n": n}
         outputs: dict[str, dict] = {}
-        for mode in _active_modes():
+        for mode in MODES:
             row[mode], outputs[mode] = _measure(n, mode)
         # Both transports are output-pure: same coin bits in every mode.
         assert all(out == outputs["per_message"] for out in outputs.values()), row
@@ -192,22 +169,13 @@ def _series() -> list[dict]:
 
 
 def _frontier_row(n: int) -> dict:
-    """An n = 10 / n = 16 coin: the default only, on every available
-    backend (see the module docstring)."""
+    """The n = 10 coin: the default only (see the module docstring)."""
     row: dict = {
         "n": n,
         "per_message": "infeasible: the per-message run exceeds the "
         "50M-event livelock guard",
     }
-    outputs: dict[str, dict] = {}
-    for mode in LARGE_MODES:
-        if mode in _active_modes():
-            row[mode], outputs[mode] = _measure(n, mode)
-            assert row[mode]["events_dispatched"] < DEFAULT_MAX_EVENTS, row
-    # Bit-identical across backends: the vectorized algebra changes
-    # wall-clock and the rows_vectorized counter, never a coin bit.
-    assert all(out == outputs["default"] for out in outputs.values()), row
-    row["outputs_identical"] = True
+    row["default"], _ = _measure(n, "default")
     return row
 
 
@@ -219,19 +187,13 @@ def test_bench_coin(emit):
     for row in series:
         assert _bill(row) == committed_bills[row["n"]], (row["n"], _bill(row))
     large = _frontier_row(N_LARGE)
-    # n = 16 is the backends' A/B; without numpy there is nothing to A/B
-    # (and no wall-clock budget for it).
-    xl = _frontier_row(N_XL) if numpy_available() else None
     payload = bench_payload(
         {
-            "ns": [*NS, N_LARGE] + ([N_XL] if xl else []),
+            "ns": [*NS, N_LARGE],
             "seed": SEED,
             "modes": {
-                name: {
-                    "scheduler": fifo(kw.get("split")).describe(),
-                    "algebra_backend": kw["algebra_backend"],
-                }
-                for name, kw in _active_modes().items()
+                name: {"scheduler": fifo(kw.get("split")).describe()}
+                for name, kw in MODES.items()
             },
             "gates": [
                 f">= {GATE_LOGICAL_REDUCTION}x fewer logical messages at "
@@ -242,15 +204,11 @@ def test_bench_coin(emit):
                 f"n={GATE_N} by default (vs slots split)",
                 f"n={N_LARGE} default run finishes under the "
                 f"{DEFAULT_MAX_EVENTS // 10**6}M-event guard",
-                "coin outputs bit-identical pure vs numpy at every "
-                "benched n (numpy present)",
-                f"n={N_XL} default invocation finite "
-                "on both backends (numpy present)",
                 "per_message and default events / logical messages / "
                 f"verdict calls equal the committed rows at n in {list(NS)}",
             ],
         },
-        invocations=[*series, large] + ([xl] if xl else []),
+        invocations=[*series, large],
     )
     path = write_bench_json("coin", payload)
 
@@ -270,23 +228,21 @@ def test_bench_coin(emit):
         ]
         for row in series
     ]
-    for row in [large] + ([xl] if xl else []):
-        numpy_seconds = row.get("default_numpy", {}).get("seconds")
-        table_rows.append(
-            [
-                row["n"],
-                "> 50M events",
-                f"{row['default']['logical_messages']:,}",
-                "-",
-                f"{row['default']['events_dispatched']:,}",
-                "-",
-                f"{row['default']['dmm_verdict_calls']:,}",
-                "-",
-                "-",
-                f"{row['default']['seconds']:.2f}",
-                f"numpy {numpy_seconds:.2f}s" if numpy_seconds else "-",
-            ]
-        )
+    table_rows.append(
+        [
+            large["n"],
+            "> 50M events",
+            f"{large['default']['logical_messages']:,}",
+            "-",
+            f"{large['default']['events_dispatched']:,}",
+            "-",
+            f"{large['default']['dmm_verdict_calls']:,}",
+            "-",
+            "-",
+            f"{large['default']['seconds']:.2f}",
+            "-",
+        ]
+    )
     emit(
         render_table(
             "SVSS common coin: default vs the splitting schedulers",
@@ -296,8 +252,7 @@ def test_bench_coin(emit):
             table_rows,
             note=(
                 "full share+reveal, unit-delay FIFO; outputs "
-                "identical across modes (incl. pure vs numpy algebra) at "
-                f"every n; artifact: {path.name}"
+                f"identical across modes at every n; artifact: {path.name}"
             ),
         )
     )
@@ -328,15 +283,5 @@ def test_bench_coin(emit):
         assert row["default"]["svec_batch_ingested"] > 0
         assert row["default"]["dmm_verdicts_batched"] > 0
         assert row["slot_split"]["svec_batch_ingested"] == 0
-        # The vectorized backend must actually engage where present (the
-        # outputs_identical assertion above already proved it harmless).
-        if "default_numpy" in row:
-            assert row["default_numpy"]["rows_vectorized"] > 0, row
-            assert row["default"]["rows_vectorized"] == 0, row
     # The headline structural claim: the n = 10 coin is routinely benchable.
-    assert large["outputs_identical"]
-    # The backend PR's headline: a finite n = 16 invocation, bit-identical
-    # across backends (asserted inside _frontier_row).
-    if xl:
-        assert xl["outputs_identical"]
-        assert xl["default_numpy"]["rows_vectorized"] > 0, xl
+    assert large["default"]["events_dispatched"] < DEFAULT_MAX_EVENTS, large

@@ -100,15 +100,11 @@ def fast_batch(k: int, n: int, seed: int, coin, split=None, **kw):
     return result
 
 
-def fast_coin_flip(n: int, seed: int, split=None, algebra_backend: str | None = None):
+def fast_coin_flip(n: int, seed: int, split=None):
     """One canonical SVSS common-coin invocation (unit-delay FIFO);
     asserts every process output a bit."""
     scheduler = fifo(split)
-    result, stack = flip_common_coin(
-        SystemConfig(n=n, seed=seed),
-        scheduler=scheduler,
-        algebra_backend=algebra_backend,
-    )
+    result, stack = flip_common_coin(SystemConfig(n=n, seed=seed), scheduler=scheduler)
     assert set(result.outputs) == set(stack.config.pids), (
         f"n={n} under {scheduler.describe()}: not every process output a coin bit"
     )

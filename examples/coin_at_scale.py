@@ -20,13 +20,10 @@ group-level DMM verdict probe instead of n per-slot calls, and its
 sibling-session transitions run as structure-of-arrays rows — same
 outputs, a fraction of the per-slot handler work.
 
-The algebra underneath all of it is pure Python.  The second argument
-below names the numpy backend instead: the row-shaped interpolation /
-evaluation batches then go through int64 modular kernels — bit-identical
-outputs, counted by ``rows_vectorized`` / ``backend_fallbacks``.
+The algebra underneath all of it is pure Python: value rows and cached
+Lagrange bases (``docs/ALGEBRA.md``).
 
-Run:  python examples/coin_at_scale.py [n] [pure|numpy]   (default n = 10,
-      backend = pure)
+Run:  python examples/coin_at_scale.py [n]   (default n = 10)
 """
 
 import sys
@@ -39,18 +36,13 @@ from repro.sim.scheduler import FifoScheduler
 
 def main() -> None:
     n = int(sys.argv[1]) if len(sys.argv) > 1 else 10
-    backend = sys.argv[2] if len(sys.argv) > 2 else None
     config = SystemConfig(n=n, seed=7)
     print(f"flipping the SVSS common coin: n={n}, t={config.t}")
     print("(per-message baseline at n=10: ~105M logical messages, "
           "> the 50M-event guard)")
 
     start = time.perf_counter()
-    result, stack = flip_common_coin(
-        config,
-        scheduler=FifoScheduler(),
-        algebra_backend=backend,
-    )
+    result, stack = flip_common_coin(config, scheduler=FifoScheduler())
     wall = time.perf_counter() - start
 
     bits = sorted(set(result.outputs.values()))
@@ -69,9 +61,6 @@ def main() -> None:
           f"group-admitted ({result.dmm_verdicts_batched:,} slot verdicts "
           f"batched, {result.dmm_verdict_fallbacks:,} per-slot fallbacks)")
     print(f"DMM verdict calls  : {result.dmm_verdict_calls:,}")
-    print(f"algebra backend    : {result.algebra_backend} "
-          f"({result.rows_vectorized:,} rows vectorized, "
-          f"{result.backend_fallbacks:,} pure-path fallbacks)")
     print(f"logical msgs/event : {result.logical_messages / result.events_dispatched:.1f}")
     print(f"throughput         : {result.logical_messages / wall:,.0f} "
           "logical messages/s")

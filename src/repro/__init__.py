@@ -5,11 +5,9 @@ Byzantine Agreement with Optimal Resilience*.
 The package provides the full protocol stack from the paper, built from
 scratch on a deterministic asynchronous-network simulator:
 
-* ``repro.field`` / ``repro.poly`` — GF(p) and polynomials kept as values
-  (value rows and cached Lagrange bases, no polynomial class), with a
-  swappable vectorized algebra backend (``pure`` by default; ``numpy``
-  only when named, ``build_stack(algebra_backend="numpy")`` — see
-  ``docs/ALGEBRA.md``);
+* ``repro.field`` / ``repro.poly`` — GF(p) on plain ints and polynomials
+  kept as values (value rows and cached Lagrange bases, no polynomial
+  class, one pure-Python algebra — see ``docs/ALGEBRA.md``);
 * ``repro.sim`` — the discrete-event network with adversarial schedulers;
 * ``repro.broadcast`` — Weak Reliable Broadcast + Bracha Reliable Broadcast;
 * ``repro.core`` — DMM, MW-SVSS, SVSS, the shunning common coin, and the

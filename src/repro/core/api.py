@@ -20,6 +20,7 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
+from typing import ClassVar
 
 from repro.adversary.controller import Adversary, no_adversary
 from repro.broadcast.manager import BroadcastManager
@@ -96,7 +97,6 @@ def build_stack(
     scheduler: Scheduler | None = None,
     adversary: Adversary | None = None,
     with_vss: bool = True,
-    algebra_backend: str | None = None,
 ) -> Stack:
     """Assemble runtime, broadcast and (optionally) VSS for every process.
 
@@ -113,16 +113,8 @@ def build_stack(
     step window never buffers, in
     :class:`~repro.adversary.schedulers.SlotSplittingScheduler` and nothing
     packs a vector; both together are the paper's literal per-message wire.
-
-    ``algebra_backend`` selects the vectorized algebra backend behind the
-    row-shaped polynomial fast paths: ``None`` or ``"pure"`` (the default)
-    or ``"numpy"``, which runs only when named.  Results are bit-identical
-    either way — the numpy kernels compute exactly or decline to the pure
-    path (see ``docs/ALGEBRA.md``); the resolved name is on
-    ``stack.runtime.algebra_backend`` and the per-run ``rows_vectorized``
-    / ``backend_fallbacks`` counters ride every result dataclass.
     """
-    runtime = Runtime(config, scheduler=scheduler, algebra_backend=algebra_backend)
+    runtime = Runtime(config, scheduler=scheduler)
     broadcasts = {}
     vss = {}
     for pid in config.pids:
@@ -276,12 +268,10 @@ class RunCounters:
     dmm_verdicts_batched: int = 0
     dmm_verdict_fallbacks: int = 0
     dmm_verdict_calls: int = 0
-    #: Resolved algebra backend name and its per-run counters (rows served
-    #: by vectorized kernels / vector-backend declines to the pure path;
-    #: see ``docs/ALGEBRA.md``).
-    algebra_backend: str = "pure"
-    rows_vectorized: int = 0
-    backend_fallbacks: int = 0
+    #: Read-only probe shim, not a field: ``benchmarks/e2e/worker.py:326``
+    #: and ``:352`` / ``:441`` read it off every result.  The algebra is
+    #: always the pure rows; ROADMAP 6(a) deletes this.
+    algebra_backend: ClassVar[str] = "pure"
 
     @property
     def logical_messages(self) -> int:
@@ -473,7 +463,6 @@ def run_byzantine_agreement(
     max_rounds: int = 200,
     max_events: int = DEFAULT_MAX_EVENTS,
     tag: str = "aba",
-    algebra_backend: str | None = None,
     monitor: InvariantMonitor | None = None,
 ) -> AgreementResult:
     """Run one asynchronous Byzantine agreement to completion.
@@ -498,7 +487,6 @@ def run_byzantine_agreement(
         scheduler=scheduler,
         adversary=adversary,
         with_vss=coin == "svss",
-        algebra_backend=algebra_backend,
     )
     make_coins(stack, coin, instance=tag)
     results = _drive_agreements(
@@ -571,7 +559,6 @@ def run_byzantine_agreement_batch(
     max_rounds: int = 200,
     max_events: int = DEFAULT_MAX_EVENTS,
     share_coin: bool = True,
-    algebra_backend: str | None = None,
     monitor: InvariantMonitor | None = None,
 ) -> BatchAgreementResult:
     """Run ``K = len(inputs_matrix)`` concurrent agreements on one runtime.
@@ -614,7 +601,6 @@ def run_byzantine_agreement_batch(
         scheduler=scheduler,
         adversary=adversary,
         with_vss=coin == "svss",
-        algebra_backend=algebra_backend,
     )
     if share_coin:
         # One underlying coin per process, sessions keyed like a default-tag
@@ -794,16 +780,10 @@ def flip_common_coin(
     scheduler: Scheduler | None = None,
     session: int = 0,
     max_events: int = DEFAULT_MAX_EVENTS,
-    algebra_backend: str | None = None,
 ) -> tuple[CoinResult, Stack]:
     """Run one full SVSS-based shunning common coin invocation."""
     config.require_optimal_resilience()
-    stack = build_stack(
-        config,
-        scheduler=scheduler,
-        adversary=adversary,
-        algebra_backend=algebra_backend,
-    )
+    stack = build_stack(config, scheduler=scheduler, adversary=adversary)
     coins = make_coins(stack, "svss")
     csid = ("cc", "solo", session)
     outputs: dict[int, int] = {}

@@ -23,12 +23,6 @@ DEFAULT_PRIME = 2_147_483_647
 #: A tiny prime handy in unit tests where hand-checking values matters.
 SMALL_TEST_PRIME = 13
 
-#: Largest modulus bit-length the int64 vectorized algebra backend accepts:
-#: with ``p < 2^31`` a product of two canonical elements is below ``2^62``,
-#: so one addition of a reduced accumulator still fits ``int64`` — the
-#: invariant every numpy kernel in :mod:`repro.field.backend` relies on.
-INT64_SAFE_MAX_BITS = 31
-
 
 def is_prime(candidate: int) -> bool:
     """Return True iff ``candidate`` is prime.
@@ -65,65 +59,6 @@ def is_prime(candidate: int) -> bool:
         else:
             return False
     return True
-
-
-def is_int64_safe(prime: int) -> bool:
-    """True iff ``prime`` may back the int64 vectorized algebra backend.
-
-    The bound is structural, not a tuning knob: the numpy kernels multiply
-    two canonical elements and add a reduced accumulator before reducing,
-    so the modulus must satisfy ``(p-1)^2 + p < 2^63`` — guaranteed by
-    ``bit_length() <= 31``.  Primality is the :class:`~repro.field.gf.Field`
-    constructor's invariant, not re-checked here: this predicate sits on
-    the per-call dispatch path of every vectorized kernel.
-    """
-    return prime.bit_length() <= INT64_SAFE_MAX_BITS
-
-
-def require_int64_safe(prime: int) -> int:
-    """Validate ``prime`` for the vectorized backend; return it unchanged.
-
-    Raises a :class:`~repro.errors.FieldError` naming the violated bound —
-    the error the numpy backend surfaces instead of silently overflowing.
-    """
-    if prime.bit_length() > INT64_SAFE_MAX_BITS:
-        raise FieldError(
-            f"prime {prime} ({prime.bit_length()} bits) is unsafe for the "
-            f"int64 vectorized algebra backend: element products must stay "
-            f"below 2^63, which requires bit_length() <= "
-            f"{INT64_SAFE_MAX_BITS}.  Use the pure backend for this field, "
-            f"or a registered modulus from INT64_SAFE_PRIMES."
-        )
-    return prime
-
-
-def _build_int64_safe_registry() -> dict[str, int]:
-    """The named int64-safe moduli, each validated at import time."""
-    registry = {
-        # The library default; the largest usable Mersenne prime under the
-        # int64 bound.
-        "mersenne31": DEFAULT_PRIME,
-        # Largest 31-bit prime below the Mersenne (a distinct-modulus
-        # companion for cache / cross-field tests at full width).
-        "prime31": 2_147_483_629,
-        # Largest 30-bit prime: headroom under the bound, same regime.
-        "prime30": 1_073_741_789,
-        # The Fermat prime F4; handy when a tiny multiplicative order
-        # structure is wanted.
-        "fermat17": 65_537,
-        # The hand-checkable unit-test modulus.
-        "baby": SMALL_TEST_PRIME,
-    }
-    for name, prime in registry.items():
-        require_int64_safe(prime)
-        if not is_prime(prime):
-            raise FieldError(f"registry entry {name!r} is not prime: {prime}")
-    return registry
-
-
-#: Named moduli registered as safe for the int64 vectorized backend
-#: (``bit_length() <= INT64_SAFE_MAX_BITS``, primality checked at import).
-INT64_SAFE_PRIMES: dict[str, int] = _build_int64_safe_registry()
 
 
 def next_prime(floor: int) -> int:

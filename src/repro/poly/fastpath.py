@@ -46,18 +46,8 @@ The one inversion of a basis goes through :func:`batch_inverse`
 multiplications plus a *single* modular exponentiation, instead of ``k``
 exponentiations.
 
-Backend dispatch
-----------------
-The row-shaped entry points — :func:`evaluate_rows`,
-:meth:`LagrangeBasis.interpolate_rows` (and thus
-:func:`interpolate_values_rows`) and :func:`batch_inverse` — first offer
-the call to the process-global algebra backend
-(:mod:`repro.field.backend`; ``pure`` unless a caller names ``numpy``).
-The ``numpy`` backend answers with exact
-int64 modular row arithmetic for well-shaped canonical batches and
-declines (``None``) otherwise; the code below is simultaneously the
-``pure`` backend and the universal fallback, so results are bit-identical
-whichever backend is selected.  See ``docs/ALGEBRA.md`` for the contract.
+This is the stack's only algebra: rows of small Python ints, with no
+vectorized backend, selection or fallback beside it (``docs/ALGEBRA.md``).
 """
 
 from __future__ import annotations
@@ -67,7 +57,6 @@ from functools import lru_cache
 from operator import mul
 
 from repro.errors import FieldError, PolynomialError
-from repro.field import backend as _backend
 from repro.field.gf import Field
 
 __all__ = [
@@ -89,16 +78,8 @@ def batch_inverse(field: Field, values: Sequence[int]) -> list[int]:
     peel the individual inverses off backwards.  Raises
     :class:`~repro.errors.FieldError` on any zero element, matching
     :meth:`Field.inv`.
-
-    Large batches may be served by the vectorized algebra backend (a
-    square-and-multiply Fermat chain over the whole array); a backend
-    decline — including any batch containing a zero, so the error path
-    below stays canonical — falls through to the Montgomery loop.
     """
     prime = field.prime
-    vectorized = _backend.active_backend().batch_inverse(prime, values)
-    if vectorized is not None:
-        return vectorized
     canonical = [v % prime for v in values]
     if not canonical:
         return []
@@ -201,16 +182,8 @@ def evaluate_rows(
     deferred-reduction dot product per ``(row, point)`` cell.  Result
     ``out[i][j] == coeff_rows[i]`` evaluated at ``xs[j]``, bit-identical
     to ``evaluate_many`` row by row.
-
-    An explicitly selected vectorized backend may serve rectangular
-    canonical batches (one Horner pass over the whole matrix); a decline
-    falls through to the power-row loop below, which is also the ``pure``
-    backend's implementation.
     """
     prime = field.prime
-    vectorized = _backend.active_backend().evaluate_rows(prime, coeff_rows, xs)
-    if vectorized is not None:
-        return vectorized
     width = max(map(len, coeff_rows), default=0)
     if not width:
         return [[0 for _ in xs] for _ in coeff_rows]
@@ -346,22 +319,8 @@ class LagrangeBasis:
         construction amortized its inversions through
         :func:`batch_inverse`) are reused for every value row, so the
         per-row cost is the plain matrix–vector product of
-        :meth:`interpolate_coeffs` with no per-row cache lookups or
-        validation.
-
-        Large batches may be served by the vectorized algebra backend as
-        one value-matrix × basis-matrix product (reduced per basis row);
-        a decline — including any row of the wrong length, so the
-        :class:`~repro.errors.PolynomialError` below stays canonical —
-        falls through to the per-row loop.
+        :meth:`interpolate_coeffs` with no per-row basis lookup.
         """
-        if not ys_rows:
-            return []
-        vectorized = _backend.active_backend().interpolate_rows(
-            self.field.prime, self.basis_rows, ys_rows
-        )
-        if vectorized is not None:
-            return vectorized
         return [self.interpolate_coeffs(ys) for ys in ys_rows]
 
     def evaluate_many_at(self, ys: Sequence[int], points: Sequence[int]) -> list[int]:
@@ -393,7 +352,9 @@ def lagrange_basis(field: Field, xs: Sequence[int]) -> LagrangeBasis:
     return _cached_basis(field, canonical)
 
 
-# Probe seam names only (benchmarks/e2e/layerprobe.py); ROADMAP item 6(a) deletes them.
+# Probe shims: ``benchmarks/e2e/layerprobe.py:178-179`` (``FUNCTION_SEAMS``)
+# patches both names, and the traced harness fails when one is missing.
+# Nothing in ``src/`` calls them; ROADMAP item 6(a) deletes them.
 def interpolate_values(
     field: Field, xs: Sequence[int], ys: Sequence[int]
 ) -> list[int]:

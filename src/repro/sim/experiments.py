@@ -68,7 +68,6 @@ from repro.core.api import (
     run_byzantine_agreement_batch,
 )
 from repro.errors import ConfigurationError
-from repro.field.backend import BACKENDS
 from repro.sim.monitor import InvariantMonitor, InvariantViolation
 from repro.sim.runtime import DEFAULT_MAX_EVENTS
 from repro.sim.scheduler import (
@@ -196,11 +195,6 @@ class Scenario:
     #: monitor's liveness watchdog.
     monitor: bool = False
     round_bound: int | None = None
-    #: Vectorized algebra backend axis: ``None`` (pure) or one of
-    #: :data:`~repro.field.backend.BACKENDS`.  Results are
-    #: backend-independent by contract; sweeps pin it to A/B wall-clock
-    #: and the ``rows_vectorized`` counters.
-    algebra_backend: str | None = None
 
     def validate(self) -> None:
         if self.batch < 1:
@@ -221,11 +215,6 @@ class Scenario:
             raise ConfigurationError(
                 f"unknown input pattern {self.inputs!r}; "
                 f"known: {sorted(INPUT_PATTERNS)}"
-            )
-        if self.algebra_backend is not None and self.algebra_backend not in BACKENDS:
-            raise ConfigurationError(
-                f"unknown algebra backend {self.algebra_backend!r}; "
-                f"expected None or one of {BACKENDS}"
             )
 
 
@@ -366,7 +355,6 @@ def run_scenario(scenario: Scenario) -> RunRecord:
         adversary=adversary,
         max_rounds=scenario.max_rounds,
         max_events=scenario.max_events,
-        algebra_backend=scenario.algebra_backend,
         monitor=monitor,
     )
     start = time.perf_counter()

@@ -81,7 +81,6 @@ from collections.abc import Callable
 
 from repro.config import SystemConfig
 from repro.errors import DeadlockError, SimulationError
-from repro.field import backend as _algebra
 from repro.sim.events import BucketQueue, EventQueue
 from repro.sim.process import RECOVER_TAG, ProcessHost
 from repro.sim.scheduler import Scheduler, default_scheduler
@@ -97,11 +96,15 @@ _INF = float("inf")
 class Runtime(StepWindow):
     """Owns the hosts, the event queue, the clock, and the trace."""
 
+    #: Read-only probe shim: ``benchmarks/e2e/worker.py:479`` reads it off
+    #: a long-lived runtime.  The algebra is always the pure rows of
+    #: :mod:`repro.poly.fastpath`; ROADMAP 6(a) deletes this.
+    algebra_backend = "pure"
+
     def __init__(
         self,
         config: SystemConfig,
         scheduler: Scheduler | None = None,
-        algebra_backend: str | None = None,
     ):
         self.config = config
         self.field = config.field
@@ -130,14 +133,6 @@ class Runtime(StepWindow):
         # scheduler says otherwise: ``splits_envelopes`` means it never
         # buffers, ``splits_slots`` that the muxes never pack.
         super().__init__(self.scheduler)
-        #: Vectorized algebra backend (see :mod:`repro.field.backend` and
-        #: ``docs/ALGEBRA.md``): ``None`` is pure; numpy runs only when
-        #: named.  Selection is process-global (the fast paths carry
-        #: no runtime handle), so construction pins it and snapshots the
-        #: shared counters; :attr:`rows_vectorized` /
-        #: :attr:`backend_fallbacks` report per-run deltas.
-        self.algebra_backend = _algebra.set_backend(algebra_backend).name
-        self._algebra_baseline = _algebra.counters.snapshot()
         #: Events dispatched over the runtime's lifetime.
         self.events_dispatched = 0
         #: ``run_until`` predicate evaluations: O(state changes) with
@@ -161,17 +156,6 @@ class Runtime(StepWindow):
             return self.hosts[pid]
         except KeyError:
             raise SimulationError(f"no process with id {pid}") from None
-
-    # -- algebra backend telemetry -------------------------------------------
-    @property
-    def rows_vectorized(self) -> int:
-        """Rows served by the vectorized algebra backend since construction."""
-        return _algebra.counters.rows_vectorized - self._algebra_baseline[0]
-
-    @property
-    def backend_fallbacks(self) -> int:
-        """Vector-backend declines (pure-path fallbacks) since construction."""
-        return _algebra.counters.backend_fallbacks - self._algebra_baseline[1]
 
     # -- notification-driven waits -------------------------------------------
     def notify_state_change(self) -> None:

@@ -273,10 +273,4 @@ class TestBatchInterface:
         assert without_instance_ids(watch_batch.verdict()) == without_instance_ids(
             watch_solo.verdict()
         )
-        # The process-global basis cache makes these two depend on what
-        # ran earlier in the interpreter, not on the run.
-        warm = ("rows_vectorized", "backend_fallbacks")
-        ours, theirs = batch.counters(), solo.counters()
-        assert {k: v for k, v in ours.items() if k not in warm} == {
-            k: v for k, v in theirs.items() if k not in warm
-        }
+        assert batch.counters() == solo.counters()

@@ -12,9 +12,15 @@ from dataclasses import fields, replace
 import pytest
 
 from repro.analysis.complexity import fit_power_law
-from repro.core.api import RunCounters
+from repro.config import SystemConfig
+from repro.core.api import (
+    RunCounters,
+    build_stack,
+    flip_common_coin,
+    run_byzantine_agreement,
+    run_byzantine_agreement_batch,
+)
 from repro.errors import ConfigurationError
-from repro.field.backend import BACKENDS, numpy_available, resolve_backend
 from repro.sim import experiments
 from repro.sim.experiments import (
     ADVERSARIES,
@@ -27,6 +33,7 @@ from repro.sim.experiments import (
     scenario_matrix,
     sweep_agreement,
 )
+from repro.sim.runtime import Runtime
 
 
 def _no_wall(records):
@@ -50,16 +57,27 @@ class TestRegistries:
         with pytest.raises(ConfigurationError):
             Scenario(n=4, seed=0, inputs="fibonacci").validate()
 
-    def test_backend_names_are_the_resolvers(self):
-        """A scenario accepts exactly the names ``resolve_backend`` does, so
-        no spelling it accepts can raise mid-sweep."""
-        for name in (None, *BACKENDS):
-            Scenario(n=4, seed=0, algebra_backend=name).validate()
-            if name != "numpy" or numpy_available():
-                assert resolve_backend(name).name == (name or "pure")
-        for name in ("auto", "fortran"):
-            with pytest.raises(ConfigurationError, match="algebra backend"):
-                Scenario(n=4, seed=0, algebra_backend=name).validate()
+
+#: The algebra has one implementation: naming a backend is a TypeError on
+#: every entry point that used to take one, before anything runs.
+REMOVED = {
+    "Runtime": lambda cfg: Runtime(cfg, algebra_backend="pure"),
+    "build_stack": lambda cfg: build_stack(cfg, algebra_backend="pure"),
+    "run_byzantine_agreement": lambda cfg: run_byzantine_agreement(
+        [0, 1, 1, 0], cfg, algebra_backend="pure"
+    ),
+    "run_byzantine_agreement_batch": lambda cfg: run_byzantine_agreement_batch(
+        [[0, 1, 1, 0]], cfg, algebra_backend="pure"
+    ),
+    "flip_common_coin": lambda cfg: flip_common_coin(cfg, algebra_backend="pure"),
+    "Scenario": lambda cfg: Scenario(n=4, seed=0, algebra_backend="pure"),
+}
+
+
+@pytest.mark.parametrize("where", REMOVED)
+def test_removed_option_fails(where):
+    with pytest.raises(TypeError, match="algebra_backend"):
+        REMOVED[where](SystemConfig(n=4, seed=0))
 
 
 class TestScenarioMatrix:
@@ -124,7 +142,7 @@ class TestRunScenario:
         assert record.decided_instances == batch
         assert record.decision == result.decision
         declared = {f.name for f in fields(RunCounters)}
-        assert len(declared) == 14
+        assert len(declared) == 11  # the algebra_backend shim is no field
         assert not declared & set(vars(RunRecord).get("__annotations__", {}))
 
 
@@ -148,7 +166,6 @@ class TestBatchedScenarios:
         assert _no_wall([first]) == _no_wall([second])
 
     def test_batch_inputs_vary_per_instance(self):
-        from repro.config import SystemConfig
         from repro.sim.experiments import batch_inputs
 
         config = SystemConfig(n=4, seed=1)

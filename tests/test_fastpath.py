@@ -9,8 +9,12 @@ against the barycentric form of ``tests/reference/barycentric.py``.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import time
 from functools import cache
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -194,6 +198,31 @@ class TestNoInversionOnTheCoinPath:
         second, _ = flip_common_coin(cfg, scheduler=FifoScheduler())
         assert second.outputs == first.outputs
         assert inversions == []
+
+
+DEFAULT_RUNS = """
+import sys
+from repro.config import SystemConfig
+from repro.core.api import flip_common_coin, run_byzantine_agreement
+coin, _ = flip_common_coin(SystemConfig(n=4, seed=3))
+agreement = run_byzantine_agreement([0, 1, 1, 0], SystemConfig(n=4, seed=5), coin="svss")
+print(agreement.agreed, "numpy" in sys.modules, "repro.field.backend" in sys.modules)
+"""
+
+
+def test_default_runs_never_import_numpy():
+    """A fresh process runs an n = 4 coin and agreement on the pure rows
+    and imports neither numpy nor the inert probe shim ``repro.field.backend``."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", DEFAULT_RUNS],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["True", "False", "False"]
 
 
 class TestBatchInverse:

@@ -2,19 +2,13 @@
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.errors import FieldError
 from repro.field.primes import (
     DEFAULT_PRIME,
-    INT64_SAFE_MAX_BITS,
-    INT64_SAFE_PRIMES,
-    is_int64_safe,
     is_prime,
     next_prime,
-    require_int64_safe,
     smallest_field_prime,
 )
 
@@ -68,36 +62,6 @@ class TestNextPrime:
         assert p >= floor
         assert is_prime(p)
         assert not any(is_prime(q) for q in range(max(2, floor), p))
-
-
-class TestInt64SafeRegistry:
-    def test_all_entries_prime_and_safe(self):
-        for name, p in INT64_SAFE_PRIMES.items():
-            assert is_prime(p), name
-            assert p.bit_length() <= INT64_SAFE_MAX_BITS, name
-            assert is_int64_safe(p), name
-
-    def test_default_prime_registered(self):
-        assert DEFAULT_PRIME in INT64_SAFE_PRIMES.values()
-
-    def test_boundary(self):
-        # The largest 31-bit value is safe; the smallest 32-bit one is not.
-        assert is_int64_safe(2**31 - 1)
-        assert not is_int64_safe(2**31)
-        assert not is_int64_safe(2**61 - 1)
-
-    def test_safe_products_fit_int64(self):
-        # The invariant the numpy kernels rely on: one multiply of two
-        # canonical elements plus one reduced accumulator fits int64.
-        for p in INT64_SAFE_PRIMES.values():
-            assert (p - 1) ** 2 + p < 2**63
-
-    def test_require_returns_safe_prime(self):
-        assert require_int64_safe(DEFAULT_PRIME) == DEFAULT_PRIME
-
-    def test_require_raises_on_unsafe(self):
-        with pytest.raises(FieldError, match="int64"):
-            require_int64_safe(2**61 - 1)
 
 
 class TestSmallestFieldPrime:
