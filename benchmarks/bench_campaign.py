@@ -1,8 +1,10 @@
 """Adversary campaign benchmark — emits ``BENCH_campaign.json``.
 
-The robustness artifact: the full adversary-campaign matrix (see
-:mod:`repro.sim.campaign`) with the invariant monitor armed on every run.
-Two matrices are driven:
+The robustness artifact: adversary x scheduler matrices run as monitored
+sweeps (:func:`~repro.sim.experiments.scenario_matrix` with
+``monitor=True``, one :func:`~repro.sim.experiments.run_matrix` call each,
+cells by ``group_by("adversary", "scheduler")``).  Two matrices are
+driven:
 
 1. **Main matrix** (ideal coin, n = 4): every adversary family of the
    engine — static random, adaptive traffic-observing, slot-targeted
@@ -27,7 +29,8 @@ Acceptance gates:
   a clean sweep is evidence the monitor watched, not that it slept.
 
 The JSON artifact is committed at the repo root so the robustness
-trajectory is diffable across PRs, next to the other ``BENCH_*.json``.
+trajectory is diffable across PRs, next to the other ``BENCH_*.json``.  It
+holds verdicts and counts only: no wall-clock field.
 """
 
 from __future__ import annotations
@@ -35,8 +38,13 @@ from __future__ import annotations
 import os
 
 from bench_common import bench_payload, write_bench_json
-from repro.sim.campaign import CampaignResult, run_campaign
-from repro.sim.experiments import Scenario, run_scenario
+from repro.sim.experiments import (
+    Scenario,
+    SweepResult,
+    run_matrix,
+    run_scenario,
+    scenario_matrix,
+)
 
 #: CI's campaign smoke job sets this to run the same matrices on fewer
 #: seeds per cell; the gates (zero violations, rate 1.0, negative fixture)
@@ -46,7 +54,7 @@ SEED_COUNT = 6 if SMOKE else 20
 SVSS_SEED_COUNT = 2 if SMOKE else 3
 
 MAIN_MATRIX = dict(
-    n=4,
+    ns=(4,),
     adversaries=(
         "none",
         "random",
@@ -65,42 +73,50 @@ MAIN_MATRIX = dict(
     ),
     seeds=range(SEED_COUNT),
     coin=("ideal", 1.0),
+    monitor=True,
     round_bound=80,
 )
 
 SVSS_MATRIX = dict(
-    n=4,
+    ns=(4,),
     adversaries=("none", "random", "slot-poison", "crash-recover"),
     schedulers=("uniform", "env-split", "slot-split", "per-message"),
     seeds=range(SVSS_SEED_COUNT),
     coin="svss",
+    monitor=True,
     round_bound=250,
     max_rounds=300,
 )
 
 
-def _cell_rows(result: CampaignResult) -> list[dict]:
-    rows = []
-    for cell, sweep in result.cells.items():
-        violations = [
-            r.invariant_violation
-            for r in sweep.records
-            if r.invariant_violation is not None
-        ]
-        rows.append(
-            {
-                "adversary": cell.adversary,
-                "scheduler": cell.scheduler,
-                "runs": len(sweep),
-                "agreement_rate": sweep.agreement_rate,
-                "mean_rounds": sweep.summary("rounds").mean,
-                "violations": violations,
-                "coin_agreed": sum(r.coin_agreed for r in sweep.records),
-                "coin_split": sum(r.coin_split for r in sweep.records),
-                "shun_pairs": sum(r.shun_pairs for r in sweep.records),
-            }
-        )
-    return rows
+#: A campaign cell: the records of one (adversary, scheduler) pair.
+CELL = ("adversary", "scheduler")
+
+
+def _cell_rows(sweep: SweepResult) -> list[dict]:
+    return [
+        {
+            "adversary": adversary,
+            "scheduler": scheduler,
+            "runs": len(cell),
+            "agreement_rate": cell.agreement_rate,
+            "mean_rounds": cell.summary("rounds").mean,
+            "violations": [r.invariant_violation for r in cell.violations],
+            "coin_agreed": sum(r.coin_agreed for r in cell.records),
+            "coin_split": sum(r.coin_split for r in cell.records),
+            "shun_pairs": sum(r.shun_pairs for r in cell.records),
+        }
+        for (adversary, scheduler), cell in sweep.group_by(*CELL).items()
+    ]
+
+
+def _section(sweep: SweepResult) -> dict:
+    return {
+        "runs": len(sweep),
+        "cells": _cell_rows(sweep),
+        "ok": not sweep.violations,
+        "workers": sweep.workers,
+    }
 
 
 def _negative_fixture() -> dict:
@@ -121,8 +137,8 @@ def _negative_fixture() -> dict:
 
 
 def test_bench_campaign(emit):
-    main = run_campaign(**MAIN_MATRIX)
-    svss = run_campaign(**SVSS_MATRIX)
+    main = run_matrix(scenario_matrix(**MAIN_MATRIX))
+    svss = run_matrix(scenario_matrix(**SVSS_MATRIX))
     negative = _negative_fixture()
 
     payload = bench_payload(
@@ -144,41 +160,29 @@ def test_bench_campaign(emit):
                 "the negative liveness fixture fires",
             ],
         },
-        main={
-            "runs": len(main),
-            "cells": _cell_rows(main),
-            "ok": main.ok,
-            "wall_seconds": main.wall_seconds,
-            "workers": main.workers,
-        },
-        svss={
-            "runs": len(svss),
-            "cells": _cell_rows(svss),
-            "ok": svss.ok,
-            "wall_seconds": svss.wall_seconds,
-            "workers": svss.workers,
-        },
+        main=_section(main),
+        svss=_section(svss),
         negative_fixture=negative,
     )
     path = write_bench_json("campaign", payload)
 
-    emit(main.table("Adversary campaign: ideal coin, n=4"))
-    emit(svss.table("Adversary campaign: SVSS coin sub-block, n=4"))
+    emit(main.table(*CELL, title="Adversary campaign: ideal coin, n=4"))
+    emit(svss.table(*CELL, title="Adversary campaign: SVSS coin sub-block, n=4"))
     emit(
         f"negative fixture: {negative['violation']!r} (fired as required); "
         f"artifact: {path.name}"
     )
 
-    # Gate 1: the paper's safety claims are unconditional — any violation
-    # in an honest-majority cell is a protocol bug.
-    assert main.ok, main.cell_violations()
-    assert svss.ok, svss.cell_violations()
-    # Gate 2: every seeded run in every cell decided.
-    for result in (main, svss):
-        for cell, sweep in result.cells.items():
-            assert sweep.agreement_rate == 1.0, (cell, sweep.records)
+    for sweep in (main, svss):
+        # Gate 1: the paper's safety claims are unconditional — any
+        # violation in an honest-majority cell is a protocol bug.
+        assert not sweep.violations, [
+            (r.scenario, r.invariant_violation) for r in sweep.violations
+        ]
+        # Gate 2: every seeded run in every cell decided.
+        for key, cell in sweep.group_by(*CELL).items():
+            assert cell.agreement_rate == 1.0, (key, cell.records)
+        # Sanity: the matrices really were monitored end to end.
+        assert all(r.monitored for r in sweep.records)
     # Gate 3 already asserted inside the fixture; record it for the reader.
     assert negative["fired"]
-    # Sanity: the matrices really were monitored end to end.
-    assert all(r.monitored for r in main.records)
-    assert all(r.monitored for r in svss.records)

@@ -25,7 +25,7 @@ from repro.core.sessions import mw_session
 SESSIONS = 12
 
 
-def _run_campaign(n: int, seed: int, liars: list[int]):
+def _run_liars(n: int, seed: int, liars: list[int]):
     cfg = SystemConfig(n=n, seed=seed)
     adversary = Adversary(
         {liar: LyingReconstructorBehavior(random.Random(seed + liar)) for liar in liars}
@@ -63,8 +63,8 @@ def _run_campaign(n: int, seed: int, liars: list[int]):
 def test_e4_shunning_budget(benchmark, emit):
     def experiment():
         campaigns = []
-        campaigns.append(("n=4, 1 liar", *_run_campaign(4, 1, [3])))
-        campaigns.append(("n=7, 2 liars", *_run_campaign(7, 2, [3, 6])))
+        campaigns.append(("n=4, 1 liar", *_run_liars(4, 1, [3])))
+        campaigns.append(("n=7, 2 liars", *_run_liars(7, 2, [3, 6])))
         return campaigns
 
     campaigns = benchmark.pedantic(experiment, rounds=1, iterations=1)

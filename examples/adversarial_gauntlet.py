@@ -6,10 +6,10 @@ byzantine behaviour and an aggressive network schedule, and reports the
 outcome.  Agreement and validity are safety properties: they must hold in
 *every* run, not just on average.
 
-The second half drives a slice of the *campaign engine*
-(:mod:`repro.sim.campaign`): the same question asked systematically —
-every adversary family x protocol-aware schedule x aggregation mode, with
-the runtime invariant monitor armed on every run.
+The second half runs a *monitored sweep* (:mod:`repro.sim.experiments`):
+the same question asked systematically — adversary families x
+protocol-aware schedules (one of them the per-message wire), with the
+runtime invariant monitor armed on every run.
 
 Run:  python examples/adversarial_gauntlet.py
 """
@@ -89,7 +89,7 @@ def main() -> None:
     )
 
     # -- campaign slice: the systematic version of the loop above ----------
-    from repro.sim.campaign import run_campaign
+    from repro.sim.experiments import run_matrix, scenario_matrix
 
     print()
     print(
@@ -97,16 +97,27 @@ def main() -> None:
         "(adaptive corruption, slot poisoning, crash-recovery, reveal "
         "eclipse)"
     )
-    campaign = run_campaign(
-        n=4,
-        adversaries=("none", "adaptive-crash", "slot-poison", "crash-recover"),
-        schedulers=("uniform", "vote-balancing", "eclipse", "per-message"),
-        seeds=range(4),
-        round_bound=80,
+    campaign = run_matrix(
+        scenario_matrix(
+            ns=(4,),
+            adversaries=("none", "adaptive-crash", "slot-poison", "crash-recover"),
+            schedulers=("uniform", "vote-balancing", "eclipse", "per-message"),
+            seeds=range(4),
+            monitor=True,
+            round_bound=80,
+        )
     )
     print()
-    print(campaign.table("campaign slice (monitored; zero violations expected)"))
-    assert campaign.ok, campaign.cell_violations()
+    print(
+        campaign.table(
+            "adversary",
+            "scheduler",
+            title="campaign slice (monitored; zero violations expected)",
+        )
+    )
+    assert not campaign.violations, [
+        (r.scenario, r.invariant_violation) for r in campaign.violations
+    ]
 
 
 if __name__ == "__main__":

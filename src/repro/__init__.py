@@ -8,7 +8,10 @@ scratch on a deterministic asynchronous-network simulator:
 * ``repro.field`` / ``repro.poly`` — GF(p) on plain ints and polynomials
   kept as values (value rows and cached Lagrange bases, no polynomial
   class, one pure-Python algebra — see ``docs/ALGEBRA.md``);
-* ``repro.sim`` — the discrete-event network with adversarial schedulers;
+* ``repro.sim`` — the discrete-event network with adversarial schedulers,
+  the invariant monitor, and seeded sweeps (``repro.sim.experiments``:
+  with ``monitor=True`` a sweep over adversary x scheduler cells is the
+  robustness campaign);
 * ``repro.broadcast`` — Weak Reliable Broadcast + Bracha Reliable Broadcast;
 * ``repro.core`` — DMM, MW-SVSS, SVSS, the shunning common coin, and the
   coin-based Byzantine agreement (the paper's contribution);
@@ -31,8 +34,6 @@ Quickstart::
 from repro.adversary import (
     Adversary,
     crash_adversary,
-    equivocating_adversary,
-    mutating_adversary,
     no_adversary,
     random_adversary,
     silent_adversary,
@@ -89,10 +90,8 @@ __all__ = [
     "build_stack",
     "cr_coin",
     "crash_adversary",
-    "equivocating_adversary",
     "flip_common_coin",
     "max_faults",
-    "mutating_adversary",
     "no_adversary",
     "random_adversary",
     "run_benor",

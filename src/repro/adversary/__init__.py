@@ -25,8 +25,6 @@ from repro.adversary.controller import (
     Adversary,
     crash_adversary,
     crash_recovery_adversary,
-    equivocating_adversary,
-    mutating_adversary,
     no_adversary,
     random_adversary,
     silent_adversary,
@@ -56,8 +54,6 @@ __all__ = [
     "VoteBalancingScheduler",
     "crash_adversary",
     "crash_recovery_adversary",
-    "equivocating_adversary",
-    "mutating_adversary",
     "no_adversary",
     "per_message",
     "random_adversary",

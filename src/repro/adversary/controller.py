@@ -89,22 +89,6 @@ def silent_adversary(pids: list[int]) -> Adversary:
     return adv
 
 
-def mutating_adversary(pids: list[int], rng: Random, rate: float = 0.3) -> Adversary:
-    adv = Adversary(
-        {pid: MutatingBehavior(Random(rng.random()), rate) for pid in pids}
-    )
-    adv.spec = ("mutating", tuple(pids), rate)
-    return adv
-
-
-def equivocating_adversary(pids: list[int], rng: Random) -> Adversary:
-    adv = Adversary(
-        {pid: EquivocatingDealerBehavior(Random(rng.random())) for pid in pids}
-    )
-    adv.spec = ("equivocating", tuple(pids))
-    return adv
-
-
 def slot_poison_adversary(
     pids: list[int],
     rng: Random,
@@ -174,7 +158,7 @@ def random_adversary(
     behaviour's private randomness — comes from one ``Random`` stream
     seeded by a single integer, recorded in the returned adversary's
     ``spec`` as ``("random", seed, ((pid, kind), ...))``.  Passing the
-    same integer (or a campaign cell replaying a ``RunRecord``'s
+    same integer (or a sweep replaying a ``RunRecord``'s
     ``adversary_spec`` seed) rebuilds the exact corruption; passing a
     ``Random`` draws the seed from it first, so existing callers stay
     seeded-deterministic.

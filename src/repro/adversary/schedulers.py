@@ -238,9 +238,10 @@ class CoinRevealEclipseScheduler(Scheduler):
     and the gate's release discipline make the eclipse powerless beyond
     delay.
 
-    ``victims`` should be a minority (≤ t in campaign cells so the cell
-    stays honest-majority in the scheduler sense too); the adversary gets
-    reveal-sighted eclipse windows on top of whatever ``base`` does.
+    ``victims`` should be a minority (≤ t in the ``"eclipse"`` sweep
+    cells, so a cell stays honest-majority in the scheduler sense too);
+    the adversary gets reveal-sighted eclipse windows on top of whatever
+    ``base`` does.
     """
 
     def __init__(

@@ -5,10 +5,9 @@ from repro.analysis.complexity import (
     PowerFit,
     fit_exponential,
     fit_power_law,
-    looks_polynomial,
 )
-from repro.analysis.stats import Summary, geometric_mean, proportion_ci95, summarize
-from repro.analysis.tables import print_table, render_table
+from repro.analysis.stats import Summary, proportion_ci95, summarize
+from repro.analysis.tables import render_table
 
 __all__ = [
     "ExponentialFit",
@@ -16,9 +15,6 @@ __all__ = [
     "Summary",
     "fit_exponential",
     "fit_power_law",
-    "geometric_mean",
-    "looks_polynomial",
-    "print_table",
     "proportion_ci95",
     "render_table",
     "summarize",

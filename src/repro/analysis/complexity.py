@@ -80,14 +80,3 @@ def fit_exponential(points: Sequence[tuple[float, float]]) -> ExponentialFit:
         base=math.exp(slope), coefficient=math.exp(intercept), r_squared=r2
     )
 
-
-def looks_polynomial(
-    points: Sequence[tuple[float, float]], max_exponent: float = 10.0
-) -> bool:
-    """Heuristic verdict used by E1/E7: does growth fit a (small) power law
-    at least as well as an exponential?"""
-    if len(points) < 3:
-        raise ValueError("need at least three points for a verdict")
-    power = fit_power_law(points)
-    expo = fit_exponential(points)
-    return power.exponent <= max_exponent and power.r_squared >= expo.r_squared - 0.02

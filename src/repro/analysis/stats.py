@@ -63,8 +63,3 @@ def proportion_ci95(successes: int, trials: int) -> tuple[float, float]:
     )
     return (max(0.0, center - half), min(1.0, center + half))
 
-
-def geometric_mean(values: Sequence[float]) -> float:
-    if not values or any(v <= 0 for v in values):
-        raise ValueError("geometric mean needs positive values")
-    return math.exp(sum(math.log(v) for v in values) / len(values))

@@ -29,12 +29,3 @@ def render_table(
         lines.append(f"note: {note}")
     return "\n".join(lines)
 
-
-def print_table(
-    title: str,
-    headers: Sequence[str],
-    rows: Sequence[Sequence[object]],
-    note: str | None = None,
-) -> None:
-    print()
-    print(render_table(title, headers, rows, note))

@@ -33,6 +33,7 @@ from repro.core.coin import (
     IdealCoinOracle,
     LocalCoin,
     SharedCoinGate,
+    coin_kind,
 )
 from repro.core.manager import CallbackWatcher, VSSManager
 from repro.core.mwsvss import BOTTOM
@@ -202,7 +203,8 @@ def make_coins(
     """
     config = stack.config
     coins: dict[int, CoinSource] = {}
-    if coin in ("svss", "local"):
+    kind = coin_kind(coin)
+    if kind == "node":
         for pid in config.pids:
             coins[pid] = make_node_coin(
                 stack.runtime.host(pid),
@@ -211,7 +213,7 @@ def make_coins(
                 vss=stack.vss.get(pid),
                 instance=instance,
             )
-    elif isinstance(coin, tuple) and len(coin) == 2 and coin[0] == "ideal":
+    elif kind == "ideal":
         tags = (
             ("ideal-coin",)
             if instance == DEFAULT_INSTANCE
@@ -220,11 +222,9 @@ def make_coins(
         oracle = IdealCoinOracle(config.derive_rng(*tags), agreement=coin[1])
         for pid in config.pids:
             coins[pid] = IdealCoin(oracle, pid)
-    elif callable(coin):
+    else:
         for pid in config.pids:
             coins[pid] = coin(stack, pid)
-    else:
-        raise ConfigurationError(f"unknown coin spec {coin!r}")
     stack.instance_coins[instance] = coins
     if instance == DEFAULT_INSTANCE or not stack.coins:
         stack.coins = coins

@@ -73,7 +73,7 @@ from repro.broadcast.manager import BroadcastManager
 from repro.core.manager import VSSManager
 from repro.core.sessions import svss_session
 from repro.core.vectormux import SVEC_TAG
-from repro.errors import ProtocolError
+from repro.errors import ConfigurationError, ProtocolError
 from repro.sim.module import ProtocolModule
 from repro.sim.process import ProcessHost
 
@@ -124,6 +124,29 @@ class LocalCoin(CoinSource):
         callback(value)
 
 
+def coin_kind(coin: object) -> str:
+    """The kind of a coin spec, or the error building it would raise.
+
+    ``"svss"`` / ``"local"`` are ``"node"``, ``("ideal", p)`` with ``p`` a
+    probability is ``"ideal"``, a callable ``(stack, pid) -> CoinSource``
+    is ``"callable"``.  The one place the format is known: ``make_coins``
+    dispatches on it, ``Scenario.validate`` calls it before any run.
+    """
+    if coin in ("svss", "local"):
+        return "node"
+    if isinstance(coin, tuple) and len(coin) == 2 and coin[0] == "ideal":
+        _check_agreement(coin[1])
+        return "ideal"
+    if callable(coin):
+        return "callable"
+    raise ConfigurationError(f"unknown coin spec {coin!r}")
+
+
+def _check_agreement(agreement: float) -> None:
+    if not 0.0 <= agreement <= 1.0:
+        raise ProtocolError(f"agreement must be a probability, got {agreement}")
+
+
 class IdealCoinOracle:
     """Global state behind :class:`IdealCoin` instances.
 
@@ -135,8 +158,7 @@ class IdealCoinOracle:
     """
 
     def __init__(self, rng: Random, agreement: float = 1.0):
-        if not 0.0 <= agreement <= 1.0:
-            raise ProtocolError(f"agreement must be a probability, got {agreement}")
+        _check_agreement(agreement)
         self._rng = rng
         self.agreement = agreement
         self._sessions: dict[tuple, tuple[bool, int]] = {}

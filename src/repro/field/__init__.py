@@ -8,7 +8,6 @@ from repro.field.primes import (
     SMALL_TEST_PRIME,
     is_prime,
     next_prime,
-    smallest_field_prime,
 )
 
 __all__ = [
@@ -18,5 +17,4 @@ __all__ = [
     "Field",
     "is_prime",
     "next_prime",
-    "smallest_field_prime",
 ]

@@ -107,11 +107,8 @@ class Field:
         return total % self.prime
 
     # -- randomness ---------------------------------------------------------
-    def random_element(self, rng: Random) -> int:
-        """A uniformly random field element drawn from ``rng``."""
-        return rng.randrange(self.prime)
-
     def random_elements(self, rng: Random, count: int) -> list[int]:
+        """``count`` uniformly random field elements drawn from ``rng``."""
         prime = self.prime
         return [rng.randrange(prime) for _ in range(count)]
 

@@ -70,11 +70,3 @@ def next_prime(floor: int) -> int:
         candidate += 2
     return candidate
 
-
-def smallest_field_prime(n: int) -> int:
-    """Smallest prime usable as a field modulus for an ``n``-process system.
-
-    The paper requires ``|F| > n``; evaluation points are ``1..n`` and the
-    secret lives at 0, so any prime strictly greater than ``n`` works.
-    """
-    return next_prime(n + 1)

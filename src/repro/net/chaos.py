@@ -1,12 +1,12 @@
 """ChaosProxy: seeded fault injection on real TCP links.
 
 The network analogue of the simulator's adversarial schedulers: where
-``RoundRobinScheduler``/``AdaptiveScheduler`` pick *which* simulated
-event fires next, the chaos layer decides what happens to each *frame*
-crossing a directed link — dropped, delayed, duplicated, reordered,
-black-holed by a partition, or squeezed through a slow link.  Faults are
-drawn from a :class:`random.Random` seeded per directed link, so a chaos
-run is reproducible from ``(seed, profile)`` alone.
+``VoteBalancingScheduler`` / ``CoinRevealEclipseScheduler`` pick *which*
+simulated event fires next, the chaos layer decides what happens to
+each *frame* crossing a directed link — dropped, delayed, duplicated,
+reordered, black-holed by a partition, or squeezed through a slow link.
+Faults are drawn from a :class:`random.Random` seeded per directed link,
+so a chaos run is reproducible from ``(seed, profile)`` alone.
 
 Topology: one :class:`ChaosProxy` sits in front of each destination
 node.  Every peer's address-book entry for that node points at the proxy

@@ -46,7 +46,10 @@ class NetVerdict:
         self.reports: dict[int, dict] = {}
         #: instance -> pid -> input (for the validity check).
         self._inputs: dict[object, dict[int, object]] = {}
-        self.violations: list[dict] = []
+        #: What feeding saw (duplicate reports, hung children), kept; and
+        #: what the last ``check()`` judged, recomputed on every call.
+        self._recorded: list[dict] = []
+        self._judged: list[dict] = []
 
     # -- feeding -----------------------------------------------------------
     def expect_inputs(self, instance: object, inputs: dict[int, object]) -> None:
@@ -62,26 +65,39 @@ class NetVerdict:
         pid = report["pid"]
         if pid in self.reports:
             self._violate(
-                "duplicate-report", {"pid": pid}, f"two reports from pid {pid}"
+                self._recorded,
+                "duplicate-report",
+                {"pid": pid},
+                f"two reports from pid {pid}",
             )
         self.reports[pid] = report
 
     def mark_hung(self, pid: int) -> None:
         """Record a child killed for missing its heartbeat deadline."""
         self._violate(
+            self._recorded,
             "hung",
             {"pid": pid},
             f"process {pid} stopped heartbeating and was killed",
         )
 
-    def _violate(self, kind: str, detail: dict, message: str) -> None:
-        self.violations.append(
-            {"kind": kind, "message": message, "detail": detail}
-        )
+    @staticmethod
+    def _violate(
+        into: list[dict], kind: str, detail: dict, message: str
+    ) -> None:
+        into.append({"kind": kind, "message": message, "detail": detail})
+
+    @property
+    def violations(self) -> list[dict]:
+        return self._recorded + self._judged
 
     # -- judging -----------------------------------------------------------
     def check(self, expect_all_decided: bool = True) -> dict:
-        """Judge everything collected; returns the verdict dict."""
+        """Judge everything collected; returns the verdict dict.
+
+        Idempotent: the reports are re-judged from scratch on every call.
+        """
+        judged: list[dict] = []
         decisions: dict[str, dict[int, object]] = {}
         rounds: dict[str, dict[int, int]] = {}
         for pid, report in sorted(self.reports.items()):
@@ -91,6 +107,7 @@ class NetVerdict:
                 for other, other_value in per_pid.items():
                     if other_value != value:
                         self._violate(
+                            judged,
                             "agreement-safety",
                             {
                                 "instance": instance,
@@ -106,6 +123,7 @@ class NetVerdict:
                 current = report.get("decisions", {}).get(instance)
                 if current is not None and current[0] != prior[0]:
                     self._violate(
+                        judged,
                         "self-contradiction",
                         {
                             "instance": instance,
@@ -123,6 +141,7 @@ class NetVerdict:
                 for pid, decided in decisions.get(instance, {}).items():
                     if decided != expected:
                         self._violate(
+                            judged,
                             "validity",
                             {
                                 "instance": instance,
@@ -143,11 +162,13 @@ class NetVerdict:
                 missing = sorted(reporters - set(per_pid))
                 if missing:
                     self._violate(
+                        judged,
                         "liveness",
                         {"instance": instance, "missing": missing},
                         f"processes {missing} reported but did not decide "
                         f"{instance!r}",
                     )
+        self._judged = judged
         coin_outputs: dict[str, dict[int, object]] = {}
         for pid, report in sorted(self.reports.items()):
             for csid, value in report.get("coins", {}).items():
@@ -193,7 +214,7 @@ class NetVerdict:
             "auth_rejected": auth_rejected,
             "journal_replayed": journal_replayed,
             "rejoined": rejoined,
-            "violations": list(self.violations),
+            "violations": self.violations,
         }
 
     @property

@@ -33,6 +33,11 @@ Design constraints, and how they are met:
   :mod:`repro.analysis.stats` summaries, Wilson intervals, and
   :mod:`repro.analysis.complexity` power-law fits, and renders the same
   ASCII tables the benchmarks print.
+* **Monitored sweeps** — ``monitor=True`` arms an invariant monitor on
+  every run and records a violation on its :class:`RunRecord`, never
+  raising it, so an adversary x scheduler sweep lists every failing run in
+  :attr:`SweepResult.violations` (expected empty: the paper's safety
+  claims hold under every adversary and schedule).
 """
 
 from __future__ import annotations
@@ -67,6 +72,7 @@ from repro.core.api import (
     run_byzantine_agreement,
     run_byzantine_agreement_batch,
 )
+from repro.core.coin import coin_kind
 from repro.errors import ConfigurationError
 from repro.sim.monitor import InvariantMonitor, InvariantViolation
 from repro.sim.runtime import DEFAULT_MAX_EVENTS
@@ -216,6 +222,7 @@ class Scenario:
                 f"unknown input pattern {self.inputs!r}; "
                 f"known: {sorted(INPUT_PATTERNS)}"
             )
+        coin_kind(self.coin)
 
 
 @dataclass
@@ -228,7 +235,7 @@ class RunRecord(RunCounters):
     is the maximum, and ``decided_instances``/``decisions_per_wall_second``
     carry the batch throughput.  The run counters are the result's
     (:class:`repro.core.api.RunCounters`, documented there), so sweeps
-    report ratios without reaching into the ``Runtime``.
+    read them without reaching into the ``Runtime``.
     """
 
     scenario: Scenario
@@ -261,20 +268,6 @@ class RunRecord(RunCounters):
         if self.wall_seconds <= 0.0:
             return 0.0
         return self.decided_instances / self.wall_seconds
-
-    @property
-    def coalesce_ratio(self) -> float:
-        """Logical messages per wire event (>= 1; 1.0 = no coalescing)."""
-        if self.events_dispatched <= 0:
-            return 1.0
-        return self.logical_messages / self.events_dispatched
-
-    @property
-    def svec_ratio(self) -> float:
-        """Per-slot messages folded per emitted slot-vector (0 = none)."""
-        if self.svec_packed <= 0:
-            return 0.0
-        return self.svec_slots / self.svec_packed
 
 
 def scenario_matrix(
@@ -389,8 +382,8 @@ def run_scenario(scenario: Scenario) -> RunRecord:
         )
     except InvariantViolation as violation:
         # A violation is a *finding*, not a crash: record it as a failed
-        # run so the sweep (and its pool workers) carry on, and the
-        # campaign layer can report every violating cell at once.
+        # run so the sweep (and its pool workers) carry on, and
+        # ``SweepResult.violations`` reports every violating run at once.
         wall = time.perf_counter() - start
         return RunRecord(
             scenario=scenario,
@@ -439,21 +432,6 @@ def run_matrix(
     )
 
 
-def sweep_agreement(
-    ns: Iterable[int],
-    schedulers: Iterable[str] = ("uniform",),
-    adversaries: Iterable[str] = ("none",),
-    seeds: Iterable[int] = range(10),
-    workers: int | None = None,
-    **overrides: object,
-) -> "SweepResult":
-    """One-call sweep: build the matrix and run it."""
-    return run_matrix(
-        scenario_matrix(ns, schedulers, adversaries, seeds, **overrides),
-        workers=workers,
-    )
-
-
 @dataclass
 class SweepResult:
     """All records of one sweep plus aggregation helpers."""
@@ -478,6 +456,11 @@ class SweepResult:
         return proportion_ci95(
             sum(r.agreed for r in self.records), len(self.records)
         )
+
+    @property
+    def violations(self) -> list[RunRecord]:
+        """Every record whose invariant monitor fired."""
+        return [r for r in self.records if r.invariant_violation is not None]
 
     def summary(self, metric: str) -> Summary:
         """Mean/spread of one :class:`RunRecord` numeric field."""
@@ -517,6 +500,7 @@ class SweepResult:
         rows = []
         for key, group in self.group_by(*keys).items():
             low, high = group.agreement_ci95()
+            watched = any(r.monitored for r in group.records)
             rows.append(
                 [
                     *key,
@@ -526,17 +510,18 @@ class SweepResult:
                     f"{group.summary('events_dispatched').mean:,.0f}",
                     f"{group.summary('total_messages').mean:,.0f}",
                     f"{group.summary('sim_time').mean:.1f}",
+                    len(group.violations) if watched else "–",
                 ]
             )
-        return render_table(
-            title,
-            [*keys, "runs", "agree rate [CI95]", "rounds", "events", "msgs", "sim t"],
-            rows,
-            note=(
-                f"{len(self.records)} runs, {self.workers} worker(s), "
-                f"{self.wall_seconds:.1f}s wall"
-            ),
+        note = (
+            f"{len(self.records)} runs, {self.workers} worker(s), "
+            f"{self.wall_seconds:.1f}s wall"
         )
+        if any(r.monitored for r in self.records):
+            bad = len(self.violations)
+            note += f"; {bad} VIOLATION(S)" if bad else "; all invariants held"
+        headers = ["runs", "agree rate [CI95]", "rounds", "events", "msgs", "sim t"]
+        return render_table(title, [*keys, *headers, "violations"], rows, note=note)
 
 
 __all__ = [
@@ -550,5 +535,4 @@ __all__ = [
     "run_matrix",
     "run_scenario",
     "scenario_matrix",
-    "sweep_agreement",
 ]

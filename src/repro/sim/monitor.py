@@ -19,16 +19,17 @@ adversarial runs, not just on end-of-run assertions:
 * **Liveness watchdog** — under fair schedulers a run must progress; an
   agreement instance entering a round beyond ``round_bound`` trips the
   watchdog.  (Almost-sure termination makes any fixed bound violable with
-  vanishing probability, so campaign cells pick bounds far beyond the
+  vanishing probability, so monitored sweeps pick bounds far beyond the
   observed maxima; the watchdog catches livelocks, not tail luck.)
 * **Coin ε-quality** — per coin invocation, whether the honest outputs
   agreed or split.  A split coin is *legal* (the paper only promises
   probability ≥ ε of unanimity per value), so the monitor tallies rather
-  than raises; campaign verdicts expose the rates.
+  than raises; sweep records expose the tallies.
 
 A violated invariant raises :class:`InvariantViolation` carrying the
 offending event plus the monitor's recent event trail, which propagates
-out of the event loop to the harness (see :mod:`repro.sim.campaign`).
+out of the event loop to the harness (``run_scenario`` records it, and
+``SweepResult.violations`` lists it: see :mod:`repro.sim.experiments`).
 
 The monitor is passive instrumentation: protocol modules call its hooks at
 their observable-state transition points (``agreement._decide``,

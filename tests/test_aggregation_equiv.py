@@ -64,7 +64,7 @@ from repro.core.api import (
     run_mwsvss,
     run_svss,
 )
-from repro.sim.experiments import Scenario, run_scenario
+from repro.sim.experiments import Scenario, run_scenario, scenario_matrix
 from repro.sim.monitor import InvariantMonitor
 from repro.sim.runtime import Runtime
 from repro.sim.scheduler import FifoScheduler, UniformDelayScheduler
@@ -276,7 +276,6 @@ def test_a_run_under_both_vetoes_packs_nothing(base):
 def test_the_keywords_cannot_be_passed(keyword):
     """No entry point takes a packing keyword, so nothing can select — or
     silently fail to select — a mode except through the scheduler."""
-    from repro.sim.campaign import campaign_matrix, run_campaign
     from repro.sim.window import StepWindow
 
     config = SystemConfig(n=4, seed=0)
@@ -288,8 +287,7 @@ def test_the_keywords_cannot_be_passed(keyword):
         lambda **kw: run_byzantine_agreement_batch([[0, 1, 1, 0]], config, coin=IDEAL, **kw),
         lambda **kw: flip_common_coin(config, **kw),
         lambda **kw: Scenario(n=4, seed=0, **kw),
-        lambda **kw: campaign_matrix(seeds=range(1), **kw),
-        lambda **kw: run_campaign(seeds=range(1), workers=1, **kw),
+        lambda **kw: scenario_matrix(ns=(4,), seeds=range(1), **kw),
     ]
     value = ("plain",) if keyword == "modes" else True
     for call in calls:

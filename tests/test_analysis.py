@@ -7,16 +7,8 @@ import random
 
 import pytest
 
-from repro.analysis.complexity import (
-    fit_exponential,
-    fit_power_law,
-    looks_polynomial,
-)
-from repro.analysis.stats import (
-    geometric_mean,
-    proportion_ci95,
-    summarize,
-)
+from repro.analysis.complexity import fit_exponential, fit_power_law
+from repro.analysis.stats import proportion_ci95, summarize
 from repro.analysis.tables import render_table
 
 
@@ -62,17 +54,6 @@ class TestProportionCI:
         assert low < 0.5 < high
 
 
-class TestGeometricMean:
-    def test_exact(self):
-        assert abs(geometric_mean([1, 4]) - 2.0) < 1e-9
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, 0.0])
-        with pytest.raises(ValueError):
-            geometric_mean([])
-
-
 class TestPowerFit:
     def test_recovers_exact_power_law(self):
         points = [(n, 3.0 * n**2.5) for n in (4, 7, 10, 13)]
@@ -104,20 +85,6 @@ class TestExponentialFit:
     def test_predict(self):
         fit = fit_exponential([(n, 2.0**n) for n in range(1, 6)])
         assert abs(fit.predict(7) - 128) < 1e-6
-
-
-class TestVerdict:
-    def test_polynomial_data_looks_polynomial(self):
-        points = [(n, 10 * n**3 + n) for n in (4, 7, 10, 13, 16)]
-        assert looks_polynomial(points)
-
-    def test_exponential_data_does_not(self):
-        points = [(n, 1.7**n) for n in (4, 8, 12, 16, 20, 24)]
-        assert not looks_polynomial(points, max_exponent=6.0)
-
-    def test_needs_three_points(self):
-        with pytest.raises(ValueError):
-            looks_polynomial([(1, 1), (2, 2)])
 
 
 class TestTables:

@@ -2,7 +2,8 @@
 
 Includes the CI smoke sweep the acceptance criteria call for: 500+ seeded
 agreement runs through ``run_matrix``, aggregated into
-``repro.analysis``-backed statistics tables.
+``repro.analysis``-backed statistics tables; and the monitored sweeps
+(``monitor=True``) that carry the adversary x scheduler robustness claim.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from dataclasses import fields, replace
 
 import pytest
 
+from repro.adversary.controller import random_adversary
 from repro.analysis.complexity import fit_power_law
 from repro.config import SystemConfig
 from repro.core.api import (
@@ -20,7 +22,7 @@ from repro.core.api import (
     run_byzantine_agreement,
     run_byzantine_agreement_batch,
 )
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ProtocolError
 from repro.sim import experiments
 from repro.sim.experiments import (
     ADVERSARIES,
@@ -28,10 +30,10 @@ from repro.sim.experiments import (
     SCHEDULERS,
     RunRecord,
     Scenario,
+    SweepResult,
     run_matrix,
     run_scenario,
     scenario_matrix,
-    sweep_agreement,
 )
 from repro.sim.runtime import Runtime
 
@@ -56,6 +58,16 @@ class TestRegistries:
             Scenario(n=4, seed=0, adversary="gremlin").validate()
         with pytest.raises(ConfigurationError):
             Scenario(n=4, seed=0, inputs="fibonacci").validate()
+        # A bad coin spec fails the matrix before any worker runs, with the
+        # error the run itself would raise: one check knows the format.
+        with pytest.raises(ConfigurationError, match="unknown coin spec"):
+            scenario_matrix(ns=(4,), seeds=range(1), coin="ideal")
+        with pytest.raises(ProtocolError, match="probability"):
+            scenario_matrix(ns=(4,), seeds=range(1), coin=("ideal", 1.5))
+        with pytest.raises(ConfigurationError, match="unknown coin spec"):
+            run_byzantine_agreement(
+                [0, 1, 1, 0], SystemConfig(n=4, seed=0), coin="ideal"
+            )
 
 
 #: The algebra has one implementation: naming a backend is a TypeError on
@@ -233,8 +245,167 @@ class TestRunMatrix:
         table = sweep.table()
         assert "512 runs" in table and "agree rate" in table
 
-    def test_sweep_agreement_wrapper(self):
-        sweep = sweep_agreement(
-            ns=(4,), schedulers=("fifo",), seeds=range(2), workers=1
+
+def monitored_sweep(adversaries, schedulers, seeds, workers=1):
+    """A robustness campaign: one monitored matrix at n=4, one run_matrix."""
+    return run_matrix(
+        scenario_matrix(
+            ns=(4,),
+            schedulers=schedulers,
+            adversaries=adversaries,
+            seeds=seeds,
+            monitor=True,
+            round_bound=60,
+        ),
+        workers=workers,
+    )
+
+
+class TestMonitoredMatrix:
+    def test_matrix_covers_every_cell(self):
+        cells = {
+            (a, s)
+            for a in ("none", "random")
+            for s in ("uniform", "fifo", "per-message")
+        }
+        matrix = scenario_matrix(
+            ns=(4,),
+            adversaries=("none", "random"),
+            schedulers=("uniform", "fifo", "per-message"),
+            seeds=range(3),
+            monitor=True,
         )
-        assert len(sweep) == 2 and sweep.agreement_rate == 1.0
+        assert len(matrix) == 2 * 3 * 3
+        assert all(s.monitor for s in matrix)
+        assert {(s.adversary, s.scheduler) for s in matrix} == cells
+
+    def test_scheduler_typo_fails_fast(self):
+        with pytest.raises(ConfigurationError):
+            scenario_matrix(
+                ns=(4,),
+                schedulers=("uniform", "warp"),
+                seeds=range(1),
+                monitor=True,
+            )
+
+    def test_split_cells_cover_both_transports(self):
+        """How much the transport packs is three cells of the scheduler
+        axis: ``uniform`` with either packing, or both, vetoed."""
+        config = SystemConfig(n=4, seed=0)
+
+        def stance(name):
+            scheduler = SCHEDULERS[name](config)
+            return scheduler.splits_envelopes, scheduler.splits_slots
+
+        def draws(name):
+            scheduler = SCHEDULERS[name](config)
+            return [scheduler.delay(1, 2, ("x",), 0.0) for _ in range(5)]
+
+        assert stance("uniform") == (False, False)
+        assert stance("env-split") == (True, False)
+        assert stance("slot-split") == (False, True)
+        assert stance("per-message") == (True, True)
+        for name in ("env-split", "slot-split", "per-message"):
+            assert draws(name) == draws("uniform")  # same seeded delays
+
+
+class TestMonitoredSweep:
+    def test_small_monitored_sweep_is_clean(self):
+        sweep = monitored_sweep(
+            adversaries=("none", "random", "adaptive-crash"),
+            schedulers=("uniform", "vote-balancing", "per-message"),
+            seeds=range(3),
+        )
+        assert sweep.violations == []
+        assert len(sweep.group_by("adversary", "scheduler")) == 3 * 3
+        assert len(sweep) == 3 * 3 * 3
+        assert all(r.monitored for r in sweep.records)
+        table = sweep.table("adversary", "scheduler")
+        assert "all invariants held" in table and "violations" in table
+
+    def test_records_carry_adversary_specs(self):
+        sweep = monitored_sweep(
+            adversaries=("random",), schedulers=("uniform",), seeds=range(2)
+        )
+        for record in sweep.records:
+            kind = record.adversary_spec[0]
+            assert kind == "random"
+
+    def test_spec_rebuilds_the_same_corruption(self):
+        """A RunRecord's adversary_spec seed replays the exact adversary."""
+        record = run_scenario(
+            Scenario(n=4, seed=9, adversary="random", monitor=True)
+        )
+        kind, seed, chosen = record.adversary_spec
+        rebuilt = random_adversary(SystemConfig(n=4, seed=9), seed)
+        assert rebuilt.spec == (kind, seed, chosen)
+
+    def test_violations_surface_without_raising(self):
+        """A run that trips the monitor becomes a recorded failure: it is in
+        the sweep's (and its cell's) violations and in the table, while a
+        group no monitor watched shows no verdict at all."""
+        record = run_scenario(
+            Scenario(
+                n=4,
+                seed=3,
+                inputs="split",
+                monitor=True,
+                round_bound=0,  # absurd watchdog: every run violates
+            )
+        )
+        assert record.invariant_violation is not None
+        assert record.invariant_violation.startswith("[liveness]")
+        assert not record.agreed
+        unwatched = run_scenario(Scenario(n=4, seed=3, scheduler="fifo"))
+        sweep = SweepResult(records=[record, unwatched])
+        assert sweep.violations == [record]
+        cells = sweep.group_by("adversary", "scheduler")
+        assert cells[("none", "uniform")].violations == [record]
+        assert cells[("none", "fifo")].violations == []
+        table = sweep.table("adversary", "scheduler")
+        assert "1 VIOLATION(S)" in table
+        cells_of_row = [line.split(" | ") for line in table.splitlines()[3:5]]
+        verdicts = {row[1].strip(): row[-1].strip() for row in cells_of_row}
+        assert verdicts == {"uniform": "1", "fifo": "–"}
+
+    def test_worker_count_does_not_change_results(self):
+        axes = dict(
+            adversaries=("none", "random"),
+            schedulers=("uniform", "slot-split"),
+            seeds=range(2),
+        )
+        inline = monitored_sweep(workers=1, **axes)
+        pooled = monitored_sweep(workers=2, **axes)
+        assert pooled.workers == 2
+        assert _no_wall(inline.records) == _no_wall(pooled.records)
+
+
+class TestRunRecordFields:
+    def test_defaults_for_unmonitored_runs(self):
+        record = run_scenario(Scenario(n=4, seed=1))
+        assert record.monitored is False
+        assert record.invariant_violation is None
+        assert record.coin_agreed == 0 and record.coin_split == 0
+
+    def test_monitored_svss_run_reports_coin_tallies(self):
+        record = run_scenario(
+            Scenario(
+                n=4,
+                seed=5,
+                coin="svss",
+                scheduler="vote-balancing",
+                monitor=True,
+                round_bound=200,
+            )
+        )
+        assert record.monitored and record.invariant_violation is None
+        assert record.coin_agreed + record.coin_split >= 1
+
+    def test_record_stays_picklable(self):
+        import pickle
+
+        record = run_scenario(
+            Scenario(n=4, seed=2, adversary="adaptive-crash", monitor=True)
+        )
+        clone = pickle.loads(pickle.dumps(record))
+        assert clone == record

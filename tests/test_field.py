@@ -160,8 +160,8 @@ class TestRandomness:
         import random
 
         rng = random.Random(0)
-        for _ in range(100):
-            assert small_field.is_element(small_field.random_element(rng))
+        for value in small_field.random_elements(rng, 100):
+            assert small_field.is_element(value)
 
     def test_random_elements_deterministic(self, small_field):
         import random

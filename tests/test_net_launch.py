@@ -215,6 +215,20 @@ def test_verdict_mark_hung():
     assert violation["detail"]["pid"] == 4
 
 
+def test_verdict_check_is_idempotent():
+    """Asking twice judges the same run: the reports' violations are
+    recomputed, and what feeding recorded (a hung child) is kept once."""
+    v = NetVerdict(n=4, t=1)
+    v.add_report(_report(1, {"aba": (0, 1)}))
+    v.add_report(_report(2, {"aba": (1, 1)}))
+    v.mark_hung(4)
+    first = v.check(expect_all_decided=False)
+    second = v.check(expect_all_decided=False)
+    assert [x["kind"] for x in first["violations"]] == ["hung", "agreement-safety"]
+    assert second["violations"] == first["violations"] == v.violations
+    assert not v.safe
+
+
 def test_verdict_aggregates_observability_counters():
     v = NetVerdict(n=4, t=1)
     for pid in (1, 2):

@@ -5,12 +5,7 @@ from __future__ import annotations
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.field.primes import (
-    DEFAULT_PRIME,
-    is_prime,
-    next_prime,
-    smallest_field_prime,
-)
+from repro.field.primes import DEFAULT_PRIME, is_prime, next_prime
 
 
 class TestIsPrime:
@@ -62,16 +57,3 @@ class TestNextPrime:
         assert p >= floor
         assert is_prime(p)
         assert not any(is_prime(q) for q in range(max(2, floor), p))
-
-
-class TestSmallestFieldPrime:
-    def test_exceeds_n(self):
-        for n in (1, 4, 7, 12, 100):
-            p = smallest_field_prime(n)
-            assert p > n
-            assert is_prime(p)
-
-    def test_exact_values(self):
-        assert smallest_field_prime(4) == 5
-        assert smallest_field_prime(7) == 11
-        assert smallest_field_prime(10) == 11
