@@ -1,15 +1,16 @@
-"""Where one coin's memory is: a ``tracemalloc`` table at the traced peak.
+"""Where one coin's memory is: ``tracemalloc`` tables at the peak of each phase.
 
 Runs the inputs of the end-to-end benchmark's ``coin_n7`` operation — one
 fault-free ``flip_common_coin`` shape (FIFO, default transport, seed
-``1000 * seed``) — twice per n.  The run is deterministic per seed, so
-pass 1 reads the traced heap at every delivered event and names the event
-at which it peaks, and pass 2 takes one snapshot at exactly that event.  The
-snapshot is grouped by module and by ``file:line``; both groupings must sum
-to the traced heap at the snapshot, and that heap to the run's traced peak.
-The global peak can sit in the share phase, so pass 2 also reports the
-reconstruct phase: the largest heap at a delivered event after the first
-MW-SVSS share completed, with its event number.
+``1000 * seed``) — three times per n.  The run is deterministic per seed, so
+pass 1 reads the traced heap at every delivered event and names, for each
+phase, the event at which it peaks: the share phase runs until the first
+MW-SVSS share completes, the reconstruct phase after it.  Pass 2 takes one
+snapshot at the share-phase peak event and pass 3 one at the
+reconstruct-phase peak event.  Each snapshot is grouped by module and by
+``file:line``; both groupings must sum to the traced heap at the snapshot,
+that heap must be pass 1's reading at the same event, and the larger phase
+peak must be the run's traced peak.
 
     PYTHONPATH=src python benchmarks/mem_profile.py            # n = 4, 7
     PYTHONPATH=src python benchmarks/mem_profile.py --n 4      # CI smoke
@@ -55,12 +56,11 @@ def start_coin(n: int, seed: int):
 
 
 def run_coin(n: int, seed: int, snapshot_at: int | None):
-    """One traced coin.  Returns ``(peak event, traced peak, MW instances,
-    reconstruct phase, (heap, snapshot))``; the reconstruct phase is
-    ``(first MW share completion, event, heap)`` of the largest heap at a
-    delivered event after the first MW share completed, and the snapshot is
-    taken at event ``snapshot_at`` (``None``: no snapshot, just find the
-    peak event)."""
+    """One traced coin.  Returns ``(phases, first MW share completion,
+    traced peak, MW instances, (heap, snapshot))``: ``phases`` holds the
+    ``(event, heap)`` of the largest heap at a delivered event before and
+    after the first MW share completed, and the snapshot is taken at event
+    ``snapshot_at`` (``None``: no snapshot, just find the phase peaks)."""
     from repro.core.mwsvss import MWSVSSInstance
 
     # Finished sharings leave the manager's tables: count instances as made.
@@ -76,26 +76,26 @@ def run_coin(n: int, seed: int, snapshot_at: int | None):
     tracemalloc.start()
     try:
         stack, outputs = start_coin(n, seed)
-        seen = [0, 0, 0]  # events, peak event, heap at the peak event
-        late = [None, 0, 0]  # first share completion, event, heap after it
+        events = [0]
+        shared_at = [None]  # the event of the first MW share completion
+        phases = [[0, 0], [0, 0]]  # (event, heap) before / after it
         taken = []
 
         def tap(src, dst, payload):
-            seen[0] += 1
+            events[0] += 1
             current = tracemalloc.get_traced_memory()[0]
-            if current > seen[2]:
-                seen[1], seen[2] = seen[0], current
-            if late[0] is not None and current > late[2]:
-                late[1], late[2] = seen[0], current
-            if seen[0] == snapshot_at:
+            phase = phases[shared_at[0] is not None]
+            if current > phase[1]:
+                phase[0], phase[1] = events[0], current
+            if events[0] == snapshot_at:
                 taken.append((current, tracemalloc.take_snapshot()))
 
         def watch(vss):
             complete = vss.notify_mw_share_complete
 
             def first_completion(sid):
-                if late[0] is None:
-                    late[0] = seen[0]
+                if shared_at[0] is None:
+                    shared_at[0] = events[0]
                 complete(sid)
 
             vss.notify_mw_share_complete = first_completion
@@ -114,7 +114,7 @@ def run_coin(n: int, seed: int, snapshot_at: int | None):
     finally:
         tracemalloc.stop()
         MWSVSSInstance.__init__ = init
-    return seen[1], peak, instances, tuple(late), taken[0] if taken else None
+    return phases, shared_at[0], peak, instances, taken[0] if taken else None
 
 
 def module_of(filename: str) -> str:
@@ -137,14 +137,9 @@ def table(rows: list[tuple[str, int]], total: int, instances: int, top: int) -> 
     return lines
 
 
-def profile(n: int, seed: int, top: int) -> bool:
-    event, *_ = run_coin(n, seed, snapshot_at=None)
-    _, peak, instances, late, (heap, snapshot) = run_coin(n, seed, snapshot_at=event)
-    shared_at, late_event, late_heap = late
-    if shared_at is not None and shared_at <= event:
-        # The peak is in the reconstruct phase, so it is that phase's peak
-        # too; the readings after it would count the snapshot's own objects.
-        late_event, late_heap = event, heap
+def snapshot_tables(snapshot, instances: int, top: int) -> tuple[int, int, list[str]]:
+    """What the ``file:line`` and the module groupings of one snapshot sum
+    to, and their tables."""
     by_line = snapshot.statistics("lineno")
     line_rows = [
         (f"{module_of(s.traceback[0].filename)}:{s.traceback[0].lineno}", s.size)
@@ -156,32 +151,47 @@ def profile(n: int, seed: int, top: int) -> bool:
         modules[name] = modules.get(name, 0) + stat.size
     module_rows = sorted(modules.items(), key=lambda row: -row[1])
     line_sum = sum(size for _, size in line_rows)
-    module_sum = sum(size for _, size in module_rows)
-    ok = (
-        line_sum == module_sum
-        and abs(line_sum - heap) <= SUM_TOLERANCE * heap
-        and abs(heap - peak) <= SUM_TOLERANCE * peak
-    )
+    lines = table(module_rows, line_sum, instances, top)
+    lines += [""] + table(line_rows, line_sum, instances, 2 * top)
+    return line_sum, sum(size for _, size in module_rows), lines
+
+
+def profile(n: int, seed: int, top: int) -> bool:
+    phases, shared_at, peak, instances, _ = run_coin(n, seed, snapshot_at=None)
+    top_phase = max(range(2), key=lambda i: phases[i][1])
+    ok = abs(phases[top_phase][1] - peak) <= SUM_TOLERANCE * peak
     print(f"### n = {n} (seed {1000 * seed})\n")
     print(
-        f"traced peak {peak / 2**20:.1f} MB at event {event}; {instances} MW-SVSS "
-        f"instances over {n} processes, **{peak / instances:.0f} B per instance**; "
-        f"reconstruct phase (after the first MW share completed, event {shared_at}) "
-        f"peaks at {late_heap / 2**20:.1f} MB at event {late_event}; "
-        f"snapshot parts sum to {line_sum / 2**20:.1f} MB "
-        f"({'ok' if ok else 'MISMATCH'})\n"
+        f"traced peak {peak / 2**20:.1f} MB; {instances} MW-SVSS instances over {n} "
+        f"processes, **{peak / instances:.0f} B per instance**; the first MW "
+        f"share completed at event {shared_at} "
+        f"({'ok' if ok else 'MISMATCH: no phase peak is the traced peak'})\n"
     )
-    print("\n".join(table(module_rows, line_sum, instances, top)))
-    print()
-    print("\n".join(table(line_rows, line_sum, instances, 2 * top)))
-    print()
+    for phase, (event, reading) in enumerate(phases):
+        *_, (heap, snapshot) = run_coin(n, seed, snapshot_at=event)
+        parts, module_parts, lines = snapshot_tables(snapshot, instances, top)
+        fits = (
+            parts == module_parts
+            and abs(parts - heap) <= SUM_TOLERANCE * heap
+            and abs(heap - reading) <= SUM_TOLERANCE * reading
+        )
+        ok = ok and fits
+        name = ("share", "reconstruct")[phase]
+        where = " (the traced peak)" if phase == top_phase else ""
+        print(
+            f"#### {name} phase: {heap / 2**20:.1f} MB at event {event}{where}; "
+            f"snapshot parts sum to {parts / 2**20:.1f} MB "
+            f"({'ok' if fits else 'MISMATCH'})\n"
+        )
+        print("\n".join(lines))
+        print()
     return ok
 
 
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--n", type=int, action="append", help="profile this n (repeatable)")
-    parser.add_argument("--n10", action="store_true", help="also n = 10 (~10 min, ~3 GB)")
+    parser.add_argument("--n10", action="store_true", help="also n = 10 (~15 min, ~3 GB)")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--top", type=int, default=12)
     parser.add_argument("--src", default=str(REPO_ROOT / "src"))

@@ -286,7 +286,7 @@ class CoinRevealEclipseScheduler(Scheduler):
         if not isinstance(value, tuple) or not value:
             return False
         # RB value shapes: ("vss", sid, kind, body) per session, or the
-        # step's fold ("svec", ((kind, group, entries), ...)).
+        # step's fold ("svec", ((kind, group, slots, bodies), ...)).
         if value[0] == "vss":
             return len(value) == 4 and value[2] == "rv"
         if value[0] == "svec" and len(value) == 2 and isinstance(value[1], tuple):

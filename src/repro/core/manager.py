@@ -26,6 +26,7 @@ it is released.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
+from itertools import compress
 from operator import mul
 
 from repro.broadcast.manager import BroadcastManager
@@ -420,18 +421,19 @@ class VSSManager(ProtocolModule):
         if self._delayed or self.dmm.dirty:
             self._release_delayed()
 
-    def ingest_vector(self, src: int, group: tuple, kind: str, entries: tuple) -> None:
+    def ingest_vector(self, src: int, group: tuple, kind: str, slots, bodies) -> None:
         """Consume one slot-vector through the batched ingestion path.
 
-        Equivalent, slot for slot, to feeding each ``(slot, body)`` entry
-        through :meth:`_ingest`, but the per-slot chain is hoisted to the
-        vector level wherever the answer cannot differ across sibling
-        sessions:
+        ``slots`` and ``bodies`` are the vector's columns, two tuples of
+        one length (the mux checked that).  Equivalent, slot for slot, to
+        feeding each ``slots[i]``, ``bodies[i]`` through :meth:`_ingest`,
+        but the per-slot chain is hoisted to the vector level wherever the
+        answer cannot differ across sibling sessions:
 
         * **session validation** — every slot's sid shares the group's
           dealer/moderator fields (the slot lands only inside the parent
           tag, which per-slot validation never inspects), so one probe
-          covers the vector;
+          covers the vector; a slot that is not an ``int`` drops alone;
         * **DMM verdict** — computed once per (src, group) via
           :meth:`DMM.filter_verdict_group` and reused while the DMM's
           ``version`` is unchanged; a dispatch that convicts/arms/disarms
@@ -451,12 +453,11 @@ class VSSManager(ProtocolModule):
         probe = svec_sid(group, 0)
         if not (self._valid_mw_sid(probe) if mw_group else self._valid_svss_sid(probe)):
             return
-        items = [
-            item
-            for item in entries
-            if type(item) is tuple and len(item) == 2 and type(item[0]) is int
-        ]
-        if not items:
+        keep = [type(slot) is int for slot in slots]
+        if not all(keep):
+            slots = tuple(compress(slots, keep))
+            bodies = tuple(compress(bodies, keep))
+        if not slots:
             return
         host = self.host
         runtime = self._runtime
@@ -473,28 +474,26 @@ class VSSManager(ProtocolModule):
         version = -1
         if checked:
             runtime.dmm_verdict_calls += 1
-            group_verdict = dmm.filter_verdict_group(
-                src, group, [slot for slot, _ in items]
-            )
+            group_verdict = dmm.filter_verdict_group(src, group, slots)
             version = dmm.version
         decoded = None
         if (
-            len(items) > 1
+            len(slots) > 1
             and group_verdict in (None, FORWARD)
             # No lane: the group is new, or all of it retired and a replayed
             # vector has nothing left to decode for.
-            and (columns or not all(finished(svec_sid(group, s)) for s, _ in items))
+            and (columns or not all(finished(svec_sid(group, s)) for s in slots))
         ):
             if mw_group:
                 if kind == "mon" or kind == "mod":
-                    decoded = lane.monitor_polys(self, src, kind, items)
+                    decoded = lane.monitor_polys(self, src, kind, slots, bodies)
             elif kind == "rows":
-                decoded = lane.row_polys(self, src, items)
+                decoded = lane.row_polys(self, src, slots, bodies)
         batched = 0
         fallbacks = 0
         is_rv = mw_group and kind == "rv"
         epoch = host.crash_epoch
-        for slot, body in items:
+        for slot, body in zip(slots, bodies):
             if host.crashed or host.crash_epoch != epoch:
                 break
             inst = columns.get(slot)

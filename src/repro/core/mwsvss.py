@@ -34,6 +34,7 @@ and R' reads ``f̄_l(0)`` and ``f̄(0)`` off bases looked up by pid mask
 
 from __future__ import annotations
 
+from itertools import compress
 from operator import mul
 from typing import TYPE_CHECKING
 
@@ -698,9 +699,9 @@ class GroupLane:
         #: slot -> session instance (MWSVSSInstance or SVSSInstance)
         self.columns: dict[int, object] = {}
 
-    def monitor_polys(self, manager, src: int, kind: str, items: list) -> dict | None:
+    def monitor_polys(self, manager, src: int, kind: str, slots, bodies) -> dict | None:
         """Batch-decode ``mon``/``mod`` bodies (values on 1..t+1) into value
-        rows ``f(0..n)``."""
+        rows ``f(0..n)``, by slot."""
         group = self.group
         if src != group[3]:
             return None  # handlers only accept these from the dealer
@@ -709,44 +710,39 @@ class GroupLane:
         field = manager.field
         length = manager.t + 1
         is_element = field.is_element
-        slots: list[int] = []
-        rows: list[tuple] = []
-        for slot, body in items:
-            if (
-                isinstance(body, tuple)
-                and len(body) == length
-                and all(map(is_element, body))
-            ):
-                slots.append(slot)
-                rows.append(body)
-        if len(rows) < 2 or len(set(slots)) != len(slots):
+        good = [
+            isinstance(body, tuple) and len(body) == length and all(map(is_element, body))
+            for body in bodies
+        ]
+        if not all(good):
+            slots = tuple(compress(slots, good))
+            bodies = tuple(compress(bodies, good))
+        if len(slots) < 2 or len(set(slots)) != len(slots):
             return None
-        return dict(zip(slots, value_rows(field, manager.n, manager.t, rows)))
+        return dict(zip(slots, value_rows(field, manager.n, manager.t, bodies)))
 
-    def row_polys(self, manager, src: int, items: list) -> dict | None:
+    def row_polys(self, manager, src: int, slots, bodies) -> dict | None:
         """Batch-decode SVSS ``rows`` bodies into (g, h) value-row pairs
-        ``(g(0..n), h(0..n))``."""
+        ``(g(0..n), h(0..n))``, by slot."""
         if src != self.group[2]:
             return None  # handlers only accept rows from the dealer
         field = manager.field
         length = manager.t + 1
         is_element = field.is_element
-        slots: list[int] = []
-        flat: list[tuple] = []
-        for slot, body in items:
-            if (
-                isinstance(body, tuple)
-                and len(body) == 2
-                and all(
-                    isinstance(part, tuple)
-                    and len(part) == length
-                    and all(map(is_element, part))
-                    for part in body
-                )
-            ):
-                slots.append(slot)
-                flat.extend(body)
+        good = [
+            isinstance(body, tuple)
+            and len(body) == 2
+            and all(
+                isinstance(part, tuple) and len(part) == length and all(map(is_element, part))
+                for part in body
+            )
+            for body in bodies
+        ]
+        if not all(good):
+            slots = tuple(compress(slots, good))
+            bodies = tuple(compress(bodies, good))
         if len(slots) < 2 or len(set(slots)) != len(slots):
             return None
+        flat = [part for body in bodies for part in body]
         rows = value_rows(field, manager.n, manager.t, flat)
         return {slot: (rows[2 * i], rows[2 * i + 1]) for i, slot in enumerate(slots)}

@@ -13,14 +13,16 @@ Wire shapes
 -----------
 * **Private sends** — one logical message per ``(step, dst, group, kind)``::
 
-      ("svec", kind, group, ((slot, body), ...))
+      ("svec", kind, group, slots, bodies)
 
-  and a vector of one slot travels as the plain ``("v", sid, kind, body)``.
+  ``slots`` and ``bodies`` are equal-length tuples (the vector's columns:
+  slot ``slots[i]`` carries ``bodies[i]``), and a vector of one slot
+  travels as the plain ``("v", sid, kind, body)``.
 * **Reliable broadcasts** — one RB per ``(step, origin)``: every vector the
   step broadcasts is an item of one *fold*, in first-touched order, under
   the bid ``(origin, "svec", seq)``::
 
-      ("svec", ((kind, group, ((slot, body), ...)), ...))
+      ("svec", ((kind, group, slots, bodies), ...))
 
   A step that broadcasts a single slot message sends the plain
   ``("vss", sid, kind, body)`` under its canonical bid; every other step
@@ -40,7 +42,7 @@ Tag reservation
 ``"svec"`` is a reserved wire tag, alongside the coalescing transport's
 ``"env"`` (:data:`repro.sim.process.ENVELOPE_TAG`):
 
-* as a **host tag**, ``("svec", kind, group, entries)`` private messages
+* as a **host tag**, ``("svec", kind, group, slots, bodies)`` private messages
   are claimed by every :class:`~repro.core.manager.VSSManager` at wire
   time, so no other module can register it;
 * as a **broadcast topic**, ``("svec", items)`` RB folds are claimed by the
@@ -57,8 +59,8 @@ untouched:
   ordinary ``VSSManager._ingest`` path a plain per-session message takes:
   each slot gets its own DMM verdict (shared across the vector only while
   it cannot differ), its own validation, and its own session instance; a
-  missing, malformed, delayed or discarded slot degrades *that session
-  only*, never its vector siblings;
+  non-int, delayed or discarded slot or a malformed body degrades *that
+  session only*, never its siblings (bad columns drop the whole vector);
 * a receiver that crashes while processing slot ``k`` (e.g. its crash
   budget ran out mid-reply) drops the remaining slots of the vector,
   exactly as it would drop the remaining per-session events;
@@ -107,23 +109,23 @@ class SessionVectorMux:
 
     One mux per :class:`~repro.core.manager.VSSManager`.  The send side
     buffers the current dispatch step's per-slot messages keyed by
-    ``(dst, group, kind)`` (private) / ``(group, kind)`` (RB) and flushes
-    them at end-of-step — one ``("svec", ...)`` message per private key,
-    one RB fold for the whole RB buffer; the receive side rebuilds
-    per-slot session ids and re-enters the ordinary ingestion path.
-    Buffers are only filled while the runtime says a step is open
-    (``Runtime.svec_buffering``), so driver code outside any step falls
-    through to plain per-session sends.
+    ``(dst, group, kind)`` (``dst`` ``None`` for an RB), as a slot column
+    and a body column, and flushes them at end-of-step — one
+    ``("svec", ...)`` message per private key, one RB fold for the whole RB
+    buffer; the receive side rebuilds per-slot session ids and re-enters
+    the ordinary ingestion path.  Buffers are only filled while the
+    runtime says a step is open (``Runtime.svec_buffering``), so driver
+    code outside any step falls through to plain per-session sends.
     """
 
     __slots__ = (
         "manager",
         "families",
-        "_private",
-        "_rb",
+        "_pending",
         "_deferred",
         "_rb_seq",
         "_splits",
+        "_groups",
     )
 
     def __init__(self, manager: "VSSManager"):
@@ -133,12 +135,15 @@ class SessionVectorMux:
         #: vector for a family proves the peer speaks svec for it, and the
         #: replies this delivery triggers should ride vectors too).
         self.families: set = set()
-        self._private: dict = {}  # (dst, group, kind) -> [(slot, body), ...]
-        self._rb: dict = {}  # (group, kind) -> [(slot, body), ...]
+        #: (dst, group, kind) -> ([slot, ...], [body, ...]); dst None: RB
+        self._pending: dict = {}
         #: sid -> (group, slot) memo for the send-side offers.  Only
         #: *positive* splits are cached: families only ever grow, so a
         #: member sid stays a member, while a cached miss could go stale.
         self._splits: dict = {}
+        #: group -> [the group tuple every memoized sibling split shares,
+        #: how many memoized sids share it]; the last ``forget`` drops it.
+        self._groups: dict = {}
         self._deferred = False
         #: Numbers this origin's RB folds: every fold is a fresh bid.
         self._rb_seq = 0
@@ -150,36 +155,24 @@ class SessionVectorMux:
     def forget(self, sid: tuple) -> tuple | None:
         """``sid`` was released and sends nothing more: drop (and return)
         its memoized split."""
-        return self._splits.pop(sid, None)
+        split = self._splits.pop(sid, None)
+        if split is not None:
+            shared = self._groups[split[0]]
+            shared[1] -= 1
+            if not shared[1]:
+                del self._groups[split[0]]
+        return split
 
     # -- send side ---------------------------------------------------------
     def offer_private(self, dst: int, sid: tuple, kind: str, body: object) -> bool:
         """Buffer one private per-slot send; False = caller sends plain."""
-        manager = self.manager
-        runtime = manager._runtime
-        if not runtime.svec or not runtime.svec_buffering or not self.families:
-            return False
-        host = manager.host
-        if host.behavior is not None or host.outbound_filter is not None:
-            return False
-        split = self._splits.get(sid)
-        if split is None:
-            split = svec_split(sid, self.families)
-            if split is None:
-                return False
-            self._splits[sid] = split
-        group, slot = split
-        key = (dst, group, kind)
-        pending = self._private.get(key)
-        if pending is None:
-            self._private[key] = [(slot, body)]
-        else:
-            pending.append((slot, body))
-        self._mark_deferred()
-        return True
+        return self._offer(dst, sid, kind, body)
 
     def offer_rb(self, sid: tuple, kind: str, body: object) -> bool:
         """Buffer one per-slot reliable broadcast; False = caller sends plain."""
+        return self._offer(None, sid, kind, body)
+
+    def _offer(self, dst: int | None, sid: tuple, kind: str, body: object) -> bool:
         manager = self.manager
         runtime = manager._runtime
         if not runtime.svec or not runtime.svec_buffering or not self.families:
@@ -192,85 +185,83 @@ class SessionVectorMux:
             split = svec_split(sid, self.families)
             if split is None:
                 return False
+            shared = self._groups.get(split[0])
+            if shared is None:
+                self._groups[split[0]] = [split[0], 1]
+            else:
+                shared[1] += 1
+                split = (shared[0], split[1])
             self._splits[sid] = split
         group, slot = split
-        key = (group, kind)
-        pending = self._rb.get(key)
+        key = (dst, group, kind)
+        pending = self._pending.get(key)
         if pending is None:
-            self._rb[key] = [(slot, body)]
+            self._pending[key] = ([slot], [body])
+            if not self._deferred:
+                self._deferred = True
+                runtime.svec_defer(self)
         else:
-            pending.append((slot, body))
-        self._mark_deferred()
+            pending[0].append(slot)
+            pending[1].append(body)
         return True
 
-    def _mark_deferred(self) -> None:
-        if not self._deferred:
-            self._deferred = True
-            self.manager._runtime.svec_defer(self)
-
     def flush(self) -> None:
-        """Emit the step's buffers: one private svec per key (plain for a
-        singleton), and the whole RB buffer as one fold per
+        """Emit the step's buffer: one private svec per private key (plain
+        for a singleton), and the RB keys as one fold per
         :data:`FOLD_MAX_VECTORS` vectors (plain for a lone slot message).
 
-        Buffers drain in first-touched order, so within one (src, dst,
+        The buffer drains in first-touched order, so within one (src, dst,
         session) stream the kinds leave in exactly the per-session send
         order (slot 1's program order, which every slot shares).
         """
         manager = self.manager
-        host = manager.host
-        runtime = manager._runtime
+        pid, send = manager.host.pid, manager.host.send
+        broadcast = manager._broadcast.broadcast
         self._deferred = False
-        packed = slots = 0
-        if self._private:
-            private, self._private = self._private, {}
-            send = host.send
-            for (dst, group, kind), entries in private.items():
-                if len(entries) == 1:
-                    slot, body = entries[0]
-                    send(dst, ("v", svec_sid(group, slot), kind, body), "vss")
-                else:
-                    send(dst, (SVEC_TAG, kind, group, tuple(entries)), "vss")
-                    packed += 1
-                    slots += len(entries)
-        if self._rb:
-            rb, self._rb = self._rb, {}
-            broadcast = manager._broadcast.broadcast
-            pid = host.pid
-            items = [
-                (kind, group, tuple(entries)) for (group, kind), entries in rb.items()
-            ]
-            if len(items) == 1 and len(items[0][2]) == 1:
-                kind, group, ((slot, body),) = items[0]
-                sid = svec_sid(group, slot)
-                broadcast((pid, "vss", sid, kind), ("vss", sid, kind, body))
+        pending, self._pending = self._pending, {}
+        packed = count = 0
+        items = []
+        for (dst, group, kind), (slots, bodies) in pending.items():
+            if dst is None:
+                items.append((kind, group, tuple(slots), tuple(bodies)))
+            elif len(slots) == 1:
+                send(dst, ("v", svec_sid(group, slots[0]), kind, bodies[0]), "vss")
             else:
-                for start in range(0, len(items), FOLD_MAX_VECTORS):
-                    fold = tuple(items[start : start + FOLD_MAX_VECTORS])
-                    seq = self._rb_seq
-                    self._rb_seq = seq + 1
-                    broadcast((pid, SVEC_TAG, seq), (SVEC_TAG, fold))
-                packed += len(items)
-                slots += sum(map(len, rb.values()))
+                send(dst, (SVEC_TAG, kind, group, tuple(slots), tuple(bodies)), "vss")
+                packed += 1
+                count += len(slots)
+        if len(items) == 1 and len(items[0][2]) == 1:
+            kind, group, (slot,), (body,) = items[0]
+            sid = svec_sid(group, slot)
+            broadcast((pid, "vss", sid, kind), ("vss", sid, kind, body))
+        elif items:
+            for start in range(0, len(items), FOLD_MAX_VECTORS):
+                seq = self._rb_seq
+                self._rb_seq = seq + 1
+                fold = tuple(items[start : start + FOLD_MAX_VECTORS])
+                broadcast((pid, SVEC_TAG, seq), (SVEC_TAG, fold))
+            packed += len(items)
+            count += sum(len(item[2]) for item in items)
         if packed:
-            runtime.svec_packed += packed
-            runtime.svec_slots += slots
+            manager._runtime.svec_packed += packed
+            manager._runtime.svec_slots += count
 
     # -- receive side ------------------------------------------------------
     def on_private(self, src: int, payload: tuple) -> None:
-        """Host handler for private ``("svec", kind, group, entries)``."""
-        if len(payload) == 4:
-            _, kind, group, entries = payload
-            self._unpack(src, kind, group, entries, self.manager.PRIVATE_KINDS)
+        """Host handler for private ``("svec", kind, group, slots, bodies)``."""
+        if len(payload) == 5:
+            _, kind, group, slots, bodies = payload
+            self._unpack(src, kind, group, slots, bodies, self.manager.PRIVATE_KINDS)
 
     def on_rb(self, origin: int, value: tuple) -> None:
         """Broadcast-topic handler for RB ``("svec", items)`` folds.
 
-        Each ``(kind, group, entries)`` item is one vector, validated and
-        ingested on its own: a malformed item (wrong shape, private kind,
-        bad group, a nested fold) drops alone.  A receiver that crashes —
-        or crashes and recovers — inside one item drops the fold's tail,
-        as it would have dropped the later deliveries of the step.
+        Each ``(kind, group, slots, bodies)`` item is one vector, validated
+        and ingested on its own: a malformed item (wrong shape, private
+        kind, bad group, a nested fold) drops alone.  A receiver that
+        crashes — or crashes and recovers — inside one item drops the
+        fold's tail, as it would have dropped the later deliveries of the
+        step.
         """
         if len(value) != 2 or type(value[1]) is not tuple:
             return
@@ -280,22 +271,34 @@ class SessionVectorMux:
         for item in value[1]:
             if host.crashed or host.crash_epoch != epoch:
                 return
-            if type(item) is tuple and len(item) == 3:
+            if type(item) is tuple and len(item) == 4:
                 self._unpack(origin, *item, allowed)
 
     def _unpack(
-        self, src: int, kind: object, group: object, entries: object, allowed: frozenset
+        self,
+        src: int,
+        kind: object,
+        group: object,
+        slots: object,
+        bodies: object,
+        allowed: frozenset,
     ) -> None:
         """Validate one vector's frame and hand it to the manager.
 
         Transport enforcement (``allowed``) applies to the whole vector —
         a private svec can only carry private kinds and vice versa, exactly
-        like the per-session paths.  Everything else is validated per slot
-        by ``ingest_vector``; malformed entries are dropped individually.
+        like the per-session paths — and so do the columns: two tuples of
+        one length, or nothing.  Everything else is validated per slot by
+        ``ingest_vector``; a non-int slot or a malformed body drops alone.
         """
         if not isinstance(kind, str) or kind not in allowed:
             return
-        if type(entries) is not tuple or not svec_group_wellformed(group):
+        if (
+            type(slots) is not tuple
+            or type(bodies) is not tuple
+            or len(slots) != len(bodies)
+            or not svec_group_wellformed(group)
+        ):
             return
         try:
             hash(group)
@@ -306,4 +309,4 @@ class SessionVectorMux:
             # Receiving a vector for this family proves the conversation
             # speaks svec; the replies triggered below should pack too.
             self.families.add(group[1])
-        manager.ingest_vector(src, group, kind, entries)
+        manager.ingest_vector(src, group, kind, slots, bodies)

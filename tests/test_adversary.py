@@ -386,7 +386,7 @@ class TestEclipseScheduler:
     def test_reveal_classifier(self):
         carries = CoinRevealEclipseScheduler._carries_reveal
         rv_vss = ("b1", ("bid",), ("vss", ("sid",), "rv", (1, 2)))
-        sh_item, rv_item = ("ok", ("group",), ((1, None),)), ("rv", ("group",), ((1, (2,)),))
+        sh_item, rv_item = ("ok", ("group",), (1,), (None,)), ("rv", ("group",), (1,), ((2,),))
         rv_svec = ("b2", ("bid",), ("svec", (sh_item, rv_item)))
         assert not carries(("b2", ("bid",), ("svec", (sh_item, "junk", ()))))
         assert not carries(("b2", ("bid",), ("svec", "rv", ("group",), ())))  # pre-fold shape

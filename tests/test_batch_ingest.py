@@ -62,14 +62,14 @@ def arm_sender(mgr, sender, session, value=7):
     mgr.dmm.on_session_reconstructed(session)
 
 
-def deliver_entries(mgr, src, group, kind, entries, as_vector):
+def deliver_entries(mgr, src, group, kind, slots, bodies, as_vector):
     """One slot-vector, or — the living per-slot reference — the same
-    entries as the plain ``("v", sid, kind, body)`` messages an unpacked
+    slots as the plain ``("v", sid, kind, body)`` messages an unpacked
     sender emits, one ``_ingest`` chain each."""
     if as_vector:
-        mgr.mux.on_private(src, (SVEC_TAG, kind, group, entries))
+        mgr.mux.on_private(src, (SVEC_TAG, kind, group, slots, bodies))
     else:
-        for slot, body in entries:
+        for slot, body in zip(slots, bodies):
             mgr._on_private(src, ("v", svec_sid(group, slot), kind, body))
 
 
@@ -92,7 +92,7 @@ class TestGroupVerdictFallback:
         arm_sender(mgr, 2, mw_session(("owed", 0), 2, 3, "dm"))
         mgr._ensure_mw(sid2)  # begun after => owed < begun => DELAY
         mgr.dmm.dirty.clear()
-        deliver_entries(mgr, 2, self.GROUP, "cnf", ((1, 11), (2, 22)), as_vector)
+        deliver_entries(mgr, 2, self.GROUP, "cnf", (1, 2), (11, 22), as_vector)
         return stack, mgr, handled, sid1, sid2
 
     def test_divergent_slots_fall_back_per_slot(self, spy_handle):
@@ -122,7 +122,7 @@ class TestGroupVerdictFallback:
             mgr._ensure_mw(svec_sid(self.GROUP, 1))
             mgr._ensure_mw(svec_sid(self.GROUP, 2))
             mgr.dmm.dirty.clear()
-            deliver_entries(mgr, 2, self.GROUP, "cnf", ((1, 11), (2, 22)), as_vector)
+            deliver_entries(mgr, 2, self.GROUP, "cnf", (1, 2), (11, 22), as_vector)
             return stack.runtime, mgr
 
         runtime, mgr = drive(as_vector=True)
@@ -143,7 +143,7 @@ class TestGroupVerdictFallback:
             handled = []
             inst1 = mgr._ensure_mw(svec_sid(self.GROUP, 1))
             spy_handle(inst1, lambda *a: handled.append(a))
-            deliver_entries(mgr, 2, self.GROUP, "cnf", ((1, 11), (2, 22)), as_vector)
+            deliver_entries(mgr, 2, self.GROUP, "cnf", (1, 2), (11, 22), as_vector)
             assert handled == []
             assert mgr._delayed == {}
 
@@ -165,15 +165,8 @@ class TestBatchedUnpackSemantics:
     def test_malformed_slots_degrade_independently(self, spy_handle):
         _, mgr = make_manager()
         handled = self.spy(mgr, (1, 3), spy_handle)
-        mgr.mux.on_private(
-            2,
-            (
-                SVEC_TAG,
-                "cnf",
-                self.GROUP,
-                ((1, 5), "junk", (2,), ([1], 7), ("x", 8), (3, 9)),
-            ),
-        )
+        slots = (1, "junk", (2,), [1], "x", True, 3)
+        mgr.mux.on_private(2, (SVEC_TAG, "cnf", self.GROUP, slots, (5, 6, 7, 7, 8, 8, 9)))
         assert handled[1] == [(2, "cnf", 5)]
         assert handled[3] == [(2, "cnf", 9)]
 
@@ -187,25 +180,102 @@ class TestBatchedUnpackSemantics:
             mgr.host.crashed = True
 
         spy_handle(mgr.mw[svec_sid(self.GROUP, 2)], crashing)
-        mgr.mux.on_private(
-            2, (SVEC_TAG, "cnf", self.GROUP, ((1, 5), (2, 6), (3, 7), (4, 8)))
-        )
+        mgr.mux.on_private(2, (SVEC_TAG, "cnf", self.GROUP, (1, 2, 3, 4), (5, 6, 7, 8)))
         assert len(handled[1]) + len(handled[2]) == crash_after
         assert handled[3] == [] and handled[4] == []
 
     def test_transport_enforcement_covers_vectors(self, spy_handle):
         _, mgr = make_manager()
         handled = self.spy(mgr, (1,), spy_handle)
-        mgr.mux.on_private(2, (SVEC_TAG, "L", self.GROUP, ((1, (2, 3)),)))
-        mgr.mux.on_rb(2, (SVEC_TAG, (("cnf", self.GROUP, ((1, 5),)),)))
+        mgr.mux.on_private(2, (SVEC_TAG, "L", self.GROUP, (1,), ((2, 3),)))
+        mgr.mux.on_rb(2, (SVEC_TAG, (("cnf", self.GROUP, (1,), (5,)),)))
         assert handled[1] == []
 
     def test_forged_group_dropped_whole(self):
         stack, mgr = make_manager()
         bad_dealer = (SVEC_MW, ("cc", "solo", 0), 9, 9, 3, "md")
-        mgr.mux.on_private(2, (SVEC_TAG, "cnf", bad_dealer, ((1, 5),)))
+        mgr.mux.on_private(2, (SVEC_TAG, "cnf", bad_dealer, (1,), (5,)))
         assert mgr.mw == {}
         assert stack.runtime.svec_batch_ingested == 0
+
+
+class TestForgedColumns:
+    """Forged vectors drop exactly what the per-slot path drops and grant
+    nothing more: each case is delivered once as a vector and once as the
+    plain per-slot messages of the slots that survive (the reference)."""
+
+    GROUP = (SVEC_MW, ("cc", "solo", 0), 2, 2, 3, "md")
+
+    def outcome(self, spy_handle, deliver):
+        """What one delivery leaves on a fresh manager whose slot 1–4
+        sessions exist: the handle calls by slot, the session table, the
+        parked messages and the verdicts paid."""
+        stack, mgr = make_manager()
+        handled = []
+        for slot in (1, 2, 3, 4):
+            inst = mgr._ensure_mw(svec_sid(self.GROUP, slot))
+            spy_handle(inst, lambda *a, slot=slot: handled.append((slot, *a)))
+        deliver(mgr)
+        return handled, set(mgr.mw), mgr._delayed, stack.runtime.dmm_verdict_calls
+
+    def per_slot(self, kind, slots, bodies):
+        def deliver(mgr):
+            for slot, body in zip(slots, bodies):
+                mgr._on_private(2, ("v", svec_sid(self.GROUP, slot), kind, body))
+
+        return deliver
+
+    def vector(self, kind, slots, bodies):
+        return lambda mgr: mgr.mux.on_private(2, (SVEC_TAG, kind, self.GROUP, slots, bodies))
+
+    def test_malformed_columns_drop_the_whole_vector(self, spy_handle):
+        nothing = self.outcome(spy_handle, lambda mgr: None)
+        for slots, bodies in (
+            ([1, 2], (11, 22)),  # a list column
+            ((1, 2), [11, 22]),
+            ((1, 2), (11,)),  # columns of different lengths
+            ((1,), (11, 22)),
+            (((1, 11), (2, 22)), ()),  # the pair shape
+        ):
+            got = self.outcome(spy_handle, self.vector("cnf", slots, bodies))
+            assert got == nothing, (slots, bodies)
+
+    def test_non_int_slots_drop_alone(self, spy_handle):
+        slots = (1, "x", 2.0, True, None, 3)
+        bodies = (11, 0, 0, 0, 0, 33)
+        got = self.outcome(spy_handle, self.vector("cnf", slots, bodies))
+        want = self.outcome(spy_handle, self.per_slot("cnf", (1, 3), (11, 33)))
+        assert got[:3] == want[:3]
+        assert got[0] == [(1, 2, "cnf", 11), (3, 2, "cnf", 33)]
+        # One group verdict instead of two per-slot ones.
+        assert (got[3], want[3]) == (1, 2)
+
+    def test_duplicate_slots_are_delivered_in_order(self, spy_handle):
+        slots, cnf = (1, 2, 1), (11, 22, 33)
+        got = self.outcome(spy_handle, self.vector("cnf", slots, cnf))
+        assert got[:3] == self.outcome(spy_handle, self.per_slot("cnf", slots, cnf))[:3]
+        assert [call[0] for call in got[0]] == [1, 2, 1]
+        # No batch decode either: every slot's handler decodes its own body.
+        mon = ((1, 2), (3, 4), (5, 6))
+        got = self.outcome(spy_handle, self.vector("mon", slots, mon))
+        assert got[:3] == self.outcome(spy_handle, self.per_slot("mon", slots, mon))[:3]
+        assert all(len(call) == 4 for call in got[0])  # (slot, src, kind, body)
+
+    def test_fold_items_of_the_wrong_arity_drop_alone(self, spy_handle):
+        good = ("ack", self.GROUP, (1, 2), (None, None))
+        fold = (
+            ("ack", self.GROUP, (3,)),
+            good,
+            ("ack", self.GROUP, (4,), (None,), "extra"),
+        )
+        got = self.outcome(spy_handle, lambda mgr: mgr.mux.on_rb(2, (SVEC_TAG, fold)))
+
+        def per_slot(mgr):
+            for slot in (1, 2):
+                mgr._on_rb(2, ("vss", svec_sid(self.GROUP, slot), "ack", None))
+
+        assert got == self.outcome(spy_handle, per_slot)
+        assert got[0] == [(1, 2, "ack", None), (2, 2, "ack", None)]
 
 
 class TestDelayedBacklogIndex:

@@ -259,20 +259,13 @@ class TestReleasedSessionsRejectReplays:
             mgr._on_rb(src, ("vss", svss_sid, "G", ((1, 2, 3), ())))
             # forged slot-vectors for the retired groups, all four slots
             mw_group = (SVEC_MW, self.CSID, 2, 2, 3, "dm")
-            slots = tuple((slot, 5) for slot in (1, 2, 3, 4))
-            mgr.mux.on_private(src, (SVEC_TAG, "cnf", mw_group, slots))
-            rv = tuple((slot, ((1, 7),)) for slot in (1, 2, 3, 4))
-            acks = tuple((slot, None) for slot in (1, 2, 3, 4))
-            mgr.mux.on_rb(src, (SVEC_TAG, (("rv", mw_group, rv), ("ack", mw_group, acks))))
-            mgr.mux.on_private(
-                src,
-                (
-                    SVEC_TAG,
-                    "rows",
-                    (SVEC_SVSS, self.CSID, 2),
-                    tuple((slot, (row, row)) for slot in (1, 2, 3, 4)),
-                ),
-            )
+            slots = (1, 2, 3, 4)
+            mgr.mux.on_private(src, (SVEC_TAG, "cnf", mw_group, slots, (5,) * 4))
+            rv = ("rv", mw_group, slots, (((1, 7),),) * 4)
+            acks = ("ack", mw_group, slots, (None,) * 4)
+            mgr.mux.on_rb(src, (SVEC_TAG, (rv, acks)))
+            rows = (SVEC_TAG, "rows", (SVEC_SVSS, self.CSID, 2), slots, ((row, row),) * 4)
+            mgr.mux.on_private(src, rows)
         # Each value message took its one verdict (four per message, one
         # per vector: cnf, rv, rows), all FORWARD — nothing parked.
         assert runtime.dmm_verdict_calls - verdicts == 3 * (4 + 3)
@@ -298,7 +291,7 @@ class TestReleasedSessionsRejectReplays:
         fresh = (SVEC_MW, ("cc", "later", 0), 3, 3, 4, "dm")
         assert dmm.filter_verdict_group(culprit, fresh, slots) == DELAY
         before = self.snapshot(mgr)
-        mgr.mux.on_private(culprit, (SVEC_TAG, "cnf", retired, tuple((s, 5) for s in slots)))
+        mgr.mux.on_private(culprit, (SVEC_TAG, "cnf", retired, slots, (5,) * 4))
         assert self.snapshot(mgr) == before
 
     def test_replayed_value_vectors_for_a_released_group_decode_nothing(self, monkeypatch):
@@ -315,18 +308,11 @@ class TestReleasedSessionsRejectReplays:
             mgr = stack.vss[moderator]
             group = (SVEC_MW, self.CSID, 2, 2, moderator, "dm")
             assert group not in mgr._lanes
+            slots = (1, 2, 3, 4)
             for kind in ("mon", "mod"):
-                slots = tuple((slot, row) for slot in (1, 2, 3, 4))
-                mgr.mux.on_private(2, (SVEC_TAG, kind, group, slots))
-            mgr.mux.on_private(
-                2,
-                (
-                    SVEC_TAG,
-                    "rows",
-                    (SVEC_SVSS, self.CSID, 2),
-                    tuple((slot, (row, row)) for slot in (1, 2, 3, 4)),
-                ),
-            )
+                mgr.mux.on_private(2, (SVEC_TAG, kind, group, slots, (row,) * 4))
+            rows = (SVEC_TAG, "rows", (SVEC_SVSS, self.CSID, 2), slots, ((row, row),) * 4)
+            mgr.mux.on_private(2, rows)
             assert not mgr._lanes
         assert calls == []
 

@@ -330,7 +330,8 @@ def test_forged_envelopes_and_vectors_grant_nothing_over_sockets(spy_handle):
                         SVEC_TAG,
                         "cnf",
                         group,
-                        ((1, 5), "junk", (2,), ("x", 8), (3, 9)),
+                        (1, "junk", (2,), "x", 3),
+                        (5, 6, 7, 8, 9),
                     ),
                     ("a", 43),
                 ),

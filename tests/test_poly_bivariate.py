@@ -205,11 +205,10 @@ class TestRowsAndColumns:
                 for k in (0, 1)
             )
 
-        items = [(slot, body(slot)) for slot in range(4)]
-        decoded = GroupLane(group).row_polys(stack_of(7).vss[2], 1, items)
+        slots = tuple(range(4))
+        decoded = GroupLane(group).row_polys(stack_of(7).vss[2], 1, slots, tuple(map(body, slots)))
         assert decoded == {
-            slot: tuple(value_rows(cfg.field, cfg.n, cfg.t, list(body)))
-            for slot, body in items
+            slot: tuple(value_rows(cfg.field, cfg.n, cfg.t, list(body(slot)))) for slot in slots
         }
 
     def test_batch_decode_declines(self):
@@ -217,10 +216,10 @@ class TestRowsAndColumns:
         group, _ = svec_split(svss_session(("coin", 0), 1), {"coin"})
         lane = GroupLane(group)
         good = ((1, 2), (3, 4))
-        assert lane.row_polys(mgr, 3, [(0, good), (1, good)]) is None  # not the dealer
-        assert lane.row_polys(mgr, 1, [(0, good), (0, good)]) is None  # duplicate slot
-        assert lane.row_polys(mgr, 1, [(0, good), (1, ((1,), (2,)))]) is None  # one well-shaped
-        got = lane.row_polys(mgr, 1, [(0, good), (1, "garbage"), (2, good)])
+        assert lane.row_polys(mgr, 3, (0, 1), (good, good)) is None  # not the dealer
+        assert lane.row_polys(mgr, 1, (0, 0), (good, good)) is None  # duplicate slot
+        assert lane.row_polys(mgr, 1, (0, 1), (good, ((1,), (2,)))) is None  # one well-shaped
+        got = lane.row_polys(mgr, 1, (0, 1, 2), (good, "garbage", good))
         assert set(got) == {0, 2}
 
 

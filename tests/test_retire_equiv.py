@@ -6,10 +6,14 @@ and the same-seed counts that any change to the wire stream, to DMM filtering
 or to session bookkeeping would move.  The tree must reproduce it exactly.
 
 It was first written by the commit *before* retirement existed, and
-re-anchored once, on purpose, when a step's reliable broadcasts became one RB
-(``repro.core.vectormux``): ``logical_messages`` fell in every case; in 70 of
-the 85 nothing else moved; the other 15 are the ``REANCHORED_*`` cases below,
-whose corrupt process counts or randomises per message it *sends*.
+re-anchored twice, on purpose.  When a step's reliable broadcasts became one
+RB (``repro.core.vectormux``), ``logical_messages`` fell in every case; in 70
+of the 85 nothing else moved; the other 15 are the ``REANCHORED_*`` cases
+below, whose corrupt process counts or randomises per message it *sends*.
+When slot-vectors became two columns instead of ``(slot, body)`` pairs,
+nothing moved but the four ``mutator`` seeds (7005, 7023, 7027, 7032): a
+mutator draws its random path through the tree of every payload it echoes,
+and a fold item is a different tree now.
 
 Scenarios (all on the default aggregated path):
 

@@ -76,6 +76,7 @@ def table_sizes(stack) -> dict:
         sizes[pid] = {
             "lanes": len(vss._lanes),
             "splits": len(vss.mux._splits),
+            "groups": len(vss.mux._groups),
             "delayed": len(vss._delayed),
             "ledgers": len(dmm._ledgers),
             "owed": len(dmm._owed),
@@ -295,7 +296,8 @@ def test_staggered_release_sweep_leaves_nothing_behind(seed):
     """Random delays, every process releasing the coin at its own random
     point: the bit is unanimous (but for the legal splits of ``SPLIT_SEEDS``),
     and at quiescence no instance, parked message or ledger is left, and
-    nobody suspects anybody."""
+    nobody suspects anybody, and the mux's split memo and shared group ids
+    are gone."""
     from test_retire_equiv import staggered_coin
 
     stack, outputs = staggered_coin(4, seed, random_waves(seed), in_step=seed % 2 == 0)
@@ -306,4 +308,5 @@ def test_staggered_release_sweep_leaves_nothing_behind(seed):
         assert vss.mw == {} and vss.svss == {} and vss._pins == {}, pid
         assert len(vss.clock.retired) == 16 and vss.clock.begun == {}, pid
         assert not vss._delayed and not vss.dmm._ledgers, pid
+        assert vss.mux._splits == {} and vss.mux._groups == {}, pid
         assert vss.dmm.shunned_or_suspected() == set(), pid

@@ -214,32 +214,23 @@ class TestSlotVectorUnpack:
         _, mgr = self.make_manager()
         group = self.group_for()
         calls = self.spy_sessions(mgr, group, (1, 2))
-        mgr.mux.on_private(2, (SVEC_TAG, "rows", group, ((1, 5), (2, 6))))
+        mgr.mux.on_private(2, (SVEC_TAG, "rows", group, (1, 2), (5, 6)))
         assert calls == [(1, 2, "rows", 5), (2, 2, "rows", 6)]
 
     def test_malformed_slots_degrade_independently(self):
-        """A bad entry never poisons its vector siblings."""
+        """A bad slot never poisons its vector siblings."""
         _, mgr = self.make_manager()
         group = self.group_for()
         calls = self.spy_sessions(mgr, group, (1, 2, 3))
-        mgr.mux.on_private(
-            2,
-            (
-                SVEC_TAG,
-                "rows",
-                group,
-                ((1, 5), "junk", (2,), ([1], 7), ("x", 8), (3, 9)),
-            ),
-        )
-        assert [c[0] for c in calls] == [1, 3]
+        slots = (1, "junk", (2,), [1], "x", True, 3)
+        mgr.mux.on_private(2, (SVEC_TAG, "rows", group, slots, (5, 6, 7, 7, 8, 8, 9)))
+        assert calls == [(1, 2, "rows", 5), (3, 2, "rows", 9)]
 
     def test_crash_mid_vector_drops_remaining_slots(self):
         _, mgr = self.make_manager()
         group = self.group_for()
         calls = self.spy_sessions(mgr, group, (1, 2, 3, 4), crash_after=2)
-        mgr.mux.on_private(
-            2, (SVEC_TAG, "rows", group, ((1, 5), (2, 6), (3, 7), (4, 8)))
-        )
+        mgr.mux.on_private(2, (SVEC_TAG, "rows", group, (1, 2, 3, 4), (5, 6, 7, 8)))
         assert [c[0] for c in calls] == [1, 2]  # slots 3 and 4 died with the crash
 
     def test_transport_enforcement_covers_vectors(self):
@@ -248,8 +239,8 @@ class TestSlotVectorUnpack:
         _, mgr = self.make_manager()
         calls = self.spy_vectors(mgr)
         group = self.group_for()
-        mgr.mux.on_private(2, (SVEC_TAG, "L", group, ((1, (2, 3)),)))
-        mgr.mux.on_rb(2, (SVEC_TAG, (("cnf", group, ((1, 5),)),)))
+        mgr.mux.on_private(2, (SVEC_TAG, "L", group, (1,), ((2, 3),)))
+        mgr.mux.on_rb(2, (SVEC_TAG, (("cnf", group, (1,), (5,)),)))
         assert calls == []
 
     def test_forged_garbage_dropped_whole(self):
@@ -257,12 +248,17 @@ class TestSlotVectorUnpack:
         calls = self.spy_vectors(mgr)
         mux = mgr.mux
         group = self.group_for()
-        mux.on_private(2, (SVEC_TAG, "cnf", group))  # short
-        mux.on_private(2, (SVEC_TAG, 7, group, ((1, 5),)))  # non-str kind
-        mux.on_private(2, (SVEC_TAG, "cnf", "nope", ((1, 5),)))  # bad group
-        mux.on_private(2, (SVEC_TAG, "cnf", ("s", [1], 2), ((1, 5),)))  # unhashable
-        mux.on_private(2, (SVEC_TAG, "cnf", ("m", 0, 1, 2, 3, "xx"), ((1, 5),)))
-        mux.on_private(2, (SVEC_TAG, "cnf", group, [(1, 5)]))  # list entries
+        mux.on_private(2, (SVEC_TAG, "cnf", group, (1,)))  # short
+        mux.on_private(2, (SVEC_TAG, "cnf", group, (1,), (5,), ()))  # long
+        mux.on_private(2, (SVEC_TAG, 7, group, (1,), (5,)))  # non-str kind
+        mux.on_private(2, (SVEC_TAG, "cnf", "nope", (1,), (5,)))  # bad group
+        mux.on_private(2, (SVEC_TAG, "cnf", ("s", [1], 2), (1,), (5,)))  # unhashable
+        mux.on_private(2, (SVEC_TAG, "cnf", ("m", 0, 1, 2, 3, "xx"), (1,), (5,)))
+        mux.on_private(2, (SVEC_TAG, "cnf", group, [1, 2], (5, 6)))  # a list column
+        mux.on_private(2, (SVEC_TAG, "cnf", group, (1, 2), [5, 6]))
+        mux.on_private(2, (SVEC_TAG, "cnf", group, (1, 2), (5,)))  # unequal columns
+        mux.on_private(2, (SVEC_TAG, "cnf", group, (1,), (5, 6)))
+        mux.on_private(2, (SVEC_TAG, "cnf", group, ((1, 5),)))  # the pair shape
         assert calls == []
 
     def test_svec_tag_reserved(self):
@@ -318,8 +314,8 @@ class TestRbFold:
     def spy_vectors(self, mgr, after=None):
         calls = []
 
-        def spy(src, group, kind, entries):
-            calls.append((src, group, kind, entries))
+        def spy(src, group, kind, slots, bodies):
+            calls.append((src, group, kind, slots, bodies))
             if after is not None and len(calls) == after[0]:
                 after[1](mgr.host)
 
@@ -343,14 +339,33 @@ class TestRbFold:
                 (
                     SVEC_TAG,
                     (
-                        ("ack", a, ((1, None), (2, None))),
-                        ("L", b, ((2, (1, 2, 3)),)),  # one-slot vector: an item
-                        ("ok", a, ((1, None),)),
+                        ("ack", a, (1, 2), (None, None)),
+                        ("L", b, (2,), ((1, 2, 3),)),  # one-slot vector: an item
+                        ("ok", a, (1,), (None,)),
                     ),
                 ),
             )
         ]
         assert (stack.runtime.svec_packed, stack.runtime.svec_slots) == (3, 4)
+
+    def test_siblings_share_one_group_id_until_the_last_forget(self):
+        stack, mgr = self.make()
+        mux = mgr.mux
+        mux.register_family(CSID)
+        a = mw_group(1, 1, 2)
+        sids = [svec_sid(a, slot) for slot in (1, 2, 3)]
+        with stack.runtime.coalescing_step():
+            for sid in sids:
+                mgr.rb_broadcast(sid, "ack", None)
+        groups = [mux._splits[sid][0] for sid in sids]
+        assert groups == [a] * 3 and all(group is groups[0] for group in groups)
+        assert mux._groups == {a: [groups[0], 3]}
+        for sid in sids[:2]:
+            mux.forget(sid)
+        assert mux._groups == {a: [groups[0], 1]}
+        mux.forget(sids[2])
+        mux.forget(sids[2])  # a second release of one session is a no-op
+        assert mux._splits == {} and mux._groups == {}
 
     def test_what_never_packed_still_does_not(self):
         stack, mgr = self.make()
@@ -382,7 +397,7 @@ class TestRbFold:
                     body = ((1, 7),) if kind == "rv" else None
                     for slot in (1, 2, 3):
                         mgr.rb_broadcast(svec_sid(group, slot), kind, body)
-                    want.append((kind, group, tuple((s, body) for s in (1, 2, 3))))
+                    want.append((kind, group, (1, 2, 3), (body,) * 3))
         assert len(want) == 46 == 2 * FOLD_MAX_VECTORS + 14
         assert [bid for bid, _ in sent] == [(1, SVEC_TAG, seq) for seq in (0, 1, 2)]
         assert [len(value[1]) for _, value in sent] == [16, 16, 14]
@@ -393,24 +408,28 @@ class TestRbFold:
         _, mgr = self.make()
         calls = self.spy_vectors(mgr)
         a, b = mw_group(2, 2, 3), (SVEC_SVSS, CSID, 2)
-        good_a = ("ack", a, ((1, None), (2, None)))
-        good_b = ("G", b, ((1, ((1, 2, 3), ())),))
+        good_a = ("ack", a, (1, 2), (None, None))
+        good_b = ("G", b, (1,), (((1, 2, 3), ()),))
         fold = (
             good_a,
             "junk",  # malformed items
             ("ack", a),
-            ("ack", a, ((1, None),), "extra"),
-            ("ack", a, [(1, None)]),
-            ("cnf", a, ((1, 5),)),  # private kind in an RB fold
+            ("ack", a, (1,)),  # arity 3
+            ("ack", a, ((1, None),)),  # the pair shape
+            ("ack", a, (1,), (None,), "extra"),  # arity 5
+            ("ack", a, [1], (None,)),  # a list column
+            ("ack", a, (1,), [None]),
+            ("ack", a, (1, 2), (None,)),  # unequal columns
+            ("cnf", a, (1,), (5,)),  # private kind in an RB fold
             (SVEC_TAG, (good_a,)),  # nested fold
-            (SVEC_TAG, a, (good_a,)),
-            ("ack", (SVEC_MW, [CSID], 2, 2, 3, "md"), ((1, None),)),  # unhashable
-            ("ack", "nope", ((1, None),)),
+            (SVEC_TAG, a, (good_a,), ()),
+            ("ack", (SVEC_MW, [CSID], 2, 2, 3, "md"), (1,), (None,)),  # unhashable
+            ("ack", "nope", (1,), (None,)),
             good_b,
         )
         mgr.mux.on_rb(2, (SVEC_TAG, fold))
-        assert calls == [(2, a, "ack", good_a[2]), (2, b, "G", good_b[2])]
-        # Bad envelopes of the fold itself, and the pre-fold 4-tuple shape.
+        assert calls == [(2, a, "ack", *good_a[2:]), (2, b, "G", *good_b[2:])]
+        # Bad envelopes of the fold itself, and the pre-fold shapes.
         del calls[:]
         mgr.mux.on_rb(2, (SVEC_TAG,))
         mgr.mux.on_rb(2, (SVEC_TAG, [good_a]))
@@ -422,8 +441,8 @@ class TestRbFold:
         """No spy: bad slots inside a good item still degrade alone."""
         _, mgr = self.make()
         a = mw_group(2, 2, 3)
-        entries = ((1, None), "junk", ([1], None), (3, None))
-        mgr.mux.on_rb(2, (SVEC_TAG, (("ack", a, entries), ("cnf", a, ((2, 5),)))))
+        slots, bodies = (1, "junk", [1], 3), (None, None, None, None)
+        mgr.mux.on_rb(2, (SVEC_TAG, (("ack", a, slots, bodies), ("cnf", a, (2,), (5,)))))
         assert set(mgr.mw) == {svec_sid(a, 1), svec_sid(a, 3)}
 
     @pytest.mark.parametrize(
@@ -439,7 +458,7 @@ class TestRbFold:
         _, mgr = self.make()
         calls = self.spy_vectors(mgr, after=(2, fault))
         items = tuple(
-            ("ack", mw_group(2, 2, l), ((1, None), (2, None))) for l in (1, 2, 3, 4)
+            ("ack", mw_group(2, 2, l), (1, 2), (None, None)) for l in (1, 2, 3, 4)
         )
         mgr.mux.on_rb(2, (SVEC_TAG, items))
         assert [call[1] for call in calls] == [items[0][1], items[1][1]]
@@ -462,6 +481,48 @@ class TestFoldEndToEnd:
         assert fold.events_dispatched == self.PARENT_EVENTS[n, seed]
         assert 10 * fold.logical_messages < split.logical_messages
 
+    def test_every_delivered_vector_is_two_equal_columns(self):
+        """On the wire a vector is a slot tuple and a body tuple of one
+        length — private svecs and fold items alike; no pair anywhere."""
+        from repro.core.api import build_stack, make_coins
+        from repro.sim.process import ENVELOPE_TAG
+
+        stack = build_stack(SystemConfig(n=4, seed=1000), scheduler=FifoScheduler())
+        coins = make_coins(stack, "svss")
+        seen = {"private": 0, "fold": 0}
+
+        def vectors(payload):
+            tag = payload[0]
+            if tag == ENVELOPE_TAG:
+                for message in payload[1]:
+                    yield from vectors(message)
+            elif tag == SVEC_TAG:
+                seen["private"] += 1
+                yield payload[3:]
+            elif tag in ("b1", "b2", "b3") and payload[2][0] == SVEC_TAG:
+                for item in payload[2][1]:
+                    seen["fold"] += 1
+                    yield item[2:]
+
+        def tap(src, dst, payload):
+            for columns in vectors(payload):
+                assert len(columns) == 2
+                slots, bodies = columns
+                assert type(slots) is tuple and type(bodies) is tuple
+                assert len(slots) == len(bodies) >= 1
+                assert set(map(type, slots)) == {int}
+
+        stack.runtime.delivery_tap = tap
+        outputs = {}
+        with stack.runtime.coalescing_step():
+            for pid in stack.config.pids:
+                coins[pid].join(CSID)
+                coins[pid].get(CSID, lambda v, pid=pid: outputs.setdefault(pid, v))
+                coins[pid].release(CSID)
+        stack.runtime.run_to_quiescence()
+        assert len(outputs) == 4 and len(set(outputs.values())) == 1
+        assert seen["private"] > 0 and seen["fold"] > 0
+
     def test_one_process_holds_few_bids_after_a_coin(self):
         _, stack = flip(4, 1000)
         for pid in stack.config.pids:
@@ -482,7 +543,7 @@ class TestFoldEndToEnd:
             }
             kind = max(bodies, key=lambda k: len(encode_value(bodies[k])))
             csid = ("cc", ("aba", "instance-name", 10**6), 10**6)
-            vector = (kind, mw_group(n, n, n, csid=csid), tuple((s, bodies[kind]) for s in pids))
+            vector = (kind, mw_group(n, n, n, csid=csid), pids, (bodies[kind],) * n)
             return (SVEC_TAG, (vector,) * FOLD_MAX_VECTORS)
 
         for n in (4, 5, 7, 10, 13):
