@@ -2,10 +2,11 @@
 
 The robustness artifact for the real-network layer (ROADMAP item 1):
 
-1. **Throughput** — messages/second across one directed 2-node link,
-   clean and under each throughput-meaningful chaos profile, with the
-   exactly-once in-order contract asserted on every run (a fast but
-   wrong transport must fail the bench, not win it).
+1. **Throughput** — messages/second across one directed 2-node link
+   (both nodes journaled, like every node), clean and under each
+   throughput-meaningful chaos profile, with the exactly-once in-order
+   contract asserted on every run (a fast but wrong transport must fail
+   the bench, not win it).
 2. **Reconnect recovery** — wall-clock from ``restart_transport`` until
    a backlog queued during the outage is fully delivered in order: the
    price of one crash+reboot resync (epoch handshake + retransmit).
@@ -16,15 +17,12 @@ The robustness artifact for the real-network layer (ROADMAP item 1):
 4. **Sim-equivalence gate** — the decision reached over real sockets is
    bit-identical to the simulator's on the same unanimous inputs: the
    transport may change timing, never outcomes.
-5. **Journal overhead gate** — clean-path throughput with the write-ahead
-   journal attached must stay within 10% of the journal-less figure
-   (the fsync-batching contract).
-6. **Restart lifecycle gate** — under *every* chaos profile: SIGKILL one
+5. **Restart lifecycle gate** — under *every* chaos profile: SIGKILL one
    OS-process node mid-run, relaunch it from its journal, and the final
    all-n decision must equal the clean no-kill run's.
-7. **Impostor-storm gate** — a loop hammering forged HELLOs at every
+6. **Impostor-storm gate** — a loop hammering forged HELLOs at every
    node never stalls honest agreement, and every forgery is counted.
-8. **SVSS coin on the wire** — frames, wire bytes and seconds for one
+7. **SVSS coin on the wire** — frames, wire bytes and seconds for one
    n=4 shunning-coin invocation over sockets (the paper's unit of cost),
    gated at <= 12 000 DATA frames and 0 retransmits on a clean link: the
    step window's aggregation must reach the sockets.  Two more count
@@ -83,12 +81,12 @@ FAST = TransportConfig(
 THROUGHPUT_PROFILES = ("none", "drop", "delay", "duplicate", "reorder", "flaky")
 
 
-async def _wired_pair(profile_name: "str | None", journal_path=None):
-    """Two nodes; the 1 -> 2 direction optionally crosses a chaos proxy.
-    ``journal_path`` attaches a write-ahead journal to the sender."""
+async def _wired_pair(profile_name: "str | None", journal_dir: Path):
+    """Two nodes journaling into ``journal_dir``; the 1 -> 2 direction
+    optionally crosses a chaos proxy."""
     config = SystemConfig(n=2, t=0, seed=9000)
-    a = NetworkNode(config, 1, tconfig=FAST, journal=journal_path)
-    b = NetworkNode(config, 2, tconfig=FAST)
+    a = NetworkNode(config, 1, journal_dir / "node-1.journal", tconfig=FAST)
+    b = NetworkNode(config, 2, journal_dir / "node-2.journal", tconfig=FAST)
     await a.start_server()
     await b.start_server()
     proxy = None
@@ -107,11 +105,10 @@ async def _wired_pair(profile_name: "str | None", journal_path=None):
 
 
 async def _measure_throughput(
-    profile_name: str, n_msgs: int, journal_path=None
+    profile_name: str, n_msgs: int, journal_dir: Path
 ) -> dict:
     a, b, proxy = await _wired_pair(
-        None if profile_name == "none" else profile_name,
-        journal_path=journal_path,
+        None if profile_name == "none" else profile_name, journal_dir
     )
     got: list = []
     b.host.register_handler("m", lambda src, msg: got.append(msg))
@@ -147,8 +144,8 @@ async def _measure_throughput(
     return row
 
 
-async def _measure_reconnect(backlog: int) -> dict:
-    a, b, _ = await _wired_pair(None)
+async def _measure_reconnect(backlog: int, journal_dir: Path) -> dict:
+    a, b, _ = await _wired_pair(None, journal_dir)
     got: list = []
     b.host.register_handler("m", lambda src, msg: got.append(msg))
     for i in range(100):
@@ -183,7 +180,6 @@ async def _chaos_safety_matrix() -> dict:
             SystemConfig(n=4, seed=9100),
             tconfig=FAST,
             chaos=name,
-            with_vss=False,
             monitor=monitor,
         )
         await cluster.start()
@@ -209,29 +205,6 @@ async def _chaos_safety_matrix() -> dict:
             "decisions_observed": len(verdict["decisions"]),
         }
     return rows
-
-
-async def _journal_overhead(n_msgs: int) -> dict:
-    """Clean-path throughput, journal-less vs journal-attached, measured
-    back to back on the same machine.  Gate: within 10%."""
-    off = await _measure_throughput("none", n_msgs)
-    tmp = tempfile.mkdtemp(prefix="repro-bench-journal-")
-    try:
-        on = await _measure_throughput(
-            "none", n_msgs, journal_path=Path(tmp) / "node-1.journal"
-        )
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
-    ratio = on["msgs_per_second"] / off["msgs_per_second"]
-    assert ratio >= 0.9, (
-        f"journal hot path too slow: {on['msgs_per_second']} vs "
-        f"{off['msgs_per_second']} msg/s (ratio {ratio:.3f} < 0.9)"
-    )
-    return {
-        "journal_off_msgs_per_second": off["msgs_per_second"],
-        "journal_on_msgs_per_second": on["msgs_per_second"],
-        "ratio": round(ratio, 4),
-    }
 
 
 async def _restart_lifecycle_matrix() -> dict:
@@ -281,11 +254,7 @@ async def _restart_lifecycle_matrix() -> dict:
 async def _impostor_storm() -> dict:
     """Forged HELLOs (bad MACs) hammer every node while agreement runs:
     the storm must be counted and must never stall honest liveness."""
-    cluster = NetCluster(
-        SystemConfig(n=4, seed=9300),
-        tconfig=FAST,
-        with_vss=False,
-    )
+    cluster = NetCluster(SystemConfig(n=4, seed=9300), tconfig=FAST)
     await cluster.start()
     stop = asyncio.Event()
 
@@ -340,11 +309,7 @@ async def _impostor_storm() -> dict:
 async def _sim_equivalence() -> dict:
     inputs = [1, 1, 1, 1]
     seed = 9200
-    cluster = NetCluster(
-        SystemConfig(n=4, seed=seed),
-        tconfig=FAST,
-        with_vss=False,
-    )
+    cluster = NetCluster(SystemConfig(n=4, seed=seed), tconfig=FAST)
     await cluster.start()
     try:
         net = await cluster.run_agreement(inputs, coin="local", timeout=90)
@@ -436,20 +401,22 @@ def test_bench_net(emit):
         coin = await _svss_coin_on_the_wire()
         restart_rows = await _restart_lifecycle_matrix()
         storm = await _impostor_storm()
-        throughput = {
-            name: await _measure_throughput(name, BLAST)
-            for name in THROUGHPUT_PROFILES
-        }
-        journal = await _journal_overhead(BLAST)
-        reconnect = await _measure_reconnect(RECONNECT_BACKLOG)
+        with tempfile.TemporaryDirectory(prefix="repro-bench-net-") as root:
+            throughput = {
+                name: await _measure_throughput(name, BLAST, Path(root) / name)
+                for name in THROUGHPUT_PROFILES
+            }
+            reconnect = await _measure_reconnect(
+                RECONNECT_BACKLOG, Path(root) / "reconnect"
+            )
         return (
             chaos_rows, equivalence, coin, restart_rows, storm, throughput,
-            journal, reconnect,
+            reconnect,
         )
 
     (
         chaos_rows, equivalence, coin, restart_rows, storm, throughput,
-        journal, reconnect,
+        reconnect,
     ) = asyncio.run(main())
 
     payload = bench_payload(
@@ -464,8 +431,6 @@ def test_bench_net(emit):
                 "every throughput run delivered exactly-once in order",
                 "kill -9 -> journal relaunch -> rejoin reaches the no-kill "
                 "decision under every chaos profile",
-                "journal-attached clean throughput within 10% of "
-                "journal-less",
                 "impostor HELLO storm never stalls honest agreement",
                 f"one clean n=4 SVSS coin over sockets sends <= "
                 f"{COIN_FRAME_BUDGET} DATA frames with 0 retransmits",
@@ -480,7 +445,6 @@ def test_bench_net(emit):
         restart_lifecycle=restart_rows,
         impostor_storm=storm,
         throughput=throughput,
-        journal_throughput=journal,
         reconnect=reconnect,
     )
     path = write_bench_json("net", payload)
@@ -494,11 +458,6 @@ def test_bench_net(emit):
             f"   retx={row['retransmits']:<6d}"
             f" wall={row['wall_seconds']:.2f}s"
         )
-    emit(
-        f"journal overhead: {journal['journal_on_msgs_per_second']:.1f} "
-        f"msg/s journaled vs {journal['journal_off_msgs_per_second']:.1f} "
-        f"clean (ratio {journal['ratio']:.3f}, gate >= 0.9)"
-    )
     emit(
         f"n=4 SVSS coin over sockets: {coin['data_frames']} DATA frames "
         f"(budget {COIN_FRAME_BUDGET}), {coin['wire_bytes']} wire bytes, "

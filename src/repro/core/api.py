@@ -53,27 +53,19 @@ DEFAULT_INSTANCE = "aba"
 
 @dataclass
 class Stack:
-    """One assembled system: runtime plus per-process modules.
+    """One assembled system: runtime plus the per-process substrate.
 
-    The protocol substrate (``broadcasts``, ``vss``, and the ``"svss"``
-    coin modules) is built once per process and shared by every agreement
-    instance; instance-scoped state lives in the ``agreements`` and
-    ``instance_coins`` maps, keyed by instance id.  ``coins`` and ``aba``
-    remain the primary instance's pid-keyed views (the single-agreement
-    API).
+    ``broadcasts`` and ``vss`` are built once per process and shared by
+    every agreement instance and coin on top of them; the coins and
+    agreement processes themselves belong to whoever builds them
+    (:func:`make_coins`, the agreement drivers), not to the stack.
     """
 
     config: SystemConfig
     runtime: Runtime
     broadcasts: dict[int, BroadcastManager]
     vss: dict[int, VSSManager]
-    coins: dict[int, CoinSource] = field(default_factory=dict)
-    aba: dict[int, ABAProcess] = field(default_factory=dict)
     adversary: Adversary = field(default_factory=no_adversary)
-    #: instance id -> pid -> agreement process, for every started instance.
-    agreements: dict[object, dict[int, ABAProcess]] = field(default_factory=dict)
-    #: instance id -> pid -> CoinSource backing that instance.
-    instance_coins: dict[object, dict[int, CoinSource]] = field(default_factory=dict)
 
     @property
     def trace(self) -> Trace:
@@ -81,16 +73,6 @@ class Stack:
 
     def nonfaulty(self) -> list[int]:
         return self.adversary.nonfaulty_pids(self.config)
-
-    def agreement(self, instance_id: object) -> dict[int, ABAProcess]:
-        """The pid-keyed process map of one agreement instance."""
-        try:
-            return self.agreements[instance_id]
-        except KeyError:
-            raise ConfigurationError(
-                f"no agreement instance {instance_id!r}; "
-                f"known: {sorted(map(repr, self.agreements))}"
-            ) from None
 
 
 def build_stack(
@@ -134,7 +116,7 @@ def build_stack(
     return stack
 
 
-def build_node_modules(host, with_vss: bool = True):
+def build_node_modules(host) -> tuple[BroadcastManager, VSSManager]:
     """Per-host protocol substrate: ``(BroadcastManager, VSSManager)``.
 
     The transport-parametrized half of :func:`build_stack`: given any
@@ -144,10 +126,10 @@ def build_node_modules(host, with_vss: bool = True):
     layers that every agreement and coin module sits on.  ``build_stack``
     remains the one-call simulated assembly; network deployments call
     this once per node because each OS process owns exactly one host.
+    A node always gets both: an idle VSS manager sends nothing.
     """
     broadcast = BroadcastManager(host)
-    vss = VSSManager(host, broadcast) if with_vss else None
-    return broadcast, vss
+    return broadcast, VSSManager(host, broadcast)
 
 
 def make_node_coin(
@@ -225,9 +207,6 @@ def make_coins(
     else:
         for pid in config.pids:
             coins[pid] = coin(stack, pid)
-    stack.instance_coins[instance] = coins
-    if instance == DEFAULT_INSTANCE or not stack.coins:
-        stack.coins = coins
     return coins
 
 
@@ -395,8 +374,6 @@ def _drive_agreements(
         }
         for iid, decided in decisions.items()
     }
-    stack.agreements.update(agreements)
-    stack.aba = next(iter(agreements.values()))
     if monitor is not None:
         monitor.install(runtime)
         for iid, input_map in input_maps.items():
@@ -442,13 +419,20 @@ def _drive_agreements(
     }
 
 
-def _aba_process(stack: Stack, iid: object, pid: int, on_decide) -> ABAProcess:
-    """The paper's agreement as a ``make_process``: one process of one
-    instance, on the coin source :func:`make_coins` registered for it."""
+def _aba_process(
+    coins: dict[object, dict[int, CoinSource]],
+    stack: Stack,
+    iid: object,
+    pid: int,
+    on_decide,
+) -> ABAProcess:
+    """The paper's agreement as a ``make_process`` once ``coins``
+    (instance id -> pid -> coin source) is bound: one process of one
+    instance, on the coin the caller built for it."""
     return ABAProcess(
         stack.runtime.host(pid),
         stack.broadcasts[pid],
-        stack.instance_coins[iid][pid],
+        coins[iid][pid],
         instance_id=iid,
         on_decide=on_decide,
     )
@@ -488,9 +472,10 @@ def run_byzantine_agreement(
         adversary=adversary,
         with_vss=coin == "svss",
     )
-    make_coins(stack, coin, instance=tag)
+    coins = {tag: make_coins(stack, coin, instance=tag)}
     results = _drive_agreements(
-        stack, {tag: inputs}, _aba_process, max_rounds, max_events, monitor
+        stack, {tag: inputs}, partial(_aba_process, coins), max_rounds,
+        max_events, monitor,
     )
     return replace(results[tag], **run_counters(stack.runtime))
 
@@ -612,18 +597,13 @@ def run_byzantine_agreement_batch(
             )
             for pid in config.pids
         }
-        # Every instance consults its gate, never the raw coin — keep the
-        # Stack views consistent with that (the default-instance key was
-        # only a registration side effect of building the substrate).
-        stack.instance_coins.pop(DEFAULT_INSTANCE, None)
-        for iid in instance_ids:
-            stack.instance_coins[iid] = gates
-        stack.coins = gates
+        # Every instance consults its gate, never the raw coin.
+        coins = dict.fromkeys(instance_ids, gates)
     else:
-        for iid in instance_ids:
-            make_coins(stack, coin, instance=iid)
+        coins = {iid: make_coins(stack, coin, instance=iid) for iid in instance_ids}
     results = _drive_agreements(
-        stack, dict(zip(instance_ids, rows)), _aba_process, max_rounds, max_events, monitor
+        stack, dict(zip(instance_ids, rows)), partial(_aba_process, coins),
+        max_rounds, max_events, monitor,
     )
     return BatchAgreementResult(
         config=config,

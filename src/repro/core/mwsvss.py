@@ -478,11 +478,7 @@ class MWSVSSInstance:
         so ``f̂`` and the monitors' shares are dropped."""
         self.M_frozen = True
         self.moderator_row = self.moderator_shares = None
-        m_set = self.manager.pids_of(self.M)
-        corrupt = self.manager.host.deviation("corrupt_mw_M")
-        if corrupt is not None:
-            m_set = tuple(corrupt(self.sid, m_set))
-        self.manager.rb_broadcast(self.sid, "M", m_set)
+        self.manager.rb_broadcast(self.sid, "M", self.manager.pids_of(self.M))
 
     # -- broadcast sets ------------------------------------------------------
     def _on_l_set(self, src: int, body: object) -> None:
@@ -553,8 +549,6 @@ class MWSVSSInstance:
             f_j = self._deal_rows[j]
             for l in self.manager.pids_of(self.L_hat[j]):
                 dmm.expect_ack(l, self.sid, j, f_j[l])
-        if self.manager.host.deviation("skip_mw_ok") is not None:
-            return
         self.manager.rb_broadcast(self.sid, "ok", None)
 
     # -- step 9 -----------------------------------------------------------------

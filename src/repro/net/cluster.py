@@ -20,6 +20,7 @@ For runs whose processes genuinely do not share an address space, use
 from __future__ import annotations
 
 import asyncio
+import tempfile
 import time
 from pathlib import Path
 
@@ -92,6 +93,10 @@ class NetCluster:
     ``chaos`` names a profile from
     :data:`~repro.net.chaos.CHAOS_PROFILES` (or passes one directly);
     every inter-node link then crosses that destination's proxy.
+
+    Every node journals to ``journal_dir``; when it is omitted the cluster
+    journals into a temporary directory it owns and removes at
+    :meth:`close`.
     """
 
     def __init__(
@@ -99,15 +104,19 @@ class NetCluster:
         config: SystemConfig,
         tconfig: TransportConfig | None = None,
         chaos: "str | ChaosProfile | None" = None,
-        with_vss: bool = True,
         monitor=None,
         journal_dir: "str | Path | None" = None,
     ):
         self.config = config
         self.tconfig = tconfig or TransportConfig()
-        self.journal_dir = None if journal_dir is None else Path(journal_dir)
+        self._own_journal_dir = None
+        if journal_dir is None:
+            self._own_journal_dir = tempfile.TemporaryDirectory(
+                prefix="repro-net-j-"
+            )
+            journal_dir = self._own_journal_dir.name
+        self.journal_dir = Path(journal_dir)
         self.profile = resolve_profile(chaos)
-        self.with_vss = with_vss
         self.context = NetContext(config)
         self.nodes: dict[int, NetworkNode] = {}
         self.proxies: dict[int, ChaosProxy] = {}
@@ -126,10 +135,7 @@ class NetCluster:
         config = self.config
         for pid in config.pids:
             node = NetworkNode(
-                config,
-                pid,
-                tconfig=self.tconfig,
-                journal=self._journal_path(pid),
+                config, pid, self._journal_path(pid), tconfig=self.tconfig
             )
             self.context.register(node)
             self.nodes[pid] = node
@@ -154,15 +160,10 @@ class NetCluster:
             node.set_peers(reachable)
             node.start_peers()
         for pid, node in self.nodes.items():
-            broadcast, vss = build_node_modules(node.host, self.with_vss)
-            self.broadcasts[pid] = broadcast
-            if vss is not None:
-                self.vss[pid] = vss
+            self.broadcasts[pid], self.vss[pid] = build_node_modules(node.host)
         self._started = True
 
-    def _journal_path(self, pid: int) -> "Path | None":
-        if self.journal_dir is None:
-            return None
+    def _journal_path(self, pid: int) -> Path:
         return self.journal_dir / f"node-{pid}.journal"
 
     async def close(self) -> None:
@@ -170,6 +171,8 @@ class NetCluster:
             await node.close()
         for proxy in self.proxies.values():
             await proxy.close()
+        if self._own_journal_dir is not None:
+            self._own_journal_dir.cleanup()
 
     # -- fault scripting ---------------------------------------------------
     async def kill_node(self, pid: int) -> None:
@@ -190,19 +193,12 @@ class NetCluster:
         epoch, and rebinds the same port so peers reconnect unmodified.
         Protocol modules are rebuilt from scratch (the journal, not
         Python object state, is what survives)."""
-        if self.journal_dir is None:
-            raise ConfigurationError(
-                "restart_node needs a cluster journal_dir"
-            )
         old = self.nodes[pid]
         addresses = dict(old._addresses)
         port = old.port
         await old.close()
         node = NetworkNode(
-            self.config,
-            pid,
-            tconfig=self.tconfig,
-            journal=self._journal_path(pid),
+            self.config, pid, self._journal_path(pid), tconfig=self.tconfig
         )
         # The TIME_WAIT window can hold the port briefly after the old
         # server closed on the same loop; retry the rebind a few times.
@@ -218,10 +214,7 @@ class NetCluster:
         self.nodes[pid] = node
         node.set_peers(addresses)
         node.start_peers()
-        broadcast, vss = build_node_modules(node.host, self.with_vss)
-        self.broadcasts[pid] = broadcast
-        if vss is not None:
-            self.vss[pid] = vss
+        self.broadcasts[pid], self.vss[pid] = build_node_modules(node.host)
         # A cached svss coin belongs to the dead incarnation's modules.
         self.coins.pop(pid, None)
 
@@ -245,7 +238,7 @@ class NetCluster:
             node.host,
             coin,
             broadcast=self.broadcasts[pid],
-            vss=self.vss.get(pid),
+            vss=self.vss[pid],
             instance=instance,
         )
         if coin == "svss":
@@ -307,8 +300,6 @@ class NetCluster:
         """One full SVSS shunning-common-coin invocation over the wire."""
         if not self._started:
             raise SimulationError("cluster not started")
-        if not self.with_vss:
-            raise ConfigurationError("coin flips need a cluster with VSS")
         self.config.require_optimal_resilience()
         faulty = faulty or set()
         live = [pid for pid in self.config.pids if pid not in faulty]
@@ -333,9 +324,7 @@ class NetCluster:
                 node.auth_rejected for node in self.nodes.values()
             ),
             "journal_replayed": sum(
-                node.journal.state.replayed
-                for node in self.nodes.values()
-                if node.journal is not None
+                node.journal.state.replayed for node in self.nodes.values()
             ),
             "frame_errors": sum(
                 sum(node.frame_errors.values())

@@ -107,7 +107,7 @@ async def _child_main(args: argparse.Namespace) -> int:
         await asyncio.sleep(args.timeout * 10)
         return 1
     config = SystemConfig(n=args.n, t=args.t, seed=args.seed)
-    node = NetworkNode(config, args.pid, journal=args.journal)
+    node = NetworkNode(config, args.pid, args.journal)
     journal = node.journal
     #: A non-empty journal means this process is a relaunched incarnation
     #: (the node's own epoch record is not counted as replayed).
@@ -128,7 +128,7 @@ async def _child_main(args: argparse.Namespace) -> int:
         peers[int(pid_str)] = (args.host, int(port_str))
     node.set_peers(peers)
     node.start_peers()
-    broadcast, vss = build_node_modules(node.host, with_vss=True)
+    broadcast, vss = build_node_modules(node.host)
     coin = make_node_coin(node.host, "svss", broadcast=broadcast, vss=vss)
 
     heartbeats = asyncio.get_running_loop().create_task(_heartbeat_loop())

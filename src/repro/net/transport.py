@@ -23,21 +23,25 @@ the transport layers a per-directed-link sequence protocol on top:
   restart makes receivers re-adopt it, and when counted ring drops shed
   seqs the receiver still expects the sender re-announces its base
   mid-session so the link jumps the shed range instead of stalling;
-* the receiver delivers strictly in order exactly once, re-acks
-  duplicates, and buffers up to ``window`` out-of-order bodies
-  (selective-repeat lite): the cumulative ack jumps the buffered run
-  the moment a gap fills;
+* the receiver delivers strictly in order exactly once, acks what each
+  socket read delivered once no gap is open, acks every duplicate and
+  out-of-order arrival, and buffers up to ``window`` out-of-order bodies
+  (selective-repeat lite): the cumulative ack jumps the buffered run the
+  moment a gap fills;
 * the sender keeps at most ``window`` unacked frames in flight, queues
   every frame until cumulatively ACKed, resends just the queue-head
   frame on a duplicate cumulative ack (fast retransmit, throttled per
   stuck seq), falls back to go-back-N when the ack clock stalls past
-  ``rto``, and resyncs via HELLO/WELCOME on reconnect: the WELCOME
-  carries the receiver's next expected seq, so frames lost mid-envelope
-  by a dying connection are retransmitted, not lost.
+  ``rto`` (the clock starts when frames go out into an empty flight, so
+  an idle gap is never a stall), and resyncs via HELLO/WELCOME on
+  reconnect: the WELCOME carries the receiver's next expected seq, so
+  frames lost mid-envelope by a dying connection are retransmitted, not
+  lost.
 
 Supervision.  Each :class:`PeerConnection` reconnects with exponential
-backoff plus seeded jitter, sends heartbeat PINGs when idle and treats a
-link with no inbound traffic for ``idle_timeout`` as dead.  A peer
+backoff plus seeded jitter (starting over once a link went LIVE), sends
+heartbeat PINGs when idle and treats a link with no inbound traffic for
+``idle_timeout`` as dead.  A peer
 unreachable for ``down_after`` seconds is marked DOWN — the graceful-
 degradation state for ≤ t unreachable peers.
 
@@ -59,10 +63,9 @@ survive, socket buffers and queues do not, and the epoch bump makes
 every peer reset its per-link sequence expectations (amnesia-free,
 wire-lossy — the same contract as ``Runtime.recover``).
 
-Durability and identity.  A node built with a journal path persists its
+Durability and identity.  Every node keeps a write-ahead journal of its
 link state: the transport epoch is fsynced at startup, per-link
-send/recv seqs are noted on the hot path and flushed on a timer (so the
-clean path stays within a few percent of the journal-less figure), and a
+send/recv seqs are noted on the hot path and flushed on a timer, and a
 node restarted from the same journal — a *new OS process* after
 ``kill -9`` — resumes its links where receivers expect them instead of
 starting amnesiac.  Authentication is not optional: every inbound HELLO
@@ -143,9 +146,6 @@ class TransportConfig:
     rto: float = 0.3
     #: Max unacked frames in flight per link; bounds go-back-N waste.
     window: int = 1024
-    #: Receiver sends a cumulative ACK every this many in-order frames
-    #: (and immediately on a gap, a duplicate, or a PING).
-    ack_every: int = 16
     #: Backpressure gate: pause inbound dispatch when the live outbound
     #: backlog exceeds ``queue_high_water`` frames; resume below
     #: ``queue_low_water``.
@@ -405,10 +405,7 @@ class PeerConnection:
         #: Seqs resume past the journaled high-water, never regressing —
         #: even if a torn journal tail lost the epoch bump, a receiver
         #: holding old-incarnation state sees only forward seqs.
-        journal = node.journal
-        base_seq = (
-            journal.state.send_seq.get(dst, 0) + 1 if journal is not None else 1
-        )
+        base_seq = node.journal.state.send_seq.get(dst, 0) + 1
         self._next_seq = base_seq
         #: Next seq to (re)write on the current connection.
         self._cursor = base_seq
@@ -472,9 +469,8 @@ class PeerConnection:
         frame = encode_frame(FRAME_DATA, SEQ_PREFIX.pack(seq) + enc)
         self.queue.append((seq, frame))
         self.stats.sent += 1
-        journal = self.node.journal
-        if journal is not None:
-            journal.note_send(self.dst, seq)  # coalesced; flushed on a timer
+        # Coalesced; flushed on a timer.
+        self.node.journal.note_send(self.dst, seq)
         if (
             self.state == PEER_DOWN
             and len(self.queue) > self.tconfig.down_queue_cap
@@ -496,26 +492,25 @@ class PeerConnection:
         attempt = 0
         while not self._closed:
             try:
-                await self._run_once()
-                attempt = 0  # a completed session resets backoff
+                await self._run_once()  # only ever ends by raising
             except asyncio.CancelledError:
                 raise
             except Exception:
                 self.stats.connect_failures += 1
             if self._closed:
                 return
+            if self.state == PEER_LIVE:
+                # The session got through its handshake: the next
+                # reconnect is a fresh outage, so backoff starts over.
+                attempt = 0
             now = time.monotonic()
-            if (
-                self.state == PEER_LIVE
-                or now - self._last_up > tconf.down_after
-            ):
-                if self.state != PEER_DOWN and now - self._last_up > tconf.down_after:
-                    self.state = PEER_DOWN
-                    self.stats.went_down += 1
-                    self.node.update_gate()
-                elif self.state == PEER_LIVE:
-                    self.state = PEER_CONNECTING
-                    self.node.update_gate()
+            if self.state != PEER_DOWN and now - self._last_up > tconf.down_after:
+                self.state = PEER_DOWN
+                self.stats.went_down += 1
+                self.node.update_gate()
+            elif self.state == PEER_LIVE:
+                self.state = PEER_CONNECTING
+                self.node.update_gate()
             delay = min(
                 tconf.backoff_max, tconf.backoff_base * (2 ** min(attempt, 16))
             )
@@ -745,6 +740,10 @@ class PeerConnection:
                 stop = min(len(queue), tconf.window)
                 frames = list(itertools.islice(queue, max(0, start), stop))
                 if frames:
+                    if start <= 0:
+                        # Frames going out into an empty flight start the
+                        # ack clock: the idle gap before them is no stall.
+                        self._last_progress = time.monotonic()
                     # One write per burst: a dead socket then costs one
                     # failed send (and one asyncio log line), not one per
                     # frame — and healthy paths save the syscalls too.
@@ -806,7 +805,7 @@ class NetworkNode:
 
     Lifecycle::
 
-        node = NetworkNode(config, pid, tconfig=TransportConfig())
+        node = NetworkNode(config, pid, journal_path, tconfig=TransportConfig())
         port = await node.start_server()      # bind (port may be 0)
         node.set_peers({pid: (host, port), ...})
         node.start_peers()
@@ -822,9 +821,9 @@ class NetworkNode:
         self,
         config: SystemConfig,
         pid: int,
+        journal: "str | Path",
         tconfig: TransportConfig | None = None,
         context: "object | None" = None,
-        journal: "str | Path | None" = None,
     ):
         if pid not in config.pids:
             raise SimulationError(f"pid {pid} not in 1..{config.n}")
@@ -836,11 +835,11 @@ class NetworkNode:
             config.seed
         )
         self.context = context
-        self.journal = journal = None if journal is None else Journal(journal)
+        self.journal = journal = Journal(journal)
         #: The new incarnation's epoch strictly follows every journaled
         #: one, fsynced before any link opens: receivers key their links
         #: by (src, epoch), so a crashed incarnation's state never leaks.
-        self.epoch = 1 if journal is None else journal.state.epoch + 1
+        self.epoch = journal.state.epoch + 1
         self.runtime = NetRuntime(self, config)
         self.host = NetworkHost(self.runtime, pid, self)
         self.peers: dict[int, PeerConnection] = {}
@@ -855,15 +854,14 @@ class NetworkNode:
         self._gate.set()
         self._notify_event = asyncio.Event()
         self._recv_links: dict[int, _RecvLink] = {}
-        if journal is not None:
-            # Make the incarnation durable *before* any link opens, then
-            # restore receive expectations: a sender that stayed up keeps
-            # its epoch and seqs, and must not be re-delivered from 1.
-            journal.record_epoch(self.epoch)
-            for src, (link_epoch, nxt) in journal.state.recv_links.items():
-                link = _RecvLink(link_epoch)
-                link.next_expected = nxt
-                self._recv_links[src] = link
+        # Make the incarnation durable *before* any link opens, then
+        # restore receive expectations: a sender that stayed up keeps its
+        # epoch and seqs, and must not be re-delivered from 1.
+        journal.record_epoch(self.epoch)
+        for src, (link_epoch, nxt) in journal.state.recv_links.items():
+            link = _RecvLink(link_epoch)
+            link.next_expected = nxt
+            self._recv_links[src] = link
         self._journal_task: asyncio.Task | None = None
         self.auth_rejected = 0
         self._rng = config.derive_rng("net", pid)
@@ -904,7 +902,7 @@ class NetworkNode:
             self._pump_task = asyncio.get_running_loop().create_task(
                 self._pump(), name=f"pump-{self.pid}"
             )
-        if self.journal is not None and self._journal_task is None:
+        if self._journal_task is None:
             self._journal_task = asyncio.get_running_loop().create_task(
                 self._journal_flush_loop(), name=f"journal-{self.pid}"
             )
@@ -951,13 +949,11 @@ class NetworkNode:
             peer.queue.clear()
             peer.state = PEER_CONNECTING
             peer._task = None
-        for link in self._recv_links.values():
+        for src, link in self._recv_links.items():
             link.buffer.clear()
-        if self.journal is not None:
             # Exact link state on disk too: it outlives process death.
-            for src, link in self._recv_links.items():
-                self.journal.note_recv(src, link.epoch, link.next_expected)
-            self.journal.flush_notes()
+            self.journal.note_recv(src, link.epoch, link.next_expected)
+        self.journal.flush_notes()
         # Anything already pumped into the inbox belongs to the crashed
         # incarnation's socket buffers: purge, like Runtime's recover() —
         # and the value memo, a cache of that traffic, goes with it.
@@ -970,8 +966,7 @@ class NetworkNode:
         """Rebind the server (same port) and reconnect every peer under a
         new epoch, so peers' receive links reset their seq expectations."""
         self.epoch += 1
-        if self.journal is not None:
-            self.journal.record_epoch(self.epoch)
+        self.journal.record_epoch(self.epoch)
         port = await self.start_server(self.port or 0)
         self.start_peers()
         return port
@@ -992,15 +987,13 @@ class NetworkNode:
             except (asyncio.CancelledError, Exception):
                 pass
             self._journal_task = None
-        if self.journal is not None:
-            self.journal.close()
+        self.journal.close()
 
     async def _journal_flush_loop(self) -> None:
         """Flush coalesced seq notes on a timer: the hot path only does
         dict writes, this loop amortises encode+write+fsync across every
         frame sent since the last tick."""
         journal = self.journal
-        assert journal is not None
         interval = self.tconfig.journal_flush_interval
         while True:
             await asyncio.sleep(interval)
@@ -1108,6 +1101,13 @@ class NetworkNode:
                     elif ftype == FRAME_PING:
                         out += encode_frame(FRAME_PONG, body)
                         out += self._ack_frame(link)
+                if link is not None and link.since_ack and not link.buffer:
+                    # Ack what this read delivered, so a short tail never
+                    # waits for a PING or the rto.  While a gap is open,
+                    # every out-of-order arrival acks already, and the
+                    # rto's go-back-N must stay able to repair many holes
+                    # at once (head-only fast retransmits are slower).
+                    out += self._ack_frame(link)
                 if parser.errors:
                     self._merge_frame_errors(parser.errors)
                     parser.errors = {}
@@ -1227,13 +1227,11 @@ class NetworkNode:
                 self._deliver_raw(src, buffer.pop(link.next_expected))
                 link.next_expected += 1
                 link.since_ack += 1
-            if self.journal is not None:
-                # Coalesced note (dict write): the flush timer persists
-                # the highest delivered seq, so a restarted incarnation
-                # never re-accepts what this one already handed up.
-                self.journal.note_recv(src, link.epoch, link.next_expected)
-            if link.since_ack >= self.tconfig.ack_every:
-                out += self._ack_frame(link)
+            # Coalesced note (dict write): the flush timer persists the
+            # highest delivered seq, so a restarted incarnation never
+            # re-accepts what this one already handed up.  The ack waits
+            # for the end of the read (``_on_connection``).
+            self.journal.note_recv(src, link.epoch, link.next_expected)
         elif seq < link.next_expected:
             link.duplicates += 1
             out += self._ack_frame(link)  # re-ack so the sender advances
@@ -1338,7 +1336,7 @@ class NetworkNode:
             "frame_errors": dict(self.frame_errors),
             "decode_memo": self.memo.stats(),
             "auth_rejected": self.auth_rejected,
-            "journal": None if self.journal is None else self.journal.stats(),
+            "journal": self.journal.stats(),
             "peers": {
                 dst: {
                     "state": peer.state,

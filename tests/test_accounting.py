@@ -172,7 +172,7 @@ def test_agreement_runs_report_the_monitors_shun_pairs():
 # -- both runtimes count ---------------------------------------------------------
 
 
-def test_a_socket_node_counts_like_the_simulator():
+def test_a_socket_node_counts_like_the_simulator(tmp_path):
     """The same sends bump the same ``Trace`` on either runtime; events
     are the runtime's own counter (``summary()`` never mirrored it over
     sockets, so the key is gone rather than zero)."""
@@ -186,7 +186,7 @@ def test_a_socket_node_counts_like_the_simulator():
     assert sim.run_to_quiescence() == sim.events_dispatched > 0
 
     async def over_sockets():
-        node = NetworkNode(CONFIG, 1)
+        node = NetworkNode(CONFIG, 1, tmp_path / "node.journal")
         await node.start_server()
         try:
             sends(node.host)

@@ -232,12 +232,17 @@ class TestBatchInterface:
         )
         assert batch.decisions == {("aba", 0): 1, ("aba", 1): 0}
 
-    def test_stack_agreement_accessor(self):
-        from repro.core.api import build_stack
+    def test_the_stack_holds_no_coins_or_agreements(self):
+        """A stack keeps only what ``build_stack`` builds: the coins and
+        agreement processes belong to the driver that made them."""
+        from dataclasses import fields
 
+        from repro.core.api import Stack, build_stack
+
+        names = {f.name for f in fields(Stack)}
+        assert names == {"config", "runtime", "broadcasts", "vss", "adversary"}
         stack = build_stack(SystemConfig(n=4, seed=0))
-        with pytest.raises(ConfigurationError):
-            stack.agreement("missing")
+        assert not hasattr(stack, "agreement")
 
     def test_k1_batch_equals_solo(self):
         """A batch of one is exactly the single-agreement run."""

@@ -80,20 +80,20 @@ class TestSCCInternals:
     def test_eval_set_frozen_and_covering(self, coin_runs):
         result, stack = coin_runs[SEEDS[0]]
         for pid in (1, 2, 3, 4):
-            session = stack.coins[pid].sessions[CSID]
+            session = stack.runtime.host(pid).module("coin").sessions[CSID]
             assert session.eval_set is not None
             assert len(session.eval_set) >= 3
             assert session.eval_set <= session.accepted
 
     def test_attach_sets_meet_threshold(self, coin_runs):
         result, stack = coin_runs[SEEDS[1]]
-        session = stack.coins[1].sessions[CSID]
+        session = stack.runtime.host(1).module("coin").sessions[CSID]
         for j, attach in session.t_hat.items():
             assert len(attach) >= 3
 
     def test_party_values_in_range(self, coin_runs):
         result, stack = coin_runs[SEEDS[2]]
-        session = stack.coins[1].sessions[CSID]
+        session = stack.runtime.host(1).module("coin").sessions[CSID]
         assert session.party_values  # some values computed
         for value in session.party_values.values():
             assert value == -1 or 0 <= value < session.u
@@ -101,7 +101,7 @@ class TestSCCInternals:
     def test_output_rule_zero_iff_some_zero(self, coin_runs):
         for seed, (result, stack) in coin_runs.items():
             for pid in (1, 2, 3, 4):
-                session = stack.coins[pid].sessions[CSID]
+                session = stack.runtime.host(pid).module("coin").sessions[CSID]
                 zero_seen = any(
                     session.party_values[j] == 0 for j in session.eval_set
                 )
@@ -110,7 +110,7 @@ class TestSCCInternals:
     def test_supported_threshold(self, coin_runs):
         result, stack = coin_runs[SEEDS[3]]
         for pid in (1, 2, 3, 4):
-            session = stack.coins[pid].sessions[CSID]
+            session = stack.runtime.host(pid).module("coin").sessions[CSID]
             assert len(session.supported) >= 3
 
 

@@ -51,9 +51,9 @@ class _NetLeg:
     """A started socket node; ``inject`` loops back through its inbox, so
     every delivery is one turn of ``NetworkNode._pump``."""
 
-    def __init__(self):
+    def __init__(self, journal_dir):
         self.loop = asyncio.new_event_loop()
-        self.node = NetworkNode(CONFIG, 1)
+        self.node = NetworkNode(CONFIG, 1, journal_dir / "node.journal")
         self.loop.run_until_complete(self.node.start_server())
         self.runtime = self.node.runtime
         self.host = self.node.host
@@ -76,16 +76,16 @@ class _NetLeg:
 
 
 LEGS = {
-    "calendar": lambda: _SimLeg(FifoScheduler(), by_step=False),
-    "heap": lambda: _SimLeg(None, by_step=False),
-    "step": lambda: _SimLeg(FifoScheduler(), by_step=True),
+    "calendar": lambda tmp: _SimLeg(FifoScheduler(), by_step=False),
+    "heap": lambda tmp: _SimLeg(None, by_step=False),
+    "step": lambda tmp: _SimLeg(FifoScheduler(), by_step=True),
     "net": _NetLeg,
 }
 
 
 @pytest.fixture(params=sorted(LEGS))
-def leg(request):
-    leg = LEGS[request.param]()
+def leg(request, tmp_path):
+    leg = LEGS[request.param](tmp_path)
     yield leg
     leg.close()
 

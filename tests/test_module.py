@@ -89,9 +89,11 @@ class TestModuleContract:
 
 
 RUNTIMES = {
-    "sim": lambda: Runtime(SystemConfig(n=4, seed=0), scheduler=FifoScheduler()),
+    "sim": lambda tmp: Runtime(SystemConfig(n=4, seed=0), scheduler=FifoScheduler()),
     # Never started: no sockets, nothing to close.
-    "net": lambda: NetworkNode(SystemConfig(n=4, seed=0), 1).runtime,
+    "net": lambda tmp: NetworkNode(
+        SystemConfig(n=4, seed=0), 1, tmp / "node.journal"
+    ).runtime,
 }
 
 
@@ -108,8 +110,8 @@ class TestRuntimeContract:
         runtime._emit = lambda src, dst, payload: emitted.append((dst, payload))
         return emitted
 
-    def test_satisfies_runtime_abc(self, kind):
-        runtime = RUNTIMES[kind]()
+    def test_satisfies_runtime_abc(self, kind, tmp_path):
+        runtime = RUNTIMES[kind](tmp_path)
         assert isinstance(runtime, RuntimeABC)
         assert isinstance(runtime, StepWindow)
         for shared in ("coalescing_step", "svec_defer", "_flush_svec", "_buffer"):
@@ -117,8 +119,10 @@ class TestRuntimeContract:
         assert runtime.svec and runtime.coalesce
         assert not runtime.svec_buffering  # no step open
 
-    def test_step_flushes_muxes_then_one_envelope_per_destination(self, kind):
-        runtime = RUNTIMES[kind]()
+    def test_step_flushes_muxes_then_one_envelope_per_destination(
+        self, kind, tmp_path
+    ):
+        runtime = RUNTIMES[kind](tmp_path)
         emitted = self.capture(runtime)
 
         class Mux:
@@ -142,11 +146,11 @@ class TestRuntimeContract:
         assert runtime.envelopes_pushed == 1
         assert runtime.payloads_coalesced == 3
 
-    def test_flush_that_raises_partway_leaves_nothing_behind(self, kind):
+    def test_flush_that_raises_partway_leaves_nothing_behind(self, kind, tmp_path):
         """The ``finally: outbox.clear()`` contract: a sink error on one
         destination must not make the next step re-send what already went
         out (or what was queued behind the failure)."""
-        runtime = RUNTIMES[kind]()
+        runtime = RUNTIMES[kind](tmp_path)
         emitted = []
 
         def sink(src, dst, payload):
@@ -245,9 +249,10 @@ class TestAutoPrune:
         instance_ids = tuple(("aba", i) for i in range(k))
         stack = build_stack(config, scheduler=FifoScheduler())
         decisions = {iid: {} for iid in instance_ids}
+        agreements = {}
         for iid in instance_ids:
             coins = make_coins(stack, ("ideal", 1.0), instance=iid)
-            stack.agreements[iid] = {
+            agreements[iid] = {
                 pid: ABAProcess(
                     stack.runtime.host(pid),
                     stack.broadcasts[pid],
@@ -263,12 +268,12 @@ class TestAutoPrune:
             assert len(stack.broadcasts[pid].topic_slots("aba")) == k
         for iid in instance_ids:
             for pid in config.pids:
-                stack.agreements[iid][pid].start((pid + iid[1]) % 2)
+                agreements[iid][pid].start((pid + iid[1]) % 2)
         stack.runtime.run_to_quiescence()
         for iid in instance_ids:
             assert len(decisions[iid]) == n, iid
             for pid in config.pids:
-                process = stack.agreements[iid][pid]
+                process = agreements[iid][pid]
                 assert process.halted and process.closed, (iid, pid)
                 assert not stack.runtime.host(pid).has_module(("aba", iid))
         for pid in config.pids:

@@ -62,14 +62,15 @@ FAST = TransportConfig(
 )
 
 
-def _wire(config, tconfigs, journals=None):
-    """Start one node per (pid, tconfig) wired into one address book."""
+def _wire(config, tconfigs, journal_dir):
+    """Start one node per (pid, tconfig) wired into one address book,
+    each journaling to ``journal_dir / node-<pid>.journal``."""
 
     async def build():
         nodes = {}
         for pid, tconfig in tconfigs.items():
-            journal = (journals or {}).get(pid)
-            nodes[pid] = NetworkNode(config, pid, tconfig=tconfig, journal=journal)
+            path = journal_dir / f"node-{pid}.journal"
+            nodes[pid] = NetworkNode(config, pid, path, tconfig=tconfig)
             await nodes[pid].start_server()
         book = {pid: ("127.0.0.1", n.port) for pid, n in nodes.items()}
         for node in nodes.values():
@@ -85,11 +86,11 @@ def _wire(config, tconfigs, journals=None):
 # ---------------------------------------------------------------------------
 
 
-def test_authenticated_pair_delivers_both_ways():
+def test_authenticated_pair_delivers_both_ways(tmp_path):
     config = SystemConfig(n=4, seed=7)
 
     async def main():
-        nodes = await _wire(config, {1: FAST, 2: FAST})()
+        nodes = await _wire(config, {1: FAST, 2: FAST}, tmp_path)()
         a, b = nodes[1], nodes[2]
         got_a, got_b = [], []
         a.host.register_handler("msg", lambda src, p: got_a.append(p[1]))
@@ -108,14 +109,14 @@ def test_authenticated_pair_delivers_both_ways():
     asyncio.run(main())
 
 
-def test_pair_without_a_configured_secret_authenticates_both_ways():
+def test_pair_without_a_configured_secret_authenticates_both_ways(tmp_path):
     """No configured secret is not "no auth": both nodes derive the
     cluster secret from the run seed and challenge each other."""
     config = SystemConfig(n=4, seed=7)
     plain = dataclasses.replace(FAST, auth_secret=b"")
 
     async def main():
-        nodes = await _wire(config, {1: plain, 2: plain})()
+        nodes = await _wire(config, {1: plain, 2: plain}, tmp_path)()
         a, b = nodes[1], nodes[2]
         assert a.secret == b.secret == derive_cluster_secret(7)
         got_a, got_b = [], []
@@ -135,13 +136,15 @@ def test_pair_without_a_configured_secret_authenticates_both_ways():
     asyncio.run(main())
 
 
-def test_hello_to_a_default_node_is_challenged():
+def test_hello_to_a_default_node_is_challenged(tmp_path):
     """A raw HELLO to a node built with ``TransportConfig()`` gets a
     CHALLENGE and never a WELCOME, and touches no link state."""
     config = SystemConfig(n=4, seed=7)
 
     async def main():
-        node = NetworkNode(config, 2, tconfig=TransportConfig())
+        node = NetworkNode(
+            config, 2, tmp_path / "node-2.journal", tconfig=TransportConfig()
+        )
         await node.start_server()
         reader, writer = await asyncio.open_connection("127.0.0.1", node.port)
         hello = ("hello", 1, 1, PROTO_VERSION, 1)
@@ -165,14 +168,14 @@ def test_hello_to_a_default_node_is_challenged():
     asyncio.run(main())
 
 
-def test_impostor_hello_rejected_without_stalling_honest_link():
+def test_impostor_hello_rejected_without_stalling_honest_link(tmp_path):
     """A raw TCP client claims pid 1 with a garbage MAC while the real
     pid 1 keeps sending: the impostor is counted and never welcomed, the
     honest link is untouched."""
     config = SystemConfig(n=4, seed=7)
 
     async def main():
-        nodes = await _wire(config, {1: FAST, 2: FAST})()
+        nodes = await _wire(config, {1: FAST, 2: FAST}, tmp_path)()
         a, b = nodes[1], nodes[2]
         got = []
         b.host.register_handler("msg", lambda src, p: got.append(p[1]))
@@ -212,12 +215,12 @@ def test_impostor_hello_rejected_without_stalling_honest_link():
     asyncio.run(main())
 
 
-def test_wrong_secret_never_welcomed():
+def test_wrong_secret_never_welcomed(tmp_path):
     config = SystemConfig(n=4, seed=7)
     wrong = dataclasses.replace(FAST, auth_secret=b"not-the-secret")
 
     async def main():
-        nodes = await _wire(config, {1: wrong, 2: FAST})()
+        nodes = await _wire(config, {1: wrong, 2: FAST}, tmp_path)()
         a, b = nodes[1], nodes[2]
         got = []
         b.host.register_handler("msg", lambda src, p: got.append(p[1]))
@@ -230,7 +233,7 @@ def test_wrong_secret_never_welcomed():
     asyncio.run(main())
 
 
-def test_cluster_has_no_auth_switch():
+def test_cluster_has_no_auth_switch(tmp_path):
     """``NetCluster(auth=)`` is gone, and so are ``run_processes(auth=)``
     and the launcher's ``--no-auth`` (``tests/test_net_journal.py`` pins
     those): a node without a configured secret derives one from the run
@@ -238,8 +241,12 @@ def test_cluster_has_no_auth_switch():
     config = SystemConfig(n=4, seed=7)
     with pytest.raises(TypeError, match="auth"):
         NetCluster(config, auth=False)
-    assert NetworkNode(config, 1).secret == derive_cluster_secret(7)
-    assert NetworkNode(config, 1, tconfig=FAST).secret == SECRET
+    default = NetworkNode(config, 1, tmp_path / "default.journal")
+    configured = NetworkNode(config, 1, tmp_path / "fast.journal", tconfig=FAST)
+    assert default.secret == derive_cluster_secret(7)
+    assert configured.secret == SECRET
+    for node in (default, configured):
+        node.journal.close()
 
 
 def test_mac_binds_direction_and_epoch():
@@ -289,7 +296,9 @@ async def _authenticated_raw_link(
                 return writer
 
 
-def test_forged_envelopes_and_vectors_grant_nothing_over_sockets(spy_handle):
+def test_forged_envelopes_and_vectors_grant_nothing_over_sockets(
+    spy_handle, tmp_path
+):
     """An authenticated byzantine peer hand-crafts envelopes (nested,
     non-tuple / empty / unknown-tag sub-payloads) and a slot-vector with
     malformed slots: each bad piece is dropped on its own, its well-formed
@@ -298,9 +307,9 @@ def test_forged_envelopes_and_vectors_grant_nothing_over_sockets(spy_handle):
     group = (SVEC_MW, ("cc", "solo", 0), 2, 2, 3, "md")
 
     async def main():
-        nodes = await _wire(config, {1: FAST})()
+        nodes = await _wire(config, {1: FAST}, tmp_path)()
         node = nodes[1]
-        _, vss = build_node_modules(node.host, with_vss=True)
+        _, vss = build_node_modules(node.host)
         got = []
         node.host.register_handler("a", lambda src, p: got.append(p))
         handled = {}
@@ -485,16 +494,16 @@ def test_memo_poisoning_by_an_authenticated_peer_changes_nothing():
         assert 0 < extra <= 2 * forged + len(early)
 
 
-def test_outbound_filter_sees_logical_messages_before_buffering():
+def test_outbound_filter_sees_logical_messages_before_buffering(tmp_path):
     """A byzantine-hosted node: its filter rewrites/observes each logical
     message (never an envelope), the survivors still share one frame, and
     its session-vector mux refuses to pack."""
     config = SystemConfig(n=4, seed=7)
 
     async def main():
-        nodes = await _wire(config, {1: FAST, 2: FAST})()
+        nodes = await _wire(config, {1: FAST, 2: FAST}, tmp_path)()
         a, b = nodes[1], nodes[2]
-        _, vss = build_node_modules(a.host, with_vss=True)
+        _, vss = build_node_modules(a.host)
         csid = ("cc", "solo", 0)
         vss.mux.register_family(csid)
         sid = svec_sid((SVEC_MW, csid, 1, 1, 3, "md"), 1)
@@ -532,14 +541,14 @@ def test_outbound_filter_sees_logical_messages_before_buffering():
     asyncio.run(main())
 
 
-def test_crash_mid_envelope_drops_the_rest_on_a_network_host():
+def test_crash_mid_envelope_drops_the_rest_on_a_network_host(tmp_path):
     """``host.crash()`` raised by sub-payload j kills j+1.. of that
     envelope — and a crash→recover inside the unpack loop still does
     (the ``crash_epoch`` fence) — exactly as on a simulated host."""
     config = SystemConfig(n=4, seed=7)
 
     async def main():
-        nodes = await _wire(config, {1: FAST, 2: FAST})()
+        nodes = await _wire(config, {1: FAST, 2: FAST}, tmp_path)()
         a, b = nodes[1], nodes[2]
         got = []
 
@@ -585,10 +594,7 @@ def test_restart_transport_race_no_duplicates_with_journal(tmp_path):
     config = SystemConfig(n=4, seed=7)
 
     async def main():
-        nodes = await _wire(
-            config, {1: FAST, 2: FAST},
-            journals={2: tmp_path / "node-2.journal"},
-        )()
+        nodes = await _wire(config, {1: FAST, 2: FAST}, tmp_path)()
         a, b = nodes[1], nodes[2]
         got = []
         b.host.register_handler("msg", lambda src, p: got.append(p[1]))
@@ -624,9 +630,7 @@ def test_cold_restart_resumes_seqs_from_journal(tmp_path):
     path = tmp_path / "node-1.journal"
 
     async def main():
-        nodes = await _wire(
-            config, {1: FAST, 2: FAST}, journals={1: path}
-        )()
+        nodes = await _wire(config, {1: FAST, 2: FAST}, tmp_path)()
         a, b = nodes[1], nodes[2]
         got = []
         b.host.register_handler("msg", lambda src, p: got.append(p[1]))
@@ -637,7 +641,7 @@ def test_cold_restart_resumes_seqs_from_journal(tmp_path):
         sent_high = a.peers[2]._next_seq - 1
         await a.close()
 
-        a2 = NetworkNode(config, 1, tconfig=FAST, journal=path)
+        a2 = NetworkNode(config, 1, path, tconfig=FAST)
         assert a2.epoch == old_epoch + 1
         await a2.start_server(port)
         a2.set_peers({1: ("127.0.0.1", port), 2: ("127.0.0.1", b.port)})

@@ -4,8 +4,9 @@ safe over real sockets, and scripted partitions heal into liveness.
 These runs push actual frames through a :class:`ChaosProxy` per
 destination; the :class:`InvariantMonitor` rides along and raises *at*
 any violating event, so a passing test certifies safety under that
-profile, not merely termination.  Local coins and ``with_vss=False``
-keep most runs in test-scale wall clock; the slow-marked split-input
+profile, not merely termination.  Every node is journaled and carries
+the whole substrate; local coins keep most runs in test-scale wall
+clock (an idle VSS manager sends nothing); the slow-marked split-input
 agreements at the end run the full MW-SVSS coin — now that the step
 window packs it into a few thousand frames — under the same monitor.
 """
@@ -41,7 +42,6 @@ async def _run_profile(profile: str, inputs, seed: int):
         SystemConfig(n=4, seed=seed),
         tconfig=FAST,
         chaos=profile,
-        with_vss=False,
         monitor=monitor,
     )
     await cluster.start()
@@ -107,7 +107,6 @@ def test_scripted_partition_blocks_quorum_then_heals():
             SystemConfig(n=4, seed=403),
             tconfig=FAST,
             chaos="none",  # clean policies, but proxies exist to script
-            with_vss=False,
         )
         await cluster.start()
         try:
@@ -168,7 +167,6 @@ def test_restart_node_rejoins_under_chaos(profile, tmp_path):
             SystemConfig(n=4, seed=404),
             tconfig=FAST,
             chaos=profile,
-            with_vss=False,
             journal_dir=tmp_path,
         )
         await cluster.start()

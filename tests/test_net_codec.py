@@ -314,11 +314,13 @@ def test_spliced_envelope_is_byte_identical_to_encode_value(subs):
     assert decode_value(spliced) == ("env", subs)
 
 
-def test_fanout_payload_is_encoded_once_per_flush(monkeypatch):
+def test_fanout_payload_is_encoded_once_per_flush(monkeypatch, tmp_path):
     """PR 7's encode-once property survives aggregation: one ``send_all``
     payload riding n - 1 different envelopes is encoded once, and every
     frame still decodes to exactly what ``encode_value`` would have sent."""
-    node = transport.NetworkNode(SystemConfig(n=4, seed=0), 1)
+    node = transport.NetworkNode(
+        SystemConfig(n=4, seed=0), 1, tmp_path / "node.journal"
+    )
     runtime = node.runtime
     shared = ("rb", "echo", (1, 2, 3))
     encoded = []

@@ -262,8 +262,8 @@ def test_node_rejoins_safely_from_corrupt_journal(tmp_path):
     path = tmp_path / "node-1.journal"
 
     async def main():
-        a = NetworkNode(config, 1, tconfig=FAST, journal=path)
-        b = NetworkNode(config, 2, tconfig=FAST)
+        a = NetworkNode(config, 1, path, tconfig=FAST)
+        b = NetworkNode(config, 2, tmp_path / "node-2.journal", tconfig=FAST)
         got = []
         b.host.register_handler("msg", lambda src, p: got.append(p[1]))
         await a.start_server()
@@ -280,7 +280,7 @@ def test_node_rejoins_safely_from_corrupt_journal(tmp_path):
         data = path.read_bytes()
         path.write_bytes(data[:-3])  # tear the tail
 
-        a2 = NetworkNode(config, 1, tconfig=FAST, journal=path)
+        a2 = NetworkNode(config, 1, path, tconfig=FAST)
         assert a2.epoch > old_epoch
         assert a2.journal.state.replayed > 0
         await a2.start_server(a.port)

@@ -22,6 +22,7 @@ from repro.errors import ConfigurationError
 from repro.net.cluster import NetCluster
 from repro.net.transport import (
     PEER_DOWN,
+    PEER_LIVE,
     NetworkHost,
     NetworkNode,
     TransportConfig,
@@ -41,12 +42,13 @@ FAST = TransportConfig(
 )
 
 
-def _pair(config, tconfig=FAST):
-    """Two started nodes wired to each other directly (no chaos)."""
+def _pair(config, journal_dir, tconfig=FAST):
+    """Two started nodes wired to each other directly (no chaos), each
+    journaling into ``journal_dir``."""
 
     async def build():
-        a = NetworkNode(config, 1, tconfig=tconfig)
-        b = NetworkNode(config, 2, tconfig=tconfig)
+        a = NetworkNode(config, 1, journal_dir / "a.journal", tconfig=tconfig)
+        b = NetworkNode(config, 2, journal_dir / "b.journal", tconfig=tconfig)
         await a.start_server()
         await b.start_server()
         book = {1: ("127.0.0.1", a.port), 2: ("127.0.0.1", b.port)}
@@ -70,9 +72,9 @@ def test_processhost_satisfies_hostabc(cfg4):
     assert isinstance(host, HostABC)
 
 
-def test_networkhost_satisfies_hostabc(cfg4):
+def test_networkhost_satisfies_hostabc(cfg4, tmp_path):
     async def main():
-        node = NetworkNode(cfg4, 1)
+        node = NetworkNode(cfg4, 1, tmp_path / "node.journal")
         assert isinstance(node.host, HostABC)
         assert isinstance(node.host, NetworkHost)
         # The runtime surface modules consume must exist and be sane.
@@ -88,11 +90,16 @@ def test_networkhost_satisfies_hostabc(cfg4):
 # ---------------------------------------------------------------------------
 
 
-def test_fifo_exactly_once_over_socket():
+def test_a_node_needs_a_journal(cfg4):
+    with pytest.raises(TypeError, match="journal"):
+        NetworkNode(cfg4, 1)
+
+
+def test_fifo_exactly_once_over_socket(tmp_path):
     config = SystemConfig(n=2, t=0, seed=1)
 
     async def main():
-        a, b = await _pair(config)()
+        a, b = await _pair(config, tmp_path)()
         got = []
         b.host.register_handler("m", lambda src, msg: got.append(msg))
         n_msgs = 3000
@@ -106,11 +113,11 @@ def test_fifo_exactly_once_over_socket():
     asyncio.run(main())
 
 
-def test_self_sends_loop_back_without_a_socket():
+def test_self_sends_loop_back_without_a_socket(tmp_path):
     config = SystemConfig(n=2, t=0, seed=1)
 
     async def main():
-        a = NetworkNode(config, 1, tconfig=FAST)
+        a = NetworkNode(config, 1, tmp_path / "a.journal", tconfig=FAST)
         await a.start_server()
         got = []
         a.host.register_handler("m", lambda src, msg: got.append((src, msg)))
@@ -122,13 +129,13 @@ def test_self_sends_loop_back_without_a_socket():
     asyncio.run(main())
 
 
-def test_reconnect_resync_after_transport_restart():
+def test_reconnect_resync_after_transport_restart(tmp_path):
     """Kill one node's transport mid-stream; peers must resync via the
     epoch handshake and deliver everything queued meanwhile, in order."""
     config = SystemConfig(n=2, t=0, seed=2)
 
     async def main():
-        a, b = await _pair(config)()
+        a, b = await _pair(config, tmp_path)()
         got = []
         b.host.register_handler("m", lambda src, msg: got.append(msg))
         for i in range(100):
@@ -150,21 +157,20 @@ def test_reconnect_resync_after_transport_restart():
     asyncio.run(main())
 
 
-def test_exactly_once_across_a_journal_less_transport_restart():
-    """The receive cursors survive ``stop_transport`` without a journal.
-    No ack ever leaves the receiver (acks only every 10**6 frames, no
-    heartbeat, no rto within the test), so all 20 frames are still queued
-    at the sender when the receiver restarts; the WELCOME's cursor must
-    retire them, not let them be delivered a second time."""
+def test_a_welcome_retires_delivered_but_unacked_frames(tmp_path):
+    """The receive cursors survive ``stop_transport``.  No ack ever leaves
+    the receiver (its ACK frames are suppressed, no heartbeat and no rto
+    within the test), so all 20 frames are still queued at the sender
+    when the receiver restarts; the WELCOME's cursor must retire them,
+    not let them be delivered a second time."""
     config = SystemConfig(n=2, t=0, seed=10)
     tconfig = dataclasses.replace(
-        FAST, ack_every=10**6, heartbeat_interval=5.0, rto=5.0,
-        idle_timeout=10.0,
+        FAST, heartbeat_interval=5.0, rto=5.0, idle_timeout=10.0,
     )
 
     async def main():
-        a, b = await _pair(config, tconfig)()
-        assert b.journal is None
+        a, b = await _pair(config, tmp_path, tconfig)()
+        b._ack_frame = lambda link: b""  # delivered, never acked
         got = []
         b.host.register_handler("m", lambda src, msg: got.append(msg[1]))
         for i in range(20):
@@ -173,6 +179,7 @@ def test_exactly_once_across_a_journal_less_transport_restart():
         assert len(a.peers[2].queue) == 20  # nothing acked
 
         await b.stop_transport()
+        del b._ack_frame
         await b.restart_transport()
         a.dispatch_out(2, ("m", 20))
         await b.wait_for(lambda: 20 in got, timeout=15)
@@ -185,12 +192,78 @@ def test_exactly_once_across_a_journal_less_transport_restart():
     asyncio.run(main())
 
 
+#: ``benchmarks/bench_net.py``'s link timings.
+BENCH_FAST = dataclasses.replace(FAST, idle_timeout=2.0, down_after=1.0)
+
+
+@pytest.mark.parametrize(
+    "tconfig", [TransportConfig(), BENCH_FAST], ids=["default", "bench"]
+)
+def test_a_clean_link_resends_nothing_across_idle_gaps(tmp_path, tconfig):
+    """Short bursts with idle gaps longer than the rto between them.  The
+    sender's ack clock starts when a burst goes out into an empty flight
+    (a clock left at the last ack would go-back-N each burst at once),
+    and the receiver acks what each read delivered (a tail waiting for a
+    PING would outlast the rto), so nothing is ever sent twice."""
+    config = SystemConfig(n=2, t=0, seed=11)
+
+    async def main():
+        a, b = await _pair(config, tmp_path, tconfig)()
+        got = []
+        b.host.register_handler("m", lambda src, msg: got.append(msg[1]))
+        for burst in range(4):
+            for i in range(5):
+                a.dispatch_out(2, ("m", 5 * burst + i))
+            await asyncio.sleep(0.3)
+        await b.wait_for(lambda: len(got) >= 20, timeout=10)
+        await a.drain(timeout=10)
+        assert got == list(range(20))
+        assert b._recv_links[1].duplicates == 0
+        assert a.peers[2].stats.retransmits == 0
+        await a.close()
+        await b.close()
+
+    asyncio.run(main())
+
+
+async def _until(predicate, timeout: float = 10.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition not reached"
+        await asyncio.sleep(0.002)
+
+
+def test_reconnect_backoff_starts_over_once_a_link_went_live(tmp_path):
+    """Seven crash/reboot cycles of the receiver's transport: a session
+    that went LIVE resets the sender's backoff, so the seventh relink is
+    as quick as the first instead of waiting out six doublings."""
+    config = SystemConfig(n=2, t=0, seed=12)
+
+    async def main():
+        a, b = await _pair(config, tmp_path, TransportConfig())()
+        peer = a.peers[2]
+        await _until(lambda: peer.state == PEER_LIVE)
+        relinks = []
+        for _ in range(7):
+            await b.stop_transport()
+            await _until(lambda: peer.state != PEER_LIVE)
+            start = time.monotonic()
+            await b.restart_transport()
+            await _until(lambda: peer.state == PEER_LIVE)
+            relinks.append(time.monotonic() - start)
+        assert relinks[-1] < 0.5, relinks
+        await a.close()
+        await b.close()
+
+    asyncio.run(main())
+
+
 # ---------------------------------------------------------------------------
 # Supervision: DOWN marking, counted drops, backpressure
 # ---------------------------------------------------------------------------
 
 
-def test_unreachable_peer_goes_down_with_counted_ring_drops():
+def test_unreachable_peer_goes_down_with_counted_ring_drops(tmp_path):
     config = SystemConfig(n=2, t=0, seed=3)
     tconfig = TransportConfig(
         connect_timeout=0.2,
@@ -201,7 +274,7 @@ def test_unreachable_peer_goes_down_with_counted_ring_drops():
     )
 
     async def main():
-        a = NetworkNode(config, 1, tconfig=tconfig)
+        a = NetworkNode(config, 1, tmp_path / "a.journal", tconfig=tconfig)
         await a.start_server()
         # Peer 2's address is a port nothing listens on.
         dead = ("127.0.0.1", 1)
@@ -223,7 +296,7 @@ def test_unreachable_peer_goes_down_with_counted_ring_drops():
     asyncio.run(main())
 
 
-def test_backpressure_gate_blocks_pump_until_peer_goes_down():
+def test_backpressure_gate_blocks_pump_until_peer_goes_down(tmp_path):
     """A live-but-stalled peer past high water pauses inbound dispatch
     (honest senders block, nothing dropped); once the peer is marked DOWN
     the node degrades gracefully and the pump resumes."""
@@ -251,7 +324,7 @@ def test_backpressure_gate_blocks_pump_until_peer_goes_down():
         sink = await asyncio.start_server(swallow, "127.0.0.1", 0)
         sink_port = sink.sockets[0].getsockname()[1]
 
-        a = NetworkNode(config, 1, tconfig=tconfig)
+        a = NetworkNode(config, 1, tmp_path / "a.journal", tconfig=tconfig)
         await a.start_server()
         a.set_peers({1: ("127.0.0.1", a.port), 2: ("127.0.0.1", sink_port)})
         a.start_peers()
@@ -284,7 +357,7 @@ def test_backpressure_gate_blocks_pump_until_peer_goes_down():
 
 def test_agreement_over_sockets_unanimous(cfg4):
     async def main():
-        cluster = NetCluster(cfg4, tconfig=FAST, with_vss=False)
+        cluster = NetCluster(cfg4, tconfig=FAST)
         await cluster.start()
         try:
             decisions = await cluster.run_agreement(
@@ -299,7 +372,7 @@ def test_agreement_over_sockets_unanimous(cfg4):
 
 def test_agreement_over_sockets_split_inputs_agrees(cfg4):
     async def main():
-        cluster = NetCluster(cfg4, tconfig=FAST, with_vss=False)
+        cluster = NetCluster(cfg4, tconfig=FAST)
         await cluster.start()
         try:
             decisions = await cluster.run_agreement(
@@ -328,7 +401,7 @@ def test_cluster_agreement_rejects_inputs_not_naming_the_pids(
     )
 
     async def main():
-        cluster = NetCluster(cfg4, tconfig=FAST, with_vss=False)
+        cluster = NetCluster(cfg4, tconfig=FAST)
         await cluster.start()
         try:
             with pytest.raises(ConfigurationError):
@@ -343,7 +416,7 @@ def test_cluster_agreement_rejects_inputs_not_naming_the_pids(
 def test_monitor_observes_cluster_run(cfg4):
     async def main():
         monitor = InvariantMonitor()
-        cluster = NetCluster(cfg4, tconfig=FAST, with_vss=False, monitor=monitor)
+        cluster = NetCluster(cfg4, tconfig=FAST, monitor=monitor)
         await cluster.start()
         try:
             decisions = await cluster.run_agreement(
@@ -362,12 +435,48 @@ def test_monitor_observes_cluster_run(cfg4):
     asyncio.run(main())
 
 
+def test_a_cluster_without_a_journal_dir_journals_into_its_own(cfg4):
+    """``NetCluster`` has one node shape: with no ``journal_dir`` every
+    node still journals, into a temporary directory the cluster owns, so
+    ``restart_node`` rejoins from it, and ``close()`` removes it."""
+
+    async def main():
+        cluster = NetCluster(cfg4, tconfig=FAST)
+        root = cluster.journal_dir
+        await cluster.start()
+        try:
+            for pid, node in cluster.nodes.items():
+                assert node.journal.path == root / f"node-{pid}.journal"
+                assert node.journal.path.exists()
+            first = await cluster.run_agreement(
+                [1, 1, 1, 1], coin="local", instance="before", timeout=30
+            )
+            assert first == {1: 1, 2: 1, 3: 1, 4: 1}
+            await cluster.restart_node(2)
+            assert cluster.nodes[2].journal.state.replayed > 0
+            assert cluster.stats()["journal_replayed"] > 0
+            second = await cluster.run_agreement(
+                [0, 0, 0, 0], coin="local", instance="after", timeout=30
+            )
+            assert second == {1: 0, 2: 0, 3: 0, 4: 0}
+        finally:
+            await cluster.close()
+        assert not root.exists()
+
+    asyncio.run(main())
+
+
+def test_the_cluster_vss_knob_is_gone(cfg4):
+    with pytest.raises(TypeError, match="with_vss"):
+        NetCluster(cfg4, with_vss=False)
+
+
 def test_kill_and_revive_within_t(cfg4):
     """Agreement survives one transport-crashed node (n=4, t=1), and the
     crashed node reconnects cleanly for the next instance."""
 
     async def main():
-        cluster = NetCluster(cfg4, tconfig=FAST, with_vss=False)
+        cluster = NetCluster(cfg4, tconfig=FAST)
         await cluster.start()
         try:
             await cluster.kill_node(2)
@@ -388,7 +497,7 @@ def test_kill_and_revive_within_t(cfg4):
     asyncio.run(main())
 
 
-def test_revive_heals_link_after_counted_ring_drops():
+def test_revive_heals_link_after_counted_ring_drops(tmp_path):
     """Regression: while a peer is DOWN its queue ring-drops with
     accounting; on revive the sender must announce its (advanced) base —
     including drops racing the handshake itself — so the receiver jumps
@@ -407,7 +516,7 @@ def test_revive_heals_link_after_counted_ring_drops():
     )
 
     async def main():
-        a, b = await _pair(config, tconfig)()
+        a, b = await _pair(config, tmp_path, tconfig)()
         got = []
         b.host.register_handler("m", lambda src, msg: got.append(msg))
         for i in range(20):
@@ -526,14 +635,14 @@ def test_flush_chunks_envelopes_to_the_frame_limit(cfg4):
     asyncio.run(main())
 
 
-def test_chunked_envelope_preserves_send_order():
+def test_chunked_envelope_preserves_send_order(tmp_path):
     """Unit view of the split: sub-payloads leave in send order, every
     frame body fits the limit, a lone sub-payload travels plain."""
     config = SystemConfig(n=2, t=0, seed=8)
     tconfig = TransportConfig(max_frame_body=256)
 
     async def main():
-        a, b = await _pair(config, tconfig)()
+        a, b = await _pair(config, tmp_path, tconfig)()
         got = []
         b.host.register_handler("m", lambda src, msg: got.append(msg))
         sent = [("m", i, "x" * (i % 90)) for i in range(60)]
@@ -558,19 +667,12 @@ def test_chunked_envelope_preserves_send_order():
 
 def test_envelopes_are_exactly_once_across_a_transport_restart(tmp_path):
     """The unit of retransmission is a frame, and a frame is now an
-    envelope: a journaled receiver restarted mid-stream must still see
+    envelope: a receiver restarted mid-stream must still see
     every *logical* message exactly once, in order."""
     config = SystemConfig(n=2, t=0, seed=9)
 
     async def main():
-        a = NetworkNode(config, 1, tconfig=FAST)
-        b = NetworkNode(config, 2, tconfig=FAST, journal=tmp_path / "b.journal")
-        await a.start_server()
-        await b.start_server()
-        book = {1: ("127.0.0.1", a.port), 2: ("127.0.0.1", b.port)}
-        for node in (a, b):
-            node.set_peers(book)
-            node.start_peers()
+        a, b = await _pair(config, tmp_path)()
         got = []
         b.host.register_handler("m", lambda src, msg: got.append(msg[1]))
 
