@@ -10,7 +10,7 @@ aggregation collapses the *logical message* bill itself (one
 per-session messages, and one reliable broadcast per (step, origin)
 instead of one per vector, ~n⁴ → ~n³).  Both are the transport now, with
 no keyword beside them; what switches them off is the scheduler.  For
-``n ∈ {4, 5, 7}`` this times one complete invocation (share + reveal,
+``n ∈ {4, 5, 7}`` this runs one complete invocation (share + reveal,
 unit-delay FIFO network) as it runs by default, with slots
 split (``SlotSplit(fifo)``: envelopes only) and with both packings split
 (``SlotSplit(EnvSplit(fifo))``: the paper's literal per-message wire), and
@@ -22,11 +22,7 @@ records, per mode:
 2. **Events per invocation** — the PR-4 gate stays: ≥2× fewer dispatched
    events at ``n = 7`` with envelopes alone than per message (measured
    >60×).
-3. **Wall-clock per invocation** — single-shot seconds, recorded for the
-   trajectory and gated on nothing: one sample of wall-clock on a shared
-   box decides nothing (``benchmarks/e2e`` is where seconds are judged,
-   on repeated fresh-process samples).
-4. **DMM verdict calls per invocation** — the per-slot-handler-work
+3. **DMM verdict calls per invocation** — the per-slot-handler-work
    metric of vector ingestion: grouping a slot-vector's sibling
    sessions behind one group-level ``filter_verdict`` probe replaces n
    per-slot calls with one (plus per-slot fallbacks only on
@@ -34,10 +30,10 @@ records, per mode:
    value message takes the per-slot ``VSSManager._ingest`` path on the
    same enveloped wire.  Acceptance gate: ≥3× fewer verdict calls at
    ``n = 7`` by default.
-5. **Equivalence** — the coin outputs of every process must be identical
+4. **Equivalence** — the coin outputs of every process must be identical
    across all modes (both transports are output-pure under fixed-delay
    schedulers).
-6. **The bills do not move** — the ``per_message`` and ``default`` rows
+5. **The bills do not move** — the ``per_message`` and ``default`` rows
    must repeat the committed artifact's ``events_dispatched`` /
    ``logical_messages`` / ``dmm_verdict_calls`` exactly, before the file
    is rewritten.  The ``per_message`` rows were first written by
@@ -46,6 +42,10 @@ records, per mode:
    here no optimisation may change.  The ``default`` rows are the wire
    every entry point runs: a change that means to move them says so by
    committing the new rows.
+
+No seconds are recorded: one wall-clock sample on a shared machine decides
+nothing, and ``benchmarks/e2e`` judges seconds on repeated fresh-process
+samples.
 
 ``n = 10`` runs the default only and is gated on *finishing*: per message
 it exceeds the runtime's 50M-event livelock guard (the problem this layer
@@ -61,7 +61,6 @@ from __future__ import annotations
 
 import gc
 import json
-import time
 
 from bench_common import (
     REPO_ROOT,
@@ -85,10 +84,7 @@ GATE_VERDICT_REDUCTION = 3.0  # batched-ingestion gate (PR 8)
 
 #: mode name -> fast_coin_flip kwargs (``split`` wraps the FIFO scheduler).
 #: At N_LARGE and beyond only the default is feasible.
-#: Declaration order is measurement order: the default runs FIRST at each
-#: n so its recorded seconds aren't poisoned by the heap a preceding
-#: per-session n=7 run leaves behind (allocator fragmentation after a
-#: ~9M-logical-message run costs the next run ~2×).
+#: Declaration order is measurement order.
 MODES = {
     "default": {},
     "slot_split": {"split": SlotSplittingScheduler},
@@ -116,14 +112,11 @@ def _committed_bills() -> dict[int, dict]:
 
 
 def _measure(n: int, mode: str) -> tuple[dict, dict]:
-    # Start every mode from a collected heap so timings are per-mode,
-    # not a function of what the previous invocation left uncollected.
+    # Start every mode from a collected heap: no invocation runs on what
+    # the previous one left uncollected.
     gc.collect()
-    start = time.perf_counter()
     result = fast_coin_flip(n, SEED, **MODES[mode])
-    seconds = time.perf_counter() - start
     record = {
-        "seconds": seconds,
         "events_dispatched": result.events_dispatched,
         "messages_pushed": result.messages_pushed,
         "logical_messages": logical_messages(result),
@@ -157,9 +150,6 @@ def _series() -> list[dict]:
             row["per_message"]["logical_messages"]
             / row["default"]["logical_messages"]
         )
-        row["wall_clock_speedup"] = (
-            row["per_message"]["seconds"] / row["default"]["seconds"]
-        )
         row["verdict_calls_reduction"] = (
             row["slot_split"]["dmm_verdict_calls"]
             / row["default"]["dmm_verdict_calls"]
@@ -182,7 +172,7 @@ def _frontier_row(n: int) -> dict:
 def test_bench_coin(emit):
     committed_bills = _committed_bills()
     series = _series()
-    # Gate 6, before anything is written: the paper's literal bill and
+    # Gate 5, before anything is written: the paper's literal bill and
     # the default wire's.
     for row in series:
         assert _bill(row) == committed_bills[row["n"]], (row["n"], _bill(row))
@@ -222,9 +212,6 @@ def test_bench_coin(emit):
             f"{row['slot_split']['dmm_verdict_calls']:,}",
             f"{row['default']['dmm_verdict_calls']:,}",
             f"{row['verdict_calls_reduction']:.1f}x",
-            f"{row['per_message']['seconds']:.2f}",
-            f"{row['default']['seconds']:.2f}",
-            f"{row['wall_clock_speedup']:.2f}x",
         ]
         for row in series
     ]
@@ -238,9 +225,6 @@ def test_bench_coin(emit):
             "-",
             f"{large['default']['dmm_verdict_calls']:,}",
             "-",
-            "-",
-            f"{large['default']['seconds']:.2f}",
-            "-",
         ]
     )
     emit(
@@ -248,7 +232,7 @@ def test_bench_coin(emit):
             "SVSS common coin: default vs the splitting schedulers",
             ["n", "logical per-msg", "logical default", "reduction",
              "events default", "verdicts slot-split", "verdicts default",
-             "verdict redux", "s per-msg", "s default", "speedup"],
+             "verdict redux"],
             table_rows,
             note=(
                 "full share+reveal, unit-delay FIFO; outputs "

@@ -2,7 +2,7 @@
 
 Runs the inputs of the end-to-end benchmark's ``coin_n7`` operation — one
 fault-free ``flip_common_coin`` shape (FIFO, default transport, seed
-``1000 * seed``) — three times per n.  The run is deterministic per seed, so
+``1000 * seed``) — four times per n.  The run is deterministic per seed, so
 pass 1 reads the traced heap at every delivered event and names, for each
 phase, the event at which it peaks: the share phase runs until the first
 MW-SVSS share completes, the reconstruct phase after it.  Pass 2 takes one
@@ -11,6 +11,15 @@ reconstruct-phase peak event.  Each snapshot is grouped by module and by
 ``file:line``; both groupings must sum to the traced heap at the snapshot,
 that heap must be pass 1's reading at the same event, and the larger phase
 peak must be the run's traced peak.
+
+The traced heap is not what sets the process' resident set: the allocator
+keeps freed arenas, and ``tracemalloc`` sees no interpreter overhead.  So
+pass 0 runs the same coin untraced, before the traced passes, and reads the
+current RSS (``/proc/self/statm``; where that is missing, ``ru_maxrss``,
+which is a running maximum) every ``RSS_EVERY`` delivered events: it
+names each phase's RSS peak and the event of the RSS high-water.  Earlier
+passes leave their arenas behind, so read an n's RSS from a run of that n
+alone (``--n 7``).
 
     PYTHONPATH=src python benchmarks/mem_profile.py            # n = 4, 7
     PYTHONPATH=src python benchmarks/mem_profile.py --n 4      # CI smoke
@@ -25,7 +34,9 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import pathlib
+import resource
 import sys
 import tracemalloc
 
@@ -34,6 +45,8 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 #: The snapshot's own bookkeeping moves the heap between the reading and the
 #: snapshot; the parts must still be within this share of the whole.
 SUM_TOLERANCE = 0.02
+#: Pass 0 reads the resident set at every this-many delivered events.
+RSS_EVERY = 50
 
 
 def start_coin(n: int, seed: int):
@@ -55,12 +68,24 @@ def start_coin(n: int, seed: int):
     return stack, outputs
 
 
-def run_coin(n: int, seed: int, snapshot_at: int | None):
+def current_rss() -> int:
+    """Resident bytes now (``ru_maxrss``, the high-water, without ``/proc``)."""
+    try:
+        with open("/proc/self/statm") as statm:
+            return int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+    except OSError:
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        return peak if sys.platform == "darwin" else peak * 1024
+
+
+def run_coin(n: int, seed: int, snapshot_at: int | None, rss: bool = False):
     """One traced coin.  Returns ``(phases, first MW share completion,
     traced peak, MW instances, (heap, snapshot))``: ``phases`` holds the
     ``(event, heap)`` of the largest heap at a delivered event before and
     after the first MW share completed, and the snapshot is taken at event
-    ``snapshot_at`` (``None``: no snapshot, just find the phase peaks)."""
+    ``snapshot_at`` (``None``: no snapshot, just find the phase peaks).
+    With ``rss`` the coin runs untraced, ``phases`` holds RSS read at
+    every ``RSS_EVERY``-th event, and the traced peak is the RSS peak."""
     from repro.core.mwsvss import MWSVSSInstance
 
     # Finished sharings leave the manager's tables: count instances as made.
@@ -73,7 +98,8 @@ def run_coin(n: int, seed: int, snapshot_at: int | None):
 
     MWSVSSInstance.__init__ = counted
     gc.collect()
-    tracemalloc.start()
+    if not rss:
+        tracemalloc.start()
     try:
         stack, outputs = start_coin(n, seed)
         events = [0]
@@ -83,7 +109,12 @@ def run_coin(n: int, seed: int, snapshot_at: int | None):
 
         def tap(src, dst, payload):
             events[0] += 1
-            current = tracemalloc.get_traced_memory()[0]
+            if rss:
+                if events[0] % RSS_EVERY:
+                    return
+                current = current_rss()
+            else:
+                current = tracemalloc.get_traced_memory()[0]
             phase = phases[shared_at[0] is not None]
             if current > phase[1]:
                 phase[0], phase[1] = events[0], current
@@ -109,7 +140,10 @@ def run_coin(n: int, seed: int, snapshot_at: int | None):
         )
         if len(set(outputs.values())) != 1:
             raise RuntimeError(f"the coin did not output one bit: {outputs}")
-        peak = tracemalloc.get_traced_memory()[1]
+        if rss:
+            peak = max(phases[0][1], phases[1][1])
+        else:
+            peak = tracemalloc.get_traced_memory()[1]
         instances = created[0]
     finally:
         tracemalloc.stop()
@@ -156,11 +190,25 @@ def snapshot_tables(snapshot, instances: int, top: int) -> tuple[int, int, list[
     return line_sum, sum(size for _, size in module_rows), lines
 
 
+def rss_profile(n: int, seed: int) -> None:
+    """Pass 0: the untraced coin's RSS at each phase peak and its high-water."""
+    phases, shared_at, peak, _, _ = run_coin(n, seed, snapshot_at=None, rss=True)
+    top = max(range(2), key=lambda i: phases[i][1])
+    print(
+        f"RSS, untraced, read every {RSS_EVERY} events: share phase peaks at "
+        f"{phases[0][1] / 2**20:.1f} MB (event {phases[0][0]}), reconstruct "
+        f"phase at {phases[1][1] / 2**20:.1f} MB (event {phases[1][0]}); "
+        f"**the high-water is event {phases[top][0]}** "
+        f"({peak / 2**20:.1f} MB; first MW share completed at event {shared_at})\n"
+    )
+
+
 def profile(n: int, seed: int, top: int) -> bool:
+    print(f"### n = {n} (seed {1000 * seed})\n")
+    rss_profile(n, seed)
     phases, shared_at, peak, instances, _ = run_coin(n, seed, snapshot_at=None)
     top_phase = max(range(2), key=lambda i: phases[i][1])
     ok = abs(phases[top_phase][1] - peak) <= SUM_TOLERANCE * peak
-    print(f"### n = {n} (seed {1000 * seed})\n")
     print(
         f"traced peak {peak / 2**20:.1f} MB; {instances} MW-SVSS instances over {n} "
         f"processes, **{peak / instances:.0f} B per instance**; the first MW "

@@ -26,9 +26,11 @@ pending, which silently delays every later-session message from that sender
 Implementation notes
 --------------------
 State is session-first, like the paper's ``ACK[σ]`` / ``DEAL[σ]`` arrays: one
-:class:`_Ledger` per session holds the DEAL row (sender → value), the ACK
-rows (sender → {monitor: value}) and the reconstruct batches seen so far, so
-an entry point costs one session-keyed probe; a per-sender count of unmet
+:class:`_Ledger` per session holds the batches seen so far and masks over
+values the session holds anyway — DEAL a sender mask over the monitor's
+confirm list (kept past the ``L`` freeze), ACK a monitor mask per sender over
+the dealer's value matrix, each row let go with its last bit — so an entry
+point costs one session-keyed probe; a per-sender count of unmet
 expectations answers :meth:`DMM.has_expectations`.  Reconstruct broadcasts
 are batched (one RB per process per session carrying ``{monitor: value}``),
 and a batch missing an expected monitor entry leaves that expectation
@@ -85,21 +87,33 @@ DELAY = "delay"
 DISCARD = "discard"
 
 
+def _pids(mask: int) -> list[int]:
+    return [p for p in range(mask.bit_length()) if mask >> p & 1]
+
+
 class _Ledger:
     """What the DMM holds for one session: the paper's ``DEAL[σ]`` and
-    ``ACK[σ]`` rows and the reconstruct batches seen while ``σ`` is open,
-    each allocated with its first entry."""
+    ``ACK[σ]`` rows as masks over value rows the session's instances hold
+    anyway, and the reconstruct batches seen while ``σ`` is open, each
+    allocated with its first entry."""
 
-    __slots__ = ("deal", "ack", "seen", "closed")
+    __slots__ = ("deal", "deal_row", "ack", "ack_rows", "seen", "closed")
 
     def __init__(self, closed: bool):
-        self.deal: dict[int, int] | None = None  # sender -> expected value
-        self.ack: dict[int, dict[int, int]] | None = None  # sender -> {monitor: value}
+        self.deal = 0  # mask: senders owing f_i(sender) = deal_row[sender]
+        self.deal_row: list | None = None  # the monitor's confirm list
+        self.ack: list[int] | None = None  # [sender] = mask of the monitors j owed
+        self.ack_rows: list | None = None  # the dealer's matrix: f_j(l) = ack_rows[j][l]
         self.seen: dict[int, dict[int, int]] | None = None  # sender -> batch
         self.closed = closed  # takes no new batch (see "Session lifetime")
 
-    def owes(self, sender: int) -> bool:
-        return sender in (self.deal or ()) or sender in (self.ack or ())
+    def owed(self, sender: int) -> int:  # expectations ``sender`` has not met here
+        return (self.deal >> sender & 1) + (self.ack[sender].bit_count() if self.ack else 0)
+
+    def debtors(self) -> list[int]:
+        """The senders owing some expectation here, ascending."""
+        span = max(self.deal.bit_length(), len(self.ack or ()))
+        return [p for p in range(span) if self.owed(p)]
 
 
 class DMM:
@@ -140,28 +154,28 @@ class DMM:
         self._on_shun = on_shun
 
     # -- expectations ------------------------------------------------------
-    def expect_ack(self, sender: int, session: tuple, monitor: int, value: int) -> None:
+    def expect_ack(self, sender: int, session: tuple, monitor: int, rows) -> None:
         """Dealer step 7: expect ``sender`` to broadcast ``f_monitor(sender)
-        = value`` during the reconstruct of ``session``."""
-        ledger = self._ledger_for(sender, session, monitor, value)
+        = rows[monitor][sender]`` (the dealer's value matrix) during the
+        reconstruct of ``session``."""
+        ledger = self._ledger_for(sender, session, monitor, rows[monitor][sender])
         if ledger is not None:
             if ledger.ack is None:
-                ledger.ack = {}
-            entries = ledger.ack.setdefault(sender, {})
-            if monitor not in entries:
-                entries[monitor] = value
+                ledger.ack, ledger.ack_rows = [0] * len(rows), rows
+            if not ledger.ack[sender] >> monitor & 1:
+                ledger.ack[sender] |= 1 << monitor
                 self._owe(sender, session, ledger)
 
-    def expect_deal(self, sender: int, session: tuple, value: int) -> None:
+    def expect_deal(self, sender: int, session: tuple, row) -> None:
         """Monitor step 3: expect ``sender`` to broadcast ``f_i(sender) =
-        value`` during the reconstruct of ``session``."""
-        ledger = self._ledger_for(sender, session, self.pid, value)
-        if ledger is not None:
-            if ledger.deal is None:
-                ledger.deal = {}
-            if sender not in ledger.deal:
-                ledger.deal[sender] = value
-                self._owe(sender, session, ledger)
+        row[sender]`` (the confirm list: each entry is written once, none
+        after the ``L`` freeze) during the reconstruct of ``session``."""
+        ledger = self._ledger_for(sender, session, self.pid, row[sender])
+        if ledger is not None and not ledger.deal >> sender & 1:
+            if ledger.deal_row is None:
+                ledger.deal_row = row
+            ledger.deal |= 1 << sender
+            self._owe(sender, session, ledger)
 
     def _ledger_for(
         self, sender: int, session: tuple, monitor: int, value: int
@@ -187,8 +201,8 @@ class DMM:
         values of its monitored polynomial — forget those expectations."""
         ledger = self._ledgers.get(session)
         if ledger is not None and ledger.deal:
-            dropped, ledger.deal = ledger.deal, None
-            for sender in dropped:
+            dropped, ledger.deal = ledger.deal, 0
+            for sender in _pids(dropped):
                 self._settle(sender, session, ledger)
             self._drop_if_empty(session, ledger)
 
@@ -227,7 +241,7 @@ class DMM:
         """``by`` expectations of ``sender`` just left ``ledger``; with the
         last one the session stops gating the sender's messages."""
         self._pay(sender, by)
-        if ledger.owes(sender):
+        if ledger.owed(sender):
             return
         armed = self._armed.get(sender)
         if armed is not None and session in armed:
@@ -246,7 +260,12 @@ class DMM:
             self.dirty.add(sender)
 
     def _drop_if_empty(self, session: tuple, ledger: _Ledger) -> None:
-        if not (ledger.deal or ledger.ack or ledger.seen):
+        """Let go of each row no mask reads any more, and of an empty ledger."""
+        if not ledger.deal:
+            ledger.deal_row = None
+        if not any(ledger.ack or ()):
+            ledger.ack = ledger.ack_rows = None
+        if not (ledger.deal or ledger.seen or ledger.ack):
             del self._ledgers[session]
             if self.clock.finished(session):  # the last debt of a retired session
                 self.clock.completed.pop(session, None)
@@ -260,7 +279,7 @@ class DMM:
         if ledger is not None:
             ledger.closed = True
             ledger.seen = None
-            for sender in set(ledger.deal or ()).union(ledger.ack or ()):
+            for sender in ledger.debtors():
                 self._arm(sender, session)
             self._drop_if_empty(session, ledger)
 
@@ -277,10 +296,8 @@ class DMM:
         self._closed_sessions.add(session)
         ledger = self._ledgers.pop(session, None)
         if ledger is not None:
-            for sender in ledger.deal or ():
-                self._pay(sender, 1)
-            for sender, entries in (ledger.ack or {}).items():
-                self._pay(sender, len(entries))
+            for sender in ledger.debtors():
+                self._pay(sender, ledger.owed(sender))
 
     def retire(self, sessions: Iterable[tuple]) -> None:
         """``sessions`` left the manager's tables: forget all but their debts."""
@@ -308,28 +325,25 @@ class DMM:
             if ledger.seen is None:
                 ledger.seen = {}
             ledger.seen[sender] = batch
-        entries = ledger.ack.get(sender) if ledger.ack else None
-        if entries is not None:
-            cleared = 0
-            for monitor in list(entries):
+        owed = ledger.ack[sender] if ledger.ack else 0
+        if owed:
+            rows, cleared = ledger.ack_rows, 0
+            for monitor in _pids(owed):
                 if monitor not in batch:
                     continue  # still owed; expectation stays pending
-                if batch[monitor] == entries[monitor]:
-                    del entries[monitor]
-                    cleared += 1
-                else:
+                if batch[monitor] != rows[monitor][sender]:
                     self._detect(sender, session)
                     return
-            if not entries:
-                del ledger.ack[sender]
+                owed ^= 1 << monitor
+                cleared += 1
             if cleared:
+                ledger.ack[sender] = owed
                 self._settle(sender, session, ledger, cleared)
-        deal = ledger.deal
-        if deal and sender in deal and self.pid in batch:
-            if batch[self.pid] != deal[sender]:
+        if ledger.deal >> sender & 1 and self.pid in batch:
+            if batch[self.pid] != ledger.deal_row[sender]:
                 self._detect(sender, session)
                 return
-            del deal[sender]
+            ledger.deal ^= 1 << sender
             self._settle(sender, session, ledger)
         self._drop_if_empty(session, ledger)
 
@@ -342,10 +356,10 @@ class DMM:
         # its expectations no longer gate anything.
         if self._owed.pop(sender, None) is not None:
             for stale, ledger in list(self._ledgers.items()):
-                if ledger.owes(sender):
-                    for owed in (ledger.deal, ledger.ack):
-                        if owed:
-                            owed.pop(sender, None)
+                if ledger.owed(sender):
+                    ledger.deal &= ~(1 << sender)
+                    if ledger.ack:
+                        ledger.ack[sender] = 0
                     self._drop_if_empty(stale, ledger)
         self._armed.pop(sender, None)
         self._armed_min_done.pop(sender, None)
@@ -414,7 +428,7 @@ class DMM:
 
     # -- introspection -----------------------------------------------------------
     def pending_sessions(self, sender: int) -> frozenset[tuple]:
-        return frozenset(s for s, ledger in self._ledgers.items() if ledger.owes(sender))
+        return frozenset(s for s, ledger in self._ledgers.items() if ledger.owed(sender))
 
     def has_expectations(self, sender: int) -> bool:
         return sender in self._owed

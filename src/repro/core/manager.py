@@ -441,9 +441,9 @@ class VSSManager(ProtocolModule):
           per-slot verdicts;
         * **instance lookup** — the group's :class:`GroupLane` columns
           give O(1) slot access without rebuilding per-slot sid tuples;
-        * **value decoding** — ``mon``/``mod``/``rows`` bodies are batch
-          decoded into value rows over one cached basis (bit-identical to
-          the per-slot decode; see GroupLane).
+        * **value decoding** — ``mon``/``mod`` bodies are shape checked
+          in one pass, ``rows`` bodies batch decoded into value rows over
+          one cached basis (bit-identical to the per-slot decode; see GroupLane).
 
         Per-slot degradation is preserved: malformed entries, delayed and
         discarded slots, and crash/recovery mid-vector affect only the

@@ -26,14 +26,17 @@ reliable broadcast (``("vss", sid, kind, body)``):
 
 Every polynomial is only ever evaluated, and only at points of ``{0..n}``:
 the dealer keeps ``f, f_1..f_n`` as the value matrix ``f_l(0..n)``, the
-monitor's ``f̂_j`` and the moderator's ``f̂`` are value rows ``f(0..n)``
-(:func:`value_rows`), computed once at receipt and indexed by steps 3-5,
-and R' reads ``f̄_l(0)`` and ``f̄(0)`` off bases looked up by pid mask
-(``VSSManager.basis`` / ``VSSManager.fit``).
+monitor's ``f̂_j`` and the moderator's ``f̂`` stay the dealer's values
+``f(1..t+1)`` and any other point is one dot product read where a step
+needs it (:func:`point`), and R' reads ``f̄_l(0)`` and
+``f̄(0)`` off bases looked up by pid mask (``VSSManager.basis`` /
+``VSSManager.fit``).  The DMM's expectations are masks over the dealer's
+matrix and the monitor's confirm list, never copies of their values.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import compress
 from operator import mul
 from typing import TYPE_CHECKING
@@ -64,25 +67,25 @@ class _Bottom:
 BOTTOM = _Bottom()
 
 
+@cache
+def _nodes(field: Field, t: int):
+    """The basis of the nodes ``1..t+1`` every received polynomial is given at."""
+    return lagrange_basis(field, range(1, t + 2))
+
+
+def point(field: Field, t: int, values, x: int) -> int:
+    """``f(x)`` of the degree-``t`` polynomial with values ``f(1..t+1)`` (the
+    first ``t+1`` entries of ``values``): an entry at a node, else one dot
+    product with the nodes' cached evaluation row, no coefficient vector."""
+    if 0 < x <= t + 1:
+        return values[x - 1]
+    return sum(map(mul, values, _nodes(field, t).evaluation_row(x))) % field.prime
+
+
 def value_rows(field: Field, n: int, t: int, bodies: list) -> list[tuple[int, ...]]:
     """``f(0..n)`` of every degree-``t`` polynomial given by its values
-    ``f(1..t+1)`` (a validated ``"mon"``/``"mod"`` body, or one half of an
-    SVSS ``"rows"`` body): the body itself at the nodes ``1..t+1``, one
-    cached evaluation-row dot product at ``0`` and at each of ``t+2..n``,
-    no coefficient vector.  Tuples, not lists: one allocation per row, and
-    a coin holds one row per MW-SVSS instance through its share phase."""
-    row = lagrange_basis(field, range(1, t + 2)).evaluation_row
-    prime = field.prime
-    zero = row(0)
-    tail = [row(x) for x in range(t + 2, n + 1)]
-    return [
-        (
-            sum(map(mul, body, zero)) % prime,
-            *body,
-            *[sum(map(mul, body, lam)) % prime for lam in tail],
-        )
-        for body in bodies
-    ]
+    ``f(1..t+1)`` (one half of an SVSS ``"rows"`` body)."""
+    return [tuple(point(field, t, body, x) for x in range(n + 1)) for body in bodies]
 
 
 class MWSVSSInstance:
@@ -97,17 +100,20 @@ class MWSVSSInstance:
     :meth:`begin_reconstruct` or the first ``rv`` to output; ``share_vector``,
     ``L_hat`` and the dealer's ``_deal_rows`` to :meth:`release`, the
     terminal state that owns no working set, entered at output (R' step 4)
-    or when the parent learns that nobody will reconstruct.  Nothing is owed after
-    output — output ⇒ share completed ⇒ ``M̂``, every ``L̂_l`` (l ∈ M̂) and
-    the dealer's OK are public by RB totality, so no other process' S'
-    needs a further message from this one; ``rv`` went out at
+    or when the parent learns that nobody will reconstruct.  Nothing is
+    owed after output — output ⇒ share completed ⇒ ``M̂``, every ``L̂_l``
+    (l ∈ M̂) and the dealer's OK are public by RB totality, so no other
+    process' S' needs a further message from this one; ``rv`` went out at
     :meth:`begin_reconstruct`, which precedes output; and DEAL / ACK
     expectations are only added before ``L`` freezes / at step 7, both
     before share completion.  A released instance ignores every message
     until its sharing leaves the manager's tables (see ``core.manager``):
-    read an outcome off the watcher, not the instance.
-    What must outlive it — convicting or clearing a late ``rv`` against an
-    outstanding debt — lives in the DMM, which the manager consults first.
+    read an outcome off the watcher, not the instance.  What must outlive
+    it — convicting or clearing a late ``rv`` against an outstanding debt
+    — lives in the DMM, which the manager consults first, and so does what
+    that reads: the ledger keeps the confirm list past the ``L`` freeze
+    (its DEAL row) and ``_deal_rows`` past release (its ACK rows) until
+    the debt clears.
     """
 
     # 35 attributes: without __slots__ they overflow CPython's shared-key
@@ -166,7 +172,7 @@ class MWSVSSInstance:
 
         # step 1-2 inputs
         self.share_vector: tuple[int, ...] | None = None  # (f̂^j_1 .. f̂^j_n)
-        #: f̂_j(0..n) from receipt until L_j freezes (step 4 drops it)
+        #: f̂_j(1..t+1), the dealer's body, until L_j freezes (step 4 drops it)
         self.monitor_row: tuple[int, ...] | None = None
         self._step2_done = False
 
@@ -183,7 +189,8 @@ class MWSVSSInstance:
         self._deal_suppressed = False
 
         # moderator state
-        #: f̂(0..n) from the dealer, until M freezes (step 6 drops it)
+        #: f̂(1..t+1), the dealer's body, then f̂(0), read once at receipt
+        #: (``point`` never reads past the body); until M freezes (step 6)
         self.moderator_row: tuple[int, ...] | None = None
         self.moderator_expected: int | None = None  # s' (set via moderate())
         #: j -> f̂^j_0 in arrival order, at the moderator until M freezes
@@ -298,11 +305,9 @@ class MWSVSSInstance:
     def handle(self, src: int, kind: str, body: object, decoded: object = None) -> None:
         if self.released:
             return
-        # ``decoded`` is an optional pre-decoded form of the body supplied
-        # by the batched ingestion path: the value row ``f(0..n)`` for
-        # ``mon``/``mod`` (GroupLane batch decode), the pre-parsed batch
-        # dict for ``rv``.  Handlers fall back to per-message decoding
-        # when it is absent.
+        # ``decoded`` is the batched ingestion path's pre-pass (``None``:
+        # decode here): the shape-checked body for ``mon``/``mod``, the
+        # parsed batch dict for ``rv``.
         # Ordered by per-invocation frequency: the O(n)-per-party kinds
         # (confirm/ack/L-set/reconstruct) before the once-per-session ones.
         if kind == "cnf":
@@ -335,15 +340,13 @@ class MWSVSSInstance:
         self.share_vector = tuple(body)
         self._maybe_step2()
 
-    def _on_monitor_poly(self, src: int, body: object, row: tuple | None = None) -> None:
+    def _on_monitor_poly(self, src: int, body: object, checked: tuple | None = None) -> None:
         # A frozen L_j means f̂_j arrived and was dropped: still a duplicate.
         if src != self.dealer or self.monitor_row is not None or self.L_frozen:
             return
-        if not self.manager.is_value_tuple(body, self.t + 1):
+        if not (checked or self.manager.is_value_tuple(body, self.t + 1)):
             return
-        self.monitor_row = (
-            row if row is not None else value_rows(self.field, self.n, self.t, [body])[0]
-        )
+        self.monitor_row = body
         self._maybe_step2()
         for l in self._early_confirms:
             self._maybe_step3(l)
@@ -409,39 +412,32 @@ class MWSVSSInstance:
         confirmed = self.confirm_values[l]
         if self.L & bit or confirmed is None or not self.acks & bit:
             return
-        expected = row[l]
-        if confirmed != expected:
+        if confirmed != point(self.field, self.t, row, l):
             return
         self.L |= bit
         if not self._deal_suppressed:
-            self.manager.dmm.expect_deal(l, self.sid, expected)
+            self.manager.dmm.expect_deal(l, self.sid, self.confirm_values)
         if self.L.bit_count() >= self.n - self.t:
             self._freeze_l()
 
     def _freeze_l(self) -> None:
         """Step 4: broadcast ``L_j`` and send ``f̂_j(0)`` to the moderator;
         step 3 is over, so ``f̂_j`` and the confirm values are dropped."""
-        self.L_frozen = True
-        free_term = self.monitor_row[0]
+        free_term = point(self.field, self.t, self.monitor_row, 0)
         manager = self.manager
-        self.monitor_row, self._early_confirms = None, ()
+        self.L_frozen, self.monitor_row, self._early_confirms = True, None, ()
         self.confirm_values = manager.empty_values
         manager.rb_broadcast(self.sid, "L", manager.pids_of(self.L))
         manager.send_value(self.moderator, self.sid, "ms", free_term)
 
     # -- moderator ---------------------------------------------------------
-    def _on_moderator_poly(self, src: int, body: object, row: tuple | None = None) -> None:
-        if src != self.dealer or self.pid != self.moderator:
-            return
+    def _on_moderator_poly(self, src: int, body: object, checked: tuple | None = None) -> None:
         # A frozen M means f̂ arrived and was dropped: still a duplicate.
-        if self.moderator_row is not None or self.M_frozen:
+        if self.pid != self.moderator or self.moderator_row is not None or self.M_frozen:
             return
-        if not self.manager.is_value_tuple(body, self.t + 1):
-            return
-        self.moderator_row = (
-            row if row is not None else value_rows(self.field, self.n, self.t, [body])[0]
-        )
-        self._recheck_moderator()
+        if src == self.dealer and (checked or self.manager.is_value_tuple(body, self.t + 1)):
+            self.moderator_row = (*body, point(self.field, self.t, body, 0))
+            self._recheck_moderator()
 
     def _on_moderator_share(self, src: int, body: object) -> None:
         shares = self.moderator_shares  # None off the moderator and once M froze
@@ -452,13 +448,9 @@ class MWSVSSInstance:
 
     def _recheck_moderator(self, only: int | None = None) -> None:
         """Step 5: admit monitors whose data matches ``f̂`` and ``s'``."""
-        if self.pid != self.moderator or self.M_frozen:
-            return
-        row = self.moderator_row
-        if row is None or self.moderator_expected is None:
-            return
-        if row[0] != self.moderator_expected:
-            return  # dealer's f disagrees with s' — never admit anyone
+        row = self.moderator_row  # None off the moderator, until f̂ and once M froze
+        if row is None or row[-1] != self.moderator_expected:
+            return  # s' not installed yet, or f̂(0) disagrees: never admit anyone
         candidates = [only] if only is not None else list(self.moderator_shares)
         for j in candidates:
             if self.M >> j & 1 or j not in self.moderator_shares:
@@ -466,7 +458,7 @@ class MWSVSSInstance:
             l_hat = self.L_hat[j]
             if not l_hat or l_hat & ~self.acks:
                 continue
-            if self.moderator_shares[j] != row[j]:
+            if self.moderator_shares[j] != point(self.field, self.t, row, j):
                 continue
             self.M |= 1 << j
             if self.M.bit_count() >= self.n - self.t:
@@ -546,9 +538,8 @@ class MWSVSSInstance:
         self._dealer_acked = True
         dmm = self.manager.dmm
         for j in self.M_hat:
-            f_j = self._deal_rows[j]
             for l in self.manager.pids_of(self.L_hat[j]):
-                dmm.expect_ack(l, self.sid, j, f_j[l])
+                dmm.expect_ack(l, self.sid, j, self._deal_rows)
         self.manager.rb_broadcast(self.sid, "ok", None)
 
     # -- step 9 -----------------------------------------------------------------
@@ -673,17 +664,16 @@ class GroupLane:
     is filled from them on first touch (so instances created by the local
     share path and by vector ingestion land in the same lane).
 
-    The lane also hosts the *batch decode* pre-passes: for vectors whose
-    bodies are polynomial values on ``1..t+1`` (``mon``/``mod``/``rows``),
-    all well-shaped bodies are decoded in one :func:`value_rows` call over
-    one cached basis — into the value rows ``f(0..n)``, a (g, h) pair of
-    them per SVSS ``rows`` body — each bit-identical to the per-slot
-    decode, and the per-slot handlers receive the precomputed form.  The pre-passes are *pure*: they validate
-    with exactly the handlers' shape checks, never mutate instance state,
-    and return ``None`` (per-slot decode) for senders that cannot pass the
-    handlers' origin guards or for vectors with duplicate slots, so a
-    handler that rejects a body never sees a decode it would not have
-    computed itself.
+    The lane also hosts the *batch decode* pre-passes for vectors whose
+    bodies are polynomial values on ``1..t+1``: a ``mon``/``mod`` body is
+    kept as it is, so its pre-pass is the shape check alone, and the SVSS
+    ``rows`` bodies are decoded in one :func:`value_rows` call into (g, h)
+    value-row pairs, bit-identical to the per-slot decode.  The pre-passes
+    are *pure*: they validate with exactly the handlers' shape checks, never
+    mutate instance state, and return ``None`` (per-slot decode) for senders
+    that cannot pass the handlers' origin guards or for vectors with
+    duplicate slots, so a handler that rejects a body never sees a decode
+    it would not have computed itself.
     """
 
     __slots__ = ("group", "columns")
@@ -694,49 +684,40 @@ class GroupLane:
         self.columns: dict[int, object] = {}
 
     def monitor_polys(self, manager, src: int, kind: str, slots, bodies) -> dict | None:
-        """Batch-decode ``mon``/``mod`` bodies (values on 1..t+1) into value
-        rows ``f(0..n)``, by slot."""
-        group = self.group
-        if src != group[3]:
-            return None  # handlers only accept these from the dealer
-        if kind == "mod" and manager.pid != group[4]:
-            return None  # only the moderator decodes f̂
-        field = manager.field
+        """The well-shaped ``mon``/``mod`` bodies (values on 1..t+1), by
+        slot: the column's one shape check."""
+        if src != self.group[3] or kind == "mod" and manager.pid != self.group[4]:
+            return None  # handlers only accept these from the dealer, f̂ at the moderator
         length = manager.t + 1
-        is_element = field.is_element
-        good = [
-            isinstance(body, tuple) and len(body) == length and all(map(is_element, body))
-            for body in bodies
-        ]
-        if not all(good):
-            slots = tuple(compress(slots, good))
-            bodies = tuple(compress(bodies, good))
-        if len(slots) < 2 or len(set(slots)) != len(slots):
-            return None
-        return dict(zip(slots, value_rows(field, manager.n, manager.t, bodies)))
+        kept = _kept(slots, bodies, [manager.is_value_tuple(body, length) for body in bodies])
+        return None if kept is None else dict(zip(*kept))
 
     def row_polys(self, manager, src: int, slots, bodies) -> dict | None:
         """Batch-decode SVSS ``rows`` bodies into (g, h) value-row pairs
         ``(g(0..n), h(0..n))``, by slot."""
         if src != self.group[2]:
             return None  # handlers only accept rows from the dealer
-        field = manager.field
         length = manager.t + 1
-        is_element = field.is_element
         good = [
             isinstance(body, tuple)
             and len(body) == 2
-            and all(
-                isinstance(part, tuple) and len(part) == length and all(map(is_element, part))
-                for part in body
-            )
+            and all(manager.is_value_tuple(part, length) for part in body)
             for body in bodies
         ]
-        if not all(good):
-            slots = tuple(compress(slots, good))
-            bodies = tuple(compress(bodies, good))
-        if len(slots) < 2 or len(set(slots)) != len(slots):
+        kept = _kept(slots, bodies, good)
+        if kept is None:
             return None
+        slots, bodies = kept
         flat = [part for body in bodies for part in body]
-        rows = value_rows(field, manager.n, manager.t, flat)
+        rows = value_rows(manager.field, manager.n, manager.t, flat)
         return {slot: (rows[2 * i], rows[2 * i + 1]) for i, slot in enumerate(slots)}
+
+
+def _kept(slots, bodies, good: list) -> tuple | None:
+    """The slots and bodies that passed a shape check, or ``None`` when
+    fewer than two remain or a slot repeats (the handlers decode those)."""
+    if not all(good):
+        slots, bodies = tuple(compress(slots, good)), tuple(compress(bodies, good))
+    if len(slots) < 2 or len(set(slots)) != len(slots):
+        return None
+    return slots, bodies

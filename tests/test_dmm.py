@@ -11,6 +11,18 @@ S1 = ("mw", ("solo", 1), 1, 2, "dm")
 S2 = ("mw", ("solo", 2), 1, 2, "dm")
 
 
+def dealer_rows(values: dict) -> dict:
+    """A dealer's value rows as ``{monitor: {sender: value}}``: the DMM reads
+    ``rows[monitor][sender]`` and keeps a mask per sender, one bit per row."""
+    return {monitor: values.get(monitor, {}) for monitor in range(8)}
+
+
+#: f_2(3) = f_2(4) = 7 and f_4(3) = 9 in S1; f_2(3) = 1 in S2
+ROWS = {S1: dealer_rows({2: {3: 7, 4: 7}, 4: {3: 9}}), S2: dealer_rows({2: {3: 1}})}
+#: the monitor's confirm list: f̂^3 = 9 and f̂^4 = 2 in S1, f̂^3 = 1 in S2
+CONFIRMS = {S1: {3: 9, 4: 2}, S2: {3: 1}}
+
+
 def make_dmm(pid=1):
     shuns = []
     clock = SessionClock()
@@ -21,7 +33,7 @@ def make_dmm(pid=1):
 class TestExpectations:
     def test_matching_ack_broadcast_clears(self):
         dmm, clock, shuns = make_dmm()
-        dmm.expect_ack(sender=3, session=S1, monitor=2, value=7)
+        dmm.expect_ack(sender=3, session=S1, monitor=2, rows=ROWS[S1])
         assert dmm.has_expectations(3)
         dmm.check_reconstruct_batch(3, S1, {2: 7})
         assert not dmm.has_expectations(3)
@@ -29,27 +41,27 @@ class TestExpectations:
 
     def test_conflicting_ack_broadcast_convicts(self):
         dmm, clock, shuns = make_dmm()
-        dmm.expect_ack(sender=3, session=S1, monitor=2, value=7)
+        dmm.expect_ack(sender=3, session=S1, monitor=2, rows=ROWS[S1])
         dmm.check_reconstruct_batch(3, S1, {2: 8})
         assert 3 in dmm.D
         assert shuns == [(3, S1)]
 
     def test_matching_deal_broadcast_clears(self):
         dmm, clock, shuns = make_dmm(pid=5)
-        dmm.expect_deal(sender=3, session=S1, value=9)
+        dmm.expect_deal(sender=3, session=S1, row=CONFIRMS[S1])
         dmm.check_reconstruct_batch(3, S1, {5: 9})
         assert not dmm.has_expectations(3)
 
     def test_conflicting_deal_broadcast_convicts(self):
         dmm, clock, shuns = make_dmm(pid=5)
-        dmm.expect_deal(sender=3, session=S1, value=9)
+        dmm.expect_deal(sender=3, session=S1, row=CONFIRMS[S1])
         dmm.check_reconstruct_batch(3, S1, {5: 1})
         assert 3 in dmm.D
         assert shuns == [(3, S1)]
 
     def test_batch_missing_entry_keeps_expectation(self):
         dmm, clock, shuns = make_dmm()
-        dmm.expect_ack(3, S1, monitor=2, value=7)
+        dmm.expect_ack(3, S1, monitor=2, rows=ROWS[S1])
         dmm.check_reconstruct_batch(3, S1, {4: 1})  # no entry for monitor 2
         assert dmm.has_expectations(3)
         assert shuns == []
@@ -59,29 +71,29 @@ class TestExpectations:
         records the expectation."""
         dmm, clock, shuns = make_dmm()
         dmm.check_reconstruct_batch(3, S1, {2: 7})
-        dmm.expect_ack(3, S1, monitor=2, value=7)
+        dmm.expect_ack(3, S1, monitor=2, rows=ROWS[S1])
         assert not dmm.has_expectations(3)
         assert shuns == []
 
     def test_batch_before_expectation_reconciles_conflict(self):
         dmm, clock, shuns = make_dmm()
         dmm.check_reconstruct_batch(3, S1, {2: 8})
-        dmm.expect_ack(3, S1, monitor=2, value=7)
+        dmm.expect_ack(3, S1, monitor=2, rows=ROWS[S1])
         assert 3 in dmm.D
 
     def test_drop_deal_expectations(self):
         dmm, clock, shuns = make_dmm(pid=5)
-        dmm.expect_deal(3, S1, value=9)
-        dmm.expect_deal(4, S1, value=2)
+        dmm.expect_deal(3, S1, row=CONFIRMS[S1])
+        dmm.expect_deal(4, S1, row=CONFIRMS[S1])
         dmm.drop_deal_expectations(S1)
         assert not dmm.has_expectations(3)
         assert not dmm.has_expectations(4)
 
     def test_expectations_from_detected_processes_ignored(self):
         dmm, clock, shuns = make_dmm()
-        dmm.expect_ack(3, S1, monitor=2, value=7)
+        dmm.expect_ack(3, S1, monitor=2, rows=ROWS[S1])
         dmm.check_reconstruct_batch(3, S1, {2: 8})  # convicts 3
-        dmm.expect_ack(3, S2, monitor=2, value=1)
+        dmm.expect_ack(3, S2, monitor=2, rows=ROWS[S2])
         assert not dmm.has_expectations(3)
 
 
@@ -92,7 +104,7 @@ class TestFilter:
 
     def test_discard_from_detected(self):
         dmm, clock, shuns = make_dmm()
-        dmm.expect_ack(3, S1, monitor=2, value=7)
+        dmm.expect_ack(3, S1, monitor=2, rows=ROWS[S1])
         dmm.check_reconstruct_batch(3, S1, {2: 0})
         assert dmm.filter_verdict(3, S2) == DISCARD
 
@@ -104,7 +116,7 @@ class TestFilter:
     def test_delay_requires_session_order(self):
         dmm, clock, shuns = make_dmm()
         clock.note_begin(S1)
-        dmm.expect_ack(3, S1, monitor=2, value=7)
+        dmm.expect_ack(3, S1, monitor=2, rows=ROWS[S1])
         clock.note_complete(S1)
         dmm.on_session_reconstructed(S1)
         clock.note_begin(S2)
@@ -115,7 +127,7 @@ class TestFilter:
         cannot delay anything (→_i does not hold)."""
         dmm, clock, shuns = make_dmm()
         clock.note_begin(S1)
-        dmm.expect_ack(3, S1, monitor=2, value=7)
+        dmm.expect_ack(3, S1, monitor=2, rows=ROWS[S1])
         clock.note_begin(S2)
         assert dmm.filter_verdict(3, S2) == FORWARD
 
@@ -123,7 +135,7 @@ class TestFilter:
         dmm, clock, shuns = make_dmm()
         clock.note_begin(S1)
         clock.note_begin(S2)  # S2 began before S1 completed
-        dmm.expect_ack(3, S1, monitor=2, value=7)
+        dmm.expect_ack(3, S1, monitor=2, rows=ROWS[S1])
         clock.note_complete(S1)
         dmm.on_session_reconstructed(S1)
         assert dmm.filter_verdict(3, S2) == FORWARD
@@ -131,7 +143,7 @@ class TestFilter:
     def test_delay_lifts_after_clearing(self):
         dmm, clock, shuns = make_dmm()
         clock.note_begin(S1)
-        dmm.expect_ack(3, S1, monitor=2, value=7)
+        dmm.expect_ack(3, S1, monitor=2, rows=ROWS[S1])
         clock.note_complete(S1)
         dmm.on_session_reconstructed(S1)
         clock.note_begin(S2)
@@ -142,7 +154,7 @@ class TestFilter:
     def test_delay_only_for_owing_sender(self):
         dmm, clock, shuns = make_dmm()
         clock.note_begin(S1)
-        dmm.expect_ack(3, S1, monitor=2, value=7)
+        dmm.expect_ack(3, S1, monitor=2, rows=ROWS[S1])
         clock.note_complete(S1)
         dmm.on_session_reconstructed(S1)
         clock.note_begin(S2)
@@ -154,7 +166,7 @@ class TestFilter:
         clock.note_begin(S1)
         clock.note_complete(S1)
         dmm.on_session_reconstructed(S1)
-        dmm.expect_ack(3, S1, monitor=2, value=7)
+        dmm.expect_ack(3, S1, monitor=2, rows=ROWS[S1])
         clock.note_begin(S2)
         assert dmm.filter_verdict(3, S2) == DELAY
 
@@ -162,21 +174,21 @@ class TestFilter:
 class TestIntrospection:
     def test_pending_sessions(self):
         dmm, clock, shuns = make_dmm()
-        dmm.expect_ack(3, S1, monitor=2, value=7)
-        dmm.expect_deal(3, S2, value=1)
+        dmm.expect_ack(3, S1, monitor=2, rows=ROWS[S1])
+        dmm.expect_deal(3, S2, row=CONFIRMS[S2])
         assert dmm.pending_sessions(3) == frozenset({S1, S2})
 
     def test_shunned_or_suspected(self):
         dmm, clock, shuns = make_dmm()
-        dmm.expect_ack(3, S1, monitor=2, value=7)
-        dmm.expect_ack(4, S1, monitor=2, value=7)
+        dmm.expect_ack(3, S1, monitor=2, rows=ROWS[S1])
+        dmm.expect_ack(4, S1, monitor=2, rows=ROWS[S1])
         dmm.check_reconstruct_batch(4, S1, {2: 0})
         assert dmm.shunned_or_suspected() == {3, 4}
 
     def test_multiple_monitors_partial_clear(self):
         dmm, clock, shuns = make_dmm()
-        dmm.expect_ack(3, S1, monitor=2, value=7)
-        dmm.expect_ack(3, S1, monitor=4, value=9)
+        dmm.expect_ack(3, S1, monitor=2, rows=ROWS[S1])
+        dmm.expect_ack(3, S1, monitor=4, rows=ROWS[S1])
         dmm.check_reconstruct_batch(3, S1, {2: 7})
         assert dmm.has_expectations(3)
         dmm.check_reconstruct_batch(3, S1, {2: 7, 4: 9})
@@ -184,7 +196,7 @@ class TestIntrospection:
 
     def test_detection_is_permanent(self):
         dmm, clock, shuns = make_dmm()
-        dmm.expect_ack(3, S1, monitor=2, value=7)
+        dmm.expect_ack(3, S1, monitor=2, rows=ROWS[S1])
         dmm.check_reconstruct_batch(3, S1, {2: 0})
         dmm.check_reconstruct_batch(3, S1, {2: 7})  # too late
         assert 3 in dmm.D

@@ -5,6 +5,11 @@ values, batches that arrive before their expectation, expectations after a
 session closed, double closes — drive ``repro.core.dmm.DMM`` and the scan-
 everything model of ``tests/reference/dmm_model.py`` over one shared clock;
 after every operation both must answer every question alike.
+
+Values come the way the protocol hands them over: one table per tag, drawn
+up front — the dealer's value rows ``[monitor][sender]`` and the monitor's
+confirm list ``[sender]``.  The product gets the table (its ledgers are
+masks over it), the model the entry.
 """
 
 from __future__ import annotations
@@ -27,8 +32,8 @@ tags = st.sampled_from(TAGS)
 values = st.integers(0, 2)
 OPS = st.one_of(
     st.tuples(st.just("begin"), tags),
-    st.tuples(st.just("expect_ack"), players, tags, players, values),
-    st.tuples(st.just("expect_deal"), players, tags, values),
+    st.tuples(st.just("expect_ack"), players, tags, players),
+    st.tuples(st.just("expect_deal"), players, tags),
     st.tuples(
         st.just("check_reconstruct_batch"),
         players,
@@ -40,12 +45,19 @@ OPS = st.one_of(
     st.tuples(st.just("forget_session"), tags),
 )
 
+POINTS = len(PLAYERS) + 1  # pids 0..4 index a row
+row = st.lists(values, min_size=POINTS, max_size=POINTS).map(tuple)
+#: per tag: (the dealer's value rows, the monitor's confirm list)
+TABLES = st.fixed_dictionaries(
+    {tag: st.tuples(st.lists(row, min_size=POINTS, max_size=POINTS), row) for tag in TAGS}
+)
+
 
 def verdicts(dmm) -> dict:
     return {(j, tag): dmm.filter_verdict(j, tag) for j in PLAYERS for tag in TAGS}
 
 
-def apply(op: tuple, clock: SessionClock, *dmms) -> None:
+def apply(op: tuple, clock: SessionClock, tables: dict, dmm, model=None) -> None:
     name, *args = op
     if name == "begin":
         clock.note_begin(*args)
@@ -53,21 +65,36 @@ def apply(op: tuple, clock: SessionClock, *dmms) -> None:
     if name == "reconstructed":
         clock.note_complete(*args)
         name = "on_session_reconstructed"
-    for dmm in dmms:
-        getattr(dmm, name)(*args)
+    entry = args
+    if name == "expect_ack":
+        sender, tag, monitor = args
+        rows = tables[tag][0]
+        args, entry = (*args, rows), (*args, rows[monitor][sender])
+    elif name == "expect_deal":
+        sender, tag = args
+        confirms = tables[tag][1]
+        args, entry = (*args, confirms), (*args, confirms[sender])
+    getattr(dmm, name)(*args)
+    if model is not None:
+        getattr(model, name)(*entry)
 
 
 def assert_ledgers_are_minimal(dmm: DMM) -> None:
     owed: dict[int, int] = {}
     for tag, ledger in dmm._ledgers.items():
-        assert ledger.deal or ledger.ack or ledger.seen, "an empty ledger stayed"
+        acks = ledger.ack or [0] * POINTS
+        assert ledger.deal or any(acks) or ledger.seen, "an empty ledger stayed"
         assert ledger.closed == (tag in dmm._closed_sessions)
         assert not (ledger.closed and ledger.seen)
-        for sender in ledger.deal or ():
-            owed[sender] = owed.get(sender, 0) + 1
-        for sender, entries in (ledger.ack or {}).items():
-            assert entries
-            owed[sender] = owed.get(sender, 0) + len(entries)
+        # Masks over the session's rows, never a container per expectation.
+        assert type(ledger.deal) is int and all(type(m) is int for m in acks)
+        # A row is held only while some mask reads it.
+        assert (ledger.deal_row is not None) == bool(ledger.deal)
+        assert (ledger.ack_rows is not None) == any(acks)
+        for sender in range(POINTS):
+            count = (ledger.deal >> sender & 1) + acks[sender].bit_count()
+            if count:
+                owed[sender] = owed.get(sender, 0) + count
     assert owed == dmm._owed
     assert not dmm.D & set(owed)
     for sender, armed in dmm._armed.items():
@@ -75,8 +102,8 @@ def assert_ledgers_are_minimal(dmm: DMM) -> None:
 
 
 @settings(max_examples=600, deadline=None)
-@given(st.lists(OPS, max_size=40))
-def test_ledger_dmm_answers_like_the_dictionary_dmm(ops):
+@given(TABLES, st.lists(OPS, max_size=40))
+def test_ledger_dmm_answers_like_the_dictionary_dmm(tables, ops):
     clock = SessionClock()
     shuns = []
     dmm = DMM(ME, clock, on_shun=lambda culprit, tag: shuns.append((culprit, tag)))
@@ -84,7 +111,7 @@ def test_ledger_dmm_answers_like_the_dictionary_dmm(ops):
     before = verdicts(dmm)
     for op in ops:
         version = dmm.version
-        apply(op, clock, dmm, model)
+        apply(op, clock, tables, dmm, model)
         after = verdicts(dmm)
         assert after == verdicts(model), op
         assert dmm.D == model.D
@@ -105,15 +132,15 @@ def test_ledger_dmm_answers_like_the_dictionary_dmm(ops):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(OPS, max_size=30))
-def test_closing_every_session_leaves_only_debts(ops):
+@given(TABLES, st.lists(OPS, max_size=30))
+def test_closing_every_session_leaves_only_debts(tables, ops):
     clock = SessionClock()
     dmm = DMM(ME, clock)
     for op in ops:
-        apply(op, clock, dmm)
+        apply(op, clock, tables, dmm)
     for tag in TAGS:
         dmm.forget_session(tag)
     assert_ledgers_are_minimal(dmm)
     for ledger in dmm._ledgers.values():
-        assert ledger.closed and ledger.seen is None and (ledger.deal or ledger.ack)
+        assert ledger.closed and ledger.seen is None and ledger.debtors()
     assert set(dmm._owed) == {j for j in PLAYERS if dmm.pending_sessions(j)}

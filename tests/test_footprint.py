@@ -13,19 +13,22 @@ below pin when the rows are shared, copied and dropped.
 from __future__ import annotations
 
 import gc
+import sys
 import tracemalloc
 
 from repro.config import SystemConfig
-from repro.core.api import build_stack, flip_common_coin, run_mwsvss
+from repro.core.api import build_stack, flip_common_coin, make_coins, run_mwsvss
 from repro.core.mwsvss import MWSVSSInstance
 from repro.core.sessions import mw_session
 from repro.sim.scheduler import FifoScheduler
 
-#: Measured 2 265 B per instance (2 749 B with ``K`` as per-monitor lists of
+#: Measured 1 978 B per instance (2 169 B with the DMM's expectations as
+#: value dicts and f̂_j / f̂ as value rows f(0..n), 2 265 B before that;
+#: 2 749 B with ``K`` as per-monitor lists of
 #: ``(sender, value)`` points and ``confirm_values`` / ``L_hat`` allocated
 #: per instance; 3 948 B with ``acks`` / ``L`` / ``confirm_values`` /
 #: ``L_hat`` as containers and six global DMM tables).
-BYTES_PER_INSTANCE = 2600
+BYTES_PER_INSTANCE = 2300
 
 
 def coin(seed: int):
@@ -129,3 +132,66 @@ def test_a_released_instance_holds_no_reconstruct_state():
         # ... and the finished solo sharing left the tables for the tombstone.
         assert result.session not in stack.vss[pid].mw
         assert stack.vss[pid].clock.finished(result.session)
+
+
+# -- the DMM's ledgers ---------------------------------------------------------------
+
+
+def test_ledgers_are_masks_over_the_rows_the_instances_hold(monkeypatch):
+    """An expectation is a bit: the ACK rows *are* the dealer's value matrix,
+    the DEAL row *is* the monitor's confirm list (which the DMM holds past
+    the ``L`` freeze), and ``f̂_j`` / ``f̂`` stay the dealer's t + 1 values —
+    ``value_rows`` never runs for an MW-SVSS kind."""
+    from repro.core import mwsvss
+
+    dealt, confirms, decoded, outputs = {}, {}, [], []
+    share, freeze = MWSVSSInstance.share, MWSVSSInstance._freeze_l
+
+    def kept_rows(self, secret):
+        share(self, secret)
+        dealt[self.pid, self.sid] = self._deal_rows
+
+    def kept_confirms(self):
+        confirms[self.pid, self.sid] = self.confirm_values
+        freeze(self)
+
+    monkeypatch.setattr(MWSVSSInstance, "share", kept_rows)
+    monkeypatch.setattr(MWSVSSInstance, "_freeze_l", kept_confirms)
+    value_rows = mwsvss.value_rows
+
+    def traced(*args):
+        decoded.append(sys._getframe(1).f_code.co_name)
+        return value_rows(*args)
+
+    monkeypatch.setattr(mwsvss, "value_rows", traced)
+    config = SystemConfig(n=4, seed=2)
+    stack = build_stack(config, scheduler=FifoScheduler())
+    coins = make_coins(stack, "svss")
+    with stack.runtime.coalescing_step():
+        for pid in config.pids:
+            coins[pid].join(("cc", "solo", 0))
+            coins[pid].get(("cc", "solo", 0), lambda bit: None)
+            coins[pid].release(("cc", "solo", 0))
+    for mgr in stack.vss.values():
+        notify = mgr.notify_mw_output
+        mgr.notify_mw_output = lambda sid, value, notify=notify: (
+            outputs.append(sid), notify(sid, value)
+        )
+    # The share phase is over where the first MW-SVSS reconstruct outputs.
+    stack.runtime.run_until(lambda: bool(outputs), on_change=True)
+    acks = deals = 0
+    for pid, mgr in stack.vss.items():
+        for sid, ledger in mgr.dmm._ledgers.items():
+            assert type(ledger.deal) is int
+            assert (ledger.deal_row is None) == (not ledger.deal)
+            assert (ledger.ack is None) == (ledger.ack_rows is None)
+            if ledger.ack is not None:
+                assert ledger.ack_rows is dealt[pid, sid]
+                assert all(type(monitors) is int for monitors in ledger.ack)
+                acks += any(ledger.ack)
+            if ledger.deal:
+                row = confirms.get((pid, sid)) or mgr.mw[sid].confirm_values
+                assert ledger.deal_row is row and type(row) is list
+                deals += 1
+    assert acks and deals
+    assert set(decoded) == {"row_polys"}  # SVSS (g, h) rows only

@@ -20,6 +20,11 @@ def make_stack(seed=0):
     return build_stack(SystemConfig(n=4, seed=seed))
 
 
+#: A dealer's value rows ``{monitor: {sender: value}}`` with f_2(3) = 9: the
+#: DMM reads the expected value off them, as off ``MWSVSSInstance._deal_rows``.
+F2_OF_3_IS_9 = {monitor: {3: 9} if monitor == 2 else {} for monitor in range(5)}
+
+
 class TestGarbageIngestion:
     """Raw hostile payloads must never crash or corrupt honest state."""
 
@@ -168,7 +173,7 @@ class TestValueKinds:
         sid_old = mw_session(("solo", 0), 1, 2, "dm")
         sid_new = mw_session(("solo", 1), 1, 2, "dm")
         mgr._ensure_mw(sid_old)
-        mgr.dmm.expect_ack(3, sid_old, monitor=2, value=9)
+        mgr.dmm.expect_ack(3, sid_old, monitor=2, rows=F2_OF_3_IS_9)
         mgr.clock.note_complete(sid_old)
         mgr.dmm.on_session_reconstructed(sid_old)
         mgr._ensure_mw(sid_new)
@@ -189,7 +194,7 @@ class TestValueKinds:
         sid_old = mw_session(("solo", 0), 1, 2, "dm")
         sid_new = mw_session(("solo", 1), 1, 2, "dm")
         mgr._ensure_mw(sid_old)
-        mgr.dmm.expect_ack(3, sid_old, monitor=2, value=9)
+        mgr.dmm.expect_ack(3, sid_old, monitor=2, rows=F2_OF_3_IS_9)
         mgr.clock.note_complete(sid_old)
         mgr.dmm.on_session_reconstructed(sid_old)
         mgr._ensure_mw(sid_new)
@@ -206,7 +211,7 @@ class TestValueKinds:
         sid_old = mw_session(("solo", 0), 1, 2, "dm")
         sid_new = mw_session(("solo", 1), 1, 2, "dm")
         mgr._ensure_mw(sid_old)
-        mgr.dmm.expect_ack(3, sid_old, monitor=2, value=9)
+        mgr.dmm.expect_ack(3, sid_old, monitor=2, rows=F2_OF_3_IS_9)
         mgr.clock.note_complete(sid_old)
         mgr.dmm.on_session_reconstructed(sid_old)
         mgr._ensure_mw(sid_new)
@@ -323,18 +328,24 @@ class TestReleasedSessionsRejectReplays:
         )
         mgr = stack.vss[1]
         assert mgr.mw == {} and mgr.svss == {}
+        def owed_ack(ledger):
+            """The lowest monitor the culprit owes, and the value expected."""
+            monitor = (ledger.ack[culprit] & -ledger.ack[culprit]).bit_length() - 1
+            return monitor, ledger.ack_rows[monitor][culprit]
+
         sid, ledger = next(iter(mgr.dmm._ledgers.items()))
-        assert set(ledger.ack) == {culprit} and ledger.closed
+        assert [s for s, monitors in enumerate(ledger.ack) if monitors] == [culprit]
+        assert ledger.closed
         # Retired, but its debt keeps the completed stamp the delay rule reads.
         assert mgr.clock.finished(sid) and sid in mgr.clock.completed
-        monitor, value = next(iter(ledger.ack[culprit].items()))
+        monitor, value = owed_ack(ledger)
         # The matching value pays that part of the debt ...
         mgr._on_rb(culprit, ("vss", sid, "rv", ((monitor, value),)))
         assert culprit not in mgr.dmm.D
-        assert monitor not in ledger.ack.get(culprit, {})
+        assert not ledger.ack[culprit] >> monitor & 1
         # ... a conflicting one for another retired session convicts.
-        sid, ledger = next(s for s in mgr.dmm._ledgers.items() if s[1].ack)
-        monitor, value = next(iter(ledger.ack[culprit].items()))
+        sid, ledger = next(s for s in mgr.dmm._ledgers.items() if any(s[1].ack or ()))
+        monitor, value = owed_ack(ledger)
         wrong = (value + 1) % stack.config.prime
         mgr._on_rb(culprit, ("vss", sid, "rv", ((monitor, wrong),)))
         assert culprit in mgr.dmm.D
