@@ -76,7 +76,6 @@ def test_bench_batch(emit):
             "n": N,
             "ks": list(KS),
             "seed": SEED,
-            "share_coin": True,
         },
         svss=svss,
         ideal_per_message=ideal_per_message,

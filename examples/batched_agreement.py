@@ -10,8 +10,7 @@ does exactly that on this stack:
 * every instance is an instance-scoped ``ProtocolModule`` demuxed through
   per-instance dispatch slots — no per-instance topics, no extra runtimes;
 * the broadcast/VSS substrate is built once and shared;
-* with ``share_coin=True`` (default) the whole batch consults **one**
-  shunning-coin invocation per round.  With the paper's SVSS coin a single
+* the whole batch consults **one** shunning-coin invocation per round.  With the paper's SVSS coin a single
   invocation costs Θ(n²) sharings and dominates a run, so the batch pays
   the coin bill once instead of K times;
 * under a fixed-delay scheduler each instance's decisions are *identical*

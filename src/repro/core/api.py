@@ -27,6 +27,7 @@ from repro.broadcast.manager import BroadcastManager
 from repro.config import SystemConfig
 from repro.core.agreement import ABAProcess
 from repro.core.coin import (
+    SHARED_TAG,
     CoinSource,
     CommonCoinModule,
     IdealCoin,
@@ -47,8 +48,9 @@ from repro.sim.tracing import Trace
 CoinSpec = object  # str | tuple | callable
 
 #: Instance id of the single agreement a plain ``run_byzantine_agreement``
-#: runs; batch runs use ``("aba", k)`` per instance.
-DEFAULT_INSTANCE = "aba"
+#: runs; batch runs use ``("aba", k)`` per instance and share the round-coin
+#: sessions of this id.
+DEFAULT_INSTANCE = SHARED_TAG
 
 
 @dataclass
@@ -171,17 +173,14 @@ def make_node_coin(
     )
 
 
-def make_coins(
-    stack: Stack, coin: CoinSpec, instance: object = DEFAULT_INSTANCE
-) -> dict[int, CoinSource]:
-    """Build (or reuse) the pid-keyed coin sources backing one instance.
+def make_coins(stack: Stack, coin: CoinSpec) -> dict[int, CoinSource]:
+    """Build (or reuse) the pid-keyed coin sources of one stack.
 
     The ``"svss"`` coin is substrate: one :class:`CommonCoinModule` per
     process serves every instance (sessions are keyed by coin session id,
     which embeds the instance).  Seeded stand-ins (``"local"``, ideal)
-    are built per instance, with the instance id folded into the stream
-    derivation for non-default instances — the default instance keeps the
-    historical derivation so existing seeds reproduce bit-for-bit.
+    draw the default instance's streams; a batch shares them across its
+    instances through one :class:`SharedCoinGate` per process.
     """
     config = stack.config
     coins: dict[int, CoinSource] = {}
@@ -193,15 +192,9 @@ def make_coins(
                 coin,
                 broadcast=stack.broadcasts[pid],
                 vss=stack.vss.get(pid),
-                instance=instance,
             )
     elif kind == "ideal":
-        tags = (
-            ("ideal-coin",)
-            if instance == DEFAULT_INSTANCE
-            else ("ideal-coin", instance)
-        )
-        oracle = IdealCoinOracle(config.derive_rng(*tags), agreement=coin[1])
+        oracle = IdealCoinOracle(config.derive_rng("ideal-coin"), agreement=coin[1])
         for pid in config.pids:
             coins[pid] = IdealCoin(oracle, pid)
     else:
@@ -446,7 +439,6 @@ def run_byzantine_agreement(
     scheduler: Scheduler | None = None,
     max_rounds: int = 200,
     max_events: int = DEFAULT_MAX_EVENTS,
-    tag: str = "aba",
     monitor: InvariantMonitor | None = None,
 ) -> AgreementResult:
     """Run one asynchronous Byzantine agreement to completion.
@@ -472,12 +464,12 @@ def run_byzantine_agreement(
         adversary=adversary,
         with_vss=coin == "svss",
     )
-    coins = {tag: make_coins(stack, coin, instance=tag)}
+    coins = {DEFAULT_INSTANCE: make_coins(stack, coin)}
     results = _drive_agreements(
-        stack, {tag: inputs}, partial(_aba_process, coins), max_rounds,
-        max_events, monitor,
+        stack, {DEFAULT_INSTANCE: inputs}, partial(_aba_process, coins),
+        max_rounds, max_events, monitor,
     )
-    return replace(results[tag], **run_counters(stack.runtime))
+    return replace(results[DEFAULT_INSTANCE], **run_counters(stack.runtime))
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +493,6 @@ class BatchAgreementResult(RunCounters):
     sim_time: float
     trace: Trace
     terminated: bool
-    shared_coin: bool
     adversary_description: str = "none"
 
     def __len__(self) -> int:
@@ -543,30 +534,25 @@ def run_byzantine_agreement_batch(
     scheduler: Scheduler | None = None,
     max_rounds: int = 200,
     max_events: int = DEFAULT_MAX_EVENTS,
-    share_coin: bool = True,
     monitor: InvariantMonitor | None = None,
 ) -> BatchAgreementResult:
     """Run ``K = len(inputs_matrix)`` concurrent agreements on one runtime.
 
     Every instance gets independent inputs (one row of ``inputs_matrix``)
-    but shares the broadcast/VSS substrate, the event loop, and — with
-    ``share_coin=True`` — one common-coin invocation per round across the
-    whole batch (the Wang-style amortization: with the paper's SVSS coin,
-    whose single invocation costs ``Θ(n²)`` sharings, the coin bill of a
-    ``K``-batch is paid once instead of ``K`` times).  The shared round
+    but shares the broadcast/VSS substrate, the event loop, and one
+    common-coin invocation per round across the whole batch (the
+    Wang-style amortization: with the paper's SVSS coin, whose single
+    invocation costs ``Θ(n²)`` sharings, the coin bill of a ``K``-batch is
+    paid once instead of ``K`` times).  The shared round
     coin is revealed only after every live local instance fixed its
     round position (see :class:`~repro.core.coin.SharedCoinGate`).
 
     Determinism: under a fixed-delay scheduler, a failure-free batch is an
     order-preserving interleaving of its instances' solo event streams, and
-    the shared coin sessions carry the same ids a default-tag solo run
-    uses — so instance ``k`` decides exactly what
+    the shared coin sessions carry the same ids a solo run uses — so
+    instance ``k`` decides exactly what
     ``run_byzantine_agreement(inputs_matrix[k], config, ...)`` decides
     (the multi-instance A/B test asserts this per seed).
-
-    With ``share_coin=False`` every instance gets its own coin sessions
-    (ids derived from its instance id), restoring the strict per-instance
-    release discipline at ``K`` times the coin cost.
 
     All ``K`` instances advance in lock-step under a fixed-delay scheduler,
     so their votes for one (round, phase) ride one ``("abav", ...)`` vote
@@ -587,20 +573,14 @@ def run_byzantine_agreement_batch(
         adversary=adversary,
         with_vss=coin == "svss",
     )
-    if share_coin:
-        # One underlying coin per process, sessions keyed like a default-tag
-        # solo run; one gate per process shared by its K instance frontends.
-        base = make_coins(stack, coin, instance=DEFAULT_INSTANCE)
-        gates = {
-            pid: SharedCoinGate(
-                base[pid], len(instance_ids), shared_tag=DEFAULT_INSTANCE
-            )
-            for pid in config.pids
-        }
-        # Every instance consults its gate, never the raw coin.
-        coins = dict.fromkeys(instance_ids, gates)
-    else:
-        coins = {iid: make_coins(stack, coin, instance=iid) for iid in instance_ids}
+    # One underlying coin per process, sessions keyed like a solo run; one
+    # gate per process shared by its K instance frontends, which consult
+    # the gate, never the raw coin.
+    base = make_coins(stack, coin)
+    gates = {
+        pid: SharedCoinGate(base[pid], len(instance_ids)) for pid in config.pids
+    }
+    coins = dict.fromkeys(instance_ids, gates)
     results = _drive_agreements(
         stack, dict(zip(instance_ids, rows)), partial(_aba_process, coins),
         max_rounds, max_events, monitor,
@@ -612,7 +592,6 @@ def run_byzantine_agreement_batch(
         sim_time=stack.runtime.now,
         trace=stack.trace,
         terminated=all(r.terminated for r in results.values()),
-        shared_coin=share_coin,
         adversary_description=stack.adversary.describe(),
         **run_counters(stack.runtime),
     )
@@ -704,10 +683,9 @@ def run_mwsvss(
     scheduler: Scheduler | None = None,
     reconstruct: bool = True,
     max_events: int = DEFAULT_MAX_EVENTS,
-    counter: int = 0,
 ) -> tuple[VSSResult, Stack]:
     """Run one standalone MW-SVSS session (share, then optionally R')."""
-    tag = ("solo", counter)
+    tag = ("solo", 0)
     sid = mw_session(tag, dealer, moderator, "dm")
     expected = secret if moderator_value is None else moderator_value
 
@@ -729,10 +707,9 @@ def run_svss(
     scheduler: Scheduler | None = None,
     reconstruct: bool = True,
     max_events: int = DEFAULT_MAX_EVENTS,
-    counter: int = 0,
 ) -> tuple[VSSResult, Stack]:
     """Run one standalone SVSS session (share, then optionally R)."""
-    tag = ("solo-svss", counter)
+    tag = ("solo-svss", 0)
     sid = svss_session(tag, dealer)
     return _run_sharing(
         config, "svss", tag, sid, (dealer,),

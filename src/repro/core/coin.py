@@ -505,12 +505,18 @@ class _GateRound:
         self.under_released = False
 
 
+#: Instance tag of a batch's shared round-coin sessions, and the id of a
+#: solo agreement (:data:`repro.core.api.DEFAULT_INSTANCE`), so a batch
+#: draws the coin sessions a solo run draws.
+SHARED_TAG = "aba"
+
+
 class SharedCoinGate(CoinSource):
     """Share one underlying coin invocation per round across a batch.
 
     This is the batching lever of Wang-style amortized BA: ``K`` concurrent
     agreement instances at the same process consult *one* coin session per
-    round (``("cc", shared_tag, r)``) instead of ``K`` — with the paper's
+    round (``("cc", SHARED_TAG, r)``) instead of ``K`` — with the paper's
     SVSS coin, whose single invocation costs ``Θ(n²)`` sharings, that
     amortizes essentially the whole coin bill across the batch.
 
@@ -530,19 +536,18 @@ class SharedCoinGate(CoinSource):
     eventually met.
     """
 
-    def __init__(self, source: CoinSource, instances: int, shared_tag: object = "aba"):
+    def __init__(self, source: CoinSource, instances: int):
         if instances < 1:
             raise ProtocolError(f"need at least one instance, got {instances}")
         self._source = source
         self._instances = instances
-        self._shared_tag = shared_tag
         self._rounds: dict[object, _GateRound] = {}
         #: Highest joined round of each retired instance (an instance only
         #: counts as a permanent non-joiner for rounds *above* its height).
         self._retired_heights: list[int] = []
 
     def _shared(self, csid: tuple) -> tuple:
-        return ("cc", self._shared_tag, csid[2])
+        return ("cc", SHARED_TAG, csid[2])
 
     def _round(self, r: object) -> _GateRound:
         state = self._rounds.get(r)
@@ -583,7 +588,7 @@ class SharedCoinGate(CoinSource):
         absent = sum(1 for h in self._retired_heights if h < r)
         if state.released + absent >= self._instances:
             state.under_released = True
-            self._source.release(("cc", self._shared_tag, r))
+            self._source.release(("cc", SHARED_TAG, r))
 
     def describe(self) -> str:
         return f"shared[{self._instances}]({self._source.describe()})"

@@ -48,7 +48,7 @@ Record kinds (tuples, first element the kind):
 
 Durability policy — there is one.  The hot path (one record noted per
 DATA frame) must not fsync per record — that would cost the transport
-its ~62k msg/s clean-path figure.  Seq notes are coalesced in memory and
+its clean-path throughput.  Seq notes are coalesced in memory and
 the owning node flushes them on a timer
 (``TransportConfig.journal_flush_interval``); each such flush is one
 fsync, and so is every durable append (epoch, input, decision, coin,

@@ -25,10 +25,10 @@ the transport layers a per-directed-link sequence protocol on top:
   mid-session so the link jumps the shed range instead of stalling;
 * the receiver delivers strictly in order exactly once, acks what each
   socket read delivered once no gap is open, acks every duplicate and
-  out-of-order arrival, and buffers up to ``window`` out-of-order bodies
-  (selective-repeat lite): the cumulative ack jumps the buffered run the
-  moment a gap fills;
-* the sender keeps at most ``window`` unacked frames in flight, queues
+  out-of-order arrival, and buffers up to :data:`WINDOW` out-of-order
+  bodies (selective-repeat lite): the cumulative ack jumps the buffered
+  run the moment a gap fills;
+* the sender keeps at most :data:`WINDOW` unacked frames in flight, queues
   every frame until cumulatively ACKed, resends just the queue-head
   frame on a duplicate cumulative ack (fast retransmit, throttled per
   stuck seq), falls back to go-back-N when the ack clock stalls past
@@ -39,9 +39,9 @@ the transport layers a per-directed-link sequence protocol on top:
   lost.
 
 Supervision.  Each :class:`PeerConnection` reconnects with exponential
-backoff plus seeded jitter (starting over once a link went LIVE), sends
-heartbeat PINGs when idle and treats a link with no inbound traffic for
-``idle_timeout`` as dead.  A peer
+backoff plus seeded :data:`BACKOFF_JITTER` (starting over once a link
+went LIVE), sends heartbeat PINGs when idle and treats a link with no
+inbound traffic for ``idle_timeout`` as dead.  A peer
 unreachable for ``down_after`` seconds is marked DOWN — the graceful-
 degradation state for ≤ t unreachable peers.
 
@@ -125,18 +125,27 @@ PEER_LIVE = "live"
 PEER_DOWN = "down"
 
 
+#: Uniform jitter fraction on each reconnect backoff delay
+#: (desynchronizes thundering herds).
+BACKOFF_JITTER = 0.25
+#: Max unacked frames in flight per link (bounds go-back-N waste), and max
+#: out-of-order frames a receiver buffers per link.
+WINDOW = 1024
+
+
 @dataclass(frozen=True)
 class TransportConfig:
     """Tunables of the socket transport (defaults sized for localhost
-    test clusters; production deployments raise the timeouts)."""
+    test clusters; production deployments raise the timeouts).  The
+    in-flight window and the backoff jitter are module constants
+    (:data:`WINDOW`, :data:`BACKOFF_JITTER`), not fields."""
 
     bind_host: str = "127.0.0.1"
     connect_timeout: float = 2.0
     #: Reconnect backoff: ``base * 2**attempt`` capped at ``max``, with a
-    #: uniform jitter fraction on top (desynchronizes thundering herds).
+    #: uniform :data:`BACKOFF_JITTER` fraction on top.
     backoff_base: float = 0.05
     backoff_max: float = 2.0
-    backoff_jitter: float = 0.25
     #: Send a PING after this long with no outbound traffic.
     heartbeat_interval: float = 0.4
     #: No inbound frame (ACK/PONG/WELCOME) for this long => link is dead.
@@ -144,8 +153,6 @@ class TransportConfig:
     #: Resend from the first unacked frame after the ack clock stalls
     #: this long (go-back-N retransmission).
     rto: float = 0.3
-    #: Max unacked frames in flight per link; bounds go-back-N waste.
-    window: int = 1024
     #: Backpressure gate: pause inbound dispatch when the live outbound
     #: backlog exceeds ``queue_high_water`` frames; resume below
     #: ``queue_low_water``.
@@ -514,7 +521,7 @@ class PeerConnection:
             delay = min(
                 tconf.backoff_max, tconf.backoff_base * (2 ** min(attempt, 16))
             )
-            delay *= 1.0 + tconf.backoff_jitter * self.rng.random()
+            delay *= 1.0 + BACKOFF_JITTER * self.rng.random()
             attempt += 1
             await asyncio.sleep(delay)
 
@@ -735,9 +742,9 @@ class PeerConnection:
             if queue and self._cursor <= queue[-1][0]:
                 base = queue[0][0]
                 start = self._cursor - base
-                # In-flight cap: never more than ``window`` unacked frames
+                # In-flight cap: never more than ``WINDOW`` unacked frames
                 # out, so one loss costs a bounded go-back-N burst.
-                stop = min(len(queue), tconf.window)
+                stop = min(len(queue), WINDOW)
                 frames = list(itertools.islice(queue, max(0, start), stop))
                 if frames:
                     if start <= 0:
@@ -796,7 +803,7 @@ class _RecvLink:
         self.since_ack = 0
         self.duplicates = 0
         self.gaps = 0
-        #: seq -> raw encoded payload, capped at ``window`` entries.
+        #: seq -> raw encoded payload, capped at :data:`WINDOW` entries.
         self.buffer: dict[int, bytes] = {}
 
 
@@ -823,7 +830,6 @@ class NetworkNode:
         pid: int,
         journal: "str | Path",
         tconfig: TransportConfig | None = None,
-        context: "object | None" = None,
     ):
         if pid not in config.pids:
             raise SimulationError(f"pid {pid} not in 1..{config.n}")
@@ -834,7 +840,9 @@ class NetworkNode:
         self.secret = self.tconfig.auth_secret or derive_cluster_secret(
             config.seed
         )
-        self.context = context
+        #: The cluster's :class:`~repro.net.cluster.NetContext`, set by its
+        #: ``register``; a lone node resolves everything locally.
+        self.context = None
         self.journal = journal = Journal(journal)
         #: The new incarnation's epoch strictly follows every journaled
         #: one, fsynced before any link opens: receivers key their links
@@ -1237,7 +1245,7 @@ class NetworkNode:
             out += self._ack_frame(link)  # re-ack so the sender advances
         else:
             link.gaps += 1
-            if seq not in link.buffer and len(link.buffer) < self.tconfig.window:
+            if seq not in link.buffer and len(link.buffer) < WINDOW:
                 link.buffer[seq] = body[SEQ_PREFIX.size :]
             out += self._ack_frame(link)  # dup-ack: triggers fast retransmit
 

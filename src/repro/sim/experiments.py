@@ -194,7 +194,6 @@ class Scenario:
     max_rounds: int = 200
     max_events: int = DEFAULT_MAX_EVENTS
     batch: int = 1
-    share_coin: bool = True
     #: Install an :class:`~repro.sim.monitor.InvariantMonitor` on the run;
     #: any violation is caught and recorded on the RunRecord (a worker
     #: never tears down its pool on a violation).  ``round_bound`` arms the
@@ -356,7 +355,6 @@ def run_scenario(scenario: Scenario) -> RunRecord:
             result = run_byzantine_agreement_batch(
                 batch_inputs(scenario, config),
                 config,
-                share_coin=scenario.share_coin,
                 **options,
             )
         else:

@@ -47,6 +47,9 @@ from collections import deque
 
 from repro.errors import ReproError
 
+#: Observed transitions a violation carries as its ``trail``.
+TRAIL_LIMIT = 64
+
 
 class InvariantViolation(ReproError):
     """A monitored protocol invariant failed during a run.
@@ -73,7 +76,7 @@ class InvariantMonitor:
     replays of the same event stream produce bit-identical verdicts.
     """
 
-    def __init__(self, round_bound: int | None = None, trail_limit: int = 64):
+    def __init__(self, round_bound: int | None = None):
         self.round_bound = round_bound
         self.runtime = None
         self._n = 0
@@ -90,7 +93,7 @@ class InvariantMonitor:
         self._max_round = 0
         self._corruptions: list[tuple] = []
         self._recoveries: list[tuple] = []
-        self.trail: deque = deque(maxlen=trail_limit)
+        self.trail: deque = deque(maxlen=TRAIL_LIMIT)
 
     # -- wiring --------------------------------------------------------------
     def install(self, runtime) -> None:

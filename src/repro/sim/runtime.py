@@ -351,13 +351,10 @@ class Runtime(StepWindow):
     def _flat_run(self, predicate, max_events: int, on_change: bool) -> int:
         """The flat-dispatch hot loop.
 
-        Everything the per-event path touches is bound to locals; the
-        dispatch body is intentionally duplicated across the two queue
-        branches (calendar vs heap) because a shared helper would cost a
-        Python call per event — the exact overhead this loop removes.  The
-        calendar branch reaches into :class:`BucketQueue` internals for the
-        same reason; the queue's own ``pop()`` stays the reference
-        semantics (``step()`` uses it).
+        Everything the per-event path touches is bound to locals, and the
+        dispatch body is inlined rather than a helper, because a helper
+        would cost a Python call per event — the exact overhead this loop
+        removes.
         """
         queue = self.queue
         tables = self._tables
@@ -381,6 +378,18 @@ class Runtime(StepWindow):
         # rather than uninstalling.
         tap = self.delivery_tap
         dispatched = 0
+        # The calendar-vs-heap fork is one branch per event on how to pop;
+        # the dispatch body after it is shared.  The calendar branch reaches
+        # into :class:`BucketQueue` internals; the queue's own ``pop()``
+        # stays the reference semantics (``step()`` uses it).
+        calendar = type(queue) is BucketQueue
+        if calendar:
+            times = queue._times
+            buckets = queue._buckets
+            bucket = None
+        else:
+            heap = queue._heap
+        heappop = heapq.heappop
         # The loop allocates heavily but almost entirely acyclically —
         # tuples and short-lived lists that refcounting frees the moment
         # the handler returns — while the long-lived session tables keep
@@ -391,110 +400,70 @@ class Runtime(StepWindow):
         if gc_was_enabled:
             gc.disable()
         try:
-            if type(queue) is BucketQueue:
-                times = queue._times
-                buckets = queue._buckets
-                heappop = heapq.heappop
-                while times:
-                    time = times[0]
-                    bucket = buckets[time]
-                    self.now = time
-                    while bucket:
-                        _, _, dst, src, payload = bucket.popleft()
-                        queue._len -= 1
-                        dispatched += 1
-                        if dispatched > max_events:
-                            raise SimulationError(
-                                f"exceeded {max_events} events; likely livelock"
-                            )
-                        if tap is not None:
-                            tap(src, dst, payload)
-                        # ``ProcessHost.deliver``, inlined.
-                        host = hosts_seq[dst]
-                        if (
-                            not host.crashed
-                            and isinstance(payload, tuple)
-                            and payload
-                        ):
-                            try:
-                                handler = tables[dst].get(payload[0])
-                            except TypeError:
-                                handler = None  # unhashable tag
-                            if handler is not None:
-                                handler(src, payload)
-                        elif host.crashed and src == 0:
-                            # Recovery wakes are the one thing a crashed
-                            # host still reacts to.
-                            if (
-                                isinstance(payload, tuple)
-                                and payload
-                                and payload[0] == RECOVER_TAG
-                            ):
-                                self._apply_recovery(host)
-                        if svec and self._svec_pending:
-                            self._flush_svec()
-                        if coalescing and self._outbox:
-                            self._flush_outbox()
-                        if check:
-                            version = self._state_version
-                            if not on_change or version != last_version:
-                                last_version = version
-                                self.predicate_evals += 1
-                                if predicate():
-                                    if not bucket:
-                                        # Keep the queue canonical when the
-                                        # wait resolves on a bucket's last
-                                        # event (pop() also tolerates this).
-                                        del buckets[time]
-                                        heappop(times)
-                                    return dispatched
-                    # Strictly positive delays: nothing lands in the bucket
-                    # being drained, so it empties exactly once.
-                    del buckets[time]
-                    heappop(times)
-            else:
-                heap = queue._heap
-                heappop = heapq.heappop
-                while heap:
+            while True:
+                if calendar:
+                    if not bucket:
+                        if bucket is not None:
+                            # Strictly positive delays: nothing lands in the
+                            # bucket being drained, so it empties exactly
+                            # once (or a purge emptied it).
+                            del buckets[time]
+                            heappop(times)
+                        if not times:
+                            break
+                        time = times[0]
+                        bucket = buckets[time]
+                        self.now = time
+                        continue
+                    _, _, dst, src, payload = bucket.popleft()
+                    queue._len -= 1
+                else:
+                    if not heap:
+                        break
                     time, _, dst, src, payload = heappop(heap)
                     self.now = time
-                    dispatched += 1
-                    if dispatched > max_events:
-                        raise SimulationError(
-                            f"exceeded {max_events} events; likely livelock"
-                        )
-                    if tap is not None:
-                        tap(src, dst, payload)
-                    host = hosts_seq[dst]
+                dispatched += 1
+                if dispatched > max_events:
+                    raise SimulationError(
+                        f"exceeded {max_events} events; likely livelock"
+                    )
+                if tap is not None:
+                    tap(src, dst, payload)
+                # ``ProcessHost.deliver``, inlined.
+                host = hosts_seq[dst]
+                if not host.crashed and isinstance(payload, tuple) and payload:
+                    try:
+                        handler = tables[dst].get(payload[0])
+                    except TypeError:
+                        handler = None  # unhashable tag
+                    if handler is not None:
+                        handler(src, payload)
+                elif host.crashed and src == 0:
+                    # Recovery wakes are the one thing a crashed host still
+                    # reacts to.
                     if (
-                        not host.crashed
-                        and isinstance(payload, tuple)
+                        isinstance(payload, tuple)
                         and payload
+                        and payload[0] == RECOVER_TAG
                     ):
-                        try:
-                            handler = tables[dst].get(payload[0])
-                        except TypeError:
-                            handler = None  # unhashable tag
-                        if handler is not None:
-                            handler(src, payload)
-                    elif host.crashed and src == 0:
-                        if (
-                            isinstance(payload, tuple)
-                            and payload
-                            and payload[0] == RECOVER_TAG
-                        ):
-                            self._apply_recovery(host)
-                    if svec and self._svec_pending:
-                        self._flush_svec()
-                    if coalescing and self._outbox:
-                        self._flush_outbox()
-                    if check:
-                        version = self._state_version
-                        if not on_change or version != last_version:
-                            last_version = version
-                            self.predicate_evals += 1
-                            if predicate():
-                                return dispatched
+                        self._apply_recovery(host)
+                if svec and self._svec_pending:
+                    self._flush_svec()
+                if coalescing and self._outbox:
+                    self._flush_outbox()
+                if check:
+                    version = self._state_version
+                    if not on_change or version != last_version:
+                        last_version = version
+                        self.predicate_evals += 1
+                        if predicate():
+                            if calendar and not bucket:
+                                # Keep the queue canonical when the wait
+                                # resolves on a bucket's last event (pop()
+                                # also tolerates this).
+                                del buckets[time]
+                                heappop(times)
+                            return dispatched
         finally:
             if gc_was_enabled:
                 gc.enable()

@@ -9,16 +9,67 @@ from repro.adversary.controller import Adversary, silent_adversary
 from repro.config import SystemConfig
 from repro.core.agreement import ABAProcess
 from repro.core.api import (
+    BatchAgreementResult,
     build_stack,
+    make_coins,
     run_byzantine_agreement,
     run_byzantine_agreement_batch,
     run_mwsvss,
     run_svss,
 )
+from repro.core.coin import LocalCoin, SharedCoinGate
 from repro.errors import ConfigurationError
+from repro.net.transport import NetworkNode, TransportConfig
+from repro.sim.experiments import Scenario
 from repro.sim.monitor import InvariantMonitor
 
 IDEAL = ("ideal", 1.0)
+
+
+def _stack(cfg, **kw):
+    return build_stack(cfg, **kw)
+
+
+def _solo(cfg, **kw):
+    return run_byzantine_agreement([1] * 4, cfg, coin=IDEAL, **kw)
+
+
+def _batch(cfg, **kw):
+    return run_byzantine_agreement_batch([[1] * 4], cfg, coin=IDEAL, **kw)
+
+
+#: Settable values that went, each with the value every run used and every
+#: signature that took it: naming one is a ``TypeError`` before anything
+#: runs.  ``shared_coin`` was a result field, the rest were settable.
+REMOVED_OPTIONS = [
+    ("measure_bytes", True, (_stack, _solo, _batch)),
+    ("instances", 3, (_stack, _solo, _batch)),
+    ("share_coin", True, (_batch, lambda cfg, **kw: Scenario(n=4, seed=0, **kw))),
+    ("shared_coin", True, (lambda cfg, **kw: BatchAgreementResult(**kw),)),
+    ("tag", "aba", (_solo,)),
+    (
+        "instance",
+        "aba",
+        (lambda cfg, **kw: make_coins(_stack(cfg, with_vss=False), IDEAL, **kw),),
+    ),
+    (
+        "shared_tag",
+        "aba",
+        (lambda cfg, **kw: SharedCoinGate(LocalCoin(cfg.derive_rng("x")), 1, **kw),),
+    ),
+    (
+        "counter",
+        0,
+        (
+            lambda cfg, **kw: run_mwsvss(cfg, dealer=1, moderator=2, secret=7, **kw),
+            lambda cfg, **kw: run_svss(cfg, dealer=1, secret=7, **kw),
+        ),
+    ),
+    ("trail_limit", 64, (lambda cfg, **kw: InvariantMonitor(**kw),)),
+    ("context", None, (lambda cfg, **kw: NetworkNode(cfg, 1, "j", **kw),)),
+    ("backoff_jitter", 0.25, (lambda cfg, **kw: TransportConfig(**kw),)),
+    ("window", 1024, (lambda cfg, **kw: TransportConfig(**kw),)),
+]
 
 
 class TestPackageRoot:
@@ -53,20 +104,15 @@ class TestBuildStack:
         assert stack.nonfaulty() == [1, 3, 4]
 
     @pytest.mark.parametrize(
-        "keyword, value", [("measure_bytes", True), ("instances", 3)]
+        "keyword, value, calls",
+        REMOVED_OPTIONS,
+        ids=[f"{keyword}-{value}" for keyword, value, _ in REMOVED_OPTIONS],
     )
-    def test_removed_options_raise_type_error(self, cfg4, keyword, value):
-        """Nothing set either option; both are gone from every signature."""
-        calls = [
-            lambda **kw: build_stack(cfg4, **kw),
-            lambda **kw: run_byzantine_agreement([1] * 4, cfg4, coin=IDEAL, **kw),
-            lambda **kw: run_byzantine_agreement_batch(
-                [[1] * 4], cfg4, coin=IDEAL, **kw
-            ),
-        ]
+    def test_removed_options_raise_type_error(self, cfg4, keyword, value, calls):
+        """Each value is gone from every signature that took it."""
         for call in calls:
             with pytest.raises(TypeError, match=keyword):
-                call(**{keyword: value})
+                call(cfg4, **{keyword: value})
 
     def test_oversized_adversary_rejected(self, cfg4):
         from repro.adversary.behaviors import SilentBehavior
@@ -169,13 +215,6 @@ class TestResultObjects:
         result, _ = run_svss(cfg, dealer=1, secret=11)
         assert result.output_values() == {11}
         assert result.output_values([1, 2]) == {11}
-
-    def test_mwsvss_counter_isolates_sessions(self):
-        cfg = SystemConfig(n=4, seed=5)
-        r1, _ = run_mwsvss(cfg, dealer=1, moderator=2, secret=1, counter=0)
-        r2, _ = run_mwsvss(cfg, dealer=1, moderator=2, secret=2, counter=1)
-        assert r1.session != r2.session
-        assert r1.output_values() == {1} and r2.output_values() == {2}
 
 
 class TestCoinSpecs:

@@ -39,24 +39,22 @@ def split_matrix(n: int, k: int) -> list[list[int]]:
     return [[(i + shift) % 2 for i in range(n)] for shift in range(k)]
 
 
-def run_batch(inputs, seed, coin, share_coin=True, **kw):
+def run_batch(inputs, seed, coin, **kw):
     return run_byzantine_agreement_batch(
         inputs,
         SystemConfig(n=len(inputs[0]), seed=seed),
         coin=coin,
         scheduler=FifoScheduler(),
-        share_coin=share_coin,
         **kw,
     )
 
 
-def run_solo(inputs, seed, coin, tag="aba"):
+def run_solo(inputs, seed, coin):
     return run_byzantine_agreement(
         inputs,
         SystemConfig(n=len(inputs), seed=seed),
         coin=coin,
         scheduler=FifoScheduler(),
-        tag=tag,
     )
 
 
@@ -90,16 +88,6 @@ class TestBatchMatchesSolo:
         assert batch.agreed
         for k in range(4):
             solo = run_solo(inputs[k], seed=5, coin="local")
-            assert batch.results[("aba", k)].decisions == solo.decisions, k
-
-    def test_unshared_coin_matches_instance_tagged_solo(self):
-        """share_coin=False gives every instance its own sessions, derived
-        from its instance id — matching a solo run started with that tag."""
-        inputs = split_matrix(7, 3)
-        batch = run_batch(inputs, seed=9, coin=("ideal", 0.6), share_coin=False)
-        assert batch.agreed
-        for k in range(3):
-            solo = run_solo(inputs[k], seed=9, coin=("ideal", 0.6), tag=("aba", k))
             assert batch.results[("aba", k)].decisions == solo.decisions, k
 
     def test_batch_replay_deterministic(self):

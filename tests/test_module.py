@@ -249,9 +249,9 @@ class TestAutoPrune:
         instance_ids = tuple(("aba", i) for i in range(k))
         stack = build_stack(config, scheduler=FifoScheduler())
         decisions = {iid: {} for iid in instance_ids}
+        coins = make_coins(stack, ("ideal", 1.0))
         agreements = {}
         for iid in instance_ids:
-            coins = make_coins(stack, ("ideal", 1.0), instance=iid)
             agreements[iid] = {
                 pid: ABAProcess(
                     stack.runtime.host(pid),
