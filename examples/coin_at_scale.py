@@ -23,9 +23,15 @@ outputs, a fraction of the per-slot handler work.
 The algebra underneath all of it is pure Python: value rows and cached
 Lagrange bases (``docs/ALGEBRA.md``).
 
+The last line is the process' resident-set high-water (``ru_maxrss``)
+and that over the coin's 2n⁵ MW-SVSS instances (n² SVSS sharings × 2n²
+sessions × n process views): run one n per process, nothing else running,
+to read one rung of ``docs/MEMORY.md``'s n-ladder.
+
 Run:  python examples/coin_at_scale.py [n]   (default n = 10)
 """
 
+import resource
 import sys
 import time
 
@@ -64,6 +70,9 @@ def main() -> None:
     print(f"logical msgs/event : {result.logical_messages / result.events_dispatched:.1f}")
     print(f"throughput         : {result.logical_messages / wall:,.0f} "
           "logical messages/s")
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024  # KiB on Linux
+    print(f"ru_maxrss          : {rss / 2**20:.1f} MB, "
+          f"{rss / (2 * n**5):,.0f} B per MW-SVSS instance ({2 * n**5:,})")
 
 
 if __name__ == "__main__":

@@ -28,11 +28,11 @@ Implementation notes
 State is session-first, like the paper's ``ACK[σ]`` / ``DEAL[σ]`` arrays: one
 :class:`_Ledger` per session holds the batches seen so far and masks over
 values the session holds anyway — DEAL a sender mask over the monitor's
-confirm list (kept past the ``L`` freeze), ACK a monitor mask per sender over
-the dealer's value matrix, each row let go with its last bit — so an entry
+``mon`` body (kept past the ``L`` freeze), ACK a monitor mask per sender over
+the dealer's share columns, each row let go with its last bit — so an entry
 point costs one session-keyed probe; a per-sender count of unmet
 expectations answers :meth:`DMM.has_expectations`.  Reconstruct broadcasts
-are batched (one RB per process per session carrying ``{monitor: value}``),
+are batched (one RB per process per session, a mask over its wire tuple),
 and a batch missing an expected monitor entry leaves that expectation
 pending — identical semantics to a missing per-monitor broadcast.  Because
 a batch can arrive *before* the share-phase step that adds the matching
@@ -79,7 +79,9 @@ from __future__ import annotations
 from collections import defaultdict
 from collections.abc import Callable, Iterable
 
+from repro.core.mwsvss import point, rv_value
 from repro.core.sessions import SessionClock, svec_sid
+from repro.field.gf import Field
 
 #: verdicts of :meth:`DMM.filter_verdict`
 FORWARD = "forward"
@@ -100,11 +102,11 @@ class _Ledger:
     __slots__ = ("deal", "deal_row", "ack", "ack_rows", "seen", "closed")
 
     def __init__(self, closed: bool):
-        self.deal = 0  # mask: senders owing f_i(sender) = deal_row[sender]
-        self.deal_row: list | None = None  # the monitor's confirm list
+        self.deal = 0  # mask: senders owing f_i(sender) = point(deal_row, sender)
+        self.deal_row: tuple | None = None  # the monitor's ``mon`` body f_i(1..t+1)
         self.ack: list[int] | None = None  # [sender] = mask of the monitors j owed
-        self.ack_rows: list | None = None  # the dealer's matrix: f_j(l) = ack_rows[j][l]
-        self.seen: dict[int, dict[int, int]] | None = None  # sender -> batch
+        self.ack_rows: tuple | None = None  # the dealer's columns: f_j(l) = [l][j - 1]
+        self.seen: dict[int, tuple] | None = None  # sender -> parsed batch
         self.closed = closed  # takes no new batch (see "Session lifetime")
 
     def owed(self, sender: int) -> int:  # expectations ``sender`` has not met here
@@ -123,10 +125,12 @@ class DMM:
         self,
         pid: int,
         clock: SessionClock,
+        field: Field,
         on_shun: Callable[[int, tuple], None] | None = None,
     ):
         self.pid = pid
         self.clock = clock
+        self.field = field
         #: processes known faulty; all their VSS messages are discarded.
         self.D: set[int] = set()
         # session -> its ledger; a ledger holding nothing is dropped, and a
@@ -156,9 +160,9 @@ class DMM:
     # -- expectations ------------------------------------------------------
     def expect_ack(self, sender: int, session: tuple, monitor: int, rows) -> None:
         """Dealer step 7: expect ``sender`` to broadcast ``f_monitor(sender)
-        = rows[monitor][sender]`` (the dealer's value matrix) during the
-        reconstruct of ``session``."""
-        ledger = self._ledger_for(sender, session, monitor, rows[monitor][sender])
+        = rows[sender][monitor - 1]`` (the share columns the dealer sent)
+        during the reconstruct of ``session``."""
+        ledger = self._ledger_for(sender, session, monitor, lambda: rows[sender][monitor - 1])
         if ledger is not None:
             if ledger.ack is None:
                 ledger.ack, ledger.ack_rows = [0] * len(rows), rows
@@ -167,31 +171,36 @@ class DMM:
                 self._owe(sender, session, ledger)
 
     def expect_deal(self, sender: int, session: tuple, row) -> None:
-        """Monitor step 3: expect ``sender`` to broadcast ``f_i(sender) =
-        row[sender]`` (the confirm list: each entry is written once, none
-        after the ``L`` freeze) during the reconstruct of ``session``."""
-        ledger = self._ledger_for(sender, session, self.pid, row[sender])
+        """Monitor step 3: expect ``sender`` to broadcast ``f_i(sender)``, the
+        point of ``row`` (the ``mon`` body) its confirm value matched, during
+        the reconstruct of ``session``."""
+        ledger = self._ledger_for(
+            sender, session, self.pid, lambda: self._deal_value(row, sender)
+        )
         if ledger is not None and not ledger.deal >> sender & 1:
             if ledger.deal_row is None:
                 ledger.deal_row = row
             ledger.deal |= 1 << sender
             self._owe(sender, session, ledger)
 
+    def _deal_value(self, row: tuple, sender: int) -> int:
+        return point(self.field, len(row) - 1, row, sender)  # row: t + 1 values
+
     def _ledger_for(
-        self, sender: int, session: tuple, monitor: int, value: int
+        self, sender: int, session: tuple, monitor: int, expected: Callable[[], int]
     ) -> _Ledger | None:
         """The ledger a new expectation of ``sender`` goes into — ``None``
         when none is recorded: the sender is convicted or this process, or
-        its batch already answered for ``monitor`` (and is judged here)."""
+        its batch already answered for ``monitor`` (judged against ``expected()``)."""
         if sender in self.D or sender == self.pid:
             return None
         ledger = self._ledgers.get(session)
         if ledger is None:
             ledger = self._ledgers[session] = _Ledger(session in self._closed_sessions)
-        elif ledger.seen is not None:
-            batch = ledger.seen.get(sender)
-            if batch is not None and monitor in batch:
-                if batch[monitor] != value:
+        elif ledger.seen is not None and sender in ledger.seen:
+            value = rv_value(ledger.seen[sender], monitor)
+            if value is not None:
+                if value != expected():
                     self._detect(sender, session)
                 return None
         return ledger
@@ -309,10 +318,8 @@ class DMM:
                 completed.pop(session, None)
 
     # -- reconstruct-broadcast checks ----------------------------------------
-    def check_reconstruct_batch(
-        self, sender: int, session: tuple, batch: dict[int, int]
-    ) -> None:
-        """DMM steps 2-3: compare a reconstruct broadcast against
+    def check_reconstruct_batch(self, sender: int, session: tuple, batch: tuple) -> None:
+        """DMM steps 2-3: compare a reconstruct broadcast (``parse_rv``'s) against
         expectations; matching entries clear, conflicting entries convict."""
         if sender == self.pid:
             return  # a process never suspects itself (cf. filter_verdict)
@@ -329,9 +336,10 @@ class DMM:
         if owed:
             rows, cleared = ledger.ack_rows, 0
             for monitor in _pids(owed):
-                if monitor not in batch:
+                value = rv_value(batch, monitor)
+                if value is None:
                     continue  # still owed; expectation stays pending
-                if batch[monitor] != rows[monitor][sender]:
+                if value != rows[sender][monitor - 1]:
                     self._detect(sender, session)
                     return
                 owed ^= 1 << monitor
@@ -339,8 +347,9 @@ class DMM:
             if cleared:
                 ledger.ack[sender] = owed
                 self._settle(sender, session, ledger, cleared)
-        if ledger.deal >> sender & 1 and self.pid in batch:
-            if batch[self.pid] != ledger.deal_row[sender]:
+        value = rv_value(batch, self.pid) if ledger.deal >> sender & 1 else None
+        if value is not None:
+            if value != self._deal_value(ledger.deal_row, sender):
                 self._detect(sender, session)
                 return
             ledger.deal ^= 1 << sender

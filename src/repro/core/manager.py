@@ -131,10 +131,10 @@ class VSSManager(ProtocolModule):
         self.n = self.config.n
         self.t = self.config.t
         self.field = self.config.field
-        #: The immutable rows an MW-SVSS instance shares until it first writes
-        self.empty_values, self.empty_masks = (None,) * (self.n + 1), (0,) * (self.n + 1)
+        #: The immutable ``L_hat`` an MW-SVSS instance shares until it first writes
+        self.empty_masks = (0,) * (self.n + 1)
         self.clock = SessionClock()
-        self.dmm = DMM(self.pid, self.clock, on_shun=self._record_shun)
+        self.dmm = DMM(self.pid, self.clock, self.field, on_shun=self._record_shun)
         self.register("v", self._on_private)
         # The "svec" host tag is reserved here unconditionally (like the
         # runtime's "env" tag) so no other module can ever claim it; the
@@ -220,12 +220,15 @@ class VSSManager(ProtocolModule):
             self.mw.pop(sid, None)
         self.dmm.retire(sessions)
 
-    def parse_rv(self, body: object) -> dict[int, int] | None:
-        """An ``rv`` body ``((monitor, value), ...)`` as a dict, or ``None``."""
+    def parse_rv(self, body: object) -> tuple[int, tuple] | None:
+        """An ``rv`` body ``((monitor, value), ...)`` as its monitor mask and its
+        entries (``mwsvss.rv_value`` reads them), or ``None``: the body itself
+        when its monitors are strictly ascending ints, as in every honest
+        batch, else canonicalised once, the last entry for a monitor winning."""
         if not isinstance(body, tuple):
             return None
         n, is_element = self.n, self.field.is_element
-        batch: dict[int, int] = {}
+        mask, ascending = 0, True  # ascending: no repeat, no descent, no bool
         for item in body:
             if (
                 not isinstance(item, tuple)
@@ -235,8 +238,11 @@ class VSSManager(ProtocolModule):
                 or not is_element(item[1])
             ):
                 return None
-            batch[item[0]] = item[1]
-        return batch
+            ascending &= type(item[0]) is int and not mask >> item[0]
+            mask |= 1 << item[0]
+        if not ascending:
+            body = tuple(sorted({int(m): value for m, value in body}.items()))
+        return mask, body
 
     def is_value_tuple(self, body: object, length: int) -> bool:
         """``body`` is a tuple of exactly ``length`` field elements."""
@@ -548,11 +554,10 @@ class VSSManager(ProtocolModule):
         if inst is None and sid not in self.clock.completed:
             return  # retired, and owes nothing (see SessionClock)
         batch = self.parse_rv(body)
-        if batch is not None:
-            dmm.check_reconstruct_batch(src, sid, batch)
-            if src in dmm.D:
-                return  # convicted by this very batch
-        if inst is not None:
+        if batch is None:
+            return
+        dmm.check_reconstruct_batch(src, sid, batch)
+        if inst is not None and src not in dmm.D:  # not convicted by this very batch
             inst.handle(src, "rv", body, batch)
 
     def _park(self, src: int, sid: tuple, kind: str, body: object) -> None:

@@ -24,14 +24,14 @@ reliable broadcast (``("vss", sid, kind, body)``):
 * ``"ok"``  — step 7, the dealer's go-ahead.
 * ``"rv"``  — reconstruct step 1, batched values ``((monitor, value), ...)``.
 
-Every polynomial is only ever evaluated, and only at points of ``{0..n}``:
-the dealer keeps ``f, f_1..f_n`` as the value matrix ``f_l(0..n)``, the
+Every polynomial is only ever evaluated, at points of ``{0..n}``, and each
+value is held once: the dealer keeps only the ``shl`` columns it sent, the
 monitor's ``f̂_j`` and the moderator's ``f̂`` stay the dealer's values
-``f(1..t+1)`` and any other point is one dot product read where a step
-needs it (:func:`point`), and R' reads ``f̄_l(0)`` and
-``f̄(0)`` off bases looked up by pid mask (``VSSManager.basis`` /
-``VSSManager.fit``).  The DMM's expectations are masks over the dealer's
-matrix and the monitor's confirm list, never copies of their values.
+``f(1..t+1)`` (any other point is one dot product, :func:`point`), a
+confirm value leaves a bit, an ``rv`` batch stays its wire tuple
+(:func:`rv_value`), and R' reads ``f̄_l(0)`` and ``f̄(0)`` off bases looked
+up by pid mask (``VSSManager.basis`` / ``.fit``).  The DMM's expectations
+are masks over the dealer's columns and the monitor's ``f̂_j``.
 """
 
 from __future__ import annotations
@@ -68,9 +68,9 @@ BOTTOM = _Bottom()
 
 
 @cache
-def _nodes(field: Field, t: int):
+def _nodes(prime: int, t: int):  # keyed by the int: no ``Field.__hash__`` per point
     """The basis of the nodes ``1..t+1`` every received polynomial is given at."""
-    return lagrange_basis(field, range(1, t + 2))
+    return lagrange_basis(Field(prime), range(1, t + 2))
 
 
 def point(field: Field, t: int, values, x: int) -> int:
@@ -79,7 +79,16 @@ def point(field: Field, t: int, values, x: int) -> int:
     product with the nodes' cached evaluation row, no coefficient vector."""
     if 0 < x <= t + 1:
         return values[x - 1]
-    return sum(map(mul, values, _nodes(field, t).evaluation_row(x))) % field.prime
+    return sum(map(mul, values, _nodes(field.prime, t).evaluation_row(x))) % field.prime
+
+
+def rv_value(batch: tuple[int, tuple], monitor: int) -> int | None:
+    """``monitor``'s value in a batch from ``VSSManager.parse_rv``, or ``None``:
+    the entry's position is the popcount of the monitor mask below it."""
+    mask, entries = batch
+    if not mask >> monitor & 1:
+        return None
+    return entries[(mask & ((1 << monitor) - 1)).bit_count()][1]
 
 
 def value_rows(field: Field, n: int, t: int, bodies: list) -> list[tuple[int, ...]]:
@@ -92,31 +101,25 @@ class MWSVSSInstance:
     """One process' state machine for one MW-SVSS session.
 
     *Lifetime.*  Each container lives as long as the step that reads it:
-    ``monitor_row`` (f̂_j) from ``mon`` and ``confirm_values`` from the first
-    ``cnf`` to the ``L_j`` freeze (step 4), ``L_hat`` from the first ``L̂``,
-    each the manager's shared empty row outside that span; at the moderator
-    ``moderator_row`` (f̂) and ``moderator_shares`` to the ``M`` freeze (step
-    6); ``rv_batches`` and the rows ``K`` (sender masks) and ``f_bar`` from
-    :meth:`begin_reconstruct` or the first ``rv`` to output; ``share_vector``,
-    ``L_hat`` and the dealer's ``_deal_rows`` to :meth:`release`, the
-    terminal state that owns no working set, entered at output (R' step 4)
-    or when the parent learns that nobody will reconstruct.  Nothing is
-    owed after output — output ⇒ share completed ⇒ ``M̂``, every ``L̂_l``
-    (l ∈ M̂) and the dealer's OK are public by RB totality, so no other
-    process' S' needs a further message from this one; ``rv`` went out at
-    :meth:`begin_reconstruct`, which precedes output; and DEAL / ACK
-    expectations are only added before ``L`` freezes / at step 7, both
-    before share completion.  A released instance ignores every message
-    until its sharing leaves the manager's tables (see ``core.manager``):
-    read an outcome off the watcher, not the instance.  What must outlive
-    it — convicting or clearing a late ``rv`` against an outstanding debt
-    — lives in the DMM, which the manager consults first, and so does what
-    that reads: the ledger keeps the confirm list past the ``L`` freeze
-    (its DEAL row) and ``_deal_rows`` past release (its ACK rows) until
-    the debt clears.
+    ``monitor_row`` (f̂_j) from ``mon``, the confirm masks to the ``L_j``
+    freeze (step 4), an early confirm value until ``mon``; ``L_hat`` from
+    the first ``L̂`` (the manager's shared empty row before); at the
+    moderator ``moderator_row`` (f̂) and ``moderator_shares`` to the ``M``
+    freeze (step 6); ``rv_batches``, ``K`` (sender masks) and ``f_bar`` from
+    :meth:`begin_reconstruct` or the first ``rv`` to output; the rest to
+    :meth:`release`, the terminal state, entered at output (R' step 4) or
+    when the parent learns that nobody will reconstruct.  Nothing is owed
+    after output: ``M̂``, every ``L̂_l`` (l ∈ M̂) and the dealer's OK are
+    public by RB totality, ``rv`` went out at :meth:`begin_reconstruct`,
+    and DEAL / ACK expectations are only added before share completion.  A
+    released instance ignores every message (read an outcome off the
+    watcher).  What must outlive it — convicting or clearing a late ``rv``
+    against a debt — lives in the DMM, which the manager consults first,
+    with what that reads: the ledger keeps the ``mon`` body past the ``L``
+    freeze (its DEAL row) and ``_deal_rows`` past release (its ACK rows).
     """
 
-    # 35 attributes: without __slots__ they overflow CPython's shared-key
+    # 37 attributes: without __slots__ they overflow CPython's shared-key
     # dict limit and every instance (2n² per SVSS session) carries a
     # private dict several times the size of the state it holds.  Per-pid
     # facts are words and rows for the same reason: a set of pids is an
@@ -133,7 +136,8 @@ class MWSVSSInstance:
         "share_vector",
         "monitor_row",
         "_step2_done",
-        "confirm_values",
+        "heard",
+        "confirmed",
         "_early_confirms",
         "acks",
         "L",
@@ -176,10 +180,11 @@ class MWSVSSInstance:
         self.monitor_row: tuple[int, ...] | None = None
         self._step2_done = False
 
-        # step 3-4 (monitor bookkeeping); shared until the first write
-        self.confirm_values = manager.empty_values  # [l] = f̂^l_j, first wins
-        #: confirmers heard before ``f̂_j``, in arrival order (step 3 replays them)
-        self._early_confirms: tuple[int, ...] = ()
+        # step 3-4 (monitor bookkeeping): masks of the confirmers heard (the
+        # first ``cnf`` wins) and of those whose value is f̂_j(l); ``(l, value)``
+        # pairs heard before ``f̂_j``, in arrival order, until ``mon``
+        self.heard = self.confirmed = 0
+        self._early_confirms: tuple[tuple[int, int], ...] = ()
         self.acks = 0  # mask: processes whose ack RB-delivered
         self.L = 0  # mask
         self.L_frozen = False
@@ -204,8 +209,8 @@ class MWSVSSInstance:
         self.ok_received = False
 
         # dealer state
-        #: [l][x] = f_l(x) for l, x in 0..n, with f_0 = f
-        self._deal_rows: list[tuple[int, ...]] | None = None
+        #: the ``shl`` columns sent: [j][l - 1] = f_l(j) for j, l in 1..n ([0] None)
+        self._deal_rows: tuple | None = None
         self._dealer_acked = False  # step 7 done
 
         self.share_completed = False
@@ -214,7 +219,7 @@ class MWSVSSInstance:
         # _open_reconstruct (at begin_reconstruct or the first ``rv``)
         self.reconstruct_begun = False
         self._rv_sent = False
-        self.rv_batches: dict[int, dict[int, int]] | None = None  # sender -> batch
+        self.rv_batches: dict[int, tuple] | None = None  # sender -> parsed batch
         #: Mask of the senders whose batches ``_consume_rv_batches`` re-scans:
         #: fresh arrivals, or every sender (-1) after ``L̂``/``M̂`` widen eligibility
         self._rv_dirty = 0
@@ -228,40 +233,38 @@ class MWSVSSInstance:
     # ------------------------------------------------------------------
     def share(self, secret: int) -> None:
         """Dealer step 1: draw ``f`` and ``f_1..f_n`` (degree ``t``, ``f(0) =
-        s``, ``f_l(0) = f(l)``), keep their values at ``0..n``, and
-        distribute the shares."""
+        s``, ``f_l(0) = f(l)``), distribute the shares, and keep only the
+        share columns (every ACK expectation reads one)."""
         if self.pid != self.dealer:
             raise ProtocolError(f"{self.pid} is not the dealer of {self.sid}")
         if self._deal_rows is not None or self.released:
             raise ProtocolError(f"share already initiated for {self.sid}")
-        field = self.field
-        t = self.t
+        field, t = self.field, self.t
         rng = self.manager.config.derive_rng("mw-deal", self.sid)
-        points = range(self.n + 1)
+        points = range(1, self.n + 1)
         # Coefficients drawn low degree first, f's before f_1's before
         # f_2's, each constant term then pinned after its draw: the order a
         # seed has always dealt in (the hiding tests draw it again).
-        draws = field.random_elements(rng, len(points) * (t + 1))
+        draws = field.random_elements(rng, (self.n + 1) * (t + 1))
         f_coeffs, *subs = [draws[i : i + t + 1] for i in range(0, len(draws), t + 1)]
         f_coeffs[0] = field.element(secret)
-        f = evaluate_many(field, f_coeffs, points)
-        for sub, f_l in zip(subs, f[1:]):
+        f = evaluate_many(field, f_coeffs, points)  # f(1..n)
+        for sub, f_l in zip(subs, f):
             sub[0] = f_l
-        # One batched multi-point pass over all n sub-polynomials.
-        rows = [tuple(f), *map(tuple, evaluate_rows(field, subs, points))]
-        self._deal_rows = rows
+        # One batched multi-point pass: rows[l - 1] == f_l(1..n)
+        rows = evaluate_rows(field, subs, points)
+        self._deal_rows = cols = (None, *zip(*rows))  # cols[j] == (f_1(j), ..., f_n(j))
 
         mgr = self.manager
         corrupt_values = mgr.host.deviation("corrupt_mw_share_values")
-        shares = list(zip(*rows[1:]))  # shares[j] == (f_1(j), ..., f_n(j))
-        for j in points[1:]:
-            values = shares[j]
+        for j in points:
+            values = cols[j]
             if corrupt_values is not None:
                 values = tuple(corrupt_values(self.sid, j, list(values), field.prime))
             mgr.send_value(j, self.sid, "shl", values)
-        for l in points[1:]:
-            mgr.send_value(l, self.sid, "mon", rows[l][1 : t + 2])
-        mgr.send_value(self.moderator, self.sid, "mod", rows[0][1 : t + 2])
+        for l in points:
+            mgr.send_value(l, self.sid, "mon", tuple(rows[l - 1][: t + 1]))
+        mgr.send_value(self.moderator, self.sid, "mod", tuple(f[: t + 1]))
 
     def moderate(self, expected: int) -> None:
         """Install the moderator's input value ``s'`` (enables step 5)."""
@@ -292,11 +295,9 @@ class MWSVSSInstance:
         if self.released:
             return
         self.released = True
-        self.share_vector = self.monitor_row = None
-        self.confirm_values = self._early_confirms = None
-        self.moderator_row = self.moderator_expected = None
-        self.moderator_shares = self.L_hat = self._deal_rows = None
-        self.rv_batches = self.K = self.f_bar = None
+        self.share_vector = self.monitor_row = self._early_confirms = self._deal_rows = None
+        self.moderator_row = self.moderator_expected = self.moderator_shares = None
+        self.L_hat = self.rv_batches = self.K = self.f_bar = None
         self.manager.session_released(self.sid)
 
     # ------------------------------------------------------------------
@@ -305,9 +306,9 @@ class MWSVSSInstance:
     def handle(self, src: int, kind: str, body: object, decoded: object = None) -> None:
         if self.released:
             return
-        # ``decoded`` is the batched ingestion path's pre-pass (``None``:
-        # decode here): the shape-checked body for ``mon``/``mod``, the
-        # parsed batch dict for ``rv``.
+        # ``decoded`` is the shape-checked body for ``mon``/``mod`` from the
+        # batched ingestion path's pre-pass (``None``: check here), and for
+        # ``rv`` the batch ``VSSManager.parse_rv`` made (``None``: dropped).
         # Ordered by per-invocation frequency: the O(n)-per-party kinds
         # (confirm/ack/L-set/reconstruct) before the once-per-session ones.
         if kind == "cnf":
@@ -317,7 +318,7 @@ class MWSVSSInstance:
         elif kind == "L":
             self._on_l_set(src, body)
         elif kind == "rv":
-            self._on_reconstruct_values(src, body, decoded)
+            self._on_reconstruct_values(src, decoded)
         elif kind == "ms":
             self._on_moderator_share(src, body)
         elif kind == "shl":
@@ -348,8 +349,11 @@ class MWSVSSInstance:
             return
         self.monitor_row = body
         self._maybe_step2()
-        for l in self._early_confirms:
-            self._maybe_step3(l)
+        early, self._early_confirms = self._early_confirms, ()
+        for l, value in early:
+            if not self.L_frozen and value == point(self.field, self.t, body, l):
+                self.confirmed |= 1 << l
+                self._maybe_step3(l)
 
     def _maybe_step2(self) -> None:
         """Step 2: confirm privately to every monitor and ack publicly."""
@@ -369,16 +373,16 @@ class MWSVSSInstance:
 
     def _on_confirm(self, src: int, body: object) -> None:
         # A frozen L_j ended step 3: a late value has nothing left to meet.
-        values = self.confirm_values
-        if self.L_frozen or not self.field.is_element(body) or values[src] is not None:
+        bit = 1 << src
+        if self.L_frozen or self.heard & bit or not self.field.is_element(body):
             return
-        if values is self.manager.empty_values:
-            values = self.confirm_values = list(values)
-        values[src] = body
-        if self.monitor_row is not None:
+        self.heard |= bit
+        row = self.monitor_row
+        if row is None:
+            self._early_confirms += ((src, body),)  # checked when f̂_j arrives
+        elif body == point(self.field, self.t, row, src):
+            self.confirmed |= bit
             self._maybe_step3(src)
-        else:
-            self._early_confirms += (src,)
 
     def _on_ack(self, src: int) -> None:
         # The hottest handler (one call per party per session per party):
@@ -398,7 +402,8 @@ class MWSVSSInstance:
             self._maybe_complete_share()
 
     def _maybe_step3(self, l: int) -> None:
-        """Step 3: record confirmer ``l`` if its value matches ``f̂_j(l)``.
+        """Step 3: record confirmer ``l`` once its value matched ``f̂_j(l)``
+        (its ``confirmed`` bit) and its ack arrived.
 
         Additions stop once ``L_j`` is frozen by its broadcast (step 4) —
         the reconstruct duty map is derived from the broadcast sets, so
@@ -409,24 +414,21 @@ class MWSVSSInstance:
         if row is None:
             return
         bit = 1 << l
-        confirmed = self.confirm_values[l]
-        if self.L & bit or confirmed is None or not self.acks & bit:
-            return
-        if confirmed != point(self.field, self.t, row, l):
+        if self.L & bit or not self.confirmed & self.acks & bit:
             return
         self.L |= bit
         if not self._deal_suppressed:
-            self.manager.dmm.expect_deal(l, self.sid, self.confirm_values)
+            self.manager.dmm.expect_deal(l, self.sid, row)
         if self.L.bit_count() >= self.n - self.t:
             self._freeze_l()
 
     def _freeze_l(self) -> None:
         """Step 4: broadcast ``L_j`` and send ``f̂_j(0)`` to the moderator;
-        step 3 is over, so ``f̂_j`` and the confirm values are dropped."""
+        step 3 is over, so ``f̂_j`` and the confirm masks are dropped."""
         free_term = point(self.field, self.t, self.monitor_row, 0)
         manager = self.manager
         self.L_frozen, self.monitor_row, self._early_confirms = True, None, ()
-        self.confirm_values = manager.empty_values
+        self.heard = self.confirmed = 0
         manager.rb_broadcast(self.sid, "L", manager.pids_of(self.L))
         manager.send_value(self.moderator, self.sid, "ms", free_term)
 
@@ -578,15 +580,9 @@ class MWSVSSInstance:
             batch = corrupt(self.sid, batch, self.field.prime)
         self.manager.rb_broadcast(self.sid, "rv", tuple(sorted(batch.items())))
 
-    def _on_reconstruct_values(
-        self, src: int, body: object, batch: dict[int, int] | None = None
-    ) -> None:
-        # ``batch`` is the pre-parsed body from the batched ingestion path
-        # (it already parsed once for the DMM reconstruct check).
+    def _on_reconstruct_values(self, src: int, batch: tuple | None) -> None:
         if batch is None:
-            batch = self.manager.parse_rv(body)
-        if batch is None:
-            return
+            return  # every ``rv`` comes parsed, through the manager's DMM check
         self._open_reconstruct()
         if src in self.rv_batches:
             return
@@ -599,26 +595,19 @@ class MWSVSSInstance:
         """R' steps 2-3: gather t+1 points per monitor, then interpolate.
 
         ``K[l]`` is a sender mask: bit k means sender k's point on ``f̄_l``
-        is in ``K_l``.  Incremental: only dirty senders' batches are
-        scanned (iterated in batch arrival order, so which ``t + 1`` points
-        win stays exactly the full-rescan order).  Point additions depend
-        only on the ``L̂``/``M̂`` sets and the bit tests below, and every
-        mutation of those sets re-dirties every sender, so the dirty mask is
-        a pure work filter — the consumed point set is unchanged.
+        is in ``K_l``.  Only dirty senders' batches are scanned, in arrival
+        order, so the same ``t + 1`` points win as in a full rescan: every
+        change of ``L̂`` / ``M̂``, the only other input, re-dirties them all.
         """
         if self.M_hat is None or not self._rv_dirty:
             return
-        dirty = self._rv_dirty
-        self._rv_dirty = 0
-        m_hat = self.M_hat
-        l_hat = self.L_hat
-        K = self.K
-        t = self.t
+        dirty, self._rv_dirty = self._rv_dirty, 0
+        m_hat, l_hat, K, t = self.M_hat, self.L_hat, self.K, self.t
         for sender, batch in self.rv_batches.items():
             bit = 1 << sender
             if not dirty & bit:
                 continue
-            for l in batch:
+            for l in self.manager.pids_of(batch[0]):  # the batch's monitors, ascending
                 points = K[l]
                 if points & bit or points.bit_count() > t or l not in m_hat:
                     continue
@@ -633,7 +622,7 @@ class MWSVSSInstance:
         # basis the manager keys by the same mask.  Sender sets repeat
         # across monitors and sessions.
         manager = self.manager
-        values = [self.rv_batches[k][l] for k in manager.pids_of(mask)]
+        values = [rv_value(self.rv_batches[k], l) for k in manager.pids_of(mask)]
         zero = manager.basis(mask).evaluation_row(0)
         self.f_bar[l] = sum(map(mul, values, zero)) % self.field.prime
 
@@ -656,24 +645,19 @@ class GroupLane:
     """Structure-of-arrays view of one svec dealer-group's sibling sessions.
 
     The n sibling sessions of one dealer-group (the coin's per-slot MW-SVSS
-    or SVSS instances) are arrayed by slot in :attr:`columns`, giving the
-    batched ingestion path O(1) slot access without rebuilding the nested
-    per-slot sid tuple for every entry of a vector.  Lanes are created
-    lazily by ``VSSManager.ingest_vector`` and are a pure index: the
-    manager's ``mw``/``svss`` dicts remain the owning tables, and a column
-    is filled from them on first touch (so instances created by the local
-    share path and by vector ingestion land in the same lane).
+    or SVSS instances) are arrayed by slot in :attr:`columns`: O(1) slot
+    access for ``VSSManager.ingest_vector``, which creates lanes lazily, with
+    no per-slot sid tuple rebuilt.  A lane is a pure index over the owning
+    ``mw`` / ``svss`` tables, a column filled from them on first touch.
 
-    The lane also hosts the *batch decode* pre-passes for vectors whose
-    bodies are polynomial values on ``1..t+1``: a ``mon``/``mod`` body is
-    kept as it is, so its pre-pass is the shape check alone, and the SVSS
-    ``rows`` bodies are decoded in one :func:`value_rows` call into (g, h)
-    value-row pairs, bit-identical to the per-slot decode.  The pre-passes
-    are *pure*: they validate with exactly the handlers' shape checks, never
-    mutate instance state, and return ``None`` (per-slot decode) for senders
-    that cannot pass the handlers' origin guards or for vectors with
-    duplicate slots, so a handler that rejects a body never sees a decode
-    it would not have computed itself.
+    The lane also hosts the *batch decode* pre-passes for bodies given as
+    values on ``1..t+1``: a ``mon``/``mod`` body is kept as it is (the
+    pre-pass is the shape check alone), and SVSS ``rows`` bodies are decoded
+    in one :func:`value_rows` call into (g, h) value-row pairs, bit-identical
+    to the per-slot decode.  The pre-passes are *pure* — the handlers' shape
+    checks, no instance state touched, ``None`` (per-slot decode) for senders
+    the handlers' origin guards reject or for duplicate slots — so a handler
+    never sees a decode it would not have computed itself.
     """
 
     __slots__ = ("group", "columns")

@@ -23,6 +23,7 @@ from repro.adversary.controller import Adversary
 from repro.config import SystemConfig
 from repro.core.api import Stack, build_stack
 from repro.core.manager import CallbackWatcher
+from repro.core.mwsvss import point
 from repro.core.sessions import mw_session
 from repro.sim.scheduler import Scheduler
 
@@ -48,7 +49,8 @@ class CraftingDealer(ByzantineBehavior):
     def corrupt_mw_reconstruct_values(self, session, values, prime):
         inst = self.vss_manager.mw[session]
         field = inst.field
-        rows = inst._deal_rows  # rows[l][x] == f_l(x), rows[0] == f
+        cols = inst._deal_rows  # cols[x][l - 1] == f_l(x), x in 1..n
+        f_at_3 = point(field, 1, (cols[1][2], cols[2][2]), 0)  # f(3) = f_3(0), t = 1
 
         def line(at_zero: int, at_3: int, x: int) -> int:
             """The degree-1 polynomial through (0, at_zero) and (3, at_3), at x."""
@@ -57,8 +59,8 @@ class CraftingDealer(ByzantineBehavior):
 
         crafted = {}
         for monitor in values:
-            f_fake = line(FAKE_SECRET, rows[0][3], monitor)  # f'(monitor)
-            crafted[monitor] = line(f_fake, rows[monitor][3], DEALER)
+            f_fake = line(FAKE_SECRET, f_at_3, monitor)  # f'(monitor)
+            crafted[monitor] = line(f_fake, cols[3][monitor - 1], DEALER)
         return crafted
 
     def describe(self) -> str:

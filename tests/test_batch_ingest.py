@@ -58,7 +58,7 @@ def arm_sender(mgr, sender, session, value=7):
     later-begun sessions draw DELAY verdicts — the shunning delay rule."""
     mgr.clock.note_begin(session)
     mgr.clock.note_complete(session)
-    mgr.dmm.expect_deal(sender, session, {sender: value})  # the confirm list
+    mgr.dmm.expect_deal(sender, session, (value,) * (mgr.t + 1))  # f̂ ≡ value: its mon body
     mgr.dmm.on_session_reconstructed(session)
 
 
@@ -300,7 +300,7 @@ class TestDelayedBacklogIndex:
         orig = mgr.dmm.filter_verdict
         mgr.dmm.filter_verdict = lambda s, sid: (seen.append(s), orig(s, sid))[1]
         # Sender 2 pays its debt: only its 25 keys may be re-filtered.
-        mgr.dmm.check_reconstruct_batch(2, owed2, {1: 7})
+        mgr.dmm.check_reconstruct_batch(2, owed2, mgr.parse_rv(((1, 7),)))
         mgr._release_delayed()
         assert seen == [2] * 25
         assert all(key[0] == 4 for key in mgr._delayed)
@@ -316,7 +316,7 @@ class TestDelayedBacklogIndex:
         for sid in sids:
             mgr._ingest(2, sid, "cnf", 123)
             spy_handle(mgr.mw[sid], lambda *a, sid=sid: order.append(sid))
-        mgr.dmm.check_reconstruct_batch(2, owed, {1: 7})
+        mgr.dmm.check_reconstruct_batch(2, owed, mgr.parse_rv(((1, 7),)))
         mgr._release_delayed()
         assert order == sids
         assert mgr._delayed == {}

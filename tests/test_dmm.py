@@ -6,27 +6,40 @@ import pytest
 
 from repro.core.dmm import DELAY, DISCARD, DMM, FORWARD
 from repro.core.sessions import SessionClock
+from repro.field.gf import Field
 
 S1 = ("mw", ("solo", 1), 1, 2, "dm")
 S2 = ("mw", ("solo", 2), 1, 2, "dm")
 
 
-def dealer_rows(values: dict) -> dict:
-    """A dealer's value rows as ``{monitor: {sender: value}}``: the DMM reads
-    ``rows[monitor][sender]`` and keeps a mask per sender, one bit per row."""
-    return {monitor: values.get(monitor, {}) for monitor in range(8)}
+def dealer_columns(values: dict) -> list:
+    """The share columns a dealer sent, from ``{monitor: {sender: value}}``:
+    the DMM reads ``cols[sender][monitor - 1]`` and keeps a mask per sender,
+    one bit per monitor."""
+    cols = [{} for _ in range(8)]
+    for monitor, senders in values.items():
+        for sender, value in senders.items():
+            cols[sender][monitor - 1] = value
+    return cols
+
+
+def rv(entries: dict) -> tuple:
+    """A reconstruct batch as ``VSSManager.parse_rv`` hands it over: its
+    monitor mask and its ascending ``(monitor, value)`` entries."""
+    return sum(1 << monitor for monitor in entries), tuple(sorted(entries.items()))
 
 
 #: f_2(3) = f_2(4) = 7 and f_4(3) = 9 in S1; f_2(3) = 1 in S2
-ROWS = {S1: dealer_rows({2: {3: 7, 4: 7}, 4: {3: 9}}), S2: dealer_rows({2: {3: 1}})}
-#: the monitor's confirm list: f̂^3 = 9 and f̂^4 = 2 in S1, f̂^3 = 1 in S2
-CONFIRMS = {S1: {3: 9, 4: 2}, S2: {3: 1}}
+ROWS = {S1: dealer_columns({2: {3: 7, 4: 7}, 4: {3: 9}}), S2: dealer_columns({2: {3: 1}})}
+#: the monitor's ``mon`` bodies f̂(1..3) (t = 2): f̂(3) = 9 and f̂(4) = 2 in
+#: S1, f̂(3) = 1 in S2 — the confirm values step 3 admits
+CONFIRMS = {S1: (2, 9, 9), S2: (0, 0, 1)}
 
 
 def make_dmm(pid=1):
     shuns = []
     clock = SessionClock()
-    dmm = DMM(pid, clock, on_shun=lambda culprit, session: shuns.append((culprit, session)))
+    dmm = DMM(pid, clock, Field(), on_shun=lambda culprit, session: shuns.append((culprit, session)))
     return dmm, clock, shuns
 
 
@@ -35,34 +48,34 @@ class TestExpectations:
         dmm, clock, shuns = make_dmm()
         dmm.expect_ack(sender=3, session=S1, monitor=2, rows=ROWS[S1])
         assert dmm.has_expectations(3)
-        dmm.check_reconstruct_batch(3, S1, {2: 7})
+        dmm.check_reconstruct_batch(3, S1, rv({2: 7}))
         assert not dmm.has_expectations(3)
         assert shuns == []
 
     def test_conflicting_ack_broadcast_convicts(self):
         dmm, clock, shuns = make_dmm()
         dmm.expect_ack(sender=3, session=S1, monitor=2, rows=ROWS[S1])
-        dmm.check_reconstruct_batch(3, S1, {2: 8})
+        dmm.check_reconstruct_batch(3, S1, rv({2: 8}))
         assert 3 in dmm.D
         assert shuns == [(3, S1)]
 
     def test_matching_deal_broadcast_clears(self):
         dmm, clock, shuns = make_dmm(pid=5)
         dmm.expect_deal(sender=3, session=S1, row=CONFIRMS[S1])
-        dmm.check_reconstruct_batch(3, S1, {5: 9})
+        dmm.check_reconstruct_batch(3, S1, rv({5: 9}))
         assert not dmm.has_expectations(3)
 
     def test_conflicting_deal_broadcast_convicts(self):
         dmm, clock, shuns = make_dmm(pid=5)
         dmm.expect_deal(sender=3, session=S1, row=CONFIRMS[S1])
-        dmm.check_reconstruct_batch(3, S1, {5: 1})
+        dmm.check_reconstruct_batch(3, S1, rv({5: 1}))
         assert 3 in dmm.D
         assert shuns == [(3, S1)]
 
     def test_batch_missing_entry_keeps_expectation(self):
         dmm, clock, shuns = make_dmm()
         dmm.expect_ack(3, S1, monitor=2, rows=ROWS[S1])
-        dmm.check_reconstruct_batch(3, S1, {4: 1})  # no entry for monitor 2
+        dmm.check_reconstruct_batch(3, S1, rv({4: 1}))  # no entry for monitor 2
         assert dmm.has_expectations(3)
         assert shuns == []
 
@@ -70,14 +83,14 @@ class TestExpectations:
         """Asynchrony: the broadcast can arrive before the share step that
         records the expectation."""
         dmm, clock, shuns = make_dmm()
-        dmm.check_reconstruct_batch(3, S1, {2: 7})
+        dmm.check_reconstruct_batch(3, S1, rv({2: 7}))
         dmm.expect_ack(3, S1, monitor=2, rows=ROWS[S1])
         assert not dmm.has_expectations(3)
         assert shuns == []
 
     def test_batch_before_expectation_reconciles_conflict(self):
         dmm, clock, shuns = make_dmm()
-        dmm.check_reconstruct_batch(3, S1, {2: 8})
+        dmm.check_reconstruct_batch(3, S1, rv({2: 8}))
         dmm.expect_ack(3, S1, monitor=2, rows=ROWS[S1])
         assert 3 in dmm.D
 
@@ -92,7 +105,7 @@ class TestExpectations:
     def test_expectations_from_detected_processes_ignored(self):
         dmm, clock, shuns = make_dmm()
         dmm.expect_ack(3, S1, monitor=2, rows=ROWS[S1])
-        dmm.check_reconstruct_batch(3, S1, {2: 8})  # convicts 3
+        dmm.check_reconstruct_batch(3, S1, rv({2: 8}))  # convicts 3
         dmm.expect_ack(3, S2, monitor=2, rows=ROWS[S2])
         assert not dmm.has_expectations(3)
 
@@ -105,7 +118,7 @@ class TestFilter:
     def test_discard_from_detected(self):
         dmm, clock, shuns = make_dmm()
         dmm.expect_ack(3, S1, monitor=2, rows=ROWS[S1])
-        dmm.check_reconstruct_batch(3, S1, {2: 0})
+        dmm.check_reconstruct_batch(3, S1, rv({2: 0}))
         assert dmm.filter_verdict(3, S2) == DISCARD
 
     def test_never_filters_self(self):
@@ -148,7 +161,7 @@ class TestFilter:
         dmm.on_session_reconstructed(S1)
         clock.note_begin(S2)
         assert dmm.filter_verdict(3, S2) == DELAY
-        dmm.check_reconstruct_batch(3, S1, {2: 7})
+        dmm.check_reconstruct_batch(3, S1, rv({2: 7}))
         assert dmm.filter_verdict(3, S2) == FORWARD
 
     def test_delay_only_for_owing_sender(self):
@@ -182,22 +195,22 @@ class TestIntrospection:
         dmm, clock, shuns = make_dmm()
         dmm.expect_ack(3, S1, monitor=2, rows=ROWS[S1])
         dmm.expect_ack(4, S1, monitor=2, rows=ROWS[S1])
-        dmm.check_reconstruct_batch(4, S1, {2: 0})
+        dmm.check_reconstruct_batch(4, S1, rv({2: 0}))
         assert dmm.shunned_or_suspected() == {3, 4}
 
     def test_multiple_monitors_partial_clear(self):
         dmm, clock, shuns = make_dmm()
         dmm.expect_ack(3, S1, monitor=2, rows=ROWS[S1])
         dmm.expect_ack(3, S1, monitor=4, rows=ROWS[S1])
-        dmm.check_reconstruct_batch(3, S1, {2: 7})
+        dmm.check_reconstruct_batch(3, S1, rv({2: 7}))
         assert dmm.has_expectations(3)
-        dmm.check_reconstruct_batch(3, S1, {2: 7, 4: 9})
+        dmm.check_reconstruct_batch(3, S1, rv({2: 7, 4: 9}))
         assert not dmm.has_expectations(3)
 
     def test_detection_is_permanent(self):
         dmm, clock, shuns = make_dmm()
         dmm.expect_ack(3, S1, monitor=2, rows=ROWS[S1])
-        dmm.check_reconstruct_batch(3, S1, {2: 0})
-        dmm.check_reconstruct_batch(3, S1, {2: 7})  # too late
+        dmm.check_reconstruct_batch(3, S1, rv({2: 0}))
+        dmm.check_reconstruct_batch(3, S1, rv({2: 7}))  # too late
         assert 3 in dmm.D
         assert len(shuns) == 1

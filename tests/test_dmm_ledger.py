@@ -7,9 +7,12 @@ everything model of ``tests/reference/dmm_model.py`` over one shared clock;
 after every operation both must answer every question alike.
 
 Values come the way the protocol hands them over: one table per tag, drawn
-up front — the dealer's value rows ``[monitor][sender]`` and the monitor's
-confirm list ``[sender]``.  The product gets the table (its ledgers are
-masks over it), the model the entry.
+up front — the share columns the dealer sent, ``[sender][monitor - 1]``, and
+the monitor's ``mon`` body ``f_1(1..t+1)`` over GF(3).  The product gets the
+table (its ledgers are masks over it), the model the value each entry
+stands for: the column's entry, and the body's point at the sender.  A
+batch reaches the product as ``VSSManager.parse_rv`` hands it over (monitor
+mask, ascending entries) and the model as the dict.
 """
 
 from __future__ import annotations
@@ -19,10 +22,14 @@ from hypothesis import strategies as st
 from reference.dmm_model import Player
 
 from repro.core.dmm import DMM
+from repro.core.mwsvss import point
 from repro.core.sessions import SessionClock, mw_session, svss_session
+from repro.field.gf import Field
 
 ME = 1
 PLAYERS = (1, 2, 3, 4)
+T = 1
+FIELD = Field(3)  # values 0..2: drawn batch values meet expectations often
 TAGS = tuple(
     mw_session(svss_session((("cc", 0), slot), 2), 2, 3, "dm") for slot in (1, 2, 3, 4)
 )
@@ -45,11 +52,19 @@ OPS = st.one_of(
     st.tuples(st.just("forget_session"), tags),
 )
 
-POINTS = len(PLAYERS) + 1  # pids 0..4 index a row
-row = st.lists(values, min_size=POINTS, max_size=POINTS).map(tuple)
-#: per tag: (the dealer's value rows, the monitor's confirm list)
+POINTS = len(PLAYERS) + 1  # pids 0..4 index the columns
+
+
+def row(size: int):
+    return st.lists(values, min_size=size, max_size=size).map(tuple)
+
+
+#: per tag: (the dealer's share columns, the monitor's ``mon`` body)
 TABLES = st.fixed_dictionaries(
-    {tag: st.tuples(st.lists(row, min_size=POINTS, max_size=POINTS), row) for tag in TAGS}
+    {
+        tag: st.tuples(st.lists(row(len(PLAYERS)), min_size=POINTS, max_size=POINTS), row(T + 1))
+        for tag in TAGS
+    }
 )
 
 
@@ -68,12 +83,16 @@ def apply(op: tuple, clock: SessionClock, tables: dict, dmm, model=None) -> None
     entry = args
     if name == "expect_ack":
         sender, tag, monitor = args
-        rows = tables[tag][0]
-        args, entry = (*args, rows), (*args, rows[monitor][sender])
+        cols = tables[tag][0]
+        args, entry = (*args, cols), (*args, cols[sender][monitor - 1])
     elif name == "expect_deal":
         sender, tag = args
-        confirms = tables[tag][1]
-        args, entry = (*args, confirms), (*args, confirms[sender])
+        body = tables[tag][1]
+        args, entry = (*args, body), (*args, point(FIELD, T, body, sender))
+    elif name == "check_reconstruct_batch":
+        sender, tag, batch = args
+        parsed = sum(1 << m for m in batch), tuple(sorted(batch.items()))
+        args = (sender, tag, parsed)
     getattr(dmm, name)(*args)
     if model is not None:
         getattr(model, name)(*entry)
@@ -106,7 +125,7 @@ def assert_ledgers_are_minimal(dmm: DMM) -> None:
 def test_ledger_dmm_answers_like_the_dictionary_dmm(tables, ops):
     clock = SessionClock()
     shuns = []
-    dmm = DMM(ME, clock, on_shun=lambda culprit, tag: shuns.append((culprit, tag)))
+    dmm = DMM(ME, clock, FIELD, on_shun=lambda culprit, tag: shuns.append((culprit, tag)))
     model = Player(ME, clock)
     before = verdicts(dmm)
     for op in ops:
@@ -135,7 +154,7 @@ def test_ledger_dmm_answers_like_the_dictionary_dmm(tables, ops):
 @given(TABLES, st.lists(OPS, max_size=30))
 def test_closing_every_session_leaves_only_debts(tables, ops):
     clock = SessionClock()
-    dmm = DMM(ME, clock)
+    dmm = DMM(ME, clock, FIELD)
     for op in ops:
         apply(op, clock, tables, dmm)
     for tag in TAGS:

@@ -22,13 +22,15 @@ from repro.core.mwsvss import MWSVSSInstance
 from repro.core.sessions import mw_session
 from repro.sim.scheduler import FifoScheduler
 
-#: Measured 1 978 B per instance (2 169 B with the DMM's expectations as
+#: Measured 1 722 B per instance (1 978 B with the dealer's (n+1)² value
+#: matrix, the monitor's confirm list and each ``rv`` batch as a dict;
+#: 2 169 B with the DMM's expectations as
 #: value dicts and f̂_j / f̂ as value rows f(0..n), 2 265 B before that;
 #: 2 749 B with ``K`` as per-monitor lists of
 #: ``(sender, value)`` points and ``confirm_values`` / ``L_hat`` allocated
 #: per instance; 3 948 B with ``acks`` / ``L`` / ``confirm_values`` /
 #: ``L_hat`` as containers and six global DMM tables).
-BYTES_PER_INSTANCE = 2300
+BYTES_PER_INSTANCE = 2000
 
 
 def coin(seed: int):
@@ -71,7 +73,7 @@ def fresh_instance():
 
 def test_a_fresh_instance_shares_the_managers_empty_rows():
     mgr, inst = fresh_instance()
-    assert inst.confirm_values is mgr.empty_values == (None,) * 5
+    assert inst.heard == inst.confirmed == 0 and inst._early_confirms == ()
     assert inst.L_hat is mgr.empty_masks == (0,) * 5
     assert inst.K is inst.f_bar is inst.rv_batches is None
     assert inst.moderator_shares is None  # not the moderator
@@ -79,23 +81,26 @@ def test_a_fresh_instance_shares_the_managers_empty_rows():
 
 def test_the_first_write_copies_the_row():
     mgr, inst = fresh_instance()
+    # A confirm value heard before f̂_j is a pair until ``mon``, then a bit.
     inst.handle(4, "cnf", 5)
-    assert inst.confirm_values is not mgr.empty_values
-    assert inst.confirm_values == [None, None, None, None, 5]
+    inst.handle(4, "cnf", 6)  # the first one wins
+    assert inst._early_confirms == ((4, 5),) and inst.heard == 1 << 4
+    inst.handle(2, "mon", (5, 5))  # f̂_j ≡ 5
+    assert inst._early_confirms == () and inst.confirmed == 1 << 4
     inst.handle(4, "L", (1, 2, 3))
     assert inst.L_hat is not mgr.empty_masks
     assert inst.L_hat == [0, 0, 0, 0, 0b1110]
-    # The shared rows are immutable; every other instance still reads them.
-    assert mgr.empty_values == (None,) * 5 and mgr.empty_masks == (0,) * 5
+    # The shared row is immutable; every other instance still reads it.
+    assert mgr.empty_masks == (0,) * 5
 
 
-def test_after_the_l_freeze_confirm_values_is_shared_and_a_late_cnf_is_free():
+def test_after_the_l_freeze_the_confirm_masks_are_dropped_and_a_late_cnf_is_free():
     result, stack = run_mwsvss(SystemConfig(n=4, seed=3), 1, 2, 7, reconstruct=False)
     for pid in stack.config.pids:
         mgr = stack.vss[pid]
         inst = mgr.mw[result.session]
         assert inst.L_frozen and inst.monitor_row is None
-        assert inst.confirm_values is mgr.empty_values
+        assert inst.heard == inst.confirmed == 0
         assert inst._early_confirms == ()
         # Step 3 is over: a late confirm value stores and allocates nothing.
         late = next(p for p in stack.config.pids if not inst.L >> p & 1)
@@ -106,7 +111,7 @@ def test_after_the_l_freeze_confirm_values_is_shared_and_a_late_cnf_is_free():
             after = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert inst.confirm_values is mgr.empty_values
+        assert inst.heard == 0
         assert after == before
 
 
@@ -128,7 +133,7 @@ def test_a_released_instance_holds_no_reconstruct_state():
     for pid, inst in instances.items():
         assert inst.released
         assert inst.K is None and inst.f_bar is None and inst.rv_batches is None
-        assert inst.confirm_values is None and inst.L_hat is None
+        assert inst._early_confirms is None and inst.L_hat is None
         # ... and the finished solo sharing left the tables for the tombstone.
         assert result.session not in stack.vss[pid].mw
         assert stack.vss[pid].clock.finished(result.session)
@@ -138,25 +143,28 @@ def test_a_released_instance_holds_no_reconstruct_state():
 
 
 def test_ledgers_are_masks_over_the_rows_the_instances_hold(monkeypatch):
-    """An expectation is a bit: the ACK rows *are* the dealer's value matrix,
-    the DEAL row *is* the monitor's confirm list (which the DMM holds past
-    the ``L`` freeze), and ``f̂_j`` / ``f̂`` stay the dealer's t + 1 values —
-    ``value_rows`` never runs for an MW-SVSS kind."""
+    """Every value is held once, after an n = 4 coin's share phase.  No
+    instance holds a confirm list; an expectation is a bit: each DEAL row
+    *is* its monitor's ``mon`` body (which the DMM holds past the ``L``
+    freeze), each ACK row *is* its dealer's column list, whose column ``j``
+    *is* process j's ``share_vector``; each ``rv_batches`` entry *is* the
+    tuple in the DMM's ``seen``; and ``f̂_j`` / ``f̂`` stay the dealer's t + 1
+    values — ``value_rows`` never runs for an MW-SVSS kind."""
     from repro.core import mwsvss
 
-    dealt, confirms, decoded, outputs = {}, {}, [], []
+    dealt, bodies, decoded, outputs = {}, {}, [], []
     share, freeze = MWSVSSInstance.share, MWSVSSInstance._freeze_l
 
     def kept_rows(self, secret):
         share(self, secret)
         dealt[self.pid, self.sid] = self._deal_rows
 
-    def kept_confirms(self):
-        confirms[self.pid, self.sid] = self.confirm_values
+    def kept_body(self):
+        bodies[self.pid, self.sid] = self.monitor_row
         freeze(self)
 
     monkeypatch.setattr(MWSVSSInstance, "share", kept_rows)
-    monkeypatch.setattr(MWSVSSInstance, "_freeze_l", kept_confirms)
+    monkeypatch.setattr(MWSVSSInstance, "_freeze_l", kept_body)
     value_rows = mwsvss.value_rows
 
     def traced(*args):
@@ -179,19 +187,30 @@ def test_ledgers_are_masks_over_the_rows_the_instances_hold(monkeypatch):
         )
     # The share phase is over where the first MW-SVSS reconstruct outputs.
     stack.runtime.run_until(lambda: bool(outputs), on_change=True)
-    acks = deals = 0
+    assert "confirm_values" not in MWSVSSInstance.__slots__
+    acks = deals = seen = 0
     for pid, mgr in stack.vss.items():
         for sid, ledger in mgr.dmm._ledgers.items():
             assert type(ledger.deal) is int
             assert (ledger.deal_row is None) == (not ledger.deal)
             assert (ledger.ack is None) == (ledger.ack_rows is None)
             if ledger.ack is not None:
-                assert ledger.ack_rows is dealt[pid, sid]
+                cols = dealt[pid, sid]
+                assert ledger.ack_rows is cols and cols[0] is None
                 assert all(type(monitors) is int for monitors in ledger.ack)
+                for j, peer in stack.vss.items():
+                    inst = peer.mw.get(sid)
+                    if inst is not None and inst.share_vector is not None:
+                        assert cols[j] is inst.share_vector
                 acks += any(ledger.ack)
             if ledger.deal:
-                row = confirms.get((pid, sid)) or mgr.mw[sid].confirm_values
-                assert ledger.deal_row is row and type(row) is list
+                body = bodies.get((pid, sid)) or mgr.mw[sid].monitor_row
+                assert ledger.deal_row is body and len(body) == config.t + 1
                 deals += 1
-    assert acks and deals
+            inst = mgr.mw.get(sid)
+            for sender, batch in (ledger.seen or {}).items():
+                if inst is not None and inst.rv_batches:
+                    assert inst.rv_batches[sender] is batch
+                    seen += 1
+    assert acks and deals and seen
     assert set(decoded) == {"row_polys"}  # SVSS (g, h) rows only

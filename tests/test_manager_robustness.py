@@ -20,9 +20,9 @@ def make_stack(seed=0):
     return build_stack(SystemConfig(n=4, seed=seed))
 
 
-#: A dealer's value rows ``{monitor: {sender: value}}`` with f_2(3) = 9: the
-#: DMM reads the expected value off them, as off ``MWSVSSInstance._deal_rows``.
-F2_OF_3_IS_9 = {monitor: {3: 9} if monitor == 2 else {} for monitor in range(5)}
+#: A dealer's share columns ``[sender][monitor - 1]`` with f_2(3) = 9: the DMM
+#: reads the expected value off them, as off ``MWSVSSInstance._deal_rows``.
+F2_OF_3_IS_9 = [{1: 9} if sender == 3 else {} for sender in range(5)]
 
 
 class TestGarbageIngestion:
@@ -185,7 +185,7 @@ class TestValueKinds:
         assert mgr.mw[sid_new].acks == 1 << 3
         # while a cnf from 3 is parked, not processed
         mgr._ingest(3, sid_new, "cnf", 5)
-        assert mgr.mw[sid_new].confirm_values[3] is None
+        assert not mgr.mw[sid_new].heard >> 3 & 1
         assert len(mgr._delayed) == 1
 
     def test_parked_message_released_after_debt_paid(self):
@@ -203,7 +203,8 @@ class TestValueKinds:
         # the owed reconstruct broadcast arrives and matches
         mgr._ingest(3, sid_old, "rv", ((2, 9),))
         assert len(mgr._delayed) == 0
-        assert mgr.mw[sid_new].confirm_values[3] == 5
+        # heard before f̂_j: kept as a pair until ``mon`` arrives
+        assert mgr.mw[sid_new]._early_confirms == ((3, 5),)
 
     def test_parked_message_discarded_after_conviction(self):
         stack = make_stack()
@@ -220,7 +221,7 @@ class TestValueKinds:
         mgr._ingest(3, sid_old, "rv", ((2, 8),))
         assert 3 in mgr.dmm.D
         assert len(mgr._delayed) == 0
-        assert mgr.mw[sid_new].confirm_values[3] is None
+        assert not mgr.mw[sid_new].heard >> 3 & 1
 
 
 class TestReleasedSessionsRejectReplays:
@@ -331,7 +332,7 @@ class TestReleasedSessionsRejectReplays:
         def owed_ack(ledger):
             """The lowest monitor the culprit owes, and the value expected."""
             monitor = (ledger.ack[culprit] & -ledger.ack[culprit]).bit_length() - 1
-            return monitor, ledger.ack_rows[monitor][culprit]
+            return monitor, ledger.ack_rows[culprit][monitor - 1]
 
         sid, ledger = next(iter(mgr.dmm._ledgers.items()))
         assert [s for s, monitors in enumerate(ledger.ack) if monitors] == [culprit]

@@ -2,8 +2,8 @@
 
 ``src/`` has no polynomial class.  A degree-``t`` polynomial travels as its
 values ``f(1..t+1)`` and is held as its *value row* ``f(0..n)``
-(:func:`repro.core.mwsvss.value_rows`); the MW-SVSS dealer keeps ``f`` and
-``f_1..f_n`` as such rows; interpolation is a cached Lagrange basis
+(:func:`repro.core.mwsvss.value_rows`); the MW-SVSS dealer keeps only the
+share columns it sent, ``cols[x] = (f_1(x), ..., f_n(x))``; interpolation is a cached Lagrange basis
 (:mod:`repro.poly.fastpath`); and the reconstruct's degree-``t`` check is
 :meth:`VSSManager.fit`.  Each is held here to the textbook Lagrange and
 Horner of ``tests/reference/svss_output.py``.
@@ -20,7 +20,7 @@ from reference.svss_output import horner, interpolate, interpolate_degree_t
 
 from repro.config import SystemConfig
 from repro.core.api import build_stack
-from repro.core.mwsvss import value_rows
+from repro.core.mwsvss import point, value_rows
 from repro.core.sessions import mw_session
 from repro.errors import PolynomialError
 from repro.field.gf import Field
@@ -253,9 +253,19 @@ def stack_of(n: int, prime: int, seed: int = 0):
 
 
 def deal(n: int, secret: int, tag: object = 0, prime: int = 13, seed: int = 0):
-    """The MW-SVSS dealer (1, moderator 2) right after ``share``: its rows
-    ``[l][x] == f_l(x)``, ``f_0 = f``."""
+    """The MW-SVSS dealer (1, moderator 2) right after ``share``: its
+    columns ``[x][l - 1] == f_l(x)`` for x, l in 1..n."""
     return share_on(stack_of(n, prime, seed), secret, tag)
+
+
+def sub_rows(inst) -> list[tuple[int, ...]]:
+    """``f_l(1..n)`` for l in 1..n, read off the dealer's columns."""
+    return list(zip(*inst._deal_rows[1:]))
+
+
+def shares_of_f(inst) -> list[int]:
+    """``f(l) = f_l(0)`` for l in 1..n: each sub-polynomial's free term."""
+    return [point(inst.field, inst.t, row, 0) for row in sub_rows(inst)]
 
 
 def share_on(stack, secret: int, tag: object):
@@ -266,26 +276,32 @@ def share_on(stack, secret: int, tag: object):
 
 
 class TestRandom:
-    """The MW-SVSS dealer's ``f`` and ``f_1..f_n``, kept as value rows."""
+    """The MW-SVSS dealer's ``f`` and ``f_1..f_n``, kept as the share
+    columns it sent: ``f_l(0) = f(l)`` and ``f(0)`` are read back through
+    :func:`point`."""
 
     def test_constant_term_pinned(self):
         for tag, secret in enumerate((0, 9, 12, 13 + 3)):
-            rows = deal(4, secret, ("pin", tag))._deal_rows
-            assert rows[0][0] == secret % 13
+            inst = deal(4, secret, ("pin", tag))
+            f = shares_of_f(inst)
+            assert point(inst.field, inst.t, f, 0) == secret % 13
 
     @pytest.mark.parametrize("n", [4, 7])
     def test_sub_constant_terms_are_the_shares(self, n):
-        rows = deal(n, 5, "subs")._deal_rows
-        assert [rows[l][0] for l in range(1, n + 1)] == list(rows[0][1:])
+        """The free terms ``f_l(0)`` lie on one degree-``t`` ``f`` with
+        ``f(0) = s``: all n + 1 points, not just t + 1 of them."""
+        inst = deal(n, 5, "subs")
+        points = [(0, 5), *enumerate(shares_of_f(inst), start=1)]
+        assert interpolate_degree_t(13, points, inst.t) is not None
 
     @pytest.mark.parametrize("n", [4, 7, 10])
     def test_rows_have_degree_t(self, n):
-        rows = deal(n, 6, "degree")._deal_rows
+        inst = deal(n, 6, "degree")
         t = stack_of(n, 13).config.t
-        assert len(rows) == n + 1
-        for row in rows:
-            assert len(row) == n + 1
-            assert interpolate_degree_t(13, list(enumerate(row)), t) is not None
+        assert len(inst._deal_rows) == n + 1 and inst._deal_rows[0] is None
+        assert all(len(col) == n for col in inst._deal_rows[1:])
+        for row in sub_rows(inst):
+            assert interpolate_degree_t(13, list(enumerate(row, start=1)), t) is not None
 
     @pytest.mark.parametrize("n", [4, 7])
     def test_rows_are_the_redrawn_polynomials(self, n):
@@ -299,7 +315,8 @@ class TestRandom:
         subs = [cfg.field.random_elements(rng, cfg.t + 1) for _ in cfg.pids]
         for l, sub in zip(cfg.pids, subs):
             sub[0] = horner(13, f, l)
-        assert inst._deal_rows == [everywhere(13, p, n) for p in (f, *subs)]
+        assert sub_rows(inst) == [everywhere(13, sub, n)[1:] for sub in subs]
+        assert shares_of_f(inst) == list(everywhere(13, f, n)[1:])
 
     def test_deterministic_given_rng(self):
         a = deal(4, 3, "same")._deal_rows
@@ -314,9 +331,9 @@ class TestRandom:
         stack = build_stack(SystemConfig(n=4, prime=13))
         shares, subs = [0] * 13, [0] * 13
         for i in range(2600):
-            rows = share_on(stack, 5, ("uniform", i))._deal_rows
-            shares[rows[0][1]] += 1
-            subs[rows[2][1]] += 1
+            inst = share_on(stack, 5, ("uniform", i))
+            shares[shares_of_f(inst)[0]] += 1  # f(1) = f_1(0)
+            subs[inst._deal_rows[1][1]] += 1  # f_2(1)
         # Each bucket expects 200; allow generous slack.
         assert all(120 < c < 290 for c in shares), shares
         assert all(120 < c < 290 for c in subs), subs

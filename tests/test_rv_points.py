@@ -100,6 +100,8 @@ def fresh_instance(n: int, prime: int) -> MWSVSSInstance:
 def deliver(inst: MWSVSSInstance, kind: str, src: int, body: object) -> None:
     if kind == "begin":
         inst.begin_reconstruct()
+    elif kind == "rv":  # parsed once, as the manager hands every batch over
+        inst.handle(src, kind, body, inst.manager.parse_rv(body))
     else:
         inst.handle(src, kind, body)
 
