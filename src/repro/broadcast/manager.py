@@ -184,27 +184,16 @@ class BroadcastManager(ProtocolModule):
             del self._topic_handlers[topic]
 
     def topic_slots(self, topic: str) -> dict[object, DeliverHandler]:
-        """Live instance slots under ``topic`` (read-only view)."""
+        """Live instance slots under ``topic``: the table itself, not a copy
+        (read only).  An emptied table is replaced, never refilled."""
         slots = self._topic_slots_tables.get(topic)
-        return dict(slots.slots) if slots is not None else {}
+        return slots.slots if slots is not None else {}
 
     def subscribe_weak(self, topic: str, handler: DeliverHandler) -> None:
         """Receive WRB accepts for weak-only broadcasts on ``topic``."""
         if topic in self._wrb_handlers:
             raise ProtocolError(f"weak topic {topic!r} already subscribed")
         self._wrb_handlers[topic] = handler
-
-    def route_topic(self, origin: int, value: tuple) -> None:
-        """Route ``value`` through the topic table as if RB-delivered.
-
-        The re-entry point for aggregation layers (the agreement vote
-        vectors of :class:`~repro.core.agreement.VoteVectorMux`): one
-        delivered vector fans back out into its per-instance values, each
-        taking the exact demux path a plain per-vote broadcast takes —
-        including the unknown-topic / malformed-value drops of
-        :meth:`_route`.
-        """
-        self._route(self._topic_handlers, origin, value)
 
     def delivered(self, bid: object) -> bool:
         """Whether ``bid`` has RB-delivered at this process."""

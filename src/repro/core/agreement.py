@@ -94,11 +94,11 @@ class VoteVectorMux(ProtocolModule):
 
         ``("abav", seq, ((instance_id, r, phase, vote), ...))``
 
-    under bid ``(pid, "abav", seq)``; the receive side fans the vector back
-    out through :meth:`~repro.broadcast.manager.BroadcastManager.route_topic`,
-    so every entry takes the exact :class:`~repro.sim.process.InstanceSlots`
-    demux path — per-instance validation, per-origin dedup — a plain
-    per-vote broadcast takes.
+    under bid ``(pid, "abav", seq)``; the receive side hands each entry to
+    its instance's handler in the live ``"aba"`` slot table
+    (:meth:`~repro.broadcast.manager.BroadcastManager.topic_slots`), with
+    the unknown- and unhashable-id drops a plain per-vote broadcast meets
+    in :class:`~repro.sim.process.InstanceSlots`.
 
     One mux per host, created lazily by the first ``ABAProcess._wire`` and
     shared by every instance the host runs.  Packing preserves the
@@ -176,7 +176,8 @@ class VoteVectorMux(ProtocolModule):
             return
         host = self.host
         epoch = host.crash_epoch
-        route = self._broadcast.route_topic
+        topic_slots = self._broadcast.topic_slots
+        slots = topic_slots(TOPIC)
         for entry in value[2]:
             if host.crashed or host.crash_epoch != epoch:
                 # Crash mid-vector: the remaining votes die too, exactly
@@ -185,7 +186,14 @@ class VoteVectorMux(ProtocolModule):
             if type(entry) is not tuple or len(entry) != 4:
                 continue
             iid, r, phase, vote = entry
-            route(origin, (TOPIC, iid, r, phase, vote))
+            try:
+                # A miss re-reads the table: the emptied one may have been
+                # replaced by a new one meanwhile.
+                handler = slots.get(iid) or topic_slots(TOPIC).get(iid)
+            except TypeError:
+                continue  # unhashable instance id from a byzantine origin
+            if handler is not None:
+                handler(origin, (TOPIC, iid, r, phase, vote))
 
 
 class _Round:

@@ -321,9 +321,7 @@ class NetRuntime(StepWindow):
         (the seq prefix keeps per-link frames distinct, see codec)."""
         self.trace.record_send_many(layer, self.config.n)
         if self._buffering:
-            buffer = self._buffer
-            for dst in self.config.pids:
-                buffer(src, dst, payload)
+            self._buffer_all(src, payload)
             return
         enc = encode_value(payload, self.node.memo)
         dispatch_out = self.node.dispatch_out

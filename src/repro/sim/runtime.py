@@ -11,11 +11,12 @@ host's live ``tag -> handler`` dict in an array indexed by pid and inlines
 popped event to bound handler.  The dicts are the hosts' own, so handlers
 may be registered and released while events flow (``docs/ARCHITECTURE.md``).
 With a fixed-delay scheduler the runtime also swaps the binary heap for a
-bucketed calendar queue and lets ``send_all`` push a whole fan-out in one
-batch.  :meth:`Runtime.step` dispatches one event through the queue's own
-``pop()`` and ``ProcessHost.deliver`` and is the reference the hot loop
-inlines: ``tests/test_dispatch_equiv.py`` drives full runs through both
-and requires the same run, and replays a committed transcript
+bucketed calendar queue, and a step's ``send_all`` fan-out leaves the step
+window (:meth:`Runtime._emit_all`) as one batch push.  :meth:`Runtime.step`
+dispatches one event through the queue's own ``pop()`` and
+``ProcessHost.deliver`` and is the reference the hot loop inlines:
+``tests/test_dispatch_equiv.py`` drives full runs through both and
+requires the same run, and replays a committed transcript
 (``tests/golden/dispatch_equiv.json``).
 
 Waiting is notification-driven: protocol modules call
@@ -25,52 +26,29 @@ round advances or decides), and :meth:`Runtime.run_until` with
 ``on_change=True`` re-evaluates its predicate only when the change counter
 moved — O(state changes) predicate evaluations instead of O(events).
 
-Transport coalescing: all :meth:`Runtime.transmit` calls made while one
-event is being dispatched are buffered per ``(src, dst)`` and flushed at
-end-of-step as a single *envelope* event ``("env", (sub_payload, ...))``
-whenever two or more logical messages share the pair; the receiving host
-unpacks sub-payloads in order through its ordinary handler table
-(:meth:`ProcessHost._deliver_envelope`).  The n² concurrent MW-SVSS
-sessions of one common-coin invocation emit their echo/ack/confirm traffic
-between the same pairs within the same step, so their per-step event bill
-collapses from O(n²) per pair to O(1) — queue pushes, scheduler
-consultations and the hot loop's crash/dispatch checks are paid once per
-envelope, while every *logical* message still traverses its handler, the
-trace counters, byzantine outbound filters (applied before buffering) and
-the DMM.  Adversarial semantics stay per logical message: a scheduler
-classifies the whole envelope, or advertises
-:attr:`~repro.sim.scheduler.Scheduler.splits_envelopes` — a vetoing
-scheduler means the window never buffers: every send is scheduled and
-pushed the moment it is made, one event per logical message, delays drawn
-in send order (``repro.adversary.schedulers.EnvelopeSplittingScheduler``
-wraps any base policy that way).  Under a fixed-delay scheduler every
-conversation — one (src, dst, session) stream — delivers the bit-identical
-sequence of logical messages as the split run, every party handles the
-identical message multiset, and decisions/rounds are the same
-(``tests/test_coalesce.py`` asserts all of this per seed); only the event
-count shrinks (``envelopes_pushed`` / ``payloads_coalesced`` size the
-effect).  Distinct conversations may regroup *within one simultaneity
-bucket* (envelopes merge events that delivered back-to-back at the same
-timestamp) — the protocol's state machines are per-session, so this is
-framing, not reordering.
-
-Session-vector aggregation: one layer up from the envelope transport, the
-VSS layer packs the common coin's per-slot session messages into
-``("svec", ...)`` slot-vectors — one *logical* message per
-(step, dealer-group) instead of n per-session messages (see
-:mod:`repro.core.vectormux`).  The runtime's part is the step window:
-``svec_buffering`` is open while an event is dispatched (or a driver-side
-:meth:`coalescing_step` is active), dirty muxes register via
-:meth:`svec_defer`, and the end-of-step flush runs them *before* the
-envelope flush so vectors still coalesce onto envelopes.  A
-``splits_slots`` scheduler means no mux ever packs.  Counters:
-``svec_packed`` / ``svec_slots``.
-
-The buffers, both flushes, ``coalescing_step`` and the counters live in
-:class:`repro.sim.window.StepWindow`, shared with the socket runtime
-(:class:`repro.net.transport.NetRuntime`); this module contributes the
-sink (:meth:`Runtime._emit`: schedule + push) and the hot loop's inlined
-open/close of the window around every dispatched event.
+Transport coalescing is the step window (:mod:`repro.sim.window`, shared
+with the socket runtime :class:`repro.net.transport.NetRuntime`): a step's
+sends leave as one envelope event ``("env", (sub_payload, ...))`` per
+``(src, dst)``, which the receiving host unpacks in order through its
+ordinary handler table (:meth:`ProcessHost._deliver_envelope`).  The n²
+MW-SVSS sessions of one coin talk between the same pairs within the same
+step, so queue pushes, scheduler consultations and the hot loop's
+crash/dispatch checks are paid once per envelope, while every *logical*
+message still traverses its handler, the trace counters, byzantine
+outbound filters (applied before buffering) and the DMM.  A scheduler
+classifies a whole envelope, or advertises
+:attr:`~repro.sim.scheduler.Scheduler.splits_envelopes` and nothing is
+buffered: one event per logical message, delays drawn in send order
+(``repro.adversary.schedulers.EnvelopeSplittingScheduler``).  Under a
+fixed-delay scheduler every conversation — one (src, dst, session) stream
+— delivers the bit-identical sequence of logical messages as the split
+run, with the same decisions and rounds (``tests/test_coalesce.py``);
+distinct conversations may regroup only within one simultaneity bucket,
+which is framing, not reordering.  The session-vector muxes one layer up
+(:mod:`repro.core.vectormux`) pack inside the same window.  This module
+contributes the sinks (:meth:`Runtime._emit` / :meth:`Runtime._emit_all`:
+schedule + push) and the hot loop's inlined open/close of the window
+around every dispatched event.
 """
 
 from __future__ import annotations
@@ -226,50 +204,26 @@ class Runtime(StepWindow):
 
     # -- transport -----------------------------------------------------------
     def transmit(self, src: int, dst: int, payload: tuple, layer: str) -> None:
-        """Accept a message onto the (simulated) wire.
-
-        While a step is open (and the scheduler does not split envelopes)
-        the message is only *buffered* (``StepWindow._buffer``); the
-        window's flush turns each (src, dst) buffer into one envelope event
-        at end-of-step.  Trace accounting stays per logical message.
-        """
+        """Accept a message onto the (simulated) wire: buffered while a
+        step is open (``StepWindow._buffer``), else scheduled now.  Trace
+        accounting stays per logical message."""
         if dst not in self.hosts:
             raise SimulationError(f"send to unknown process {dst}")
         self.trace.record_send(layer)
         if self._buffering:
             self._buffer(src, dst, payload)
-            return
-        delay = self._fixed_delay
-        if delay is None:
-            delay = self._checked_delay(src, dst, payload)
-        self.queue.push(self.now + delay, dst, src, payload)
+        else:
+            self._emit(src, dst, payload)
 
     def transmit_all(self, src: int, payload: tuple, layer: str) -> None:
-        """Accept one copy of ``payload`` for every process in one batch.
-
-        The honest-uncrashed ``send_all`` fast path: crash state and the
-        outbound filter were checked once by the caller, the trace is
-        updated once, and with a fixed-delay scheduler the whole fan-out is
-        pushed without per-destination scheduler calls.  Delay computation
-        order (dst ``1..n``) matches ``n`` individual sends exactly, so
-        seeded schedulers draw identical randomness either way.
-        """
-        n = self.config.n
-        self.trace.record_send_many(layer, n)
+        """The honest-uncrashed ``send_all`` fast path: one copy of
+        ``payload`` for every process, one trace update, and one fan-out
+        record through the step window (``StepWindow._buffer_all``)."""
+        self.trace.record_send_many(layer, self.config.n)
         if self._buffering:
-            buffer = self._buffer
-            for dst in range(1, n + 1):
-                buffer(src, dst, payload)
-            return
-        fixed = self._fixed_delay
-        if fixed is not None:
-            self.queue.push_fanout(self.now + fixed, src, payload, n)
-            return
-        now = self.now
-        delay_of = self._checked_delay
-        push = self.queue.push
-        for dst in range(1, n + 1):
-            push(now + delay_of(src, dst, payload), dst, src, payload)
+            self._buffer_all(src, payload)
+        else:
+            self._emit_all(src, payload)
 
     def _checked_delay(self, src: int, dst: int, payload: object) -> float:
         delay = self.scheduler.delay(src, dst, payload, self.now)
@@ -287,6 +241,15 @@ class Runtime(StepWindow):
         if delay is None:
             delay = self._checked_delay(src, dst, payload)
         self.queue.push(self.now + delay, dst, src, payload)
+
+    def _emit_all(self, src: int, payload: tuple) -> None:
+        """The fan-out sink: one batch push under a fixed delay, else one
+        :meth:`_emit` per pid ``1..n`` (delays drawn in that order)."""
+        fixed = self._fixed_delay
+        if fixed is None:
+            super()._emit_all(src, payload)
+        else:
+            self.queue.push_fanout(self.now + fixed, src, payload, self.config.n)
 
     # -- event loop --------------------------------------------------------------
     def step(self) -> bool:
@@ -449,7 +412,7 @@ class Runtime(StepWindow):
                         self._apply_recovery(host)
                 if svec and self._svec_pending:
                     self._flush_svec()
-                if coalescing and self._outbox:
+                if coalescing and (self._outbox or self._fan):
                     self._flush_outbox()
                 if check:
                     version = self._state_version

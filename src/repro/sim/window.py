@@ -17,6 +17,15 @@ leaves through the runtime's :meth:`_emit` sink as one envelope
 The sink is the only transport-specific part: the simulator schedules an
 event, the socket runtime writes one DATA frame.
 
+A step's ``send_all`` fan-outs stay whole while they can: the *fan*
+record holds the payloads of consecutive ``send_all`` calls from one
+``src`` made while the per-pair outbox is empty, and a fan-only step leaves
+by one :meth:`_emit_all` of one wire payload all destinations share.  Any
+other send first *spills* the fan into the outbox as ``n`` per-pair
+buffers would have held it: pairs ``(src, 1) … (src, n)``, each with the
+fan's payloads in send order.  The fan and the outbox are never both
+non-empty.
+
 Packing is the transport, not an option, and its one off-switch is the
 adversary's: a scheduler that advertises ``splits_envelopes`` means the
 window never buffers (every send is scheduled and pushed the moment it is
@@ -43,9 +52,9 @@ from repro.sim.tracing import Trace
 class StepWindow:
     """Per-step outbound buffers, their flush, and the aggregation counters.
 
-    Subclasses implement :meth:`_emit` and decide *when* steps open and
-    close; ``Runtime``'s hot loop inlines the open/close flag writes,
-    everything else goes through here.
+    Subclasses implement :meth:`_emit` (and may batch :meth:`_emit_all`)
+    and decide *when* steps open and close; ``Runtime``'s hot loop inlines
+    the open/close flag writes, everything else goes through here.
     """
 
     def __init__(self, scheduler=None):
@@ -59,6 +68,9 @@ class StepWindow:
         self.coalesce = not getattr(scheduler, "splits_envelopes", False)
         #: (src, dst) -> [payload, ...] buffered during the current step.
         self._outbox: dict[tuple[int, int], list] = {}
+        #: The step's fan-out payloads from ``_fan_src`` (module docstring).
+        self._fan: list = []
+        self._fan_src = 0
         self._buffering = False
         #: Envelopes emitted / logical messages that rode inside them.
         self.envelopes_pushed = 0
@@ -92,14 +104,35 @@ class StepWindow:
         transport, now."""
         raise NotImplementedError
 
+    def _emit_all(self, src: int, payload: tuple) -> None:
+        """Put one wire payload on the transport to every pid ``1..n``."""
+        emit = self._emit
+        for dst in range(1, self.config.n + 1):
+            emit(src, dst, payload)
+
     # -- buffering -----------------------------------------------------------
     def _buffer(self, src: int, dst: int, payload: tuple) -> None:
         """Hold one logical message for the open step's flush."""
+        fan = self._fan
+        if fan:  # spill it first (see the module docstring)
+            for pid in range(1, self.config.n + 1):
+                self._outbox[(self._fan_src, pid)] = fan[:]
+            fan.clear()
         pending = self._outbox.get((src, dst))
         if pending is None:
             self._outbox[(src, dst)] = [payload]
         else:
             pending.append(payload)
+
+    def _buffer_all(self, src: int, payload: tuple) -> None:
+        """Hold one message to every pid: on the fan, else per pair."""
+        fan = self._fan
+        if not self._outbox and (not fan or self._fan_src == src):
+            self._fan_src = src
+            fan.append(payload)
+            return
+        for dst in range(1, self.config.n + 1):
+            self._buffer(src, dst, payload)
 
     def svec_defer(self, mux) -> None:
         """A mux buffered its first slot message of this step; flush it at
@@ -125,8 +158,18 @@ class StepWindow:
         singletons travel plain (no framing overhead).  Buffers drain
         grouped by first-touched pair; within a pair, order is send order,
         so every destination still observes the uncoalesced per-party
-        sequence.
+        sequence.  A fan leaves the same way through one :meth:`_emit_all`.
         """
+        fan = self._fan
+        if fan:
+            count = len(fan)
+            wire = fan[0] if count == 1 else (ENVELOPE_TAG, tuple(fan))
+            fan.clear()  # first, so a raising sink leaves nothing behind
+            self._emit_all(self._fan_src, wire)
+            if count > 1:
+                self.envelopes_pushed += self.config.n
+                self.payloads_coalesced += self.config.n * count
+            return
         outbox = self._outbox
         emit = self._emit
         try:
@@ -149,15 +192,11 @@ class StepWindow:
 
         Socket nodes wrap every inbox delivery in it.  In the simulator it
         is for *driver-side* code (protocol ``start`` loops, coin joins),
-        which runs outside the event loop and would otherwise never see
-        the per-step coalescer: wrapping the whole loop buffers its sends
-        like an ordinary step and flushes once at exit — this is what
-        seeds vote coalescing for a batch: the K instances' round-1 votes
-        per (src, dst) leave as one envelope, every later step then
-        delivers K votes as one event and emits the K responses inside
-        that single step, so the coalescing is self-sustaining.  Callers
-        must emit in source-major order (all of one sender's messages
-        before the next sender's) if they rely on the
+        which runs outside the event loop: wrapping the whole loop buffers
+        its sends like an ordinary step and flushes once at exit — this is
+        what lets a batch's K round-1 votes leave as one vote vector.
+        Callers must emit in source-major order (all of one sender's
+        messages before the next sender's) if they rely on the
         bit-identical-sequence guarantee.  No-op under a scheduler that
         splits both envelopes and slots; steps do not nest, so do not use
         it inside a handler or while the simulator's event loop is running.
@@ -180,5 +219,5 @@ class StepWindow:
             if self._svec_pending:
                 self._flush_svec()
             self._buffering = False
-            if self._outbox:
+            if self._outbox or self._fan:
                 self._flush_outbox()

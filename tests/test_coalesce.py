@@ -33,7 +33,7 @@ from repro.adversary.schedulers import (
     per_message,
 )
 from repro.config import SystemConfig
-from repro.core.agreement import ABAProcess
+from repro.core.agreement import ABAProcess, VoteVectorMux
 from repro.core.api import (
     build_stack,
     flip_common_coin,
@@ -444,6 +444,120 @@ class TestVoteBalancingOverEnvelopes:
         assert not enveloped.terminated
         control = run(lambda cfg: FifoScheduler())
         assert control.terminated and control.max_rounds <= 4
+
+
+class TestVoteVectorRouting:
+    """A delivered ``("abav", seq, entries)`` vector reaches each instance
+    by one lookup in the live ``"aba"`` slot table.  Whatever happens
+    mid-vector, the per-instance deliveries must be those of plain per-vote
+    broadcasts: one delivery event per vote, routed by the broadcast layer,
+    which a crashed host drops and a recovery purges."""
+
+    ORIGIN = 2
+
+    @classmethod
+    def deliveries(cls, entries, actions, packed):
+        """Deliver ``entries`` at process 1 as one vector or as one event
+        per vote; ``actions[value]`` runs when instance ``value[1]``
+        receives ``value``.  Returns ``[(instance, origin, value), ...]``."""
+        stack = build_stack(
+            SystemConfig(n=4, seed=0), scheduler=FifoScheduler(), with_vss=False
+        )
+        runtime = stack.runtime
+        host = runtime.host(1)
+        broadcast = stack.broadcasts[1]
+        got = []
+
+        def slot(iid):
+            def handler(origin, value):
+                got.append((iid, origin, value))
+                action = actions.get(value)
+                if action is not None:
+                    action(runtime, broadcast, slot)
+
+            return handler
+
+        for iid in ("a", "b", "c"):
+            broadcast.subscribe_slot("aba", iid, slot(iid))
+        mux = VoteVectorMux(host, broadcast)
+        if packed:
+            host.register_handler("vec", lambda src, p: mux._on_rb(src, p[1]))
+            runtime.queue.push(1.0, 1, cls.ORIGIN, ("vec", ("abav", 0, entries)))
+        else:
+            route = broadcast._route  # the RB layer's delivery routing
+            host.register_handler(
+                "vote", lambda src, p: route(broadcast._topic_handlers, src, p[1])
+            )
+            for k, entry in enumerate(entries):
+                runtime.queue.push(1.0 + k, 1, cls.ORIGIN, ("vote", ("aba", *entry)))
+        runtime.run_to_quiescence()
+        return got
+
+    def check(self, entries, actions, expected):
+        packed = self.deliveries(entries, actions, packed=True)
+        plain = self.deliveries(entries, actions, packed=False)
+        assert packed == plain
+        assert [(iid, value[2:]) for iid, _, value in packed] == expected
+
+    @staticmethod
+    def vote(iid, r):
+        return ("aba", iid, r, 1, 0)
+
+    def test_crash_mid_vector_drops_the_rest(self):
+        entries = (("a", 1, 1, 0), ("b", 1, 1, 0), ("c", 1, 1, 0), ("a", 2, 1, 0))
+        crash = {self.vote("b", 1): lambda rt, bc, slot: rt.host(1).crash()}
+        self.check(entries, crash, [("a", (1, 1, 0)), ("b", (1, 1, 0))])
+
+    def test_crash_recover_mid_vector_drops_the_rest(self):
+        def cycle(rt, bc, slot):
+            rt.host(1).crash()
+            rt.recover(1)
+
+        entries = (("a", 1, 1, 0), ("b", 1, 1, 0), ("c", 1, 1, 0), ("a", 2, 1, 0))
+        self.check(
+            entries, {self.vote("b", 1): cycle}, [("a", (1, 1, 0)), ("b", (1, 1, 0))]
+        )
+
+    def test_instance_halting_mid_vector_drops_its_later_entries(self):
+        halt = {self.vote("a", 1): lambda rt, bc, slot: bc.unsubscribe_slot("aba", "a")}
+        entries = (("a", 1, 1, 0), ("b", 1, 1, 0), ("a", 2, 1, 0), ("c", 1, 1, 0))
+        self.check(
+            entries, halt, [("a", (1, 1, 0)), ("b", (1, 1, 0)), ("c", (1, 1, 0))]
+        )
+
+    def test_unhashable_and_unknown_instance_ids_drop(self):
+        entries = (
+            ("a", 1, 1, 0),
+            (["unhashable"], 1, 1, 0),
+            ({"x": 1}, 1, 1, 0),
+            ("zz", 1, 1, 0),
+            ("b", 1, 1, 0),
+        )
+        self.check(entries, {}, [("a", (1, 1, 0)), ("b", (1, 1, 0))])
+
+    def test_emptied_table_mid_vector(self):
+        def empty(rt, bc, slot):
+            for iid in ("a", "b", "c"):
+                bc.unsubscribe_slot("aba", iid)
+
+        entries = (("a", 1, 1, 0), ("b", 1, 1, 0), ("c", 1, 1, 0))
+        self.check(entries, {self.vote("a", 1): empty}, [("a", (1, 1, 0))])
+
+    def test_table_replaced_mid_vector(self):
+        """An emptied table gives way to a new one within the vector: the
+        entries for the new instance are delivered, as plain votes are."""
+
+        def replace(rt, bc, slot):
+            for iid in ("a", "b", "c"):
+                bc.unsubscribe_slot("aba", iid)
+            bc.subscribe_slot("aba", "d", slot("d"))
+
+        entries = (("a", 1, 1, 0), ("b", 1, 1, 0), ("d", 1, 1, 0), ("d", 2, 1, 0))
+        self.check(
+            entries,
+            {self.vote("a", 1): replace},
+            [("a", (1, 1, 0)), ("d", (1, 1, 0)), ("d", (2, 1, 0))],
+        )
 
 
 class TestBatchVoteCoalescing:
