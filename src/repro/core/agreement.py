@@ -35,16 +35,19 @@ designs) make the same move.  Safety rests on the phase-2/3 thresholds,
 which make the flaggable value unique system-wide and unforgeable by the
 ``t`` faulty processes.
 
-Vote validation is *incremental*: instead of re-running an O(n²) fixpoint
-over every received vote on each delivery (the seed's ``_revalidate``),
-the process maintains accepted-vote tallies per value and parks votes
-whose claims are not yet possible in pending lists; acceptance conditions
-are monotone in the tallies, so a parked vote is flushed exactly when the
-tally it waits on crosses its threshold (a phase-1 acceptance can flush
-phase-2 votes, which can flush phase-3 votes — the same cascade the
-fixpoint computed, in the same order).  The fixpoint itself is the test
-suite's executable reference (``tests/reference/aba_fixpoint.py``), armed
-around every ``_ingest_vote`` call of every tier-1 run.
+Vote validation is *incremental*, one pass per vote: instead of re-running
+an O(n²) fixpoint over every received vote on each delivery (the seed's
+``_revalidate``), ``_on_rb`` checks a vote's shape once and stores it, and
+``_ingest_vote`` accepts it against per-value tallies or parks it in a
+pending list; acceptance conditions are monotone in the tallies, so a
+parked vote is flushed exactly when the tally it waits on crosses its
+threshold (a phase-1 acceptance can flush phase-2 votes, which can flush
+phase-3 votes — the same cascade the fixpoint computed, in the same
+order).  The fixpoint itself is the test suite's executable reference
+(``tests/reference/aba_fixpoint.py``), armed around every ``_ingest_vote``
+call of every tier-1 run.  The phase wait is re-tested only when it can
+move — a current-round vote that leaves the awaited phase with ``n - t``
+accepted votes; ``_enter_round`` tests it for votes buffered early.
 
 Coin discipline: a process *joins* the round-``r`` coin on entering round
 ``r`` (so the interactive share stage overlaps the voting) and *releases*
@@ -210,7 +213,6 @@ class _Round:
         "accepted",
         "snapshot",
         "sent",
-        "coin_value",
         "resolved",
         "counts1",
         "counts2",
@@ -224,7 +226,6 @@ class _Round:
         self.accepted: dict[int, dict[int, object]] = {1: {}, 2: {}, 3: {}}
         self.snapshot: dict[int, list[object]] = {}
         self.sent: dict[int, bool] = {1: False, 2: False, 3: False}
-        self.coin_value: int | None = None
         self.resolved = False
         self.counts1 = [0, 0]
         self.counts2 = [0, 0]
@@ -265,6 +266,11 @@ class ABAProcess(ProtocolModule):
         self.config = host.runtime.config
         self.n = self.config.n
         self.t = self.config.t
+        self._wait = self.n - self.t
+        # A phase-2 vote claims the majority of some n-t phase-1 snapshot;
+        # ties break to 0, so it needs ceil((n-t)/2) zeros or a strict
+        # majority floor((n-t)/2)+1 of ones.
+        self._need2 = ((self._wait + 1) // 2, self._wait // 2 + 1)
         self.subscribe_slot(self._broadcast, TOPIC, self._on_rb)
         # The host's shared vote-vector packer (created by whichever
         # instance wires first); live-instance accounting gates packing.
@@ -319,12 +325,12 @@ class ABAProcess(ProtocolModule):
         if monitor is not None:
             monitor.on_round(self.instance_id, self.pid, r)
         self.coin.join(self._coin_sid(r))
-        self._send_vote(r, 1, self.est)
-        self.waiting_phase = 1
-        self._maybe_advance()
-
-    def _send_vote(self, r: int, phase: int, vote: object) -> None:
         state = self._round_state(r)
+        self._send_vote(state, r, 1, self.est)
+        self.waiting_phase = 1
+        self._maybe_advance(state)
+
+    def _send_vote(self, state: _Round, r: int, phase: int, vote: object) -> None:
         if state.sent[phase] or self.halted:
             return
         state.sent[phase] = True
@@ -343,21 +349,27 @@ class ABAProcess(ProtocolModule):
         if len(value) != 5:
             return
         _, _, r, phase, vote = value
-        if not isinstance(r, int) or r < 1 or phase not in (1, 2, 3):
+        if not isinstance(r, int) or r < 1:
             return
-        state = self._round_state(r)
-        if origin in state.received[phase]:
+        if phase in (1, 2):
+            if vote not in (0, 1):
+                return
+        elif phase != 3 or not self._well_formed(vote):
             return
-        if not self._well_formed(phase, vote):
+        state = self.rounds.get(r)
+        if state is None:
+            state = self.rounds[r] = _Round()
+        received = state.received[phase]
+        if origin in received:
             return
-        state.received[phase][origin] = vote
+        received[origin] = vote
         self._ingest_vote(state, phase, origin, vote)
-        self._maybe_advance()
+        if r == self.round and len(state.accepted[self.waiting_phase]) >= self._wait:
+            self._maybe_advance(state)
 
     @staticmethod
-    def _well_formed(phase: int, vote: object) -> bool:
-        if phase in (1, 2):
-            return vote in (0, 1)
+    def _well_formed(vote: object) -> bool:
+        """The shape of a phase-3 vote: flagged ``(w, True)`` or ⊥."""
         return (
             isinstance(vote, tuple)
             and len(vote) == 2
@@ -376,28 +388,20 @@ class ABAProcess(ProtocolModule):
         if phase == 1:
             state.accepted[1][origin] = vote
             state.counts1[vote] += 1
-            self._flush_phase2(state, vote)
+            if state.pending2[vote]:
+                self._flush_phase2(state, vote)
         elif phase == 2:
-            if self._phase2_possible(state, vote):
+            if state.counts1[vote] >= self._need2[vote]:
                 state.accepted[2][origin] = vote
                 state.counts2[vote] += 1
-                self._flush_phase3(state)
+                if state.pending3:
+                    self._flush_phase3(state)
             else:
                 state.pending2[vote].append((origin, vote))
+        elif self._phase3_possible(state, vote):
+            state.accepted[3][origin] = vote
         else:
-            if self._phase3_possible(state, vote):
-                state.accepted[3][origin] = vote
-            else:
-                state.pending3.append((origin, vote))
-
-    def _phase2_possible(self, state: _Round, vote: int) -> bool:
-        # The sender claims ``vote`` was the majority of *some* n-t phase-1
-        # snapshot.  Ties break to 0, so a vote for 0 is justifiable with
-        # ceil((n-t)/2) zeros while a vote for 1 needs a strict majority
-        # floor((n-t)/2)+1 of ones.
-        wait = self.n - self.t
-        needed = wait // 2 + 1 if vote == 1 else (wait + 1) // 2
-        return state.counts1[vote] >= needed
+            state.pending3.append((origin, vote))
 
     def _phase3_possible(self, state: _Round, vote: tuple) -> bool:
         w, flagged = vote
@@ -406,32 +410,26 @@ class ABAProcess(ProtocolModule):
             return counts[w] >= self.n // 2 + 1
         # Unflagged: some n-t sub-multiset of phase-2 votes with no strict
         # majority must be possible given what we have accepted.
-        need = self.n - self.t
-        floor_half = self.n // 2
-        return (
-            counts[0] + counts[1] >= need
-            and counts[0] >= need - floor_half
-            and counts[1] >= need - floor_half
-        )
+        side = self._wait - self.n // 2
+        return counts[0] >= side and counts[1] >= side and counts[0] + counts[1] >= self._wait
 
     def _flush_phase2(self, state: _Round, value: int) -> None:
         """A phase-1 tally grew: parked phase-2 votes for that value may
         now be possible (all of them at once — the threshold is shared)."""
-        pending = state.pending2[value]
-        if not pending or not self._phase2_possible(state, value):
+        if state.counts1[value] < self._need2[value]:
             return
+        pending = state.pending2[value]
         accepted = state.accepted[2]
         for origin, vote in pending:
             accepted[origin] = vote
             state.counts2[value] += 1
         pending.clear()
-        self._flush_phase3(state)
+        if state.pending3:
+            self._flush_phase3(state)
 
     def _flush_phase3(self, state: _Round) -> None:
         """A phase-2 tally grew: re-examine parked phase-3 votes in arrival
         order (one pass suffices — phase-3 acceptance changes no tally)."""
-        if not state.pending3:
-            return
         still: list[tuple[int, object]] = []
         accepted = state.accepted[3]
         for origin, vote in state.pending3:
@@ -444,23 +442,23 @@ class ABAProcess(ProtocolModule):
     # ------------------------------------------------------------------
     # the process' own phase progression
     # ------------------------------------------------------------------
-    def _maybe_advance(self) -> None:
-        if self.halted or self.round == 0 or self.awaiting_coin:
+    def _maybe_advance(self, state: _Round) -> None:
+        """Take every phase snapshot the current round's ``state`` allows."""
+        if self.halted or self.awaiting_coin:
             return
-        state = self._round_state(self.round)
         while self.waiting_phase in (1, 2, 3):
             phase = self.waiting_phase
             if phase in state.snapshot:
                 break
             accepted = state.accepted[phase]
-            if len(accepted) < self.n - self.t:
+            if len(accepted) < self._wait:
                 break
-            snapshot = list(accepted.values())[: self.n - self.t]
+            snapshot = list(accepted.values())[: self._wait]
             state.snapshot[phase] = snapshot
             if phase == 1:
                 votes = sum(1 for v in snapshot if v == 1)
                 majority = 1 if votes * 2 > len(snapshot) else 0
-                self._send_vote(self.round, 2, majority)
+                self._send_vote(state, self.round, 2, majority)
                 self.waiting_phase = 2
             elif phase == 2:
                 counts = [0, 0]
@@ -472,7 +470,7 @@ class ABAProcess(ProtocolModule):
                     vote3 = (1, True)
                 else:
                     vote3 = (None, False)
-                self._send_vote(self.round, 3, vote3)
+                self._send_vote(state, self.round, 3, vote3)
                 self.waiting_phase = 3
             else:
                 self._resolve_round(state)
@@ -508,8 +506,6 @@ class ABAProcess(ProtocolModule):
             self._finish_round(r)
 
     def _on_coin(self, r: int, value: int) -> None:
-        state = self._round_state(r)
-        state.coin_value = value
         if self.awaiting_coin and self.round == r:
             self.awaiting_coin = False
             self.est = value

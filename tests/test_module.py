@@ -8,13 +8,15 @@ incremental ABA vote validation against the fixpoint.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 from reference.aba_fixpoint import fixpoint_accepted
 
 from repro.broadcast.manager import BroadcastManager
 from repro.config import SystemConfig
 from repro.core.agreement import ABAProcess
-from repro.core.api import build_stack, make_coins
+from repro.core.api import build_stack, make_coins, run_byzantine_agreement_batch
 from repro.core.coin import CommonCoinModule, LocalCoin, SharedCoinGate
 from repro.core.manager import VSSManager
 from repro.errors import ProtocolError, SimulationError
@@ -400,6 +402,57 @@ class TestIncrementalRevalidation:
             self.vote(aba, origin, 1, 1, 0)
         state = aba.rounds[1]
         assert state.accepted == fixpoint_accepted(aba.n, aba.t, state.received)
+
+
+class TestAdvanceGate:
+    """A vote enters ``_maybe_advance`` only when it can move the phase
+    wait: a vote of the current round that leaves the awaited phase with
+    ``n - t`` accepted votes."""
+
+    @pytest.fixture
+    def entered(self, monkeypatch):
+        calls = []
+        real = ABAProcess._maybe_advance
+
+        def counted(self, state):
+            calls.append((self.round, self.waiting_phase))
+            real(self, state)
+
+        monkeypatch.setattr(ABAProcess, "_maybe_advance", counted)
+        return calls
+
+    def test_only_the_vote_that_fills_the_wait_enters(self, entered):
+        stack = build_stack(SystemConfig(n=4, seed=0), with_vss=False)
+        coin = LocalCoin(stack.config.derive_rng("local-coin", 1))
+        aba = ABAProcess(stack.runtime.host(1), stack.broadcasts[1], coin)
+        sent = []
+        aba._broadcast = SimpleNamespace(broadcast=lambda bid, value: sent.append(value))
+        aba.start(0)
+        assert entered == [(1, 1)] and sent == [("aba", "aba", 1, 1, 0)]
+
+        def vote(origin, r, phase, v):
+            aba._on_rb(origin, ("aba", aba.instance_id, r, phase, v))
+
+        vote(2, 2, 1, 0)  # round r + 1: buffered, cannot move round r's wait
+        vote(1, 1, 1, 0)
+        vote(2, 1, 1, 0)
+        assert entered == [(1, 1)] and len(sent) == 1
+        vote(3, 1, 1, 0)  # the (n - t)-th phase-1 vote
+        assert entered == [(1, 1), (1, 1)]
+        assert sent[-1] == ("aba", "aba", 1, 2, 0) and aba.waiting_phase == 2
+        vote(4, 1, 1, 1)  # the (n - t + 1)-th: round 1 now waits on phase 2
+        assert len(entered) == 2 and len(sent) == 2
+
+    def test_same_seed_count_on_an_ideal_k16_batch(self, entered):
+        """One n = 13, K = 16 FIFO ideal batch (an ``aba_ideal_k16``
+        operation): 624 of its 7 280 delivered votes fill a wait, and with
+        the 416 round entries that is 1 040 calls (one per vote made 7 696)."""
+        n, k = 13, 16
+        rows = [[(i + shift) % 2 for i in range(n)] for shift in range(k)]
+        run_byzantine_agreement_batch(
+            rows, SystemConfig(n=n, seed=0), coin=("ideal", 1.0), scheduler=FifoScheduler()
+        )
+        assert len(entered) == 1040
 
 
 class TestSVSSRowMemoization:
