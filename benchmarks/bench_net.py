@@ -232,10 +232,13 @@ async def _restart_lifecycle_matrix() -> dict:
         assert len(decisions) == 4 and set(decisions.values()) == {
             base_decision
         }, f"profile {name}: decisions {decisions} != no-kill {base_decision}"
+        reports = verdict["reports"]
         rows[name] = {
             "decision": decisions[3],
-            "rejoined": verdict["rejoined"],
-            "journal_replayed": verdict["journal_replayed"],
+            "rejoined": [pid for pid, r in reports.items() if r["rejoined"]],
+            "journal_replayed": sum(
+                r["stats"]["journal"]["replayed"] for r in reports.values()
+            ),
         }
     return rows
 

@@ -24,11 +24,10 @@ stacks over real asyncio TCP sockets:
 * :mod:`repro.net.cluster` — an in-process n-node cluster over real
   127.0.0.1 TCP with :class:`~repro.sim.monitor.InvariantMonitor`
   integration (the test/benchmark harness);
-* :mod:`repro.net.verdict` — cross-process invariant verdicts for runs
-  whose processes do not share an address space;
 * :mod:`repro.net.launch` — spawn ``n`` OS processes and drive
   agreement + coin flips end-to-end over sockets (``python -m
-  repro.net.launch``).
+  repro.net.launch``), judged by the same monitor fed the children's
+  reports: one judge for every run.
 
 The transport contract (reliability, backpressure, degradation) is
 documented in ``docs/NETWORK.md``.
@@ -64,7 +63,6 @@ from repro.net.transport import (
     TransportConfig,
     derive_pair_key,
 )
-from repro.net.verdict import NetVerdict
 
 __all__ = [
     "CHAOS_PROFILES",
@@ -90,7 +88,6 @@ __all__ = [
     "NetCluster",
     "NetContext",
     "NetRuntime",
-    "NetVerdict",
     "NetworkHost",
     "NetworkNode",
     "PeerConnection",

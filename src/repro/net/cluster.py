@@ -14,7 +14,8 @@ the protocol modules' existing hook calls (`on_decision`, `on_round`,
 `on_shun`, `on_coin_output`) fire exactly as they do in simulation.
 
 For runs whose processes genuinely do not share an address space, use
-:mod:`repro.net.launch` + :class:`~repro.net.verdict.NetVerdict`.
+:mod:`repro.net.launch`: its parent feeds the children's reports to the
+same monitor, so one judge checks every run.
 """
 
 from __future__ import annotations

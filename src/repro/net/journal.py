@@ -16,7 +16,8 @@ node restarted from disk
   every startup before any frame is sent), and
 * re-announces its prior decisions instead of re-deciding — a restarted
   node contradicting its own journaled decision is a safety violation
-  (:mod:`repro.net.verdict` judges exactly that).
+  (the monitor's ``self-contradiction``, which :mod:`repro.net.launch`
+  feeds every report's journaled decisions).
 
 Record format.  One record is one codec frame of type ``FRAME_JOURNAL``::
 

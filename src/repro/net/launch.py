@@ -7,7 +7,9 @@ allocates ports, optionally hosts one
 :class:`~repro.net.chaos.ChaosProxy` per destination (chaos injection
 stays seeded in a single place even though the protocol runs in n
 address spaces), collects each child's JSON report and judges the run
-with :class:`~repro.net.verdict.NetVerdict`.
+with the one judge every run has,
+:class:`~repro.sim.monitor.InvariantMonitor` (:func:`judge` feeds it the
+reports).
 
 Children keep serving after reporting until the parent says ``exit`` —
 a decided process must stay online so slower peers can still drain
@@ -27,7 +29,8 @@ agreement *with its own prior self* as well as with its peers.
 
 Children heartbeat one ``HB`` line per second; a child silent past
 ``hung_after`` is killed and recorded as a ``hung`` violation instead of
-riding the CI wall-clock cap.
+riding the CI wall-clock cap.  So is one still silent at the run's
+overall deadline: whatever way the run ends, every child is reaped.
 
 CLI::
 
@@ -46,6 +49,7 @@ import socket
 import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 from repro.config import SystemConfig
 from repro.core.agreement import ABAProcess
@@ -53,7 +57,7 @@ from repro.core.api import DEFAULT_INSTANCE, build_node_modules, make_node_coin
 from repro.net.chaos import ChaosProxy
 from repro.net.cluster import resolve_profile
 from repro.net.transport import NetworkNode
-from repro.net.verdict import NetVerdict
+from repro.sim.monitor import InvariantMonitor, InvariantViolation
 
 #: Marker prefixing the one JSON line a child prints on stdout.
 REPORT_PREFIX = "REPORT "
@@ -139,6 +143,7 @@ async def _child_main(args: argparse.Namespace) -> int:
         "coins": {},
         "rejoined": rejoined,
         "prior_decisions": {},
+        "shuns": [],
     }
     #: instance -> (value, round); round 0 means adopted from dcd, not run.
     decided: dict[object, tuple[object, int]] = {}
@@ -245,6 +250,11 @@ async def _child_main(args: argparse.Namespace) -> int:
         report["decisions"][DEFAULT_INSTANCE] = list(decided[DEFAULT_INSTANCE])
     report["coins"] = {str(k): v for k, v in coin_outputs.items()}
     journal.record_shun_set(vss.dmm.shunned_or_suspected())
+    # What this process's DMM detected (not who it merely still waits on):
+    # the parent holds every child to the monitor's shun rules.
+    report["shuns"] = [
+        [rec.culprit, rec.session] for rec in node.runtime.trace.shun_records
+    ]
     report["stats"] = node.stats()
     print(REPORT_PREFIX + json.dumps(report), flush=True)
 
@@ -285,6 +295,72 @@ async def _heartbeat_loop() -> None:
 # ---------------------------------------------------------------------------
 
 
+#: The host every child is: each runs the honest protocol code.
+_HONEST = SimpleNamespace(behavior=None)
+
+
+def judge(config: SystemConfig, inputs: "list[int] | None", outcomes: dict) -> dict:
+    """Judge a launch run with the simulator's invariant monitor.
+
+    ``outcomes`` maps each surviving pid to its report, ``"hung"`` (killed
+    without reporting) or None (exited without reporting).  Reports are
+    fed in pid order through the monitor's hooks: journaled
+    ``prior_decisions`` then ``decisions`` (a relaunch contradicting its
+    journal is a ``self-contradiction``), coin outputs, and shuns (every
+    child is honest, so any shun breaks a rule).  Each violation becomes
+    one ``{"kind", "message", "detail"}`` entry and feeding goes on.  Only
+    what no single process can see is judged here: ``hung``, ``liveness``
+    (a reporter that did not decide though inputs were given) and
+    ``no-report``.
+
+    Returns ``monitor.verdict()`` plus ``violations`` and ``reports``.
+    """
+    monitor = InvariantMonitor()
+    monitor.install(SimpleNamespace(
+        config=config, now=0.0, monitor=None, host=lambda pid: _HONEST
+    ))
+    if inputs is not None:
+        monitor.expect_inputs(
+            DEFAULT_INSTANCE, {pid: inputs[pid - 1] for pid in config.pids}
+        )
+    violations: list[dict] = []
+
+    def violate(kind: str, message: str, detail: dict) -> None:
+        violations.append({"kind": kind, "message": message, "detail": detail})
+
+    def feed(hook, *args) -> None:
+        try:
+            hook(*args)
+        except InvariantViolation as err:
+            violate(err.kind, str(err), err.detail)
+
+    outcomes = dict(sorted(outcomes.items()))
+    reports = {pid: out for pid, out in outcomes.items() if isinstance(out, dict)}
+    for pid, report in reports.items():
+        for decisions in (report["prior_decisions"], report["decisions"]):
+            for instance, (value, r) in decisions.items():
+                monitor.on_round(instance, pid, r)
+                feed(monitor.on_decision, instance, pid, value, r)
+        for csid, value in report["coins"].items():
+            monitor.on_coin_output(csid, pid, value)
+        for culprit, session in report["shuns"]:
+            feed(monitor.on_shun, pid, culprit, session)
+    for pid, outcome in outcomes.items():
+        if outcome == "hung":
+            violate("hung", f"process {pid} stopped responding and was "
+                    "killed", {"pid": pid})
+    undecided = [pid for pid, report in reports.items()
+                 if DEFAULT_INSTANCE not in report["decisions"]]
+    if inputs is not None and undecided:
+        violate("liveness", f"processes {undecided} reported but did not "
+                f"decide {DEFAULT_INSTANCE!r}", {"missing": undecided})
+    missing = [pid for pid, outcome in outcomes.items() if outcome is None]
+    if missing:
+        violate("no-report", f"children {missing} produced no report",
+                {"missing": missing})
+    return {**monitor.verdict(), "violations": violations, "reports": reports}
+
+
 async def run_processes(
     n: int,
     inputs: "list[int] | None" = None,
@@ -315,11 +391,11 @@ async def run_processes(
     temporary directory is created for the run and removed after it.
 
     ``hung_after`` arms the heartbeat deadline: a child with no stdout
-    line for that long is killed and recorded as a ``hung`` violation.
-    ``hang`` pids wedge deliberately (test hook for that path).
+    line for that long is killed and recorded as a ``hung`` violation, as
+    is a child still silent at the run's overall deadline.  ``hang`` pids
+    wedge deliberately (test hook for that path).
 
-    Returns the :class:`NetVerdict` verdict dict with per-child
-    ``reports`` attached.
+    Returns :func:`judge`'s verdict on the survivors.
     """
     config = SystemConfig(n=n, seed=seed)
     kill_after = kill_after or {}
@@ -338,178 +414,164 @@ async def run_processes(
         )
     own_journal_dir = None
     if journal_dir is None:
-        # Removed after the run, or when collected if the run raises.
+        # Removed after the run, however the run ends.
         own_journal_dir = tempfile.TemporaryDirectory(prefix="repro-net-j-")
         journal_dir = own_journal_dir.name
-    ports = _free_ports(n, host)
-    port_of = {pid: ports[pid - 1] for pid in config.pids}
-    profile = resolve_profile(chaos)
     proxies: dict[int, ChaosProxy] = {}
-    reach_of = dict(port_of)
-    if profile is not None:
-        for pid in config.pids:
-            proxy = ChaosProxy(
-                pid, (host, port_of[pid]), profile, seed, n, bind_host=host
+    children: dict = {}
+    reapers: list[asyncio.Task] = []
+    #: pid -> report dict, ``"hung"`` or None: what :func:`judge` takes.
+    outcomes: dict[int, object] = {}
+    survivors = [pid for pid in config.pids if pid not in kill_after]
+    try:
+        ports = _free_ports(n, host)
+        port_of = {pid: ports[pid - 1] for pid in config.pids}
+        profile = resolve_profile(chaos)
+        reach_of = dict(port_of)
+        if profile is not None:
+            for pid in config.pids:
+                proxy = ChaosProxy(
+                    pid, (host, port_of[pid]), profile, seed, n, bind_host=host
+                )
+                await proxy.start()
+                proxies[pid] = proxy
+                reach_of[pid] = proxy.port
+        peers_arg = ",".join(f"{pid}:{reach_of[pid]}" for pid in config.pids)
+
+        async def spawn(pid: int):
+            argv = [
+                sys.executable, "-m", "repro.net.launch", "--child",
+                "--pid", str(pid), "--n", str(n), "--t", str(config.t),
+                "--seed", str(seed), "--host", host,
+                "--port", str(port_of[pid]), "--peers", peers_arg,
+                "--coins", str(coins), "--timeout", str(timeout),
+                "--journal", str(Path(journal_dir) / f"node-{pid}.journal"),
+            ]
+            if inputs is not None:
+                argv += ["--input", str(inputs[pid - 1])]
+            if pid in hang:
+                argv += ["--hang"]
+            return await asyncio.create_subprocess_exec(
+                *argv,
+                stdin=asyncio.subprocess.PIPE,
+                stdout=asyncio.subprocess.PIPE,
+                # Never PIPE stderr: nobody drains it, and a child blocked
+                # on a full stderr pipe can never reach an await to be
+                # released.
+                stderr=asyncio.subprocess.DEVNULL,
             )
-            await proxy.start()
-            proxies[pid] = proxy
-            reach_of[pid] = proxy.port
-    peers_arg = ",".join(f"{pid}:{reach_of[pid]}" for pid in config.pids)
 
-    async def spawn(pid: int):
-        argv = [
-            sys.executable, "-m", "repro.net.launch", "--child",
-            "--pid", str(pid), "--n", str(n), "--t", str(config.t),
-            "--seed", str(seed), "--host", host,
-            "--port", str(port_of[pid]), "--peers", peers_arg,
-            "--coins", str(coins), "--timeout", str(timeout),
-            "--journal", str(Path(journal_dir) / f"node-{pid}.journal"),
+        for pid in config.pids:
+            children[pid] = await spawn(pid)
+
+        async def reap(pid: int, delay: float) -> None:
+            await asyncio.sleep(delay)
+            children[pid].kill()
+
+        respawned = {pid: asyncio.Event() for pid in restart}
+
+        async def restarter(pid: int, kill_at: float, restart_at: float) -> None:
+            await asyncio.sleep(kill_at)
+            children[pid].kill()
+            await children[pid].wait()  # reap the corpse; its port frees here
+            await asyncio.sleep(max(0.0, restart_at - kill_at))
+            children[pid] = await spawn(pid)
+            respawned[pid].set()
+
+        reapers += [
+            asyncio.get_running_loop().create_task(reap(pid, delay))
+            for pid, delay in kill_after.items()
+        ] + [
+            asyncio.get_running_loop().create_task(restarter(pid, k, r))
+            for pid, (k, r) in restart.items()
         ]
-        if inputs is not None:
-            argv += ["--input", str(inputs[pid - 1])]
-        if pid in hang:
-            argv += ["--hang"]
-        return await asyncio.create_subprocess_exec(
-            *argv,
-            stdin=asyncio.subprocess.PIPE,
-            stdout=asyncio.subprocess.PIPE,
-            # Never PIPE stderr: nobody drains it, and a child blocked on
-            # a full stderr pipe can never reach an await to be released.
-            stderr=asyncio.subprocess.DEVNULL,
-        )
 
-    children = {pid: await spawn(pid) for pid in config.pids}
+        async def read_report(pid: int):
+            """One pid's outcome — across incarnations for restarted pids.
 
-    async def reap(pid: int, delay: float) -> None:
-        await asyncio.sleep(delay)
-        children[pid].kill()
-
-    respawned = {pid: asyncio.Event() for pid in restart}
-
-    async def restarter(pid: int, kill_at: float, restart_at: float) -> None:
-        await asyncio.sleep(kill_at)
-        children[pid].kill()
-        await children[pid].wait()  # reap the corpse; its port frees here
-        await asyncio.sleep(max(0.0, restart_at - kill_at))
-        children[pid] = await spawn(pid)
-        respawned[pid].set()
-
-    reapers = [
-        asyncio.get_running_loop().create_task(reap(pid, delay))
-        for pid, delay in kill_after.items()
-    ] + [
-        asyncio.get_running_loop().create_task(restarter(pid, k, r))
-        for pid, (k, r) in restart.items()
-    ]
-
-    async def read_report(pid: int):
-        """One pid's report — across incarnations for restarted pids.
-
-        Returns the report dict, ``"hung"`` if the child blew the
-        heartbeat deadline (it is killed here), or None on EOF without a
-        report.  Heartbeat lines reset the deadline and are discarded.
-        """
-        while True:
-            child = children[pid]
-            try:
-                if hung_after is not None:
+            Returns the report dict, ``"hung"`` if the child blew the
+            heartbeat deadline, or None on EOF without a report.
+            Heartbeat lines reset the deadline and are discarded.
+            """
+            while True:
+                child = children[pid]
+                try:
                     line = await asyncio.wait_for(
                         child.stdout.readline(), timeout=hung_after
                     )
-                else:
-                    line = await child.stdout.readline()
-            except asyncio.TimeoutError:
-                try:
-                    child.kill()
-                except ProcessLookupError:
-                    pass
-                return "hung"
-            if line:
-                text = line.decode("utf-8", "replace").strip()
-                if text.startswith(REPORT_PREFIX):
-                    if pid in restart and not respawned[pid].is_set():
-                        # The pre-kill incarnation got its report out
-                        # before the SIGKILL landed.  The run's verdict
-                        # must judge the *rejoined* incarnation (whose
-                        # prior_decisions carry this one's decision), so
-                        # discard and read on across the restart.
+                except asyncio.TimeoutError:
+                    return "hung"
+                if line:
+                    text = line.decode("utf-8", "replace").strip()
+                    if text.startswith(REPORT_PREFIX):
+                        if pid in restart and not respawned[pid].is_set():
+                            # The pre-kill incarnation got its report out
+                            # before the SIGKILL landed.  The run's verdict
+                            # must judge the *rejoined* incarnation (whose
+                            # prior_decisions carry this one's decision),
+                            # so discard and read on across the restart.
+                            continue
+                        return json.loads(text[len(REPORT_PREFIX):])
+                    continue  # heartbeat or stray output
+                # EOF: a restarted pid's first incarnation died on
+                # schedule — carry on reading the replacement's stdout.
+                if pid in restart:
+                    if not respawned[pid].is_set():
+                        await respawned[pid].wait()
                         continue
-                    return json.loads(text[len(REPORT_PREFIX):])
-                continue  # heartbeat or stray output
-            # EOF: a restarted pid's first incarnation died on schedule —
-            # carry on reading the replacement's stdout.
-            if pid in restart:
-                if not respawned[pid].is_set():
-                    await respawned[pid].wait()
-                    continue
-                if children[pid] is not child:
-                    continue
-            return None
+                    if children[pid] is not child:
+                        continue
+                return None
 
-    survivors = [pid for pid in config.pids if pid not in kill_after]
-    verdict = NetVerdict(n, config.t)
-    if inputs is not None:
-        verdict.expect_inputs(
-            DEFAULT_INSTANCE, {pid: inputs[pid - 1] for pid in config.pids}
-        )
-    gather = await asyncio.wait_for(
-        asyncio.gather(
-            *(read_report(pid) for pid in survivors), return_exceptions=True
-        ),
-        timeout=timeout + 15.0 + max(
-            (r for _, r in restart.values()), default=0.0
-        ),
-    )
-    reports = {}
-    hung_pids = []
-    for pid, report in zip(survivors, gather):
-        if report == "hung":
-            hung_pids.append(pid)
-            verdict.mark_hung(pid)
-        elif isinstance(report, dict):
-            reports[pid] = report
-            verdict.add_report(report)
-    for reaper in reapers:
-        if not reaper.done():
-            reaper.cancel()
-    for pid, child in children.items():
-        if pid in kill_after or pid in hung_pids:
-            continue
+        async def collect(pid: int) -> None:
+            outcomes[pid] = await read_report(pid)
+
         try:
-            child.stdin.write(b"exit\n")
-            await child.stdin.drain()
-        except (ConnectionError, OSError):
-            pass
-    async def reap_child(child) -> None:
-        try:
-            await asyncio.wait_for(child.wait(), timeout=10.0)
+            await asyncio.wait_for(
+                asyncio.gather(
+                    *(collect(pid) for pid in survivors),
+                    return_exceptions=True,
+                ),
+                timeout=timeout + 15.0 + max(
+                    (r for _, r in restart.values()), default=0.0
+                ),
+            )
         except asyncio.TimeoutError:
-            child.kill()
-            await child.wait()
+            # Past the run's deadline a survivor that has neither reported
+            # nor exited is wedged, heartbeating or not.
+            for pid in survivors:
+                outcomes.setdefault(pid, "hung")
+    finally:
+        for reaper in reapers:
+            reaper.cancel()
+        # A reporter is released; every other child is killed.  Both are
+        # reaped, so no child outlives the call.
+        for pid, child in children.items():
+            try:
+                if isinstance(outcomes.get(pid), dict):
+                    child.stdin.write(b"exit\n")
+                    await child.stdin.drain()
+                else:
+                    child.kill()
+            except OSError:  # already gone, or its stdin already closed
+                pass
 
-    await asyncio.gather(
-        *(reap_child(child) for child in children.values()),
-        return_exceptions=True,
-    )
-    for proxy in proxies.values():
-        await proxy.close()
-    if own_journal_dir is not None:
-        own_journal_dir.cleanup()
-    result = verdict.check(expect_all_decided=inputs is not None)
-    result["reports"] = reports
-    missing = [
-        pid for pid in survivors
-        if pid not in reports and pid not in hung_pids
-    ]
-    if missing:
-        result["violations"].append(
-            {
-                "kind": "no-report",
-                "message": f"children {missing} produced no report",
-                "detail": {"missing": missing},
-            }
+        async def reap_child(child) -> None:
+            try:
+                await asyncio.wait_for(child.wait(), timeout=10.0)
+            except asyncio.TimeoutError:
+                child.kill()
+                await child.wait()
+
+        await asyncio.gather(
+            *(reap_child(child) for child in children.values()),
+            return_exceptions=True,
         )
-    return result
+        for proxy in proxies.values():
+            await proxy.close()
+        if own_journal_dir is not None:
+            own_journal_dir.cleanup()
+    return judge(config, inputs, {pid: outcomes.get(pid) for pid in survivors})
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -4,7 +4,9 @@ The reproduction's credibility rests on invariants that hold *during*
 adversarial runs, not just on end-of-run assertions:
 
 * **Agreement safety** — no two honest processes decide differently in the
-  same agreement instance (Byzantine agreement's agreement property).
+  same agreement instance (Byzantine agreement's agreement property), and
+  no honest process decides twice with different values
+  (``self-contradiction``: a relaunch contradicting its journal).
 * **Validity** — if every process (honest or not) held the same input
   value, every honest decision must be that value.  Unanimity over all
   ``n`` inputs is the weakest precondition that stays sound under adaptive
@@ -126,6 +128,15 @@ class InvariantMonitor:
         self._note("decide", (instance, pid, value, r))
         if not self._honest(pid):
             return
+        prior = self._decisions.get((instance, pid))
+        if prior is not None and prior[0] != value:
+            self._fail(
+                "self-contradiction",
+                f"honest process {pid} decided {value!r} in instance "
+                f"{instance!r} after deciding {prior[0]!r}",
+                {"instance": instance, "pid": pid, "prior": prior[0],
+                 "decided": value},
+            )
         for (inst, other), (other_value, other_r) in self._decisions.items():
             if inst == instance and other_value != value and self._honest(other):
                 self._fail(

@@ -61,6 +61,19 @@ class TestAgreementSafety:
         mon.on_decision("aba", 2, 1, 4)
         assert len(mon._decisions) == 2
 
+    def test_a_process_contradicting_itself_fires(self):
+        """Re-deciding the same value is fine; a different one is a
+        self-contradiction that keeps both values in its detail."""
+        _, mon = _monitored_runtime()
+        mon.on_decision("aba", 3, 0, 1)
+        mon.on_decision("aba", 3, 0, 2)
+        with pytest.raises(InvariantViolation) as err:
+            mon.on_decision("aba", 3, 1, 3)
+        assert err.value.kind == "self-contradiction"
+        assert err.value.detail == {
+            "instance": "aba", "pid": 3, "prior": 0, "decided": 1,
+        }
+
     def test_instances_are_independent(self):
         _, mon = _monitored_runtime()
         mon.on_decision("a", 1, 0, 1)

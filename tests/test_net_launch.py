@@ -1,135 +1,173 @@
-"""Multi-OS-process launch harness + after-the-fact verdict tests.
+"""Multi-OS-process launch harness + the judge of its runs.
 
-:class:`NetVerdict` is the cross-process replacement for the live
-:class:`InvariantMonitor`: children report JSON, the parent re-checks
-the paper's invariants over the collected reports.  The unit tests here
-attack the judge itself (it must catch every violation class and stay
-quiet on clean runs); the slow-marked test spawns real subprocesses
-end to end and cross-checks the decisions against the simulator run
-with identical inputs.
+A launch run has no shared address space, so :func:`judge` feeds each
+child's JSON report through the simulator's :class:`InvariantMonitor`
+after the fact.  The unit tests here attack that judge with fabricated
+reports (it must catch every violation class and stay quiet on clean
+runs); the slow-marked tests spawn real subprocesses end to end and
+cross-check the decisions against the simulator run with identical
+inputs.
 """
 
 from __future__ import annotations
 
 import asyncio
+import json
 import tempfile
 
 import pytest
 
 from repro.config import SystemConfig
 from repro.core.api import DEFAULT_INSTANCE, run_byzantine_agreement
+from repro.net import launch
 from repro.net.journal import Journal
-from repro.net.launch import run_processes
-from repro.net.verdict import NetVerdict
+from repro.net.launch import judge, run_processes
+
+UNANIMOUS = [1, 1, 1, 1]
 
 
-def _report(pid, decisions=None, coins=None):
+def _report(pid, decisions=None, coins=None, prior=None, shuns=()):
     return {
         "pid": pid,
         "decisions": {k: list(v) for k, v in (decisions or {}).items()},
         "coins": coins or {},
+        "rejoined": prior is not None,
+        "prior_decisions": {k: list(v) for k, v in (prior or {}).items()},
+        "shuns": list(shuns),
     }
 
 
+def _judge(outcomes, inputs=None):
+    return judge(SystemConfig(n=4), inputs, outcomes)
+
+
+def _kinds(verdict):
+    return [x["kind"] for x in verdict["violations"]]
+
+
 # ---------------------------------------------------------------------------
-# NetVerdict: the judge itself
+# judge: the monitor over fabricated reports
 # ---------------------------------------------------------------------------
 
 
 def test_verdict_clean_run_is_safe():
-    v = NetVerdict(n=4, t=1)
-    v.expect_inputs("aba", {1: 1, 2: 1, 3: 1, 4: 1})
-    for pid in (1, 2, 3, 4):
-        v.add_report(_report(pid, {"aba": (1, pid)}))
-    verdict = v.check()
-    assert v.safe
+    verdict = _judge(
+        {pid: _report(pid, {"aba": (1, pid)}) for pid in (1, 2, 3, 4)},
+        inputs=UNANIMOUS,
+    )
     assert verdict["violations"] == []
-    assert verdict["processes_reporting"] == 4
+    assert len(verdict["reports"]) == 4
     assert len(verdict["decisions"]) == 4
     assert verdict["max_round"] == 4
 
 
 def test_verdict_catches_agreement_safety():
-    v = NetVerdict(n=4, t=1)
-    v.add_report(_report(1, {"aba": (0, 1)}))
-    v.add_report(_report(2, {"aba": (1, 1)}))
-    verdict = v.check(expect_all_decided=False)
-    assert not v.safe
-    assert [x["kind"] for x in verdict["violations"]] == ["agreement-safety"]
+    verdict = _judge(
+        {1: _report(1, {"aba": (0, 1)}), 2: _report(2, {"aba": (1, 1)})}
+    )
+    assert _kinds(verdict) == ["agreement-safety"]
 
 
 def test_verdict_catches_validity():
-    v = NetVerdict(n=4, t=1)
-    v.expect_inputs("aba", {1: 1, 2: 1, 3: 1, 4: 1})
-    for pid in (1, 2, 3, 4):
-        v.add_report(_report(pid, {"aba": (0, 2)}))  # unanimous 1 -> decided 0
-    verdict = v.check()
-    kinds = {x["kind"] for x in verdict["violations"]}
-    assert "validity" in kinds
-    assert "agreement-safety" not in kinds  # they did agree — on the wrong bit
+    verdict = _judge(
+        # unanimous 1 -> decided 0
+        {pid: _report(pid, {"aba": (0, 2)}) for pid in (1, 2, 3, 4)},
+        inputs=UNANIMOUS,
+    )
+    # They did agree — on the wrong bit — and each one did decide.
+    assert set(_kinds(verdict)) == {"validity"}
 
 
 def test_verdict_validity_not_triggered_by_split_inputs():
-    v = NetVerdict(n=4, t=1)
-    v.expect_inputs("aba", {1: 0, 2: 1, 3: 0, 4: 1})
-    for pid in (1, 2, 3, 4):
-        v.add_report(_report(pid, {"aba": (0, 3)}))
-    assert v.check()["violations"] == []
+    verdict = _judge(
+        {pid: _report(pid, {"aba": (0, 3)}) for pid in (1, 2, 3, 4)},
+        inputs=[0, 1, 0, 1],
+    )
+    assert verdict["violations"] == []
 
 
 def test_verdict_catches_partial_liveness():
-    v = NetVerdict(n=4, t=1)
-    v.add_report(_report(1, {"aba": (1, 2)}))
-    v.add_report(_report(2, {"aba": (1, 2)}))
-    v.add_report(_report(3))  # reported, never decided
-    verdict = v.check()
+    verdict = _judge(
+        {
+            1: _report(1, {"aba": (1, 2)}),
+            2: _report(2, {"aba": (1, 2)}),
+            3: _report(3),  # reported, never decided
+        },
+        inputs=UNANIMOUS,
+    )
     [violation] = verdict["violations"]
     assert violation["kind"] == "liveness"
     assert violation["detail"]["missing"] == [3]
 
 
 def test_verdict_catches_zero_decider_liveness():
-    """A run where *nobody* decided has no decision instances at all; the
-    expected-inputs union must still make it fail liveness."""
-    v = NetVerdict(n=4, t=1)
-    v.expect_inputs(DEFAULT_INSTANCE, {1: 1, 2: 1, 3: 1, 4: 1})
-    for pid in (1, 2, 3, 4):
-        v.add_report(_report(pid))
-    verdict = v.check()
-    kinds = [x["kind"] for x in verdict["violations"]]
-    assert kinds == ["liveness"]
+    """A run where *nobody* decided gives the monitor no decision at all;
+    the given inputs must still make it fail liveness."""
+    verdict = _judge(
+        {pid: _report(pid) for pid in (1, 2, 3, 4)}, inputs=UNANIMOUS
+    )
+    assert _kinds(verdict) == ["liveness"]
     assert verdict["violations"][0]["detail"]["missing"] == [1, 2, 3, 4]
 
 
 def test_verdict_liveness_waived_when_not_expected():
-    v = NetVerdict(n=4, t=1)
-    v.add_report(_report(1, {"aba": (1, 2)}))
-    v.add_report(_report(2))
-    assert v.check(expect_all_decided=False)["violations"] == []
-
-
-def test_verdict_catches_duplicate_report():
-    v = NetVerdict(n=4, t=1)
-    v.add_report(_report(2, {"aba": (1, 1)}))
-    v.add_report(_report(2, {"aba": (1, 1)}))
-    assert [x["kind"] for x in v.violations] == ["duplicate-report"]
+    verdict = _judge({1: _report(1, {"aba": (1, 2)}), 2: _report(2)})
+    assert verdict["violations"] == []
 
 
 def test_verdict_coin_tallies_split_is_legal():
     """Honest coin outputs may split (probability <= epsilon per session);
     the verdict tallies agreed vs split but never flags a violation."""
-    v = NetVerdict(n=4, t=1)
-    for pid in (1, 2, 3, 4):
-        v.add_report(_report(pid, coins={"0": 1, "1": pid % 2}))
-    verdict = v.check(expect_all_decided=False)
+    verdict = _judge(
+        {pid: _report(pid, coins={"0": 1, "1": pid % 2}) for pid in (1, 2, 3, 4)}
+    )
     assert verdict["coin_invocations"] == 2
     assert verdict["coin_agreed"] == 1
     assert verdict["coin_split"] == 1
     assert verdict["violations"] == []
 
 
+def test_verdict_catches_self_contradiction():
+    """A relaunched process contradicting its own journaled decision is a
+    safety violation even when the cluster happens to agree with it."""
+    verdict = _judge({3: _report(3, {"aba": (1, 2)}, prior={"aba": (0, 2)})})
+    assert _kinds(verdict) == ["self-contradiction"]
+    assert verdict["violations"][0]["detail"]["prior"] == 0
+    assert verdict["reports"][3]["rejoined"]
+
+
+def test_verdict_consistent_rejoin_is_clean():
+    verdict = _judge({3: _report(3, {"aba": (1, 2)}, prior={"aba": (1, 2)})})
+    assert verdict["violations"] == []
+
+
+def test_verdict_mark_hung():
+    verdict = _judge({1: _report(1, {"aba": (1, 1)}), 4: "hung"})
+    [violation] = verdict["violations"]
+    assert violation["kind"] == "hung"
+    assert violation["detail"]["pid"] == 4
+
+
+def test_verdict_catches_no_report():
+    verdict = _judge({1: _report(1, {"aba": (1, 1)}), 2: None})
+    [violation] = verdict["violations"]
+    assert violation["kind"] == "no-report"
+    assert violation["detail"]["missing"] == [2]
+
+
+def test_verdict_catches_honest_shun():
+    """Every launch child is honest, so a reported shun breaks the
+    monitor's shun rules — and a repeat of the pair is caught too, since
+    feeding goes on past a violation."""
+    session = ["mw", ["cc", "solo", 0], 2, 1, "dm"]
+    verdict = _judge({1: _report(1, shuns=[[2, session], [2, session]])})
+    assert _kinds(verdict) == ["honest-shun", "shun-repeat"]
+    assert verdict["violations"][0]["detail"]["culprit"] == 2
+    assert verdict["shun_pairs"] == [(1, 2)]
+
+
 # ---------------------------------------------------------------------------
-# End to end: real OS processes, judged by the same class
+# End to end: real OS processes, judged by the same monitor
 # ---------------------------------------------------------------------------
 
 
@@ -147,7 +185,7 @@ def test_launch_four_processes_agrees_and_matches_sim(tmp_path, monkeypatch):
         run_processes(4, inputs=inputs, seed=seed, timeout=90)
     )
     assert verdict["violations"] == []
-    assert verdict["processes_reporting"] == 4
+    assert len(verdict["reports"]) == 4
     for report in verdict["reports"].values():
         assert report["stats"]["journal"]["appended"] > 0
     assert list(tmp_path.iterdir()) == []
@@ -171,79 +209,10 @@ def test_launch_survives_one_killed_process():
         )
     )
     assert verdict["violations"] == []
-    assert verdict["processes_reporting"] == 3
+    assert len(verdict["reports"]) == 3
     decided = {pid for _, pid, _, _ in verdict["decisions"]}
     assert decided == {1, 2, 4}
     assert {value for _, _, value, _ in verdict["decisions"]} == {0}
-
-
-# ---------------------------------------------------------------------------
-# Journal-era verdict checks: self-contradiction, hung, counters
-# ---------------------------------------------------------------------------
-
-
-def test_verdict_catches_self_contradiction():
-    """A relaunched process contradicting its own journaled decision is a
-    safety violation even when the cluster happens to agree with it."""
-    v = NetVerdict(n=4, t=1)
-    report = _report(3, {"aba": (1, 2)})
-    report["prior_decisions"] = {"aba": [0, 2]}
-    report["rejoined"] = True
-    v.add_report(report)
-    verdict = v.check(expect_all_decided=False)
-    kinds = [x["kind"] for x in verdict["violations"]]
-    assert kinds == ["self-contradiction"]
-    assert verdict["rejoined"] == [3]
-
-
-def test_verdict_consistent_rejoin_is_clean():
-    v = NetVerdict(n=4, t=1)
-    report = _report(3, {"aba": (1, 2)})
-    report["prior_decisions"] = {"aba": [1, 2]}
-    report["rejoined"] = True
-    v.add_report(report)
-    assert v.check(expect_all_decided=False)["violations"] == []
-
-
-def test_verdict_mark_hung():
-    v = NetVerdict(n=4, t=1)
-    v.add_report(_report(1, {"aba": (1, 1)}))
-    v.mark_hung(4)
-    verdict = v.check(expect_all_decided=False)
-    [violation] = verdict["violations"]
-    assert violation["kind"] == "hung"
-    assert violation["detail"]["pid"] == 4
-
-
-def test_verdict_check_is_idempotent():
-    """Asking twice judges the same run: the reports' violations are
-    recomputed, and what feeding recorded (a hung child) is kept once."""
-    v = NetVerdict(n=4, t=1)
-    v.add_report(_report(1, {"aba": (0, 1)}))
-    v.add_report(_report(2, {"aba": (1, 1)}))
-    v.mark_hung(4)
-    first = v.check(expect_all_decided=False)
-    second = v.check(expect_all_decided=False)
-    assert [x["kind"] for x in first["violations"]] == ["hung", "agreement-safety"]
-    assert second["violations"] == first["violations"] == v.violations
-    assert not v.safe
-
-
-def test_verdict_aggregates_observability_counters():
-    v = NetVerdict(n=4, t=1)
-    for pid in (1, 2):
-        report = _report(pid, {"aba": (1, 1)})
-        report["stats"] = {
-            "frame_errors": {"bad-crc": pid, "bad-value": 1},
-            "auth_rejected": pid,
-            "journal": {"replayed": 10 * pid},
-        }
-        v.add_report(report)
-    verdict = v.check(expect_all_decided=False)
-    assert verdict["frame_errors"] == {"bad-crc": 3, "bad-value": 2}
-    assert verdict["auth_rejected"] == 3
-    assert verdict["journal_replayed"] == 30
-    assert verdict["violations"] == []
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +241,7 @@ def test_launch_restart_lifecycle_matches_no_kill_run(tmp_path):
         )
     )
     assert verdict["violations"] == []
-    assert verdict["processes_reporting"] == 4
+    assert len(verdict["reports"]) == 4
     decisions = {pid: v for _, pid, v, _ in verdict["decisions"]}
     assert decisions == base_decisions  # bit-identical to the no-kill run
     # The relaunched child really did come back through its journal.
@@ -306,7 +275,7 @@ def test_launch_tampered_journal_is_caught(tmp_path):
     )
     kinds = {x["kind"] for x in second["violations"]}
     assert "agreement-safety" in kinds
-    assert 3 in second["rejoined"]
+    assert second["reports"][3]["rejoined"]
 
 
 @pytest.mark.slow
@@ -325,3 +294,41 @@ def test_launch_hung_child_is_killed_and_reported(tmp_path):
     assert verdict["violations"][0]["detail"]["pid"] == 2
     decided = {pid for _, pid, _, _ in verdict["decisions"]}
     assert decided == {1, 3, 4}
+
+
+@pytest.mark.slow
+def test_launch_overall_deadline_reaps_a_wedged_child(tmp_path, monkeypatch):
+    """Without ``hung_after`` a wedged child is still caught: at the run's
+    overall deadline the call returns a verdict naming it ``hung``, every
+    child is reaped, and the temporary journal directory is removed."""
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    spawned = []
+    real_exec = asyncio.create_subprocess_exec
+
+    async def recording_exec(*argv, **kwargs):
+        spawned.append(await real_exec(*argv, **kwargs))
+        return spawned[-1]
+
+    monkeypatch.setattr(asyncio, "create_subprocess_exec", recording_exec)
+    verdict = asyncio.run(
+        run_processes(4, inputs=[0, 0, 0, 0], seed=93, timeout=3, hang={2})
+    )
+    assert _kinds(verdict) == ["hung"]
+    assert verdict["violations"][0]["detail"]["pid"] == 2
+    assert {pid for _, pid, _, _ in verdict["decisions"]} == {1, 3, 4}
+    assert len(spawned) == 4
+    assert all(child.returncode is not None for child in spawned)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.slow
+def test_launch_cli_prints_the_verdict_without_reports(capsys):
+    code = launch.main(
+        ["--n", "4", "--inputs", "1,1,1,1", "--seed", "424",
+         "--timeout", "60", "--hung-after", "30"]
+    )
+    verdict = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert verdict["violations"] == []
+    assert "reports" not in verdict
+    assert [pid for _, pid, _, _ in verdict["decisions"]] == [1, 2, 3, 4]
