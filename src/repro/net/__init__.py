@@ -11,8 +11,9 @@ stacks over real asyncio TCP sockets:
   ``ProcessHost`` send/handler surface over sockets), a
   :class:`PeerConnection` supervisor per peer (exponential-backoff
   reconnect, heartbeats, seq/ack reliable delivery, bounded outbound
-  queues with backpressure), and :class:`NetworkNode` tying one process'
-  server + peers + dispatch pump together;
+  queues with backpressure), :class:`NetworkNode` tying one process'
+  server + peers + dispatch pump together, and :class:`NetContext`, the
+  clock, monitor and wait the nodes of one cluster (or a lone node) share;
 * :mod:`repro.net.journal` — :class:`Journal`, the append-only
   checksummed write-ahead journal (per-link seq state, transport epoch,
   protocol decisions) that makes a ``kill -9``'d node restartable with
@@ -34,7 +35,7 @@ documented in ``docs/NETWORK.md``.
 """
 
 from repro.net.chaos import CHAOS_PROFILES, ChaosProfile, ChaosProxy, LinkPolicy
-from repro.net.cluster import NetCluster, NetContext
+from repro.net.cluster import NetCluster
 from repro.net.codec import (
     FRAME_ACK,
     FRAME_AUTH,
@@ -56,6 +57,7 @@ from repro.net.codec import (
 from repro.net.journal import Journal, JournalError, JournalState, replay_journal
 from repro.net.launch import run_processes
 from repro.net.transport import (
+    NetContext,
     NetRuntime,
     NetworkHost,
     NetworkNode,

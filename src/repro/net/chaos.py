@@ -44,7 +44,6 @@ Scripted partitions beyond a profile's timed one use
 from __future__ import annotations
 
 import asyncio
-import time
 from dataclasses import dataclass
 from random import Random
 
@@ -56,7 +55,7 @@ from repro.net.codec import (
     decode_value,
     encode_frame,
 )
-from repro.net.transport import PROTO_VERSION
+from repro.net.transport import PROTO_VERSION, cancel_tasks
 
 
 @dataclass(frozen=True)
@@ -215,7 +214,7 @@ class ChaosProxy:
             self._on_connection, self.bind_host, 0
         )
         self.port = self._server.sockets[0].getsockname()[1]
-        self._started_at = time.monotonic()
+        self._started_at = asyncio.get_running_loop().time()
         return self.port
 
     async def close(self) -> None:
@@ -226,13 +225,7 @@ class ChaosProxy:
             except Exception:
                 pass
             self._server = None
-        for task in list(self._conns):
-            task.cancel()
-        for task in list(self._conns):
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):
-                pass
+        await cancel_tasks(list(self._conns))
         self._conns.clear()
 
     # -- scripted partitions ----------------------------------------------
@@ -254,12 +247,12 @@ class ChaosProxy:
             stats = self.stats[src] = LinkStats()
         return stats
 
-    def _partition_active(self, src: int, policy: LinkPolicy) -> bool:
+    def _partition_active(self, src: int, policy: LinkPolicy, now: float) -> bool:
         if src in self._blocked:
             return True
         if not policy.partition_until:
             return False
-        return time.monotonic() - self._started_at < policy.partition_until
+        return now - self._started_at < policy.partition_until
 
     async def _on_connection(self, client_reader, client_writer) -> None:
         task = asyncio.current_task()
@@ -289,11 +282,7 @@ class ChaosProxy:
         try:
             await self._forward(client_reader, up_writer)
         finally:
-            reverse.cancel()
-            try:
-                await reverse
-            except (asyncio.CancelledError, Exception):
-                pass
+            await cancel_tasks([reverse])
             up_writer.close()
             try:
                 await up_writer.wait_closed()
@@ -338,7 +327,7 @@ class ChaosProxy:
                         policy = self.profile.link_policy(src, self.dst_pid, self.n)
                         rng = self._rng_for(src)
                         stats = self._link_stats(src)
-                if src is not None and self._partition_active(src, policy):
+                if src is not None and self._partition_active(src, policy, now):
                     stats.partitioned += 1
                     continue
                 copies = 1

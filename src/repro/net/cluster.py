@@ -7,11 +7,15 @@ them to each other over 127.0.0.1 sockets — optionally through a
 standard protocol substrate on every host, and drives agreement runs and
 coin flips to completion.  Because all n processes share the Python
 process, the PR 6 :class:`~repro.sim.monitor.InvariantMonitor` plugs in
-unchanged: the cluster's :class:`NetContext` satisfies the runtime
-surface the monitor consumes (``config``/``host(pid)``/``now``/
-``monitor``), every host's runtime resolves ``monitor`` through it, and
-the protocol modules' existing hook calls (`on_decision`, `on_round`,
-`on_shun`, `on_coin_output`) fire exactly as they do in simulation.
+unchanged: the cluster registers every node in one
+:class:`~repro.net.transport.NetContext` (defined beside ``NetworkNode``,
+since every node has one), which satisfies the runtime surface the
+monitor consumes (``config``/``host(pid)``/``now``/``monitor``); every
+host's runtime resolves ``monitor`` through it, and the protocol
+modules' existing hook calls (`on_decision`, `on_round`, `on_shun`,
+`on_coin_output`) fire exactly as they do in simulation.  The context's
+one change event also carries the cluster's waits: any node's
+notification re-evaluates a cluster-wide predicate.
 
 For runs whose processes genuinely do not share an address space, use
 :mod:`repro.net.launch`: its parent feeds the children's reports to the
@@ -20,9 +24,7 @@ same monitor, so one judge checks every run.
 
 from __future__ import annotations
 
-import asyncio
 import tempfile
-import time
 from pathlib import Path
 
 from repro.config import SystemConfig
@@ -35,36 +37,7 @@ from repro.core.api import (
 )
 from repro.errors import ConfigurationError, SimulationError
 from repro.net.chaos import CHAOS_PROFILES, ChaosProfile, ChaosProxy
-from repro.net.transport import NetworkNode, TransportConfig
-
-
-class NetContext:
-    """The cluster-shared runtime surface (monitor clock + pid -> host).
-
-    One instance is shared by every node's :class:`NetRuntime`; the
-    :class:`~repro.sim.monitor.InvariantMonitor` installs onto it exactly
-    as it installs onto a simulated ``Runtime``.
-    """
-
-    def __init__(self, config: SystemConfig):
-        self.config = config
-        self.monitor = None
-        self._nodes: dict[int, NetworkNode] = {}
-        self._start = time.monotonic()
-
-    @property
-    def now(self) -> float:
-        return time.monotonic() - self._start
-
-    def register(self, node: NetworkNode) -> None:
-        self._nodes[node.pid] = node
-        node.context = self
-
-    def host(self, pid: int):
-        try:
-            return self._nodes[pid].host
-        except KeyError:
-            raise SimulationError(f"no node registered for pid {pid}") from None
+from repro.net.transport import NetContext, NetworkNode, TransportConfig
 
 
 def resolve_profile(chaos: "str | ChaosProfile | None") -> ChaosProfile | None:
@@ -201,18 +174,9 @@ class NetCluster:
         node = NetworkNode(
             self.config, pid, self._journal_path(pid), tconfig=self.tconfig
         )
-        # The TIME_WAIT window can hold the port briefly after the old
-        # server closed on the same loop; retry the rebind a few times.
-        for attempt in range(5):
-            try:
-                await node.start_server(port)
-                break
-            except OSError:
-                if attempt == 4:
-                    raise
-                await asyncio.sleep(0.05 * (attempt + 1))
         self.context.register(node)
         self.nodes[pid] = node
+        await node.start_server(port)
         node.set_peers(addresses)
         node.start_peers()
         self.broadcasts[pid], self.vss[pid] = build_node_modules(node.host)
@@ -221,14 +185,9 @@ class NetCluster:
 
     # -- waits -------------------------------------------------------------
     async def wait_for(self, predicate, timeout: float = 60.0) -> None:
-        """Drive the loop until ``predicate()`` holds cluster-wide."""
-        deadline = time.monotonic() + timeout
-        while not predicate():
-            if time.monotonic() > deadline:
-                raise TimeoutError(
-                    f"cluster predicate not true after {timeout}s"
-                )
-            await asyncio.sleep(0.005)
+        """Wait until ``predicate()`` holds cluster-wide: the context's one
+        wait, woken by any node's notification."""
+        await self.context.wait_for(predicate, timeout)
 
     # -- protocol drivers --------------------------------------------------
     def _coin_for(self, pid: int, coin: object, instance: object):

@@ -56,7 +56,7 @@ from repro.core.agreement import ABAProcess
 from repro.core.api import DEFAULT_INSTANCE, build_node_modules, make_node_coin
 from repro.net.chaos import ChaosProxy
 from repro.net.cluster import resolve_profile
-from repro.net.transport import NetworkNode
+from repro.net.transport import NetworkNode, cancel_tasks
 from repro.sim.monitor import InvariantMonitor, InvariantViolation
 
 #: Marker prefixing the one JSON line a child prints on stdout.
@@ -74,9 +74,10 @@ def _free_ports(count: int, host: str = "127.0.0.1") -> list[int]:
 
     All sockets are held open until every port is picked, then released
     together — the small bind race before the children re-bind is
-    handled by the children's own bind-retry loop.  A collision *during*
-    reservation (another process grabbed an ephemeral port mid-scan)
-    retries the whole batch — the flaky-CI source this used to be.
+    handled by ``NetworkNode.start_server``'s rebind retry.  A collision
+    *during* reservation (another process grabbed an ephemeral port
+    mid-scan) retries the whole batch — the flaky-CI source this used to
+    be.
     """
     for attempt in range(3):
         sockets = []
@@ -117,15 +118,9 @@ async def _child_main(args: argparse.Namespace) -> int:
     #: (the node's own epoch record is not counted as replayed).
     rejoined = journal.state.replayed > 0
     # The parent reserved-then-released this port; another process (or
-    # our own killed predecessor's TIME_WAIT) can hold it briefly.
-    for attempt in range(6):
-        try:
-            await node.start_server(args.port)
-            break
-        except OSError:
-            if attempt == 5:
-                raise
-            await asyncio.sleep(0.1 * (attempt + 1))
+    # our own killed predecessor's socket) can hold it briefly, which the
+    # node's rebind retry rides out.
+    await node.start_server(args.port)
     peers = {}
     for entry in args.peers.split(","):
         pid_str, port_str = entry.split(":")
@@ -271,12 +266,7 @@ async def _child_main(args: argparse.Namespace) -> int:
         await asyncio.wait_for(stdin_reader.readline(), timeout=args.timeout)
     except asyncio.TimeoutError:
         pass
-    for task in (heartbeats, announcer):
-        task.cancel()
-        try:
-            await task
-        except (asyncio.CancelledError, Exception):
-            pass
+    await cancel_tasks([heartbeats, announcer])
     await node.close()
     return 1 if report.get("timeout") else 0
 

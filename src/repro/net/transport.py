@@ -13,6 +13,12 @@ as **one DATA frame per destination** — session vectors packed, the
 rest coalesced into an envelope (``docs/NETWORK.md``, "Aggregation on
 the wire").
 
+Every node has a :class:`NetContext`, the runtime surface it shares with
+the nodes beside it: one clock (the running loop's ``time()``, the only
+clock this package reads), the monitor, pid -> host, and one change event
+with the one ``wait_for`` on it.  A lone node's context holds just itself;
+an in-process cluster registers all of its nodes in one.
+
 Reliability.  The simulation models reliable private channels; TCP alone
 is not one (a connection drop loses whatever was buffered in flight), so
 the transport layers a per-directed-link sequence protocol on top:
@@ -83,7 +89,6 @@ import hashlib
 import hmac
 import itertools
 import os
-import time
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -131,6 +136,9 @@ BACKOFF_JITTER = 0.25
 #: Max unacked frames in flight per link (bounds go-back-N waste), and max
 #: out-of-order frames a receiver buffers per link.
 WINDOW = 1024
+#: Seconds between binds of a fixed port while it is still held (a killed
+#: predecessor's socket, or another process after a reserve-and-release).
+REBIND_DELAYS = (0.1, 0.2, 0.3, 0.4, 0.5)
 
 
 @dataclass(frozen=True)
@@ -171,6 +179,19 @@ class TransportConfig:
     #: Journal flush cadence: coalesced seq notes hit the file and the
     #: disk at most this often.
     journal_flush_interval: float = 0.05
+
+
+async def cancel_tasks(tasks) -> None:
+    """Cancel every task (``None`` entries skipped), then wait for each to
+    finish, whatever it ends with: the one teardown of a task set."""
+    tasks = [task for task in tasks if task is not None]
+    for task in tasks:
+        task.cancel()
+    for task in tasks:
+        try:
+            await task
+        except (asyncio.CancelledError, Exception):
+            pass
 
 
 def derive_cluster_secret(seed: int) -> bytes:
@@ -259,48 +280,27 @@ class NetRuntime(StepWindow):
         self.config = config
         self.field = config.field
         self.events_dispatched = 0
-        self.predicate_evals = 0
-        self._monitor = None
-        self._start = time.monotonic()
         #: id(payload) -> (payload, encoding) for the flush in progress: a
         #: fan-out buffers the *same* payload object for every destination,
         #: so each is encoded once however many envelopes it rides.  The
         #: entry pins the payload, so its id cannot be reused meanwhile.
         self._encoded: dict[int, tuple[object, bytes]] = {}
 
-    # -- clock / monitor ---------------------------------------------------
+    # -- the node's context: clock, monitor, pid -> host --------------------
     @property
     def now(self) -> float:
-        """Wall seconds; cluster-shared when a context is attached so the
-        monitor's event trail is consistent across hosts."""
-        context = self.node.context
-        if context is not None:
-            return context.now
-        return time.monotonic() - self._start
+        return self.node.context.now
 
     @property
     def monitor(self):
-        context = self.node.context
-        if context is not None:
-            return context.monitor
-        return self._monitor
+        return self.node.context.monitor
 
     @monitor.setter
     def monitor(self, value) -> None:
-        self._monitor = value
+        self.node.context.monitor = value
 
     def host(self, pid: int):
-        """Resolve a pid to its host — cluster-wide with a context, local
-        only without one (the monitor is the consumer)."""
-        context = self.node.context
-        if context is not None:
-            return context.host(pid)
-        if pid == self.node.pid:
-            return self.node.host
-        raise SimulationError(
-            f"process {pid} is not local to node {self.node.pid} and no "
-            "cluster context is attached"
-        )
+        return self.node.context.host(pid)
 
     # -- notifications -----------------------------------------------------
     def notify_state_change(self) -> None:
@@ -416,9 +416,10 @@ class PeerConnection:
         self._cursor = base_seq
         self._wake = asyncio.Event()
         self._task: asyncio.Task | None = None
-        self._last_up = time.monotonic()
-        self._last_progress = time.monotonic()
-        self._last_inbound = 0.0
+        #: The running loop's ``time()``, bound by :meth:`start`: the one
+        #: clock every stamp below is taken on and compared against.
+        self._clock = None
+        self._last_up = self._last_progress = self._last_inbound = 0.0
         #: Highest cumulative ack seen this session (duplicate detection).
         self._acked_high = 0
         #: Base seq last announced via HELLO (re-announced mid-session
@@ -438,7 +439,10 @@ class PeerConnection:
             # A restarted transport re-starts previously closed peers: the
             # closed flag belongs to the supervisor's lifetime, not ours.
             self._closed = False
-            self._task = asyncio.get_running_loop().create_task(
+            loop = asyncio.get_running_loop()
+            self._clock = loop.time
+            self._last_up = self._last_progress = loop.time()
+            self._task = loop.create_task(
                 self._supervise(), name=f"peer-{self.node.pid}->{self.dst}"
             )
 
@@ -508,7 +512,7 @@ class PeerConnection:
                 # The session got through its handshake: the next
                 # reconnect is a fresh outage, so backoff starts over.
                 attempt = 0
-            now = time.monotonic()
+            now = self._clock()
             if self.state != PEER_DOWN and now - self._last_up > tconf.down_after:
                 self.state = PEER_DOWN
                 self.stats.went_down += 1
@@ -559,9 +563,9 @@ class PeerConnection:
             self.state = PEER_LIVE
             if was_down:
                 self.node.update_gate()
-            self._last_up = time.monotonic()
-            self._last_progress = time.monotonic()
-            self._last_inbound = time.monotonic()
+            self._last_up = self._last_progress = self._last_inbound = (
+                self._clock()
+            )
             self.stats.reconnects += 1
             reader_task = asyncio.get_running_loop().create_task(
                 self._reader_loop(reader, parser)
@@ -569,15 +573,10 @@ class PeerConnection:
             try:
                 await self._writer_loop(writer)
             finally:
-                reader_task.cancel()
-                try:
-                    await reader_task
-                except (asyncio.CancelledError, Exception):
-                    pass
+                await cancel_tasks([reader_task])
         finally:
-            self._last_up = (
-                self._last_up if self.state != PEER_LIVE else time.monotonic()
-            )
+            if self.state == PEER_LIVE:
+                self._last_up = self._clock()
             writer.close()
             try:
                 # Bounded: ``wait_closed`` waits for the kernel buffer to
@@ -650,7 +649,7 @@ class PeerConnection:
                 data = await reader.read(65536)
                 if not data:
                     break
-                self._last_inbound = time.monotonic()
+                self._last_inbound = self._clock()
                 for ftype, body in parser.feed(data):
                     if ftype == FRAME_ACK:
                         try:
@@ -683,7 +682,7 @@ class PeerConnection:
         queue = self.queue
         if not queue or acked != queue[0][0] - 1 or self._cursor <= queue[0][0]:
             return
-        now = time.monotonic()
+        now = self._clock()
         if (
             queue[0][0] == self._fast_seq
             and now - self._fast_time < self.tconfig.rto / 8
@@ -704,7 +703,7 @@ class PeerConnection:
             self.stats.acked += 1
             popped = True
         if popped:
-            self._last_progress = time.monotonic()
+            self._last_progress = self._clock()
             if self._cursor <= seq:
                 self._cursor = seq + 1
             self.node.update_gate()
@@ -712,7 +711,8 @@ class PeerConnection:
 
     async def _writer_loop(self, writer) -> None:
         tconf = self.tconfig
-        last_out = time.monotonic()
+        clock = self._clock
+        last_out = clock()
         ping_nonce = 0
         while True:
             if writer.transport.is_closing():
@@ -730,13 +730,13 @@ class PeerConnection:
                 )
                 writer.write(encode_frame(FRAME_HELLO, encode_value(hello)))
                 await writer.drain()
-                last_out = time.monotonic()
+                last_out = clock()
             if self._retx_one:
                 self._retx_one = False
                 if queue and self._cursor > queue[0][0]:
                     writer.write(queue[0][1])
                     await writer.drain()
-                    last_out = time.monotonic()
+                    last_out = clock()
             if queue and self._cursor <= queue[-1][0]:
                 base = queue[0][0]
                 start = self._cursor - base
@@ -748,15 +748,15 @@ class PeerConnection:
                     if start <= 0:
                         # Frames going out into an empty flight start the
                         # ack clock: the idle gap before them is no stall.
-                        self._last_progress = time.monotonic()
+                        self._last_progress = clock()
                     # One write per burst: a dead socket then costs one
                     # failed send (and one asyncio log line), not one per
                     # frame — and healthy paths save the syscalls too.
                     writer.write(b"".join(frame for _, frame in frames))
                     self._cursor = frames[-1][0] + 1
                     await writer.drain()
-                    last_out = time.monotonic()
-            now = time.monotonic()
+                    last_out = clock()
+            now = clock()
             if self._dead.is_set():
                 raise ConnectionError("peer closed the link")
             if now - self._last_inbound > tconf.idle_timeout:
@@ -773,7 +773,7 @@ class PeerConnection:
                     encode_frame(FRAME_PING, encode_value(("ping", ping_nonce)))
                 )
                 await writer.drain()
-                last_out = time.monotonic()
+                last_out = clock()
             self._wake.clear()
             timeout = min(tconf.heartbeat_interval, tconf.rto) / 2
             try:
@@ -803,6 +803,74 @@ class _RecvLink:
         self.gaps = 0
         #: seq -> raw encoded payload, capped at :data:`WINDOW` entries.
         self.buffer: dict[int, bytes] = {}
+
+
+class NetContext:
+    """The runtime surface nodes share: one clock, the monitor, pid ->
+    host, and one change event with the one wait on it.
+
+    A lone node is registered in a one-node context (``host(other_pid)``
+    raises); a :class:`~repro.net.cluster.NetCluster` registers all of its
+    nodes in one, onto which the monitor installs as onto a ``Runtime``.
+    ``now`` reads the running loop's ``time()`` from an origin taken on the
+    loop when the first member starts; it is 0.0 before (a never-started
+    node's ``RuntimeABC`` check reads it off any loop).
+    """
+
+    def __init__(self, config: SystemConfig):
+        self.config = config
+        self.monitor = None
+        self._nodes: dict[int, NetworkNode] = {}
+        self._loop: asyncio.AbstractEventLoop | None = None
+        self._origin = 0.0
+        self._changed = asyncio.Event()
+
+    def register(self, node: "NetworkNode") -> None:
+        self._nodes[node.pid] = node
+        node.context = self
+
+    def host(self, pid: int):
+        try:
+            return self._nodes[pid].host
+        except KeyError:
+            raise SimulationError(f"no node registered for pid {pid}") from None
+
+    # -- clock -------------------------------------------------------------
+    def start_clock(self) -> None:
+        """Take the clock's origin on the running loop (first call only)."""
+        if self._loop is None:
+            self._loop = asyncio.get_running_loop()
+            self._origin = self._loop.time()
+
+    @property
+    def now(self) -> float:
+        loop = self._loop
+        return 0.0 if loop is None else loop.time() - self._origin
+
+    # -- the one wait ------------------------------------------------------
+    def notify(self) -> None:
+        self._changed.set()
+
+    async def wait_for(self, predicate, timeout: float) -> None:
+        """Wait until ``predicate()`` holds, re-evaluating it on every
+        member's state-change notification and at least every 0.25 s (the
+        async analogue of ``run_until``)."""
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + timeout
+        changed = self._changed
+        while not predicate():
+            remaining = deadline - loop.time()
+            if remaining <= 0:
+                raise TimeoutError(f"predicate not true after {timeout}s")
+            changed.clear()
+            if predicate():  # re-check: notify may have landed pre-clear
+                return
+            try:
+                await asyncio.wait_for(
+                    changed.wait(), timeout=min(remaining, 0.25)
+                )
+            except asyncio.TimeoutError:
+                pass
 
 
 class NetworkNode:
@@ -838,9 +906,9 @@ class NetworkNode:
         self.secret = self.tconfig.auth_secret or derive_cluster_secret(
             config.seed
         )
-        #: The cluster's :class:`~repro.net.cluster.NetContext`, set by its
-        #: ``register``; a lone node resolves everything locally.
-        self.context = None
+        # Sets ``self.context``: a one-node context until a cluster's
+        # ``register`` replaces it with the shared one.
+        NetContext(config).register(self)
         self.journal = journal = Journal(journal)
         #: The new incarnation's epoch strictly follows every journaled
         #: one, fsynced before any link opens: receivers key their links
@@ -858,7 +926,6 @@ class NetworkNode:
         self._pump_task: asyncio.Task | None = None
         self._gate = asyncio.Event()
         self._gate.set()
-        self._notify_event = asyncio.Event()
         self._recv_links: dict[int, _RecvLink] = {}
         # Make the incarnation durable *before* any link opens, then
         # restore receive expectations: a sender that stayed up keeps its
@@ -899,17 +966,28 @@ class NetworkNode:
 
     # -- lifecycle ---------------------------------------------------------
     async def start_server(self, port: int = 0) -> int:
-        """Bind the inbound TCP server; returns the bound port."""
-        self._server = await asyncio.start_server(
-            self._on_connection, self.tconfig.bind_host, port
-        )
+        """Bind the inbound TCP server; returns the bound port.  A fixed
+        ``port`` is bound again after each of :data:`REBIND_DELAYS` while
+        it is still held."""
+        for delay in (*REBIND_DELAYS, None):
+            try:
+                self._server = await asyncio.start_server(
+                    self._on_connection, self.tconfig.bind_host, port
+                )
+                break
+            except OSError:
+                if not port or delay is None:
+                    raise
+                await asyncio.sleep(delay)
         self.port = self._server.sockets[0].getsockname()[1]
+        self.context.start_clock()
+        loop = asyncio.get_running_loop()
         if self._pump_task is None:
-            self._pump_task = asyncio.get_running_loop().create_task(
+            self._pump_task = loop.create_task(
                 self._pump(), name=f"pump-{self.pid}"
             )
         if self._journal_task is None:
-            self._journal_task = asyncio.get_running_loop().create_task(
+            self._journal_task = loop.create_task(
                 self._journal_flush_loop(), name=f"journal-{self.pid}"
             )
         return self.port
@@ -937,13 +1015,7 @@ class NetworkNode:
         # sockets live in their handler tasks and must die with the crash.
         # They are cancelled before ``wait_closed`` because newer asyncio
         # has ``wait_closed`` wait on the handlers too (deadlock bait).
-        for task in list(self._conn_tasks):
-            task.cancel()
-        for task in list(self._conn_tasks):
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):
-                pass
+        await cancel_tasks(list(self._conn_tasks))
         self._conn_tasks.clear()
         if server is not None:
             try:
@@ -954,7 +1026,6 @@ class NetworkNode:
             await peer.close()
             peer.queue.clear()
             peer.state = PEER_CONNECTING
-            peer._task = None
         for src, link in self._recv_links.items():
             link.buffer.clear()
             # Exact link state on disk too: it outlives process death.
@@ -979,20 +1050,8 @@ class NetworkNode:
 
     async def close(self) -> None:
         await self.stop_transport()
-        if self._pump_task is not None:
-            self._pump_task.cancel()
-            try:
-                await self._pump_task
-            except (asyncio.CancelledError, Exception):
-                pass
-            self._pump_task = None
-        if self._journal_task is not None:
-            self._journal_task.cancel()
-            try:
-                await self._journal_task
-            except (asyncio.CancelledError, Exception):
-                pass
-            self._journal_task = None
+        await cancel_tasks([self._pump_task, self._journal_task])
+        self._pump_task = self._journal_task = None
         self.journal.close()
 
     async def _journal_flush_loop(self) -> None:
@@ -1029,21 +1088,6 @@ class NetworkNode:
             self._gate.clear()
         elif backlog < self.tconfig.queue_low_water:
             self._gate.set()
-
-    async def drain(self, timeout: float = 30.0) -> None:
-        """Wait until every live peer's queue is fully acked (driver-side
-        checkpoint after big synchronous bursts, e.g. a coin join)."""
-        deadline = time.monotonic() + timeout
-        while True:
-            if all(
-                not peer.queue
-                for peer in self.peers.values()
-                if peer.state != PEER_DOWN
-            ):
-                return
-            if time.monotonic() > deadline:
-                raise TimeoutError(f"node {self.pid} outbound not drained")
-            await asyncio.sleep(0.01)
 
     # -- inbound -----------------------------------------------------------
     async def _on_connection(self, reader, writer) -> None:
@@ -1300,30 +1344,11 @@ class NetworkNode:
 
     # -- waits -------------------------------------------------------------
     def notify(self) -> None:
-        self._notify_event.set()
+        self.context.notify()
 
     async def wait_for(self, predicate, timeout: float = 30.0) -> None:
-        """Wait until ``predicate()`` holds, re-evaluating on every state
-        change notification (the async analogue of ``run_until``)."""
-        deadline = time.monotonic() + timeout
-        while True:
-            self.runtime.predicate_evals += 1
-            if predicate():
-                return
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise TimeoutError(
-                    f"node {self.pid}: predicate not true after {timeout}s"
-                )
-            self._notify_event.clear()
-            if predicate():  # re-check: notify may have landed pre-clear
-                return
-            try:
-                await asyncio.wait_for(
-                    self._notify_event.wait(), timeout=min(remaining, 0.25)
-                )
-            except asyncio.TimeoutError:
-                pass
+        """Wait until ``predicate()`` holds: the context's one wait."""
+        await self.context.wait_for(predicate, timeout)
 
     # -- stats -------------------------------------------------------------
     def peer_states(self) -> dict[int, str]:

@@ -4,9 +4,12 @@ The reproduction's credibility rests on invariants that hold *during*
 adversarial runs, not just on end-of-run assertions:
 
 * **Agreement safety** — no two honest processes decide differently in the
-  same agreement instance (Byzantine agreement's agreement property), and
-  no honest process decides twice with different values
-  (``self-contradiction``: a relaunch contradicting its journal).
+  same agreement instance (Byzantine agreement's agreement property: each
+  decision is held to the instance's first honest one), and no honest
+  process decides twice with different values (``self-contradiction``: a
+  relaunch contradicting its journal; the first value is kept, and an
+  identical repeat is only a trail note).  A decision is recorded before
+  any rule fires, so the verdict lists what was decided, violations too.
 * **Validity** — if every process (honest or not) held the same input
   value, every honest decision must be that value.  Unanimity over all
   ``n`` inputs is the weakest precondition that stays sound under adaptive
@@ -129,7 +132,9 @@ class InvariantMonitor:
         if not self._honest(pid):
             return
         prior = self._decisions.get((instance, pid))
-        if prior is not None and prior[0] != value:
+        if prior is not None:
+            if prior[0] == value:
+                return  # an identical repeat: the trail note is all
             self._fail(
                 "self-contradiction",
                 f"honest process {pid} decided {value!r} in instance "
@@ -137,8 +142,15 @@ class InvariantMonitor:
                 {"instance": instance, "pid": pid, "prior": prior[0],
                  "decided": value},
             )
+        # Stored before any rule fires: the verdict lists every honest
+        # decision, the offending one included.
+        self._decisions[(instance, pid)] = (value, r)
         for (inst, other), (other_value, other_r) in self._decisions.items():
-            if inst == instance and other_value != value and self._honest(other):
+            if inst != instance or other == pid or not self._honest(other):
+                continue
+            # The instance's first honest decision is the reference, so
+            # each deviating decider is one violation.
+            if other_value != value:
                 self._fail(
                     "agreement-safety",
                     f"honest processes {other} and {pid} decided "
@@ -149,6 +161,7 @@ class InvariantMonitor:
                         "rounds": {other: other_r, pid: r},
                     },
                 )
+            break
         if instance in self._unanimous:
             expected = self._unanimous[instance]
             if value != expected:
@@ -159,7 +172,6 @@ class InvariantMonitor:
                     {"instance": instance, "expected": expected, "pid": pid,
                      "decided": value},
                 )
-        self._decisions[(instance, pid)] = (value, r)
 
     def on_round(self, instance: object, pid: int, r: int) -> None:
         if r > self._max_round:

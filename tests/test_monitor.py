@@ -74,6 +74,32 @@ class TestAgreementSafety:
             "instance": "aba", "pid": 3, "prior": 0, "decided": 1,
         }
 
+    def test_an_identical_repeat_is_a_trail_note_only(self):
+        """A relaunch re-reporting what it journaled (same instance, pid
+        and value) is no new decision: the first one's round stays."""
+        _, mon = _monitored_runtime()
+        mon.expect_inputs("aba", {1: 1, 2: 1, 3: 1, 4: 1})
+        mon.on_decision("aba", 2, 1, 3)
+        mon.on_decision("aba", 2, 1, 5)
+        assert mon.verdict()["decisions"] == [("aba", 2, 1, 3)]
+        assert [entry[1:] for entry in mon.trail] == [
+            ("decide", ("aba", 2, 1, 3)), ("decide", ("aba", 2, 1, 5)),
+        ]
+
+    def test_a_violating_decision_is_still_recorded(self):
+        """The offending decision is stored before the rule fires, so the
+        verdict lists it and later deciders are held to the instance's
+        first honest decision, not to the deviant."""
+        _, mon = _monitored_runtime()
+        mon.on_decision("aba", 1, 1, 2)
+        with pytest.raises(InvariantViolation) as err:
+            mon.on_decision("aba", 3, 0, 2)
+        assert err.value.kind == "agreement-safety"
+        mon.on_decision("aba", 4, 1, 2)
+        assert [d[1:3] for d in mon.verdict()["decisions"]] == [
+            (1, 1), (3, 0), (4, 1),
+        ]
+
     def test_instances_are_independent(self):
         _, mon = _monitored_runtime()
         mon.on_decision("a", 1, 0, 1)

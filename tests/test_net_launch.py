@@ -136,6 +136,21 @@ def test_verdict_catches_self_contradiction():
     assert verdict["reports"][3]["rejoined"]
 
 
+def test_verdict_records_a_deviant_decider_once():
+    """pid 3 decided 0, journaled and current, against 1 everywhere else:
+    one agreement-safety (its identical re-report is a trail note), and
+    the verdict's decisions still name pid 3."""
+    verdict = _judge(
+        {
+            **{pid: _report(pid, {"aba": (1, 2)}) for pid in (1, 2, 4)},
+            3: _report(3, {"aba": (0, 2)}, prior={"aba": (0, 2)}),
+        },
+        inputs=UNANIMOUS,
+    )
+    assert _kinds(verdict) == ["agreement-safety"]
+    assert ("aba", 3, 0, 2) in verdict["decisions"]
+
+
 def test_verdict_consistent_rejoin_is_clean():
     verdict = _judge({3: _report(3, {"aba": (1, 2)}, prior={"aba": (1, 2)})})
     assert verdict["violations"] == []

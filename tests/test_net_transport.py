@@ -9,16 +9,21 @@ clock.
 
 from __future__ import annotations
 
+import ast
 import asyncio
 import dataclasses
+import re
 import time
+from pathlib import Path
 
 import pytest
+
+import repro.net
 
 from repro.config import SystemConfig
 from repro.core.agreement import ABAProcess
 from repro.core.api import build_stack
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.net.cluster import NetCluster
 from repro.net.transport import (
     PEER_DOWN,
@@ -83,6 +88,79 @@ def test_networkhost_satisfies_hostabc(cfg4, tmp_path):
         await node.close()
 
     asyncio.run(main())
+
+
+# ---------------------------------------------------------------------------
+# One runtime surface, one clock
+# ---------------------------------------------------------------------------
+
+
+def test_a_lone_node_has_a_one_node_context(cfg4, tmp_path):
+    """Never started and outside any loop, a node's own context answers
+    for it and for no other pid, and the monitor installs onto its
+    runtime (there is no second, context-less path)."""
+    node = NetworkNode(cfg4, 1, tmp_path / "node.journal")
+    runtime = node.runtime
+    assert runtime.host(1) is node.host
+    with pytest.raises(SimulationError):
+        runtime.host(2)
+    monitor = InvariantMonitor()
+    monitor.install(runtime)
+    assert runtime.monitor is monitor
+    assert node.context.monitor is monitor
+    assert runtime.now == 0.0  # no loop has started the clock yet
+    node.journal.close()
+
+
+def test_the_net_package_reads_no_clock_but_the_loop():
+    """Every net-layer time read goes through the running loop's
+    ``time()``: no module of the package imports ``time``, and none calls
+    ``time.monotonic()`` or ``time.time()``."""
+    for path in sorted(Path(repro.net.__file__).parent.glob("*.py")):
+        source = path.read_text()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                assert "time" not in [a.name for a in node.names], path.name
+            elif isinstance(node, ast.ImportFrom):
+                assert node.module != "time", path.name
+        assert not re.search(r"time\.(monotonic|time)\(", source), path.name
+
+
+class _AheadClockLoop(asyncio.SelectorEventLoop):
+    """An event loop whose ``time()`` runs 10**6 s ahead of the default's
+    (``time.monotonic()``)."""
+
+    def time(self) -> float:
+        return super().time() + 10**6
+
+
+@pytest.mark.slow
+def test_a_coin_on_a_loop_clock_far_from_monotonic_resends_nothing(cfg4):
+    """A stamp taken on one clock and compared on the other would read as
+    a 10**6 s stall here: links would time out and the rto would fire.
+    On the one clock the clean coin is unanimous with 0 retransmits."""
+    loop = _AheadClockLoop()
+    try:
+        cluster = NetCluster(cfg4)
+        loop.run_until_complete(cluster.start())
+        try:
+            outputs = loop.run_until_complete(
+                cluster.flip_coin(session=0, timeout=120)
+            )
+            stats = cluster.stats()
+        finally:
+            loop.run_until_complete(cluster.close())
+    finally:
+        loop.close()
+    assert set(outputs) == {1, 2, 3, 4}
+    assert len(set(outputs.values())) == 1
+    assert set(outputs.values()) <= {0, 1}
+    assert _frames_and_retransmits(stats)[1] == 0
+    assert all(
+        peer["reconnects"] == 1
+        for node in stats["nodes"].values()
+        for peer in node["peers"].values()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +294,7 @@ def test_a_clean_link_resends_nothing_across_idle_gaps(tmp_path, tconfig):
                 a.dispatch_out(2, ("m", 5 * burst + i))
             await asyncio.sleep(0.3)
         await b.wait_for(lambda: len(got) >= 20, timeout=10)
-        await a.drain(timeout=10)
+        await a.wait_for(lambda: not a.peers[2].queue, timeout=10)
         assert got == list(range(20))
         assert b._recv_links[1].duplicates == 0
         assert a.peers[2].stats.retransmits == 0
