@@ -64,6 +64,10 @@ host and one broadcast topic (``"aba"``), demuxed by the instance id every
 vote carries (``("aba", instance_id, r, phase, vote)``).  On halting it
 retires from its coin source, which lets a shared batch coin stop waiting
 for it.
+
+Recovery: a process that lost its run (a relaunched socket process whose
+missed votes are gone) finishes through the host's :class:`DecisionEcho`
+— it asks once, and adopts a value ``t + 1`` distinct peers answer.
 """
 
 from __future__ import annotations
@@ -83,6 +87,10 @@ TOPIC = "aba"
 
 #: Reserved topic of packed vote vectors (see :class:`VoteVectorMux`).
 ABAV_TAG = "abav"
+
+#: Host tags of the decision echo's ask and answer (see :class:`DecisionEcho`).
+ASK_TAG = "dcd?"
+ANSWER_TAG = "dcd"
 
 
 class VoteVectorMux(ProtocolModule):
@@ -249,6 +257,8 @@ class ABAProcess(ProtocolModule):
         super().__init__()
         self.coin = coin
         self.on_decide = on_decide
+        #: ``on_round(self, r)`` on entering round ``r``: the driver's hook.
+        self.on_round: Callable[[ABAProcess, int], None] | None = None
         self._broadcast = broadcast
         self.input: int | None = None
         self.est: int | None = None
@@ -319,6 +329,8 @@ class ABAProcess(ProtocolModule):
 
     def _enter_round(self, r: int) -> None:
         self.round = r
+        if self.on_round is not None:
+            self.on_round(self, r)
         # Round counters are wait-predicate-observable (max_rounds guards).
         self.notify()
         monitor = self.host.runtime.monitor
@@ -540,3 +552,89 @@ class ABAProcess(ProtocolModule):
         # After on_decide so a wait predicate re-evaluated by this change
         # already sees the recorded decision.
         self.notify()
+
+
+class DecisionEcho(ProtocolModule):
+    """Bracha-style decision echo, one per host (:meth:`of`): how a process
+    that lost its run learns the decision.  Messages move it, never a timer.
+
+    :meth:`ask` sends ``("dcd?", instance)`` once to every other process; a
+    holder of the decision (run, journaled or adopted: :meth:`hold`)
+    answers ``("dcd", instance, value)`` at once, a process still running
+    the instance when it decides.  The asker adopts on ``t + 1`` matching
+    answers from distinct pids (one is honest), judged by an installed
+    monitor as a round-0 decision.  Nobody asking means no echo message;
+    forgers grow nothing: answers are kept for asked instances only (a
+    pid's first, once), askers for running ones, malformed payloads dropped.
+    """
+
+    MODULE_KIND = "echo"
+
+    def __init__(self, host: ProcessHost):
+        super().__init__()
+        self.held: dict[object, int] = {}  # instance -> this host's decision
+        self.askers: dict[object, int] = {}  # instance -> waiting pids' mask
+        self.answers: dict[object, list[int]] = {}  # asked -> per-value masks
+        #: ``on_adopt(instance, pid, value, 0)`` on adoption: the driver's feed.
+        self.on_adopt: Callable[[object, int, int, int], None] | None = None
+        self.attach(host)
+
+    @classmethod
+    def of(cls, host: ProcessHost) -> "DecisionEcho":
+        """The host's echo, created on first use."""
+        return host.module("echo") if host.has_module("echo") else cls(host)
+
+    def _wire(self, host: ProcessHost) -> None:
+        self.quorum = host.runtime.config.t + 1  # matching answers to adopt
+        self.register(ASK_TAG, self._on_ask)
+        self.register(ANSWER_TAG, self._on_answer)
+
+    def _send(self, mask: int, payload: tuple) -> None:
+        for dst in self.host.runtime.config.pids:
+            if mask >> dst & 1:
+                self.host.send(dst, payload, "echo")
+
+    def ask(self, instance: object) -> None:
+        """Ask every other process for ``instance``'s decision, once."""
+        if instance not in self.held and instance not in self.answers:
+            self.answers[instance] = [0, 0]
+            self._send(~(1 << self.host.pid), (ASK_TAG, instance))
+
+    def hold(self, instance: object, value: int) -> None:
+        """Keep this host's decision and answer whoever waits for it."""
+        if instance not in self.held:
+            self.held[instance] = value
+            self.answers.pop(instance, None)
+            self._send(self.askers.pop(instance, 0), (ANSWER_TAG, instance, value))
+
+    def _on_ask(self, src: int, payload: tuple) -> None:
+        try:
+            _, instance = payload
+            value = self.held.get(instance)
+        except (TypeError, ValueError):
+            return  # malformed, or an unhashable instance id
+        if value is not None:
+            self._send(1 << src, (ANSWER_TAG, instance, value))
+        elif self.host.has_module((ABAProcess.MODULE_KIND, instance)):
+            self.askers[instance] = self.askers.get(instance, 0) | 1 << src
+
+    def _on_answer(self, src: int, payload: tuple) -> None:
+        try:
+            _, instance, value = payload
+            masks = self.answers.get(instance)
+        except (TypeError, ValueError):
+            return  # malformed, or an unhashable instance id
+        if masks is None or type(value) is not int or value not in (0, 1):
+            return
+        if (masks[0] | masks[1]) >> src & 1:
+            return  # a pid's first answer is its only one
+        masks[value] |= 1 << src
+        if masks[value].bit_count() >= self.quorum:
+            monitor = self.host.runtime.monitor
+            if monitor is not None:
+                monitor.on_round(instance, self.host.pid, 0)
+                monitor.on_decision(instance, self.host.pid, value, 0)
+            self.hold(instance, value)
+            if self.on_adopt is not None:
+                self.on_adopt(instance, self.host.pid, value, 0)
+            self.notify()

@@ -20,12 +20,13 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
+from itertools import groupby
 from typing import ClassVar
 
 from repro.adversary.controller import Adversary, no_adversary
 from repro.broadcast.manager import BroadcastManager
 from repro.config import SystemConfig
-from repro.core.agreement import ABAProcess
+from repro.core.agreement import ABAProcess, DecisionEcho
 from repro.core.coin import (
     SHARED_TAG,
     CoinSource,
@@ -85,19 +86,15 @@ def build_stack(
 ) -> Stack:
     """Assemble runtime, broadcast and (optionally) VSS for every process.
 
-    The transport aggregates, with no option beside it: all sends of one
-    dispatch step sharing a (src, dst) pair travel as one envelope event
-    (see :mod:`repro.sim.runtime`), and the common coin's n² per-slot
-    MW-SVSS sessions send one ``("svec", ...)`` logical message per
-    (step, dealer-group) instead of n per-session messages (see
-    :mod:`repro.core.vectormux`), each consumed through one group-level DMM
-    verdict and one structure-of-arrays lane transition
-    (``VSSManager.ingest_vector``).  Per-message scheduling is the
-    adversary's to ask for: wrap ``scheduler`` in
-    :class:`~repro.adversary.schedulers.EnvelopeSplittingScheduler` and the
-    step window never buffers, in
-    :class:`~repro.adversary.schedulers.SlotSplittingScheduler` and nothing
-    packs a vector; both together are the paper's literal per-message wire.
+    The transport aggregates, with no option beside it: a step's sends
+    sharing a (src, dst) pair travel as one envelope (:mod:`repro.sim.runtime`)
+    and the coin's per-slot MW-SVSS sessions as one ``("svec", ...)``
+    message per (step, dealer-group) (:mod:`repro.core.vectormux`).
+    Per-message scheduling is the adversary's to ask for:
+    :class:`~repro.adversary.schedulers.EnvelopeSplittingScheduler` keeps
+    the step window from buffering,
+    :class:`~repro.adversary.schedulers.SlotSplittingScheduler` any mux
+    from packing; both together are the paper's literal per-message wire.
     """
     runtime = Runtime(config, scheduler=scheduler)
     broadcasts = {}
@@ -121,45 +118,35 @@ def build_stack(
 def build_node_modules(host) -> tuple[BroadcastManager, VSSManager]:
     """Per-host protocol substrate: ``(BroadcastManager, VSSManager)``.
 
-    The transport-parametrized half of :func:`build_stack`: given any
-    host satisfying :class:`~repro.sim.module.HostABC` — a simulated
-    :class:`~repro.sim.process.ProcessHost` or a socket-backed
-    :class:`~repro.net.transport.NetworkHost` — build the broadcast/VSS
-    layers that every agreement and coin module sits on.  ``build_stack``
-    remains the one-call simulated assembly; network deployments call
-    this once per node because each OS process owns exactly one host.
-    A node always gets both: an idle VSS manager sends nothing.
+    The transport-parametrized half of :func:`build_stack`, for any
+    :class:`~repro.sim.module.HostABC` host; a socket node calls it once
+    (one OS process, one host).  A node always gets both: an idle VSS
+    manager sends nothing.
     """
     broadcast = BroadcastManager(host)
     return broadcast, VSSManager(host, broadcast)
 
 
 def make_node_coin(
-    host,
-    coin: CoinSpec,
-    broadcast: BroadcastManager | None = None,
-    vss: VSSManager | None = None,
-    instance: object = DEFAULT_INSTANCE,
+    host, coin: CoinSpec, instance: object = DEFAULT_INSTANCE
 ) -> CoinSource:
     """One process' coin source, transport-agnostic.
 
     The per-host core of :func:`make_coins` for the coin kinds that need
     no cross-process oracle: ``"svss"`` (the paper's shunning common
-    coin, served by one :class:`CommonCoinModule` per host) and
-    ``"local"`` (the private-coin baseline; :func:`make_coins` derives
-    its streams here, so a network run and a simulated run on the same
-    config draw identical local-coin bits).
+    coin: the host's one :class:`CommonCoinModule`, on the broadcast and
+    VSS modules the host carries) and ``"local"`` (the private-coin
+    baseline; :func:`make_coins` derives its streams here, so a network
+    run and a simulated run on the same config draw identical bits).
     """
     config = host.runtime.config
     if coin == "svss":
-        if vss is None or broadcast is None:
-            raise ConfigurationError(
-                "svss coin requires this host's broadcast and vss modules"
-            )
+        if not host.has_module("vss"):
+            raise ConfigurationError("svss coin requires this host's vss module")
         config.require_optimal_resilience()
         if host.has_module("coin"):
             return host.module("coin")
-        return CommonCoinModule(host, vss, broadcast)
+        return CommonCoinModule(host, host.module("vss"), host.module("broadcast"))
     if coin == "local":
         tags = (
             ("local-coin", host.pid)
@@ -187,12 +174,7 @@ def make_coins(stack: Stack, coin: CoinSpec) -> dict[int, CoinSource]:
     kind = coin_kind(coin)
     if kind == "node":
         for pid in config.pids:
-            coins[pid] = make_node_coin(
-                stack.runtime.host(pid),
-                coin,
-                broadcast=stack.broadcasts[pid],
-                vss=stack.vss.get(pid),
-            )
+            coins[pid] = make_node_coin(stack.runtime.host(pid), coin)
     elif kind == "ideal":
         oracle = IdealCoinOracle(config.derive_rng("ideal-coin"), agreement=coin[1])
         for pid in config.pids:
@@ -337,98 +319,143 @@ def normalize_inputs(
     return {pid: inputs[pid - 1] for pid in config.pids}
 
 
+class AgreementDriver:
+    """The one agreement driver: builds, starts and watches instances on
+    ``hosts`` (a simulated stack's, a socket cluster's live nodes', a
+    launch child's own); the simulator waits on :meth:`finished` with
+    ``run_until``, sockets with their context's ``wait_for``.
+
+    ``inputs`` maps instance -> pid -> input; a host the map does not name
+    runs no process (a rejoined launch child adopts through its
+    :class:`~repro.core.agreement.DecisionEcho` instead).  ``make`` builds a
+    process as ``ABAProcess`` does, on ``coins[instance][pid]``.  All start
+    in one coalescing step per runtime, source-major, so each host's
+    round-1 votes leave as one envelope per destination.  ``decisions``
+    keeps each pid's first decision (an echo adoption is one in round 0),
+    and ``on_decision`` sees each with :meth:`decide`'s arguments.
+    """
+
+    def __init__(
+        self,
+        hosts: list,
+        inputs: dict[object, dict[int, int]],
+        coins: dict[object, dict[int, CoinSource]],
+        max_rounds: float = float("inf"),
+        targets: "list[int] | Callable[[], list[int]] | None" = None,
+        on_decision: Callable[[object, int, int, int], None] | None = None,
+        make: Callable[..., object] = ABAProcess,
+    ):
+        self.max_rounds = max_rounds
+        self.on_decision = on_decision
+        targets = [host.pid for host in hosts] if targets is None else targets
+        self._refresh = targets if callable(targets) else None
+        self.targets = targets() if self._refresh else targets
+        self.decisions = {iid: {} for iid in inputs}
+        self.processes = {iid: {} for iid in inputs}
+        self._echoes = {host.pid: DecisionEcho.of(host) for host in hosts}
+        for echo in self._echoes.values():
+            echo.on_adopt = self.decide
+        entered = self._entered
+        for iid, row in inputs.items():
+            for host in hosts:
+                if host.pid in row:
+                    process = self.processes[iid][host.pid] = make(
+                        host, host.module("broadcast"), coins[iid][host.pid],
+                        iid, partial(self.decide, iid, host.pid),
+                    )
+                    process.on_round = entered
+        if hosts[0].runtime.monitor is not None:
+            for iid, row in inputs.items():
+                hosts[0].runtime.monitor.expect_inputs(iid, row)
+        self._recount()
+        for runtime, group in groupby(hosts, lambda host: host.runtime):
+            with runtime.coalescing_step():
+                for host in group:
+                    for iid, row in inputs.items():
+                        if host.pid in row:
+                            self.processes[iid][host.pid].start(row[host.pid])
+
+    def decide(self, iid: object, pid: int, value: int, rnd: int | None = None) -> None:
+        """Record ``pid``'s decision of ``iid`` in round ``rnd`` (its
+        process' decision round by default); its first one stands."""
+        decided = self.decisions.get(iid)
+        if decided is None or pid in decided:
+            return
+        decided[pid] = value
+        self._echoes[pid].hold(iid, value)
+        if self.on_decision is not None:
+            rnd = self.processes[iid][pid].decide_round if rnd is None else rnd
+            self.on_decision(iid, pid, value, rnd)
+        if pid in self._members and iid in self._open:
+            self._open[iid] -= 1
+            if not self._open[iid]:
+                del self._open[iid]
+
+    def _entered(self, process, r: int) -> None:
+        if r > self.max_rounds and process.pid in self._members:
+            self._open.pop(process.instance_id, None)
+
+    def _recount(self) -> None:
+        """Instance -> undecided targets, for instances not yet done."""
+        members = self._members = set(self.targets)
+        self._open = {}
+        for iid, decided in self.decisions.items():
+            count = len(members - decided.keys())
+            rounds = (p.round for pid, p in self.processes[iid].items() if pid in members)
+            if count and max(rounds, default=0) <= self.max_rounds:
+                self._open[iid] = count
+
+    def finished(self) -> bool:
+        """Every instance has every target decided, or a target past
+        ``max_rounds``: counted per decision and round entry, recounted only
+        when ``targets`` changes (a callable is re-read at every evaluation:
+        an adaptive adversary shrinks the nonfaulty set mid-run)."""
+        if self._refresh is not None:
+            targets = self._refresh()
+            if targets != self.targets:
+                self.targets = targets
+                self._recount()
+        return not self._open
+
+
 def _drive_agreements(
     stack: Stack,
     inputs: dict[object, list[int] | dict[int, int]],
-    make_process: Callable[[Stack, object, int, Callable[[int], None]], object],
+    coins: dict[object, dict[int, CoinSource]],
     max_rounds: int,
     max_events: int,
     monitor: InvariantMonitor | None = None,
+    make: Callable[..., object] = ABAProcess,
 ) -> dict[object, AgreementResult]:
-    """Run one agreement per entry of ``inputs`` (instance id -> inputs) to
-    completion on ``stack``; the only driver loop of the agreement runners.
-
-    ``make_process(stack, instance_id, pid, on_decide)`` builds one
-    process' module for one instance — anything with ``start(value)``,
-    ``round`` and ``rounds_used`` that announces round entry and decisions
-    via ``notify()``.  The per-instance results share the stack's trace
-    and clock and carry zero run counters: one event loop served them all,
-    so the caller snapshots :func:`run_counters` once.
-    """
+    """Run one agreement per entry of ``inputs`` (instance id -> inputs) on
+    ``stack`` through an :class:`AgreementDriver` until every nonfaulty
+    process decided.  The results share the stack's trace and clock and
+    carry zero run counters: the caller snapshots :func:`run_counters`."""
     config = stack.config
     runtime = stack.runtime
     input_maps = {iid: normalize_inputs(row, config) for iid, row in inputs.items()}
-    decisions: dict[object, dict[int, int]] = {iid: {} for iid in input_maps}
-    # on_decide(v) is decided.setdefault(pid, v): the first decision stands.
-    agreements = {
-        iid: {
-            pid: make_process(stack, iid, pid, partial(decided.setdefault, pid))
-            for pid in config.pids
-        }
-        for iid, decided in decisions.items()
-    }
     if monitor is not None:
         monitor.install(runtime)
-        for iid, input_map in input_maps.items():
-            monitor.expect_inputs(iid, input_map)
-    adaptive = bool(getattr(stack.adversary, "adaptive", False))
-    nonfaulty = stack.nonfaulty()
-    # Start source-major (all of one host's instances before the next
-    # host's) inside one coalescing step: each host's round-1 votes and
-    # coin-join traffic leave as one envelope per destination, which for a
-    # batch is what seeds the self-sustaining vote coalescing.  Every
-    # instance's per-party sub-sequence is unaffected by the start order,
-    # so the batch-matches-solo guarantee is order-independent here.
-    with runtime.coalescing_step():
-        for pid in config.pids:
-            for iid, input_map in input_maps.items():
-                agreements[iid][pid].start(input_map[pid])
-
-    def instance_done(iid: object, targets: list[int]) -> bool:
-        if all(pid in decisions[iid] for pid in targets):
-            return True
-        return any(agreements[iid][pid].round > max_rounds for pid in targets)
-
-    def finished() -> bool:
-        targets = stack.nonfaulty() if adaptive else nonfaulty
-        return all(instance_done(iid, targets) for iid in agreements)
-
-    # Adaptive adversaries announce their corruptions like modules announce
-    # rounds and decisions, so a shrunken nonfaulty set is re-checked promptly.
-    _wait(stack, finished, max_events)
+    adaptive = getattr(stack.adversary, "adaptive", False)
+    driver = AgreementDriver(
+        [runtime.host(pid) for pid in config.pids], input_maps, coins, max_rounds,
+        targets=stack.nonfaulty if adaptive else stack.nonfaulty(), make=make,
+    )
+    _wait(stack, driver.finished, max_events)
     nonfaulty = stack.nonfaulty()  # what an adaptive adversary left of it
     return {
         iid: AgreementResult(
             config=config,
-            decisions=decisions[iid],
-            rounds={pid: processes[pid].rounds_used for pid in nonfaulty},
+            decisions=decided,
+            rounds={pid: driver.processes[iid][pid].rounds_used for pid in nonfaulty},
             nonfaulty=nonfaulty,
             sim_time=runtime.now,
             trace=stack.trace,
-            terminated=all(pid in decisions[iid] for pid in nonfaulty),
+            terminated=all(pid in decided for pid in nonfaulty),
             adversary_description=stack.adversary.describe(),
         )
-        for iid, processes in agreements.items()
+        for iid, decided in driver.decisions.items()
     }
-
-
-def _aba_process(
-    coins: dict[object, dict[int, CoinSource]],
-    stack: Stack,
-    iid: object,
-    pid: int,
-    on_decide,
-) -> ABAProcess:
-    """The paper's agreement as a ``make_process`` once ``coins``
-    (instance id -> pid -> coin source) is bound: one process of one
-    instance, on the coin the caller built for it."""
-    return ABAProcess(
-        stack.runtime.host(pid),
-        stack.broadcasts[pid],
-        coins[iid][pid],
-        instance_id=iid,
-        on_decide=on_decide,
-    )
 
 
 def run_byzantine_agreement(
@@ -450,23 +477,17 @@ def run_byzantine_agreement(
 
     ``monitor`` installs a :class:`~repro.sim.monitor.InvariantMonitor` on
     the runtime before the run starts; invariant violations propagate out
-    of this call as :class:`~repro.sim.monitor.InvariantViolation`.
-
-    Adversaries with ``adaptive = True`` (see
-    :class:`repro.adversary.adaptive.AdaptiveAdversary`) corrupt processes
-    mid-run, so the nonfaulty set the completion predicate waits on — and
-    the one the result reports — is recomputed per evaluation rather than
-    captured at start.
+    of this call as :class:`~repro.sim.monitor.InvariantViolation`.  An
+    adaptive adversary (:class:`repro.adversary.adaptive.AdaptiveAdversary`)
+    shrinks the nonfaulty set mid-run: the run waits on, and the result
+    reports, what it left (:class:`AgreementDriver`).
     """
     stack = build_stack(
-        config,
-        scheduler=scheduler,
-        adversary=adversary,
-        with_vss=coin == "svss",
+        config, scheduler=scheduler, adversary=adversary, with_vss=coin == "svss"
     )
-    coins = {DEFAULT_INSTANCE: make_coins(stack, coin)}
     results = _drive_agreements(
-        stack, {DEFAULT_INSTANCE: inputs}, partial(_aba_process, coins),
+        stack, {DEFAULT_INSTANCE: inputs},
+        {DEFAULT_INSTANCE: make_coins(stack, coin)},
         max_rounds, max_events, monitor,
     )
     return replace(results[DEFAULT_INSTANCE], **run_counters(stack.runtime))
@@ -552,26 +573,18 @@ def run_byzantine_agreement_batch(
     the shared coin sessions carry the same ids a solo run uses — so
     instance ``k`` decides exactly what
     ``run_byzantine_agreement(inputs_matrix[k], config, ...)`` decides
-    (the multi-instance A/B test asserts this per seed).
-
-    All ``K`` instances advance in lock-step under a fixed-delay scheduler,
-    so their votes for one (round, phase) ride one ``("abav", ...)`` vote
-    vector per origin (:class:`~repro.core.agreement.VoteVectorMux`), and
-    what still shares a (src, dst) pair in a step rides one envelope —
-    instead of ``K`` separate broadcasts and events.  Per-instance decisions
-    are unchanged (packing preserves per-party delivered logical-message
-    sequences); only the event bill shrinks, which is what makes the
-    free-coin batch series ~K×-shaped (see ``benchmarks/bench_batch.py``).
+    (the multi-instance A/B test asserts this per seed).  The instances
+    advance in lock-step, so their votes for one (round, phase) ride one
+    ``("abav", ...)`` vector per origin
+    (:class:`~repro.core.agreement.VoteVectorMux`): only the event bill
+    shrinks (``benchmarks/bench_batch.py``).
     """
     rows = list(inputs_matrix)
     if not rows:
         raise ConfigurationError("inputs_matrix must contain at least one row")
     instance_ids = tuple((DEFAULT_INSTANCE, k) for k in range(len(rows)))
     stack = build_stack(
-        config,
-        scheduler=scheduler,
-        adversary=adversary,
-        with_vss=coin == "svss",
+        config, scheduler=scheduler, adversary=adversary, with_vss=coin == "svss"
     )
     # One underlying coin per process, sessions keyed like a solo run; one
     # gate per process shared by its K instance frontends, which consult
@@ -580,9 +593,8 @@ def run_byzantine_agreement_batch(
     gates = {
         pid: SharedCoinGate(base[pid], len(instance_ids)) for pid in config.pids
     }
-    coins = dict.fromkeys(instance_ids, gates)
     results = _drive_agreements(
-        stack, dict(zip(instance_ids, rows)), partial(_aba_process, coins),
+        stack, dict(zip(instance_ids, rows)), dict.fromkeys(instance_ids, gates),
         max_rounds, max_events, monitor,
     )
     return BatchAgreementResult(

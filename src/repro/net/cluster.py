@@ -2,22 +2,17 @@
 
 The test/benchmark harness of :mod:`repro.net`.  A :class:`NetCluster`
 builds one :class:`~repro.net.transport.NetworkNode` per process, wires
-them to each other over 127.0.0.1 sockets — optionally through a
-:class:`~repro.net.chaos.ChaosProxy` per destination — assembles the
-standard protocol substrate on every host, and drives agreement runs and
-coin flips to completion.  Because all n processes share the Python
-process, the PR 6 :class:`~repro.sim.monitor.InvariantMonitor` plugs in
-unchanged: the cluster registers every node in one
-:class:`~repro.net.transport.NetContext` (defined beside ``NetworkNode``,
-since every node has one), which satisfies the runtime surface the
-monitor consumes (``config``/``host(pid)``/``now``/``monitor``); every
-host's runtime resolves ``monitor`` through it, and the protocol
-modules' existing hook calls (`on_decision`, `on_round`, `on_shun`,
-`on_coin_output`) fire exactly as they do in simulation.  The context's
-one change event also carries the cluster's waits: any node's
-notification re-evaluates a cluster-wide predicate.
+them over 127.0.0.1 sockets (optionally through one
+:class:`~repro.net.chaos.ChaosProxy` per destination), assembles the
+protocol substrate on every host, and drives agreements (through the
+simulator's own :class:`~repro.core.api.AgreementDriver`) and coin flips
+to completion.  All n processes share the Python process, so the
+:class:`~repro.sim.monitor.InvariantMonitor` plugs in unchanged: every node
+sits in one :class:`~repro.net.transport.NetContext`, which offers the
+monitor's runtime surface (``config``/``host(pid)``/``now``/``monitor``)
+and whose one change event carries the cluster's waits.
 
-For runs whose processes genuinely do not share an address space, use
+For processes that do not share an address space, use
 :mod:`repro.net.launch`: its parent feeds the children's reports to the
 same monitor, so one judge checks every run.
 """
@@ -28,9 +23,9 @@ import tempfile
 from pathlib import Path
 
 from repro.config import SystemConfig
-from repro.core.agreement import ABAProcess
 from repro.core.api import (
     DEFAULT_INSTANCE,
+    AgreementDriver,
     build_node_modules,
     make_node_coin,
     normalize_inputs,
@@ -94,9 +89,6 @@ class NetCluster:
         self.context = NetContext(config)
         self.nodes: dict[int, NetworkNode] = {}
         self.proxies: dict[int, ChaosProxy] = {}
-        self.broadcasts: dict[int, object] = {}
-        self.vss: dict[int, object] = {}
-        self.coins: dict[int, object] = {}
         self._started = False
         if monitor is not None:
             monitor.install(self.context)
@@ -133,8 +125,8 @@ class NetCluster:
         for node in self.nodes.values():
             node.set_peers(reachable)
             node.start_peers()
-        for pid, node in self.nodes.items():
-            self.broadcasts[pid], self.vss[pid] = build_node_modules(node.host)
+        for node in self.nodes.values():
+            build_node_modules(node.host)
         self._started = True
 
     def _journal_path(self, pid: int) -> Path:
@@ -160,13 +152,10 @@ class NetCluster:
         await self.nodes[pid].restart_transport()
 
     async def restart_node(self, pid: int) -> None:
-        """Full node replacement from its journal: the in-process
-        analogue of ``kill -9`` + relaunch.  The old :class:`NetworkNode`
-        — host, modules, queues, everything — is discarded; a brand-new
-        one opens the same journal, resumes its link seqs under a fresh
-        epoch, and rebinds the same port so peers reconnect unmodified.
-        Protocol modules are rebuilt from scratch (the journal, not
-        Python object state, is what survives)."""
+        """Full node replacement from its journal, the in-process ``kill
+        -9`` + relaunch: the old :class:`NetworkNode` and its modules are
+        discarded; a new one opens the same journal (what survives), resumes
+        its link seqs under a fresh epoch and rebinds the same port."""
         old = self.nodes[pid]
         addresses = dict(old._addresses)
         port = old.port
@@ -179,9 +168,7 @@ class NetCluster:
         await node.start_server(port)
         node.set_peers(addresses)
         node.start_peers()
-        self.broadcasts[pid], self.vss[pid] = build_node_modules(node.host)
-        # A cached svss coin belongs to the dead incarnation's modules.
-        self.coins.pop(pid, None)
+        build_node_modules(node.host)
 
     # -- waits -------------------------------------------------------------
     async def wait_for(self, predicate, timeout: float = 60.0) -> None:
@@ -191,19 +178,7 @@ class NetCluster:
 
     # -- protocol drivers --------------------------------------------------
     def _coin_for(self, pid: int, coin: object, instance: object):
-        node = self.nodes[pid]
-        if coin == "svss" and pid in self.coins:
-            return self.coins[pid]
-        source = make_node_coin(
-            node.host,
-            coin,
-            broadcast=self.broadcasts[pid],
-            vss=self.vss[pid],
-            instance=instance,
-        )
-        if coin == "svss":
-            self.coins[pid] = source
-        return source
+        return make_node_coin(self.nodes[pid].host, coin, instance)
 
     async def run_agreement(
         self,
@@ -221,35 +196,17 @@ class NetCluster:
         """
         if not self._started:
             raise SimulationError("cluster not started")
-        config = self.config
-        inputs = normalize_inputs(inputs, config)
-        faulty = faulty or set()
-        live = [pid for pid in config.pids if pid not in faulty]
-        if self.monitor is not None:
-            self.monitor.expect_inputs(instance, inputs)
-        decisions: dict[int, int] = {}
-        processes = {}
-        for pid in live:
-            node = self.nodes[pid]
-            processes[pid] = ABAProcess(
-                node.host,
-                self.broadcasts[pid],
-                self._coin_for(pid, coin, instance),
-                instance_id=instance,
-                on_decide=lambda v, pid=pid: decisions.setdefault(pid, v),
-            )
-        for pid in live:
-            # Driver-side sends are one step per node, like the
-            # simulator's driver loops: round-1 votes leave as one frame
-            # per destination.
-            with self.nodes[pid].runtime.coalescing_step():
-                processes[pid].start(inputs[pid])
-        await self.wait_for(
-            lambda: all(pid in decisions for pid in live), timeout=timeout
+        inputs = normalize_inputs(inputs, self.config)
+        live = [pid for pid in self.config.pids if pid not in (faulty or ())]
+        driver = AgreementDriver(
+            [self.nodes[pid].host for pid in live],
+            {instance: inputs},
+            {instance: {pid: self._coin_for(pid, coin, instance) for pid in live}},
         )
-        for pid in live:
-            processes[pid].close()
-        return decisions
+        await self.wait_for(driver.finished, timeout=timeout)
+        for process in driver.processes[instance].values():
+            process.close()
+        return driver.decisions[instance]
 
     async def flip_coin(
         self,

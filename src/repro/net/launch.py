@@ -4,33 +4,25 @@ The end-to-end deployment shape of ROADMAP item 1: every protocol
 process is its own ``python -m repro.net.launch --child`` subprocess
 owning one :class:`~repro.net.transport.NetworkNode`; the parent
 allocates ports, optionally hosts one
-:class:`~repro.net.chaos.ChaosProxy` per destination (chaos injection
-stays seeded in a single place even though the protocol runs in n
-address spaces), collects each child's JSON report and judges the run
-with the one judge every run has,
-:class:`~repro.sim.monitor.InvariantMonitor` (:func:`judge` feeds it the
-reports).
+:class:`~repro.net.chaos.ChaosProxy` per destination (chaos stays seeded
+in one place), collects each child's JSON report and has :func:`judge`
+feed it to the one judge every run has,
+:class:`~repro.sim.monitor.InvariantMonitor`.  A child runs its agreement
+through the simulator's own driver
+(:class:`~repro.core.api.AgreementDriver`) and adds only its journal and
+its report; it keeps serving slower peers' retransmissions and echo asks
+after reporting, until the parent says ``exit``.
 
-Children keep serving after reporting until the parent says ``exit`` —
-a decided process must stay online so slower peers can still drain
-retransmissions from it (the async model has no silent leavers).
-
-Durability: every child keeps a :class:`~repro.net.journal.Journal` in
-``journal_dir`` (``--journal-dir``; a temporary directory, removed after
-the run, when none is given).  ``restart`` scripts full ``kill -9`` →
-relaunch cycles: the replacement process replays its journal, rejoins
-under a fresh epoch with HMAC-authenticated handshakes (every child
-derives the cluster secret from ``--seed``),
-re-announces a journaled decision — or adopts the cluster's decision via
-``t + 1`` matching ``dcd`` announcements (Bracha-style termination: a
-decided process periodically tells everyone, so a rejoiner never needs
-the un-replayable retransmit backlog) — and its report is judged for
-agreement *with its own prior self* as well as with its peers.
-
-Children heartbeat one ``HB`` line per second; a child silent past
-``hung_after`` is killed and recorded as a ``hung`` violation instead of
-riding the CI wall-clock cap.  So is one still silent at the run's
-overall deadline: whatever way the run ends, every child is reaped.
+Durability: every child journals to ``journal_dir``
+(:class:`~repro.net.journal.Journal`).  ``restart`` scripts ``kill -9`` →
+relaunch cycles: the replacement replays its journal, rejoins under a
+fresh epoch with HMAC-authenticated handshakes (the secret derives from
+``--seed``), holds a journaled decision for its peers — or, undecided,
+asks once through the :class:`~repro.core.agreement.DecisionEcho` and
+adopts the value ``t + 1`` distinct peers answer (a decided peer answers
+at once, an undecided one when it decides: no timer, and no need for the
+un-replayable retransmit backlog) — and is judged for agreement with its
+own prior self as well as with its peers (deadlines: :func:`run_processes`).
 
 CLI::
 
@@ -52,8 +44,13 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from repro.config import SystemConfig
-from repro.core.agreement import ABAProcess
-from repro.core.api import DEFAULT_INSTANCE, build_node_modules, make_node_coin
+from repro.core.agreement import DecisionEcho
+from repro.core.api import (
+    DEFAULT_INSTANCE,
+    AgreementDriver,
+    build_node_modules,
+    make_node_coin,
+)
 from repro.net.chaos import ChaosProxy
 from repro.net.cluster import resolve_profile
 from repro.net.transport import NetworkNode, cancel_tasks
@@ -65,19 +62,11 @@ REPORT_PREFIX = "REPORT "
 #: Seconds between child heartbeat lines (parent liveness signal).
 HEARTBEAT_EVERY = 1.0
 
-#: Seconds between a decided child's ``dcd`` announcements.
-ANNOUNCE_EVERY = 0.5
-
 
 def _free_ports(count: int, host: str = "127.0.0.1") -> list[int]:
-    """Reserve ``count`` distinct free TCP ports.
-
-    All sockets are held open until every port is picked, then released
-    together — the small bind race before the children re-bind is
-    handled by ``NetworkNode.start_server``'s rebind retry.  A collision
-    *during* reservation (another process grabbed an ephemeral port
-    mid-scan) retries the whole batch — the flaky-CI source this used to
-    be.
+    """Reserve ``count`` distinct free TCP ports, held open together until
+    all are picked (``NetworkNode.start_server``'s rebind retry rides the
+    race before the children bind); a collision mid-scan retries the batch.
     """
     for attempt in range(3):
         sockets = []
@@ -121,99 +110,37 @@ async def _child_main(args: argparse.Namespace) -> int:
     # our own killed predecessor's socket) can hold it briefly, which the
     # node's rebind retry rides out.
     await node.start_server(args.port)
-    peers = {}
-    for entry in args.peers.split(","):
-        pid_str, port_str = entry.split(":")
-        peers[int(pid_str)] = (args.host, int(port_str))
-    node.set_peers(peers)
+    entries = (entry.split(":") for entry in args.peers.split(","))
+    node.set_peers({int(pid): (args.host, int(port)) for pid, port in entries})
     node.start_peers()
-    broadcast, vss = build_node_modules(node.host)
-    coin = make_node_coin(node.host, "svss", broadcast=broadcast, vss=vss)
+    _, vss = build_node_modules(node.host)
+    coin = make_node_coin(node.host, "svss")
 
     heartbeats = asyncio.get_running_loop().create_task(_heartbeat_loop())
 
-    report: dict = {
-        "pid": args.pid,
-        "decisions": {},
-        "coins": {},
-        "rejoined": rejoined,
-        "prior_decisions": {},
-        "shuns": [],
-    }
-    #: instance -> (value, round); round 0 means adopted from dcd, not run.
-    decided: dict[object, tuple[object, int]] = {}
-    for instance, (value, rnd) in journal.state.decisions.items():
-        report["prior_decisions"][str(instance)] = [value, rnd]
-
-    # -- dcd: decision announcements (Bracha-style termination) ------------
-    # Every decided process periodically tells everyone; a process holding
-    # t + 1 matching announcements from distinct pids adopts that value
-    # (at least one is honest).  This is what lets a relaunched process
-    # finish: the retransmit backlog it missed is gone (counted ring
-    # drops), but the decision gadget needs only live traffic.
-    dcd_votes: dict[object, dict[int, object]] = {}
-
-    def on_dcd(src: int, payload: tuple) -> None:
-        if len(payload) != 3:
-            return
-        _, instance, value = payload
-        votes = dcd_votes.setdefault(instance, {})
-        votes[src] = value
-        if instance in decided:
-            return
-        tally: dict[object, int] = {}
-        for v in votes.values():
-            tally[v] = tally.get(v, 0) + 1
-        for v, count in tally.items():
-            if count >= config.t + 1:
-                decided[instance] = (v, 0)
-                journal.record_decision(instance, v, 0)
-                node.notify()
-                return
-
-    node.host.register_handler("dcd", on_dcd)
-
-    async def announce_dcd() -> None:
-        while True:
-            for instance, (value, _) in list(decided.items()):
-                node.runtime.transmit_all(
-                    args.pid, ("dcd", instance, value), layer="app"
-                )
-            await asyncio.sleep(ANNOUNCE_EVERY)
-
-    announcer = asyncio.get_running_loop().create_task(announce_dcd())
-
-    process = None
-    if args.input is not None:
-        if DEFAULT_INSTANCE in journal.state.decisions:
-            # Already decided in a prior life: re-announce, never re-run —
-            # re-deciding could contradict what peers already acted on.
-            decided[DEFAULT_INSTANCE] = journal.state.decisions[DEFAULT_INSTANCE]
-        elif rejoined:
-            # Crashed mid-agreement: the ABA messages this incarnation
-            # missed were shed by peers' DOWN rings and cannot be
-            # replayed, so a fresh ABAProcess could stall (or worse,
-            # diverge).  Rely on the dcd gadget: some honest quorum is
-            # still live (kills are bounded by t) and will decide.
-            pass
-        else:
+    # A journaled decision is held for the peers, never re-run (re-deciding
+    # could contradict what they acted on).  A process that crashed
+    # mid-agreement runs no fresh ABAProcess either (the votes it missed
+    # were shed by peers' DOWN rings): it asks the echo, once.
+    prior = dict(journal.state.decisions)
+    inputs: dict = {}
+    if args.input is not None and DEFAULT_INSTANCE not in prior:
+        inputs[DEFAULT_INSTANCE] = {} if rejoined else {args.pid: args.input}
+        if not rejoined:
             journal.record_input(DEFAULT_INSTANCE, args.input)
-
-            def on_decide(v: object) -> None:
-                if DEFAULT_INSTANCE in decided:
-                    return
-                decided[DEFAULT_INSTANCE] = (v, process.rounds_used)
-                journal.record_decision(DEFAULT_INSTANCE, v, process.rounds_used)
-
-            process = ABAProcess(
-                node.host,
-                broadcast,
-                coin,
-                instance_id=DEFAULT_INSTANCE,
-                on_decide=on_decide,
-            )
-            with node.runtime.coalescing_step():
-                process.start(args.input)
+    driver = AgreementDriver(
+        [node.host],
+        inputs,
+        {DEFAULT_INSTANCE: {args.pid: coin}},
+        on_decision=lambda iid, pid, value, rnd: journal.record_decision(
+            iid, value, rnd
+        ),
+    )
+    echo = DecisionEcho.of(node.host)
+    for instance, (value, _) in prior.items():
+        echo.hold(instance, value)
+    if rejoined and inputs:
+        echo.ask(DEFAULT_INSTANCE)
     coin_outputs: dict[int, int] = {}
 
     def on_coin(k: int, v: object) -> None:
@@ -232,17 +159,17 @@ async def _child_main(args: argparse.Namespace) -> int:
             coin.get(csid, lambda v, k=k: on_coin(k, v))
             coin.release(csid)
 
-    def done() -> bool:
-        if args.input is not None and DEFAULT_INSTANCE not in decided:
-            return False
-        return len(coin_outputs) == args.coins
-
+    report: dict = {"pid": args.pid, "rejoined": rejoined}
     try:
-        await node.wait_for(done, timeout=args.timeout)
+        await node.wait_for(
+            lambda: driver.finished() and len(coin_outputs) == args.coins,
+            timeout=args.timeout,
+        )
     except TimeoutError:
         report["timeout"] = True
-    if DEFAULT_INSTANCE in decided:
-        report["decisions"][DEFAULT_INSTANCE] = list(decided[DEFAULT_INSTANCE])
+    decision = journal.state.decisions.get(DEFAULT_INSTANCE)
+    report["decisions"] = {} if decision is None else {DEFAULT_INSTANCE: list(decision)}
+    report["prior_decisions"] = {str(i): list(d) for i, d in prior.items()}
     report["coins"] = {str(k): v for k, v in coin_outputs.items()}
     journal.record_shun_set(vss.dmm.shunned_or_suspected())
     # What this process's DMM detected (not who it merely still waits on):
@@ -253,9 +180,9 @@ async def _child_main(args: argparse.Namespace) -> int:
     report["stats"] = node.stats()
     print(REPORT_PREFIX + json.dumps(report), flush=True)
 
-    # Stay online (serving retransmits to slower peers, announcing dcd to
-    # rejoiners) until the parent releases us — or until stdin hits EOF
-    # because the parent died.  A pipe reader (not an executor thread
+    # Stay online (serving retransmits to slower peers, answering the echo
+    # asks of rejoiners) until the parent releases us — or until stdin hits
+    # EOF because the parent died.  A pipe reader (not an executor thread
     # blocked in readline) keeps the loop shutdown joinable.
     loop = asyncio.get_running_loop()
     stdin_reader = asyncio.StreamReader()
@@ -266,7 +193,7 @@ async def _child_main(args: argparse.Namespace) -> int:
         await asyncio.wait_for(stdin_reader.readline(), timeout=args.timeout)
     except asyncio.TimeoutError:
         pass
-    await cancel_tasks([heartbeats, announcer])
+    await cancel_tasks([heartbeats])
     await node.close()
     return 1 if report.get("timeout") else 0
 
@@ -293,15 +220,14 @@ def judge(config: SystemConfig, inputs: "list[int] | None", outcomes: dict) -> d
     """Judge a launch run with the simulator's invariant monitor.
 
     ``outcomes`` maps each surviving pid to its report, ``"hung"`` (killed
-    without reporting) or None (exited without reporting).  Reports are
-    fed in pid order through the monitor's hooks: journaled
-    ``prior_decisions`` then ``decisions`` (a relaunch contradicting its
-    journal is a ``self-contradiction``), coin outputs, and shuns (every
-    child is honest, so any shun breaks a rule).  Each violation becomes
-    one ``{"kind", "message", "detail"}`` entry and feeding goes on.  Only
-    what no single process can see is judged here: ``hung``, ``liveness``
-    (a reporter that did not decide though inputs were given) and
-    ``no-report``.
+    without reporting) or None (exited without reporting).  Reports feed
+    the monitor's hooks in pid order: journaled ``prior_decisions`` then
+    ``decisions`` (a relaunch contradicting its journal is a
+    ``self-contradiction``; an echo adoption is a round-0 decision), coin
+    outputs, and shuns (every child is honest, so any shun breaks a rule).
+    Each violation becomes one ``{"kind", "message", "detail"}`` entry and
+    feeding goes on.  Judged here only: ``hung``, ``liveness`` (a reporter
+    undecided though inputs were given) and ``no-report``.
 
     Returns ``monitor.verdict()`` plus ``violations`` and ``reports``.
     """

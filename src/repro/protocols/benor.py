@@ -69,6 +69,8 @@ class BenOrProcess(ProtocolModule):
     ):
         super().__init__()
         self.on_decide = on_decide
+        #: ``on_round(self, r)`` on entering round ``r``: the driver's hook.
+        self.on_round: Callable[[BenOrProcess, int], None] | None = None
         self.est: int | None = None
         self.round = 0
         self.rounds: dict[int, _Round] = {}
@@ -110,6 +112,8 @@ class BenOrProcess(ProtocolModule):
 
     def _enter_round(self, r: int) -> None:
         self.round = r
+        if self.on_round is not None:
+            self.on_round(self, r)
         self.notify()
         self._send(r, 1, self.est)
         self.waiting_phase = 1
@@ -219,10 +223,11 @@ def run_benor(
     results = _drive_agreements(
         stack,
         {TAG: inputs},
-        lambda stack, iid, pid, on_decide: BenOrProcess(
-            stack.runtime.host(pid), instance_id=iid, on_decide=on_decide
-        ),
+        {TAG: dict.fromkeys(config.pids)},
         max_rounds,
         max_events,
+        make=lambda host, broadcast, coin, iid, on_decide: BenOrProcess(
+            host, instance_id=iid, on_decide=on_decide
+        ),
     )
     return replace(results[TAG], **run_counters(stack.runtime))
