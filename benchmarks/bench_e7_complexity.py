@@ -1,107 +1,89 @@
 """E7 / Figure 3 — polynomial efficiency (paper abstract, §1).
 
-Measures messages per protocol layer against n and fits log-log slopes.
-The claim under test: every layer's cost is polynomial in n, with small
-exponents:
+Holds every layer's logical-message count to its exact bill, derived from
+the protocol steps in ``tests/reference/bills.py`` (``R = 2n² + n`` per
+reliable broadcast, ``t = (n - 1) // 3``):
 
-* RB: exactly 2n^2 + n messages (slope 2);
-* MW-SVSS share+reconstruct: Theta(n^3) (n broadcasts of RB cost);
-* SVSS: Theta(n^5) (2n^2 MW-SVSS instances);
-* the coin multiplies SVSS by n^2 — measured at n=4 and cross-checked
-  against the SVSS fit rather than swept (a single n=10 coin flip is ~50M
-  simulated messages; the fit-based extrapolation is the point).
+* RB: ``2n² + n``;
+* MW-SVSS share + reconstruct: ``(n² + 3n + 1) + (3n + 2 + rv)·R`` with
+  ``n - t <= rv <= n``;
+* SVSS: ``(2n²(n² + 3n + 1) + n) + (2n²(2n + 2) + 1 + rv)·R`` with
+  ``2(n - t)³ <= rv <= 2n³``;
+* the coin: ``n²·(SVSS private) + (n²(2n²(2n + 2) + 1) + 2n + rv)·R`` with
+  ``2n(n - t)⁴ <= rv <= 2n⁵``.
 
-Every run is scheduled per message (``SCHEDULERS["per-message"]``: the
-default scheduler's seeded delays, envelopes and session vectors both
-vetoed), so the counts are the paper's literal bill — one message per
-session per recipient — not the packed transport's.
+``rv`` (the reconstruct-value broadcasts) is the only term the schedule
+moves; FIFO makes the lower bound.  Every run is scheduled per message
+(``SCHEDULERS["per-message"]``: the default scheduler's seeded delays,
+envelopes and session vectors both vetoed), so the counts are the paper's
+literal bill — one message per session per recipient — not the packed
+transport's.  Each kind of message is counted on its own and must equal
+its bill exactly, ``rv`` inside its bounds.  The coin at n = 10, 13 and 16
+is reported from the formula, between its ``rv`` bounds (one n = 10 coin
+is over 10⁸ logical messages on this wire).
 """
 
 from __future__ import annotations
 
-from repro.analysis.complexity import fit_power_law
+import pathlib
+import sys
+
 from repro.analysis.tables import render_table
 from repro.config import SystemConfig
+from repro.core.api import build_stack
 from repro.sim.experiments import SCHEDULERS
-from repro.core.api import build_stack, flip_common_coin, run_mwsvss, run_svss
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tests"))
+from reference.bills import BILLS, measure, rb  # noqa: E402
 
 RB_NS = (4, 7, 10, 13, 16, 20)
-MW_NS = (4, 7, 10, 13)
-SVSS_NS = (4, 7, 10)
+MEASURED = {"mwsvss": (4, 7, 10, 13), "svss": (4, 7, 10), "coin": (4, 5)}
+COIN_FORMULA_NS = (10, 13, 16)
 
 
-def _rb_points():
-    from repro.broadcast.manager import BroadcastManager  # noqa: F401
-
-    points = []
-    for n in RB_NS:
-        cfg = SystemConfig(n=n, seed=0)
-        stack = build_stack(cfg, scheduler=SCHEDULERS["per-message"](cfg), with_vss=False)
-        stack.broadcasts[1].subscribe("x", lambda o, v: None)
-        stack.broadcasts[1].broadcast((1, "x", 0), ("x", "payload"))
-        stack.runtime.run_to_quiescence()
-        points.append((n, stack.trace.total_messages))
-    return points
+def _rb_messages(n: int) -> int:
+    cfg = SystemConfig(n=n, seed=0)
+    stack = build_stack(cfg, scheduler=SCHEDULERS["per-message"](cfg), with_vss=False)
+    stack.broadcasts[1].subscribe("x", lambda o, v: None)
+    stack.broadcasts[1].broadcast((1, "x", 0), ("x", "payload"))
+    stack.runtime.run_to_quiescence()
+    return stack.trace.total_messages
 
 
-def _mw_points():
-    points = []
-    for n in MW_NS:
-        cfg = SystemConfig(n=n, seed=0)
-        result, _ = run_mwsvss(
-            cfg, dealer=1, moderator=2, secret=7, scheduler=SCHEDULERS["per-message"](cfg)
-        )
-        points.append((n, result.trace.total_messages))
-    return points
-
-
-def _svss_points():
-    points = []
-    for n in SVSS_NS:
-        cfg = SystemConfig(n=n, seed=0)
-        result, _ = run_svss(cfg, dealer=1, secret=7, scheduler=SCHEDULERS["per-message"](cfg))
-        points.append((n, result.trace.total_messages))
-    return points
-
-
-def _coin_point():
-    cfg = SystemConfig(n=4, seed=0)
-    result, _ = flip_common_coin(cfg, scheduler=SCHEDULERS["per-message"](cfg))
-    return (4, result.trace.total_messages)
+def _measured():
+    """(layer, n, rv) of every seeded per-message run; ``measure`` raises
+    unless each kind's count is its bill and ``rv`` is inside its bounds."""
+    runs = []
+    for layer, ns in MEASURED.items():
+        for n in ns:
+            cfg = SystemConfig(n=n, seed=0)
+            runs.append((layer, n, measure(layer, cfg, SCHEDULERS["per-message"](cfg))))
+    return runs
 
 
 def test_e7_complexity(benchmark, emit):
     def experiment():
-        return _rb_points(), _mw_points(), _svss_points(), _coin_point()
+        return [(n, _rb_messages(n)) for n in RB_NS], _measured()
 
-    rb, mw, svss, coin = benchmark.pedantic(experiment, rounds=1, iterations=1)
-    rb_fit = fit_power_law(rb)
-    mw_fit = fit_power_law(mw)
-    svss_fit = fit_power_law(svss)
-    coin_ratio = coin[1] / dict(svss)[4]
-    rows = [
-        ["RB", str(rb), f"n^{rb_fit.exponent:.2f}", "n^2 (2n^2+n exactly)"],
-        ["MW-SVSS", str(mw), f"n^{mw_fit.exponent:.2f}", "n^3"],
-        ["SVSS", str(svss), f"n^{svss_fit.exponent:.2f}", "n^5"],
-        [
-            "SCC coin",
-            f"n=4: {coin[1]} msgs",
-            f"{coin_ratio:.1f}x SVSS(4) ~ n^2 sharings",
-            "n^2 x SVSS = n^7",
-        ],
-    ]
+    rb_runs, runs = benchmark.pedantic(experiment, rounds=1, iterations=1)
+    rows = [["RB", n, f"{msgs:,}", "-", "-"] for n, msgs in rb_runs]
+    for layer, n, rv in runs:
+        bill = BILLS[layer](n, (n - 1) // 3)
+        rows.append([layer, n, f"{bill.total(rv):,}", rv, f"[{bill.rv[0]}, {bill.rv[1]}]"])
+    for n in COIN_FORMULA_NS:
+        bill = BILLS["coin"](n, (n - 1) // 3)
+        low, high = bill.rv
+        rows.append(
+            ["coin (formula)", n, f"{bill.total(low):,} .. {bill.total(high):,}", "-", f"[{low}, {high}]"]
+        )
     emit(
         render_table(
-            "E7 (Figure 3): messages vs n per layer, log-log fits",
-            ["layer", "measurements (n, msgs)", "fitted", "paper-analytic"],
+            "E7 (Figure 3): logical messages per layer, seeded per-message schedule",
+            ["layer", "n", "messages", "rv", "rv bounds"],
             rows,
-            note="all fits are polynomial with small exponents - the "
-            "paper's efficiency claim; exact RB formula checked below",
+            note="every kind of message equals its bill (tests/reference/bills.py); "
+            "rv, the one schedule-dependent term, inside its derived bounds",
         )
     )
-    for n, msgs in rb:
-        assert msgs == 2 * n * n + n
-    assert 1.9 <= rb_fit.exponent <= 2.1
-    assert 2.3 <= mw_fit.exponent <= 3.5
-    assert 4.0 <= svss_fit.exponent <= 5.5
-    assert coin_ratio > 5.0  # the n^2 sharings dominate one SVSS
+    for n, msgs in rb_runs:
+        assert msgs == rb(n)

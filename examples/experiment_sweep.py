@@ -15,7 +15,6 @@ Run:  python examples/experiment_sweep.py [workers]
 
 import sys
 
-from repro.analysis.complexity import fit_power_law
 from repro.sim.experiments import run_matrix, scenario_matrix
 
 
@@ -38,8 +37,8 @@ def main() -> None:
     print()
     low, high = sweep.agreement_ci95()
     print(f"agreement rate : {sweep.agreement_rate:.4f}  CI95 [{low:.3f}, {high:.3f}]")
-    fit = fit_power_law(sweep.complexity_points("total_messages"))
-    print(f"message growth : ~ n^{fit.exponent:.2f} (R^2 {fit.r_squared:.3f})")
+    for (n,), group in sweep.group_by("n").items():
+        print(f"messages, n={n:<2} : {group.summary('total_messages').mean:,.0f} mean per run")
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ scratch on a deterministic asynchronous-network simulator:
   coin-based Byzantine agreement (the paper's contribution);
 * ``repro.adversary`` — byzantine behaviours and corruption control;
 * ``repro.protocols`` — the Ben-Or and Canetti-Rabin baselines;
-* ``repro.analysis`` — statistics and complexity-shape fitting.
+* ``repro.analysis`` — statistics and table rendering.
 
 Quickstart::
 

@@ -62,6 +62,8 @@ scaling experiments: :class:`LocalCoin` (Ben-Or/Bracha style private
 coins), :class:`IdealCoin` (a perfect or probabilistically-agreeing shared
 coin driven by a global oracle), and the :class:`CoinSource` interface that
 :mod:`repro.core.agreement` consumes.
+
+Bill: n² SVSS shares, 2n + rv RBs, 2n(n-t)⁴ <= rv <= 2n⁵ (tests/test_bills.py).
 """
 
 from __future__ import annotations

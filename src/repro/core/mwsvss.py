@@ -32,6 +32,8 @@ confirm value leaves a bit, an ``rv`` batch stays its wire tuple
 (:func:`rv_value`), and R' reads ``f̄_l(0)`` and ``f̄(0)`` off bases looked
 up by pid mask (``VSSManager.basis`` / ``.fit``).  The DMM's expectations
 are masks over the dealer's columns and the monitor's ``f̂_j``.
+
+Bill: n²+3n+1 private, 3n+2+rv RBs, n-t <= rv <= n (tests/test_bills.py).
 """
 
 from __future__ import annotations

@@ -18,6 +18,9 @@ No polynomial object is built: the dealer draws ``f``'s coefficient matrix
 and keeps only the values it sends, a process keeps ``g_j`` / ``h_j`` as
 value rows over ``0..n``, and R works on the matrix of its children's
 outputs (:meth:`SVSSInstance._compute_output`).
+
+Bill: n rows, 2n² MW-SVSS shares, 1 + rv RBs, 2(n-t)³ <= rv <= 2n³
+(tests/test_bills.py).
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ a sweep a one-call workload::
         workers=8,
     )
     print(sweep.table())
-    print(sweep.agreement_rate, sweep.complexity_points())
+    print(sweep.agreement_rate, sweep.summary("total_messages"))
 
 Design constraints, and how they are met:
 
@@ -30,9 +30,8 @@ Design constraints, and how they are met:
   records are returned in matrix order, so a sweep's aggregate is a pure
   function of its scenario list no matter how many workers ran it.
 * **Aggregation** — :class:`SweepResult` feeds
-  :mod:`repro.analysis.stats` summaries, Wilson intervals, and
-  :mod:`repro.analysis.complexity` power-law fits, and renders the same
-  ASCII tables the benchmarks print.
+  :mod:`repro.analysis.stats` summaries and Wilson intervals, and renders
+  the same ASCII tables the benchmarks print.
 * **Monitored sweeps** — ``monitor=True`` arms an invariant monitor on
   every run and records a violation on its :class:`RunRecord`, never
   raising it, so an adversary x scheduler sweep lists every failing run in
@@ -481,16 +480,6 @@ class SweepResult:
             key: SweepResult(records=group, workers=self.workers)
             for key, group in ordered
         }
-
-    def complexity_points(
-        self, metric: str = "total_messages"
-    ) -> list[tuple[float, float]]:
-        """Per-``n`` means of ``metric`` — the input shape
-        :func:`repro.analysis.complexity.fit_power_law` consumes."""
-        return [
-            (float(n), group.summary(metric).mean)
-            for (n,), group in self.group_by("n").items()
-        ]
 
     # -- presentation --------------------------------------------------------
     def table(self, *keys: str, title: str = "Experiment sweep") -> str:

@@ -1,13 +1,11 @@
-"""Tests for the analysis helpers (stats, complexity fits, tables)."""
+"""Tests for the analysis helpers (stats, tables)."""
 
 from __future__ import annotations
 
-import math
 import random
 
 import pytest
 
-from repro.analysis.complexity import fit_exponential, fit_power_law
 from repro.analysis.stats import proportion_ci95, summarize
 from repro.analysis.tables import render_table
 
@@ -52,39 +50,6 @@ class TestProportionCI:
     def test_contains_true_proportion(self):
         low, high = proportion_ci95(50, 100)
         assert low < 0.5 < high
-
-
-class TestPowerFit:
-    def test_recovers_exact_power_law(self):
-        points = [(n, 3.0 * n**2.5) for n in (4, 7, 10, 13)]
-        fit = fit_power_law(points)
-        assert abs(fit.exponent - 2.5) < 1e-9
-        assert abs(fit.coefficient - 3.0) < 1e-6
-        assert fit.r_squared > 0.999
-
-    def test_predict(self):
-        fit = fit_power_law([(n, n**2) for n in (2, 4, 8)])
-        assert abs(fit.predict(16) - 256) < 1e-6
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            fit_power_law([(1, 0.0), (2, 4.0)])
-
-    def test_rejects_single_point(self):
-        with pytest.raises(ValueError):
-            fit_power_law([(2, 4.0)])
-
-
-class TestExponentialFit:
-    def test_recovers_exact_exponential(self):
-        points = [(n, 0.5 * 2.0**n) for n in range(3, 10)]
-        fit = fit_exponential(points)
-        assert abs(fit.base - 2.0) < 1e-9
-        assert abs(fit.coefficient - 0.5) < 1e-9
-
-    def test_predict(self):
-        fit = fit_exponential([(n, 2.0**n) for n in range(1, 6)])
-        assert abs(fit.predict(7) - 128) < 1e-6
 
 
 class TestTables:
