@@ -38,7 +38,7 @@ from random import Random
 from repro.adversary.controller import BEHAVIOR_KINDS, Adversary
 from repro.config import SystemConfig
 from repro.errors import ConfigurationError
-from repro.sim.process import ENVELOPE_TAG
+from repro.sim.process import envelope_subs
 from repro.sim.runtime import Runtime
 
 #: Victim-ranking policies accepted by :class:`AdaptiveAdversary`.
@@ -105,14 +105,11 @@ class AdaptiveAdversary(Adversary):
         """How much this delivery weighs for the sender under the policy."""
         if self.policy != "dealer-heavy":
             return 1
-        if not isinstance(payload, tuple) or not payload:
-            return 0
-        tag = payload[0]
-        if tag == ENVELOPE_TAG:
-            if len(payload) == 2 and isinstance(payload[1], tuple):
-                return sum(self._count_of(sub) for sub in payload[1])
-            return 0
-        return 1 if tag in ("v", "svec") else 0
+        return sum(
+            1
+            for message in envelope_subs(payload) or (payload,)
+            if isinstance(message, tuple) and message and message[0] in ("v", "svec")
+        )
 
     def _observe(self, src: int, dst: int, payload: object) -> None:
         if self.victims or src < 1 or src > self.config.n:

@@ -257,6 +257,17 @@ class ABALiarBehavior(ByzantineBehavior):
         return self.rng.randrange(u)
 
 
+class _EveryFamily:
+    """``svec_split``'s family registry for a sender that splits only the
+    session ids it built itself: every coin session id is a family."""
+
+    def __contains__(self, csid: object) -> bool:
+        return True
+
+
+_EVERY_FAMILY = _EveryFamily()
+
+
 class SlotPoisonerBehavior(ByzantineBehavior):
     """Corrupt exactly one coin *slot* per outbound vector window.
 
@@ -292,32 +303,6 @@ class SlotPoisonerBehavior(ByzantineBehavior):
         self.poisoned = 0
         self.passed = 0
 
-    @staticmethod
-    def _slot_and_group(sid: object) -> tuple[int, tuple] | None:
-        """``(slot, dealer-group)`` for coin-slot session ids, else None.
-
-        Mirrors :func:`repro.core.sessions.svec_split` structurally but
-        needs no family registry: the sender only poisons its *own*
-        locally built session ids, whose shapes are fixed.
-        """
-        if type(sid) is not tuple:
-            return None
-        if len(sid) == 3 and sid[0] == "svss":
-            tag = sid[1]
-            if type(tag) is tuple and len(tag) == 2 and type(tag[1]) is int:
-                return tag[1], ("s", tag[0], sid[2])
-        elif (
-            len(sid) == 5
-            and sid[0] == "mw"
-            and type(sid[1]) is tuple
-            and len(sid[1]) == 3
-            and sid[1][0] == "svss"
-        ):
-            tag = sid[1][1]
-            if type(tag) is tuple and len(tag) == 2 and type(tag[1]) is int:
-                return tag[1], ("m", tag[0], sid[1][2], sid[2], sid[3], sid[4])
-        return None
-
     def _poison(self, body: object) -> object:
         """Rewrite one rng-chosen int leaf of ``body`` to a *different*
         random field element (bools and routing strings untouched)."""
@@ -348,6 +333,9 @@ class SlotPoisonerBehavior(ByzantineBehavior):
         return rebuild(body, target)
 
     def on_install(self, host: ProcessHost) -> None:
+        # Imported here: repro.core imports repro.adversary.
+        from repro.core.sessions import svec_split
+
         self._prime = host.runtime.field.prime
         self._n = host.runtime.config.n
         n = self._n
@@ -369,10 +357,10 @@ class SlotPoisonerBehavior(ByzantineBehavior):
             ):
                 return payload
             _, sid, kind, body = payload
-            located = self._slot_and_group(sid)
-            if located is None:
+            located = svec_split(sid, _EVERY_FAMILY)
+            if located is None or type(located[1]) is not int:
                 return payload
-            slot, group = located
+            group, slot = located
             key = (dst, group, kind)
             state = windows.get(key)
             if state is None:

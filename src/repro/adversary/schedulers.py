@@ -44,8 +44,11 @@ vectors only, ``base`` both (``tests/golden/aggregation_equiv.json``).
 
 from __future__ import annotations
 
+from repro.broadcast.manager import rb_message
 from repro.config import SystemConfig
-from repro.sim.process import ENVELOPE_TAG
+from repro.core.agreement import vote_entries
+from repro.core.vectormux import rb_kinds
+from repro.sim.process import envelope_subs
 from repro.sim.scheduler import Scheduler
 
 
@@ -76,14 +79,10 @@ class VoteBalancingScheduler(Scheduler):
         delay, and since packing is the default transport the balancing
         attack would silently vanish from every batched run.
         """
-        if (
-            isinstance(payload, tuple)
-            and len(payload) == 2
-            and payload[0] == ENVELOPE_TAG
-            and isinstance(payload[1], tuple)
-        ):
-            return cls._dominant(cls._single_vote_value(sub) for sub in payload[1])
-        return cls._single_vote_value(payload)
+        return cls._dominant(
+            cls._single_vote_value(message)
+            for message in envelope_subs(payload) or (payload,)
+        )
 
     @staticmethod
     def _dominant(values) -> int | None:
@@ -103,11 +102,9 @@ class VoteBalancingScheduler(Scheduler):
 
     @staticmethod
     def _vote_bit(vote: object) -> int | None:
-        if vote in (0, 1):
-            return vote
-        if isinstance(vote, tuple) and len(vote) == 2 and vote[0] in (0, 1):
-            return vote[0]  # flagged phase-3 vote (w, D)
-        return None
+        if isinstance(vote, tuple) and len(vote) == 2:
+            vote = vote[0]  # flagged phase-3 vote (w, D)
+        return int(vote) if vote in (0, 1) else None
 
     @classmethod
     def _single_vote_value(cls, payload: object) -> int | None:
@@ -117,25 +114,11 @@ class VoteBalancingScheduler(Scheduler):
         # Ben-Or votes are plain sends ("benor", instance_id, r, phase, vote).
         if len(payload) == 5 and payload[0] == "benor":
             return cls._vote_bit(payload[4])
-        # ABA votes travel as RB values: ("aba", instance_id, r, phase, vote),
-        # or K instances' votes of one step packed by the VoteVectorMux into
-        # ("abav", seq, ((instance_id, r, phase, vote), ...)).
-        if (
-            len(payload) != 3
-            or payload[0] not in ("b1", "b2", "b3")
-            or not isinstance(payload[2], tuple)
-        ):
+        # ABA votes travel as RB values, one vote or a step's vote vector.
+        rb = rb_message(payload)
+        if rb is None:
             return None
-        value = payload[2]
-        if len(value) == 5 and value[0] == "aba":
-            return cls._vote_bit(value[4])
-        if len(value) == 3 and value[0] == "abav" and isinstance(value[2], tuple):
-            return cls._dominant(
-                cls._vote_bit(entry[3])
-                for entry in value[2]
-                if isinstance(entry, tuple) and len(entry) == 4
-            )
-        return None
+        return cls._dominant(cls._vote_bit(entry[3]) for entry in vote_entries(rb[1]))
 
     def delay(self, src: int, dst: int, payload: object, now: float) -> float:
         value = self._vote_value(payload)
@@ -265,35 +248,13 @@ class CoinRevealEclipseScheduler(Scheduler):
     def victims(self) -> frozenset[int]:
         return self._victims
 
-    @classmethod
-    def _carries_reveal(cls, payload: object) -> bool:
-        """Does this wire payload carry any reconstruct-phase traffic?"""
-        if not isinstance(payload, tuple) or not payload:
-            return False
-        tag = payload[0]
-        if tag == ENVELOPE_TAG:
-            return (
-                len(payload) == 2
-                and isinstance(payload[1], tuple)
-                and any(cls._carries_reveal(sub) for sub in payload[1])
-            )
-        if tag in ("b1", "b2", "b3") and len(payload) == 3:
-            return cls._value_reveal(payload[2])
-        return False
-
     @staticmethod
-    def _value_reveal(value: object) -> bool:
-        if not isinstance(value, tuple) or not value:
-            return False
-        # RB value shapes: ("vss", sid, kind, body) per session, or the
-        # step's fold ("svec", ((kind, group, slots, bodies), ...)).
-        if value[0] == "vss":
-            return len(value) == 4 and value[2] == "rv"
-        if value[0] == "svec" and len(value) == 2 and isinstance(value[1], tuple):
-            return any(
-                isinstance(item, tuple) and item and item[0] == "rv"
-                for item in value[1]
-            )
+    def _carries_reveal(payload: object) -> bool:
+        """Does this wire payload carry any reconstruct-phase traffic?"""
+        for message in envelope_subs(payload) or (payload,):
+            rb = rb_message(message)
+            if rb is not None and "rv" in rb_kinds(rb[1]):
+                return True
         return False
 
     def delay(self, src: int, dst: int, payload: object, now: float) -> float:

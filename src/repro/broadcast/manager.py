@@ -56,6 +56,19 @@ from repro.sim.process import InstanceSlots, ProcessHost
 
 LAYER = "rb"
 
+#: The three wire tags (module docstring), in protocol order.
+RB_TAGS = ("b1", "b2", "b3")
+
+
+def rb_message(payload: object) -> "tuple[object, object] | None":
+    """``(bid, value)`` of a ``("b1" | "b2" | "b3", bid, value)`` message,
+    else None: the one reader of the wire shape for code that watches the
+    wire (schedulers, adversaries)."""
+    if isinstance(payload, tuple) and len(payload) == 3 and payload[0] in RB_TAGS:
+        return payload[1], payload[2]
+    return None
+
+
 #: topic -> "rb.<topic>" layer-name cache.  The honest topic set is tiny and
 #: static per run, and building the f-string on every (hot-path) broadcast
 #: send showed up in the engine profile.  Capped because the topic position

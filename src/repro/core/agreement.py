@@ -93,6 +93,23 @@ ASK_TAG = "dcd?"
 ANSWER_TAG = "dcd"
 
 
+def vote_entries(value: object) -> tuple:
+    """The ``(instance_id, r, phase, vote)`` entries of an RB value: one for
+    a vote ``("aba", instance_id, r, phase, vote)``, every 4-tuple of a
+    vector ``("abav", seq, entries)`` (the vector's own tuple when all are:
+    no copy per delivery), none for any other value."""
+    if type(value) is not tuple:
+        return ()
+    if len(value) == 5 and value[0] == TOPIC:
+        return (value[1:],)
+    if len(value) == 3 and value[0] == ABAV_TAG and type(value[2]) is tuple:
+        for e in value[2]:
+            if type(e) is not tuple or len(e) != 4:
+                return tuple(e for e in value[2] if type(e) is tuple and len(e) == 4)
+        return value[2]
+    return ()
+
+
 class VoteVectorMux(ProtocolModule):
     """Step-window packer of a host's concurrent agreement votes.
 
@@ -183,20 +200,15 @@ class VoteVectorMux(ProtocolModule):
 
     # -- receive side ------------------------------------------------------
     def _on_rb(self, origin: int, value: tuple) -> None:
-        if len(value) != 3 or type(value[2]) is not tuple:
-            return
         host = self.host
         epoch = host.crash_epoch
         topic_slots = self._broadcast.topic_slots
         slots = topic_slots(TOPIC)
-        for entry in value[2]:
+        for iid, r, phase, vote in vote_entries(value):
             if host.crashed or host.crash_epoch != epoch:
                 # Crash mid-vector: the remaining votes die too, exactly
                 # like the remaining per-vote deliveries would.
                 return
-            if type(entry) is not tuple or len(entry) != 4:
-                continue
-            iid, r, phase, vote = entry
             try:
                 # A miss re-reads the table: the emptied one may have been
                 # replaced by a new one meanwhile.

@@ -81,14 +81,13 @@ def svec_split(sid: tuple, families: Container) -> tuple[tuple, object] | None:
 
     ``families`` holds the coin session ids whose per-slot sessions may be
     vectorized; anything else (solo sessions, plain counters) returns None
-    and travels per session.  Only called on locally built session ids, so
-    no defensive shape validation is needed beyond the family lookup.
+    and travels per session, as does any id of another shape.
     """
-    if sid[0] == SVSS:
+    if is_svss(sid):
         tag = sid[1]
         if type(tag) is tuple and len(tag) == 2 and tag[0] in families:
             return (SVEC_SVSS, tag[0], sid[2]), tag[1]
-    elif sid[0] == MW:
+    elif is_mw(sid):
         parent = sid[1]
         if type(parent) is tuple and len(parent) == 3 and parent[0] == SVSS:
             tag = parent[1]

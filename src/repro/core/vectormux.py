@@ -104,6 +104,19 @@ SVEC_TAG = "svec"
 FOLD_MAX_VECTORS = 16
 
 
+def rb_kinds(value: object):
+    """The message kinds an RB value of the VSS layer carries: one for a
+    session's ``("vss", sid, kind, body)``, the head of every non-empty
+    tuple item of a fold ``("svec", items)``, none for any other value."""
+    if type(value) is not tuple or not value:
+        return ()
+    if value[0] == "vss" and len(value) == 4:
+        return (value[2],)
+    if value[0] == SVEC_TAG and len(value) == 2 and type(value[1]) is tuple:
+        return (item[0] for item in value[1] if type(item) is tuple and item)
+    return ()
+
+
 class SessionVectorMux:
     """Per-process packer/unpacker of slot-vector messages.
 

@@ -50,9 +50,8 @@ from random import Random
 from repro.net.codec import (
     FRAME_DATA,
     FRAME_HELLO,
-    CodecError,
     FrameParser,
-    decode_value,
+    decode_control,
     encode_frame,
 )
 from repro.net.transport import PROTO_VERSION, cancel_tasks
@@ -363,17 +362,9 @@ class ChaosProxy:
         if not writer.transport.is_closing():
             writer.write(frame)
 
-    def _learn_src(self, body: bytes) -> int | None:
-        try:
-            value = decode_value(body)
-        except CodecError:
-            return None
-        if (
-            isinstance(value, tuple)
-            and len(value) == 5
-            and value[0] == "hello"
-            and isinstance(value[1], int)
-            and value[3] == PROTO_VERSION
-        ):
-            return value[1]
+    @staticmethod
+    def _learn_src(body: bytes) -> int | None:
+        hello = decode_control(FRAME_HELLO, body)
+        if hello is not None and hello[2] == PROTO_VERSION:
+            return hello[0]
         return None

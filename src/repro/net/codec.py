@@ -29,6 +29,7 @@ from __future__ import annotations
 import struct
 import zlib
 
+from repro.broadcast.manager import RB_TAGS
 from repro.errors import ReproError
 from repro.sim.process import ENVELOPE_TAG
 
@@ -38,7 +39,7 @@ from repro.sim.process import ENVELOPE_TAG
 MAGIC = b"\xabq"
 
 FRAME_DATA = 0x01  #: body = seq(8, big-endian) + one encoded wire payload
-FRAME_HELLO = 0x02  #: body = ("hello", src_pid, epoch, proto_version)
+FRAME_HELLO = 0x02  #: body = ("hello", src_pid, epoch, proto_version, base)
 FRAME_WELCOME = 0x03  #: body = ("welcome", dst_pid, epoch, next_expected_seq)
 FRAME_PING = 0x04  #: body = ("ping", nonce)
 FRAME_PONG = 0x05  #: body = ("pong", nonce)
@@ -321,9 +322,7 @@ def encode_value(value: object, memo: "ValueMemo | None" = None) -> bytes:
 #: RB message tag -> ``encode_value((tag, bid, value))`` up to, not
 #: including, the bid: the 3-tuple header and the tag string.  These are
 #: the messages whose third item goes through a :class:`ValueMemo`.
-_ECHO_HEADS = {
-    tag: encode_value((tag, (), ()))[:-4] for tag in ("b1", "b2", "b3")
-}
+_ECHO_HEADS = {tag: encode_value((tag, (), ()))[:-4] for tag in RB_TAGS}
 
 
 #: ``encode_value((ENVELOPE_TAG, subs))`` up to, not including, the
@@ -571,6 +570,42 @@ SEQ_PREFIX = struct.Struct("!Q")
 def encode_payload_frame(payload: object, seq: int = 0) -> bytes:
     """Convenience: one DATA frame carrying an encoded wire payload."""
     return encode_frame(FRAME_DATA, SEQ_PREFIX.pack(seq) + encode_value(payload))
+
+
+#: Control frame type -> its body's tag and the types of the fields after
+#: it (``object``: any value, the consumer's own check): the bodies of the
+#: FRAME_* comments above are written and shape-checked here only.
+_CONTROL = {
+    FRAME_HELLO: ("hello", int, object, object, object),
+    FRAME_WELCOME: ("welcome", object, object, int),
+    FRAME_CHALLENGE: ("challenge", object, bytes),
+    FRAME_AUTH: ("auth", object, bytes),
+    FRAME_ACK: ("ack", int),
+    FRAME_PING: ("ping", int),
+}
+
+
+def encode_control(ftype: int, *fields: object) -> bytes:
+    """One control frame of type ``ftype`` carrying ``fields``."""
+    return encode_frame(ftype, encode_value((_CONTROL[ftype][0], *fields)))
+
+
+def decode_control(ftype: int, body: bytes) -> "tuple | None":
+    """The fields of a control frame's body, or None when the body does not
+    decode or has another tag, arity or field type than ``ftype``'s."""
+    tag, *types = _CONTROL[ftype]
+    try:
+        value = decode_value(body)
+    except CodecError:
+        return None
+    if (
+        isinstance(value, tuple)
+        and len(value) == len(types) + 1
+        and value[0] == tag
+        and all(map(isinstance, value[1:], types))
+    ):
+        return value[1:]
+    return None
 
 
 class FrameParser:

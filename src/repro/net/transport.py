@@ -112,13 +112,15 @@ from repro.net.codec import (
     CodecError,
     FrameParser,
     ValueMemo,
+    decode_control,
     decode_value,
+    encode_control,
     encode_envelope,
     encode_frame,
     encode_value,
 )
 from repro.net.journal import Journal
-from repro.sim.process import ENVELOPE_TAG, ProcessHost
+from repro.sim.process import ENVELOPE_TAG, ProcessHost, envelope_subs
 from repro.sim.window import StepWindow
 
 #: Wire protocol version, carried in HELLO; mismatches are refused.
@@ -248,19 +250,6 @@ class NetworkHost(ProcessHost):
         self.node = node
 
 
-def _envelope_subs(payload: object) -> "tuple | None":
-    """The sub-payloads of a well-formed envelope, else None (the shape
-    ``ProcessHost._deliver_envelope`` unpacks)."""
-    if (
-        type(payload) is tuple
-        and len(payload) == 2
-        and payload[0] == ENVELOPE_TAG
-        and type(payload[1]) is tuple
-    ):
-        return payload[1]
-    return None
-
-
 class NetRuntime(StepWindow):
     """Runtime facade backing one :class:`NetworkHost`.
 
@@ -357,7 +346,7 @@ class NetRuntime(StepWindow):
             node.dispatch_out(dst, payload)  # loops back unencoded
             return
         encode = self._encode
-        subs = _envelope_subs(payload)
+        subs = envelope_subs(payload)
         if subs is None or len(subs) < 2:
             node.dispatch_out(dst, payload, encode(payload))
             return
@@ -541,11 +530,7 @@ class PeerConnection:
             # seqs resume — after an epoch bump or counted DOWN drops the
             # oldest queued frame is the earliest seq we can still offer.
             base = self.queue[0][0] if self.queue else self._next_seq
-            self._announced_base = base
-            hello = (
-                "hello", self.node.pid, self.node.epoch, PROTO_VERSION, base
-            )
-            writer.write(encode_frame(FRAME_HELLO, encode_value(hello)))
+            writer.write(self._hello(base))
             await writer.drain()
             next_expected = await asyncio.wait_for(
                 self._await_welcome(reader, writer, parser, base),
@@ -588,6 +573,12 @@ class PeerConnection:
             except Exception:
                 writer.transport.abort()
 
+    def _hello(self, base: int) -> bytes:
+        """The HELLO announcing ``base``, where this link's seqs resume."""
+        self._announced_base = base
+        node = self.node
+        return encode_control(FRAME_HELLO, node.pid, node.epoch, PROTO_VERSION, base)
+
     async def _await_welcome(
         self, reader, writer, parser: FrameParser, base: int
     ) -> int:
@@ -599,49 +590,27 @@ class PeerConnection:
                 raise ConnectionError("closed before WELCOME")
             for ftype, body in parser.feed(data):
                 if ftype == FRAME_CHALLENGE:
-                    try:
-                        value = decode_value(body)
-                    except CodecError:
-                        continue
-                    if not (
-                        isinstance(value, tuple)
-                        and len(value) == 3
-                        and value[0] == "challenge"
-                        and value[1] == self.dst
-                        and isinstance(value[2], bytes)
-                    ):
+                    challenge = decode_control(ftype, body)
+                    if challenge is None or challenge[0] != self.dst:
                         continue
                     key = derive_pair_key(
                         self.node.secret, self.node.pid, self.dst
                     )
                     mac = handshake_mac(
-                        key, value[2], self.node.pid, self.dst,
+                        key, challenge[1], self.node.pid, self.dst,
                         self.node.epoch, base,
                     )
-                    writer.write(
-                        encode_frame(
-                            FRAME_AUTH,
-                            encode_value(("auth", self.node.pid, mac)),
-                        )
-                    )
+                    writer.write(encode_control(FRAME_AUTH, self.node.pid, mac))
                     await writer.drain()
                     self.stats.auth_challenges += 1
-                    continue
-                if ftype != FRAME_WELCOME:
-                    continue
-                try:
-                    value = decode_value(body)
-                except CodecError:
-                    continue
-                if (
-                    isinstance(value, tuple)
-                    and len(value) == 4
-                    and value[0] == "welcome"
-                    and isinstance(value[3], int)
-                    and value[2] == self.node.epoch
-                    and value[3] >= 1
-                ):
-                    return value[3]
+                elif ftype == FRAME_WELCOME:
+                    welcome = decode_control(ftype, body)
+                    if (
+                        welcome is not None
+                        and welcome[1] == self.node.epoch
+                        and welcome[2] >= 1
+                    ):
+                        return welcome[2]
 
     async def _reader_loop(self, reader, parser: FrameParser) -> None:
         try:
@@ -652,17 +621,9 @@ class PeerConnection:
                 self._last_inbound = self._clock()
                 for ftype, body in parser.feed(data):
                     if ftype == FRAME_ACK:
-                        try:
-                            value = decode_value(body)
-                        except CodecError:
-                            continue
-                        if (
-                            isinstance(value, tuple)
-                            and len(value) == 2
-                            and value[0] == "ack"
-                            and isinstance(value[1], int)
-                        ):
-                            self._on_ack(value[1])
+                        ack = decode_control(ftype, body)
+                        if ack is not None:
+                            self._on_ack(ack[0])
                     # PONG / anything else: the timestamp update above is
                     # all the health tracking needs.
         finally:
@@ -723,12 +684,7 @@ class PeerConnection:
                 # (counted DOWN drops racing the handshake, or drops after
                 # it): re-announce our base mid-session so the receiver
                 # jumps past the shed range instead of stalling forever.
-                self._announced_base = queue[0][0]
-                hello = (
-                    "hello", self.node.pid, self.node.epoch,
-                    PROTO_VERSION, self._announced_base,
-                )
-                writer.write(encode_frame(FRAME_HELLO, encode_value(hello)))
+                writer.write(self._hello(queue[0][0]))
                 await writer.drain()
                 last_out = clock()
             if self._retx_one:
@@ -769,9 +725,7 @@ class PeerConnection:
                 continue
             if now - last_out > tconf.heartbeat_interval:
                 ping_nonce += 1
-                writer.write(
-                    encode_frame(FRAME_PING, encode_value(("ping", ping_nonce)))
-                )
+                writer.write(encode_control(FRAME_PING, ping_nonce))
                 await writer.drain()
                 last_out = clock()
             self._wake.clear()
@@ -1123,10 +1077,7 @@ class NetworkNode:
                         if hello[0] != authed_src:
                             nonce = os.urandom(16)
                             pending_auth = (*hello, nonce)
-                            out += encode_frame(
-                                FRAME_CHALLENGE,
-                                encode_value(("challenge", self.pid, nonce)),
-                            )
+                            out += encode_control(FRAME_CHALLENGE, self.pid, nonce)
                             continue
                         src, link = self._adopt_link(*hello, out)
                     elif ftype == FRAME_AUTH:
@@ -1192,43 +1143,30 @@ class NetworkNode:
         link state until the challenge round trip proves the claimed pid
         — an impostor's HELLO would otherwise reset an honest sender's
         receive link just by naming its pid."""
-        try:
-            value = decode_value(body)
-        except CodecError:
+        hello = decode_control(FRAME_HELLO, body)
+        if hello is None:
             return None
-        if not (
-            isinstance(value, tuple)
-            and len(value) == 5
-            and value[0] == "hello"
-            and isinstance(value[1], int)
-            and value[1] in self.config.pids
-            and isinstance(value[2], int)
-            and value[3] == PROTO_VERSION
-            and isinstance(value[4], int)
-            and value[4] >= 1
+        src, epoch, version, base = hello
+        if (
+            src in self.config.pids
+            and isinstance(epoch, int)
+            and version == PROTO_VERSION
+            and isinstance(base, int)
+            and base >= 1
         ):
-            return None
-        return value[1], value[2], value[4]
+            return src, epoch, base
+        return None
 
     def _check_auth(
         self, body: bytes, src: int, epoch: int, base: int, nonce: bytes
     ) -> bool:
         """Verify one FRAME_AUTH against the pending challenge."""
-        try:
-            value = decode_value(body)
-        except CodecError:
-            return False
-        if not (
-            isinstance(value, tuple)
-            and len(value) == 3
-            and value[0] == "auth"
-            and value[1] == src
-            and isinstance(value[2], bytes)
-        ):
+        auth = decode_control(FRAME_AUTH, body)
+        if auth is None or auth[0] != src:
             return False
         key = derive_pair_key(self.secret, src, self.pid)
         expected = handshake_mac(key, nonce, src, self.pid, epoch, base)
-        return hmac.compare_digest(expected, value[2])
+        return hmac.compare_digest(expected, auth[1])
 
     def _adopt_link(self, src: int, epoch: int, base: int, out: bytearray):
         link = self._recv_links.get(src)
@@ -1252,10 +1190,7 @@ class NetworkNode:
             # frames (not WELCOMEs), and its window may be fully in our
             # buffer — without this it would idle until the next PING.
             out += self._ack_frame(link)
-        out += encode_frame(
-            FRAME_WELCOME,
-            encode_value(("welcome", self.pid, epoch, link.next_expected)),
-        )
+        out += encode_control(FRAME_WELCOME, self.pid, epoch, link.next_expected)
         return src, link
 
     def _on_data(self, src: int, link: _RecvLink, body: bytes, out: bytearray) -> None:
@@ -1310,9 +1245,7 @@ class NetworkNode:
 
     def _ack_frame(self, link: _RecvLink) -> bytes:
         link.since_ack = 0
-        return encode_frame(
-            FRAME_ACK, encode_value(("ack", link.next_expected - 1))
-        )
+        return encode_control(FRAME_ACK, link.next_expected - 1)
 
     def _merge_frame_errors(self, errors: dict[str, int]) -> None:
         for cause, count in errors.items():
@@ -1338,7 +1271,7 @@ class NetworkNode:
                 host.deliver(src, payload)
             if src != self.pid:
                 self.frames_delivered += 1
-            subs = _envelope_subs(payload)
+            subs = envelope_subs(payload)
             self.delivered += 1 if subs is None else len(subs)
             runtime.events_dispatched += 1
 

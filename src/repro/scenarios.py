@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from repro.adversary.behaviors import ByzantineBehavior
 from repro.adversary.controller import Adversary
+from repro.broadcast.manager import rb_message
 from repro.config import SystemConfig
 from repro.core.api import Stack, build_stack
 from repro.core.manager import CallbackWatcher
@@ -76,15 +77,9 @@ class Example1Scheduler(Scheduler):
     splits_slots = True
 
     def _rv_origin(self, payload) -> int | None:
-        if (
-            isinstance(payload, tuple)
-            and len(payload) == 3
-            and payload[0] in ("b1", "b2", "b3")
-            and isinstance(payload[1], tuple)
-            and len(payload[1]) == 4
-            and payload[1][3] == "rv"
-        ):
-            return payload[1][0]
+        bid, _ = rb_message(payload) or (None, None)
+        if isinstance(bid, tuple) and len(bid) == 4 and bid[3] == "rv":
+            return bid[0]
         return None
 
     def delay(self, src, dst, payload, now):

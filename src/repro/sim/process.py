@@ -29,6 +29,21 @@ OutboundFilter = Callable[[int, tuple], "tuple | None | list[tuple]"]
 #: :mod:`repro.core.vectormux`.)
 ENVELOPE_TAG = "env"
 
+
+def envelope_subs(payload: object) -> "tuple | None":
+    """The sub-payloads of an envelope, else None: the one reader of the
+    shape :meth:`ProcessHost._deliver_envelope` unpacks.  It reads one
+    level, as the receiver does: a nested envelope is a sub-payload."""
+    if (
+        type(payload) is tuple
+        and len(payload) == 2
+        and payload[0] == ENVELOPE_TAG
+        and type(payload[1]) is tuple
+    ):
+        return payload[1]
+    return None
+
+
 #: Reserved tag of the runtime's *recovery wake* event.  A wake is the only
 #: payload a crashed host reacts to, and only when it arrives with
 #: ``src == 0`` — the runtime's own origin, which no host can use (every
@@ -252,11 +267,9 @@ class ProcessHost:
         per-handler validation as a plain send) and nesting is refused so a
         forged envelope cannot recurse.
         """
-        if len(payload) != 2:
-            return
-        subs = payload[1]
-        if type(subs) is not tuple:
-            return  # forged envelope body; honest runtimes always pack tuples
+        subs = envelope_subs(payload)
+        if subs is None:
+            return  # forged envelope; honest runtimes always pack tuples
         lookup = self._handlers.get
         epoch = self.crash_epoch
         for sub in subs:

@@ -18,7 +18,11 @@ from repro.adversary.behaviors import (
     SilentBehavior,
 )
 from repro.adversary.adaptive import POLICIES, AdaptiveAdversary
-from repro.adversary.behaviors import CrashRecoveryBehavior, SlotPoisonerBehavior
+from repro.adversary.behaviors import (
+    _EVERY_FAMILY,
+    CrashRecoveryBehavior,
+    SlotPoisonerBehavior,
+)
 from repro.adversary.controller import (
     BEHAVIOR_KINDS,
     Adversary,
@@ -34,6 +38,7 @@ from repro.adversary.schedulers import (
 )
 from repro.config import SystemConfig
 from repro.core.api import run_byzantine_agreement
+from repro.core.sessions import svec_split
 from repro.errors import ConfigurationError
 from repro.sim.monitor import InvariantMonitor
 from repro.sim.runtime import Runtime
@@ -219,18 +224,19 @@ class TestSlotPoisoner:
     def _sid(self, slot, dealer=1, csid="c"):
         return ("svss", (csid, slot), dealer)
 
-    def test_slot_and_group_svss(self):
-        slot, group = SlotPoisonerBehavior._slot_and_group(self._sid(3))
+    # The poisoner locates a slot with svec_split over every family.
+    def test_svec_split_svss(self):
+        group, slot = svec_split(self._sid(3), _EVERY_FAMILY)
         assert slot == 3 and group == ("s", "c", 1)
 
-    def test_slot_and_group_mw(self):
+    def test_svec_split_mw(self):
         sid = ("mw", self._sid(2), 3, 1, "md")
-        slot, group = SlotPoisonerBehavior._slot_and_group(sid)
+        group, slot = svec_split(sid, _EVERY_FAMILY)
         assert slot == 2 and group == ("m", "c", 1, 3, 1, "md")
 
-    def test_slot_and_group_rejects_foreign_sids(self):
-        assert SlotPoisonerBehavior._slot_and_group(("other", 1, 2)) is None
-        assert SlotPoisonerBehavior._slot_and_group("not-a-tuple") is None
+    def test_svec_split_rejects_foreign_sids(self):
+        assert svec_split(("other", 1, 2), _EVERY_FAMILY) is None
+        assert svec_split("not-a-tuple", _EVERY_FAMILY) is None
 
     def test_rejects_bad_slots(self):
         with pytest.raises(ValueError):

@@ -387,6 +387,24 @@ class TestVoteBalancingOverEnvelopes:
         assert VoteBalancingScheduler._vote_value(vote(1)) == 1
         assert VoteBalancingScheduler._vote_value(("v", 1)) is None
 
+    def test_benor_vote_classified_bare_and_in_an_envelope(self):
+        """Ben-Or votes are plain sends ``("benor", iid, r, phase, vote)``,
+        not RB values: the baselines' blow-up in E2 rests on reading them."""
+
+        def benor(vote, phase=1):
+            return ("benor", ("benor", 0), 1, phase, vote)
+
+        value = VoteBalancingScheduler._vote_value
+        assert value(benor(1)) == 1 and value(benor(0)) == 0
+        assert value(benor((0, 1), phase=3)) == 0  # flagged phase-3 vote
+        assert value(benor("?")) is None and value(benor(1)[:4]) is None
+        assert value(("env", (benor(0), benor(1), benor(0)))) == 0
+        assert value(("env", (("v", 1), benor(1)))) == 1
+        sched = VoteBalancingScheduler(SystemConfig(n=4, seed=0), base_delay=1.0, hold=50.0)
+        assert sched.delay(3, 1, benor(1), 0.0) == 50.0
+        assert sched.delay(3, 4, ("env", (benor(0),)), 0.0) == 50.0
+        assert sched.delay(3, 4, benor(1), 0.0) == 1.0
+
     def test_vote_vector_classified_by_dominant_entry(self):
         """``("abav", seq, entries)`` RB values — what a packed batch's
         votes travel as — are read like envelopes are."""
