@@ -316,10 +316,11 @@ async def _sim_equivalence() -> dict:
 #: reached the sockets, ~7.4 k with one frame per (src, dst) step).
 COIN_FRAME_BUDGET = 12_000
 #: DATA-frame bytes of that coin.  Which payloads share a frame depends on
-#: arrival order, so runs of one commit spread: 3.70 - 3.74 MB since
-#: slot-vectors travel as two columns (3.95 - 4.00 MB with pairs).  The band
-#: is that spread's midpoint ± 5 %, the width it had around 4.0 MB.
-COIN_WIRE_BYTES = (3_535_000, 3_905_000)
+#: arrival order, so runs of one commit spread: 3.47 - 3.49 MB since the
+#: default field is GF(251), whose values take at most two varint bytes
+#: (3.70 - 3.74 MB at 2³¹ − 1; 3.95 - 4.00 MB while slot-vectors were
+#: pairs).  The band is that spread's midpoint ± 5 %.
+COIN_WIRE_BYTES = (3_306_000, 3_654_000)
 #: Least share of RB-value lookups the decode memo must answer: a value
 #: arrives 2n + 1 = 9 times and is walked once.
 COIN_MEMO_HIT_SHARE = 0.6

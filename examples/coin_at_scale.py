@@ -26,9 +26,10 @@ Lagrange bases (``docs/ALGEBRA.md``).
 The last line is the process' resident-set high-water (``ru_maxrss``)
 and that over the coin's 2n⁵ MW-SVSS instances (n² SVSS sharings × 2n²
 sessions × n process views): run one n per process, nothing else running,
-to read one rung of ``docs/MEMORY.md``'s n-ladder.
+to read one rung of ``docs/MEMORY.md``'s n-ladder.  The field is the
+default one (251 for every n below 251) unless a prime is given.
 
-Run:  python examples/coin_at_scale.py [n]   (default n = 10)
+Run:  python examples/coin_at_scale.py [n] [prime]   (default n = 10)
 """
 
 import resource
@@ -42,8 +43,9 @@ from repro.sim.scheduler import FifoScheduler
 
 def main() -> None:
     n = int(sys.argv[1]) if len(sys.argv) > 1 else 10
-    config = SystemConfig(n=n, seed=7)
-    print(f"flipping the SVSS common coin: n={n}, t={config.t}")
+    prime = int(sys.argv[2]) if len(sys.argv) > 2 else -1
+    config = SystemConfig(n=n, prime=prime, seed=7)
+    print(f"flipping the SVSS common coin: n={n}, t={config.t}, p={config.prime}")
     print("(per-message baseline at n=10: ~105M logical messages, "
           "> the 50M-event guard)")
 

@@ -7,7 +7,7 @@ from random import Random
 
 from repro.errors import ConfigurationError
 from repro.field.gf import Field
-from repro.field.primes import DEFAULT_PRIME
+from repro.field.primes import default_prime
 
 
 def max_faults(n: int) -> int:
@@ -28,6 +28,7 @@ class SystemConfig:
         Fault bound.  Defaults to the optimal ``(n - 1) // 3``.
     prime:
         Field modulus.  Must exceed ``n`` (paper §3.2 requires ``|F| > n``).
+        Defaults to the smallest prime above ``max(n, 250)`` (``default_prime``).
     seed:
         Master seed; every random stream in a run is derived from it, so a
         run is fully reproducible from its config.
@@ -35,7 +36,7 @@ class SystemConfig:
 
     n: int
     t: int = -1  # -1 means "derive the optimal bound"
-    prime: int = DEFAULT_PRIME
+    prime: int = -1  # -1 means "derive from n"
     seed: int = 0
     _field: Field = dataclass_field(init=False, repr=False, compare=False, default=None)
 
@@ -46,6 +47,8 @@ class SystemConfig:
             object.__setattr__(self, "t", max_faults(self.n))
         if self.t < 0:
             raise ConfigurationError(f"fault bound must be >= 0, got t={self.t}")
+        if self.prime == -1:
+            object.__setattr__(self, "prime", default_prime(self.n))
         if self.prime <= self.n:
             raise ConfigurationError(
                 f"field must satisfy |F| > n: prime={self.prime}, n={self.n}"

@@ -14,7 +14,7 @@ from collections.abc import Iterable
 from random import Random
 
 from repro.errors import FieldError
-from repro.field.primes import DEFAULT_PRIME, is_prime
+from repro.field.primes import is_prime
 
 
 class Field:
@@ -33,7 +33,7 @@ class Field:
 
     __slots__ = ("prime", "byte_size")
 
-    def __init__(self, prime: int = DEFAULT_PRIME):
+    def __init__(self, prime: int):
         if not is_prime(prime):
             raise FieldError(f"field modulus must be prime, got {prime}")
         object.__setattr__(self, "prime", prime)
@@ -111,7 +111,3 @@ class Field:
         """``count`` uniformly random field elements drawn from ``rng``."""
         prime = self.prime
         return [rng.randrange(prime) for _ in range(count)]
-
-
-#: Shared default field instance (GF(2^31 - 1)).
-DEFAULT_FIELD = Field(DEFAULT_PRIME)

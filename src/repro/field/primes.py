@@ -15,14 +15,6 @@ from repro.errors import FieldError
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
-#: Default modulus: the Mersenne prime 2^31 - 1.  Large enough for any
-#: simulated system size, small enough that Python int arithmetic stays in
-#: the fast single-digit regime.
-DEFAULT_PRIME = 2_147_483_647
-
-#: A tiny prime handy in unit tests where hand-checking values matters.
-SMALL_TEST_PRIME = 13
-
 
 def is_prime(candidate: int) -> bool:
     """Return True iff ``candidate`` is prime.
@@ -31,8 +23,7 @@ def is_prime(candidate: int) -> bool:
     """
     if candidate < 2:
         return False
-    small_primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    for p in small_primes:
+    for p in _MR_WITNESSES:
         if candidate == p:
             return True
         if candidate % p == 0:
@@ -59,6 +50,17 @@ def is_prime(candidate: int) -> bool:
         else:
             return False
     return True
+
+
+def default_prime(n: int) -> int:
+    """The field modulus a system of ``n`` processes gets when none is given:
+    the smallest prime above ``max(n, 250)``, so 251 for every n < 251.
+
+    The paper asks only ``|F| > n`` (§3.2), and no property of the stack has
+    a term in ``|F|`` (``docs/ALGEBRA.md``, "How big the field must be").
+    CPython shares one int object for each value up to 256, so below 257 a
+    field element costs a pointer, not an int of its own."""
+    return next_prime(max(n, 250) + 1)
 
 
 def next_prime(floor: int) -> int:

@@ -9,19 +9,18 @@ from repro.config import SystemConfig
 from repro.core.agreement import ABAProcess
 from repro.core.mwsvss import MWSVSSInstance
 from repro.field.gf import Field
-from repro.field.primes import SMALL_TEST_PRIME
 
 
 @pytest.fixture
 def small_field() -> Field:
     """GF(13): small enough to hand-check values."""
-    return Field(SMALL_TEST_PRIME)
+    return Field(13)
 
 
 @pytest.fixture
 def field() -> Field:
-    """The default field GF(2^31 - 1)."""
-    return Field()
+    """GF(2^31 - 1): large enough that random values rarely collide."""
+    return Field(2**31 - 1)
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ import pytest
 
 from repro.config import SystemConfig, max_faults
 from repro.errors import ConfigurationError
+from repro.net.launch import _build_parser
 
 
 class TestMaxFaults:
@@ -39,10 +40,28 @@ class TestSystemConfig:
     def test_rejects_small_field(self):
         with pytest.raises(ConfigurationError):
             SystemConfig(n=13, prime=13)
+        with pytest.raises(ConfigurationError):
+            SystemConfig(n=4, prime=3)
 
     def test_small_field_allowed_if_larger_than_n(self):
         cfg = SystemConfig(n=12, prime=13)
         assert cfg.field.prime == 13
+        assert SystemConfig(n=4, prime=2**31 - 1).field.prime == 2**31 - 1
+
+    @pytest.mark.parametrize("n,prime", [(1, 251), (4, 251), (250, 251), (251, 257)])
+    def test_default_prime_is_the_smallest_above_max_n_250(self, n, prime):
+        assert SystemConfig(n=n).prime == prime
+        assert SystemConfig(n=n).field.prime == prime
+
+    @pytest.mark.parametrize("n", [4, 7])
+    def test_launch_child_resolves_the_parents_prime(self, n):
+        """A ``launch.py`` child gets ``--n``, ``--t`` and ``--seed``, no
+        prime, and derives the parent's field from them."""
+        parent = SystemConfig(n=n, seed=9)
+        args = _build_parser().parse_args(
+            ["--pid", "1", "--n", str(n), "--t", str(parent.t), "--seed", "9"]
+        )
+        assert SystemConfig(n=args.n, t=args.t, seed=args.seed) == parent
 
     def test_require_optimal_resilience(self):
         SystemConfig(n=4, t=1).require_optimal_resilience()

@@ -39,7 +39,7 @@ CONFIRMS = {S1: (2, 9, 9), S2: (0, 0, 1)}
 def make_dmm(pid=1):
     shuns = []
     clock = SessionClock()
-    dmm = DMM(pid, clock, Field(), on_shun=lambda culprit, session: shuns.append((culprit, session)))
+    dmm = DMM(pid, clock, Field(2**31 - 1), on_shun=lambda culprit, session: shuns.append((culprit, session)))
     return dmm, clock, shuns
 
 

@@ -39,7 +39,7 @@ from repro.poly.fastpath import (
 )
 from repro.sim.scheduler import FifoScheduler
 
-F = Field()  # default prime
+F = Field(2**31 - 1)
 F13 = Field(13)
 SMALL_PRIME = 10_007
 FS = Field(SMALL_PRIME)
@@ -99,7 +99,7 @@ class TestBarycentricVsNaive:
         ]
 
 
-#: A small prime (node sets ⊆ {1..12} stay distinct) and the default one.
+#: A small prime (node sets ⊆ {1..12} stay distinct) and a large one.
 PROPERTY_PRIMES = (13, 2**31 - 1)
 
 

@@ -7,19 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import FieldError
-from repro.field.gf import DEFAULT_FIELD, Field
-from repro.field.primes import DEFAULT_PRIME, SMALL_TEST_PRIME
+from repro.field.gf import Field
 
-ELEMENTS = st.integers(min_value=0, max_value=SMALL_TEST_PRIME - 1)
-F13 = Field(SMALL_TEST_PRIME)
+ELEMENTS = st.integers(min_value=0, max_value=12)
+F13 = Field(13)
 
 
 class TestConstruction:
-    def test_default_prime(self):
-        assert Field().prime == DEFAULT_PRIME
-
-    def test_default_field_singleton(self):
-        assert DEFAULT_FIELD.prime == DEFAULT_PRIME
+    def test_modulus_is_required(self):
+        # the default modulus is the system's (SystemConfig derives it from n)
+        with pytest.raises(TypeError):
+            Field()
 
     def test_rejects_composite(self):
         with pytest.raises(FieldError):
@@ -46,7 +44,7 @@ class TestConstruction:
 
     def test_byte_size(self):
         assert Field(13).byte_size == 1
-        assert Field(DEFAULT_PRIME).byte_size == 4
+        assert Field(2**31 - 1).byte_size == 4
 
     def test_size(self):
         assert Field(13).size == 13

@@ -32,9 +32,9 @@ from repro.poly.fastpath import (
 )
 
 F13 = Field(13)
-F = Field()
+F = Field(2**31 - 1)
 
-#: A small prime (wraps often) and the default one.
+#: A small prime (wraps often) and a large one.
 PRIMES = (13, 2**31 - 1)
 
 

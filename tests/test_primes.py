@@ -5,7 +5,7 @@ from __future__ import annotations
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.field.primes import DEFAULT_PRIME, is_prime, next_prime
+from repro.field.primes import default_prime, is_prime, next_prime
 
 
 class TestIsPrime:
@@ -21,7 +21,8 @@ class TestIsPrime:
         assert not is_prime(-7)
 
     def test_default_prime_is_prime(self):
-        assert is_prime(DEFAULT_PRIME)
+        for n in (1, 4, 250, 251, 1000):
+            assert is_prime(default_prime(n))
 
     def test_mersenne_61(self):
         assert is_prime(2**61 - 1)

@@ -118,7 +118,7 @@ class TestMWSVSSInvariants:
     def test_honest_mwsvss_always_reconstructs_secret(
         self, seed, secret, dealer, moderator, sched
     ):
-        cfg = SystemConfig(n=4, seed=seed)
+        cfg = SystemConfig(n=4, prime=2**31 - 1, seed=seed)
         result, _ = run_mwsvss(
             cfg,
             dealer=dealer,

@@ -49,6 +49,12 @@ from repro.sim.scheduler import FifoScheduler, UniformDelayScheduler
 
 GOLDEN = Path(__file__).parent / "golden" / "retire_equiv.json"
 
+#: The field the byzantine records were written at.  Their adversaries draw
+#: lies from ``[0, p)``, so at the default p = 251 13 of the 40 seeds (four
+#: of them monitored below) take another path.  The coin, crash-recovery
+#: and staggered records replay at the default.
+RECORDED_PRIME = 2**31 - 1
+
 COIN_CASES = [(4, seed) for seed in range(18)] + [(7, seed) for seed in range(2)]
 # 36 consecutive seeds plus four whose byzantine process lies in reconstruct
 # (the behaviour that ends in explicit shun records).
@@ -126,7 +132,7 @@ def shun_records(result) -> list:
 
 
 def byzantine_record(seed: int, monitor=None) -> dict:
-    config = SystemConfig(n=4, seed=seed)
+    config = SystemConfig(n=4, prime=RECORDED_PRIME, seed=seed)
     adversary = random_adversary(config, seed, count=config.t)
     result = run_byzantine_agreement(
         {pid: (pid - 1) % 2 for pid in config.pids},

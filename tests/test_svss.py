@@ -50,7 +50,7 @@ class TestValidity:
 
     @pytest.mark.parametrize("n,secret", [(4, 0), (4, 99), (7, 123456)])
     def test_reconstructs_secret(self, n, secret):
-        cfg = SystemConfig(n=n, seed=n + secret)
+        cfg = SystemConfig(n=n, prime=2**31 - 1, seed=n + secret)
         result, _ = run_svss(cfg, dealer=1, secret=secret)
         assert result.outputs == {pid: secret for pid in cfg.pids}
 
