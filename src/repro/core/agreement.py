@@ -135,8 +135,8 @@ class VoteVectorMux(ProtocolModule):
     * corrupt senders never pack — a host with a byzantine behaviour or an
       outbound filter broadcasts plain per-instance votes, so vote
       mutators and crash budgets keep acting on logical votes (a forged
-      ``("abav", ...)`` vector is unpacked with full per-entry validation
-      and grants nothing beyond broadcasting the votes individually);
+      ``("abav", ...)`` vector is unpacked with full per-entry validation,
+      but can equivocate as a session fold can: see ``vectormux``);
     * a receiver that crashes while fanning out entry ``k`` drops the
       remaining entries, exactly as it would drop the remaining per-vote
       deliveries;
@@ -305,8 +305,11 @@ class ABAProcess(ProtocolModule):
 
     def _on_close(self) -> None:
         # A halted instance stops counting toward the packing gate (a
-        # last survivor falls back to plain per-vote broadcasts).
+        # last survivor falls back to plain per-vote broadcasts), and
+        # nobody waits on it for an answer it will never give.
         self._vote_mux.live -= 1
+        if self.host.has_module(DecisionEcho.MODULE_KIND):
+            self.host.module(DecisionEcho.MODULE_KIND).askers.pop(self.instance_id, None)
 
     # ------------------------------------------------------------------
     # public API
@@ -577,7 +580,9 @@ class DecisionEcho(ProtocolModule):
     answers from distinct pids (one is honest), judged by an installed
     monitor as a round-0 decision.  Nobody asking means no echo message;
     forgers grow nothing: answers are kept for asked instances only (a
-    pid's first, once), askers for running ones, malformed payloads dropped.
+    pid's first, once), askers for running ones (dropped when the process
+    closes), malformed payloads dropped.  ``held`` answers every later ask
+    and stays for the host's life (ROADMAP 21 would bound it by the journal).
     """
 
     MODULE_KIND = "echo"

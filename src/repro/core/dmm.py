@@ -26,18 +26,19 @@ pending, which silently delays every later-session message from that sender
 Implementation notes
 --------------------
 State is session-first, like the paper's ``ACK[σ]`` / ``DEAL[σ]`` arrays: one
-:class:`_Ledger` per session holds the batches seen so far and masks over
-values the session holds anyway — DEAL a sender mask over the monitor's
-``mon`` body (kept past the ``L`` freeze), ACK a monitor mask per sender over
-the dealer's share columns, each row let go with its last bit — so an entry
-point costs one session-keyed probe; a per-sender count of unmet
-expectations answers :meth:`DMM.has_expectations`.  Reconstruct broadcasts
-are batched (one RB per process per session, a mask over its wire tuple),
-and a batch missing an expected monitor entry leaves that expectation
-pending — identical semantics to a missing per-monitor broadcast.  Because
-a batch can arrive *before* the share-phase step that adds the matching
-expectation (the network is asynchronous), delivered batches are remembered
-and reconciled when an expectation is added.
+:class:`_Ledger` per session holds masks over values the session holds
+anyway — DEAL a sender mask over the monitor's ``mon`` body (kept past the
+``L`` freeze), ACK a monitor mask per sender over the dealer's share
+columns, each row let go with its last bit — so an entry point costs one
+session-keyed probe; a per-sender count of unmet expectations answers
+:meth:`DMM.has_expectations`.  Reconstruct broadcasts are batched (one RB
+per process per session, a mask over its wire tuple), and a batch missing
+an expected monitor entry leaves that expectation pending — identical
+semantics to a missing per-monitor broadcast.  A batch can arrive *before*
+the share-phase step that adds the matching expectation (the network is
+asynchronous), so that step hands over the batch the MW-SVSS instance keeps
+and interpolates with (``rv_batches``, the first delivery), judged on the
+spot: the DMM keeps no batch, and judges no other.
 
 Session lifetime
 ----------------
@@ -46,11 +47,10 @@ session *closes* for the DMM at one of two points: its reconstruct completes
 locally (:meth:`DMM.on_session_reconstructed` — still-pending expectations
 arm and stay, they are the shunning debt), or its owner learns that nobody
 will ever reconstruct it (:meth:`DMM.forget_session` — its expectations can
-never arm, gate nothing, and go).  The remembered batches of a closed session
-have no expectation left to be reconciled with and are dropped, and so is
-a ledger that holds nothing; what persists for the lifetime of the scheme is
-``D``, the ledgers of reconstructed sessions that still hold a debt, and
-their ``completed`` stamps.  When a sharing leaves the manager's tables,
+never arm, gate nothing, and go).  A ledger that holds nothing is dropped;
+what persists for the lifetime of the scheme is ``D``, the ledgers of
+reconstructed sessions that still hold a debt, and their ``completed``
+stamps.  When a sharing leaves the manager's tables,
 :meth:`DMM.retire` drops its sessions' closed marks and clock stamps (a
 debt's ``completed`` stamp goes with its ledger): a retired session reads
 as begun long ago, and a late batch for it is checked only while it owes.
@@ -96,18 +96,15 @@ def _pids(mask: int) -> list[int]:
 class _Ledger:
     """What the DMM holds for one session: the paper's ``DEAL[σ]`` and
     ``ACK[σ]`` rows as masks over value rows the session's instances hold
-    anyway, and the reconstruct batches seen while ``σ`` is open, each
-    allocated with its first entry."""
+    anyway, each allocated with its first entry."""
 
-    __slots__ = ("deal", "deal_row", "ack", "ack_rows", "seen", "closed")
+    __slots__ = ("deal", "deal_row", "ack", "ack_rows")
 
-    def __init__(self, closed: bool):
+    def __init__(self):
         self.deal = 0  # mask: senders owing f_i(sender) = point(deal_row, sender)
         self.deal_row: tuple | None = None  # the monitor's ``mon`` body f_i(1..t+1)
         self.ack: list[int] | None = None  # [sender] = mask of the monitors j owed
         self.ack_rows: tuple | None = None  # the dealer's columns: f_j(l) = [l][j - 1]
-        self.seen: dict[int, tuple] | None = None  # sender -> parsed batch
-        self.closed = closed  # takes no new batch (see "Session lifetime")
 
     def owed(self, sender: int) -> int:  # expectations ``sender`` has not met here
         return (self.deal >> sender & 1) + (self.ack[sender].bit_count() if self.ack else 0)
@@ -153,56 +150,58 @@ class DMM:
         #: senders whose verdicts may have changed since the manager's
         #: delayed-message index last examined them.
         self.dirty: set[int] = set()
-        # sessions that take no new batch, until ``retire`` forgets them
+        # closed sessions (see "Session lifetime"), until ``retire`` forgets them
         self._closed_sessions: set[tuple] = set()
         self._on_shun = on_shun
 
     # -- expectations ------------------------------------------------------
-    def expect_ack(self, sender: int, session: tuple, monitor: int, rows) -> None:
+    def expect_ack(self, sender: int, session: tuple, monitor: int, rows, batch) -> None:
         """Dealer step 7: expect ``sender`` to broadcast ``f_monitor(sender)
         = rows[sender][monitor - 1]`` (the share columns the dealer sent)
-        during the reconstruct of ``session``."""
-        ledger = self._ledger_for(sender, session, monitor, lambda: rows[sender][monitor - 1])
+        during the reconstruct of ``session``; ``batch`` is the sender's
+        batch the session holds (``rv_batches``), or ``None``."""
+        ledger = self._ledger_for(
+            sender, session, monitor, batch, lambda: rows[sender][monitor - 1]
+        )
         if ledger is not None:
             if ledger.ack is None:
                 ledger.ack, ledger.ack_rows = [0] * len(rows), rows
             if not ledger.ack[sender] >> monitor & 1:
                 ledger.ack[sender] |= 1 << monitor
-                self._owe(sender, session, ledger)
+                self._owe(sender, session)
 
-    def expect_deal(self, sender: int, session: tuple, row) -> None:
+    def expect_deal(self, sender: int, session: tuple, row, batch) -> None:
         """Monitor step 3: expect ``sender`` to broadcast ``f_i(sender)``, the
         point of ``row`` (the ``mon`` body) its confirm value matched, during
-        the reconstruct of ``session``."""
+        the reconstruct of ``session``; ``batch`` as for :meth:`expect_ack`."""
         ledger = self._ledger_for(
-            sender, session, self.pid, lambda: self._deal_value(row, sender)
+            sender, session, self.pid, batch, lambda: self._deal_value(row, sender)
         )
         if ledger is not None and not ledger.deal >> sender & 1:
             if ledger.deal_row is None:
                 ledger.deal_row = row
             ledger.deal |= 1 << sender
-            self._owe(sender, session, ledger)
+            self._owe(sender, session)
 
     def _deal_value(self, row: tuple, sender: int) -> int:
         return point(self.field, len(row) - 1, row, sender)  # row: t + 1 values
 
     def _ledger_for(
-        self, sender: int, session: tuple, monitor: int, expected: Callable[[], int]
+        self, sender: int, session: tuple, monitor: int, batch, expected: Callable[[], int]
     ) -> _Ledger | None:
         """The ledger a new expectation of ``sender`` goes into — ``None``
         when none is recorded: the sender is convicted or this process, or
-        its batch already answered for ``monitor`` (judged against ``expected()``)."""
+        its ``batch`` already answered for ``monitor`` (judged against ``expected()``)."""
         if sender in self.D or sender == self.pid:
+            return None
+        value = None if batch is None else rv_value(batch, monitor)
+        if value is not None:
+            if value != expected():
+                self._detect(sender, session)
             return None
         ledger = self._ledgers.get(session)
         if ledger is None:
-            ledger = self._ledgers[session] = _Ledger(session in self._closed_sessions)
-        elif ledger.seen is not None and sender in ledger.seen:
-            value = rv_value(ledger.seen[sender], monitor)
-            if value is not None:
-                if value != expected():
-                    self._detect(sender, session)
-                return None
+            ledger = self._ledgers[session] = _Ledger()
         return ledger
 
     def drop_deal_expectations(self, session: tuple) -> None:
@@ -215,9 +214,9 @@ class DMM:
                 self._settle(sender, session, ledger)
             self._drop_if_empty(session, ledger)
 
-    def _owe(self, sender: int, session: tuple, ledger: _Ledger) -> None:
+    def _owe(self, sender: int, session: tuple) -> None:
         self._owed[sender] = self._owed.get(sender, 0) + 1
-        if ledger.closed:
+        if session in self._closed_sessions:
             self._arm(sender, session)
 
     def _arm(self, sender: int, session: tuple) -> None:
@@ -274,7 +273,7 @@ class DMM:
             ledger.deal_row = None
         if not any(ledger.ack or ()):
             ledger.ack = ledger.ack_rows = None
-        if not (ledger.deal or ledger.seen or ledger.ack):
+        if not (ledger.deal or ledger.ack):
             del self._ledgers[session]
             if self.clock.finished(session):  # the last debt of a retired session
                 self.clock.completed.pop(session, None)
@@ -286,11 +285,8 @@ class DMM:
         self._closed_sessions.add(session)
         ledger = self._ledgers.get(session)
         if ledger is not None:
-            ledger.closed = True
-            ledger.seen = None
             for sender in ledger.debtors():
                 self._arm(sender, session)
-            self._drop_if_empty(session, ledger)
 
     def forget_session(self, session: tuple) -> None:
         """Drop every expectation of a session nobody will reconstruct.
@@ -325,13 +321,7 @@ class DMM:
             return  # a process never suspects itself (cf. filter_verdict)
         ledger = self._ledgers.get(session)
         if ledger is None:
-            if session in self._closed_sessions:
-                return  # closed with nothing owed: nothing to clear or keep
-            ledger = self._ledgers[session] = _Ledger(False)
-        if not ledger.closed:
-            if ledger.seen is None:
-                ledger.seen = {}
-            ledger.seen[sender] = batch
+            return  # nothing owed here; the session's instance keeps the batch
         owed = ledger.ack[sender] if ledger.ack else 0
         if owed:
             rows, cleared = ledger.ack_rows, 0

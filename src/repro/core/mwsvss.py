@@ -31,7 +31,8 @@ monitor's ``f̂_j`` and the moderator's ``f̂`` stay the dealer's values
 confirm value leaves a bit, an ``rv`` batch stays its wire tuple
 (:func:`rv_value`), and R' reads ``f̄_l(0)`` and ``f̄(0)`` off bases looked
 up by pid mask (``VSSManager.basis`` / ``.fit``).  The DMM's expectations
-are masks over the dealer's columns and the monitor's ``f̂_j``.
+are masks over the dealer's columns and the monitor's ``f̂_j``, and steps 3
+and 7 hand it the sender's batch from ``rv_batches``, the one record of it.
 
 Bill: n²+3n+1 private, 3n+2+rv RBs, n-t <= rv <= n (tests/test_bills.py).
 """
@@ -221,7 +222,7 @@ class MWSVSSInstance:
         # _open_reconstruct (at begin_reconstruct or the first ``rv``)
         self.reconstruct_begun = False
         self._rv_sent = False
-        self.rv_batches: dict[int, tuple] | None = None  # sender -> parsed batch
+        self.rv_batches: dict[int, tuple] | None = None  # sender -> first parsed batch
         #: Mask of the senders whose batches ``_consume_rv_batches`` re-scans:
         #: fresh arrivals, or every sender (-1) after ``L̂``/``M̂`` widen eligibility
         self._rv_dirty = 0
@@ -420,7 +421,7 @@ class MWSVSSInstance:
             return
         self.L |= bit
         if not self._deal_suppressed:
-            self.manager.dmm.expect_deal(l, self.sid, row)
+            self.manager.dmm.expect_deal(l, self.sid, row, (self.rv_batches or {}).get(l))
         if self.L.bit_count() >= self.n - self.t:
             self._freeze_l()
 
@@ -540,10 +541,10 @@ class MWSVSSInstance:
             if not self.L_hat[j] or self.L_hat[j] & unacked:
                 return
         self._dealer_acked = True
-        dmm = self.manager.dmm
+        dmm, batches = self.manager.dmm, self.rv_batches or {}
         for j in self.M_hat:
             for l in self.manager.pids_of(self.L_hat[j]):
-                dmm.expect_ack(l, self.sid, j, self._deal_rows)
+                dmm.expect_ack(l, self.sid, j, self._deal_rows, batches.get(l))
         self.manager.rb_broadcast(self.sid, "ok", None)
 
     # -- step 9 -----------------------------------------------------------------

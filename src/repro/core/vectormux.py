@@ -67,8 +67,12 @@ untouched:
 * corrupt senders never pack: a host with a byzantine behaviour or an
   outbound filter emits plain per-session messages, so mutators and
   crash-after-N budgets keep acting on logical *slot* messages (a forged
-  ``("svec", ...)`` payload is unpacked with full per-slot validation and
-  grants nothing beyond sending the slots individually);
+  ``("svec", ...)`` payload is unpacked with full per-slot validation);
+* but a fold's bid is not unique per ``(origin, sid, kind)`` as the
+  canonical bid is: RB agrees per bid and the ``L`` / ``M`` / ``G`` / ``rv``
+  handlers keep the first delivery, so two folds from one byzantine origin
+  can leave two honest processes holding different ``L̂`` with nobody
+  shunned (``docs/ADVERSARY.md``; ROADMAP 15(b)/(c) must judge it);
 * a scheduler may advertise ``splits_slots``
   (:class:`repro.adversary.schedulers.SlotSplittingScheduler`) and no mux
   ever packs — the run is the per-session wire stream bit for bit, with

@@ -31,13 +31,12 @@ class Field:
     moduli are equal.
     """
 
-    __slots__ = ("prime", "byte_size")
+    __slots__ = ("prime",)
 
     def __init__(self, prime: int):
         if not is_prime(prime):
             raise FieldError(f"field modulus must be prime, got {prime}")
         object.__setattr__(self, "prime", prime)
-        object.__setattr__(self, "byte_size", (prime.bit_length() + 7) // 8)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise FieldError("Field instances are immutable")

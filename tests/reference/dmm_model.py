@@ -1,7 +1,9 @@
 """The paper's DMM (§3.1, §3.3) as plain dictionaries, laid out like
 ``Player.DMM`` in giladstern/SVSS-Simulation: ``ACK[tag][(monitor, sender)]``
 and ``DEAL[tag][sender]`` hold the expected values, ``D`` the detected set.
-No index (every question is a scan), no import from ``repro``."""
+A batch that arrived before its expectation is handed over with it (the
+session holds it, not the DMM).  No index (every question is a scan), no
+import from ``repro``."""
 
 FORWARD, DELAY, DISCARD = "forward", "delay", "discard"
 
@@ -11,22 +13,20 @@ class Player:
         self.id, self.clock = id, clock
         self.D, self.closed, self.shuns = set(), set(), []
         self.ACK, self.DEAL = {}, {}
-        self.seen = {}  # tag -> {sender: batch}, while the tag is open
 
-    def expect(self, table, point, sender, tag, monitor, value):
+    def expect(self, table, point, sender, tag, monitor, value, batch):
         if sender in self.D or sender == self.id:
             return
-        batch = self.seen.get(tag, {}).get(sender, {})
-        if monitor not in batch:
+        if monitor not in (batch or {}):
             table.setdefault(tag, {}).setdefault(point, value)
         elif batch[monitor] != value:
             self.detect(sender, tag)
 
-    def expect_ack(self, sender, tag, monitor, value):
-        self.expect(self.ACK, (monitor, sender), sender, tag, monitor, value)
+    def expect_ack(self, sender, tag, monitor, value, batch):
+        self.expect(self.ACK, (monitor, sender), sender, tag, monitor, value, batch)
 
-    def expect_deal(self, sender, tag, value):
-        self.expect(self.DEAL, sender, sender, tag, self.id, value)
+    def expect_deal(self, sender, tag, value, batch):
+        self.expect(self.DEAL, sender, sender, tag, self.id, value, batch)
 
     def drop_deal_expectations(self, tag):
         self.DEAL.pop(tag, None)
@@ -34,8 +34,6 @@ class Player:
     def check_reconstruct_batch(self, sender, tag, batch):
         if sender == self.id:
             return
-        if tag not in self.closed:
-            self.seen.setdefault(tag, {})[sender] = batch
         owed = {(m, sender): m for m in batch if (m, sender) in self.ACK.get(tag, {})}
         if sender in self.DEAL.get(tag, {}) and self.id in batch:
             owed[sender] = self.id
@@ -56,11 +54,10 @@ class Player:
 
     def on_session_reconstructed(self, tag):
         self.closed.add(tag)
-        self.seen.pop(tag, None)
 
     def forget_session(self, tag):
         if tag not in self.closed:
-            self.on_session_reconstructed(tag)
+            self.closed.add(tag)
             self.ACK.pop(tag, None)
             self.DEAL.pop(tag, None)
 

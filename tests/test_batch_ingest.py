@@ -58,7 +58,7 @@ def arm_sender(mgr, sender, session, value=7):
     later-begun sessions draw DELAY verdicts — the shunning delay rule."""
     mgr.clock.note_begin(session)
     mgr.clock.note_complete(session)
-    mgr.dmm.expect_deal(sender, session, (value,) * (mgr.t + 1))  # f̂ ≡ value: its mon body
+    mgr.dmm.expect_deal(sender, session, (value,) * (mgr.t + 1), None)  # f̂ ≡ value: its mon body
     mgr.dmm.on_session_reconstructed(session)
 
 

@@ -46,7 +46,7 @@ def make_dmm(pid=1):
 class TestExpectations:
     def test_matching_ack_broadcast_clears(self):
         dmm, clock, shuns = make_dmm()
-        dmm.expect_ack(sender=3, session=S1, monitor=2, rows=ROWS[S1])
+        dmm.expect_ack(sender=3, session=S1, monitor=2, rows=ROWS[S1], batch=None)
         assert dmm.has_expectations(3)
         dmm.check_reconstruct_batch(3, S1, rv({2: 7}))
         assert not dmm.has_expectations(3)
@@ -54,59 +54,63 @@ class TestExpectations:
 
     def test_conflicting_ack_broadcast_convicts(self):
         dmm, clock, shuns = make_dmm()
-        dmm.expect_ack(sender=3, session=S1, monitor=2, rows=ROWS[S1])
+        dmm.expect_ack(sender=3, session=S1, monitor=2, rows=ROWS[S1], batch=None)
         dmm.check_reconstruct_batch(3, S1, rv({2: 8}))
         assert 3 in dmm.D
         assert shuns == [(3, S1)]
 
     def test_matching_deal_broadcast_clears(self):
         dmm, clock, shuns = make_dmm(pid=5)
-        dmm.expect_deal(sender=3, session=S1, row=CONFIRMS[S1])
+        dmm.expect_deal(sender=3, session=S1, row=CONFIRMS[S1], batch=None)
         dmm.check_reconstruct_batch(3, S1, rv({5: 9}))
         assert not dmm.has_expectations(3)
 
     def test_conflicting_deal_broadcast_convicts(self):
         dmm, clock, shuns = make_dmm(pid=5)
-        dmm.expect_deal(sender=3, session=S1, row=CONFIRMS[S1])
+        dmm.expect_deal(sender=3, session=S1, row=CONFIRMS[S1], batch=None)
         dmm.check_reconstruct_batch(3, S1, rv({5: 1}))
         assert 3 in dmm.D
         assert shuns == [(3, S1)]
 
     def test_batch_missing_entry_keeps_expectation(self):
         dmm, clock, shuns = make_dmm()
-        dmm.expect_ack(3, S1, monitor=2, rows=ROWS[S1])
+        dmm.expect_ack(3, S1, monitor=2, rows=ROWS[S1], batch=None)
         dmm.check_reconstruct_batch(3, S1, rv({4: 1}))  # no entry for monitor 2
         assert dmm.has_expectations(3)
         assert shuns == []
 
     def test_batch_before_expectation_reconciles_match(self):
         """Asynchrony: the broadcast can arrive before the share step that
-        records the expectation."""
+        records the expectation; the step hands over the batch its
+        instance holds, and the DMM keeps none of its own."""
         dmm, clock, shuns = make_dmm()
-        dmm.check_reconstruct_batch(3, S1, rv({2: 7}))
-        dmm.expect_ack(3, S1, monitor=2, rows=ROWS[S1])
+        batch = rv({2: 7})
+        dmm.check_reconstruct_batch(3, S1, batch)
+        assert not dmm._ledgers
+        dmm.expect_ack(3, S1, monitor=2, rows=ROWS[S1], batch=batch)
         assert not dmm.has_expectations(3)
         assert shuns == []
 
     def test_batch_before_expectation_reconciles_conflict(self):
         dmm, clock, shuns = make_dmm()
-        dmm.check_reconstruct_batch(3, S1, rv({2: 8}))
-        dmm.expect_ack(3, S1, monitor=2, rows=ROWS[S1])
+        batch = rv({2: 8})
+        dmm.check_reconstruct_batch(3, S1, batch)
+        dmm.expect_ack(3, S1, monitor=2, rows=ROWS[S1], batch=batch)
         assert 3 in dmm.D
 
     def test_drop_deal_expectations(self):
         dmm, clock, shuns = make_dmm(pid=5)
-        dmm.expect_deal(3, S1, row=CONFIRMS[S1])
-        dmm.expect_deal(4, S1, row=CONFIRMS[S1])
+        dmm.expect_deal(3, S1, row=CONFIRMS[S1], batch=None)
+        dmm.expect_deal(4, S1, row=CONFIRMS[S1], batch=None)
         dmm.drop_deal_expectations(S1)
         assert not dmm.has_expectations(3)
         assert not dmm.has_expectations(4)
 
     def test_expectations_from_detected_processes_ignored(self):
         dmm, clock, shuns = make_dmm()
-        dmm.expect_ack(3, S1, monitor=2, rows=ROWS[S1])
+        dmm.expect_ack(3, S1, monitor=2, rows=ROWS[S1], batch=None)
         dmm.check_reconstruct_batch(3, S1, rv({2: 8}))  # convicts 3
-        dmm.expect_ack(3, S2, monitor=2, rows=ROWS[S2])
+        dmm.expect_ack(3, S2, monitor=2, rows=ROWS[S2], batch=None)
         assert not dmm.has_expectations(3)
 
 
@@ -117,7 +121,7 @@ class TestFilter:
 
     def test_discard_from_detected(self):
         dmm, clock, shuns = make_dmm()
-        dmm.expect_ack(3, S1, monitor=2, rows=ROWS[S1])
+        dmm.expect_ack(3, S1, monitor=2, rows=ROWS[S1], batch=None)
         dmm.check_reconstruct_batch(3, S1, rv({2: 0}))
         assert dmm.filter_verdict(3, S2) == DISCARD
 
@@ -129,7 +133,7 @@ class TestFilter:
     def test_delay_requires_session_order(self):
         dmm, clock, shuns = make_dmm()
         clock.note_begin(S1)
-        dmm.expect_ack(3, S1, monitor=2, rows=ROWS[S1])
+        dmm.expect_ack(3, S1, monitor=2, rows=ROWS[S1], batch=None)
         clock.note_complete(S1)
         dmm.on_session_reconstructed(S1)
         clock.note_begin(S2)
@@ -140,7 +144,7 @@ class TestFilter:
         cannot delay anything (→_i does not hold)."""
         dmm, clock, shuns = make_dmm()
         clock.note_begin(S1)
-        dmm.expect_ack(3, S1, monitor=2, rows=ROWS[S1])
+        dmm.expect_ack(3, S1, monitor=2, rows=ROWS[S1], batch=None)
         clock.note_begin(S2)
         assert dmm.filter_verdict(3, S2) == FORWARD
 
@@ -148,7 +152,7 @@ class TestFilter:
         dmm, clock, shuns = make_dmm()
         clock.note_begin(S1)
         clock.note_begin(S2)  # S2 began before S1 completed
-        dmm.expect_ack(3, S1, monitor=2, rows=ROWS[S1])
+        dmm.expect_ack(3, S1, monitor=2, rows=ROWS[S1], batch=None)
         clock.note_complete(S1)
         dmm.on_session_reconstructed(S1)
         assert dmm.filter_verdict(3, S2) == FORWARD
@@ -156,7 +160,7 @@ class TestFilter:
     def test_delay_lifts_after_clearing(self):
         dmm, clock, shuns = make_dmm()
         clock.note_begin(S1)
-        dmm.expect_ack(3, S1, monitor=2, rows=ROWS[S1])
+        dmm.expect_ack(3, S1, monitor=2, rows=ROWS[S1], batch=None)
         clock.note_complete(S1)
         dmm.on_session_reconstructed(S1)
         clock.note_begin(S2)
@@ -167,7 +171,7 @@ class TestFilter:
     def test_delay_only_for_owing_sender(self):
         dmm, clock, shuns = make_dmm()
         clock.note_begin(S1)
-        dmm.expect_ack(3, S1, monitor=2, rows=ROWS[S1])
+        dmm.expect_ack(3, S1, monitor=2, rows=ROWS[S1], batch=None)
         clock.note_complete(S1)
         dmm.on_session_reconstructed(S1)
         clock.note_begin(S2)
@@ -179,7 +183,7 @@ class TestFilter:
         clock.note_begin(S1)
         clock.note_complete(S1)
         dmm.on_session_reconstructed(S1)
-        dmm.expect_ack(3, S1, monitor=2, rows=ROWS[S1])
+        dmm.expect_ack(3, S1, monitor=2, rows=ROWS[S1], batch=None)
         clock.note_begin(S2)
         assert dmm.filter_verdict(3, S2) == DELAY
 
@@ -187,21 +191,21 @@ class TestFilter:
 class TestIntrospection:
     def test_pending_sessions(self):
         dmm, clock, shuns = make_dmm()
-        dmm.expect_ack(3, S1, monitor=2, rows=ROWS[S1])
-        dmm.expect_deal(3, S2, row=CONFIRMS[S2])
+        dmm.expect_ack(3, S1, monitor=2, rows=ROWS[S1], batch=None)
+        dmm.expect_deal(3, S2, row=CONFIRMS[S2], batch=None)
         assert dmm.pending_sessions(3) == frozenset({S1, S2})
 
     def test_shunned_or_suspected(self):
         dmm, clock, shuns = make_dmm()
-        dmm.expect_ack(3, S1, monitor=2, rows=ROWS[S1])
-        dmm.expect_ack(4, S1, monitor=2, rows=ROWS[S1])
+        dmm.expect_ack(3, S1, monitor=2, rows=ROWS[S1], batch=None)
+        dmm.expect_ack(4, S1, monitor=2, rows=ROWS[S1], batch=None)
         dmm.check_reconstruct_batch(4, S1, rv({2: 0}))
         assert dmm.shunned_or_suspected() == {3, 4}
 
     def test_multiple_monitors_partial_clear(self):
         dmm, clock, shuns = make_dmm()
-        dmm.expect_ack(3, S1, monitor=2, rows=ROWS[S1])
-        dmm.expect_ack(3, S1, monitor=4, rows=ROWS[S1])
+        dmm.expect_ack(3, S1, monitor=2, rows=ROWS[S1], batch=None)
+        dmm.expect_ack(3, S1, monitor=4, rows=ROWS[S1], batch=None)
         dmm.check_reconstruct_batch(3, S1, rv({2: 7}))
         assert dmm.has_expectations(3)
         dmm.check_reconstruct_batch(3, S1, rv({2: 7, 4: 9}))
@@ -209,7 +213,7 @@ class TestIntrospection:
 
     def test_detection_is_permanent(self):
         dmm, clock, shuns = make_dmm()
-        dmm.expect_ack(3, S1, monitor=2, rows=ROWS[S1])
+        dmm.expect_ack(3, S1, monitor=2, rows=ROWS[S1], batch=None)
         dmm.check_reconstruct_batch(3, S1, rv({2: 0}))
         dmm.check_reconstruct_batch(3, S1, rv({2: 7}))  # too late
         assert 3 in dmm.D

@@ -4,9 +4,10 @@ A process that lost its run asks once; holders answer at once, running
 processes when they decide; the asker adopts on ``t + 1`` matching answers
 from distinct pids.  Forged answers grant nothing below that quorum, a
 repeated answer counts once, forged asks and answers grow no state,
-malformed payloads are dropped, and a run in which nobody asks sends no
-echo message.  The planted bug (the quorum lowered to ``t``) must let
-``t`` colluding forgers make the armed monitor fire.
+malformed payloads are dropped, an asker is dropped with the process it
+waited on, and a run in which nobody asks sends no echo message.  The
+planted bug (the quorum lowered to ``t``) must let ``t`` colluding forgers
+make the armed monitor fire.
 """
 
 from __future__ import annotations
@@ -134,6 +135,20 @@ def test_an_ask_before_the_decision_is_answered_at_it(n):
     assert driver.decisions[IID] == dict.fromkeys(stack.config.pids, 1)
     assert all(not others[p].askers for p in range(2, n + 1))
     assert (IID, 1, 1, 0) in monitor.verdict()["decisions"]
+
+
+def test_a_process_closing_undecided_drops_its_askers():
+    """An ask waits in ``askers`` only while a process runs the instance:
+    one that closes undecided (``NetCluster.run_agreement`` closes its
+    processes when it returns) will never answer, and the entry goes."""
+    stack, driver, _ = run_with_a_lost_process(4)
+    others = echoes(stack)
+    stack.runtime.run_until(lambda: all(others[p].askers.get(IID, 0) >> 1 & 1 for p in (2, 3)))
+    process = driver.processes[IID][2]
+    assert process.decided is None
+    process.close()
+    assert others[2].askers == {} and others[2].held == {}
+    assert others[3].askers[IID] >> 1 & 1  # still running: still waiting
 
 
 def test_planted_bug_a_quorum_of_t_lets_forgers_break_agreement():

@@ -42,10 +42,6 @@ class TestConstruction:
     def test_hashable(self):
         assert len({Field(13), Field(13), Field(17)}) == 2
 
-    def test_byte_size(self):
-        assert Field(13).byte_size == 1
-        assert Field(2**31 - 1).byte_size == 4
-
     def test_size(self):
         assert Field(13).size == 13
 

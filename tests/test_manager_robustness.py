@@ -173,7 +173,7 @@ class TestValueKinds:
         sid_old = mw_session(("solo", 0), 1, 2, "dm")
         sid_new = mw_session(("solo", 1), 1, 2, "dm")
         mgr._ensure_mw(sid_old)
-        mgr.dmm.expect_ack(3, sid_old, monitor=2, rows=F2_OF_3_IS_9)
+        mgr.dmm.expect_ack(3, sid_old, monitor=2, rows=F2_OF_3_IS_9, batch=None)
         mgr.clock.note_complete(sid_old)
         mgr.dmm.on_session_reconstructed(sid_old)
         mgr._ensure_mw(sid_new)
@@ -194,7 +194,7 @@ class TestValueKinds:
         sid_old = mw_session(("solo", 0), 1, 2, "dm")
         sid_new = mw_session(("solo", 1), 1, 2, "dm")
         mgr._ensure_mw(sid_old)
-        mgr.dmm.expect_ack(3, sid_old, monitor=2, rows=F2_OF_3_IS_9)
+        mgr.dmm.expect_ack(3, sid_old, monitor=2, rows=F2_OF_3_IS_9, batch=None)
         mgr.clock.note_complete(sid_old)
         mgr.dmm.on_session_reconstructed(sid_old)
         mgr._ensure_mw(sid_new)
@@ -212,7 +212,7 @@ class TestValueKinds:
         sid_old = mw_session(("solo", 0), 1, 2, "dm")
         sid_new = mw_session(("solo", 1), 1, 2, "dm")
         mgr._ensure_mw(sid_old)
-        mgr.dmm.expect_ack(3, sid_old, monitor=2, rows=F2_OF_3_IS_9)
+        mgr.dmm.expect_ack(3, sid_old, monitor=2, rows=F2_OF_3_IS_9, batch=None)
         mgr.clock.note_complete(sid_old)
         mgr.dmm.on_session_reconstructed(sid_old)
         mgr._ensure_mw(sid_new)
@@ -336,7 +336,7 @@ class TestReleasedSessionsRejectReplays:
 
         sid, ledger = next(iter(mgr.dmm._ledgers.items()))
         assert [s for s, monitors in enumerate(ledger.ack) if monitors] == [culprit]
-        assert ledger.closed
+        assert sid in mgr.dmm._armed[culprit]  # a debt: it gates the culprit
         # Retired, but its debt keeps the completed stamp the delay rule reads.
         assert mgr.clock.finished(sid) and sid in mgr.clock.completed
         monitor, value = owed_ack(ledger)

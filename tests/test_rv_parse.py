@@ -124,11 +124,11 @@ def check(body, owed, deal, other) -> None:
     cols = [None] * (N + 1)
     cols[SENDER] = [owed.get(m, 0) for m in PIDS]
     for monitor, value in owed.items():
-        dmm.expect_ack(SENDER, session, monitor, cols)
-        model.expect_ack(SENDER, session, monitor, value)
+        dmm.expect_ack(SENDER, session, monitor, cols, None)
+        model.expect_ack(SENDER, session, monitor, value, None)
     if deal is not None:
-        dmm.expect_deal(SENDER, session, deal)
-        model.expect_deal(SENDER, session, point(mgr.field, T, deal, SENDER))
+        dmm.expect_deal(SENDER, session, deal, None)
+        model.expect_deal(SENDER, session, point(mgr.field, T, deal, SENDER), None)
     dmm.check_reconstruct_batch(SENDER, session, parsed)
     model.check_reconstruct_batch(SENDER, session, reference)
     assert outcome(dmm, SENDER) == model_outcome(model, SENDER), body

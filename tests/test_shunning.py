@@ -219,3 +219,47 @@ class TestSuspicionAfterACoin:
             vss._ensure_mw(later)
             assert dmm.filter_verdict(culprit, later) == DELAY
         assert len(observers) >= 2
+
+
+class TestTheBatchJudgedIsTheBatchUsed:
+    def test_a_lie_delivered_before_the_truth_convicts_at_step_3(self):
+        """Sender 4's ``rv`` for one session arrives twice (two RB bids), a
+        lie about f̂_3(4) first and then the truth, both before monitor 3's
+        step-3 expectation for 4 exists.  The instance interpolates with
+        the first delivery, so that is the batch the DMM must judge: once
+        4's confirm and ack land, 4 is in ``D``."""
+        stack = build_stack(SystemConfig(n=4, seed=0), scheduler=FifoScheduler())
+        mgr, sender = stack.vss[3], 4
+        sid = mw_session(("solo", "twice"), 1, 2, "dm")
+        mon = (5, 6)  # f̂_3(1..t+1) from dealer 1: f̂_3(x) = 4 + x, f̂_3(4) = 8
+        lie, truth = ((3, 9),), ((3, 8),)
+        mgr._on_rb(sender, ("vss", sid, "rv", lie))
+        mgr._on_rb(sender, ("vss", sid, "rv", truth))
+        inst = mgr.mw[sid]
+        assert inst.rv_batches[sender] == mgr.parse_rv(lie)  # the first stays
+        assert sender not in mgr.dmm.D and not mgr.dmm.has_expectations(sender)
+        mgr._on_private(1, ("v", sid, "mon", mon))
+        mgr._on_private(sender, ("v", sid, "cnf", 8))  # f̂_3(4): it confirms
+        mgr._on_rb(sender, ("vss", sid, "ack", None))
+        assert inst.L >> sender & 1  # step 3 admitted it
+        assert sender in mgr.dmm.D
+
+    def test_a_lie_delivered_before_the_truth_convicts_at_step_7(self):
+        """The dealer's side: confirmer 4's ``rv`` lies about f_2(4), then
+        tells the truth, both before dealer 1's step 7; once M̂ and every
+        L̂_j with its acks land, step 7 judges the lie and 4 is in ``D``."""
+        stack = build_stack(SystemConfig(n=4, seed=0), scheduler=FifoScheduler())
+        mgr, sender, p = stack.vss[1], 4, stack.config.prime
+        sid = mw_session(("solo", "twice"), 1, 2, "dm")
+        mgr.mw_share(sid, 7)
+        inst = mgr.mw[sid]
+        value = inst._deal_rows[sender][2 - 1]  # f_2(4), the column sent to 4
+        mgr._on_rb(sender, ("vss", sid, "rv", ((2, (value + 1) % p),)))
+        mgr._on_rb(sender, ("vss", sid, "rv", ((2, value),)))
+        assert not mgr.dmm.has_expectations(sender)
+        for pid in (2, 3, 4):
+            mgr._on_rb(pid, ("vss", sid, "ack", None))
+            mgr._on_rb(pid, ("vss", sid, "L", (2, 3, 4)))
+        mgr._on_rb(2, ("vss", sid, "M", (2, 3, 4)))
+        assert inst._dealer_acked  # step 7 ran
+        assert sender in mgr.dmm.D
