@@ -6,7 +6,9 @@ The robustness artifact for the real-network layer (ROADMAP item 1):
    (both nodes journaled, like every node), clean and under each
    throughput-meaningful chaos profile, with the exactly-once in-order
    contract asserted on every run; each row keeps the retransmits,
-   reconnects and proxy counts it cost.
+   reconnects and proxy counts it cost, and the rows of the profiles
+   that only delay (``delay``, ``slow_link``) are gated at 0 frames
+   resent on one connection: a delay never reorders a link.
 2. **Reconnect recovery** — after ``restart_transport``, a backlog
    queued during the outage is fully delivered in order: one
    crash+reboot resync (epoch handshake + retransmit), with the
@@ -74,13 +76,14 @@ FAST = TransportConfig(
     backoff_max=0.2,
     heartbeat_interval=0.1,
     idle_timeout=2.0,
-    rto=0.1,
     down_after=1.0,
 )
 
 #: Profiles whose steady-state throughput is meaningful (partition is a
 #: heal scenario, not a rate; it is still safety-gated below).
-THROUGHPUT_PROFILES = ("none", "drop", "delay", "duplicate", "reorder", "flaky")
+THROUGHPUT_PROFILES = ("none", "reset", "delay", "slow_link", "flaky")
+#: Profiles that only delay: their blast resends nothing.
+FIFO_PROFILES = ("delay", "slow_link")
 
 
 async def _wired_pair(profile_name: "str | None", journal_dir: Path):
@@ -122,6 +125,11 @@ async def _measure_throughput(
         f"profile {profile_name}: delivery broke order/uniqueness"
     )
     stats = a.peers[2].stats
+    if profile_name in FIFO_PROFILES:
+        assert (stats.retransmits, stats.reconnects) == (0, 1), (
+            f"profile {profile_name}: {stats.retransmits} frames resent "
+            f"over {stats.reconnects} connections; a delay must not reorder"
+        )
     row = {
         "messages": n_msgs,
         "retransmits": stats.retransmits,
@@ -134,9 +142,7 @@ async def _measure_throughput(
         if link is not None:
             row["proxy"] = {
                 "forwarded": link.forwarded,
-                "dropped": link.dropped,
-                "duplicated": link.duplicated,
-                "reordered": link.reordered,
+                "resets": link.resets,
             }
         await proxy.close()
     return row
@@ -416,6 +422,8 @@ def test_bench_net(emit):
                 "under the armed invariant monitor",
                 "socket decisions are bit-identical to the simulator's",
                 "every throughput run delivered exactly-once in order",
+                f"the {' and '.join(FIFO_PROFILES)} throughput runs resend "
+                f"0 frames on one connection",
                 "kill -9 -> journal relaunch -> rejoin reaches the no-kill "
                 "decision under every chaos profile",
                 "impostor HELLO storm never stalls honest agreement",

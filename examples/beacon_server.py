@@ -36,7 +36,6 @@ TCONF = TransportConfig(
     backoff_max=0.2,
     heartbeat_interval=0.2,
     idle_timeout=3.0,
-    rto=0.15,
     down_after=1.0,
 )
 

@@ -10,17 +10,18 @@ stacks over real asyncio TCP sockets:
 * :mod:`repro.net.transport` — :class:`NetworkHost` (the
   ``ProcessHost`` send/handler surface over sockets), a
   :class:`PeerConnection` supervisor per peer (exponential-backoff
-  reconnect, heartbeats, seq/ack reliable delivery, bounded outbound
-  queues with backpressure), :class:`NetworkNode` tying one process'
-  server + peers + dispatch pump together, and :class:`NetContext`, the
-  clock, monitor and wait the nodes of one cluster (or a lone node) share;
+  reconnect, heartbeats, a seq/ack resync that repairs connection
+  resets, bounded outbound queues with backpressure),
+  :class:`NetworkNode` tying one process' server + peers + dispatch pump
+  together, and :class:`NetContext`, the clock, monitor and wait the
+  nodes of one cluster (or a lone node) share;
 * :mod:`repro.net.journal` — :class:`Journal`, the append-only
   checksummed write-ahead journal (per-link seq state, transport epoch,
   protocol decisions) that makes a ``kill -9``'d node restartable with
   its identity and state intact;
 * :mod:`repro.net.chaos` — :class:`ChaosProxy`, a frame-aware seeded
-  fault-injection proxy (drop/delay/duplicate/reorder/partition/
-  slow-link/flaky per directed link) — the network analogue of the
+  fault-injection proxy (reset/delay/partition/slow-link/flaky per
+  directed link, the faults TCP has) — the network analogue of the
   adversarial schedulers;
 * :mod:`repro.net.cluster` — an in-process n-node cluster over real
   127.0.0.1 TCP with :class:`~repro.sim.monitor.InvariantMonitor`

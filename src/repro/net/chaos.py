@@ -3,8 +3,8 @@
 The network analogue of the simulator's adversarial schedulers: where
 ``VoteBalancingScheduler`` / ``CoinRevealEclipseScheduler`` pick *which*
 simulated event fires next, the chaos layer decides what happens to
-each *frame* crossing a directed link — dropped, delayed, duplicated,
-reordered, black-holed by a partition, or squeezed through a slow link.
+each *frame* crossing a directed link — delayed, cut by a connection
+reset, black-holed by a partition, or squeezed through a slow link.
 Faults are drawn from a :class:`random.Random` seeded per directed link,
 so a chaos run is reproducible from ``(seed, profile)`` alone.
 
@@ -18,24 +18,27 @@ directed link's :class:`LinkPolicy` to forward-path frames.  The reverse
 path (WELCOMEs, ACKs, PONGs) is copied verbatim — chaos attacks the
 message channel, not the transport's own control loop, which keeps the
 fault model aligned with the paper's: an asynchronous adversary may
-delay and the proxy may drop, but the seq/ack layer must still make each
-honest link *reliable eventually*.
+delay and the proxy may reset, but the seq/ack resync must still make
+each honest link *reliable eventually*.
 
-What each knob hits:
+Faults are the ones TCP has: a connection delivers its bytes in order
+and once, or it dies losing what was in flight.  What each knob hits:
 
-* ``drop``/``duplicate``/``reorder`` apply to DATA frames only (the
-  logical messages); dropping handshakes would only slow reconnection
-  without exercising anything new.  HELLO/CHALLENGE/AUTH are control
-  path for the same reason: the authenticated handshake crosses a chaos
-  link delayed at worst, never faulted, so journal-backed rejoins under
-  every profile still converge.
+* ``reset`` applies to DATA frames only (the logical messages): it cuts
+  the connection at a seeded offset inside the frame, in stream order —
+  the target reads every frame released ahead of the cut, then the
+  torn bytes, then EOF — and closes both sockets.  HELLO/CHALLENGE/AUTH
+  are control path: the authenticated handshake crosses a chaos link
+  delayed at worst, never cut, so journal-backed rejoins under every
+  profile still converge.
 * ``min_delay``/``delay`` apply to every forwarded frame (a slow link
-  slows everything crossing it), preserving FIFO: release times are
-  monotone per link unless ``reorder`` fires, which pushes one frame
-  behind its successors.
+  slows everything crossing it).  Each connection releases its frames
+  through one FIFO, so a delay never reorders.
 * an active partition swallows *all* forward frames, heartbeats
-  included, so the sender's idle-timeout detector sees a dead link and
-  its supervisor cycles — exactly the failure a real partition causes.
+  included, and a connection that lost a frame to it carries nothing
+  more (a stream never skips bytes): the sender's idle-timeout detector
+  sees a dead link and its supervisor cycles — exactly the failure a
+  real partition causes.
 
 Scripted partitions beyond a profile's timed one use
 :meth:`ChaosProxy.block` / :meth:`ChaosProxy.unblock`.
@@ -44,6 +47,7 @@ Scripted partitions beyond a profile's timed one use
 from __future__ import annotations
 
 import asyncio
+from collections import deque
 from dataclasses import dataclass
 from random import Random
 
@@ -61,29 +65,14 @@ from repro.net.transport import PROTO_VERSION, cancel_tasks
 class LinkPolicy:
     """Fault parameters for one directed link (src -> dst)."""
 
-    #: Probability a DATA frame is silently discarded.
-    drop: float = 0.0
+    #: Probability a DATA frame cuts its connection (a reset).
+    reset: float = 0.0
     #: Extra per-frame latency: uniform in ``[min_delay, min_delay + delay]``.
     min_delay: float = 0.0
     delay: float = 0.0
-    #: Probability a DATA frame is forwarded twice.
-    duplicate: float = 0.0
-    #: Probability a DATA frame is released behind its successors.
-    reorder: float = 0.0
     #: Black-hole every frame until this many seconds after proxy start
     #: (0 = never partitioned); the link heals afterwards.
     partition_until: float = 0.0
-
-    @property
-    def faulty(self) -> bool:
-        return bool(
-            self.drop
-            or self.min_delay
-            or self.delay
-            or self.duplicate
-            or self.reorder
-            or self.partition_until
-        )
 
 
 @dataclass(frozen=True)
@@ -95,11 +84,6 @@ class ChaosProfile:
     description: str
     #: ``policy(src, dst, n) -> LinkPolicy``
     policy: "object"
-    #: Profiles that only delay/partition-and-heal preserve liveness; a
-    #: profile that drops forever still preserves *safety* (the seq/ack
-    #: layer retransmits, so liveness holds too at these rates — but the
-    #: flag records which profiles the liveness gate may time against).
-    bounded: bool = True
 
     def link_policy(self, src: int, dst: int, n: int) -> LinkPolicy:
         return self.policy(src, dst, n)
@@ -123,31 +107,20 @@ def _slow_link_policy(src: int, dst: int, n: int) -> LinkPolicy:
 
 
 #: The chaos-profile catalogue (documented in ``docs/NETWORK.md``).  Every
-#: profile must keep the monitor verdict violation-free; the ``bounded``
-#: ones additionally carry the liveness gate.
+#: profile must keep the monitor verdict violation-free.
 CHAOS_PROFILES: dict[str, ChaosProfile] = {
     "none": ChaosProfile(
         "none", "clean network; the baseline", lambda s, d, n: LinkPolicy()
     ),
-    "drop": ChaosProfile(
-        "drop",
-        "5% of DATA frames vanish on every link",
-        lambda s, d, n: LinkPolicy(drop=0.05),
+    "reset": ChaosProfile(
+        "reset",
+        "1% of DATA frames cut their connection, on every link",
+        lambda s, d, n: LinkPolicy(reset=0.01),
     ),
     "delay": ChaosProfile(
         "delay",
         "uniform 0-50ms extra latency per frame",
         lambda s, d, n: LinkPolicy(delay=0.05),
-    ),
-    "duplicate": ChaosProfile(
-        "duplicate",
-        "10% of DATA frames are forwarded twice",
-        lambda s, d, n: LinkPolicy(duplicate=0.10),
-    ),
-    "reorder": ChaosProfile(
-        "reorder",
-        "10% of DATA frames released behind their successors",
-        lambda s, d, n: LinkPolicy(delay=0.02, reorder=0.10),
     ),
     "partition": ChaosProfile(
         "partition",
@@ -161,10 +134,8 @@ CHAOS_PROFILES: dict[str, ChaosProfile] = {
     ),
     "flaky": ChaosProfile(
         "flaky",
-        "drop+delay+duplicate+reorder all at once, at low rates",
-        lambda s, d, n: LinkPolicy(
-            drop=0.03, delay=0.03, duplicate=0.05, reorder=0.05
-        ),
+        "reset+delay at once, at lower rates: 0.5% resets, 0-30ms latency",
+        lambda s, d, n: LinkPolicy(reset=0.005, delay=0.03),
     ),
 }
 
@@ -172,9 +143,7 @@ CHAOS_PROFILES: dict[str, ChaosProfile] = {
 @dataclass
 class LinkStats:
     forwarded: int = 0
-    dropped: int = 0
-    duplicated: int = 0
-    reordered: int = 0
+    resets: int = 0
     partitioned: int = 0
 
 
@@ -205,6 +174,7 @@ class ChaosProxy:
         self._started_at = 0.0
         self._blocked: set[int] = set()
         self.stats: dict[int, LinkStats] = {}
+        self._rngs: dict[int, Random] = {}
         self._conns: set[asyncio.Task] = set()
 
     # -- lifecycle ---------------------------------------------------------
@@ -236,22 +206,24 @@ class ChaosProxy:
         self._blocked.discard(src)
 
     # -- internals ---------------------------------------------------------
-    def _rng_for(self, src: int) -> Random:
-        # Same string-keyed derivation idiom as ``SystemConfig.derive_rng``.
-        return Random(f"{self.seed}:chaos:{src}->{self.dst_pid}")
+    def _link(self, src: int) -> tuple[LinkPolicy, Random, LinkStats]:
+        """The (src -> dst) link's policy, fault stream and counters.  The
+        stream is the link's, drawn on across its connections: each
+        connection resumes it, so a reset never repeats its cut point."""
+        if src not in self.stats:
+            self.stats[src] = LinkStats()
+            # Same string-keyed derivation idiom as ``SystemConfig.derive_rng``.
+            self._rngs[src] = Random(f"{self.seed}:chaos:{src}->{self.dst_pid}")
+        policy = self.profile.link_policy(src, self.dst_pid, self.n)
+        return policy, self._rngs[src], self.stats[src]
 
-    def _link_stats(self, src: int) -> LinkStats:
-        stats = self.stats.get(src)
-        if stats is None:
-            stats = self.stats[src] = LinkStats()
-        return stats
-
-    def _partition_active(self, src: int, policy: LinkPolicy, now: float) -> bool:
-        if src in self._blocked:
-            return True
-        if not policy.partition_until:
-            return False
-        return now - self._started_at < policy.partition_until
+    def _partition_active(
+        self, src: int | None, policy: LinkPolicy, now: float
+    ) -> bool:
+        return (
+            src in self._blocked
+            or now - self._started_at < policy.partition_until
+        )
 
     async def _on_connection(self, client_reader, client_writer) -> None:
         task = asyncio.current_task()
@@ -301,66 +273,79 @@ class ChaosProxy:
     async def _forward(self, client_reader, up_writer) -> None:
         """Sender -> target path: parse frames, inject faults, forward.
 
-        Release times are tracked per connection so delays preserve FIFO
-        unless ``reorder`` deliberately breaks it; writes are scheduled
-        with ``call_later`` against the shared upstream writer (sync
-        ``write`` is safe to call from callbacks).
+        Frames queue on one release FIFO per connection, in the order
+        they were read, each stamped with its release time; the FIFO's
+        one writer (:meth:`_release`) writes what is due from the head,
+        so a frame waits for its own time and for every frame ahead of
+        it.  The end of the stream — the sender's EOF, or a reset's cut
+        — queues behind them, and this returns (closing both sockets)
+        only once the writer reached it.
         """
         parser = FrameParser()
         loop = asyncio.get_running_loop()
+        fifo: deque[tuple[float, bytes | None]] = deque()
+        due = asyncio.Event()
+        writer = loop.create_task(self._release(fifo, due, up_writer))
         src: int | None = None
         policy = LinkPolicy()
         rng = Random(0)
         stats = LinkStats()
-        last_release = 0.0
-        while True:
-            data = await client_reader.read(65536)
-            if not data:
-                return
-            now = loop.time()
-            for ftype, body in parser.feed(data):
-                frame = encode_frame(ftype, body)
-                if ftype == FRAME_HELLO and src is None:
-                    src = self._learn_src(body)
-                    if src is not None:
-                        policy = self.profile.link_policy(src, self.dst_pid, self.n)
-                        rng = self._rng_for(src)
-                        stats = self._link_stats(src)
-                if src is not None and self._partition_active(src, policy, now):
-                    stats.partitioned += 1
-                    continue
-                copies = 1
-                if ftype == FRAME_DATA:
-                    if rng.random() < policy.drop:
-                        stats.dropped += 1
+        severed = cut = False
+        try:
+            while not cut:
+                data = await client_reader.read(65536)
+                if not data:
+                    break
+                now = loop.time()
+                for ftype, body in parser.feed(data):
+                    if ftype == FRAME_HELLO and src is None:
+                        src = self._learn_src(body)
+                        if src is not None:
+                            policy, rng, stats = self._link(src)
+                    if severed or self._partition_active(src, policy, now):
+                        severed = True
+                        stats.partitioned += 1
                         continue
-                    if rng.random() < policy.duplicate:
-                        copies = 2
-                        stats.duplicated += 1
-                release = now
-                if policy.min_delay or policy.delay:
-                    release += policy.min_delay + rng.random() * policy.delay
-                # FIFO unless reorder: never release before a prior frame.
-                release = max(release, last_release)
-                if ftype == FRAME_DATA and rng.random() < policy.reorder:
-                    # Push this frame behind whatever follows it shortly.
-                    release += 0.02 + policy.delay
-                    stats.reordered += 1
-                else:
-                    last_release = release
-                for _ in range(copies):
+                    frame = encode_frame(ftype, body)
+                    release = now + policy.min_delay + rng.random() * policy.delay
+                    if ftype == FRAME_DATA and rng.random() < policy.reset:
+                        stats.resets += 1
+                        torn = rng.randrange(1, len(frame))
+                        fifo.append((release, frame[:torn]))
+                        cut = True
+                        break
                     stats.forwarded += 1
-                    if release <= now:
-                        up_writer.write(frame)
-                    else:
-                        loop.call_at(release, self._write_late, up_writer, frame)
-            if up_writer.transport is not None:
-                await up_writer.drain()
+                    fifo.append((release, frame))
+                due.set()
+            fifo.append((loop.time(), None))
+            due.set()
+            await writer
+        finally:
+            await cancel_tasks([writer])
 
     @staticmethod
-    def _write_late(writer, frame: bytes) -> None:
-        if not writer.transport.is_closing():
-            writer.write(frame)
+    async def _release(fifo: deque, due: asyncio.Event, up_writer) -> None:
+        """Write the FIFO's head while it is due, until the end-of-stream
+        entry (``None``)."""
+        loop = asyncio.get_running_loop()
+        while True:
+            if not fifo:
+                due.clear()
+                await due.wait()
+                continue
+            wait = fifo[0][0] - loop.time()
+            if wait > 0:
+                await asyncio.sleep(wait)
+            now = loop.time()
+            chunks = []
+            while fifo and fifo[0][0] <= now:
+                chunk = fifo.popleft()[1]
+                if chunk is None:
+                    up_writer.write(b"".join(chunks))
+                    return
+                chunks.append(chunk)
+            up_writer.write(b"".join(chunks))
+            await up_writer.drain()
 
     @staticmethod
     def _learn_src(body: bytes) -> int | None:

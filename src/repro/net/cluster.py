@@ -54,7 +54,7 @@ class NetCluster:
 
     Usage::
 
-        cluster = NetCluster(SystemConfig(n=4, seed=7), chaos="drop")
+        cluster = NetCluster(SystemConfig(n=4, seed=7), chaos="reset")
         await cluster.start()
         decisions = await cluster.run_agreement([1, 1, 1, 1])
         await cluster.close()

@@ -26,7 +26,7 @@ own prior self as well as with its peers (deadlines: :func:`run_processes`).
 
 CLI::
 
-    python -m repro.net.launch --n 4 --inputs 1,1,1,1 --coins 2 --chaos drop
+    python -m repro.net.launch --n 4 --inputs 1,1,1,1 --coins 2 --chaos reset
 
 exits nonzero iff the verdict records a violation or a child fails.
 """

@@ -19,9 +19,11 @@ clock this package reads), the monitor, pid -> host, and one change event
 with the one ``wait_for`` on it.  A lone node's context holds just itself;
 an in-process cluster registers all of its nodes in one.
 
-Reliability.  The simulation models reliable private channels; TCP alone
-is not one (a connection drop loses whatever was buffered in flight), so
-the transport layers a per-directed-link sequence protocol on top:
+Reliability.  The simulation models reliable private channels.  One TCP
+connection is one already: its bytes arrive in order and once, or it
+dies.  What TCP loses is whatever a dying connection had in flight, so
+loss is a reset, and the transport repairs it across connections with a
+per-directed-link sequence protocol:
 
 * every DATA frame carries ``seq`` (an 8-byte prefix ahead of the
   encoded payload), monotonically increasing per (src, dst) link; each
@@ -29,20 +31,15 @@ the transport layers a per-directed-link sequence protocol on top:
   restart makes receivers re-adopt it, and when counted ring drops shed
   seqs the receiver still expects the sender re-announces its base
   mid-session so the link jumps the shed range instead of stalling;
-* the receiver delivers strictly in order exactly once, acks what each
-  socket read delivered once no gap is open, acks every duplicate and
-  out-of-order arrival, and buffers up to :data:`WINDOW` out-of-order
-  bodies (selective-repeat lite): the cumulative ack jumps the buffered
-  run the moment a gap fills;
-* the sender keeps at most :data:`WINDOW` unacked frames in flight, queues
-  every frame until cumulatively ACKed, resends just the queue-head
-  frame on a duplicate cumulative ack (fast retransmit, throttled per
-  stuck seq), falls back to go-back-N when the ack clock stalls past
-  ``rto`` (the clock starts when frames go out into an empty flight, so
-  an idle gap is never a stall), and resyncs via HELLO/WELCOME on
+* the receiver delivers strictly in order exactly once and acks what
+  each socket read delivered; a seq below its cursor (a resync may
+  resend what already arrived) is dropped and re-acked, and a seq above
+  it is a protocol error (``frame_errors["gap"]``) that closes the link;
+* the sender queues every frame until cumulatively ACKed, keeps at most
+  :data:`WINDOW` of them in flight, and resyncs via HELLO/WELCOME on
   reconnect: the WELCOME carries the receiver's next expected seq, so
-  frames lost mid-envelope by a dying connection are retransmitted, not
-  lost.
+  frames a dying connection lost (a whole envelope, or the rest of one
+  split across frames) are written again from there.
 
 Supervision.  Each :class:`PeerConnection` reconnects with exponential
 backoff plus seeded :data:`BACKOFF_JITTER` (starting over once a link
@@ -135,8 +132,8 @@ PEER_DOWN = "down"
 #: Uniform jitter fraction on each reconnect backoff delay
 #: (desynchronizes thundering herds).
 BACKOFF_JITTER = 0.25
-#: Max unacked frames in flight per link (bounds go-back-N waste), and max
-#: out-of-order frames a receiver buffers per link.
+#: Max unacked frames in flight per link: bounds what one reset strands,
+#: and so what the resync after it writes again.
 WINDOW = 1024
 #: Seconds between binds of a fixed port while it is still held (a killed
 #: predecessor's socket, or another process after a reserve-and-release).
@@ -160,9 +157,6 @@ class TransportConfig:
     heartbeat_interval: float = 0.4
     #: No inbound frame (ACK/PONG/WELCOME) for this long => link is dead.
     idle_timeout: float = 2.5
-    #: Resend from the first unacked frame after the ack clock stalls
-    #: this long (go-back-N retransmission).
-    rto: float = 0.3
     #: Backpressure gate: pause inbound dispatch when the live outbound
     #: backlog exceeds ``queue_high_water`` frames; resume below
     #: ``queue_low_water``.
@@ -228,6 +222,8 @@ class PeerStats:
 
     sent: int = 0
     acked: int = 0
+    #: Frames written again, below the link's send high-water, by the
+    #: resync after a reconnect.
     retransmits: int = 0
     reconnects: int = 0
     connect_failures: int = 0
@@ -403,22 +399,20 @@ class PeerConnection:
         self._next_seq = base_seq
         #: Next seq to (re)write on the current connection.
         self._cursor = base_seq
+        #: Highest seq ever written: what a resync writes at or below it
+        #: counts as a retransmit.
+        self._written = base_seq - 1
         self._wake = asyncio.Event()
         self._task: asyncio.Task | None = None
         #: The running loop's ``time()``, bound by :meth:`start`: the one
         #: clock every stamp below is taken on and compared against.
         self._clock = None
-        self._last_up = self._last_progress = self._last_inbound = 0.0
-        #: Highest cumulative ack seen this session (duplicate detection).
+        self._last_up = self._last_inbound = 0.0
+        #: Highest cumulative ack seen this session.
         self._acked_high = 0
         #: Base seq last announced via HELLO (re-announced mid-session
         #: when counted ring drops shed seqs the receiver still expects).
         self._announced_base = 0
-        #: Stuck seq + time of the last duplicate-ack fast retransmit.
-        self._fast_seq = 0
-        self._fast_time = 0.0
-        #: Writer directive: resend just the queue-head frame once.
-        self._retx_one = False
         self._dead = asyncio.Event()
         self._closed = False
 
@@ -430,7 +424,7 @@ class PeerConnection:
             self._closed = False
             loop = asyncio.get_running_loop()
             self._clock = loop.time
-            self._last_up = self._last_progress = loop.time()
+            self._last_up = loop.time()
             self._task = loop.create_task(
                 self._supervise(), name=f"peer-{self.node.pid}->{self.dst}"
             )
@@ -539,8 +533,6 @@ class PeerConnection:
             # Frames the receiver already holds need no resend.
             self._ack_through(next_expected - 1)
             self._acked_high = next_expected - 1
-            self._fast_seq = 0
-            self._retx_one = False
             self._cursor = (
                 self.queue[0][0] if self.queue else self._next_seq
             )
@@ -548,9 +540,7 @@ class PeerConnection:
             self.state = PEER_LIVE
             if was_down:
                 self.node.update_gate()
-            self._last_up = self._last_progress = self._last_inbound = (
-                self._clock()
-            )
+            self._last_up = self._last_inbound = self._clock()
             self.stats.reconnects += 1
             reader_task = asyncio.get_running_loop().create_task(
                 self._reader_loop(reader, parser)
@@ -628,33 +618,12 @@ class PeerConnection:
                     # all the health tracking needs.
         finally:
             self._dead.set()
+            self._wake.set()  # the writer reconnects now, not at a timeout
 
     def _on_ack(self, acked: int) -> None:
         if acked > self._acked_high:
             self._acked_high = acked
             self._ack_through(acked)
-            return
-        # Duplicate cumulative ack: the receiver is stuck just past
-        # ``acked`` while later frames keep arriving — the frame at the
-        # head of our queue was lost.  Resend *that one frame* now (the
-        # receiver buffers the rest out of order, so filling the gap is
-        # enough), throttled per stuck seq so the receiver's burst of
-        # gap-acks triggers one resend, not one per gap frame.
-        queue = self.queue
-        if not queue or acked != queue[0][0] - 1 or self._cursor <= queue[0][0]:
-            return
-        now = self._clock()
-        if (
-            queue[0][0] == self._fast_seq
-            and now - self._fast_time < self.tconfig.rto / 8
-        ):
-            return
-        self._fast_seq = queue[0][0]
-        self._fast_time = now
-        self._last_progress = now
-        self._retx_one = True
-        self.stats.retransmits += 1
-        self._wake.set()
 
     def _ack_through(self, seq: int) -> None:
         queue = self.queue
@@ -664,7 +633,6 @@ class PeerConnection:
             self.stats.acked += 1
             popped = True
         if popped:
-            self._last_progress = self._clock()
             if self._cursor <= seq:
                 self._cursor = seq + 1
             self.node.update_gate()
@@ -687,29 +655,24 @@ class PeerConnection:
                 writer.write(self._hello(queue[0][0]))
                 await writer.drain()
                 last_out = clock()
-            if self._retx_one:
-                self._retx_one = False
-                if queue and self._cursor > queue[0][0]:
-                    writer.write(queue[0][1])
-                    await writer.drain()
-                    last_out = clock()
             if queue and self._cursor <= queue[-1][0]:
-                base = queue[0][0]
-                start = self._cursor - base
+                start = self._cursor - queue[0][0]
                 # In-flight cap: never more than ``WINDOW`` unacked frames
-                # out, so one loss costs a bounded go-back-N burst.
+                # out, so one reset strands a bounded resend.
                 stop = min(len(queue), WINDOW)
                 frames = list(itertools.islice(queue, max(0, start), stop))
                 if frames:
-                    if start <= 0:
-                        # Frames going out into an empty flight start the
-                        # ack clock: the idle gap before them is no stall.
-                        self._last_progress = clock()
+                    first, last = frames[0][0], frames[-1][0]
+                    if first <= self._written:
+                        self.stats.retransmits += (
+                            min(last, self._written) - first + 1
+                        )
+                    self._written = max(self._written, last)
                     # One write per burst: a dead socket then costs one
                     # failed send (and one asyncio log line), not one per
                     # frame — and healthy paths save the syscalls too.
                     writer.write(b"".join(frame for _, frame in frames))
-                    self._cursor = frames[-1][0] + 1
+                    self._cursor = last + 1
                     await writer.drain()
                     last_out = clock()
             now = clock()
@@ -717,19 +680,13 @@ class PeerConnection:
                 raise ConnectionError("peer closed the link")
             if now - self._last_inbound > tconf.idle_timeout:
                 raise TimeoutError("no inbound traffic; link presumed dead")
-            if queue and now - self._last_progress > tconf.rto:
-                # Ack clock stalled: go-back-N from the first unacked seq.
-                self._cursor = queue[0][0]
-                self._last_progress = now
-                self.stats.retransmits += 1
-                continue
             if now - last_out > tconf.heartbeat_interval:
                 ping_nonce += 1
                 writer.write(encode_control(FRAME_PING, ping_nonce))
                 await writer.drain()
                 last_out = clock()
             self._wake.clear()
-            timeout = min(tconf.heartbeat_interval, tconf.rto) / 2
+            timeout = tconf.heartbeat_interval / 2
             try:
                 await asyncio.wait_for(self._wake.wait(), timeout=timeout)
             except asyncio.TimeoutError:
@@ -737,26 +694,15 @@ class PeerConnection:
 
 
 class _RecvLink:
-    """Receive-side per-(src, epoch) sequence state.
+    """Receive-side per-(src, epoch) sequence state."""
 
-    ``buffer`` holds out-of-order frame bodies (selective-repeat lite):
-    one lost frame then costs one retransmitted frame plus a round trip,
-    not a whole go-back-N window, because the cumulative ack jumps the
-    buffered run the moment the gap fills.
-    """
-
-    __slots__ = (
-        "epoch", "next_expected", "since_ack", "duplicates", "gaps", "buffer"
-    )
+    __slots__ = ("epoch", "next_expected", "since_ack", "duplicates")
 
     def __init__(self, epoch: int):
         self.epoch = epoch
         self.next_expected = 1
         self.since_ack = 0
         self.duplicates = 0
-        self.gaps = 0
-        #: seq -> raw encoded payload, capped at :data:`WINDOW` entries.
-        self.buffer: dict[int, bytes] = {}
 
 
 class NetContext:
@@ -957,11 +903,11 @@ class NetworkNode:
 
     async def stop_transport(self) -> None:
         """Crash the transport: close the server and every connection,
-        discard outbound queues and out-of-order buffers.  Protocol state
-        (host, modules) and the receive cursors survive — frames already
-        delivered are never accepted a second time when the sender
-        retransmits into the new incarnation.  This is the wire-lossy
-        half of a node reboot; :meth:`restart_transport` is its return."""
+        discard outbound queues.  Protocol state (host, modules) and the
+        receive cursors survive — frames already delivered are never
+        accepted a second time when the sender retransmits into the new
+        incarnation.  This is the wire-lossy half of a node reboot;
+        :meth:`restart_transport` is its return."""
         server, self._server = self._server, None
         if server is not None:
             server.close()
@@ -981,7 +927,6 @@ class NetworkNode:
             peer.queue.clear()
             peer.state = PEER_CONNECTING
         for src, link in self._recv_links.items():
-            link.buffer.clear()
             # Exact link state on disk too: it outlives process death.
             self.journal.note_recv(src, link.epoch, link.next_expected)
         self.journal.flush_notes()
@@ -1049,7 +994,7 @@ class NetworkNode:
 
         Frame-level garbage is rejected per frame by the parser; value-
         level garbage is dropped per message here.  Neither kills the
-        loop — only EOF or a socket error ends it.
+        loop — only EOF, a socket error or a seq gap ends it.
         """
         parser = FrameParser(self.tconfig.max_frame_body)
         src: int | None = None
@@ -1102,12 +1047,9 @@ class NetworkNode:
                     elif ftype == FRAME_PING:
                         out += encode_frame(FRAME_PONG, body)
                         out += self._ack_frame(link)
-                if link is not None and link.since_ack and not link.buffer:
+                if link is not None and link.since_ack:
                     # Ack what this read delivered, so a short tail never
-                    # waits for a PING or the rto.  While a gap is open,
-                    # every out-of-order arrival acks already, and the
-                    # rto's go-back-N must stay able to repair many holes
-                    # at once (head-only fast retransmits are slower).
+                    # waits for a PING to trim the sender's queue.
                     out += self._ack_frame(link)
                 if parser.errors:
                     self._merge_frame_errors(parser.errors)
@@ -1180,38 +1122,21 @@ class NetworkNode:
             # The sender shed frames below ``base`` while we were DOWN
             # (counted ring drops): those seqs no longer exist — waiting
             # for them would stall the link forever.
-            for stale in [s for s in link.buffer if s < base]:
-                del link.buffer[stale]
             link.next_expected = base
-            while link.next_expected in link.buffer:
-                self._deliver_raw(src, link.buffer.pop(link.next_expected))
-                link.next_expected += 1
-            # Ack the jump immediately: the sender's reader consumes ACK
-            # frames (not WELCOMEs), and its window may be fully in our
-            # buffer — without this it would idle until the next PING.
-            out += self._ack_frame(link)
         out += encode_control(FRAME_WELCOME, self.pid, epoch, link.next_expected)
         return src, link
 
     def _on_data(self, src: int, link: _RecvLink, body: bytes, out: bytearray) -> None:
         if len(body) < SEQ_PREFIX.size:
-            self.frame_errors["bad-data"] = (
-                self.frame_errors.get("bad-data", 0) + 1
-            )
+            self._merge_frame_errors({"bad-data": 1})
             return
         (seq,) = SEQ_PREFIX.unpack_from(body)
-        # Order the seq check before the decode: duplicates and gapped
-        # frames are re-acked without paying for a value decode.
+        # Order the seq check before the decode: duplicates are re-acked
+        # without paying for a value decode.
         if seq == link.next_expected:
             link.next_expected += 1
             link.since_ack += 1
             self._deliver_raw(src, body[SEQ_PREFIX.size :])
-            # Drain the out-of-order run this frame just unblocked.
-            buffer = link.buffer
-            while link.next_expected in buffer:
-                self._deliver_raw(src, buffer.pop(link.next_expected))
-                link.next_expected += 1
-                link.since_ack += 1
             # Coalesced note (dict write): the flush timer persists the
             # highest delivered seq, so a restarted incarnation never
             # re-accepts what this one already handed up.  The ack waits
@@ -1221,10 +1146,14 @@ class NetworkNode:
             link.duplicates += 1
             out += self._ack_frame(link)  # re-ack so the sender advances
         else:
-            link.gaps += 1
-            if seq not in link.buffer and len(link.buffer) < WINDOW:
-                link.buffer[seq] = body[SEQ_PREFIX.size :]
-            out += self._ack_frame(link)  # dup-ack: triggers fast retransmit
+            # One connection's frames arrive in order and once, so a seq
+            # past the cursor means the stream itself is broken: close
+            # the link, and the resync resends from ``next_expected``.
+            self._merge_frame_errors({"gap": 1})
+            raise ConnectionError(
+                f"gap on the link from {src}: seq {seq}, "
+                f"expected {link.next_expected}"
+            )
 
     def _deliver_raw(self, src: int, raw: bytes) -> None:
         """Decode one in-sequence payload into the inbox.
@@ -1237,9 +1166,7 @@ class NetworkNode:
         try:
             payload = decode_value(raw, self.memo)
         except CodecError:
-            self.frame_errors["bad-value"] = (
-                self.frame_errors.get("bad-value", 0) + 1
-            )
+            self._merge_frame_errors({"bad-value": 1})
         else:
             self._inbox.put_nowait((src, payload))
 

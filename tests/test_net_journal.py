@@ -28,7 +28,6 @@ FAST = TransportConfig(
     backoff_max=0.2,
     heartbeat_interval=0.1,
     idle_timeout=1.0,
-    rto=0.1,
     down_after=0.5,
     journal_flush_interval=0.02,
 )

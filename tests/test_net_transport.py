@@ -42,7 +42,6 @@ FAST = TransportConfig(
     backoff_max=0.2,
     heartbeat_interval=0.1,
     idle_timeout=1.0,
-    rto=0.1,
     down_after=0.5,
 )
 
@@ -137,7 +136,7 @@ class _AheadClockLoop(asyncio.SelectorEventLoop):
 @pytest.mark.slow
 def test_a_coin_on_a_loop_clock_far_from_monotonic_resends_nothing(cfg4):
     """A stamp taken on one clock and compared on the other would read as
-    a 10**6 s stall here: links would time out and the rto would fire.
+    a 10**6 s stall here: links would time out, reconnect and resend.
     On the one clock the clean coin is unanimous with 0 retransmits."""
     loop = _AheadClockLoop()
     try:
@@ -237,13 +236,13 @@ def test_reconnect_resync_after_transport_restart(tmp_path):
 
 def test_a_welcome_retires_delivered_but_unacked_frames(tmp_path):
     """The receive cursors survive ``stop_transport``.  No ack ever leaves
-    the receiver (its ACK frames are suppressed, no heartbeat and no rto
+    the receiver (its ACK frames are suppressed, and no heartbeat falls
     within the test), so all 20 frames are still queued at the sender
     when the receiver restarts; the WELCOME's cursor must retire them,
     not let them be delivered a second time."""
     config = SystemConfig(n=2, t=0, seed=10)
     tconfig = dataclasses.replace(
-        FAST, heartbeat_interval=5.0, rto=5.0, idle_timeout=10.0,
+        FAST, heartbeat_interval=5.0, idle_timeout=10.0,
     )
 
     async def main():
@@ -278,11 +277,12 @@ BENCH_FAST = dataclasses.replace(FAST, idle_timeout=2.0, down_after=1.0)
     "tconfig", [TransportConfig(), BENCH_FAST], ids=["default", "bench"]
 )
 def test_a_clean_link_resends_nothing_across_idle_gaps(tmp_path, tconfig):
-    """Short bursts with idle gaps longer than the rto between them.  The
-    sender's ack clock starts when a burst goes out into an empty flight
-    (a clock left at the last ack would go-back-N each burst at once),
-    and the receiver acks what each read delivered (a tail waiting for a
-    PING would outlast the rto), so nothing is ever sent twice."""
+    """Short bursts with idle gaps between them, each longer than the
+    bench's heartbeat.  Only a resync after a reconnect writes a frame
+    twice, and an idle clean link keeps its one connection (heartbeats
+    keep it live), so nothing is ever sent twice, and the receiver's acks
+    of what each read delivered drain the queue without waiting for a
+    PING."""
     config = SystemConfig(n=2, t=0, seed=11)
 
     async def main():
@@ -298,6 +298,7 @@ def test_a_clean_link_resends_nothing_across_idle_gaps(tmp_path, tconfig):
         assert got == list(range(20))
         assert b._recv_links[1].duplicates == 0
         assert a.peers[2].stats.retransmits == 0
+        assert a.peers[2].stats.reconnects == 1
         await a.close()
         await b.close()
 
@@ -588,7 +589,6 @@ def test_revive_heals_link_after_counted_ring_drops(tmp_path):
         backoff_max=0.2,
         heartbeat_interval=0.1,
         idle_timeout=1.5,
-        rto=0.1,
         down_after=0.3,
         down_queue_cap=50,
     )
