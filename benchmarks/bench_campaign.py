@@ -30,7 +30,9 @@ Acceptance gates:
 
 The JSON artifact is committed at the repo root so the robustness
 trajectory is diffable across PRs, next to the other ``BENCH_*.json``.  It
-holds verdicts and counts only: no wall-clock field.
+holds verdicts and counts only: no wall-clock field.  Each cell's summed
+events and logical messages are same-seed counts, so regenerating the file
+on a change that moves no run leaves it byte-identical.
 """
 
 from __future__ import annotations
@@ -105,6 +107,10 @@ def _cell_rows(sweep: SweepResult) -> list[dict]:
             "coin_agreed": sum(r.coin_agreed for r in cell.records),
             "coin_split": sum(r.coin_split for r in cell.records),
             "shun_pairs": sum(r.shun_pairs for r in cell.records),
+            # Same-seed counts: a change that moves any run of the cell
+            # moves these, so a regenerated artifact shows it.
+            "events": sum(r.events_dispatched for r in cell.records),
+            "logical_messages": sum(r.logical_messages for r in cell.records),
         }
         for (adversary, scheduler), cell in sweep.group_by(*CELL).items()
     ]

@@ -64,8 +64,8 @@ VALUE_KINDS = frozenset({"shl", "mon", "mod", "cnf", "ms", "rv", "rows"})
 PRIVATE_KINDS = frozenset({"shl", "mon", "mod", "cnf", "ms", "rows"})
 RB_KINDS = frozenset({"ack", "L", "M", "ok", "rv", "G"})
 
-#: Entries the pid-tuple and basis memos keep; a miss past the bound just
-#: recomputes.
+#: Entries the pid-tuple, basis and ``L̂`` row memos keep; a miss past the
+#: bound just recomputes (a row: the instance gets a fresh tuple).
 PID_MEMO_MAX = 4096
 _PID_TYPES = frozenset({int, bool})
 
@@ -122,6 +122,7 @@ class VSSManager(ProtocolModule):
         self._pid_sets: dict[tuple, tuple] = {}  # body -> (frozenset, mask) | ()
         self._mask_pids: dict[int, tuple[int, ...]] = {}
         self._mask_bases: dict[int, LagrangeBasis] = {}
+        self._rows: dict[tuple, tuple] = {}  # L̂ row -> its one shared copy
         self.attach(host)
 
     def _wire(self, host: ProcessHost) -> None:
@@ -131,7 +132,7 @@ class VSSManager(ProtocolModule):
         self.n = self.config.n
         self.t = self.config.t
         self.field = self.config.field
-        #: The immutable ``L_hat`` an MW-SVSS instance shares until it first writes
+        #: The ``L_hat`` row every MW-SVSS instance starts from (see row_with)
         self.empty_masks = (0,) * (self.n + 1)
         self.clock = SessionClock()
         self.dmm = DMM(self.pid, self.clock, self.field, on_shun=self._record_shun)
@@ -276,6 +277,15 @@ class VSSManager(ProtocolModule):
             if len(self._mask_pids) < PID_MEMO_MAX:
                 self._mask_pids[mask] = pids
         return pids
+
+    def row_with(self, row: tuple, j: int, mask: int) -> tuple:
+        """``row`` with entry ``j`` set to ``mask``, interned: an MW-SVSS
+        instance's ``L_hat`` is replaced, never mutated, so sibling sessions
+        that received the same ``L̂`` sets hold one row object."""
+        new = list(row)
+        new[j] = mask
+        new, rows = tuple(new), self._rows
+        return rows.setdefault(new, new) if len(rows) < PID_MEMO_MAX else rows.get(new, new)
 
     def basis(self, mask: int) -> LagrangeBasis:
         """The Lagrange basis over the pids of a bitmask, ascending, shared

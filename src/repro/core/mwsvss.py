@@ -44,7 +44,6 @@ from itertools import compress
 from operator import mul
 from typing import TYPE_CHECKING
 
-from repro.core.sessions import mw_dealer, mw_moderator
 from repro.errors import ProtocolError
 from repro.field.gf import Field
 from repro.poly.fastpath import evaluate_many, evaluate_rows, lagrange_basis
@@ -105,8 +104,10 @@ class MWSVSSInstance:
 
     *Lifetime.*  Each container lives as long as the step that reads it:
     ``monitor_row`` (f̂_j) from ``mon``, the confirm masks to the ``L_j``
-    freeze (step 4), an early confirm value until ``mon``; ``L_hat`` from
-    the first ``L̂`` (the manager's shared empty row before); at the
+    freeze (step 4), an early confirm value until ``mon``; ``L_hat`` is
+    never private: an immutable row that each ``L̂`` replaces with the one
+    ``VSSManager.row_with`` interns (the manager's empty row before), so
+    siblings that received the same sets hold one object; at the
     moderator ``moderator_row`` (f̂) and ``moderator_shares`` to the ``M``
     freeze (step 6); ``rv_batches``, ``K`` (sender masks) and ``f_bar`` from
     :meth:`begin_reconstruct` or the first ``rv`` to output; the rest to
@@ -122,20 +123,16 @@ class MWSVSSInstance:
     freeze (its DEAL row) and ``_deal_rows`` past release (its ACK rows).
     """
 
-    # 37 attributes: without __slots__ they overflow CPython's shared-key
+    # 31 attributes: without __slots__ they overflow CPython's shared-key
     # dict limit and every instance (2n² per SVSS session) carries a
     # private dict several times the size of the state it holds.  Per-pid
     # facts are words and rows for the same reason: a set of pids is an
     # ``int`` bitmask (bit p ⇔ pid p), a pid → value map a list indexed by pid.
+    # ``pid`` / ``n`` / ``t`` / ``field`` are read off ``manager``, never
+    # copied; the dealer is ``sid[2]``, the moderator ``sid[3]``.
     __slots__ = (
         "manager",
         "sid",
-        "pid",
-        "n",
-        "t",
-        "field",
-        "dealer",
-        "moderator",
         "share_vector",
         "monitor_row",
         "_step2_done",
@@ -170,12 +167,6 @@ class MWSVSSInstance:
     def __init__(self, manager: "VSSManager", sid: tuple):
         self.manager = manager
         self.sid = sid
-        self.pid = manager.pid
-        self.n = manager.n
-        self.t = manager.t
-        self.field = manager.field
-        self.dealer = mw_dealer(sid)
-        self.moderator = mw_moderator(sid)
 
         # step 1-2 inputs
         self.share_vector: tuple[int, ...] | None = None  # (f̂^j_1 .. f̂^j_n)
@@ -202,11 +193,11 @@ class MWSVSSInstance:
         self.moderator_row: tuple[int, ...] | None = None
         self.moderator_expected: int | None = None  # s' (set via moderate())
         #: j -> f̂^j_0 in arrival order, at the moderator until M freezes
-        self.moderator_shares = {} if self.pid == self.moderator else None
+        self.moderator_shares = {} if manager.pid == sid[3] else None
         self.M = 0  # mask, moderator only
         self.M_frozen = False
 
-        # broadcast sets received; shared until the first write
+        # broadcast sets received; an interned row, replaced at each write
         self.L_hat = manager.empty_masks  # [j] = mask of L̂_j, 0 until broadcast
         self.M_hat: frozenset[int] | None = None
         self.ok_received = False
@@ -238,17 +229,18 @@ class MWSVSSInstance:
         """Dealer step 1: draw ``f`` and ``f_1..f_n`` (degree ``t``, ``f(0) =
         s``, ``f_l(0) = f(l)``), distribute the shares, and keep only the
         share columns (every ACK expectation reads one)."""
-        if self.pid != self.dealer:
-            raise ProtocolError(f"{self.pid} is not the dealer of {self.sid}")
+        mgr = self.manager
+        if mgr.pid != self.sid[2]:
+            raise ProtocolError(f"{mgr.pid} is not the dealer of {self.sid}")
         if self._deal_rows is not None or self.released:
             raise ProtocolError(f"share already initiated for {self.sid}")
-        field, t = self.field, self.t
-        rng = self.manager.config.derive_rng("mw-deal", self.sid)
-        points = range(1, self.n + 1)
+        field, t = mgr.field, mgr.t
+        rng = mgr.config.derive_rng("mw-deal", self.sid)
+        points = range(1, mgr.n + 1)
         # Coefficients drawn low degree first, f's before f_1's before
         # f_2's, each constant term then pinned after its draw: the order a
         # seed has always dealt in (the hiding tests draw it again).
-        draws = field.random_elements(rng, (self.n + 1) * (t + 1))
+        draws = field.random_elements(rng, (mgr.n + 1) * (t + 1))
         f_coeffs, *subs = [draws[i : i + t + 1] for i in range(0, len(draws), t + 1)]
         f_coeffs[0] = field.element(secret)
         f = evaluate_many(field, f_coeffs, points)  # f(1..n)
@@ -258,7 +250,6 @@ class MWSVSSInstance:
         rows = evaluate_rows(field, subs, points)
         self._deal_rows = cols = (None, *zip(*rows))  # cols[j] == (f_1(j), ..., f_n(j))
 
-        mgr = self.manager
         corrupt_values = mgr.host.deviation("corrupt_mw_share_values")
         for j in points:
             values = cols[j]
@@ -267,21 +258,21 @@ class MWSVSSInstance:
             mgr.send_value(j, self.sid, "shl", values)
         for l in points:
             mgr.send_value(l, self.sid, "mon", tuple(rows[l - 1][: t + 1]))
-        mgr.send_value(self.moderator, self.sid, "mod", tuple(f[: t + 1]))
+        mgr.send_value(self.sid[3], self.sid, "mod", tuple(f[: t + 1]))
 
     def moderate(self, expected: int) -> None:
         """Install the moderator's input value ``s'`` (enables step 5)."""
-        if self.pid != self.moderator:
-            raise ProtocolError(f"{self.pid} is not the moderator of {self.sid}")
+        if self.manager.pid != self.sid[3]:
+            raise ProtocolError(f"{self.manager.pid} is not the moderator of {self.sid}")
         if self.moderator_expected is not None or self.released:
             return
-        self.moderator_expected = expected % self.field.prime
+        self.moderator_expected = expected % self.manager.field.prime
         self._recheck_moderator()
 
     def begin_reconstruct(self) -> None:
         """Start protocol R' (requires a locally completed share)."""
         if not self.share_completed:
-            raise ProtocolError(f"share of {self.sid} not complete at {self.pid}")
+            raise ProtocolError(f"share of {self.sid} not complete at {self.manager.pid}")
         if self.reconstruct_begun or self.released:
             return
         self.reconstruct_begun = True
@@ -337,24 +328,24 @@ class MWSVSSInstance:
 
     # -- share phase -----------------------------------------------------
     def _on_share_vector(self, src: int, body: object) -> None:
-        if src != self.dealer or self.share_vector is not None:
+        if src != self.sid[2] or self.share_vector is not None:
             return
-        if not self.manager.is_value_tuple(body, self.n):
+        if not self.manager.is_value_tuple(body, self.manager.n):
             return
         self.share_vector = tuple(body)
         self._maybe_step2()
 
     def _on_monitor_poly(self, src: int, body: object, checked: tuple | None = None) -> None:
         # A frozen L_j means f̂_j arrived and was dropped: still a duplicate.
-        if src != self.dealer or self.monitor_row is not None or self.L_frozen:
+        if src != self.sid[2] or self.monitor_row is not None or self.L_frozen:
             return
-        if not (checked or self.manager.is_value_tuple(body, self.t + 1)):
+        if not (checked or self.manager.is_value_tuple(body, self.manager.t + 1)):
             return
         self.monitor_row = body
         self._maybe_step2()
         early, self._early_confirms = self._early_confirms, ()
         for l, value in early:
-            if not self.L_frozen and value == point(self.field, self.t, body, l):
+            if not self.L_frozen and value == point(self.manager.field, self.manager.t, body, l):
                 self.confirmed |= 1 << l
                 self._maybe_step3(l)
 
@@ -367,23 +358,23 @@ class MWSVSSInstance:
         self._step2_done = True
         mgr = self.manager
         corrupt = mgr.host.deviation("corrupt_mw_confirm_value")
-        for l in range(1, self.n + 1):
+        for l in range(1, mgr.n + 1):
             value = self.share_vector[l - 1]
             if corrupt is not None:
-                value = corrupt(self.sid, l, value, self.field.prime)
+                value = corrupt(self.sid, l, value, mgr.field.prime)
             mgr.send_value(l, self.sid, "cnf", value)
         mgr.rb_broadcast(self.sid, "ack", None)
 
     def _on_confirm(self, src: int, body: object) -> None:
         # A frozen L_j ended step 3: a late value has nothing left to meet.
         bit = 1 << src
-        if self.L_frozen or self.heard & bit or not self.field.is_element(body):
+        if self.L_frozen or self.heard & bit or not self.manager.field.is_element(body):
             return
         self.heard |= bit
         row = self.monitor_row
         if row is None:
             self._early_confirms += ((src, body),)  # checked when f̂_j arrives
-        elif body == point(self.field, self.t, row, src):
+        elif body == point(self.manager.field, self.manager.t, row, src):
             self.confirmed |= bit
             self._maybe_step3(src)
 
@@ -397,9 +388,10 @@ class MWSVSSInstance:
         self.acks |= bit
         if self.monitor_row is not None:
             self._maybe_step3(src)
-        if self.pid == self.moderator and not self.M_frozen:
+        pid, sid = self.manager.pid, self.sid
+        if pid == sid[3] and not self.M_frozen:
             self._recheck_moderator()
-        if self.pid == self.dealer and not self._dealer_acked:
+        if pid == sid[2] and not self._dealer_acked:
             self._maybe_step7()
         if not self.share_completed and self.ok_received:
             self._maybe_complete_share()
@@ -422,31 +414,32 @@ class MWSVSSInstance:
         self.L |= bit
         if not self._deal_suppressed:
             self.manager.dmm.expect_deal(l, self.sid, row, (self.rv_batches or {}).get(l))
-        if self.L.bit_count() >= self.n - self.t:
+        if self.L.bit_count() >= self.manager.n - self.manager.t:
             self._freeze_l()
 
     def _freeze_l(self) -> None:
         """Step 4: broadcast ``L_j`` and send ``f̂_j(0)`` to the moderator;
         step 3 is over, so ``f̂_j`` and the confirm masks are dropped."""
-        free_term = point(self.field, self.t, self.monitor_row, 0)
         manager = self.manager
+        free_term = point(manager.field, manager.t, self.monitor_row, 0)
         self.L_frozen, self.monitor_row, self._early_confirms = True, None, ()
         self.heard = self.confirmed = 0
         manager.rb_broadcast(self.sid, "L", manager.pids_of(self.L))
-        manager.send_value(self.moderator, self.sid, "ms", free_term)
+        manager.send_value(self.sid[3], self.sid, "ms", free_term)
 
     # -- moderator ---------------------------------------------------------
     def _on_moderator_poly(self, src: int, body: object, checked: tuple | None = None) -> None:
         # A frozen M means f̂ arrived and was dropped: still a duplicate.
-        if self.pid != self.moderator or self.moderator_row is not None or self.M_frozen:
+        mgr = self.manager
+        if mgr.pid != self.sid[3] or self.moderator_row is not None or self.M_frozen:
             return
-        if src == self.dealer and (checked or self.manager.is_value_tuple(body, self.t + 1)):
-            self.moderator_row = (*body, point(self.field, self.t, body, 0))
+        if src == self.sid[2] and (checked or mgr.is_value_tuple(body, mgr.t + 1)):
+            self.moderator_row = (*body, point(mgr.field, mgr.t, body, 0))
             self._recheck_moderator()
 
     def _on_moderator_share(self, src: int, body: object) -> None:
         shares = self.moderator_shares  # None off the moderator and once M froze
-        if shares is None or src in shares or not self.field.is_element(body):
+        if shares is None or src in shares or not self.manager.field.is_element(body):
             return
         shares[src] = body
         self._recheck_moderator(only=src)
@@ -456,6 +449,7 @@ class MWSVSSInstance:
         row = self.moderator_row  # None off the moderator, until f̂ and once M froze
         if row is None or row[-1] != self.moderator_expected:
             return  # s' not installed yet, or f̂(0) disagrees: never admit anyone
+        mgr = self.manager
         candidates = [only] if only is not None else list(self.moderator_shares)
         for j in candidates:
             if self.M >> j & 1 or j not in self.moderator_shares:
@@ -463,10 +457,10 @@ class MWSVSSInstance:
             l_hat = self.L_hat[j]
             if not l_hat or l_hat & ~self.acks:
                 continue
-            if self.moderator_shares[j] != point(self.field, self.t, row, j):
+            if self.moderator_shares[j] != point(mgr.field, mgr.t, row, j):
                 continue
             self.M |= 1 << j
-            if self.M.bit_count() >= self.n - self.t:
+            if self.M.bit_count() >= mgr.n - mgr.t:
                 self._freeze_m()
                 break
 
@@ -482,17 +476,17 @@ class MWSVSSInstance:
         l_hat = self.L_hat
         if l_hat[src]:
             return
-        pids = self.manager.pid_set(body)
-        if pids is None or len(pids[0]) < self.n - self.t:
+        mgr = self.manager
+        pids = mgr.pid_set(body)
+        if pids is None or len(pids[0]) < mgr.n - mgr.t:
             return
-        if l_hat is self.manager.empty_masks:
-            l_hat = self.L_hat = list(l_hat)
-        l_hat[src] = pids[1]
+        self.L_hat = mgr.row_with(l_hat, src, pids[1])
         if self.rv_batches:
             self._rv_dirty = -1  # every sender whose batch has arrived
-        if self.pid == self.moderator and not self.M_frozen:
+        pid, sid = mgr.pid, self.sid
+        if pid == sid[3] and not self.M_frozen:
             self._recheck_moderator(only=src)
-        if self.pid == self.dealer and not self._dealer_acked:
+        if pid == sid[2] and not self._dealer_acked:
             self._maybe_step7()
         if not self.share_completed and self.ok_received:
             self._maybe_complete_share()
@@ -501,10 +495,11 @@ class MWSVSSInstance:
             self._maybe_output()
 
     def _on_m_set(self, src: int, body: object) -> None:
-        if src != self.moderator or self.M_hat is not None:
+        if src != self.sid[3] or self.M_hat is not None:
             return
-        pids = self.manager.pid_set(body)
-        if pids is None or len(pids[0]) < self.n - self.t:
+        mgr = self.manager
+        pids = mgr.pid_set(body)
+        if pids is None or len(pids[0]) < mgr.n - mgr.t:
             return
         self.M_hat = pids[0]
         if self.rv_batches:
@@ -513,10 +508,10 @@ class MWSVSSInstance:
         # monitored polynomial — drop the matching expectations and stop
         # recording new ones (reconstruct broadcasts only cover M̂ members,
         # so a late confirmer's expectation could never be discharged).
-        if self.pid not in self.M_hat:
+        if mgr.pid not in self.M_hat:
             self._deal_suppressed = True
-            self.manager.dmm.drop_deal_expectations(self.sid)
-        if self.pid == self.dealer and not self._dealer_acked:
+            mgr.dmm.drop_deal_expectations(self.sid)
+        if mgr.pid == self.sid[2] and not self._dealer_acked:
             self._maybe_step7()
         if not self.share_completed and self.ok_received:
             self._maybe_complete_share()
@@ -525,21 +520,17 @@ class MWSVSSInstance:
             self._maybe_output()
 
     def _on_ok(self, src: int) -> None:
-        if src != self.dealer or self.ok_received:
+        if src != self.sid[2] or self.ok_received:
             return
         self.ok_received = True
         self._maybe_complete_share()
 
     # -- dealer step 7 ------------------------------------------------------------
     def _maybe_step7(self) -> None:
-        if self.pid != self.dealer or self._dealer_acked:
+        if self.manager.pid != self.sid[2] or self._dealer_acked:
             return
-        if self._deal_rows is None or self.M_hat is None:
+        if self._deal_rows is None or not self._m_hat_acked():
             return
-        unacked = ~self.acks
-        for j in self.M_hat:
-            if not self.L_hat[j] or self.L_hat[j] & unacked:
-                return
         self._dealer_acked = True
         dmm, batches = self.manager.dmm, self.rv_batches or {}
         for j in self.M_hat:
@@ -547,14 +538,15 @@ class MWSVSSInstance:
                 dmm.expect_ack(l, self.sid, j, self._deal_rows, batches.get(l))
         self.manager.rb_broadcast(self.sid, "ok", None)
 
+    def _m_hat_acked(self) -> bool:
+        """``M̂`` arrived, every ``L̂_l`` (l ∈ M̂) too, and all their members' acks."""
+        m_hat, l_hat, unacked = self.M_hat, self.L_hat, ~self.acks
+        return m_hat is not None and all(l_hat[l] and not l_hat[l] & unacked for l in m_hat)
+
     # -- step 9 -----------------------------------------------------------------
     def _maybe_complete_share(self) -> None:
-        if self.share_completed or not self.ok_received or self.M_hat is None:
+        if self.share_completed or not self.ok_received or not self._m_hat_acked():
             return
-        unacked = ~self.acks
-        for l in self.M_hat:
-            if not self.L_hat[l] or self.L_hat[l] & unacked:
-                return
         self.share_completed = True
         self.manager.notify_mw_share_complete(self.sid)
 
@@ -564,24 +556,25 @@ class MWSVSSInstance:
     def _open_reconstruct(self) -> None:
         if self.rv_batches is None:
             self.rv_batches = {}
-            self.K = [0] * (self.n + 1)
-            self.f_bar = [None] * (self.n + 1)
+            self.K = [0] * (self.manager.n + 1)
+            self.f_bar = [None] * (self.manager.n + 1)
 
     def _send_reconstruct_values(self) -> None:
         """R' step 1: broadcast our dealer-given share of ``f_l`` for every
         monitor ``l ∈ M̂`` whose broadcast confirmer set contains us."""
         if self._rv_sent or self.share_vector is None:
             return
-        me = 1 << self.pid
+        mgr = self.manager
+        me = 1 << mgr.pid
         shares = self.share_vector
         batch = {l: shares[l - 1] for l in self.M_hat or () if self.L_hat[l] & me}
         if not batch:
             return
         self._rv_sent = True
-        corrupt = self.manager.host.deviation("corrupt_mw_reconstruct_values")
+        corrupt = mgr.host.deviation("corrupt_mw_reconstruct_values")
         if corrupt is not None:
-            batch = corrupt(self.sid, batch, self.field.prime)
-        self.manager.rb_broadcast(self.sid, "rv", tuple(sorted(batch.items())))
+            batch = corrupt(self.sid, batch, mgr.field.prime)
+        mgr.rb_broadcast(self.sid, "rv", tuple(sorted(batch.items())))
 
     def _on_reconstruct_values(self, src: int, batch: tuple | None) -> None:
         if batch is None:
@@ -605,12 +598,13 @@ class MWSVSSInstance:
         if self.M_hat is None or not self._rv_dirty:
             return
         dirty, self._rv_dirty = self._rv_dirty, 0
-        m_hat, l_hat, K, t = self.M_hat, self.L_hat, self.K, self.t
+        mgr = self.manager
+        m_hat, l_hat, K, t = self.M_hat, self.L_hat, self.K, mgr.t
         for sender, batch in self.rv_batches.items():
             bit = 1 << sender
             if not dirty & bit:
                 continue
-            for l in self.manager.pids_of(batch[0]):  # the batch's monitors, ascending
+            for l in mgr.pids_of(batch[0]):  # the batch's monitors, ascending
                 points = K[l]
                 if points & bit or points.bit_count() > t or l not in m_hat:
                     continue
@@ -627,7 +621,7 @@ class MWSVSSInstance:
         manager = self.manager
         values = [rv_value(self.rv_batches[k], l) for k in manager.pids_of(mask)]
         zero = manager.basis(mask).evaluation_row(0)
-        self.f_bar[l] = sum(map(mul, values, zero)) % self.field.prime
+        self.f_bar[l] = sum(map(mul, values, zero)) % manager.field.prime
 
     def _maybe_output(self) -> None:
         """R' step 4: fit ``f̄`` through the monitors' free terms, read

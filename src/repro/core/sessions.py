@@ -49,14 +49,6 @@ def svss_session(tag: object, dealer: int) -> tuple:
     return (SVSS, tag, dealer)
 
 
-def mw_dealer(sid: tuple) -> int:
-    return sid[2]
-
-
-def mw_moderator(sid: tuple) -> int:
-    return sid[3]
-
-
 def svss_dealer(sid: tuple) -> int:
     return sid[2]
 

@@ -36,10 +36,23 @@ from repro.poly.fastpath import evaluate_rows
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.manager import VSSManager
 
+
 def children(parent: tuple, n: int) -> list[tuple]:
-    """The 2n² MW-SVSS session ids of SVSS session ``parent``."""
+    """The 2n² MW-SVSS session ids of SVSS session ``parent``, in the order
+    of their :func:`child_bit` positions."""
     pids = range(1, n + 1)
     return [mw_session(parent, j, l, slot) for j in pids for l in pids for slot in ("md", "dm")]
+
+
+def child_bit(dealer: int, moderator: int, dm: bool, n: int) -> int:
+    """The child's position in :func:`children`: its bit in the parent's
+    child masks, its entry in ``mw_outputs``."""
+    return ((dealer - 1) * n + moderator - 1) * 2 + dm
+
+
+def pair_bits(j: int, l: int, n: int) -> int:
+    """The mask of :func:`pair_sessions` (two children when ``j == l``)."""
+    return 3 << child_bit(j, l, False, n) | 3 << child_bit(l, j, False, n)
 
 
 def pair_sessions(parent: tuple, j: int, l: int) -> list[tuple]:
@@ -88,7 +101,6 @@ class SVSSInstance:
         # dealer-only state
         #: recipient -> (g_j(1..t+1), h_j(1..t+1)), filled by share()
         self._row_cache: dict[int, tuple[tuple, tuple]] | None = None
-        self._pair_done: dict[frozenset[int], set[tuple]] = {}
         self.G_map: dict[int, set[int]] = {}
         self.G: set[int] = set()
         self.G_frozen = False
@@ -97,9 +109,12 @@ class SVSSInstance:
         self.G_hat: tuple[int, ...] | None = None
         self.G_hat_map: dict[int, tuple[int, ...]] = {}
 
-        # local MW progress (only sessions parented by this sid)
-        self.mw_completed: set[tuple] = set()
-        self.mw_outputs: dict[tuple, object] = {}
+        # Local MW progress, by child_bit: the children whose share completed
+        # and whose output arrived, the outputs (a row from the first), and
+        # what the share (every pair Ĝ names) and R (their dealer-k two) wait for.
+        self.mw_completed = self.mw_reconstructed = 0
+        self.mw_outputs: list | None = None
+        self._share_needed = self._output_needed = -1  # none is met until Ĝ
 
         self.share_completed = False
         self.reconstruct_begun = False
@@ -173,20 +188,16 @@ class SVSSInstance:
         if self.released:
             return
         self.released = True
-        reconstructed: set[tuple] = set()
-        if self.reconstruct_begun:
-            for k in self.G_hat:
-                for l in self.G_hat_map[k]:
-                    reconstructed.update(pair_sessions(self.sid, k, l))
+        reconstructed = self._share_needed if self.reconstruct_begun else 0
         mw = self.manager.mw
-        for mw_sid in children(self.sid, self.n):
+        for bit, mw_sid in enumerate(children(self.sid, self.n)):
             child = mw.get(mw_sid)
-            if child is not None and mw_sid not in reconstructed:
+            if child is not None and not reconstructed >> bit & 1:
                 child.release()
         self.g = self.h = None
-        self._row_cache = self._pair_done = None
+        self._row_cache = None
         self.G_map = self.G = self.G_hat_map = None
-        self.mw_completed = self.mw_outputs = None
+        self.mw_outputs = None
         self.manager.session_released(self.sid)
 
     # ------------------------------------------------------------------
@@ -247,23 +258,16 @@ class SVSSInstance:
     def on_mw_share_complete(self, mw_sid: tuple) -> None:
         if self.released:
             return
-        self.mw_completed.add(mw_sid)
+        self.mw_completed |= 1 << child_bit(mw_sid[2], mw_sid[3], mw_sid[4] == "dm", self.n)
         if self.pid == self.dealer and not self.G_frozen:
             self._dealer_track_pair(mw_sid)
         self._maybe_complete_share()
 
     def _dealer_track_pair(self, mw_sid: tuple) -> None:
-        _, _, mw_dealer_pid, mw_mod_pid, _ = mw_sid
-        pair = frozenset((mw_dealer_pid, mw_mod_pid))
-        done = self._pair_done.setdefault(pair, set())
-        done.add(mw_sid)
-        # self-pairs have two distinct invocations, proper pairs have four
-        if len(done) < (2 if len(pair) == 1 else 4):
+        # Done once its four invocations (two for a self-pair) completed.
+        j, l = sorted(mw_sid[2:4])
+        if pair_bits(j, l, self.n) & ~self.mw_completed:
             return
-        if len(pair) == 1:
-            j = l = next(iter(pair))
-        else:
-            j, l = sorted(pair)
         self.G_map.setdefault(j, set()).add(l)
         self.G_map.setdefault(l, set()).add(j)
         for member in (j, l):
@@ -290,6 +294,11 @@ class SVSSInstance:
         if parsed is None:
             return
         self.G_hat, self.G_hat_map = parsed
+        self._share_needed = self._output_needed = 0
+        for k in self.G_hat:
+            for l in self.G_hat_map[k]:
+                self._share_needed |= pair_bits(k, l, self.n)
+                self._output_needed |= 3 << child_bit(k, l, False, self.n)
         self._maybe_complete_share()
 
     def _parse_g_sets(
@@ -318,13 +327,8 @@ class SVSSInstance:
         return tuple(g_set), g_map
 
     def _maybe_complete_share(self) -> None:
-        if self.share_completed or self.G_hat is None:
+        if self.share_completed or self._share_needed & ~self.mw_completed:
             return
-        for j in self.G_hat:
-            for l in self.G_hat_map[j]:
-                for mw_sid in pair_sessions(self.sid, j, l):
-                    if mw_sid not in self.mw_completed:
-                        return
         self.share_completed = True
         self.manager.notify_svss_share_complete(self.sid)
 
@@ -336,21 +340,19 @@ class SVSSInstance:
         # far half of a pair) may finish after its parent did.
         if self.released:
             return
-        self.mw_outputs[mw_sid] = value
+        bit = child_bit(mw_sid[2], mw_sid[3], mw_sid[4] == "dm", self.n)
+        if self.mw_outputs is None:
+            self.mw_outputs = [None] * (2 * self.n * self.n)
+        self.mw_outputs[bit] = value
+        self.mw_reconstructed |= 1 << bit
         self._maybe_output()
 
     def _maybe_output(self) -> None:
+        # Need the two dealer-k invocations of every (k, l) pair.
         if self.output is not None or not self.reconstruct_begun:
             return
-        if self.G_hat is None:
+        if self._output_needed & ~self.mw_reconstructed:
             return
-        # Need the two dealer-k invocations of every (k, l) pair.
-        for k in self.G_hat:
-            for l in self.G_hat_map[k]:
-                if mw_session(self.sid, k, l, "dm") not in self.mw_outputs:
-                    return
-                if mw_session(self.sid, k, l, "md") not in self.mw_outputs:
-                    return
         self._compute_output()
 
     def _compute_output(self) -> None:
@@ -364,8 +366,8 @@ class SVSSInstance:
         otherwise), so the head is the lowest ``t + 1``, keyed by mask.
         """
         mgr = self.manager
-        t = self.t
-        points = range(self.n + 1)
+        t, n = self.t, self.n
+        points = range(n + 1)
         outputs = self.mw_outputs
         # Step 2: the ignore set I_j.
         ignored: set[int] = set()
@@ -374,8 +376,8 @@ class SVSSInstance:
         for k in self.G_hat:
             members = sorted(self.G_hat_map[k])
             # r_{k,k,l} ~ g_k(l) = f(k, l) and r_{k,l,k} ~ h_k(l) = f(l, k)
-            row_values = [outputs[mw_session(self.sid, k, l, "dm")] for l in members]
-            col_values = [outputs[mw_session(self.sid, k, l, "md")] for l in members]
+            row_values = [outputs[child_bit(k, l, True, n)] for l in members]
+            col_values = [outputs[child_bit(k, l, False, n)] for l in members]
             if BOTTOM in row_values or BOTTOM in col_values:
                 ignored.add(k)
                 continue

@@ -49,7 +49,7 @@ class CraftingDealer(ByzantineBehavior):
 
     def corrupt_mw_reconstruct_values(self, session, values, prime):
         inst = self.vss_manager.mw[session]
-        field = inst.field
+        field = self.vss_manager.field
         cols = inst._deal_rows  # cols[x][l - 1] == f_l(x), x in 1..n
         f_at_3 = point(field, 1, (cols[1][2], cols[2][2]), 0)  # f(3) = f_3(0), t = 1
 

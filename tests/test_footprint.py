@@ -6,8 +6,9 @@ memory (``docs/MEMORY.md`` has the table by module and line).  The state is
 words and rows — pid sets as ``int`` bitmasks, pid → value maps as lists,
 one DMM ledger per session; a ``set()`` or a ``dict`` per fact costs
 200–700 bytes apiece and this bound is where it would show.  Each container
-lives only as long as the protocol step that reads it: the lifetime tests
-below pin when the rows are shared, copied and dropped.
+lives only as long as the protocol step that reads it, and what many
+sessions hold alike is held once: the lifetime tests below pin when the
+rows are shared, replaced and dropped.
 """
 
 from __future__ import annotations
@@ -23,7 +24,10 @@ from repro.core.mwsvss import MWSVSSInstance
 from repro.core.sessions import mw_session
 from repro.sim.scheduler import FifoScheduler
 
-#: Measured 1 722 B per instance (1 978 B with the dealer's (n+1)² value
+#: Measured 1 443 B per instance (1 533 B with a private ``L_hat`` list per
+#: instance, SVSS child sids in sets and dicts, and ``pid`` / ``n`` / ``t`` /
+#: ``field`` / ``dealer`` / ``moderator`` copied into every instance; 1 722 B
+#: before the small-int field; 1 978 B with the dealer's (n+1)² value
 #: matrix, the monitor's confirm list and each ``rv`` batch as a dict;
 #: 2 169 B with the DMM's expectations as
 #: value dicts and f̂_j / f̂ as value rows f(0..n), 2 265 B before that;
@@ -31,7 +35,7 @@ from repro.sim.scheduler import FifoScheduler
 #: ``(sender, value)`` points and ``confirm_values`` / ``L_hat`` allocated
 #: per instance; 3 948 B with ``acks`` / ``L`` / ``confirm_values`` /
 #: ``L_hat`` as containers and six global DMM tables).
-BYTES_PER_INSTANCE = 2000
+BYTES_PER_INSTANCE = 1515
 
 
 def coin(seed: int):
@@ -90,9 +94,64 @@ def test_the_first_write_copies_the_row():
     assert inst._early_confirms == () and inst.confirmed == 1 << 4
     inst.handle(4, "L", (1, 2, 3))
     assert inst.L_hat is not mgr.empty_masks
-    assert inst.L_hat == [0, 0, 0, 0, 0b1110]
+    assert inst.L_hat == (0, 0, 0, 0, 0b1110)
     # The shared row is immutable; every other instance still reads it.
     assert mgr.empty_masks == (0,) * 5
+
+
+def test_a_write_replaces_the_row_and_never_mutates_it():
+    mgr, inst = fresh_instance()
+    inst.handle(4, "L", (1, 2, 3))
+    before = inst.L_hat
+    inst.handle(2, "L", (1, 3, 4))
+    assert type(inst.L_hat) is tuple and inst.L_hat is not before
+    assert before == (0, 0, 0, 0, 0b1110)  # the old row, as it was
+    assert inst.L_hat == (0, 0, 0b11010, 0, 0b1110)
+    inst.handle(2, "L", (1, 2, 3))  # a second L̂_2 is ignored: no write at all
+    assert inst.L_hat == (0, 0, 0b11010, 0, 0b1110)
+
+
+def test_siblings_fed_the_same_sets_hold_the_same_row_object():
+    """Rows are interned by value: two sessions that received the same L̂
+    sets, in either order, share one row; a third set gives another row."""
+    mgr = build_stack(SystemConfig(n=4, seed=0)).vss[1]
+    first, second, third = (
+        mgr._ensure_mw(mw_session(("solo", c), 2, 3, "dm")) for c in range(3)
+    )
+    first.handle(4, "L", (1, 2, 3))
+    first.handle(2, "L", (1, 3, 4))
+    second.handle(2, "L", (1, 3, 4))
+    second.handle(4, "L", (1, 2, 3))
+    assert first.L_hat is second.L_hat
+    third.handle(4, "L", (1, 2, 3))
+    third.handle(2, "L", (2, 3, 4))
+    assert third.L_hat != first.L_hat
+
+
+def test_the_instance_reads_what_the_manager_and_the_sid_hold():
+    """No slot repeats the manager (pid, n, t, field) or the sid (dealer,
+    moderator), and SVSS's child bookkeeping is words over the children."""
+    for name in ("pid", "n", "t", "field", "dealer", "moderator"):
+        assert name not in MWSVSSInstance.__slots__
+    assert len(MWSVSSInstance.__slots__) == 31
+    result, stack = run_mwsvss(SystemConfig(n=4, seed=3), 1, 2, 7, reconstruct=False)
+    inst = stack.vss[1].mw[result.session]
+    assert (inst.manager.pid, inst.sid[2], inst.sid[3]) == (1, 1, 2)
+    cfg = SystemConfig(n=4, seed=1)
+    stack = build_stack(cfg, scheduler=FifoScheduler())
+    sid = ("svss", ("footprint", 0), 1)
+    stack.vss[1].svss_share(sid, 3)
+    stack.runtime.run_to_quiescence()
+    for mgr in stack.vss.values():
+        svss = mgr.svss[sid]
+        assert svss.share_completed
+        assert type(svss.mw_completed) is int and type(svss.mw_reconstructed) is int
+        assert svss.mw_outputs is None  # allocated at the first child output
+        assert svss._share_needed & ~svss.mw_completed == 0
+        mgr.svss_begin_reconstruct(sid)
+    stack.runtime.run_to_quiescence()
+    for mgr in stack.vss.values():
+        assert mgr.svss == {}  # reconstructed, released, retired
 
 
 def test_after_the_l_freeze_the_confirm_masks_are_dropped_and_a_late_cnf_is_free():
@@ -159,10 +218,10 @@ def test_ledgers_are_masks_over_the_rows_the_instances_hold(monkeypatch):
 
     def kept_rows(self, secret):
         share(self, secret)
-        dealt[self.pid, self.sid] = self._deal_rows
+        dealt[self.manager.pid, self.sid] = self._deal_rows
 
     def kept_body(self):
-        bodies[self.pid, self.sid] = self.monitor_row
+        bodies[self.manager.pid, self.sid] = self.monitor_row
         freeze(self)
 
     monkeypatch.setattr(MWSVSSInstance, "share", kept_rows)

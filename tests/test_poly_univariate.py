@@ -265,7 +265,7 @@ def sub_rows(inst) -> list[tuple[int, ...]]:
 
 def shares_of_f(inst) -> list[int]:
     """``f(l) = f_l(0)`` for l in 1..n: each sub-polynomial's free term."""
-    return [point(inst.field, inst.t, row, 0) for row in sub_rows(inst)]
+    return [point(inst.manager.field, inst.manager.t, row, 0) for row in sub_rows(inst)]
 
 
 def share_on(stack, secret: int, tag: object):
@@ -284,7 +284,7 @@ class TestRandom:
         for tag, secret in enumerate((0, 9, 12, 13 + 3)):
             inst = deal(4, secret, ("pin", tag))
             f = shares_of_f(inst)
-            assert point(inst.field, inst.t, f, 0) == secret % 13
+            assert point(inst.manager.field, inst.manager.t, f, 0) == secret % 13
 
     @pytest.mark.parametrize("n", [4, 7])
     def test_sub_constant_terms_are_the_shares(self, n):
@@ -292,7 +292,7 @@ class TestRandom:
         ``f(0) = s``: all n + 1 points, not just t + 1 of them."""
         inst = deal(n, 5, "subs")
         points = [(0, 5), *enumerate(shares_of_f(inst), start=1)]
-        assert interpolate_degree_t(13, points, inst.t) is not None
+        assert interpolate_degree_t(13, points, inst.manager.t) is not None
 
     @pytest.mark.parametrize("n", [4, 7, 10])
     def test_rows_have_degree_t(self, n):

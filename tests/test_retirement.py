@@ -18,6 +18,7 @@ import pytest
 from repro.broadcast.manager import _DELIVERED_SENT2, _DELIVERED_UNSENT2
 from repro.config import SystemConfig
 from repro.core.api import build_stack, make_coins
+from repro.core.manager import PID_MEMO_MAX
 from repro.sim.scheduler import FifoScheduler
 
 #: Retained bytes per height the test tolerates: what is measured (0.25 MB;
@@ -68,7 +69,8 @@ def flip_height(stack, coins, height: int) -> dict[int, int]:
 
 
 def table_sizes(stack) -> dict:
-    """Per process: every table that must not grow with the height."""
+    """Per process: every table that must not grow with the height (the
+    ``L̂`` row memo never shrinks: it is bounded by ``PID_MEMO_MAX``)."""
     sizes = {}
     for pid in stack.config.pids:
         vss = stack.vss[pid]
@@ -82,6 +84,7 @@ def table_sizes(stack) -> dict:
             "owed": len(dmm._owed),
             "armed": len(dmm._armed),
             "armed_min_done": len(dmm._armed_min_done),
+            "rows": len(vss._rows),
         }
     return sizes
 
@@ -148,9 +151,11 @@ def test_every_session_is_released_and_owns_no_working_set(six_heights):
 
 def test_tables_do_not_grow_with_the_height(six_heights):
     _, _, sizes_at_3, sizes_at_6, _ = six_heights
-    assert sizes_at_6 == sizes_at_3
-    # Fault-free and quiescent: no debt is outstanding, nothing is indexed.
-    assert all(not any(sizes.values()) for sizes in sizes_at_6.values())
+    assert sizes_at_6 == sizes_at_3  # a fault-free height adds no L̂ row either
+    for sizes in sizes_at_6.values():
+        assert 0 < sizes["rows"] <= PID_MEMO_MAX
+        # Fault-free and quiescent: no debt is outstanding, nothing is indexed.
+        assert not any(size for table, size in sizes.items() if table != "rows")
 
 
 def test_heights_four_to_six_retain_a_bounded_number_of_bytes(six_heights):
@@ -297,7 +302,7 @@ def test_staggered_release_sweep_leaves_nothing_behind(seed):
     point: the bit is unanimous (but for the legal splits of ``SPLIT_SEEDS``),
     and at quiescence no instance, parked message or ledger is left, and
     nobody suspects anybody, and the mux's split memo and shared group ids
-    are gone."""
+    are gone; the ``L̂`` row memo stays inside its bound."""
     from test_retire_equiv import staggered_coin
 
     stack, outputs = staggered_coin(4, seed, random_waves(seed), in_step=seed % 2 == 0)
@@ -309,4 +314,5 @@ def test_staggered_release_sweep_leaves_nothing_behind(seed):
         assert len(vss.clock.retired) == 16 and vss.clock.begun == {}, pid
         assert not vss._delayed and not vss.dmm._ledgers, pid
         assert vss.mux._splits == {} and vss.mux._groups == {}, pid
+        assert len(vss._rows) <= PID_MEMO_MAX, pid
         assert vss.dmm.shunned_or_suspected() == set(), pid

@@ -108,7 +108,7 @@ def deliver(inst: MWSVSSInstance, kind: str, src: int, body: object) -> None:
 
 def replay(n: int, prime: int, events: list) -> None:
     inst = fresh_instance(n, prime)
-    ref = RvPoints(prime, inst.t, BOTTOM)
+    ref = RvPoints(prime, inst.manager.t, BOTTOM)
     feed = {
         "begin": lambda src, body: ref.begin(),
         "L": ref.on_l_set,
@@ -163,8 +163,8 @@ def lowest_pids_first(self: MWSVSSInstance) -> None:
             for k in sorted(self.rv_batches)
             if l in self.rv_batches[k] and self.L_hat[l] >> k & 1
         ]
-        self.K[l] = mask = sum(1 << k for k in eligible[: self.t + 1])
-        if len(eligible) > self.t:
+        self.K[l] = mask = sum(1 << k for k in eligible[: self.manager.t + 1])
+        if len(eligible) > self.manager.t:
             self._interpolate_f_bar(l, mask)
 
 

@@ -22,8 +22,8 @@ from repro.adversary.controller import Adversary
 from repro.config import SystemConfig, max_faults
 from repro.core.api import build_stack, run_svss
 from repro.core.mwsvss import BOTTOM
-from repro.core.sessions import mw_session, svss_session
-from repro.core.svss import SVSSInstance
+from repro.core.sessions import svss_session
+from repro.core.svss import SVSSInstance, child_bit
 from repro.sim.process import ENVELOPE_TAG
 from repro.sim.scheduler import ExponentialDelayScheduler, TargetedDelayScheduler
 
@@ -281,10 +281,9 @@ class TestOutputMatchesReference:
         sid = svss_session(("reference", 0), 1)
         inst = SVSSInstance(mgr, sid)
         inst.G_hat, inst.G_hat_map = g_hat, g_hat_map
-        inst.mw_outputs = {
-            mw_session(sid, k, l, slot): value
-            for (k, l, slot), value in outputs.items()
-        }
+        inst.mw_outputs = [None] * (2 * n * n)
+        for (k, l, slot), value in outputs.items():
+            inst.mw_outputs[child_bit(k, l, slot == "dm", n)] = value
         finished = []
         inst._finish = finished.append
         inst._compute_output()
