@@ -16,9 +16,9 @@ per-message run is a scheduler away:
 try it at n = 4.)
 
 On the receive side each slot-vector is admitted through one
-group-level DMM verdict probe instead of n per-slot calls, and its
-sibling-session transitions run as structure-of-arrays rows — same
-outputs, a fraction of the per-slot handler work.
+group-level DMM verdict probe instead of n per-slot calls, and each
+slot's session is found in its group's lane without rebuilding a
+session id — same outputs, a fraction of the per-slot work.
 
 The algebra underneath all of it is pure Python: value rows and cached
 Lagrange bases (``docs/ALGEBRA.md``).

@@ -30,8 +30,8 @@ from itertools import compress
 from operator import mul
 
 from repro.broadcast.manager import BroadcastManager
-from repro.core.dmm import DELAY, DISCARD, DMM, FORWARD
-from repro.core.mwsvss import GroupLane, MWSVSSInstance
+from repro.core.dmm import DELAY, DISCARD, DMM
+from repro.core.mwsvss import MWSVSSInstance
 from repro.core.sessions import (
     SVEC_MW,
     SessionClock,
@@ -114,9 +114,9 @@ class VSSManager(ProtocolModule):
         self._delayed_seq = 0
         # sharing -> its pins (see the module docstring)
         self._pins: dict[tuple, int] = {}
-        # Structure-of-arrays lanes: one per svec dealer-group, arraying the
-        # n sibling session instances by slot (see GroupLane).
-        self._lanes: dict[tuple, GroupLane] = {}
+        # One lane per svec dealer-group: its sibling session instances by
+        # slot, filled on first touch, so ingest_vector rebuilds no sid.
+        self._lanes: dict[tuple, dict[int, object]] = {}
         # Manager-wide memos for pid sets (see pid_set / pids_of): the
         # same L/M/G tuples recur across sibling sessions and senders.
         self._pid_sets: dict[tuple, tuple] = {}  # body -> (frozenset, mask) | ()
@@ -198,9 +198,8 @@ class VSSManager(ProtocolModule):
         if split is not None:
             group, slot = split
             lane = self._lanes.get(group)
-            if lane is not None and lane.columns.pop(slot, None) is not None:
-                if not lane.columns:
-                    del self._lanes[group]
+            if lane is not None and lane.pop(slot, None) is not None and not lane:
+                del self._lanes[group]
         sharing = sharing_of(sid)
         if sharing is sid:  # a root: an SVSS or a solo MW-SVSS session
             self.clock.retired.add(sid)
@@ -455,11 +454,11 @@ class VSSManager(ProtocolModule):
           ``version`` is unchanged; a dispatch that convicts/arms/disarms
           mid-vector bumps it and the remaining slots fall back to
           per-slot verdicts;
-        * **instance lookup** — the group's :class:`GroupLane` columns
-          give O(1) slot access without rebuilding per-slot sid tuples;
-        * **value decoding** — ``mon``/``mod`` bodies are shape checked
-          in one pass, ``rows`` bodies batch decoded into value rows over
-          one cached basis (bit-identical to the per-slot decode; see GroupLane).
+        * **instance lookup** — the group's lane (slot -> instance) gives
+          O(1) slot access without rebuilding per-slot sid tuples.
+
+        Each body goes to ``inst.handle`` as it came: the handler's guards
+        are its one check and decode.
 
         Per-slot degradation is preserved: malformed entries, delayed and
         discarded slots, and crash/recovery mid-vector affect only the
@@ -481,10 +480,8 @@ class VSSManager(ProtocolModule):
         delayed = self._delayed
         lane = self._lanes.get(group)
         if lane is None:
-            lane = self._lanes[group] = GroupLane(group)
-        columns = lane.columns
+            lane = self._lanes[group] = {}
         ensure = self._ensure_mw if mw_group else self._ensure_svss
-        finished = self.clock.finished
         checked = kind in VALUE_KINDS
         group_verdict: str | None = None
         version = -1
@@ -492,19 +489,6 @@ class VSSManager(ProtocolModule):
             runtime.dmm_verdict_calls += 1
             group_verdict = dmm.filter_verdict_group(src, group, slots)
             version = dmm.version
-        decoded = None
-        if (
-            len(slots) > 1
-            and group_verdict in (None, FORWARD)
-            # No lane: the group is new, or all of it retired and a replayed
-            # vector has nothing left to decode for.
-            and (columns or not all(finished(svec_sid(group, s)) for s in slots))
-        ):
-            if mw_group:
-                if kind == "mon" or kind == "mod":
-                    decoded = lane.monitor_polys(self, src, kind, slots, bodies)
-            elif kind == "rows":
-                decoded = lane.row_polys(self, src, slots, bodies)
         batched = 0
         fallbacks = 0
         is_rv = mw_group and kind == "rv"
@@ -512,11 +496,11 @@ class VSSManager(ProtocolModule):
         for slot, body in zip(slots, bodies):
             if host.crashed or host.crash_epoch != epoch:
                 break
-            inst = columns.get(slot)
+            inst = lane.get(slot)
             if inst is None:
                 inst = ensure(svec_sid(group, slot))  # None: retired
                 if inst is not None and not inst.released:
-                    columns[slot] = inst
+                    lane[slot] = inst
             sid = svec_sid(group, slot) if inst is None else inst.sid
             if checked:
                 if group_verdict is not None and dmm.version == version:
@@ -532,15 +516,11 @@ class VSSManager(ProtocolModule):
                     continue
             if is_rv:
                 self._on_rv(src, sid, inst, body)
-            elif inst is None:
-                pass  # retired: the verdict is all it takes
-            elif decoded is None:
+            elif inst is not None:  # None: retired, the verdict is all it takes
                 inst.handle(src, kind, body)
-            else:
-                inst.handle(src, kind, body, decoded.get(slot))
             if delayed or dmm.dirty:
                 self._release_delayed()
-        if not columns:
+        if not lane:
             # Every session of the group is finished (or was, mid-vector).
             self._lanes.pop(group, None)
         runtime.svec_batch_ingested += 1

@@ -203,17 +203,15 @@ class SVSSInstance:
     # ------------------------------------------------------------------
     # message handling (post-DMM)
     # ------------------------------------------------------------------
-    def handle(self, src: int, kind: str, body: object, decoded: object = None) -> None:
-        # ``decoded`` is an optional pre-decoded (g, h) value-row pair from
-        # GroupLane's batch decode of a whole slot-vector of rows.
+    def handle(self, src: int, kind: str, body: object) -> None:
         if self.released:
             return
         if kind == "rows":
-            self._on_rows(src, body, decoded)
+            self._on_rows(src, body)
         elif kind == "G":
             self._on_g_sets(src, body)
 
-    def _on_rows(self, src: int, body: object, decoded: object = None) -> None:
+    def _on_rows(self, src: int, body: object) -> None:
         if src != self.dealer or self.g is not None:
             return
         if (
@@ -222,9 +220,7 @@ class SVSSInstance:
             or not all(self.manager.is_value_tuple(part, self.t + 1) for part in body)
         ):
             return
-        if decoded is None:
-            decoded = value_rows(self.field, self.n, self.t, body)
-        self.g, self.h = decoded
+        self.g, self.h = value_rows(self.field, self.n, self.t, body)
         self._participate()
 
     def _participate(self) -> None:

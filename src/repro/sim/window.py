@@ -89,8 +89,8 @@ class StepWindow:
         self.svec_packed = 0
         self.svec_slots = 0
         #: Received vectors are consumed whole (``VSSManager.ingest_vector``:
-        #: one group-level DMM verdict + structure-of-arrays lane
-        #: transition).  Vectors consumed / slots resolved by a group-level
+        #: one group-level DMM verdict, each slot's instance found in the
+        #: group's lane).  Vectors consumed / slots resolved by a group-level
         #: verdict / slots that fell back to per-slot verdicts.
         self.svec_batch_ingested = 0
         self.dmm_verdicts_batched = 0

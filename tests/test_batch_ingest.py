@@ -1,8 +1,8 @@
-"""Batched slot-vector ingestion: group verdicts, SoA lanes, vote vectors.
+"""Batched slot-vector ingestion: group verdicts, slot lanes, vote vectors.
 
 The acceptance property mirrors the svec contract one layer down: one
-received slot-vector costs one group-level DMM verdict and one
-structure-of-arrays lane transition instead of ``n`` per-slot handler
+received slot-vector costs one group-level DMM verdict, each slot's
+instance found in the group's lane, instead of ``n`` per-slot verdict
 chains, while staying equivalent *slot for slot* to ``VSSManager._ingest``
 — the path a plain ``("v", sid, kind, body)`` message takes.  The unit
 cases here take that path as their living reference (the same entries, one
@@ -17,13 +17,15 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from repro.adversary.behaviors import ABALiarBehavior
 from repro.adversary.controller import Adversary
 from repro.adversary.schedulers import SlotSplittingScheduler
 from repro.config import SystemConfig
 from repro.core.api import build_stack, flip_common_coin
 from repro.core.agreement import ABAProcess
-from repro.core.sessions import SVEC_MW, mw_session, svec_sid
+from repro.core.sessions import SVEC_MW, SVEC_SVSS, mw_session, svec_sid
 from repro.core.vectormux import SVEC_TAG
 from repro.sim.scheduler import FifoScheduler
 
@@ -255,11 +257,65 @@ class TestForgedColumns:
         got = self.outcome(spy_handle, self.vector("cnf", slots, cnf))
         assert got[:3] == self.outcome(spy_handle, self.per_slot("cnf", slots, cnf))[:3]
         assert [call[0] for call in got[0]] == [1, 2, 1]
-        # No batch decode either: every slot's handler decodes its own body.
+        # Every slot's handler gets its body as it came, to check and decode.
         mon = ((1, 2), (3, 4), (5, 6))
         got = self.outcome(spy_handle, self.vector("mon", slots, mon))
         assert got[:3] == self.outcome(spy_handle, self.per_slot("mon", slots, mon))[:3]
         assert all(len(call) == 4 for call in got[0])  # (slot, src, kind, body)
+
+    MODERATED = (SVEC_MW, ("cc", "solo", 0), 2, 2, 1, "md")  # process 1 moderates
+    DEALT = (SVEC_SVSS, ("cc", "solo", 0), 2)
+    GOOD, OTHER, ROWS = (1, 2), (3, 4), ((1, 2), (3, 4))
+
+    @pytest.mark.parametrize(
+        "group, src, kind, slots, bodies, received",
+        [
+            # process 1 monitors dealer 2's f̂_j (GROUP) and moderates f̂
+            (GROUP, 2, "mon", (1, 2, 3), (GOOD, OTHER, GOOD), {1, 2, 3}),
+            (GROUP, 4, "mon", (1, 2), (GOOD, OTHER), set()),
+            (GROUP, 2, "mon", (1, 2, 1), (GOOD, OTHER, (5, 6)), {1, 2}),
+            (GROUP, 2, "mon", (1, 2, 3), (GOOD, "garbage", (1,)), {1}),
+            (MODERATED, 2, "mod", (1, 2), (GOOD, OTHER), {1, 2}),
+            (MODERATED, 4, "mod", (1, 2), (GOOD, OTHER), set()),
+            (MODERATED, 2, "mod", (2, 2), (GOOD, OTHER), {2}),
+            (MODERATED, 2, "mod", (1, 2), (GOOD, (1, 2, 3)), {1}),
+            (GROUP, 2, "mod", (1, 2), (GOOD, OTHER), set()),  # process 1 does not moderate
+            (DEALT, 2, "rows", (1, 2, 3), (ROWS, ROWS[::-1], ROWS), {1, 2, 3}),
+            (DEALT, 3, "rows", (1, 2), (ROWS, ROWS), set()),
+            (DEALT, 2, "rows", (1, 1), (ROWS, ROWS[::-1]), {1}),
+            (DEALT, 2, "rows", (1, 2, 3), (ROWS, "garbage", ((1,), (2,))), {1}),
+        ],
+        ids=[
+            f"{kind}-{case}"
+            for kind in ("mon", "mod")
+            for case in ("dealer", "non-dealer", "repeated-slot", "malformed-body")
+        ]
+        + ["mod-not-the-moderator"]
+        + [f"rows-{case}" for case in ("dealer", "non-dealer", "repeated-slot", "malformed-body")],
+    )
+    def test_value_bodies_leave_what_the_per_slot_path_leaves(
+        self, group, src, kind, slots, bodies, received
+    ):
+        """``mon`` / ``mod`` / ``rows`` bodies reach the real handlers, the
+        one check and decode they get, the same fed either way: the slots'
+        received polynomials, the session tables and the messages sent."""
+
+        def state(as_vector):
+            stack, mgr = make_manager()
+            deliver_entries(mgr, src, group, kind, slots, bodies, as_vector)
+            held = {}
+            for slot in sorted(set(slots)):
+                sid = svec_sid(group, slot)
+                if group[0] == SVEC_SVSS:
+                    held[slot] = (mgr.svss[sid].g, mgr.svss[sid].h)
+                else:
+                    held[slot] = (mgr.mw[sid].monitor_row, mgr.mw[sid].moderator_row)
+            tables = set(mgr.mw), set(mgr.svss), mgr._delayed
+            return held, tables, stack.runtime.trace.total_messages
+
+        got = state(as_vector=True)
+        assert got == state(as_vector=False)
+        assert {slot for slot, polys in got[0].items() if polys != (None, None)} == received
 
     def test_fold_items_of_the_wrong_arity_drop_alone(self, spy_handle):
         good = ("ack", self.GROUP, (1, 2), (None, None))

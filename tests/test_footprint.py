@@ -210,8 +210,8 @@ def test_ledgers_are_masks_over_the_rows_the_instances_hold(monkeypatch):
     *is* process j's ``share_vector``; a batch is held by its instance's
     ``rv_batches`` alone, no ledger has a slot for one; and ``f̂_j`` / ``f̂``
     stay the dealer's t + 1 values — ``value_rows`` never runs for an
-    MW-SVSS kind."""
-    from repro.core import mwsvss
+    MW-SVSS kind: its one caller is SVSS's ``rows`` handler."""
+    from repro.core import mwsvss, svss
 
     dealt, bodies, decoded, outputs = {}, {}, [], []
     share, freeze = MWSVSSInstance.share, MWSVSSInstance._freeze_l
@@ -233,6 +233,7 @@ def test_ledgers_are_masks_over_the_rows_the_instances_hold(monkeypatch):
         return value_rows(*args)
 
     monkeypatch.setattr(mwsvss, "value_rows", traced)
+    monkeypatch.setattr(svss, "value_rows", traced)  # imported there by name
     config = SystemConfig(n=4, seed=2)
     stack = build_stack(config, scheduler=FifoScheduler())
     coins = make_coins(stack, "svss")
@@ -271,4 +272,4 @@ def test_ledgers_are_masks_over_the_rows_the_instances_hold(monkeypatch):
                 deals += 1
         batches += sum(len(inst.rv_batches or ()) for inst in mgr.mw.values())
     assert acks and deals and batches
-    assert set(decoded) == {"row_polys"}  # SVSS (g, h) rows only
+    assert set(decoded) == {"_on_rows"}  # SVSS (g, h) rows only

@@ -301,14 +301,15 @@ class TestReleasedSessionsRejectReplays:
         assert self.snapshot(mgr) == before
 
     def test_replayed_value_vectors_for_a_released_group_decode_nothing(self, monkeypatch):
-        """The batch pre-decode of ``mon`` / ``mod`` / ``rows`` vectors is
-        for instances that will consume it: a dealer replaying them for a
-        finished group buys no interpolation."""
-        from repro.core import mwsvss
+        """A ``mon`` / ``mod`` / ``rows`` body is decoded by the instance
+        that consumes it: a dealer replaying them for a finished group buys
+        no interpolation and no lane."""
+        from repro.core import mwsvss, svss
 
         stack = quiescent_coin(4, 0)
         calls = []
-        monkeypatch.setattr(mwsvss, "value_rows", lambda *args: calls.append(args))
+        for module in (mwsvss, svss):
+            monkeypatch.setattr(module, "value_rows", lambda *args: calls.append(args))
         row = (1, 2)
         for moderator in (1, 3):
             mgr = stack.vss[moderator]

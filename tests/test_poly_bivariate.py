@@ -20,8 +20,7 @@ from reference.svss_output import evaluate, from_rows, horner, interpolate
 
 from repro.config import SystemConfig
 from repro.core.api import build_stack
-from repro.core.mwsvss import GroupLane, value_rows
-from repro.core.sessions import svec_split, svss_session
+from repro.core.sessions import svss_session
 
 PRIME = 13
 
@@ -193,34 +192,6 @@ class TestRowsAndColumns:
     def test_row_zero_of_secret(self):
         cfg, _, held = dealt(7, 5, "zero")
         assert fit(cfg, [held[j][1][0] for j in cfg.pids]) == 5  # f(0, j)
-
-    def test_batch_decode_matches_per_message(self):
-        """GroupLane's one-call decode of a whole ``"rows"`` vector gives
-        each slot the (g, h) pair its per-message decode would."""
-        cfg = stack_of(7).config
-        group, _ = svec_split(svss_session(("coin", 0), 1), {"coin"})
-        def body(slot):
-            return tuple(
-                tuple((slot * 5 + 3 * i + k) % PRIME for i in range(cfg.t + 1))
-                for k in (0, 1)
-            )
-
-        slots = tuple(range(4))
-        decoded = GroupLane(group).row_polys(stack_of(7).vss[2], 1, slots, tuple(map(body, slots)))
-        assert decoded == {
-            slot: tuple(value_rows(cfg.field, cfg.n, cfg.t, list(body(slot)))) for slot in slots
-        }
-
-    def test_batch_decode_declines(self):
-        mgr = stack_of(4).vss[2]
-        group, _ = svec_split(svss_session(("coin", 0), 1), {"coin"})
-        lane = GroupLane(group)
-        good = ((1, 2), (3, 4))
-        assert lane.row_polys(mgr, 3, (0, 1), (good, good)) is None  # not the dealer
-        assert lane.row_polys(mgr, 1, (0, 0), (good, good)) is None  # duplicate slot
-        assert lane.row_polys(mgr, 1, (0, 1), (good, ((1,), (2,)))) is None  # one well-shaped
-        got = lane.row_polys(mgr, 1, (0, 1, 2), (good, "garbage", good))
-        assert set(got) == {0, 2}
 
 
 class TestFromRows:

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.errors import FieldError
 from repro.field.primes import default_prime, is_prime, next_prime
 
 
@@ -25,7 +27,11 @@ class TestIsPrime:
             assert is_prime(default_prime(n))
 
     def test_mersenne_61(self):
-        assert is_prime(2**61 - 1)
+        """Trial division stops at 2³²: a larger candidate, even a prime,
+        is refused by name rather than tested."""
+        assert is_prime(2**31 - 1)
+        with pytest.raises(FieldError, match=str(2**32)):
+            is_prime(2**61 - 1)
 
     def test_carmichael_numbers_rejected(self):
         # Fermat pseudoprimes that fool naive tests.

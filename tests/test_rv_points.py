@@ -25,7 +25,7 @@ from reference.svss_output import horner
 from repro import SystemConfig
 from repro.config import max_faults
 from repro.core.api import build_stack
-from repro.core.mwsvss import BOTTOM, MWSVSSInstance
+from repro.core.mwsvss import BOTTOM, MWSVSSInstance, rv_value
 from repro.core.sessions import mw_session
 
 DEALER, MODERATOR = 2, 3  # the instance is process 1's: neither of them
@@ -161,7 +161,7 @@ def lowest_pids_first(self: MWSVSSInstance) -> None:
         eligible = [
             k
             for k in sorted(self.rv_batches)
-            if l in self.rv_batches[k] and self.L_hat[l] >> k & 1
+            if rv_value(self.rv_batches[k], l) is not None and self.L_hat[l] >> k & 1
         ]
         self.K[l] = mask = sum(1 << k for k in eligible[: self.manager.t + 1])
         if len(eligible) > self.manager.t:
@@ -169,13 +169,25 @@ def lowest_pids_first(self: MWSVSSInstance) -> None:
 
 
 def test_the_property_fails_on_lowest_pids_first(monkeypatch):
+    """The planted bug is caught where it chose: the failing case is one in
+    which it filled a ``K_l`` and interpolated ``f̄_l``."""
+    interpolated = []
+    interpolate = MWSVSSInstance._interpolate_f_bar
+
+    def counted(self, l, mask):
+        interpolated.append(l)
+        interpolate(self, l, mask)
+
     monkeypatch.setattr(MWSVSSInstance, "_consume_rv_batches", lowest_pids_first)
+    monkeypatch.setattr(MWSVSSInstance, "_interpolate_f_bar", counted)
 
     # No shrinking: the first failing example is the finding.
     @settings(max_examples=400, deadline=None, database=None, phases=[Phase.generate])
     @given(rv_arrivals())
     def planted(case):
+        interpolated.clear()
         replay(*case)
 
     with pytest.raises(AssertionError):
         planted()
+    assert interpolated  # hypothesis ends on the failing case

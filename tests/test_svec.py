@@ -195,7 +195,7 @@ class TestSlotVectorUnpack:
         per-slot sessions of ``group`` receive."""
         calls = []
 
-        def spy(slot, src, kind, body, polys=None):
+        def spy(slot, src, kind, body):
             calls.append((slot, src, kind, body))
             if crash_after is not None and len(calls) == crash_after:
                 manager.host.crashed = True
