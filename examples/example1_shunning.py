@@ -16,7 +16,6 @@ Run:  python examples/example1_shunning.py
 """
 
 from repro.core.dmm import DISCARD
-from repro.core.sessions import mw_session
 from repro.scenarios import (
     DEALER,
     FAKE_SECRET,
@@ -51,8 +50,9 @@ def main() -> None:
     pairs = sorted(outcome.stack.trace.shun_pairs())
     print(f"shun pairs recorded: {pairs}")
     observer = next(o for o, c in pairs if c == DEALER)
-    future = mw_session(("future", 0), DEALER, MODERATOR, "dm")
-    verdict = outcome.stack.vss[observer].dmm.filter_verdict(DEALER, future)
+    vss = outcome.stack.vss[observer]
+    # a session beginning now is stamped with the session clock's count
+    verdict = vss.dmm.filter_verdict(DEALER, vss.clock.count)
     assert verdict == DISCARD
     print(
         f"process {observer} now discards everything dealer {DEALER} sends "

@@ -126,9 +126,7 @@ _DELIVERED_UNSENT2 = (False, True, True, True)
 class BroadcastManager(ProtocolModule):
     """All WRB/RB instances of one process.
 
-    Exposes :meth:`broadcast` (RB), :meth:`broadcast_weak` (WRB only, used
-    directly by nothing in the paper's stack but part of the public toolbox)
-    and topic subscription for deliveries.
+    Exposes :meth:`broadcast` (RB) and topic subscription for deliveries.
     """
 
     MODULE_KIND = "broadcast"
@@ -136,10 +134,8 @@ class BroadcastManager(ProtocolModule):
     def __init__(self, host: ProcessHost):
         super().__init__()
         self._instances: dict[object, list | tuple] = {}
-        self._weak_only: set[object] = set()
         self._topic_handlers: dict[str, DeliverHandler] = {}
         self._topic_slots_tables: dict[str, InstanceSlots] = {}
-        self._wrb_handlers: dict[str, DeliverHandler] = {}
         self.attach(host)
 
     def _wire(self, host: ProcessHost) -> None:
@@ -203,10 +199,10 @@ class BroadcastManager(ProtocolModule):
         return slots.slots if slots is not None else {}
 
     def subscribe_weak(self, topic: str, handler: DeliverHandler) -> None:
-        """Receive WRB accepts for weak-only broadcasts on ``topic``."""
-        if topic in self._wrb_handlers:
-            raise ProtocolError(f"weak topic {topic!r} already subscribed")
-        self._wrb_handlers[topic] = handler
+        """Probe shim: there is no weak-only broadcast; this name is kept
+        because ``benchmarks/e2e/layerprobe.py`` patches it and its traced
+        run fails (``probe_missing``) when it is missing."""
+        raise NotImplementedError("there is no weak-only broadcast")
 
     def delivered(self, bid: object) -> bool:
         """Whether ``bid`` has RB-delivered at this process."""
@@ -219,12 +215,6 @@ class BroadcastManager(ProtocolModule):
         ``bid[0]`` must be this process (origin authentication).
         """
         self._check_bid(bid)
-        self.host.send_all(("b1", bid, value), _layer_for(bid))
-
-    def broadcast_weak(self, bid: tuple, value: tuple) -> None:
-        """Weak-reliable-broadcast only (no Bracha echo amplification)."""
-        self._check_bid(bid)
-        self._weak_only.add(bid)
         self.host.send_all(("b1", bid, value), _layer_for(bid))
 
     def _check_bid(self, bid: tuple) -> None:
@@ -336,26 +326,10 @@ class BroadcastManager(ProtocolModule):
             except TypeError:
                 return  # unhashable garbage from a byzantine sender
         if count and count >= self.n - self.t:
-            inst[_ACCEPTED] = True
-            self._on_wrb_accept(bid, value)
-
-    def _on_wrb_accept(self, bid: tuple, value: tuple) -> None:
-        if bid in self._weak_only or self._is_weak_bid(bid):
-            origin = bid[0]
-            self._runtime.notify_state_change()  # a WRB accept is observable
-            self._route(self._wrb_handlers, origin, value)
-            return
-        inst = self._instance(bid)
-        if not inst[_SENT3]:
-            inst[_SENT3] = True
-            self.host.send_all(("b3", bid, value), _layer_for(bid))
-
-    @staticmethod
-    def _is_weak_bid(bid: tuple) -> bool:
-        """Weak-only broadcasts mark their bid with a leading "w" topic tag
-        in position 1 so that *receivers* (who never called broadcast_weak)
-        also treat them as weak."""
-        return len(bid) > 1 and bid[1] == "weak"
+            inst[_ACCEPTED] = True  # WRB accepted: amplify once
+            if not inst[_SENT3]:
+                inst[_SENT3] = True
+                self.host.send_all(("b3", bid, value), _layer_for(bid))
 
     # -- RB -----------------------------------------------------------------
     def _on_b3(self, src: int, payload: tuple) -> None:

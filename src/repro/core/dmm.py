@@ -51,9 +51,10 @@ never arm, gate nothing, and go).  A ledger that holds nothing is dropped;
 what persists for the lifetime of the scheme is ``D``, the ledgers of
 reconstructed sessions that still hold a debt, and their ``completed``
 stamps.  When a sharing leaves the manager's tables,
-:meth:`DMM.retire` drops its sessions' closed marks and clock stamps (a
-debt's ``completed`` stamp goes with its ledger): a retired session reads
-as begun long ago, and a late batch for it is checked only while it owes.
+:meth:`DMM.retire` drops its sessions' closed marks and ``completed``
+stamps (a debt's stamp goes with its ledger): a retired session has no
+instance, so no begin stamp, and reads as begun long ago, and a late batch
+for it is checked only while it owes.
 
 The delay rule only ever fires for sessions ``σ`` with ``σ →_i σ'``, and
 ``→_i`` requires ``σ``'s reconstruct to have *completed* locally — so the
@@ -62,16 +63,18 @@ During the share phase pending expectations are plentiful but unarmed, and
 the filter stays O(1).
 
 The armed index is collapsed one step further for the hot path: since
-``precedes(σ, σ')`` is ``completed[σ] < begun[σ']``, a sender delays
-session ``σ'`` iff the *minimum* completed tick over its armed sessions is
-below ``begun[σ']`` — so :meth:`DMM.filter_verdict` is a single dict probe
-per message even while dozens of sessions are armed (reconstruct storms),
-and :meth:`DMM.filter_verdict_group` can answer for a whole slot-vector at
-once.  ``version`` ticks on every state change that can flip some verdict
-(conviction, arming, disarming), which is what lets batch ingestion cache
-a group verdict across a vector's slots, and ``dirty`` names the senders
-whose verdicts may have moved since the delayed-message index last looked
-(consumed by ``VSSManager._release_delayed``).
+``σ →_i σ'`` is ``completed[σ] <= begun[σ']`` (``SessionClock``), a
+sender delays session ``σ'`` iff the *minimum* completed stamp over its
+armed sessions is at most ``begun[σ']`` — so :meth:`DMM.filter_verdict` is
+a single dict probe per message even while dozens of sessions are armed
+(reconstruct storms), and :meth:`DMM.filter_verdict_group` can answer for
+a whole slot-vector at once.  The begin stamps come from the caller, which
+holds the session's instance.  ``version`` ticks on every state change
+that can flip some verdict (conviction, arming, disarming), which is what
+lets batch ingestion cache a group verdict across a vector's slots, and
+``dirty`` names the senders whose verdicts may have moved since the
+delayed-message index last looked (consumed by
+``VSSManager._release_delayed``).
 """
 
 from __future__ import annotations
@@ -80,7 +83,7 @@ from collections import defaultdict
 from collections.abc import Callable, Iterable
 
 from repro.core.mwsvss import point, rv_value
-from repro.core.sessions import SessionClock, svec_sid
+from repro.core.sessions import SessionClock
 from repro.field.gf import Field
 
 #: verdicts of :meth:`DMM.filter_verdict`
@@ -138,9 +141,9 @@ class DMM:
         # pending sessions whose reconstruct completed locally, per sender —
         # the only ones the delay rule can fire on
         self._armed: defaultdict[int, set[tuple]] = defaultdict(set)
-        # sender -> min completed-tick over its armed sessions (only armed
-        # sessions that actually carry a completed clock stamp — the only
-        # ones precedes() can fire on); kept in lockstep with _armed so the
+        # sender -> min completed stamp over its armed sessions (only armed
+        # sessions that actually carry one — the only ones →_i can fire
+        # on); kept in lockstep with _armed so the
         # filter is one dict probe.
         self._armed_min_done: dict[int, int] = {}
         #: bumped on every state change that can flip some verdict
@@ -220,7 +223,7 @@ class DMM:
             self._arm(sender, session)
 
     def _arm(self, sender: int, session: tuple) -> None:
-        """Arm ``session`` for ``sender`` and maintain the min-tick index.
+        """Arm ``session`` for ``sender`` and maintain the min-stamp index.
 
         Only a state change that can flip a verdict bumps ``version`` /
         ``dirty`` — re-arming an already-armed session with an unchanged
@@ -306,10 +309,9 @@ class DMM:
 
     def retire(self, sessions: Iterable[tuple]) -> None:
         """``sessions`` left the manager's tables: forget all but their debts."""
-        begun, completed = self.clock.begun, self.clock.completed
+        completed = self.clock.completed
         for session in sessions:
             self._closed_sessions.discard(session)
-            begun.pop(session, None)
             if session not in self._ledgers:
                 completed.pop(session, None)
 
@@ -368,39 +370,35 @@ class DMM:
             self._on_shun(sender, session)
 
     # -- the filter ------------------------------------------------------------
-    def filter_verdict(self, sender: int, session: tuple) -> str:
-        """Decide what to do with a VSS message from ``sender`` tagged with
-        ``session`` (DMM steps 4-5).
+    def filter_verdict(self, sender: int, begun: int | None) -> str:
+        """Decide what to do with a VSS message from ``sender`` for a
+        session begun at ``begun`` (its instance's stamp; ``None``: retired,
+        begun long ago) — DMM steps 4-5.
 
-        ``precedes(σ, σ')`` is ``completed[σ] < begun[σ']``, so *some*
-        armed session precedes ``session`` iff the cached minimum completed
-        tick does — one probe instead of a scan over the armed set.
+        *Some* armed session precedes the message's session iff the cached
+        minimum completed stamp does — one probe instead of a scan over the
+        armed set.
         """
         if sender == self.pid:
             return FORWARD  # a process never filters itself
         if sender in self.D:
             return DISCARD
         owed = self._armed_min_done.get(sender)
-        if owed is not None:
-            begun = self.clock.begun.get(session)
-            if begun is not None and owed < begun:
-                return DELAY
+        if owed is not None and begun is not None and owed <= begun:
+            return DELAY
         return FORWARD
 
-    def filter_verdict_group(
-        self, sender: int, group: tuple, slots: Iterable[int]
-    ) -> str | None:
+    def filter_verdict_group(self, sender: int, stamps: Iterable[int | None]) -> str | None:
         """One verdict for a whole slot-vector, or ``None`` on divergence.
 
-        The verdict varies across a vector's sibling sessions only through
-        each slot's ``begun`` tick, so for senders with nothing armed the
-        answer is session-independent (one probe for the vector).  For
-        armed senders the slots' begun ticks are compared against the
-        cached minimum completed tick in one pass; a slot not begun yet
-        will be stamped with a *fresh* tick at ensure time — strictly newer
-        than any completed tick — so it counts as DELAY, unless its sharing
-        retired (begun long ago: FORWARD).  Mixed outcomes return ``None``
-        and the caller re-filters per slot.
+        ``stamps`` are the slots' begin stamps, as for :meth:`filter_verdict`
+        (a slot not begun yet: the clock's count, which its instance will
+        read).  They are the only thing the verdict reads that varies
+        across a vector's sibling sessions, so for senders with nothing
+        armed the answer is one probe for the vector and ``stamps`` is
+        never read; for armed senders they are compared against the cached
+        minimum in one pass.  Mixed outcomes return ``None`` and the caller
+        re-filters per slot.
 
         The result is only valid while :attr:`version` is unchanged:
         dispatching one slot can convict, arm, or disarm, flipping the
@@ -413,16 +411,13 @@ class DMM:
         owed = self._armed_min_done.get(sender)
         if owed is None:
             return FORWARD
-        begun, finished = self.clock.begun, self.clock.finished
         verdict: str | None = None
-        for slot in slots:
-            sid = svec_sid(group, slot)
-            b = begun.get(sid)
-            v = DELAY if (not finished(sid) if b is None else owed < b) else FORWARD
+        for begun in stamps:
+            v = DELAY if begun is not None and owed <= begun else FORWARD
             if verdict is None:
                 verdict = v
             elif v != verdict:
-                return None  # session clock diverges across the slots
+                return None  # the begin stamps diverge across the slots
         return verdict
 
     # -- introspection -----------------------------------------------------------

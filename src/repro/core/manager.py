@@ -18,9 +18,13 @@ released, and nothing of it is created from then on.  Its live instances
 and SVSS walks over ``Ĝ`` *pin* it; at the last let-go its instances leave
 ``mw`` / ``svss``.  A late message for a retired session takes its DMM
 verdict and is dropped, but a late ``rv`` is checked by the DMM while the
-session owes: conviction and debt clearing outlive the instance.  The
-lookup caches (slot lanes, the mux's split memo) drop a session the moment
-it is released.
+session owes: conviction and debt clearing outlive the instance.
+
+What the manager knows of a live session is its instance: the instance
+holds its begin stamp (``begun``, the session clock's count at creation)
+and, for a slot-family member, its lane (``vectormux.Lane``), so no table
+keyed by session id runs beside ``mw`` / ``svss``.  A released instance
+leaves its lane at once.
 """
 
 from __future__ import annotations
@@ -39,10 +43,10 @@ from repro.core.sessions import (
     is_svss,
     sharing_of,
     svec_sid,
-    svec_split,
+    svec_slot,
 )
 from repro.core.svss import SVSSInstance, children
-from repro.core.vectormux import SVEC_TAG, SessionVectorMux
+from repro.core.vectormux import SVEC_TAG, Lane, SessionVectorMux
 from repro.errors import ProtocolError
 from repro.poly.fastpath import LagrangeBasis, lagrange_basis
 from repro.sim.module import ProtocolModule
@@ -114,9 +118,8 @@ class VSSManager(ProtocolModule):
         self._delayed_seq = 0
         # sharing -> its pins (see the module docstring)
         self._pins: dict[tuple, int] = {}
-        # One lane per svec dealer-group: its sibling session instances by
-        # slot, filled on first touch, so ingest_vector rebuilds no sid.
-        self._lanes: dict[tuple, dict[int, object]] = {}
+        # group -> its Lane, while a member lives (see join_lane)
+        self._lanes: dict[tuple, Lane] = {}
         # Manager-wide memos for pid sets (see pid_set / pids_of): the
         # same L/M/G tuples recur across sibling sessions and senders.
         self._pid_sets: dict[tuple, tuple] = {}  # body -> (frozenset, mask) | ()
@@ -184,22 +187,34 @@ class VSSManager(ProtocolModule):
         if inst is not None:
             inst.release()
 
-    def session_released(self, sid: tuple) -> None:
+    def join_lane(self, inst, group: tuple, slot: object) -> Lane:
+        """Make live ``inst`` the ``slot`` member of ``group``'s lane, at its
+        first vector or first offer (an instance created before its family
+        registered joins late, the same way)."""
+        lane = self._lanes.get(group)
+        if lane is None:
+            lane = self._lanes[group] = Lane(group)
+        lane[slot] = inst
+        inst.lane = lane
+        return lane
+
+    def session_released(self, inst) -> None:
         """An MW-SVSS or SVSS instance entered its terminal state.
 
         The DMM forgets an MW-SVSS session whose reconstruct never
-        completed (a completed one keeps its debts), the lookup caches drop
-        the session — a released session sends nothing — a released root
+        completed (a completed one keeps its debts), the instance leaves
+        its lane — a released session sends nothing — a released root
         retires its sharing, and the instance unpins it.
         """
+        sid = inst.sid
         if is_mw(sid):
             self.dmm.forget_session(sid)
-        split = self.mux.forget(sid) or svec_split(sid, self.mux.families)
-        if split is not None:
-            group, slot = split
-            lane = self._lanes.get(group)
-            if lane is not None and lane.pop(slot, None) is not None and not lane:
-                del self._lanes[group]
+        lane = inst.lane
+        if lane is not None:
+            inst.lane = None
+            del lane[svec_slot(sid)]
+            if not lane:
+                del self._lanes[lane.group]
         sharing = sharing_of(sid)
         if sharing is sid:  # a root: an SVSS or a solo MW-SVSS session
             self.clock.retired.add(sid)
@@ -325,26 +340,29 @@ class VSSManager(ProtocolModule):
                 return None
         return [sum(map(mul, head, row(x))) % prime for x in points]
 
-    def send_value(self, dst: int, sid: tuple, kind: str, body: object) -> None:
-        """Send one private per-session message (the instances' send seam).
+    def send_value(self, dst: int, inst, kind: str, body: object) -> None:
+        """Send one private message of instance ``inst``'s session (the
+        instances' send seam).
 
         On a session-vector runtime, per-slot coin sessions hand their
         message to the mux instead, which folds the step's sibling slots
         into one ``("svec", ...)`` send at end-of-step; everything else —
         and every corrupt sender — travels as a plain per-session message.
         """
-        if not self.mux.offer_private(dst, sid, kind, body):
-            self.host.send(dst, ("v", sid, kind, body), "vss")
+        if not self.mux.offer_private(dst, inst, kind, body):
+            self.host.send(dst, ("v", inst.sid, kind, body), "vss")
 
-    def rb_broadcast(self, sid: tuple, kind: str, body: object) -> None:
-        """RB-broadcast a VSS message of this session (canonical bid).
+    def rb_broadcast(self, inst, kind: str, body: object) -> None:
+        """RB-broadcast a VSS message of instance ``inst``'s session
+        (canonical bid).
 
         Slot-vector aggregation applies exactly as in :meth:`send_value`;
         folding ``n`` sibling broadcasts into one saves the whole O(n²)
         echo cascade each of them would have cost.
         """
-        if self.mux.offer_rb(sid, kind, body):
+        if self.mux.offer_rb(inst, kind, body):
             return
+        sid = inst.sid
         bid = (self.pid, "vss", sid, kind)
         self._broadcast.broadcast(bid, ("vss", sid, kind, body))
 
@@ -368,7 +386,6 @@ class VSSManager(ProtocolModule):
                 sid = (sid[0], parent.sid, *sid[2:])
             inst = MWSVSSInstance(self, sid)
             self.mw[sid] = inst
-            self.clock.note_begin(sid)
             self._pins[sharing] = self._pins.get(sharing, 0) + 1
         return inst
 
@@ -382,7 +399,6 @@ class VSSManager(ProtocolModule):
                 return None
             inst = SVSSInstance(self, sid)
             self.svss[sid] = inst
-            self.clock.note_begin(sid)
             self._pins[sid] = self._pins.get(sid, 0) + 1
         return inst
 
@@ -417,16 +433,16 @@ class VSSManager(ProtocolModule):
             return
         # Creating the instance stamps the session's local begin, which is
         # what makes →_i well-defined for the filter below; a retired
-        # session has no stamp and reads as begun long ago.
+        # session has no instance and reads as begun long ago.
         if self._valid_mw_sid(sid):
-            self._ensure_mw(sid)
+            inst = self._ensure_mw(sid)
         elif self._valid_svss_sid(sid):
-            self._ensure_svss(sid)
+            inst = self._ensure_svss(sid)
         else:
             return
         if kind in VALUE_KINDS:
             self._runtime.dmm_verdict_calls += 1
-            verdict = self.dmm.filter_verdict(src, sid)
+            verdict = self.dmm.filter_verdict(src, None if inst is None else inst.begun)
             if verdict == DISCARD:
                 return
             if verdict == DELAY:
@@ -479,15 +495,14 @@ class VSSManager(ProtocolModule):
         dmm = self.dmm
         delayed = self._delayed
         lane = self._lanes.get(group)
-        if lane is None:
-            lane = self._lanes[group] = {}
         ensure = self._ensure_mw if mw_group else self._ensure_svss
         checked = kind in VALUE_KINDS
         group_verdict: str | None = None
         version = -1
         if checked:
             runtime.dmm_verdict_calls += 1
-            group_verdict = dmm.filter_verdict_group(src, group, slots)
+            stamps = (self._begun(svec_sid(group, slot)) for slot in slots)
+            group_verdict = dmm.filter_verdict_group(src, stamps)
             version = dmm.version
         batched = 0
         fallbacks = 0
@@ -496,11 +511,11 @@ class VSSManager(ProtocolModule):
         for slot, body in zip(slots, bodies):
             if host.crashed or host.crash_epoch != epoch:
                 break
-            inst = lane.get(slot)
+            inst = lane.get(slot) if lane else None
             if inst is None:
                 inst = ensure(svec_sid(group, slot))  # None: retired
                 if inst is not None and not inst.released:
-                    lane[slot] = inst
+                    lane = inst.lane or self.join_lane(inst, group, slot)
             sid = svec_sid(group, slot) if inst is None else inst.sid
             if checked:
                 if group_verdict is not None and dmm.version == version:
@@ -508,7 +523,7 @@ class VSSManager(ProtocolModule):
                     batched += 1
                 else:
                     fallbacks += 1
-                    verdict = dmm.filter_verdict(src, sid)
+                    verdict = dmm.filter_verdict(src, None if inst is None else inst.begun)
                 if verdict == DISCARD:
                     continue
                 if verdict == DELAY:
@@ -520,13 +535,18 @@ class VSSManager(ProtocolModule):
                 inst.handle(src, kind, body)
             if delayed or dmm.dirty:
                 self._release_delayed()
-        if not lane:
-            # Every session of the group is finished (or was, mid-vector).
-            self._lanes.pop(group, None)
         runtime.svec_batch_ingested += 1
         runtime.dmm_verdicts_batched += batched
         runtime.dmm_verdict_fallbacks += fallbacks
         runtime.dmm_verdict_calls += fallbacks
+
+    def _begun(self, sid: tuple) -> int | None:
+        """``sid``'s begin stamp: its instance's; ``None`` once its sharing
+        retired (begun long ago); else the count its instance will read."""
+        inst = (self.mw if is_mw(sid) else self.svss).get(sid)
+        if inst is not None:
+            return inst.begun
+        return None if self.clock.finished(sid) else self.clock.count
 
     def _dispatch(self, src: int, sid: tuple, kind: str, body: object) -> None:
         mw = is_mw(sid)
@@ -559,8 +579,8 @@ class VSSManager(ProtocolModule):
         """Re-examine parked messages whose sender's DMM state changed.
 
         A parked key's verdict can only move when the DMM's view of that
-        *sender* moves (conviction, arming, disarming — ``begun[sid]`` is
-        fixed the moment the message parks), so the DMM marks changed
+        *sender* moves (conviction, arming, disarming — the session's begin
+        stamp is fixed the moment the message parks), so the DMM marks changed
         senders dirty and only the affected keys are re-filtered: one
         verdict per (src, sid) backlog entry instead of a full re-scan of
         the parked deque on every state change.  Released messages replay
@@ -584,7 +604,7 @@ class VSSManager(ProtocolModule):
             for key in affected:
                 src, sid = key
                 runtime.dmm_verdict_calls += 1
-                verdict = dmm.filter_verdict(src, sid)
+                verdict = dmm.filter_verdict(src, self._begun(sid))
                 if verdict == DELAY:
                     continue
                 entries = delayed.pop(key)
@@ -631,7 +651,6 @@ class VSSManager(ProtocolModule):
 
     def notify_svss_output(self, sid: tuple, value: object) -> None:
         self._runtime.notify_state_change()
-        self.clock.note_complete(sid)
         watcher = self._watchers.get(sid[1])
         if watcher is not None:
             watcher.on_svss_output(sid, value)

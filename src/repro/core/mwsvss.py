@@ -122,7 +122,7 @@ class MWSVSSInstance:
     freeze (its DEAL row) and ``_deal_rows`` past release (its ACK rows).
     """
 
-    # 31 attributes: without __slots__ they overflow CPython's shared-key
+    # 33 attributes: without __slots__ they overflow CPython's shared-key
     # dict limit and every instance (2n² per SVSS session) carries a
     # private dict several times the size of the state it holds.  Per-pid
     # facts are words and rows for the same reason: a set of pids is an
@@ -132,6 +132,8 @@ class MWSVSSInstance:
     __slots__ = (
         "manager",
         "sid",
+        "begun",
+        "lane",
         "share_vector",
         "monitor_row",
         "_step2_done",
@@ -166,6 +168,10 @@ class MWSVSSInstance:
     def __init__(self, manager: "VSSManager", sid: tuple):
         self.manager = manager
         self.sid = sid
+        #: the begin stamp: the session clock's count at creation (→_i)
+        self.begun = manager.clock.count
+        #: the slot lane, from the first vector or offer (``VSSManager.join_lane``)
+        self.lane = None
 
         # step 1-2 inputs
         self.share_vector: tuple[int, ...] | None = None  # (f̂^j_1 .. f̂^j_n)
@@ -254,10 +260,10 @@ class MWSVSSInstance:
             values = cols[j]
             if corrupt_values is not None:
                 values = tuple(corrupt_values(self.sid, j, list(values), field.prime))
-            mgr.send_value(j, self.sid, "shl", values)
+            mgr.send_value(j, self, "shl", values)
         for l in points:
-            mgr.send_value(l, self.sid, "mon", tuple(rows[l - 1][: t + 1]))
-        mgr.send_value(self.sid[3], self.sid, "mod", tuple(f[: t + 1]))
+            mgr.send_value(l, self, "mon", tuple(rows[l - 1][: t + 1]))
+        mgr.send_value(self.sid[3], self, "mod", tuple(f[: t + 1]))
 
     def moderate(self, expected: int) -> None:
         """Install the moderator's input value ``s'`` (enables step 5)."""
@@ -291,7 +297,7 @@ class MWSVSSInstance:
         self.share_vector = self.monitor_row = self._early_confirms = self._deal_rows = None
         self.moderator_row = self.moderator_expected = self.moderator_shares = None
         self.L_hat = self.rv_batches = self.K = self.f_bar = None
-        self.manager.session_released(self.sid)
+        self.manager.session_released(self)
 
     # ------------------------------------------------------------------
     # message handling (post-DMM)
@@ -360,8 +366,8 @@ class MWSVSSInstance:
             value = self.share_vector[l - 1]
             if corrupt is not None:
                 value = corrupt(self.sid, l, value, mgr.field.prime)
-            mgr.send_value(l, self.sid, "cnf", value)
-        mgr.rb_broadcast(self.sid, "ack", None)
+            mgr.send_value(l, self, "cnf", value)
+        mgr.rb_broadcast(self, "ack", None)
 
     def _on_confirm(self, src: int, body: object) -> None:
         # A frozen L_j ended step 3: a late value has nothing left to meet.
@@ -422,8 +428,8 @@ class MWSVSSInstance:
         free_term = point(manager.field, manager.t, self.monitor_row, 0)
         self.L_frozen, self.monitor_row, self._early_confirms = True, None, ()
         self.heard = self.confirmed = 0
-        manager.rb_broadcast(self.sid, "L", manager.pids_of(self.L))
-        manager.send_value(self.sid[3], self.sid, "ms", free_term)
+        manager.rb_broadcast(self, "L", manager.pids_of(self.L))
+        manager.send_value(self.sid[3], self, "ms", free_term)
 
     # -- moderator ---------------------------------------------------------
     def _on_moderator_poly(self, src: int, body: object) -> None:
@@ -467,7 +473,7 @@ class MWSVSSInstance:
         so ``f̂`` and the monitors' shares are dropped."""
         self.M_frozen = True
         self.moderator_row = self.moderator_shares = None
-        self.manager.rb_broadcast(self.sid, "M", self.manager.pids_of(self.M))
+        self.manager.rb_broadcast(self, "M", self.manager.pids_of(self.M))
 
     # -- broadcast sets ------------------------------------------------------
     def _on_l_set(self, src: int, body: object) -> None:
@@ -534,7 +540,7 @@ class MWSVSSInstance:
         for j in self.M_hat:
             for l in self.manager.pids_of(self.L_hat[j]):
                 dmm.expect_ack(l, self.sid, j, self._deal_rows, batches.get(l))
-        self.manager.rb_broadcast(self.sid, "ok", None)
+        self.manager.rb_broadcast(self, "ok", None)
 
     def _m_hat_acked(self) -> bool:
         """``M̂`` arrived, every ``L̂_l`` (l ∈ M̂) too, and all their members' acks."""
@@ -572,7 +578,7 @@ class MWSVSSInstance:
         corrupt = mgr.host.deviation("corrupt_mw_reconstruct_values")
         if corrupt is not None:
             batch = corrupt(self.sid, batch, mgr.field.prime)
-        mgr.rb_broadcast(self.sid, "rv", tuple(sorted(batch.items())))
+        mgr.rb_broadcast(self, "rv", tuple(sorted(batch.items())))
 
     def _on_reconstruct_values(self, src: int, batch: tuple | None) -> None:
         if batch is None:

@@ -30,7 +30,10 @@ session id with the slot stripped out:
 :func:`svec_split` maps a session id to its ``(group, slot)`` (for
 *registered* coin families only, so ordinary tags like
 ``("solo-svss", 0)`` are never mistaken for a slot), and
-:func:`svec_sid` inverts the mapping on the receive side.
+:func:`svec_sid` inverts the mapping on the receive side.  A member
+session's instance holds its group's *lane* (``vectormux.Lane``: the one
+group tuple and the slot → instance map), so a split is computed once per
+instance, and :func:`svec_slot` reads a member's slot back off its id.
 """
 
 from __future__ import annotations
@@ -88,6 +91,11 @@ def svec_split(sid: tuple, families: Container) -> tuple[tuple, object] | None:
     return None
 
 
+def svec_slot(sid: tuple) -> object:
+    """The slot of a session :func:`svec_split` placed in a group."""
+    return sid[1][1] if sid[0] == SVSS else sid[1][1][1]
+
+
 def svec_sid(group: tuple, slot: object) -> tuple:
     """Rebuild the per-slot session id of ``group`` (inverse of
     :func:`svec_split`); the caller validated the group shape."""
@@ -123,24 +131,29 @@ def svec_group_wellformed(group: object) -> bool:
 
 
 class SessionClock:
-    """Monotone per-process event clock recording session begin/complete.
+    """The per-process count ``→_i`` is read off.
 
-    ``begin`` is stamped when the process first participates in a session's
-    share protocol (initiation or first delivered message); ``complete`` is
-    stamped when the process completes the session's reconstruct.  These two
-    stamps define ``→_i`` exactly as §2 does.
+    ``count`` is how many MW-SVSS reconstructs completed here, and
+    ``completed[σ]`` the count ``σ``'s completion reached.  A session's begin
+    stamp is the count when this process first took part in its share
+    (initiation or first delivered message); it is read, never advanced,
+    and lives on the session's instance (``begun``).  So ``σ →_i σ'``,
+    "``σ``'s reconstruct completed before ``σ'``'s share began" (§2), is
+    ``completed[σ] <= begun[σ']``: if ``σ`` completed first, the count at
+    ``σ'``'s begin is at least ``completed[σ]``; if ``σ'`` began first,
+    ``σ``'s completion moves the count past its stamp.
 
     ``retired`` is the tombstone: the sharings (:func:`sharing_of`) whose
     root this process released.  Once they leave the manager's tables their
-    sessions have no ``begun`` stamp and read as begun long ago (never
-    delayed), and a ``completed`` stamp only while the DMM holds a debt.
+    sessions have no instance, so no begin stamp, and read as begun long
+    ago (never delayed); a ``completed`` stamp stays only while the DMM
+    holds a debt.
     """
 
-    __slots__ = ("_tick", "begun", "completed", "retired")
+    __slots__ = ("count", "completed", "retired")
 
     def __init__(self) -> None:
-        self._tick = 0
-        self.begun: dict[tuple, int] = {}
+        self.count = 0
         self.completed: dict[tuple, int] = {}
         self.retired: set[tuple] = set()
 
@@ -148,23 +161,8 @@ class SessionClock:
         """``sid``'s sharing has retired."""
         return sharing_of(sid) in self.retired
 
-    def _next(self) -> int:
-        self._tick += 1
-        return self._tick
-
-    def note_begin(self, sid: tuple) -> None:
-        if sid not in self.begun:
-            self.begun[sid] = self._next()
-
     def note_complete(self, sid: tuple) -> None:
+        """An MW-SVSS reconstruct of ``sid`` completed here."""
         if sid not in self.completed:
-            self.completed[sid] = self._next()
-
-    def precedes(self, first: tuple, second: tuple) -> bool:
-        """``first →_i second``: reconstruct of ``first`` completed before
-        the share of ``second`` began (both locally)."""
-        done = self.completed.get(first)
-        if done is None:
-            return False
-        begun = self.begun.get(second)
-        return begun is not None and done < begun
+            self.count += 1
+            self.completed[sid] = self.count

@@ -88,6 +88,9 @@ class SVSSInstance:
     def __init__(self, manager: "VSSManager", sid: tuple):
         self.manager = manager
         self.sid = sid
+        #: the begin stamp and the slot lane, as on ``MWSVSSInstance``
+        self.begun = manager.clock.count
+        self.lane = None
         self.pid = manager.pid
         self.n = manager.n
         self.t = manager.t
@@ -160,7 +163,7 @@ class SVSSInstance:
                 row_vals, col_vals = corrupt(
                     self.sid, j, list(row_vals), list(col_vals), field.prime
                 )
-            mgr.send_value(j, self.sid, "rows", (tuple(row_vals), tuple(col_vals)))
+            mgr.send_value(j, self, "rows", (tuple(row_vals), tuple(col_vals)))
 
     def begin_reconstruct(self) -> None:
         """Protocol R step 1: reconstruct all pair invocations in Ĝ."""
@@ -198,7 +201,7 @@ class SVSSInstance:
         self._row_cache = None
         self.G_map = self.G = self.G_hat_map = None
         self.mw_outputs = None
-        self.manager.session_released(self.sid)
+        self.manager.session_released(self)
 
     # ------------------------------------------------------------------
     # message handling (post-DMM)
@@ -280,7 +283,7 @@ class SVSSInstance:
             g_sorted,
             tuple((j, tuple(sorted(self.G_map[j]))) for j in g_sorted),
         )
-        self.manager.rb_broadcast(self.sid, "G", body)
+        self.manager.rb_broadcast(self, "G", body)
 
     # -- step 6 ------------------------------------------------------------------
     def _on_g_sets(self, src: int, body: object) -> None:

@@ -93,7 +93,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.sessions import svec_group_wellformed, svec_sid, svec_split
+from repro.core.sessions import svec_group_wellformed, svec_sid, svec_slot, svec_split
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.core.manager import VSSManager
@@ -106,6 +106,20 @@ SVEC_TAG = "svec"
 #: knob: 16 keeps an n=4 fold inside a 4 KiB frame and costs 5 % more RBs
 #: than an unbounded fold at n=7.
 FOLD_MAX_VECTORS = 16
+
+
+class Lane(dict):
+    """One dealer group of a slot family, the record its live member
+    instances share: ``group``, the one tuple every vector of theirs
+    carries, and — as a dict — slot → live instance.  Each member holds its
+    lane (``inst.lane``) from its first vector or first offer on;
+    ``VSSManager._lanes`` holds one lane per group while a member lives."""
+
+    __slots__ = ("group",)
+
+    def __init__(self, group: tuple):
+        super().__init__()
+        self.group = group
 
 
 def rb_kinds(value: object):
@@ -126,8 +140,9 @@ class SessionVectorMux:
 
     One mux per :class:`~repro.core.manager.VSSManager`.  The send side
     buffers the current dispatch step's per-slot messages keyed by
-    ``(dst, group, kind)`` (``dst`` ``None`` for an RB), as a slot column
-    and a body column, and flushes them at end-of-step — one
+    ``(dst, group, kind)`` (``dst`` ``None`` for an RB; ``group`` read off
+    the sending instance's :class:`Lane`), as a slot column and a body
+    column, and flushes them at end-of-step — one
     ``("svec", ...)`` message per private key, one RB fold for the whole RB
     buffer; the receive side rebuilds per-slot session ids and re-enters
     the ordinary ingestion path.  Buffers are only filled while the
@@ -135,15 +150,7 @@ class SessionVectorMux:
     code outside any step falls through to plain per-session sends.
     """
 
-    __slots__ = (
-        "manager",
-        "families",
-        "_pending",
-        "_deferred",
-        "_rb_seq",
-        "_splits",
-        "_groups",
-    )
+    __slots__ = ("manager", "families", "_pending", "_deferred", "_rb_seq")
 
     def __init__(self, manager: "VSSManager"):
         self.manager = manager
@@ -154,13 +161,6 @@ class SessionVectorMux:
         self.families: set = set()
         #: (dst, group, kind) -> ([slot, ...], [body, ...]); dst None: RB
         self._pending: dict = {}
-        #: sid -> (group, slot) memo for the send-side offers.  Only
-        #: *positive* splits are cached: families only ever grow, so a
-        #: member sid stays a member, while a cached miss could go stale.
-        self._splits: dict = {}
-        #: group -> [the group tuple every memoized sibling split shares,
-        #: how many memoized sids share it]; the last ``forget`` drops it.
-        self._groups: dict = {}
         self._deferred = False
         #: Numbers this origin's RB folds: every fold is a fresh bid.
         self._rb_seq = 0
@@ -169,27 +169,18 @@ class SessionVectorMux:
         """Vectorize the per-slot sessions tagged ``(csid, slot)``."""
         self.families.add(csid)
 
-    def forget(self, sid: tuple) -> tuple | None:
-        """``sid`` was released and sends nothing more: drop (and return)
-        its memoized split."""
-        split = self._splits.pop(sid, None)
-        if split is not None:
-            shared = self._groups[split[0]]
-            shared[1] -= 1
-            if not shared[1]:
-                del self._groups[split[0]]
-        return split
-
     # -- send side ---------------------------------------------------------
-    def offer_private(self, dst: int, sid: tuple, kind: str, body: object) -> bool:
-        """Buffer one private per-slot send; False = caller sends plain."""
-        return self._offer(dst, sid, kind, body)
+    def offer_private(self, dst: int, inst, kind: str, body: object) -> bool:
+        """Buffer one private send of instance ``inst``; False = caller
+        sends plain."""
+        return self._offer(dst, inst, kind, body)
 
-    def offer_rb(self, sid: tuple, kind: str, body: object) -> bool:
-        """Buffer one per-slot reliable broadcast; False = caller sends plain."""
-        return self._offer(None, sid, kind, body)
+    def offer_rb(self, inst, kind: str, body: object) -> bool:
+        """Buffer one reliable broadcast of instance ``inst``; False =
+        caller sends plain."""
+        return self._offer(None, inst, kind, body)
 
-    def _offer(self, dst: int | None, sid: tuple, kind: str, body: object) -> bool:
+    def _offer(self, dst: int | None, inst, kind: str, body: object) -> bool:
         manager = self.manager
         runtime = manager._runtime
         if not runtime.svec or not runtime.svec_buffering or not self.families:
@@ -197,20 +188,16 @@ class SessionVectorMux:
         host = manager.host
         if host.behavior is not None or host.outbound_filter is not None:
             return False
-        split = self._splits.get(sid)
-        if split is None:
-            split = svec_split(sid, self.families)
+        lane = inst.lane
+        if lane is None:
+            # Only a member joins: families only ever grow, so a member
+            # stays one, while a miss could turn into a hit.
+            split = svec_split(inst.sid, self.families)
             if split is None:
                 return False
-            shared = self._groups.get(split[0])
-            if shared is None:
-                self._groups[split[0]] = [split[0], 1]
-            else:
-                shared[1] += 1
-                split = (shared[0], split[1])
-            self._splits[sid] = split
-        group, slot = split
-        key = (dst, group, kind)
+            lane = manager.join_lane(inst, *split)
+        key = (dst, lane.group, kind)
+        slot = svec_slot(inst.sid)
         pending = self._pending.get(key)
         if pending is None:
             self._pending[key] = ([slot], [body])

@@ -25,6 +25,7 @@ from repro.adversary.schedulers import SlotSplittingScheduler
 from repro.config import SystemConfig
 from repro.core.api import build_stack, flip_common_coin
 from repro.core.agreement import ABAProcess
+from repro.core.dmm import FORWARD
 from repro.core.sessions import SVEC_MW, SVEC_SVSS, mw_session, svec_sid
 from repro.core.vectormux import SVEC_TAG
 from repro.sim.scheduler import FifoScheduler
@@ -58,7 +59,6 @@ def make_manager():
 def arm_sender(mgr, sender, session, value=7):
     """Give ``sender`` an armed (completed-session) expectation, so its
     later-begun sessions draw DELAY verdicts — the shunning delay rule."""
-    mgr.clock.note_begin(session)
     mgr.clock.note_complete(session)
     mgr.dmm.expect_deal(sender, session, (value,) * (mgr.t + 1), None)  # f̂ ≡ value: its mon body
     mgr.dmm.on_session_reconstructed(session)
@@ -137,6 +137,34 @@ class TestGroupVerdictFallback:
         assert runtime.dmm_verdicts_batched == 2
         assert runtime.dmm_verdict_fallbacks == 0
         assert (runtime.dmm_verdict_calls, reference_runtime.dmm_verdict_calls) == (1, 2)
+
+    def test_a_slot_whose_instance_predates_its_family(self, spy_handle):
+        """Slot 1's instance came from a plain message before the family
+        registered, so it is in no lane when the first vector arrives: the
+        group verdict reads its own stamp (begun before the debt: FORWARD),
+        not the count a session not begun yet reads (DELAY), and the
+        instance joins the lane at that vector."""
+        stack, mgr = make_manager()
+        csid = self.GROUP[1]
+        sid1, sid2 = svec_sid(self.GROUP, 1), svec_sid(self.GROUP, 2)
+        mgr._on_rb(4, ("vss", sid1, "ack", None))  # plain: an instance, no lane
+        inst1 = mgr.mw[sid1]
+        handled = []
+        spy_handle(inst1, lambda *a: handled.append(a))
+        arm_sender(mgr, 2, mw_session(("owed", 0), 2, 3, "dm"))
+        mgr.mux.register_family(csid)
+        assert inst1.lane is None and not mgr._lanes
+        stamps = [mgr._begun(sid1), mgr._begun(sid2)]
+        assert stamps == [inst1.begun, mgr.clock.count] == [0, 1]
+        assert mgr.dmm.filter_verdict_group(2, stamps) is None  # FORWARD, DELAY
+        assert mgr.dmm.filter_verdict_group(2, stamps[:1]) == FORWARD
+        mgr.dmm.dirty.clear()
+        deliver_entries(mgr, 2, self.GROUP, "cnf", (1, 2), (11, 22), True)
+        assert handled == [(2, "cnf", 11)]
+        assert set(mgr._delayed) == {(2, sid2)}
+        lane = mgr._lanes[self.GROUP]
+        assert inst1.lane is lane and lane == {1: inst1, 2: mgr.mw[sid2]}
+        assert stack.runtime.dmm_verdict_fallbacks == 2
 
     def test_convicted_sender_discarded_whole(self, spy_handle):
         for as_vector in (True, False):
@@ -354,7 +382,7 @@ class TestDelayedBacklogIndex:
         self.park(mgr, 4, owed4, count=25)
         seen = []
         orig = mgr.dmm.filter_verdict
-        mgr.dmm.filter_verdict = lambda s, sid: (seen.append(s), orig(s, sid))[1]
+        mgr.dmm.filter_verdict = lambda s, begun: (seen.append(s), orig(s, begun))[1]
         # Sender 2 pays its debt: only its 25 keys may be re-filtered.
         mgr.dmm.check_reconstruct_batch(2, owed2, mgr.parse_rv(((1, 7),)))
         mgr._release_delayed()

@@ -437,30 +437,8 @@ class TestDeliveredBidTerminalState:
         assert got == [(1, self.VALUE)]  # nothing re-delivered
 
 
-class TestWeakBroadcast:
-    def test_weak_broadcast_accepts(self):
-        cfg, rt, managers = make_system(4)
-        got = {pid: [] for pid in cfg.pids}
-        for pid in cfg.pids:
-            managers[pid].subscribe_weak(
-                "wdemo", lambda o, v, pid=pid: got[pid].append((o, v))
-            )
-        managers[1].broadcast_weak((1, "weak", "wdemo", 0), ("wdemo", "x"))
-        rt.run_to_quiescence()
-        for pid in cfg.pids:
-            assert got[pid] == [(1, ("wdemo", "x"))]
-
-    def test_weak_costs_fewer_messages_than_rb(self):
-        n = 4
-        cfg, rt, managers = make_system(n)
-        for pid in cfg.pids:
-            managers[pid].subscribe_weak("wdemo", lambda o, v: None)
-        managers[1].broadcast_weak((1, "weak", "wdemo", 0), ("wdemo", "x"))
-        rt.run_to_quiescence()
-        assert rt.trace.total_messages == n * n + n  # no echo round
-
-    def test_duplicate_topic_subscription_rejected(self):
-        cfg, rt, managers = make_system(4)
+def test_duplicate_topic_subscription_rejected():
+    cfg, rt, managers = make_system(4)
+    managers[1].subscribe("demo", lambda o, v: None)
+    with pytest.raises(ProtocolError):
         managers[1].subscribe("demo", lambda o, v: None)
-        with pytest.raises(ProtocolError):
-            managers[1].subscribe("demo", lambda o, v: None)

@@ -117,75 +117,78 @@ class TestExpectations:
 class TestFilter:
     def test_forward_by_default(self):
         dmm, clock, shuns = make_dmm()
-        assert dmm.filter_verdict(3, S1) == FORWARD
+        assert dmm.filter_verdict(3, clock.count) == FORWARD
 
     def test_discard_from_detected(self):
         dmm, clock, shuns = make_dmm()
         dmm.expect_ack(3, S1, monitor=2, rows=ROWS[S1], batch=None)
         dmm.check_reconstruct_batch(3, S1, rv({2: 0}))
-        assert dmm.filter_verdict(3, S2) == DISCARD
+        assert dmm.filter_verdict(3, clock.count) == DISCARD
 
     def test_never_filters_self(self):
         dmm, clock, shuns = make_dmm(pid=3)
         dmm.D.add(3)  # pathological; self traffic must still flow
-        assert dmm.filter_verdict(3, S1) == FORWARD
+        assert dmm.filter_verdict(3, clock.count) == FORWARD
 
     def test_delay_requires_session_order(self):
         dmm, clock, shuns = make_dmm()
-        clock.note_begin(S1)
         dmm.expect_ack(3, S1, monitor=2, rows=ROWS[S1], batch=None)
         clock.note_complete(S1)
         dmm.on_session_reconstructed(S1)
-        clock.note_begin(S2)
-        assert dmm.filter_verdict(3, S2) == DELAY
+        s2 = clock.count  # S2 begins
+        assert dmm.filter_verdict(3, s2) == DELAY
 
     def test_no_delay_without_completion(self):
         """Expectations from a session whose reconstruct has not completed
         cannot delay anything (→_i does not hold)."""
         dmm, clock, shuns = make_dmm()
-        clock.note_begin(S1)
         dmm.expect_ack(3, S1, monitor=2, rows=ROWS[S1], batch=None)
-        clock.note_begin(S2)
-        assert dmm.filter_verdict(3, S2) == FORWARD
+        s2 = clock.count  # S2 begins
+        assert dmm.filter_verdict(3, s2) == FORWARD
 
     def test_no_delay_for_concurrent_sessions(self):
         dmm, clock, shuns = make_dmm()
-        clock.note_begin(S1)
-        clock.note_begin(S2)  # S2 began before S1 completed
+        s2 = clock.count  # S2 began before S1 completed
         dmm.expect_ack(3, S1, monitor=2, rows=ROWS[S1], batch=None)
         clock.note_complete(S1)
         dmm.on_session_reconstructed(S1)
-        assert dmm.filter_verdict(3, S2) == FORWARD
+        assert dmm.filter_verdict(3, s2) == FORWARD
 
     def test_delay_lifts_after_clearing(self):
         dmm, clock, shuns = make_dmm()
-        clock.note_begin(S1)
         dmm.expect_ack(3, S1, monitor=2, rows=ROWS[S1], batch=None)
         clock.note_complete(S1)
         dmm.on_session_reconstructed(S1)
-        clock.note_begin(S2)
-        assert dmm.filter_verdict(3, S2) == DELAY
+        s2 = clock.count  # S2 begins
+        assert dmm.filter_verdict(3, s2) == DELAY
         dmm.check_reconstruct_batch(3, S1, rv({2: 7}))
-        assert dmm.filter_verdict(3, S2) == FORWARD
+        assert dmm.filter_verdict(3, s2) == FORWARD
 
     def test_delay_only_for_owing_sender(self):
         dmm, clock, shuns = make_dmm()
-        clock.note_begin(S1)
         dmm.expect_ack(3, S1, monitor=2, rows=ROWS[S1], batch=None)
         clock.note_complete(S1)
         dmm.on_session_reconstructed(S1)
-        clock.note_begin(S2)
-        assert dmm.filter_verdict(4, S2) == FORWARD
+        s2 = clock.count  # S2 begins
+        assert dmm.filter_verdict(4, s2) == FORWARD
 
     def test_arming_after_late_expectation(self):
         """Expectation added after the session completed is armed at once."""
         dmm, clock, shuns = make_dmm()
-        clock.note_begin(S1)
         clock.note_complete(S1)
         dmm.on_session_reconstructed(S1)
         dmm.expect_ack(3, S1, monitor=2, rows=ROWS[S1], batch=None)
-        clock.note_begin(S2)
-        assert dmm.filter_verdict(3, S2) == DELAY
+        s2 = clock.count  # S2 begins
+        assert dmm.filter_verdict(3, s2) == DELAY
+
+    def test_a_retired_session_reads_as_begun_long_ago(self):
+        """No instance, no stamp: ``None`` is never delayed."""
+        dmm, clock, shuns = make_dmm()
+        dmm.expect_ack(3, S1, monitor=2, rows=ROWS[S1], batch=None)
+        clock.note_complete(S1)
+        dmm.on_session_reconstructed(S1)
+        assert dmm.filter_verdict(3, clock.count) == DELAY
+        assert dmm.filter_verdict(3, None) == FORWARD
 
 
 class TestIntrospection:

@@ -3,8 +3,17 @@
 Random sequences of every DMM entry point — expectations with conflicting
 values, batches that arrive before their expectation, expectations after a
 session closed, double closes — drive ``repro.core.dmm.DMM`` and the scan-
-everything model of ``tests/reference/dmm_model.py`` over one shared clock;
-after every operation both must answer every question alike.
+everything model of ``tests/reference/dmm_model.py``; after every operation
+both must answer every question alike.
+
+Each side keeps its own clock.  The model's is the fresh-tick clock of
+``tests/reference/tick_clock.py`` (``completed[σ] < begun[σ']``); the
+product's is ``SessionClock``, whose count moves only at a completion, with
+each begin stamp the count at the begin, held here as the instance would
+hold it, and ``completed[σ] <= begun[σ']`` in ``DMM.filter_verdict``.  The
+two must reach the same verdicts, one slot at a time and as a group
+(``DMM.filter_verdict_group`` over the four tags, which are the four slots
+of one group).
 
 Values come the way the protocol hands them over: one table per tag, drawn
 up front — the share columns the dealer sent, ``[sender][monitor - 1]``, and
@@ -23,6 +32,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference.dmm_model import Player
+from reference.tick_clock import TickClock
 
 from repro.core.dmm import DMM
 from repro.core.mwsvss import point
@@ -71,8 +81,12 @@ TABLES = st.fixed_dictionaries(
 )
 
 
-def verdicts(dmm) -> dict:
-    return {(j, tag): dmm.filter_verdict(j, tag) for j in PLAYERS for tag in TAGS}
+def verdicts(dmm, begun: dict) -> dict:
+    return {(j, tag): dmm.filter_verdict(j, begun.get(tag)) for j in PLAYERS for tag in TAGS}
+
+
+def model_verdicts(model) -> dict:
+    return {(j, tag): model.filter_verdict(j, tag) for j in PLAYERS for tag in TAGS}
 
 
 def parsed(batch: dict | None) -> tuple | None:
@@ -81,15 +95,20 @@ def parsed(batch: dict | None) -> tuple | None:
     return sum(1 << m for m in batch), tuple(sorted(batch.items()))
 
 
-def apply(op: tuple, clock: SessionClock, tables: dict, held: dict, dmm, model=None) -> None:
-    """Run ``op`` on the product (and the model); ``held`` is the test's
-    tag -> {sender: first batch}, ``None`` once the tag closed."""
+def apply(op: tuple, begun: dict, tables: dict, held: dict, dmm, model=None) -> None:
+    """Run ``op`` on the product (and the model); ``begun`` is the
+    product's tag -> begin stamp, ``held`` the test's tag -> {sender: first
+    batch}, ``None`` once the tag closed."""
     name, *args = op
     if name == "begin":
-        clock.note_begin(*args)
+        begun.setdefault(args[0], dmm.clock.count)
+        if model is not None:
+            model.clock.note_begin(*args)
         return
     if name == "reconstructed":
-        clock.note_complete(*args)
+        dmm.clock.note_complete(*args)
+        if model is not None:
+            model.clock.note_complete(*args)
         name = "on_session_reconstructed"
     if name in ("on_session_reconstructed", "forget_session"):
         held[args[0]] = None  # the instance is released with its batches
@@ -137,16 +156,19 @@ def assert_ledgers_are_minimal(dmm: DMM) -> None:
 @settings(max_examples=600, deadline=None)
 @given(TABLES, st.lists(OPS, max_size=40))
 def test_ledger_dmm_answers_like_the_dictionary_dmm(tables, ops):
-    clock = SessionClock()
     shuns = []
-    dmm = DMM(ME, clock, FIELD, on_shun=lambda culprit, tag: shuns.append((culprit, tag)))
-    model, held = Player(ME, clock), {}
-    before = verdicts(dmm)
+    dmm = DMM(ME, SessionClock(), FIELD, on_shun=lambda culprit, tag: shuns.append((culprit, tag)))
+    model, begun, held = Player(ME, TickClock()), {}, {}
+    before = verdicts(dmm, begun)
     for op in ops:
         version = dmm.version
-        apply(op, clock, tables, held, dmm, model)
-        after = verdicts(dmm)
-        assert after == verdicts(model), op
+        apply(op, begun, tables, held, dmm, model)
+        after = verdicts(dmm, begun)
+        assert after == model_verdicts(model), op
+        for j in PLAYERS:
+            slots = {after[j, tag] for tag in TAGS}
+            group = dmm.filter_verdict_group(j, [begun.get(tag) for tag in TAGS])
+            assert group == (slots.pop() if len(slots) == 1 else None), (op, j)
         assert dmm.D == model.D
         assert shuns == model.shuns
         for j in PLAYERS:
@@ -167,10 +189,9 @@ def test_ledger_dmm_answers_like_the_dictionary_dmm(tables, ops):
 @settings(max_examples=200, deadline=None)
 @given(TABLES, st.lists(OPS, max_size=30))
 def test_closing_every_session_leaves_only_debts(tables, ops):
-    clock = SessionClock()
-    dmm, held = DMM(ME, clock, FIELD), {}
+    dmm, held = DMM(ME, SessionClock(), FIELD), {}
     for op in ops:
-        apply(op, clock, tables, held, dmm)
+        apply(op, {}, tables, held, dmm)
     for tag in TAGS:
         dmm.forget_session(tag)
     assert_ledgers_are_minimal(dmm)

@@ -24,7 +24,9 @@ from repro.core.mwsvss import MWSVSSInstance
 from repro.core.sessions import mw_session
 from repro.sim.scheduler import FifoScheduler
 
-#: Measured 1 443 B per instance (1 533 B with a private ``L_hat`` list per
+#: Measured 1 267 B per instance (1 431 B with each session's begin stamp
+#: and slot split kept in tables keyed by session id beside the instance;
+#: 1 533 B with a private ``L_hat`` list per
 #: instance, SVSS child sids in sets and dicts, and ``pid`` / ``n`` / ``t`` /
 #: ``field`` / ``dealer`` / ``moderator`` copied into every instance; 1 722 B
 #: before the small-int field; 1 978 B with the dealer's (n+1)² value
@@ -35,7 +37,7 @@ from repro.sim.scheduler import FifoScheduler
 #: ``(sender, value)`` points and ``confirm_values`` / ``L_hat`` allocated
 #: per instance; 3 948 B with ``acks`` / ``L`` / ``confirm_values`` /
 #: ``L_hat`` as containers and six global DMM tables).
-BYTES_PER_INSTANCE = 1515
+BYTES_PER_INSTANCE = 1330
 
 
 def coin(seed: int):
@@ -133,7 +135,7 @@ def test_the_instance_reads_what_the_manager_and_the_sid_hold():
     moderator), and SVSS's child bookkeeping is words over the children."""
     for name in ("pid", "n", "t", "field", "dealer", "moderator"):
         assert name not in MWSVSSInstance.__slots__
-    assert len(MWSVSSInstance.__slots__) == 31
+    assert len(MWSVSSInstance.__slots__) == 33
     result, stack = run_mwsvss(SystemConfig(n=4, seed=3), 1, 2, 7, reconstruct=False)
     inst = stack.vss[1].mw[result.session]
     assert (inst.manager.pid, inst.sid[2], inst.sid[3]) == (1, 1, 2)

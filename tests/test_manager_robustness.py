@@ -9,7 +9,7 @@ from repro.adversary.controller import Adversary
 from repro.config import SystemConfig
 from repro.core.api import build_stack
 from repro.core.manager import VALUE_KINDS, CallbackWatcher
-from repro.core.sessions import SVEC_MW, SVEC_SVSS, mw_session, svss_session
+from repro.core.sessions import SVEC_MW, SVEC_SVSS, mw_session, svec_sid, svss_session
 from repro.core.vectormux import SVEC_TAG
 from repro.errors import ProtocolError
 
@@ -154,6 +154,14 @@ class TestWatcherRegistry:
         watcher.on_svss_share_complete(("sid",))
         watcher.on_svss_output(("sid",), 1)
 
+    def test_an_svss_output_stamps_nothing(self):
+        """Only an MW-SVSS reconstruct moves the session clock: ``→_i`` never
+        reads an SVSS session's completion."""
+        mgr = make_stack().vss[1]
+        mgr.register_watcher("k", CallbackWatcher())
+        mgr.notify_svss_output(svss_session("k", 1), 5)
+        assert (mgr.clock.count, mgr.clock.completed) == (0, {})
+
 
 class TestValueKinds:
     def test_value_kinds_cover_all_data_messages(self):
@@ -178,7 +186,7 @@ class TestValueKinds:
         mgr.dmm.on_session_reconstructed(sid_old)
         mgr._ensure_mw(sid_new)
         # value message from 3 in the new session: delayed
-        assert mgr.dmm.filter_verdict(3, sid_new) == DELAY
+        assert mgr.dmm.filter_verdict(3, mgr.mw[sid_new].begun) == DELAY
         # but the ingestion path only applies that verdict to VALUE_KINDS;
         # feed an ack through _ingest and verify it reaches the instance
         mgr._ingest(3, sid_new, "ack", None)
@@ -236,7 +244,7 @@ class TestReleasedSessionsRejectReplays:
             len(mgr.mw),
             len(mgr.svss),
             dict(mgr._pins),
-            dict(mgr.clock.begun),
+            dict(mgr.clock.completed),
             set(mgr.dmm._closed_sessions),
             dict(mgr._delayed),
             dict(mgr._lanes),
@@ -292,10 +300,16 @@ class TestReleasedSessionsRejectReplays:
             if stack.vss[pid].dmm._armed_min_done.get(culprit) is not None
         )
         dmm, slots = mgr.dmm, (1, 2, 3, 4)
+
+        def stamps(group):
+            return [mgr._begun(svec_sid(group, slot)) for slot in slots]
+
         retired = (SVEC_MW, self.CSID, 3, 3, 4, "dm")
-        assert dmm.filter_verdict_group(culprit, retired, slots) == FORWARD
+        assert stamps(retired) == [None] * 4
+        assert dmm.filter_verdict_group(culprit, stamps(retired)) == FORWARD
         fresh = (SVEC_MW, ("cc", "later", 0), 3, 3, 4, "dm")
-        assert dmm.filter_verdict_group(culprit, fresh, slots) == DELAY
+        assert stamps(fresh) == [mgr.clock.count] * 4  # not begun yet
+        assert dmm.filter_verdict_group(culprit, stamps(fresh)) == DELAY
         before = self.snapshot(mgr)
         mgr.mux.on_private(culprit, (SVEC_TAG, "cnf", retired, slots, (5,) * 4))
         assert self.snapshot(mgr) == before

@@ -505,13 +505,13 @@ def test_outbound_filter_sees_logical_messages_before_buffering(tmp_path):
         _, vss = build_node_modules(a.host)
         csid = ("cc", "solo", 0)
         vss.mux.register_family(csid)
-        sid = svec_sid((SVEC_MW, csid, 1, 1, 3, "md"), 1)
+        inst = vss._ensure_mw(svec_sid((SVEC_MW, csid, 1, 1, 3, "md"), 1))
         got, seen, offers = [], [], []
         b.host.register_handler("x", lambda src, p: got.append(p))
         b.host.register_handler("y", lambda src, p: got.append(p))
 
         def kick(src, payload):
-            offers.append(vss.mux.offer_private(2, sid, "cnf", 5))
+            offers.append(vss.mux.offer_private(2, inst, "cnf", 5))
             a.host.send(2, ("x", 1), "test")
             a.host.send(2, ("y", 2), "test")
 

@@ -77,8 +77,6 @@ def table_sizes(stack) -> dict:
         dmm = vss.dmm
         sizes[pid] = {
             "lanes": len(vss._lanes),
-            "splits": len(vss.mux._splits),
-            "groups": len(vss.mux._groups),
             "delayed": len(vss._delayed),
             "ledgers": len(dmm._ledgers),
             "owed": len(dmm._owed),
@@ -143,7 +141,7 @@ def test_every_session_is_released_and_owns_no_working_set(six_heights):
     for pid in stack.config.pids:
         vss = stack.vss[pid]
         assert vss.mw == {} and vss.svss == {} and vss._pins == {}
-        assert vss.clock.begun == {} and vss.clock.completed == {}
+        assert vss._lanes == {} and vss.clock.completed == {}
         assert vss.dmm._closed_sessions == set()
         assert vss.clock.retired == sharings
         assert all(vss.clock.finished(mw_session(s, 1, 2, "dm")) for s in sharings)
@@ -250,7 +248,7 @@ def test_output_inside_begin_reconstruct_before_the_walk_over_g_hat_ends(monkeyp
         self.G_frozen = True
         full = (1, 2, 3, 4)
         body = (full, ((1, full), (2, full), (3, full), (4, (1, 2, 3))))
-        self.manager.rb_broadcast(self.sid, "G", body)
+        self.manager.rb_broadcast(self, "G", body)
 
     monkeypatch.setattr(SVSSInstance, "_freeze_g", freeze_with_a_short_last_set)
     result, stack = run_svss(
@@ -301,8 +299,8 @@ def test_staggered_release_sweep_leaves_nothing_behind(seed):
     """Random delays, every process releasing the coin at its own random
     point: the bit is unanimous (but for the legal splits of ``SPLIT_SEEDS``),
     and at quiescence no instance, parked message or ledger is left, and
-    nobody suspects anybody, and the mux's split memo and shared group ids
-    are gone; the ``L̂`` row memo stays inside its bound."""
+    nobody suspects anybody, and no slot lane is left; the ``L̂`` row memo
+    stays inside its bound."""
     from test_retire_equiv import staggered_coin
 
     stack, outputs = staggered_coin(4, seed, random_waves(seed), in_step=seed % 2 == 0)
@@ -311,8 +309,7 @@ def test_staggered_release_sweep_leaves_nothing_behind(seed):
     for pid in stack.config.pids:
         vss = stack.vss[pid]
         assert vss.mw == {} and vss.svss == {} and vss._pins == {}, pid
-        assert len(vss.clock.retired) == 16 and vss.clock.begun == {}, pid
+        assert len(vss.clock.retired) == 16 and vss._lanes == {}, pid
         assert not vss._delayed and not vss.dmm._ledgers, pid
-        assert vss.mux._splits == {} and vss.mux._groups == {}, pid
         assert len(vss._rows) <= PID_MEMO_MAX, pid
         assert vss.dmm.shunned_or_suspected() == set(), pid

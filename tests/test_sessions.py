@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from reference.tick_clock import TickClock
+
 from repro.core.sessions import (
     SessionClock,
     is_mw,
@@ -39,9 +41,33 @@ class TestSessionIds:
         assert not is_svss(42)
 
 
+class Clocks:
+    """``SessionClock`` beside the fresh-tick clock it replaced
+    (``tests/reference/tick_clock.py``): a begin stamp is the count at the
+    begin, kept here as an instance keeps it, and ``→_i`` is read the way
+    ``DMM.filter_verdict`` reads it; every answer must be the old clock's."""
+
+    def __init__(self):
+        self.clock, self.ticks, self.begun = SessionClock(), TickClock(), {}
+
+    def note_begin(self, sid):
+        self.begun.setdefault(sid, self.clock.count)
+        self.ticks.note_begin(sid)
+
+    def note_complete(self, sid):
+        self.clock.note_complete(sid)
+        self.ticks.note_complete(sid)
+
+    def precedes(self, first, second):
+        done, begun = self.clock.completed.get(first), self.begun.get(second)
+        answer = done is not None and begun is not None and done <= begun
+        assert answer == self.ticks.precedes(first, second)
+        return answer
+
+
 class TestSessionClock:
     def test_precedes_requires_complete_before_begin(self):
-        clock = SessionClock()
+        clock = Clocks()
         a, b = ("a",), ("b",)
         clock.note_begin(a)
         clock.note_complete(a)
@@ -50,7 +76,7 @@ class TestSessionClock:
         assert not clock.precedes(b, a)
 
     def test_concurrent_sessions_unordered(self):
-        clock = SessionClock()
+        clock = Clocks()
         a, b = ("a",), ("b",)
         clock.note_begin(a)
         clock.note_begin(b)
@@ -61,30 +87,30 @@ class TestSessionClock:
         assert not clock.precedes(b, a)
 
     def test_incomplete_session_precedes_nothing(self):
-        clock = SessionClock()
+        clock = Clocks()
         a, b = ("a",), ("b",)
         clock.note_begin(a)
         clock.note_begin(b)
         assert not clock.precedes(a, b)
 
     def test_unknown_sessions(self):
-        clock = SessionClock()
+        clock = Clocks()
         assert not clock.precedes(("x",), ("y",))
 
     def test_stamps_are_first_event_only(self):
-        clock = SessionClock()
+        clock = Clocks()
         a, b = ("a",), ("b",)
         clock.note_begin(a)
         clock.note_complete(a)
         clock.note_begin(b)
         clock.note_begin(a)  # replay must not move the original stamp
         assert clock.precedes(a, b)
-        before = clock.completed[a]
+        before = clock.clock.completed[a]
         clock.note_complete(a)
-        assert clock.completed[a] == before
+        assert clock.clock.completed[a] == before
 
     def test_sequential_chain_is_totally_ordered(self):
-        clock = SessionClock()
+        clock = Clocks()
         sids = [(i,) for i in range(5)]
         for sid in sids:
             clock.note_begin(sid)
@@ -94,7 +120,7 @@ class TestSessionClock:
                 assert clock.precedes(a, b) == (i < j)
 
     def test_all_begun_before_any_completed_is_unordered(self):
-        clock = SessionClock()
+        clock = Clocks()
         sids = [(i,) for i in range(5)]
         for sid in sids:
             clock.note_begin(sid)
@@ -103,3 +129,12 @@ class TestSessionClock:
         for a in sids:
             for b in sids:
                 assert not clock.precedes(a, b)
+
+    def test_only_a_completion_moves_the_count(self):
+        """A share burst before any completion stamps every session 0."""
+        clock = Clocks()
+        for i in range(5):
+            clock.note_begin((i,))
+        assert set(clock.begun.values()) == {0} and clock.clock.count == 0
+        clock.note_complete((0,))
+        assert clock.clock.count == 1 and clock.clock.completed == {(0,): 1}

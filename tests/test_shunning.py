@@ -216,8 +216,7 @@ class TestSuspicionAfterACoin:
             owed = dmm.pending_sessions(culprit)
             assert owed and not vss.mw and all(vss.clock.finished(sid) for sid in owed)
             later = mw_session(("later", 0), culprit, pid, "dm")
-            vss._ensure_mw(later)
-            assert dmm.filter_verdict(culprit, later) == DELAY
+            assert dmm.filter_verdict(culprit, vss._ensure_mw(later).begun) == DELAY
         assert len(observers) >= 2
 
 

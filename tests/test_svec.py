@@ -311,6 +311,11 @@ class TestRbFold:
         stack = build_stack(SystemConfig(n=4, seed=0), scheduler=FifoScheduler())
         return stack, stack.vss[1]
 
+    @staticmethod
+    def sender(mgr, group, slot):
+        """The instance whose session is ``slot`` of ``group``."""
+        return mgr._ensure_mw(svec_sid(group, slot))
+
     def spy_vectors(self, mgr, after=None):
         calls = []
 
@@ -329,10 +334,10 @@ class TestRbFold:
         sent = spy_broadcasts(stack, 1)
         a, b = mw_group(1, 1, 2), mw_group(1, 1, 3)
         with stack.runtime.coalescing_step():
-            mgr.rb_broadcast(svec_sid(a, 1), "ack", None)
-            mgr.rb_broadcast(svec_sid(b, 2), "L", (1, 2, 3))
-            mgr.rb_broadcast(svec_sid(a, 2), "ack", None)
-            mgr.rb_broadcast(svec_sid(a, 1), "ok", None)
+            mgr.rb_broadcast(self.sender(mgr, a, 1), "ack", None)
+            mgr.rb_broadcast(self.sender(mgr, b, 2), "L", (1, 2, 3))
+            mgr.rb_broadcast(self.sender(mgr, a, 2), "ack", None)
+            mgr.rb_broadcast(self.sender(mgr, a, 1), "ok", None)
         assert sent == [
             (
                 (1, SVEC_TAG, 0),
@@ -348,40 +353,43 @@ class TestRbFold:
         ]
         assert (stack.runtime.svec_packed, stack.runtime.svec_slots) == (3, 4)
 
-    def test_siblings_share_one_group_id_until_the_last_forget(self):
+    def test_siblings_share_one_lane_until_the_last_release(self):
         stack, mgr = self.make()
-        mux = mgr.mux
-        mux.register_family(CSID)
+        mgr.mux.register_family(CSID)
+        sent = spy_broadcasts(stack, 1)
         a = mw_group(1, 1, 2)
-        sids = [svec_sid(a, slot) for slot in (1, 2, 3)]
+        insts = [self.sender(mgr, a, slot) for slot in (1, 2, 3)]
         with stack.runtime.coalescing_step():
-            for sid in sids:
-                mgr.rb_broadcast(sid, "ack", None)
-        groups = [mux._splits[sid][0] for sid in sids]
-        assert groups == [a] * 3 and all(group is groups[0] for group in groups)
-        assert mux._groups == {a: [groups[0], 3]}
-        for sid in sids[:2]:
-            mux.forget(sid)
-        assert mux._groups == {a: [groups[0], 1]}
-        mux.forget(sids[2])
-        mux.forget(sids[2])  # a second release of one session is a no-op
-        assert mux._splits == {} and mux._groups == {}
+            for inst in insts:
+                mgr.rb_broadcast(inst, "ack", None)
+        lane = insts[0].lane
+        assert lane.group == a and all(inst.lane is lane for inst in insts)
+        [(_, (_, fold))] = sent
+        assert fold[0][1] is lane.group  # the fold carries the one group object
+        assert mgr._lanes == {a: lane} and lane == dict(zip((1, 2, 3), insts))
+        for inst in insts[:2]:
+            inst.release()
+        assert mgr._lanes == {a: lane} and lane == {3: insts[2]}
+        insts[2].release()
+        insts[2].release()  # a second release of one session is a no-op
+        assert mgr._lanes == {} and all(inst.lane is None for inst in insts)
 
     def test_what_never_packed_still_does_not(self):
         stack, mgr = self.make()
         sent = spy_broadcasts(stack, 1)
         a = mw_group(1, 1, 2)
-        sid = svec_sid(a, 3)
+        inst = self.sender(mgr, a, 3)
+        sid = inst.sid
         plain = ((1, "vss", sid, "ack"), ("vss", sid, "ack", None))
-        mgr.rb_broadcast(sid, "ack", None)  # no family registered yet
+        mgr.rb_broadcast(inst, "ack", None)  # no family registered yet
         mgr.mux.register_family(CSID)
-        mgr.rb_broadcast(sid, "ack", None)  # outside any step
+        mgr.rb_broadcast(inst, "ack", None)  # outside any step
         with stack.runtime.coalescing_step():
-            mgr.rb_broadcast(sid, "ack", None)  # a lone single-slot message
+            mgr.rb_broadcast(inst, "ack", None)  # a lone single-slot message
         mgr.host.outbound_filter = lambda dst, payload: payload
         with stack.runtime.coalescing_step():
-            mgr.rb_broadcast(sid, "ack", None)  # filtered (corrupt) host
-            mgr.rb_broadcast(svec_sid(a, 4), "ack", None)
+            mgr.rb_broadcast(inst, "ack", None)  # filtered (corrupt) host
+            mgr.rb_broadcast(self.sender(mgr, a, 4), "ack", None)
         assert sent[:4] == [plain] * 4 and len(sent) == 5
         assert stack.runtime.svec_packed == 0
 
@@ -396,7 +404,7 @@ class TestRbFold:
                 for group in groups[: 14 if kind == "rv" else 16]:
                     body = ((1, 7),) if kind == "rv" else None
                     for slot in (1, 2, 3):
-                        mgr.rb_broadcast(svec_sid(group, slot), kind, body)
+                        mgr.rb_broadcast(self.sender(mgr, group, slot), kind, body)
                     want.append((kind, group, (1, 2, 3), (body,) * 3))
         assert len(want) == 46 == 2 * FOLD_MAX_VECTORS + 14
         assert [bid for bid, _ in sent] == [(1, SVEC_TAG, seq) for seq in (0, 1, 2)]
