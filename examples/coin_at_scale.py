@@ -23,7 +23,9 @@ session id — same outputs, a fraction of the per-slot work.
 The algebra underneath all of it is pure Python: value rows and cached
 Lagrange bases (``docs/ALGEBRA.md``).
 
-The last line is the process' resident-set high-water (``ru_maxrss``)
+The CPU line is the process' own seconds (``time.process_time``), which
+another load on the host moves far less than the wall-clock line.  The
+last line is the process' resident-set high-water (``ru_maxrss``)
 and that over the coin's 2n⁵ MW-SVSS instances (n² SVSS sharings × 2n²
 sessions × n process views): run one n per process, nothing else running,
 to read one rung of ``docs/MEMORY.md``'s n-ladder.  The field is the
@@ -49,15 +51,16 @@ def main() -> None:
     print("(per-message baseline at n=10: ~105M logical messages, "
           "> the 50M-event guard)")
 
-    start = time.perf_counter()
+    start, cpu_start = time.perf_counter(), time.process_time()
     result, stack = flip_common_coin(config, scheduler=FifoScheduler())
-    wall = time.perf_counter() - start
+    wall, cpu = time.perf_counter() - start, time.process_time() - cpu_start
 
     bits = sorted(set(result.outputs.values()))
     print()
     print(f"coin output        : {bits} at all {len(result.outputs)} processes"
           f" ({'unanimous' if len(bits) == 1 else 'split'})")
     print(f"wall-clock         : {wall:.1f}s")
+    print(f"CPU (this process) : {cpu:.1f}s")
     print(f"events dispatched  : {result.events_dispatched:,}")
     print(f"logical messages   : {result.logical_messages:,}")
     print(f"  slot-vectors     : {result.svec_packed:,} "

@@ -120,9 +120,18 @@ class MWSVSSInstance:
     against a debt — lives in the DMM, which the manager consults first,
     with what that reads: the ledger keeps the ``mon`` body past the ``L``
     freeze (its DEAL row) and ``_deal_rows`` past release (its ACK rows).
+
+    *Step flags.*  Each fact is held once.  Five booleans record what no
+    other field does: ``L_frozen`` that step 4 broadcast ``L_j``,
+    ``ok_received`` the dealer's OK, ``_dealer_acked`` that the dealer ran
+    step 7, ``share_completed`` step 9, and ``reconstruct_begun`` R' step 1.
+    The rest are read off the fields: step 2 and R' step 1 run once because
+    their callers do; the moderator before its ``M`` freeze is the one view
+    whose ``moderator_shares`` is not ``None``; step 8 applies when ``M̂``
+    excludes us; and :attr:`released` is ``L_hat is None``.
     """
 
-    # 33 attributes: without __slots__ they overflow CPython's shared-key
+    # 28 attributes: without __slots__ they overflow CPython's shared-key
     # dict limit and every instance (2n² per SVSS session) carries a
     # private dict several times the size of the state it holds.  Per-pid
     # facts are words and rows for the same reason: a set of pids is an
@@ -136,19 +145,16 @@ class MWSVSSInstance:
         "lane",
         "share_vector",
         "monitor_row",
-        "_step2_done",
         "heard",
         "confirmed",
         "_early_confirms",
         "acks",
         "L",
         "L_frozen",
-        "_deal_suppressed",
         "moderator_row",
         "moderator_expected",
         "moderator_shares",
         "M",
-        "M_frozen",
         "L_hat",
         "M_hat",
         "ok_received",
@@ -156,13 +162,11 @@ class MWSVSSInstance:
         "_dealer_acked",
         "share_completed",
         "reconstruct_begun",
-        "_rv_sent",
         "rv_batches",
         "_rv_dirty",
         "K",
         "f_bar",
         "output",
-        "released",
     )
 
     def __init__(self, manager: "VSSManager", sid: tuple):
@@ -177,7 +181,6 @@ class MWSVSSInstance:
         self.share_vector: tuple[int, ...] | None = None  # (f̂^j_1 .. f̂^j_n)
         #: f̂_j(1..t+1), the dealer's body, until L_j freezes (step 4 drops it)
         self.monitor_row: tuple[int, ...] | None = None
-        self._step2_done = False
 
         # step 3-4 (monitor bookkeeping): masks of the confirmers heard (the
         # first ``cnf`` wins) and of those whose value is f̂_j(l); ``(l, value)``
@@ -187,10 +190,6 @@ class MWSVSSInstance:
         self.acks = 0  # mask: processes whose ack RB-delivered
         self.L = 0  # mask
         self.L_frozen = False
-        # step 8 applies from the moment M̂ excludes us: no further DEAL
-        # expectations may be recorded for this session (a late confirmer's
-        # expectation could never be discharged — see Lemma 1(b)).
-        self._deal_suppressed = False
 
         # moderator state
         #: f̂(1..t+1), the dealer's body, then f̂(0), read once at receipt
@@ -198,11 +197,12 @@ class MWSVSSInstance:
         self.moderator_row: tuple[int, ...] | None = None
         self.moderator_expected: int | None = None  # s' (set via moderate())
         #: j -> f̂^j_0 in arrival order, at the moderator until M freezes
+        #: (None: not the moderator, or M frozen, or released)
         self.moderator_shares = {} if manager.pid == sid[3] else None
         self.M = 0  # mask, moderator only
-        self.M_frozen = False
 
-        # broadcast sets received; an interned row, replaced at each write
+        # broadcast sets received; an interned row, replaced at each write,
+        # None once released
         self.L_hat = manager.empty_masks  # [j] = mask of L̂_j, 0 until broadcast
         self.M_hat: frozenset[int] | None = None
         self.ok_received = False
@@ -217,7 +217,6 @@ class MWSVSSInstance:
         # reconstruct state; the three containers are allocated by
         # _open_reconstruct (at begin_reconstruct or the first ``rv``)
         self.reconstruct_begun = False
-        self._rv_sent = False
         self.rv_batches: dict[int, tuple] | None = None  # sender -> first parsed batch
         #: Mask of the senders whose batches ``_consume_rv_batches`` re-scans:
         #: fresh arrivals, or every sender (-1) after ``L̂``/``M̂`` widen eligibility
@@ -225,7 +224,11 @@ class MWSVSSInstance:
         self.K: list[int] | None = None  # [l] = mask of the senders in K_l
         self.f_bar: list | None = None  # [l] = f̄_l(0) (free term), None until K_l fills
         self.output: int | _Bottom | None = None
-        self.released = False
+
+    @property
+    def released(self) -> bool:
+        """The terminal state (:meth:`release`): ``L_hat`` is a row until then."""
+        return self.L_hat is None
 
     # ------------------------------------------------------------------
     # local API
@@ -237,7 +240,7 @@ class MWSVSSInstance:
         mgr = self.manager
         if mgr.pid != self.sid[2]:
             raise ProtocolError(f"{mgr.pid} is not the dealer of {self.sid}")
-        if self._deal_rows is not None or self.released:
+        if self._deal_rows is not None or self.L_hat is None:
             raise ProtocolError(f"share already initiated for {self.sid}")
         field, t = mgr.field, mgr.t
         rng = mgr.config.derive_rng("mw-deal", self.sid)
@@ -269,7 +272,7 @@ class MWSVSSInstance:
         """Install the moderator's input value ``s'`` (enables step 5)."""
         if self.manager.pid != self.sid[3]:
             raise ProtocolError(f"{self.manager.pid} is not the moderator of {self.sid}")
-        if self.moderator_expected is not None or self.released:
+        if self.moderator_expected is not None or self.L_hat is None:
             return
         self.moderator_expected = expected % self.manager.field.prime
         self._recheck_moderator()
@@ -278,7 +281,7 @@ class MWSVSSInstance:
         """Start protocol R' (requires a locally completed share)."""
         if not self.share_completed:
             raise ProtocolError(f"share of {self.sid} not complete at {self.manager.pid}")
-        if self.reconstruct_begun or self.released:
+        if self.reconstruct_begun or self.L_hat is None:
             return
         self.reconstruct_begun = True
         self._open_reconstruct()
@@ -287,13 +290,13 @@ class MWSVSSInstance:
         self._maybe_output()
 
     def release(self) -> None:
-        """Enter the terminal state: drop the working set, keep the flags,
-        ``output`` and ``M_hat`` (see the class docstring).  The DMM forgets
-        the session unless its reconstruct completed here, in which case
-        its pending expectations are debts and stay."""
-        if self.released:
+        """Enter the terminal state: drop the working set (``L_hat`` with
+        it), keep the step flags, ``output`` and ``M_hat`` (see the class
+        docstring).  The DMM forgets the session unless its reconstruct
+        completed here, in which case its pending expectations are debts
+        and stay."""
+        if self.L_hat is None:
             return
-        self.released = True
         self.share_vector = self.monitor_row = self._early_confirms = self._deal_rows = None
         self.moderator_row = self.moderator_expected = self.moderator_shares = None
         self.L_hat = self.rv_batches = self.K = self.f_bar = None
@@ -303,7 +306,7 @@ class MWSVSSInstance:
     # message handling (post-DMM)
     # ------------------------------------------------------------------
     def handle(self, src: int, kind: str, body: object, batch: object = None) -> None:
-        if self.released:
+        if self.L_hat is None:  # released
             return
         # ``batch`` is for ``rv`` alone: what ``VSSManager.parse_rv`` made of
         # the body (``None``: dropped).
@@ -354,12 +357,15 @@ class MWSVSSInstance:
                 self._maybe_step3(l)
 
     def _maybe_step2(self) -> None:
-        """Step 2: confirm privately to every monitor and ack publicly."""
-        if self._step2_done or self.share_vector is None:
+        """Step 2: confirm privately to every monitor and ack publicly.
+
+        Runs once: its two callers each pass once, at their input's
+        arrival, and it needs both inputs, so only the second one fires it
+        (``L_j`` freezes only after ``f̂_j`` arrived)."""
+        if self.share_vector is None:
             return
         if self.monitor_row is None and not self.L_frozen:
             return  # f̂_j not received yet
-        self._step2_done = True
         mgr = self.manager
         corrupt = mgr.host.deviation("corrupt_mw_confirm_value")
         for l in range(1, mgr.n + 1):
@@ -392,10 +398,9 @@ class MWSVSSInstance:
         self.acks |= bit
         if self.monitor_row is not None:
             self._maybe_step3(src)
-        pid, sid = self.manager.pid, self.sid
-        if pid == sid[3] and not self.M_frozen:
+        if self.moderator_shares is not None:  # the moderator, before the M freeze
             self._recheck_moderator()
-        if pid == sid[2] and not self._dealer_acked:
+        if self.manager.pid == self.sid[2] and not self._dealer_acked:
             self._maybe_step7()
         if not self.share_completed and self.ok_received:
             self._maybe_complete_share()
@@ -416,7 +421,8 @@ class MWSVSSInstance:
         if self.L & bit or not self.confirmed & self.acks & bit:
             return
         self.L |= bit
-        if not self._deal_suppressed:
+        m_hat = self.M_hat
+        if m_hat is None or self.manager.pid in m_hat:  # else step 8 applies
             self.manager.dmm.expect_deal(l, self.sid, row, (self.rv_batches or {}).get(l))
         if self.L.bit_count() >= self.manager.n - self.manager.t:
             self._freeze_l()
@@ -435,7 +441,7 @@ class MWSVSSInstance:
     def _on_moderator_poly(self, src: int, body: object) -> None:
         # A frozen M means f̂ arrived and was dropped: still a duplicate.
         mgr = self.manager
-        if mgr.pid != self.sid[3] or self.moderator_row is not None or self.M_frozen:
+        if self.moderator_shares is None or self.moderator_row is not None:
             return
         if src == self.sid[2] and mgr.is_value_tuple(body, mgr.t + 1):
             self.moderator_row = (*body, point(mgr.field, mgr.t, body, 0))
@@ -471,7 +477,6 @@ class MWSVSSInstance:
     def _freeze_m(self) -> None:
         """Step 6: broadcast the frozen monitor set ``M``; step 5 is over,
         so ``f̂`` and the monitors' shares are dropped."""
-        self.M_frozen = True
         self.moderator_row = self.moderator_shares = None
         self.manager.rb_broadcast(self, "M", self.manager.pids_of(self.M))
 
@@ -487,10 +492,9 @@ class MWSVSSInstance:
         self.L_hat = mgr.row_with(l_hat, src, pids[1])
         if self.rv_batches:
             self._rv_dirty = -1  # every sender whose batch has arrived
-        pid, sid = mgr.pid, self.sid
-        if pid == sid[3] and not self.M_frozen:
+        if self.moderator_shares is not None:  # the moderator, before the M freeze
             self._recheck_moderator(only=src)
-        if pid == sid[2] and not self._dealer_acked:
+        if mgr.pid == self.sid[2] and not self._dealer_acked:
             self._maybe_step7()
         if not self.share_completed and self.ok_received:
             self._maybe_complete_share()
@@ -513,7 +517,6 @@ class MWSVSSInstance:
         # recording new ones (reconstruct broadcasts only cover M̂ members,
         # so a late confirmer's expectation could never be discharged).
         if mgr.pid not in self.M_hat:
-            self._deal_suppressed = True
             mgr.dmm.drop_deal_expectations(self.sid)
         if mgr.pid == self.sid[2] and not self._dealer_acked:
             self._maybe_step7()
@@ -565,8 +568,9 @@ class MWSVSSInstance:
 
     def _send_reconstruct_values(self) -> None:
         """R' step 1: broadcast our dealer-given share of ``f_l`` for every
-        monitor ``l ∈ M̂`` whose broadcast confirmer set contains us."""
-        if self._rv_sent or self.share_vector is None:
+        monitor ``l ∈ M̂`` whose broadcast confirmer set contains us.  Runs
+        once: its one caller, :meth:`begin_reconstruct`, passes once."""
+        if self.share_vector is None:
             return
         mgr = self.manager
         me = 1 << mgr.pid
@@ -574,7 +578,6 @@ class MWSVSSInstance:
         batch = {l: shares[l - 1] for l in self.M_hat or () if self.L_hat[l] & me}
         if not batch:
             return
-        self._rv_sent = True
         corrupt = mgr.host.deviation("corrupt_mw_reconstruct_values")
         if corrupt is not None:
             batch = corrupt(self.sid, batch, mgr.field.prime)

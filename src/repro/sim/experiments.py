@@ -413,7 +413,6 @@ def run_matrix(
     scenarios = list(scenarios)
     if workers is None:
         workers = min(os.cpu_count() or 1, len(scenarios))
-    start = time.perf_counter()
     if workers <= 1 or len(scenarios) <= 1:
         workers = 1
         records = [run_scenario(s) for s in scenarios]
@@ -422,11 +421,7 @@ def run_matrix(
             chunksize = max(1, len(scenarios) // (workers * 4))
         with get_context().Pool(processes=workers) as pool:
             records = pool.map(run_scenario, scenarios, chunksize=chunksize)
-    return SweepResult(
-        records=records,
-        workers=workers,
-        wall_seconds=time.perf_counter() - start,
-    )
+    return SweepResult(records=records, workers=workers)
 
 
 @dataclass
@@ -435,7 +430,6 @@ class SweepResult:
 
     records: list[RunRecord]
     workers: int = 1
-    wall_seconds: float = 0.0
     #: Dimensions the default table groups by.
     group_keys: tuple[str, ...] = field(default=("n", "scheduler", "adversary"))
 
@@ -500,10 +494,7 @@ class SweepResult:
                     len(group.violations) if watched else "–",
                 ]
             )
-        note = (
-            f"{len(self.records)} runs, {self.workers} worker(s), "
-            f"{self.wall_seconds:.1f}s wall"
-        )
+        note = f"{len(self.records)} runs, {self.workers} worker(s)"
         if any(r.monitored for r in self.records):
             bad = len(self.violations)
             note += f"; {bad} VIOLATION(S)" if bad else "; all invariants held"

@@ -24,9 +24,10 @@ from repro.core.mwsvss import MWSVSSInstance
 from repro.core.sessions import mw_session
 from repro.sim.scheduler import FifoScheduler
 
-#: Measured 1 267 B per instance (1 431 B with each session's begin stamp
-#: and slot split kept in tables keyed by session id beside the instance;
-#: 1 533 B with a private ``L_hat`` list per
+#: Measured 1 227 B per instance, bound 5 % above (1 267 B with five step
+#: flags beside the fields that already recorded them; 1 431 B with each
+#: session's begin stamp and slot split kept in tables keyed by session id
+#: beside the instance; 1 533 B with a private ``L_hat`` list per
 #: instance, SVSS child sids in sets and dicts, and ``pid`` / ``n`` / ``t`` /
 #: ``field`` / ``dealer`` / ``moderator`` copied into every instance; 1 722 B
 #: before the small-int field; 1 978 B with the dealer's (n+1)² value
@@ -37,7 +38,7 @@ from repro.sim.scheduler import FifoScheduler
 #: ``(sender, value)`` points and ``confirm_values`` / ``L_hat`` allocated
 #: per instance; 3 948 B with ``acks`` / ``L`` / ``confirm_values`` /
 #: ``L_hat`` as containers and six global DMM tables).
-BYTES_PER_INSTANCE = 1330
+BYTES_PER_INSTANCE = 1288
 
 
 def coin(seed: int):
@@ -135,7 +136,7 @@ def test_the_instance_reads_what_the_manager_and_the_sid_hold():
     moderator), and SVSS's child bookkeeping is words over the children."""
     for name in ("pid", "n", "t", "field", "dealer", "moderator"):
         assert name not in MWSVSSInstance.__slots__
-    assert len(MWSVSSInstance.__slots__) == 33
+    assert len(MWSVSSInstance.__slots__) == 28
     result, stack = run_mwsvss(SystemConfig(n=4, seed=3), 1, 2, 7, reconstruct=False)
     inst = stack.vss[1].mw[result.session]
     assert (inst.manager.pid, inst.sid[2], inst.sid[3]) == (1, 1, 2)
@@ -180,7 +181,7 @@ def test_after_the_l_freeze_the_confirm_masks_are_dropped_and_a_late_cnf_is_free
 def test_the_moderator_drops_its_shares_at_the_m_freeze():
     result, stack = run_mwsvss(SystemConfig(n=4, seed=3), 1, 2, 7, reconstruct=False)
     inst = stack.vss[2].mw[result.session]
-    assert inst.M_frozen and inst.moderator_row is None and inst.moderator_shares is None
+    assert inst.moderator_row is None and inst.moderator_shares is None
     assert isinstance(inst.M, int) and inst.M.bit_count() >= 3
     assert stack.vss[2].pids_of(inst.M) == tuple(sorted(inst.M_hat))
 

@@ -256,24 +256,43 @@ class TestValueRows:
     """f̂_j and f̂ are value rows f(0..n), held only while steps 3 and 5
     read them."""
 
-    def test_rows_dropped_at_freeze_and_duplicates_still_ignored(self):
+    def test_rows_dropped_at_freeze_and_duplicates_still_ignored(self, monkeypatch):
+        """... and step 2 and R' step 1 run once each: their callers' own
+        guards are all that keeps them from running again."""
         cfg = SystemConfig(n=4, seed=0)
         result, stack = run_mwsvss(cfg, dealer=1, moderator=2, secret=9, reconstruct=False)
         stack.runtime.run_to_quiescence()
         instances = [stack.vss[pid].mw[result.session] for pid in cfg.pids]
         moderator = instances[1]
         assert all(inst.L_frozen and inst.monitor_row is None for inst in instances)
-        assert moderator.M_frozen and moderator.moderator_row is None
+        assert moderator.moderator_shares is None and moderator.moderator_row is None
         sent = stack.trace.total_messages
         L = [inst.L for inst in instances]
         for inst in instances:
             inst.handle(1, "mon", (1, 2))  # a second, different f̂_j
+            inst.handle(1, "shl", inst.share_vector)  # a second shl, the same body
+            inst.handle(1, "shl", (1, 2, 3, 4))  # ... and a different one
         moderator.handle(1, "mod", (3, 4))  # a second, different f̂
         assert all(inst.monitor_row is None for inst in instances)
         assert moderator.moderator_row is None
         assert [inst.L for inst in instances] == L
         assert stack.runtime.run_to_quiescence() == 0
-        assert stack.trace.total_messages == sent
+        assert stack.trace.total_messages == sent  # no second confirm or ack
+        rv = dict.fromkeys(cfg.pids, 0)
+        for pid, mgr in stack.vss.items():
+            broadcast = mgr.rb_broadcast
+
+            def counted(inst, kind, body, pid=pid, broadcast=broadcast):
+                rv[pid] += kind == "rv"
+                broadcast(inst, kind, body)
+
+            monkeypatch.setattr(mgr, "rb_broadcast", counted)
+        for inst in instances:
+            inst.begin_reconstruct()
+            inst.begin_reconstruct()
+        stack.runtime.run_to_quiescence()
+        assert rv == dict.fromkeys(cfg.pids, 1)
+        assert all(inst.output == 9 and inst.released for inst in instances)
 
 
 class TestProtocolErrors:
